@@ -110,9 +110,9 @@ pub struct Cluster {
     /// Per-VM forwarded bytes at the previous placement epoch.
     pub(crate) prev_vm_bytes: BTreeMap<(HostId, VmId), u64>,
     pub(crate) stats: ClusterStats,
-    /// Drives the begin/rounds/close step over all hosts — serially at
-    /// `threads == 1`, sharded across worker threads otherwise. Semantics
-    /// are identical either way; see [`crate::exec`].
+    /// Drives each step's poll rounds over the units (hosts, or their
+    /// share lanes) — inline at `threads == 1`, on worker threads
+    /// otherwise. Semantics are identical either way; see [`crate::exec`].
     pub(crate) exec: ShardedExecutor,
     /// Shard below the host boundary: NSM share lanes (not whole hosts)
     /// are the parallel units. See [`nk_types::ClusterConfig::shard_within_hosts`]
@@ -412,178 +412,135 @@ impl Cluster {
     }
 
     /// The shared core of [`Cluster::step`] and the freeze-window
-    /// mini-step: advance virtual time and drive one begin / rounds
-    /// (/ close, for full steps) sequence over every host through the
-    /// executor. The hub closure — the ToR plus the ToR-attached endpoint
-    /// stacks — runs at each round barrier with every worker parked,
-    /// draining host uplinks in route order (ascending host id), so the
-    /// cross-shard frame merge is deterministic for any thread count.
-    pub(crate) fn drive_step(&mut self, dt_ns: u64, close: bool) -> StepOutcome {
-        if self.shard_within_hosts {
-            return self.drive_step_lanes(dt_ns, close);
-        }
-        self.now_ns += dt_ns;
-        let before = {
-            let s = self.exec.stats();
-            (s.begin_work, s.poll_work, s.close_work, s.barrier_frames)
-        };
-        let tor = &mut self.tor;
-        let remotes = &mut self.remotes;
-        // The hub runs serially on the coordinator at every round barrier,
-        // draining trunks in route order — the one place every cross-host
-        // frame passes deterministically, so the recorder taps flows here.
-        let obs = &mut self.obs;
-        let obs_active = obs.active();
-        let outcome = self.exec.drive(
-            &mut self.hosts,
-            |now| {
-                let frames = if obs_active {
-                    tor.step_with(now, |f| {
-                        obs.observe_flow(
-                            FlowKey {
-                                src_ip: f.payload.src.ip,
-                                src_port: f.payload.src.port,
-                                dst_ip: f.payload.dst.ip,
-                                dst_port: f.payload.dst.port,
-                            },
-                            f.wire_bytes as u64,
-                        )
-                    })
-                } else {
-                    tor.step(now)
-                };
-                let mut work = frames;
-                for remote in remotes.values_mut() {
-                    work += Pollable::poll(remote, now);
-                }
-                (work, frames)
-            },
-            self.now_ns,
-            dt_ns,
-            self.cfg.max_rounds,
-            close,
-        );
-        let s = self.exec.stats();
-        self.stats.begin_work += s.begin_work - before.0;
-        self.stats.poll_work += s.poll_work - before.1;
-        self.stats.control_work += s.close_work - before.2;
-        self.stats.barrier_frames += s.barrier_frames - before.3;
-        self.drain_host_feeds();
-        outcome
-    }
-
-    /// The intra-host sharding variant of [`Cluster::drive_step`]: every
-    /// host is split into NSM share lanes and the flattened lane list —
-    /// every lane of every host — is dealt across the worker threads by
-    /// weighted placement ([`ShardedExecutor::drive_lanes`]), so one
-    /// many-share host no longer serialises behind the host boundary.
+    /// mini-step: advance virtual time, open the step on every host, drive
+    /// the poll phase through the executor, and (for full steps) close it.
     ///
-    /// Determinism is preserved by the same discipline as host-granularity
-    /// sharding, one level down: lanes touch disjoint state during the poll
-    /// phase, and everything shared — each host's resident engine, ledger
-    /// charges, vNIC switch and the ToR — runs serially at the round
-    /// barrier in `(HostId, lane key)` drain order. Begin and close phases
-    /// run on the coordinator with every lane re-absorbed into its host, so
-    /// fault injection, the control plane and all migration paths see whole
-    /// hosts exactly as the serial path does.
-    fn drive_step_lanes(&mut self, dt_ns: u64, close: bool) -> StepOutcome {
+    /// Begin and close run here, serially on whole hosts in `HostId` order,
+    /// in every mode — so fault injection, the control plane and all
+    /// migration paths never see a host in pieces. What the executor's
+    /// *units* are is the only mode-dependent part:
+    ///
+    /// * whole hosts, dealt round-robin — the hub is the fabric alone; or,
+    /// * with [`ClusterConfig::shard_within_hosts`], every NSM share lane of
+    ///   every host, flattened into one list and dealt by last step's
+    ///   per-lane work, so one many-share host no longer serialises behind
+    ///   the host boundary — the hub first runs each host's own hub
+    ///   (`NetKernelHost::hub_round`: resident engine, lane-report ledger
+    ///   charges, host remotes, vNIC switch), so uplink frames are on the
+    ///   trunks before the ToR runs.
+    ///
+    /// Either way the hub runs at each round barrier with every worker
+    /// parked and drains host uplinks in route order (ascending `HostId`),
+    /// so the cross-shard frame merge is deterministic for any thread count
+    /// and both modes produce the same bytes.
+    pub(crate) fn drive_step(&mut self, dt_ns: u64, close: bool) -> StepOutcome {
         self.now_ns += dt_ns;
-        let before = {
-            let s = self.exec.stats();
-            (s.begin_work, s.poll_work, s.close_work, s.barrier_frames)
-        };
-        // Begin: serial, `HostId` order — identical to the serial walk.
+        let now_ns = self.now_ns;
         let mut begin = 0usize;
         for host in self.hosts.values_mut() {
             begin += host.begin_step(dt_ns);
         }
-        self.exec.note_begin_work(begin);
-        // Split every host into its share lanes, flattened into one
-        // cluster-wide unit list keyed `(host, lane key)`.
-        let mut lanes: BTreeMap<(HostId, NsmId), ShareLane> = BTreeMap::new();
-        for (id, host) in self.hosts.iter_mut() {
-            for (key, lane) in host.split_lanes() {
-                lanes.insert((*id, key), lane);
-            }
-        }
-        // Work the per-host hubs did at the barriers. The executor books it
-        // under `hub_work`; `ClusterStats::poll_work` must still cover it —
-        // in host-granularity mode the same work happens inside
-        // `NetKernelHost::poll_round` and lands in `poll_work`.
-        let host_tail = std::cell::Cell::new(0usize);
+
+        let before = {
+            let s = self.exec.stats();
+            (s.poll_work, s.barrier_frames)
+        };
+        let max_rounds = self.cfg.max_rounds;
         let hosts = &mut self.hosts;
         let tor = &mut self.tor;
         let remotes = &mut self.remotes;
+        // The fabric hub: the one place every cross-host frame passes, in
+        // route order, on the coordinator — so the recorder taps flows
+        // here. `host_hub_work` is what the host hubs did this round (0
+        // when the units are whole hosts).
         let obs = &mut self.obs;
         let obs_active = obs.active();
-        let outcome = self.exec.drive_lanes(
-            &mut lanes,
-            &self.lane_weights,
-            |now| {
-                // Host hubs first (resident engine, lane-report ledger
-                // charges, host remotes, vNIC switch) in `HostId` order —
-                // uplink frames must be on the trunks before the ToR runs.
-                let mut tail = 0usize;
-                for host in hosts.values_mut() {
-                    tail += host.hub_round(now);
-                }
-                host_tail.set(host_tail.get() + tail);
-                let frames = if obs_active {
-                    tor.step_with(now, |f| {
-                        obs.observe_flow(
-                            FlowKey {
-                                src_ip: f.payload.src.ip,
-                                src_port: f.payload.src.port,
-                                dst_ip: f.payload.dst.ip,
-                                dst_port: f.payload.dst.port,
-                            },
-                            f.wire_bytes as u64,
-                        )
-                    })
-                } else {
-                    tor.step(now)
-                };
-                let mut work = tail + frames;
-                for remote in remotes.values_mut() {
-                    work += Pollable::poll(remote, now);
-                }
-                (work, frames)
-            },
-            self.now_ns,
-            self.cfg.max_rounds,
-        );
-        // Re-assemble every host and harvest the per-lane work counters for
-        // next step's dealing. A lane that did no work gets no entry and
-        // weighs 1 next step.
-        let mut per_host: BTreeMap<HostId, BTreeMap<NsmId, ShareLane>> = BTreeMap::new();
-        for ((host, key), lane) in lanes {
-            per_host.entry(host).or_default().insert(key, lane);
-        }
-        for (host, host_lanes) in per_host {
-            self.hosts
-                .get_mut(&host)
-                .expect("lanes came from this host")
-                .absorb_lanes(host_lanes);
-        }
-        self.lane_weights.clear();
-        for (id, host) in self.hosts.iter_mut() {
-            for (key, load) in host.take_lane_loads() {
-                self.lane_weights.insert((*id, key), load);
+        let mut fabric_hub = |host_hub_work: usize, now: u64| {
+            let frames = if obs_active {
+                tor.step_with(now, |f| {
+                    obs.observe_flow(
+                        FlowKey {
+                            src_ip: f.payload.src.ip,
+                            src_port: f.payload.src.port,
+                            dst_ip: f.payload.dst.ip,
+                            dst_port: f.payload.dst.port,
+                        },
+                        f.wire_bytes as u64,
+                    )
+                })
+            } else {
+                tor.step(now)
+            };
+            let mut work = host_hub_work + frames;
+            for remote in remotes.values_mut() {
+                work += Pollable::poll(remote, now);
             }
-        }
-        // Close: serial, `HostId` order, on the whole re-assembled hosts.
+            (work, frames)
+        };
+        // Work the per-host hubs did at the barriers. The executor books it
+        // under `hub_work`; `ClusterStats::poll_work` must still cover it —
+        // with whole hosts as units the same work happens inside
+        // `NetKernelHost::poll_round` and lands in `poll_work`.
+        let mut host_tail = 0usize;
+        let outcome = if self.shard_within_hosts {
+            let mut lanes: BTreeMap<(HostId, NsmId), ShareLane> = BTreeMap::new();
+            for (id, host) in hosts.iter_mut() {
+                for (key, lane) in host.split_lanes() {
+                    lanes.insert((*id, key), lane);
+                }
+            }
+            let outcome = self.exec.drive(
+                &mut lanes,
+                &self.lane_weights,
+                |now| {
+                    let mut tail = 0usize;
+                    for host in hosts.values_mut() {
+                        tail += host.hub_round(now);
+                    }
+                    host_tail += tail;
+                    fabric_hub(tail, now)
+                },
+                now_ns,
+                max_rounds,
+            );
+            // Re-assemble every host and harvest the per-lane work counters
+            // for next step's dealing (scheduling input only). A lane that
+            // did no work gets no entry and weighs 1 next step.
+            let mut per_host: BTreeMap<HostId, BTreeMap<NsmId, ShareLane>> = BTreeMap::new();
+            for ((host, key), lane) in lanes {
+                per_host.entry(host).or_default().insert(key, lane);
+            }
+            self.lane_weights.clear();
+            for (id, host) in hosts.iter_mut() {
+                host.absorb_lanes(per_host.remove(id).unwrap_or_default());
+                for (key, load) in host.take_lane_loads() {
+                    self.lane_weights.insert((*id, key), load);
+                }
+            }
+            outcome
+        } else {
+            let no_weights = BTreeMap::new();
+            self.exec.drive(
+                hosts,
+                &no_weights,
+                |now| fabric_hub(0, now),
+                now_ns,
+                max_rounds,
+            )
+        };
+
         let mut close_work = 0usize;
         if close {
             for host in self.hosts.values_mut() {
                 close_work += host.end_step();
             }
-            self.exec.note_close_work(close_work);
         }
+        self.exec.note_serial_work(begin + close_work);
         let s = self.exec.stats();
-        self.stats.begin_work += s.begin_work - before.0;
-        self.stats.poll_work += (s.poll_work - before.1) + host_tail.get() as u64;
-        self.stats.control_work += s.close_work - before.2;
-        self.stats.barrier_frames += s.barrier_frames - before.3;
+        self.stats.begin_work += begin as u64;
+        self.stats.poll_work += (s.poll_work - before.0) + host_tail as u64;
+        self.stats.control_work += close_work as u64;
+        self.stats.barrier_frames += s.barrier_frames - before.1;
         self.drain_host_feeds();
         StepOutcome {
             work: begin + outcome.work + close_work,
@@ -1410,6 +1367,60 @@ mod tests {
             .with_host(host(1, &[1]))
             .with_policy(ClusterPolicy::new().with_window(0));
         assert!(Cluster::new(bad_policy).is_err());
+    }
+
+    /// Begin and close run on every host, once per step, at any thread
+    /// count and either unit granularity — and the freeze-window mini-step
+    /// runs begin and the rounds but skips close. Observed from outside: a
+    /// fault due at the first step (begin applies it and advances the host
+    /// clock) and a control epoch due every step (close samples it).
+    #[test]
+    fn freeze_ministep_runs_begin_and_rounds_but_no_close() {
+        use nk_types::{ControlPolicy, FaultAction, FaultPlan, LinkFault};
+        const DT: u64 = 100_000;
+        for (threads, lanes) in [(1, false), (3, false), (1, true), (3, true)] {
+            let policy = ControlPolicy {
+                epoch_ns: DT,
+                ..ControlPolicy::default()
+            };
+            let mut cfg = ClusterConfig::new()
+                .with_threads(threads)
+                .with_shard_within_hosts(lanes);
+            for id in 1..=3 {
+                cfg = cfg.with_host(host(id, &[id]).with_control(policy.clone()));
+            }
+            let mut cluster = Cluster::new(cfg).unwrap();
+            let plan = FaultPlan::new().at(
+                DT,
+                FaultAction::DegradeLink {
+                    nsm: NsmId(1),
+                    link: LinkFault::default(),
+                },
+            );
+            for host in cluster.hosts.values_mut() {
+                host.install_fault_plan(&plan).unwrap();
+            }
+            let closes = |cluster: &Cluster| -> Vec<usize> {
+                let hosts = cluster.hosts.values();
+                hosts
+                    .map(|h| h.control_telemetry().actions_per_epoch.len())
+                    .collect()
+            };
+
+            cluster.freeze_ministep(DT);
+            let stats = cluster.stats();
+            assert_eq!(stats.begin_work, 3, "every host applied its fault");
+            assert_eq!((stats.freeze_steps, stats.steps), (1, 0));
+            assert!(cluster.exec_stats().rounds >= 1);
+            assert_eq!(closes(&cluster), vec![0, 0, 0], "no host closed");
+            assert!(cluster.hosts.values().all(|h| h.now_ns() == DT));
+
+            cluster.step(DT);
+            cluster.step(DT);
+            assert_eq!(closes(&cluster), vec![2, 2, 2], "one close per step");
+            assert_eq!(cluster.stats().begin_work, 3);
+            assert_eq!(cluster.exec_stats().steps, 3);
+        }
     }
 
     /// The `NK_CLUSTER_THREADS` override accepts only positive integers;

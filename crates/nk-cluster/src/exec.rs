@@ -1,28 +1,42 @@
-//! The sharded cluster-step executor: hosts across worker threads, rounds
-//! separated by barriers, byte-identical results for any thread count.
+//! The cluster-step executor: one round loop over pollable units, run
+//! inline or across worker threads, byte-identical either way.
 //!
-//! `Cluster::step` walks every host in `HostId` order — serially, so wall
-//! clock grows linearly with hosts. This module parallelises that walk
-//! *without changing a single observable byte*:
+//! A cluster step's poll phase is "every unit polls, then the hub runs,
+//! until a whole round reports no work". This module owns that loop —
+//! once — and nothing else of the step:
 //!
-//! * **Hosts are the unit of parallelism.** Each worker thread owns a
-//!   disjoint shard of hosts (round-robin over `HostId` order). Within a
-//!   round a host only touches its own state plus its uplink channel ends,
-//!   so shards never share mutable state.
-//! * **Rounds are barriers.** A step is `begin` / repeated `round` /
-//!   `close`, and between rounds *all* workers park while the coordinator
-//!   runs the hub — the ToR switch and the ToR-attached endpoint stacks —
-//!   exactly where the serial loop ran them. The hub drains every host's
-//!   uplink in route order (ascending `HostId`), which is the deterministic
-//!   cross-shard merge point.
+//! * **Units** are whatever implements [`PollUnit`]: whole
+//!   [`nk_host::NetKernelHost`]s, or the [`nk_host::ShareLane`]s a host
+//!   splits into. Within a round a unit only touches its own state plus the
+//!   producer end of its SPSC edges (uplink trunk, lane report channel), so
+//!   units never share mutable state and their polls commute.
+//! * **Dealing.** Units go onto `min(threads, units)` shards heaviest first
+//!   (by the caller's `weights`, normally last step's per-unit work), each
+//!   onto the lightest shard — longest-processing-time dealing. A unit with
+//!   no weight weighs 1, so with no weights at all the deal is round-robin
+//!   in key order. The assignment is a pure function of (weights, key
+//!   order, shard count) and only ever affects scheduling.
+//! * **One shard runs inline.** With one thread (or one unit) the caller's
+//!   thread polls the units in key order and calls the hub: no spawn, no
+//!   barrier. That is the serial reference, not a separate path — the same
+//!   loop, handed a different way to run a round.
+//! * **Several shards run on scoped workers.** Each worker owns one shard;
+//!   the coordinator releases them into a round and waits them out at a
+//!   spin-then-yield barrier, then runs the hub with every worker parked —
+//!   so the hub is free of data races and drains the cross-shard edges in
+//!   the same order at any thread count. A panic on any thread poisons the
+//!   barrier: the others leave it and the panic reaches the caller.
 //! * **Quiescence is a sum.** The exit decision (`work == 0`, round bound)
 //!   depends only on the *total* work of a round, and sums are independent
-//!   of shard assignment — so every thread count runs the same number of
-//!   rounds and the virtual-time semantics are unchanged.
+//!   of shard assignment — every thread count runs the same rounds.
 //!
-//! The executor also keeps the model numbers the `par01` experiment
-//! reports: `serial_work` (what one thread executes) next to
-//! `critical_work` (the per-round maximum shard plus the hub — the
+//! Opening and closing a step (fault injection, the control phase) are not
+//! the executor's business: [`crate::Cluster`] runs them serially on whole
+//! hosts in `HostId` order around the poll phase, in every mode.
+//!
+//! The executor also keeps the model numbers the `par01`/`par02`
+//! experiments report: `serial_work` (what one thread executes) next to
+//! `critical_work` (per round the maximum shard plus the hub — the
 //! schedule's critical path). Their ratio is the thread-count-independent
 //! speedup of the sharding itself, which matters because CI runners and
 //! the development container often pin the process to a single core where
@@ -30,53 +44,38 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::thread::ScopedJoinHandle;
 
-/// The cluster-facing step protocol of one shardable unit (a
-/// [`nk_host::NetKernelHost`]): open the step, poll rounds, close the step.
-pub trait StepUnit: Send {
-    /// Open a step of `dt_ns` (advance time, apply due faults).
-    fn begin(&mut self, dt_ns: u64) -> usize;
-    /// One poll round over the unit's datapath.
-    fn round(&mut self) -> usize;
-    /// Close the step (the control phase).
-    fn close(&mut self) -> usize;
+/// One unit of the poll phase: something the executor can poll once per
+/// round, on whichever thread its shard landed on.
+pub trait PollUnit: Send {
+    /// One poll round over the unit's datapath at virtual time `now_ns`.
+    /// Returns the work done; 0 means quiescent at this instant.
+    fn poll_round(&mut self, now_ns: u64) -> usize;
 }
 
-impl StepUnit for nk_host::NetKernelHost {
-    fn begin(&mut self, dt_ns: u64) -> usize {
-        self.begin_step(dt_ns)
-    }
-    fn round(&mut self) -> usize {
-        self.poll_round()
-    }
-    fn close(&mut self) -> usize {
-        self.end_step()
+impl PollUnit for nk_host::NetKernelHost {
+    /// A whole host polls at its own clock, which `begin_step` advanced in
+    /// lockstep with the cluster's.
+    fn poll_round(&mut self, _now_ns: u64) -> usize {
+        nk_host::NetKernelHost::poll_round(self)
     }
 }
 
-/// The poll-phase protocol of one intra-host share lane (an
-/// [`nk_host::ShareLane`]): lanes only exist between a step's begin and
-/// close — the host runs those serially on the re-assembled whole — so the
-/// unit interface is a single round entry point.
-pub trait LaneUnit: Send {
-    /// One poll round over the lane's slice of a host datapath.
-    fn lane_round(&mut self, now_ns: u64) -> usize;
-}
-
-impl LaneUnit for nk_host::ShareLane {
-    fn lane_round(&mut self, now_ns: u64) -> usize {
-        self.poll_round(now_ns)
+impl PollUnit for nk_host::ShareLane {
+    fn poll_round(&mut self, now_ns: u64) -> usize {
+        nk_host::ShareLane::poll_round(self, now_ns)
     }
 }
 
-/// What one driven step did.
+/// What one driven poll phase did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StepOutcome {
-    /// Total work items (begin + rounds + hub + close).
+    /// Total work items (unit rounds + hub).
     pub work: usize,
     /// Rounds executed.
     pub rounds: usize,
-    /// True when the step ended because a full round reported no work
+    /// True when the phase ended because a full round reported no work
     /// (false: the round bound cut it off).
     pub quiescent: bool,
 }
@@ -84,40 +83,34 @@ pub struct StepOutcome {
 /// Work counters of one shard, accumulated across steps.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Hosts assigned to this shard.
+    /// Units dealt to this shard in the latest step.
     pub units: usize,
-    /// Work done in begin phases.
-    pub begin_work: u64,
     /// Work done in poll rounds.
     pub poll_work: u64,
-    /// Work done in close phases.
-    pub close_work: u64,
 }
 
-/// Executor counters: per-phase totals, per-shard breakdowns, and the
+/// Executor counters: totals, per-shard breakdowns, and the
 /// serial-vs-critical-path work model.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Worker threads actually used (after clamping to the unit count).
+    /// Shards actually used (threads clamped to the unit count).
     pub threads: usize,
     /// Steps driven.
     pub steps: u64,
     /// Rounds executed across all steps.
     pub rounds: u64,
-    /// Work done in begin phases, all shards.
-    pub begin_work: u64,
-    /// Work done in poll rounds, all shards.
+    /// Work done by units in poll rounds, all shards.
     pub poll_work: u64,
-    /// Work done in close phases, all shards.
-    pub close_work: u64,
-    /// Work done by the hub (ToR + endpoint stacks) at round barriers.
+    /// Work done by the hub at round barriers.
     pub hub_work: u64,
     /// Frames the ToR forwarded at round barriers (the cross-shard edge).
     pub barrier_frames: u64,
     /// Total work items — what a single thread executes.
     pub serial_work: u64,
-    /// Critical-path work items: per phase the *maximum* shard (phases run
+    /// Critical-path work items: per round the *maximum* shard (shards run
     /// in parallel) plus the full hub (it runs serially at the barrier).
+    /// Begin and close phases run serially outside the executor and always
+    /// count in full ([`ShardedExecutor::note_serial_work`]).
     /// `serial_work / critical_work` is the modeled speedup of the
     /// sharding, independent of how many cores the process actually gets.
     pub critical_work: u64,
@@ -136,17 +129,8 @@ impl ExecStats {
     ///
     /// ```text
     /// critical_work = Σ over rounds ( max(shard poll work) + hub work )
-    ///               + Σ over steps  ( begin + close terms )
+    ///               + Σ over steps  ( begin work + close work )
     /// ```
-    ///
-    /// where the begin/close terms are the per-phase *maximum* shard when
-    /// the phase ran sharded, or the full phase work when it ran serially
-    /// on the coordinator (as in lane mode, see
-    /// [`ShardedExecutor::note_begin_work`]). An earlier version divided by
-    /// the per-round maximum shard alone — one unit per shard round, no
-    /// hub — which over-reported speedup whenever the serial hub did real
-    /// work, precisely the regime intra-host sharding lives in (the hub
-    /// carries the vNIC switch every round).
     ///
     /// Worked example: one round, 8 lanes × 12 work items dealt 2-per-shard
     /// onto 4 shards, and a hub doing 8 items at the barrier. Serially
@@ -190,10 +174,15 @@ const BARRIER_SPIN_LIMIT: u32 = 128;
 /// timeslice between polls, so an oversubscribed machine (CI pinning
 /// everything to one core) still makes progress instead of collapsing into
 /// N−1 threads busy-waiting on the one that holds the core.
+///
+/// A party that dies never arrives, so every party holds a
+/// [`PoisonOnPanic`] guard: unwinding sets `poisoned`, and every waiter
+/// gives up instead of spinning forever.
 struct SpinBarrier {
     parties: usize,
     arrived: AtomicUsize,
     generation: AtomicUsize,
+    poisoned: AtomicBool,
 }
 
 impl SpinBarrier {
@@ -202,10 +191,15 @@ impl SpinBarrier {
             parties,
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
         }
     }
 
-    fn wait(&self) {
+    /// Wait for every party. Returns `false` — without all parties having
+    /// arrived — once the barrier is poisoned; the caller must then stop
+    /// using it.
+    #[must_use]
+    fn wait(&self) -> bool {
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
             // Last arriver: reset the count *before* publishing the new
@@ -216,6 +210,9 @@ impl SpinBarrier {
         } else {
             let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
+                if self.poisoned.load(Ordering::Acquire) {
+                    return false;
+                }
                 spins += 1;
                 if spins < BARRIER_SPIN_LIMIT {
                     std::hint::spin_loop();
@@ -224,12 +221,124 @@ impl SpinBarrier {
                 }
             }
         }
+        true
     }
 }
 
-/// Drives cluster steps over a set of [`StepUnit`]s, sharded across worker
-/// threads with a round barrier. `threads <= 1` (or a single unit) runs the
-/// serial reference path — same code order as the pre-sharding step loop.
+/// Held by every barrier party for as long as it may still arrive: if the
+/// holder unwinds, the barrier is poisoned and the other parties' waits
+/// return instead of hanging on an arrival that will never come.
+struct PoisonOnPanic<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// The coordinator's side of a barrier wait. If the barrier was poisoned a
+/// worker panicked: the survivors are already leaving, so join everyone and
+/// re-raise the worker's own panic on the caller's thread — the same thing
+/// the caller sees when a unit panics on the inline path.
+fn wait_for_workers(barrier: &SpinBarrier, workers: &mut Vec<ScopedJoinHandle<'_, ()>>) {
+    if barrier.wait() {
+        return;
+    }
+    for worker in workers.drain(..) {
+        if let Err(payload) = worker.join() {
+            std::panic::resume_unwind(payload);
+        }
+    }
+    unreachable!("barrier poisoned, yet every worker exited cleanly");
+}
+
+/// Deal `units` (in key order) onto `shard_count` shards: heaviest first
+/// (key order breaks ties), each onto the lightest shard; shard occupancy,
+/// then shard index, break load ties. A unit without a weight weighs 1, not
+/// 0, so a fresh topology still spreads across shards instead of piling
+/// onto shard 0 — and equal weights deal round-robin in key order.
+fn deal<'u, K: Ord, U>(
+    units: &'u mut BTreeMap<K, U>,
+    weights: &BTreeMap<K, u64>,
+    shard_count: usize,
+) -> Vec<Vec<&'u mut U>> {
+    let mut order: Vec<(usize, u64)> = units
+        .keys()
+        .map(|key| weights.get(key).copied().unwrap_or(0).max(1))
+        .enumerate()
+        .collect();
+    // Stable: equal weights stay in key order.
+    order.sort_by_key(|(_, weight)| std::cmp::Reverse(*weight));
+    let mut filled = vec![(0u64, 0usize); shard_count]; // (load, occupancy)
+    let mut assignment = vec![0usize; order.len()];
+    for (index, weight) in order {
+        let target = (0..shard_count)
+            .min_by_key(|i| (filled[*i], *i))
+            .expect("shard_count >= 1");
+        filled[target].0 += weight;
+        filled[target].1 += 1;
+        assignment[index] = target;
+    }
+    let mut shards: Vec<Vec<&mut U>> = (0..shard_count).map(|_| Vec::new()).collect();
+    for (unit, shard) in units.values_mut().zip(assignment) {
+        shards[shard].push(unit);
+    }
+    shards
+}
+
+/// The round loop — the only one. `poll` runs one round of every unit and
+/// writes each shard's work into its slot of `shard_work` (one slot per
+/// shard, the caller's scratch); the hub then runs on the caller's thread;
+/// the loop ends when a full round (units + hub) reports no work or
+/// `max_rounds` is hit. Every [`ExecStats`] counter a round moves is moved
+/// here.
+fn run_rounds(
+    stats: &mut ExecStats,
+    shard_work: &mut [usize],
+    mut poll: impl FnMut(&mut [usize]),
+    mut hub: impl FnMut(u64) -> (usize, usize),
+    now_ns: u64,
+    max_rounds: usize,
+) -> StepOutcome {
+    let mut total = 0usize;
+    let mut rounds = 0usize;
+    let quiescent = loop {
+        poll(shard_work);
+        let mut poll_sum = 0usize;
+        let mut poll_max = 0usize;
+        for (shard, work) in stats.shards.iter_mut().zip(shard_work.iter()) {
+            poll_sum += work;
+            poll_max = poll_max.max(*work);
+            shard.poll_work += *work as u64;
+        }
+        let (hub_work, frames) = hub(now_ns);
+        let work = poll_sum + hub_work;
+        rounds += 1;
+        total += work;
+        stats.poll_work += poll_sum as u64;
+        stats.hub_work += hub_work as u64;
+        stats.barrier_frames += frames as u64;
+        stats.serial_work += work as u64;
+        stats.critical_work += (poll_max + hub_work) as u64;
+        if work == 0 {
+            break true;
+        }
+        if rounds >= max_rounds {
+            break false;
+        }
+    };
+    stats.steps += 1;
+    stats.rounds += rounds as u64;
+    StepOutcome {
+        work: total,
+        rounds,
+        quiescent,
+    }
+}
+
+/// Drives the poll phase of cluster steps over a set of [`PollUnit`]s.
 pub struct ShardedExecutor {
     threads: usize,
     stats: ExecStats,
@@ -254,493 +363,104 @@ impl ShardedExecutor {
         &self.stats
     }
 
-    /// Drive one step over `units` (in key order): `begin` on every unit,
-    /// interleaved rounds — each unit's `round`, then `hub(now_ns)`, which
-    /// must run the cross-unit fabric (the ToR) and any coordinator-side
-    /// stacks and return `(work, frames_forwarded)` — until a full round
-    /// reports no work or `max_rounds` is hit, then (when `close` is set)
-    /// `close` on every unit.
+    /// Account work the caller ran serially outside the poll phase — a
+    /// step's begin and close phases, run on whole hosts in `HostId` order.
+    /// It genuinely is serial, so it counts in full on both sides of the
+    /// work model and is attributed to no shard.
+    pub fn note_serial_work(&mut self, work: usize) {
+        self.stats.serial_work += work as u64;
+        self.stats.critical_work += work as u64;
+    }
+
+    /// Drive the poll phase of one step: rounds of every unit's
+    /// [`PollUnit::poll_round`] followed by the hub — which must run the
+    /// cross-unit fabric (host hubs when the units are lanes, the ToR, the
+    /// cluster's endpoint stacks) and return `(work, frames_forwarded)` —
+    /// until a full round reports no work or `max_rounds` is hit.
     ///
-    /// The hub always runs on the caller's thread with every worker parked
-    /// at the barrier, so everything it touches is free of data races and
-    /// ordered identically for any thread count.
+    /// Units are dealt onto `min(threads, units.len())` shards by `weights`
+    /// (see the module docs; pass an empty map for round-robin). One shard
+    /// runs inline on the caller's thread; more run on scoped worker
+    /// threads behind a barrier. The hub always runs on the caller's thread
+    /// with every worker parked, so everything it touches is free of data
+    /// races and ordered identically for any thread count, and the rounds
+    /// executed never depend on the dealing.
+    ///
+    /// A panic in a unit or in the hub propagates to the caller at any
+    /// thread count, after every worker has exited.
     pub fn drive<K, U, H>(
         &mut self,
         units: &mut BTreeMap<K, U>,
+        weights: &BTreeMap<K, u64>,
         hub: H,
         now_ns: u64,
-        dt_ns: u64,
         max_rounds: usize,
-        close: bool,
     ) -> StepOutcome
     where
         K: Ord,
-        U: StepUnit,
+        U: PollUnit,
         H: FnMut(u64) -> (usize, usize),
     {
         let shard_count = self.threads.min(units.len()).max(1);
-        self.stats.threads = shard_count;
-        if self.stats.shards.len() != shard_count {
-            self.stats.shards = vec![ShardStats::default(); shard_count];
+        let stats = &mut self.stats;
+        stats.threads = shard_count;
+        if stats.shards.len() != shard_count {
+            stats.shards = vec![ShardStats::default(); shard_count];
         }
-        let outcome = if shard_count <= 1 {
-            self.drive_serial(units, hub, now_ns, dt_ns, max_rounds, close)
-        } else {
-            self.drive_sharded(units, hub, now_ns, dt_ns, max_rounds, close, shard_count)
-        };
-        self.stats.steps += 1;
-        self.stats.rounds += outcome.rounds as u64;
-        outcome
-    }
-
-    /// The serial reference path: one implicit shard, critical path equal
-    /// to serial work by construction.
-    fn drive_serial<K, U, H>(
-        &mut self,
-        units: &mut BTreeMap<K, U>,
-        mut hub: H,
-        now_ns: u64,
-        dt_ns: u64,
-        max_rounds: usize,
-        close: bool,
-    ) -> StepOutcome
-    where
-        K: Ord,
-        U: StepUnit,
-        H: FnMut(u64) -> (usize, usize),
-    {
-        let shard = &mut self.stats.shards[0];
-        shard.units = units.len();
-        let mut total = 0usize;
-        let mut begin = 0usize;
-        for unit in units.values_mut() {
-            begin += unit.begin(dt_ns);
-        }
-        total += begin;
-        shard.begin_work += begin as u64;
-        self.stats.begin_work += begin as u64;
-        self.stats.serial_work += begin as u64;
-        self.stats.critical_work += begin as u64;
-
-        let mut rounds = 0usize;
-        let quiescent;
-        loop {
-            let mut poll = 0usize;
-            for unit in units.values_mut() {
-                poll += unit.round();
-            }
-            let (hub_work, frames) = hub(now_ns);
-            let work = poll + hub_work;
-            rounds += 1;
-            total += work;
-            self.stats.shards[0].poll_work += poll as u64;
-            self.stats.poll_work += poll as u64;
-            self.stats.hub_work += hub_work as u64;
-            self.stats.barrier_frames += frames as u64;
-            self.stats.serial_work += work as u64;
-            self.stats.critical_work += work as u64;
-            if work == 0 {
-                quiescent = true;
-                break;
-            }
-            if rounds >= max_rounds {
-                quiescent = false;
-                break;
-            }
+        if shard_count == 1 {
+            stats.shards[0].units = units.len();
+            let poll = |work: &mut [usize]| {
+                work[0] = units.values_mut().map(|u| u.poll_round(now_ns)).sum();
+            };
+            return run_rounds(stats, &mut [0], poll, hub, now_ns, max_rounds);
         }
 
-        if close {
-            let mut end = 0usize;
-            for unit in units.values_mut() {
-                end += unit.close();
-            }
-            total += end;
-            self.stats.shards[0].close_work += end as u64;
-            self.stats.close_work += end as u64;
-            self.stats.serial_work += end as u64;
-            self.stats.critical_work += end as u64;
+        let shards = deal(units, weights, shard_count);
+        for (shard_stats, shard) in stats.shards.iter_mut().zip(&shards) {
+            shard_stats.units = shard.len();
         }
-        StepOutcome {
-            work: total,
-            rounds,
-            quiescent,
-        }
-    }
-
-    /// The sharded path: workers own disjoint unit shards, the coordinator
-    /// owns the hub, a barrier separates every round.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_sharded<K, U, H>(
-        &mut self,
-        units: &mut BTreeMap<K, U>,
-        mut hub: H,
-        now_ns: u64,
-        dt_ns: u64,
-        max_rounds: usize,
-        close: bool,
-        shard_count: usize,
-    ) -> StepOutcome
-    where
-        K: Ord,
-        U: StepUnit,
-        H: FnMut(u64) -> (usize, usize),
-    {
-        // Round-robin in key order: shard i gets units i, i+shard_count, …
-        // — the same deterministic assignment for every run.
-        let mut shards: Vec<Vec<&mut U>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for (i, unit) in units.values_mut().enumerate() {
-            shards[i % shard_count].push(unit);
-        }
-        for (i, shard) in shards.iter().enumerate() {
-            self.stats.shards[i].units = shard.len();
-        }
-
-        // Coordinator + workers all meet at one barrier. Per-shard result
-        // cells carry each phase's work back to the coordinator.
+        // Coordinator + workers all meet at one barrier, twice per round:
+        // once to start it, once when it is done. Per-shard cells carry
+        // each round's work back to the coordinator.
         let barrier = SpinBarrier::new(shard_count + 1);
         let stop = AtomicBool::new(false);
-        let begin_cells: Vec<AtomicUsize> = (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
-        let round_cells: Vec<AtomicUsize> = (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
-        let close_cells: Vec<AtomicUsize> = (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
-
-        let mut total = 0usize;
-        let mut rounds = 0usize;
-        let mut quiescent = false;
+        let cells: Vec<AtomicUsize> = (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
         std::thread::scope(|scope| {
-            for (i, mut shard) in shards.into_iter().enumerate() {
-                let barrier = &barrier;
-                let stop = &stop;
-                let begin_cell = &begin_cells[i];
-                let round_cell = &round_cells[i];
-                let close_cell = &close_cells[i];
-                scope.spawn(move || {
-                    let mut work = 0usize;
-                    for unit in shard.iter_mut() {
-                        work += unit.begin(dt_ns);
-                    }
-                    begin_cell.store(work, Ordering::Release);
-                    barrier.wait(); // begin done
-                    loop {
-                        barrier.wait(); // round start (or stop)
-                        if stop.load(Ordering::Acquire) {
+            let _poison = PoisonOnPanic(&barrier);
+            let mut workers = Vec::with_capacity(shard_count);
+            for (mut shard, cell) in shards.into_iter().zip(&cells) {
+                let (barrier, stop) = (&barrier, &stop);
+                workers.push(scope.spawn(move || {
+                    let _poison = PoisonOnPanic(barrier);
+                    // Round start (or stop) … round done → hub runs.
+                    while barrier.wait() && !stop.load(Ordering::Acquire) {
+                        let work: usize = shard.iter_mut().map(|u| u.poll_round(now_ns)).sum();
+                        cell.store(work, Ordering::Release);
+                        if !barrier.wait() {
                             break;
                         }
-                        let mut work = 0usize;
-                        for unit in shard.iter_mut() {
-                            work += unit.round();
-                        }
-                        round_cell.store(work, Ordering::Release);
-                        barrier.wait(); // round done → hub runs
                     }
-                    if close {
-                        let mut work = 0usize;
-                        for unit in shard.iter_mut() {
-                            work += unit.close();
-                        }
-                        close_cell.store(work, Ordering::Release);
-                    }
-                });
+                }));
             }
-
-            // Coordinator: collect the begin phase.
-            barrier.wait();
-            let mut begin_sum = 0usize;
-            let mut begin_max = 0usize;
-            for (i, cell) in begin_cells.iter().enumerate() {
-                let w = cell.load(Ordering::Acquire);
-                begin_sum += w;
-                begin_max = begin_max.max(w);
-                self.stats.shards[i].begin_work += w as u64;
-            }
-            total += begin_sum;
-            self.stats.begin_work += begin_sum as u64;
-            self.stats.serial_work += begin_sum as u64;
-            self.stats.critical_work += begin_max as u64;
-
-            // Round loop: release the workers, wait them out, run the hub.
-            loop {
-                barrier.wait(); // round start
-                barrier.wait(); // round done
-                let mut poll_sum = 0usize;
-                let mut poll_max = 0usize;
-                for (i, cell) in round_cells.iter().enumerate() {
-                    let w = cell.load(Ordering::Acquire);
-                    poll_sum += w;
-                    poll_max = poll_max.max(w);
-                    self.stats.shards[i].poll_work += w as u64;
+            let poll = |work: &mut [usize]| {
+                wait_for_workers(&barrier, &mut workers); // round start
+                wait_for_workers(&barrier, &mut workers); // round done
+                for (slot, cell) in work.iter_mut().zip(&cells) {
+                    *slot = cell.load(Ordering::Acquire);
                 }
-                let (hub_work, frames) = hub(now_ns);
-                let work = poll_sum + hub_work;
-                rounds += 1;
-                total += work;
-                self.stats.poll_work += poll_sum as u64;
-                self.stats.hub_work += hub_work as u64;
-                self.stats.barrier_frames += frames as u64;
-                self.stats.serial_work += work as u64;
-                self.stats.critical_work += (poll_max + hub_work) as u64;
-                if work == 0 {
-                    quiescent = true;
-                    break;
-                }
-                if rounds >= max_rounds {
-                    quiescent = false;
-                    break;
-                }
-            }
+            };
+            let outcome = run_rounds(
+                stats,
+                &mut vec![0; shard_count],
+                poll,
+                hub,
+                now_ns,
+                max_rounds,
+            );
             stop.store(true, Ordering::Release);
-            barrier.wait(); // workers observe stop, run their close phase
-        });
-
-        if close {
-            let mut close_sum = 0usize;
-            let mut close_max = 0usize;
-            for (i, cell) in close_cells.iter().enumerate() {
-                let w = cell.load(Ordering::Acquire);
-                close_sum += w;
-                close_max = close_max.max(w);
-                self.stats.shards[i].close_work += w as u64;
-            }
-            total += close_sum;
-            self.stats.close_work += close_sum as u64;
-            self.stats.serial_work += close_sum as u64;
-            self.stats.critical_work += close_max as u64;
-        }
-        StepOutcome {
-            work: total,
-            rounds,
-            quiescent,
-        }
-    }
-
-    // ---- Lane mode (intra-host sharding) -------------------------------------
-
-    /// Account work done in a serial begin phase run by the *caller* (lane
-    /// mode runs host begin/close on the coordinator, with every lane still
-    /// absorbed into its host). The work counts fully into the critical
-    /// path — it genuinely is serial — and is attributed to no shard.
-    pub fn note_begin_work(&mut self, work: usize) {
-        self.stats.begin_work += work as u64;
-        self.stats.serial_work += work as u64;
-        self.stats.critical_work += work as u64;
-    }
-
-    /// Account work done in a serial close phase run by the caller; see
-    /// [`ShardedExecutor::note_begin_work`].
-    pub fn note_close_work(&mut self, work: usize) {
-        self.stats.close_work += work as u64;
-        self.stats.serial_work += work as u64;
-        self.stats.critical_work += work as u64;
-    }
-
-    /// Drive the poll phase of one step over a flattened list of share
-    /// `lanes` (every share lane of every host in the cluster), dealt onto
-    /// worker threads by *weighted* placement: lanes are taken heaviest
-    /// first (by `weights`, normally last step's per-lane work; a lane
-    /// with no history weighs 1) and each goes to the lightest shard —
-    /// longest-processing-time dealing, so a single 8-share host saturates
-    /// 4 threads instead of serialising behind the host boundary. Ties
-    /// break by key, then by shard occupancy, then by shard index: the
-    /// assignment is a pure function of (weights, keys, thread count).
-    ///
-    /// `hub` runs at every round barrier on the caller's thread with all
-    /// workers parked, and must poll every host's hub (resident engine,
-    /// report drain, remotes, vNIC switch) in `HostId` order, then the ToR
-    /// and cluster remotes — returning `(work, frames_forwarded)` of
-    /// everything it ran. Quiescence is the sum of lane work and hub work
-    /// reaching zero, which is shard-assignment-independent, so every
-    /// thread count (and the serial walk) runs identical rounds.
-    ///
-    /// Begin and close phases are *not* part of this call — run them
-    /// serially around it and account them via
-    /// [`ShardedExecutor::note_begin_work`] /
-    /// [`ShardedExecutor::note_close_work`].
-    pub fn drive_lanes<K, L, H>(
-        &mut self,
-        lanes: &mut BTreeMap<K, L>,
-        weights: &BTreeMap<K, u64>,
-        hub: H,
-        now_ns: u64,
-        max_rounds: usize,
-    ) -> StepOutcome
-    where
-        K: Ord + Copy,
-        L: LaneUnit,
-        H: FnMut(u64) -> (usize, usize),
-    {
-        let shard_count = self.threads.min(lanes.len()).max(1);
-        self.stats.threads = shard_count;
-        if self.stats.shards.len() != shard_count {
-            self.stats.shards = vec![ShardStats::default(); shard_count];
-        }
-        let outcome = if shard_count <= 1 {
-            self.drive_lanes_serial(lanes, hub, now_ns, max_rounds)
-        } else {
-            self.drive_lanes_sharded(lanes, weights, hub, now_ns, max_rounds, shard_count)
-        };
-        self.stats.steps += 1;
-        self.stats.rounds += outcome.rounds as u64;
-        outcome
-    }
-
-    /// Serial lane walk (one thread or one lane): lanes in key order, then
-    /// the hub — the reference order every sharded schedule must match.
-    fn drive_lanes_serial<K, L, H>(
-        &mut self,
-        lanes: &mut BTreeMap<K, L>,
-        mut hub: H,
-        now_ns: u64,
-        max_rounds: usize,
-    ) -> StepOutcome
-    where
-        K: Ord,
-        L: LaneUnit,
-        H: FnMut(u64) -> (usize, usize),
-    {
-        self.stats.shards[0].units = lanes.len();
-        let mut total = 0usize;
-        let mut rounds = 0usize;
-        let quiescent;
-        loop {
-            let mut poll = 0usize;
-            for lane in lanes.values_mut() {
-                poll += lane.lane_round(now_ns);
-            }
-            let (hub_work, frames) = hub(now_ns);
-            let work = poll + hub_work;
-            rounds += 1;
-            total += work;
-            self.stats.shards[0].poll_work += poll as u64;
-            self.stats.poll_work += poll as u64;
-            self.stats.hub_work += hub_work as u64;
-            self.stats.barrier_frames += frames as u64;
-            self.stats.serial_work += work as u64;
-            self.stats.critical_work += work as u64;
-            if work == 0 {
-                quiescent = true;
-                break;
-            }
-            if rounds >= max_rounds {
-                quiescent = false;
-                break;
-            }
-        }
-        StepOutcome {
-            work: total,
-            rounds,
-            quiescent,
-        }
-    }
-
-    /// The sharded lane walk: weighted LPT dealing, then the same
-    /// barrier-per-round protocol as [`ShardedExecutor::drive_sharded`]
-    /// minus the begin/close phases.
-    fn drive_lanes_sharded<K, L, H>(
-        &mut self,
-        lanes: &mut BTreeMap<K, L>,
-        weights: &BTreeMap<K, u64>,
-        mut hub: H,
-        now_ns: u64,
-        max_rounds: usize,
-        shard_count: usize,
-    ) -> StepOutcome
-    where
-        K: Ord + Copy,
-        L: LaneUnit,
-        H: FnMut(u64) -> (usize, usize),
-    {
-        // Heaviest lane first (key breaks ties), each onto the lightest
-        // shard. A lane with no history weighs 1, not 0, so a fresh
-        // topology still spreads across shards instead of piling onto
-        // shard 0.
-        let mut order: Vec<(K, u64)> = lanes
-            .keys()
-            .map(|k| (*k, weights.get(k).copied().unwrap_or(0).max(1)))
-            .collect();
-        order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut loads = vec![0u64; shard_count];
-        let mut occupancy = vec![0usize; shard_count];
-        let mut assignment: BTreeMap<K, usize> = BTreeMap::new();
-        for (key, weight) in order {
-            let target = (0..shard_count)
-                .min_by_key(|i| (loads[*i], occupancy[*i], *i))
-                .expect("shard_count >= 1");
-            loads[target] += weight;
-            occupancy[target] += 1;
-            assignment.insert(key, target);
-        }
-
-        let mut shards: Vec<Vec<&mut L>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for (key, lane) in lanes.iter_mut() {
-            shards[assignment[key]].push(lane);
-        }
-        for (i, shard) in shards.iter().enumerate() {
-            self.stats.shards[i].units = shard.len();
-        }
-
-        let barrier = SpinBarrier::new(shard_count + 1);
-        let stop = AtomicBool::new(false);
-        let round_cells: Vec<AtomicUsize> = (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
-
-        let mut total = 0usize;
-        let mut rounds = 0usize;
-        let mut quiescent = false;
-        std::thread::scope(|scope| {
-            for (i, mut shard) in shards.into_iter().enumerate() {
-                let barrier = &barrier;
-                let stop = &stop;
-                let round_cell = &round_cells[i];
-                scope.spawn(move || loop {
-                    barrier.wait(); // round start (or stop)
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let mut work = 0usize;
-                    for lane in shard.iter_mut() {
-                        work += lane.lane_round(now_ns);
-                    }
-                    round_cell.store(work, Ordering::Release);
-                    barrier.wait(); // round done → hub runs
-                });
-            }
-
-            loop {
-                barrier.wait(); // round start
-                barrier.wait(); // round done
-                let mut poll_sum = 0usize;
-                let mut poll_max = 0usize;
-                for (i, cell) in round_cells.iter().enumerate() {
-                    let w = cell.load(Ordering::Acquire);
-                    poll_sum += w;
-                    poll_max = poll_max.max(w);
-                    self.stats.shards[i].poll_work += w as u64;
-                }
-                let (hub_work, frames) = hub(now_ns);
-                let work = poll_sum + hub_work;
-                rounds += 1;
-                total += work;
-                self.stats.poll_work += poll_sum as u64;
-                self.stats.hub_work += hub_work as u64;
-                self.stats.barrier_frames += frames as u64;
-                self.stats.serial_work += work as u64;
-                self.stats.critical_work += (poll_max + hub_work) as u64;
-                if work == 0 {
-                    quiescent = true;
-                    break;
-                }
-                if rounds >= max_rounds {
-                    quiescent = false;
-                    break;
-                }
-            }
-            stop.store(true, Ordering::Release);
-            barrier.wait(); // workers observe stop and exit
-        });
-
-        StepOutcome {
-            work: total,
-            rounds,
-            quiescent,
-        }
+            wait_for_workers(&barrier, &mut workers); // workers observe stop
+            outcome
+        })
     }
 }
 
@@ -748,26 +468,25 @@ impl ShardedExecutor {
 mod tests {
     use super::*;
     use nk_queue::unbounded::{unbounded, UnboundedConsumer, UnboundedProducer};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A synthetic unit: does `load` work items per round for `busy_rounds`
-    /// rounds, pushing a tagged value per item into its uplink channel.
+    /// rounds, pushing a tagged value per item into its uplink channel, and
+    /// panics on entering round `panic_in_round` when that is set.
     struct MockUnit {
         id: u32,
         load: usize,
         busy_rounds: usize,
         rounds_done: usize,
-        begun: usize,
-        closed: usize,
+        panic_in_round: Option<usize>,
         tx: UnboundedProducer<(u32, usize)>,
     }
 
-    impl StepUnit for MockUnit {
-        fn begin(&mut self, _dt_ns: u64) -> usize {
-            self.begun += 1;
-            self.rounds_done = 0;
-            1
-        }
-        fn round(&mut self) -> usize {
+    impl PollUnit for MockUnit {
+        fn poll_round(&mut self, _now_ns: u64) -> usize {
+            if self.panic_in_round == Some(self.rounds_done + 1) {
+                panic!("unit {} blew up", self.id);
+            }
             if self.rounds_done >= self.busy_rounds {
                 return 0;
             }
@@ -777,22 +496,15 @@ mod tests {
             }
             self.load
         }
-        fn close(&mut self) -> usize {
-            self.closed += 1;
-            1
-        }
     }
+
+    type Units = BTreeMap<u32, MockUnit>;
+    type Uplinks = BTreeMap<u32, UnboundedConsumer<(u32, usize)>>;
 
     /// Build `n` units with *uneven* loads (unit i does `3*i + 1` items per
     /// round, for `i + 1` rounds) plus the hub's consumer ends keyed like
-    /// the units — the shape of hosts behind a ToR.
-    #[allow(clippy::type_complexity)]
-    fn uneven_rig(
-        n: u32,
-    ) -> (
-        BTreeMap<u32, MockUnit>,
-        BTreeMap<u32, UnboundedConsumer<(u32, usize)>>,
-    ) {
+    /// the units — the shape of hosts behind a ToR, or lanes behind a hub.
+    fn rig(n: u32) -> (Units, Uplinks) {
         let mut units = BTreeMap::new();
         let mut rxs = BTreeMap::new();
         for id in 0..n {
@@ -804,8 +516,7 @@ mod tests {
                     load: 3 * id as usize + 1,
                     busy_rounds: id as usize + 1,
                     rounds_done: 0,
-                    begun: 0,
-                    closed: 0,
+                    panic_in_round: None,
                     tx,
                 },
             );
@@ -814,16 +525,27 @@ mod tests {
         (units, rxs)
     }
 
-    /// Run one step at `threads`, merging frames at the barrier in key
-    /// order; returns (outcome, merged log).
-    fn run_step(threads: usize, n: u32) -> (StepOutcome, Vec<(u32, usize)>) {
-        let (mut units, mut rxs) = uneven_rig(n);
+    /// Drive one step over the rig at `threads`, the hub merging every
+    /// uplink at the barrier in key order (and panicking on entering round
+    /// `hub_panic_in_round`, when set); 5 items of serial begin/close work
+    /// are noted around it. Returns (outcome, merged log, executor stats).
+    fn run_step(
+        threads: usize,
+        (mut units, mut rxs): (Units, Uplinks),
+        weights: &BTreeMap<u32, u64>,
+        max_rounds: usize,
+        hub_panic_in_round: Option<usize>,
+    ) -> (StepOutcome, Vec<(u32, usize)>, ExecStats) {
         let mut log = Vec::new();
+        let mut hub_rounds = 0;
         let mut exec = ShardedExecutor::new(threads);
+        exec.note_serial_work(5);
         let outcome = exec.drive(
             &mut units,
+            weights,
             |_now| {
-                // The "ToR": drain every uplink in key (host-id) order.
+                hub_rounds += 1;
+                assert_ne!(hub_panic_in_round, Some(hub_rounds), "hub blew up");
                 let before = log.len();
                 for rx in rxs.values_mut() {
                     rx.drain_into(&mut log);
@@ -832,179 +554,163 @@ mod tests {
                 (frames, frames)
             },
             0,
-            100,
-            64,
-            true,
+            max_rounds,
         );
-        (outcome, log)
+        (outcome, log, exec.stats().clone())
+    }
+
+    /// A deliberately misleading weight vector: placement may be bad,
+    /// bytes must not change.
+    fn skewed(n: u32) -> BTreeMap<u32, u64> {
+        (0..n).map(|id| (id, 1000 - id as u64)).collect()
     }
 
     /// The executor's core promise: under uneven shard load, the merged
-    /// cross-shard frame stream is identical for any thread count, because
-    /// the hub drains the channels in key order with every worker parked.
+    /// cross-shard frame stream, the outcome and every
+    /// thread-count-independent counter are identical for any thread count
+    /// and any weight vector, because the hub drains the channels in key
+    /// order with every worker parked.
     #[test]
-    fn cross_shard_merge_order_is_identical_for_any_thread_count() {
-        let (serial, log1) = run_step(1, 7);
-        for threads in [2, 3, 4, 8] {
-            let (sharded, log_n) = run_step(threads, 7);
-            assert_eq!(sharded, serial, "outcome diverged at {threads} threads");
-            assert_eq!(log_n, log1, "merge order diverged at {threads} threads");
+    fn merge_order_and_counters_are_identical_for_any_threads_and_weights() {
+        let no_weights = BTreeMap::new();
+        let (serial, log1, s1) = run_step(1, rig(8), &no_weights, 64, None);
+        for threads in [1, 2, 3, 4, 8] {
+            for weights in [&no_weights, &skewed(8)] {
+                let (sharded, log_n, sn) = run_step(threads, rig(8), weights, 64, None);
+                assert_eq!(sharded, serial, "outcome diverged at {threads} threads");
+                assert_eq!(log_n, log1, "merge order diverged at {threads} threads");
+                assert_eq!(sn.steps, 1);
+                assert_eq!(sn.rounds, s1.rounds);
+                assert_eq!(sn.serial_work, s1.serial_work);
+                assert_eq!(sn.poll_work, s1.poll_work);
+                assert_eq!(sn.hub_work, s1.hub_work);
+                assert_eq!(sn.barrier_frames, s1.barrier_frames);
+                assert_eq!(sn.threads, threads);
+                let shard_poll: u64 = sn.shards.iter().map(|s| s.poll_work).sum();
+                assert_eq!(shard_poll, sn.poll_work);
+                let shard_units: usize = sn.shards.iter().map(|s| s.units).sum();
+                assert_eq!(shard_units, 8);
+            }
         }
         // Sanity: the log really is the full uneven workload, in key order
-        // within each round.
-        let expected: usize = (0..7usize).map(|i| (3 * i + 1) * (i + 1)).sum();
+        // within each round, and the step ran to quiescence.
+        let expected: usize = (0..8usize).map(|i| (3 * i + 1) * (i + 1)).sum();
         assert_eq!(log1.len(), expected);
         assert_eq!(log1[0], (0, 0), "round 1 starts with unit 0");
+        assert!(serial.quiescent);
+        assert_eq!(serial.rounds, 9, "8 busy rounds + the quiescent one");
+        assert_eq!(s1.serial_work, s1.poll_work + s1.hub_work + 5);
     }
 
-    /// Every unit runs every phase exactly once per step, whatever the
-    /// shard layout.
+    /// The work model: critical-path work equals serial work on one shard,
+    /// shrinks with more shards and never counts the serial begin/close
+    /// work or the hub as overlapped.
     #[test]
-    fn all_units_run_all_phases() {
-        let (mut units, mut rxs) = uneven_rig(5);
-        let mut exec = ShardedExecutor::new(3);
-        let mut sink = Vec::new();
-        for _ in 0..4 {
-            exec.drive(
-                &mut units,
-                |_| {
-                    sink.clear();
-                    let mut n = 0;
-                    for rx in rxs.values_mut() {
-                        n += rx.drain_into(&mut sink);
-                    }
-                    (n, n)
-                },
-                0,
-                100,
-                64,
-                true,
+    fn work_model_tracks_the_critical_path() {
+        for weights in [&BTreeMap::new(), &skewed(8)] {
+            let (_, _, s1) = run_step(1, rig(8), weights, 64, None);
+            let (_, _, s4) = run_step(4, rig(8), weights, 64, None);
+            assert_eq!(s1.critical_work, s1.serial_work, "one shard: no overlap");
+            assert!(
+                s4.critical_work < s4.serial_work,
+                "four shards overlap work: {} < {}",
+                s4.critical_work,
+                s4.serial_work
             );
+            assert!(s4.critical_work >= s4.hub_work + 5);
+            assert!(s4.modeled_speedup() > 1.0);
         }
-        for unit in units.values() {
-            assert_eq!(unit.begun, 4);
-            assert_eq!(unit.closed, 4);
-        }
-        assert_eq!(exec.stats().steps, 4);
-    }
-
-    /// `close: false` (the warm-migration mini-step) skips the close phase
-    /// on every shard.
-    #[test]
-    fn ministep_skips_the_close_phase() {
-        let (mut units, mut rxs) = uneven_rig(4);
-        let mut exec = ShardedExecutor::new(2);
-        let mut sink = Vec::new();
-        exec.drive(
-            &mut units,
-            |_| {
-                let mut n = 0;
-                for rx in rxs.values_mut() {
-                    n += rx.drain_into(&mut sink);
-                }
-                (n, n)
-            },
-            0,
-            100,
-            64,
-            false,
-        );
-        for unit in units.values() {
-            assert_eq!(unit.begun, 1);
-            assert_eq!(unit.closed, 0);
-        }
-        assert_eq!(exec.stats().close_work, 0);
     }
 
     /// The round bound cuts a step that never quiesces, at the same round
     /// count for any thread count.
     #[test]
     fn round_bound_applies_identically() {
-        for threads in [1, 4] {
-            let (mut units, mut rxs) = uneven_rig(3);
+        for threads in [1, 2, 4] {
+            let (mut units, rxs) = rig(3);
             for unit in units.values_mut() {
                 unit.busy_rounds = usize::MAX; // never goes quiet
             }
-            let mut exec = ShardedExecutor::new(threads);
-            let mut sink = Vec::new();
-            let outcome = exec.drive(
-                &mut units,
-                |_| {
-                    let mut n = 0;
-                    for rx in rxs.values_mut() {
-                        n += rx.drain_into(&mut sink);
-                    }
-                    (n, n)
-                },
-                0,
-                100,
-                8,
-                true,
-            );
+            let (outcome, _, stats) = run_step(threads, (units, rxs), &BTreeMap::new(), 8, None);
             assert_eq!(outcome.rounds, 8);
             assert!(!outcome.quiescent);
+            assert_eq!(stats.rounds, 8);
         }
     }
 
-    /// The work model: serial work is identical across thread counts;
-    /// critical-path work shrinks with more shards and never exceeds
-    /// serial; per-shard counters add up to the totals.
+    /// More threads than units degrades gracefully to one unit per shard.
     #[test]
-    fn work_model_tracks_shards_and_critical_path() {
-        let (s1, _) = {
-            let (mut units, mut rxs) = uneven_rig(8);
-            let mut exec = ShardedExecutor::new(1);
-            let mut sink = Vec::new();
-            let o = exec.drive(
-                &mut units,
-                |_| {
-                    let mut n = 0;
-                    for rx in rxs.values_mut() {
-                        n += rx.drain_into(&mut sink);
-                    }
-                    (n, n)
-                },
-                0,
-                100,
-                64,
-                true,
-            );
-            (exec.stats().clone(), o)
+    fn threads_clamp_to_unit_count() {
+        let (_, _, stats) = run_step(16, rig(2), &BTreeMap::new(), 64, None);
+        assert_eq!(stats.threads, 2);
+        assert_eq!(stats.shards.len(), 2);
+        assert!(stats.shards.iter().all(|s| s.units == 1));
+    }
+
+    /// Weighted dealing beats round-robin where it matters: heavy units
+    /// spread across shards instead of stacking, so the critical path sits
+    /// near the heaviest unit's own work rather than a pile of them.
+    #[test]
+    fn weighted_dealing_balances_uneven_units() {
+        // 8 units with loads 2, 7, …, 37, each busy for exactly one round.
+        let uneven = || {
+            let (mut units, rxs) = rig(8);
+            for unit in units.values_mut() {
+                unit.load = 5 * unit.id as usize + 2;
+                unit.busy_rounds = 1;
+            }
+            (units, rxs)
         };
-        let (s4, _) = {
-            let (mut units, mut rxs) = uneven_rig(8);
-            let mut exec = ShardedExecutor::new(4);
-            let mut sink = Vec::new();
-            let o = exec.drive(
-                &mut units,
-                |_| {
-                    let mut n = 0;
-                    for rx in rxs.values_mut() {
-                        n += rx.drain_into(&mut sink);
-                    }
-                    (n, n)
-                },
-                0,
-                100,
-                64,
-                true,
-            );
-            (exec.stats().clone(), o)
+        // Weights matching the loads (as a converged previous step would
+        // report): LPT on 4 shards pairs 37+2, 32+7, 27+12, 22+17 — every
+        // shard polls exactly 39.
+        let weights: BTreeMap<u32, u64> = (0..8u32).map(|id| (id, 5 * id as u64 + 2)).collect();
+        let (_, _, stats) = run_step(4, uneven(), &weights, 64, None);
+        assert_eq!(stats.threads, 4);
+        for shard in &stats.shards {
+            assert_eq!(shard.units, 2);
+            assert_eq!(shard.poll_work, 39, "LPT must balance the unit loads");
+        }
+        assert!(stats.modeled_speedup() > 1.0);
+        // No weights deals round-robin in key order — units {i, i + 4} on
+        // shard i — which stacks {3, 7} for 17 + 37 = 54 on the critical
+        // path.
+        let (_, _, stats) = run_step(4, uneven(), &BTreeMap::new(), 64, None);
+        let polled: Vec<u64> = stats.shards.iter().map(|s| s.poll_work).collect();
+        assert_eq!(polled, vec![24, 34, 44, 54]);
+    }
+
+    /// A panic on any thread of the step — a unit's round on a worker, or
+    /// the hub on the coordinator — reaches the caller with its own
+    /// payload at any thread count. The scope joins every worker before
+    /// returning, so this test finishing *is* the proof nobody was left
+    /// spinning at the barrier.
+    #[test]
+    fn a_panic_mid_step_reaches_the_caller_and_releases_every_worker() {
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            payload
+                .downcast::<String>()
+                .map(|s| *s)
+                .expect("a formatted panic")
         };
-        assert_eq!(s1.serial_work, s4.serial_work);
-        assert_eq!(s1.rounds, s4.rounds);
-        assert_eq!(s1.critical_work, s1.serial_work, "one shard: no overlap");
-        assert!(
-            s4.critical_work < s4.serial_work,
-            "four shards overlap work: {} < {}",
-            s4.critical_work,
-            s4.serial_work
-        );
-        assert!(s4.modeled_speedup() > 1.0);
-        let shard_poll: u64 = s4.shards.iter().map(|s| s.poll_work).sum();
-        assert_eq!(shard_poll, s4.poll_work);
-        let shard_units: usize = s4.shards.iter().map(|s| s.units).sum();
-        assert_eq!(shard_units, 8);
+        for threads in [1, 2, 4] {
+            let (mut units, rxs) = rig(6);
+            units.get_mut(&3).expect("unit 3").panic_in_round = Some(2);
+            let died = catch_unwind(AssertUnwindSafe(|| {
+                run_step(threads, (units, rxs), &BTreeMap::new(), 64, None)
+            }));
+            let payload = died.expect_err("the unit's panic must propagate");
+            assert_eq!(message(payload), "unit 3 blew up", "threads {threads}");
+
+            let died = catch_unwind(AssertUnwindSafe(|| {
+                run_step(threads, rig(6), &BTreeMap::new(), 64, Some(2))
+            }));
+            let payload = died.expect_err("the hub's panic must propagate");
+            assert!(
+                message(payload).contains("hub blew up"),
+                "threads {threads}"
+            );
+        }
     }
 
     /// The barrier round-trips under heavy oversubscription: far more
@@ -1025,200 +731,15 @@ mod tests {
                 scope.spawn(move || {
                     for gen in 0..GENERATIONS {
                         counter.fetch_add(1, Ordering::Relaxed);
-                        barrier.wait();
+                        assert!(barrier.wait());
                         // Everyone must have bumped the counter for this
                         // generation before anyone proceeds past the wait.
                         assert!(counter.load(Ordering::Relaxed) >= (gen + 1) * PARTIES);
-                        barrier.wait();
+                        assert!(barrier.wait());
                     }
                 });
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), PARTIES * GENERATIONS);
-    }
-
-    /// A synthetic share lane for `drive_lanes`: fixed work per round for a
-    /// fixed number of rounds, frames pushed to a per-lane channel the hub
-    /// merges in key order.
-    struct MockLane {
-        id: u32,
-        load: usize,
-        busy_rounds: usize,
-        rounds_done: usize,
-        tx: UnboundedProducer<(u32, usize)>,
-    }
-
-    impl LaneUnit for MockLane {
-        fn lane_round(&mut self, _now_ns: u64) -> usize {
-            if self.rounds_done >= self.busy_rounds {
-                return 0;
-            }
-            self.rounds_done += 1;
-            for item in 0..self.load {
-                self.tx.push((self.id, item));
-            }
-            self.load
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn lane_rig(
-        n: u32,
-    ) -> (
-        BTreeMap<u32, MockLane>,
-        BTreeMap<u32, UnboundedConsumer<(u32, usize)>>,
-    ) {
-        let mut lanes = BTreeMap::new();
-        let mut rxs = BTreeMap::new();
-        for id in 0..n {
-            let (tx, rx) = unbounded();
-            lanes.insert(
-                id,
-                MockLane {
-                    id,
-                    load: 5 * id as usize + 2,
-                    busy_rounds: id as usize % 3 + 1,
-                    rounds_done: 0,
-                    tx,
-                },
-            );
-            rxs.insert(id, rx);
-        }
-        (lanes, rxs)
-    }
-
-    fn run_lane_step(
-        threads: usize,
-        n: u32,
-        weights: &BTreeMap<u32, u64>,
-    ) -> (StepOutcome, Vec<(u32, usize)>, ExecStats) {
-        let (mut lanes, mut rxs) = lane_rig(n);
-        let mut log = Vec::new();
-        let mut exec = ShardedExecutor::new(threads);
-        exec.note_begin_work(3);
-        let outcome = exec.drive_lanes(
-            &mut lanes,
-            weights,
-            |_now| {
-                let before = log.len();
-                for rx in rxs.values_mut() {
-                    rx.drain_into(&mut log);
-                }
-                let frames = log.len() - before;
-                (frames, frames)
-            },
-            0,
-            64,
-        );
-        exec.note_close_work(2);
-        (outcome, log, exec.stats().clone())
-    }
-
-    /// Lane mode keeps the executor's core promise: the merged report
-    /// stream, the outcome, and every thread-count-independent counter are
-    /// identical for any thread count and any weight vector.
-    #[test]
-    fn lane_merge_order_is_identical_for_any_thread_count() {
-        let no_weights = BTreeMap::new();
-        let (serial, log1, s1) = run_lane_step(1, 8, &no_weights);
-        // A deliberately misleading weight vector: placement may be bad,
-        // bytes must not change.
-        let skewed: BTreeMap<u32, u64> = (0..8u32).map(|id| (id, 1000 - id as u64)).collect();
-        for threads in [2, 3, 4, 8] {
-            for weights in [&no_weights, &skewed] {
-                let (sharded, log_n, sn) = run_lane_step(threads, 8, weights);
-                assert_eq!(sharded, serial, "outcome diverged at {threads} threads");
-                assert_eq!(log_n, log1, "merge order diverged at {threads} threads");
-                assert_eq!(sn.serial_work, s1.serial_work);
-                assert_eq!(sn.rounds, s1.rounds);
-                assert_eq!(sn.poll_work, s1.poll_work);
-                assert_eq!(sn.hub_work, s1.hub_work);
-                assert_eq!(sn.barrier_frames, s1.barrier_frames);
-                assert_eq!(sn.begin_work, 3);
-                assert_eq!(sn.close_work, 2);
-            }
-        }
-    }
-
-    /// Weighted dealing beats round-robin where it matters: heavy lanes
-    /// spread across shards instead of stacking, so the critical path sits
-    /// near the heaviest lane's own work rather than a pile of them.
-    #[test]
-    fn weighted_dealing_balances_uneven_lanes() {
-        // 8 lanes with loads 2, 7, …, 37, each busy for exactly one round,
-        // and weights matching the loads (as a converged previous step
-        // would report). LPT on 4 shards pairs 37+2, 32+7, 27+12, 22+17 —
-        // every shard polls exactly 39.
-        let mut lanes = BTreeMap::new();
-        let mut rxs = BTreeMap::new();
-        for id in 0..8u32 {
-            let (tx, rx) = unbounded();
-            lanes.insert(
-                id,
-                MockLane {
-                    id,
-                    load: 5 * id as usize + 2,
-                    busy_rounds: 1,
-                    rounds_done: 0,
-                    tx,
-                },
-            );
-            rxs.insert(id, rx);
-        }
-        let weights: BTreeMap<u32, u64> = (0..8u32).map(|id| (id, 5 * id as u64 + 2)).collect();
-        let mut exec = ShardedExecutor::new(4);
-        let mut sink = Vec::new();
-        exec.drive_lanes(
-            &mut lanes,
-            &weights,
-            |_| {
-                let mut n = 0;
-                for rx in rxs.values_mut() {
-                    n += rx.drain_into(&mut sink);
-                }
-                (n, n)
-            },
-            0,
-            64,
-        );
-        let stats = exec.stats();
-        assert_eq!(stats.threads, 4);
-        let mut units: Vec<usize> = stats.shards.iter().map(|s| s.units).collect();
-        units.sort();
-        assert_eq!(units, vec![2, 2, 2, 2]);
-        for shard in &stats.shards {
-            assert_eq!(shard.poll_work, 39, "LPT must balance the lane loads");
-        }
-        // Round-robin dealing in key order would have put lanes {3, 7} on
-        // one shard: 17 + 37 = 54 on the critical path. The balanced deal
-        // caps the poll part of the critical path at 39.
-        let total_poll: u64 = stats.shards.iter().map(|s| s.poll_work).sum();
-        assert_eq!(total_poll, stats.poll_work);
-        assert!(stats.critical_work >= stats.hub_work);
-        assert!(stats.modeled_speedup() > 1.0);
-    }
-
-    /// More threads than units degrades gracefully to one unit per shard.
-    #[test]
-    fn threads_clamp_to_unit_count() {
-        let (mut units, mut rxs) = uneven_rig(2);
-        let mut exec = ShardedExecutor::new(16);
-        let mut sink = Vec::new();
-        exec.drive(
-            &mut units,
-            |_| {
-                let mut n = 0;
-                for rx in rxs.values_mut() {
-                    n += rx.drain_into(&mut sink);
-                }
-                (n, n)
-            },
-            0,
-            100,
-            64,
-            true,
-        );
-        assert_eq!(exec.stats().threads, 2);
-        assert_eq!(exec.stats().shards.len(), 2);
     }
 }

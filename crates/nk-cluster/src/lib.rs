@@ -18,10 +18,11 @@
 //! log folds into a digest, so a cluster run replays byte-identically from
 //! its seed.
 
-//! The datapath is parallel when asked: [`exec::ShardedExecutor`] shards
-//! hosts across worker threads with a round barrier, and the results —
-//! event logs, digests, stats — are byte-identical for any
-//! [`nk_types::ClusterConfig::threads`] value.
+//! The datapath is parallel when asked: [`exec::ShardedExecutor`] deals
+//! hosts — or, below the host boundary, their NSM share lanes — across
+//! worker threads with a round barrier, and the results — event logs,
+//! digests, stats — are byte-identical for any
+//! [`nk_types::ClusterConfig::threads`] value and either granularity.
 //!
 //! Clearing a whole host is a *planned, revertible* operation: [`evac`]
 //! compiles the evacuation into an [`nk_ctrl::EvacPlan`] (warm where the
@@ -36,4 +37,4 @@ pub mod exec;
 
 pub use cluster::{Cluster, ClusterStats};
 pub use evac::{ControlLogEntry, EvacFault, EvacFaultKind, EvacReport};
-pub use exec::{ExecStats, LaneUnit, ShardStats, ShardedExecutor, StepOutcome, StepUnit};
+pub use exec::{ExecStats, ShardStats, ShardedExecutor, StepOutcome};

@@ -13,10 +13,8 @@
 //!   into one cluster fabric;
 //! * [`uplink`] — the host↔ToR trunk as a pair of wait-free SPSC channels,
 //!   the cross-thread edge between a host shard and the coordinator;
-//! * [`share`] — the share-lane → host-hub report channel, the cross-thread
-//!   edge of intra-host sharding;
-//! * [`nic`] — a multi-queue NIC front-end with receive-side scaling (RSS),
-//!   used by multi-core stacks to spread connections over queues;
+//! * [`nic`] — the symmetric receive-side-scaling (RSS) flow hash frames
+//!   carry, so both directions of a connection pick the same queue;
 //! * [`rng`] — a tiny deterministic PRNG so loss/reordering are reproducible.
 //!
 //! The fabric is generic over the frame payload so it carries the TCP
@@ -26,15 +24,12 @@ pub mod link;
 pub mod nic;
 pub mod port;
 pub mod rng;
-pub mod share;
 pub mod switch;
 pub mod tor;
 pub mod uplink;
 
 pub use link::{Link, LinkConfig};
-pub use nic::MultiQueueNic;
 pub use port::{Frame, Port};
-pub use share::{share_edge, ShareRx, ShareTx};
 pub use switch::{UplinkStats, VirtualSwitch};
 pub use tor::TorSwitch;
 pub use uplink::{uplink_pair, HostUplink, TorUplink};

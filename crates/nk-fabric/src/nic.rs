@@ -1,4 +1,4 @@
-//! Multi-queue NIC front-end with receive-side scaling (RSS).
+//! The receive-side-scaling (RSS) flow hash.
 //!
 //! "As NIC speed in cloud evolves from 40G/50G to 100G and higher, the NSM
 //! has to use multiple cores for the network stack to achieve line rate"
@@ -7,9 +7,6 @@
 //! mTCP port in §6.3 even hit an RSS-key driver bug on the testbed — in this
 //! reproduction the RSS hash is symmetric by construction, so both directions
 //! of a flow land on the same queue.
-
-use crate::port::{Frame, Port};
-use std::collections::VecDeque;
 
 /// Symmetric flow hash: both directions of a connection map to the same
 /// value, which is what a symmetric RSS key achieves on real NICs.
@@ -20,99 +17,9 @@ pub fn symmetric_flow_hash(ip_a: u32, port_a: u16, ip_b: u32, port_b: u16) -> u6
     (ips.wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ (ports.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
 }
 
-/// A NIC exposing one TX path and `n` RX queues fed by RSS.
-pub struct MultiQueueNic<P> {
-    port: Port<P>,
-    rx_queues: Vec<VecDeque<Frame<P>>>,
-}
-
-impl<P> MultiQueueNic<P> {
-    /// Wrap a switch port into a NIC with `queues` RX queues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queues` is zero.
-    pub fn new(port: Port<P>, queues: usize) -> Self {
-        assert!(queues > 0, "a NIC needs at least one RX queue");
-        MultiQueueNic {
-            port,
-            rx_queues: (0..queues).map(|_| VecDeque::new()).collect(),
-        }
-    }
-
-    /// Number of RX queues.
-    pub fn queues(&self) -> usize {
-        self.rx_queues.len()
-    }
-
-    /// Address of the underlying port.
-    pub fn addr(&self) -> u32 {
-        self.port.addr()
-    }
-
-    /// Transmit a frame.
-    pub fn send(&self, frame: Frame<P>) {
-        self.port.send(frame);
-    }
-
-    /// Pull frames from the port and distribute them to RX queues by RSS.
-    /// Returns the number of frames distributed.
-    pub fn poll_rx(&mut self) -> usize {
-        let mut n = 0;
-        while let Some(f) = self.port.recv() {
-            let q = (f.flow_hash % self.rx_queues.len() as u64) as usize;
-            self.rx_queues[q].push_back(f);
-            n += 1;
-        }
-        n
-    }
-
-    /// Take one frame from RX queue `queue`.
-    pub fn recv_on(&mut self, queue: usize) -> Option<Frame<P>> {
-        self.rx_queues.get_mut(queue)?.pop_front()
-    }
-
-    /// Number of frames waiting on RX queue `queue`.
-    pub fn rx_pending(&self, queue: usize) -> usize {
-        self.rx_queues.get(queue).map_or(0, |q| q.len())
-    }
-
-    /// Total frames waiting across all RX queues.
-    pub fn rx_pending_total(&self) -> usize {
-        self.rx_queues.iter().map(|q| q.len()).sum()
-    }
-
-    /// Reconfigure the number of RX queues (e.g. when vCPUs are added to an
-    /// NSM). Pending frames are redistributed according to the new queue
-    /// count.
-    pub fn set_queues(&mut self, queues: usize) {
-        assert!(queues > 0, "a NIC needs at least one RX queue");
-        let pending: Vec<Frame<P>> = self
-            .rx_queues
-            .iter_mut()
-            .flat_map(|q| q.drain(..))
-            .collect();
-        self.rx_queues = (0..queues).map(|_| VecDeque::new()).collect();
-        for f in pending {
-            let q = (f.flow_hash % self.rx_queues.len() as u64) as usize;
-            self.rx_queues[q].push_back(f);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn frame(hash: u64, tag: u32) -> Frame<u32> {
-        Frame {
-            src: 1,
-            dst: 2,
-            flow_hash: hash,
-            wire_bytes: 100,
-            payload: tag,
-        }
-    }
 
     #[test]
     fn rss_hash_is_symmetric() {
@@ -121,59 +28,5 @@ mod tests {
         assert_eq!(fwd, rev);
         let other = symmetric_flow_hash(0x0A000001, 81, 0x0A000002, 5555);
         assert_ne!(fwd, other);
-    }
-
-    #[test]
-    fn rss_spreads_flows_across_queues() {
-        let port: Port<u32> = Port::new(2);
-        let mut nic = MultiQueueNic::new(port.clone(), 4);
-        for flow in 0..64u64 {
-            port.deliver(frame(
-                symmetric_flow_hash(1, 1000 + flow as u16, 2, 80),
-                flow as u32,
-            ));
-        }
-        assert_eq!(nic.poll_rx(), 64);
-        let counts: Vec<usize> = (0..4).map(|q| nic.rx_pending(q)).collect();
-        assert_eq!(counts.iter().sum::<usize>(), 64);
-        assert!(counts.iter().all(|&c| c > 4), "unbalanced RSS: {counts:?}");
-    }
-
-    #[test]
-    fn same_flow_stays_on_one_queue() {
-        let port: Port<u32> = Port::new(2);
-        let mut nic = MultiQueueNic::new(port.clone(), 8);
-        let h = symmetric_flow_hash(1, 1234, 2, 80);
-        for i in 0..10 {
-            port.deliver(frame(h, i));
-        }
-        nic.poll_rx();
-        let busy: Vec<usize> = (0..8).filter(|&q| nic.rx_pending(q) > 0).collect();
-        assert_eq!(busy.len(), 1);
-        assert_eq!(nic.rx_pending(busy[0]), 10);
-        // Frames come out in order.
-        assert_eq!(nic.recv_on(busy[0]).unwrap().payload, 0);
-        assert_eq!(nic.recv_on(busy[0]).unwrap().payload, 1);
-    }
-
-    #[test]
-    fn requeueing_preserves_frames() {
-        let port: Port<u32> = Port::new(2);
-        let mut nic = MultiQueueNic::new(port.clone(), 2);
-        for flow in 0..16u64 {
-            port.deliver(frame(flow, flow as u32));
-        }
-        nic.poll_rx();
-        assert_eq!(nic.rx_pending_total(), 16);
-        nic.set_queues(5);
-        assert_eq!(nic.queues(), 5);
-        assert_eq!(nic.rx_pending_total(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one RX queue")]
-    fn zero_queues_panics() {
-        let port: Port<u32> = Port::new(2);
-        let _ = MultiQueueNic::new(port, 0);
     }
 }

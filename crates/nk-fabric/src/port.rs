@@ -4,7 +4,7 @@
 // switch) are always polled by the same lane, and the hub drains switch
 // sides serially at the round barrier; the Mutexes provide interior
 // mutability for the paired handles, never a cross-shard channel. Cross-lane
-// traffic goes over the SPSC `uplink_pair`/`share_edge` only.
+// traffic goes over the SPSC `uplink_pair` and `nk_queue::unbounded` only.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

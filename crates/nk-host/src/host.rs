@@ -7,13 +7,13 @@ use nk_ctrl::{ControlPlane, EpochSample, NsmLoad};
 use nk_engine::CoreEngine;
 use nk_fabric::link::LinkConfig;
 use nk_fabric::port::Port;
-use nk_fabric::share::{share_edge, ShareRx};
 use nk_fabric::switch::{UplinkStats, VirtualSwitch};
 use nk_fabric::uplink::HostUplink;
 use nk_guest::GuestLib;
 use nk_netstack::cc::CcAlgorithm;
 use nk_netstack::{Segment, StackConfig, TcpStack};
 use nk_obs::HostFeed;
+use nk_queue::unbounded::{unbounded, UnboundedConsumer};
 use nk_queue::{queue_set_pair, NkDevice, WakeState};
 use nk_service::{Nsm, ServiceLib, SharedMemNsm};
 use nk_shmem::HugepageRegion;
@@ -162,7 +162,7 @@ pub struct NetKernelHost {
     /// Hub ends of the share-lane report edges while the host is split into
     /// lanes ([`NetKernelHost::split_lanes`]); drained in key order every
     /// hub round, empty outside a lane phase.
-    lane_rx: BTreeMap<NsmId, ShareRx<LaneReport>>,
+    lane_rx: BTreeMap<NsmId, UnboundedConsumer<LaneReport>>,
     /// Work done per lane since the last [`NetKernelHost::take_lane_loads`],
     /// accumulated from the lanes' reports — the weight signal for the
     /// executor's lane placement.
@@ -657,7 +657,7 @@ impl NetKernelHost {
                 let nsm = self.nsms.remove(&id).expect("grouped NSMs are live");
                 member_map.insert(id, nsm);
             }
-            let (tx, rx) = share_edge();
+            let (tx, rx) = unbounded();
             self.lane_rx.insert(key, rx);
             lanes.insert(
                 key,

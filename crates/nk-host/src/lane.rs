@@ -12,12 +12,14 @@
 //! *host hub*, polled by the coordinator at the round barrier
 //! (`NetKernelHost::hub_round`).
 //!
-//! The only cross-thread channel is the wait-free SPSC
-//! [`nk_fabric::share_edge`] from each lane to its hub, carrying
-//! [`LaneReport`]s: per-component work counts the hub folds — in lane-key
-//! order — into the cycle ledgers (so pool accounting is identical to an
-//! undecomposed host) and into per-lane load counters (so the executor's
-//! weighted placement can deal heavy lanes first).
+//! The only cross-thread channel is a wait-free unbounded SPSC queue
+//! ([`nk_queue::unbounded()`]: one producer, one consumer, pushes that never
+//! fail, so a report burst can never stall a lane or skew behaviour with
+//! shard timing) from each lane to its hub, carrying [`LaneReport`]s:
+//! per-component work counts the hub folds — in lane-key order — into the
+//! cycle ledgers (so pool accounting is identical to an undecomposed host)
+//! and into per-lane load counters (so the executor's weighted placement
+//! can deal heavy lanes first).
 //!
 //! Determinism: lanes touch pairwise-disjoint state (the grouping closes
 //! over every VM↔NSM edge — mapping, table pins, NSM-held VM state — so no
@@ -29,7 +31,7 @@
 use crate::host::NsmInstance;
 use crate::sched::Pollable;
 use nk_engine::CoreEngine;
-use nk_fabric::ShareTx;
+use nk_queue::unbounded::UnboundedProducer;
 use nk_types::NsmId;
 use std::collections::BTreeMap;
 
@@ -68,7 +70,7 @@ pub struct ShareLane {
     /// The group's NSM instances, polled in ascending id order.
     pub(crate) members: BTreeMap<NsmId, NsmInstance>,
     /// Report edge to the host hub.
-    pub(crate) tx: ShareTx<LaneReport>,
+    pub(crate) tx: UnboundedProducer<LaneReport>,
 }
 
 // Lanes move onto executor worker threads; a non-Send field would surface
@@ -92,7 +94,7 @@ impl ShareLane {
     pub fn poll_round(&mut self, now_ns: u64) -> usize {
         let engine_work = Pollable::poll(&mut self.engine, now_ns);
         if engine_work > 0 {
-            self.tx.send(LaneReport::Engine {
+            self.tx.push(LaneReport::Engine {
                 work: engine_work as u64,
             });
         }
@@ -100,7 +102,7 @@ impl ShareLane {
         for (id, nsm) in self.members.iter_mut() {
             let nsm_work = Pollable::poll(nsm, now_ns);
             if nsm_work > 0 {
-                self.tx.send(LaneReport::Nsm {
+                self.tx.push(LaneReport::Nsm {
                     id: *id,
                     work: nsm_work as u64,
                 });

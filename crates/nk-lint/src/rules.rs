@@ -34,7 +34,8 @@ pub const DATAPATH_CRATES: &[&str] = &[
 
 /// Crates whose code runs inside a worker lane: locks here could serialize
 /// or reorder cross-shard traffic, so the wait-free SPSC edges
-/// (`uplink_pair`, `share_edge`) must remain the only cross-shard channel.
+/// (`uplink_pair`, `nk_queue::unbounded`) must remain the only cross-shard
+/// channel.
 pub const LANE_CRATES: &[&str] = &[
     "nk-engine",
     "nk-netstack",
@@ -429,7 +430,7 @@ pub fn cross_shard_locks(crate_name: &str, file: &SourceFile, findings: &mut Vec
         CROSS_SHARD_LOCKS,
         file,
         "lane-executed code must not block or exchange data through locks; the \
-         wait-free SPSC edges (`uplink_pair`, `share_edge`) are the only \
+         wait-free SPSC edges (`uplink_pair`, `nk_queue::unbounded`) are the only \
          cross-shard channel — if the lock is provably lane-local, add \
          `// nk-lint: allow(cross-shard-locks) — <reason>`",
         findings,
