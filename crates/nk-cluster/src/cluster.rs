@@ -316,7 +316,9 @@ impl Cluster {
 
     /// Attach a datacenter-level endpoint (e.g. the echo server every
     /// tenant talks to) at the top-of-rack switch. Cross-host by
-    /// construction: every host reaches it through its uplink.
+    /// construction: every host reaches it through its uplink. Drive its
+    /// sockets by polling them (`poll`, `accept`, `recv`): the cluster ticks
+    /// the stack every round and discards its `StackEvent`s.
     pub fn add_remote(&mut self, ip: u32) -> &mut TcpStack {
         let link = LinkConfig::ideal()
             .with_rate_gbps(self.cfg.uplink_rate_gbps)
@@ -474,6 +476,8 @@ impl Cluster {
             let mut work = host_hub_work + frames;
             for remote in remotes.values_mut() {
                 work += Pollable::poll(remote, now);
+                // Driven by polling its sockets; nothing reads its events.
+                remote.discard_events();
             }
             (work, frames)
         };

@@ -120,9 +120,9 @@ impl GuestLib {
         let s = self.sockets.remove(&sock).expect("state checked above");
         let mut rx_bytes = Vec::new();
         for chunk in &s.rx_chunks {
-            let mut tmp = vec![0u8; chunk.len];
-            self.region.read(chunk.handle, &mut tmp)?;
-            rx_bytes.extend_from_slice(&tmp[chunk.consumed..]);
+            self.region.with_chunk(chunk.handle, chunk.len, |bytes| {
+                rx_bytes.extend_from_slice(&bytes[chunk.consumed..])
+            })?;
             let _ = self.region.free(chunk.handle);
         }
         Ok(GuestSockSnapshot {
@@ -407,6 +407,10 @@ impl SocketApi for GuestLib {
         let region = self.region.clone();
         let vm = self.vm;
         let mut consumed_chunks: Vec<(DataHandle, usize)> = Vec::new();
+        // A chunk the region refuses to read stays at the head of the queue:
+        // bytes copied before it are still delivered (and their chunks freed
+        // and credited) by this call, and the next call reports the error.
+        let mut failure = None;
         let (qs, copied, state) = {
             let s = self.sock_mut(sock)?;
             let mut copied = 0usize;
@@ -416,10 +420,12 @@ impl SocketApi for GuestLib {
                 };
                 let remaining = chunk.len - chunk.consumed;
                 let take = remaining.min(buf.len() - copied);
-                let mut tmp = vec![0u8; chunk.len];
-                region.read(chunk.handle, &mut tmp)?;
-                buf[copied..copied + take]
-                    .copy_from_slice(&tmp[chunk.consumed..chunk.consumed + take]);
+                // The one copy of this hop: hugepage → the caller's buffer.
+                let dst = &mut buf[copied..copied + take];
+                if let Err(e) = region.read_at(chunk.handle, chunk.consumed, dst) {
+                    failure = Some(e);
+                    break;
+                }
                 chunk.consumed += take;
                 copied += take;
                 if chunk.consumed == chunk.len {
@@ -439,6 +445,9 @@ impl SocketApi for GuestLib {
         if copied > 0 {
             self.stats.bytes_received += copied as u64;
             return Ok(copied);
+        }
+        if let Some(e) = failure {
+            return Err(e);
         }
         match state {
             GuestSocketState::PeerClosed | GuestSocketState::Closed => Ok(0),
@@ -702,6 +711,78 @@ mod tests {
         assert_eq!(credit.op, OpType::RecvConsumed);
         assert_eq!(credit.size, 11);
         assert_eq!(guest.recv(s, &mut buf), Err(NkError::WouldBlock));
+    }
+
+    /// A connected socket plus the queue set its NQEs travel on.
+    fn connected(guest: &mut GuestLib, resp: &mut [ResponderEnd]) -> (SocketId, QueueSetId) {
+        let s = guest.socket().unwrap();
+        let create = pop_request(resp).unwrap();
+        guest.connect(s, SockAddr::v4(10, 0, 0, 2, 80)).unwrap();
+        let req = pop_request(resp).unwrap();
+        respond(resp, Nqe::completion_for(&req, OpResult::Ok, 0).unwrap());
+        guest.drive();
+        (s, create.queue_set)
+    }
+
+    /// A chunk the region refuses to read must not take the bytes copied
+    /// before it down with it: they are returned, their chunk is freed and
+    /// credited, and the error surfaces on the next call.
+    #[test]
+    fn recv_keeps_what_it_copied_when_a_later_chunk_fails() {
+        let (mut guest, mut resp, region) = guest_with_responders(1);
+        let (s, qs) = connected(&mut guest, &mut resp);
+        let baseline = region.stats().chunks;
+
+        let first = region.alloc_and_write(b"chunk one").unwrap();
+        let second = region.alloc_and_write(b"chunk two").unwrap();
+        respond(
+            &mut resp,
+            Nqe::new(OpType::DataReceived, VmId(1), qs, s).with_data(first, 9),
+        );
+        respond(
+            &mut resp,
+            Nqe::new(OpType::DataReceived, VmId(1), qs, s).with_data(second, 9),
+        );
+        guest.drive();
+        // The second chunk vanishes behind GuestLib's back.
+        region.free(second).unwrap();
+
+        let mut buf = [0u8; 32];
+        assert_eq!(guest.recv(s, &mut buf), Ok(9));
+        assert_eq!(&buf[..9], b"chunk one");
+        assert_eq!(guest.stats().bytes_received, 9);
+        assert_eq!(region.stats().chunks, baseline, "chunk one not freed");
+        let credit = pop_request(&mut resp).unwrap();
+        assert_eq!((credit.op, credit.size), (OpType::RecvConsumed, 9));
+        assert!(pop_request(&mut resp).is_none(), "exactly one credit");
+
+        assert_eq!(guest.recv(s, &mut buf), Err(NkError::NotFound));
+        assert_eq!(guest.recv(s, &mut buf), Err(NkError::NotFound));
+    }
+
+    /// Partial reads resume inside the chunk: a 16 KiB chunk read 100 bytes
+    /// at a time comes out whole and is credited once, at the end.
+    #[test]
+    fn a_chunk_read_in_small_pieces_comes_out_whole() {
+        let (mut guest, mut resp, region) = guest_with_responders(1);
+        let (s, qs) = connected(&mut guest, &mut resp);
+        let payload: Vec<u8> = (0..16 * 1024u32).map(|i| (i % 251) as u8).collect();
+        let handle = region.alloc_and_write(&payload).unwrap();
+        respond(
+            &mut resp,
+            Nqe::new(OpType::DataReceived, VmId(1), qs, s).with_data(handle, payload.len() as u32),
+        );
+
+        let mut got = Vec::new();
+        let mut piece = [0u8; 100];
+        while let Ok(n) = guest.recv(s, &mut piece) {
+            assert!(n == 100 || got.len() + n == payload.len());
+            got.extend_from_slice(&piece[..n]);
+            let done = got.len() == payload.len();
+            assert_eq!(pop_request(&mut resp).is_some(), done, "credit timing");
+        }
+        assert!(got == payload);
+        assert_eq!(region.stats().chunks, 0);
     }
 
     #[test]

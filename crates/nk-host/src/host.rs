@@ -338,7 +338,9 @@ impl NetKernelHost {
         self.guests.get_mut(&vm)
     }
 
-    /// Attach a remote host (a peer machine) to the fabric at `ip`.
+    /// Attach a remote host (a peer machine) to the fabric at `ip`. Drive
+    /// its sockets by polling them (`poll`, `accept`, `recv`): the host
+    /// ticks the stack every round and discards its `StackEvent`s.
     pub fn add_remote(&mut self, ip: u32) -> &mut TcpStack {
         let port = self.switch.attach(ip);
         let stack = TcpStack::new(StackConfig::new(ip), port);
@@ -554,10 +556,21 @@ impl NetKernelHost {
             }
             work += nsm_work;
         }
+        work += self.poll_remotes(now_ns);
+        work + Pollable::poll(&mut self.switch, now_ns)
+    }
+
+    /// One tick of every remote's stack. A remote's application drives its
+    /// sockets by polling them and nothing reads the stack's event queue,
+    /// so the round's events are dropped here rather than piling up for the
+    /// life of the host.
+    fn poll_remotes(&mut self, now_ns: u64) -> usize {
+        let mut work = 0;
         for remote in self.remotes.values_mut() {
             work += Pollable::poll(&mut remote.stack, now_ns);
+            remote.stack.discard_events();
         }
-        work + Pollable::poll(&mut self.switch, now_ns)
+        work
     }
 
     // ---- Intra-host sharding (share lanes + hub) -----------------------------
@@ -713,10 +726,7 @@ impl NetKernelHost {
             let cycles = self.cost.switch_cost(engine_total, self.cfg.batch_size);
             self.pools.charge_up_to(PoolMember::Engine, cycles as u64);
         }
-        let mut work = resident_work;
-        for remote in self.remotes.values_mut() {
-            work += Pollable::poll(&mut remote.stack, now_ns);
-        }
+        let work = resident_work + self.poll_remotes(now_ns);
         work + Pollable::poll(&mut self.switch, now_ns)
     }
 
@@ -1643,7 +1653,10 @@ impl BaselineVm {
     /// Advance the in-guest stack to `now_ns` and run its protocol work.
     pub fn step(&mut self, now_ns: u64) -> usize {
         self.now_ns = now_ns;
-        self.stack.tick(now_ns)
+        let work = self.stack.tick(now_ns);
+        // Readiness is read through `poll`/`epoll_wait`, never the events.
+        self.stack.discard_events();
+        work
     }
 
     /// Direct access to the in-guest stack.
@@ -1795,6 +1808,111 @@ mod tests {
         assert_eq!(&buf[..n], b"hello from outside");
         assert!(host.engine_stats().nqes_switched > 0);
         assert!(host.nsm_service_stats(NsmId(1)).unwrap().bytes_tx >= 17);
+    }
+
+    /// One hugepage (2 MB) shared by ten receiving sockets whose receive
+    /// budgets add up to 2.5 MB: while the application is not reading, the
+    /// region runs out, and every byte must still arrive, in order, once it
+    /// does read. ServiceLib only takes from the stack what it has a chunk
+    /// for.
+    #[test]
+    fn one_hugepage_under_ten_receivers_loses_nothing() {
+        const CONNS: usize = 10;
+        const PER_CONN: usize = 400_000;
+        let mut cfg = HostConfig::new()
+            .with_vm(VmConfig::new(VmId(1)))
+            .with_nsm(NsmConfig::kernel(NsmId(1)))
+            .with_mapping(VmToNsmPolicy::All(NsmId(1)));
+        cfg.hugepages_per_pair = 1;
+        let mut host = NetKernelHost::new(cfg).unwrap();
+        let remote = host.add_remote(REMOTE_IP);
+        let ls = remote.socket();
+        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
+        remote.listen(ls, 16).unwrap();
+
+        // Connect one at a time so guest socket i is remote connection i.
+        let mut socks = Vec::new();
+        let mut conns = Vec::new();
+        for _ in 0..CONNS {
+            let guest = host.guest_mut(VmId(1)).unwrap();
+            let s = guest.socket().unwrap();
+            guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+            host.run(20, 100_000);
+            socks.push(s);
+            conns.push(host.remote_mut(REMOTE_IP).unwrap().accept(ls).unwrap().0);
+        }
+        let byte = |conn: usize, i: usize| ((i * 31 + conn * 7) % 251) as u8;
+
+        let mut sent = [0usize; CONNS];
+        let mut got: Vec<Vec<u8>> = vec![Vec::new(); CONNS];
+        let mut buf = vec![0u8; 64 * 1024];
+        for round in 0..6_000 {
+            let remote = host.remote_mut(REMOTE_IP).unwrap();
+            for (c, &conn) in conns.iter().enumerate() {
+                let end = PER_CONN.min(sent[c] + 32 * 1024);
+                let chunk: Vec<u8> = (sent[c]..end).map(|i| byte(c, i)).collect();
+                sent[c] += remote.send(conn, &chunk).unwrap_or(0);
+            }
+            host.run(1, 100_000);
+            // The application sleeps through the first 300 rounds.
+            if round < 300 {
+                continue;
+            }
+            let guest = host.guest_mut(VmId(1)).unwrap();
+            for (c, &s) in socks.iter().enumerate() {
+                while let Ok(n) = guest.recv(s, &mut buf) {
+                    got[c].extend_from_slice(&buf[..n]);
+                }
+            }
+            if got.iter().all(|g| g.len() >= PER_CONN) {
+                break;
+            }
+        }
+        let region = host.guest_mut(VmId(1)).unwrap().region().stats();
+        assert!(region.failed_allocs > 0, "the hugepage never ran out");
+        for (c, g) in got.iter().enumerate() {
+            assert_eq!(g.len(), PER_CONN, "connection {c}: bytes lost");
+            assert!(
+                g.iter().enumerate().all(|(i, &b)| b == byte(c, i)),
+                "connection {c}: bytes reordered or corrupted"
+            );
+        }
+        assert_eq!(region.chunks, 0, "chunks leaked");
+    }
+
+    /// A remote's application polls its sockets and never reads the stack's
+    /// events (before: one queued entry per readiness edge for the life of
+    /// the host — 8 MB per `rpc` window of `nkbench`). The host drops them
+    /// after every tick, and polling readiness is unaffected.
+    #[test]
+    fn a_remotes_unread_events_do_not_pile_up() {
+        let cfg = HostConfig::new()
+            .with_vm(VmConfig::new(VmId(1)))
+            .with_nsm(NsmConfig::kernel(NsmId(1)))
+            .with_mapping(VmToNsmPolicy::All(NsmId(1)));
+        let mut host = NetKernelHost::new(cfg).unwrap();
+        let remote = host.add_remote(REMOTE_IP);
+        let ls = remote.socket();
+        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
+        remote.listen(ls, 16).unwrap();
+        let guest = host.guest_mut(VmId(1)).unwrap();
+        let s = guest.socket().unwrap();
+        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        host.run(20, 100_000);
+        let remote = host.remote_mut(REMOTE_IP).unwrap();
+        assert!(remote.take_events().is_empty(), "the accept edge was kept");
+        let (conn, _) = remote.accept(ls).unwrap();
+
+        let mut buf = [0u8; 64];
+        for i in 0..50u8 {
+            host.guest_mut(VmId(1)).unwrap().send(s, &[i; 64]).unwrap();
+            host.run(5, 100_000);
+            let remote = host.remote_mut(REMOTE_IP).unwrap();
+            assert!(TcpStack::poll(remote, conn).readable());
+            assert_eq!(remote.recv(conn, &mut buf).unwrap(), 64);
+            assert_eq!(buf, [i; 64]);
+            assert!(remote.take_events().is_empty(), "message {i}");
+        }
     }
 
     /// Two VMs multiplexed onto the same NSM (use case 1): both make

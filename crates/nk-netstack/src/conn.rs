@@ -127,6 +127,22 @@ pub struct TcpConnection {
     rst_pending: bool,
 }
 
+/// The `len` bytes of `ring` from `offset` on, as the (at most two)
+/// contiguous runs the ring's wrap point splits them into. Every payload
+/// copy out of `send_buf`/`recv_buf` goes through here, so the seam is
+/// handled once and each run moves with one `memcpy`.
+fn ring_range(ring: &VecDeque<u8>, offset: usize, len: usize) -> (&[u8], &[u8]) {
+    let (front, back) = ring.as_slices();
+    if offset >= front.len() {
+        let start = offset - front.len();
+        (&back[start..start + len], &[])
+    } else if offset + len <= front.len() {
+        (&front[offset..offset + len], &[])
+    } else {
+        (&front[offset..], &back[..offset + len - front.len()])
+    }
+}
+
 impl TcpConnection {
     /// Start an active open (client side): the first `poll_transmit` emits a
     /// SYN.
@@ -330,9 +346,10 @@ impl TcpConnection {
     /// is available (check [`TcpConnection::peer_closed`] to distinguish EOF).
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
         let n = buf.len().min(self.recv_buf.len());
-        for b in buf.iter_mut().take(n) {
-            *b = self.recv_buf.pop_front().expect("length checked");
-        }
+        let (head, tail) = ring_range(&self.recv_buf, 0, n);
+        buf[..head.len()].copy_from_slice(head);
+        buf[head.len()..n].copy_from_slice(tail);
+        self.recv_buf.drain(..n);
         if n > 0 {
             self.stats.bytes_received += n as u64;
             // Window update for the peer.
@@ -429,9 +446,7 @@ impl TcpConnection {
                     data_acked -= 1;
                 }
             }
-            for _ in 0..data_acked.min(self.send_buf.len()) {
-                self.send_buf.pop_front();
-            }
+            self.send_buf.drain(..data_acked.min(self.send_buf.len()));
             self.snd_una = ack;
             self.dup_acks = 0;
             self.stats.bytes_acked += data_acked as u64;
@@ -576,16 +591,16 @@ impl TcpConnection {
 
     // ---- Output ------------------------------------------------------------
 
-    /// Run timers and produce the segments that should be transmitted now.
-    pub fn poll_transmit(&mut self, now_ns: u64) -> Vec<Segment> {
-        let mut out = Vec::new();
-
+    /// Run timers and append the segments that should be transmitted now to
+    /// `out` (the caller's buffer, so a stack ticking many connections
+    /// reuses one allocation).
+    pub fn poll_transmit(&mut self, now_ns: u64, out: &mut Vec<Segment>) {
         if self.rst_pending {
             self.rst_pending = false;
             let mut rst = Segment::control(self.local, self.remote, SegmentFlags::rst());
             rst.seq = self.snd_nxt;
             out.push(rst);
-            return out;
+            return;
         }
 
         // TIME-WAIT expiry.
@@ -616,7 +631,7 @@ impl TcpConnection {
                     self.arm_rto(now_ns);
                     out.push(syn);
                 }
-                return out;
+                return;
             }
             ConnState::SynReceived => {
                 if self.snd_nxt == self.snd_una {
@@ -630,9 +645,9 @@ impl TcpConnection {
                     self.ack_pending = false;
                     out.push(synack);
                 }
-                return out;
+                return;
             }
-            ConnState::Closed => return out,
+            ConnState::Closed => return,
             _ => {}
         }
 
@@ -649,15 +664,13 @@ impl TcpConnection {
             }
         }
 
+        let first_data = out.len();
         while budget > 0 && offset < self.send_buf.len() {
             let chunk = MSS.min(self.send_buf.len() - offset).min(budget);
-            let payload: Vec<u8> = self
-                .send_buf
-                .iter()
-                .skip(offset)
-                .take(chunk)
-                .copied()
-                .collect();
+            let (head, tail) = ring_range(&self.send_buf, offset, chunk);
+            let mut payload = Vec::with_capacity(chunk);
+            payload.extend_from_slice(head);
+            payload.extend_from_slice(tail);
             let mut seg = Segment::control(self.local, self.remote, SegmentFlags::ack());
             seg.seq = self.snd_nxt;
             seg.ack = self.rcv_nxt;
@@ -674,7 +687,7 @@ impl TcpConnection {
             self.ece_pending = false;
             out.push(seg);
         }
-        if !out.is_empty() {
+        if out.len() > first_data {
             self.arm_rto(now_ns);
         }
 
@@ -714,8 +727,6 @@ impl TcpConnection {
             self.dup_ack_burst = 0;
             self.ece_pending = false;
         }
-
-        out
     }
 
     fn arm_rto(&mut self, now_ns: u64) {
@@ -853,23 +864,30 @@ mod tests {
         SockAddr::v4(10, 0, 0, 2, port)
     }
 
+    /// One `poll_transmit` into a fresh vector.
+    fn tx(c: &mut TcpConnection, now: u64) -> Vec<Segment> {
+        let mut out = Vec::new();
+        c.poll_transmit(now, &mut out);
+        out
+    }
+
     fn pair(now: u64) -> (TcpConnection, TcpConnection) {
         let client_cc = CcAlgorithm::Reno.build();
         let mut client = TcpConnection::connect(addr(5000), peer(80), 1000, client_cc, now);
-        let syns = client.poll_transmit(now);
+        let syns = tx(&mut client, now);
         assert_eq!(syns.len(), 1);
         assert!(syns[0].flags.syn && !syns[0].flags.ack);
 
         let server_cc = CcAlgorithm::Reno.build();
         let mut server =
             TcpConnection::accept(peer(80), addr(5000), 9000, &syns[0], server_cc, now);
-        let synacks = server.poll_transmit(now);
+        let synacks = tx(&mut server, now);
         assert_eq!(synacks.len(), 1);
         assert!(synacks[0].flags.syn && synacks[0].flags.ack);
 
         client.on_segment(&synacks[0], now);
         assert_eq!(client.state(), ConnState::Established);
-        let acks = client.poll_transmit(now);
+        let acks = tx(&mut client, now);
         assert!(!acks.is_empty());
         server.on_segment(&acks[0], now);
         assert_eq!(server.state(), ConnState::Established);
@@ -880,11 +898,11 @@ mod tests {
     fn pump(a: &mut TcpConnection, b: &mut TcpConnection, mut now: u64, step: u64) -> u64 {
         for _ in 0..200 {
             let mut quiet = true;
-            for seg in a.poll_transmit(now) {
+            for seg in tx(a, now) {
                 quiet = false;
                 b.on_segment(&seg, now);
             }
-            for seg in b.poll_transmit(now) {
+            for seg in tx(b, now) {
                 quiet = false;
                 a.on_segment(&seg, now);
             }
@@ -927,7 +945,7 @@ mod tests {
     fn segmentation_respects_mss() {
         let (mut c, mut s) = pair(0);
         c.write(&vec![1u8; 5 * MSS]);
-        let segs = c.poll_transmit(1_000);
+        let segs = tx(&mut c, 1_000);
         assert!(segs.iter().all(|s| s.len() <= MSS));
         assert!(segs.len() >= 5);
         for seg in &segs {
@@ -940,7 +958,7 @@ mod tests {
     fn out_of_order_segments_are_reassembled() {
         let (mut c, mut s) = pair(0);
         c.write(&vec![9u8; 3 * MSS]);
-        let segs = c.poll_transmit(1_000);
+        let segs = tx(&mut c, 1_000);
         assert_eq!(segs.len(), 3);
         // Deliver in reverse order.
         for seg in segs.iter().rev() {
@@ -957,10 +975,10 @@ mod tests {
         let (mut c, mut s) = pair(0);
         c.write(b"important");
         // First transmission is lost (never delivered).
-        let lost = c.poll_transmit(1_000);
+        let lost = tx(&mut c, 1_000);
         assert_eq!(lost.len(), 1);
         // After the RTO fires the data is retransmitted.
-        let retrans = c.poll_transmit(1_000 + INITIAL_RTO_NS + 1);
+        let retrans = tx(&mut c, 1_000 + INITIAL_RTO_NS + 1);
         assert_eq!(retrans.len(), 1);
         assert_eq!(retrans[0].payload, b"important");
         assert_eq!(c.stats().timeouts, 1);
@@ -972,14 +990,14 @@ mod tests {
     fn triple_duplicate_acks_trigger_fast_retransmit() {
         let (mut c, mut s) = pair(0);
         c.write(&vec![5u8; 4 * MSS]);
-        let segs = c.poll_transmit(1_000);
+        let segs = tx(&mut c, 1_000);
         assert!(segs.len() >= 4);
         // Drop the first segment, deliver the rest: the receiver owes one
         // duplicate ACK per out-of-order segment.
         for seg in &segs[1..] {
             s.on_segment(seg, 1_000);
         }
-        let acks = s.poll_transmit(1_000);
+        let acks = tx(&mut s, 1_000);
         assert!(
             acks.len() >= 3,
             "expected >=3 duplicate ACKs, got {}",
@@ -991,7 +1009,7 @@ mod tests {
         }
         assert_eq!(c.stats().fast_retransmits, 1, "fast retransmit must fire");
         // The retransmission fills the hole without waiting for the RTO.
-        let out = c.poll_transmit(2_500);
+        let out = tx(&mut c, 2_500);
         assert!(out
             .iter()
             .any(|seg| seg.seq == segs[0].seq && !seg.payload.is_empty()));
@@ -1002,10 +1020,10 @@ mod tests {
         let mut now = 3_000;
         for _ in 0..100 {
             now += 1_000_000;
-            for seg in c.poll_transmit(now) {
+            for seg in tx(&mut c, now) {
                 s.on_segment(&seg, now);
             }
-            for seg in s.poll_transmit(now) {
+            for seg in tx(&mut s, now) {
                 c.on_segment(&seg, now);
             }
             if s.recv_available() == 4 * MSS {
@@ -1031,7 +1049,7 @@ mod tests {
         assert_eq!(s.state(), ConnState::Closed);
         // Client reaches TIME-WAIT and then closes after the linger period.
         assert!(matches!(c.state(), ConnState::TimeWait | ConnState::Closed));
-        let _ = c.poll_transmit(now + TIME_WAIT_NS + 1_000_000);
+        let _ = tx(&mut c, now + TIME_WAIT_NS + 1_000_000);
         assert_eq!(c.state(), ConnState::Closed);
     }
 
@@ -1039,7 +1057,7 @@ mod tests {
     fn abort_sends_rst_and_peer_observes_it() {
         let (mut c, mut s) = pair(0);
         c.abort();
-        let segs = c.poll_transmit(1_000);
+        let segs = tx(&mut c, 1_000);
         assert!(segs.iter().any(|s| s.flags.rst));
         for seg in &segs {
             s.on_segment(seg, 1_000);
@@ -1054,11 +1072,11 @@ mod tests {
         s.set_recv_buf_cap(2 * MSS);
         // Tell the client about the small window via an ACK.
         s.ack_pending = true;
-        for seg in s.poll_transmit(1_000) {
+        for seg in tx(&mut s, 1_000) {
             c.on_segment(&seg, 1_000);
         }
         c.write(&vec![3u8; 10 * MSS]);
-        let segs = c.poll_transmit(2_000);
+        let segs = tx(&mut c, 2_000);
         let sent: usize = segs.iter().map(|s| s.len()).sum();
         assert!(sent <= 2 * MSS, "sent {sent} despite a 2-MSS window");
     }
@@ -1095,7 +1113,7 @@ mod tests {
         let cwnd_before = c.cwnd();
 
         c.write(&vec![1u8; 4 * MSS]);
-        let mut segs = c.poll_transmit(100_000);
+        let mut segs = tx(&mut c, 100_000);
         assert!(!segs.is_empty());
         // The network marks congestion on the first data segment.
         segs[0].ce_mark = true;
@@ -1103,7 +1121,7 @@ mod tests {
             s.on_segment(seg, 100_000);
         }
         // Receiver echoes ECE on its ACKs; sender reduces its window.
-        for ack in s.poll_transmit(100_000) {
+        for ack in tx(&mut s, 100_000) {
             assert!(ack.flags.ece || !ack.flags.ack || ack.payload.is_empty());
             c.on_segment(&ack, 100_000);
         }
@@ -1114,12 +1132,12 @@ mod tests {
     fn rtt_estimation_updates_rto() {
         let (mut c, mut s) = pair(0);
         c.write(&vec![1u8; MSS]);
-        let segs = c.poll_transmit(1_000_000);
+        let segs = tx(&mut c, 1_000_000);
         for seg in &segs {
             s.on_segment(seg, 1_000_000);
         }
         // ACK arrives 5 ms later.
-        for ack in s.poll_transmit(6_000_000) {
+        for ack in tx(&mut s, 6_000_000) {
             c.on_segment(&ack, 6_000_000);
         }
         assert!(c.srtt_ns.is_some());
@@ -1143,7 +1161,7 @@ mod tests {
         // More data is written and *transmitted but not delivered* (lost on
         // the wire at migration time).
         c.write(&vec![0x5Au8; 2 * MSS]);
-        let lost = c.poll_transmit(now);
+        let lost = tx(&mut c, now);
         assert!(!lost.is_empty(), "in-flight data expected");
         assert!(c.in_flight() > 0);
 
@@ -1178,7 +1196,7 @@ mod tests {
     fn snapshot_carries_receive_side_buffers() {
         let (mut c, mut s) = pair(0);
         c.write(&vec![3u8; 3 * MSS]);
-        let segs = c.poll_transmit(1_000);
+        let segs = tx(&mut c, 1_000);
         assert_eq!(segs.len(), 3);
         // Deliver segment 0 (in order) and segment 2 (out of order).
         s.on_segment(&segs[0], 1_000);
@@ -1204,6 +1222,185 @@ mod tests {
         let (mut c, _s) = pair(0);
         c.abort();
         assert_eq!(c.snapshot(), Err(NkError::InvalidState));
+    }
+
+    /// Deterministic op source for the model test.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+    }
+
+    /// The slice copies against a flat reference: every byte `a` accepts goes
+    /// into one `Vec<u8>`, and `send_buf`/`recv_buf` must at every step hold
+    /// exactly the model's `[acked..]` / `[read..delivered]`. Buffer caps of
+    /// 4 × MSS keep both rings wrapping, so payloads are cut from the front
+    /// run, the back run and across the seam; a burst's tail is lost now and
+    /// then so go-back-N re-reads the ring from offset 0.
+    ///
+    /// Data travels `a` → `b` through a queue (so new writes are segmented
+    /// behind unacknowledged ones); ACKs travel back at once, and `b` only
+    /// speaks after a delivery or when nothing is in flight, so no window
+    /// update is ever mistaken for a duplicate ACK.
+    #[test]
+    fn ring_buffers_match_a_flat_model_across_the_wrap() {
+        const CAP: usize = 4 * MSS;
+        let sizes = [0, 1, MSS - 1, MSS, MSS + 1, CAP, CAP + 1];
+        fn ack(b: &mut TcpConnection, a: &mut TcpConnection, now: u64) {
+            for seg in tx(b, now) {
+                a.on_segment(&seg, now);
+            }
+        }
+        for seed in 1..=4u64 {
+            let (mut a, mut b) = pair(0);
+            a.set_send_buf_cap(CAP);
+            b.set_recv_buf_cap(CAP);
+            // `a` learns the 4-MSS window before it sends anything.
+            b.ack_pending = true;
+            ack(&mut b, &mut a, 1_000);
+            let base = a.snd_una; // sequence number of stream byte 0
+            let mut rng = Lcg(seed);
+            let mut stream: Vec<u8> = Vec::new();
+            let mut read = 0usize;
+            let mut to_b: VecDeque<Segment> = VecDeque::new();
+            let mut buf = vec![0u8; CAP + 1];
+            let mut now = 1_000_000u64;
+            // Steps with a two-run send / receive ring, and payloads cut from
+            // [the front run, the back run, across the seam].
+            let (mut send_wrapped, mut recv_wrapped) = (0usize, 0usize);
+            let mut cut = [0usize; 3];
+
+            // Poll `a`, check every payload against the model and queue the
+            // burst towards `b` — minus its tail from a random segment on
+            // when `lossy`. Returns whether anything was lost.
+            let mut transmit = |a: &mut TcpConnection,
+                                to_b: &mut VecDeque<Segment>,
+                                rng: &mut Lcg,
+                                stream: &[u8],
+                                now: u64,
+                                lossy: bool| {
+                let front = a.send_buf.as_slices().0.len();
+                let una = a.snd_una;
+                let mut lost = false;
+                for seg in tx(a, now) {
+                    if !seg.payload.is_empty() {
+                        let off = seg.seq.wrapping_sub(base) as usize;
+                        assert_eq!(seg.payload, stream[off..off + seg.payload.len()]);
+                        let in_ring = seg.seq.wrapping_sub(una) as usize;
+                        let kind = if in_ring + seg.payload.len() <= front {
+                            0
+                        } else if in_ring >= front {
+                            1
+                        } else {
+                            2
+                        };
+                        cut[kind] += 1;
+                        lost |= lossy && rng.below(48) == 0;
+                    }
+                    if !lost {
+                        to_b.push_back(seg);
+                    }
+                }
+                lost
+            };
+
+            for step in 0..=30_000 {
+                now += 1_000;
+                let size = sizes[rng.below(sizes.len())];
+                // The last step only settles what is still in flight.
+                let mut settle = step == 30_000;
+                match rng.below(8) {
+                    _ if settle => {}
+                    0 | 1 => {
+                        let data: Vec<u8> = (stream.len()..stream.len() + size)
+                            .map(|i| ((i as u32).wrapping_mul(2_654_435_761) >> 24) as u8)
+                            .collect();
+                        let room = CAP - a.send_buffered();
+                        let n = a.write(&data);
+                        assert_eq!(n, size.min(room));
+                        stream.extend_from_slice(&data[..n]);
+                    }
+                    2 => settle = transmit(&mut a, &mut to_b, &mut rng, &stream, now, true),
+                    3 | 4 => {
+                        for seg in to_b.drain(..to_b.len().min(1 + rng.below(4))) {
+                            b.on_segment(&seg, now);
+                        }
+                        ack(&mut b, &mut a, now);
+                    }
+                    _ => {
+                        let before = b.recv_available();
+                        let n = b.read(&mut buf[..size]);
+                        assert_eq!(n, size.min(before));
+                        assert_eq!(buf[..n], stream[read..read + n]);
+                        read += n;
+                        if a.in_flight() == 0 {
+                            ack(&mut b, &mut a, now);
+                        }
+                    }
+                }
+                if settle {
+                    // After a loss the wire goes quiet — everything that
+                    // survived is delivered and acknowledged — and only then
+                    // does the RTO fire, so `a` rewinds to exactly what `b`
+                    // is missing.
+                    for seg in to_b.drain(..) {
+                        b.on_segment(&seg, now);
+                    }
+                    ack(&mut b, &mut a, now);
+                    now += 2 * MAX_RTO_NS;
+                    transmit(&mut a, &mut to_b, &mut rng, &stream, now, false);
+                }
+
+                let acked = a.snd_una.wrapping_sub(base) as usize;
+                let delivered = b.rcv_nxt.wrapping_sub(base) as usize;
+                // True when `ring` holds exactly `model`; also counts the
+                // steps on which it is split in two runs.
+                let holds = |ring: &VecDeque<u8>, model: &[u8], wrapped: &mut usize| {
+                    let (front, back) = ring.as_slices();
+                    *wrapped += usize::from(!back.is_empty());
+                    ring.len() == model.len()
+                        && front == &model[..front.len()]
+                        && back == &model[front.len()..]
+                };
+                assert!(
+                    holds(&a.send_buf, &stream[acked..], &mut send_wrapped),
+                    "send ring, step {step}"
+                );
+                assert!(
+                    holds(&b.recv_buf, &stream[read..delivered], &mut recv_wrapped),
+                    "receive ring, step {step}"
+                );
+                assert_eq!(a.stats().bytes_acked, acked as u64);
+                assert_eq!(b.stats().bytes_received, read as u64);
+            }
+
+            // Lossless from here: the rest of the stream reaches `b` intact.
+            while read < stream.len() {
+                to_b.extend(tx(&mut a, now));
+                for seg in to_b.drain(..) {
+                    b.on_segment(&seg, now);
+                }
+                let n = b.read(&mut buf);
+                assert!(n > 0, "seed {seed}: stalled at {read} of {}", stream.len());
+                assert_eq!(buf[..n], stream[read..read + n]);
+                read += n;
+                ack(&mut b, &mut a, now);
+            }
+            ack(&mut b, &mut a, now);
+
+            assert!(stream.len() > 50 * CAP, "seed {seed}: {}", stream.len());
+            assert_eq!(a.stats().bytes_acked, stream.len() as u64);
+            assert_eq!(b.stats().bytes_received, stream.len() as u64);
+            assert!(a.stats().timeouts > 0, "seed {seed}: no loss exercised");
+            assert!(send_wrapped > 0 && recv_wrapped > 0, "seed {seed}: no wrap");
+            assert!(cut.iter().all(|&n| n > 0), "seed {seed}: cuts {cut:?}");
+        }
     }
 
     #[test]

@@ -162,6 +162,9 @@ pub struct TcpStack {
     rr_listener: usize,
     events: VecDeque<StackEvent>,
     stats: StackStats,
+    /// Reusable segment buffer `transmit` lends to every connection's
+    /// `poll_transmit` (empty between ticks).
+    tx_scratch: Vec<Segment>,
 }
 
 impl TcpStack {
@@ -182,6 +185,7 @@ impl TcpStack {
             rr_listener: 0,
             events: VecDeque::new(),
             stats: StackStats::default(),
+            tx_scratch: Vec::new(),
         }
     }
 
@@ -371,6 +375,15 @@ impl TcpStack {
         }
     }
 
+    /// In-order bytes `recv` would return right now (0 for anything that is
+    /// not a connection), so a caller can size its destination first.
+    pub fn recv_available(&self, sock: SocketId) -> usize {
+        match self.sockets.get(&sock) {
+            Some(SocketEntry::Conn(c)) => c.recv_available(),
+            _ => 0,
+        }
+    }
+
     /// Read received data.
     pub fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
         match self.sockets.get_mut(&sock) {
@@ -484,6 +497,14 @@ impl TcpStack {
     /// Drain the stack events generated since the last call.
     pub fn take_events(&mut self) -> Vec<StackEvent> {
         self.events.drain(..).collect()
+    }
+
+    /// Drop the stack events generated since the last drain. For an owner
+    /// that drives its sockets by polling and never reads events: left
+    /// alone, the queue gains one entry per readiness edge for as long as
+    /// the stack lives.
+    pub fn discard_events(&mut self) {
+        self.events.clear();
     }
 
     // ---- Warm-migration export / install ------------------------------------
@@ -711,14 +732,14 @@ impl TcpStack {
             .filter(|(_, e)| matches!(e, SocketEntry::Conn(_)))
             .map(|(id, _)| *id)
             .collect();
+        let mut segs = std::mem::take(&mut self.tx_scratch);
         for id in ids {
-            let (segs, writable) = {
-                let Some(SocketEntry::Conn(c)) = self.sockets.get_mut(&id) else {
-                    continue;
-                };
-                (c.poll_transmit(now_ns), c.writable())
+            let Some(SocketEntry::Conn(c)) = self.sockets.get_mut(&id) else {
+                continue;
             };
-            for seg in segs {
+            c.poll_transmit(now_ns, &mut segs);
+            let writable = c.writable();
+            for seg in segs.drain(..) {
                 count += 1;
                 self.emit(seg);
             }
@@ -728,6 +749,7 @@ impl TcpStack {
                 self.events.push_back(StackEvent::Writable(id));
             }
         }
+        self.tx_scratch = segs;
         count
     }
 
@@ -1001,6 +1023,13 @@ mod tests {
             client_events.contains(&StackEvent::Connected(cs)),
             "{client_events:?}"
         );
+
+        // An owner that polls instead drops them; readiness is untouched.
+        w.client.send(cs, b"pong").unwrap();
+        w.run(10);
+        w.server.discard_events();
+        assert!(w.server.take_events().is_empty());
+        assert!(w.server.poll(conn).readable());
     }
 
     #[test]

@@ -36,6 +36,21 @@ pub struct ServiceStats {
     pub accepted: u64,
 }
 
+/// Payload a guest handed over that the stack's send buffer had no room for
+/// yet, oldest first.
+#[derive(Default)]
+struct PendingSend {
+    chunks: VecDeque<Vec<u8>>,
+    /// Bytes of the front chunk the stack already accepted.
+    head: usize,
+}
+
+impl PendingSend {
+    fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+}
+
 /// Per-connection context linking a stack socket back to its guest tuple.
 #[derive(Clone, Copy, Debug)]
 struct ConnCtx {
@@ -61,7 +76,7 @@ pub struct ServiceLib {
     /// stack socket → guest context.
     ctx: BTreeMap<SocketId, ConnCtx>,
     /// Payload accepted from guests but not yet taken by the stack.
-    pending_send: BTreeMap<SocketId, VecDeque<Vec<u8>>>,
+    pending_send: BTreeMap<SocketId, PendingSend>,
     /// Bytes announced to the guest and not yet consumed (receive credit).
     rx_outstanding: BTreeMap<SocketId, usize>,
     /// Per-VM Seawall windows (fair-share NSM only).
@@ -148,10 +163,16 @@ impl ServiceLib {
             .remove(&(vm, guest_sock))
             .ok_or(NkError::BadSocket)?;
         self.ctx.remove(&sock);
-        let pending = self
+        let pending: Vec<Vec<u8>> = self
             .pending_send
             .remove(&sock)
-            .map(|q| q.into_iter().collect())
+            .map(|q| {
+                let mut chunks: Vec<Vec<u8>> = q.chunks.into();
+                if let Some(front) = chunks.first_mut() {
+                    front.drain(..q.head);
+                }
+                chunks
+            })
             .unwrap_or_default();
         let outstanding = self.rx_outstanding.remove(&sock).unwrap_or(0);
         Ok((sock, pending, outstanding))
@@ -192,8 +213,13 @@ impl ServiceLib {
             },
         );
         if !pending_send.is_empty() {
-            self.pending_send
-                .insert(stack_sock, pending_send.into_iter().collect());
+            self.pending_send.insert(
+                stack_sock,
+                PendingSend {
+                    chunks: pending_send.into(),
+                    head: 0,
+                },
+            );
         }
         if rx_outstanding > 0 {
             self.rx_outstanding.insert(stack_sock, rx_outstanding);
@@ -347,21 +373,41 @@ impl ServiceLib {
             self.reply(nsm_qs, nqe, Err(NkError::NotFound), 0);
             return;
         };
-        // Pull the payload out of the shared hugepages — this is the extra
-        // copy §7.8 attributes NetKernel's throughput overhead to.
+        // The one copy §7.8 attributes NetKernel's throughput overhead to:
+        // hugepage → stack send buffer, with the chunk lent to the stack in
+        // place. Only what the stack had no room for (or everything, when
+        // older payload is still queued ahead of it) is copied aside.
         let len = nqe.size as usize;
-        let data = match region.read_and_free(nqe.data, len) {
-            Ok(d) => d,
+        let queued_ahead = self.pending_send.get(&sock).is_some_and(|q| !q.is_empty());
+        let lent = region.with_chunk(nqe.data, len, |chunk| {
+            let accepted = if queued_ahead {
+                0
+            } else {
+                stack.send(sock, chunk).unwrap_or(0)
+            };
+            if accepted < chunk.len() {
+                let queue = self.pending_send.entry(sock).or_default();
+                queue.chunks.push_back(chunk[accepted..].to_vec());
+            }
+            accepted
+        });
+        let accepted = match lent {
+            Ok(n) => n,
             Err(e) => {
                 self.reply(nsm_qs, nqe, Err(e), 0);
                 return;
             }
         };
+        // The lend just proved the handle live, so the free cannot fail.
+        let _ = region.free(nqe.data);
         self.stats.bytes_tx += len as u64;
-        self.pending_send.entry(sock).or_default().push_back(data);
-        // Try to push into the stack right away; whatever is accepted is
-        // acknowledged back to the guest as returned send-buffer credit.
-        let flushed = self.flush_socket(stack, sock);
+        // Whatever the stack accepted is acknowledged back to the guest as
+        // returned send-buffer credit.
+        let flushed = if queued_ahead {
+            self.flush_socket(stack, sock)
+        } else {
+            accepted
+        };
         if flushed > 0 {
             self.send_credit(sock, flushed);
         }
@@ -396,19 +442,17 @@ impl ServiceLib {
             return 0;
         };
         let mut flushed = 0;
-        while let Some(front) = queue.front_mut() {
-            match stack.send(sock, front) {
-                Ok(n) => {
-                    flushed += n;
-                    if n == front.len() {
-                        queue.pop_front();
-                    } else {
-                        front.drain(..n);
-                        break;
-                    }
-                }
-                Err(_) => break,
+        while let Some(front) = queue.chunks.front() {
+            let Ok(n) = stack.send(sock, &front[queue.head..]) else {
+                break;
+            };
+            flushed += n;
+            queue.head += n;
+            if queue.head < front.len() {
+                break;
             }
+            queue.chunks.pop_front();
+            queue.head = 0;
         }
         flushed
     }
@@ -502,28 +546,28 @@ impl ServiceLib {
                 if credit == 0 {
                     break;
                 }
-                let want = credit.min(RX_CHUNK);
-                let mut buf = vec![0u8; want];
-                match stack.recv(sock, &mut buf) {
-                    Ok(0) => {
-                        // EOF is announced via the PeerClosed event.
-                        break;
-                    }
-                    Ok(n) => {
-                        buf.truncate(n);
-                        let Ok(handle) = region.alloc_and_write(&buf) else {
-                            break;
-                        };
-                        self.stats.bytes_rx += n as u64;
-                        *self.rx_outstanding.entry(sock).or_insert(0) += n;
-                        let mut ev =
-                            Nqe::new(OpType::DataReceived, ctx.vm, ctx.vm_qs, ctx.guest_sock);
-                        ev.data = handle;
-                        ev.size = n as u32;
-                        self.respond(ctx.nsm_qs, ev);
-                    }
-                    Err(_) => break,
+                // Size the chunk from what the stack holds, allocate it, and
+                // only then let the stack fill it in place: nothing leaves
+                // `recv_buf` unless it has a hugepage chunk to land in.
+                let want = credit.min(RX_CHUNK).min(stack.recv_available(sock));
+                if want == 0 {
+                    // EOF is announced via the PeerClosed event.
+                    break;
                 }
+                let Ok(handle) = region.alloc(want) else {
+                    break;
+                };
+                let filled = region.with_chunk_mut(handle, want, |chunk| stack.recv(sock, chunk));
+                let Ok(Ok(n)) = filled else {
+                    let _ = region.free(handle);
+                    break;
+                };
+                self.stats.bytes_rx += n as u64;
+                *self.rx_outstanding.entry(sock).or_insert(0) += n;
+                let mut ev = Nqe::new(OpType::DataReceived, ctx.vm, ctx.vm_qs, ctx.guest_sock);
+                ev.data = handle;
+                ev.size = n as u32;
+                self.respond(ctx.nsm_qs, ev);
             }
         }
     }
@@ -694,12 +738,15 @@ mod tests {
 
     impl World {
         fn new(kind: StackKind) -> Self {
+            Self::with_region(kind, HugepageRegion::with_capacity(4 << 20))
+        }
+
+        fn with_region(kind: StackKind, region: HugepageRegion) -> Self {
             let mut switch = VirtualSwitch::new();
             let nsm_port = switch.attach(NSM_IP);
             let remote_port = switch.attach(REMOTE_IP);
             let (guest_end, nsm_end) = queue_set_pair(1024);
             let device = NkDevice::new(vec![nsm_end], WakeState::new());
-            let region = HugepageRegion::with_capacity(4 << 20);
             let service = ServiceLib::new(NsmId(1), device, 8);
             let stack = TcpStack::new(StackConfig::new(NSM_IP), nsm_port);
             let mut nsm = Nsm::new(NsmId(1), kind, service, stack);
@@ -962,6 +1009,54 @@ mod tests {
             got.extend_from_slice(&buf[..n]);
         }
         assert_eq!(got, b"first half second half");
+    }
+
+    /// A region too small for the receive budget must delay data, never lose
+    /// it: the stack keeps what has no hugepage chunk to land in (and closes
+    /// its window) until the guest frees chunks. Before the chunk was
+    /// allocated *first*, one 16 KiB read went missing mid-stream here.
+    #[test]
+    fn exhausted_region_delays_received_data_without_losing_it() {
+        let mut w = World::with_region(StackKind::Kernel, HugepageRegion::with_capacity(40 * 1024));
+        let ls = w.remote.socket();
+        w.remote.bind(ls, SockAddr::new(0, 7)).unwrap();
+        w.remote.listen(ls, 8).unwrap();
+        w.submit(req(OpType::SocketCreate, 5));
+        w.submit(req(OpType::Connect, 5).with_op_data(SockAddr::new(REMOTE_IP, 7).pack()));
+        w.run(10);
+        let _ = w.responses();
+        let (conn, _) = w.remote.accept(ls).unwrap();
+
+        let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let mut sent = 0;
+        let mut got = Vec::new();
+        for _ in 0..2_000 {
+            if sent < payload.len() {
+                sent += w.remote.send(conn, &payload[sent..]).unwrap_or(0);
+            }
+            w.run(1);
+            // The guest reads, frees and credits every chunk each round.
+            for nqe in w.responses() {
+                if nqe.op != OpType::DataReceived {
+                    continue;
+                }
+                let at = got.len();
+                got.resize(at + nqe.size as usize, 0);
+                w.region.read(nqe.data, &mut got[at..]).unwrap();
+                w.region.free(nqe.data).unwrap();
+                w.submit(req(OpType::RecvConsumed, 5).with_data(DataHandle::NULL, nqe.size));
+            }
+            if got.len() >= payload.len() {
+                break;
+            }
+        }
+        assert!(
+            w.region.stats().failed_allocs > 0,
+            "the region never ran out: the test exercises nothing"
+        );
+        assert_eq!(got.len(), payload.len(), "bytes lost or duplicated");
+        assert!(got == payload, "bytes reordered or corrupted");
+        assert_eq!(w.region.stats().chunks, 0);
     }
 
     #[test]

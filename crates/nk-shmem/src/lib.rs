@@ -7,8 +7,9 @@
 //! versa for received data). This crate provides:
 //!
 //! * [`region::HugepageRegion`] — the shared region (2 MB pages, paper §5)
-//!   with a first-fit chunk allocator and copy-in/copy-out accessors keyed by
-//!   [`nk_types::DataHandle`];
+//!   with a first-fit chunk allocator and accessors keyed by
+//!   [`nk_types::DataHandle`] that copy in or out, or lend a live chunk to
+//!   the caller in place so each hop moves its payload once;
 //! * [`budget::BufferBudget`] — the per-socket send/receive buffer accounting
 //!   GuestLib and ServiceLib maintain on top of the region (§4.5).
 

@@ -3,12 +3,17 @@
 // nk-lint: allow-file(cross-shard-locks) — the region is shared between a
 // guest and the NSMs of one host, all members of the same share lane (lane
 // grouping unions over exactly these edges), so the Mutexes serialise
-// same-lane borrows only; no cross-shard data ever crosses them.
+// same-lane borrows only; no cross-shard data ever crosses them. `copy_to`
+// is the one place two regions' data locks are held together (the
+// shared-memory NSM copying between two of its VMs, all one lane): it takes
+// them in address order, so even two copies in opposite directions on
+// different threads could not each hold the lock the other waits for.
 
 use nk_types::constants::HUGEPAGE_SIZE;
 use nk_types::{DataHandle, NkError, NkResult};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Allocation granularity: chunks are rounded up to one cache line so
@@ -164,36 +169,69 @@ impl HugepageRegion {
         Ok(())
     }
 
+    /// Byte range of the first `len` bytes of the live chunk at `handle`
+    /// after skipping `skip`: unknown handle → `NotFound`, range past the
+    /// chunk's end → `InvalidState`.
+    fn span(&self, handle: DataHandle, skip: usize, len: usize) -> NkResult<Range<usize>> {
+        let off = handle.offset() as usize;
+        let chunk_len = *self
+            .inner
+            .alloc
+            .lock()
+            .live
+            .get(&off)
+            .ok_or(NkError::NotFound)?;
+        match skip.checked_add(len) {
+            Some(end) if end <= chunk_len => Ok(off + skip..off + end),
+            _ => Err(NkError::InvalidState),
+        }
+    }
+
     /// Copy `data` into the chunk at `handle`.
     ///
     /// Fails when the handle is unknown or the data is larger than the chunk.
     pub fn write(&self, handle: DataHandle, data: &[u8]) -> NkResult<()> {
-        let off = handle.offset() as usize;
-        let len = {
-            let a = self.inner.alloc.lock();
-            *a.live.get(&off).ok_or(NkError::NotFound)?
-        };
-        if data.len() > len {
-            return Err(NkError::InvalidState);
-        }
-        let mut buf = self.inner.data.lock();
-        buf[off..off + data.len()].copy_from_slice(data);
-        Ok(())
+        self.with_chunk_mut(handle, data.len(), |chunk| chunk.copy_from_slice(data))
     }
 
     /// Copy `out.len()` bytes from the chunk at `handle` into `out`.
     pub fn read(&self, handle: DataHandle, out: &mut [u8]) -> NkResult<()> {
-        let off = handle.offset() as usize;
-        let len = {
-            let a = self.inner.alloc.lock();
-            *a.live.get(&off).ok_or(NkError::NotFound)?
-        };
-        if out.len() > len {
-            return Err(NkError::InvalidState);
-        }
-        let buf = self.inner.data.lock();
-        out.copy_from_slice(&buf[off..off + out.len()]);
+        self.read_at(handle, 0, out)
+    }
+
+    /// Copy bytes `[offset, offset + out.len())` of the chunk at `handle`
+    /// into `out` — a partial `recv()` resumes where the last one stopped
+    /// without re-reading the chunk's head.
+    pub fn read_at(&self, handle: DataHandle, offset: usize, out: &mut [u8]) -> NkResult<()> {
+        let span = self.span(handle, offset, out.len())?;
+        out.copy_from_slice(&self.inner.data.lock()[span]);
         Ok(())
+    }
+
+    /// Lend the first `len` bytes of the chunk at `handle` to `f`, in place.
+    ///
+    /// `f` runs under the region's data lock, so it must not call back into
+    /// this region (or a clone of it).
+    pub fn with_chunk<R>(
+        &self,
+        handle: DataHandle,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> NkResult<R> {
+        let span = self.span(handle, 0, len)?;
+        Ok(f(&self.inner.data.lock()[span]))
+    }
+
+    /// Mutable counterpart of [`HugepageRegion::with_chunk`]: `f` fills the
+    /// first `len` bytes of the chunk in place.
+    pub fn with_chunk_mut<R>(
+        &self,
+        handle: DataHandle,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> NkResult<R> {
+        let span = self.span(handle, 0, len)?;
+        Ok(f(&mut self.inner.data.lock()[span]))
     }
 
     /// Allocate a chunk, copy `data` into it and return the handle — the
@@ -209,19 +247,10 @@ impl HugepageRegion {
         Ok(handle)
     }
 
-    /// Read `len` bytes from `handle` into a fresh vector and free the chunk —
-    /// the common receive path once the application consumed the data.
-    pub fn read_and_free(&self, handle: DataHandle, len: usize) -> NkResult<Vec<u8>> {
-        let mut out = vec![0u8; len];
-        self.read(handle, &mut out)?;
-        self.free(handle)?;
-        Ok(out)
-    }
-
     /// Copy `len` bytes from a chunk in this region into a chunk of another
     /// region (or the same one). This is the shared-memory NSM's fast path
-    /// (§6.4): payload moves hugepage-to-hugepage without touching a TCP
-    /// stack.
+    /// (§6.4): payload moves hugepage-to-hugepage with one `memcpy`, without
+    /// touching a TCP stack or a temporary.
     pub fn copy_to(
         &self,
         src: DataHandle,
@@ -229,9 +258,23 @@ impl HugepageRegion {
         dst: DataHandle,
         len: usize,
     ) -> NkResult<()> {
-        let mut tmp = vec![0u8; len];
-        self.read(src, &mut tmp)?;
-        dst_region.write(dst, &tmp)
+        let src_span = self.span(src, 0, len)?;
+        let dst_span = dst_region.span(dst, 0, len)?;
+        if Arc::ptr_eq(&self.inner, &dst_region.inner) {
+            self.inner.data.lock().copy_within(src_span, dst_span.start);
+            return Ok(());
+        }
+        // Address order, whichever way the copy runs (see the file note).
+        let (src_data, mut dst_data);
+        if Arc::as_ptr(&self.inner) < Arc::as_ptr(&dst_region.inner) {
+            src_data = self.inner.data.lock();
+            dst_data = dst_region.inner.data.lock();
+        } else {
+            dst_data = dst_region.inner.data.lock();
+            src_data = self.inner.data.lock();
+        }
+        dst_data[dst_span].copy_from_slice(&src_data[src_span]);
+        Ok(())
     }
 
     /// Current statistics.
@@ -267,16 +310,6 @@ mod tests {
         assert_eq!(out, payload);
         region.free(h).unwrap();
         assert_eq!(region.stats().chunks, 0);
-    }
-
-    #[test]
-    fn read_and_free_returns_data_and_releases() {
-        let region = HugepageRegion::with_capacity(4096);
-        let h = region.alloc_and_write(b"abc").unwrap();
-        let data = region.read_and_free(h, 3).unwrap();
-        assert_eq!(data, b"abc");
-        assert_eq!(region.available(), region.capacity());
-        assert_eq!(region.read(h, &mut [0u8; 1]), Err(NkError::NotFound));
     }
 
     #[test]
@@ -321,15 +354,107 @@ mod tests {
     }
 
     #[test]
-    fn cross_region_copy() {
+    fn read_at_copies_a_sub_range_and_checks_bounds() {
+        let region = HugepageRegion::with_capacity(4096);
+        let h = region.alloc_and_write(b"hello netkernel").unwrap();
+        let mut out = [0u8; 9];
+        region.read_at(h, 6, &mut out).unwrap();
+        assert_eq!(&out, b"netkernel");
+        region.read_at(h, 64, &mut []).unwrap();
+        // The chunk is one 64-byte line: one byte past its end is refused.
+        assert_eq!(
+            region.read_at(h, 60, &mut [0u8; 5]),
+            Err(NkError::InvalidState)
+        );
+        assert_eq!(
+            region.read_at(h, usize::MAX, &mut [0u8; 2]),
+            Err(NkError::InvalidState)
+        );
+        region.free(h).unwrap();
+        assert_eq!(region.read_at(h, 0, &mut out), Err(NkError::NotFound));
+    }
+
+    #[test]
+    fn lends_a_live_chunk_in_place() {
+        let region = HugepageRegion::with_capacity(4096);
+        let h = region.alloc(100).unwrap();
+        let filled = region
+            .with_chunk_mut(h, 100, |chunk| {
+                chunk.iter_mut().zip(0u8..).for_each(|(b, i)| *b = i);
+                chunk.len()
+            })
+            .unwrap();
+        assert_eq!(filled, 100);
+        let sum = region
+            .with_chunk(h, 10, |chunk| {
+                chunk.iter().map(|&b| u32::from(b)).sum::<u32>()
+            })
+            .unwrap();
+        assert_eq!(sum, 45);
+        // 100 bytes round up to two lines; a longer lend is refused.
+        assert_eq!(
+            region.with_chunk(h, 129, |_| ()),
+            Err(NkError::InvalidState)
+        );
+        assert_eq!(
+            region.with_chunk_mut(h, 129, |_| ()),
+            Err(NkError::InvalidState)
+        );
+        region.free(h).unwrap();
+        assert_eq!(region.with_chunk(h, 1, |_| ()), Err(NkError::NotFound));
+        assert_eq!(region.with_chunk_mut(h, 1, |_| ()), Err(NkError::NotFound));
+        assert_eq!(
+            region.with_chunk(DataHandle::NULL, 0, |_| ()),
+            Err(NkError::NotFound)
+        );
+    }
+
+    #[test]
+    fn copy_to_across_regions_within_one_and_of_nothing() {
         let src_region = HugepageRegion::with_capacity(4096);
         let dst_region = HugepageRegion::with_capacity(4096);
         let src = src_region.alloc_and_write(b"colocated vm payload").unwrap();
+        let mut out = vec![0u8; 20];
+
+        // Cross-region, in both lock orders.
         let dst = dst_region.alloc(32).unwrap();
         src_region.copy_to(src, &dst_region, dst, 20).unwrap();
-        let mut out = vec![0u8; 20];
         dst_region.read(dst, &mut out).unwrap();
         assert_eq!(&out, b"colocated vm payload");
+        let back = src_region.alloc(32).unwrap();
+        dst_region.copy_to(dst, &src_region, back, 9).unwrap();
+        src_region.read(back, &mut out[..9]).unwrap();
+        assert_eq!(&out[..9], b"colocated");
+
+        // Same region (through a clone): one lock, no deadlock.
+        let twin = src_region.alloc(32).unwrap();
+        src_region
+            .copy_to(src, &src_region.clone(), twin, 20)
+            .unwrap();
+        src_region.read(twin, &mut out).unwrap();
+        assert_eq!(&out, b"colocated vm payload");
+
+        // Zero length copies nothing and still checks both handles.
+        src_region.copy_to(src, &dst_region, dst, 0).unwrap();
+        src_region.copy_to(src, &src_region, twin, 0).unwrap();
+        assert_eq!(
+            src_region.copy_to(src, &dst_region, DataHandle::from_offset(64), 0),
+            Err(NkError::NotFound)
+        );
+        // Longer than either chunk is refused, source checked first.
+        assert_eq!(
+            src_region.copy_to(src, &dst_region, dst, 65),
+            Err(NkError::InvalidState)
+        );
+        dst_region.free(dst).unwrap();
+        assert_eq!(
+            src_region.copy_to(src, &dst_region, dst, 20),
+            Err(NkError::NotFound)
+        );
+        assert_eq!(
+            dst_region.copy_to(dst, &src_region, twin, 20),
+            Err(NkError::NotFound)
+        );
     }
 
     #[test]
