@@ -1255,10 +1255,10 @@ fn ev01_evacuation(results: &mut BenchResults) {
         evac.stats.conns_transplanted,
         evac_retire_ns as f64 / 1e6
     );
-    // Recorder phase breakdown: total virtual time per phase. The freeze
-    // pause is recorded per VM at the wave's shared freeze window (step
-    // `None`); every other phase is a plan-step coordinator action, so its
-    // windows come from the per-step captures (step `Some`).
+    // Recorder phase breakdown: total virtual time per phase, one window
+    // per plan step. A VM's freeze window spans its wave's shared
+    // wire-draining pause; every other step is a coordinator action of
+    // zero virtual width.
     println!("recorder phase totals:");
     let record = results.experiment("ev01");
     for p in [
@@ -1269,19 +1269,7 @@ fn ev01_evacuation(results: &mut BenchResults) {
         MigrationPhase::Thaw,
         MigrationPhase::Retire,
     ] {
-        let windows: Vec<_> = evac
-            .obs
-            .phases
-            .iter()
-            .filter(|w| {
-                w.phase == p
-                    && if p == MigrationPhase::Freeze {
-                        w.step.is_none()
-                    } else {
-                        w.step.is_some()
-                    }
-            })
-            .collect();
+        let windows: Vec<_> = evac.obs.phases.iter().filter(|w| w.phase == p).collect();
         if windows.is_empty() {
             continue;
         }

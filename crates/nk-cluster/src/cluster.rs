@@ -2,13 +2,13 @@
 
 use crate::exec::{ExecStats, ShardedExecutor, StepOutcome};
 use nk_ctrl::placer::{ClusterSample, HostLoad, Placer};
-use nk_ctrl::PlanEvent;
+use nk_ctrl::{EvacMode, PlanEvent};
 use nk_fabric::link::LinkConfig;
 use nk_fabric::tor::TorSwitch;
 use nk_guest::GuestLib;
 use nk_host::{NetKernelHost, ShareLane};
 use nk_netstack::{Segment, StackConfig, TcpStack};
-use nk_obs::{FlightRecorder, FlowKey, MigrationPhase, ObsDump, ObsEventKind, PhaseWindow};
+use nk_obs::{FlightRecorder, FlowKey, ObsDump, ObsEventKind};
 use nk_sim::{CycleLedger, Pollable, PoolMember};
 use nk_types::addr::{host_prefix, HOST_PREFIX_MASK};
 use nk_types::{
@@ -16,13 +16,6 @@ use nk_types::{
     StackKind, VmId,
 };
 use std::collections::BTreeMap;
-
-/// Upper bound on freeze-window mini-steps per warm migration. The window
-/// normally closes in two or three steps (one wire round trip plus a
-/// quiescence check); a connection that never goes quiet — a peer streaming
-/// into the VM nonstop — is cut at the bound and recovers through TCP
-/// retransmission.
-pub(crate) const MAX_FREEZE_STEPS: usize = 16;
 
 /// Cluster scheduler and placement counters, for observability and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -82,8 +75,9 @@ pub(crate) struct ActiveDrain {
 }
 
 /// A set of [`NetKernelHost`]s joined by uplinks through a top-of-rack
-/// switch, sharing one virtual clock, with cross-host VM migration (drained)
-/// as a first-class operation and an optional cluster placement loop.
+/// switch, sharing one virtual clock, with cross-host VM moves (drained,
+/// warm, whole-host evacuation — one executor, see [`crate::evac`]) and an
+/// optional cluster placement loop.
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
     pub(crate) hosts: BTreeMap<HostId, NetKernelHost>,
@@ -96,7 +90,7 @@ pub struct Cluster {
     pub(crate) placer: Option<Placer>,
     pub(crate) drains: Vec<ActiveDrain>,
     pub(crate) events: Vec<ClusterEvent>,
-    /// Serialized plan-event logs of every evacuation run so far, in
+    /// Plan-event logs of every move and evacuation run so far, in
     /// execution order (see [`crate::evac`]).
     pub(crate) plan_events: Vec<PlanEvent>,
     /// Placement epochs completed (also stamps drain events).
@@ -592,275 +586,34 @@ impl Cluster {
 
     // ---- Cross-host migration ------------------------------------------------
 
-    /// Live-migrate a VM to another host: export on the source (the local
-    /// instance enters drain), import on the destination (new connections
-    /// open on the least-loaded TCP NSM there), and track the drain until
-    /// the source share empties. Operators call this directly; the placer
-    /// calls it at epoch boundaries.
+    /// Live-migrate a VM to another host, *drained*: its identity moves
+    /// now (new connections open on the least-loaded TCP NSM of `to`), the
+    /// connections pinned on `from` keep being served there, and the drain
+    /// is tracked until the source share empties. Operators call this
+    /// directly; the placer calls it at epoch boundaries. Runs as a
+    /// one-move plan through the move executor ([`crate::evac`]): a refusal
+    /// at any step rolls the earlier ones back and returns that step's
+    /// error.
     pub fn migrate_vm(&mut self, vm: VmId, from: HostId, to: HostId) -> NkResult<()> {
-        if from == to {
-            return Err(NkError::BadConfig);
-        }
-        if self.home_of(vm) != Some(from) {
-            return Err(NkError::NotFound);
-        }
-        // A VM still draining off the destination (it bounced back before
-        // its old share emptied) cannot move there again yet: the import
-        // would collide with the draining instance.
-        if self.hosts.get(&to).is_some_and(|h| h.has_vm(vm)) {
-            return Err(NkError::AlreadyRegistered);
-        }
-        let to_nsm = self.pick_destination_nsm(to)?;
-        let export = self
-            .hosts
-            .get_mut(&from)
-            .ok_or(NkError::NotFound)?
-            .export_vm(vm)?;
-        if let Err(e) = self
-            .hosts
-            .get_mut(&to)
-            .expect("destination checked by pick_destination_nsm")
-            .import_vm(&export, to_nsm)
-        {
-            // Roll the export back: the VM must not stay stuck in drain on
-            // the source when the destination refused it.
-            self.hosts
-                .get_mut(&from)
-                .expect("source produced the export")
-                .cancel_export(vm);
-            return Err(e);
-        }
-        self.vm_home.insert(vm, to);
-        self.drains.push(ActiveDrain {
-            vm,
-            from,
-            nsm: export.from_nsm,
-        });
-        self.stats.migrations += 1;
-        self.push_event(ClusterAction::MigrateVm {
-            vm,
-            from,
-            to,
-            to_nsm,
-        });
-        Ok(())
+        self.move_vm(vm, from, to, EvacMode::Drained, &[])
     }
 
     /// Warm-migrate a VM to another host: the paper's "switch her NSM on
-    /// the fly", with the *connections moving too*. Three phases, all
-    /// inside this call:
-    ///
-    /// 1. **Freeze** — the VM's engine ingress pauses and the cluster runs
-    ///    mini-steps (interleaved poll rounds across hosts, the ToR and the
-    ///    remotes, with virtual time advancing) until the VM's connections
-    ///    are wire-quiet: everything transmitted is acknowledged and no
-    ///    frame for them is in flight.
-    /// 2. **Transfer** — the source exports identity *plus* per-connection
-    ///    stack state ([`nk_types::VmWarmExport`]), the ToR gains a host
-    ///    route steering each transplanted address to the destination trunk
-    ///    (the mid-step reroute), and the destination installs everything.
-    /// 3. **Thaw** — the source share, emptied in the same control epoch,
-    ///    scales to zero immediately; the destination serves the very same
-    ///    connections. No drain, no reset.
+    /// the fly", with the *connections moving too*. The same executor runs
+    /// the warm chain inside this call — freeze until the VM's connections
+    /// are wire-quiet, export identity *plus* per-connection stack state
+    /// ([`nk_types::VmWarmExport`]), reroute the transplanted addresses at
+    /// the ToR, install, thaw, and scale the emptied source share to zero
+    /// in the same instant. No drain, no reset.
     ///
     /// Warm mode requires the VM to be its source NSM's only tenant (the
     /// fabric reroutes the NSM's vNIC address, which would hijack other
     /// VMs' cross-host flows); otherwise it refuses with
     /// [`NkError::InvalidState`] and the caller falls back to
-    /// [`Cluster::migrate_vm`] (drained). A failed install rolls everything
-    /// back: routes drop, the export re-installs at the source, the VM
-    /// keeps serving as if nothing happened.
+    /// [`Cluster::migrate_vm`]. A failed step rolls everything back and the
+    /// VM keeps serving as if nothing happened.
     pub fn migrate_vm_warm(&mut self, vm: VmId, from: HostId, to: HostId) -> NkResult<()> {
-        if from == to {
-            return Err(NkError::BadConfig);
-        }
-        if self.home_of(vm) != Some(from) {
-            return Err(NkError::NotFound);
-        }
-        if self.hosts.get(&to).is_some_and(|h| h.has_vm(vm)) {
-            return Err(NkError::AlreadyRegistered);
-        }
-        let to_nsm = self.pick_destination_nsm(to)?;
-        let src = self.hosts.get_mut(&from).ok_or(NkError::NotFound)?;
-        let from_nsm = src.nsm_of(vm).ok_or(NkError::NotFound)?;
-        // Warm exclusivity: rerouting the share's vNIC address must not
-        // hijack another tenant's connections.
-        let others_mapped = src
-            .config()
-            .vms
-            .iter()
-            .any(|v| v.id != vm && src.nsm_of(v.id) == Some(from_nsm));
-        if others_mapped || src.nsm_pinned(from_nsm) != src.vm_pinned(vm) {
-            return Err(NkError::InvalidState);
-        }
-        src.freeze_vm(vm)?;
-
-        // Freeze window: mini-steps drain the wire. Each advances time by
-        // enough to mature any frame sitting in an uplink or vNIC link. The
-        // exit condition is VM-local — wire-quiet on two consecutive checks
-        // one mini-step apart (so anything the peer had in flight towards
-        // the VM has landed) — and deliberately ignores other tenants'
-        // traffic: a busy neighbor must not stretch this VM's handover.
-        let freeze_start = self.now_ns;
-        let freeze_dt = (2 * self.cfg.uplink_latency_us * 1_000).max(200_000);
-        let mut quiet_streak = 0;
-        for _ in 0..MAX_FREEZE_STEPS {
-            if self.hosts.get(&from).is_some_and(|h| h.vm_wire_quiet(vm)) {
-                quiet_streak += 1;
-                if quiet_streak >= 2 {
-                    break;
-                }
-            } else {
-                quiet_streak = 0;
-            }
-            self.freeze_ministep(freeze_dt);
-        }
-        self.record_warm_phase(vm, MigrationPhase::Freeze, freeze_start, true);
-
-        let src = self.hosts.get_mut(&from).expect("source checked above");
-        let export = match src.export_vm_warm(vm) {
-            Ok(export) => export,
-            Err(e) => {
-                src.thaw_vm(vm);
-                let at = self.now_ns;
-                self.record_warm_phase(vm, MigrationPhase::Export, at, false);
-                return Err(e);
-            }
-        };
-        let at = self.now_ns;
-        self.record_warm_phase(vm, MigrationPhase::Export, at, true);
-        // Mid-step reroute: each transplanted address now lives behind the
-        // destination host's trunk.
-        let detours = match self.install_detours(&export.rerouted_ips(), from, to) {
-            Ok(detours) => detours,
-            Err(e) => {
-                self.hosts
-                    .get_mut(&from)
-                    .expect("source exists")
-                    .import_vm_warm(&export, from_nsm)
-                    .expect("source re-accepts its own export");
-                self.record_warm_phase(vm, MigrationPhase::Reroute, at, false);
-                return Err(e);
-            }
-        };
-        self.record_warm_phase(vm, MigrationPhase::Reroute, at, true);
-        if let Err(e) = self
-            .hosts
-            .get_mut(&to)
-            .expect("destination checked by pick_destination_nsm")
-            .import_vm_warm(&export, to_nsm)
-        {
-            // Roll back: routes restored, state back where it came from.
-            self.revert_detours(&detours);
-            self.hosts
-                .get_mut(&from)
-                .expect("source exists")
-                .import_vm_warm(&export, from_nsm)
-                .expect("source re-accepts its own export");
-            self.record_warm_phase(vm, MigrationPhase::Install, at, false);
-            return Err(e);
-        }
-        self.record_warm_phase(vm, MigrationPhase::Install, at, true);
-        self.record_warm_phase(vm, MigrationPhase::Thaw, at, true);
-        let connections = export.conns.len() as u32;
-        self.vm_home.insert(vm, to);
-        self.stats.warm_migrations += 1;
-        self.stats.conns_transplanted += u64::from(connections);
-        self.push_event(ClusterAction::WarmMigrateVm {
-            vm,
-            from,
-            to,
-            to_nsm,
-            connections,
-        });
-        self.push_event(ClusterAction::WarmHandoverComplete {
-            vm,
-            to,
-            connections,
-        });
-        // The source share emptied in this very epoch: scale-to-zero now,
-        // no drain wait.
-        if self
-            .hosts
-            .get_mut(&from)
-            .expect("source exists")
-            .retire_nsm_if_drained(from_nsm)
-        {
-            self.stats.shares_retired += 1;
-            self.push_event(ClusterAction::ScaleToZero {
-                host: from,
-                nsm: from_nsm,
-            });
-            let at = self.now_ns;
-            self.obs.record_phase(PhaseWindow {
-                vm: None,
-                phase: MigrationPhase::Retire,
-                start_ns: at,
-                end_ns: at,
-                epoch: self.epoch,
-                step: None,
-                ok: true,
-            });
-        }
-        Ok(())
-    }
-
-    /// Record one phase window of a direct warm migration: it opened at
-    /// `start_ns` and closes now. Coordinator phases (export, reroute,
-    /// install, thaw) don't advance virtual time, so their windows are
-    /// zero-width; the freeze window, which runs mini-steps, has real width.
-    fn record_warm_phase(&mut self, vm: VmId, phase: MigrationPhase, start_ns: u64, ok: bool) {
-        self.obs.record_phase(PhaseWindow {
-            vm: Some(vm),
-            phase,
-            start_ns,
-            end_ns: self.now_ns,
-            epoch: self.epoch,
-            step: None,
-            ok,
-        });
-    }
-
-    /// Install a `/32` detour for every transplanted address, steering it
-    /// behind the destination host's trunk, and record what to do on
-    /// revert. An address already *outside* the source host's block was
-    /// detoured by an earlier warm hop — its previous `/32` (via the source
-    /// trunk) was just replaced and must be *restored*, not deleted: a bare
-    /// delete would fall the address back to its origin host's block route,
-    /// stranding the connection. Any install failure reverts the detours
-    /// already placed and returns [`NkError::NotFound`].
-    pub(crate) fn install_detours(
-        &mut self,
-        ips: &[u32],
-        from: HostId,
-        to: HostId,
-    ) -> NkResult<Vec<(u32, Option<u32>)>> {
-        let mut installed: Vec<(u32, Option<u32>)> = Vec::new();
-        for ip in ips {
-            let prior = (*ip & HOST_PREFIX_MASK != host_prefix(from)).then(|| host_prefix(from));
-            if !self.tor.add_route_via(*ip, u32::MAX, host_prefix(to)) {
-                self.revert_detours(&installed);
-                return Err(NkError::NotFound);
-            }
-            installed.push((*ip, prior));
-        }
-        Ok(installed)
-    }
-
-    /// Undo [`Cluster::install_detours`], newest first: a detour that
-    /// replaced an earlier hop's `/32` is re-pointed at the source trunk; a
-    /// fresh one is removed outright.
-    pub(crate) fn revert_detours(&mut self, routes: &[(u32, Option<u32>)]) {
-        for (ip, prior) in routes.iter().rev() {
-            match prior {
-                Some(via) => {
-                    self.tor.add_route_via(*ip, u32::MAX, *via);
-                }
-                None => {
-                    self.tor.remove_route(*ip, u32::MAX);
-                }
-            }
-        }
+        self.move_vm(vm, from, to, EvacMode::Warm, &[])
     }
 
     /// One freeze-window mini-step: virtual time advances and every
@@ -1174,41 +927,6 @@ mod tests {
         );
     }
 
-    /// A migration that cannot complete (the VM is still draining off the
-    /// destination) fails cleanly: no phantom drain is left behind and the
-    /// move succeeds once the drain finishes.
-    #[test]
-    fn bounce_back_during_drain_is_rejected_without_leaking_state() {
-        let mut cluster = two_host_cluster();
-        let server = cluster.add_remote(SERVER_IP);
-        let ls = server.socket();
-        server.bind(ls, SockAddr::new(0, 7)).unwrap();
-        server.listen(ls, 4).unwrap();
-        let guest = cluster.guest_on(HostId(1), VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(SERVER_IP, 7)).unwrap();
-        cluster.run(20, 100_000);
-        assert!(cluster.host(HostId(1)).unwrap().vm_pinned(VmId(1)) >= 1);
-
-        cluster.migrate_vm(VmId(1), HostId(1), HostId(2)).unwrap();
-        // The pinned connection keeps the drain open on host 1, so moving
-        // back must be refused — and must not leave host 2 mid-drain.
-        assert_eq!(
-            cluster.migrate_vm(VmId(1), HostId(2), HostId(1)),
-            Err(NkError::AlreadyRegistered)
-        );
-        assert!(cluster.host(HostId(2)).unwrap().draining_vms().is_empty());
-        assert_eq!(cluster.home_of(VmId(1)), Some(HostId(2)));
-
-        // Close the pinned connection: the drain completes and the bounce
-        // back becomes legal.
-        let guest = cluster.guest_on(HostId(1), VmId(1)).unwrap();
-        guest.close(s).unwrap();
-        cluster.run(10, 100_000);
-        cluster.migrate_vm(VmId(1), HostId(2), HostId(1)).unwrap();
-        assert_eq!(cluster.home_of(VmId(1)), Some(HostId(1)));
-    }
-
     /// The warm path end to end: a pinned connection streams to a ToR
     /// endpoint, the VM warm-migrates, and the *same* connection (same
     /// guest socket id, same 4-tuple) keeps streaming from the new host.
@@ -1439,76 +1157,5 @@ mod tests {
         assert_eq!(Cluster::resolve_threads_from(Some("abc"), 3), 3);
         assert_eq!(Cluster::resolve_threads_from(Some(""), 3), 3);
         assert_eq!(Cluster::resolve_threads_from(Some("-1"), 3), 3);
-    }
-
-    /// A warm migration whose destination install fails *after* the ToR
-    /// detour went in must restore the routing table, not just delete the
-    /// `/32`: when the connection had already warm-hopped once, its detour
-    /// pointed at the current host's trunk, and deleting it would strand
-    /// the flow on the origin host's block route. The VM must end up
-    /// serving on its pre-call host, un-frozen, with nothing left on the
-    /// destination — and a retry must succeed.
-    #[test]
-    fn failed_warm_install_restores_prior_detours_and_thaws_the_source() {
-        let mut cluster = Cluster::new(
-            ClusterConfig::new()
-                .with_host(host(1, &[1]))
-                .with_host(host(2, &[]))
-                .with_host(host(3, &[])),
-        )
-        .unwrap();
-        let server = cluster.add_remote(SERVER_IP);
-        let ls = server.socket();
-        server.bind(ls, SockAddr::new(0, 7)).unwrap();
-        server.listen(ls, 4).unwrap();
-        let guest = cluster.guest_on(HostId(1), VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(SERVER_IP, 7)).unwrap();
-        cluster.run(20, 100_000);
-        assert!(cluster.host(HostId(1)).unwrap().vm_pinned(VmId(1)) >= 1);
-
-        // First hop: the connection's address now detours via host 2.
-        cluster
-            .migrate_vm_warm(VmId(1), HostId(1), HostId(2))
-            .unwrap();
-        let routes_before = cluster.tor.routes();
-
-        // Second hop fails at the destination install, after the detour
-        // was repointed at host 3.
-        cluster
-            .host_mut(HostId(3))
-            .unwrap()
-            .inject_import_failures(1);
-        assert_eq!(
-            cluster.migrate_vm_warm(VmId(1), HostId(2), HostId(3)),
-            Err(NkError::NsmUnavailable)
-        );
-
-        // Rollback left the world exactly as before the attempt: home,
-        // thawed VM, no residue on host 3, and the host-2 detour restored
-        // (same route count — nothing leaked, nothing deleted).
-        assert_eq!(cluster.home_of(VmId(1)), Some(HostId(2)));
-        assert!(!cluster.host(HostId(2)).unwrap().vm_frozen(VmId(1)));
-        assert!(cluster.guest_on(HostId(3), VmId(1)).is_none());
-        assert!(cluster.host(HostId(3)).unwrap().warm_aliases().is_empty());
-        assert_eq!(cluster.tor.routes(), routes_before);
-
-        // The restored detour still carries traffic: the transplanted
-        // connection keeps round-tripping from host 2.
-        let guest = cluster.guest_on(HostId(2), VmId(1)).unwrap();
-        assert_eq!(guest.send(s, b"still here").unwrap(), 10);
-        cluster.run(20, 100_000);
-        let server = cluster.remote_mut(SERVER_IP).unwrap();
-        let (conn, _) = server.accept(ls).unwrap();
-        let mut buf = [0u8; 64];
-        assert_eq!(server.recv(conn, &mut buf).unwrap(), 10);
-        assert_eq!(&buf[..10], b"still here");
-
-        // And the failure was transient: the retry completes the hop.
-        cluster
-            .migrate_vm_warm(VmId(1), HostId(2), HostId(3))
-            .unwrap();
-        assert_eq!(cluster.home_of(VmId(1)), Some(HostId(3)));
-        assert!(cluster.guest_on(HostId(3), VmId(1)).unwrap().has_socket(s));
     }
 }

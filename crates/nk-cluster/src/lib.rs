@@ -9,27 +9,24 @@
 //! [`nk_ctrl::placer::Placer`] — the per-host control loop lifted to cluster
 //! scope — to live-migrate VMs between hosts.
 //!
-//! Cross-host migration is a first-class, *drained* operation: the VM's
-//! identity moves immediately (new connections open on the destination
-//! host's NSM), while the connections pinned on the source host keep being
-//! served until their count hits zero; only then is the source share retired
-//! and, when nothing else maps to it, the source NSM scaled to zero cores.
-//! Every milestone is logged as an [`nk_types::ClusterEvent`] and the whole
-//! log folds into a digest, so a cluster run replays byte-identically from
-//! its seed.
-
+//! Moving a VM between hosts is one mechanism with three entry points.
+//! [`Cluster::migrate_vm`] (drained: the identity moves now, connections
+//! pinned on the source keep being served until their count hits zero, then
+//! the source share retires and scales to zero), [`Cluster::migrate_vm_warm`]
+//! (the connections move too, inside one freeze window) and
+//! [`Cluster::evacuate_host`] (every VM of a host, in paced waves) each
+//! compile an [`nk_ctrl::EvacPlan`] that the move executor in [`evac`] runs
+//! step by step; a failure at any step reverts the completed ones in reverse
+//! order, so placement, routes and event digest land back exactly where they
+//! started. Every milestone is logged as an [`nk_types::ClusterEvent`] and
+//! the whole log folds into a digest, so a cluster run replays
+//! byte-identically from its seed.
+//!
 //! The datapath is parallel when asked: [`exec::ShardedExecutor`] deals
 //! hosts — or, below the host boundary, their NSM share lanes — across
 //! worker threads with a round barrier, and the results — event logs,
 //! digests, stats — are byte-identical for any
 //! [`nk_types::ClusterConfig::threads`] value and either granularity.
-//!
-//! Clearing a whole host is a *planned, revertible* operation: [`evac`]
-//! compiles the evacuation into an [`nk_ctrl::EvacPlan`] (warm where the
-//! exclusivity guard allows, drained otherwise), executes it in paced waves
-//! with a shared freeze window, and rolls every completed action back in
-//! reverse order if anything mid-plan fails — placement, routes and event
-//! digest land back exactly where they started.
 
 pub mod cluster;
 pub mod evac;

@@ -84,13 +84,6 @@ impl<P> Port<P> {
         self.shared.rx.lock().unwrap().len()
     }
 
-    /// Switch side: drain up to `max` frames queued for transmission.
-    pub fn drain_tx(&self, max: usize) -> Vec<Frame<P>> {
-        let mut out = Vec::new();
-        self.drain_tx_into(max, &mut out);
-        out
-    }
-
     /// Switch side: drain up to `max` queued frames, appending them to `out`
     /// (no per-call allocation). Returns how many were drained.
     pub fn drain_tx_into(&self, max: usize, out: &mut Vec<Frame<P>>) -> usize {
@@ -132,11 +125,12 @@ mod tests {
         p.send(frame(2, 1));
         p.send(frame(2, 2));
         assert_eq!(p.tx_pending(), 2);
-        let drained = p.drain_tx(1);
-        assert_eq!(drained.len(), 1);
+        let mut drained = Vec::new();
+        assert_eq!(p.drain_tx_into(1, &mut drained), 1);
         assert_eq!(drained[0].payload, 1);
         assert_eq!(p.tx_pending(), 1);
-        assert_eq!(p.drain_tx(10).len(), 1);
+        assert_eq!(p.drain_tx_into(10, &mut drained), 1);
+        assert_eq!(drained.len(), 2, "appended, not replaced");
     }
 
     #[test]
@@ -155,7 +149,7 @@ mod tests {
         let endpoint: Port<u32> = Port::new(10);
         let switch_side = endpoint.clone();
         endpoint.send(frame(2, 5));
-        assert_eq!(switch_side.drain_tx(10).len(), 1);
+        assert_eq!(switch_side.drain_tx_into(10, &mut Vec::new()), 1);
         switch_side.deliver(frame(10, 6));
         assert_eq!(endpoint.recv().unwrap().payload, 6);
     }

@@ -98,11 +98,6 @@ impl<P> VirtualSwitch<P> {
         self.uplink_local = Some((local_prefix & local_mask, local_mask));
     }
 
-    /// True when an uplink is wired.
-    pub fn has_uplink(&self) -> bool {
-        self.uplink.is_some()
-    }
-
     /// Traffic counters of the uplink (zero when none is wired).
     pub fn uplink_stats(&self) -> UplinkStats {
         self.uplink_stats
@@ -343,7 +338,6 @@ mod tests {
         let a = sw.attach(1);
         let (host_end, mut tor_end) = crate::uplink::uplink_pair(0x10);
         sw.set_uplink(host_end);
-        assert!(sw.has_uplink());
 
         // Outbound: no local port 99 → the frame exits via the uplink.
         a.send(frame(1, 99, 7));

@@ -92,11 +92,6 @@ impl<P> TorUplink<P> {
     pub fn pending_from_host(&self) -> usize {
         self.from_host.len()
     }
-
-    /// Number of frames delivered but not yet received by the host.
-    pub fn pending_to_host(&self) -> usize {
-        self.to_host.len()
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +122,6 @@ mod tests {
         assert_eq!(tor.pending_from_host(), 0);
 
         tor.deliver(frame(0x0A01_0001, 3));
-        assert_eq!(tor.pending_to_host(), 1);
         assert_eq!(host.rx_pending(), 1);
         assert_eq!(host.recv().unwrap().payload, 3);
         assert!(host.recv().is_none());

@@ -21,19 +21,16 @@
 //! and rebalance VMs, logging every decision as a
 //! [`nk_types::ControlEvent`]. [`model`] contains the calibrated
 //! performance model used to regenerate the paper's throughput / RPS /
-//! CPU-overhead figures, and [`metrics`] the throughput and latency meters
-//! used by experiments.
+//! CPU-overhead figures.
 
 pub mod faults;
 pub mod host;
 pub mod lane;
-pub mod metrics;
 pub mod model;
 pub mod sched;
 
 pub use faults::{FaultInjector, FaultStats};
 pub use host::{BaselineVm, ControlTelemetry, NetKernelHost, RemoteHost, VmExport};
 pub use lane::{LaneReport, ShareLane};
-pub use metrics::{LatencyMeter, ThroughputMeter};
 pub use model::{PerfModel, TrafficDirection};
 pub use sched::{SchedPhase, SchedStats, Scheduler};

@@ -80,23 +80,6 @@ impl Scheduler {
         self.stats
     }
 
-    /// Drive `parts` at virtual time `now_ns` until a full round reports no
-    /// work or the round bound is reached. Returns the total work done.
-    pub fn drain(&mut self, parts: &mut [&mut dyn Pollable], now_ns: u64) -> usize {
-        self.drain_rounds(now_ns, |now| poll_round(parts, now))
-    }
-
-    /// Like [`Scheduler::drain`], but the caller supplies the round itself:
-    /// `round(now_ns)` must poll every component once and return the work
-    /// total. This lets a host with statically known components run the
-    /// drain loop without building a slice of trait objects per step.
-    pub fn drain_rounds(&mut self, now_ns: u64, mut round: impl FnMut(u64) -> usize) -> usize {
-        self.drain_with_hook(now_ns, |phase, now| match phase {
-            SchedPhase::Inject | SchedPhase::Control => 0,
-            SchedPhase::Poll => round(now),
-        })
-    }
-
     /// One full step with injection and control hooks: `f(Inject, now)` runs
     /// exactly once before the first round and returns the number of fault
     /// events applied, `f(Poll, now)` runs as rounds until quiescence or the
@@ -170,6 +153,15 @@ mod tests {
         }
     }
 
+    /// One step whose poll phase is a plain round over `parts`, with no
+    /// fault or control work.
+    fn drain(sched: &mut Scheduler, parts: &mut [&mut dyn Pollable], now_ns: u64) -> usize {
+        sched.drain_with_hook(now_ns, |phase, now| match phase {
+            SchedPhase::Inject | SchedPhase::Control => 0,
+            SchedPhase::Poll => poll_round(parts, now),
+        })
+    }
+
     /// Always reports work: the round bound must stop it.
     struct Chatterbox;
 
@@ -185,7 +177,7 @@ mod tests {
         let mut b = OneShot::new(2);
         let mut sched = Scheduler::new(16);
         let mut parts: Vec<&mut dyn Pollable> = vec![&mut a, &mut b];
-        assert_eq!(sched.drain(&mut parts, 100), 5);
+        assert_eq!(drain(&mut sched, &mut parts, 100), 5);
         // One working round plus the quiescent round that ended the step.
         assert_eq!(sched.stats().rounds, 2);
         assert_eq!(sched.stats().quiescent_exits, 1);
@@ -197,7 +189,7 @@ mod tests {
         let mut noisy = Chatterbox;
         let mut sched = Scheduler::new(4);
         let mut parts: Vec<&mut dyn Pollable> = vec![&mut noisy];
-        assert_eq!(sched.drain(&mut parts, 0), 4);
+        assert_eq!(drain(&mut sched, &mut parts, 0), 4);
         assert_eq!(sched.stats().rounds, 4);
         assert_eq!(sched.stats().round_limit_hits, 1);
         assert_eq!(sched.stats().quiescent_exits, 0);
@@ -287,7 +279,7 @@ mod tests {
         assert_eq!(sched.max_rounds(), 1);
         let mut parts: Vec<&mut dyn Pollable> = Vec::new();
         // An empty component set is immediately quiescent.
-        assert_eq!(sched.drain(&mut parts, 0), 0);
+        assert_eq!(drain(&mut sched, &mut parts, 0), 0);
         assert_eq!(sched.stats().quiescent_exits, 1);
     }
 }

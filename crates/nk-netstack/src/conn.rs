@@ -436,7 +436,22 @@ impl TcpConnection {
     fn process_ack(&mut self, seg: &Segment, now_ns: u64) {
         let ack = seg.ack;
         self.snd_wnd = seg.window;
-        if seq_gt(ack, self.snd_una) && seq_le(ack, self.snd_nxt) {
+        // The highest sequence number this side can ever have sent: all it
+        // buffers, plus its FIN. `snd_nxt` is not that bound — an RTO, a
+        // fast retransmit and a warm-migration restore all rewind it to
+        // `snd_una` (go-back-N) while the peer may already hold everything
+        // sent before the rewind, and refusing its ACKs as "from the
+        // future" would re-send the same window forever.
+        let data_end = self.snd_una.wrapping_add(self.send_buf.len() as u32);
+        let snd_max = data_end.wrapping_add(u32::from(self.fin_queued));
+        if seq_gt(ack, self.snd_una) && seq_le(ack, snd_max) {
+            if seq_gt(ack, self.snd_nxt) {
+                // Acknowledged before it was re-sent: resume from the ACK.
+                self.snd_nxt = ack;
+                if seq_gt(ack, data_end) {
+                    self.fin_seq = Some(data_end); // the ACK covers our FIN
+                }
+            }
             let acked = ack.wrapping_sub(self.snd_una) as usize;
             // Remove acknowledged bytes (the FIN consumes one sequence number
             // but no buffer byte).
@@ -1188,6 +1203,167 @@ mod tests {
         let mut buf = [0u8; 32];
         assert_eq!(c2.read(&mut buf), 13);
         assert_eq!(&buf[..13], b"ack from peer");
+    }
+
+    /// `len` bytes of a position-dependent pattern starting at stream
+    /// offset `from`, so a duplicated or skipped byte cannot go unnoticed.
+    fn pattern(from: usize, len: usize) -> Vec<u8> {
+        (from..from + len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Deliver everything `c` has to send; whatever `s` answers (its ACKs)
+    /// is lost on the way back.
+    fn deliver_acks_lost(c: &mut TcpConnection, s: &mut TcpConnection, now: u64) {
+        for seg in tx(c, now) {
+            s.on_segment(&seg, now);
+        }
+        let _lost = tx(s, now);
+    }
+
+    /// Shuttle segments both ways for `ms` milliseconds of virtual time (no
+    /// early exit: retransmission timers must get their chance to fire),
+    /// appending what `s` receives to `got`.
+    fn run_ms(
+        c: &mut TcpConnection,
+        s: &mut TcpConnection,
+        from: u64,
+        ms: u64,
+        got: &mut Vec<u8>,
+    ) -> u64 {
+        let mut now = from;
+        let mut buf = vec![0u8; 64 * MSS];
+        for _ in 0..ms * 10 {
+            now += 100_000;
+            for seg in tx(c, now) {
+                s.on_segment(&seg, now);
+            }
+            for seg in tx(s, now) {
+                c.on_segment(&seg, now);
+            }
+            let n = s.read(&mut buf);
+            got.extend_from_slice(&buf[..n]);
+        }
+        now
+    }
+
+    /// The RTO rewinds `snd_nxt` to `snd_una` and collapses `cwnd`; when the
+    /// peer already holds the whole flight (only the ACKs were lost), its
+    /// next ACK lies above the rewound `snd_nxt`. It must be honoured — or
+    /// the sender re-sends the same first segments forever.
+    #[test]
+    fn rto_rewind_below_what_the_peer_holds_does_not_livelock() {
+        let (mut c, mut s) = pair(0);
+        assert_eq!(c.write(&pattern(0, 8 * MSS)), 8 * MSS);
+        deliver_acks_lost(&mut c, &mut s, 1_000);
+        assert_eq!(c.in_flight(), 8 * MSS);
+        assert_eq!(s.recv_available(), 8 * MSS, "the receiver holds it all");
+
+        // The timer fires before any ACK makes it back: go-back-N from
+        // `snd_una`, two segments at a time.
+        let now = 1_000 + 2 * INITIAL_RTO_NS;
+        deliver_acks_lost(&mut c, &mut s, now);
+        assert_eq!(c.stats().timeouts, 1, "the RTO must have fired");
+        assert!(c.in_flight() < 8 * MSS && c.cwnd() < 8 * MSS);
+
+        let mut got = Vec::new();
+        let now = run_ms(&mut c, &mut s, now, 500, &mut got);
+        assert_eq!(
+            (c.send_buffered(), c.in_flight()),
+            (0, 0),
+            "the sender must learn the flight was delivered"
+        );
+        // The connection is alive: later data flows, nothing is duplicated.
+        assert_eq!(c.write(&pattern(8 * MSS, 3 * MSS)), 3 * MSS);
+        run_ms(&mut c, &mut s, now, 100, &mut got);
+        assert_eq!(got, pattern(0, 11 * MSS));
+    }
+
+    /// The same trap through a warm migration: the restored side restarts
+    /// at `snd_una` with a fresh initial window, smaller than the flight
+    /// the source had out — all of it already held by the peer, whose ACKs
+    /// were lost (the "cut at the freeze bound" case). The flight is 16×MSS
+    /// because a fresh `cwnd` is 10×MSS; a FIN rides at its end.
+    #[test]
+    fn restore_below_what_the_peer_holds_does_not_livelock() {
+        let (mut c, mut s) = pair(0);
+        let mut got = Vec::new();
+        // Open the congestion window past its initial size.
+        assert_eq!(c.write(&pattern(0, 40 * MSS)), 40 * MSS);
+        let now = run_ms(&mut c, &mut s, 1_000, 20, &mut got);
+        assert_eq!(got.len(), 40 * MSS);
+        assert!(c.cwnd() >= 16 * MSS, "cwnd {} must have grown", c.cwnd());
+
+        // The last flight — 16×MSS and the FIN — all lands; no ACK returns.
+        assert_eq!(c.write(&pattern(40 * MSS, 16 * MSS)), 16 * MSS);
+        c.close();
+        deliver_acks_lost(&mut c, &mut s, now);
+        assert_eq!(c.in_flight(), 16 * MSS + 1);
+        assert!(s.recv_available() == 16 * MSS && s.fin_received());
+
+        let snap = c.snapshot().unwrap();
+        let mut c2 = TcpConnection::restore(&snap, CcAlgorithm::Reno.build());
+        assert!(c2.cwnd() < 16 * MSS, "the fresh window re-covers less");
+        run_ms(&mut c2, &mut s, now, 500, &mut got);
+        assert_eq!(got, pattern(0, 56 * MSS));
+        // The one ACK covering data and FIN was taken as such: nothing is
+        // left to send, and the FIN is not re-sent one sequence number late.
+        assert_eq!((c2.send_buffered(), c2.in_flight()), (0, 0));
+        assert_eq!(c2.state(), ConnState::FinWait2);
+    }
+
+    /// The widened ACK bound stops at what this side can have sent: an ACK
+    /// for bytes beyond the send buffer (an optimistic or corrupt ACK) is
+    /// still ignored, and frees nothing.
+    #[test]
+    fn ack_beyond_everything_buffered_is_ignored() {
+        let (mut c, mut s) = pair(0);
+        c.write(&pattern(0, 2 * MSS));
+        let segs = tx(&mut c, 1_000);
+        assert_eq!(segs.len(), 2);
+        let mut bogus = Segment::control(peer(80), addr(5000), SegmentFlags::ack());
+        bogus.ack = segs[1].seq_end().wrapping_add(1);
+        bogus.window = 64 * 1024;
+        c.on_segment(&bogus, 1_500);
+        assert_eq!((c.send_buffered(), c.in_flight()), (2 * MSS, 2 * MSS));
+        assert_eq!(c.stats().bytes_acked, 0);
+        // The honest ACK for exactly what was sent still lands.
+        for seg in &segs {
+            s.on_segment(seg, 2_000);
+        }
+        for ack in tx(&mut s, 2_000) {
+            c.on_segment(&ack, 2_500);
+        }
+        assert_eq!((c.send_buffered(), c.in_flight()), (0, 0));
+    }
+
+    /// Fast retransmit rewinds to the hole while the peer holds everything
+    /// behind it. Once the hole is filled the cumulative ACK jumps past the
+    /// rewound `snd_nxt`; the sender resumes from the ACK instead of
+    /// re-sending what the peer already has.
+    #[test]
+    fn cumulative_ack_after_fast_retransmit_skips_what_the_peer_holds() {
+        let (mut c, mut s) = pair(0);
+        c.write(&pattern(0, 8 * MSS));
+        let segs = tx(&mut c, 1_000);
+        assert_eq!(segs.len(), 8);
+        for seg in &segs[1..] {
+            s.on_segment(seg, 1_000);
+        }
+        for ack in tx(&mut s, 1_000) {
+            c.on_segment(&ack, 2_000);
+        }
+        assert_eq!(c.stats().fast_retransmits, 1);
+        assert_eq!(c.in_flight(), 0, "rewound to the hole");
+        // One poll re-sends from the hole; the first segment fills it and
+        // the peer's ACK covers the whole original flight.
+        let resent = tx(&mut c, 2_500);
+        s.on_segment(&resent[0], 2_500);
+        assert_eq!(s.recv_available(), 8 * MSS);
+        for ack in tx(&mut s, 2_500) {
+            c.on_segment(&ack, 3_000);
+        }
+        assert_eq!((c.send_buffered(), c.in_flight()), (0, 0));
+        assert!(tx(&mut c, 3_500).iter().all(|seg| seg.payload.is_empty()));
     }
 
     /// Buffered receive-side data (read by the application after the move)

@@ -2,13 +2,11 @@
 //!
 //! Every VM and every NSM owns one *NK device* "consisting of one or more
 //! sets of lockless queues" — one queue set per vCPU (paper §4, §4.3). The
-//! device also implements the *interrupt-driven polling* notification scheme
-//! of §4.6: when the guest is waiting for events it polls its completion and
-//! receive queues for a short window (20 µs in the paper); if nothing arrives
-//! it arms an interrupt with CoreEngine and stops polling, and CoreEngine
-//! wakes the device when new NQEs are switched to it.
+//! device also carries the wake flag of the *interrupt-driven polling*
+//! notification scheme of §4.6: a guest that gives up polling arms an
+//! interrupt with CoreEngine, and CoreEngine wakes the device when new NQEs
+//! are switched to it.
 
-use nk_types::constants::GUEST_POLL_WINDOW_US;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -84,94 +82,6 @@ impl Default for WakeState {
     }
 }
 
-/// Decision returned by [`IrqState::on_poll`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PollDecision {
-    /// Keep busy-polling the queues.
-    KeepPolling,
-    /// The poll window expired with no work: arm the interrupt and sleep.
-    Arm,
-}
-
-/// Tracks the interrupt-driven polling window of a guest NK device (§4.6).
-///
-/// Time is supplied by the caller in microseconds so the same state machine
-/// works under both the real clock (threaded mode) and the virtual clock
-/// (simulated mode).
-#[derive(Clone, Debug)]
-pub struct IrqState {
-    /// Length of the polling window in microseconds.
-    window_us: u64,
-    /// Time at which the current empty-poll streak started; `None` while work
-    /// keeps arriving.
-    idle_since_us: Option<u64>,
-    /// Number of interrupts armed over the device's lifetime.
-    interrupts_armed: u64,
-}
-
-impl IrqState {
-    /// State machine with the paper's default 20 µs polling window.
-    pub fn new() -> Self {
-        Self::with_window_us(GUEST_POLL_WINDOW_US)
-    }
-
-    /// State machine with a custom polling window.
-    pub fn with_window_us(window_us: u64) -> Self {
-        IrqState {
-            window_us,
-            idle_since_us: None,
-            interrupts_armed: 0,
-        }
-    }
-
-    /// Record the outcome of one poll iteration at time `now_us`.
-    ///
-    /// `found_work` is true when the poll returned at least one NQE. The
-    /// device should arm its interrupt and stop polling when this returns
-    /// [`PollDecision::Arm`].
-    pub fn on_poll(&mut self, now_us: u64, found_work: bool) -> PollDecision {
-        if found_work {
-            self.idle_since_us = None;
-            return PollDecision::KeepPolling;
-        }
-        match self.idle_since_us {
-            None => {
-                self.idle_since_us = Some(now_us);
-                PollDecision::KeepPolling
-            }
-            Some(start) if now_us.saturating_sub(start) < self.window_us => {
-                PollDecision::KeepPolling
-            }
-            Some(_) => {
-                self.idle_since_us = None;
-                self.interrupts_armed += 1;
-                PollDecision::Arm
-            }
-        }
-    }
-
-    /// Reset the idle tracking (e.g. after a wake-up).
-    pub fn reset(&mut self) {
-        self.idle_since_us = None;
-    }
-
-    /// Number of interrupts armed so far.
-    pub fn interrupts_armed(&self) -> u64 {
-        self.interrupts_armed
-    }
-
-    /// The configured polling window in microseconds.
-    pub fn window_us(&self) -> u64 {
-        self.window_us
-    }
-}
-
-impl Default for IrqState {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// An NK device: a set of per-vCPU queue-set ends plus notification state.
 ///
 /// The type is generic over the end type so the same container serves
@@ -180,7 +90,6 @@ impl Default for IrqState {
 pub struct NkDevice<E> {
     queue_sets: Vec<E>,
     wake: WakeState,
-    irq: IrqState,
     /// Round-robin cursor used by [`NkDevice::next_index`].
     rr_cursor: usize,
 }
@@ -192,7 +101,6 @@ impl<E> NkDevice<E> {
         NkDevice {
             queue_sets,
             wake,
-            irq: IrqState::new(),
             rr_cursor: 0,
         }
     }
@@ -226,11 +134,6 @@ impl<E> NkDevice<E> {
     /// The wake flag shared with the switch side.
     pub fn wake(&self) -> &WakeState {
         &self.wake
-    }
-
-    /// The interrupt-driven polling state machine.
-    pub fn irq_mut(&mut self) -> &mut IrqState {
-        &mut self.irq
     }
 
     /// Append an additional queue set (queues "can be dynamically added or
@@ -298,28 +201,6 @@ mod tests {
         device_side.arm();
         assert!(switch_side.wake());
         assert!(device_side.take_wake());
-    }
-
-    #[test]
-    fn irq_arms_only_after_window_expires() {
-        let mut irq = IrqState::with_window_us(20);
-        assert_eq!(irq.on_poll(0, false), PollDecision::KeepPolling);
-        assert_eq!(irq.on_poll(10, false), PollDecision::KeepPolling);
-        assert_eq!(irq.on_poll(19, false), PollDecision::KeepPolling);
-        assert_eq!(irq.on_poll(21, false), PollDecision::Arm);
-        assert_eq!(irq.interrupts_armed(), 1);
-        // After arming, the streak restarts.
-        assert_eq!(irq.on_poll(30, false), PollDecision::KeepPolling);
-    }
-
-    #[test]
-    fn irq_work_resets_the_window() {
-        let mut irq = IrqState::with_window_us(20);
-        assert_eq!(irq.on_poll(0, false), PollDecision::KeepPolling);
-        assert_eq!(irq.on_poll(15, true), PollDecision::KeepPolling);
-        // The idle streak restarted at 15, so 30 is still inside the window.
-        assert_eq!(irq.on_poll(30, false), PollDecision::KeepPolling);
-        assert_eq!(irq.on_poll(55, false), PollDecision::Arm);
     }
 
     #[test]

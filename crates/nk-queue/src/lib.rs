@@ -15,14 +15,14 @@
 //! * [`queueset`] — the four-queue set (job / completion / send / receive) of
 //!   the paper's Figure 5, split into a requester end and a responder end;
 //! * [`device`] — the NK device: the per-entity collection of queue sets plus
-//!   the interrupt-driven-polling notification state machine of §4.6.
+//!   the wake flag of the interrupt-driven-polling notification of §4.6.
 
 pub mod device;
 pub mod queueset;
 pub mod spsc;
 pub mod unbounded;
 
-pub use device::{IrqState, NkDevice, WakeState};
+pub use device::{NkDevice, WakeState};
 pub use queueset::{queue_set_pair, QueueKind, RequesterEnd, ResponderEnd};
 pub use spsc::{channel, Consumer, Producer};
 pub use unbounded::{unbounded, UnboundedConsumer, UnboundedProducer};

@@ -15,7 +15,8 @@
 //! * [`engine`] — CoreEngine: NQE switching, connection table, isolation.
 //! * [`ctrl`] — the operator control plane: load monitoring, autoscaling,
 //!   VM rebalancing, and the cluster-scope placer.
-//! * [`host`] — host orchestration (threaded and simulated) and metrics.
+//! * [`host`] — host orchestration: `NetKernelHost`, the baseline VM, the
+//!   drain-until-quiescent scheduler and the calibrated performance model.
 //! * [`cluster`] — the cluster fabric: hosts behind a top-of-rack switch,
 //!   cross-host VM migration with connection draining.
 //! * [`obs`] — the deterministic flight recorder: event ring, latency
