@@ -109,7 +109,9 @@ impl Histogram {
         var.sqrt()
     }
 
-    /// Approximate quantile `q` in `[0, 1]` (0.5 is the median).
+    /// Approximate quantile `q` in `[0, 1]` (0.5 is the median). A bucket's
+    /// midpoint can lie outside the observed range, so the result is clamped
+    /// to `[min, max]`: `max >= p99 >= p50 >= min` holds exactly.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.total == 0 {
             return 0.0;
@@ -117,16 +119,17 @@ impl Histogram {
         let q = q.clamp(0.0, 1.0);
         let target = (q * self.total as f64).ceil().max(1.0) as u64;
         let mut seen = self.zero_count;
-        if seen >= target {
-            return 0.0;
-        }
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Self::bucket_mid(idx);
-            }
-        }
-        self.max
+        let approx = if seen >= target {
+            0.0
+        } else {
+            let mut buckets = self.counts.iter().enumerate();
+            let hit = buckets.find(|&(_, &c)| {
+                seen += c;
+                seen >= target
+            });
+            hit.map_or(self.max, |(idx, _)| Self::bucket_mid(idx))
+        };
+        approx.clamp(self.min, self.max)
     }
 
     /// Median (0.5 quantile).
@@ -201,6 +204,19 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.quantile(0.4), 0.0);
         assert!(h.quantile(0.99) > 5.0);
+    }
+
+    /// Quantiles never leave the observed range, whatever the bucket
+    /// midpoints are: 200 000 sits low in its bucket (midpoint 203 258).
+    #[test]
+    fn quantiles_stay_within_min_and_max() {
+        for samples in [vec![200_000.0], vec![0.5, 0.7], vec![100_000.0, 300_000.0]] {
+            let mut h = Histogram::new();
+            samples.iter().for_each(|&v| h.record(v));
+            let qs = [0.0, 0.5, 0.99, 1.0].map(|q| h.quantile(q));
+            assert!(qs.windows(2).all(|w| w[0] <= w[1]), "{samples:?}: {qs:?}");
+            assert!(h.min() <= qs[0] && qs[3] <= h.max(), "{samples:?}: {qs:?}");
+        }
     }
 
     /// Quantiles after a merge equal quantiles of the union of the sample
