@@ -9,104 +9,70 @@
 //! or a single one by name, e.g. `cargo run -p bench --bin experiments fig13`.
 //! Output is a table per experiment in the same units the paper reports;
 //! `EXPERIMENTS.md` records the comparison against the published numbers.
-//! Headline numbers are also written to `BENCH_results.json` (override the
-//! path with `BENCH_RESULTS_PATH`) so CI can archive the perf trajectory.
+//! Every number printed is deterministic (the `PerfModel`, or counts and
+//! virtual time from a seeded scenario), so the whole stdout is pinned in
+//! `tests/golden/experiments.stdout`; headline numbers are also written to
+//! `BENCH_results.json`, which CI archives. Wall-clock measurement lives in
+//! `examples/nkbench`.
 
 use bench::report::{f, print_table, BenchResults};
+use nk_cluster::Cluster;
 use nk_host::{PerfModel, TrafficDirection};
 use nk_sim::TokenBucket;
-use nk_types::StackKind;
-use nk_workload::{AgTrace, AgTraceConfig};
+use nk_types::addr::host_prefix;
+use nk_types::{
+    ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, SockAddr, SocketApi, SocketId, StackKind,
+    VmConfig, VmId, VmToNsmPolicy,
+};
+use nk_workload::{echo_all, AgTrace, AgTraceConfig};
+
+/// Every experiment in run order, under the CLI names that select it.
+type Experiment = (&'static [&'static str], fn(&PerfModel, &mut BenchResults));
+const EXPERIMENTS: &[Experiment] = &[
+    (&["fig07"], |_, r| fig07_ag_trace(r)),
+    (&["fig08", "tab02"], fig08_tab02_multiplexing),
+    (&["fig09"], |_, r| fig09_fair_sharing(r)),
+    (&["tab03"], tab03_mtcp_nginx),
+    (&["fig10"], fig10_shared_memory),
+    (&["fig11"], fig11_nqe_switching),
+    (&["fig12"], fig12_memcopy),
+    (&["fig13", "fig14"], fig13_14_single_stream),
+    (&["fig15", "fig16"], fig15_16_multi_stream),
+    (&["fig17"], fig17_short_connections),
+    (&["fig18", "fig19"], fig18_19_stack_scaling),
+    (&["fig20"], fig20_rps_scaling),
+    (&["tab04"], tab04_nsm_scaling),
+    (&["fig21"], |_, r| fig21_isolation(r)),
+    (&["tab05"], tab05_latency),
+    (&["tab06"], tab06_cpu_overhead_throughput),
+    (&["tab07"], tab07_cpu_overhead_rps),
+    (&["ctrl01"], |_, r| ctrl01_control_plane(r)),
+    (&["clu01"], |_, r| clu01_cluster_migration(r)),
+    (&["wm01"], |_, r| wm01_warm_vs_drained(r)),
+    (&["ev01"], |_, r| ev01_evacuation(r)),
+    (&["par01"], |_, r| par01_parallel_datapath(r)),
+    (&["par02"], |_, r| par02_intra_host_sharding(r)),
+];
 
 fn main() {
     let filter: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| filter.is_empty() || filter.iter().any(|a| a == name || a == "all");
-
     let model = PerfModel::new();
     let mut results = BenchResults::new();
-
-    if want("fig07") {
-        fig07_ag_trace(&mut results);
+    for (names, run) in EXPERIMENTS {
+        let wanted = |arg: &String| arg == "all" || names.contains(&arg.as_str());
+        if filter.is_empty() || filter.iter().any(wanted) {
+            run(&model, &mut results);
+        }
     }
-    if want("fig08") || want("tab02") {
-        fig08_tab02_multiplexing(&model, &mut results);
-    }
-    if want("fig09") {
-        fig09_fair_sharing(&mut results);
-    }
-    if want("tab03") {
-        tab03_mtcp_nginx(&model, &mut results);
-    }
-    if want("fig10") {
-        fig10_shared_memory(&model, &mut results);
-    }
-    if want("fig11") {
-        fig11_nqe_switching(&model, &mut results);
-    }
-    if want("fig12") {
-        fig12_memcopy(&model, &mut results);
-    }
-    if want("fig13") || want("fig14") {
-        fig13_14_single_stream(&model, &mut results);
-    }
-    if want("fig15") || want("fig16") {
-        fig15_16_multi_stream(&model, &mut results);
-    }
-    if want("fig17") {
-        fig17_short_connections(&model, &mut results);
-    }
-    if want("fig18") || want("fig19") {
-        fig18_19_stack_scaling(&model, &mut results);
-    }
-    if want("fig20") {
-        fig20_rps_scaling(&model, &mut results);
-    }
-    if want("tab04") {
-        tab04_nsm_scaling(&model, &mut results);
-    }
-    if want("fig21") {
-        fig21_isolation(&mut results);
-    }
-    if want("tab05") {
-        tab05_latency(&model, &mut results);
-    }
-    if want("tab06") {
-        tab06_cpu_overhead_throughput(&model, &mut results);
-    }
-    if want("tab07") {
-        tab07_cpu_overhead_rps(&model, &mut results);
-    }
-    if want("ctrl01") {
-        ctrl01_control_plane(&mut results);
-    }
-    if want("clu01") {
-        clu01_cluster_migration(&mut results);
-    }
-    if want("wm01") {
-        wm01_warm_vs_drained(&mut results);
-    }
-    if want("ev01") {
-        ev01_evacuation(&mut results);
-    }
-    if want("par01") {
-        par01_parallel_datapath(&mut results);
-    }
-    if want("par02") {
-        par02_intra_host_sharding(&mut results);
-    }
-    if want("obs01") {
-        obs01_recorder_overhead(&mut results);
-    }
-
     if results.experiments.is_empty() {
         // A typo'd experiment name must fail loudly rather than exit green
-        // and clobber a previous results file with an empty list.
-        eprintln!("no experiment matched {filter:?} — see the `want(..)` names in main()");
+        // with an empty results file.
+        let names: Vec<_> = EXPERIMENTS.iter().flat_map(|(names, _)| *names).collect();
+        eprintln!("no experiment matched {filter:?} — choose from {names:?}");
         std::process::exit(2);
     }
-    let path =
-        std::env::var("BENCH_RESULTS_PATH").unwrap_or_else(|_| "BENCH_results.json".to_string());
-    match results.write(&path) {
+    let path = "BENCH_results.json";
+    match results.write(path) {
         Ok(()) => println!("\nwrote machine-readable results to {path}"),
         Err(e) => eprintln!("\nfailed to write {path}: {e}"),
     }
@@ -315,25 +281,10 @@ fn fig10_shared_memory(model: &PerfModel, results: &mut BenchResults) {
         .map(|&msg| {
             // Baseline: TCP through the full stack between two colocated VMs
             // (sender 2 cores, receiver is the more expensive side).
-            let baseline = model
-                .bulk_throughput_gbps(
-                    StackKind::Kernel,
-                    TrafficDirection::Receive,
-                    msg,
-                    8,
-                    5,
-                    false,
-                    1,
-                )
-                .min(model.bulk_throughput_gbps(
-                    StackKind::Kernel,
-                    TrafficDirection::Send,
-                    msg,
-                    8,
-                    2,
-                    false,
-                    1,
-                ));
+            let tcp = |dir, cores| {
+                model.bulk_throughput_gbps(StackKind::Kernel, dir, msg, 8, cores, false, 1)
+            };
+            let baseline = tcp(TrafficDirection::Receive, 5).min(tcp(TrafficDirection::Send, 2));
             // NetKernel shared-memory NSM: two hugepage copy engines (2 NSM
             // cores), no TCP processing, capped by the 100G fabric.
             let shm = (2.0 * model.memcopy_gbps(msg)).min(100.0);
@@ -501,45 +452,20 @@ fn fig17_short_connections(model: &PerfModel, results: &mut BenchResults) {
 
 /// Figures 18 and 19: bulk throughput scaling with vCPUs (8 KB messages).
 fn fig18_19_stack_scaling(model: &PerfModel, results: &mut BenchResults) {
+    // 8 streams of 8 KB messages through one kernel-stack NSM.
+    let gbps = |dir, cores, netkernel| {
+        model.bulk_throughput_gbps(StackKind::Kernel, dir, 8192, 8, cores, netkernel, 1)
+    };
+    let (send, recv) = (TrafficDirection::Send, TrafficDirection::Receive);
     let rows: Vec<Vec<String>> = (1usize..=8)
         .map(|cores| {
-            let bs = model.bulk_throughput_gbps(
-                StackKind::Kernel,
-                TrafficDirection::Send,
-                8192,
-                8,
-                cores,
-                false,
-                1,
-            );
-            let ns = model.bulk_throughput_gbps(
-                StackKind::Kernel,
-                TrafficDirection::Send,
-                8192,
-                8,
-                cores,
-                true,
-                1,
-            );
-            let br = model.bulk_throughput_gbps(
-                StackKind::Kernel,
-                TrafficDirection::Receive,
-                8192,
-                8,
-                cores,
-                false,
-                1,
-            );
-            let nr = model.bulk_throughput_gbps(
-                StackKind::Kernel,
-                TrafficDirection::Receive,
-                8192,
-                8,
-                cores,
-                true,
-                1,
-            );
-            vec![cores.to_string(), f(bs, 1), f(ns, 1), f(br, 1), f(nr, 1)]
+            vec![
+                cores.to_string(),
+                f(gbps(send, cores, false), 1),
+                f(gbps(send, cores, true), 1),
+                f(gbps(recv, cores, false), 1),
+                f(gbps(recv, cores, true), 1),
+            ]
         })
         .collect();
     print_table(
@@ -555,32 +481,8 @@ fn fig18_19_stack_scaling(model: &PerfModel, results: &mut BenchResults) {
     );
     results
         .experiment("fig18_19")
-        .metric(
-            "netkernel_send_gbps_8c",
-            "Gbps",
-            model.bulk_throughput_gbps(
-                StackKind::Kernel,
-                TrafficDirection::Send,
-                8192,
-                8,
-                8,
-                true,
-                1,
-            ),
-        )
-        .metric(
-            "netkernel_recv_gbps_8c",
-            "Gbps",
-            model.bulk_throughput_gbps(
-                StackKind::Kernel,
-                TrafficDirection::Receive,
-                8192,
-                8,
-                8,
-                true,
-                1,
-            ),
-        );
+        .metric("netkernel_send_gbps_8c", "Gbps", gbps(send, 8, true))
+        .metric("netkernel_recv_gbps_8c", "Gbps", gbps(recv, 8, true));
 }
 
 /// Figure 20: short-connection scaling with vCPUs, kernel vs mTCP NSM.
@@ -626,26 +528,13 @@ fn fig20_rps_scaling(model: &PerfModel, results: &mut BenchResults) {
 /// Table 4: scaling with the number of 2-vCPU NSMs serving one VM.
 fn tab04_nsm_scaling(model: &PerfModel, results: &mut BenchResults) {
     let record = results.experiment("tab04");
+    // 8 streams of 8 KB messages spread over `nsms` 2-vCPU NSMs.
+    let gbps =
+        |dir, nsms| model.bulk_throughput_gbps(StackKind::Kernel, dir, 8192, 8, 2, true, nsms);
     let rows: Vec<Vec<String>> = (1usize..=4)
         .map(|nsms| {
-            let send = model.bulk_throughput_gbps(
-                StackKind::Kernel,
-                TrafficDirection::Send,
-                8192,
-                8,
-                2,
-                true,
-                nsms,
-            );
-            let recv = model.bulk_throughput_gbps(
-                StackKind::Kernel,
-                TrafficDirection::Receive,
-                8192,
-                8,
-                2,
-                true,
-                nsms,
-            );
+            let send = gbps(TrafficDirection::Send, nsms);
+            let recv = gbps(TrafficDirection::Receive, nsms);
             let rps = model.rps(StackKind::Kernel, 2, 64, true, nsms);
             record
                 .metric(&format!("send_gbps_{nsms}nsm"), "Gbps", send)
@@ -796,13 +685,23 @@ fn tab07_cpu_overhead_rps(model: &PerfModel, results: &mut BenchResults) {
         .metric("normalised_cpu_64", "ratio", model.cpu_overhead_rps(64));
 }
 
+/// A cluster host with one kernel-stack NSM serving all of `vms`.
+fn host(id: u8, vms: &[u8]) -> HostConfig {
+    let mut cfg = HostConfig::new()
+        .with_host_id(HostId(id))
+        .with_nsm(NsmConfig::kernel(NsmId(1)))
+        .with_mapping(VmToNsmPolicy::All(NsmId(1)));
+    for vm in vms {
+        cfg = cfg.with_vm(VmConfig::new(VmId(*vm)));
+    }
+    cfg
+}
+
 /// Control-plane observability: the ramping multi-tenant scenario of the
 /// control tests, with the decision log and the per-epoch utilisation time
 /// series surfaced as part of the perf trajectory.
 fn ctrl01_control_plane(results: &mut BenchResults) {
-    use nk_types::{
-        ControlAction, ControlPolicy, HostConfig, NsmConfig, NsmId, VmConfig, VmId, VmToNsmPolicy,
-    };
+    use nk_types::{ControlAction, ControlPolicy};
     use nk_workload::{BurstyClient, BurstyConfig, BurstyScenario};
 
     let policy = ControlPolicy::new()
@@ -887,21 +786,8 @@ fn ctrl01_control_plane(results: &mut BenchResults) {
 /// cross-host traffic, with the event log and digest as the determinism
 /// fingerprint.
 fn clu01_cluster_migration(results: &mut BenchResults) {
-    use nk_types::{
-        ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, VmConfig, VmId, VmToNsmPolicy,
-    };
     use nk_workload::{ClusterScenario, ClusterScenarioConfig, ClusterTenant};
 
-    let host = |id: u8, vms: &[u8]| {
-        let mut cfg = HostConfig::new()
-            .with_host_id(HostId(id))
-            .with_nsm(NsmConfig::kernel(NsmId(1)))
-            .with_mapping(VmToNsmPolicy::All(NsmId(1)));
-        for vm in vms {
-            cfg = cfg.with_vm(VmConfig::new(VmId(*vm)));
-        }
-        cfg
-    };
     let cluster = ClusterConfig::new()
         .with_host(host(1, &[1]))
         .with_host(host(2, &[2]))
@@ -966,22 +852,9 @@ fn clu01_cluster_migration(results: &mut BenchResults) {
 /// retires the share in the same instant.
 fn wm01_warm_vs_drained(results: &mut BenchResults) {
     use nk_obs::MigrationPhase;
-    use nk_types::{
-        ClusterAction, ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, VmConfig, VmId,
-        VmToNsmPolicy,
-    };
+    use nk_types::ClusterAction;
     use nk_workload::{ClusterScenario, ClusterScenarioConfig, ClusterTenant};
 
-    let host = |id: u8, vms: &[u8]| {
-        let mut cfg = HostConfig::new()
-            .with_host_id(HostId(id))
-            .with_nsm(NsmConfig::kernel(NsmId(1)))
-            .with_mapping(VmToNsmPolicy::All(NsmId(1)));
-        for vm in vms {
-            cfg = cfg.with_vm(VmConfig::new(VmId(*vm)));
-        }
-        cfg
-    };
     let cluster = || {
         ClusterConfig::new()
             .with_host(host(1, &[1]))
@@ -1119,18 +992,9 @@ fn wm01_warm_vs_drained(results: &mut BenchResults) {
 fn ev01_evacuation(results: &mut BenchResults) {
     use nk_ctrl::PlanEventKind;
     use nk_obs::{EventClass, MigrationPhase, ObsEventKind, ObsFilter};
-    use nk_types::{
-        ClusterAction, ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, VmConfig, VmId,
-        VmToNsmPolicy,
-    };
+    use nk_types::ClusterAction;
     use nk_workload::{ClusterScenario, ClusterScenarioConfig, ClusterTenant};
 
-    let empty_host = |id: u8| {
-        HostConfig::new()
-            .with_host_id(HostId(id))
-            .with_nsm(NsmConfig::kernel(NsmId(1)))
-            .with_mapping(VmToNsmPolicy::All(NsmId(1)))
-    };
     // Host 1 maps each VM to its own NSM, so both evacuation moves take
     // the warm path.
     let cluster = || {
@@ -1147,8 +1011,8 @@ fn ev01_evacuation(results: &mut BenchResults) {
                     .with_vm(VmConfig::new(VmId(1)))
                     .with_vm(VmConfig::new(VmId(2))),
             )
-            .with_host(empty_host(2))
-            .with_host(empty_host(3))
+            .with_host(host(2, &[]))
+            .with_host(host(3, &[]))
             .with_uplink_latency_us(2)
     };
 
@@ -1299,64 +1163,137 @@ fn ev01_evacuation(results: &mut BenchResults) {
         .metric("naive_reconnects", "count", naive.reconnects as f64);
 }
 
-/// par01: the sharded cluster datapath — steps/sec vs worker threads at
-/// 2, 8 and 16 hosts.
+/// What one par01/par02 run reports. Everything is deterministic: the
+/// executor's modeled schedule and the simulation's own counts (wall-clock
+/// rates of the same shapes are nkbench's `xhost_t1`/`xhost_t2`).
+struct ParRun {
+    modeled_speedup: f64,
+    hub_share: f64,
+    barrier_frames: u64,
+    threads_used: usize,
+    stats: nk_cluster::ClusterStats,
+    digest: u64,
+    guest_bytes: u64,
+}
+
+impl ParRun {
+    /// The determinism contract: neither thread count nor shard mode
+    /// changes anything observable.
+    fn assert_same_outcome(&self, reference: &ParRun, what: &str) {
+        assert_eq!(self.stats, reference.stats, "{what}: stats");
+        assert_eq!(self.digest, reference.digest, "{what}: digest");
+        assert_eq!(self.guest_bytes, reference.guest_bytes, "{what}: bytes");
+    }
+}
+
+/// Where an echo server of a par run listens.
+enum EchoAt {
+    /// A remote attached to one host's virtual switch.
+    HostRemote(HostId, u32),
+    /// A remote attached at the top-of-rack switch.
+    TorRemote(u32),
+    /// A guest, through its NSM.
+    Guest(HostId, VmId),
+}
+
+const PAR_DT_NS: u64 = 100_000;
+const PAR_CHUNK: usize = 4096;
+
+/// The topology of both par experiments: `hosts` hosts of `shares` kernel
+/// NSMs each, one VM per share (VM ids count up across hosts).
+fn par_cluster(hosts: u8, shares: u8, threads: usize, shard_within_hosts: bool) -> Cluster {
+    let mut cfg = ClusterConfig::new()
+        .with_uplink_latency_us(2)
+        .with_threads(threads)
+        .with_shard_within_hosts(shard_within_hosts);
+    for h in 1..=hosts {
+        let mut host = HostConfig::new().with_host_id(HostId(h));
+        let mut map = Vec::new();
+        for n in 1..=shares {
+            let vm = VmId((h - 1) * shares + n);
+            host = host
+                .with_nsm(NsmConfig::kernel(NsmId(n)))
+                .with_vm(VmConfig::new(vm));
+            map.push((vm, NsmId(n)));
+        }
+        cfg = cfg.with_host(host.with_mapping(VmToNsmPolicy::Static(map)));
+    }
+    Cluster::new(cfg).expect("valid par cluster")
+}
+
+/// Drive a par run for 60 steps after the handshakes: every client
+/// `(host, vm, socket, bytes)` offers `bytes` of a chunk whenever its
+/// socket is writable and counts what comes back; every server echoes
+/// through the shared [`echo_all`].
+fn par_drive(
+    mut cluster: Cluster,
+    clients: &[(HostId, VmId, SocketId, usize)],
+    mut servers: Vec<(EchoAt, SocketId)>,
+) -> ParRun {
+    cluster.run(5, PAR_DT_NS); // handshakes
+    let chunk = [0x5Au8; PAR_CHUNK];
+    let mut buf = [0u8; PAR_CHUNK];
+    let mut guest_bytes = 0u64;
+    let mut conns: Vec<Vec<SocketId>> = vec![Vec::new(); servers.len()];
+    for _ in 0..60 {
+        for &(h, vm, s, len) in clients {
+            let guest = cluster.guest_on(h, vm).unwrap();
+            if guest.poll(s).writable() {
+                let _ = guest.send(s, &chunk[..len]);
+            }
+            while let Ok(n @ 1..) = guest.recv(s, &mut buf) {
+                guest_bytes += n as u64;
+            }
+        }
+        for ((at, listener), conns) in servers.iter_mut().zip(&mut conns) {
+            match *at {
+                EchoAt::HostRemote(h, ip) => {
+                    let remote = cluster.host_mut(h).unwrap().remote_mut(ip).unwrap();
+                    echo_all(remote, *listener, conns, &mut buf);
+                }
+                EchoAt::TorRemote(ip) => {
+                    let remote = cluster.remote_mut(ip).unwrap();
+                    echo_all(remote, *listener, conns, &mut buf);
+                }
+                EchoAt::Guest(h, vm) => {
+                    let guest: &mut dyn SocketApi = cluster.guest_on(h, vm).unwrap();
+                    echo_all(guest, *listener, conns, &mut buf);
+                }
+            }
+        }
+        cluster.step(PAR_DT_NS);
+    }
+    let exec = cluster.exec_stats();
+    ParRun {
+        modeled_speedup: exec.modeled_speedup(),
+        hub_share: exec.hub_work as f64 / exec.serial_work.max(1) as f64,
+        barrier_frames: exec.barrier_frames,
+        threads_used: exec.threads,
+        stats: cluster.stats(),
+        digest: cluster.event_digest(),
+        guest_bytes,
+    }
+}
+
+/// par01: the sharded cluster datapath — modeled speedup vs worker threads
+/// at 2, 8 and 16 hosts.
 ///
 /// Every host runs a tenant streaming 4 KiB chunks to a host-local echo
 /// server (datapath work that lives inside one shard), and the edge hosts
 /// additionally stream to a ToR-attached server (cross-shard traffic over
-/// the uplink channels). Two rates are reported per thread count:
-///
-/// * **modeled** — the serial wall rate scaled by `serial_work /
-///   critical_work` from the executor (per round: the largest shard plus
-///   the serial hub). This is the schedule's speedup and is what the
-///   acceptance gate checks, because CI containers frequently pin the
-///   whole process to a single core, where parallel wall clock measures
-///   contention rather than the sharding.
-/// * **wall** — what this machine actually did, for honesty.
+/// the uplink channels). The speedup is `serial_work / critical_work` from
+/// the executor (per round: the largest shard plus the serial hub): the
+/// schedule's speedup, independent of how many cores this machine has.
 ///
 /// The run also asserts the determinism contract: cluster stats, guest
 /// byte counts and the event digest are identical for every thread count.
 fn par01_parallel_datapath(results: &mut BenchResults) {
-    use nk_cluster::Cluster;
-    use nk_types::addr::host_prefix;
-    use nk_types::{
-        ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, SockAddr, SocketApi, VmConfig, VmId,
-        VmToNsmPolicy,
-    };
-
-    const STEPS: usize = 60;
-    const DT_NS: u64 = 100_000;
-    const CHUNK: usize = 4096;
     const ECHO_PORT: u16 = 7;
     const TOR_IP: u32 = 0xC0A8_0001; // 192.168.0.1, outside every host block
     const TOR_PORT: u16 = 9;
 
-    struct RunOut {
-        wall_steps_per_s: f64,
-        modeled_speedup: f64,
-        hub_share: f64,
-        barrier_frames: u64,
-        threads_used: usize,
-        stats: nk_cluster::ClusterStats,
-        digest: u64,
-        guest_bytes: u64,
-    }
-
-    let run = |hosts: u8, threads: usize| -> RunOut {
-        let mut cfg = ClusterConfig::new()
-            .with_uplink_latency_us(2)
-            .with_threads(threads);
-        for h in 1..=hosts {
-            cfg = cfg.with_host(
-                HostConfig::new()
-                    .with_host_id(HostId(h))
-                    .with_nsm(NsmConfig::kernel(NsmId(1)))
-                    .with_mapping(VmToNsmPolicy::All(NsmId(1)))
-                    .with_vm(VmConfig::new(VmId(h))),
-            );
-        }
-        let mut cluster = Cluster::new(cfg).expect("valid par01 cluster");
+    let run = |hosts: u8, threads: usize| -> ParRun {
+        let mut cluster = par_cluster(hosts, 1, threads, false);
 
         // The ToR server the edge hosts stream to (cross-shard traffic).
         let tor = cluster.add_remote(TOR_IP);
@@ -1366,112 +1303,30 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
 
         // Per host: a local echo server plus one tenant connection to it.
         let local_ip = |h: u8| host_prefix(HostId(h)) | 0xFF;
-        let mut guest_socks = Vec::new();
-        let mut local_ls = Vec::new();
+        let mut clients = Vec::new();
+        let mut servers = Vec::new();
         for h in 1..=hosts {
-            let host = cluster.host_mut(HostId(h)).unwrap();
-            let echo = host.add_remote(local_ip(h));
+            let echo = cluster.host_mut(HostId(h)).unwrap().add_remote(local_ip(h));
             let ls = echo.socket();
             echo.bind(ls, SockAddr::new(0, ECHO_PORT)).unwrap();
             echo.listen(ls, 16).unwrap();
-            local_ls.push(ls);
+            servers.push((EchoAt::HostRemote(HostId(h), local_ip(h)), ls));
             let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
             let s = guest.socket().unwrap();
             guest
                 .connect(s, SockAddr::new(local_ip(h), ECHO_PORT))
                 .unwrap();
-            guest_socks.push(s);
+            clients.push((HostId(h), VmId(h), s, PAR_CHUNK));
         }
         // The edge tenants (first and last host) also talk across the ToR.
-        let mut tor_socks = Vec::new();
+        servers.push((EchoAt::TorRemote(TOR_IP), tor_ls));
         for h in [1, hosts] {
             let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
             let s = guest.socket().unwrap();
             guest.connect(s, SockAddr::new(TOR_IP, TOR_PORT)).unwrap();
-            tor_socks.push((h, s));
+            clients.push((HostId(h), VmId(h), s, 256));
         }
-        cluster.run(5, DT_NS); // handshakes
-
-        let chunk = [0x5Au8; CHUNK];
-        let mut buf = [0u8; CHUNK];
-        let mut guest_bytes = 0u64;
-        let mut echo_conns: Vec<Vec<_>> = vec![Vec::new(); hosts as usize];
-        let mut tor_conns = Vec::new();
-        let start = std::time::Instant::now();
-        for _ in 0..STEPS {
-            // Tenants: keep a chunk in flight, drain the echoes.
-            for (i, &s) in guest_socks.iter().enumerate() {
-                let h = i as u8 + 1;
-                let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
-                if guest.poll(s).writable() {
-                    let _ = guest.send(s, &chunk);
-                }
-                while let Ok(n) = guest.recv(s, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    guest_bytes += n as u64;
-                }
-            }
-            for &(h, s) in &tor_socks {
-                let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
-                if guest.poll(s).writable() {
-                    let _ = guest.send(s, &chunk[..256]);
-                }
-                while let Ok(n) = guest.recv(s, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    guest_bytes += n as u64;
-                }
-            }
-            // Echo servers: accept whatever arrived, echo whatever is read.
-            for h in 1..=hosts {
-                let i = h as usize - 1;
-                let echo = cluster
-                    .host_mut(HostId(h))
-                    .unwrap()
-                    .remote_mut(local_ip(h))
-                    .unwrap();
-                while let Ok((c, _)) = echo.accept(local_ls[i]) {
-                    echo_conns[i].push(c);
-                }
-                for &c in &echo_conns[i] {
-                    while let Ok(n) = echo.recv(c, &mut buf) {
-                        if n == 0 {
-                            break;
-                        }
-                        let _ = echo.send(c, &buf[..n]);
-                    }
-                }
-            }
-            let tor = cluster.remote_mut(TOR_IP).unwrap();
-            while let Ok((c, _)) = tor.accept(tor_ls) {
-                tor_conns.push(c);
-            }
-            for &c in &tor_conns {
-                while let Ok(n) = tor.recv(c, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    let _ = tor.send(c, &buf[..n]);
-                }
-            }
-            cluster.step(DT_NS);
-        }
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-
-        let exec = cluster.exec_stats();
-        RunOut {
-            wall_steps_per_s: STEPS as f64 / elapsed,
-            modeled_speedup: exec.modeled_speedup(),
-            hub_share: exec.hub_work as f64 / exec.serial_work.max(1) as f64,
-            barrier_frames: exec.barrier_frames,
-            threads_used: exec.threads,
-            stats: cluster.stats(),
-            digest: cluster.event_digest(),
-            guest_bytes,
-        }
+        par_drive(cluster, &clients, servers)
     };
 
     let record = results.experiment("par01");
@@ -1488,54 +1343,31 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
                 parallel = run(hosts, threads);
                 &parallel
             };
-            // The determinism contract: thread count changes nothing
-            // observable.
-            assert_eq!(out.stats, base.stats, "h{hosts} t{threads}: stats");
-            assert_eq!(out.digest, base.digest, "h{hosts} t{threads}: digest");
-            assert_eq!(
-                out.guest_bytes, base.guest_bytes,
-                "h{hosts} t{threads}: bytes"
-            );
-            let modeled = base.wall_steps_per_s * out.modeled_speedup;
+            out.assert_same_outcome(&base, &format!("h{hosts} t{threads}"));
             if hosts == 16 && threads == 4 {
                 speedup_h16_t4 = out.modeled_speedup;
             }
             rows.push(vec![
                 hosts.to_string(),
                 format!("{threads} ({})", out.threads_used),
-                f(modeled, 0),
                 f(out.modeled_speedup, 2),
-                f(out.wall_steps_per_s, 0),
                 format!("{:.0}%", 100.0 * out.hub_share),
                 out.barrier_frames.to_string(),
             ]);
-            record
-                .metric(
-                    &format!("modeled_steps_per_s_h{hosts}_t{threads}"),
-                    "steps/s",
-                    modeled,
-                )
-                .metric(
-                    &format!("modeled_speedup_h{hosts}_t{threads}"),
-                    "x",
-                    out.modeled_speedup,
-                )
-                .metric(
-                    &format!("wall_steps_per_s_h{hosts}_t{threads}"),
-                    "steps/s",
-                    out.wall_steps_per_s,
-                );
+            record.metric(
+                &format!("modeled_speedup_h{hosts}_t{threads}"),
+                "x",
+                out.modeled_speedup,
+            );
         }
     }
     record.metric("speedup_h16_t4", "x", speedup_h16_t4);
     print_table(
-        "par01: sharded datapath — steps/sec vs worker threads (modeled = serial rate x schedule speedup)",
+        "par01: sharded datapath — modeled schedule speedup vs worker threads",
         &[
             "hosts",
             "threads (used)",
-            "modeled steps/s",
             "speedup",
-            "wall steps/s",
             "hub share",
             "barrier frames",
         ],
@@ -1543,8 +1375,7 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
     );
     println!(
         "16 hosts @ 4 threads: modeled speedup {speedup_h16_t4:.2}x over the serial walk \
-         (per-round critical path = max shard + hub; wall clock on this machine depends on \
-         available cores)"
+         (per-round critical path = max shard + hub)"
     );
     assert!(
         speedup_h16_t4 >= 2.0,
@@ -1552,8 +1383,8 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
     );
 }
 
-/// par02: intra-host sharding — steps/sec and modeled speedup for 1-host
-/// and 2-host topologies of 8 NSM shares each, at 1/2/4 worker threads.
+/// par02: intra-host sharding — modeled speedup for 1-host and 2-host
+/// topologies of 8 NSM shares each, at 1/2/4 worker threads.
 ///
 /// This is the shape host-granularity sharding cannot help: par01's unit
 /// is the host, so a single host models 1.0x at any thread count. With
@@ -1566,57 +1397,20 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
 /// each host and the VM on one share streams 4 KiB chunks over TCP to a VM
 /// on its partner share, which echoes. Stack, service and engine work all
 /// happen lane-side; the hub only forwards the frames between the paired
-/// vNICs. As in par01, the **modeled** rate (serial wall rate x
-/// `serial_work / critical_work`) is the gate — CI containers often pin
-/// the process to one core — and the wall rate is reported for honesty.
+/// vNICs.
 ///
 /// The determinism contract is asserted three ways per topology: cluster
 /// stats, event digest and echoed bytes are identical across thread
 /// counts, and identical again between shard-mode on and off for the
 /// serial run.
 fn par02_intra_host_sharding(results: &mut BenchResults) {
-    use nk_cluster::Cluster;
-    use nk_types::{
-        ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, SockAddr, SocketApi, VmConfig, VmId,
-        VmToNsmPolicy,
-    };
-
-    const STEPS: usize = 60;
-    const DT_NS: u64 = 100_000;
-    const CHUNK: usize = 4096;
     const SHARES: u8 = 8;
     const PORT: u16 = 7;
 
-    struct RunOut {
-        wall_steps_per_s: f64,
-        modeled_speedup: f64,
-        hub_share: f64,
-        threads_used: usize,
-        stats: nk_cluster::ClusterStats,
-        digest: u64,
-        guest_bytes: u64,
-    }
-
     let vm_of = |h: u8, n: u8| VmId((h - 1) * SHARES + n);
 
-    let run = |hosts: u8, threads: usize, shard: bool| -> RunOut {
-        let mut cfg = ClusterConfig::new()
-            .with_uplink_latency_us(2)
-            .with_threads(threads)
-            .with_shard_within_hosts(shard);
-        for h in 1..=hosts {
-            let mut host = HostConfig::new().with_host_id(HostId(h));
-            let mut map = Vec::new();
-            for n in 1..=SHARES {
-                host = host
-                    .with_nsm(NsmConfig::kernel(NsmId(n)))
-                    .with_vm(VmConfig::new(vm_of(h, n)));
-                map.push((vm_of(h, n), NsmId(n)));
-            }
-            cfg = cfg.with_host(host.with_mapping(VmToNsmPolicy::Static(map)));
-        }
-        let mut cluster = Cluster::new(cfg).expect("valid par02 cluster");
-
+    let run = |hosts: u8, threads: usize, shard: bool| -> ParRun {
+        let mut cluster = par_cluster(hosts, SHARES, threads, shard);
         // Pair the shares: the VM on share 2k-1 listens, the VM on share
         // 2k streams to it across the host's vNIC switch. Four independent
         // TCP flows per host, each touching exactly two lanes.
@@ -1630,62 +1424,14 @@ fn par02_intra_host_sharding(results: &mut BenchResults) {
                 let ls = guest.socket().unwrap();
                 guest.bind(ls, SockAddr::new(0, PORT)).unwrap();
                 guest.listen(ls, 8).unwrap();
-                servers.push((h, vm_of(h, sn), ls));
+                servers.push((EchoAt::Guest(HostId(h), vm_of(h, sn)), ls));
                 let guest = cluster.guest_on(HostId(h), vm_of(h, cn)).unwrap();
                 let s = guest.socket().unwrap();
                 guest.connect(s, SockAddr::new(addr, PORT)).unwrap();
-                clients.push((h, vm_of(h, cn), s));
+                clients.push((HostId(h), vm_of(h, cn), s, PAR_CHUNK));
             }
         }
-        cluster.run(5, DT_NS); // handshakes
-
-        let chunk = [0x5Au8; CHUNK];
-        let mut buf = [0u8; CHUNK];
-        let mut guest_bytes = 0u64;
-        let mut server_conns = Vec::new();
-        let start = std::time::Instant::now();
-        for _ in 0..STEPS {
-            for &(h, vm, s) in &clients {
-                let guest = cluster.guest_on(HostId(h), vm).unwrap();
-                if guest.poll(s).writable() {
-                    let _ = guest.send(s, &chunk);
-                }
-                while let Ok(n) = guest.recv(s, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    guest_bytes += n as u64;
-                }
-            }
-            for &(h, vm, ls) in &servers {
-                let guest = cluster.guest_on(HostId(h), vm).unwrap();
-                while let Ok((c, _)) = guest.accept(ls) {
-                    server_conns.push((h, vm, c));
-                }
-            }
-            for &(h, vm, c) in &server_conns {
-                let guest = cluster.guest_on(HostId(h), vm).unwrap();
-                while let Ok(n) = guest.recv(c, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    let _ = guest.send(c, &buf[..n]);
-                }
-            }
-            cluster.step(DT_NS);
-        }
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-
-        let exec = cluster.exec_stats();
-        RunOut {
-            wall_steps_per_s: STEPS as f64 / elapsed,
-            modeled_speedup: exec.modeled_speedup(),
-            hub_share: exec.hub_work as f64 / exec.serial_work.max(1) as f64,
-            threads_used: exec.threads,
-            stats: cluster.stats(),
-            digest: cluster.event_digest(),
-            guest_bytes,
-        }
+        par_drive(cluster, &clients, servers)
     };
 
     let record = results.experiment("par02");
@@ -1700,12 +1446,7 @@ fn par02_intra_host_sharding(results: &mut BenchResults) {
             "h{hosts}: the workload must flow"
         );
         let base = run(hosts, 1, true);
-        assert_eq!(base.stats, reference.stats, "h{hosts}: shard-mode stats");
-        assert_eq!(base.digest, reference.digest, "h{hosts}: shard-mode digest");
-        assert_eq!(
-            base.guest_bytes, reference.guest_bytes,
-            "h{hosts}: shard-mode bytes"
-        );
+        base.assert_same_outcome(&reference, &format!("h{hosts}: shard-mode"));
         for &threads in &[1usize, 2, 4] {
             let parallel;
             let out = if threads == 1 {
@@ -1714,53 +1455,27 @@ fn par02_intra_host_sharding(results: &mut BenchResults) {
                 parallel = run(hosts, threads, true);
                 &parallel
             };
-            assert_eq!(out.stats, reference.stats, "h{hosts} t{threads}: stats");
-            assert_eq!(out.digest, reference.digest, "h{hosts} t{threads}: digest");
-            assert_eq!(
-                out.guest_bytes, reference.guest_bytes,
-                "h{hosts} t{threads}: bytes"
-            );
-            let modeled = base.wall_steps_per_s * out.modeled_speedup;
+            out.assert_same_outcome(&reference, &format!("h{hosts} t{threads}"));
             if hosts == 1 && threads == 4 {
                 speedup_h1_t4 = out.modeled_speedup;
             }
             rows.push(vec![
                 format!("{hosts} x {SHARES} shares"),
                 format!("{threads} ({})", out.threads_used),
-                f(modeled, 0),
                 f(out.modeled_speedup, 2),
-                f(out.wall_steps_per_s, 0),
                 format!("{:.0}%", 100.0 * out.hub_share),
             ]);
-            record
-                .metric(
-                    &format!("modeled_steps_per_s_h{hosts}s8_t{threads}"),
-                    "steps/s",
-                    modeled,
-                )
-                .metric(
-                    &format!("modeled_speedup_h{hosts}s8_t{threads}"),
-                    "x",
-                    out.modeled_speedup,
-                )
-                .metric(
-                    &format!("wall_steps_per_s_h{hosts}s8_t{threads}"),
-                    "steps/s",
-                    out.wall_steps_per_s,
-                );
+            record.metric(
+                &format!("modeled_speedup_h{hosts}s8_t{threads}"),
+                "x",
+                out.modeled_speedup,
+            );
         }
     }
     record.metric("speedup_h1s8_t4", "x", speedup_h1_t4);
     print_table(
         "par02: intra-host sharding — one 8-share host fills the threads host-granularity left idle",
-        &[
-            "topology",
-            "threads (used)",
-            "modeled steps/s",
-            "speedup",
-            "wall steps/s",
-            "hub share",
-        ],
+        &["topology", "threads (used)", "speedup", "hub share"],
         &rows,
     );
     println!(
@@ -1771,200 +1486,5 @@ fn par02_intra_host_sharding(results: &mut BenchResults) {
     assert!(
         speedup_h1_t4 >= 2.0,
         "acceptance: a single 8-share host must model >= 2x at 4 threads, got {speedup_h1_t4:.2}"
-    );
-}
-
-/// obs01: flight-recorder overhead — steps/sec with the recorder on vs
-/// off, same 8-host echo workload, best-of-3 per arm. The recorder's
-/// capture hooks (per-VM latency sampling, the ToR flow tap, epoch
-/// sealing, event mirroring) must cost no more than 10% of the datapath
-/// rate; the on-arm's dump supplies the headline latency quantiles.
-fn obs01_recorder_overhead(results: &mut BenchResults) {
-    use nk_cluster::Cluster;
-    use nk_types::addr::host_prefix;
-    use nk_types::{
-        ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, ObsConfig, SockAddr, SocketApi,
-        VmConfig, VmId, VmToNsmPolicy,
-    };
-
-    const HOSTS: u8 = 8;
-    const STEPS: usize = 400;
-    const DT_NS: u64 = 100_000;
-    const CHUNK: usize = 2048;
-    const ECHO_PORT: u16 = 7;
-    const TOR_IP: u32 = 0xC0A8_0001; // 192.168.0.1, outside every host block
-    const TOR_PORT: u16 = 9;
-
-    // One arm: every host streams to a host-local echo server and the two
-    // edge hosts additionally stream across the ToR, so all capture hooks
-    // (host feeds, the flow tap, epoch sealing) are exercised.
-    let run = |obs: ObsConfig| {
-        let mut cfg = ClusterConfig::new().with_uplink_latency_us(2).with_obs(obs);
-        for h in 1..=HOSTS {
-            cfg = cfg.with_host(
-                HostConfig::new()
-                    .with_host_id(HostId(h))
-                    .with_nsm(NsmConfig::kernel(NsmId(1)))
-                    .with_mapping(VmToNsmPolicy::All(NsmId(1)))
-                    .with_vm(VmConfig::new(VmId(h))),
-            );
-        }
-        let mut cluster = Cluster::new(cfg).expect("valid obs01 cluster");
-
-        let tor = cluster.add_remote(TOR_IP);
-        let tor_ls = tor.socket();
-        tor.bind(tor_ls, SockAddr::new(0, TOR_PORT)).unwrap();
-        tor.listen(tor_ls, 64).unwrap();
-
-        let local_ip = |h: u8| host_prefix(HostId(h)) | 0xFF;
-        let mut guest_socks = Vec::new();
-        let mut local_ls = Vec::new();
-        for h in 1..=HOSTS {
-            let host = cluster.host_mut(HostId(h)).unwrap();
-            let echo = host.add_remote(local_ip(h));
-            let ls = echo.socket();
-            echo.bind(ls, SockAddr::new(0, ECHO_PORT)).unwrap();
-            echo.listen(ls, 16).unwrap();
-            local_ls.push(ls);
-            let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
-            let s = guest.socket().unwrap();
-            guest
-                .connect(s, SockAddr::new(local_ip(h), ECHO_PORT))
-                .unwrap();
-            guest_socks.push(s);
-        }
-        let mut tor_socks = Vec::new();
-        for h in [1, HOSTS] {
-            let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
-            let s = guest.socket().unwrap();
-            guest.connect(s, SockAddr::new(TOR_IP, TOR_PORT)).unwrap();
-            tor_socks.push((h, s));
-        }
-        cluster.run(5, DT_NS); // handshakes
-
-        let chunk = [0x5Au8; CHUNK];
-        let mut buf = [0u8; CHUNK];
-        let mut guest_bytes = 0u64;
-        let mut echo_conns: Vec<Vec<_>> = vec![Vec::new(); HOSTS as usize];
-        let mut tor_conns = Vec::new();
-        let start = std::time::Instant::now();
-        for _ in 0..STEPS {
-            for (i, &s) in guest_socks.iter().enumerate() {
-                let h = i as u8 + 1;
-                let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
-                if guest.poll(s).writable() {
-                    let _ = guest.send(s, &chunk);
-                }
-                while let Ok(n) = guest.recv(s, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    guest_bytes += n as u64;
-                }
-            }
-            for &(h, s) in &tor_socks {
-                let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
-                if guest.poll(s).writable() {
-                    let _ = guest.send(s, &chunk[..256]);
-                }
-                while let Ok(n) = guest.recv(s, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    guest_bytes += n as u64;
-                }
-            }
-            for h in 1..=HOSTS {
-                let i = h as usize - 1;
-                let echo = cluster
-                    .host_mut(HostId(h))
-                    .unwrap()
-                    .remote_mut(local_ip(h))
-                    .unwrap();
-                while let Ok((c, _)) = echo.accept(local_ls[i]) {
-                    echo_conns[i].push(c);
-                }
-                for &c in &echo_conns[i] {
-                    while let Ok(n) = echo.recv(c, &mut buf) {
-                        if n == 0 {
-                            break;
-                        }
-                        let _ = echo.send(c, &buf[..n]);
-                    }
-                }
-            }
-            let tor = cluster.remote_mut(TOR_IP).unwrap();
-            while let Ok((c, _)) = tor.accept(tor_ls) {
-                tor_conns.push(c);
-            }
-            for &c in &tor_conns {
-                while let Ok(n) = tor.recv(c, &mut buf) {
-                    if n == 0 {
-                        break;
-                    }
-                    let _ = tor.send(c, &buf[..n]);
-                }
-            }
-            cluster.step(DT_NS);
-        }
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        assert!(guest_bytes > 0, "obs01: the workload must flow");
-        (STEPS as f64 / elapsed, cluster.obs_dump())
-    };
-
-    // Best-of-3 per arm: wall clock in CI containers is noisy, the fastest
-    // run of each arm is the fairest overhead comparison.
-    let mut off_rate = 0.0f64;
-    let mut on_rate = 0.0f64;
-    let mut dump = None;
-    for _ in 0..3 {
-        let (r_off, _) = run(ObsConfig::disabled());
-        off_rate = off_rate.max(r_off);
-        let (r_on, d) = run(ObsConfig::new());
-        on_rate = on_rate.max(r_on);
-        dump = Some(d);
-    }
-    let dump = dump.expect("on arm ran");
-    let overhead_pct = 100.0 * (off_rate / on_rate - 1.0);
-
-    // Headline quantiles: the busiest sealed epoch of the on arm.
-    let busiest = dump
-        .epochs
-        .iter()
-        .max_by_key(|e| e.cluster.count)
-        .expect("epochs sealed");
-    print_table(
-        "obs01: flight-recorder overhead (8-host echo workload, best of 3)",
-        &["arm", "steps/s"],
-        &[
-            vec!["recorder off".into(), f(off_rate, 0)],
-            vec!["recorder on".into(), f(on_rate, 0)],
-        ],
-    );
-    println!(
-        "overhead {overhead_pct:.1}% · captured {} events, {} epochs, {} flows · busiest epoch: \
-         {} samples, p50 {}ns, p99 {}ns, max {}ns",
-        dump.events_captured,
-        dump.epochs.len(),
-        dump.flows.len(),
-        busiest.cluster.count,
-        busiest.cluster.p50_ns,
-        busiest.cluster.p99_ns,
-        busiest.cluster.max_ns
-    );
-    results
-        .experiment("obs01")
-        .metric("steps_per_s_off", "steps/s", off_rate)
-        .metric("steps_per_s_on", "steps/s", on_rate)
-        .metric("overhead_pct", "pct", overhead_pct)
-        .metric("events_captured", "count", dump.events_captured as f64)
-        .metric("epochs_sealed", "count", dump.epochs.len() as f64)
-        .metric("hot_flows", "count", dump.flows.len() as f64)
-        .metric("p50_ns", "ns", busiest.cluster.p50_ns as f64)
-        .metric("p99_ns", "ns", busiest.cluster.p99_ns as f64)
-        .metric("max_ns", "ns", busiest.cluster.max_ns as f64);
-    assert!(
-        overhead_pct <= 10.0,
-        "acceptance: recorder overhead must stay within 10%, got {overhead_pct:.1}%"
     );
 }

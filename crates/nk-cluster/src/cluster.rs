@@ -807,12 +807,6 @@ impl Cluster {
         &self.obs
     }
 
-    /// Mutable recorder access (filtered snapshots don't need it; manual
-    /// freeze triggers and tests do).
-    pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
-        &mut self.obs
-    }
-
     /// Snapshot everything the recorder retains.
     pub fn obs_dump(&self) -> ObsDump {
         self.obs.snapshot()

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultInjector`] holds the plan's events sorted by time and hands out
 //! the ones that have become due. The host pulls due events at the start of
-//! every step — in the scheduler's *inject* phase, before any datapath
+//! every step — in the step's *inject* phase, before any datapath
 //! component is polled — so a fault always lands at the same point in the
 //! poll order for a given virtual time, and the whole execution replays
 //! bit-for-bit from the plan plus the fabric seed.

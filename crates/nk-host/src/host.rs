@@ -2,7 +2,7 @@
 
 use crate::faults::{FaultInjector, FaultStats};
 use crate::lane::{LaneReport, ShareLane};
-use crate::sched::{Pollable, SchedPhase, SchedStats, Scheduler};
+use crate::sched::SchedStats;
 use nk_ctrl::{ControlPlane, EpochSample, NsmLoad};
 use nk_engine::CoreEngine;
 use nk_fabric::link::LinkConfig;
@@ -18,23 +18,18 @@ use nk_queue::{queue_set_pair, NkDevice, WakeState};
 use nk_service::{Nsm, ServiceLib, SharedMemNsm};
 use nk_shmem::HugepageRegion;
 use nk_sim::record::TimeSeries;
-use nk_sim::{CorePool, CostModel, CycleLedger, PoolMember};
+use nk_sim::{CorePool, CostModel, CycleLedger, Pollable, PoolMember};
 use nk_types::addr::nsm_ip_on;
 use nk_types::api::{EpollEvent, ShutdownHow};
 use nk_types::faults::{FaultAction, FaultPlan, LinkFault};
 use nk_types::migrate::{ConnSnapshot, VmWarmExport};
 use nk_types::{
     ControlAction, ControlEvent, ControlTarget, HostConfig, HostId, NkError, NkResult, NsmConfig,
-    NsmId, PollEvents, SockAddr, SocketApi, SocketId, StackKind, VmId,
+    NsmId, PollEvents, SockAddr, SocketApi, SocketId, StackKind, VmConfig, VmId,
 };
 use std::collections::BTreeMap;
 
 pub use nk_types::migrate::VmExport;
-
-/// Base IP of NSM vNICs on host 0: 10.0.0.x with x = NSM id. Hosts with a
-/// non-zero [`HostConfig::host_id`] shift into their own `10.<host>.0.0/16`
-/// block (see [`nk_types::addr::nsm_ip_on`]).
-pub const NSM_IP_BASE: u32 = nk_types::addr::CLUSTER_IP_BASE;
 
 pub(crate) enum NsmInstance {
     /// Both variants are boxed: the instances are large (a TCP NSM carries
@@ -122,7 +117,7 @@ pub struct NetKernelHost {
     /// ephemeral-port scan elsewhere, like a rebooted kernel would, so new
     /// connections cannot collide with peers' stale pre-crash state.
     generations: BTreeMap<NsmId, u32>,
-    sched: Scheduler,
+    sched: SchedStats,
     injector: FaultInjector,
     /// Cycle-accounting pool the control plane observes and resizes: one
     /// member for CoreEngine, one per alive NSM.
@@ -198,39 +193,6 @@ impl NetKernelHost {
             }
         }
 
-        // Bring up the VMs.
-        let mut guests = BTreeMap::new();
-        let mut regions = BTreeMap::new();
-        for vm_cfg in &cfg.vms {
-            let nsm_id = cfg.nsm_for_vm(vm_cfg.id)?;
-            let mut guest_ends = Vec::new();
-            let mut engine_ends = Vec::new();
-            for _ in 0..vm_cfg.vcpus {
-                let (req, resp) = queue_set_pair(cfg.queue_capacity);
-                guest_ends.push(req);
-                engine_ends.push(resp);
-            }
-            let wake = WakeState::new();
-            let region = HugepageRegion::new(cfg.hugepages_per_pair);
-            engine.register_vm(
-                vm_cfg.id,
-                engine_ends,
-                wake.clone(),
-                vm_cfg.tenant,
-                vm_cfg.rate_limit_gbps,
-                Some(region.clone()),
-                0,
-            )?;
-            engine.map_vm(vm_cfg.id, nsm_id)?;
-            nsms.get_mut(&nsm_id)
-                .ok_or(NkError::NotFound)?
-                .add_vm(vm_cfg.id, region.clone());
-            let device = NkDevice::new(guest_ends, wake);
-            guests.insert(vm_cfg.id, GuestLib::new(vm_cfg.id, device, region.clone()));
-            regions.insert(vm_cfg.id, region);
-        }
-
-        let sched = Scheduler::new(cfg.max_poll_rounds);
         let mut pools = match cfg.control.as_ref().and_then(|c| c.pool_clock_hz) {
             Some(hz) => CorePool::with_clock(hz),
             None => CorePool::new(),
@@ -244,18 +206,18 @@ impl NetKernelHost {
             None => None,
         };
         let next_epoch_ns = cfg.control.as_ref().map(|c| c.epoch_ns).unwrap_or(u64::MAX);
-        Ok(NetKernelHost {
+        let mut host = NetKernelHost {
             cfg,
             switch,
             engine,
-            guests,
+            guests: BTreeMap::new(),
             nsms,
             nsm_ports,
             aliases: BTreeMap::new(),
             remotes: BTreeMap::new(),
-            regions,
+            regions: BTreeMap::new(),
             generations: BTreeMap::new(),
-            sched,
+            sched: SchedStats::default(),
             injector: FaultInjector::idle(),
             pools,
             cost: CostModel::default(),
@@ -272,7 +234,70 @@ impl NetKernelHost {
             lane_rx: BTreeMap::new(),
             lane_loads: BTreeMap::new(),
             now_ns: 0,
-        })
+        };
+        for vm_cfg in host.cfg.vms.clone() {
+            let nsm = host.cfg.nsm_for_vm(vm_cfg.id)?;
+            host.attach_vm(&vm_cfg, nsm, 0)?;
+        }
+        Ok(host)
+    }
+
+    /// Bring one VM up on `nsm`: fresh queue sets, wake state and hugepage
+    /// region, registered and mapped in CoreEngine, wired into the NSM, with
+    /// a GuestLib on the guest ends. Shared between initial bring-up and
+    /// [`NetKernelHost::import_vm`]; a failure leaves no trace of the VM.
+    fn attach_vm(&mut self, vm_cfg: &VmConfig, nsm: NsmId, registered_at_ns: u64) -> NkResult<()> {
+        if !self.nsms.contains_key(&nsm) {
+            return Err(NkError::NotFound);
+        }
+        let mut guest_ends = Vec::new();
+        let mut engine_ends = Vec::new();
+        for _ in 0..vm_cfg.vcpus {
+            let (req, resp) = queue_set_pair(self.cfg.queue_capacity);
+            guest_ends.push(req);
+            engine_ends.push(resp);
+        }
+        let wake = WakeState::new();
+        let region = HugepageRegion::new(self.cfg.hugepages_per_pair);
+        self.engine.register_vm(
+            vm_cfg.id,
+            engine_ends,
+            wake.clone(),
+            vm_cfg.tenant,
+            vm_cfg.rate_limit_gbps,
+            Some(region.clone()),
+            registered_at_ns,
+        )?;
+        if let Err(e) = self.engine.map_vm(vm_cfg.id, nsm) {
+            // Unwind: a failed attach must leave no registered-but-guestless
+            // VM in the engine (a retry would then trip over the residue).
+            let _ = self.engine.deregister_vm(vm_cfg.id);
+            return Err(e);
+        }
+        self.nsms
+            .get_mut(&nsm)
+            .expect("presence checked above")
+            .add_vm(vm_cfg.id, region.clone());
+        let device = NkDevice::new(guest_ends, wake);
+        self.guests
+            .insert(vm_cfg.id, GuestLib::new(vm_cfg.id, device, region.clone()));
+        self.regions.insert(vm_cfg.id, region);
+        Ok(())
+    }
+
+    /// Detach every warm-migration alias `dead` selects from the switch and
+    /// forget it.
+    fn drop_aliases(&mut self, dead: impl Fn(&Self, u32, NsmId) -> bool) {
+        let gone: Vec<u32> = self
+            .aliases
+            .iter()
+            .filter(|(addr, owner)| dead(self, **addr, **owner))
+            .map(|(addr, _)| *addr)
+            .collect();
+        for addr in gone {
+            self.switch.detach(addr);
+            self.aliases.remove(&addr);
+        }
     }
 
     /// Provision one NSM instance: queue pairs registered with the engine
@@ -420,17 +445,16 @@ impl NetKernelHost {
         self.engine.stalled_nqes()
     }
 
-    /// Scheduler behaviour counters (rounds per step, quiescent exits,
-    /// round-limit hits).
+    /// Step behaviour counters of [`NetKernelHost::step`] (rounds per step,
+    /// quiescent exits, round-limit hits).
     pub fn sched_stats(&self) -> SchedStats {
-        self.sched.stats()
+        self.sched
     }
 
     /// Advance the host by `dt_ns`: fault events due at the new virtual time
-    /// are applied first (the scheduler's inject phase), then every datapath
-    /// component — CoreEngine, the NSMs, remote stacks and the virtual
-    /// switch — is driven through the [`Pollable`] scheduler until a full
-    /// round reports no work (or the configured round bound is hit), so
+    /// are applied first, then every datapath component — CoreEngine, the
+    /// NSMs, remote stacks and the virtual switch — is polled in rounds
+    /// until a full round reports no work (or `max_poll_rounds` is hit), so
     /// request → NSM → response round trips complete within one step
     /// regardless of queue depth. The control phase closes the step: at each
     /// control-epoch boundary the operator control plane samples the pool
@@ -438,23 +462,26 @@ impl NetKernelHost {
     /// of work (fault events + NQEs + segments + frames + control actions)
     /// processed.
     pub fn step(&mut self, dt_ns: u64) -> usize {
-        self.advance(dt_ns);
-        let now = self.now_ns;
-        // The inject and control phases need the whole host (crashing an NSM
-        // touches the engine, the switch and the NSM map at once), so the
-        // scheduler is copied out for the duration of the step and a single
-        // closure serves all phases.
-        let mut sched = self.sched;
-        let total = sched.drain_with_hook(now, |phase, now| match phase {
-            SchedPhase::Inject => self.record_applied_faults(now),
-            SchedPhase::Poll => self.poll_datapath(now),
-            SchedPhase::Control => {
-                let applied = self.run_control(now);
-                self.obs_sample(now);
-                applied
+        let injected = self.begin_step(dt_ns);
+        let mut total = injected;
+        let mut quiescent = false;
+        for _ in 0..self.cfg.max_poll_rounds {
+            let work = self.poll_round();
+            self.sched.rounds += 1;
+            total += work;
+            if work == 0 {
+                quiescent = true;
+                break;
             }
-        });
-        self.sched = sched;
+        }
+        let controlled = self.end_step();
+        total += controlled;
+        self.sched.steps += 1;
+        self.sched.fault_events += injected as u64;
+        self.sched.quiescent_exits += quiescent as u64;
+        self.sched.round_limit_hits += !quiescent as u64;
+        self.sched.control_actions += controlled as u64;
+        self.sched.work_items += total as u64;
         total
     }
 
@@ -473,14 +500,14 @@ impl NetKernelHost {
     // must traverse the top-of-rack switch before host B can answer within
     // the same step), so it cannot use the self-contained `step()`. These
     // three methods expose the same step structure — inject, poll rounds,
-    // control — with the round loop handed to the caller. `step()` remains
-    // the single-host composition of the same pieces.
+    // control — with the round loop handed to the caller. `step()` is the
+    // single-host composition of exactly these pieces.
     //
     // Because the round loop lives with the caller, a cluster-driven host
-    // does not go through its own `Scheduler`: `sched_stats()` stays at
-    // zero and `HostConfig::max_poll_rounds` does not bound the rounds —
-    // the cluster's own stats and `ClusterConfig::max_rounds` play those
-    // roles at cluster scope.
+    // tallies nothing: `sched_stats()` stays at zero and
+    // `HostConfig::max_poll_rounds` does not bound the rounds — the
+    // cluster's own stats and `ClusterConfig::max_rounds` play those roles
+    // at cluster scope.
 
     /// Open a step of `dt_ns`: advance virtual time, refill accounting
     /// budgets and apply due fault events. Returns the fault events applied.
@@ -963,12 +990,6 @@ impl NetKernelHost {
         }
     }
 
-    /// The flight-recorder feed (latency histogram and fault timeline since
-    /// the last drain).
-    pub fn obs_feed(&self) -> &HostFeed {
-        &self.obs
-    }
-
     /// Mutable access to the flight-recorder feed (the cluster drains it at
     /// the round barrier via [`nk_obs::HostFeed::take_hist`]).
     pub fn obs_feed_mut(&mut self) -> &mut HostFeed {
@@ -976,7 +997,7 @@ impl NetKernelHost {
     }
 
     /// Enable or disable this host's recorder feed. Disabled feeds skip all
-    /// sampling work — the recorder-off arm of the overhead experiment.
+    /// sampling work — the recorder-off arm of an overhead measurement.
     pub fn set_obs_enabled(&mut self, on: bool) {
         self.obs.set_enabled(on);
     }
@@ -1044,16 +1065,7 @@ impl NetKernelHost {
         drop(instance);
         self.nsm_ports.remove(&nsm);
         // Warm-migrated addresses adopted by the crashed vNIC die with it.
-        let dead: Vec<u32> = self
-            .aliases
-            .iter()
-            .filter(|(_, owner)| **owner == nsm)
-            .map(|(addr, _)| *addr)
-            .collect();
-        for addr in dead {
-            self.switch.detach(addr);
-            self.aliases.remove(&addr);
-        }
+        self.drop_aliases(|_, _, owner| owner == nsm);
         self.pools.remove(PoolMember::Nsm(nsm));
         self.epoch_ledgers.remove(&PoolMember::Nsm(nsm));
         self.engine.crash_nsm(nsm)
@@ -1159,41 +1171,7 @@ impl NetKernelHost {
         if self.guests.contains_key(&vm_cfg.id) {
             return Err(NkError::AlreadyRegistered);
         }
-        if !self.nsms.contains_key(&nsm) {
-            return Err(NkError::NotFound);
-        }
-        let mut guest_ends = Vec::new();
-        let mut engine_ends = Vec::new();
-        for _ in 0..vm_cfg.vcpus {
-            let (req, resp) = queue_set_pair(self.cfg.queue_capacity);
-            guest_ends.push(req);
-            engine_ends.push(resp);
-        }
-        let wake = WakeState::new();
-        let region = HugepageRegion::new(self.cfg.hugepages_per_pair);
-        self.engine.register_vm(
-            vm_cfg.id,
-            engine_ends,
-            wake.clone(),
-            vm_cfg.tenant,
-            vm_cfg.rate_limit_gbps,
-            Some(region.clone()),
-            self.now_ns,
-        )?;
-        if let Err(e) = self.engine.map_vm(vm_cfg.id, nsm) {
-            // Unwind: a failed import must leave no registered-but-guestless
-            // VM in the engine (a retry would then trip over the residue).
-            let _ = self.engine.deregister_vm(vm_cfg.id);
-            return Err(e);
-        }
-        self.nsms
-            .get_mut(&nsm)
-            .expect("presence checked above")
-            .add_vm(vm_cfg.id, region.clone());
-        let device = NkDevice::new(guest_ends, wake);
-        self.guests
-            .insert(vm_cfg.id, GuestLib::new(vm_cfg.id, device, region.clone()));
-        self.regions.insert(vm_cfg.id, region);
+        self.attach_vm(vm_cfg, nsm, self.now_ns)?;
         // A cancelled-then-retried import must not duplicate the VM's
         // configuration entry.
         if !self.cfg.vms.iter().any(|v| v.id == vm_cfg.id) {
@@ -1268,19 +1246,10 @@ impl NetKernelHost {
         // Adopted warm-migration addresses whose owning stack no longer
         // serves any connection on them are dropped: a stale alias would
         // shadow a later adoption of the same address by a different NSM.
-        let stale: Vec<u32> = self
-            .aliases
-            .iter()
-            .filter(|(addr, owner)| match self.nsms.get(owner) {
-                Some(NsmInstance::Tcp(n)) => !n.stack().serves_ip(**addr),
-                _ => true,
-            })
-            .map(|(addr, _)| *addr)
-            .collect();
-        for addr in stale {
-            self.switch.detach(addr);
-            self.aliases.remove(&addr);
-        }
+        self.drop_aliases(|host, addr, owner| match host.nsms.get(&owner) {
+            Some(NsmInstance::Tcp(n)) => !n.stack().serves_ip(addr),
+            _ => true,
+        });
         Ok(())
     }
 
@@ -1583,10 +1552,7 @@ impl NetKernelHost {
                     let _ = n.export_conn(vm, guest_sock);
                 }
             }
-            for ip in added_aliases {
-                self.switch.detach(ip);
-                self.aliases.remove(&ip);
-            }
+            self.drop_aliases(|_, ip, _| added_aliases.contains(&ip));
             self.retire_vm(vm).expect("unpinned partial import retires");
             return Err(e);
         }
@@ -1662,12 +1628,6 @@ impl BaselineVm {
     /// Direct access to the in-guest stack.
     pub fn stack_mut(&mut self) -> &mut TcpStack {
         &mut self.stack
-    }
-}
-
-impl Pollable for BaselineVm {
-    fn poll(&mut self, now_ns: u64) -> usize {
-        self.step(now_ns)
     }
 }
 
@@ -1757,6 +1717,23 @@ mod tests {
 
     const REMOTE_IP: u32 = 0x0A00_0100;
 
+    /// Attach a remote at `REMOTE_IP` listening on port 7.
+    fn remote_listener(host: &mut NetKernelHost) -> SocketId {
+        let remote = host.add_remote(REMOTE_IP);
+        let ls = remote.socket();
+        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
+        remote.listen(ls, 16).unwrap();
+        ls
+    }
+
+    /// Open a socket on VM 1 and start connecting it to that listener.
+    fn guest_connect(host: &mut NetKernelHost) -> SocketId {
+        let guest = host.guest_mut(VmId(1)).unwrap();
+        let s = guest.socket().unwrap();
+        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        s
+    }
+
     fn one_vm_host(stack: StackKind) -> NetKernelHost {
         let nsm = match stack {
             StackKind::Mtcp => NsmConfig::mtcp(NsmId(1)),
@@ -1777,15 +1754,10 @@ mod tests {
     fn guest_reaches_remote_server_through_nsm() {
         let mut host = one_vm_host(StackKind::Kernel);
         // Remote server listening on port 7.
-        let remote = host.add_remote(REMOTE_IP);
-        let ls = remote.socket();
-        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        remote.listen(ls, 16).unwrap();
+        let ls = remote_listener(&mut host);
 
         // Guest connects and sends a request.
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let s = guest_connect(&mut host);
         host.run(20, 100_000);
 
         let guest = host.guest_mut(VmId(1)).unwrap();
@@ -1825,18 +1797,13 @@ mod tests {
             .with_mapping(VmToNsmPolicy::All(NsmId(1)));
         cfg.hugepages_per_pair = 1;
         let mut host = NetKernelHost::new(cfg).unwrap();
-        let remote = host.add_remote(REMOTE_IP);
-        let ls = remote.socket();
-        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        remote.listen(ls, 16).unwrap();
+        let ls = remote_listener(&mut host);
 
         // Connect one at a time so guest socket i is remote connection i.
         let mut socks = Vec::new();
         let mut conns = Vec::new();
         for _ in 0..CONNS {
-            let guest = host.guest_mut(VmId(1)).unwrap();
-            let s = guest.socket().unwrap();
-            guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+            let s = guest_connect(&mut host);
             host.run(20, 100_000);
             socks.push(s);
             conns.push(host.remote_mut(REMOTE_IP).unwrap().accept(ls).unwrap().0);
@@ -1891,13 +1858,8 @@ mod tests {
             .with_nsm(NsmConfig::kernel(NsmId(1)))
             .with_mapping(VmToNsmPolicy::All(NsmId(1)));
         let mut host = NetKernelHost::new(cfg).unwrap();
-        let remote = host.add_remote(REMOTE_IP);
-        let ls = remote.socket();
-        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        remote.listen(ls, 16).unwrap();
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let ls = remote_listener(&mut host);
+        let s = guest_connect(&mut host);
         host.run(20, 100_000);
         let remote = host.remote_mut(REMOTE_IP).unwrap();
         assert!(remote.take_events().is_empty(), "the accept edge was kept");
@@ -1998,10 +1960,7 @@ mod tests {
                 ]));
             let mut host = NetKernelHost::new(cfg).unwrap();
             host.enable_pool_accounting(Some(2_000_000_000));
-            let remote = host.add_remote(REMOTE_IP);
-            let ls = remote.socket();
-            remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-            remote.listen(ls, 16).unwrap();
+            let ls = remote_listener(&mut host);
             let mut socks = Vec::new();
             for vm in [VmId(1), VmId(2)] {
                 let guest = host.guest_mut(vm).unwrap();
@@ -2106,13 +2065,8 @@ mod tests {
                 (VmId(2), NsmId(3)),
             ]));
         let mut host = NetKernelHost::new(cfg).unwrap();
-        let remote = host.add_remote(REMOTE_IP);
-        let ls = remote.socket();
-        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        remote.listen(ls, 16).unwrap();
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let ls = remote_listener(&mut host);
+        let s = guest_connect(&mut host);
         host.run(20, 100_000);
 
         // VM 1 keeps its pinned connection on NSM 1 but new connections go
@@ -2175,19 +2129,14 @@ mod tests {
     }
 
     /// A deep backlog of requests drains within a single host step: the
-    /// scheduler keeps polling until the datapath is quiescent instead of
+    /// step keeps polling until the datapath is quiescent instead of
     /// sweeping a fixed number of passes.
     #[test]
     fn deep_queue_round_trips_complete_in_one_step() {
         let mut host = one_vm_host(StackKind::Kernel);
-        let remote = host.add_remote(REMOTE_IP);
-        let ls = remote.socket();
-        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        remote.listen(ls, 16).unwrap();
+        let ls = remote_listener(&mut host);
 
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let s = guest_connect(&mut host);
         host.run(20, 100_000);
         let guest = host.guest_mut(VmId(1)).unwrap();
         assert!(guest.poll(s).writable(), "connect did not complete");
@@ -2197,7 +2146,15 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(guest.send(s, &payload).unwrap(), payload.len());
         }
-        host.step(100_000);
+        let before = host.sched_stats();
+        let work = host.step(100_000);
+        let after = host.sched_stats();
+        // Working rounds plus the quiescent round that ended the step.
+        assert!(after.rounds - before.rounds >= 2, "{before:?} → {after:?}");
+        assert_eq!(after.quiescent_exits, before.quiescent_exits + 1);
+        assert_eq!(after.round_limit_hits, before.round_limit_hits);
+        assert_eq!(after.work_items - before.work_items, work as u64);
+        assert!(work >= 32, "every queued request is a work item: {work}");
 
         // Everything crossed guest → engine → NSM → switch → remote in that
         // one step.
@@ -2214,8 +2171,8 @@ mod tests {
         assert_eq!(received, 32 * payload.len());
     }
 
-    /// Every step either reaches quiescence or hits the round bound, and the
-    /// default configuration reaches quiescence on idle steps.
+    /// Every step either reaches quiescence or hits the round bound, and an
+    /// idle step is exactly one quiescent round of no work.
     #[test]
     fn scheduler_accounts_for_every_step() {
         let mut host = one_vm_host(StackKind::Kernel);
@@ -2223,9 +2180,10 @@ mod tests {
         let stats = host.sched_stats();
         assert_eq!(stats.steps, 10);
         assert_eq!(stats.quiescent_exits + stats.round_limit_hits, stats.steps);
-        assert!(
-            stats.quiescent_exits > 0,
-            "idle steps must exit on quiescence, not the round bound"
+        assert_eq!(
+            (stats.rounds, stats.quiescent_exits, stats.work_items),
+            (10, 10, 0),
+            "idle steps must exit on quiescence after one round, not at the bound"
         );
     }
 
@@ -2240,18 +2198,18 @@ mod tests {
             .with_mapping(VmToNsmPolicy::All(NsmId(1)))
             .with_max_poll_rounds(1);
         let mut host = NetKernelHost::new(cfg).unwrap();
-        let remote = host.add_remote(REMOTE_IP);
-        let ls = remote.socket();
-        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        remote.listen(ls, 16).unwrap();
+        remote_listener(&mut host);
 
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let s = guest_connect(&mut host);
         host.run(60, 100_000);
         let guest = host.guest_mut(VmId(1)).unwrap();
         assert!(guest.poll(s).writable(), "connect did not complete");
-        assert_eq!(host.sched_stats().rounds, host.sched_stats().steps);
+        let stats = host.sched_stats();
+        assert_eq!(stats.rounds, stats.steps);
+        // A round that reported work at the bound is a limit hit, never a
+        // quiescent exit.
+        assert!(stats.round_limit_hits > 0, "{stats:?}");
+        assert_eq!(stats.quiescent_exits + stats.round_limit_hits, stats.steps);
     }
 
     #[test]
@@ -2271,14 +2229,9 @@ mod tests {
     #[test]
     fn nsm_crash_resets_sockets_and_restart_recovers() {
         let mut host = one_vm_host(StackKind::Kernel);
-        let remote = host.add_remote(REMOTE_IP);
-        let ls = remote.socket();
-        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        remote.listen(ls, 16).unwrap();
+        remote_listener(&mut host);
 
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let s = guest_connect(&mut host);
         host.run(20, 100_000);
         let guest = host.guest_mut(VmId(1)).unwrap();
         assert!(guest.poll(s).writable(), "connect did not complete");
@@ -2324,26 +2277,21 @@ mod tests {
             .with_nsm(NsmConfig::kernel(NsmId(2)))
             .with_mapping(VmToNsmPolicy::All(NsmId(1)));
         let mut host = NetKernelHost::new(cfg).unwrap();
-        let remote = host.add_remote(REMOTE_IP);
-        let ls = remote.socket();
-        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        remote.listen(ls, 16).unwrap();
+        remote_listener(&mut host);
 
         host.crash_nsm(NsmId(1)).unwrap();
         host.migrate_vm(VmId(1), NsmId(2)).unwrap();
         assert_eq!(host.nsm_of(VmId(1)), Some(NsmId(2)));
 
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let s = guest_connect(&mut host);
         host.run(20, 100_000);
         let guest = host.guest_mut(VmId(1)).unwrap();
         assert!(guest.poll(s).writable(), "standby NSM must serve the VM");
         assert!(host.nsm_service_stats(NsmId(2)).unwrap().requests > 0);
     }
 
-    /// An installed fault plan fires through the scheduler's inject phase at
-    /// the configured virtual times.
+    /// An installed fault plan fires in the step's inject phase at the
+    /// configured virtual times, and fault events count as step work.
     #[test]
     fn fault_plan_applies_at_scheduled_times() {
         let cfg = HostConfig::new()
@@ -2375,17 +2323,23 @@ mod tests {
         host.step(100_000); // t=100µs: nothing due
         assert_eq!(host.fault_stats().applied, 0);
         assert!(host.has_nsm(NsmId(1)));
-        host.step(200_000); // t=300µs: crash + migrate fire together
+        assert!(host.step(200_000) >= 2); // t=300µs: crash + migrate fire together
         assert_eq!(host.fault_stats().applied, 2);
         assert!(!host.has_nsm(NsmId(1)));
         assert_eq!(host.nsm_of(VmId(1)), Some(NsmId(2)));
-        host.step(200_000); // t=500µs: link degradation
+        // t=500µs: link degradation. A step whose only activity is a fault
+        // is not idle: one (quiescent) round, one work item.
+        let rounds = host.sched_stats().rounds;
+        assert_eq!(host.step(200_000), 1);
+        assert_eq!(host.sched_stats().rounds, rounds + 1);
         assert_eq!(host.fault_stats().link_changes, 1);
         host.step(200_000); // t=700µs: restart
         assert_eq!(host.fault_stats().applied, 4);
         assert!(host.has_nsm(NsmId(1)));
         assert_eq!(host.pending_faults(), 0);
-        assert_eq!(host.sched_stats().fault_events, 4);
+        let stats = host.sched_stats();
+        assert_eq!(stats.fault_events, 4);
+        assert!(stats.work_items >= 4, "{stats:?}");
     }
 
     #[test]
@@ -2430,14 +2384,9 @@ mod tests {
             .with_mapping(VmToNsmPolicy::All(NsmId(1)))
             .with_control(policy);
         let mut host = NetKernelHost::new(cfg).unwrap();
-        let remote = host.add_remote(REMOTE_IP);
-        let ls = remote.socket();
-        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        remote.listen(ls, 16).unwrap();
+        let ls = remote_listener(&mut host);
 
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let s = guest_connect(&mut host);
         host.run(10, 100_000);
 
         // Keep the NSM busy every step for several epochs.
@@ -2458,7 +2407,10 @@ mod tests {
             host.control_events()
         );
         assert!(host.nsm_cores(NsmId(1)).unwrap() > 1);
-        assert!(host.sched_stats().control_actions > 0);
+        // Control actions are tallied one for one and count as step work.
+        let stats = host.sched_stats();
+        assert_eq!(stats.control_actions, host.control_events().len() as u64);
+        assert!(stats.work_items >= stats.control_actions);
 
         // Let the workload go idle: the allocation returns to the floor.
         host.run(120, 100_000);
@@ -2513,13 +2465,8 @@ mod tests {
     #[test]
     fn split_step_protocol_serves_traffic() {
         let mut host = one_vm_host(StackKind::Kernel);
-        let remote = host.add_remote(REMOTE_IP);
-        let ls = remote.socket();
-        remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        remote.listen(ls, 16).unwrap();
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let ls = remote_listener(&mut host);
+        let s = guest_connect(&mut host);
         for _ in 0..20 {
             host.begin_step(100_000);
             while host.poll_round() > 0 {}
@@ -2645,9 +2592,7 @@ mod tests {
         let ls = remote.socket();
         remote.bind(ls, SockAddr::new(0, 7)).unwrap();
         remote.listen(ls, 4).unwrap();
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let s = guest_connect(&mut host);
         host.run(20, 100_000);
         let guest = host.guest_mut(VmId(1)).unwrap();
         assert!(guest.poll(s).writable());
@@ -2668,9 +2613,7 @@ mod tests {
         let ls = remote.socket();
         remote.bind(ls, SockAddr::new(0, 7)).unwrap();
         remote.listen(ls, 4).unwrap();
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let s = guest_connect(&mut host);
         host.run(20, 100_000);
         assert!(host.vm_pinned(VmId(1)) >= 1);
 
@@ -2910,9 +2853,7 @@ mod tests {
         let ls = remote.socket();
         remote.bind(ls, SockAddr::new(0, 7)).unwrap();
         remote.listen(ls, 4).unwrap();
-        let guest = host.guest_mut(VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+        let s = guest_connect(&mut host);
         host.run(20, 100_000);
         let remote = host.remote_mut(REMOTE_IP).unwrap();
         let (conn, _) = remote.accept(ls).unwrap();

@@ -29,9 +29,9 @@
 //! byte-identical state to the serial whole-host poll.
 
 use crate::host::NsmInstance;
-use crate::sched::Pollable;
 use nk_engine::CoreEngine;
 use nk_queue::unbounded::UnboundedProducer;
+use nk_sim::Pollable;
 use nk_types::NsmId;
 use std::collections::BTreeMap;
 

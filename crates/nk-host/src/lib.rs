@@ -11,15 +11,16 @@
 //!   guest, exposed through the same [`nk_types::SocketApi`] so identical
 //!   application code runs on both.
 //!
-//! [`sched`] is the drain-until-quiescent scheduler driving every datapath
-//! component through the uniform [`nk_sim::Pollable`] interface, with an
-//! inject phase replaying deterministic [`nk_types::FaultPlan`] schedules
-//! ([`faults`]: NSM crash / restart, live VM migration, link degradation)
-//! before the poll rounds and a control phase closing each step: at every
-//! control-epoch boundary the host samples its [`nk_sim::CorePool`] ledgers
-//! and lets the [`nk_ctrl::ControlPlane`] autoscale NSM / CoreEngine cores
-//! and rebalance VMs, logging every decision as a
-//! [`nk_types::ControlEvent`]. [`model`] contains the calibrated
+//! A host step drains until quiescent: every datapath component is polled
+//! through the uniform [`nk_sim::Pollable`] interface in rounds until one
+//! reports no work ([`sched`] documents the structure and holds its
+//! counters), with an inject phase replaying deterministic
+//! [`nk_types::FaultPlan`] schedules ([`faults`]: NSM crash / restart, live
+//! VM migration, link degradation) before the poll rounds and a control
+//! phase closing each step: at every control-epoch boundary the host
+//! samples its [`nk_sim::CorePool`] ledgers and lets the
+//! [`nk_ctrl::ControlPlane`] autoscale NSM / CoreEngine cores and rebalance
+//! VMs, logging every decision as a [`nk_types::ControlEvent`]. [`model`] contains the calibrated
 //! performance model used to regenerate the paper's throughput / RPS /
 //! CPU-overhead figures.
 
@@ -33,4 +34,4 @@ pub use faults::{FaultInjector, FaultStats};
 pub use host::{BaselineVm, ControlTelemetry, NetKernelHost, RemoteHost, VmExport};
 pub use lane::{LaneReport, ShareLane};
 pub use model::{PerfModel, TrafficDirection};
-pub use sched::{SchedPhase, SchedStats, Scheduler};
+pub use sched::SchedStats;

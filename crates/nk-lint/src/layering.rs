@@ -272,10 +272,7 @@ mod tests {
                 "nk-bench",
                 &[
                     "nk-types",
-                    "nk-queue",
-                    "nk-shmem",
                     "nk-sim",
-                    "nk-engine",
                     "nk-host",
                     "nk-cluster",
                     "nk-ctrl",

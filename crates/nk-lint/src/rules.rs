@@ -6,7 +6,7 @@
 //! | id                  | invariant                                          |
 //! |---------------------|----------------------------------------------------|
 //! | `hash-order`        | no hash-ordered containers in datapath crates      |
-//! | `wall-clock`        | no ambient time/randomness outside the bench crate |
+//! | `wall-clock`        | no ambient time/randomness in any workspace crate  |
 //! | `thread-identity`   | thread ids must not feed data paths                |
 //! | `cross-shard-locks` | SPSC edges are the only cross-shard channel        |
 //! | `unsafe-audit`      | every `unsafe` carries an adjacent `// SAFETY:`    |
@@ -46,9 +46,10 @@ pub const LANE_CRATES: &[&str] = &[
     "nk-queue",
 ];
 
-/// Crates exempt from the wall-clock/randomness ban (the bench harness
-/// measures real time by design).
-pub const WALL_CLOCK_EXEMPT: &[&str] = &["nk-bench"];
+/// Crates exempt from the wall-clock/randomness ban: none. The only wall
+/// clock in the repository is `examples/nkbench/src/clock.rs`, which is not
+/// a workspace crate and carries its own file-scoped allow.
+pub const WALL_CLOCK_EXEMPT: &[&str] = &[];
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -273,10 +274,6 @@ const CROSS_SHARD_LOCKS: &[Pattern] = &[
         seq: &["mpsc"],
         display: "mpsc",
     },
-    Pattern {
-        seq: &["parking_lot"],
-        display: "parking_lot",
-    },
 ];
 
 /// Match `pat` against the token stream starting at index `i`. Returns the
@@ -390,7 +387,7 @@ pub fn hash_order(crate_name: &str, file: &SourceFile, findings: &mut Vec<Findin
     );
 }
 
-/// Rule 2: ambient wall-clock time / randomness outside the bench crate.
+/// Rule 2: ambient wall-clock time / randomness.
 pub fn wall_clock(crate_name: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
     if WALL_CLOCK_EXEMPT.contains(&crate_name) {
         return;
@@ -399,8 +396,8 @@ pub fn wall_clock(crate_name: &str, file: &SourceFile, findings: &mut Vec<Findin
         "wall-clock",
         WALL_CLOCK,
         file,
-        "ambient time/entropy makes runs unrepeatable; use the virtual clock \
-         (`nk_sim::Clock`) or the seeded `nk_sim::rng` instead",
+        "ambient time/entropy makes runs unrepeatable; use the virtual time the \
+         step loop passes down (`now_ns`) or the seeded `nk_sim::rng` instead",
         findings,
     );
 }

@@ -72,7 +72,7 @@ fn json_report_carries_findings_and_unsafe_inventory() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let doc = nk_lint::json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
     let findings = doc.get("findings").unwrap().as_arr().unwrap();
-    assert_eq!(findings.len(), 12);
+    assert_eq!(findings.len(), 13);
     assert!(findings.iter().any(|f| {
         f.get("rule").unwrap().as_str() == Some("layering")
             && f.get("key").unwrap().as_str() == Some("upward:nk-host")
@@ -86,7 +86,7 @@ fn json_report_carries_findings_and_unsafe_inventory() {
     let summary = doc.get("summary").unwrap();
     assert_eq!(
         summary.get("findings"),
-        Some(&nk_lint::json::Value::Num(12.0))
+        Some(&nk_lint::json::Value::Num(13.0))
     );
 }
 
@@ -117,7 +117,7 @@ fn write_baseline_then_check_passes() {
     ]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("12 baselined"), "{text}");
+    assert!(text.contains("13 baselined"), "{text}");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

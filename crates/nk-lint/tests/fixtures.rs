@@ -28,6 +28,8 @@ fn violating_fixture_fires_every_rule_at_exact_lines() {
         .map(|f| (f.rule, f.file.as_str(), f.line))
         .collect();
     let expected: Vec<(&str, &str, u32)> = vec![
+        // A crate named `nk-bench` gets no exemption from the wall-clock ban.
+        ("wall-clock", "crates/nk-bench/src/lib.rs", 4),
         ("layering", "crates/nk-engine/Cargo.toml", 5),
         ("layering", "crates/nk-engine/Cargo.toml", 6),
         ("hash-order", "crates/nk-engine/src/lib.rs", 3),
@@ -106,7 +108,7 @@ fn clean_fixture_reports_nothing_and_audits_all_unsafe() {
 #[test]
 fn baseline_round_trip_suppresses_known_findings() {
     let first = check("violating_ws");
-    assert_eq!(first.findings.len(), 12);
+    assert_eq!(first.findings.len(), 13);
 
     let dir = std::env::temp_dir().join(format!("nk-lint-baseline-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -119,7 +121,7 @@ fn baseline_round_trip_suppresses_known_findings() {
     })
     .unwrap();
     assert!(second.findings.is_empty(), "{:?}", second.findings);
-    assert_eq!(second.baselined.len(), 12);
+    assert_eq!(second.baselined.len(), 13);
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

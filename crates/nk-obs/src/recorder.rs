@@ -247,15 +247,6 @@ impl FlightRecorder {
         self.phases.iter()
     }
 
-    /// Phase windows of one VM, capture order.
-    pub fn phases_of(&self, vm: VmId) -> Vec<PhaseWindow> {
-        self.phases
-            .iter()
-            .filter(|w| w.vm == Some(vm))
-            .copied()
-            .collect()
-    }
-
     /// Sealed latency epochs, oldest first.
     pub fn latency_epochs(&self) -> impl Iterator<Item = &EpochLatency> {
         self.epochs.iter()

@@ -133,16 +133,6 @@ impl RequesterEnd {
 }
 
 impl ResponderEnd {
-    /// Pop one request NQE from the job queue.
-    pub fn pop_job(&mut self) -> Option<Nqe> {
-        self.job.pop()
-    }
-
-    /// Pop one request NQE from the send queue.
-    pub fn pop_send(&mut self) -> Option<Nqe> {
-        self.send.pop()
-    }
-
     /// Pop up to `max` request NQEs, draining the job queue before the send
     /// queue; returns how many were popped.
     pub fn pop_requests(&mut self, out: &mut Vec<Nqe>, max: usize) -> usize {

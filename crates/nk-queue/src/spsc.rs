@@ -12,17 +12,22 @@
 //! appears full, and symmetrically for the consumer, so the common case costs
 //! one atomic load and one atomic store per operation.
 
-use crossbeam_utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// Pads and aligns an index to 128 bytes so `head` and `tail` never share a
+/// cache line (nor an adjacent-line prefetch pair on x86_64): the producer's
+/// stores to one must not invalidate the consumer's copy of the other.
+#[repr(align(128))]
+struct CachePadded(AtomicUsize);
+
 struct Inner<T> {
     /// Next slot the producer will write (monotonically increasing).
-    tail: CachePadded<AtomicUsize>,
+    tail: CachePadded,
     /// Next slot the consumer will read (monotonically increasing).
-    head: CachePadded<AtomicUsize>,
+    head: CachePadded,
     /// Ring storage; slot `i % capacity` is owned by the producer when
     /// `head <= i < tail + capacity` and unread data lives in `[head, tail)`.
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
@@ -64,8 +69,8 @@ pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         .collect::<Vec<_>>()
         .into_boxed_slice();
     let inner = Arc::new(Inner {
-        tail: CachePadded::new(AtomicUsize::new(0)),
-        head: CachePadded::new(AtomicUsize::new(0)),
+        tail: CachePadded(AtomicUsize::new(0)),
+        head: CachePadded(AtomicUsize::new(0)),
         buf,
     });
     (
@@ -89,8 +94,8 @@ impl<T> Producer<T> {
     /// Number of elements currently queued (approximate from the producer's
     /// point of view; exact when the consumer is idle).
     pub fn len(&self) -> usize {
-        let tail = self.inner.tail.load(Ordering::Relaxed);
-        let head = self.inner.head.load(Ordering::Acquire);
+        let tail = self.inner.tail.0.load(Ordering::Relaxed);
+        let head = self.inner.head.0.load(Ordering::Acquire);
         tail - head
     }
 
@@ -112,10 +117,10 @@ impl<T> Producer<T> {
     /// Push one element. Returns `Err(value)` when the ring is full, handing
     /// the value back to the caller.
     pub fn push(&mut self, value: T) -> Result<(), T> {
-        let tail = self.inner.tail.load(Ordering::Relaxed);
+        let tail = self.inner.tail.0.load(Ordering::Relaxed);
         if tail - self.cached_head == self.capacity() {
             // Looks full; refresh the cached head and re-check.
-            self.cached_head = self.inner.head.load(Ordering::Acquire);
+            self.cached_head = self.inner.head.0.load(Ordering::Acquire);
             if tail - self.cached_head == self.capacity() {
                 return Err(value);
             }
@@ -125,7 +130,7 @@ impl<T> Producer<T> {
         // until the Release store below publishes it; the consumer will not
         // read it before observing the new tail.
         unsafe { (*slot.get()).write(value) };
-        self.inner.tail.store(tail + 1, Ordering::Release);
+        self.inner.tail.0.store(tail + 1, Ordering::Release);
         Ok(())
     }
 
@@ -153,8 +158,8 @@ impl<T> Consumer<T> {
     /// Number of elements currently queued (approximate from the consumer's
     /// point of view).
     pub fn len(&self) -> usize {
-        let tail = self.inner.tail.load(Ordering::Acquire);
-        let head = self.inner.head.load(Ordering::Relaxed);
+        let tail = self.inner.tail.0.load(Ordering::Acquire);
+        let head = self.inner.head.0.load(Ordering::Relaxed);
         tail - head
     }
 
@@ -165,10 +170,10 @@ impl<T> Consumer<T> {
 
     /// Pop one element, or `None` when the ring is empty.
     pub fn pop(&mut self) -> Option<T> {
-        let head = self.inner.head.load(Ordering::Relaxed);
+        let head = self.inner.head.0.load(Ordering::Relaxed);
         if head == self.cached_tail {
             // Looks empty; refresh the cached tail and re-check.
-            self.cached_tail = self.inner.tail.load(Ordering::Acquire);
+            self.cached_tail = self.inner.tail.0.load(Ordering::Acquire);
             if head == self.cached_tail {
                 return None;
             }
@@ -177,15 +182,15 @@ impl<T> Consumer<T> {
         // SAFETY: `head < tail`, so the producer has fully initialised this
         // slot and will not touch it again until we publish `head + 1`.
         let value = unsafe { (*slot.get()).assume_init_read() };
-        self.inner.head.store(head + 1, Ordering::Release);
+        self.inner.head.0.store(head + 1, Ordering::Release);
         Some(value)
     }
 
     /// Look at the next element without consuming it.
     pub fn peek(&mut self) -> Option<&T> {
-        let head = self.inner.head.load(Ordering::Relaxed);
+        let head = self.inner.head.0.load(Ordering::Relaxed);
         if head == self.cached_tail {
-            self.cached_tail = self.inner.tail.load(Ordering::Acquire);
+            self.cached_tail = self.inner.tail.0.load(Ordering::Acquire);
             if head == self.cached_tail {
                 return None;
             }

@@ -687,11 +687,6 @@ impl Nsm {
         self.service.stats()
     }
 
-    /// Stack statistics.
-    pub fn stack_stats(&self) -> nk_netstack::stack::StackStats {
-        self.stack.stats()
-    }
-
     /// Borrow the underlying stack (used by tests and the host).
     pub fn stack_mut(&mut self) -> &mut TcpStack {
         &mut self.stack

@@ -11,10 +11,9 @@
 
 use nk_types::constants::HUGEPAGE_SIZE;
 use nk_types::{DataHandle, NkError, NkResult};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Allocation granularity: chunks are rounded up to one cache line so
 /// adjacent payloads never share a line (false sharing would defeat the
@@ -110,6 +109,13 @@ fn round_up(len: usize) -> usize {
     len.div_ceil(ALIGN) * ALIGN
 }
 
+/// Lock without honouring poison: a panic under either mutex (a failed
+/// bounds assertion in a caller's closure) leaves the bytes and the
+/// allocator maps as valid as they were, so the next borrower proceeds.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 struct Inner {
     data: Mutex<Box<[u8]>>,
     alloc: Mutex<Allocator>,
@@ -154,7 +160,7 @@ impl HugepageRegion {
         if len > self.inner.capacity {
             return Err(NkError::OutOfHugepages);
         }
-        let mut a = self.inner.alloc.lock();
+        let mut a = lock(&self.inner.alloc);
         a.alloc(len)
             .map(|off| DataHandle::from_offset(off as u64))
             .ok_or(NkError::OutOfHugepages)
@@ -165,7 +171,7 @@ impl HugepageRegion {
         if handle.is_null() {
             return Err(NkError::NotFound);
         }
-        self.inner.alloc.lock().free(handle.offset() as usize)?;
+        lock(&self.inner.alloc).free(handle.offset() as usize)?;
         Ok(())
     }
 
@@ -174,10 +180,7 @@ impl HugepageRegion {
     /// chunk's end → `InvalidState`.
     fn span(&self, handle: DataHandle, skip: usize, len: usize) -> NkResult<Range<usize>> {
         let off = handle.offset() as usize;
-        let chunk_len = *self
-            .inner
-            .alloc
-            .lock()
+        let chunk_len = *lock(&self.inner.alloc)
             .live
             .get(&off)
             .ok_or(NkError::NotFound)?;
@@ -204,7 +207,7 @@ impl HugepageRegion {
     /// without re-reading the chunk's head.
     pub fn read_at(&self, handle: DataHandle, offset: usize, out: &mut [u8]) -> NkResult<()> {
         let span = self.span(handle, offset, out.len())?;
-        out.copy_from_slice(&self.inner.data.lock()[span]);
+        out.copy_from_slice(&lock(&self.inner.data)[span]);
         Ok(())
     }
 
@@ -219,7 +222,7 @@ impl HugepageRegion {
         f: impl FnOnce(&[u8]) -> R,
     ) -> NkResult<R> {
         let span = self.span(handle, 0, len)?;
-        Ok(f(&self.inner.data.lock()[span]))
+        Ok(f(&lock(&self.inner.data)[span]))
     }
 
     /// Mutable counterpart of [`HugepageRegion::with_chunk`]: `f` fills the
@@ -231,7 +234,7 @@ impl HugepageRegion {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> NkResult<R> {
         let span = self.span(handle, 0, len)?;
-        Ok(f(&mut self.inner.data.lock()[span]))
+        Ok(f(&mut lock(&self.inner.data)[span]))
     }
 
     /// Allocate a chunk, copy `data` into it and return the handle — the
@@ -261,17 +264,17 @@ impl HugepageRegion {
         let src_span = self.span(src, 0, len)?;
         let dst_span = dst_region.span(dst, 0, len)?;
         if Arc::ptr_eq(&self.inner, &dst_region.inner) {
-            self.inner.data.lock().copy_within(src_span, dst_span.start);
+            lock(&self.inner.data).copy_within(src_span, dst_span.start);
             return Ok(());
         }
         // Address order, whichever way the copy runs (see the file note).
         let (src_data, mut dst_data);
         if Arc::as_ptr(&self.inner) < Arc::as_ptr(&dst_region.inner) {
-            src_data = self.inner.data.lock();
-            dst_data = dst_region.inner.data.lock();
+            src_data = lock(&self.inner.data);
+            dst_data = lock(&dst_region.inner.data);
         } else {
-            dst_data = dst_region.inner.data.lock();
-            src_data = self.inner.data.lock();
+            dst_data = lock(&dst_region.inner.data);
+            src_data = lock(&self.inner.data);
         }
         dst_data[dst_span].copy_from_slice(&src_data[src_span]);
         Ok(())
@@ -279,7 +282,7 @@ impl HugepageRegion {
 
     /// Current statistics.
     pub fn stats(&self) -> RegionStats {
-        let a = self.inner.alloc.lock();
+        let a = lock(&self.inner.alloc);
         RegionStats {
             capacity: self.inner.capacity,
             used: a.used,
@@ -291,7 +294,7 @@ impl HugepageRegion {
 
     /// Bytes currently available for allocation.
     pub fn available(&self) -> usize {
-        let a = self.inner.alloc.lock();
+        let a = lock(&self.inner.alloc);
         self.inner.capacity - a.used
     }
 }

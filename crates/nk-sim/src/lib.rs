@@ -5,8 +5,6 @@
 //! deterministic, discrete-time model so every figure and table can be
 //! regenerated on any machine:
 //!
-//! * [`clock`] — a virtual clock in nanoseconds and the step-driven
-//!   simulation loop helpers;
 //! * [`cores`] — per-core cycle accounting: each vCPU contributes a cycle
 //!   budget per step, components charge their work against it, and
 //!   utilisation/overhead metrics (paper Tables 6 and 7) fall out of the
@@ -25,7 +23,6 @@
 //! * [`histogram`] — a logarithmic-bucket latency histogram (paper Table 5).
 
 pub mod bucket;
-pub mod clock;
 pub mod cores;
 pub mod cost;
 pub mod histogram;
@@ -34,7 +31,6 @@ pub mod record;
 pub mod rng;
 
 pub use bucket::TokenBucket;
-pub use clock::{Clock, NANOS_PER_SEC};
 pub use cores::{CorePool, CoreSet, CycleLedger, PoolMember};
 pub use cost::CostModel;
 pub use histogram::Histogram;

@@ -3,10 +3,9 @@
 //! Every active component of a NetKernel host — the CoreEngine NQE switch,
 //! the NSMs, remote peer stacks, the virtual switch — advances by being
 //! polled with the current virtual time and reports how much work it did.
-//! The host's scheduler drives all of them through this one trait instead of
-//! hard-coding a sweep order, so scheduling policy (rounds, quiescence
-//! detection, fairness) lives in one place and components stay oblivious to
-//! each other.
+//! The host's step loop drives all of them through this one trait, so
+//! scheduling policy (rounds, quiescence detection) lives in one place and
+//! components stay oblivious to each other.
 
 /// A component of the host datapath that can be driven by polling.
 pub trait Pollable {
@@ -14,44 +13,7 @@ pub trait Pollable {
     /// that is ready (switching NQEs, running protocol state machines,
     /// moving frames). Returns the number of work items processed — NQEs,
     /// segments or frames — with `0` meaning the component is quiescent at
-    /// this instant. A scheduler may poll again within the same instant as
+    /// this instant. The caller may poll again within the same instant as
     /// long as work keeps being reported.
     fn poll(&mut self, now_ns: u64) -> usize;
-}
-
-/// Poll every component once, in order. Returns the total work reported.
-///
-/// This is one scheduler *round*; see `nk-host`'s scheduler for the
-/// drain-until-quiescent loop built on top of it.
-pub fn poll_round(parts: &mut [&mut dyn Pollable], now_ns: u64) -> usize {
-    parts.iter_mut().map(|p| p.poll(now_ns)).sum()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Countdown(usize);
-
-    impl Pollable for Countdown {
-        fn poll(&mut self, _now_ns: u64) -> usize {
-            if self.0 == 0 {
-                0
-            } else {
-                self.0 -= 1;
-                1
-            }
-        }
-    }
-
-    #[test]
-    fn poll_round_sums_work_across_components() {
-        let mut a = Countdown(2);
-        let mut b = Countdown(0);
-        let mut c = Countdown(1);
-        let mut parts: Vec<&mut dyn Pollable> = vec![&mut a, &mut b, &mut c];
-        assert_eq!(poll_round(&mut parts, 0), 2);
-        assert_eq!(poll_round(&mut parts, 0), 1);
-        assert_eq!(poll_round(&mut parts, 0), 0);
-    }
 }

@@ -155,7 +155,7 @@ impl ClusterPolicy {
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ObsConfig {
     /// Capture anything at all. `false` turns every hook into a no-op (the
-    /// overhead-comparison baseline of the `obs01` experiment).
+    /// overhead-comparison baseline of nkbench's `obs.idle_step_overhead_us`).
     pub enabled: bool,
     /// Event-ring capacity: the newest `event_capacity` cluster / control /
     /// plan / fault events are retained.

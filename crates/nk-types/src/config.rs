@@ -84,12 +84,6 @@ impl VmConfig {
         self.tenant = tenant;
         self
     }
-
-    /// Cap the VM's egress bandwidth (builder style).
-    pub fn with_rate_limit_gbps(mut self, gbps: f64) -> Self {
-        self.rate_limit_gbps = Some(gbps);
-        self
-    }
 }
 
 /// Configuration of one Network Stack Module.
@@ -155,12 +149,6 @@ impl NsmConfig {
         self.cc = cc;
         self
     }
-
-    /// Set the vNIC rate in Gbps (builder style).
-    pub fn with_nic_rate_gbps(mut self, gbps: f64) -> Self {
-        self.nic_rate_gbps = gbps;
-        self
-    }
 }
 
 /// How CoreEngine arbitrates between VMs sharing NSMs (§4.4, §7.6).
@@ -215,7 +203,7 @@ pub struct HostConfig {
     pub batch_size: usize,
     /// Capacity of each lockless queue, in NQEs.
     pub queue_capacity: usize,
-    /// Upper bound on scheduler rounds per host step. Each round polls every
+    /// Upper bound on poll rounds per host step. Each round polls every
     /// datapath component once; the step ends early as soon as a full round
     /// reports no work.
     pub max_poll_rounds: usize,
@@ -272,13 +260,7 @@ impl HostConfig {
         self
     }
 
-    /// Set the isolation policy (builder style).
-    pub fn with_isolation(mut self, isolation: IsolationPolicy) -> Self {
-        self.isolation = isolation;
-        self
-    }
-
-    /// Bound the scheduler rounds per host step (builder style).
+    /// Bound the poll rounds per host step (builder style).
     pub fn with_max_poll_rounds(mut self, rounds: usize) -> Self {
         self.max_poll_rounds = rounds;
         self

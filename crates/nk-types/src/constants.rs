@@ -37,10 +37,6 @@ pub const MTU: usize = 1500;
 /// TCP maximum segment size corresponding to [`MTU`] (IPv4 + TCP headers).
 pub const MSS: usize = 1460;
 
-/// Interrupt-driven polling window of the guest NK device, in microseconds:
-/// the device polls for this long before arming an interrupt (§4.6).
-pub const GUEST_POLL_WINDOW_US: u64 = 20;
-
 /// Default per-socket send buffer budget in bytes (matches a common Linux
 /// `wmem_default`-style sizing of 256 KB).
 pub const DEFAULT_SEND_BUF: usize = 256 * 1024;

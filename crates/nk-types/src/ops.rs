@@ -187,25 +187,9 @@ impl OpResult {
         }
     }
 
-    /// Convert to a `Result<(), NkError>`.
-    pub fn into_result(self) -> Result<(), NkError> {
-        match self {
-            OpResult::Ok => Ok(()),
-            OpResult::Err(e) => Err(e),
-        }
-    }
-
     /// True when the operation succeeded.
     pub fn is_ok(self) -> bool {
         matches!(self, OpResult::Ok)
-    }
-
-    /// Build an [`OpResult`] from a `Result`.
-    pub fn from_result<T>(r: &Result<T, NkError>) -> OpResult {
-        match r {
-            Ok(_) => OpResult::Ok,
-            Err(e) => OpResult::Err(*e),
-        }
     }
 }
 

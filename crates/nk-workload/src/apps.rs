@@ -5,9 +5,311 @@
 //! NetKernel guest (GuestLib) and inside a baseline VM (in-guest stack), and
 //! switching the NSM under a NetKernel guest requires no change at all
 //! (use case 3, §6.3).
+//!
+//! [`VerifiedStream`] and [`echo_all`] are the one traffic driver every
+//! scenario runner in this crate streams through: a stop-and-wait client
+//! that checks each echoed byte against its seeded payload, and the echo
+//! step of the server it talks to. The runners only decide *which* socket
+//! API to hand them (a host's guest, a cluster tenant's current home) and
+//! when. [`EchoServer`] and [`ClosedLoopClient`] are the epoll-shaped pair.
 
-use nk_types::{NkError, NkResult, PollEvents, SockAddr, SocketApi, SocketId};
+use crate::scenario::seeded_payload;
+use nk_netstack::TcpStack;
+use nk_types::{NkError, NkResult, PollEvents, SockAddr, SocketApi, SocketId, VmId};
 use std::collections::BTreeSet;
+
+/// One tenant's offered load: what its [`VerifiedStream`] transfers, from
+/// when, and how often it reopens its connection.
+#[derive(Clone, Debug)]
+pub struct BurstyClient {
+    /// The VM the client runs in.
+    pub vm: VmId,
+    /// Virtual time at which the tenant starts transferring.
+    pub start_ns: u64,
+    /// Bytes the tenant must deliver (and see echoed) end to end.
+    pub total_bytes: usize,
+    /// Stop-and-wait chunk size.
+    pub chunk: usize,
+    /// Chunks transferred per connection before the client opens a fresh
+    /// one (short-connection behaviour; migrations take effect at these
+    /// rotation points). `0` keeps one connection for the whole transfer.
+    pub chunks_per_conn: usize,
+}
+
+impl BurstyClient {
+    /// A 64 KiB transfer starting at `start_ns`, reconnecting every four
+    /// chunks.
+    pub fn new(vm: VmId, start_ns: u64) -> Self {
+        BurstyClient {
+            vm,
+            start_ns,
+            total_bytes: 64 * 1024,
+            chunk: 2048,
+            chunks_per_conn: 4,
+        }
+    }
+
+    /// Set the transfer size (builder style).
+    pub fn with_total_bytes(mut self, bytes: usize) -> Self {
+        self.total_bytes = bytes;
+        self
+    }
+
+    /// Keep one connection for the whole transfer (builder style). A
+    /// long-lived connection never reaches a rotation point, so a *drained*
+    /// migration would stall until the transfer ends — the scenario warm
+    /// migration exists for.
+    pub fn long_lived(mut self) -> Self {
+        self.chunks_per_conn = 0;
+        self
+    }
+}
+
+/// A reliable stop-and-wait transfer client: streams a seeded payload chunk
+/// by chunk, verifies every echoed byte against it, and transparently
+/// reconnects — retransmitting the chunk from its start — whenever the
+/// infrastructure fails underneath the socket.
+pub struct VerifiedStream {
+    spec: BurstyClient,
+    server: SockAddr,
+    payload: Vec<u8>,
+    sock: Option<SocketId>,
+    established: bool,
+    /// Bytes fully delivered, echoed and verified.
+    off: usize,
+    /// Bytes of the current chunk handed to `send` on this connection.
+    sent_in_chunk: usize,
+    /// Bytes of the current chunk echoed back and verified.
+    acked_in_chunk: usize,
+    chunks_on_conn: usize,
+    /// Socket errors observed (resets, refused NSMs).
+    pub errors_observed: u64,
+    /// Reconnects forced by errors (scheduled rotations are not counted).
+    pub reconnects: u64,
+}
+
+impl VerifiedStream {
+    /// A client for `spec` streaming `seeded_payload(payload_seed, ..)` to
+    /// `server`.
+    pub fn new(spec: BurstyClient, payload_seed: u64, server: SockAddr) -> Self {
+        VerifiedStream {
+            payload: seeded_payload(payload_seed, spec.total_bytes),
+            spec,
+            server,
+            sock: None,
+            established: false,
+            off: 0,
+            sent_in_chunk: 0,
+            acked_in_chunk: 0,
+            chunks_on_conn: 0,
+            errors_observed: 0,
+            reconnects: 0,
+        }
+    }
+
+    /// One client per tenant of a multi-tenant run, each with its own
+    /// payload derived from the run's seed and the tenant's VM id.
+    pub(crate) fn for_tenants(specs: &[BurstyClient], seed: u64, server: SockAddr) -> Vec<Self> {
+        let tenant_seed = |vm: VmId| seed ^ (vm.raw() as u64).wrapping_mul(0x9E37_79B9);
+        specs
+            .iter()
+            .map(|spec| VerifiedStream::new(spec.clone(), tenant_seed(spec.vm), server))
+            .collect()
+    }
+
+    /// The offered load this client was built from.
+    pub fn spec(&self) -> &BurstyClient {
+        &self.spec
+    }
+
+    /// Bytes echoed back and verified so far.
+    pub fn bytes_verified(&self) -> u64 {
+        self.off as u64
+    }
+
+    /// True once every byte was delivered, echoed and verified.
+    pub fn done(&self) -> bool {
+        self.off >= self.spec.total_bytes
+    }
+
+    /// The current connection, if one is open.
+    pub fn socket(&self) -> Option<SocketId> {
+        self.sock
+    }
+
+    /// Forget the current connection without closing it: the socket API it
+    /// was opened on no longer exists. The next [`VerifiedStream::poll`]
+    /// reopens and retransmits the chunk.
+    pub fn abandon_socket(&mut self) {
+        self.sock = None;
+        self.established = false;
+    }
+
+    /// Close the current connection, if any (end-of-run settling).
+    pub fn close(&mut self, api: &mut dyn SocketApi) {
+        if let Some(sock) = self.sock.take() {
+            let _ = api.close(sock);
+        }
+    }
+
+    /// One client iteration on the socket API the connection lives on:
+    /// (re)connect if needed, push the rest of the current chunk, verify
+    /// echoed bytes, rotate the connection every `chunks_per_conn` chunks.
+    ///
+    /// Panics when the server echoes a byte that differs from the payload.
+    pub fn poll(&mut self, api: &mut dyn SocketApi) {
+        let vm = self.spec.vm;
+        let chunk_len = self.spec.chunk.min(self.spec.total_bytes - self.off);
+        let Some(sock) = self.sock else {
+            // (Re)open: a fresh socket and an async connect. A chunk is
+            // always retransmitted from its start on a new connection.
+            if let Ok(s) = api.socket() {
+                if api.connect(s, self.server).is_ok() {
+                    self.sock = Some(s);
+                    self.established = false;
+                    self.sent_in_chunk = 0;
+                    self.acked_in_chunk = 0;
+                    self.chunks_on_conn = 0;
+                } else {
+                    let _ = api.close(s);
+                }
+            }
+            return;
+        };
+
+        let ev = api.poll(sock);
+        if ev.error() || ev.hup() {
+            // The infrastructure failed underneath the socket (NSM crash →
+            // ConnReset, dead mapping → NsmUnavailable). Drop the connection
+            // and retry the whole chunk through whatever NSM now serves us.
+            self.errors_observed += 1;
+            self.reconnects += 1;
+            let _ = api.close(sock);
+            self.abandon_socket();
+            return;
+        }
+        if !self.established {
+            if !ev.writable() {
+                return; // handshake still in flight
+            }
+            self.established = true;
+        }
+        // Push the rest of the current chunk (partial sends are fine: the
+        // send budget throttles us under backpressure).
+        if self.sent_in_chunk < chunk_len {
+            let from = self.off + self.sent_in_chunk;
+            let to = self.off + chunk_len;
+            match api.send(sock, &self.payload[from..to]) {
+                Ok(n) => self.sent_in_chunk += n,
+                Err(NkError::WouldBlock) => {}
+                Err(_) => return, // surfaced via poll() next iteration
+            }
+        }
+        // Verify whatever the server has echoed so far.
+        let mut buf = [0u8; 4096];
+        while let Ok(n @ 1..) = api.recv(sock, &mut buf) {
+            let at = self.off + self.acked_in_chunk;
+            assert!(
+                at + n <= self.off + chunk_len,
+                "{vm:?}: server echoed {} bytes past the outstanding chunk",
+                at + n - (self.off + chunk_len),
+            );
+            assert_eq!(
+                &buf[..n],
+                &self.payload[at..at + n],
+                "{vm:?}: echoed bytes diverge from the payload at offset {at}",
+            );
+            self.acked_in_chunk += n;
+        }
+        if self.acked_in_chunk == chunk_len && chunk_len > 0 {
+            // Chunk fully delivered and verified: advance on the same
+            // connection.
+            self.off += chunk_len;
+            self.sent_in_chunk = 0;
+            self.acked_in_chunk = 0;
+            self.chunks_on_conn += 1;
+            let per_conn = self.spec.chunks_per_conn;
+            if per_conn > 0 && self.chunks_on_conn >= per_conn {
+                // Rotation point: close here, reopen on the next iteration
+                // through whatever serves the VM by then — this is how a
+                // live or drained migration takes effect mid-transfer.
+                let _ = api.close(sock);
+                self.abandon_socket();
+            }
+        }
+    }
+}
+
+/// The four calls [`echo_all`] makes. A remote peer is a bare [`TcpStack`]
+/// (it has no guest clock to `connect` with, so it is not a [`SocketApi`]);
+/// every other server side is reached as `dyn SocketApi`.
+pub trait EchoApi {
+    /// See [`SocketApi::accept`].
+    fn accept(&mut self, listener: SocketId) -> NkResult<(SocketId, SockAddr)>;
+    /// See [`SocketApi::recv`].
+    fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize>;
+    /// See [`SocketApi::send`].
+    fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize>;
+    /// See [`SocketApi::close`].
+    fn close(&mut self, sock: SocketId) -> NkResult<()>;
+}
+
+impl EchoApi for TcpStack {
+    fn accept(&mut self, listener: SocketId) -> NkResult<(SocketId, SockAddr)> {
+        TcpStack::accept(self, listener)
+    }
+    fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
+        TcpStack::recv(self, sock, buf)
+    }
+    fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize> {
+        TcpStack::send(self, sock, data)
+    }
+    fn close(&mut self, sock: SocketId) -> NkResult<()> {
+        TcpStack::close(self, sock)
+    }
+}
+
+impl EchoApi for dyn SocketApi + '_ {
+    fn accept(&mut self, listener: SocketId) -> NkResult<(SocketId, SockAddr)> {
+        SocketApi::accept(self, listener)
+    }
+    fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
+        SocketApi::recv(self, sock, buf)
+    }
+    fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize> {
+        SocketApi::send(self, sock, data)
+    }
+    fn close(&mut self, sock: SocketId) -> NkResult<()> {
+        SocketApi::close(self, sock)
+    }
+}
+
+/// One echo-server step: accept everything pending on `listener` into
+/// `conns`, then per connection echo whatever can be read until the socket
+/// would block; a connection the peer closed (or that failed) is closed and
+/// dropped from `conns`.
+pub fn echo_all<A: EchoApi + ?Sized>(
+    api: &mut A,
+    listener: SocketId,
+    conns: &mut Vec<SocketId>,
+    buf: &mut [u8],
+) {
+    while let Ok((conn, _)) = api.accept(listener) {
+        conns.push(conn);
+    }
+    conns.retain(|&conn| loop {
+        match api.recv(conn, buf) {
+            Ok(n @ 1..) => {
+                let _ = api.send(conn, &buf[..n]);
+            }
+            Err(NkError::WouldBlock) => break true,
+            Ok(0) | Err(_) => {
+                let _ = api.close(conn);
+                break false;
+            }
+        }
+    });
+}
 
 /// An epoll-driven echo server: accepts connections, reads requests and
 /// echoes them back — the shape of the multi-threaded epoll servers used
@@ -212,5 +514,81 @@ mod tests {
         );
         assert!(server.requests >= 20);
         assert_eq!(client.bytes_received, client.completed * 64);
+    }
+
+    /// Drive one fresh 32 KiB stream (a new connection every four chunks)
+    /// with `iterate` until it completes; `iterate` owns the world the
+    /// stream runs over.
+    fn stream_through(mut iterate: impl FnMut(&mut VerifiedStream)) -> VerifiedStream {
+        let spec = BurstyClient::new(VmId(1), 0).with_total_bytes(32 * 1024);
+        let mut stream = VerifiedStream::new(spec, 42, SockAddr::new(SERVER_IP, 7));
+        for _ in 0..2_000 {
+            if stream.done() {
+                break;
+            }
+            iterate(&mut stream);
+        }
+        stream
+    }
+
+    const SERVER_IP: u32 = 0x0A00_0500;
+
+    /// The paper's "no code change" (use case 3): the same client and the
+    /// same echo step, unchanged, over a kernel-stack NSM, an mTCP NSM and
+    /// the baseline in-guest stack.
+    #[test]
+    fn the_same_stream_and_echo_run_unchanged_over_every_stack() {
+        use nk_host::NetKernelHost;
+        use nk_types::{HostConfig, NsmConfig, NsmId, VmConfig, VmToNsmPolicy};
+
+        let over_nsm = |nsm: NsmConfig| {
+            let cfg = HostConfig::new()
+                .with_vm(VmConfig::new(VmId(1)))
+                .with_nsm(nsm)
+                .with_mapping(VmToNsmPolicy::All(NsmId(1)));
+            let mut host = NetKernelHost::new(cfg).unwrap();
+            let remote = host.add_remote(SERVER_IP);
+            let listener = remote.socket();
+            remote.bind(listener, SockAddr::new(0, 7)).unwrap();
+            remote.listen(listener, 64).unwrap();
+            let (mut conns, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
+            stream_through(|stream| {
+                stream.poll(host.guest_mut(VmId(1)).unwrap());
+                host.step(100_000);
+                let remote = host.remote_mut(SERVER_IP).unwrap();
+                echo_all(remote, listener, &mut conns, &mut buf);
+            })
+        };
+        let kernel = over_nsm(NsmConfig::kernel(NsmId(1)));
+        let mtcp = over_nsm(NsmConfig::mtcp(NsmId(1)));
+
+        let mut switch = VirtualSwitch::new();
+        let mut server_vm = BaselineVm::new(SERVER_IP, &mut switch);
+        let mut client_vm = BaselineVm::new(0x0A00_0600, &mut switch);
+        let server: &mut dyn SocketApi = &mut server_vm;
+        let listener = server.socket().unwrap();
+        server.bind(listener, SockAddr::new(0, 7)).unwrap();
+        server.listen(listener, 64).unwrap();
+        let (mut conns, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
+        let mut now = 0;
+        let baseline = stream_through(|stream| {
+            stream.poll(&mut client_vm);
+            now += 100_000;
+            client_vm.step(now);
+            server_vm.step(now);
+            switch.step(now);
+            let server: &mut dyn SocketApi = &mut server_vm;
+            echo_all(server, listener, &mut conns, &mut buf);
+        });
+
+        for (stack, stream) in [("kernel", kernel), ("mtcp", mtcp), ("baseline", baseline)] {
+            assert!(stream.done(), "{stack}: transfer did not complete");
+            assert_eq!(stream.bytes_verified(), 32 * 1024, "{stack}");
+            assert_eq!(
+                (stream.errors_observed, stream.reconnects),
+                (0, 0),
+                "{stack}"
+            );
+        }
     }
 }

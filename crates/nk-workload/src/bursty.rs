@@ -17,48 +17,12 @@
 
 use nk_host::sched::SchedStats;
 use nk_host::{ControlTelemetry, NetKernelHost};
-use nk_types::{
-    ControlEvent, HostConfig, NkError, NkResult, NsmId, SockAddr, SocketApi, SocketId, VmId,
-};
+use nk_types::{ControlEvent, HostConfig, NkResult, NsmId, SockAddr, SocketId, VmId};
 use std::collections::BTreeMap;
 
-use crate::scenario::seeded_payload;
-
-/// One tenant's offered load.
-#[derive(Clone, Debug)]
-pub struct BurstyClient {
-    /// The VM the client runs in.
-    pub vm: VmId,
-    /// Virtual time at which the tenant starts transferring.
-    pub start_ns: u64,
-    /// Bytes the tenant must deliver (and see echoed) end to end.
-    pub total_bytes: usize,
-    /// Stop-and-wait chunk size.
-    pub chunk: usize,
-    /// Chunks transferred per connection before the client opens a fresh
-    /// one (short-connection behaviour; live migration moves these).
-    pub chunks_per_conn: usize,
-}
-
-impl BurstyClient {
-    /// A 64 KiB transfer starting at `start_ns`, reconnecting every four
-    /// chunks.
-    pub fn new(vm: VmId, start_ns: u64) -> Self {
-        BurstyClient {
-            vm,
-            start_ns,
-            total_bytes: 64 * 1024,
-            chunk: 2048,
-            chunks_per_conn: 4,
-        }
-    }
-
-    /// Set the transfer size (builder style).
-    pub fn with_total_bytes(mut self, bytes: usize) -> Self {
-        self.total_bytes = bytes;
-        self
-    }
-}
+pub use crate::apps::BurstyClient;
+use crate::apps::{echo_all, VerifiedStream};
+use crate::scenario::check_sched;
 
 /// Configuration of one bursty multi-tenant run.
 #[derive(Clone, Debug)]
@@ -142,27 +106,6 @@ pub struct BurstyReport {
     pub sched: SchedStats,
 }
 
-/// Per-client transfer state (the same stop-and-wait machine as the fault
-/// scenario, plus scheduled reconnects).
-struct ClientState {
-    spec: BurstyClient,
-    payload: Vec<u8>,
-    sock: Option<SocketId>,
-    established: bool,
-    off: usize,
-    sent_in_chunk: usize,
-    acked_in_chunk: usize,
-    chunks_on_conn: usize,
-    errors_observed: u64,
-    reconnects: u64,
-}
-
-impl ClientState {
-    fn done(&self) -> bool {
-        self.off >= self.spec.total_bytes
-    }
-}
-
 /// A runnable bursty scenario (see the module docs).
 pub struct BurstyScenario {
     cfg: BurstyConfig,
@@ -189,72 +132,49 @@ impl BurstyScenario {
         let mut server_conns: Vec<SocketId> = Vec::new();
         let mut echo_buf = vec![0u8; 16 * 1024];
 
-        let mut clients: Vec<ClientState> = cfg
-            .clients
-            .iter()
-            .map(|spec| ClientState {
-                payload: seeded_payload(
-                    cfg.seed ^ (spec.vm.raw() as u64).wrapping_mul(0x9E37_79B9),
-                    spec.total_bytes,
-                ),
-                spec: spec.clone(),
-                sock: None,
-                established: false,
-                off: 0,
-                sent_in_chunk: 0,
-                acked_in_chunk: 0,
-                chunks_on_conn: 0,
-                errors_observed: 0,
-                reconnects: 0,
-            })
-            .collect();
+        let server = SockAddr::new(cfg.server_ip, cfg.server_port);
+        let mut clients = VerifiedStream::for_tenants(&cfg.clients, cfg.seed, server);
 
         let mut steps = 0u64;
         let mut drained = 0usize;
         while (steps as usize) < cfg.max_steps {
-            let all_done = clients.iter().all(ClientState::done);
-            if all_done {
+            if clients.iter().all(VerifiedStream::done) {
                 if drained >= cfg.drain_steps {
                     break;
                 }
                 drained += 1;
             }
             let now = host.now_ns();
-            let server = SockAddr::new(cfg.server_ip, cfg.server_port);
             for c in clients.iter_mut() {
-                if now >= c.spec.start_ns && !c.done() {
-                    Self::drive_client(&mut host, c, server);
+                if now >= c.spec().start_ns && !c.done() {
+                    if let Some(g) = host.guest_mut(c.spec().vm) {
+                        c.poll(g);
+                    }
                 }
             }
             host.step(cfg.dt_ns);
-            Self::drive_server(
-                &mut host,
-                cfg.server_ip,
-                listener,
-                &mut server_conns,
-                &mut echo_buf,
-            );
+            if let Some(remote) = host.remote_mut(cfg.server_ip) {
+                echo_all(remote, listener, &mut server_conns, &mut echo_buf);
+            }
             steps += 1;
             if steps.is_multiple_of(64) {
-                Self::check_sched(&host);
+                check_sched(&host);
             }
         }
-        let completed = clients.iter().all(ClientState::done);
+        let completed = clients.iter().all(VerifiedStream::done);
 
         // Settle and check conservation per tenant at quiescence.
         for c in clients.iter_mut() {
-            if let Some(s) = c.sock.take() {
-                if let Some(g) = host.guest_mut(c.spec.vm) {
-                    let _ = g.close(s);
-                }
+            if let Some(g) = host.guest_mut(c.spec().vm) {
+                c.close(g);
             }
         }
         for _ in 0..50 {
             host.step(cfg.dt_ns);
         }
-        Self::check_sched(&host);
+        check_sched(&host);
         for c in &clients {
-            Self::check_conservation(&mut host, c.spec.vm);
+            Self::check_conservation(&mut host, c.spec().vm);
         }
 
         let final_nsm_cores = cfg
@@ -272,7 +192,7 @@ impl BurstyScenario {
         Ok(BurstyReport {
             completed,
             steps,
-            bytes_verified: clients.iter().map(|c| c.off as u64).sum(),
+            bytes_verified: clients.iter().map(VerifiedStream::bytes_verified).sum(),
             errors_observed: clients.iter().map(|c| c.errors_observed).sum(),
             reconnects: clients.iter().map(|c| c.reconnects).sum(),
             control: host.control_events().to_vec(),
@@ -283,132 +203,6 @@ impl BurstyScenario {
             engine: host.engine_stats(),
             sched: host.sched_stats(),
         })
-    }
-
-    /// One client iteration: (re)connect if needed, push the current chunk,
-    /// verify echoed bytes, rotate the connection every few chunks.
-    fn drive_client(host: &mut NetKernelHost, c: &mut ClientState, server: SockAddr) {
-        let chunk_len = c.spec.chunk.min(c.spec.total_bytes - c.off);
-        let Some(g) = host.guest_mut(c.spec.vm) else {
-            return;
-        };
-        let Some(sock) = c.sock else {
-            if let Ok(s) = g.socket() {
-                if g.connect(s, server).is_ok() {
-                    c.sock = Some(s);
-                    c.established = false;
-                    c.sent_in_chunk = 0;
-                    c.acked_in_chunk = 0;
-                    c.chunks_on_conn = 0;
-                } else {
-                    let _ = g.close(s);
-                }
-            }
-            return;
-        };
-
-        let ev = g.poll(sock);
-        if ev.error() || ev.hup() {
-            c.errors_observed += 1;
-            c.reconnects += 1;
-            let _ = g.close(sock);
-            c.sock = None;
-            c.established = false;
-            return;
-        }
-        if !c.established {
-            if ev.writable() {
-                c.established = true;
-            } else {
-                return;
-            }
-        }
-        if c.sent_in_chunk < chunk_len {
-            let from = c.off + c.sent_in_chunk;
-            let to = c.off + chunk_len;
-            match g.send(sock, &c.payload[from..to]) {
-                Ok(n) => c.sent_in_chunk += n,
-                Err(NkError::WouldBlock) => {}
-                Err(_) => return,
-            }
-        }
-        let mut buf = [0u8; 4096];
-        loop {
-            match g.recv(sock, &mut buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    let at = c.off + c.acked_in_chunk;
-                    assert!(
-                        at + n <= c.off + chunk_len,
-                        "{:?}: server echoed past the outstanding chunk",
-                        c.spec.vm,
-                    );
-                    assert_eq!(
-                        &buf[..n],
-                        &c.payload[at..at + n],
-                        "{:?}: echoed bytes diverge from the payload at offset {at}",
-                        c.spec.vm,
-                    );
-                    c.acked_in_chunk += n;
-                }
-                Err(_) => break,
-            }
-        }
-        if c.acked_in_chunk == chunk_len && chunk_len > 0 {
-            c.off += chunk_len;
-            c.sent_in_chunk = 0;
-            c.acked_in_chunk = 0;
-            c.chunks_on_conn += 1;
-            // Short-connection behaviour: rotate to a fresh connection so a
-            // live migration can take effect mid-transfer.
-            if c.spec.chunks_per_conn > 0 && c.chunks_on_conn >= c.spec.chunks_per_conn {
-                let _ = g.close(sock);
-                c.sock = None;
-                c.established = false;
-            }
-        }
-    }
-
-    /// Accept and echo on the remote server.
-    fn drive_server(
-        host: &mut NetKernelHost,
-        server_ip: u32,
-        listener: SocketId,
-        conns: &mut Vec<SocketId>,
-        buf: &mut [u8],
-    ) {
-        let Some(remote) = host.remote_mut(server_ip) else {
-            return;
-        };
-        while let Ok((conn, _)) = remote.accept(listener) {
-            conns.push(conn);
-        }
-        conns.retain(|&conn| loop {
-            match remote.recv(conn, buf) {
-                Ok(0) => {
-                    let _ = remote.close(conn);
-                    break false;
-                }
-                Ok(n) => {
-                    let _ = remote.send(conn, &buf[..n]);
-                }
-                Err(NkError::WouldBlock) => break true,
-                Err(_) => {
-                    let _ = remote.close(conn);
-                    break false;
-                }
-            }
-        });
-    }
-
-    /// Scheduler accounting: every step ends in quiescence or at the bound.
-    fn check_sched(host: &NetKernelHost) {
-        let s = host.sched_stats();
-        assert_eq!(
-            s.quiescent_exits + s.round_limit_hits,
-            s.steps,
-            "scheduler steps unaccounted for: {s:?}",
-        );
     }
 
     /// NQE conservation over CoreEngine at quiescence, per tenant.
@@ -470,5 +264,45 @@ mod tests {
         assert!(report.completed);
         // The transfer could not have finished before it started.
         assert!(report.steps > late_start / 100_000);
+    }
+
+    /// Conformance: three ramping tenants under a control policy, pinned as
+    /// the tuple a drifted socket-call sequence would change. Values
+    /// recorded at the commit before the traffic drivers were unified.
+    #[test]
+    fn controlled_ramp_matches_its_recorded_run() {
+        use nk_types::ControlPolicy;
+        let policy = ControlPolicy::new()
+            .with_epoch_ns(1_000_000)
+            .with_window(2)
+            .with_watermarks(0.10, 0.60)
+            .with_core_bounds(1, 2)
+            .with_cooldown(1)
+            .with_rebalance(0.50, 1)
+            .with_pool_clock_hz(1_000_000);
+        let mut host = HostConfig::new()
+            .with_nsm(NsmConfig::kernel(NsmId(1)))
+            .with_nsm(NsmConfig::kernel(NsmId(2)))
+            .with_mapping(VmToNsmPolicy::All(NsmId(1)))
+            .with_control(policy);
+        let mut clients = Vec::new();
+        for vm in 1..=3u8 {
+            host = host.with_vm(VmConfig::new(VmId(vm)));
+            let start_ns = (vm as u64 - 1) * 1_000_000;
+            clients.push(BurstyClient::new(VmId(vm), start_ns).with_total_bytes(96 * 1024));
+        }
+        let mut cfg = BurstyConfig::new(host).with_seed(11);
+        cfg.clients = clients;
+        let report = BurstyScenario::new(cfg).run().unwrap();
+        assert!(report.completed, "{report:?}");
+        assert_eq!(
+            (
+                report.steps,
+                report.bytes_verified,
+                report.reconnects,
+                report.control.len()
+            ),
+            (376, 294912, 0, 9)
+        );
     }
 }

@@ -28,59 +28,16 @@ use nk_cluster::{Cluster, ClusterStats};
 use nk_ctrl::PlanEvent;
 use nk_obs::ObsDump;
 use nk_types::{
-    ClusterConfig, ClusterEvent, FaultPlan, HostId, NkError, NkResult, NsmId, SockAddr, SocketApi,
-    SocketId, VmId,
+    ClusterConfig, ClusterEvent, FaultPlan, HostId, NkError, NkResult, NsmId, SockAddr, SocketId,
+    VmId,
 };
 use std::collections::BTreeMap;
 
-use crate::scenario::seeded_payload;
+use crate::apps::{echo_all, BurstyClient, VerifiedStream};
 
-/// One tenant's offered load (the cluster analogue of
-/// [`crate::bursty::BurstyClient`]).
-#[derive(Clone, Debug)]
-pub struct ClusterTenant {
-    /// The VM the tenant runs in (its home host comes from the cluster
-    /// configuration).
-    pub vm: VmId,
-    /// Virtual time at which the tenant starts transferring.
-    pub start_ns: u64,
-    /// Bytes the tenant must deliver (and see echoed) end to end.
-    pub total_bytes: usize,
-    /// Stop-and-wait chunk size.
-    pub chunk: usize,
-    /// Chunks transferred per connection before the tenant reopens (short
-    /// connections; migrations take effect at these rotation points).
-    pub chunks_per_conn: usize,
-}
-
-impl ClusterTenant {
-    /// A 64 KiB transfer starting at `start_ns`, reconnecting every four
-    /// chunks.
-    pub fn new(vm: VmId, start_ns: u64) -> Self {
-        ClusterTenant {
-            vm,
-            start_ns,
-            total_bytes: 64 * 1024,
-            chunk: 2048,
-            chunks_per_conn: 4,
-        }
-    }
-
-    /// Set the transfer size (builder style).
-    pub fn with_total_bytes(mut self, bytes: usize) -> Self {
-        self.total_bytes = bytes;
-        self
-    }
-
-    /// Keep one connection for the whole transfer (builder style). A
-    /// long-lived connection never reaches a rotation point, so a *drained*
-    /// migration would stall until the transfer ends — the scenario warm
-    /// migration exists for.
-    pub fn long_lived(mut self) -> Self {
-        self.chunks_per_conn = 0;
-        self
-    }
-}
+/// One tenant's offered load: the same spec the bursty runner takes (the
+/// tenant's home host comes from the cluster configuration).
+pub type ClusterTenant = BurstyClient;
 
 /// A migration scripted against virtual time (the placement analogue of a
 /// fault-plan entry).
@@ -244,28 +201,12 @@ pub struct ClusterScenarioReport {
     pub obs: ObsDump,
 }
 
-/// Per-tenant transfer state: the bursty stop-and-wait machine plus the
-/// host its current socket lives on.
-struct TenantState {
-    spec: ClusterTenant,
-    payload: Vec<u8>,
-    /// The current connection and the host it was opened through. During a
-    /// drain this may lag behind the VM's home: pinned connections finish
-    /// on the source host.
-    sock: Option<(HostId, SocketId)>,
-    established: bool,
-    off: usize,
-    sent_in_chunk: usize,
-    acked_in_chunk: usize,
-    chunks_on_conn: usize,
-    errors_observed: u64,
-    reconnects: u64,
-}
-
-impl TenantState {
-    fn done(&self) -> bool {
-        self.off >= self.spec.total_bytes
-    }
+/// A tenant's transfer plus the host its current socket lives on. During a
+/// drain this may lag behind the VM's home: pinned connections finish on the
+/// source host.
+struct Tenant {
+    stream: VerifiedStream,
+    host: HostId,
 }
 
 /// A runnable cluster scenario (see the module docs).
@@ -300,23 +241,12 @@ impl ClusterScenario {
         let mut server_conns: Vec<SocketId> = Vec::new();
         let mut echo_buf = vec![0u8; 16 * 1024];
 
-        let mut tenants: Vec<TenantState> = cfg
-            .tenants
-            .iter()
-            .map(|spec| TenantState {
-                payload: seeded_payload(
-                    cfg.seed ^ (spec.vm.raw() as u64).wrapping_mul(0x9E37_79B9),
-                    spec.total_bytes,
-                ),
-                spec: spec.clone(),
-                sock: None,
-                established: false,
-                off: 0,
-                sent_in_chunk: 0,
-                acked_in_chunk: 0,
-                chunks_on_conn: 0,
-                errors_observed: 0,
-                reconnects: 0,
+        let target = SockAddr::new(cfg.server_ip, cfg.server_port);
+        let mut tenants: Vec<Tenant> = VerifiedStream::for_tenants(&cfg.tenants, cfg.seed, target)
+            .into_iter()
+            .map(|stream| Tenant {
+                stream,
+                host: HostId(0), // set whenever a connection opens
             })
             .collect();
         let mut pending_migrations = cfg.migrations.clone();
@@ -327,7 +257,7 @@ impl ClusterScenario {
         let mut steps = 0u64;
         let mut drained = 0usize;
         while (steps as usize) < cfg.max_steps {
-            if tenants.iter().all(TenantState::done) {
+            if tenants.iter().all(|t| t.stream.done()) {
                 if drained >= cfg.drain_steps {
                     break;
                 }
@@ -355,33 +285,26 @@ impl ClusterScenario {
                 let e = pending_evacuations.remove(0);
                 cluster.evacuate_host(e.host, e.pace)?;
             }
-            let target = SockAddr::new(cfg.server_ip, cfg.server_port);
             for t in tenants.iter_mut() {
-                if now >= t.spec.start_ns && !t.done() {
-                    Self::drive_tenant(&mut cluster, t, target);
+                if now >= t.stream.spec().start_ns && !t.stream.done() {
+                    Self::drive_tenant(&mut cluster, t);
                 }
             }
             cluster.step(cfg.dt_ns);
-            Self::drive_server(
-                &mut cluster,
-                cfg.server_ip,
-                listener,
-                &mut server_conns,
-                &mut echo_buf,
-            );
+            if let Some(server) = cluster.remote_mut(cfg.server_ip) {
+                echo_all(server, listener, &mut server_conns, &mut echo_buf);
+            }
             steps += 1;
             if steps.is_multiple_of(64) {
                 Self::check_sched(&cluster);
             }
         }
-        let completed = tenants.iter().all(TenantState::done);
+        let completed = tenants.iter().all(|t| t.stream.done());
 
         // Settle: close every tenant socket so outstanding drains complete.
         for t in tenants.iter_mut() {
-            if let Some((host, s)) = t.sock.take() {
-                if let Some(g) = cluster.guest_on(host, t.spec.vm) {
-                    let _ = g.close(s);
-                }
+            if let Some(g) = cluster.guest_on(t.host, t.stream.spec().vm) {
+                t.stream.close(g);
             }
         }
         for _ in 0..50 {
@@ -391,7 +314,8 @@ impl ClusterScenario {
 
         let final_homes = tenants
             .iter()
-            .filter_map(|t| cluster.home_of(t.spec.vm).map(|h| (t.spec.vm, h)))
+            .map(|t| t.stream.spec().vm)
+            .filter_map(|vm| cluster.home_of(vm).map(|h| (vm, h)))
             .collect();
         let mut final_nsm_cores = BTreeMap::new();
         for host_id in cluster.host_ids() {
@@ -405,9 +329,9 @@ impl ClusterScenario {
         Ok(ClusterScenarioReport {
             completed,
             steps,
-            bytes_verified: tenants.iter().map(|t| t.off as u64).sum(),
-            errors_observed: tenants.iter().map(|t| t.errors_observed).sum(),
-            reconnects: tenants.iter().map(|t| t.reconnects).sum(),
+            bytes_verified: tenants.iter().map(|t| t.stream.bytes_verified()).sum(),
+            errors_observed: tenants.iter().map(|t| t.stream.errors_observed).sum(),
+            reconnects: tenants.iter().map(|t| t.stream.reconnects).sum(),
             events: cluster.events().to_vec(),
             plan_events: cluster.plan_events().to_vec(),
             event_digest: cluster.event_digest(),
@@ -418,146 +342,36 @@ impl ClusterScenario {
         })
     }
 
-    /// One tenant iteration: (re)connect through the VM's *current home*,
-    /// push the chunk, verify echoed bytes, rotate the connection every few
-    /// chunks.
-    fn drive_tenant(cluster: &mut Cluster, t: &mut TenantState, server: SockAddr) {
-        let chunk_len = t.spec.chunk.min(t.spec.total_bytes - t.off);
-        let Some((host, sock)) = t.sock else {
+    /// One tenant iteration: pick the guest instance the tenant's socket
+    /// lives on — its *current home* for a new connection, wherever a warm
+    /// migration took the socket for an open one — and hand it to the
+    /// shared driver.
+    fn drive_tenant(cluster: &mut Cluster, t: &mut Tenant) {
+        let vm = t.stream.spec().vm;
+        let home = cluster.home_of(vm);
+        let Some(sock) = t.stream.socket() else {
             // New connections always open on the home host — this is how a
             // migration takes effect at the next rotation.
-            let Some(home) = cluster.home_of(t.spec.vm) else {
-                return;
-            };
-            let Some(g) = cluster.guest_on(home, t.spec.vm) else {
-                return;
-            };
-            if let Ok(s) = g.socket() {
-                if g.connect(s, server).is_ok() {
-                    t.sock = Some((home, s));
-                    t.established = false;
-                    t.sent_in_chunk = 0;
-                    t.acked_in_chunk = 0;
-                    t.chunks_on_conn = 0;
-                } else {
-                    let _ = g.close(s);
-                }
+            let Some(home) = home else { return };
+            t.host = home;
+            if let Some(g) = cluster.guest_on(home, vm) {
+                t.stream.poll(g);
             }
             return;
         };
-        let Some(g) = cluster.guest_on(host, t.spec.vm) else {
-            // The source-side instance is gone. After a *warm* migration
-            // the socket reappears — same id, same connection — under the
-            // VM's new home: follow it there and keep streaming. Otherwise
-            // (defensive; a drained instance only retires unpinned) reopen
-            // at the current home.
-            if let Some(home) = cluster.home_of(t.spec.vm) {
-                if home != host
-                    && cluster
-                        .guest_on(home, t.spec.vm)
-                        .is_some_and(|g| g.has_socket(sock))
-                {
-                    t.sock = Some((home, sock));
-                    return;
-                }
-            }
-            t.sock = None;
-            t.established = false;
-            return;
-        };
-
-        let ev = g.poll(sock);
-        if ev.error() || ev.hup() {
-            t.errors_observed += 1;
-            t.reconnects += 1;
-            let _ = g.close(sock);
-            t.sock = None;
-            t.established = false;
+        if let Some(g) = cluster.guest_on(t.host, vm) {
+            t.stream.poll(g);
             return;
         }
-        if !t.established {
-            if ev.writable() {
-                t.established = true;
-            } else {
-                return;
-            }
+        // The source-side instance is gone. After a *warm* migration the
+        // socket reappears — same id, same connection — under the VM's new
+        // home: follow it there and keep streaming. Otherwise (defensive; a
+        // drained instance only retires unpinned) reopen at the current
+        // home.
+        match home.filter(|&h| h != t.host) {
+            Some(h) if cluster.guest_on(h, vm).is_some_and(|g| g.has_socket(sock)) => t.host = h,
+            _ => t.stream.abandon_socket(),
         }
-        if t.sent_in_chunk < chunk_len {
-            let from = t.off + t.sent_in_chunk;
-            let to = t.off + chunk_len;
-            match g.send(sock, &t.payload[from..to]) {
-                Ok(n) => t.sent_in_chunk += n,
-                Err(NkError::WouldBlock) => {}
-                Err(_) => return,
-            }
-        }
-        let mut buf = [0u8; 4096];
-        loop {
-            match g.recv(sock, &mut buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    let at = t.off + t.acked_in_chunk;
-                    assert!(
-                        at + n <= t.off + chunk_len,
-                        "{:?}: server echoed past the outstanding chunk",
-                        t.spec.vm,
-                    );
-                    assert_eq!(
-                        &buf[..n],
-                        &t.payload[at..at + n],
-                        "{:?}: echoed bytes diverge from the payload at offset {at}",
-                        t.spec.vm,
-                    );
-                    t.acked_in_chunk += n;
-                }
-                Err(_) => break,
-            }
-        }
-        if t.acked_in_chunk == chunk_len && chunk_len > 0 {
-            t.off += chunk_len;
-            t.sent_in_chunk = 0;
-            t.acked_in_chunk = 0;
-            t.chunks_on_conn += 1;
-            if t.spec.chunks_per_conn > 0 && t.chunks_on_conn >= t.spec.chunks_per_conn {
-                // Rotation point: close here, reopen at the current home on
-                // the next iteration — a drained migration's handover.
-                let _ = g.close(sock);
-                t.sock = None;
-                t.established = false;
-            }
-        }
-    }
-
-    /// Accept and echo on the ToR-attached server.
-    fn drive_server(
-        cluster: &mut Cluster,
-        server_ip: u32,
-        listener: SocketId,
-        conns: &mut Vec<SocketId>,
-        buf: &mut [u8],
-    ) {
-        let Some(server) = cluster.remote_mut(server_ip) else {
-            return;
-        };
-        while let Ok((conn, _)) = server.accept(listener) {
-            conns.push(conn);
-        }
-        conns.retain(|&conn| loop {
-            match server.recv(conn, buf) {
-                Ok(0) => {
-                    let _ = server.close(conn);
-                    break false;
-                }
-                Ok(n) => {
-                    let _ = server.send(conn, &buf[..n]);
-                }
-                Err(NkError::WouldBlock) => break true,
-                Err(_) => {
-                    let _ = server.close(conn);
-                    break false;
-                }
-            }
-        });
     }
 
     /// Cluster scheduler accounting: every step ends in quiescence or at
@@ -720,5 +534,46 @@ mod tests {
         .unwrap();
         assert!(report.completed);
         assert!(report.events.is_empty(), "{:?}", report.events);
+    }
+
+    /// Conformance: a rotating tenant drained across hosts and a long-lived
+    /// one moved warm, pinned as the tuple a drifted socket-call sequence
+    /// (or a missed host-follow) would change. Values recorded at the
+    /// commit before the traffic drivers were unified.
+    #[test]
+    fn mixed_migrations_match_their_recorded_run() {
+        let cluster = ClusterConfig::new()
+            .with_host(host(1, &[1]))
+            .with_host(host(2, &[2]))
+            .with_host(host(3, &[]))
+            .with_uplink_latency_us(2);
+        let report = ClusterScenario::new(
+            ClusterScenarioConfig::new(cluster)
+                .with_seed(11)
+                .with_tenant(ClusterTenant::new(VmId(1), 0).with_total_bytes(96 * 1024))
+                .with_tenant(
+                    ClusterTenant::new(VmId(2), 500_000)
+                        .with_total_bytes(64 * 1024)
+                        .long_lived(),
+                )
+                .with_migration(2_000_000, VmId(1), HostId(3))
+                .with_warm_migration(3_000_000, VmId(2), HostId(3)),
+        )
+        .run()
+        .unwrap();
+        assert!(report.completed, "{report:?}");
+        assert_eq!(
+            report.stats.warm_migrations, 1,
+            "the socket must be followed"
+        );
+        assert_eq!(
+            (
+                report.steps,
+                report.bytes_verified,
+                report.reconnects,
+                report.event_digest
+            ),
+            (476, 163840, 0, 17655531815372185629)
+        );
     }
 }

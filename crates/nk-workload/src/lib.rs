@@ -6,14 +6,15 @@
 //!   utilisation is far below their provisioned peak — the property the
 //!   multiplexing use case exploits;
 //! * [`apps`] — application state machines written against the
-//!   [`nk_types::SocketApi`] trait: an epoll echo/HTTP-style server and a
-//!   closed-loop `ab`-style client, usable unmodified on both the NetKernel
+//!   [`nk_types::SocketApi`] trait, usable unmodified on both the NetKernel
 //!   GuestLib and the baseline in-guest stack (the property use case 3 relies
-//!   on);
-//! * [`scenario`] — the deterministic scenario runner composing a host, a
-//!   verified reliable-transfer workload and a fault plan (NSM crashes, live
-//!   migration, link degradation) with invariant checks, plus the seeded
-//!   random fault-schedule generator the property tests draw from;
+//!   on): the byte-verified stop-and-wait client and echo step every
+//!   scenario runner below streams through, plus an epoll echo/HTTP-style
+//!   server and a closed-loop `ab`-style client;
+//! * [`scenario`] — the deterministic scenario runner composing a host, one
+//!   verified stream and a fault plan (NSM crashes, live migration, link
+//!   degradation) with invariant checks, plus the seeded random
+//!   fault-schedule generator the property tests draw from;
 //! * [`bursty`] — the multi-tenant ramp-up/ramp-down runner driving the
 //!   operator control plane: tenants join and leave over virtual time, every
 //!   byte is verified, and the control-plane decision log (scale-up,
@@ -29,8 +30,8 @@ pub mod cluster;
 pub mod scenario;
 
 pub use agtrace::{AgTrace, AgTraceConfig};
-pub use apps::{ClosedLoopClient, EchoServer};
-pub use bursty::{BurstyClient, BurstyConfig, BurstyReport, BurstyScenario};
+pub use apps::{echo_all, BurstyClient, ClosedLoopClient, EchoServer, VerifiedStream};
+pub use bursty::{BurstyConfig, BurstyReport, BurstyScenario};
 pub use cluster::{
     ClusterScenario, ClusterScenarioConfig, ClusterScenarioReport, ClusterTenant,
     PlannedEvacuation, PlannedMigration,

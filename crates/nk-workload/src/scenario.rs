@@ -21,13 +21,14 @@
 //!   seeded payload at the connection's position; completion means all
 //!   bytes were delivered and verified despite crashes mid-transfer.
 
+use crate::apps::{echo_all, BurstyClient, VerifiedStream};
 use nk_fabric::rng::SplitMix64;
 use nk_host::faults::FaultStats;
 use nk_host::sched::SchedStats;
 use nk_host::NetKernelHost;
 use nk_netstack::stack::StackStats;
 use nk_types::faults::{FaultAction, FaultPlan, LinkFault};
-use nk_types::{HostConfig, NkError, NkResult, SockAddr, SocketApi, SocketId, VmId};
+use nk_types::{HostConfig, NkError, NkResult, SockAddr, SocketId, VmId};
 
 /// Configuration of one scenario run.
 #[derive(Clone, Debug)]
@@ -201,31 +202,15 @@ pub fn random_fault_plan(
     Ok(plan)
 }
 
-/// State of the client's reliable stop-and-wait transfer.
-struct Client {
-    sock: Option<SocketId>,
-    established: bool,
-    /// Bytes fully delivered, echoed and verified.
-    off: usize,
-    /// Bytes of the current chunk handed to `send` on this connection.
-    sent_in_chunk: usize,
-    /// Bytes of the current chunk echoed back and verified.
-    acked_in_chunk: usize,
-    errors_observed: u64,
-    reconnects: u64,
-}
-
 /// A runnable scenario (see the module docs).
 pub struct Scenario {
     cfg: ScenarioConfig,
-    payload: Vec<u8>,
 }
 
 impl Scenario {
     /// Build a scenario from its configuration.
     pub fn new(cfg: ScenarioConfig) -> Self {
-        let payload = seeded_payload(cfg.seed, cfg.total_bytes);
-        Scenario { cfg, payload }
+        Scenario { cfg }
     }
 
     /// Run to completion (or the step budget) and report.
@@ -243,47 +228,42 @@ impl Scenario {
         remote.bind(listener, SockAddr::new(0, cfg.server_port))?;
         remote.listen(listener, 64)?;
         let mut server_conns: Vec<SocketId> = Vec::new();
-
-        let mut client = Client {
-            sock: None,
-            established: false,
-            off: 0,
-            sent_in_chunk: 0,
-            acked_in_chunk: 0,
-            errors_observed: 0,
-            reconnects: 0,
-        };
-        let mut steps = 0u64;
         let mut echo_buf = vec![0u8; 16 * 1024];
 
-        while client.off < cfg.total_bytes && (steps as usize) < cfg.max_steps {
-            self.drive_client(&mut host, &mut client);
+        // The one-client case of the shared driver: a single connection for
+        // the whole transfer, reopened only when the infrastructure fails.
+        let spec = BurstyClient {
+            total_bytes: cfg.total_bytes,
+            chunk: cfg.chunk,
+            ..BurstyClient::new(cfg.client_vm, 0).long_lived()
+        };
+        let server = SockAddr::new(cfg.server_ip, cfg.server_port);
+        let mut client = VerifiedStream::new(spec, cfg.seed, server);
+        let mut steps = 0u64;
+
+        while !client.done() && (steps as usize) < cfg.max_steps {
+            if let Some(g) = host.guest_mut(cfg.client_vm) {
+                client.poll(g);
+            }
             host.step(cfg.dt_ns);
-            Self::drive_server(
-                &mut host,
-                cfg.server_ip,
-                listener,
-                &mut server_conns,
-                &mut echo_buf,
-            );
+            if let Some(remote) = host.remote_mut(cfg.server_ip) {
+                echo_all(remote, listener, &mut server_conns, &mut echo_buf);
+            }
             steps += 1;
             if steps.is_multiple_of(64) {
-                Self::check_sched(&host);
+                check_sched(&host);
             }
         }
-        let completed = client.off >= cfg.total_bytes;
+        let completed = client.done();
 
         // Settle: let in-flight NQEs, credits and closes drain so the
         // conservation invariant can be checked at quiescence.
-        if let Some(s) = client.sock.take() {
-            let g = host.guest_mut(cfg.client_vm).ok_or(NkError::NotFound)?;
-            let _ = g.close(s);
-        }
+        client.close(host.guest_mut(cfg.client_vm).ok_or(NkError::NotFound)?);
         for _ in 0..50 {
             host.step(cfg.dt_ns);
         }
-        Self::check_sched(&host);
-        self.check_conservation(&mut host, &client);
+        check_sched(&host);
+        self.check_conservation(&mut host);
 
         let guest = host
             .guest_mut(cfg.client_vm)
@@ -299,7 +279,7 @@ impl Scenario {
         Ok(ScenarioReport {
             completed,
             steps,
-            bytes_verified: client.off as u64,
+            bytes_verified: client.bytes_verified(),
             errors_observed: client.errors_observed,
             reconnects: client.reconnects,
             guest,
@@ -311,139 +291,10 @@ impl Scenario {
         })
     }
 
-    /// One client iteration: reconnect if needed, push the current chunk,
-    /// verify echoed bytes.
-    fn drive_client(&self, host: &mut NetKernelHost, c: &mut Client) {
-        let cfg = &self.cfg;
-        let chunk_len = cfg.chunk.min(cfg.total_bytes - c.off);
-        let Some(g) = host.guest_mut(cfg.client_vm) else {
-            return;
-        };
-        let Some(sock) = c.sock else {
-            // (Re)open: a fresh socket and an async connect. A chunk is
-            // always retransmitted from its start on a new connection.
-            if let Ok(s) = g.socket() {
-                if g.connect(s, SockAddr::new(cfg.server_ip, cfg.server_port))
-                    .is_ok()
-                {
-                    c.sock = Some(s);
-                    c.established = false;
-                    c.sent_in_chunk = 0;
-                    c.acked_in_chunk = 0;
-                } else {
-                    let _ = g.close(s);
-                }
-            }
-            return;
-        };
-
-        let ev = g.poll(sock);
-        if ev.error() || ev.hup() {
-            // The infrastructure failed underneath the socket (NSM crash →
-            // ConnReset, dead mapping → NsmUnavailable). Drop the connection
-            // and retry the whole chunk through whatever NSM now serves us.
-            c.errors_observed += 1;
-            c.reconnects += 1;
-            let _ = g.close(sock);
-            c.sock = None;
-            c.established = false;
-            return;
-        }
-        if !c.established {
-            if ev.writable() {
-                c.established = true;
-            } else {
-                return; // handshake still in flight
-            }
-        }
-        // Push the rest of the current chunk (partial sends are fine: the
-        // send budget throttles us under backpressure).
-        if c.sent_in_chunk < chunk_len {
-            let from = c.off + c.sent_in_chunk;
-            let to = c.off + chunk_len;
-            match g.send(sock, &self.payload[from..to]) {
-                Ok(n) => c.sent_in_chunk += n,
-                Err(NkError::WouldBlock) => {}
-                Err(_) => return, // surfaced via poll() next iteration
-            }
-        }
-        // Verify whatever the server has echoed so far.
-        let mut buf = [0u8; 4096];
-        loop {
-            match g.recv(sock, &mut buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    let at = c.off + c.acked_in_chunk;
-                    assert!(
-                        at + n <= c.off + chunk_len,
-                        "server echoed {} bytes past the outstanding chunk",
-                        at + n - (c.off + chunk_len),
-                    );
-                    assert_eq!(
-                        &buf[..n],
-                        &self.payload[at..at + n],
-                        "echoed bytes diverge from the payload at offset {at}",
-                    );
-                    c.acked_in_chunk += n;
-                }
-                Err(_) => break,
-            }
-        }
-        if c.acked_in_chunk == chunk_len && chunk_len > 0 {
-            // Chunk fully delivered and verified: advance on the same
-            // connection.
-            c.off += chunk_len;
-            c.sent_in_chunk = 0;
-            c.acked_in_chunk = 0;
-        }
-    }
-
-    /// Accept and echo on the remote server.
-    fn drive_server(
-        host: &mut NetKernelHost,
-        server_ip: u32,
-        listener: SocketId,
-        conns: &mut Vec<SocketId>,
-        buf: &mut [u8],
-    ) {
-        let Some(remote) = host.remote_mut(server_ip) else {
-            return;
-        };
-        while let Ok((conn, _)) = remote.accept(listener) {
-            conns.push(conn);
-        }
-        conns.retain(|&conn| loop {
-            match remote.recv(conn, buf) {
-                Ok(0) => {
-                    let _ = remote.close(conn);
-                    break false;
-                }
-                Ok(n) => {
-                    let _ = remote.send(conn, &buf[..n]);
-                }
-                Err(NkError::WouldBlock) => break true,
-                Err(_) => {
-                    let _ = remote.close(conn);
-                    break false;
-                }
-            }
-        });
-    }
-
-    /// Scheduler accounting: every step ends in quiescence or at the bound.
-    fn check_sched(host: &NetKernelHost) {
-        let s = host.sched_stats();
-        assert_eq!(
-            s.quiescent_exits + s.round_limit_hits,
-            s.steps,
-            "scheduler steps unaccounted for: {s:?}",
-        );
-    }
-
     /// NQE conservation over CoreEngine at quiescence: everything the guest
     /// submitted was forwarded, answered with an error, or is still parked
     /// for retry. Nothing vanishes.
-    fn check_conservation(&self, host: &mut NetKernelHost, _c: &Client) {
+    fn check_conservation(&self, host: &mut NetKernelHost) {
         let guest = host
             .guest_mut(self.cfg.client_vm)
             .expect("client VM exists")
@@ -462,6 +313,16 @@ impl Scenario {
             stalled,
         );
     }
+}
+
+/// Scheduler accounting: every step ends in quiescence or at the bound.
+pub(crate) fn check_sched(host: &NetKernelHost) {
+    let s = host.sched_stats();
+    assert_eq!(
+        s.quiescent_exits + s.round_limit_hits,
+        s.steps,
+        "scheduler steps unaccounted for: {s:?}",
+    );
 }
 
 #[cfg(test)]
@@ -517,6 +378,23 @@ mod tests {
         assert_eq!(
             random_fault_plan(1, &cfg, VmId(1), 1_000_000),
             Err(NkError::BadConfig)
+        );
+    }
+
+    /// Conformance: the socket-call sequence of the scenario driver, pinned
+    /// as the tuple a drifted sequence would change. Values recorded at the
+    /// commit before the traffic drivers were unified.
+    #[test]
+    fn faulted_scenario_matches_its_recorded_run() {
+        let host = two_nsm_host();
+        let plan = random_fault_plan(7, &host, VmId(1), 6_000_000).unwrap();
+        let report = Scenario::new(ScenarioConfig::new(host).with_seed(7).with_faults(plan))
+            .run()
+            .unwrap();
+        assert!(report.completed, "{report:?}");
+        assert_eq!(
+            (report.steps, report.bytes_verified, report.reconnects),
+            (106, 65536, 4)
         );
     }
 }

@@ -15,13 +15,15 @@
 //! * [`engine`] — CoreEngine: NQE switching, connection table, isolation.
 //! * [`ctrl`] — the operator control plane: load monitoring, autoscaling,
 //!   VM rebalancing, and the cluster-scope placer.
-//! * [`host`] — host orchestration: `NetKernelHost`, the baseline VM, the
-//!   drain-until-quiescent scheduler and the calibrated performance model.
+//! * [`host`] — host orchestration: `NetKernelHost` and its
+//!   drain-until-quiescent step, the baseline VM and the calibrated
+//!   performance model.
 //! * [`cluster`] — the cluster fabric: hosts behind a top-of-rack switch,
 //!   cross-host VM migration with connection draining.
 //! * [`obs`] — the deterministic flight recorder: event ring, latency
 //!   epochs, migration phase timelines, hot-flow table.
-//! * [`workload`] — workload generators used by the evaluation.
+//! * [`workload`] — workload generators used by the evaluation, all
+//!   streaming through one byte-verified traffic driver.
 
 pub use nk_cluster as cluster;
 pub use nk_ctrl as ctrl;
