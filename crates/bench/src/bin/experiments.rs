@@ -1186,16 +1186,6 @@ impl ParRun {
     }
 }
 
-/// Where an echo server of a par run listens.
-enum EchoAt {
-    /// A remote attached to one host's virtual switch.
-    HostRemote(HostId, u32),
-    /// A remote attached at the top-of-rack switch.
-    TorRemote(u32),
-    /// A guest, through its NSM.
-    Guest(HostId, VmId),
-}
-
 const PAR_DT_NS: u64 = 100_000;
 const PAR_CHUNK: usize = 4096;
 
@@ -1223,18 +1213,21 @@ fn par_cluster(hosts: u8, shares: u8, threads: usize, shard_within_hosts: bool) 
 
 /// Drive a par run for 60 steps after the handshakes: every client
 /// `(host, vm, socket, bytes)` offers `bytes` of a chunk whenever its
-/// socket is writable and counts what comes back; every server echoes
-/// through the shared [`echo_all`].
+/// socket is writable and counts what comes back; server `i` listens on
+/// `listeners[i]` of the socket API `server_at(cluster, i)` — a host's
+/// remote, the ToR remote or a guest — and echoes through the shared
+/// [`echo_all`].
 fn par_drive(
     mut cluster: Cluster,
     clients: &[(HostId, VmId, SocketId, usize)],
-    mut servers: Vec<(EchoAt, SocketId)>,
+    listeners: &[SocketId],
+    server_at: impl for<'c> Fn(&'c mut Cluster, usize) -> &'c mut dyn SocketApi,
 ) -> ParRun {
     cluster.run(5, PAR_DT_NS); // handshakes
     let chunk = [0x5Au8; PAR_CHUNK];
     let mut buf = [0u8; PAR_CHUNK];
     let mut guest_bytes = 0u64;
-    let mut conns: Vec<Vec<SocketId>> = vec![Vec::new(); servers.len()];
+    let mut conns: Vec<Vec<SocketId>> = vec![Vec::new(); listeners.len()];
     for _ in 0..60 {
         for &(h, vm, s, len) in clients {
             let guest = cluster.guest_on(h, vm).unwrap();
@@ -1245,21 +1238,8 @@ fn par_drive(
                 guest_bytes += n as u64;
             }
         }
-        for ((at, listener), conns) in servers.iter_mut().zip(&mut conns) {
-            match *at {
-                EchoAt::HostRemote(h, ip) => {
-                    let remote = cluster.host_mut(h).unwrap().remote_mut(ip).unwrap();
-                    echo_all(remote, *listener, conns, &mut buf);
-                }
-                EchoAt::TorRemote(ip) => {
-                    let remote = cluster.remote_mut(ip).unwrap();
-                    echo_all(remote, *listener, conns, &mut buf);
-                }
-                EchoAt::Guest(h, vm) => {
-                    let guest: &mut dyn SocketApi = cluster.guest_on(h, vm).unwrap();
-                    echo_all(guest, *listener, conns, &mut buf);
-                }
-            }
+        for (i, (listener, conns)) in listeners.iter().zip(&mut conns).enumerate() {
+            echo_all(server_at(&mut cluster, i), *listener, conns, &mut buf);
         }
         cluster.step(PAR_DT_NS);
     }
@@ -1304,13 +1284,13 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
         // Per host: a local echo server plus one tenant connection to it.
         let local_ip = |h: u8| host_prefix(HostId(h)) | 0xFF;
         let mut clients = Vec::new();
-        let mut servers = Vec::new();
+        let mut listeners = Vec::new();
         for h in 1..=hosts {
             let echo = cluster.host_mut(HostId(h)).unwrap().add_remote(local_ip(h));
             let ls = echo.socket();
             echo.bind(ls, SockAddr::new(0, ECHO_PORT)).unwrap();
             echo.listen(ls, 16).unwrap();
-            servers.push((EchoAt::HostRemote(HostId(h), local_ip(h)), ls));
+            listeners.push(ls);
             let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
             let s = guest.socket().unwrap();
             guest
@@ -1319,14 +1299,23 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
             clients.push((HostId(h), VmId(h), s, PAR_CHUNK));
         }
         // The edge tenants (first and last host) also talk across the ToR.
-        servers.push((EchoAt::TorRemote(TOR_IP), tor_ls));
+        listeners.push(tor_ls);
         for h in [1, hosts] {
             let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
             let s = guest.socket().unwrap();
             guest.connect(s, SockAddr::new(TOR_IP, TOR_PORT)).unwrap();
             clients.push((HostId(h), VmId(h), s, 256));
         }
-        par_drive(cluster, &clients, servers)
+        // Server i < hosts is host i+1's local remote; the last is the ToR's.
+        par_drive(cluster, &clients, &listeners, |cluster, i| {
+            if i < usize::from(hosts) {
+                let h = i as u8 + 1;
+                let host = cluster.host_mut(HostId(h)).unwrap();
+                host.remote_mut(local_ip(h)).unwrap()
+            } else {
+                cluster.remote_mut(TOR_IP).unwrap()
+            }
+        })
     };
 
     let record = results.experiment("par01");
@@ -1415,6 +1404,7 @@ fn par02_intra_host_sharding(results: &mut BenchResults) {
         // 2k streams to it across the host's vNIC switch. Four independent
         // TCP flows per host, each touching exactly two lanes.
         let mut servers = Vec::new();
+        let mut listeners = Vec::new();
         let mut clients = Vec::new();
         for h in 1..=hosts {
             for k in 0..SHARES / 2 {
@@ -1424,14 +1414,18 @@ fn par02_intra_host_sharding(results: &mut BenchResults) {
                 let ls = guest.socket().unwrap();
                 guest.bind(ls, SockAddr::new(0, PORT)).unwrap();
                 guest.listen(ls, 8).unwrap();
-                servers.push((EchoAt::Guest(HostId(h), vm_of(h, sn)), ls));
+                servers.push((HostId(h), vm_of(h, sn)));
+                listeners.push(ls);
                 let guest = cluster.guest_on(HostId(h), vm_of(h, cn)).unwrap();
                 let s = guest.socket().unwrap();
                 guest.connect(s, SockAddr::new(addr, PORT)).unwrap();
                 clients.push((HostId(h), vm_of(h, cn), s, PAR_CHUNK));
             }
         }
-        par_drive(cluster, &clients, servers)
+        par_drive(cluster, &clients, &listeners, |cluster, i| {
+            let (host, vm) = servers[i];
+            cluster.guest_on(host, vm).unwrap()
+        })
     };
 
     let record = results.experiment("par02");

@@ -5,7 +5,8 @@
 //! until a whole round reports no work". This module owns that loop —
 //! once — and nothing else of the step:
 //!
-//! * **Units** are whatever implements [`PollUnit`]: whole
+//! * **Units** are whatever implements [`Pollable`] — the one poll trait
+//!   every datapath component already answers to — and is `Send`: whole
 //!   [`nk_host::NetKernelHost`]s, or the [`nk_host::ShareLane`]s a host
 //!   splits into. Within a round a unit only touches its own state plus the
 //!   producer end of its SPSC edges (uplink trunk, lane report channel), so
@@ -42,31 +43,10 @@
 //! the development container often pin the process to a single core where
 //! wall clock cannot show it.
 
+use nk_sim::Pollable;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread::ScopedJoinHandle;
-
-/// One unit of the poll phase: something the executor can poll once per
-/// round, on whichever thread its shard landed on.
-pub trait PollUnit: Send {
-    /// One poll round over the unit's datapath at virtual time `now_ns`.
-    /// Returns the work done; 0 means quiescent at this instant.
-    fn poll_round(&mut self, now_ns: u64) -> usize;
-}
-
-impl PollUnit for nk_host::NetKernelHost {
-    /// A whole host polls at its own clock, which `begin_step` advanced in
-    /// lockstep with the cluster's.
-    fn poll_round(&mut self, _now_ns: u64) -> usize {
-        nk_host::NetKernelHost::poll_round(self)
-    }
-}
-
-impl PollUnit for nk_host::ShareLane {
-    fn poll_round(&mut self, now_ns: u64) -> usize {
-        nk_host::ShareLane::poll_round(self, now_ns)
-    }
-}
 
 /// What one driven poll phase did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -338,7 +318,7 @@ fn run_rounds(
     }
 }
 
-/// Drives the poll phase of cluster steps over a set of [`PollUnit`]s.
+/// Drives the poll phase of cluster steps over a set of [`Pollable`] units.
 pub struct ShardedExecutor {
     threads: usize,
     stats: ExecStats,
@@ -373,7 +353,7 @@ impl ShardedExecutor {
     }
 
     /// Drive the poll phase of one step: rounds of every unit's
-    /// [`PollUnit::poll_round`] followed by the hub — which must run the
+    /// [`Pollable::poll`] followed by the hub — which must run the
     /// cross-unit fabric (host hubs when the units are lanes, the ToR, the
     /// cluster's endpoint stacks) and return `(work, frames_forwarded)` —
     /// until a full round reports no work or `max_rounds` is hit.
@@ -398,7 +378,7 @@ impl ShardedExecutor {
     ) -> StepOutcome
     where
         K: Ord,
-        U: PollUnit,
+        U: Pollable + Send,
         H: FnMut(u64) -> (usize, usize),
     {
         let shard_count = self.threads.min(units.len()).max(1);
@@ -410,7 +390,7 @@ impl ShardedExecutor {
         if shard_count == 1 {
             stats.shards[0].units = units.len();
             let poll = |work: &mut [usize]| {
-                work[0] = units.values_mut().map(|u| u.poll_round(now_ns)).sum();
+                work[0] = units.values_mut().map(|u| u.poll(now_ns)).sum();
             };
             return run_rounds(stats, &mut [0], poll, hub, now_ns, max_rounds);
         }
@@ -434,7 +414,7 @@ impl ShardedExecutor {
                     let _poison = PoisonOnPanic(barrier);
                     // Round start (or stop) … round done → hub runs.
                     while barrier.wait() && !stop.load(Ordering::Acquire) {
-                        let work: usize = shard.iter_mut().map(|u| u.poll_round(now_ns)).sum();
+                        let work: usize = shard.iter_mut().map(|u| u.poll(now_ns)).sum();
                         cell.store(work, Ordering::Release);
                         if !barrier.wait() {
                             break;
@@ -482,8 +462,8 @@ mod tests {
         tx: UnboundedProducer<(u32, usize)>,
     }
 
-    impl PollUnit for MockUnit {
-        fn poll_round(&mut self, _now_ns: u64) -> usize {
+    impl Pollable for MockUnit {
+        fn poll(&mut self, _now_ns: u64) -> usize {
             if self.panic_in_round == Some(self.rounds_done + 1) {
                 panic!("unit {} blew up", self.id);
             }

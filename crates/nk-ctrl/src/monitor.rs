@@ -1,7 +1,7 @@
 //! Rolling-window load monitoring.
 
 use crate::EpochSample;
-use nk_types::{ControlTarget, NsmId};
+use nk_types::ControlTarget;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A bounded window of utilisation samples for one component.
@@ -86,23 +86,13 @@ impl LoadMonitor {
             .get(&target)
             .is_some_and(|w| w.samples.len() >= self.window)
     }
-
-    /// Smoothed utilisations of every tracked NSM, in id order.
-    pub fn nsm_loads(&self) -> Vec<(NsmId, f64)> {
-        self.windows
-            .iter()
-            .filter_map(|(target, w)| match target {
-                ControlTarget::Nsm(id) => Some((*id, w.mean())),
-                ControlTarget::Engine => None,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::NsmLoad;
+    use nk_types::NsmId;
 
     fn sample_with(nsms: &[(u8, f64)]) -> EpochSample {
         EpochSample {
@@ -158,7 +148,7 @@ mod tests {
         m.observe(&sample_with(&[(2, 0.1)]));
         assert!(!m.ready(ControlTarget::Nsm(NsmId(1))));
         assert_eq!(m.smoothed(ControlTarget::Nsm(NsmId(1))), 0.0);
-        assert_eq!(m.nsm_loads(), vec![(NsmId(2), 0.1)]);
+        assert_eq!(m.smoothed(ControlTarget::Nsm(NsmId(2))), 0.1);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::conn::{ConnState, TcpConnection};
 use crate::segment::Segment;
 use nk_fabric::nic::symmetric_flow_hash;
 use nk_fabric::port::{Frame, Port};
-use nk_types::api::sockopt;
-use nk_types::{NkError, NkResult, PollEvents, ShutdownHow, SockAddr, SocketId};
+use nk_types::api::{sockopt, EpollEvent};
+use nk_types::{NkError, NkResult, PollEvents, ShutdownHow, SockAddr, SocketApi, SocketId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Configuration of one stack instance.
@@ -57,25 +57,16 @@ impl StackConfig {
         self
     }
 
-    /// Start the ephemeral port scan at `port` (builder style). Values
-    /// outside the ephemeral range are wrapped into it.
-    pub fn with_ephemeral_start(mut self, port: u16) -> Self {
-        let span = EPHEMERAL_HIGH - EPHEMERAL_LOW;
-        self.ephemeral_start = EPHEMERAL_LOW + port % span;
-        self
-    }
-
     /// Start the ephemeral port scan at the canonical offset for restart
     /// `generation` (builder style).
     ///
     /// The offset is computed as `generation * 4099 mod span` in 64-bit
-    /// arithmetic. Doing the multiply in `u16` first (as a caller stacking
-    /// [`StackConfig::with_ephemeral_start`] on a scaled generation would)
-    /// silently wraps at 65536, which aliases different generations onto
-    /// the same start long before the range is exhausted. 4099 is coprime
-    /// with the range size, so this walks all `span` distinct starts before
-    /// any repeat — a restarted stack's fresh connections cannot reuse the
-    /// previous life's port sequence for `span` generations.
+    /// arithmetic. Doing the multiply in `u16` first silently wraps at
+    /// 65536, which aliases different generations onto the same start long
+    /// before the range is exhausted. 4099 is coprime with the range size,
+    /// so this walks all `span` distinct starts before any repeat — a
+    /// restarted stack's fresh connections cannot reuse the previous life's
+    /// port sequence for `span` generations.
     pub fn with_ephemeral_generation(mut self, generation: u32) -> Self {
         let span = u64::from(EPHEMERAL_HIGH - EPHEMERAL_LOW);
         self.ephemeral_start = EPHEMERAL_LOW + (u64::from(generation) * 4099 % span) as u16;
@@ -145,9 +136,8 @@ pub struct TcpStack {
     /// walk order must match across runs for seeded scenarios to replay
     /// exactly (a `HashMap` would emit segments in a per-instance order).
     sockets: BTreeMap<SocketId, SocketEntry>,
-    /// (local, remote) → connection socket. Ordered for the same reason:
-    /// `serves_ip` and [`TcpStack::four_tuples`] walk it, and a hash-seeded
-    /// walk would leak per-instance order into replay-sensitive output.
+    /// (local, remote) → connection socket. Ordered like every other table
+    /// on the datapath (the workspace determinism rule).
     demux: BTreeMap<(SockAddr, SockAddr), SocketId>,
     /// Listening sockets per local port (more than one with SO_REUSEPORT).
     listeners: BTreeMap<u16, Vec<SocketId>>,
@@ -156,6 +146,11 @@ pub struct TcpStack {
     /// Sockets whose previous tick state was not yet writable/readable, for
     /// edge detection.
     was_writable: BTreeMap<SocketId, bool>,
+    /// The [`SocketApi`] epoll interest set; an entry dies with its socket.
+    /// Ordered so `epoll_wait` reports deterministically.
+    interest: BTreeMap<SocketId, PollEvents>,
+    /// Time of the last [`TcpStack::tick`]: the clock of [`SocketApi::connect`].
+    now_ns: u64,
     next_socket: u32,
     next_ephemeral: u16,
     iss: u32,
@@ -179,6 +174,8 @@ impl TcpStack {
             listeners: BTreeMap::new(),
             embryonic: BTreeMap::new(),
             was_writable: BTreeMap::new(),
+            interest: BTreeMap::new(),
+            now_ns: 0,
             next_socket: 1,
             next_ephemeral: ephemeral_start,
             iss: 0x1000,
@@ -187,11 +184,6 @@ impl TcpStack {
             stats: StackStats::default(),
             tx_scratch: Vec::new(),
         }
-    }
-
-    /// The stack's local IP.
-    pub fn local_ip(&self) -> u32 {
-        self.cfg.local_ip
     }
 
     /// Aggregate statistics.
@@ -537,14 +529,6 @@ impl TcpStack {
         self.demux.keys().any(|(local, _)| local.ip == ip)
     }
 
-    /// Every live connection 4-tuple with its socket id, in (local, remote)
-    /// address order. Diagnostics and warm-migration pre-validation walk
-    /// this; the order is deterministic (and pinned by a regression test)
-    /// because the demultiplexer is an ordered map.
-    pub fn four_tuples(&self) -> Vec<((SockAddr, SockAddr), SocketId)> {
-        self.demux.iter().map(|(k, v)| (*k, *v)).collect()
-    }
-
     /// Tear a connection out of this stack for a warm migration, returning
     /// its serializable state. The socket, its demultiplexer entry and its
     /// edge-detection state all go; stray segments that still arrive for
@@ -559,6 +543,7 @@ impl TcpStack {
         self.demux.remove(&(snap.local, snap.remote));
         self.sockets.remove(&sock);
         self.was_writable.remove(&sock);
+        self.interest.remove(&sock);
         self.embryonic.remove(&sock);
         Ok(snap)
     }
@@ -585,6 +570,7 @@ impl TcpStack {
     /// Process incoming frames, run timers, and transmit outgoing segments.
     /// Returns the number of segments processed (in + out).
     pub fn tick(&mut self, now_ns: u64) -> usize {
+        self.now_ns = now_ns;
         let mut work = 0;
         work += self.process_incoming(now_ns);
         work += self.transmit(now_ns);
@@ -786,8 +772,91 @@ impl TcpStack {
                 self.demux.remove(&key);
                 self.sockets.remove(&id);
                 self.was_writable.remove(&id);
+                self.interest.remove(&id);
             }
         }
+    }
+}
+
+/// The baseline architecture's socket surface (paper §7.1): applications
+/// written against [`SocketApi`] run on a bare stack exactly as they do on
+/// GuestLib. Every call delegates to the inherent method of the same name;
+/// `connect` and `drive` use the time of the last [`TcpStack::tick`].
+impl SocketApi for TcpStack {
+    fn socket(&mut self) -> NkResult<SocketId> {
+        Ok(TcpStack::socket(self))
+    }
+
+    fn bind(&mut self, sock: SocketId, addr: SockAddr) -> NkResult<()> {
+        TcpStack::bind(self, sock, addr)
+    }
+
+    fn listen(&mut self, sock: SocketId, backlog: u32) -> NkResult<()> {
+        TcpStack::listen(self, sock, backlog)
+    }
+
+    fn accept(&mut self, sock: SocketId) -> NkResult<(SocketId, SockAddr)> {
+        TcpStack::accept(self, sock)
+    }
+
+    fn connect(&mut self, sock: SocketId, addr: SockAddr) -> NkResult<()> {
+        TcpStack::connect(self, sock, addr, self.now_ns)
+    }
+
+    fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize> {
+        TcpStack::send(self, sock, data)
+    }
+
+    fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
+        TcpStack::recv(self, sock, buf)
+    }
+
+    fn set_sockopt(&mut self, sock: SocketId, opt: u32, value: u32) -> NkResult<()> {
+        TcpStack::set_sockopt(self, sock, opt, value)
+    }
+
+    fn shutdown(&mut self, sock: SocketId, how: ShutdownHow) -> NkResult<()> {
+        TcpStack::shutdown(self, sock, how)
+    }
+
+    fn close(&mut self, sock: SocketId) -> NkResult<()> {
+        self.interest.remove(&sock);
+        TcpStack::close(self, sock)
+    }
+
+    fn epoll_register(&mut self, sock: SocketId, interest: PollEvents) -> NkResult<()> {
+        self.sockets.get(&sock).ok_or(NkError::BadSocket)?;
+        self.interest.insert(sock, interest);
+        Ok(())
+    }
+
+    fn epoll_unregister(&mut self, sock: SocketId) -> NkResult<()> {
+        self.sockets.get(&sock).ok_or(NkError::BadSocket)?;
+        self.interest.remove(&sock);
+        Ok(())
+    }
+
+    fn epoll_wait(&mut self, max_events: usize) -> Vec<EpollEvent> {
+        let mut out = Vec::new();
+        for (&socket, interest) in &self.interest {
+            if out.len() >= max_events {
+                break;
+            }
+            let ready = TcpStack::poll(self, socket).0;
+            let events = PollEvents(ready & (interest.0 | PollEvents::HUP.0 | PollEvents::ERROR.0));
+            if !events.is_empty() {
+                out.push(EpollEvent { socket, events });
+            }
+        }
+        out
+    }
+
+    fn poll(&mut self, sock: SocketId) -> PollEvents {
+        TcpStack::poll(self, sock)
+    }
+
+    fn drive(&mut self) -> usize {
+        self.tick(self.now_ns)
     }
 }
 
@@ -824,16 +893,6 @@ mod tests {
                 "generation {generation} reuses start {start}"
             );
         }
-        // The old computation multiplied in u16 and wrapped at 65536:
-        // generation 16 aliased to offset 48 instead of its canonical slot.
-        let old_wrapped = StackConfig::new(1)
-            .with_ephemeral_start(16u16.wrapping_mul(4099))
-            .ephemeral_start;
-        let guarded = StackConfig::new(1)
-            .with_ephemeral_generation(16)
-            .ephemeral_start;
-        assert_ne!(old_wrapped, guarded, "u16 wraparound would alias gen 16");
-
         // Extreme generations stay in range (no panic, no out-of-range port).
         for generation in [span as u32, u32::MAX / 2, u32::MAX] {
             let start = StackConfig::new(1)
@@ -908,40 +967,6 @@ mod tests {
 
         assert!(w.client.stats().segments_out > 0);
         assert!(w.server.stats().accepted == 1);
-    }
-
-    /// Iteration-order pin for the demultiplexer: connections arriving in
-    /// scrambled port order must walk back in (local, remote) address
-    /// order. A regression to a hash-ordered demux would scramble this
-    /// walk per instance and leak nondeterminism into everything that
-    /// iterates live connections (`serves_ip`, warm-migration
-    /// pre-validation, diagnostics).
-    #[test]
-    fn four_tuples_walk_in_address_order_regardless_of_arrival() {
-        let mut w = World::new();
-        for port in [90u16, 70, 80] {
-            listening_server(&mut w, port);
-        }
-        // Arrival order 90, 70, 80 — deliberately not sorted.
-        for port in [90u16, 70, 80] {
-            let cs = w.client.socket();
-            w.client
-                .connect(cs, SockAddr::new(SERVER_IP, port), w.now)
-                .unwrap();
-            w.run(10);
-        }
-        let tuples = w.server.four_tuples();
-        assert_eq!(tuples.len(), 3);
-        let local_ports: Vec<u16> = tuples.iter().map(|((l, _), _)| l.port).collect();
-        assert_eq!(
-            local_ports,
-            vec![70, 80, 90],
-            "demux must walk in (local, remote) order, not arrival order"
-        );
-        for ((l, r), _) in &tuples {
-            assert_eq!(l.ip, SERVER_IP);
-            assert_eq!(r.ip, CLIENT_IP);
-        }
     }
 
     #[test]
@@ -1128,6 +1153,37 @@ mod tests {
             w.now += 10_000_000;
         }
         assert!(w.server.socket_count() < before, "connection not reaped");
+    }
+
+    /// Epoll interest dies with its socket, as in GuestLib: closed without
+    /// `epoll_unregister`, a listener goes at once and a connection when it
+    /// is reaped (it used to read as `ERROR` on every `epoll_wait`, forever);
+    /// an id the stack never issued cannot be registered.
+    #[test]
+    fn epoll_interest_dies_with_the_socket() {
+        let mut w = World::new();
+        let ls = listening_server(&mut w, 80);
+        let cs = w.client.socket();
+        SocketApi::connect(&mut w.client, cs, SockAddr::new(SERVER_IP, 80)).unwrap();
+        w.run(10);
+        let (conn, _) = w.server.accept(ls).unwrap();
+        let api: &mut dyn SocketApi = &mut w.server;
+        api.epoll_register(ls, PollEvents::READABLE).unwrap();
+        api.epoll_register(conn, PollEvents::READABLE).unwrap();
+        let never = SocketId(999);
+        let refused = api.epoll_register(never, PollEvents::READABLE);
+        assert_eq!(refused, Err(NkError::BadSocket));
+        assert_eq!(api.epoll_unregister(never), Err(NkError::BadSocket));
+        api.close(ls).unwrap();
+        TcpStack::close(&mut w.server, conn).unwrap(); // underneath the trait
+        w.client.close(cs).unwrap();
+        // FIN exchange plus TIME-WAIT.
+        for _ in 0..30 {
+            w.run(10);
+            w.now += 10_000_000;
+        }
+        assert_eq!(w.server.socket_count(), 0, "connection not reaped");
+        assert_eq!(SocketApi::epoll_wait(&mut w.server, 8), vec![]);
     }
 
     /// A connection exported from one stack instance and installed into

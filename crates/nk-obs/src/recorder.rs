@@ -322,7 +322,8 @@ mod tests {
     /// quantiles equal the union's, and the epoch ring drops the oldest.
     #[test]
     fn epochs_seal_and_merge_in_host_order() {
-        let cfg = ObsConfig::new().with_latency_epochs(2).with_epoch_ns(1_000);
+        let mut cfg = ObsConfig::new().with_epoch_ns(1_000);
+        cfg.latency_epochs = 2;
         let mut rec = FlightRecorder::new(cfg);
         assert!(!rec.epoch_due(999));
         assert!(rec.epoch_due(1_000));

@@ -69,11 +69,6 @@ impl WakeState {
             )
             .is_ok()
     }
-
-    /// Device side: unconditionally return to polling mode.
-    pub fn resume_polling(&self) {
-        self.state.store(STATE_POLLING, Ordering::Release);
-    }
 }
 
 impl Default for WakeState {
@@ -90,19 +85,13 @@ impl Default for WakeState {
 pub struct NkDevice<E> {
     queue_sets: Vec<E>,
     wake: WakeState,
-    /// Round-robin cursor used by [`NkDevice::next_index`].
-    rr_cursor: usize,
 }
 
 impl<E> NkDevice<E> {
     /// Build a device from its queue-set ends and a wake flag shared with the
     /// switch side.
     pub fn new(queue_sets: Vec<E>, wake: WakeState) -> Self {
-        NkDevice {
-            queue_sets,
-            wake,
-            rr_cursor: 0,
-        }
+        NkDevice { queue_sets, wake }
     }
 
     /// Number of queue sets (one per vCPU).
@@ -120,31 +109,9 @@ impl<E> NkDevice<E> {
         self.queue_sets.iter_mut().enumerate()
     }
 
-    /// Advance the round-robin cursor and return the next queue-set index.
-    /// Returns `None` when the device has no queue sets.
-    pub fn next_index(&mut self) -> Option<usize> {
-        if self.queue_sets.is_empty() {
-            return None;
-        }
-        let idx = self.rr_cursor % self.queue_sets.len();
-        self.rr_cursor = self.rr_cursor.wrapping_add(1);
-        Some(idx)
-    }
-
     /// The wake flag shared with the switch side.
     pub fn wake(&self) -> &WakeState {
         &self.wake
-    }
-
-    /// Append an additional queue set (queues "can be dynamically added or
-    /// removed with the number of vCPUs", §4.4).
-    pub fn add_queue_set(&mut self, end: E) {
-        self.queue_sets.push(end);
-    }
-
-    /// Remove the last queue set, if any.
-    pub fn remove_queue_set(&mut self) -> Option<E> {
-        self.queue_sets.pop()
     }
 }
 
@@ -182,18 +149,6 @@ mod tests {
         assert!(w.wake(), "re-armed device must be wakeable again");
     }
 
-    /// Resuming polling from the armed state discards the pending arm: the
-    /// device found work on its own, so no interrupt should fire afterwards.
-    #[test]
-    fn resume_polling_discards_armed_state() {
-        let w = WakeState::new();
-        w.arm();
-        w.resume_polling();
-        assert!(!w.is_armed());
-        assert!(!w.wake());
-        assert!(!w.take_wake());
-    }
-
     #[test]
     fn wake_state_is_shared_between_clones() {
         let device_side = WakeState::new();
@@ -204,26 +159,10 @@ mod tests {
     }
 
     #[test]
-    fn device_round_robin_cursor() {
+    fn device_indexes_its_queue_sets() {
         let mut dev: NkDevice<u32> = NkDevice::new(vec![10, 20, 30], WakeState::new());
         assert_eq!(dev.queue_sets(), 3);
-        assert_eq!(dev.next_index(), Some(0));
-        assert_eq!(dev.next_index(), Some(1));
-        assert_eq!(dev.next_index(), Some(2));
-        assert_eq!(dev.next_index(), Some(0));
-        let empty: NkDevice<u32> = NkDevice::new(vec![], WakeState::new());
-        let mut empty = empty;
         assert_eq!(dev.queue_set(1), Some(&mut 20));
-        assert_eq!(empty.next_index(), None);
-    }
-
-    #[test]
-    fn device_dynamic_queue_sets() {
-        let mut dev: NkDevice<u32> = NkDevice::new(vec![1], WakeState::new());
-        dev.add_queue_set(2);
-        assert_eq!(dev.queue_sets(), 2);
-        assert_eq!(dev.remove_queue_set(), Some(2));
-        assert_eq!(dev.remove_queue_set(), Some(1));
-        assert_eq!(dev.remove_queue_set(), None);
+        assert_eq!(dev.queue_set(3), None);
     }
 }

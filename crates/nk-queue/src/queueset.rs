@@ -109,27 +109,6 @@ impl RequesterEnd {
         let n = self.completion.pop_batch(out, max);
         n + self.receive.pop_batch(out, max - n)
     }
-
-    /// True when neither the completion nor the receive queue has pending
-    /// NQEs.
-    pub fn responses_empty(&self) -> bool {
-        self.completion.is_empty() && self.receive.is_empty()
-    }
-
-    /// Number of response NQEs currently pending.
-    pub fn responses_len(&self) -> usize {
-        self.completion.len() + self.receive.len()
-    }
-
-    /// Free space in the send queue (used for backpressure on data path).
-    pub fn send_free(&self) -> usize {
-        self.send.free()
-    }
-
-    /// Free space in the job queue.
-    pub fn job_free(&self) -> usize {
-        self.job.free()
-    }
 }
 
 impl ResponderEnd {
@@ -138,16 +117,6 @@ impl ResponderEnd {
     pub fn pop_requests(&mut self, out: &mut Vec<Nqe>, max: usize) -> usize {
         let n = self.job.pop_batch(out, max);
         n + self.send.pop_batch(out, max - n)
-    }
-
-    /// True when neither the job nor the send queue has pending NQEs.
-    pub fn requests_empty(&self) -> bool {
-        self.job.is_empty() && self.send.is_empty()
-    }
-
-    /// Number of request NQEs currently pending.
-    pub fn requests_len(&self) -> usize {
-        self.job.len() + self.send.len()
     }
 
     /// Push a completion or data-event NQE on the queue implied by its op
@@ -159,16 +128,6 @@ impl ResponderEnd {
             _ => &mut self.completion,
         };
         q.push(nqe).map_err(|_| NkError::QueueFull)
-    }
-
-    /// Free space in the receive queue (used for backpressure on data path).
-    pub fn receive_free(&self) -> usize {
-        self.receive.free()
-    }
-
-    /// Free space in the completion queue.
-    pub fn completion_free(&self) -> usize {
-        self.completion.free()
     }
 }
 
@@ -204,7 +163,11 @@ mod tests {
         assert_eq!(responder.pop_requests(&mut out, 16), 2);
         assert_eq!(out[0].op, OpType::Connect);
         assert_eq!(out[1].op, OpType::Send);
-        assert!(responder.requests_empty());
+        assert_eq!(
+            responder.pop_requests(&mut out, 16),
+            0,
+            "both queues drained"
+        );
     }
 
     #[test]
@@ -242,7 +205,11 @@ mod tests {
         assert_eq!(requester.pop_responses(&mut out, 10), 2);
         assert_eq!(out[0].op, OpType::SendComplete);
         assert_eq!(out[1].op, OpType::DataReceived);
-        assert!(requester.responses_empty());
+        assert_eq!(
+            requester.pop_responses(&mut out, 10),
+            0,
+            "both queues drained"
+        );
     }
 
     #[test]
@@ -254,20 +221,5 @@ mod tests {
             requester.submit(req(OpType::Accept)),
             Err(NkError::QueueFull)
         );
-        assert_eq!(requester.job_free(), 0);
-        assert_eq!(requester.send_free(), 2);
-    }
-
-    #[test]
-    fn occupancy_counters() {
-        let (mut requester, mut responder) = queue_set_pair(4);
-        assert!(responder.requests_empty());
-        requester.submit(req(OpType::Listen)).unwrap();
-        assert_eq!(responder.requests_len(), 1);
-        let comp = Nqe::completion_for(&req(OpType::Listen), OpResult::Ok, 0).unwrap();
-        responder.respond(comp).unwrap();
-        assert_eq!(requester.responses_len(), 1);
-        assert_eq!(responder.completion_free(), 3);
-        assert_eq!(responder.receive_free(), 4);
     }
 }

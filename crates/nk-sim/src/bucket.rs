@@ -76,13 +76,6 @@ impl TokenBucket {
     pub fn rate_per_sec(&self) -> f64 {
         self.rate_per_sec
     }
-
-    /// Change the refill rate (e.g. the operator updates a VM's cap).
-    pub fn set_rate_per_sec(&mut self, rate_per_sec: f64, now_ns: u64) {
-        self.refill(now_ns);
-        self.rate_per_sec = rate_per_sec;
-        self.burst = self.burst.max(rate_per_sec / 1_000.0);
-    }
 }
 
 #[cfg(test)]
@@ -169,16 +162,5 @@ mod tests {
             granted += b.consume_up_to(1e9, ms * 1_000_000);
         }
         assert!(granted > 1.24e8 && granted < 1.27e8, "granted {granted}");
-    }
-
-    #[test]
-    fn rate_update_applies_from_now() {
-        let mut b = TokenBucket::new(100.0, 1.0, 0);
-        b.set_rate_per_sec(1000.0, 0);
-        let mut granted = 0.0;
-        for ms in 0..1000u64 {
-            granted += b.consume_up_to(1e9, ms * 1_000_000);
-        }
-        assert!(granted > 995.0 && granted < 1005.0, "granted {granted}");
     }
 }

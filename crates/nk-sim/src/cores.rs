@@ -119,20 +119,9 @@ impl CoreSet {
         charged
     }
 
-    /// How many work items of `cycles_each` the remaining budget can cover.
-    /// A zero cost means everything is affordable.
-    pub fn affordable(&self, cycles_each: u64) -> u64 {
-        self.budget.checked_div(cycles_each).unwrap_or(u64::MAX)
-    }
-
     /// Cumulative ledger.
     pub fn ledger(&self) -> CycleLedger {
         self.ledger
-    }
-
-    /// Cycles per second offered by the whole set.
-    pub fn capacity_per_sec(&self) -> u64 {
-        self.cores as u64 * self.cycles_per_core_per_sec
     }
 }
 
@@ -257,7 +246,6 @@ mod tests {
         let mut four = CoreSet::with_clock(4, 1_000_000_000);
         four.begin_step(1_000_000);
         assert_eq!(four.remaining(), 4_000_000);
-        assert_eq!(four.capacity_per_sec(), 4_000_000_000);
     }
 
     #[test]
@@ -280,14 +268,6 @@ mod tests {
         assert_eq!(c.charge_up_to(700), 700);
         assert_eq!(c.charge_up_to(700), 300);
         assert_eq!(c.charge_up_to(700), 0);
-    }
-
-    #[test]
-    fn affordable_counts_items() {
-        let mut c = CoreSet::with_clock(2, 1_000_000_000);
-        c.begin_step(1_000);
-        assert_eq!(c.affordable(100), 20);
-        assert_eq!(c.affordable(0), u64::MAX);
     }
 
     #[test]

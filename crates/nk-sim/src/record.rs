@@ -98,35 +98,6 @@ impl TimeSeries {
                 .fold(f64::INFINITY, f64::min)
         }
     }
-
-    /// Values within the half-open time window `[from_secs, to_secs)`.
-    pub fn window(&self, from_secs: f64, to_secs: f64) -> Vec<f64> {
-        self.points
-            .iter()
-            .filter(|(t, _)| *t >= from_secs && *t < to_secs)
-            .map(|(_, v)| *v)
-            .collect()
-    }
-
-    /// Downsample into bins of `bin_secs`, averaging the values inside each
-    /// bin (used to produce the 1-minute bins of Figure 7).
-    pub fn rebin(&self, bin_secs: f64) -> TimeSeries {
-        let mut out = TimeSeries::new();
-        if self.points.is_empty() || bin_secs <= 0.0 {
-            return out;
-        }
-        let end = self.points.last().unwrap().0;
-        let mut bin_start = 0.0;
-        while bin_start <= end {
-            let vals = self.window(bin_start, bin_start + bin_secs);
-            if !vals.is_empty() {
-                let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-                out.push(bin_start, mean);
-            }
-            bin_start += bin_secs;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -159,19 +130,5 @@ mod tests {
         assert!((s.mean() - 20.0).abs() < 1e-12);
         assert_eq!(s.max(), 30.0);
         assert_eq!(s.min(), 10.0);
-        assert_eq!(s.window(0.5, 2.5), vec![20.0, 30.0]);
-    }
-
-    #[test]
-    fn rebin_averages_bins() {
-        let mut s = TimeSeries::new();
-        for i in 0..10 {
-            s.push(i as f64, i as f64);
-        }
-        let binned = s.rebin(5.0);
-        assert_eq!(binned.len(), 2);
-        assert!((binned.points()[0].1 - 2.0).abs() < 1e-12);
-        assert!((binned.points()[1].1 - 7.0).abs() < 1e-12);
-        assert!(s.rebin(0.0).is_empty());
     }
 }

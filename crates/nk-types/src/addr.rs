@@ -23,16 +23,6 @@ pub fn host_prefix(host: HostId) -> u32 {
     CLUSTER_IP_BASE | (u32::from(host.raw()) << 16)
 }
 
-/// The host owning an address under the cluster scheme, if it is in the
-/// cluster address space at all.
-pub fn host_of_addr(addr: u32) -> Option<HostId> {
-    if addr & 0xFF00_0000 == CLUSTER_IP_BASE {
-        Some(HostId(((addr >> 16) & 0xFF) as u8))
-    } else {
-        None
-    }
-}
-
 /// Address of an NSM's vNIC on a given host (`10.<host>.0.<nsm>`).
 ///
 /// Host 0 keeps the single-host scheme (`10.0.0.<nsm>`) unchanged, so every
@@ -78,11 +68,6 @@ impl SockAddr {
             ip: (v >> 16) as u32,
             port: (v & 0xFFFF) as u16,
         }
-    }
-
-    /// True when the host part is the wildcard address.
-    pub fn is_any_ip(self) -> bool {
-        self.ip == 0
     }
 }
 
@@ -132,15 +117,5 @@ mod tests {
             nsm_ip_on(HostId(3), NsmId(7)) & HOST_PREFIX_MASK,
             host_prefix(HostId(3))
         );
-        assert_eq!(host_of_addr(0x0A02_0001), Some(HostId(2)));
-        assert_eq!(host_of_addr(0x0A00_0500), Some(HostId(0)));
-        assert_eq!(host_of_addr(0xC0A8_0001), None);
-    }
-
-    #[test]
-    fn wildcard_detection() {
-        assert!(SockAddr::ANY.is_any_ip());
-        assert!(SockAddr::new(0, 80).is_any_ip());
-        assert!(!SockAddr::v4(1, 2, 3, 4, 80).is_any_ip());
     }
 }

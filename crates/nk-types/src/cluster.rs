@@ -195,27 +195,9 @@ impl ObsConfig {
         }
     }
 
-    /// Set the event-ring capacity (builder style).
-    pub fn with_event_capacity(mut self, capacity: usize) -> Self {
-        self.event_capacity = capacity;
-        self
-    }
-
-    /// Set the retained latency-epoch count (builder style).
-    pub fn with_latency_epochs(mut self, epochs: usize) -> Self {
-        self.latency_epochs = epochs;
-        self
-    }
-
     /// Set the recorder latency-epoch length (builder style).
     pub fn with_epoch_ns(mut self, ns: u64) -> Self {
         self.epoch_ns = ns;
-        self
-    }
-
-    /// Set the hot-flow table capacity (builder style).
-    pub fn with_flow_k(mut self, k: usize) -> Self {
-        self.flow_k = k;
         self
     }
 
@@ -298,21 +280,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Set the uplink rate in Gbps (builder style).
-    pub fn with_uplink_rate_gbps(mut self, gbps: f64) -> Self {
-        self.uplink_rate_gbps = gbps;
-        self
-    }
-
     /// Set the uplink one-way latency (builder style).
     pub fn with_uplink_latency_us(mut self, us: u64) -> Self {
         self.uplink_latency_us = us;
-        self
-    }
-
-    /// Bound the interleaved poll rounds per cluster step (builder style).
-    pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        self.max_rounds = rounds;
         self
     }
 
@@ -577,14 +547,12 @@ mod tests {
             .with_host(host(2, 1));
         assert_eq!(dup_vm.validate(), Err(NkError::BadConfig));
 
-        let dead_uplink = ClusterConfig::new()
-            .with_host(host(1, 1))
-            .with_uplink_rate_gbps(0.0);
+        let mut dead_uplink = ClusterConfig::new().with_host(host(1, 1));
+        dead_uplink.uplink_rate_gbps = 0.0;
         assert_eq!(dead_uplink.validate(), Err(NkError::BadConfig));
 
-        let no_rounds = ClusterConfig::new()
-            .with_host(host(1, 1))
-            .with_max_rounds(0);
+        let mut no_rounds = ClusterConfig::new().with_host(host(1, 1));
+        no_rounds.max_rounds = 0;
         assert_eq!(no_rounds.validate(), Err(NkError::BadConfig));
 
         let no_threads = ClusterConfig::new().with_host(host(1, 1)).with_threads(0);
@@ -642,14 +610,15 @@ mod tests {
 
     #[test]
     fn cluster_config_round_trips_through_json() {
-        let cfg = ClusterConfig::new()
+        let mut cfg = ClusterConfig::new()
             .with_host(host(1, 1))
-            .with_uplink_rate_gbps(40.0)
             .with_uplink_latency_us(5)
             .with_threads(4)
             .with_shard_within_hosts(true)
-            .with_policy(ClusterPolicy::new().with_pool_clock_hz(1_000_000))
-            .with_obs(ObsConfig::new().with_event_capacity(128).with_flow_k(8));
+            .with_policy(ClusterPolicy::new().with_pool_clock_hz(1_000_000));
+        cfg.uplink_rate_gbps = 40.0;
+        cfg.obs.event_capacity = 128;
+        cfg.obs.flow_k = 8;
         assert!(cfg.validate().is_ok());
         let json = serde_json::to_string(&cfg).unwrap();
         let back: ClusterConfig = serde_json::from_str(&json).unwrap();
@@ -668,12 +637,15 @@ mod tests {
     fn zero_capacity_recorder_is_rejected() {
         let base = ClusterConfig::new().with_host(host(1, 1));
         assert!(base.clone().validate().is_ok());
-        for bad in [
-            ObsConfig::new().with_event_capacity(0),
-            ObsConfig::new().with_latency_epochs(0),
-            ObsConfig::new().with_epoch_ns(0),
-            ObsConfig::new().with_flow_k(0),
-        ] {
+        let zeroed: [fn(&mut ObsConfig); 4] = [
+            |o| o.event_capacity = 0,
+            |o| o.latency_epochs = 0,
+            |o| o.epoch_ns = 0,
+            |o| o.flow_k = 0,
+        ];
+        for zero in zeroed {
+            let mut bad = ObsConfig::new();
+            zero(&mut bad);
             assert_eq!(
                 base.clone().with_obs(bad).validate(),
                 Err(NkError::BadConfig),

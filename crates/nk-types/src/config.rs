@@ -260,12 +260,6 @@ impl HostConfig {
         self
     }
 
-    /// Bound the poll rounds per host step (builder style).
-    pub fn with_max_poll_rounds(mut self, rounds: usize) -> Self {
-        self.max_poll_rounds = rounds;
-        self
-    }
-
     /// Enable the operator control plane with `policy` (builder style).
     pub fn with_control(mut self, policy: ControlPolicy) -> Self {
         self.control = Some(policy);
@@ -322,14 +316,6 @@ impl HostConfig {
                 Err(NkError::NotFound)
             }
         }
-    }
-
-    /// Total vCPUs consumed by the host-side NetKernel machinery plus VMs
-    /// (used by the multiplexing experiments, §6.1 / Table 2).
-    pub fn total_cores(&self) -> usize {
-        self.vms.iter().map(|v| v.vcpus).sum::<usize>()
-            + self.nsms.iter().map(|n| n.vcpus).sum::<usize>()
-            + self.core_engine_cores
     }
 
     /// Validate internal consistency (ids unique, counts non-zero, static
@@ -407,8 +393,6 @@ mod tests {
         assert_eq!(cfg.vms.len(), 2);
         assert_eq!(cfg.nsm(NsmId(1)).unwrap().vcpus, 2);
         assert_eq!(cfg.vm(VmId(2)).unwrap().vcpus, 2);
-        // 1 + 2 VM vCPUs + 2 NSM vCPUs + 1 CoreEngine core.
-        assert_eq!(cfg.total_cores(), 6);
     }
 
     #[test]

@@ -44,16 +44,6 @@ pub const DEFAULT_SEND_BUF: usize = 256 * 1024;
 /// Default per-socket receive buffer budget in bytes.
 pub const DEFAULT_RECV_BUF: usize = 256 * 1024;
 
-/// Convert gigabits per second to bytes per second.
-pub fn gbps_to_bytes_per_sec(gbps: f64) -> f64 {
-    gbps * 1e9 / 8.0
-}
-
-/// Convert bytes per second to gigabits per second.
-pub fn bytes_per_sec_to_gbps(bps: f64) -> f64 {
-    bps * 8.0 / 1e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,14 +51,6 @@ mod tests {
     #[test]
     fn hugepage_region_default_size_is_256mb() {
         assert_eq!(HUGEPAGE_SIZE * DEFAULT_HUGEPAGE_COUNT, 256 * 1024 * 1024);
-    }
-
-    #[test]
-    fn unit_conversions_are_inverse() {
-        let g = 100.0;
-        let b = gbps_to_bytes_per_sec(g);
-        assert!((bytes_per_sec_to_gbps(b) - g).abs() < 1e-9);
-        assert_eq!(gbps_to_bytes_per_sec(8e-9), 1.0);
     }
 
     /// Compile-time sanity relation between MSS and MTU, kept as a test so

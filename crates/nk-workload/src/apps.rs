@@ -2,7 +2,8 @@
 //!
 //! These are the "unmodified applications" of the evaluation: because they
 //! only use the BSD-style socket trait, the *same code* runs inside a
-//! NetKernel guest (GuestLib) and inside a baseline VM (in-guest stack), and
+//! NetKernel guest (GuestLib) and on a bare `TcpStack` (the baseline VM's
+//! in-guest stack, a remote peer), and
 //! switching the NSM under a NetKernel guest requires no change at all
 //! (use case 3, §6.3).
 //!
@@ -14,7 +15,6 @@
 //! when. [`EchoServer`] and [`ClosedLoopClient`] are the epoll-shaped pair.
 
 use crate::scenario::seeded_payload;
-use nk_netstack::TcpStack;
 use nk_types::{NkError, NkResult, PollEvents, SockAddr, SocketApi, SocketId, VmId};
 use std::collections::BTreeSet;
 
@@ -240,56 +240,12 @@ impl VerifiedStream {
     }
 }
 
-/// The four calls [`echo_all`] makes. A remote peer is a bare [`TcpStack`]
-/// (it has no guest clock to `connect` with, so it is not a [`SocketApi`]);
-/// every other server side is reached as `dyn SocketApi`.
-pub trait EchoApi {
-    /// See [`SocketApi::accept`].
-    fn accept(&mut self, listener: SocketId) -> NkResult<(SocketId, SockAddr)>;
-    /// See [`SocketApi::recv`].
-    fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize>;
-    /// See [`SocketApi::send`].
-    fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize>;
-    /// See [`SocketApi::close`].
-    fn close(&mut self, sock: SocketId) -> NkResult<()>;
-}
-
-impl EchoApi for TcpStack {
-    fn accept(&mut self, listener: SocketId) -> NkResult<(SocketId, SockAddr)> {
-        TcpStack::accept(self, listener)
-    }
-    fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
-        TcpStack::recv(self, sock, buf)
-    }
-    fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize> {
-        TcpStack::send(self, sock, data)
-    }
-    fn close(&mut self, sock: SocketId) -> NkResult<()> {
-        TcpStack::close(self, sock)
-    }
-}
-
-impl EchoApi for dyn SocketApi + '_ {
-    fn accept(&mut self, listener: SocketId) -> NkResult<(SocketId, SockAddr)> {
-        SocketApi::accept(self, listener)
-    }
-    fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
-        SocketApi::recv(self, sock, buf)
-    }
-    fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize> {
-        SocketApi::send(self, sock, data)
-    }
-    fn close(&mut self, sock: SocketId) -> NkResult<()> {
-        SocketApi::close(self, sock)
-    }
-}
-
 /// One echo-server step: accept everything pending on `listener` into
 /// `conns`, then per connection echo whatever can be read until the socket
 /// would block; a connection the peer closed (or that failed) is closed and
 /// dropped from `conns`.
-pub fn echo_all<A: EchoApi + ?Sized>(
-    api: &mut A,
+pub fn echo_all(
+    api: &mut dyn SocketApi,
     listener: SocketId,
     conns: &mut Vec<SocketId>,
     buf: &mut [u8],
@@ -316,8 +272,6 @@ pub fn echo_all<A: EchoApi + ?Sized>(
 /// throughout §7.
 pub struct EchoServer {
     listener: SocketId,
-    /// Ordered, per the workspace determinism rule.
-    connections: BTreeSet<SocketId>,
     /// Requests served (one per message echoed).
     pub requests: u64,
     /// Bytes echoed back.
@@ -334,21 +288,10 @@ impl EchoServer {
         api.epoll_register(listener, PollEvents::READABLE)?;
         Ok(EchoServer {
             listener,
-            connections: BTreeSet::new(),
             requests: 0,
             bytes: 0,
             buf: vec![0u8; 64 * 1024],
         })
-    }
-
-    /// The listening socket.
-    pub fn listener(&self) -> SocketId {
-        self.listener
-    }
-
-    /// Number of live connections.
-    pub fn connections(&self) -> usize {
-        self.connections.len()
     }
 
     /// One event-loop iteration: accept new connections, echo available data.
@@ -356,16 +299,9 @@ impl EchoServer {
     pub fn poll(&mut self, api: &mut dyn SocketApi) -> usize {
         let mut handled = 0;
         // Accept everything pending.
-        loop {
-            match api.accept(self.listener) {
-                Ok((conn, _peer)) => {
-                    let _ = api.epoll_register(conn, PollEvents::READABLE);
-                    self.connections.insert(conn);
-                    handled += 1;
-                }
-                Err(NkError::WouldBlock) => break,
-                Err(_) => break,
-            }
+        while let Ok((conn, _peer)) = api.accept(self.listener) {
+            let _ = api.epoll_register(conn, PollEvents::READABLE);
+            handled += 1;
         }
         // Serve readable connections.
         let events = api.epoll_wait(64);
@@ -378,7 +314,6 @@ impl EchoServer {
                     match api.recv(ev.socket, &mut self.buf) {
                         Ok(0) => {
                             let _ = api.close(ev.socket);
-                            self.connections.remove(&ev.socket);
                             break;
                         }
                         Ok(n) => {
@@ -393,7 +328,6 @@ impl EchoServer {
             }
             if ev.events.hup() || ev.events.error() {
                 let _ = api.close(ev.socket);
-                self.connections.remove(&ev.socket);
             }
         }
         handled
@@ -482,106 +416,95 @@ impl ClosedLoopClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nk_fabric::switch::VirtualSwitch;
-    use nk_host::BaselineVm;
+    use nk_host::NetKernelHost;
+    use nk_types::{HostConfig, NsmConfig, NsmId, ShutdownHow, VmConfig, VmToNsmPolicy};
 
-    /// The workload code knows nothing about which stack it runs on: here it
-    /// runs over two baseline VMs connected by a switch.
-    #[test]
-    fn echo_server_and_client_complete_requests_over_baseline_stacks() {
-        let mut switch = VirtualSwitch::new();
-        let mut server_vm = BaselineVm::new(1, &mut switch);
-        let mut client_vm = BaselineVm::new(2, &mut switch);
+    const SUBJECT_IP: u32 = 0x0A00_0600;
+    const PEER_IP: u32 = 0x0A00_0500;
 
-        let mut server = EchoServer::start(&mut server_vm, SockAddr::new(0, 80), 64).unwrap();
-        let mut client = ClosedLoopClient::new(SockAddr::new(1, 80), 64, 4);
-
-        for i in 1..400u64 {
-            let now = i * 100_000;
-            client.poll(&mut client_vm);
-            server.poll(&mut server_vm);
-            client_vm.step(now);
-            server_vm.step(now);
-            switch.step(now);
-            if client.completed >= 20 {
-                break;
-            }
-        }
-        assert!(
-            client.completed >= 20,
-            "only {} requests completed",
-            client.completed
-        );
-        assert!(server.requests >= 20);
-        assert_eq!(client.bytes_received, client.completed * 64);
+    /// One row of the seam table: a host whose switch carries the socket
+    /// API under test (picked by `subject`, reached at `subject_ip`) and the
+    /// bare stack it talks to at `PEER_IP`.
+    struct World {
+        host: NetKernelHost,
+        subject: fn(&mut NetKernelHost) -> &mut dyn SocketApi,
+        subject_ip: u32,
     }
 
-    /// Drive one fresh 32 KiB stream (a new connection every four chunks)
-    /// with `iterate` until it completes; `iterate` owns the world the
-    /// stream runs over.
-    fn stream_through(mut iterate: impl FnMut(&mut VerifiedStream)) -> VerifiedStream {
-        let spec = BurstyClient::new(VmId(1), 0).with_total_bytes(32 * 1024);
-        let mut stream = VerifiedStream::new(spec, 42, SockAddr::new(SERVER_IP, 7));
-        for _ in 0..2_000 {
-            if stream.done() {
-                break;
-            }
-            iterate(&mut stream);
-        }
-        stream
+    fn guest(host: &mut NetKernelHost) -> &mut dyn SocketApi {
+        host.guest_mut(VmId(1)).unwrap()
     }
 
-    const SERVER_IP: u32 = 0x0A00_0500;
+    fn bare(host: &mut NetKernelHost) -> &mut dyn SocketApi {
+        host.remote_mut(SUBJECT_IP).unwrap()
+    }
 
-    /// The paper's "no code change" (use case 3): the same client and the
-    /// same echo step, unchanged, over a kernel-stack NSM, an mTCP NSM and
-    /// the baseline in-guest stack.
-    #[test]
-    fn the_same_stream_and_echo_run_unchanged_over_every_stack() {
-        use nk_host::NetKernelHost;
-        use nk_types::{HostConfig, NsmConfig, NsmId, VmConfig, VmToNsmPolicy};
+    impl World {
+        fn subject(&mut self) -> &mut dyn SocketApi {
+            (self.subject)(&mut self.host)
+        }
 
-        let over_nsm = |nsm: NsmConfig| {
+        fn peer(&mut self) -> &mut dyn SocketApi {
+            self.host.remote_mut(PEER_IP).unwrap()
+        }
+
+        /// Let `steps` × 100 µs pass.
+        fn run(&mut self, steps: usize) {
+            self.host.run(steps, 100_000);
+        }
+    }
+
+    /// The paper's two architectures as three socket APIs: GuestLib behind
+    /// a kernel-stack NSM, GuestLib behind an mTCP NSM, a bare `TcpStack`.
+    fn worlds() -> Vec<(&'static str, World)> {
+        let host = |nsm: NsmConfig| {
             let cfg = HostConfig::new()
                 .with_vm(VmConfig::new(VmId(1)))
                 .with_nsm(nsm)
                 .with_mapping(VmToNsmPolicy::All(NsmId(1)));
             let mut host = NetKernelHost::new(cfg).unwrap();
-            let remote = host.add_remote(SERVER_IP);
-            let listener = remote.socket();
-            remote.bind(listener, SockAddr::new(0, 7)).unwrap();
-            remote.listen(listener, 64).unwrap();
-            let (mut conns, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
-            stream_through(|stream| {
-                stream.poll(host.guest_mut(VmId(1)).unwrap());
-                host.step(100_000);
-                let remote = host.remote_mut(SERVER_IP).unwrap();
-                echo_all(remote, listener, &mut conns, &mut buf);
-            })
+            host.add_remote(PEER_IP);
+            host.add_remote(SUBJECT_IP);
+            host
         };
-        let kernel = over_nsm(NsmConfig::kernel(NsmId(1)));
-        let mtcp = over_nsm(NsmConfig::mtcp(NsmId(1)));
+        let over_nsm = |nsm| World {
+            host: host(nsm),
+            subject: guest,
+            subject_ip: NetKernelHost::nsm_ip(NsmId(1)),
+        };
+        let bare = World {
+            host: host(NsmConfig::kernel(NsmId(1))),
+            subject: bare,
+            subject_ip: SUBJECT_IP,
+        };
+        vec![
+            ("kernel", over_nsm(NsmConfig::kernel(NsmId(1)))),
+            ("mtcp", over_nsm(NsmConfig::mtcp(NsmId(1)))),
+            ("bare", bare),
+        ]
+    }
 
-        let mut switch = VirtualSwitch::new();
-        let mut server_vm = BaselineVm::new(SERVER_IP, &mut switch);
-        let mut client_vm = BaselineVm::new(0x0A00_0600, &mut switch);
-        let server: &mut dyn SocketApi = &mut server_vm;
-        let listener = server.socket().unwrap();
-        server.bind(listener, SockAddr::new(0, 7)).unwrap();
-        server.listen(listener, 64).unwrap();
-        let (mut conns, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
-        let mut now = 0;
-        let baseline = stream_through(|stream| {
-            stream.poll(&mut client_vm);
-            now += 100_000;
-            client_vm.step(now);
-            server_vm.step(now);
-            switch.step(now);
-            let server: &mut dyn SocketApi = &mut server_vm;
-            echo_all(server, listener, &mut conns, &mut buf);
-        });
-
-        for (stack, stream) in [("kernel", kernel), ("mtcp", mtcp), ("baseline", baseline)] {
+    /// The paper's "no code change" (use case 3): the same client and the
+    /// same echo step, unchanged, over a kernel-stack NSM, an mTCP NSM and
+    /// a bare stack (the baseline) — a fresh 32 KiB stream, a new connection
+    /// every four chunks.
+    #[test]
+    fn the_same_stream_and_echo_run_unchanged_over_every_stack() {
+        for (stack, mut w) in worlds() {
+            let listener = w.peer().socket().unwrap();
+            w.peer().bind(listener, SockAddr::new(0, 7)).unwrap();
+            w.peer().listen(listener, 64).unwrap();
+            let spec = BurstyClient::new(VmId(1), 0).with_total_bytes(32 * 1024);
+            let mut stream = VerifiedStream::new(spec, 42, SockAddr::new(PEER_IP, 7));
+            let (mut conns, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
+            for _ in 0..2_000 {
+                if stream.done() {
+                    break;
+                }
+                stream.poll(w.subject());
+                w.run(1);
+                echo_all(w.peer(), listener, &mut conns, &mut buf);
+            }
             assert!(stream.done(), "{stack}: transfer did not complete");
             assert_eq!(stream.bytes_verified(), 32 * 1024, "{stack}");
             assert_eq!(
@@ -589,6 +512,131 @@ mod tests {
                 (0, 0),
                 "{stack}"
             );
+        }
+    }
+
+    /// One scripted session against the subject — both roles, the epoll
+    /// calls, half-close, EOF, and the error cases — as the list of every
+    /// call's result, socket ids replaced by the script's names for them.
+    fn scripted_session(w: &mut World) -> Vec<String> {
+        let mut log = Vec::new();
+        let mut names: Vec<(SocketId, &str)> = Vec::new();
+        macro_rules! note {
+            ($what:expr, $result:expr) => {
+                log.push(format!("{}: {:?}", $what, $result))
+            };
+        }
+        // `epoll_wait`, by name; sorted, because the two implementations
+        // number their sockets differently.
+        let ready = |names: &[(SocketId, &str)], api: &mut dyn SocketApi| {
+            let name = |s| names.iter().find(|(id, _)| *id == s).map(|(_, n)| *n);
+            let mut events: Vec<String> = api
+                .epoll_wait(8)
+                .into_iter()
+                .map(|ev| format!("{:?}={:#x}", name(ev.socket), ev.events.0))
+                .collect();
+            events.sort();
+            events
+        };
+        let mut buf = [0u8; 64];
+        let readable = PollEvents::READABLE;
+        let both = readable | PollEvents::WRITABLE;
+
+        // Passive side: listen, be connected to, accept, exchange.
+        let ls = w.subject().socket().unwrap();
+        names.push((ls, "ls"));
+        note!("bind", w.subject().bind(ls, SockAddr::new(0, 80)));
+        note!("listen", w.subject().listen(ls, 8));
+        note!("register ls", w.subject().epoll_register(ls, readable));
+        w.run(5);
+        note!("accept early", w.subject().accept(ls));
+        note!("wait idle", ready(&names, w.subject()));
+        let pc = w.peer().socket().unwrap();
+        let listener = SockAddr::new(w.subject_ip, 80);
+        w.peer().connect(pc, listener).unwrap();
+        w.run(30);
+        note!("wait acceptable", ready(&names, w.subject()));
+        let (conn, from) = w.subject().accept(ls).unwrap();
+        names.push((conn, "conn"));
+        note!("accepted from the peer", from.ip == PEER_IP);
+        note!("register conn", w.subject().epoll_register(conn, readable));
+        note!("recv early", w.subject().recv(conn, &mut buf));
+        w.peer().send(pc, b"ping").unwrap();
+        w.run(20);
+        note!("wait readable", ready(&names, w.subject()));
+        let got = w.subject().recv(conn, &mut buf);
+        note!("recv", got.map(|n| buf[..n].to_vec()));
+        note!("send", w.subject().send(conn, b"pong"));
+        w.run(20);
+        let got = w.peer().recv(pc, &mut buf);
+        note!("peer got", got.map(|n| buf[..n].to_vec()));
+
+        // Active side: connect out, send, half-close.
+        let pl = w.peer().socket().unwrap();
+        w.peer().bind(pl, SockAddr::new(0, 90)).unwrap();
+        w.peer().listen(pl, 8).unwrap();
+        let cs = w.subject().socket().unwrap();
+        names.push((cs, "cs"));
+        let to_peer = SockAddr::new(PEER_IP, 90);
+        note!("connect", w.subject().connect(cs, to_peer));
+        note!("register cs", w.subject().epoll_register(cs, both));
+        w.run(30);
+        note!("wait writable", ready(&names, w.subject()));
+        note!("poll cs", w.subject().poll(cs));
+        note!("send cs", w.subject().send(cs, b"hello"));
+        w.run(20);
+        let (pconn, _) = w.peer().accept(pl).unwrap();
+        let got = w.peer().recv(pconn, &mut buf);
+        note!("peer got", got.map(|n| buf[..n].to_vec()));
+        note!("shutdown", w.subject().shutdown(cs, ShutdownHow::Write));
+        w.run(20);
+        note!("peer sees eof", w.peer().recv(pconn, &mut buf));
+        note!("half-closed cs writable", w.subject().poll(cs).writable());
+        note!("unregister cs", w.subject().epoll_unregister(cs));
+
+        // The peer closes the first connection: EOF; then close, and every
+        // call on a closed or never-issued id.
+        w.peer().close(pc).unwrap();
+        w.run(20);
+        note!("wait hup", ready(&names, w.subject()));
+        note!("recv after peer close", w.subject().recv(conn, &mut buf));
+        note!("close conn", w.subject().close(conn));
+        note!("close cs", w.subject().close(cs));
+        w.peer().close(pconn).unwrap();
+        w.run(400); // past TIME-WAIT
+        note!("wait after close", ready(&names, w.subject()));
+        note!("send on closed", w.subject().send(conn, b"x"));
+        note!("double close", w.subject().close(conn));
+        note!("poll closed", w.subject().poll(conn));
+        let never = SocketId(9_999);
+        note!("register unknown", w.subject().epoll_register(never, both));
+        note!("unregister unknown", w.subject().epoll_unregister(never));
+        log
+    }
+
+    /// The seam, as a table: the one session reads the same over all three
+    /// socket APIs, call for call.
+    #[test]
+    fn one_session_reads_the_same_over_every_socket_api() {
+        // The one legitimate difference: after `shutdown(Write)` a bare
+        // stack knows the socket is half-closed and stops reporting it
+        // writable; GuestLib keeps no half-close state — its writability is
+        // the send budget — and leaves refusing the bytes to the NSM.
+        let differs = |line: &String| line.starts_with("half-closed cs writable");
+        let mut sessions = worlds().into_iter().map(|(name, mut w)| {
+            let (diff, same): (Vec<_>, Vec<_>) =
+                scripted_session(&mut w).into_iter().partition(differs);
+            assert_eq!(
+                diff,
+                [format!("half-closed cs writable: {}", name != "bare")]
+            );
+            (name, same)
+        });
+        let (_, reference) = sessions.next().unwrap();
+        assert!(reference.contains(&"recv after peer close: Ok(0)".to_string()));
+        assert!(reference.contains(&"double close: Err(BadSocket)".to_string()));
+        for (name, session) in sessions {
+            assert_eq!(session, reference, "{name} differs from kernel");
         }
     }
 }

@@ -17,12 +17,13 @@
 
 use nk_host::sched::SchedStats;
 use nk_host::{ControlTelemetry, NetKernelHost};
-use nk_types::{ControlEvent, HostConfig, NkResult, NsmId, SockAddr, SocketId, VmId};
+use nk_types::faults::FaultPlan;
+use nk_types::{ControlEvent, HostConfig, NkResult, NsmId, SockAddr, VmId};
 use std::collections::BTreeMap;
 
 pub use crate::apps::BurstyClient;
-use crate::apps::{echo_all, VerifiedStream};
-use crate::scenario::check_sched;
+use crate::apps::VerifiedStream;
+use crate::scenario::run_single_host;
 
 /// Configuration of one bursty multi-tenant run.
 #[derive(Clone, Debug)]
@@ -123,56 +124,17 @@ impl BurstyScenario {
     /// byte corruption, NQE loss, scheduler accounting drift.
     pub fn run(&self) -> NkResult<BurstyReport> {
         let cfg = &self.cfg;
-        let mut host = NetKernelHost::new(cfg.host.clone())?;
-
-        let remote = host.add_remote(cfg.server_ip);
-        let listener = remote.socket();
-        remote.bind(listener, SockAddr::new(0, cfg.server_port))?;
-        remote.listen(listener, 64)?;
-        let mut server_conns: Vec<SocketId> = Vec::new();
-        let mut echo_buf = vec![0u8; 16 * 1024];
-
         let server = SockAddr::new(cfg.server_ip, cfg.server_port);
-        let mut clients = VerifiedStream::for_tenants(&cfg.clients, cfg.seed, server);
-
-        let mut steps = 0u64;
-        let mut drained = 0usize;
-        while (steps as usize) < cfg.max_steps {
-            if clients.iter().all(VerifiedStream::done) {
-                if drained >= cfg.drain_steps {
-                    break;
-                }
-                drained += 1;
-            }
-            let now = host.now_ns();
-            for c in clients.iter_mut() {
-                if now >= c.spec().start_ns && !c.done() {
-                    if let Some(g) = host.guest_mut(c.spec().vm) {
-                        c.poll(g);
-                    }
-                }
-            }
-            host.step(cfg.dt_ns);
-            if let Some(remote) = host.remote_mut(cfg.server_ip) {
-                echo_all(remote, listener, &mut server_conns, &mut echo_buf);
-            }
-            steps += 1;
-            if steps.is_multiple_of(64) {
-                check_sched(&host);
-            }
-        }
-        let completed = clients.iter().all(VerifiedStream::done);
-
-        // Settle and check conservation per tenant at quiescence.
-        for c in clients.iter_mut() {
-            if let Some(g) = host.guest_mut(c.spec().vm) {
-                c.close(g);
-            }
-        }
-        for _ in 0..50 {
-            host.step(cfg.dt_ns);
-        }
-        check_sched(&host);
+        let (mut host, clients, steps) = run_single_host(
+            &cfg.host,
+            &FaultPlan::new(),
+            server,
+            VerifiedStream::for_tenants(&cfg.clients, cfg.seed, server),
+            cfg.max_steps,
+            cfg.drain_steps,
+            cfg.dt_ns,
+        )?;
+        // Conservation per tenant at quiescence.
         for c in &clients {
             Self::check_conservation(&mut host, c.spec().vm);
         }
@@ -190,7 +152,7 @@ impl BurstyScenario {
             .filter_map(|v| host.nsm_of(v.id).map(|n| (v.id, n)))
             .collect();
         Ok(BurstyReport {
-            completed,
+            completed: clients.iter().all(VerifiedStream::done),
             steps,
             bytes_verified: clients.iter().map(VerifiedStream::bytes_verified).sum(),
             errors_observed: clients.iter().map(|c| c.errors_observed).sum(),

@@ -219,17 +219,6 @@ impl Scenario {
     /// byte corruption, NQE loss, scheduler accounting drift.
     pub fn run(&self) -> NkResult<ScenarioReport> {
         let cfg = &self.cfg;
-        let mut host = NetKernelHost::new(cfg.host.clone())?;
-        host.install_fault_plan(&cfg.faults)?;
-
-        // Remote echo server.
-        let remote = host.add_remote(cfg.server_ip);
-        let listener = remote.socket();
-        remote.bind(listener, SockAddr::new(0, cfg.server_port))?;
-        remote.listen(listener, 64)?;
-        let mut server_conns: Vec<SocketId> = Vec::new();
-        let mut echo_buf = vec![0u8; 16 * 1024];
-
         // The one-client case of the shared driver: a single connection for
         // the whole transfer, reopened only when the infrastructure fails.
         let spec = BurstyClient {
@@ -238,33 +227,17 @@ impl Scenario {
             ..BurstyClient::new(cfg.client_vm, 0).long_lived()
         };
         let server = SockAddr::new(cfg.server_ip, cfg.server_port);
-        let mut client = VerifiedStream::new(spec, cfg.seed, server);
-        let mut steps = 0u64;
-
-        while !client.done() && (steps as usize) < cfg.max_steps {
-            if let Some(g) = host.guest_mut(cfg.client_vm) {
-                client.poll(g);
-            }
-            host.step(cfg.dt_ns);
-            if let Some(remote) = host.remote_mut(cfg.server_ip) {
-                echo_all(remote, listener, &mut server_conns, &mut echo_buf);
-            }
-            steps += 1;
-            if steps.is_multiple_of(64) {
-                check_sched(&host);
-            }
-        }
-        let completed = client.done();
-
-        // Settle: let in-flight NQEs, credits and closes drain so the
-        // conservation invariant can be checked at quiescence.
-        client.close(host.guest_mut(cfg.client_vm).ok_or(NkError::NotFound)?);
-        for _ in 0..50 {
-            host.step(cfg.dt_ns);
-        }
-        check_sched(&host);
-        self.check_conservation(&mut host);
-
+        let client = VerifiedStream::new(spec, cfg.seed, server);
+        let (mut host, clients, steps) = run_single_host(
+            &cfg.host,
+            &cfg.faults,
+            server,
+            vec![client],
+            cfg.max_steps,
+            0,
+            cfg.dt_ns,
+        )?;
+        let client = &clients[0];
         let guest = host
             .guest_mut(cfg.client_vm)
             .ok_or(NkError::NotFound)?
@@ -272,12 +245,21 @@ impl Scenario {
         let vm = host
             .vm_switch_stats(cfg.client_vm)
             .ok_or(NkError::NotFound)?;
+        // NQE conservation over CoreEngine at quiescence: everything the
+        // guest submitted was forwarded, answered with an error, or is
+        // still parked for retry. Nothing vanishes.
+        let stalled = host.stalled_nqes() as u64;
+        assert_eq!(
+            guest.nqes_sent,
+            vm.nqes_forwarded + vm.dropped + stalled,
+            "NQEs lost in the switch: {guest:?}, {vm:?}, stalled {stalled}",
+        );
         let server_stack = host
             .remote_mut(cfg.server_ip)
             .ok_or(NkError::NotFound)?
             .stats();
         Ok(ScenarioReport {
-            completed,
+            completed: client.done(),
             steps,
             bytes_verified: client.bytes_verified(),
             errors_observed: client.errors_observed,
@@ -290,33 +272,74 @@ impl Scenario {
             server_stack,
         })
     }
+}
 
-    /// NQE conservation over CoreEngine at quiescence: everything the guest
-    /// submitted was forwarded, answered with an error, or is still parked
-    /// for retry. Nothing vanishes.
-    fn check_conservation(&self, host: &mut NetKernelHost) {
-        let guest = host
-            .guest_mut(self.cfg.client_vm)
-            .expect("client VM exists")
-            .stats();
-        let vm = host
-            .vm_switch_stats(self.cfg.client_vm)
-            .expect("client VM registered");
-        let stalled = host.stalled_nqes() as u64;
-        assert_eq!(
-            guest.nqes_sent,
-            vm.nqes_forwarded + vm.dropped + stalled,
-            "NQEs lost in the switch: guest sent {}, forwarded {}, dropped {}, stalled {}",
-            guest.nqes_sent,
-            vm.nqes_forwarded,
-            vm.dropped,
-            stalled,
-        );
+/// The single-host run loop both scenario runners share: per step, every
+/// started, unfinished stream polls its guest, the host steps, the remote
+/// server at `server` echoes — until `drain_steps` steps after the last
+/// stream finished (or `max_steps`). The streams are then closed and the
+/// host settles, so conservation can be checked at quiescence. Returns the
+/// settled host, the streams and the steps the loop ran.
+pub(crate) fn run_single_host(
+    host_cfg: &HostConfig,
+    faults: &FaultPlan,
+    server: SockAddr,
+    mut streams: Vec<VerifiedStream>,
+    max_steps: usize,
+    drain_steps: usize,
+    dt_ns: u64,
+) -> NkResult<(NetKernelHost, Vec<VerifiedStream>, u64)> {
+    let mut host = NetKernelHost::new(host_cfg.clone())?;
+    host.install_fault_plan(faults)?;
+
+    let remote = host.add_remote(server.ip);
+    let listener = remote.socket();
+    remote.bind(listener, SockAddr::new(0, server.port))?;
+    remote.listen(listener, 64)?;
+    let mut server_conns: Vec<SocketId> = Vec::new();
+    let mut echo_buf = vec![0u8; 16 * 1024];
+
+    let mut steps = 0u64;
+    let mut drained = 0usize;
+    while (steps as usize) < max_steps {
+        if streams.iter().all(VerifiedStream::done) {
+            if drained >= drain_steps {
+                break;
+            }
+            drained += 1;
+        }
+        let now = host.now_ns();
+        for c in streams.iter_mut() {
+            if now >= c.spec().start_ns && !c.done() {
+                if let Some(g) = host.guest_mut(c.spec().vm) {
+                    c.poll(g);
+                }
+            }
+        }
+        host.step(dt_ns);
+        if let Some(remote) = host.remote_mut(server.ip) {
+            echo_all(remote, listener, &mut server_conns, &mut echo_buf);
+        }
+        steps += 1;
+        if steps.is_multiple_of(64) {
+            check_sched(&host);
+        }
     }
+
+    for c in streams.iter_mut() {
+        if let Some(g) = host.guest_mut(c.spec().vm) {
+            c.close(g);
+        }
+    }
+    for _ in 0..50 {
+        host.step(dt_ns);
+    }
+    check_sched(&host);
+    Ok((host, streams, steps))
 }
 
 /// Scheduler accounting: every step ends in quiescence or at the bound.
-pub(crate) fn check_sched(host: &NetKernelHost) {
+fn check_sched(host: &NetKernelHost) {
     let s = host.sched_stats();
     assert_eq!(
         s.quiescent_exits + s.round_limit_hits,

@@ -112,16 +112,16 @@ fn workloads_run_unmodified_on_netkernel_and_baseline() {
     );
 
     // Baseline: both ends are baseline VMs on a plain switch; the *same*
-    // EchoServer / ClosedLoopClient types are reused.
+    // EchoServer / ClosedLoopClient types run on their in-guest stacks.
     let mut switch = netkernel::fabric::VirtualSwitch::<Segment>::new();
     let mut server_vm = BaselineVm::new(1, &mut switch);
     let mut client_vm = BaselineVm::new(2, &mut switch);
-    let mut server = EchoServer::start(&mut server_vm, SockAddr::new(0, 80), 64).unwrap();
+    let mut server = EchoServer::start(server_vm.stack_mut(), SockAddr::new(0, 80), 64).unwrap();
     let mut client = ClosedLoopClient::new(SockAddr::new(1, 80), 64, 8);
     for i in 1..2_000u64 {
         let now = i * 100_000;
-        client.poll(&mut client_vm);
-        server.poll(&mut server_vm);
+        client.poll(client_vm.stack_mut());
+        server.poll(server_vm.stack_mut());
         client_vm.step(now);
         server_vm.step(now);
         switch.step(now);
@@ -135,6 +135,7 @@ fn workloads_run_unmodified_on_netkernel_and_baseline() {
         client.completed
     );
     assert!(server.requests >= 50);
+    assert_eq!(client.bytes_received, client.completed * 64);
 }
 
 /// A guest server behind the NSM accepts connections originated by remote
