@@ -981,7 +981,7 @@ fn wm01_warm_vs_drained(results: &mut BenchResults) {
         );
 }
 
-/// ev01: planned host evacuation vs a naive serial drain — wall-clock to
+/// ev01: planned host evacuation vs a naive serial drain — virtual time to
 /// clear a two-VM host and connections broken while doing it.
 ///
 /// The evacuation arm compiles one plan (both VMs warm, paced waves,
@@ -1097,7 +1097,7 @@ fn ev01_evacuation(results: &mut BenchResults) {
 
     print_table(
         "ev01: clearing a two-VM host, planned evacuation vs serial drain",
-        &["mode", "wall-clock (ms)", "reconnects", "bytes verified"],
+        &["mode", "virtual time (ms)", "reconnects", "bytes verified"],
         &[
             vec![
                 "evacuation".into(),
