@@ -365,9 +365,7 @@ impl TcpConnection {
             match self.state {
                 ConnState::Established => self.state = ConnState::FinWait1,
                 ConnState::CloseWait => self.state = ConnState::LastAck,
-                ConnState::SynSent | ConnState::SynReceived => {
-                    self.state = ConnState::Closed;
-                }
+                ConnState::SynSent | ConnState::SynReceived => self.enter_closed(),
                 _ => {}
             }
         }
@@ -378,10 +376,18 @@ impl TcpConnection {
         if !matches!(self.state, ConnState::Closed | ConnState::TimeWait) {
             self.rst_pending = true;
         }
-        self.state = ConnState::Closed;
+        self.enter_closed();
         self.send_buf.clear();
         self.recv_buf.clear();
         self.ooo.clear();
+    }
+
+    /// The one way into `Closed`: a dead connection keeps no timer (an RTO
+    /// left armed would count phantom timeouts and shrink a shared window).
+    fn enter_closed(&mut self) {
+        self.state = ConnState::Closed;
+        self.rto_deadline = None;
+        self.time_wait_deadline = None;
     }
 
     // ---- Segment processing -----------------------------------------------
@@ -390,7 +396,7 @@ impl TcpConnection {
     pub fn on_segment(&mut self, seg: &Segment, now_ns: u64) {
         if seg.flags.rst {
             // A reset kills the connection immediately.
-            self.state = ConnState::Closed;
+            self.enter_closed();
             self.send_buf.clear();
             self.peer_fin_received = true;
             return;
@@ -486,7 +492,7 @@ impl TcpConnection {
                             self.state = ConnState::TimeWait;
                             self.time_wait_deadline = Some(now_ns + TIME_WAIT_NS);
                         }
-                        ConnState::LastAck => self.state = ConnState::Closed,
+                        ConnState::LastAck => self.enter_closed(),
                         _ => {}
                     }
                 }
@@ -622,7 +628,7 @@ impl TcpConnection {
         if self.state == ConnState::TimeWait {
             match self.time_wait_deadline {
                 None => self.time_wait_deadline = Some(now_ns + TIME_WAIT_NS),
-                Some(d) if now_ns >= d => self.state = ConnState::Closed,
+                Some(d) if now_ns >= d => self.enter_closed(),
                 _ => {}
             }
         }
@@ -670,14 +676,7 @@ impl TcpConnection {
         let in_flight = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
         let window = self.cc.cwnd().min(self.snd_wnd as usize);
         let mut budget = window.saturating_sub(in_flight);
-        // Offset of snd_nxt into the send buffer.
-        let mut offset = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
-        // Exclude a previously sent FIN from buffer indexing.
-        if let Some(fin_seq) = self.fin_seq {
-            if seq_ge(self.snd_nxt, fin_seq.wrapping_add(1)) {
-                offset = offset.saturating_sub(1);
-            }
-        }
+        let mut offset = self.send_offset();
 
         let first_data = out.len();
         while budget > 0 && offset < self.send_buf.len() {
@@ -742,6 +741,52 @@ impl TcpConnection {
             self.dup_ack_burst = 0;
             self.ece_pending = false;
         }
+    }
+
+    /// Offset of `snd_nxt` into the send buffer (a FIN already sent takes a
+    /// sequence number but no buffer byte).
+    fn send_offset(&self) -> usize {
+        let offset = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
+        match self.fin_seq {
+            Some(fin_seq) if seq_ge(self.snd_nxt, fin_seq.wrapping_add(1)) => {
+                offset.saturating_sub(1)
+            }
+            _ => offset,
+        }
+    }
+
+    /// True when the next [`TcpConnection::poll_transmit`] may act without a
+    /// segment, an application call or a timer coming first: unsent bytes
+    /// (window-blocked — a shared congestion window can open through a
+    /// sibling's ACK), an unsent FIN, SYN or SYN-ACK, a pending RST or ACK,
+    /// a TIME-WAIT without its deadline. Any other connection can be left
+    /// alone until an event or its [`TcpConnection::next_deadline`].
+    pub fn needs_poll(&self) -> bool {
+        match self.state {
+            _ if self.rst_pending => true,
+            ConnState::Closed => false,
+            ConnState::SynSent | ConnState::SynReceived => self.snd_nxt == self.snd_una,
+            state => {
+                self.send_offset() < self.send_buf.len()
+                    || self.ack_pending
+                    || self.dup_ack_burst > 0
+                    || self.fin_queued
+                        && self.fin_seq.is_none()
+                        && matches!(
+                            state,
+                            ConnState::FinWait1 | ConnState::LastAck | ConnState::Closing
+                        )
+                    || state == ConnState::TimeWait && self.time_wait_deadline.is_none()
+            }
+        }
+    }
+
+    /// The earliest time a timer of this connection fires (`poll_transmit`
+    /// acts on it at the first `now_ns >= deadline`): the retransmission
+    /// timeout or the end of TIME-WAIT. `None` for a closed connection.
+    pub fn next_deadline(&self) -> Option<u64> {
+        let timers = [self.rto_deadline, self.time_wait_deadline];
+        timers.into_iter().flatten().min()
     }
 
     fn arm_rto(&mut self, now_ns: u64) {

@@ -14,7 +14,7 @@ use nk_fabric::nic::symmetric_flow_hash;
 use nk_fabric::port::{Frame, Port};
 use nk_types::api::{sockopt, EpollEvent};
 use nk_types::{NkError, NkResult, PollEvents, ShutdownHow, SockAddr, SocketApi, SocketId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Configuration of one stack instance.
 #[derive(Clone)]
@@ -109,6 +109,9 @@ pub struct StackStats {
     pub connected: u64,
     /// Segments dropped because no socket matched.
     pub no_socket_drops: u64,
+    /// Connections handed to `poll_transmit` by [`TcpStack::tick`] — the
+    /// tick's cost in sockets, whatever the machine.
+    pub conns_polled: u64,
 }
 
 enum SocketEntry {
@@ -125,16 +128,38 @@ enum SocketEntry {
         ready: VecDeque<SocketId>,
     },
     /// An in-progress or established connection.
-    Conn(Box<TcpConnection>),
+    Conn(Box<ConnSlot>),
+}
+
+/// A connection plus what `tick` remembers about it between polls.
+struct ConnSlot {
+    conn: TcpConnection,
+    /// On the wake list: the next `transmit` polls it.
+    queued: bool,
+    /// Deadline of this socket's one entry in `timers`. Never later than
+    /// the connection's `next_deadline()` once it has been polled.
+    armed: Option<u64>,
+    /// `writable()` at the last poll, for the Writable edge.
+    was_writable: bool,
+}
+
+impl ConnSlot {
+    /// Queue the connection for the next `transmit`: whatever can change
+    /// what it emits calls this. The id is pushed on the 0→1 edge only.
+    fn wake(&mut self, id: SocketId, wake: &mut Vec<SocketId>) {
+        if !self.queued {
+            self.queued = true;
+            wake.push(id);
+        }
+    }
 }
 
 /// A TCP stack instance attached to one fabric port.
 pub struct TcpStack {
     cfg: StackConfig,
     port: Port<Segment>,
-    /// Ordered map: `transmit` and `reap_closed` walk every socket, and the
-    /// walk order must match across runs for seeded scenarios to replay
-    /// exactly (a `HashMap` would emit segments in a per-instance order).
+    /// Ordered like every table on the datapath. `transmit` does not walk
+    /// it: it polls `wake`, sorted — the order a walk would visit them in.
     sockets: BTreeMap<SocketId, SocketEntry>,
     /// (local, remote) → connection socket. Ordered like every other table
     /// on the datapath (the workspace determinism rule).
@@ -143,9 +168,17 @@ pub struct TcpStack {
     listeners: BTreeMap<u16, Vec<SocketId>>,
     /// Embryonic connections (arrived via SYN) → their parent listener.
     embryonic: BTreeMap<SocketId, SocketId>,
-    /// Sockets whose previous tick state was not yet writable/readable, for
-    /// edge detection.
-    was_writable: BTreeMap<SocketId, bool>,
+    /// Connections the next `transmit` polls, each id once (the slot's
+    /// `queued` bit), unsorted. Ids of sockets since removed are skipped.
+    wake: Vec<SocketId>,
+    /// The connections the last `transmit` polled, ascending: what
+    /// `reap_closed` examines. Trades buffers with `wake` every tick.
+    polled: Vec<SocketId>,
+    /// `(deadline_ns, socket)`, at most one entry per connection, no later
+    /// than its earliest timer. Lazy: the entry moves only when the deadline
+    /// moves *earlier* (an RTO moves later on every send), so it may fire
+    /// early; the woken connection finds nothing due and re-arms.
+    timers: BTreeSet<(u64, SocketId)>,
     /// The [`SocketApi`] epoll interest set; an entry dies with its socket.
     /// Ordered so `epoll_wait` reports deterministically.
     interest: BTreeMap<SocketId, PollEvents>,
@@ -173,7 +206,9 @@ impl TcpStack {
             demux: BTreeMap::new(),
             listeners: BTreeMap::new(),
             embryonic: BTreeMap::new(),
-            was_writable: BTreeMap::new(),
+            wake: Vec::new(),
+            polled: Vec::new(),
+            timers: BTreeSet::new(),
             interest: BTreeMap::new(),
             now_ns: 0,
             next_socket: 1,
@@ -207,7 +242,7 @@ impl TcpStack {
         self.iss
     }
 
-    fn alloc_ephemeral(&mut self) -> u16 {
+    fn alloc_ephemeral(&mut self, remote: SockAddr) -> u16 {
         for _ in 0..25_000 {
             let p = self.next_ephemeral;
             // EPHEMERAL_HIGH is exclusive: wrap before the scan reaches it,
@@ -217,7 +252,8 @@ impl TcpStack {
             } else {
                 p + 1
             };
-            if !self.listeners.contains_key(&p) {
+            let tuple = (SockAddr::new(self.cfg.local_ip, p), remote);
+            if !self.listeners.contains_key(&p) && !self.demux.contains_key(&tuple) {
                 return p;
             }
         }
@@ -292,7 +328,7 @@ impl TcpStack {
             Some(SocketEntry::Listener { ready, .. }) => {
                 let conn_id = ready.pop_front().ok_or(NkError::WouldBlock)?;
                 let peer = match self.sockets.get(&conn_id) {
-                    Some(SocketEntry::Conn(c)) => c.remote(),
+                    Some(SocketEntry::Conn(slot)) => slot.conn.remote(),
                     _ => return Err(NkError::InvalidState),
                 };
                 self.stats.accepted += 1;
@@ -329,16 +365,21 @@ impl TcpStack {
         };
         let local_port = match local_port {
             Some(p) => p,
-            None => self.alloc_ephemeral(),
+            None => self.alloc_ephemeral(remote),
         };
         let local = SockAddr::new(self.cfg.local_ip, local_port);
+        // A tuple still in the table (its last connection sits in TIME-WAIT)
+        // is taken: overwriting the entry would hijack that socket's segments.
+        if self.demux.contains_key(&(local, remote)) {
+            return Err(NkError::AddrInUse);
+        }
         let iss = self.next_iss();
         let cc = cc.unwrap_or_else(|| self.cfg.cc.build());
         let mut conn = TcpConnection::connect(local, remote, iss, cc, now_ns);
         conn.set_send_buf_cap(self.cfg.send_buf);
         conn.set_recv_buf_cap(self.cfg.recv_buf);
         self.demux.insert((local, remote), sock);
-        self.sockets.insert(sock, SocketEntry::Conn(Box::new(conn)));
+        self.insert_conn(sock, conn);
         self.stats.connected += 1;
         Ok(())
     }
@@ -346,7 +387,8 @@ impl TcpStack {
     /// Queue data for transmission.
     pub fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize> {
         match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Conn(c)) => {
+            Some(SocketEntry::Conn(slot)) => {
+                let c = &mut slot.conn;
                 if c.is_closed() {
                     return Err(NkError::Closed);
                 }
@@ -358,6 +400,7 @@ impl TcpStack {
                         Err(NkError::WouldBlock)
                     }
                 } else {
+                    slot.wake(sock, &mut self.wake);
                     self.stats.bytes_out += n as u64;
                     Ok(n)
                 }
@@ -371,7 +414,7 @@ impl TcpStack {
     /// not a connection), so a caller can size its destination first.
     pub fn recv_available(&self, sock: SocketId) -> usize {
         match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(c)) => c.recv_available(),
+            Some(SocketEntry::Conn(slot)) => slot.conn.recv_available(),
             _ => 0,
         }
     }
@@ -379,9 +422,13 @@ impl TcpStack {
     /// Read received data.
     pub fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
         match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Conn(c)) => {
+            Some(SocketEntry::Conn(slot)) => {
+                let c = &mut slot.conn;
                 let n = c.read(buf);
                 if n > 0 {
+                    // Owes a window update; may have drained a closed
+                    // connection into a reapable one.
+                    slot.wake(sock, &mut self.wake);
                     self.stats.bytes_in += n as u64;
                     Ok(n)
                 } else if c.peer_closed() || c.is_closed() {
@@ -403,12 +450,14 @@ impl TcpStack {
                 *reuseport = value != 0;
                 Ok(())
             }
-            (SocketEntry::Conn(c), sockopt::SNDBUF) => {
-                c.set_send_buf_cap(value as usize);
+            (SocketEntry::Conn(slot), sockopt::SNDBUF) => {
+                slot.conn.set_send_buf_cap(value as usize);
+                slot.wake(sock, &mut self.wake);
                 Ok(())
             }
-            (SocketEntry::Conn(c), sockopt::RCVBUF) => {
-                c.set_recv_buf_cap(value as usize);
+            (SocketEntry::Conn(slot), sockopt::RCVBUF) => {
+                slot.conn.set_recv_buf_cap(value as usize);
+                slot.wake(sock, &mut self.wake);
                 Ok(())
             }
             (_, sockopt::NODELAY) => Ok(()),
@@ -421,9 +470,12 @@ impl TcpStack {
     /// Shut down one or both directions of a connection.
     pub fn shutdown(&mut self, sock: SocketId, how: ShutdownHow) -> NkResult<()> {
         match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Conn(c)) => {
+            Some(SocketEntry::Conn(slot)) => {
                 match how {
-                    ShutdownHow::Write | ShutdownHow::Both => c.close(),
+                    ShutdownHow::Write | ShutdownHow::Both => {
+                        slot.conn.close();
+                        slot.wake(sock, &mut self.wake);
+                    }
                     ShutdownHow::Read => {}
                 }
                 Ok(())
@@ -437,8 +489,9 @@ impl TcpStack {
     /// accepting.
     pub fn close(&mut self, sock: SocketId) -> NkResult<()> {
         match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Conn(c)) => {
-                c.close();
+            Some(SocketEntry::Conn(slot)) => {
+                slot.conn.close();
+                slot.wake(sock, &mut self.wake);
                 Ok(())
             }
             Some(SocketEntry::Listener { local, .. }) => {
@@ -464,7 +517,8 @@ impl TcpStack {
     pub fn poll(&self, sock: SocketId) -> PollEvents {
         let mut ev = PollEvents::NONE;
         match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(c)) => {
+            Some(SocketEntry::Conn(slot)) => {
+                let c = &slot.conn;
                 if c.readable() {
                     ev |= PollEvents::READABLE;
                 }
@@ -486,9 +540,9 @@ impl TcpStack {
         ev
     }
 
-    /// Drain the stack events generated since the last call.
-    pub fn take_events(&mut self) -> Vec<StackEvent> {
-        self.events.drain(..).collect()
+    /// Take the oldest stack event generated since the last drain.
+    pub fn pop_event(&mut self) -> Option<StackEvent> {
+        self.events.pop_front()
     }
 
     /// Drop the stack events generated since the last drain. For an owner
@@ -507,7 +561,7 @@ impl TcpStack {
     /// connections.
     pub fn conn_quiet(&self, sock: SocketId) -> bool {
         match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(c)) => c.in_flight() == 0,
+            Some(SocketEntry::Conn(slot)) => slot.conn.in_flight() == 0,
             _ => true,
         }
     }
@@ -517,7 +571,7 @@ impl TcpStack {
     /// export before anything destructive happens.
     pub fn conn_transplantable(&self, sock: SocketId) -> bool {
         match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(c)) => c.transplantable(),
+            Some(SocketEntry::Conn(slot)) => slot.conn.transplantable(),
             _ => false,
         }
     }
@@ -531,20 +585,16 @@ impl TcpStack {
 
     /// Tear a connection out of this stack for a warm migration, returning
     /// its serializable state. The socket, its demultiplexer entry and its
-    /// edge-detection state all go; stray segments that still arrive for
+    /// timer all go; stray segments that still arrive for
     /// the tuple are dropped (counted as `no_socket_drops`), never answered
     /// with a reset — the connection lives on elsewhere.
     pub fn export_conn(&mut self, sock: SocketId) -> NkResult<nk_types::TcpConnSnapshot> {
         let snap = match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(c)) => c.snapshot()?,
+            Some(SocketEntry::Conn(slot)) => slot.conn.snapshot()?,
             Some(_) => return Err(NkError::InvalidState),
             None => return Err(NkError::BadSocket),
         };
-        self.demux.remove(&(snap.local, snap.remote));
-        self.sockets.remove(&sock);
-        self.was_writable.remove(&sock);
-        self.interest.remove(&sock);
-        self.embryonic.remove(&sock);
+        self.remove_conn(sock);
         Ok(snap)
     }
 
@@ -561,7 +611,7 @@ impl TcpStack {
         let conn = TcpConnection::restore(snap, self.cfg.cc.build());
         let id = self.alloc_socket_id();
         self.demux.insert((snap.local, snap.remote), id);
-        self.sockets.insert(id, SocketEntry::Conn(Box::new(conn)));
+        self.insert_conn(id, conn);
         Ok(id)
     }
 
@@ -592,9 +642,11 @@ impl TcpStack {
                 let was_readable;
                 let was_fin;
                 {
-                    let Some(SocketEntry::Conn(c)) = self.sockets.get_mut(&sock) else {
+                    let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&sock) else {
                         continue;
                     };
+                    slot.wake(sock, &mut self.wake);
+                    let c = &mut slot.conn;
                     was_established = c.is_established();
                     was_readable = c.recv_available() > 0;
                     was_fin = c.fin_received();
@@ -662,7 +714,7 @@ impl TcpStack {
         conn.set_recv_buf_cap(self.cfg.recv_buf);
         let id = self.alloc_socket_id();
         self.demux.insert((local_addr, remote), id);
-        self.sockets.insert(id, SocketEntry::Conn(Box::new(conn)));
+        self.insert_conn(id, conn);
         self.embryonic.insert(id, listener_id);
     }
 
@@ -674,11 +726,11 @@ impl TcpStack {
         was_fin: bool,
     ) {
         let (established, readable, fin, closed) = match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(c)) => (
-                c.is_established(),
-                c.recv_available() > 0,
-                c.fin_received(),
-                c.is_closed(),
+            Some(SocketEntry::Conn(slot)) => (
+                slot.conn.is_established(),
+                slot.conn.recv_available() > 0,
+                slot.conn.fin_received(),
+                slot.conn.is_closed(),
             ),
             _ => return,
         };
@@ -710,33 +762,123 @@ impl TcpStack {
         }
     }
 
+    /// Enter a new connection into the socket table, queued for the next
+    /// `transmit`: it owes a SYN, a SYN-ACK or (warm install) a window ACK.
+    fn insert_conn(&mut self, id: SocketId, conn: TcpConnection) {
+        let slot = ConnSlot {
+            conn,
+            queued: true,
+            armed: None,
+            was_writable: false,
+        };
+        self.sockets.insert(id, SocketEntry::Conn(Box::new(slot)));
+        self.wake.push(id);
+    }
+
+    /// Drop connection `id` and everything keyed by it. The demultiplexer
+    /// entry goes only if it is this socket's.
+    fn remove_conn(&mut self, id: SocketId) {
+        let Some(SocketEntry::Conn(slot)) = self.sockets.remove(&id) else {
+            return;
+        };
+        let key = (slot.conn.local(), slot.conn.remote());
+        if self.demux.get(&key) == Some(&id) {
+            self.demux.remove(&key);
+        }
+        if let Some(deadline) = slot.armed {
+            self.timers.remove(&(deadline, id));
+        }
+        self.interest.remove(&id);
+        self.embryonic.remove(&id);
+    }
+
+    /// Poll the connections an event queued since the last tick, those still
+    /// holding unsent work and those with a timer due. Polling a superset of
+    /// the sockets that need it, in ascending `SocketId` order, equals
+    /// walking every socket, because `poll_transmit` on a socket with
+    /// nothing to do emits nothing and changes nothing.
     fn transmit(&mut self, now_ns: u64) -> usize {
+        while let Some(&(deadline, id)) = self.timers.first() {
+            if deadline > now_ns {
+                break;
+            }
+            self.timers.pop_first();
+            if let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&id) {
+                slot.armed = None;
+                slot.wake(id, &mut self.wake);
+            }
+        }
+        let mut due = std::mem::take(&mut self.wake);
+        self.wake = std::mem::take(&mut self.polled);
+        self.wake.clear();
+        due.sort_unstable();
+        #[cfg(debug_assertions)]
+        self.audit_skipped(&due, now_ns);
+
         let mut count = 0;
-        let ids: Vec<SocketId> = self
-            .sockets
-            .iter()
-            .filter(|(_, e)| matches!(e, SocketEntry::Conn(_)))
-            .map(|(id, _)| *id)
-            .collect();
         let mut segs = std::mem::take(&mut self.tx_scratch);
-        for id in ids {
-            let Some(SocketEntry::Conn(c)) = self.sockets.get_mut(&id) else {
-                continue;
+        for &id in &due {
+            let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&id) else {
+                continue; // removed since it was queued
             };
-            c.poll_transmit(now_ns, &mut segs);
-            let writable = c.writable();
+            slot.conn.poll_transmit(now_ns, &mut segs);
+            self.stats.conns_polled += 1;
+            slot.queued = slot.conn.needs_poll();
+            if slot.queued {
+                self.wake.push(id);
+            }
+            if let Some(deadline) = slot.conn.next_deadline() {
+                if slot.armed.is_none_or(|armed| deadline < armed) {
+                    if let Some(later) = slot.armed.replace(deadline) {
+                        self.timers.remove(&(later, id));
+                    }
+                    self.timers.insert((deadline, id));
+                }
+            }
+            // Edge-detect the writable transition for Writable events.
+            let writable = slot.conn.writable();
+            let was = std::mem::replace(&mut slot.was_writable, writable);
             for seg in segs.drain(..) {
                 count += 1;
                 self.emit(seg);
             }
-            // Edge-detect the writable transition for Writable events.
-            let was = self.was_writable.insert(id, writable).unwrap_or(false);
             if writable && !was {
                 self.events.push_back(StackEvent::Writable(id));
             }
         }
         self.tx_scratch = segs;
+        self.polled = due;
         count
+    }
+
+    /// Debug builds check the superset argument on every tick: each
+    /// connection `transmit` is about to skip is polled anyway and must
+    /// produce nothing and change nothing the stack acts on.
+    #[cfg(debug_assertions)]
+    fn audit_skipped(&mut self, due: &[SocketId], now_ns: u64) {
+        let mut out = Vec::new();
+        for (id, entry) in &mut self.sockets {
+            let SocketEntry::Conn(slot) = entry else {
+                continue;
+            };
+            if due.binary_search(id).is_ok() {
+                continue;
+            }
+            let c = &mut slot.conn;
+            let (closed, deadline) = (c.is_closed(), c.next_deadline());
+            c.poll_transmit(now_ns, &mut out);
+            assert!(
+                out.is_empty()
+                    && c.is_closed() == closed
+                    && !(closed && c.recv_available() == 0)
+                    && c.writable() == slot.was_writable
+                    && c.next_deadline() == deadline
+                    && !c.needs_poll(),
+                "{id:?} was skipped at {now_ns} ns with work to do: {} segment(s), {:?}",
+                out.len(),
+                c.state()
+            );
+        }
     }
 
     fn emit(&mut self, seg: Segment) {
@@ -751,28 +893,18 @@ impl TcpStack {
         self.port.send(frame);
     }
 
+    /// Remove the connections that are closed and fully read. Only a polled
+    /// connection can have become one: what closes or drains a connection —
+    /// a segment, a timer, `close`, a `recv` — also queues it.
     fn reap_closed(&mut self) {
-        let dead: Vec<SocketId> = self
-            .sockets
-            .iter()
-            .filter_map(|(id, e)| match e {
-                SocketEntry::Conn(c) if c.is_closed() && c.recv_available() == 0 => Some(*id),
-                _ => None,
-            })
-            .collect();
-        for id in dead {
-            if let Some(SocketEntry::Conn(c)) = self.sockets.get(&id) {
-                // Keep the entry if the application has not consumed EOF yet;
-                // only reap connections nobody is waiting on.
-                let key = (c.local(), c.remote());
-                // Accepted-but-never-accepted embryonic entries are dropped too.
-                if self.embryonic.contains_key(&id) {
-                    self.embryonic.remove(&id);
-                }
-                self.demux.remove(&key);
-                self.sockets.remove(&id);
-                self.was_writable.remove(&id);
-                self.interest.remove(&id);
+        for i in 0..self.polled.len() {
+            let id = self.polled[i];
+            // A closed connection stays while the application has unread
+            // bytes; only connections nobody is waiting on are reaped.
+            if matches!(self.sockets.get(&id), Some(SocketEntry::Conn(slot))
+                if slot.conn.is_closed() && slot.conn.recv_available() == 0)
+            {
+                self.remove_conn(id);
             }
         }
     }
@@ -939,6 +1071,21 @@ mod tests {
         ls
     }
 
+    fn drain_events(stack: &mut TcpStack) -> Vec<StackEvent> {
+        std::iter::from_fn(|| stack.pop_event()).collect()
+    }
+
+    /// A client connected to a listener on port 80, and the accepted end.
+    fn established(w: &mut World) -> (SocketId, SocketId) {
+        let ls = listening_server(w, 80);
+        let cs = w.client.socket();
+        let to = SockAddr::new(SERVER_IP, 80);
+        w.client.connect(cs, to, w.now).unwrap();
+        w.run(10);
+        let (conn, _) = w.server.accept(ls).unwrap();
+        (cs, conn)
+    }
+
     #[test]
     fn connect_accept_and_exchange_data() {
         let mut w = World::new();
@@ -992,13 +1139,7 @@ mod tests {
     #[test]
     fn bulk_transfer_larger_than_one_window() {
         let mut w = World::new();
-        let ls = listening_server(&mut w, 80);
-        let cs = w.client.socket();
-        w.client
-            .connect(cs, SockAddr::new(SERVER_IP, 80), w.now)
-            .unwrap();
-        w.run(10);
-        let (conn, _) = w.server.accept(ls).unwrap();
+        let (cs, conn) = established(&mut w);
 
         let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
         let mut sent = 0;
@@ -1034,16 +1175,16 @@ mod tests {
             .connect(cs, SockAddr::new(SERVER_IP, 80), w.now)
             .unwrap();
         w.run(10);
-        let events = w.server.take_events();
+        let events = drain_events(&mut w.server);
         assert!(events.contains(&StackEvent::Acceptable(ls)), "{events:?}");
         let (conn, _) = w.server.accept(ls).unwrap();
 
         w.client.send(cs, b"ping").unwrap();
         w.run(10);
-        let events = w.server.take_events();
+        let events = drain_events(&mut w.server);
         assert!(events.contains(&StackEvent::Readable(conn)), "{events:?}");
 
-        let client_events = w.client.take_events();
+        let client_events = drain_events(&mut w.client);
         assert!(
             client_events.contains(&StackEvent::Connected(cs)),
             "{client_events:?}"
@@ -1053,7 +1194,7 @@ mod tests {
         w.client.send(cs, b"pong").unwrap();
         w.run(10);
         w.server.discard_events();
-        assert!(w.server.take_events().is_empty());
+        assert!(drain_events(&mut w.server).is_empty());
         assert!(w.server.poll(conn).readable());
     }
 
@@ -1110,35 +1251,94 @@ mod tests {
     #[test]
     fn graceful_close_propagates_eof() {
         let mut w = World::new();
-        let ls = listening_server(&mut w, 80);
-        let cs = w.client.socket();
-        w.client
-            .connect(cs, SockAddr::new(SERVER_IP, 80), w.now)
-            .unwrap();
-        w.run(10);
-        let (conn, _) = w.server.accept(ls).unwrap();
+        let (cs, conn) = established(&mut w);
         w.client.send(cs, b"last words").unwrap();
         w.client.close(cs).unwrap();
         w.run(20);
         let mut buf = [0u8; 32];
         assert_eq!(w.server.recv(conn, &mut buf).unwrap(), 10);
         assert_eq!(w.server.recv(conn, &mut buf).unwrap(), 0, "EOF expected");
-        let events = w.server.take_events();
+        let events = drain_events(&mut w.server);
         assert!(events
             .iter()
             .any(|e| matches!(e, StackEvent::PeerClosed(_))));
     }
 
+    /// A tuple whose previous connection still sits in TIME-WAIT is taken:
+    /// `connect` used to overwrite its demultiplexer entry, and reaping the
+    /// old socket then deleted the entry from under the new connection.
+    #[test]
+    fn a_tuple_in_time_wait_is_taken_and_reaping_it_spares_a_namesake() {
+        let mut w = World::new();
+        let ls = listening_server(&mut w, 80);
+        let to = SockAddr::new(SERVER_IP, 80);
+        let (old, new) = (w.client.socket(), w.client.socket());
+        w.client.bind(old, SockAddr::new(0, 5000)).unwrap();
+        w.client.connect(old, to, w.now).unwrap();
+        w.run(10);
+        let (conn, _) = w.server.accept(ls).unwrap();
+        w.client.close(old).unwrap(); // the active closer keeps TIME-WAIT
+        w.run(5);
+        w.server.close(conn).unwrap();
+        w.run(5);
+
+        w.client.bind(new, SockAddr::new(0, 5000)).unwrap();
+        assert_eq!(w.client.connect(new, to, w.now), Err(NkError::AddrInUse));
+        // The ephemeral scan steps over the port for this peer too.
+        w.client.next_ephemeral = 5000;
+        let other = w.client.socket();
+        w.client.connect(other, to, w.now).unwrap();
+        let key = |port| (SockAddr::new(CLIENT_IP, port), to);
+        assert_eq!(w.client.demux.get(&key(5001)), Some(&other));
+
+        // Had the entry been handed on regardless, reaping `old` spares it.
+        w.client.demux.insert(key(5000), new);
+        w.run(600);
+        assert!(!w.client.sockets.contains_key(&old), "TIME-WAIT is over");
+        assert_eq!(w.client.demux.get(&key(5000)), Some(&new));
+    }
+
+    /// A reset with data in flight used to leave the RTO armed: while unread
+    /// bytes kept the dead socket around, every expiry counted a timeout and
+    /// shrank the window its VM's live connections share.
+    #[test]
+    fn a_reset_connection_keeps_no_timer() {
+        let mut w = World::new();
+        let ls = listening_server(&mut w, 80);
+        let shared = crate::cc::SharedVmWindow::new();
+        let cc = Box::new(crate::cc::VmSharedCc::new(shared.clone()));
+        let to = SockAddr::new(SERVER_IP, 80);
+        let cs = w.client.socket();
+        w.client.connect_with_cc(cs, to, w.now, Some(cc)).unwrap();
+        w.run(10);
+        let (conn, peer) = w.server.accept(ls).unwrap();
+        w.server.send(conn, b"unread").unwrap();
+        w.run(10);
+
+        w.client.send(cs, b"in flight").unwrap();
+        w.client.tick(w.now);
+        let rst = crate::segment::SegmentFlags::rst();
+        w.server.emit(Segment::control(to, peer, rst));
+        w.switch.step(w.now);
+        let cwnd = shared.total_cwnd();
+        for _ in 0..40 {
+            w.now += 10_000_000; // 400 ms: many times any RTO
+            w.client.tick(w.now);
+        }
+        let Some(SocketEntry::Conn(slot)) = w.client.sockets.get(&cs) else {
+            panic!("reaped with unread bytes");
+        };
+        assert!(slot.conn.is_closed());
+        assert_eq!(slot.conn.stats().timeouts, 0);
+        assert_eq!(shared.total_cwnd(), cwnd);
+        assert!(w.client.timers.is_empty());
+        assert_eq!(w.client.recv(cs, &mut [0u8; 8]), Ok(6));
+    }
+
     #[test]
     fn closed_connections_are_reaped() {
         let mut w = World::new();
-        let ls = listening_server(&mut w, 80);
-        let cs = w.client.socket();
-        w.client
-            .connect(cs, SockAddr::new(SERVER_IP, 80), w.now)
-            .unwrap();
-        w.run(10);
-        let (conn, _) = w.server.accept(ls).unwrap();
+        let (cs, conn) = established(&mut w);
         let before = w.server.socket_count();
         // Both sides close; after the exchange the server connection should
         // eventually disappear from the table.
@@ -1193,13 +1393,7 @@ mod tests {
     #[test]
     fn export_install_moves_a_live_connection_between_stacks() {
         let mut w = World::new();
-        let ls = listening_server(&mut w, 80);
-        let cs = w.client.socket();
-        w.client
-            .connect(cs, SockAddr::new(SERVER_IP, 80), w.now)
-            .unwrap();
-        w.run(10);
-        let (conn, _) = w.server.accept(ls).unwrap();
+        let (cs, conn) = established(&mut w);
         assert_eq!(w.client.send(cs, b"before the move").unwrap(), 15);
         w.run(10);
         let mut buf = [0u8; 64];
@@ -1208,6 +1402,7 @@ mod tests {
         // Transplant: the client IP's switch port is re-homed (the fabric
         // reroute) and a stack with a *different* local IP adopts the
         // connection.
+        w.client.send(cs, b"queued, ").unwrap(); // leaves with the snapshot
         assert!(w.client.conn_quiet(cs));
         let snap = w.client.export_conn(cs).unwrap();
         assert_eq!(snap.local.ip, CLIENT_IP);
@@ -1216,9 +1411,15 @@ mod tests {
         let new_sock = migrated.install_conn(&snap).unwrap();
 
         // Stray frames for the tuple at the old stack are dropped, not
-        // reset.
+        // reset; its timer left with it.
         assert_eq!(w.client.export_conn(cs), Err(NkError::BadSocket));
+        assert!(w.client.timers.is_empty());
 
+        // The installed connection is polled on its first tick, unprompted:
+        // the bytes the snapshot carried go out, the window ACK on them.
+        w.now += 100_000;
+        assert_eq!(migrated.tick(w.now), 1);
+        assert_eq!(migrated.stats().conns_polled, 1);
         migrated.send(new_sock, b"after the move").unwrap();
         for _ in 0..10 {
             w.now += 100_000;
@@ -1226,8 +1427,8 @@ mod tests {
             w.server.tick(w.now);
             w.switch.step(w.now);
         }
-        assert_eq!(w.server.recv(conn, &mut buf).unwrap(), 14);
-        assert_eq!(&buf[..14], b"after the move");
+        assert_eq!(w.server.recv(conn, &mut buf).unwrap(), 22);
+        assert_eq!(&buf[..22], b"queued, after the move");
 
         // And the reverse direction reaches the migrated stack.
         w.server.send(conn, b"pong").unwrap();

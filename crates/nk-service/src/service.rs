@@ -69,14 +69,20 @@ pub struct ServiceLib {
     nsm: NsmId,
     device: NkDevice<ResponderEnd>,
     regions: BTreeMap<VmId, HugepageRegion>,
-    /// guest tuple → stack socket. Ordered maps throughout: ServiceLib
-    /// iterates its connections every tick, and that order must be the same
-    /// across runs for seeded scenarios to replay exactly.
+    /// guest tuple → stack socket. Ordered maps throughout, like every
+    /// table on the datapath.
     fwd: BTreeMap<(VmId, SocketId), SocketId>,
     /// stack socket → guest context.
     ctx: BTreeMap<SocketId, ConnCtx>,
-    /// Payload accepted from guests but not yet taken by the stack.
+    /// Payload accepted from guests but not yet taken by the stack; an entry
+    /// lives only while something is queued.
     pending_send: BTreeMap<SocketId, PendingSend>,
+    /// Sockets that may hold received bytes not yet shipped to their guest:
+    /// all `pump_receive` visits, in `SocketId` order (the order of `ctx`).
+    /// A `Readable` event, an accept and a warm install enter a socket; it
+    /// stays while the stack holds bytes for it (no receive credit, no
+    /// hugepage — the retry keeps a starved receiver from losing data).
+    rx_ready: Vec<SocketId>,
     /// Bytes announced to the guest and not yet consumed (receive credit).
     rx_outstanding: BTreeMap<SocketId, usize>,
     /// Per-VM Seawall windows (fair-share NSM only).
@@ -99,6 +105,7 @@ impl ServiceLib {
             fwd: BTreeMap::new(),
             ctx: BTreeMap::new(),
             pending_send: BTreeMap::new(),
+            rx_ready: Vec::new(),
             rx_outstanding: BTreeMap::new(),
             fair_share: None,
             next_guest_sock: NSM_SOCKET_ID_BASE,
@@ -224,6 +231,8 @@ impl ServiceLib {
         if rx_outstanding > 0 {
             self.rx_outstanding.insert(stack_sock, rx_outstanding);
         }
+        // The snapshot may carry received bytes no segment will announce.
+        self.rx_ready.push(stack_sock);
         Ok(())
     }
 
@@ -404,7 +413,8 @@ impl ServiceLib {
         // Whatever the stack accepted is acknowledged back to the guest as
         // returned send-buffer credit.
         let flushed = if queued_ahead {
-            self.flush_socket(stack, sock)
+            let queue = self.pending_send.get_mut(&sock);
+            queue.map_or(0, |queue| Self::flush_queue(stack, sock, queue))
         } else {
             accepted
         };
@@ -437,10 +447,8 @@ impl ServiceLib {
         self.respond(ctx.nsm_qs, comp);
     }
 
-    fn flush_socket(&mut self, stack: &mut TcpStack, sock: SocketId) -> usize {
-        let Some(queue) = self.pending_send.get_mut(&sock) else {
-            return 0;
-        };
+    /// Push `queue` into the stack until it refuses; returns bytes taken.
+    fn flush_queue(stack: &mut TcpStack, sock: SocketId, queue: &mut PendingSend) -> usize {
         let mut flushed = 0;
         while let Some(front) = queue.chunks.front() {
             let Ok(n) = stack.send(sock, &front[queue.head..]) else {
@@ -459,23 +467,20 @@ impl ServiceLib {
 
     /// Push pending payload into the stack and return credit to guests.
     pub fn flush_pending(&mut self, stack: &mut TcpStack) {
-        let socks: Vec<SocketId> = self
-            .pending_send
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(s, _)| *s)
-            .collect();
-        for sock in socks {
-            let flushed = self.flush_socket(stack, sock);
+        let mut pending = std::mem::take(&mut self.pending_send);
+        pending.retain(|&sock, queue| {
+            let flushed = Self::flush_queue(stack, sock, queue);
             if flushed > 0 {
                 self.send_credit(sock, flushed);
             }
-        }
+            !queue.is_empty()
+        });
+        self.pending_send = pending;
     }
 
     /// Turn stack events into NQEs and ship received payload to the guests.
     pub fn process_stack(&mut self, stack: &mut TcpStack, _now_ns: u64) {
-        for event in stack.take_events() {
+        while let Some(event) = stack.pop_event() {
             match event {
                 StackEvent::Acceptable(listener) => {
                     self.drain_accepts(stack, listener);
@@ -502,7 +507,8 @@ impl ServiceLib {
                         self.respond(ctx.nsm_qs, ev);
                     }
                 }
-                StackEvent::Readable(_) | StackEvent::Writable(_) => {}
+                StackEvent::Readable(sock) => self.rx_ready.push(sock),
+                StackEvent::Writable(_) => {}
             }
         }
         self.pump_receive(stack);
@@ -527,6 +533,8 @@ impl ServiceLib {
                 },
             );
             self.stats.accepted += 1;
+            // Its first bytes may have arrived before it had a context.
+            self.rx_ready.push(conn);
             let mut ev = Nqe::new(OpType::Accepted, lctx.vm, lctx.vm_qs, lctx.guest_sock);
             ev.op_data = op_data::pack(OpResult::Ok, guest_id.raw());
             ev.data = DataHandle(peer.pack());
@@ -535,40 +543,53 @@ impl ServiceLib {
     }
 
     fn pump_receive(&mut self, stack: &mut TcpStack) {
-        let socks: Vec<(SocketId, ConnCtx)> = self.ctx.iter().map(|(s, c)| (*s, *c)).collect();
-        for (sock, ctx) in socks {
-            let Some(region) = self.regions.get(&ctx.vm).cloned() else {
-                continue;
-            };
-            loop {
-                let outstanding = *self.rx_outstanding.get(&sock).unwrap_or(&0);
-                let credit = RX_BUDGET.saturating_sub(outstanding);
-                if credit == 0 {
-                    break;
-                }
-                // Size the chunk from what the stack holds, allocate it, and
-                // only then let the stack fill it in place: nothing leaves
-                // `recv_buf` unless it has a hugepage chunk to land in.
-                let want = credit.min(RX_CHUNK).min(stack.recv_available(sock));
-                if want == 0 {
-                    // EOF is announced via the PeerClosed event.
-                    break;
-                }
-                let Ok(handle) = region.alloc(want) else {
-                    break;
-                };
-                let filled = region.with_chunk_mut(handle, want, |chunk| stack.recv(sock, chunk));
-                let Ok(Ok(n)) = filled else {
-                    let _ = region.free(handle);
-                    break;
-                };
-                self.stats.bytes_rx += n as u64;
-                *self.rx_outstanding.entry(sock).or_insert(0) += n;
-                let mut ev = Nqe::new(OpType::DataReceived, ctx.vm, ctx.vm_qs, ctx.guest_sock);
-                ev.data = handle;
-                ev.size = n as u32;
-                self.respond(ctx.nsm_qs, ev);
+        let mut ready = std::mem::take(&mut self.rx_ready);
+        ready.sort_unstable();
+        ready.dedup();
+        ready.retain(|&sock| {
+            self.pump_socket(stack, sock);
+            self.ctx.contains_key(&sock) && stack.recv_available(sock) > 0
+        });
+        self.rx_ready = ready;
+    }
+
+    /// Ship what `sock` has received to its guest, as far as receive credit
+    /// and hugepages go.
+    fn pump_socket(&mut self, stack: &mut TcpStack, sock: SocketId) {
+        let Some(ctx) = self.ctx.get(&sock).copied() else {
+            return;
+        };
+        let Some(region) = self.regions.get(&ctx.vm).cloned() else {
+            return;
+        };
+        loop {
+            let outstanding = *self.rx_outstanding.get(&sock).unwrap_or(&0);
+            let credit = RX_BUDGET.saturating_sub(outstanding);
+            if credit == 0 {
+                break;
             }
+            // Size the chunk from what the stack holds, allocate it, and
+            // only then let the stack fill it in place: nothing leaves
+            // `recv_buf` unless it has a hugepage chunk to land in.
+            let want = credit.min(RX_CHUNK).min(stack.recv_available(sock));
+            if want == 0 {
+                // EOF is announced via the PeerClosed event.
+                break;
+            }
+            let Ok(handle) = region.alloc(want) else {
+                break;
+            };
+            let filled = region.with_chunk_mut(handle, want, |chunk| stack.recv(sock, chunk));
+            let Ok(Ok(n)) = filled else {
+                let _ = region.free(handle);
+                break;
+            };
+            self.stats.bytes_rx += n as u64;
+            *self.rx_outstanding.entry(sock).or_insert(0) += n;
+            let mut ev = Nqe::new(OpType::DataReceived, ctx.vm, ctx.vm_qs, ctx.guest_sock);
+            ev.data = handle;
+            ev.size = n as u32;
+            self.respond(ctx.nsm_qs, ev);
         }
     }
 }
@@ -947,6 +968,15 @@ mod tests {
         w.submit(req(OpType::Send, 5).with_data(handle, payload.len() as u32));
         w.run(10);
         let _ = w.responses();
+        // Bytes ServiceLib has not shipped yet travel in the snapshot.
+        let (conn_sock, _) = w.remote.accept(ls).unwrap();
+        w.remote.send(conn_sock, b"held").unwrap();
+        for _ in 0..5 {
+            w.now += 100_000;
+            w.remote.tick(w.now);
+            w.switch.step(w.now);
+            w.nsm.stack_mut().tick(w.now);
+        }
 
         let (snap, pending, outstanding) = w.nsm.export_conn(VmId(1), SocketId(5)).unwrap();
         assert_eq!(snap.remote, SockAddr::new(REMOTE_IP, 7));
@@ -980,9 +1010,18 @@ mod tests {
             },
         };
         nsm2.install_conn(VmId(1), &conn, 0).unwrap();
+        let mut guest_end2 = guest_end2;
+        nsm2.tick(w.now + 1);
+        let mut early = Vec::new();
+        guest_end2.pop_responses(&mut early, 8);
+        assert!(
+            early
+                .iter()
+                .any(|n| n.op == OpType::DataReceived && n.size == 4),
+            "held bytes are pumped on the first tick: {early:?}"
+        );
 
         // The guest keeps sending through the new NSM's queue pair.
-        let mut guest_end2 = guest_end2;
         let second = b"second half".to_vec();
         let handle = w.region.alloc_and_write(&second).unwrap();
         guest_end2
@@ -994,7 +1033,6 @@ mod tests {
             w.remote.tick(w.now);
             w.switch.step(w.now);
         }
-        let (conn_sock, _) = w.remote.accept(ls).unwrap();
         let mut buf = [0u8; 64];
         let mut got = Vec::new();
         while let Ok(n) = w.remote.recv(conn_sock, &mut buf) {
