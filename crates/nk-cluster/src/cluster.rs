@@ -1,6 +1,6 @@
 //! The cluster: hosts behind one top-of-rack switch, one clock, one placer.
 
-use crate::exec::{ExecStats, ShardedExecutor, StepOutcome};
+use crate::exec::{ExecStats, ShardedExecutor, StepOutcome, Unit};
 use nk_ctrl::placer::{ClusterSample, HostLoad, Placer};
 use nk_ctrl::{EvacMode, PlanEvent};
 use nk_fabric::link::LinkConfig;
@@ -45,9 +45,9 @@ pub struct ClusterStats {
     ///
     /// The per-phase counters below are *sums over hosts*, so — like every
     /// other field here — they are identical for any
-    /// [`nk_types::ClusterConfig::threads`] value. Per-shard breakdowns,
-    /// which do depend on the thread count, live in
-    /// [`crate::exec::ExecStats`] (see [`Cluster::exec_stats`]).
+    /// [`nk_types::ClusterConfig::threads`] value. The counters that do
+    /// depend on the thread count live in [`crate::exec::ExecStats`] (see
+    /// [`Cluster::exec_stats`]).
     pub begin_work: u64,
     /// Datapath work done in poll rounds, all hosts, all steps.
     pub poll_work: u64,
@@ -105,18 +105,14 @@ pub struct Cluster {
     pub(crate) prev_vm_bytes: BTreeMap<(HostId, VmId), u64>,
     pub(crate) stats: ClusterStats,
     /// Drives each step's poll rounds over the units (hosts, or their
-    /// share lanes) — inline at `threads == 1`, on worker threads
-    /// otherwise. Semantics are identical either way; see [`crate::exec`].
+    /// share lanes) on `threads` OS threads, the stepping thread included.
+    /// Semantics are identical at any count; see [`crate::exec`].
     pub(crate) exec: ShardedExecutor,
     /// Shard below the host boundary: NSM share lanes (not whole hosts)
     /// are the parallel units. See [`nk_types::ClusterConfig::shard_within_hosts`]
     /// and the `NK_CLUSTER_SHARD_WITHIN_HOSTS` override.
     pub(crate) shard_within_hosts: bool,
-    /// Per-lane work from the previous lane-mode step, keyed
-    /// `(host, lane key)` — the weights the next step's LPT dealing uses.
-    /// Scheduling input only: results never depend on it.
-    pub(crate) lane_weights: BTreeMap<(HostId, NsmId), u64>,
-    /// The flight recorder: every capture happens on the coordinator —
+    /// The flight recorder: every capture happens on the stepping thread —
     /// outside the sharded step or at the round barrier — in `HostId`
     /// order, so its dump is byte-identical at any thread count.
     pub(crate) obs: FlightRecorder,
@@ -177,7 +173,6 @@ impl Cluster {
             stats: ClusterStats::default(),
             exec: ShardedExecutor::new(threads),
             shard_within_hosts: Self::resolve_shard_mode(shard_within_hosts),
-            lane_weights: BTreeMap::new(),
             obs,
             obs_ctrl_seen: BTreeMap::new(),
             now_ns: 0,
@@ -261,15 +256,15 @@ impl Cluster {
         self.stats
     }
 
-    /// Executor counters: per-phase and per-shard work plus the
-    /// serial-vs-critical-path model. Unlike [`Cluster::stats`], the
-    /// per-shard breakdowns here depend on the thread count.
+    /// Executor counters: per-phase work plus the serial-vs-critical-path
+    /// model. Unlike [`Cluster::stats`], `threads` and `critical_work` here
+    /// depend on the thread count.
     pub fn exec_stats(&self) -> &ExecStats {
         self.exec.stats()
     }
 
-    /// Datapath worker threads in use (after the `NK_CLUSTER_THREADS`
-    /// override).
+    /// OS threads busy in a poll phase, the caller of [`Cluster::step`]
+    /// included (after the `NK_CLUSTER_THREADS` override).
     pub fn threads(&self) -> usize {
         self.exec.threads()
     }
@@ -418,14 +413,11 @@ impl Cluster {
     ///
     /// * whole hosts, dealt round-robin — the hub is the fabric alone; or,
     /// * with [`ClusterConfig::shard_within_hosts`], every NSM share lane of
-    ///   every host, flattened into one list and dealt by last step's
-    ///   per-lane work, so one many-share host no longer serialises behind
-    ///   the host boundary — the hub first runs each host's own hub
-    ///   (`NetKernelHost::hub_round`: resident engine, lane-report ledger
-    ///   charges, host remotes, vNIC switch), so uplink frames are on the
-    ///   trunks before the ToR runs.
+    ///   every host, in one list and dealt by last step's per-lane work, so
+    ///   one many-share host no longer serialises behind the host boundary
+    ///   — the hub first runs each split host's own poll round.
     ///
-    /// Either way the hub runs at each round barrier with every worker
+    /// Either way the hub runs at each round barrier with every helper
     /// parked and drains host uplinks in route order (ascending `HostId`),
     /// so the cross-shard frame merge is deterministic for any thread count
     /// and both modes produce the same bytes.
@@ -441,91 +433,75 @@ impl Cluster {
             let s = self.exec.stats();
             (s.poll_work, s.barrier_frames)
         };
-        let max_rounds = self.cfg.max_rounds;
-        let hosts = &mut self.hosts;
+        // One flat list of weighted units: whole hosts at weight 1, or every
+        // host's lanes at the load they last reported. A host that is split
+        // is not a unit itself: it stays behind as its lanes' hub.
+        let mut units: Vec<(u64, Unit<'_>)> = Vec::with_capacity(self.hosts.len());
+        let mut hub_hosts: Vec<&mut NetKernelHost> = Vec::new();
+        let mut lanes: Vec<BTreeMap<NsmId, ShareLane>> = Vec::new();
+        for host in self.hosts.values_mut() {
+            if self.shard_within_hosts {
+                lanes.push(host.split_lanes());
+                hub_hosts.push(host);
+            } else {
+                units.push((1, host));
+            }
+        }
+        for lane in lanes.iter_mut().flat_map(BTreeMap::values_mut) {
+            units.push((lane.weight(), lane));
+        }
         let tor = &mut self.tor;
         let remotes = &mut self.remotes;
-        // The fabric hub: the one place every cross-host frame passes, in
-        // route order, on the coordinator — so the recorder taps flows
-        // here. `host_hub_work` is what the host hubs did this round (0
-        // when the units are whole hosts).
         let obs = &mut self.obs;
         let obs_active = obs.active();
-        let mut fabric_hub = |host_hub_work: usize, now: u64| {
-            let frames = if obs_active {
-                tor.step_with(now, |f| {
-                    obs.observe_flow(
-                        FlowKey {
-                            src_ip: f.payload.src.ip,
-                            src_port: f.payload.src.port,
-                            dst_ip: f.payload.dst.ip,
-                            dst_port: f.payload.dst.port,
-                        },
-                        f.wire_bytes as u64,
-                    )
-                })
-            } else {
-                tor.step(now)
-            };
-            let mut work = host_hub_work + frames;
-            for remote in remotes.values_mut() {
-                work += Pollable::poll(remote, now);
-                // Driven by polling its sockets; nothing reads its events.
-                remote.discard_events();
-            }
-            (work, frames)
-        };
         // Work the per-host hubs did at the barriers. The executor books it
         // under `hub_work`; `ClusterStats::poll_work` must still cover it —
-        // with whole hosts as units the same work happens inside
-        // `NetKernelHost::poll_round` and lands in `poll_work`.
+        // with whole hosts as units the same work happens inside the units'
+        // own polls and lands in `poll_work`.
         let mut host_tail = 0usize;
-        let outcome = if self.shard_within_hosts {
-            let mut lanes: BTreeMap<(HostId, NsmId), ShareLane> = BTreeMap::new();
-            for (id, host) in hosts.iter_mut() {
-                for (key, lane) in host.split_lanes() {
-                    lanes.insert((*id, key), lane);
+        let outcome = self.exec.drive(
+            units,
+            |now| {
+                // Host hubs first (resident engine, lane-report ledger
+                // charges, host remotes, vNIC switch), so uplink frames are
+                // on the trunks before the ToR runs.
+                let mut work = 0usize;
+                for host in hub_hosts.iter_mut() {
+                    work += host.poll(now);
                 }
-            }
-            let outcome = self.exec.drive(
-                &mut lanes,
-                &self.lane_weights,
-                |now| {
-                    let mut tail = 0usize;
-                    for host in hosts.values_mut() {
-                        tail += host.hub_round(now);
-                    }
-                    host_tail += tail;
-                    fabric_hub(tail, now)
-                },
-                now_ns,
-                max_rounds,
-            );
-            // Re-assemble every host and harvest the per-lane work counters
-            // for next step's dealing (scheduling input only). A lane that
-            // did no work gets no entry and weighs 1 next step.
-            let mut per_host: BTreeMap<HostId, BTreeMap<NsmId, ShareLane>> = BTreeMap::new();
-            for ((host, key), lane) in lanes {
-                per_host.entry(host).or_default().insert(key, lane);
-            }
-            self.lane_weights.clear();
-            for (id, host) in hosts.iter_mut() {
-                host.absorb_lanes(per_host.remove(id).unwrap_or_default());
-                for (key, load) in host.take_lane_loads() {
-                    self.lane_weights.insert((*id, key), load);
+                host_tail += work;
+                // The fabric hub: the one place every cross-host frame
+                // passes, in route order, on the caller's thread — so the
+                // recorder taps flows here.
+                let frames = if obs_active {
+                    tor.step_with(now, |f| {
+                        obs.observe_flow(
+                            FlowKey {
+                                src_ip: f.payload.src.ip,
+                                src_port: f.payload.src.port,
+                                dst_ip: f.payload.dst.ip,
+                                dst_port: f.payload.dst.port,
+                            },
+                            f.wire_bytes as u64,
+                        )
+                    })
+                } else {
+                    tor.step(now)
+                };
+                work += frames;
+                for remote in remotes.values_mut() {
+                    work += Pollable::poll(remote, now);
+                    // Driven by polling its sockets; nothing reads its events.
+                    remote.discard_events();
                 }
-            }
-            outcome
-        } else {
-            let no_weights = BTreeMap::new();
-            self.exec.drive(
-                hosts,
-                &no_weights,
-                |now| fabric_hub(0, now),
-                now_ns,
-                max_rounds,
-            )
-        };
+                (work, frames)
+            },
+            now_ns,
+            self.cfg.max_rounds,
+        );
+        for (host, lanes) in hub_hosts.into_iter().zip(lanes) {
+            host.absorb_lanes(lanes);
+        }
 
         let mut close_work = 0usize;
         if close {
@@ -549,7 +525,7 @@ impl Cluster {
 
     /// Mirror what each host's recorder feed accumulated this step — fault
     /// applications and fresh control-log entries — into the event ring.
-    /// Runs on the coordinator with the workers parked, iterating hosts in
+    /// Runs on the stepping thread after the poll phase, iterating hosts in
     /// `HostId` order, so the ring's contents are thread-count-independent.
     fn drain_host_feeds(&mut self) {
         if !self.obs.active() {

@@ -1,5 +1,5 @@
-//! The cluster-step executor: one round loop over pollable units, run
-//! inline or across worker threads, byte-identical either way.
+//! The cluster-step executor: one round loop over pollable units, spread
+//! over as many OS threads as asked for, byte-identical at any count.
 //!
 //! A cluster step's poll phase is "every unit polls, then the hub runs,
 //! until a whole round reports no work". This module owns that loop —
@@ -12,21 +12,20 @@
 //!   producer end of its SPSC edges (uplink trunk, lane report channel), so
 //!   units never share mutable state and their polls commute.
 //! * **Dealing.** Units go onto `min(threads, units)` shards heaviest first
-//!   (by the caller's `weights`, normally last step's per-unit work), each
-//!   onto the lightest shard — longest-processing-time dealing. A unit with
-//!   no weight weighs 1, so with no weights at all the deal is round-robin
-//!   in key order. The assignment is a pure function of (weights, key
-//!   order, shard count) and only ever affects scheduling.
-//! * **One shard runs inline.** With one thread (or one unit) the caller's
-//!   thread polls the units in key order and calls the hub: no spawn, no
-//!   barrier. That is the serial reference, not a separate path — the same
-//!   loop, handed a different way to run a round.
-//! * **Several shards run on scoped workers.** Each worker owns one shard;
-//!   the coordinator releases them into a round and waits them out at a
-//!   spin-then-yield barrier, then runs the hub with every worker parked —
-//!   so the hub is free of data races and drains the cross-shard edges in
-//!   the same order at any thread count. A panic on any thread poisons the
-//!   barrier: the others leave it and the panic reaches the caller.
+//!   (each unit arrives with its weight, normally its last step's work),
+//!   each onto the lightest shard — longest-processing-time dealing. A
+//!   weight of 0 counts as 1, so equal weights deal round-robin in list
+//!   order. The assignment is a pure function of (weights, list order,
+//!   shard count) and only ever affects scheduling.
+//! * **A round runs one way.** The caller's thread polls shard 0 itself and
+//!   one scoped helper thread polls each further shard, so `threads = N`
+//!   is N busy OS threads, the caller included, and `threads = 1` is the
+//!   same code with no helper. All of them meet at a spin-then-yield
+//!   barrier before and after each round; between rounds the caller runs
+//!   the hub with every helper parked — so the hub is free of data races
+//!   and drains the cross-shard edges in the same order at any thread
+//!   count. A panic on any thread poisons the barrier: the others leave it
+//!   and the panic reaches the caller.
 //! * **Quiescence is a sum.** The exit decision (`work == 0`, round bound)
 //!   depends only on the *total* work of a round, and sums are independent
 //!   of shard assignment — every thread count runs the same rounds.
@@ -44,9 +43,11 @@
 //! wall clock cannot show it.
 
 use nk_sim::Pollable;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread::ScopedJoinHandle;
+
+/// A unit of a poll phase as [`ShardedExecutor::drive`] takes it.
+pub type Unit<'u> = &'u mut (dyn Pollable + Send);
 
 /// What one driven poll phase did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,20 +61,11 @@ pub struct StepOutcome {
     pub quiescent: bool,
 }
 
-/// Work counters of one shard, accumulated across steps.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Units dealt to this shard in the latest step.
-    pub units: usize,
-    /// Work done in poll rounds.
-    pub poll_work: u64,
-}
-
-/// Executor counters: totals, per-shard breakdowns, and the
-/// serial-vs-critical-path work model.
+/// Executor counters: totals and the serial-vs-critical-path work model.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Shards actually used (threads clamped to the unit count).
+    /// OS threads busy in the latest poll phase, the caller included (the
+    /// configured count clamped to the unit count).
     pub threads: usize,
     /// Steps driven.
     pub steps: u64,
@@ -94,8 +86,6 @@ pub struct ExecStats {
     /// `serial_work / critical_work` is the modeled speedup of the
     /// sharding, independent of how many cores the process actually gets.
     pub critical_work: u64,
-    /// Per-shard breakdown, indexed by shard.
-    pub shards: Vec<ShardStats>,
 }
 
 impl ExecStats {
@@ -139,7 +129,7 @@ impl ExecStats {
 
 /// How many times a waiter spin-loops before each wait falls back to
 /// [`std::thread::yield_now`]. Small on purpose: the common case (every
-/// other worker is about to arrive) resolves within a few dozen iterations,
+/// other party is about to arrive) resolves within a few dozen iterations,
 /// and anything longer means the machine is oversubscribed — more runnable
 /// threads than cores, the normal state of CI runners — where burning the
 /// timeslice spinning *prevents* the thread we're waiting for from running.
@@ -150,7 +140,7 @@ const BARRIER_SPIN_LIMIT: u32 = 128;
 /// `std::sync::Barrier` parks on a condvar — a syscall per round per
 /// thread, paid 10–30 times per step. Poll rounds are microseconds long, so
 /// the barrier spins up to [`BARRIER_SPIN_LIMIT`] iterations (the common
-/// case: every other worker is about to arrive) and then yields its
+/// case: every other party is about to arrive) and then yields its
 /// timeslice between polls, so an oversubscribed machine (CI pinning
 /// everything to one core) still makes progress instead of collapsing into
 /// N−1 threads busy-waiting on the one that holds the core.
@@ -218,38 +208,40 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// The coordinator's side of a barrier wait. If the barrier was poisoned a
-/// worker panicked: the survivors are already leaving, so join everyone and
-/// re-raise the worker's own panic on the caller's thread — the same thing
-/// the caller sees when a unit panics on the inline path.
-fn wait_for_workers(barrier: &SpinBarrier, workers: &mut Vec<ScopedJoinHandle<'_, ()>>) {
+/// The caller's side of a barrier wait. If the barrier was poisoned a
+/// helper panicked: the survivors are already leaving, so join everyone and
+/// re-raise the helper's own panic on the caller's thread — the same thing
+/// the caller sees when a unit of its own shard panics.
+fn wait_for_helpers(barrier: &SpinBarrier, helpers: &mut Vec<ScopedJoinHandle<'_, ()>>) {
     if barrier.wait() {
         return;
     }
-    for worker in workers.drain(..) {
-        if let Err(payload) = worker.join() {
+    for helper in helpers.drain(..) {
+        if let Err(payload) = helper.join() {
             std::panic::resume_unwind(payload);
         }
     }
-    unreachable!("barrier poisoned, yet every worker exited cleanly");
+    unreachable!("barrier poisoned, yet every helper exited cleanly");
 }
 
-/// Deal `units` (in key order) onto `shard_count` shards: heaviest first
-/// (key order breaks ties), each onto the lightest shard; shard occupancy,
-/// then shard index, break load ties. A unit without a weight weighs 1, not
-/// 0, so a fresh topology still spreads across shards instead of piling
-/// onto shard 0 — and equal weights deal round-robin in key order.
-fn deal<'u, K: Ord, U>(
-    units: &'u mut BTreeMap<K, U>,
-    weights: &BTreeMap<K, u64>,
-    shard_count: usize,
-) -> Vec<Vec<&'u mut U>> {
+/// One round of one shard: every unit polls, in list order.
+fn poll_shard(shard: &mut [Unit<'_>], now_ns: u64) -> usize {
+    shard.iter_mut().map(|unit| unit.poll(now_ns)).sum()
+}
+
+/// Deal `units` onto `shard_count` shards: heaviest first (list order
+/// breaks ties), each onto the lightest shard; shard occupancy, then shard
+/// index, break load ties. A weight of 0 counts as 1, so a fresh topology
+/// still spreads across shards instead of piling onto shard 0 — and equal
+/// weights deal round-robin in list order. Within a shard, units keep
+/// their list order.
+fn deal<'u>(units: Vec<(u64, Unit<'u>)>, shard_count: usize) -> Vec<Vec<Unit<'u>>> {
     let mut order: Vec<(usize, u64)> = units
-        .keys()
-        .map(|key| weights.get(key).copied().unwrap_or(0).max(1))
+        .iter()
+        .map(|(weight, _)| (*weight).max(1))
         .enumerate()
         .collect();
-    // Stable: equal weights stay in key order.
+    // Stable: equal weights stay in list order.
     order.sort_by_key(|(_, weight)| std::cmp::Reverse(*weight));
     let mut filled = vec![(0u64, 0usize); shard_count]; // (load, occupancy)
     let mut assignment = vec![0usize; order.len()];
@@ -261,61 +253,14 @@ fn deal<'u, K: Ord, U>(
         filled[target].1 += 1;
         assignment[index] = target;
     }
-    let mut shards: Vec<Vec<&mut U>> = (0..shard_count).map(|_| Vec::new()).collect();
-    for (unit, shard) in units.values_mut().zip(assignment) {
+    let mut shards: Vec<Vec<Unit<'u>>> = filled
+        .iter()
+        .map(|(_, occupancy)| Vec::with_capacity(*occupancy))
+        .collect();
+    for ((_, unit), shard) in units.into_iter().zip(assignment) {
         shards[shard].push(unit);
     }
     shards
-}
-
-/// The round loop — the only one. `poll` runs one round of every unit and
-/// writes each shard's work into its slot of `shard_work` (one slot per
-/// shard, the caller's scratch); the hub then runs on the caller's thread;
-/// the loop ends when a full round (units + hub) reports no work or
-/// `max_rounds` is hit. Every [`ExecStats`] counter a round moves is moved
-/// here.
-fn run_rounds(
-    stats: &mut ExecStats,
-    shard_work: &mut [usize],
-    mut poll: impl FnMut(&mut [usize]),
-    mut hub: impl FnMut(u64) -> (usize, usize),
-    now_ns: u64,
-    max_rounds: usize,
-) -> StepOutcome {
-    let mut total = 0usize;
-    let mut rounds = 0usize;
-    let quiescent = loop {
-        poll(shard_work);
-        let mut poll_sum = 0usize;
-        let mut poll_max = 0usize;
-        for (shard, work) in stats.shards.iter_mut().zip(shard_work.iter()) {
-            poll_sum += work;
-            poll_max = poll_max.max(*work);
-            shard.poll_work += *work as u64;
-        }
-        let (hub_work, frames) = hub(now_ns);
-        let work = poll_sum + hub_work;
-        rounds += 1;
-        total += work;
-        stats.poll_work += poll_sum as u64;
-        stats.hub_work += hub_work as u64;
-        stats.barrier_frames += frames as u64;
-        stats.serial_work += work as u64;
-        stats.critical_work += (poll_max + hub_work) as u64;
-        if work == 0 {
-            break true;
-        }
-        if rounds >= max_rounds {
-            break false;
-        }
-    };
-    stats.steps += 1;
-    stats.rounds += rounds as u64;
-    StepOutcome {
-        work: total,
-        rounds,
-        quiescent,
-    }
 }
 
 /// Drives the poll phase of cluster steps over a set of [`Pollable`] units.
@@ -325,7 +270,8 @@ pub struct ShardedExecutor {
 }
 
 impl ShardedExecutor {
-    /// An executor using `threads` workers (clamped to at least 1).
+    /// An executor that keeps `threads` OS threads busy in a poll phase,
+    /// the caller's included (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
         ShardedExecutor {
             threads: threads.max(1),
@@ -333,7 +279,8 @@ impl ShardedExecutor {
         }
     }
 
-    /// Configured worker-thread count.
+    /// Configured count of OS threads busy in a poll phase, the caller
+    /// included.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -358,88 +305,89 @@ impl ShardedExecutor {
     /// cluster's endpoint stacks) and return `(work, frames_forwarded)` —
     /// until a full round reports no work or `max_rounds` is hit.
     ///
-    /// Units are dealt onto `min(threads, units.len())` shards by `weights`
-    /// (see the module docs; pass an empty map for round-robin). One shard
-    /// runs inline on the caller's thread; more run on scoped worker
-    /// threads behind a barrier. The hub always runs on the caller's thread
-    /// with every worker parked, so everything it touches is free of data
-    /// races and ordered identically for any thread count, and the rounds
-    /// executed never depend on the dealing.
+    /// `units` is an ordered list of `(weight, unit)`, dealt onto
+    /// `min(threads, units.len())` shards (see the module docs; equal
+    /// weights deal round-robin). The caller's thread polls shard 0 and a
+    /// scoped helper thread polls each other shard; all of them meet at one
+    /// barrier twice per round — once to start it, once when it is done —
+    /// and with one shard that is a one-party barrier and no helper. The
+    /// hub always runs on the caller's thread with every helper parked, so
+    /// everything it touches is free of data races and ordered identically
+    /// for any thread count, and the rounds executed never depend on the
+    /// dealing.
     ///
     /// A panic in a unit or in the hub propagates to the caller at any
-    /// thread count, after every worker has exited.
-    pub fn drive<K, U, H>(
+    /// thread count, after every helper has exited.
+    pub fn drive(
         &mut self,
-        units: &mut BTreeMap<K, U>,
-        weights: &BTreeMap<K, u64>,
-        hub: H,
+        units: Vec<(u64, Unit<'_>)>,
+        mut hub: impl FnMut(u64) -> (usize, usize),
         now_ns: u64,
         max_rounds: usize,
-    ) -> StepOutcome
-    where
-        K: Ord,
-        U: Pollable + Send,
-        H: FnMut(u64) -> (usize, usize),
-    {
+    ) -> StepOutcome {
         let shard_count = self.threads.min(units.len()).max(1);
         let stats = &mut self.stats;
         stats.threads = shard_count;
-        if stats.shards.len() != shard_count {
-            stats.shards = vec![ShardStats::default(); shard_count];
-        }
-        if shard_count == 1 {
-            stats.shards[0].units = units.len();
-            let poll = |work: &mut [usize]| {
-                work[0] = units.values_mut().map(|u| u.poll(now_ns)).sum();
-            };
-            return run_rounds(stats, &mut [0], poll, hub, now_ns, max_rounds);
-        }
-
-        let shards = deal(units, weights, shard_count);
-        for (shard_stats, shard) in stats.shards.iter_mut().zip(&shards) {
-            shard_stats.units = shard.len();
-        }
-        // Coordinator + workers all meet at one barrier, twice per round:
-        // once to start it, once when it is done. Per-shard cells carry
-        // each round's work back to the coordinator.
-        let barrier = SpinBarrier::new(shard_count + 1);
+        let mut shards = deal(units, shard_count).into_iter();
+        let mut own = shards.next().expect("shard_count >= 1");
+        let barrier = SpinBarrier::new(shard_count);
         let stop = AtomicBool::new(false);
-        let cells: Vec<AtomicUsize> = (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
+        // Per-helper cells carry each round's work back to the caller.
+        let cells: Vec<AtomicUsize> = (1..shard_count).map(|_| AtomicUsize::new(0)).collect();
         std::thread::scope(|scope| {
             let _poison = PoisonOnPanic(&barrier);
-            let mut workers = Vec::with_capacity(shard_count);
-            for (mut shard, cell) in shards.into_iter().zip(&cells) {
+            let mut helpers = Vec::with_capacity(cells.len());
+            for (mut shard, cell) in shards.zip(&cells) {
                 let (barrier, stop) = (&barrier, &stop);
-                workers.push(scope.spawn(move || {
+                helpers.push(scope.spawn(move || {
                     let _poison = PoisonOnPanic(barrier);
                     // Round start (or stop) … round done → hub runs.
                     while barrier.wait() && !stop.load(Ordering::Acquire) {
-                        let work: usize = shard.iter_mut().map(|u| u.poll(now_ns)).sum();
-                        cell.store(work, Ordering::Release);
+                        cell.store(poll_shard(&mut shard, now_ns), Ordering::Release);
                         if !barrier.wait() {
                             break;
                         }
                     }
                 }));
             }
-            let poll = |work: &mut [usize]| {
-                wait_for_workers(&barrier, &mut workers); // round start
-                wait_for_workers(&barrier, &mut workers); // round done
-                for (slot, cell) in work.iter_mut().zip(&cells) {
-                    *slot = cell.load(Ordering::Acquire);
+            let mut total = 0usize;
+            let mut rounds = 0usize;
+            let quiescent = loop {
+                wait_for_helpers(&barrier, &mut helpers); // round start
+                let own_work = poll_shard(&mut own, now_ns);
+                wait_for_helpers(&barrier, &mut helpers); // round done
+                let mut poll_sum = own_work;
+                let mut poll_max = own_work;
+                for cell in &cells {
+                    let work = cell.load(Ordering::Acquire);
+                    poll_sum += work;
+                    poll_max = poll_max.max(work);
+                }
+                let (hub_work, frames) = hub(now_ns);
+                let work = poll_sum + hub_work;
+                rounds += 1;
+                total += work;
+                stats.poll_work += poll_sum as u64;
+                stats.hub_work += hub_work as u64;
+                stats.barrier_frames += frames as u64;
+                stats.serial_work += work as u64;
+                stats.critical_work += (poll_max + hub_work) as u64;
+                if work == 0 {
+                    break true;
+                }
+                if rounds >= max_rounds {
+                    break false;
                 }
             };
-            let outcome = run_rounds(
-                stats,
-                &mut vec![0; shard_count],
-                poll,
-                hub,
-                now_ns,
-                max_rounds,
-            );
             stop.store(true, Ordering::Release);
-            wait_for_workers(&barrier, &mut workers); // workers observe stop
-            outcome
+            wait_for_helpers(&barrier, &mut helpers); // helpers observe stop
+            stats.steps += 1;
+            stats.rounds += rounds as u64;
+            StepOutcome {
+                work: total,
+                rounds,
+                quiescent,
+            }
         })
     }
 }
@@ -452,7 +400,9 @@ mod tests {
 
     /// A synthetic unit: does `load` work items per round for `busy_rounds`
     /// rounds, pushing a tagged value per item into its uplink channel, and
-    /// panics on entering round `panic_in_round` when that is set.
+    /// panics on entering round `panic_in_round` when that is set. It notes
+    /// the OS thread of every poll, so a test can count a unit's polls and
+    /// tell which units shared a shard.
     struct MockUnit {
         id: u32,
         load: usize,
@@ -460,10 +410,14 @@ mod tests {
         rounds_done: usize,
         panic_in_round: Option<usize>,
         tx: UnboundedProducer<(u32, usize)>,
+        // nk-lint: allow(thread-identity) — test observes scheduling, feeds no data path
+        polled_on: Vec<std::thread::ThreadId>,
     }
 
     impl Pollable for MockUnit {
         fn poll(&mut self, _now_ns: u64) -> usize {
+            // nk-lint: allow(thread-identity) — test observes scheduling, feeds no data path
+            self.polled_on.push(std::thread::current().id());
             if self.panic_in_round == Some(self.rounds_done + 1) {
                 panic!("unit {} blew up", self.id);
             }
@@ -478,56 +432,58 @@ mod tests {
         }
     }
 
-    type Units = BTreeMap<u32, MockUnit>;
-    type Uplinks = BTreeMap<u32, UnboundedConsumer<(u32, usize)>>;
+    /// The units in list order, and the hub's consumer ends in the same
+    /// order — the shape of hosts behind a ToR, or lanes behind a hub.
+    type Rig = (Vec<MockUnit>, Vec<UnboundedConsumer<(u32, usize)>>);
 
     /// Build `n` units with *uneven* loads (unit i does `3*i + 1` items per
-    /// round, for `i + 1` rounds) plus the hub's consumer ends keyed like
-    /// the units — the shape of hosts behind a ToR, or lanes behind a hub.
-    fn rig(n: u32) -> (Units, Uplinks) {
-        let mut units = BTreeMap::new();
-        let mut rxs = BTreeMap::new();
-        for id in 0..n {
-            let (tx, rx) = unbounded();
-            units.insert(
-                id,
-                MockUnit {
+    /// round, for `i + 1` rounds).
+    fn rig(n: u32) -> Rig {
+        (0..n)
+            .map(|id| {
+                let (tx, rx) = unbounded();
+                let unit = MockUnit {
                     id,
                     load: 3 * id as usize + 1,
                     busy_rounds: id as usize + 1,
                     rounds_done: 0,
                     panic_in_round: None,
                     tx,
-                },
-            );
-            rxs.insert(id, rx);
-        }
-        (units, rxs)
+                    polled_on: Vec::new(),
+                };
+                (unit, rx)
+            })
+            .unzip()
     }
 
-    /// Drive one step over the rig at `threads`, the hub merging every
-    /// uplink at the barrier in key order (and panicking on entering round
+    /// Drive one step over the rig at `threads`, unit i weighing
+    /// `weights[i]` (0 past the end of the slice), the hub merging every
+    /// uplink at the barrier in list order (and panicking on entering round
     /// `hub_panic_in_round`, when set); 5 items of serial begin/close work
     /// are noted around it. Returns (outcome, merged log, executor stats).
     fn run_step(
         threads: usize,
-        (mut units, mut rxs): (Units, Uplinks),
-        weights: &BTreeMap<u32, u64>,
+        (units, rxs): &mut Rig,
+        weights: &[u64],
         max_rounds: usize,
         hub_panic_in_round: Option<usize>,
     ) -> (StepOutcome, Vec<(u32, usize)>, ExecStats) {
         let mut log = Vec::new();
-        let mut hub_rounds = 0;
+        let mut hub_calls = 0;
         let mut exec = ShardedExecutor::new(threads);
         exec.note_serial_work(5);
+        let units = units
+            .iter_mut()
+            .enumerate()
+            .map(|(i, unit)| (weights.get(i).copied().unwrap_or(0), unit as Unit<'_>))
+            .collect();
         let outcome = exec.drive(
-            &mut units,
-            weights,
+            units,
             |_now| {
-                hub_rounds += 1;
-                assert_ne!(hub_panic_in_round, Some(hub_rounds), "hub blew up");
+                hub_calls += 1;
+                assert_ne!(hub_panic_in_round, Some(hub_calls), "hub blew up");
                 let before = log.len();
-                for rx in rxs.values_mut() {
+                for rx in rxs.iter_mut() {
                     rx.drain_into(&mut log);
                 }
                 let frames = log.len() - before;
@@ -541,22 +497,38 @@ mod tests {
 
     /// A deliberately misleading weight vector: placement may be bad,
     /// bytes must not change.
-    fn skewed(n: u32) -> BTreeMap<u32, u64> {
-        (0..n).map(|id| (id, 1000 - id as u64)).collect()
+    fn skewed(n: u32) -> Vec<u64> {
+        (0..n).map(|id| 1000 - id as u64).collect()
+    }
+
+    /// Work per round of each shard of the last step, ascending: units
+    /// polled on the same OS thread were dealt to the same shard.
+    fn shard_loads(units: &[MockUnit]) -> Vec<usize> {
+        let mut shards = Vec::new();
+        for unit in units {
+            let thread = unit.polled_on[0];
+            match shards.iter_mut().find(|(t, _)| *t == thread) {
+                Some((_, load)) => *load += unit.load,
+                None => shards.push((thread, unit.load)),
+            }
+        }
+        let mut loads: Vec<usize> = shards.into_iter().map(|(_, load)| load).collect();
+        loads.sort_unstable();
+        loads
     }
 
     /// The executor's core promise: under uneven shard load, the merged
     /// cross-shard frame stream, the outcome and every
     /// thread-count-independent counter are identical for any thread count
-    /// and any weight vector, because the hub drains the channels in key
-    /// order with every worker parked.
+    /// and any weight vector, because the hub drains the channels in list
+    /// order with every helper parked.
     #[test]
     fn merge_order_and_counters_are_identical_for_any_threads_and_weights() {
-        let no_weights = BTreeMap::new();
-        let (serial, log1, s1) = run_step(1, rig(8), &no_weights, 64, None);
+        let (serial, log1, s1) = run_step(1, &mut rig(8), &[], 64, None);
         for threads in [1, 2, 3, 4, 8] {
-            for weights in [&no_weights, &skewed(8)] {
-                let (sharded, log_n, sn) = run_step(threads, rig(8), weights, 64, None);
+            for weights in [&[][..], &skewed(8)] {
+                let mut rig = rig(8);
+                let (sharded, log_n, sn) = run_step(threads, &mut rig, weights, 64, None);
                 assert_eq!(sharded, serial, "outcome diverged at {threads} threads");
                 assert_eq!(log_n, log1, "merge order diverged at {threads} threads");
                 assert_eq!(sn.steps, 1);
@@ -566,20 +538,45 @@ mod tests {
                 assert_eq!(sn.hub_work, s1.hub_work);
                 assert_eq!(sn.barrier_frames, s1.barrier_frames);
                 assert_eq!(sn.threads, threads);
-                let shard_poll: u64 = sn.shards.iter().map(|s| s.poll_work).sum();
-                assert_eq!(shard_poll, sn.poll_work);
-                let shard_units: usize = sn.shards.iter().map(|s| s.units).sum();
-                assert_eq!(shard_units, 8);
+                // Every unit was dealt to exactly one shard: one poll per
+                // round each, and the shards' work adds up to the total.
+                for unit in &rig.0 {
+                    assert_eq!(unit.polled_on.len(), serial.rounds, "unit {}", unit.id);
+                }
+                assert_eq!(shard_loads(&rig.0).len(), threads);
+                assert!(sn.critical_work <= sn.serial_work);
             }
         }
-        // Sanity: the log really is the full uneven workload, in key order
+        // Sanity: the log really is the full uneven workload, in list order
         // within each round, and the step ran to quiescence.
         let expected: usize = (0..8usize).map(|i| (3 * i + 1) * (i + 1)).sum();
         assert_eq!(log1.len(), expected);
+        assert_eq!(s1.poll_work, expected as u64);
         assert_eq!(log1[0], (0, 0), "round 1 starts with unit 0");
         assert!(serial.quiescent);
         assert_eq!(serial.rounds, 9, "8 busy rounds + the quiescent one");
         assert_eq!(s1.serial_work, s1.poll_work + s1.hub_work + 5);
+    }
+
+    /// `threads = N` is N busy OS threads and the caller is one of them:
+    /// over 8 units exactly N distinct thread ids poll, the caller's among
+    /// them, and at N = 1 nothing but the caller's thread ever polls.
+    #[test]
+    fn the_callers_thread_is_one_of_exactly_n_polling_threads() {
+        // nk-lint: allow(thread-identity) — test observes scheduling, feeds no data path
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 4] {
+            let mut rig = rig(8);
+            run_step(threads, &mut rig, &[], 64, None);
+            let mut seen = Vec::new();
+            for thread in rig.0.iter().flat_map(|unit| &unit.polled_on) {
+                if !seen.contains(thread) {
+                    seen.push(*thread);
+                }
+            }
+            assert_eq!(seen.len(), threads, "distinct polling threads");
+            assert!(seen.contains(&caller), "the caller polls a shard itself");
+        }
     }
 
     /// The work model: critical-path work equals serial work on one shard,
@@ -587,9 +584,9 @@ mod tests {
     /// work or the hub as overlapped.
     #[test]
     fn work_model_tracks_the_critical_path() {
-        for weights in [&BTreeMap::new(), &skewed(8)] {
-            let (_, _, s1) = run_step(1, rig(8), weights, 64, None);
-            let (_, _, s4) = run_step(4, rig(8), weights, 64, None);
+        for weights in [&[][..], &skewed(8)] {
+            let (_, _, s1) = run_step(1, &mut rig(8), weights, 64, None);
+            let (_, _, s4) = run_step(4, &mut rig(8), weights, 64, None);
             assert_eq!(s1.critical_work, s1.serial_work, "one shard: no overlap");
             assert!(
                 s4.critical_work < s4.serial_work,
@@ -607,11 +604,11 @@ mod tests {
     #[test]
     fn round_bound_applies_identically() {
         for threads in [1, 2, 4] {
-            let (mut units, rxs) = rig(3);
-            for unit in units.values_mut() {
+            let mut rig = rig(3);
+            for unit in rig.0.iter_mut() {
                 unit.busy_rounds = usize::MAX; // never goes quiet
             }
-            let (outcome, _, stats) = run_step(threads, (units, rxs), &BTreeMap::new(), 8, None);
+            let (outcome, _, stats) = run_step(threads, &mut rig, &[], 8, None);
             assert_eq!(outcome.rounds, 8);
             assert!(!outcome.quiescent);
             assert_eq!(stats.rounds, 8);
@@ -621,10 +618,10 @@ mod tests {
     /// More threads than units degrades gracefully to one unit per shard.
     #[test]
     fn threads_clamp_to_unit_count() {
-        let (_, _, stats) = run_step(16, rig(2), &BTreeMap::new(), 64, None);
+        let mut rig = rig(2);
+        let (_, _, stats) = run_step(16, &mut rig, &[], 64, None);
         assert_eq!(stats.threads, 2);
-        assert_eq!(stats.shards.len(), 2);
-        assert!(stats.shards.iter().all(|s| s.units == 1));
+        assert_eq!(shard_loads(&rig.0), vec![1, 4], "one unit per shard");
     }
 
     /// Weighted dealing beats round-robin where it matters: heavy units
@@ -632,39 +629,48 @@ mod tests {
     /// near the heaviest unit's own work rather than a pile of them.
     #[test]
     fn weighted_dealing_balances_uneven_units() {
-        // 8 units with loads 2, 7, …, 37, each busy for exactly one round.
+        // 8 units with loads 2, 7, …, 37, each busy for exactly one round:
+        // the round's critical path is its heaviest shard.
         let uneven = || {
-            let (mut units, rxs) = rig(8);
-            for unit in units.values_mut() {
+            let mut rig = rig(8);
+            for unit in rig.0.iter_mut() {
                 unit.load = 5 * unit.id as usize + 2;
                 unit.busy_rounds = 1;
             }
-            (units, rxs)
+            rig
         };
+        let heaviest_shard = |stats: &ExecStats| stats.critical_work - stats.hub_work - 5;
         // Weights matching the loads (as a converged previous step would
         // report): LPT on 4 shards pairs 37+2, 32+7, 27+12, 22+17 — every
         // shard polls exactly 39.
-        let weights: BTreeMap<u32, u64> = (0..8u32).map(|id| (id, 5 * id as u64 + 2)).collect();
-        let (_, _, stats) = run_step(4, uneven(), &weights, 64, None);
+        let weights: Vec<u64> = (0..8).map(|id| 5 * id + 2).collect();
+        let mut rig = uneven();
+        let (_, _, stats) = run_step(4, &mut rig, &weights, 64, None);
         assert_eq!(stats.threads, 4);
-        for shard in &stats.shards {
-            assert_eq!(shard.units, 2);
-            assert_eq!(shard.poll_work, 39, "LPT must balance the unit loads");
-        }
+        assert_eq!(
+            shard_loads(&rig.0),
+            vec![39; 4],
+            "LPT must balance the loads"
+        );
+        assert_eq!(heaviest_shard(&stats), 39);
         assert!(stats.modeled_speedup() > 1.0);
-        // No weights deals round-robin in key order — units {i, i + 4} on
+        // No weights deals round-robin in list order — units {i, i + 4} on
         // shard i — which stacks {3, 7} for 17 + 37 = 54 on the critical
         // path.
-        let (_, _, stats) = run_step(4, uneven(), &BTreeMap::new(), 64, None);
-        let polled: Vec<u64> = stats.shards.iter().map(|s| s.poll_work).collect();
-        assert_eq!(polled, vec![24, 34, 44, 54]);
+        let mut rig = uneven();
+        let (_, _, stats) = run_step(4, &mut rig, &[], 64, None);
+        assert_eq!(shard_loads(&rig.0), vec![24, 34, 44, 54]);
+        assert_eq!(heaviest_shard(&stats), 54);
     }
 
-    /// A panic on any thread of the step — a unit's round on a worker, or
-    /// the hub on the coordinator — reaches the caller with its own
-    /// payload at any thread count. The scope joins every worker before
-    /// returning, so this test finishing *is* the proof nobody was left
-    /// spinning at the barrier.
+    /// A panic on any thread of the step — a unit's round on the caller's
+    /// shard or on a helper's, or the hub — reaches the caller with its own
+    /// payload at any thread count. Equal weights deal round-robin, so with
+    /// N shards unit 0 is the caller's and unit 1 a helper's (at N = 1 both
+    /// are the caller's); when the caller's unit panics, the helpers are
+    /// mid-`wait` at the round-done rendezvous and must leave through the
+    /// poisoned barrier. The scope joins every helper before returning, so
+    /// this test finishing *is* the proof nobody was left spinning.
     #[test]
     fn a_panic_mid_step_reaches_the_caller_and_releases_every_worker() {
         let message = |payload: Box<dyn std::any::Any + Send>| {
@@ -673,17 +679,28 @@ mod tests {
                 .map(|s| *s)
                 .expect("a formatted panic")
         };
+        // nk-lint: allow(thread-identity) — test observes scheduling, feeds no data path
+        let caller = std::thread::current().id();
         for threads in [1, 2, 4] {
-            let (mut units, rxs) = rig(6);
-            units.get_mut(&3).expect("unit 3").panic_in_round = Some(2);
-            let died = catch_unwind(AssertUnwindSafe(|| {
-                run_step(threads, (units, rxs), &BTreeMap::new(), 64, None)
-            }));
-            let payload = died.expect_err("the unit's panic must propagate");
-            assert_eq!(message(payload), "unit 3 blew up", "threads {threads}");
+            for (victim, on_caller) in [(0, true), (1, threads == 1)] {
+                let mut rig = rig(6);
+                rig.0[victim].panic_in_round = Some(2);
+                let died = catch_unwind(AssertUnwindSafe(|| {
+                    run_step(threads, &mut rig, &[], 64, None)
+                }));
+                let payload = died.expect_err("the unit's panic must propagate");
+                assert_eq!(
+                    message(payload),
+                    format!("unit {victim} blew up"),
+                    "threads {threads}"
+                );
+                let polled_on = &rig.0[victim].polled_on;
+                assert_eq!(polled_on.len(), 2, "it died entering round 2");
+                assert_eq!(polled_on[1] == caller, on_caller, "threads {threads}");
+            }
 
             let died = catch_unwind(AssertUnwindSafe(|| {
-                run_step(threads, rig(6), &BTreeMap::new(), 64, Some(2))
+                run_step(threads, &mut rig(6), &[], 64, Some(2))
             }));
             let payload = died.expect_err("the hub's panic must propagate");
             assert!(

@@ -23,9 +23,9 @@
 //! byte-identically from its seed.
 //!
 //! The datapath is parallel when asked: [`exec::ShardedExecutor`] deals
-//! hosts — or, below the host boundary, their NSM share lanes — across
-//! worker threads with a round barrier, and the results — event logs,
-//! digests, stats — are byte-identical for any
+//! hosts — or, below the host boundary, their NSM share lanes — across OS
+//! threads (the caller's among them) with a round barrier, and the results
+//! — event logs, digests, stats — are byte-identical for any
 //! [`nk_types::ClusterConfig::threads`] value and either granularity.
 
 pub mod cluster;
@@ -34,4 +34,4 @@ pub mod exec;
 
 pub use cluster::{Cluster, ClusterStats};
 pub use evac::{ControlLogEntry, EvacFault, EvacFaultKind, EvacReport};
-pub use exec::{ExecStats, ShardStats, ShardedExecutor, StepOutcome};
+pub use exec::{ExecStats, ShardedExecutor, StepOutcome};

@@ -135,9 +135,9 @@ pub struct NetKernelHost {
     /// lanes ([`NetKernelHost::split_lanes`]); drained in key order every
     /// hub round, empty outside a lane phase.
     pub(crate) lane_rx: BTreeMap<NsmId, UnboundedConsumer<LaneReport>>,
-    /// Work done per lane since the last [`NetKernelHost::take_lane_loads`],
-    /// accumulated from the lanes' reports — the weight signal for the
-    /// executor's lane placement.
+    /// Work done per lane since the last [`NetKernelHost::split_lanes`],
+    /// accumulated from the lanes' reports; the next split stamps each lane
+    /// with its entry — the weight signal for the executor's lane placement.
     pub(crate) lane_loads: BTreeMap<NsmId, u64>,
     pub(crate) now_ns: u64,
 }

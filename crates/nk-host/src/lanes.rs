@@ -14,11 +14,11 @@
 //! hosts onto worker threads. This module splits the host's datapath below
 //! the host boundary: each NSM share group (the NSMs reachable from a set of
 //! VMs, with those VMs' engine ports, table entries and queues) becomes a
-//! [`ShareLane`] that polls independently on a worker thread, while the
+//! [`ShareLane`] that polls independently on an executor thread, while the
 //! serial remainder — the vNIC/switch fabric, remote stacks, the
 //! shared-memory core ledger and any ungrouped VM — stays behind as the
-//! *host hub*, polled by the coordinator at the round barrier
-//! ([`NetKernelHost::hub_round`]).
+//! *host hub*: the host's own [`NetKernelHost::poll_round`], run by the
+//! executor's caller at the round barrier.
 //!
 //! The only cross-thread channel is a wait-free unbounded SPSC queue
 //! ([`nk_queue::unbounded()`]: one producer, one consumer, pushes that never
@@ -26,8 +26,9 @@
 //! shard timing) from each lane to its hub, carrying [`LaneReport`]s:
 //! per-component work counts the hub folds — in lane-key order — into the
 //! cycle ledgers (so pool accounting is identical to an undecomposed host)
-//! and into per-lane load counters (so the executor's weighted placement
-//! can deal heavy lanes first).
+//! and into per-lane load counters (each lane of the next split carries
+//! its own as [`ShareLane::weight`], so the executor can deal heavy lanes
+//! first).
 //!
 //! Determinism: lanes touch pairwise-disjoint state (the grouping closes
 //! over every VM↔NSM edge — mapping, table pins, NSM-held VM state — so no
@@ -65,14 +66,16 @@ pub enum LaneReport {
 /// One NSM share group carved out of a [`crate::NetKernelHost`] for a poll
 /// phase: an engine shard (the group's VM/NSM ports, mappings and table
 /// entries) plus the group's NSM instances, with an SPSC report edge back to
-/// the host hub. Created by `NetKernelHost::split_lanes`, polled on a worker
-/// thread via [`ShareLane::poll_round`], merged back by
+/// the host hub. Created by `NetKernelHost::split_lanes`, polled on an
+/// executor thread via [`ShareLane::poll_round`], merged back by
 /// `NetKernelHost::absorb_lanes`.
 pub struct ShareLane {
     /// Lane key: the smallest NSM id in the group. Stable across rounds and
     /// steps (for a fixed topology), so weighted placement can carry load
     /// history from one step to the next.
     pub(crate) key: NsmId,
+    /// Work the lane of this key reported while the host was last split.
+    pub(crate) weight: u64,
     /// The group's slice of the CoreEngine.
     pub(crate) engine: CoreEngine,
     /// The group's NSM instances, polled in ascending id order.
@@ -81,7 +84,7 @@ pub struct ShareLane {
     pub(crate) tx: UnboundedProducer<LaneReport>,
 }
 
-// Lanes move onto executor worker threads; a non-Send field would surface
+// Lanes move onto executor threads; a non-Send field would surface
 // as an inscrutable error in `nk-cluster`, so pin the bound down here.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
@@ -92,6 +95,13 @@ impl ShareLane {
     /// The lane key (smallest NSM id in the group).
     pub fn key(&self) -> NsmId {
         self.key
+    }
+
+    /// The work this lane's key reported during the host's previous lane
+    /// phase (0 for a new key) — the executor's dealing weight. Scheduling
+    /// input only: results never depend on it.
+    pub fn weight(&self) -> u64 {
+        self.weight
     }
 
     /// One poll round over the lane's slice of the datapath: the engine
@@ -212,8 +222,9 @@ impl NetKernelHost {
     /// resident in the host's engine and are served by the hub exactly as
     /// the serial poll would. The host keeps the hub end of each lane's
     /// report edge; callers must poll [`ShareLane::poll_round`] before each
-    /// [`NetKernelHost::hub_round`] and eventually hand every lane back to
-    /// [`NetKernelHost::absorb_lanes`].
+    /// [`NetKernelHost::poll_round`] — which while split is the hub's share
+    /// of the round and returns only the work done *here* — and eventually
+    /// hand every lane back to [`NetKernelHost::absorb_lanes`].
     pub fn split_lanes(&mut self) -> BTreeMap<NsmId, ShareLane> {
         // Union-find over NSM ids, linking larger roots under smaller ones
         // so every root is its group's minimum — the lane key.
@@ -278,6 +289,8 @@ impl NetKernelHost {
             group_vms.entry(root).or_default().push(*vm);
         }
 
+        // Last lane phase's loads become this one's dealing weights.
+        let mut loads = std::mem::take(&mut self.lane_loads);
         let mut lanes = BTreeMap::new();
         for (key, members) in group_nsms {
             let vms = group_vms.remove(&key).unwrap_or_default();
@@ -293,6 +306,7 @@ impl NetKernelHost {
                 key,
                 ShareLane {
                     key,
+                    weight: loads.remove(&key).unwrap_or(0),
                     engine,
                     members: member_map,
                     tx,
@@ -300,15 +314,6 @@ impl NetKernelHost {
             );
         }
         lanes
-    }
-
-    /// The hub's share of one poll round while the host is split into
-    /// lanes — [`NetKernelHost::poll_round`] at an explicit time. Returns
-    /// only the work done *here*: lane work reaches the executor through
-    /// the lanes' own return values, and counting it twice would skew
-    /// quiescence.
-    pub fn hub_round(&mut self, now_ns: u64) -> usize {
-        self.poll_datapath(now_ns)
     }
 
     /// Merge lanes produced by [`NetKernelHost::split_lanes`] back into the
@@ -324,14 +329,6 @@ impl NetKernelHost {
             self.lane_rx.remove(&key);
         }
         debug_assert!(self.lane_rx.is_empty(), "a lane was never handed back");
-    }
-
-    /// Work done per lane since the last call, from the lanes' barrier
-    /// reports — consumed by the executor's weighted lane placement. Lane
-    /// keys are stable for a fixed topology, so last step's loads seed this
-    /// step's dealing.
-    pub fn take_lane_loads(&mut self) -> BTreeMap<NsmId, u64> {
-        std::mem::take(&mut self.lane_loads)
     }
 }
 
@@ -374,6 +371,9 @@ mod tests {
 
         let mut rounds_a = Vec::new();
         let mut rounds_b = Vec::new();
+        // Per lane, the largest weight a split stamped it with: the load it
+        // reported during the step before.
+        let mut heaviest = [0u64; 2];
         for step in 0..24 {
             // Both hosts get the same guest-side pushes between steps.
             if step == 8 {
@@ -399,6 +399,9 @@ mod tests {
             laned.begin_step(100_000);
             let mut lanes = laned.split_lanes();
             assert_eq!(lanes.len(), 2, "disjoint shares must form two lanes");
+            for (heaviest, lane) in heaviest.iter_mut().zip(lanes.values()) {
+                *heaviest = lane.weight().max(*heaviest);
+            }
             let mut rounds = 0;
             loop {
                 rounds += 1;
@@ -407,7 +410,7 @@ mod tests {
                 for lane in lanes.values_mut().rev() {
                     work += lane.poll_round(laned.now_ns());
                 }
-                work += laned.hub_round(laned.now_ns());
+                work += laned.poll_round();
                 if work == 0 {
                     break;
                 }
@@ -428,8 +431,7 @@ mod tests {
         for vm in [VmId(1), VmId(2)] {
             assert_eq!(serial.vm_switch_stats(vm), laned.vm_switch_stats(vm));
         }
-        let loads = laned.take_lane_loads();
-        assert!(loads.values().all(|w| *w > 0), "lanes reported no load");
+        assert!(heaviest.iter().all(|w| *w > 0), "lanes reported no load");
 
         // The payloads crossed identically.
         for (host, ls) in [(&mut serial, ls_a), (&mut laned, ls_b)] {

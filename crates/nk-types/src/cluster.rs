@@ -232,15 +232,15 @@ pub struct ClusterConfig {
     /// Upper bound on interleaved poll rounds per cluster step (the
     /// cluster-level analogue of [`HostConfig::max_poll_rounds`]).
     pub max_rounds: usize,
-    /// Worker threads the cluster datapath is sharded over (hosts are the
-    /// unit of parallelism; rounds are separated by barriers, so results
-    /// are byte-identical for any value). `1` — the default — is the serial
-    /// reference path.
+    /// OS threads busy in a poll phase of the cluster datapath, the caller
+    /// of the step included (hosts are the unit of parallelism; rounds are
+    /// separated by barriers, so results are byte-identical for any value).
+    /// `1` — the default — is the serial reference: the caller alone.
     pub threads: usize,
     /// Shard *below* the host boundary: every NSM share group of every host
     /// becomes its own parallel unit (with the host's vNIC switch, ledger
     /// and resident engine polled serially at the round barrier), so a
-    /// single many-share host can saturate the worker threads. Results stay
+    /// single many-share host can saturate the threads. Results stay
     /// byte-identical to host-granularity sharding and to the serial path
     /// for any thread count. Defaults to `false` (hosts are the unit).
     #[serde(default)]
@@ -286,9 +286,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Shard the datapath over `threads` worker threads (builder style).
-    /// Determinism is preserved for any value; `1` runs the serial
-    /// reference path.
+    /// Keep `threads` OS threads busy in a poll phase, the caller included
+    /// (builder style). Determinism is preserved for any value; `1` is the
+    /// serial reference.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
