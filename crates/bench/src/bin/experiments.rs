@@ -15,6 +15,8 @@
 //! `BENCH_results.json`, which CI archives. Wall-clock measurement lives in
 //! `examples/nkbench`.
 
+#![forbid(unsafe_code)]
+
 use bench::report::{f, print_table, BenchResults};
 use nk_cluster::Cluster;
 use nk_host::{PerfModel, TrafficDirection};

@@ -4,4 +4,6 @@
 //! paper's evaluation; shared helpers (table formatting, experiment output)
 //! live here.
 
+#![forbid(unsafe_code)]
+
 pub mod report;

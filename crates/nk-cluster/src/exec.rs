@@ -410,13 +410,19 @@ mod tests {
         rounds_done: usize,
         panic_in_round: Option<usize>,
         tx: UnboundedProducer<(u32, usize)>,
-        // nk-lint: allow(thread-identity) — test observes scheduling, feeds no data path
+        #[expect(
+            clippy::disallowed_types,
+            reason = "thread-identity: test observes scheduling, feeds no data path"
+        )]
         polled_on: Vec<std::thread::ThreadId>,
     }
 
     impl Pollable for MockUnit {
         fn poll(&mut self, _now_ns: u64) -> usize {
-            // nk-lint: allow(thread-identity) — test observes scheduling, feeds no data path
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "thread-identity: test observes scheduling, feeds no data path"
+            )]
             self.polled_on.push(std::thread::current().id());
             if self.panic_in_round == Some(self.rounds_done + 1) {
                 panic!("unit {} blew up", self.id);
@@ -563,7 +569,10 @@ mod tests {
     /// them, and at N = 1 nothing but the caller's thread ever polls.
     #[test]
     fn the_callers_thread_is_one_of_exactly_n_polling_threads() {
-        // nk-lint: allow(thread-identity) — test observes scheduling, feeds no data path
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "thread-identity: test observes scheduling, feeds no data path"
+        )]
         let caller = std::thread::current().id();
         for threads in [1, 2, 4] {
             let mut rig = rig(8);
@@ -679,7 +688,10 @@ mod tests {
                 .map(|s| *s)
                 .expect("a formatted panic")
         };
-        // nk-lint: allow(thread-identity) — test observes scheduling, feeds no data path
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "thread-identity: test observes scheduling, feeds no data path"
+        )]
         let caller = std::thread::current().id();
         for threads in [1, 2, 4] {
             for (victim, on_caller) in [(0, true), (1, threads == 1)] {

@@ -28,6 +28,8 @@
 //! — event logs, digests, stats — are byte-identical for any
 //! [`nk_types::ClusterConfig::threads`] value and either granularity.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod evac;
 pub mod exec;

@@ -40,6 +40,8 @@
 //! stream always yields the same action stream — the property the
 //! byte-identical scenario replays build on.
 
+#![forbid(unsafe_code)]
+
 pub mod autoscale;
 pub mod evacuate;
 pub mod monitor;

@@ -132,7 +132,10 @@ impl CoreEngine {
     /// engine uses it to reclaim the payload of requests it has to drop
     /// (e.g. a `Send` in flight when the serving NSM crashed). `None` keeps
     /// the engine out of payload management entirely.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "each argument is an independent registration input, and nkbench calls this signature by position"
+    )]
     pub fn register_vm(
         &mut self,
         vm: VmId,

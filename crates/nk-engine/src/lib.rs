@@ -7,6 +7,8 @@
 //! basic fairness, and optionally enforces per-VM token-bucket rate limits or
 //! operation-rate limits (§7.6).
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod table;
 

@@ -12,13 +12,16 @@
 //! * [`tor`] — the prefix-routed top-of-rack switch joining host uplinks
 //!   into one cluster fabric;
 //! * [`uplink`] — the host↔ToR trunk as a pair of wait-free SPSC channels,
-//!   the cross-thread edge between a host shard and the coordinator;
+//!   the cross-thread edge between a host shard and the caller's thread at
+//!   the round barrier;
 //! * [`nic`] — the symmetric receive-side-scaling (RSS) flow hash frames
 //!   carry, so both directions of a connection pick the same queue;
 //! * [`rng`] — a tiny deterministic PRNG so loss/reordering are reproducible.
 //!
 //! The fabric is generic over the frame payload so it carries the TCP
 //! segments of `nk-netstack` without a dependency cycle.
+
+#![forbid(unsafe_code)]
 
 pub mod link;
 pub mod nic;

@@ -1,10 +1,14 @@
 //! Ports: vNIC attachment points on the virtual switch.
 
-// nk-lint: allow-file(cross-shard-locks) — a port's two handles (endpoint +
-// switch) are always polled by the same lane, and the hub drains switch
-// sides serially at the round barrier; the Mutexes provide interior
-// mutability for the paired handles, never a cross-shard channel. Cross-lane
-// traffic goes over the SPSC `uplink_pair` and `nk_queue::unbounded` only.
+#![expect(
+    clippy::disallowed_types,
+    reason = "cross-shard-locks: a port's two handles (endpoint + switch) are \
+              always polled by the same lane, and the hub drains switch sides \
+              serially at the round barrier; the Mutexes provide interior \
+              mutability for the paired handles, never a cross-shard channel. \
+              Cross-lane traffic goes over the SPSC `uplink_pair` and \
+              `nk_queue::unbounded` only."
+)]
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

@@ -11,12 +11,12 @@
 //! different threads of a sharded cluster. A host trunk
 //! ([`TorSwitch::attach_trunk`]) hands the host a [`HostUplink`] — the host
 //! side of a pair of wait-free SPSC channels — while the ToR keeps the
-//! matching [`TorUplink`]; the host pushes frames from its worker thread and
-//! the coordinator drains them at the round barrier, in route order (host
+//! matching [`TorUplink`]; the host pushes frames from the thread polling its shard
+//! and the caller's thread drains them at the round barrier, in route order (host
 //! trunks sort by prefix, i.e. ascending `HostId`), which keeps cross-shard
 //! frame merging deterministic for any thread count. An endpoint
 //! ([`TorSwitch::attach_endpoint`]) stays a shared [`Port`]: its stack runs
-//! on the coordinator alongside the ToR, so no cross-thread edge exists.
+//! on the caller's thread alongside the ToR, so no cross-thread edge exists.
 
 use crate::link::{Link, LinkConfig, LinkStats};
 use crate::port::{Frame, Port};
@@ -25,7 +25,8 @@ use std::collections::BTreeMap;
 
 /// Where a route's frames come from and go to.
 enum Conduit<P> {
-    /// A coordinator-local endpoint: one shared port, ToR keeps a clone.
+    /// An endpoint local to the caller's thread: one shared port, ToR keeps
+    /// a clone.
     Endpoint(Port<P>),
     /// A host trunk: key into [`TorSwitch::uplinks`]. Detour routes
     /// installed by [`TorSwitch::add_route_via`] copy the key of the trunk
@@ -144,7 +145,7 @@ impl<P> TorSwitch<P> {
 
     /// Attach a single endpoint (an exact-match /32 route), e.g. a
     /// datacenter gateway every host talks to. Returns its port. Endpoints
-    /// stay mutex-shared [`Port`]s — their stacks run on the coordinator
+    /// stay mutex-shared [`Port`]s — their stacks run on the caller's thread
     /// next to the ToR, never across a shard boundary.
     pub fn attach_endpoint(&mut self, addr: u32, link: LinkConfig) -> Port<P> {
         self.advance_seed(addr, u32::MAX);
@@ -232,8 +233,8 @@ impl<P> TorSwitch<P> {
     /// frame through the destination route's link, and deliver everything
     /// whose time has come. Returns the number of frames delivered.
     ///
-    /// In a sharded cluster this runs on the coordinator at the round
-    /// barrier: host workers are parked, so the drain over routes — sorted
+    /// In a sharded cluster this runs on the caller's thread at the round
+    /// barrier: every helper is parked, so the drain over routes — sorted
     /// by prefix, i.e. ascending host id — is the deterministic merge point
     /// of all cross-shard traffic.
     pub fn step(&mut self, now_ns: u64) -> usize {
@@ -241,7 +242,7 @@ impl<P> TorSwitch<P> {
     }
 
     /// [`TorSwitch::step`] with a tap called on every frame at the moment
-    /// of delivery — in route order, on the coordinator, which makes the
+    /// of delivery — in route order, on the caller's thread, which makes the
     /// tap sequence the same for any cluster thread count. The flight
     /// recorder's hot-flow table hangs off this.
     pub fn step_with<F: FnMut(&Frame<P>)>(&mut self, now_ns: u64, mut tap: F) -> usize {

@@ -2,15 +2,15 @@
 //!
 //! A clustered host's switch and the top-of-rack switch used to share one
 //! mutex-guarded [`crate::port::Port`]. With the cluster datapath sharded
-//! across worker threads, the uplink is the *only* cross-shard edge — the
-//! host side lives on a worker, the ToR side on the coordinator — so it is
-//! built from two [`nk_queue::unbounded()`] SPSC queues instead: each
+//! across threads, the uplink is the *only* cross-shard edge — the host side
+//! lives on whichever thread polls the host's shard, the ToR side on the
+//! caller's thread at the round barrier — so it is built from two [`nk_queue::unbounded()`] SPSC queues instead: each
 //! direction has exactly one producer (the host's TX, the ToR's delivery)
 //! and one consumer (the ToR's ingress drain, the host's RX), no locks, and
 //! pushes that can never fail (dropping a frame on overflow would make
 //! behaviour depend on shard timing).
 //!
-//! The coordinator drains every uplink at the round barrier in route order —
+//! The caller's thread drains every uplink at the round barrier in route order —
 //! host trunks sort by prefix, i.e. ascending `HostId` — which is what keeps
 //! cross-shard frame merging deterministic for any thread count.
 
@@ -28,7 +28,8 @@ pub struct HostUplink<P> {
 
 /// The ToR side of the same trunk: [`TorUplink::drain_into`] collects the
 /// host's outbound frames at the round barrier, [`TorUplink::deliver`]
-/// pushes frames down towards the host. Owned by the coordinator.
+/// pushes frames down towards the host. Owned by the ToR, which only the
+/// caller's thread touches, at the round barrier.
 pub struct TorUplink<P> {
     from_host: UnboundedConsumer<Frame<P>>,
     to_host: UnboundedProducer<Frame<P>>,

@@ -8,6 +8,8 @@
 //! [`SocketApi`](nk_types::SocketApi) trait as the baseline in-guest stack,
 //! so unmodified applications (and workload generators) run on either.
 
+#![forbid(unsafe_code)]
+
 pub mod guestlib;
 pub mod sockstate;
 

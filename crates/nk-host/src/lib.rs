@@ -30,6 +30,8 @@
 //! [`model`] contains the calibrated performance model used to regenerate
 //! the paper's throughput / RPS / CPU-overhead figures.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod control;
 pub mod faults;

@@ -8,10 +8,13 @@
 //! a selfish VM opening many flows gets no more bandwidth than a well-behaved
 //! one (Figure 9).
 
-// nk-lint: allow-file(cross-shard-locks) — the shared VM window is cloned
-// only into connections of one VM, which all live on that VM's NSM stack
-// and are ticked by a single lane; the Mutex is same-thread interior
-// mutability, never contended across shards.
+#![expect(
+    clippy::disallowed_types,
+    reason = "cross-shard-locks: the shared VM window is cloned only into \
+              connections of one VM, which all live on that VM's NSM stack and \
+              are ticked by a single lane; the Mutex is same-thread interior \
+              mutability, never contended across shards."
+)]
 
 use super::{CongestionControl, INITIAL_CWND, MIN_CWND};
 use nk_types::constants::MSS;

@@ -20,6 +20,8 @@
 //! workload endpoint), which matches how the simulator and the threaded host
 //! schedule work.
 
+#![forbid(unsafe_code)]
+
 pub mod cc;
 pub mod conn;
 pub mod segment;

@@ -75,8 +75,8 @@ pub struct EpochLatency {
 /// A host's capture feed: the per-host half of the flight recorder.
 ///
 /// Lives inside `NetKernelHost` and is written only by the host's own step
-/// (possibly on a worker shard); the cluster coordinator drains it at the
-/// round barrier in `HostId` order, which is what keeps the merged record
+/// (on whichever thread polls its shard); the caller's thread drains it at
+/// the round barrier in `HostId` order, which is what keeps the merged record
 /// independent of the thread count. A bare host (no cluster) reads its own
 /// feed directly via [`HostFeed::summary`].
 #[derive(Clone, Debug)]

@@ -30,15 +30,15 @@
 //! ring preserves the run-up to the fault instead of scrolling past it.
 //!
 //! Everything here is deterministic by construction: no wall clock, no
-//! hashing over addresses, capture order fixed by the coordinator. Two runs
-//! of the same seeded scenario — at any `NK_CLUSTER_THREADS` — serialize to
-//! byte-identical dumps; the `flight-recorder-determinism` CI job replays
-//! exactly that.
+//! hashing over addresses, every capture made by the caller's thread at the
+//! round barrier. Two runs of the same seeded scenario — at any
+//! `NK_CLUSTER_THREADS` — serialize to byte-identical dumps; CI's golden loop
+//! pins the `flight_recorder` example's dump in all three executor modes.
 //!
 //! Intra-host sharding (`NK_CLUSTER_SHARD_WITHIN_HOSTS`) changes nothing
 //! about this contract, because the recorder never taps a lane directly:
 //! share lanes only *produce* — frames, metric deltas, host-feed entries —
-//! and every capture keeps happening on the coordinator in the same merge
+//! and every capture keeps happening on the caller's thread in the same merge
 //! order as the serial walk. Fault and control entries drain from host
 //! feeds in `HostId` order between steps, latency histograms merge in
 //! `HostId` order at epoch seals, and the flow tap sits behind the ToR,
@@ -48,6 +48,8 @@
 //! across thread counts *and* across sharding granularities; the
 //! uneven-lane matrix in `nk-workload/tests/parallel.rs` pins exactly
 //! that.
+
+#![forbid(unsafe_code)]
 
 mod event;
 mod flows;

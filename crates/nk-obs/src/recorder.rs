@@ -26,9 +26,9 @@ pub enum MigrationPhase {
 }
 
 /// One phase window in virtual time. Phases that complete without
-/// advancing virtual time (an export is a single coordinator action) have
-/// `start_ns == end_ns`; the freeze window, which runs wire-draining
-/// mini-steps, has real width.
+/// advancing virtual time (an export is a single action of the plan
+/// coordinator) have `start_ns == end_ns`; the freeze window, which runs
+/// wire-draining mini-steps, has real width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseWindow {
     /// The VM the window belongs to (`None` for share retirement).
@@ -100,8 +100,8 @@ pub struct ObsDump {
 }
 
 /// The cluster-scope flight recorder. Owned by `Cluster` (one per run) and
-/// written only from the coordinator: every capture call happens either
-/// outside the sharded step or at the round barrier with the workers
+/// written only from the caller's thread: every capture call happens either
+/// outside the sharded step or at the round barrier with every helper
 /// parked, in an order fixed by `HostId` — which is why its serialized
 /// snapshot is byte-identical for any datapath thread count.
 #[derive(Clone, Debug)]

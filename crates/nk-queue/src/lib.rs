@@ -17,6 +17,8 @@
 //! * [`device`] — the NK device: the per-entity collection of queue sets plus
 //!   the wake flag of the interrupt-driven-polling notification of §4.6.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod device;
 pub mod queueset;
 pub mod spsc;

@@ -39,6 +39,7 @@ struct Inner<T> {
 // `head`/`tail` order those accesses, so no slot is ever accessed
 // concurrently from both sides.
 unsafe impl<T: Send> Send for Inner<T> {}
+// SAFETY: the argument above, word for word: it covers sharing `&Inner`.
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 /// Producing half of an SPSC queue. Not clonable: single producer.

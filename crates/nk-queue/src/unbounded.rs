@@ -2,9 +2,9 @@
 //!
 //! Where [`crate::spsc`] is the paper's fixed-capacity NQE ring (backpressure
 //! by design), this queue is the *fabric* edge between a sharded host and the
-//! top-of-rack switch: a host worker thread pushes uplink frames during a
-//! poll round and the coordinator drains them at the round barrier. Dropping
-//! frames on overflow would make behaviour depend on shard timing, so the
+//! top-of-rack switch: the thread polling a host pushes uplink frames during a
+//! poll round and the caller's thread drains them at the round barrier.
+//! Dropping frames on overflow would make behaviour depend on shard timing, so the
 //! cross-shard edge must never refuse a push — it grows instead.
 //!
 //! The implementation is the classic Vyukov node-based queue specialised to
@@ -43,6 +43,7 @@ struct Inner<T> {
 // consumer's read. The consumer frees only nodes strictly *behind* the next
 // value, which the producer no longer references.
 unsafe impl<T: Send> Send for Inner<T> {}
+// SAFETY: the argument above, word for word: it covers sharing `&Inner`.
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 /// Producing half of an unbounded SPSC queue. Not clonable: single producer.

@@ -19,6 +19,8 @@
 //! * [`fairshare`] — helpers giving each VM one Seawall-style shared
 //!   congestion window (use case 2, §6.2).
 
+#![forbid(unsafe_code)]
+
 pub mod fairshare;
 pub mod service;
 pub mod sharedmem;

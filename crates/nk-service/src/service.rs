@@ -195,7 +195,10 @@ impl ServiceLib {
     /// stack), queued payload resumes flushing, and the receive-credit
     /// accounting continues where the source left off. `nsm_qs` must be the
     /// NSM-side queue set CoreEngine pinned the tuple to.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the arguments are exactly the per-connection state a warm import carries; a struct would be built only to be taken apart here"
+    )]
     pub fn install_conn(
         &mut self,
         vm: VmId,

@@ -13,6 +13,8 @@
 //! * [`budget::BufferBudget`] — the per-socket send/receive buffer accounting
 //!   GuestLib and ServiceLib maintain on top of the region (§4.5).
 
+#![forbid(unsafe_code)]
+
 pub mod budget;
 pub mod region;
 

@@ -22,6 +22,8 @@
 //!   so every run is replayable from its seed;
 //! * [`histogram`] — a logarithmic-bucket latency histogram (paper Table 5).
 
+#![forbid(unsafe_code)]
+
 pub mod bucket;
 pub mod cores;
 pub mod cost;

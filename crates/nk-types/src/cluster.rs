@@ -11,7 +11,7 @@
 //! drained NSM share — is recorded as a [`ClusterEvent`] so a whole cluster
 //! run can be replayed and digested deterministically.
 
-use crate::config::HostConfig;
+use crate::config::{valid_rate_gbps, HostConfig};
 use crate::error::{NkError, NkResult};
 use crate::ids::{HostId, NsmId, VmId};
 use serde::{Deserialize, Serialize};
@@ -337,8 +337,8 @@ impl ClusterConfig {
         if self.hosts.is_empty() {
             return Err(NkError::BadConfig);
         }
-        let mut host_ids = std::collections::HashSet::new();
-        let mut vm_ids = std::collections::HashSet::new();
+        let mut host_ids = std::collections::BTreeSet::new();
+        let mut vm_ids = std::collections::BTreeSet::new();
         for host in &self.hosts {
             if !host_ids.insert(host.host_id) {
                 return Err(NkError::BadConfig);
@@ -350,7 +350,7 @@ impl ClusterConfig {
                 }
             }
         }
-        if self.uplink_rate_gbps <= 0.0 || self.max_rounds == 0 || self.threads == 0 {
+        if !valid_rate_gbps(self.uplink_rate_gbps) || self.max_rounds == 0 || self.threads == 0 {
             return Err(NkError::BadConfig);
         }
         if let Some(policy) = &self.policy {
@@ -547,9 +547,11 @@ mod tests {
             .with_host(host(2, 1));
         assert_eq!(dup_vm.validate(), Err(NkError::BadConfig));
 
-        let mut dead_uplink = ClusterConfig::new().with_host(host(1, 1));
-        dead_uplink.uplink_rate_gbps = 0.0;
-        assert_eq!(dead_uplink.validate(), Err(NkError::BadConfig));
+        for gbps in [0.0, f64::NAN, f64::INFINITY] {
+            let mut dead_uplink = ClusterConfig::new().with_host(host(1, 1));
+            dead_uplink.uplink_rate_gbps = gbps;
+            assert_eq!(dead_uplink.validate(), Err(NkError::BadConfig));
+        }
 
         let mut no_rounds = ClusterConfig::new().with_host(host(1, 1));
         no_rounds.max_rounds = 0;

@@ -14,6 +14,16 @@ use crate::error::{NkError, NkResult};
 use crate::ids::{HostId, NsmId, VmId};
 use serde::{Deserialize, Serialize};
 
+/// Most vCPUs a VM or NSM may have: one queue set per vCPU (§4.3), and
+/// [`crate::ids::QueueSetId`] is a `u8`.
+const MAX_VCPUS: usize = u8::MAX as usize + 1;
+
+/// A configured rate must be a finite, positive number of Gbps (`NaN <= 0.0`
+/// is false, so a plain sign test lets NaN and infinity through).
+pub(crate) fn valid_rate_gbps(gbps: f64) -> bool {
+    gbps.is_finite() && gbps > 0.0
+}
+
 /// Which network stack implementation an NSM runs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum StackKind {
@@ -318,26 +328,33 @@ impl HostConfig {
         }
     }
 
-    /// Validate internal consistency (ids unique, counts non-zero, static
-    /// mappings referencing existing entities).
+    /// Validate internal consistency (ids unique, counts non-zero and within
+    /// the queue-set id space, rates finite and positive, static mappings
+    /// referencing existing entities).
     pub fn validate(&self) -> NkResult<()> {
-        let mut vm_ids = std::collections::HashSet::new();
+        let mut vm_ids = std::collections::BTreeSet::new();
         for v in &self.vms {
-            if v.vcpus == 0 {
+            if !(1..=MAX_VCPUS).contains(&v.vcpus) {
+                return Err(NkError::BadConfig);
+            }
+            if v.rate_limit_gbps.is_some_and(|g| !valid_rate_gbps(g)) {
                 return Err(NkError::BadConfig);
             }
             if !vm_ids.insert(v.id) {
                 return Err(NkError::BadConfig);
             }
         }
-        let mut nsm_ids = std::collections::HashSet::new();
+        let mut nsm_ids = std::collections::BTreeSet::new();
         for n in &self.nsms {
-            if n.vcpus == 0 || n.nic_rate_gbps <= 0.0 {
+            if !(1..=MAX_VCPUS).contains(&n.vcpus) || !valid_rate_gbps(n.nic_rate_gbps) {
                 return Err(NkError::BadConfig);
             }
             if !nsm_ids.insert(n.id) {
                 return Err(NkError::BadConfig);
             }
+        }
+        if self.core_engine_cores == 0 {
+            return Err(NkError::BadConfig);
         }
         if self.batch_size == 0 || self.queue_capacity == 0 || self.hugepages_per_pair == 0 {
             return Err(NkError::BadConfig);
@@ -441,6 +458,33 @@ mod tests {
             .with_nsm(NsmConfig::kernel(NsmId(1)))
             .with_mapping(VmToNsmPolicy::Static(vec![(VmId(5), NsmId(1))]));
         assert_eq!(bad_static.validate(), Err(NkError::BadConfig));
+    }
+
+    #[test]
+    fn validation_bounds_counts_and_rates() {
+        type Edit = fn(&mut HostConfig);
+        // One queue set per vCPU and `QueueSetId` is a `u8`: 256 is the last
+        // count with an id for each (100 000 used to reach the allocator).
+        let rows: [(Edit, bool); 12] = [
+            (|c| c.vms[0].vcpus = 256, true),
+            (|c| c.vms[0].vcpus = 257, false),
+            (|c| c.vms[0].vcpus = 100_000, false),
+            (|c| c.nsms[0].vcpus = 257, false),
+            (|c| c.nsms[0].nic_rate_gbps = f64::NAN, false),
+            (|c| c.nsms[0].nic_rate_gbps = f64::INFINITY, false),
+            (|c| c.vms[0].rate_limit_gbps = Some(2.5), true),
+            (|c| c.vms[0].rate_limit_gbps = Some(f64::NAN), false),
+            (|c| c.vms[0].rate_limit_gbps = Some(f64::INFINITY), false),
+            (|c| c.vms[0].rate_limit_gbps = Some(0.0), false),
+            (|c| c.vms[0].rate_limit_gbps = Some(-1.0), false),
+            (|c| c.core_engine_cores = 0, false),
+        ];
+        for (row, (edit, ok)) in rows.iter().enumerate() {
+            let mut cfg = two_vm_one_nsm();
+            edit(&mut cfg);
+            let want = if *ok { Ok(()) } else { Err(NkError::BadConfig) };
+            assert_eq!(cfg.validate(), want, "row {row}");
+        }
     }
 
     #[test]

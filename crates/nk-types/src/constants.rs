@@ -56,7 +56,10 @@ mod tests {
     /// Compile-time sanity relation between MSS and MTU, kept as a test so
     /// a bad edit to either constant fails loudly.
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[allow(
+        clippy::assertions_on_constants,
+        reason = "asserting a relation between two constants is the whole test"
+    )]
     fn mss_fits_mtu() {
         assert!(MSS + 40 <= MTU + 14);
         assert!(MSS < MTU);

@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn codes_roundtrip_and_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &e in ALL {
             let c = e.code();
             assert_ne!(c, 0, "zero is reserved for success");

@@ -10,7 +10,7 @@
 //! the exact same execution, which is what the seeded scenario and property
 //! tests rely on.
 
-use crate::config::HostConfig;
+use crate::config::{valid_rate_gbps, HostConfig};
 use crate::error::{NkError, NkResult};
 use crate::ids::{NsmId, VmId};
 use serde::{Deserialize, Serialize};
@@ -183,7 +183,7 @@ impl FaultPlan {
                     if !(0.0..=1.0).contains(&link.loss) || !(0.0..=1.0).contains(&link.reorder) {
                         return Err(NkError::BadConfig);
                     }
-                    if link.rate_gbps.is_some_and(|g| g <= 0.0) {
+                    if link.rate_gbps.is_some_and(|g| !valid_rate_gbps(g)) {
                         return Err(NkError::BadConfig);
                     }
                 }
@@ -311,14 +311,23 @@ mod tests {
             },
         );
         assert_eq!(plan.validate(&cfg()), Err(NkError::BadConfig));
-        let plan = FaultPlan::new().at(
-            100,
-            FaultAction::DegradeLink {
-                nsm: NsmId(1),
-                link: LinkFault::healthy().with_rate_gbps(1.0).with_latency_us(50),
-            },
-        );
-        assert!(plan.validate(&cfg()).is_ok());
+        for (gbps, ok) in [
+            (1.0, true),
+            (0.0, false),
+            (f64::NAN, false),
+            (f64::INFINITY, false),
+        ] {
+            let plan = FaultPlan::new().at(
+                100,
+                FaultAction::DegradeLink {
+                    nsm: NsmId(1),
+                    link: LinkFault::healthy()
+                        .with_rate_gbps(gbps)
+                        .with_latency_us(50),
+                },
+            );
+            assert_eq!(plan.validate(&cfg()).is_ok(), ok, "rate {gbps}");
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! * and the guest-facing non-blocking socket API trait ([`api`]) that both
 //!   the NetKernel `GuestLib` and the in-guest baseline stack implement.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod api;
 pub mod cluster;

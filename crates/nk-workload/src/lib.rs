@@ -23,6 +23,8 @@
 //!   a [`nk_cluster::Cluster`], every byte crosses the inter-host fabric,
 //!   and scripted or placer-driven migrations drain byte-verified.
 
+#![forbid(unsafe_code)]
+
 pub mod agtrace;
 pub mod apps;
 pub mod bursty;

@@ -9,6 +9,8 @@
 //! missing (or `null`) key deserializes to `Default::default()` instead of
 //! erroring, so configs serialized before a field existed keep loading.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 enum Shape {

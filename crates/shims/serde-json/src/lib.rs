@@ -6,6 +6,8 @@
 //! which JSON cannot express, are written as the strings `"inf"`, `"-inf"`
 //! and `"nan"` and parsed back symmetrically.
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// Serialize a value to compact JSON.

@@ -9,6 +9,8 @@
 //! keep serde's external enum tagging, so a later switch to the real serde
 //! is a manifest-only change.
 
+#![forbid(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::fmt;

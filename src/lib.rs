@@ -25,6 +25,8 @@
 //! * [`workload`] — workload generators used by the evaluation, all
 //!   streaming through one byte-verified traffic driver.
 
+#![forbid(unsafe_code)]
+
 pub use nk_cluster as cluster;
 pub use nk_ctrl as ctrl;
 pub use nk_engine as engine;
