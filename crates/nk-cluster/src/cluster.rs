@@ -9,11 +9,10 @@ use nk_guest::GuestLib;
 use nk_host::{NetKernelHost, ShareLane};
 use nk_netstack::{Segment, StackConfig, TcpStack};
 use nk_obs::{FlightRecorder, FlowKey, ObsDump, ObsEventKind};
-use nk_sim::{CycleLedger, Pollable, PoolMember};
+use nk_sim::{CycleLedger, Epoch, Pollable, PoolMember};
 use nk_types::addr::{host_prefix, HOST_PREFIX_MASK};
 use nk_types::{
-    ClusterAction, ClusterConfig, ClusterEvent, ControlEvent, HostId, NkError, NkResult, NsmId,
-    StackKind, VmId,
+    ClusterAction, ClusterConfig, ClusterEvent, HostId, NkError, NkResult, NsmId, StackKind, VmId,
 };
 use std::collections::BTreeMap;
 
@@ -97,12 +96,6 @@ pub struct Cluster {
     pub(crate) epoch: u64,
     pub(crate) next_epoch_ns: u64,
     pub(crate) last_sample_ns: u64,
-    /// Pool-ledger snapshots at the previous placement epoch, per host NSM.
-    pub(crate) prev_ledgers: BTreeMap<(HostId, PoolMember), CycleLedger>,
-    /// Uplink byte counters at the previous placement epoch.
-    pub(crate) prev_uplink: BTreeMap<HostId, (u64, u64)>,
-    /// Per-VM forwarded bytes at the previous placement epoch.
-    pub(crate) prev_vm_bytes: BTreeMap<(HostId, VmId), u64>,
     pub(crate) stats: ClusterStats,
     /// Drives each step's poll rounds over the units (hosts, or their
     /// share lanes) on `threads` OS threads, the stepping thread included.
@@ -116,8 +109,6 @@ pub struct Cluster {
     /// outside the sharded step or at the round barrier — in `HostId`
     /// order, so its dump is byte-identical at any thread count.
     pub(crate) obs: FlightRecorder,
-    /// Control-log entries per host already mirrored into the recorder.
-    pub(crate) obs_ctrl_seen: BTreeMap<HostId, usize>,
     pub(crate) now_ns: u64,
 }
 
@@ -167,14 +158,10 @@ impl Cluster {
             epoch: 0,
             next_epoch_ns,
             last_sample_ns: 0,
-            prev_ledgers: BTreeMap::new(),
-            prev_uplink: BTreeMap::new(),
-            prev_vm_bytes: BTreeMap::new(),
             stats: ClusterStats::default(),
             exec: ShardedExecutor::new(threads),
             shard_within_hosts: Self::resolve_shard_mode(shard_within_hosts),
             obs,
-            obs_ctrl_seen: BTreeMap::new(),
             now_ns: 0,
         })
     }
@@ -326,26 +313,6 @@ impl Cluster {
     /// The cluster event log, in application order.
     pub fn events(&self) -> &[ClusterEvent] {
         &self.events
-    }
-
-    /// Every host's control-event log merged into one cluster-wide view,
-    /// ordered by `(epoch, HostId, seq)` where `seq` is the event's index
-    /// in its own host's log. Each host appends only to its own log (even
-    /// when hosts run on different worker threads) and the merge key never
-    /// mentions wall-clock anything, so this view — like the event digest —
-    /// is identical for any thread count.
-    pub fn control_events(&self) -> Vec<(HostId, ControlEvent)> {
-        let mut merged: Vec<(u64, HostId, usize, ControlEvent)> = Vec::new();
-        for (id, host) in &self.hosts {
-            for (seq, event) in host.control_events().iter().enumerate() {
-                merged.push((event.epoch, *id, seq, *event));
-            }
-        }
-        merged.sort_by_key(|&(epoch, id, seq, _)| (epoch, id, seq));
-        merged
-            .into_iter()
-            .map(|(_, id, _, event)| (id, event))
-            .collect()
     }
 
     /// FNV-1a digest of the serialized event log. Two runs of the same
@@ -537,9 +504,7 @@ impl Cluster {
                 self.obs
                     .record_event(at_ns, epoch, ObsEventKind::Fault { host: *id, faults });
             }
-            let log = host.control_events();
-            let seen = self.obs_ctrl_seen.get(id).copied().unwrap_or(0);
-            for event in &log[seen.min(log.len())..] {
+            for event in host.take_fresh_control_events() {
                 self.obs.record_event(
                     event.at_ns,
                     epoch,
@@ -549,7 +514,6 @@ impl Cluster {
                     },
                 );
             }
-            self.obs_ctrl_seen.insert(*id, log.len());
         }
     }
 
@@ -696,66 +660,47 @@ impl Cluster {
 
     /// Assemble the placement sample of the epoch ending now: per-host NSM
     /// utilisation from pool-ledger deltas, cross-host traffic from uplink
-    /// counters, per-VM bytes as the placement snapshot.
+    /// counters, per-VM bytes as the placement snapshot — each a delta
+    /// against the [`Epoch::Placement`] mark kept beside its counter.
     fn sample_epoch(&mut self, now_ns: u64) -> ClusterSample {
         let elapsed_ns = now_ns.saturating_sub(self.last_sample_ns).max(1);
         self.last_sample_ns = now_ns;
         // Bytes one uplink direction can carry over the elapsed window.
         let uplink_capacity = (self.cfg.uplink_rate_gbps * elapsed_ns as f64 / 8.0).max(1.0);
         let mut hosts = BTreeMap::new();
-        for (id, host) in self.hosts.iter() {
+        for (id, host) in self.hosts.iter_mut() {
             let members: Vec<PoolMember> = host.core_pool().members().collect();
-            let mut busy = 0u64;
-            let mut offered = 0u64;
+            let mut used = CycleLedger::default();
             let mut nsm_cores = 0usize;
             for member in members {
                 let PoolMember::Nsm(_) = member else { continue };
-                let Some(ledger) = host.core_pool().ledger(member) else {
+                let Some(delta) = host.take_pool_delta(member, Epoch::Placement) else {
                     continue;
                 };
-                let prev = self
-                    .prev_ledgers
-                    .insert((*id, member), ledger)
-                    .unwrap_or_default();
-                busy += ledger.busy.saturating_sub(prev.busy);
-                offered += ledger.offered.saturating_sub(prev.offered);
+                used.busy += delta.busy;
+                used.offered += delta.offered;
                 nsm_cores += host.core_pool().cores(member).unwrap_or(0);
             }
-            let nsm_utilisation = if offered == 0 {
-                0.0
-            } else {
-                busy as f64 / offered as f64
-            };
-            let uplink = host.uplink_stats();
-            let (prev_tx, prev_rx) = self
-                .prev_uplink
-                .insert(*id, (uplink.tx_bytes, uplink.rx_bytes))
-                .unwrap_or((0, 0));
-            let tx = uplink.tx_bytes.saturating_sub(prev_tx);
-            let rx = uplink.rx_bytes.saturating_sub(prev_rx);
-            let uplink_utilisation = tx.max(rx) as f64 / uplink_capacity;
+            let (tx, rx) = host.take_uplink_bytes();
             let mut vm_bytes = BTreeMap::new();
-            for vm in host.config().vms.iter().map(|v| v.id) {
-                let total = host
-                    .vm_switch_stats(vm)
-                    .map(|s| s.bytes_forwarded)
-                    .unwrap_or(0);
-                let prev = self.prev_vm_bytes.insert((*id, vm), total).unwrap_or(0);
+            let vms: Vec<VmId> = host.config().vms.iter().map(|v| v.id).collect();
+            for vm in vms {
+                let bytes = host.take_vm_bytes_forwarded(vm, Epoch::Placement);
                 // A VM still draining off this host is not a migration
                 // candidate — its home is elsewhere, and offering it to the
                 // placer would burn the per-epoch budget on a move that can
-                // only be skipped at execution time. Its byte snapshot is
-                // still advanced above so later samples stay consistent.
+                // only be skipped at execution time. Its byte mark is still
+                // advanced above so later samples stay consistent.
                 if self.vm_home.get(&vm) == Some(id) {
-                    vm_bytes.insert(vm, total.saturating_sub(prev));
+                    vm_bytes.insert(vm, bytes);
                 }
             }
             hosts.insert(
                 *id,
                 HostLoad {
                     nsm_cores,
-                    nsm_utilisation,
-                    uplink_utilisation,
+                    nsm_utilisation: used.utilisation(),
+                    uplink_utilisation: tx.max(rx) as f64 / uplink_capacity,
                     queue_depth: host.stalled_nqes() as u64,
                     vm_bytes,
                 },
@@ -793,7 +738,8 @@ impl Cluster {
 mod tests {
     use super::*;
     use nk_types::{
-        ClusterPolicy, HostConfig, NsmConfig, SockAddr, SocketApi, VmConfig, VmToNsmPolicy,
+        ClusterPolicy, HostConfig, NsmConfig, SockAddr, SocketApi, SocketId, VmConfig,
+        VmToNsmPolicy,
     };
 
     const SERVER_IP: u32 = 0xC0A8_0001; // 192.168.0.1, outside every host block
@@ -842,8 +788,8 @@ mod tests {
         }
         assert_eq!(accepted, 2, "both hosts' tenants reach the ToR endpoint");
         for h in [HostId(1), HostId(2)] {
-            let stats = cluster.host(h).unwrap().uplink_stats();
-            assert!(stats.tx_frames > 0 && stats.rx_frames > 0, "{h}: {stats:?}");
+            let (tx, rx) = cluster.host_mut(h).unwrap().take_uplink_bytes();
+            assert!(tx > 0 && rx > 0, "{h}: {tx} B out, {rx} B in");
         }
         let stats = cluster.stats();
         assert_eq!(stats.quiescent_exits + stats.round_limit_hits, stats.steps);
@@ -978,6 +924,89 @@ mod tests {
         cluster.run(10, 100_000);
         let guest = cluster.guest_on(HostId(2), VmId(1)).unwrap();
         assert_eq!(guest.recv(s, &mut buf).unwrap(), 4);
+    }
+
+    /// Two hosts, a listening ToR sink, and a placement policy whose epoch
+    /// never fires on its own: the two tests below sample host 1 themselves.
+    fn sampled_cluster() -> (Cluster, SocketId) {
+        let policy = ClusterPolicy::new()
+            .with_epoch_ns(u64::MAX / 4)
+            .with_pool_clock_hz(1_000_000);
+        let cfg = ClusterConfig::new()
+            .with_host(host(1, &[1]))
+            .with_host(host(2, &[2]))
+            .with_policy(policy);
+        let mut cluster = Cluster::new(cfg).unwrap();
+        let server = cluster.add_remote(SERVER_IP);
+        let ls = server.socket();
+        server.bind(ls, SockAddr::new(0, 7)).unwrap();
+        server.listen(ls, 16).unwrap();
+        (cluster, ls)
+    }
+
+    fn host1_load(cluster: &mut Cluster) -> HostLoad {
+        let mut sample = cluster.sample_epoch(cluster.now_ns());
+        sample.hosts.remove(&HostId(1)).unwrap()
+    }
+
+    /// VM 1 on host 1 opens a connection to the sink and sends 60 × 512 B,
+    /// one send per step, the sink reading as they arrive.
+    fn stream_30k(cluster: &mut Cluster, ls: SocketId) -> SocketId {
+        let guest = cluster.guest_on(HostId(1), VmId(1)).unwrap();
+        let s = guest.socket().unwrap();
+        guest.connect(s, SockAddr::new(SERVER_IP, 7)).unwrap();
+        cluster.run(20, 100_000);
+        let (conn, _) = cluster.remote_mut(SERVER_IP).unwrap().accept(ls).unwrap();
+        for _ in 0..60 {
+            let guest = cluster.guest_on(HostId(1), VmId(1)).unwrap();
+            assert_eq!(guest.send(s, &[7u8; 512]), Ok(512));
+            cluster.step(100_000);
+            let server = cluster.remote_mut(SERVER_IP).unwrap();
+            while server.recv(conn, &mut [0u8; 2048]).is_ok_and(|n| n > 0) {}
+        }
+        s
+    }
+
+    /// A share that crashed and restarted is a new pool member with a new
+    /// ledger; the placement sample must read it from zero, not against the
+    /// dead member's (larger) totals — which read as "no load at all".
+    #[test]
+    fn a_restarted_share_reports_its_load_in_the_first_epoch() {
+        let (mut cluster, ls) = sampled_cluster();
+        let s = stream_30k(&mut cluster, ls);
+        cluster.run(10, 100_000);
+        assert!(host1_load(&mut cluster).nsm_utilisation > 0.0);
+
+        let host = cluster.host_mut(HostId(1)).unwrap();
+        host.crash_nsm(NsmId(1)).unwrap();
+        host.restart_nsm(NsmId(1)).unwrap();
+        let _ = cluster.guest_on(HostId(1), VmId(1)).unwrap().close(s);
+        stream_30k(&mut cluster, ls);
+        let first = host1_load(&mut cluster).nsm_utilisation;
+        stream_30k(&mut cluster, ls);
+        let second = host1_load(&mut cluster).nsm_utilisation;
+        assert!(second > 0.0 && first > second / 2.0, "{first}, {second}");
+    }
+
+    /// A VM that drained off a host, retired there and later migrated back
+    /// is a new engine port with new counters; its first sample must be the
+    /// bytes it forwarded since, not a delta against its previous life.
+    #[test]
+    fn a_vm_that_moved_back_reports_its_bytes_in_the_first_epoch() {
+        let (mut cluster, ls) = sampled_cluster();
+        let s = stream_30k(&mut cluster, ls);
+        assert_eq!(host1_load(&mut cluster).vm_bytes[&VmId(1)], 60 * 512);
+
+        cluster.migrate_vm(VmId(1), HostId(1), HostId(2)).unwrap();
+        let guest = cluster.guest_on(HostId(1), VmId(1)).unwrap();
+        guest.close(s).unwrap();
+        cluster.run(20, 100_000);
+        cluster.migrate_vm(VmId(1), HostId(2), HostId(1)).unwrap();
+        cluster.run(2, 100_000);
+        assert_eq!(cluster.stats().drains_completed, 2);
+
+        stream_30k(&mut cluster, ls);
+        assert_eq!(host1_load(&mut cluster).vm_bytes[&VmId(1)], 60 * 512);
     }
 
     /// Warm mode refuses a share serving other tenants (the reroute would

@@ -436,9 +436,6 @@ impl Cluster {
         self.tor.remove_route(host_prefix(host), HOST_PREFIX_MASK);
         self.vm_home.retain(|_, h| *h != host);
         self.drains.retain(|d| d.from != host);
-        self.prev_ledgers.retain(|(h, _), _| *h != host);
-        self.prev_uplink.remove(&host);
-        self.prev_vm_bytes.retain(|(h, _), _| *h != host);
         self.stats.hosts_killed += 1;
         self.push_event(ClusterAction::HostKilled { host });
         // Dump-on-fault: freeze the recorder with the kill as the last
@@ -464,9 +461,9 @@ impl Cluster {
 
     /// The cluster-wide control log: every host's control events merged
     /// with the coordinator's plan events, ordered by
-    /// `(epoch, host-before-plan, host id, position-in-log)`. Every
-    /// component of the key is replay-stable, so the merged view — like
-    /// [`Cluster::control_events`] — is identical at any thread count.
+    /// `(epoch, host-before-plan, host id, position-in-log)`. Each host
+    /// appends only to its own log and every component of the key is
+    /// replay-stable, so the merged view is identical at any thread count.
     pub fn control_log(&self) -> Vec<ControlLogEntry> {
         let mut merged: Vec<(u64, u8, u64, u64, ControlLogEntry)> = Vec::new();
         for (id, host) in &self.hosts {

@@ -3,12 +3,12 @@
 use crate::table::{ConnEntry, ConnTable};
 use nk_queue::{RequesterEnd, ResponderEnd, WakeState};
 use nk_shmem::HugepageRegion;
-use nk_sim::TokenBucket;
+use nk_sim::{Epoch, TokenBucket};
 use nk_types::{
     ConnKey, IsolationPolicy, NkError, NkResult, Nqe, NsmId, OpResult, OpType, QueueSetId,
     SocketId, VmId,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Per-VM switching statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -49,16 +49,25 @@ struct VmPort {
     ops_bucket: Option<TokenBucket>,
     /// NQEs that could not be forwarded yet (rate limit or full NSM queue);
     /// retried first, in order, on later polls.
-    stalled: Vec<std::collections::VecDeque<Nqe>>,
+    stalled: Vec<VecDeque<Nqe>>,
     /// Engine-originated events (connection resets from an NSM crash) that
     /// did not fit the guest's completion queue; redelivered, in order, on
     /// later polls so a crash notification is never lost.
-    pending_events: std::collections::VecDeque<Nqe>,
+    pending_events: VecDeque<Nqe>,
     /// The hugepage region shared between the VM and its NSMs, so payload of
     /// requests dropped by the engine (NSM crashed) can be reclaimed.
     region: Option<HugepageRegion>,
     tenant: u32,
+    /// The NSM serving the VM's *new* connections (`None` until mapped).
+    nsm: Option<NsmId>,
+    /// Inside a warm-migration freeze window: no *fresh* requests are
+    /// popped from the VM's queues (in-flight work still drains — stalled
+    /// NQEs retry and responses deliver), so the snapshot closes over a
+    /// quiescent pipeline.
+    frozen: bool,
     stats: VmSwitchStats,
+    /// `stats.bytes_forwarded` as each [`Epoch`] reader last saw it.
+    byte_marks: [u64; 2],
 }
 
 struct NsmPort {
@@ -80,9 +89,12 @@ enum Forward {
 
 /// The CoreEngine software switch.
 ///
-/// All port maps are `BTreeMap`s and every polling round visits VMs and
-/// NSMs in ascending id order — the engine is bit-for-bit deterministic
-/// across runs, which the seeded fault-injection scenarios rely on.
+/// Everything the engine knows about a VM — queue ends, mapping, freeze
+/// flag, counters and their epoch marks — is one `VmPort`, so a VM leaves
+/// (or moves to a shard) with one map entry. Both port maps are `BTreeMap`s
+/// and every polling round visits VMs and NSMs in ascending id order — the
+/// engine is bit-for-bit deterministic across runs, which the seeded
+/// fault-injection scenarios rely on.
 ///
 /// The fixed id order is also what makes the engine *decomposable*: VMs of
 /// disjoint NSM share groups never touch each other's ports, table entries
@@ -94,19 +106,11 @@ enum Forward {
 pub struct CoreEngine {
     vms: BTreeMap<VmId, VmPort>,
     nsms: BTreeMap<NsmId, NsmPort>,
-    mapping: BTreeMap<VmId, NsmId>,
-    /// VMs inside a warm-migration freeze window: no *fresh* requests are
-    /// popped from their queues (in-flight work still drains — stalled NQEs
-    /// retry and responses deliver), so the snapshot closes over a
-    /// quiescent pipeline.
-    frozen: BTreeSet<VmId>,
     table: ConnTable,
     isolation: IsolationPolicy,
     batch: usize,
     stats: EngineStats,
     scratch: Vec<Nqe>,
-    /// Reused per-round buffer of the VM ids to poll (id order).
-    vm_scratch: Vec<VmId>,
 }
 
 impl CoreEngine {
@@ -115,14 +119,11 @@ impl CoreEngine {
         CoreEngine {
             vms: BTreeMap::new(),
             nsms: BTreeMap::new(),
-            mapping: BTreeMap::new(),
-            frozen: BTreeSet::new(),
             table: ConnTable::new(),
             isolation,
             batch: batch.max(1),
             stats: EngineStats::default(),
             scratch: Vec::new(),
-            vm_scratch: Vec::new(),
         }
     }
 
@@ -167,9 +168,7 @@ impl CoreEngine {
             )),
             _ => None,
         };
-        let stalled = (0..ends.len())
-            .map(|_| std::collections::VecDeque::new())
-            .collect();
+        let stalled = (0..ends.len()).map(|_| VecDeque::new()).collect();
         self.vms.insert(
             vm,
             VmPort {
@@ -178,21 +177,22 @@ impl CoreEngine {
                 rate_bucket,
                 ops_bucket,
                 stalled,
-                pending_events: std::collections::VecDeque::new(),
+                pending_events: VecDeque::new(),
                 region,
                 tenant,
+                nsm: None,
+                frozen: false,
                 stats: VmSwitchStats::default(),
+                byte_marks: [0; 2],
             },
         );
         Ok(())
     }
 
-    /// Deregister a VM: its queue ends are dropped and its connections are
-    /// removed from the table.
+    /// Deregister a VM: its port (queue ends, mapping, freeze flag, marks)
+    /// is dropped and its connections are removed from the table.
     pub fn deregister_vm(&mut self, vm: VmId) -> NkResult<()> {
         self.vms.remove(&vm).ok_or(NkError::NotFound)?;
-        self.mapping.remove(&vm);
-        self.frozen.remove(&vm);
         self.table.remove_vm(vm);
         Ok(())
     }
@@ -207,12 +207,12 @@ impl CoreEngine {
     }
 
     /// Assign a VM to an NSM (statically by the operator or dynamically by a
-    /// load-balancing policy, §4.3).
+    /// load-balancing policy, §4.3). `NotFound` unless both are registered.
     pub fn map_vm(&mut self, vm: VmId, nsm: NsmId) -> NkResult<()> {
         if !self.nsms.contains_key(&nsm) {
             return Err(NkError::NotFound);
         }
-        self.mapping.insert(vm, nsm);
+        self.vms.get_mut(&vm).ok_or(NkError::NotFound)?.nsm = Some(nsm);
         Ok(())
     }
 
@@ -260,16 +260,13 @@ impl CoreEngine {
 
     /// The NSM currently mapped to serve a VM's new connections.
     pub fn nsm_of(&self, vm: VmId) -> Option<NsmId> {
-        self.mapping.get(&vm).copied()
+        self.vms.get(&vm).and_then(|p| p.nsm)
     }
 
     /// VMs currently mapped onto `nsm`, in id order.
     pub fn mapped_vms(&self, nsm: NsmId) -> Vec<VmId> {
-        self.mapping
-            .iter()
-            .filter(|(_, n)| **n == nsm)
-            .map(|(v, _)| *v)
-            .collect()
+        let mapped = self.vms.iter().filter(|(_, p)| p.nsm == Some(nsm));
+        mapped.map(|(v, _)| *v).collect()
     }
 
     /// Request NQEs parked in per-VM stall queues awaiting retry (throttled
@@ -299,6 +296,18 @@ impl CoreEngine {
     /// Per-VM statistics.
     pub fn vm_stats(&self, vm: VmId) -> Option<VmSwitchStats> {
         self.vms.get(&vm).map(|p| p.stats)
+    }
+
+    /// Payload bytes the VM forwarded since `reader` last asked (0 for an
+    /// unregistered VM); moves the reader's mark. The mark lives in the
+    /// port beside the counter, so a VM that left and registered again
+    /// reads from zero.
+    pub fn take_bytes_forwarded(&mut self, vm: VmId, reader: Epoch) -> u64 {
+        let Some(port) = self.vms.get_mut(&vm) else {
+            return 0;
+        };
+        let total = port.stats.bytes_forwarded;
+        total - std::mem::replace(&mut port.byte_marks[reader as usize], total)
     }
 
     /// Number of connections currently tracked.
@@ -335,18 +344,16 @@ impl CoreEngine {
     /// have no fresh requests popped from their queues; already-admitted
     /// work (stalled NQEs, NSM responses) keeps draining, so a few poll
     /// rounds after freezing the VM's pipeline is quiescent and
-    /// snapshot-consistent.
+    /// snapshot-consistent. A no-op for an unregistered VM.
     pub fn set_frozen(&mut self, vm: VmId, frozen: bool) {
-        if frozen {
-            self.frozen.insert(vm);
-        } else {
-            self.frozen.remove(&vm);
+        if let Some(port) = self.vms.get_mut(&vm) {
+            port.frozen = frozen;
         }
     }
 
     /// True while the VM sits inside a freeze window.
     pub fn is_frozen(&self, vm: VmId) -> bool {
-        self.frozen.contains(&vm)
+        self.vms.get(&vm).is_some_and(|p| p.frozen)
     }
 
     /// Every connection-table entry of a VM, sorted (non-destructive).
@@ -423,13 +430,12 @@ impl CoreEngine {
     /// region and table entries), so lane grouping takes the connected
     /// components of exactly these edges.
     pub fn vm_nsm_edges(&self) -> Vec<(VmId, NsmId)> {
-        let mut edges: Vec<(VmId, NsmId)> = self.mapping.iter().map(|(v, n)| (*v, *n)).collect();
-        edges.extend(self.table.vm_nsm_pairs());
-        edges
+        let mapped = self.vms.iter().filter_map(|(v, p)| Some((*v, p.nsm?)));
+        mapped.chain(self.table.vm_nsm_pairs()).collect()
     }
 
-    /// Carve one share group — `vms` with their ports, table entries,
-    /// mapping and freeze flags, plus the `nsms` ports — out into a
+    /// Carve one share group — `vms` with their ports and table entries,
+    /// plus the `nsms` ports — out into a
     /// self-contained engine, to be polled on a worker thread as part of a
     /// share lane. The group must be closed under [`CoreEngine::vm_nsm_edges`]
     /// (no edge may cross into the remainder); given that, polling the
@@ -450,12 +456,6 @@ impl CoreEngine {
         for vm in vms {
             if let Some(port) = self.vms.remove(vm) {
                 shard.vms.insert(*vm, port);
-            }
-            if let Some(nsm) = self.mapping.remove(vm) {
-                shard.mapping.insert(*vm, nsm);
-            }
-            if self.frozen.remove(vm) {
-                shard.frozen.insert(*vm);
             }
             for (key, entry) in self.table.extract_vm(*vm) {
                 shard.table.install(key, entry);
@@ -479,8 +479,6 @@ impl CoreEngine {
             }
         }
         self.vms.append(&mut shard.vms);
-        self.mapping.append(&mut shard.mapping);
-        self.frozen.append(&mut shard.frozen);
         self.stats.nqes_switched += shard.stats.nqes_switched;
         self.stats.wakeups += shard.stats.wakeups;
         self.stats.conn_resets += shard.stats.conn_resets;
@@ -514,104 +512,43 @@ impl CoreEngine {
         switched
     }
 
-    /// VM → NSM direction.
+    /// VM → NSM direction, in fixed ascending-id order: a rotating start
+    /// would couple every VM's poll position to the whole host's VM census
+    /// and make whole-engine and per-share-group polling diverge. Fairness
+    /// under a full NSM queue comes from the per-VM stall queues alone.
     fn forward_requests(&mut self, now_ns: u64) -> usize {
         let mut switched = 0;
-        if self.vms.is_empty() {
-            return 0;
-        }
-        // Fixed ascending-id order. (An earlier version rotated a
-        // round-robin start cursor across VMs for fairness under
-        // backpressure; the rotation coupled every VM's poll position to
-        // the whole host's VM census, which made whole-engine and
-        // per-share-group polling diverge. Fairness under a full NSM queue
-        // now comes from the per-VM stall queues alone.)
-        self.vm_scratch.clear();
-        self.vm_scratch.extend(self.vms.keys().copied());
-        for i in 0..self.vm_scratch.len() {
-            let vm = self.vm_scratch[i];
-            let Some(nsm_id) = self.mapping.get(&vm).copied() else {
+        for port in self.vms.values_mut() {
+            let Some(nsm_id) = port.nsm else {
                 continue;
             };
-            let Some(port) = self.vms.get_mut(&vm) else {
-                continue;
-            };
-            let sets = port.ends.len();
-            for qs in 0..sets {
-                // Retry stalled NQEs first to preserve per-connection order.
-                let mut blocked = false;
-                while let Some(nqe) = port.stalled[qs].pop_front() {
-                    match Self::try_forward(
-                        &mut self.nsms,
-                        &mut self.table,
-                        port,
-                        nsm_id,
-                        nqe,
-                        now_ns,
-                    ) {
-                        Forward::Done => switched += 1,
-                        Forward::Dropped { woken } => {
-                            switched += 1;
-                            if woken {
-                                self.stats.wakeups += 1;
-                            }
-                        }
-                        Forward::Stalled(nqe) => {
-                            port.stalled[qs].push_front(nqe);
-                            blocked = true;
-                            break;
-                        }
-                    }
-                }
-                if blocked {
-                    continue;
-                }
-                // Inside a freeze window only already-admitted work drains;
-                // fresh requests stay queued until the VM thaws (or its
+            for qs in 0..port.ends.len() {
+                // One queue per set keeps per-connection order: admitted
+                // NQEs go out from the front, a stall leaves the rest queued
+                // behind it, and a fresh batch joins only once the queue is
+                // empty — never inside a freeze window, where only
+                // already-admitted work drains until the VM thaws (or its
                 // queues move with it).
-                if self.frozen.contains(&vm) {
-                    continue;
-                }
                 'queue_set: loop {
-                    let n = port.ends[qs].pop_requests(&mut self.scratch, self.batch);
-                    if n == 0 {
-                        break;
-                    }
-                    let mut stalled = false;
-                    // Drained in place: `scratch`, `nsms`, `table` and the
-                    // `port` borrow are disjoint fields, so no per-batch
-                    // Vec is allocated on this hot path.
-                    for nqe in self.scratch.drain(..) {
-                        if stalled {
-                            // Order must be preserved: once one NQE stalls,
-                            // the rest of the batch queues up behind it.
-                            port.stalled[qs].push_back(nqe);
-                            continue;
-                        }
-                        match Self::try_forward(
-                            &mut self.nsms,
-                            &mut self.table,
-                            port,
-                            nsm_id,
-                            nqe,
-                            now_ns,
-                        ) {
+                    while let Some(nqe) = port.stalled[qs].pop_front() {
+                        let (nsms, table) = (&mut self.nsms, &mut self.table);
+                        match Self::try_forward(nsms, table, port, nsm_id, nqe, now_ns) {
                             Forward::Done => switched += 1,
                             Forward::Dropped { woken } => {
                                 switched += 1;
-                                if woken {
-                                    self.stats.wakeups += 1;
-                                }
+                                self.stats.wakeups += woken as u64;
                             }
                             Forward::Stalled(nqe) => {
-                                port.stalled[qs].push_back(nqe);
-                                stalled = true;
+                                port.stalled[qs].push_front(nqe);
+                                break 'queue_set;
                             }
                         }
                     }
-                    if stalled {
-                        break 'queue_set;
+                    if port.frozen || port.ends[qs].pop_requests(&mut self.scratch, self.batch) == 0
+                    {
+                        break;
                     }
+                    port.stalled[qs].extend(self.scratch.drain(..));
                 }
             }
         }
@@ -857,6 +794,15 @@ mod tests {
             Err(NkError::AlreadyRegistered)
         );
         assert_eq!(ce.map_vm(VmId(1), NsmId(9)), Err(NkError::NotFound));
+        // A VM that was never registered cannot be mapped or frozen, and
+        // the attempt leaves nothing behind for a later registration.
+        assert_eq!(ce.map_vm(VmId(7), NsmId(1)), Err(NkError::NotFound));
+        assert_eq!(ce.remap_vm(VmId(7), NsmId(1)), Err(NkError::NotFound));
+        ce.set_frozen(VmId(7), true);
+        let (_g7, vm_end) = queue_set_pair(16);
+        ce.register_vm(VmId(7), vec![vm_end], WakeState::new(), 0, None, None, 0)
+            .unwrap();
+        assert_eq!((ce.nsm_of(VmId(7)), ce.is_frozen(VmId(7))), (None, false));
     }
 
     #[test]
@@ -909,6 +855,10 @@ mod tests {
         ce.poll(3_000_000_000);
         let delivered_later = nsm.pop_requests(&mut reqs, 16);
         assert_eq!(delivered_now + delivered_later, 2);
+        // Each epoch reader sees the bytes once, independently of the other.
+        assert_eq!(ce.take_bytes_forwarded(VmId(1), Epoch::Control), 100_000);
+        assert_eq!(ce.take_bytes_forwarded(VmId(1), Epoch::Control), 0);
+        assert_eq!(ce.take_bytes_forwarded(VmId(1), Epoch::Placement), 100_000);
     }
 
     #[test]

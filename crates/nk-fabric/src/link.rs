@@ -164,16 +164,6 @@ impl<P> Link<P> {
         self.stats.reconfigurations += 1;
     }
 
-    /// Pop every frame whose delivery time has arrived.
-    ///
-    /// Allocates a fresh `Vec` per call; the switch's forwarding loop uses
-    /// [`Link::drain_deliverable`] with a reused buffer instead.
-    pub fn deliverable(&mut self, now_ns: u64) -> Vec<Frame<P>> {
-        let mut out = Vec::new();
-        self.drain_deliverable(now_ns, &mut out);
-        out
-    }
-
     /// Append every frame whose delivery time has arrived to `out`,
     /// returning how many were drained.
     pub fn drain_deliverable(&mut self, now_ns: u64, out: &mut Vec<Frame<P>>) -> usize {
@@ -222,6 +212,13 @@ mod tests {
         }
     }
 
+    /// Every frame deliverable at `now_ns`, as a fresh `Vec`.
+    fn deliverable(link: &mut Link<u32>, now_ns: u64) -> Vec<Frame<u32>> {
+        let mut out = Vec::new();
+        link.drain_deliverable(now_ns, &mut out);
+        out
+    }
+
     #[test]
     fn ideal_link_delivers_immediately_in_order() {
         let mut link: Link<u32> = Link::new(LinkConfig::ideal(), 1);
@@ -230,7 +227,7 @@ mod tests {
             f.payload = i;
             link.offer(f, 0);
         }
-        let out = link.deliverable(0);
+        let out = deliverable(&mut link, 0);
         assert_eq!(out.len(), 5);
         assert_eq!(
             out.iter().map(|f| f.payload).collect::<Vec<_>>(),
@@ -243,8 +240,8 @@ mod tests {
     fn latency_defers_delivery() {
         let mut link: Link<u32> = Link::new(LinkConfig::ideal().with_latency_us(10), 1);
         link.offer(frame(100), 0);
-        assert!(link.deliverable(5_000).is_empty());
-        assert_eq!(link.deliverable(10_000).len(), 1);
+        assert!(deliverable(&mut link, 5_000).is_empty());
+        assert_eq!(deliverable(&mut link, 10_000).len(), 1);
         assert_eq!(link.in_flight(), 0);
     }
 
@@ -281,7 +278,7 @@ mod tests {
             link.offer(f, 0);
         }
         // Collect everything after the reorder window has passed.
-        let out = link.deliverable(1_000_000_000);
+        let out = deliverable(&mut link, 1_000_000_000);
         assert_eq!(out.len(), 100);
         let in_order = out.windows(2).all(|w| w[0].payload < w[1].payload);
         assert!(!in_order, "with 30% reordering some frames must be late");
@@ -304,7 +301,7 @@ mod tests {
             0,
         );
         // The admitted frames still mature at the old 10 µs latency.
-        let out = link.deliverable(10_000);
+        let out = deliverable(&mut link, 10_000);
         assert_eq!(out.len(), 8);
         let tags: Vec<u32> = out.iter().map(|f| f.payload).collect();
         assert_eq!(tags, vec![0, 1, 2, 3, 4, 5, 6, 7]);
@@ -331,7 +328,7 @@ mod tests {
                 link.offer(f, 0);
             }
         }
-        let out = link.deliverable(u64::MAX);
+        let out = deliverable(&mut link, u64::MAX);
         let mut seen = std::collections::BTreeSet::new();
         for f in &out {
             assert!(
@@ -367,7 +364,10 @@ mod tests {
             link.offer(frame(1000), 0);
         }
         assert_eq!(link.stats().dropped, throttled_drops);
-        assert_eq!(link.deliverable(0).len() as u64, link.stats().delivered);
+        assert_eq!(
+            deliverable(&mut link, 0).len() as u64,
+            link.stats().delivered
+        );
     }
 
     /// Retransmissions after loss still get through: the link treats every
@@ -381,7 +381,7 @@ mod tests {
             let mut f = frame(100);
             f.payload = 42;
             link.offer(f, attempt);
-            if !link.deliverable(u64::MAX).is_empty() {
+            if !deliverable(&mut link, u64::MAX).is_empty() {
                 delivered = true;
                 break;
             }
@@ -408,7 +408,7 @@ mod tests {
         let mut link: Link<u32> = Link::new(LinkConfig::ideal(), 1);
         link.offer(frame(500), 0);
         link.offer(frame(300), 0);
-        let _ = link.deliverable(0);
+        let _ = deliverable(&mut link, 0);
         assert_eq!(link.stats().delivered_bytes, 800);
         assert_eq!(link.stats().delivered, 2);
     }

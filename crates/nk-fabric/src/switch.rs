@@ -49,6 +49,8 @@ pub struct VirtualSwitch<P> {
     /// cross-host traffic.
     uplink_local: Option<(u32, u32)>,
     uplink_stats: UplinkStats,
+    /// `(tx_bytes, rx_bytes)` as [`VirtualSwitch::take_uplink_bytes`] last saw them.
+    uplink_mark: (u64, u64),
     seed: u64,
     /// Reusable frame buffer for the ingress/egress drains (hot path).
     scratch: Vec<Frame<P>>,
@@ -70,6 +72,7 @@ impl<P> VirtualSwitch<P> {
             uplink: None,
             uplink_local: None,
             uplink_stats: UplinkStats::default(),
+            uplink_mark: (0, 0),
             seed: 0x5EED,
             scratch: Vec::new(),
         }
@@ -101,6 +104,14 @@ impl<P> VirtualSwitch<P> {
     /// Traffic counters of the uplink (zero when none is wired).
     pub fn uplink_stats(&self) -> UplinkStats {
         self.uplink_stats
+    }
+
+    /// Uplink wire bytes `(tx, rx)` since the last call: the cluster
+    /// placer's traffic signal, its cursor kept beside the counters.
+    pub fn take_uplink_bytes(&mut self) -> (u64, u64) {
+        let now = (self.uplink_stats.tx_bytes, self.uplink_stats.rx_bytes);
+        let prev = std::mem::replace(&mut self.uplink_mark, now);
+        (now.0 - prev.0, now.1 - prev.1)
     }
 
     /// Attach a new endpoint with address `addr`; returns the endpoint's port

@@ -4,7 +4,7 @@
 use crate::host::NetKernelHost;
 use nk_ctrl::{EpochSample, NsmLoad};
 use nk_sim::record::TimeSeries;
-use nk_sim::{CorePool, PoolMember};
+use nk_sim::{CorePool, CycleLedger, Epoch, PoolMember};
 use nk_types::{ControlAction, ControlEvent, ControlTarget, NsmId, VmId};
 use std::collections::BTreeMap;
 
@@ -20,6 +20,13 @@ pub struct ControlTelemetry {
     pub nsm_utilisation: BTreeMap<NsmId, TimeSeries>,
     /// Control actions applied per epoch.
     pub actions_per_epoch: TimeSeries,
+}
+
+/// Utilisation of one pool member over the control epoch ending now (0 for
+/// a member that is not registered).
+fn epoch_utilisation(pools: &mut CorePool, member: PoolMember) -> f64 {
+    let delta = pools.take_delta(member, Epoch::Control);
+    delta.unwrap_or_default().utilisation()
 }
 
 impl NetKernelHost {
@@ -42,7 +49,6 @@ impl NetKernelHost {
                         .register(PoolMember::Nsm(nsm_cfg.id), nsm_cfg.vcpus);
                 }
             }
-            self.epoch_ledgers.clear();
         }
         self.accounting = true;
     }
@@ -107,88 +113,48 @@ impl NetKernelHost {
     /// utilisation from the pool-ledger deltas, per-NSM backpressure from
     /// the engine's stall queues, per-VM throughput from the switch stats.
     fn sample_epoch(&mut self, now_ns: u64) -> EpochSample {
-        let engine_utilisation = self.epoch_utilisation(PoolMember::Engine);
-        let engine_cores = self
-            .pools
-            .cores(PoolMember::Engine)
-            .unwrap_or(self.cfg.core_engine_cores);
-        let nsm_ids: Vec<NsmId> = self.nsms.keys().copied().collect();
+        let engine_utilisation = epoch_utilisation(&mut self.pools, PoolMember::Engine);
         let mut nsms = BTreeMap::new();
-        for id in nsm_ids {
-            let utilisation = self.epoch_utilisation(PoolMember::Nsm(id));
-            let cores = self.pools.cores(PoolMember::Nsm(id)).unwrap_or(0);
-            let mut queue_depth = 0u64;
-            let mut vm_bytes = BTreeMap::new();
-            for vm in self.engine.mapped_vms(id) {
-                queue_depth += self.engine.stalled_nqes_of(vm) as u64;
-                let total = self
-                    .engine
-                    .vm_stats(vm)
-                    .map(|s| s.bytes_forwarded)
-                    .unwrap_or(0);
-                let prev = self.epoch_vm_bytes.insert(vm, total).unwrap_or(0);
-                vm_bytes.insert(vm, total.saturating_sub(prev));
-            }
-            nsms.insert(
-                id,
-                NsmLoad {
-                    cores,
-                    utilisation,
-                    queue_depth,
-                    vm_bytes,
-                },
-            );
+        for id in self.nsms.keys() {
+            let member = PoolMember::Nsm(*id);
+            let load = NsmLoad {
+                utilisation: epoch_utilisation(&mut self.pools, member),
+                cores: self.pools.cores(member).unwrap_or(0),
+                queue_depth: 0,
+                vm_bytes: BTreeMap::new(),
+            };
+            nsms.insert(*id, load);
         }
-        // VMs not mapped to any alive NSM this epoch (their NSM crashed and
-        // was not restarted yet) still get their byte snapshot advanced —
-        // otherwise the first epoch after recovery attributes several
+        // Every VM's byte mark advances every epoch, also while its NSM is
+        // down — otherwise the first epoch after recovery attributes several
         // epochs' bytes to one and skews the rebalancer's busiest-first
         // ordering.
-        let unsampled: Vec<VmId> = self
-            .guests
-            .keys()
-            .filter(|vm| !nsms.values().any(|l| l.vm_bytes.contains_key(vm)))
-            .copied()
-            .collect();
-        for vm in unsampled {
-            let total = self
-                .engine
-                .vm_stats(vm)
-                .map(|s| s.bytes_forwarded)
-                .unwrap_or(0);
-            self.epoch_vm_bytes.insert(vm, total);
+        for vm in self.vms.keys() {
+            let bytes = self.engine.take_bytes_forwarded(*vm, Epoch::Control);
+            if let Some(load) = self.engine.nsm_of(*vm).and_then(|id| nsms.get_mut(&id)) {
+                load.queue_depth += self.engine.stalled_nqes_of(*vm) as u64;
+                load.vm_bytes.insert(*vm, bytes);
+            }
         }
         EpochSample {
             now_ns,
-            engine_cores,
+            engine_cores: self.engine_cores(),
             engine_utilisation,
             nsms,
-        }
-    }
-
-    /// Utilisation of one pool member over the epoch ending now (ledger
-    /// delta against the previous boundary).
-    fn epoch_utilisation(&mut self, member: PoolMember) -> f64 {
-        let Some(ledger) = self.pools.ledger(member) else {
-            self.epoch_ledgers.remove(&member);
-            return 0.0;
-        };
-        let prev = self
-            .epoch_ledgers
-            .insert(member, ledger)
-            .unwrap_or_default();
-        let offered = ledger.offered.saturating_sub(prev.offered);
-        let busy = ledger.busy.saturating_sub(prev.busy);
-        if offered == 0 {
-            0.0
-        } else {
-            busy as f64 / offered as f64
         }
     }
 
     /// Control decisions applied so far, in application order.
     pub fn control_events(&self) -> &[ControlEvent] {
         &self.control_log
+    }
+
+    /// Control decisions applied since the last call: what a cluster's
+    /// flight recorder mirrors after each step, the cursor kept beside the
+    /// log it reads.
+    pub fn take_fresh_control_events(&mut self) -> &[ControlEvent] {
+        let from = std::mem::replace(&mut self.control_taken, self.control_log.len());
+        &self.control_log[from..]
     }
 
     /// Per-epoch control observability: utilisation samples and action
@@ -200,6 +166,18 @@ impl NetKernelHost {
     /// The cycle-accounting pool (current core allocations and ledgers).
     pub fn core_pool(&self) -> &CorePool {
         &self.pools
+    }
+
+    /// What a pool member's ledger gained since `reader` last asked (see
+    /// [`nk_sim::CoreSet::take_delta`]; `None` when it is not registered).
+    pub fn take_pool_delta(&mut self, member: PoolMember, reader: Epoch) -> Option<CycleLedger> {
+        self.pools.take_delta(member, reader)
+    }
+
+    /// Payload bytes a VM forwarded since `reader` last asked (see
+    /// [`nk_engine::CoreEngine::take_bytes_forwarded`]).
+    pub fn take_vm_bytes_forwarded(&mut self, vm: VmId, reader: Epoch) -> u64 {
+        self.engine.take_bytes_forwarded(vm, reader)
     }
 
     /// Cores currently allocated to an NSM (`None` when it is not alive).

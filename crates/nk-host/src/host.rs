@@ -13,8 +13,7 @@ use crate::lanes::LaneReport;
 use crate::sched::SchedStats;
 use nk_ctrl::ControlPlane;
 use nk_engine::CoreEngine;
-use nk_fabric::port::Port;
-use nk_fabric::switch::{UplinkStats, VirtualSwitch};
+use nk_fabric::switch::VirtualSwitch;
 use nk_fabric::uplink::HostUplink;
 use nk_guest::GuestLib;
 use nk_netstack::{Segment, StackConfig, TcpStack};
@@ -22,7 +21,7 @@ use nk_obs::HostFeed;
 use nk_queue::unbounded::UnboundedConsumer;
 use nk_service::{Nsm, SharedMemNsm};
 use nk_shmem::HugepageRegion;
-use nk_sim::{CorePool, CostModel, CycleLedger, Pollable, PoolMember};
+use nk_sim::{CorePool, CostModel, Pollable, PoolMember};
 use nk_types::addr::nsm_ip_on;
 use nk_types::faults::{FaultAction, FaultPlan};
 use nk_types::{ControlEvent, HostConfig, HostId, NkResult, NsmId, VmId};
@@ -60,6 +59,14 @@ impl NsmInstance {
             NsmInstance::SharedMem(n) => n.has_vm(vm),
         }
     }
+
+    /// The VMs whose regions are wired into the instance, in id order.
+    pub(crate) fn wired_vms(&self) -> Vec<VmId> {
+        match self {
+            NsmInstance::Tcp(n) => n.wired_vms(),
+            NsmInstance::SharedMem(n) => n.wired_vms(),
+        }
+    }
 }
 
 impl Pollable for NsmInstance {
@@ -71,6 +78,18 @@ impl Pollable for NsmInstance {
     }
 }
 
+/// Everything the host keeps about one VM, so retiring it is one `remove`
+/// (the engine's half is the VM's port in [`CoreEngine`], dropped the same
+/// way by `deregister_vm`).
+pub(crate) struct VmSlot {
+    /// The application's socket API; [`GuestLib::region`] is the hugepage
+    /// region every NSM serving the VM is wired to.
+    pub(crate) guest: GuestLib,
+    /// The NSM share being drained while the VM is mid-migration: exported
+    /// to another host, still serving the connections pinned here.
+    pub(crate) draining: Option<NsmId>,
+}
+
 /// A complete NetKernel host: VMs with GuestLibs, NSMs with ServiceLibs and
 /// stacks, a CoreEngine switching NQEs, and a virtual switch carrying the
 /// NSMs' traffic to remote hosts (paper Figure 2).
@@ -78,18 +97,12 @@ pub struct NetKernelHost {
     pub(crate) cfg: HostConfig,
     pub(crate) switch: VirtualSwitch<Segment>,
     pub(crate) engine: CoreEngine,
-    pub(crate) guests: BTreeMap<VmId, GuestLib>,
+    pub(crate) vms: BTreeMap<VmId, VmSlot>,
     pub(crate) nsms: BTreeMap<NsmId, NsmInstance>,
-    /// vNIC port of each TCP-stack NSM (a clone of the port its stack
-    /// owns), kept so warm-migrated addresses can be aliased onto it.
-    pub(crate) nsm_ports: BTreeMap<NsmId, Port<Segment>>,
     /// Foreign addresses adopted by a local NSM's vNIC for warm-migrated
     /// connections: alias address → owning NSM.
     pub(crate) aliases: BTreeMap<u32, NsmId>,
     pub(crate) remotes: BTreeMap<u32, TcpStack>,
-    /// Hugepage region of each VM, kept so a restarted or takeover NSM can
-    /// be wired to the VMs it serves.
-    pub(crate) regions: BTreeMap<VmId, HugepageRegion>,
     /// Restart generation per NSM: a restarted NSM's stack starts its
     /// ephemeral-port scan elsewhere, like a rebooted kernel would, so new
     /// connections cannot collide with peers' stale pre-crash state.
@@ -109,19 +122,13 @@ pub struct NetKernelHost {
     pub(crate) ctrl: Option<ControlPlane>,
     /// Every control decision applied so far, in order (the record log).
     pub(crate) control_log: Vec<ControlEvent>,
+    /// How much of it [`NetKernelHost::take_fresh_control_events`] handed out.
+    pub(crate) control_taken: usize,
     /// Per-epoch control observability (time series of samples and action
     /// counts).
     pub(crate) telemetry: ControlTelemetry,
-    /// VMs mid-migration: exported to another host, still serving pinned
-    /// connections here until the drain counter hits zero. Maps each to the
-    /// NSM share being drained.
-    pub(crate) draining: BTreeMap<VmId, NsmId>,
     /// Virtual time at which the next control epoch closes.
     pub(crate) next_epoch_ns: u64,
-    /// Pool ledgers at the previous epoch boundary, for per-epoch deltas.
-    pub(crate) epoch_ledgers: BTreeMap<PoolMember, CycleLedger>,
-    /// Per-VM forwarded bytes at the previous epoch boundary.
-    pub(crate) epoch_vm_bytes: BTreeMap<VmId, u64>,
     /// Remaining warm imports to refuse, armed by
     /// [`NetKernelHost::inject_import_failures`] — the fault surface
     /// evacuation-rollback tests drive.
@@ -170,12 +177,10 @@ impl NetKernelHost {
             switch: VirtualSwitch::new(),
             engine: CoreEngine::new(cfg.isolation.clone(), cfg.batch_size),
             cfg,
-            guests: BTreeMap::new(),
+            vms: BTreeMap::new(),
             nsms: BTreeMap::new(),
-            nsm_ports: BTreeMap::new(),
             aliases: BTreeMap::new(),
             remotes: BTreeMap::new(),
-            regions: BTreeMap::new(),
             generations: BTreeMap::new(),
             sched: SchedStats::default(),
             injector: FaultInjector::idle(),
@@ -184,11 +189,9 @@ impl NetKernelHost {
             accounting: ctrl.is_some(),
             ctrl,
             control_log: Vec::new(),
+            control_taken: 0,
             telemetry: ControlTelemetry::default(),
-            draining: BTreeMap::new(),
             next_epoch_ns,
-            epoch_ledgers: BTreeMap::new(),
-            epoch_vm_bytes: BTreeMap::new(),
             import_fail_budget: 0,
             obs: HostFeed::new(),
             lane_rx: BTreeMap::new(),
@@ -218,7 +221,7 @@ impl NetKernelHost {
 
     /// Mutable access to a VM's GuestLib (the application's socket API).
     pub fn guest_mut(&mut self, vm: VmId) -> Option<&mut GuestLib> {
-        self.guests.get_mut(&vm)
+        self.vms.get_mut(&vm).map(|slot| &mut slot.guest)
     }
 
     /// Attach a remote host (a peer machine) to the fabric at `ip`. Drive
@@ -266,10 +269,10 @@ impl NetKernelHost {
         );
     }
 
-    /// Traffic counters of the uplink (zero when none is wired). The
-    /// cluster placer reads these as the host's cross-host traffic signal.
-    pub fn uplink_stats(&self) -> UplinkStats {
-        self.switch.uplink_stats()
+    /// Uplink wire bytes `(tx, rx)` since the last call (zero when none is
+    /// wired): the cluster placer's cross-host traffic signal.
+    pub fn take_uplink_bytes(&mut self) -> (u64, u64) {
+        self.switch.take_uplink_bytes()
     }
 
     /// CoreEngine statistics.
@@ -322,7 +325,7 @@ impl NetKernelHost {
     /// True when the VM currently has an instance on this host — resident
     /// or still draining off it.
     pub fn has_vm(&self, vm: VmId) -> bool {
-        self.guests.contains_key(&vm)
+        self.vms.contains_key(&vm)
     }
 
     /// Connections a VM still has pinned on this host — the drain counter a
@@ -412,6 +415,7 @@ impl NetKernelHost {
     pub fn end_step(&mut self) -> usize {
         let applied = self.run_control(self.now_ns);
         self.obs_sample(self.now_ns);
+        self.audit_census();
         applied
     }
 
@@ -448,7 +452,7 @@ impl NetKernelHost {
         if !self.obs.enabled() {
             return;
         }
-        for (vm, _) in self.guests.iter() {
+        for vm in self.vms.keys() {
             if let Some(stats) = self.engine.vm_stats(*vm) {
                 self.obs
                     .sample_vm(now_ns, *vm, stats.nqes_forwarded, stats.nqes_delivered);

@@ -254,16 +254,14 @@ impl NetKernelHost {
         for (vm, nsm) in self.engine.vm_nsm_edges() {
             note(vm, nsm, &mut vm_nsms);
         }
-        for vm in self.engine.vm_ids() {
-            for (id, nsm) in self.nsms.iter() {
-                if nsm.has_vm(vm) {
-                    vm_nsms.entry(vm).or_default().push(*id);
-                }
+        for (id, nsm) in self.nsms.iter() {
+            for vm in nsm.wired_vms() {
+                vm_nsms.entry(vm).or_default().push(*id);
             }
         }
-        for (vm, nsm) in self.draining.iter() {
-            if self.nsms.contains_key(nsm) {
-                vm_nsms.entry(*vm).or_default().push(*nsm);
+        for (vm, slot) in self.vms.iter() {
+            if let Some(nsm) = slot.draining.filter(|nsm| self.nsms.contains_key(nsm)) {
+                vm_nsms.entry(*vm).or_default().push(nsm);
             }
         }
         for nsms in vm_nsms.values() {

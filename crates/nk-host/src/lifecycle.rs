@@ -7,12 +7,11 @@
 //! (`export_vm_warm` / `import_vm_warm`), share retirement and link
 //! degradation. All of it runs between poll phases, on the whole host.
 
-use crate::host::{NetKernelHost, NsmInstance};
+use crate::host::{NetKernelHost, NsmInstance, VmSlot};
 use nk_fabric::link::LinkConfig;
-use nk_fabric::port::Port;
 use nk_guest::GuestLib;
 use nk_netstack::cc::CcAlgorithm;
-use nk_netstack::{Segment, StackConfig, TcpStack};
+use nk_netstack::{StackConfig, TcpStack};
 use nk_queue::{queue_set_pair, NkDevice, WakeState};
 use nk_service::{Nsm, ServiceLib, SharedMemNsm};
 use nk_shmem::HugepageRegion;
@@ -26,6 +25,34 @@ use nk_types::{
 pub use nk_types::migrate::VmExport;
 
 impl NetKernelHost {
+    /// The census audit: in debug builds, at the close of every step and of
+    /// every entry point below that attaches or detaches something, no
+    /// resource is half-attached. The engine's registered VMs are exactly
+    /// the host's slots; every region wired into an NSM belongs to a slot,
+    /// and a VM's mapped NSM is wired to it; every alias is owned by a live
+    /// TCP NSM and still forwarded by the switch; and no lane is out.
+    pub(crate) fn audit_census(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert!(self.lane_rx.is_empty(), "a lane is out");
+        let engine = self.engine.vm_ids();
+        assert!(engine.iter().eq(self.vms.keys()), "engine has {engine:?}");
+        for (id, nsm) in &self.nsms {
+            for vm in nsm.wired_vms() {
+                assert!(self.vms.contains_key(&vm), "{id:?} kept retired {vm:?}");
+            }
+            for vm in self.engine.mapped_vms(*id) {
+                assert!(nsm.has_vm(vm), "{vm:?} maps to {id:?}, not wired to it");
+            }
+        }
+        for (addr, owner) in &self.aliases {
+            let live = matches!(self.nsms.get(owner), Some(NsmInstance::Tcp(_)));
+            let forwarded = self.switch.link_stats(*addr).is_some();
+            assert!(live && forwarded, "alias {addr:#x} of {owner:?} dangles");
+        }
+    }
+
     /// Bring one VM up on `nsm`: fresh queue sets, wake state and hugepage
     /// region, registered and mapped in CoreEngine, wired into the NSM, with
     /// a GuestLib on the guest ends. Shared between initial bring-up and
@@ -64,18 +91,20 @@ impl NetKernelHost {
             return Err(e);
         }
         let device = NkDevice::new(guest_ends, wake);
-        self.guests
-            .insert(vm_cfg.id, GuestLib::new(vm_cfg.id, device, region.clone()));
-        self.regions.insert(vm_cfg.id, region);
+        let slot = VmSlot {
+            guest: GuestLib::new(vm_cfg.id, device, region),
+            draining: None,
+        };
+        self.vms.insert(vm_cfg.id, slot);
         self.wire_vm(nsm, vm_cfg.id)
     }
 
     /// Map `vm`'s hugepage region into `nsm`'s instance, so the NSM can
     /// serve the VM's connections. `NotFound` when either is gone.
     fn wire_vm(&mut self, nsm: NsmId, vm: VmId) -> NkResult<()> {
-        let region = self.regions.get(&vm).ok_or(NkError::NotFound)?;
+        let slot = self.vms.get(&vm).ok_or(NkError::NotFound)?;
         let instance = self.nsms.get_mut(&nsm).ok_or(NkError::NotFound)?;
-        instance.add_vm(vm, region.clone());
+        instance.add_vm(vm, slot.guest.region().clone());
         Ok(())
     }
 
@@ -94,30 +123,13 @@ impl NetKernelHost {
         }
     }
 
-    /// Bring one NSM up at restart `generation`: the provisioned instance
-    /// goes live, its vNIC port is kept for warm-migration aliasing, and its
-    /// pool member starts a fresh accounting life at the configured size
-    /// (the autoscaler resizes it from load). Shared between initial
-    /// bring-up and [`NetKernelHost::restart_nsm`].
+    /// Bring one NSM up at restart `generation`: queue pairs registered with
+    /// the engine, for TCP-stack NSMs a vNIC attached to the switch (the
+    /// stack owns the port), and a pool member starting a fresh accounting
+    /// life — ledger and epoch marks — at the configured size (the
+    /// autoscaler resizes it from load). Shared between initial bring-up and
+    /// [`NetKernelHost::restart_nsm`].
     pub(crate) fn attach_nsm(&mut self, nsm_cfg: &NsmConfig, generation: u32) -> NkResult<()> {
-        let (instance, port) = self.build_nsm(nsm_cfg, generation)?;
-        self.nsms.insert(nsm_cfg.id, instance);
-        if let Some(port) = port {
-            self.nsm_ports.insert(nsm_cfg.id, port);
-        }
-        self.pools
-            .register(PoolMember::Nsm(nsm_cfg.id), nsm_cfg.vcpus);
-        Ok(())
-    }
-
-    /// Provision one NSM instance: queue pairs registered with the engine
-    /// and, for TCP-stack NSMs, a vNIC attached to the switch (whose port
-    /// handle is returned alongside).
-    fn build_nsm(
-        &mut self,
-        nsm_cfg: &NsmConfig,
-        generation: u32,
-    ) -> NkResult<(NsmInstance, Option<Port<Segment>>)> {
         let mut service_ends = Vec::new();
         let mut engine_ends = Vec::new();
         for _ in 0..nsm_cfg.vcpus {
@@ -128,11 +140,10 @@ impl NetKernelHost {
         self.engine.register_nsm(nsm_cfg.id, engine_ends)?;
         let device = NkDevice::new(service_ends, WakeState::new());
         let batch = self.cfg.batch_size;
-        Ok(match nsm_cfg.stack {
-            StackKind::SharedMem => (
-                NsmInstance::SharedMem(Box::new(SharedMemNsm::new(nsm_cfg.id, device, batch))),
-                None,
-            ),
+        let instance = match nsm_cfg.stack {
+            StackKind::SharedMem => {
+                NsmInstance::SharedMem(Box::new(SharedMemNsm::new(nsm_cfg.id, device, batch)))
+            }
             kind => {
                 let ip = self.nsm_addr(nsm_cfg.id);
                 let port = self.switch.attach_with_link(
@@ -142,14 +153,15 @@ impl NetKernelHost {
                 let stack_cfg = StackConfig::new(ip)
                     .with_cc(CcAlgorithm::from_kind(nsm_cfg.cc))
                     .with_ephemeral_generation(generation);
-                let stack = TcpStack::new(stack_cfg, port.clone());
+                let stack = TcpStack::new(stack_cfg, port);
                 let service = ServiceLib::new(nsm_cfg.id, device, batch);
-                (
-                    NsmInstance::Tcp(Box::new(Nsm::new(nsm_cfg.id, kind, service, stack))),
-                    Some(port),
-                )
+                NsmInstance::Tcp(Box::new(Nsm::new(nsm_cfg.id, kind, service, stack)))
             }
-        })
+        };
+        self.nsms.insert(nsm_cfg.id, instance);
+        self.pools
+            .register(PoolMember::Nsm(nsm_cfg.id), nsm_cfg.vcpus);
+        Ok(())
     }
 
     /// Hard-crash an NSM: the instance (stack state, queues, vNIC) is torn
@@ -164,12 +176,12 @@ impl NetKernelHost {
             self.switch.detach(self.nsm_addr(nsm));
         }
         drop(instance);
-        self.nsm_ports.remove(&nsm);
         // Warm-migrated addresses adopted by the crashed vNIC die with it.
         self.drop_aliases(|_, _, owner| owner == nsm);
         self.pools.remove(PoolMember::Nsm(nsm));
-        self.epoch_ledgers.remove(&PoolMember::Nsm(nsm));
-        self.engine.crash_nsm(nsm)
+        let resets = self.engine.crash_nsm(nsm);
+        self.audit_census();
+        resets
     }
 
     /// Re-provision a crashed NSM from its original configuration: fresh
@@ -194,6 +206,7 @@ impl NetKernelHost {
         for vm in self.engine.mapped_vms(nsm) {
             self.wire_vm(nsm, vm)?;
         }
+        self.audit_census();
         Ok(())
     }
 
@@ -207,9 +220,6 @@ impl NetKernelHost {
     /// migrated-away VM must not linger in the old instance's mappings,
     /// where it would leak the region and survive a later restart.
     pub fn migrate_vm(&mut self, vm: VmId, to: NsmId) -> NkResult<()> {
-        if !self.guests.contains_key(&vm) {
-            return Err(NkError::NotFound);
-        }
         let from = self.engine.nsm_of(vm);
         self.wire_vm(to, vm)?;
         self.engine.remap_vm(vm, to)?;
@@ -220,6 +230,7 @@ impl NetKernelHost {
                 }
             }
         }
+        self.audit_census();
         Ok(())
     }
 
@@ -232,7 +243,7 @@ impl NetKernelHost {
     /// [`NetKernelHost::vm_pinned`] reaches zero.
     pub fn export_vm(&mut self, vm: VmId) -> NkResult<VmExport> {
         let export = self.exportable(vm)?;
-        self.draining.insert(vm, export.from_nsm);
+        self.vms.get_mut(&vm).expect("exportable").draining = Some(export.from_nsm);
         Ok(export)
     }
 
@@ -241,10 +252,8 @@ impl NetKernelHost {
     /// it is already draining. Touches nothing.
     fn exportable(&self, vm: VmId) -> NkResult<VmExport> {
         let vm_cfg = self.cfg.vm(vm).cloned().ok_or(NkError::NotFound)?;
-        if !self.guests.contains_key(&vm) {
-            return Err(NkError::NotFound);
-        }
-        if self.draining.contains_key(&vm) {
+        let slot = self.vms.get(&vm).ok_or(NkError::NotFound)?;
+        if slot.draining.is_some() {
             return Err(NkError::AlreadyRegistered);
         }
         let from_nsm = self.engine.nsm_of(vm).ok_or(NkError::NotFound)?;
@@ -260,7 +269,7 @@ impl NetKernelHost {
     /// pinned on the source host are *not* transplanted; they drain there.
     pub fn import_vm(&mut self, export: &VmExport, nsm: NsmId) -> NkResult<()> {
         let vm_cfg = &export.vm;
-        if self.guests.contains_key(&vm_cfg.id) {
+        if self.vms.contains_key(&vm_cfg.id) {
             return Err(NkError::AlreadyRegistered);
         }
         self.attach_vm(vm_cfg, nsm, self.now_ns)?;
@@ -273,6 +282,7 @@ impl NetKernelHost {
         // arrives, so the placer and autoscaler see real utilisation again
         // instead of a permanently idle-looking zero-budget pool.
         self.revive_nsm_share(nsm);
+        self.audit_census();
         Ok(())
     }
 
@@ -283,30 +293,30 @@ impl NetKernelHost {
     pub fn cancel_export(&mut self, vm: VmId) -> bool {
         let frozen = self.engine.is_frozen(vm);
         self.thaw_vm(vm);
-        self.draining.remove(&vm).is_some() || frozen
+        let draining = self.vms.get_mut(&vm).and_then(|slot| slot.draining.take());
+        draining.is_some() || frozen
     }
 
     /// VMs currently draining off this host, with the NSM share each is
     /// draining from, in id order.
     pub fn draining_vms(&self) -> Vec<(VmId, NsmId)> {
-        self.draining.iter().map(|(v, n)| (*v, *n)).collect()
+        let draining = |(vm, slot): (&VmId, &VmSlot)| Some((*vm, slot.draining?));
+        self.vms.iter().filter_map(draining).collect()
     }
 
-    /// Tear down a fully drained VM: its queues, GuestLib, hugepage region
-    /// and configuration entry all go. Refused while connections are still
-    /// pinned — draining means *waiting*, not resetting.
+    /// Tear down a fully drained VM: its engine port (queues, mapping,
+    /// counters and their marks), its slot (GuestLib, hugepage region, drain
+    /// flag) and its configuration entry all go. Refused while connections
+    /// are still pinned — draining means *waiting*, not resetting.
     pub fn retire_vm(&mut self, vm: VmId) -> NkResult<()> {
-        if !self.guests.contains_key(&vm) {
+        if !self.vms.contains_key(&vm) {
             return Err(NkError::NotFound);
         }
         if self.vm_pinned(vm) > 0 {
             return Err(NkError::InvalidState);
         }
         self.engine.deregister_vm(vm)?;
-        self.guests.remove(&vm);
-        self.regions.remove(&vm);
-        self.draining.remove(&vm);
-        self.epoch_vm_bytes.remove(&vm);
+        self.vms.remove(&vm);
         // Every NSM instance that was ever wired to the VM drops its region
         // mapping — a retired VM must not leak its hugepages into a share
         // that no longer serves it.
@@ -321,6 +331,7 @@ impl NetKernelHost {
             Some(NsmInstance::Tcp(n)) => !n.stack().serves_ip(addr),
             _ => true,
         });
+        self.audit_census();
         Ok(())
     }
 
@@ -372,7 +383,7 @@ impl NetKernelHost {
     /// [`NetKernelHost::begin_step`] / [`NetKernelHost::poll_round`]. A few
     /// quiesced steps later the VM's pipeline is snapshot-consistent.
     pub fn freeze_vm(&mut self, vm: VmId) -> NkResult<()> {
-        if !self.guests.contains_key(&vm) {
+        if !self.vms.contains_key(&vm) {
             return Err(NkError::NotFound);
         }
         self.engine.set_frozen(vm, true);
@@ -442,10 +453,8 @@ impl NetKernelHost {
         // validating — the queues are dropped with the instance, payload
         // announced but not absorbed would be lost in the handover, and the
         // guest-socket states checked below must be the settled ones.
-        self.guests
-            .get_mut(&vm)
-            .expect("presence checked above")
-            .drive();
+        let slot = self.vms.get_mut(&vm).expect("presence checked above");
+        slot.guest.drive();
         let entries = self.engine.vm_entries(vm);
         // Pre-validation pass over every layer the destructive phase will
         // touch: nothing is torn out until the whole export is known to
@@ -472,8 +481,8 @@ impl NetKernelHost {
             // The guest socket must be transplantable too — a socket the
             // application is closing (Close NQE parked by the freeze) would
             // fail export_socket *after* the NSM state was torn out.
-            let guest = self.guests.get(&vm).expect("checked above");
-            if !guest.socket_transplantable(key.socket) {
+            let slot = self.vms.get(&vm).expect("checked above");
+            if !slot.guest.socket_transplantable(key.socket) {
                 return Err(NkError::InvalidState);
             }
         }
@@ -485,11 +494,8 @@ impl NetKernelHost {
                 unreachable!("validated above");
             };
             let (tcp, pending_send, rx_outstanding) = n.export_conn(vm, key.socket)?;
-            let guest = self
-                .guests
-                .get_mut(&vm)
-                .expect("presence checked above")
-                .export_socket(key.socket)?;
+            let slot = self.vms.get_mut(&vm).expect("presence checked above");
+            let guest = slot.guest.export_socket(key.socket)?;
             conns.push(ConnSnapshot {
                 guest_sock: key.socket,
                 vm_queue_set: key.queue_set,
@@ -573,10 +579,8 @@ impl NetKernelHost {
                     debug_assert_eq!(pinned_qs, nsm_qs, "hash must agree across layers");
                 })
                 .and_then(|()| {
-                    self.guests
-                        .get_mut(&vm)
-                        .expect("imported above")
-                        .install_socket(&conn.guest)
+                    let slot = self.vms.get_mut(&vm).expect("imported above");
+                    slot.guest.install_socket(&conn.guest)
                 });
             if let Err(e) = step {
                 result = Err(e);
@@ -586,11 +590,10 @@ impl NetKernelHost {
             if ip != self.nsm_addr(nsm) && self.aliases.get(&ip) != Some(&nsm) {
                 // Attach — or re-point a stale mapping left by an earlier
                 // warm hop — onto this NSM's vNIC port.
-                let port = self
-                    .nsm_ports
-                    .get(&nsm)
-                    .expect("TCP NSM has a vNIC port")
-                    .clone();
+                let Some(NsmInstance::Tcp(n)) = self.nsms.get(&nsm) else {
+                    unreachable!("validated above");
+                };
+                let port = n.stack().port().clone();
                 let rate = self
                     .cfg
                     .nsm(nsm)
@@ -618,6 +621,7 @@ impl NetKernelHost {
             self.retire_vm(vm).expect("unpinned partial import retires");
             return Err(e);
         }
+        self.audit_census();
         Ok(())
     }
 

@@ -121,14 +121,19 @@ enum SocketEntry {
         reuseport: bool,
     },
     /// Passive listener.
-    Listener {
-        local: SockAddr,
-        backlog: usize,
-        /// Established connections awaiting `accept()`.
-        ready: VecDeque<SocketId>,
-    },
+    Listener(ListenerSlot),
     /// An in-progress or established connection.
     Conn(Box<ConnSlot>),
+}
+
+struct ListenerSlot {
+    local: SockAddr,
+    backlog: usize,
+    /// Established connections awaiting `accept()`.
+    ready: VecDeque<SocketId>,
+    /// Connections still in their handshake whose `ConnSlot::parent` is
+    /// this listener; with `ready`, what the backlog bounds.
+    embryonic: usize,
 }
 
 /// A connection plus what `tick` remembers about it between polls.
@@ -141,6 +146,9 @@ struct ConnSlot {
     armed: Option<u64>,
     /// `writable()` at the last poll, for the Writable edge.
     was_writable: bool,
+    /// The listener whose SYN created this connection, while it is still
+    /// embryonic (counted in that listener's `embryonic`).
+    parent: Option<SocketId>,
 }
 
 impl ConnSlot {
@@ -166,8 +174,6 @@ pub struct TcpStack {
     demux: BTreeMap<(SockAddr, SockAddr), SocketId>,
     /// Listening sockets per local port (more than one with SO_REUSEPORT).
     listeners: BTreeMap<u16, Vec<SocketId>>,
-    /// Embryonic connections (arrived via SYN) → their parent listener.
-    embryonic: BTreeMap<SocketId, SocketId>,
     /// Connections the next `transmit` polls, each id once (the slot's
     /// `queued` bit), unsorted. Ids of sockets since removed are skipped.
     wake: Vec<SocketId>,
@@ -205,7 +211,6 @@ impl TcpStack {
             sockets: BTreeMap::new(),
             demux: BTreeMap::new(),
             listeners: BTreeMap::new(),
-            embryonic: BTreeMap::new(),
             wake: Vec::new(),
             polled: Vec::new(),
             timers: BTreeSet::new(),
@@ -229,6 +234,11 @@ impl TcpStack {
     /// Number of live sockets (of any kind).
     pub fn socket_count(&self) -> usize {
         self.sockets.len()
+    }
+
+    /// The fabric port this stack sends and receives on.
+    pub fn port(&self) -> &Port<Segment> {
+        &self.port
     }
 
     fn alloc_socket_id(&mut self) -> SocketId {
@@ -309,11 +319,12 @@ impl TcpStack {
                 bound: Some(addr), ..
             } => {
                 let local = *addr;
-                *entry = SocketEntry::Listener {
+                *entry = SocketEntry::Listener(ListenerSlot {
                     local,
                     backlog: backlog.max(1) as usize,
                     ready: VecDeque::new(),
-                };
+                    embryonic: 0,
+                });
                 self.listeners.entry(local.port).or_default().push(sock);
                 Ok(())
             }
@@ -325,8 +336,8 @@ impl TcpStack {
     /// Accept one pending connection from a listener.
     pub fn accept(&mut self, sock: SocketId) -> NkResult<(SocketId, SockAddr)> {
         match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Listener { ready, .. }) => {
-                let conn_id = ready.pop_front().ok_or(NkError::WouldBlock)?;
+            Some(SocketEntry::Listener(l)) => {
+                let conn_id = l.ready.pop_front().ok_or(NkError::WouldBlock)?;
                 let peer = match self.sockets.get(&conn_id) {
                     Some(SocketEntry::Conn(slot)) => slot.conn.remote(),
                     _ => return Err(NkError::InvalidState),
@@ -361,7 +372,7 @@ impl TcpStack {
         let local_port = match entry {
             SocketEntry::Idle { bound, .. } => bound.map(|a| a.port),
             SocketEntry::Conn(_) => return Err(NkError::AlreadyConnected),
-            SocketEntry::Listener { .. } => return Err(NkError::InvalidState),
+            SocketEntry::Listener(_) => return Err(NkError::InvalidState),
         };
         let local_port = match local_port {
             Some(p) => p,
@@ -378,8 +389,7 @@ impl TcpStack {
         let mut conn = TcpConnection::connect(local, remote, iss, cc, now_ns);
         conn.set_send_buf_cap(self.cfg.send_buf);
         conn.set_recv_buf_cap(self.cfg.recv_buf);
-        self.demux.insert((local, remote), sock);
-        self.insert_conn(sock, conn);
+        self.insert_conn(sock, conn, None);
         self.stats.connected += 1;
         Ok(())
     }
@@ -494,8 +504,8 @@ impl TcpStack {
                 slot.wake(sock, &mut self.wake);
                 Ok(())
             }
-            Some(SocketEntry::Listener { local, .. }) => {
-                let port = local.port;
+            Some(SocketEntry::Listener(l)) => {
+                let port = l.local.port;
                 if let Some(v) = self.listeners.get_mut(&port) {
                     v.retain(|s| *s != sock);
                     if v.is_empty() {
@@ -529,8 +539,8 @@ impl TcpStack {
                     ev |= PollEvents::HUP;
                 }
             }
-            Some(SocketEntry::Listener { ready, .. }) => {
-                if !ready.is_empty() {
+            Some(SocketEntry::Listener(l)) => {
+                if !l.ready.is_empty() {
                     ev |= PollEvents::READABLE;
                 }
             }
@@ -610,8 +620,7 @@ impl TcpStack {
         }
         let conn = TcpConnection::restore(snap, self.cfg.cc.build());
         let id = self.alloc_socket_id();
-        self.demux.insert((snap.local, snap.remote), id);
-        self.insert_conn(id, conn);
+        self.insert_conn(id, conn, None);
         Ok(id)
     }
 
@@ -638,21 +647,7 @@ impl TcpStack {
             let remote = seg.src;
             // Established / embryonic connection?
             if let Some(&sock) = self.demux.get(&(local, remote)) {
-                let was_established;
-                let was_readable;
-                let was_fin;
-                {
-                    let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&sock) else {
-                        continue;
-                    };
-                    slot.wake(sock, &mut self.wake);
-                    let c = &mut slot.conn;
-                    was_established = c.is_established();
-                    was_readable = c.recv_available() > 0;
-                    was_fin = c.fin_received();
-                    c.on_segment(&seg, now_ns);
-                }
-                self.after_segment(sock, was_established, was_readable, was_fin);
+                self.deliver(sock, &seg, now_ns);
                 continue;
             }
             // New connection request towards a listener?
@@ -689,23 +684,14 @@ impl TcpStack {
 
     fn handle_syn(&mut self, listener_id: SocketId, syn: &Segment, now_ns: u64) {
         // Enforce the backlog across embryonic + ready connections.
-        let (local, backlog, ready_len) = match self.sockets.get(&listener_id) {
-            Some(SocketEntry::Listener {
-                local,
-                backlog,
-                ready,
-            }) => (*local, *backlog, ready.len()),
-            _ => return,
+        let Some(SocketEntry::Listener(l)) = self.sockets.get_mut(&listener_id) else {
+            return;
         };
-        let embryonic_count = self
-            .embryonic
-            .values()
-            .filter(|&&l| l == listener_id)
-            .count();
-        if ready_len + embryonic_count >= backlog {
+        if l.ready.len() + l.embryonic >= l.backlog {
             return; // silently drop, the client will retransmit its SYN
         }
-        let local_addr = SockAddr::new(self.cfg.local_ip, local.port);
+        l.embryonic += 1;
+        let local_addr = SockAddr::new(self.cfg.local_ip, l.local.port);
         let remote = syn.src;
         let iss = self.next_iss();
         let mut conn =
@@ -713,46 +699,42 @@ impl TcpStack {
         conn.set_send_buf_cap(self.cfg.send_buf);
         conn.set_recv_buf_cap(self.cfg.recv_buf);
         let id = self.alloc_socket_id();
-        self.demux.insert((local_addr, remote), id);
-        self.insert_conn(id, conn);
-        self.embryonic.insert(id, listener_id);
+        self.insert_conn(id, conn, Some(listener_id));
     }
 
-    fn after_segment(
-        &mut self,
-        sock: SocketId,
-        was_established: bool,
-        was_readable: bool,
-        was_fin: bool,
-    ) {
-        let (established, readable, fin, closed) = match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(slot)) => (
-                slot.conn.is_established(),
-                slot.conn.recv_available() > 0,
-                slot.conn.fin_received(),
-                slot.conn.is_closed(),
-            ),
-            _ => return,
+    /// Hand `seg` to connection `sock` and turn what it changed into stack
+    /// events.
+    fn deliver(&mut self, sock: SocketId, seg: &Segment, now_ns: u64) {
+        let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&sock) else {
+            return;
         };
-        // Embryonic connection finished its handshake: hand it to the
-        // listener's accept queue.
-        if established && !was_established {
-            if let Some(listener_id) = self.embryonic.remove(&sock) {
-                if let Some(SocketEntry::Listener { ready, .. }) =
-                    self.sockets.get_mut(&listener_id)
-                {
+        slot.wake(sock, &mut self.wake);
+        let c = &mut slot.conn;
+        let edges =
+            |c: &TcpConnection| (c.is_established(), c.recv_available() > 0, c.fin_received());
+        let (was_established, was_readable, was_fin) = edges(c);
+        c.on_segment(seg, now_ns);
+        let (established, readable, fin) = edges(c);
+        // The handshake ended: completed, or the connection died before
+        // establishing (refused by RST or aborted) — a failed open. Either
+        // way an embryonic connection leaves its listener's count; one that
+        // completed enters the accept queue, unless the listener has closed.
+        let opened = established && !was_established;
+        if opened || (c.is_closed() && !established && !was_established) {
+            let parent = slot.parent.take();
+            match (
+                opened,
+                parent,
+                Self::leave_listener(&mut self.sockets, parent),
+            ) {
+                (true, Some(listener), Some(ready)) => {
                     ready.push_back(sock);
-                    self.events.push_back(StackEvent::Acceptable(listener_id));
+                    self.events.push_back(StackEvent::Acceptable(listener));
                 }
-            } else {
-                self.events.push_back(StackEvent::Connected(sock));
+                (true, Some(_), None) => {}
+                (true, None, _) => self.events.push_back(StackEvent::Connected(sock)),
+                (false, ..) => self.events.push_back(StackEvent::ConnectFailed(sock)),
             }
-        }
-        // A connection that died before establishing is a failed open
-        // (refused by RST or aborted); drop any embryonic bookkeeping.
-        if closed && !established && !was_established {
-            self.embryonic.remove(&sock);
-            self.events.push_back(StackEvent::ConnectFailed(sock));
         }
         if readable && !was_readable {
             self.events.push_back(StackEvent::Readable(sock));
@@ -762,21 +744,23 @@ impl TcpStack {
         }
     }
 
-    /// Enter a new connection into the socket table, queued for the next
-    /// `transmit`: it owes a SYN, a SYN-ACK or (warm install) a window ACK.
-    fn insert_conn(&mut self, id: SocketId, conn: TcpConnection) {
+    /// Enter a new connection into the socket table and the demultiplexer,
+    /// queued for the next `transmit`: it owes a SYN, a SYN-ACK or a window ACK.
+    fn insert_conn(&mut self, id: SocketId, conn: TcpConnection, parent: Option<SocketId>) {
+        self.demux.insert((conn.local(), conn.remote()), id);
         let slot = ConnSlot {
             conn,
             queued: true,
             armed: None,
             was_writable: false,
+            parent,
         };
         self.sockets.insert(id, SocketEntry::Conn(Box::new(slot)));
         self.wake.push(id);
     }
 
-    /// Drop connection `id` and everything keyed by it. The demultiplexer
-    /// entry goes only if it is this socket's.
+    /// Drop connection `id` and what points at it. The demultiplexer entry
+    /// goes only if it is this socket's.
     fn remove_conn(&mut self, id: SocketId) {
         let Some(SocketEntry::Conn(slot)) = self.sockets.remove(&id) else {
             return;
@@ -789,7 +773,20 @@ impl TcpStack {
             self.timers.remove(&(deadline, id));
         }
         self.interest.remove(&id);
-        self.embryonic.remove(&id);
+        Self::leave_listener(&mut self.sockets, slot.parent);
+    }
+
+    /// Take one embryonic connection off the count of its `parent` listener,
+    /// if it has one that still listens, and return its accept queue.
+    fn leave_listener(
+        sockets: &mut BTreeMap<SocketId, SocketEntry>,
+        parent: Option<SocketId>,
+    ) -> Option<&mut VecDeque<SocketId>> {
+        let SocketEntry::Listener(l) = sockets.get_mut(&parent?)? else {
+            return None;
+        };
+        l.embryonic -= 1;
+        Some(&mut l.ready)
     }
 
     /// Poll the connections an event queued since the last tick, those still
@@ -1114,6 +1111,35 @@ mod tests {
 
         assert!(w.client.stats().segments_out > 0);
         assert!(w.server.stats().accepted == 1);
+    }
+
+    /// The backlog bounds embryonic plus ready connections, and a
+    /// connection that leaves the handshake and then the accept queue gives
+    /// its place back.
+    #[test]
+    fn the_backlog_counts_embryonic_and_ready_connections() {
+        let mut w = World::new();
+        let ls = w.server.socket();
+        w.server.bind(ls, SockAddr::new(0, 80)).unwrap();
+        w.server.listen(ls, 2).unwrap();
+        let to = SockAddr::new(SERVER_IP, 80);
+        for _ in 0..3 {
+            let cs = w.client.socket();
+            w.client.connect(cs, to, w.now).unwrap();
+        }
+        // The listener and two connections: the third SYN was dropped, and
+        // two ready connections fill the backlog as two embryonic ones did.
+        w.run(2);
+        assert_eq!(w.server.socket_count(), 3);
+        w.run(10);
+        assert_eq!(w.server.socket_count(), 3);
+        assert!(w.server.accept(ls).is_ok() && w.server.accept(ls).is_ok());
+        assert_eq!(w.server.accept(ls), Err(NkError::WouldBlock));
+        // Accepted connections hold no place: a fourth client gets in.
+        let cs = w.client.socket();
+        w.client.connect(cs, to, w.now).unwrap();
+        w.run(10);
+        assert!(w.server.accept(ls).is_ok());
     }
 
     #[test]

@@ -147,6 +147,11 @@ impl ServiceLib {
         }
     }
 
+    /// The VMs whose regions are mapped here, in id order.
+    pub fn wired_vms(&self) -> Vec<VmId> {
+        self.regions.keys().copied().collect()
+    }
+
     /// True while this ServiceLib holds state for the VM (region mapping or
     /// live sockets).
     pub fn has_vm(&self, vm: VmId) -> bool {
@@ -648,6 +653,11 @@ impl Nsm {
     /// True while this NSM holds state for the VM.
     pub fn serves_vm(&self, vm: VmId) -> bool {
         self.service.has_vm(vm)
+    }
+
+    /// The VMs whose regions are wired into this NSM, in id order.
+    pub fn wired_vms(&self) -> Vec<VmId> {
+        self.service.wired_vms()
     }
 
     /// Borrow the underlying stack immutably (wire-quiet queries).

@@ -100,6 +100,11 @@ impl SharedMemNsm {
         self.regions.contains_key(&vm)
     }
 
+    /// The VMs whose regions are wired into this NSM, in id order.
+    pub fn wired_vms(&self) -> Vec<VmId> {
+        self.regions.keys().copied().collect()
+    }
+
     fn respond(&mut self, nsm_qs: usize, nqe: Nqe) {
         if let Some(end) = self.device.queue_set(nsm_qs) {
             let _ = end.respond(nqe);

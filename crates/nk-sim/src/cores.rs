@@ -31,6 +31,18 @@ impl CycleLedger {
     }
 }
 
+/// Who is reading a counter's per-epoch delta. Each reader's cursor lives
+/// beside the counter it reads — here a [`CoreSet`]'s ledger — so a
+/// component that is removed and registered again starts every reader from
+/// zero, with no cursor left behind to clean up.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Epoch {
+    /// The host control plane's epoch.
+    Control,
+    /// The cluster placer's epoch.
+    Placement,
+}
+
 /// A set of cores with a per-step cycle budget.
 ///
 /// At the beginning of every simulation step the owner calls
@@ -48,6 +60,8 @@ pub struct CoreSet {
     /// Remaining cycle budget for the current step.
     budget: u64,
     ledger: CycleLedger,
+    /// The ledger as each [`Epoch`] reader last saw it.
+    marks: [CycleLedger; 2],
 }
 
 impl CoreSet {
@@ -63,6 +77,7 @@ impl CoreSet {
             cycles_per_core_per_sec,
             budget: 0,
             ledger: CycleLedger::default(),
+            marks: [CycleLedger::default(); 2],
         }
     }
 
@@ -122,6 +137,15 @@ impl CoreSet {
     /// Cumulative ledger.
     pub fn ledger(&self) -> CycleLedger {
         self.ledger
+    }
+
+    /// What the ledger gained since `reader` last asked; moves its mark.
+    pub fn take_delta(&mut self, reader: Epoch) -> CycleLedger {
+        let prev = std::mem::replace(&mut self.marks[reader as usize], self.ledger);
+        CycleLedger {
+            busy: self.ledger.busy - prev.busy,
+            offered: self.ledger.offered - prev.offered,
+        }
     }
 }
 
@@ -224,6 +248,11 @@ impl CorePool {
     /// Cumulative ledger of a member.
     pub fn ledger(&self, member: PoolMember) -> Option<CycleLedger> {
         self.members.get(&member).map(CoreSet::ledger)
+    }
+
+    /// [`CoreSet::take_delta`] of a member (`None` when it is not registered).
+    pub fn take_delta(&mut self, member: PoolMember, reader: Epoch) -> Option<CycleLedger> {
+        self.members.get_mut(&member).map(|s| s.take_delta(reader))
     }
 }
 
@@ -368,17 +397,25 @@ mod tests {
         assert_eq!(pool.members().count(), 0);
     }
 
-    /// Re-registering a member (an NSM restart) starts a fresh ledger.
+    /// Re-registering a member (an NSM restart) starts a fresh ledger and
+    /// fresh marks; the two epoch readers do not disturb each other.
     #[test]
-    fn reregistration_resets_the_ledger() {
+    fn reregistration_resets_the_ledger_and_its_marks() {
+        let nsm = PoolMember::Nsm(NsmId(1));
         let mut pool = CorePool::with_clock(1_000_000_000);
-        pool.register(PoolMember::Nsm(NsmId(1)), 1);
+        pool.register(nsm, 1);
         pool.begin_step(1_000);
-        pool.charge_up_to(PoolMember::Nsm(NsmId(1)), 800);
-        pool.register(PoolMember::Nsm(NsmId(1)), 1);
-        let l = pool.ledger(PoolMember::Nsm(NsmId(1))).unwrap();
-        assert_eq!(l.busy, 0);
-        assert_eq!(l.offered, 0);
+        pool.charge_up_to(nsm, 800);
+        let ledger = |busy, offered| Some(CycleLedger { busy, offered });
+        assert_eq!(pool.take_delta(nsm, Epoch::Control), ledger(800, 1_000));
+        assert_eq!(pool.take_delta(nsm, Epoch::Control), ledger(0, 0));
+        assert_eq!(pool.take_delta(nsm, Epoch::Placement), ledger(800, 1_000));
+        pool.register(nsm, 1);
+        assert_eq!(pool.ledger(nsm), ledger(0, 0));
+        pool.begin_step(1_000);
+        pool.charge_up_to(nsm, 300);
+        assert_eq!(pool.take_delta(nsm, Epoch::Control), ledger(300, 1_000));
+        assert_eq!(pool.take_delta(PoolMember::Engine, Epoch::Control), None);
     }
 
     #[test]

@@ -33,9 +33,9 @@ pub mod record;
 pub mod rng;
 
 pub use bucket::TokenBucket;
-pub use cores::{CorePool, CoreSet, CycleLedger, PoolMember};
+pub use cores::{CorePool, CoreSet, CycleLedger, Epoch, PoolMember};
 pub use cost::CostModel;
 pub use histogram::Histogram;
 pub use poll::Pollable;
-pub use record::{Counter, TimeSeries};
+pub use record::TimeSeries;
 pub use rng::SplitMix64;

@@ -2,44 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A cumulative counter with rate computation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct Counter {
-    total: u64,
-}
-
-impl Counter {
-    /// A counter starting at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Add `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.total += n;
-    }
-
-    /// Current total.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Average rate per second over `elapsed_ns` nanoseconds.
-    pub fn rate_per_sec(&self, elapsed_ns: u64) -> f64 {
-        if elapsed_ns == 0 {
-            0.0
-        } else {
-            self.total as f64 * 1e9 / elapsed_ns as f64
-        }
-    }
-
-    /// Interpret the counter as bytes and return the average throughput in
-    /// Gbps over `elapsed_ns`.
-    pub fn gbps(&self, elapsed_ns: u64) -> f64 {
-        self.rate_per_sec(elapsed_ns) * 8.0 / 1e9
-    }
-}
-
 /// A (time, value) series sampled by the experiments, e.g. the per-VM
 /// throughput curves of Figure 21 or the AG traffic of Figure 7.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -103,20 +65,6 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_rates() {
-        let mut c = Counter::new();
-        c.add(1000);
-        c.add(500);
-        assert_eq!(c.total(), 1500);
-        assert!((c.rate_per_sec(1_000_000_000) - 1500.0).abs() < 1e-9);
-        assert_eq!(c.rate_per_sec(0), 0.0);
-        // 125 MB over one second is 1 Gbps.
-        let mut b = Counter::new();
-        b.add(125_000_000);
-        assert!((b.gbps(1_000_000_000) - 1.0).abs() < 1e-9);
-    }
 
     #[test]
     fn series_stats() {

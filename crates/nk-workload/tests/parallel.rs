@@ -16,8 +16,8 @@
 use nk_cluster::{Cluster, ClusterStats, ControlLogEntry, EvacFault, EvacFaultKind};
 use nk_ctrl::{EvacAction, PlanEvent};
 use nk_types::{
-    ClusterConfig, ControlEvent, ControlPolicy, FaultAction, FaultPlan, HostConfig, HostId,
-    LinkFault, NkError, NsmConfig, NsmId, SockAddr, SocketApi, VmConfig, VmId, VmToNsmPolicy,
+    ClusterConfig, ControlPolicy, FaultAction, FaultPlan, HostConfig, HostId, LinkFault, NkError,
+    NsmConfig, NsmId, SockAddr, SocketApi, VmConfig, VmId, VmToNsmPolicy,
 };
 use nk_workload::{ClusterScenario, ClusterScenarioConfig, ClusterScenarioReport, ClusterTenant};
 
@@ -83,7 +83,7 @@ struct FaultRunReport {
     stats: ClusterStats,
     bytes_per_host: Vec<u64>,
     reconnects: u64,
-    control: Vec<(HostId, ControlEvent)>,
+    control: Vec<ControlLogEntry>,
     events: usize,
 }
 
@@ -215,7 +215,7 @@ fn fault_run(threads: usize) -> FaultRunReport {
         stats: cluster.stats(),
         bytes_per_host,
         reconnects,
-        control: cluster.control_events(),
+        control: cluster.control_log(),
         events: cluster.events().len(),
     }
 }
@@ -414,7 +414,7 @@ fn faulted_evacuation_is_identical_at_any_thread_count() {
 struct UnevenRunReport {
     digest: u64,
     stats: ClusterStats,
-    control: Vec<(HostId, ControlEvent)>,
+    control: Vec<ControlLogEntry>,
     homes: Vec<(VmId, HostId)>,
     streams: Vec<Vec<u8>>,
     obs: String,
@@ -525,7 +525,7 @@ fn uneven_run(threads: usize, shard: bool) -> UnevenRunReport {
     UnevenRunReport {
         digest: cluster.event_digest(),
         stats: cluster.stats(),
-        control: cluster.control_events(),
+        control: cluster.control_log(),
         homes,
         streams,
         obs: serde_json::to_string(&cluster.obs_dump()).expect("dump serializes"),
