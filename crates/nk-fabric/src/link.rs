@@ -3,8 +3,7 @@
 use crate::port::Frame;
 use crate::rng::SplitMix64;
 use nk_sim::TokenBucket;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Configuration of one link.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -71,20 +70,10 @@ struct Pending<P> {
     frame: Frame<P>,
 }
 
-impl<P> PartialEq for Pending<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at_ns == other.deliver_at_ns && self.seq == other.seq
-    }
-}
-impl<P> Eq for Pending<P> {}
-impl<P> PartialOrd for Pending<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> Ord for Pending<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at_ns, self.seq).cmp(&(other.deliver_at_ns, other.seq))
+impl<P> Pending<P> {
+    /// Delivery order: by time, admission order breaking ties.
+    fn key(&self) -> (u64, u64) {
+        (self.deliver_at_ns, self.seq)
     }
 }
 
@@ -107,7 +96,10 @@ pub struct LinkStats {
 pub struct Link<P> {
     config: LinkConfig,
     bucket: Option<TokenBucket>,
-    in_flight: BinaryHeap<Reverse<Pending<P>>>,
+    /// Sorted by [`Pending::key`]. A new frame's key is the largest unless
+    /// it overtakes a reordered one or a fault cut the latency mid-flight,
+    /// so admission is a `push_back` and delivery a `pop_front`.
+    in_flight: VecDeque<Pending<P>>,
     rng: SplitMix64,
     seq: u64,
     stats: LinkStats,
@@ -119,7 +111,7 @@ impl<P> Link<P> {
         Link {
             bucket: config.rate_gbps.map(|g| TokenBucket::for_gbps(g, 0)),
             config,
-            in_flight: BinaryHeap::new(),
+            in_flight: VecDeque::new(),
             rng: SplitMix64::new(seed),
             seq: 0,
             stats: LinkStats::default(),
@@ -145,11 +137,19 @@ impl<P> Link<P> {
             delay_us += self.config.reorder_extra_us;
         }
         self.seq += 1;
-        self.in_flight.push(Reverse(Pending {
+        let pending = Pending {
             deliver_at_ns: now_ns + delay_us * 1_000,
             seq: self.seq,
             frame,
-        }));
+        };
+        let key = pending.key();
+        if self.in_flight.back().is_none_or(|last| last.key() < key) {
+            self.in_flight.push_back(pending);
+        } else {
+            let at = self.in_flight.partition_point(|p| p.key() < key);
+            self.in_flight.insert(at, pending);
+        }
+        debug_assert!(self.in_flight.iter().is_sorted_by_key(Pending::key));
     }
 
     /// Reconfigure the link mid-flight (fault injection: rate, loss, latency
@@ -166,20 +166,17 @@ impl<P> Link<P> {
 
     /// Append every frame whose delivery time has arrived to `out`,
     /// returning how many were drained.
-    pub fn drain_deliverable(&mut self, now_ns: u64, out: &mut Vec<Frame<P>>) -> usize {
-        let mut drained = 0;
-        while let Some(Reverse(head)) = self.in_flight.peek() {
-            if head.deliver_at_ns <= now_ns {
-                let Reverse(p) = self.in_flight.pop().unwrap();
-                self.stats.delivered += 1;
-                self.stats.delivered_bytes += p.frame.wire_bytes as u64;
-                out.push(p.frame);
-                drained += 1;
-            } else {
-                break;
-            }
-        }
-        drained
+    pub fn drain_deliverable(&mut self, now_ns: u64, out: &mut impl Extend<Frame<P>>) -> usize {
+        let due = self
+            .in_flight
+            .partition_point(|p| p.deliver_at_ns <= now_ns);
+        let stats = &mut self.stats;
+        out.extend(self.in_flight.drain(..due).map(|p| {
+            stats.delivered += 1;
+            stats.delivered_bytes += p.frame.wire_bytes as u64;
+            p.frame
+        }));
+        due
     }
 
     /// Frames still queued on the link.
@@ -387,6 +384,66 @@ mod tests {
             }
         }
         assert!(delivered, "64 retransmissions all lost at p=0.5");
+    }
+
+    /// The sorted deque against a reference that re-derives every frame's
+    /// delivery time from the same random stream and sorts by
+    /// `(deliver_at_ns, seq)`: 30 % of the frames are late and overtaken,
+    /// and the latency is cut and raised mid-flight, so frames land at the
+    /// back, in the middle and at the very front of the queue.
+    #[test]
+    fn delivery_order_matches_a_sorted_reference_under_reordering_and_latency_changes() {
+        for seed in 1..=4u64 {
+            let config = |latency_us| LinkConfig {
+                latency_us,
+                reorder: 0.3,
+                ..LinkConfig::ideal()
+            };
+            let mut latency_us = 40;
+            let mut link: Link<u32> = Link::new(config(latency_us), seed);
+            let mut model_rng = SplitMix64::new(seed);
+            let mut ops = SplitMix64::new(seed ^ 0xD1FF);
+            // (deliver_at_ns, seq, tag) of every admitted frame not yet due.
+            let mut model: Vec<(u64, u64, u32)> = Vec::new();
+            let (mut now, mut tag, mut inserted_inside) = (0u64, 0u32, 0usize);
+            let reorder_extra_us = LinkConfig::ideal().reorder_extra_us;
+            for _ in 0..4_000 {
+                now += ops.next_below(8) * 1_000;
+                match ops.next_below(16) {
+                    0 => {
+                        // A fault: the latency drops (new frames overtake
+                        // everything in flight) or rises.
+                        latency_us = [0, 5, 40, 200][ops.next_below(4) as usize];
+                        link.set_config(config(latency_us), now);
+                    }
+                    1..=4 => {
+                        let mut out = Vec::new();
+                        let drained = link.drain_deliverable(now, &mut out);
+                        model.sort_unstable();
+                        let due = model.partition_point(|&(at, ..)| at <= now);
+                        let expect: Vec<u32> = model.drain(..due).map(|(.., t)| t).collect();
+                        let got: Vec<u32> = out.iter().map(|f| f.payload).collect();
+                        assert_eq!(got, expect, "seed {seed} at {now} ns");
+                        assert_eq!(drained, expect.len());
+                    }
+                    _ => {
+                        // `offer` draws loss (never, at 0.0) then reorder.
+                        let late = model_rng.chance(0.3);
+                        let delay_us = latency_us + if late { reorder_extra_us } else { 0 };
+                        tag += 1;
+                        let key = (now + delay_us * 1_000, u64::from(tag));
+                        inserted_inside += usize::from(model.iter().any(|m| (m.0, m.1) > key));
+                        model.push((key.0, key.1, tag));
+                        let mut f = frame(100);
+                        f.payload = tag;
+                        link.offer(f, now);
+                    }
+                }
+                assert_eq!(link.in_flight(), model.len());
+            }
+            assert!(inserted_inside > 100, "seed {seed}: {inserted_inside}");
+            assert_eq!(link.stats().dropped, 0);
+        }
     }
 
     #[test]

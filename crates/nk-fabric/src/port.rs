@@ -5,7 +5,8 @@
     reason = "cross-shard-locks: a port's two handles (endpoint + switch) are \
               always polled by the same lane, and the hub drains switch sides \
               serially at the round barrier; the Mutexes provide interior \
-              mutability for the paired handles, never a cross-shard channel. \
+              mutability for the paired handles, never a cross-shard channel, \
+              and the datapath takes one lock per burst, not per frame. \
               Cross-lane traffic goes over the SPSC `uplink_pair` and \
               `nk_queue::unbounded` only."
 )]
@@ -34,8 +35,9 @@ pub struct Frame<P> {
 }
 
 struct Shared<P> {
-    /// Frames queued by the endpoint, awaiting pickup by the switch.
-    tx: Mutex<VecDeque<Frame<P>>>,
+    /// Frames queued by the endpoint, awaiting pickup by the switch (which
+    /// takes them all at once, so no queue discipline is needed).
+    tx: Mutex<Vec<Frame<P>>>,
     /// Frames delivered by the switch, awaiting pickup by the endpoint.
     rx: Mutex<VecDeque<Frame<P>>>,
 }
@@ -61,7 +63,7 @@ impl<P> Port<P> {
     pub fn new(addr: u32) -> Self {
         Port {
             shared: Arc::new(Shared {
-                tx: Mutex::new(VecDeque::new()),
+                tx: Mutex::new(Vec::new()),
                 rx: Mutex::new(VecDeque::new()),
             }),
             addr,
@@ -75,7 +77,13 @@ impl<P> Port<P> {
 
     /// Endpoint side: queue a frame for transmission.
     pub fn send(&self, frame: Frame<P>) {
-        self.shared.tx.lock().unwrap().push_back(frame);
+        self.shared.tx.lock().unwrap().push(frame);
+    }
+
+    /// Endpoint side: queue a whole burst for transmission under one lock,
+    /// leaving `burst` empty.
+    pub fn send_burst(&self, burst: &mut Vec<Frame<P>>) {
+        self.shared.tx.lock().unwrap().append(burst);
     }
 
     /// Endpoint side: take one delivered frame, if any.
@@ -83,17 +91,30 @@ impl<P> Port<P> {
         self.shared.rx.lock().unwrap().pop_front()
     }
 
+    /// Endpoint side: take every delivered frame under one lock, appending
+    /// to `into`. An empty `into` trades places with the port's queue: an
+    /// endpoint that consumes all it takes moves no frame (measurably
+    /// faster on `bulk` than appending ~700 frames per tick).
+    pub fn recv_burst(&self, into: &mut VecDeque<Frame<P>>) {
+        let mut q = self.shared.rx.lock().unwrap();
+        if into.is_empty() {
+            std::mem::swap(&mut *q, into);
+        } else {
+            into.append(&mut q);
+        }
+    }
+
     /// Endpoint side: number of delivered frames waiting.
     pub fn rx_pending(&self) -> usize {
         self.shared.rx.lock().unwrap().len()
     }
 
-    /// Switch side: drain up to `max` queued frames, appending them to `out`
-    /// (no per-call allocation). Returns how many were drained.
-    pub fn drain_tx_into(&self, max: usize, out: &mut Vec<Frame<P>>) -> usize {
+    /// Switch side: drain every queued frame, appending them to `out` (no
+    /// per-call allocation). Returns how many were drained.
+    pub fn drain_tx_into(&self, out: &mut Vec<Frame<P>>) -> usize {
         let mut q = self.shared.tx.lock().unwrap();
-        let n = max.min(q.len());
-        out.extend(q.drain(..n));
+        let n = q.len();
+        out.append(&mut q);
         n
     }
 
@@ -102,10 +123,23 @@ impl<P> Port<P> {
         self.shared.tx.lock().unwrap().len()
     }
 
-    /// Switch side: deliver a frame to the endpoint.
-    pub fn deliver(&self, frame: Frame<P>) {
-        self.shared.rx.lock().unwrap().push_back(frame);
+    /// Switch side: deliver a burst to the endpoint under one lock: `fill`
+    /// appends it to the endpoint's receive queue.
+    pub fn deliver_burst<R>(&self, fill: impl FnOnce(&mut VecDeque<Frame<P>>) -> R) -> R {
+        fill(&mut self.shared.rx.lock().unwrap())
     }
+}
+
+/// Split the run of frames that share the first one's destination off the
+/// front of `frames`: a switch resolves the egress once per run, not per
+/// frame. The run must be consumed; what is left of it stays in `frames`.
+pub(crate) fn next_run<'a, 'b, P>(
+    frames: &'a mut std::vec::Drain<'b, Frame<P>>,
+) -> Option<(u32, std::iter::Take<&'a mut std::vec::Drain<'b, Frame<P>>>)> {
+    let dst = frames.as_slice().first()?.dst;
+    let run = frames.as_slice().iter().take_while(|f| f.dst == dst);
+    let len = run.count();
+    Some((dst, frames.take(len)))
 }
 
 #[cfg(test)]
@@ -129,19 +163,17 @@ mod tests {
         p.send(frame(2, 1));
         p.send(frame(2, 2));
         assert_eq!(p.tx_pending(), 2);
-        let mut drained = Vec::new();
-        assert_eq!(p.drain_tx_into(1, &mut drained), 1);
-        assert_eq!(drained[0].payload, 1);
-        assert_eq!(p.tx_pending(), 1);
-        assert_eq!(p.drain_tx_into(10, &mut drained), 1);
-        assert_eq!(drained.len(), 2, "appended, not replaced");
+        let mut drained = vec![frame(2, 0)];
+        assert_eq!(p.drain_tx_into(&mut drained), 2);
+        assert_eq!(p.tx_pending(), 0);
+        let tags: Vec<u32> = drained.iter().map(|f| f.payload).collect();
+        assert_eq!(tags, vec![0, 1, 2], "appended, not replaced");
     }
 
     #[test]
     fn deliver_and_recv_preserve_order() {
         let p: Port<u32> = Port::new(10);
-        p.deliver(frame(10, 7));
-        p.deliver(frame(10, 8));
+        p.deliver_burst(|rx| rx.extend([frame(10, 7), frame(10, 8)]));
         assert_eq!(p.rx_pending(), 2);
         assert_eq!(p.recv().unwrap().payload, 7);
         assert_eq!(p.recv().unwrap().payload, 8);
@@ -153,8 +185,56 @@ mod tests {
         let endpoint: Port<u32> = Port::new(10);
         let switch_side = endpoint.clone();
         endpoint.send(frame(2, 5));
-        assert_eq!(switch_side.drain_tx_into(10, &mut Vec::new()), 1);
-        switch_side.deliver(frame(10, 6));
+        assert_eq!(switch_side.drain_tx_into(&mut Vec::new()), 1);
+        switch_side.deliver_burst(|rx| rx.push_back(frame(10, 6)));
         assert_eq!(endpoint.recv().unwrap().payload, 6);
+    }
+
+    /// A burst sent, delivered and taken in one call each is the same
+    /// frames, in the same order, as moving them one at a time — whether
+    /// `recv_burst` trades buffers or appends to frames still waiting.
+    #[test]
+    fn a_burst_equals_the_same_frames_moved_one_at_a_time() {
+        let (burst, single): (Port<u32>, Port<u32>) = (Port::new(10), Port::new(10));
+        let frames = |from: u32| {
+            (from..from + 5)
+                .map(|tag| frame(2, tag))
+                .collect::<Vec<_>>()
+        };
+        let (mut wire, mut wire_single) = (Vec::new(), Vec::new());
+        let mut taken = VecDeque::new();
+        let mut one_by_one = Vec::new();
+        for round in 0..4 {
+            // Two bursts per round: the second finds the first still queued.
+            for from in [round * 10, round * 10 + 5] {
+                let mut out = frames(from);
+                burst.send_burst(&mut out);
+                assert!(out.is_empty(), "the burst is handed over whole");
+                frames(from).into_iter().for_each(|f| single.send(f));
+            }
+            assert_eq!(burst.tx_pending(), 10);
+            // Odd rounds drain onto frames the switch still holds.
+            let held = wire.len();
+            assert_eq!(burst.drain_tx_into(&mut wire), 10);
+            assert_eq!(single.drain_tx_into(&mut wire_single), 10);
+            assert_eq!((wire.len(), burst.tx_pending()), (held + 10, 0));
+            assert_eq!(wire, wire_single);
+            if round % 2 == 0 {
+                continue;
+            }
+            burst.deliver_burst(|rx| rx.extend(wire.drain(..)));
+            single.deliver_burst(|rx| rx.extend(wire_single.drain(..)));
+            assert_eq!(burst.rx_pending(), 20);
+            // Round 1 takes into an empty deque, round 3 onto frames the
+            // endpoint has not consumed yet.
+            burst.recv_burst(&mut taken);
+            assert_eq!(burst.rx_pending(), 0);
+            one_by_one.extend(std::iter::from_fn(|| single.recv()));
+        }
+        let sent: Vec<Frame<u32>> = (0..4)
+            .flat_map(|round| frames(round * 10).into_iter().chain(frames(round * 10 + 5)))
+            .collect();
+        assert_eq!(Vec::from(taken), one_by_one);
+        assert_eq!(one_by_one, sent);
     }
 }

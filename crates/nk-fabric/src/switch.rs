@@ -7,7 +7,7 @@
 //! loss can be configured.
 
 use crate::link::{Link, LinkConfig, LinkStats};
-use crate::port::{Frame, Port};
+use crate::port::{next_run, Frame, Port};
 use crate::uplink::HostUplink;
 use std::collections::BTreeMap;
 
@@ -179,31 +179,16 @@ impl<P> VirtualSwitch<P> {
     /// Returns the number of frames delivered to ports during this call.
     pub fn step(&mut self, now_ns: u64) -> usize {
         // Ingress: collect from all ports, in address order, through the
-        // reusable scratch buffer (no per-port allocation). The uplink is
-        // moved out for the duration of the pass: its SPSC ends need `&mut`
-        // and the borrow must not overlap the link-map accesses.
+        // reusable scratch buffer (no per-port allocation, one lock per
+        // port). The uplink is moved out for the duration of the pass: its
+        // SPSC ends need `&mut` and the borrow must not overlap the
+        // link-map accesses.
         let mut uplink = self.uplink.take();
         let mut scratch = std::mem::take(&mut self.scratch);
         for port in self.ports.values() {
-            scratch.clear();
-            port.drain_tx_into(usize::MAX, &mut scratch);
-            for f in scratch.drain(..) {
-                let local_dead = self
-                    .uplink_local
-                    .is_some_and(|(prefix, mask)| f.dst & mask == prefix);
-                match self.links.get_mut(&f.dst) {
-                    Some(link) if self.ports.contains_key(&f.dst) => link.offer(f, now_ns),
-                    _ => match &mut uplink {
-                        Some(up) if !local_dead => {
-                            self.uplink_stats.tx_frames += 1;
-                            self.uplink_stats.tx_bytes += f.wire_bytes as u64;
-                            up.send(f);
-                        }
-                        _ => self.unroutable += 1,
-                    },
-                }
-            }
+            port.drain_tx_into(&mut scratch);
         }
+        self.forward(&mut scratch, uplink.as_mut(), now_ns);
         // Ingress from the uplink: frames the ToR delivered enter the local
         // forwarding plane through the destination's egress link, exactly
         // like locally originated traffic. Frames for addresses this host
@@ -213,27 +198,51 @@ impl<P> VirtualSwitch<P> {
             while let Some(f) = up.recv() {
                 self.uplink_stats.rx_frames += 1;
                 self.uplink_stats.rx_bytes += f.wire_bytes as u64;
-                match self.links.get_mut(&f.dst) {
-                    Some(link) if self.ports.contains_key(&f.dst) => link.offer(f, now_ns),
-                    _ => self.unroutable += 1,
-                }
+                scratch.push(f);
             }
+            self.forward(&mut scratch, None, now_ns);
         }
-        // Egress: deliver matured frames.
+        // Egress: deliver matured frames, one burst per port.
         let mut delivered = 0;
         for (addr, link) in self.links.iter_mut() {
+            if link.in_flight() == 0 {
+                continue; // an idle port costs no lock
+            }
             if let Some(port) = self.ports.get(addr) {
-                scratch.clear();
-                link.drain_deliverable(now_ns, &mut scratch);
-                for f in scratch.drain(..) {
-                    port.deliver(f);
-                    delivered += 1;
-                }
+                delivered += port.deliver_burst(|rx| link.drain_deliverable(now_ns, rx));
             }
         }
         self.uplink = uplink;
         self.scratch = scratch;
         delivered
+    }
+
+    /// Push `frames` (left empty) onto their destinations' egress links,
+    /// resolving the egress once per run of frames with the same
+    /// destination. Frames with no local port leave through `uplink` when
+    /// there is one and the address is not this switch's own, and are
+    /// counted unroutable otherwise.
+    fn forward(
+        &mut self,
+        frames: &mut Vec<Frame<P>>,
+        mut uplink: Option<&mut HostUplink<P>>,
+        now_ns: u64,
+    ) {
+        let mut frames = frames.drain(..);
+        while let Some((dst, run)) = next_run(&mut frames) {
+            let local_dead = (self.uplink_local).is_some_and(|(prefix, mask)| dst & mask == prefix);
+            match (self.links.get_mut(&dst), &mut uplink) {
+                (Some(link), _) if self.ports.contains_key(&dst) => {
+                    run.for_each(|f| link.offer(f, now_ns));
+                }
+                (_, Some(up)) if !local_dead => run.for_each(|f| {
+                    self.uplink_stats.tx_frames += 1;
+                    self.uplink_stats.tx_bytes += f.wire_bytes as u64;
+                    up.send(f);
+                }),
+                _ => self.unroutable += run.count() as u64,
+            }
+        }
     }
 
     /// Frames dropped because no port matched the destination address.
@@ -394,6 +403,39 @@ mod tests {
         assert_eq!(tor_end.drain_into(&mut out), 1);
         assert_eq!(out[0].payload, 2);
         assert_eq!(sw.uplink_stats().tx_frames, 1);
+    }
+
+    /// The egress is resolved once per run of frames with one destination;
+    /// a burst that interleaves local, dead, unknown and remote
+    /// destinations still sends every frame where a per-frame lookup
+    /// would, in the order it was sent.
+    #[test]
+    fn a_mixed_burst_is_forwarded_run_by_run() {
+        let mut sw: VirtualSwitch<u32> = VirtualSwitch::new();
+        let a = sw.attach(0x0A01_0001);
+        let b = sw.attach(0x0A01_0002);
+        let c = sw.attach(0x0A01_0003);
+        let (host_end, mut tor_end) = crate::uplink::uplink_pair(0x0A01_0000);
+        sw.set_uplink_filtered(host_end, 0x0A01_0000, 0xFFFF_0000);
+        let (dead, remote) = (0x0A01_0099, 0x0A02_0001);
+        let dsts = [b.addr(), b.addr(), c.addr(), dead, dead, b.addr(), remote];
+        let mut burst: Vec<Frame<u32>> = (dsts.iter().zip(0..))
+            .map(|(&dst, tag)| frame(a.addr(), dst, tag))
+            .collect();
+        burst.push(frame(a.addr(), remote, 7));
+        burst.push(frame(a.addr(), c.addr(), 8));
+        a.send_burst(&mut burst);
+        assert_eq!(sw.step(0), 5);
+        let tags = |p: &Port<u32>| -> Vec<u32> {
+            std::iter::from_fn(|| p.recv()).map(|f| f.payload).collect()
+        };
+        assert_eq!((tags(&b), tags(&c)), (vec![0, 1, 5], vec![2, 8]));
+        assert_eq!(sw.unroutable(), 2);
+        let mut out = Vec::new();
+        tor_end.drain_into(&mut out);
+        let sent_up: Vec<u32> = out.iter().map(|f| f.payload).collect();
+        assert_eq!(sent_up, vec![6, 7]);
+        assert_eq!(sw.uplink_stats().tx_bytes, 200);
     }
 
     /// An alias delivers a second address into an existing port's queue.

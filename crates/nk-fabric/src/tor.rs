@@ -19,7 +19,7 @@
 //! on the caller's thread alongside the ToR, so no cross-thread edge exists.
 
 use crate::link::{Link, LinkConfig, LinkStats};
-use crate::port::{Frame, Port};
+use crate::port::{next_run, Frame, Port};
 use crate::uplink::{uplink_pair, HostUplink, TorUplink};
 use std::collections::BTreeMap;
 
@@ -248,10 +248,9 @@ impl<P> TorSwitch<P> {
     pub fn step_with<F: FnMut(&Frame<P>)>(&mut self, now_ns: u64, mut tap: F) -> usize {
         let mut scratch = std::mem::take(&mut self.scratch);
         for i in 0..self.routes.len() {
-            scratch.clear();
             match &self.routes[i].conduit {
                 Conduit::Endpoint(port) => {
-                    port.drain_tx_into(usize::MAX, &mut scratch);
+                    port.drain_tx_into(&mut scratch);
                 }
                 Conduit::Uplink(key) => {
                     if let Some(up) = self.uplinks.get_mut(key) {
@@ -259,34 +258,39 @@ impl<P> TorSwitch<P> {
                     }
                 }
             }
-            for f in scratch.drain(..) {
-                match Self::route_of(&self.routes, f.dst) {
-                    Some(j) if j != i => self.routes[j].link.offer(f, now_ns),
+            // One route lookup per run of frames with the same destination.
+            let mut frames = scratch.drain(..);
+            while let Some((dst, run)) = next_run(&mut frames) {
+                match Self::route_of(&self.routes, dst) {
+                    Some(j) if j != i => {
+                        let link = &mut self.routes[j].link;
+                        run.for_each(|f| link.offer(f, now_ns));
+                    }
                     // The best route points back where the frame came from:
                     // the owning host has no port for this address. Dropping
                     // here (instead of reflecting) keeps a dead vNIC from
                     // bouncing frames between host switch and ToR forever.
-                    Some(_) => self.hairpins += 1,
-                    None => self.unroutable += 1,
+                    Some(_) => self.hairpins += run.count() as u64,
+                    None => self.unroutable += run.count() as u64,
                 }
             }
         }
         let mut delivered = 0;
-        for i in 0..self.routes.len() {
-            scratch.clear();
-            self.routes[i].link.drain_deliverable(now_ns, &mut scratch);
-            for f in scratch.drain(..) {
-                tap(&f);
-                match &self.routes[i].conduit {
-                    Conduit::Endpoint(port) => port.deliver(f),
-                    Conduit::Uplink(key) => {
-                        if let Some(up) = self.uplinks.get_mut(key) {
-                            up.deliver(f);
-                        }
+        for route in &mut self.routes {
+            delivered += route.link.drain_deliverable(now_ns, &mut scratch);
+            if scratch.is_empty() {
+                continue;
+            }
+            scratch.iter().for_each(&mut tap);
+            match &route.conduit {
+                Conduit::Endpoint(port) => port.deliver_burst(|rx| rx.extend(scratch.drain(..))),
+                Conduit::Uplink(key) => {
+                    if let Some(up) = self.uplinks.get_mut(key) {
+                        scratch.drain(..).for_each(|f| up.deliver(f));
                     }
                 }
-                delivered += 1;
             }
+            scratch.clear();
         }
         self.scratch = scratch;
         delivered

@@ -8,11 +8,12 @@
 //! [`CongestionControl`] implementation chosen per NSM.
 
 use crate::cc::CongestionControl;
+use crate::payload::{ByteQueue, Payload};
 use crate::segment::{seq_ge, seq_gt, seq_le, seq_lt, Segment, SegmentFlags};
 use nk_types::constants::{DEFAULT_RECV_BUF, DEFAULT_SEND_BUF, MSS};
 use nk_types::migrate::{TcpConnSnapshot, TcpPhase};
 use nk_types::{NkError, NkResult, SockAddr};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// TCP connection states (RFC 793 names).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -77,7 +78,7 @@ pub struct TcpConnection {
     /// Next sequence number to send.
     snd_nxt: u32,
     /// Send buffer: bytes from `snd_una` onwards (unacked + unsent).
-    send_buf: VecDeque<u8>,
+    send_buf: ByteQueue,
     /// Maximum bytes the send buffer accepts.
     send_buf_cap: usize,
     /// Peer's advertised receive window.
@@ -91,11 +92,11 @@ pub struct TcpConnection {
     /// Next expected sequence number.
     rcv_nxt: u32,
     /// In-order data ready for the application.
-    recv_buf: VecDeque<u8>,
+    recv_buf: ByteQueue,
     /// Maximum bytes buffered for the application.
     recv_buf_cap: usize,
     /// Out-of-order segments awaiting the gap to fill.
-    ooo: BTreeMap<u32, Vec<u8>>,
+    ooo: BTreeMap<u32, Payload>,
     /// Sequence number of the peer's FIN, once seen.
     peer_fin_seq: Option<u32>,
     /// The peer's FIN has been consumed (rcv_nxt advanced past it).
@@ -125,22 +126,6 @@ pub struct TcpConnection {
     stats: ConnStats,
     /// A reset must be emitted to the peer.
     rst_pending: bool,
-}
-
-/// The `len` bytes of `ring` from `offset` on, as the (at most two)
-/// contiguous runs the ring's wrap point splits them into. Every payload
-/// copy out of `send_buf`/`recv_buf` goes through here, so the seam is
-/// handled once and each run moves with one `memcpy`.
-fn ring_range(ring: &VecDeque<u8>, offset: usize, len: usize) -> (&[u8], &[u8]) {
-    let (front, back) = ring.as_slices();
-    if offset >= front.len() {
-        let start = offset - front.len();
-        (&back[start..start + len], &[])
-    } else if offset + len <= front.len() {
-        (&front[offset..offset + len], &[])
-    } else {
-        (&front[offset..], &back[..offset + len - front.len()])
-    }
 }
 
 impl TcpConnection {
@@ -192,13 +177,13 @@ impl TcpConnection {
             state: ConnState::Closed,
             snd_una: iss,
             snd_nxt: iss,
-            send_buf: VecDeque::new(),
+            send_buf: ByteQueue::default(),
             send_buf_cap: DEFAULT_SEND_BUF,
             snd_wnd: 64 * 1024,
             fin_queued: false,
             fin_seq: None,
             rcv_nxt: 0,
-            recv_buf: VecDeque::new(),
+            recv_buf: ByteQueue::default(),
             recv_buf_cap: DEFAULT_RECV_BUF,
             ooo: BTreeMap::new(),
             peer_fin_seq: None,
@@ -338,18 +323,14 @@ impl TcpConnection {
         }
         let room = self.send_buf_cap.saturating_sub(self.send_buf.len());
         let n = room.min(data.len());
-        self.send_buf.extend(&data[..n]);
+        self.send_buf.write(&data[..n]);
         n
     }
 
     /// Read up to `buf.len()` bytes of in-order data. Returns 0 when no data
     /// is available (check [`TcpConnection::peer_closed`] to distinguish EOF).
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
-        let n = buf.len().min(self.recv_buf.len());
-        let (head, tail) = ring_range(&self.recv_buf, 0, n);
-        buf[..head.len()].copy_from_slice(head);
-        buf[head.len()..n].copy_from_slice(tail);
-        self.recv_buf.drain(..n);
+        let n = self.recv_buf.read(buf);
         if n > 0 {
             self.stats.bytes_received += n as u64;
             // Window update for the peer.
@@ -376,10 +357,8 @@ impl TcpConnection {
         if !matches!(self.state, ConnState::Closed | ConnState::TimeWait) {
             self.rst_pending = true;
         }
+        self.recv_buf = ByteQueue::default();
         self.enter_closed();
-        self.send_buf.clear();
-        self.recv_buf.clear();
-        self.ooo.clear();
     }
 
     /// The one way into `Closed`: a dead connection keeps no timer (an RTO
@@ -388,6 +367,25 @@ impl TcpConnection {
         self.state = ConnState::Closed;
         self.rto_deadline = None;
         self.time_wait_deadline = None;
+        self.release_queues();
+    }
+
+    /// The one way into TIME-WAIT: a parked connection keeps no queue storage.
+    fn enter_time_wait(&mut self, deadline: Option<u64>) {
+        self.state = ConnState::TimeWait;
+        self.time_wait_deadline = deadline;
+        self.release_queues();
+    }
+
+    /// A connection that will neither send nor receive again gives its
+    /// queue storage back — all of it but bytes the application has yet to
+    /// read. Parked and dead sockets can outnumber live ones many times.
+    fn release_queues(&mut self) {
+        self.send_buf = ByteQueue::default();
+        self.ooo = BTreeMap::new();
+        if self.recv_buf.is_empty() {
+            self.recv_buf = ByteQueue::default();
+        }
     }
 
     // ---- Segment processing -----------------------------------------------
@@ -397,7 +395,6 @@ impl TcpConnection {
         if seg.flags.rst {
             // A reset kills the connection immediately.
             self.enter_closed();
-            self.send_buf.clear();
             self.peer_fin_received = true;
             return;
         }
@@ -467,7 +464,7 @@ impl TcpConnection {
                     data_acked -= 1;
                 }
             }
-            self.send_buf.drain(..data_acked.min(self.send_buf.len()));
+            self.send_buf.consume(data_acked.min(self.send_buf.len()));
             self.snd_una = ack;
             self.dup_acks = 0;
             self.stats.bytes_acked += data_acked as u64;
@@ -488,10 +485,7 @@ impl TcpConnection {
                 if seq_ge(self.snd_una, fin_seq.wrapping_add(1)) {
                     match self.state {
                         ConnState::FinWait1 => self.state = ConnState::FinWait2,
-                        ConnState::Closing => {
-                            self.state = ConnState::TimeWait;
-                            self.time_wait_deadline = Some(now_ns + TIME_WAIT_NS);
-                        }
+                        ConnState::Closing => self.enter_time_wait(Some(now_ns + TIME_WAIT_NS)),
                         ConnState::LastAck => self.enter_closed(),
                         _ => {}
                     }
@@ -517,11 +511,7 @@ impl TcpConnection {
                 // Overlapping or exactly in-order: take the part we miss.
                 let skip = self.rcv_nxt.wrapping_sub(seq) as usize;
                 if skip < seg.payload.len() {
-                    let fresh = &seg.payload[skip..];
-                    let room = self.recv_buf_cap.saturating_sub(self.recv_buf.len());
-                    let take = fresh.len().min(room);
-                    self.recv_buf.extend(&fresh[..take]);
-                    self.rcv_nxt = self.rcv_nxt.wrapping_add(take as u32);
+                    self.accept_in_order(&seg.payload, skip);
                     self.drain_ooo();
                 }
             } else if seq_lt(seq, self.rcv_nxt.wrapping_add(self.recv_window() as u32)) {
@@ -541,32 +531,38 @@ impl TcpConnection {
                 match self.state {
                     ConnState::Established => self.state = ConnState::CloseWait,
                     ConnState::FinWait1 => self.state = ConnState::Closing,
-                    ConnState::FinWait2 => {
-                        self.state = ConnState::TimeWait;
-                        self.time_wait_deadline = None; // set on next tick
-                    }
+                    ConnState::FinWait2 => self.enter_time_wait(None), // set on next tick
                     _ => {}
                 }
             }
         }
     }
 
+    /// Queue what the receive window admits of `payload[skip..]`, whose
+    /// first byte is `rcv_nxt`, by reference. Returns whether all of it fit.
+    fn accept_in_order(&mut self, payload: &Payload, skip: usize) -> bool {
+        let take = (payload.len() - skip).min(self.recv_window());
+        self.recv_buf.push(payload.slice(skip..skip + take));
+        self.rcv_nxt = self.rcv_nxt.wrapping_add(take as u32);
+        skip + take == payload.len()
+    }
+
+    /// Move every stashed segment the stream has reached into the receive
+    /// buffer. The stash is keyed by raw sequence number but walked in
+    /// sequence *space*: everything in it lies within a window of `rcv_nxt`,
+    /// so the earliest entry is the first key at or after `rcv_nxt − 2³¹`,
+    /// wrapping to the map's first.
     fn drain_ooo(&mut self) {
-        while let Some((&seq, _)) = self.ooo.iter().next() {
-            if seq_gt(seq, self.rcv_nxt) {
+        loop {
+            let origin = self.rcv_nxt.wrapping_sub(1 << 31);
+            let earliest = (self.ooo.range(origin..).next()).or_else(|| self.ooo.iter().next());
+            let Some((&seq, _)) = earliest.filter(|(&seq, _)| seq_le(seq, self.rcv_nxt)) else {
                 break;
-            }
+            };
             let payload = self.ooo.remove(&seq).expect("key just observed");
             let skip = self.rcv_nxt.wrapping_sub(seq) as usize;
-            if skip < payload.len() {
-                let fresh = &payload[skip..];
-                let room = self.recv_buf_cap.saturating_sub(self.recv_buf.len());
-                let take = fresh.len().min(room);
-                self.recv_buf.extend(&fresh[..take]);
-                self.rcv_nxt = self.rcv_nxt.wrapping_add(take as u32);
-                if take < fresh.len() {
-                    break;
-                }
+            if skip < payload.len() && !self.accept_in_order(&payload, skip) {
+                break;
             }
         }
     }
@@ -681,16 +677,12 @@ impl TcpConnection {
         let first_data = out.len();
         while budget > 0 && offset < self.send_buf.len() {
             let chunk = MSS.min(self.send_buf.len() - offset).min(budget);
-            let (head, tail) = ring_range(&self.send_buf, offset, chunk);
-            let mut payload = Vec::with_capacity(chunk);
-            payload.extend_from_slice(head);
-            payload.extend_from_slice(tail);
             let mut seg = Segment::control(self.local, self.remote, SegmentFlags::ack());
             seg.seq = self.snd_nxt;
             seg.ack = self.rcv_nxt;
             seg.window = self.recv_window() as u32;
             seg.flags.ece = self.ece_pending;
-            seg.payload = payload;
+            seg.payload = self.send_buf.range(offset, chunk);
             if self.rtt_sample.is_none() {
                 self.rtt_sample = Some((seg.seq_end(), now_ns));
             }
@@ -842,14 +834,14 @@ impl TcpConnection {
             remote: self.remote,
             phase,
             snd_una: self.snd_una,
-            send_buf: self.send_buf.iter().copied().collect(),
+            send_buf: self.send_buf.to_vec(),
             send_buf_cap: self.send_buf_cap,
             snd_wnd: self.snd_wnd,
             fin_queued: self.fin_queued,
             rcv_nxt: self.rcv_nxt,
-            recv_buf: self.recv_buf.iter().copied().collect(),
+            recv_buf: self.recv_buf.to_vec(),
             recv_buf_cap: self.recv_buf_cap,
-            ooo: self.ooo.iter().map(|(s, p)| (*s, p.clone())).collect(),
+            ooo: self.ooo.iter().map(|(s, p)| (*s, p.to_vec())).collect(),
             peer_fin_seq: self.peer_fin_seq,
             peer_fin_received: self.peer_fin_received,
             srtt_ns: self.srtt_ns,
@@ -882,16 +874,18 @@ impl TcpConnection {
             snd_una: snap.snd_una,
             // Go-back-N: the destination re-sends everything unacked.
             snd_nxt: snap.snd_una,
-            send_buf: snap.send_buf.iter().copied().collect(),
+            send_buf: ByteQueue::from(&snap.send_buf[..]),
             send_buf_cap: snap.send_buf_cap,
             snd_wnd: snap.snd_wnd,
             fin_queued: snap.fin_queued,
             // A FIN the source had in flight is re-sent after the data.
             fin_seq: None,
             rcv_nxt: snap.rcv_nxt,
-            recv_buf: snap.recv_buf.iter().copied().collect(),
+            recv_buf: ByteQueue::from(&snap.recv_buf[..]),
             recv_buf_cap: snap.recv_buf_cap,
-            ooo: snap.ooo.iter().map(|(s, p)| (*s, p.clone())).collect(),
+            ooo: (snap.ooo.iter())
+                .map(|(s, p)| (*s, Payload::from(&p[..])))
+                .collect(),
             peer_fin_seq: snap.peer_fin_seq,
             peer_fin_received: snap.peer_fin_received,
             ack_pending: true,
@@ -915,6 +909,7 @@ impl TcpConnection {
 mod tests {
     use super::*;
     use crate::cc::{CcAlgorithm, Reno};
+    use std::collections::VecDeque;
 
     fn addr(port: u16) -> SockAddr {
         SockAddr::v4(10, 0, 0, 1, port)
@@ -1040,7 +1035,7 @@ mod tests {
         // After the RTO fires the data is retransmitted.
         let retrans = tx(&mut c, 1_000 + INITIAL_RTO_NS + 1);
         assert_eq!(retrans.len(), 1);
-        assert_eq!(retrans[0].payload, b"important");
+        assert_eq!(&retrans[0].payload[..], b"important");
         assert_eq!(c.stats().timeouts, 1);
         s.on_segment(&retrans[0], 1_000 + INITIAL_RTO_NS + 2);
         assert_eq!(s.recv_available(), 9);
@@ -1458,19 +1453,20 @@ mod tests {
         }
     }
 
-    /// The slice copies against a flat reference: every byte `a` accepts goes
+    /// The byte queues against a flat reference: every byte `a` accepts goes
     /// into one `Vec<u8>`, and `send_buf`/`recv_buf` must at every step hold
-    /// exactly the model's `[acked..]` / `[read..delivered]`. Buffer caps of
-    /// 4 × MSS keep both rings wrapping, so payloads are cut from the front
-    /// run, the back run and across the seam; a burst's tail is lost now and
-    /// then so go-back-N re-reads the ring from offset 0.
+    /// exactly the model's `[acked..]` / `[read..delivered]`. Writes of
+    /// every awkward size put run seams everywhere, so payloads are cut
+    /// inside a run (sharing its buffer) and across a seam (a gathered
+    /// copy); a burst's tail is lost now and then so go-back-N rewinds the
+    /// queue's cursor and re-reads from offset 0.
     ///
     /// Data travels `a` → `b` through a queue (so new writes are segmented
     /// behind unacknowledged ones); ACKs travel back at once, and `b` only
     /// speaks after a delivery or when nothing is in flight, so no window
     /// update is ever mistaken for a duplicate ACK.
     #[test]
-    fn ring_buffers_match_a_flat_model_across_the_wrap() {
+    fn byte_queues_match_a_flat_model_across_run_seams() {
         const CAP: usize = 4 * MSS;
         let sizes = [0, 1, MSS - 1, MSS, MSS + 1, CAP, CAP + 1];
         fn ack(b: &mut TcpConnection, a: &mut TcpConnection, now: u64) {
@@ -1492,10 +1488,10 @@ mod tests {
             let mut to_b: VecDeque<Segment> = VecDeque::new();
             let mut buf = vec![0u8; CAP + 1];
             let mut now = 1_000_000u64;
-            // Steps with a two-run send / receive ring, and payloads cut from
-            // [the front run, the back run, across the seam].
-            let (mut send_wrapped, mut recv_wrapped) = (0usize, 0usize);
-            let mut cut = [0usize; 3];
+            // Payloads cut [inside a run, across a seam], segments sent a
+            // second time, and steps on which `b` held `a`'s own buffers.
+            let mut cut = [0usize; 2];
+            let (mut sent, mut resent, mut recv_shared) = (0usize, 0usize, 0usize);
 
             // Poll `a`, check every payload against the model and queue the
             // burst towards `b` — minus its tail from a random segment on
@@ -1506,22 +1502,32 @@ mod tests {
                                 stream: &[u8],
                                 now: u64,
                                 lossy: bool| {
-                let front = a.send_buf.as_slices().0.len();
                 let una = a.snd_una;
                 let mut lost = false;
                 for seg in tx(a, now) {
                     if !seg.payload.is_empty() {
                         let off = seg.seq.wrapping_sub(base) as usize;
-                        assert_eq!(seg.payload, stream[off..off + seg.payload.len()]);
-                        let in_ring = seg.seq.wrapping_sub(una) as usize;
-                        let kind = if in_ring + seg.payload.len() <= front {
-                            0
-                        } else if in_ring >= front {
-                            1
-                        } else {
-                            2
+                        let end = off + seg.payload.len();
+                        assert_eq!(seg.payload[..], stream[off..end]);
+                        resent += usize::from(off < sent);
+                        sent = sent.max(end);
+                        // The run holding the payload's first byte either
+                        // holds all of it, and lends its buffer, or the
+                        // payload crosses a seam and shares with no run.
+                        let mut at = seg.seq.wrapping_sub(una) as usize;
+                        let mut runs = a.send_buf.runs();
+                        let first = loop {
+                            let run = runs.next().expect("sent bytes are buffered");
+                            if at < run.len() {
+                                break run;
+                            }
+                            at -= run.len();
                         };
-                        cut[kind] += 1;
+                        let inside = at + seg.payload.len() <= first.len();
+                        let shared = a.send_buf.runs().any(|run| run.shares_buffer(&seg.payload));
+                        assert_eq!(inside, shared, "seed {seed}: bytes {off}..{end}");
+                        assert!(!inside || first.shares_buffer(&seg.payload));
+                        cut[usize::from(!inside)] += 1;
                         lost |= lossy && rng.below(48) == 0;
                     }
                     if !lost {
@@ -1580,25 +1586,14 @@ mod tests {
 
                 let acked = a.snd_una.wrapping_sub(base) as usize;
                 let delivered = b.rcv_nxt.wrapping_sub(base) as usize;
-                // True when `ring` holds exactly `model`; also counts the
-                // steps on which it is split in two runs.
-                let holds = |ring: &VecDeque<u8>, model: &[u8], wrapped: &mut usize| {
-                    let (front, back) = ring.as_slices();
-                    *wrapped += usize::from(!back.is_empty());
-                    ring.len() == model.len()
-                        && front == &model[..front.len()]
-                        && back == &model[front.len()..]
-                };
-                assert!(
-                    holds(&a.send_buf, &stream[acked..], &mut send_wrapped),
-                    "send ring, step {step}"
-                );
-                assert!(
-                    holds(&b.recv_buf, &stream[read..delivered], &mut recv_wrapped),
-                    "receive ring, step {step}"
-                );
+                assert_eq!(a.send_buf.len(), stream.len() - acked);
+                assert_eq!(a.send_buf.to_vec(), stream[acked..], "step {step}");
+                assert_eq!(b.recv_buf.len(), delivered - read);
+                assert_eq!(b.recv_buf.to_vec(), stream[read..delivered], "step {step}");
                 assert_eq!(a.stats().bytes_acked, acked as u64);
                 assert_eq!(b.stats().bytes_received, read as u64);
+                let lent = |run: &Payload| a.send_buf.runs().any(|own| own.shares_buffer(run));
+                recv_shared += usize::from(b.recv_buf.runs().any(lent));
             }
 
             // Lossless from here: the rest of the stream reaches `b` intact.
@@ -1619,9 +1614,114 @@ mod tests {
             assert_eq!(a.stats().bytes_acked, stream.len() as u64);
             assert_eq!(b.stats().bytes_received, stream.len() as u64);
             assert!(a.stats().timeouts > 0, "seed {seed}: no loss exercised");
-            assert!(send_wrapped > 0 && recv_wrapped > 0, "seed {seed}: no wrap");
+            assert!(resent > 0, "seed {seed}: nothing was sent twice");
             assert!(cut.iter().all(|&n| n > 0), "seed {seed}: cuts {cut:?}");
+            assert!(
+                recv_shared > 0,
+                "seed {seed}: the receiver only ever held copies"
+            );
         }
+    }
+
+    /// Stashed segments are ordered in sequence space, not by raw `u32`:
+    /// with the stream straddling 2³² the segment past the wrap has the
+    /// smallest key, and looking at it first used to end the drain with the
+    /// two before it still stashed.
+    #[test]
+    fn out_of_order_segments_are_reassembled_across_the_sequence_wrap() {
+        let iss = u32::MAX - MSS as u32 - 100;
+        let mut c = TcpConnection::connect(addr(5000), peer(80), iss, CcAlgorithm::Reno.build(), 0);
+        let syn = tx(&mut c, 0).remove(0);
+        let mut s = TcpConnection::accept(
+            peer(80),
+            addr(5000),
+            9000,
+            &syn,
+            CcAlgorithm::Reno.build(),
+            0,
+        );
+        c.on_segment(&tx(&mut s, 0)[0], 0);
+        s.on_segment(&tx(&mut c, 0)[0], 0);
+        assert!(c.is_established() && s.is_established());
+
+        let data = pattern(0, 3 * MSS);
+        c.write(&data);
+        let segs = tx(&mut c, 1_000);
+        assert_eq!(segs.len(), 3);
+        assert!(
+            segs[2].seq < segs[0].seq,
+            "the third segment lies past the wrap"
+        );
+        for seg in segs.iter().rev() {
+            s.on_segment(seg, 1_000);
+        }
+        assert_eq!(s.recv_available(), 3 * MSS);
+        let mut buf = vec![0u8; 3 * MSS];
+        s.read(&mut buf);
+        assert_eq!(buf, data);
+    }
+
+    /// Queue memory follows the bytes held, not the number of writes: 64 Ki
+    /// one-byte writes coalesce into a few runs instead of 64 Ki buffers
+    /// (each with its header and its slot in the run table).
+    #[test]
+    fn many_tiny_writes_hold_about_their_bytes_in_buffers() {
+        const N: usize = 64 * 1024;
+        let (mut c, mut s) = pair(0);
+        for i in 0..N {
+            assert_eq!(c.write(&[(i % 251) as u8]), 1);
+        }
+        assert_eq!(c.send_buffered(), N);
+        assert!(
+            c.send_buf.storage_bytes() <= 2 * N,
+            "{} bytes of storage for {N} bytes",
+            c.send_buf.storage_bytes()
+        );
+        // Segments cut from coalesced runs carry the stream unchanged.
+        let mut got = Vec::new();
+        run_ms(&mut c, &mut s, 1_000, 20, &mut got);
+        assert_eq!(got, pattern(0, N));
+    }
+
+    /// A parked or dead connection keeps no queue storage — `clear()` would
+    /// keep every buffer's capacity, times thousands of TIME-WAIT sockets —
+    /// except bytes the application has not read yet.
+    #[test]
+    fn time_wait_and_closed_connections_keep_no_queue_storage() {
+        let storage = |c: &TcpConnection| {
+            let ooo: usize = c.ooo.values().map(|p| p.len()).sum();
+            c.send_buf.storage_bytes() + c.recv_buf.storage_bytes() + ooo
+        };
+        let (mut c, mut s) = pair(0);
+        let mut got = Vec::new();
+        c.write(&pattern(0, 8 * MSS));
+        s.write(&pattern(0, 8 * MSS));
+        let now = run_ms(&mut c, &mut s, 1_000, 5, &mut got);
+        assert_eq!(c.read(&mut vec![0u8; 8 * MSS]), 8 * MSS);
+        assert!(storage(&c) > 0 && storage(&s) > 0, "the run tables remain");
+        // `c` closes first and parks in TIME-WAIT; `s` goes straight to Closed.
+        c.close();
+        let now = run_ms(&mut c, &mut s, now, 1, &mut got);
+        s.close();
+        run_ms(&mut c, &mut s, now, 1, &mut got);
+        assert_eq!(
+            (c.state(), s.state()),
+            (ConnState::TimeWait, ConnState::Closed)
+        );
+        assert_eq!((storage(&c), storage(&s)), (0, 0));
+
+        // A reset connection keeps its unread bytes, and only those.
+        let (mut c, mut s) = pair(0);
+        s.write(b"unread");
+        c.write(&pattern(0, 4 * MSS));
+        for seg in tx(&mut s, 1_000) {
+            c.on_segment(&seg, 1_000);
+        }
+        let mut rst = Segment::control(peer(80), addr(5000), SegmentFlags::rst());
+        rst.seq = s.snd_nxt;
+        c.on_segment(&rst, 2_000);
+        assert!(c.is_closed() && c.send_buf.storage_bytes() == 0);
+        assert_eq!(c.read(&mut [0u8; 8]), 6);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! depends on:
 //!
 //! * [`segment`] — TCP segments carried over the `nk-fabric` virtual switch;
+//! * [`payload`] — the bytes they carry, shared by reference from `write`
+//!   to `read`;
 //! * [`cc`] — pluggable congestion control: NewReno, CUBIC, DCTCP and the
 //!   Seawall-style VM-shared window used by the fair-sharing NSM (§6.2);
 //! * [`conn`] — the per-connection state machine: three-way handshake,
@@ -24,10 +26,12 @@
 
 pub mod cc;
 pub mod conn;
+pub mod payload;
 pub mod segment;
 pub mod stack;
 
 pub use cc::{CcAlgorithm, CongestionControl, SharedVmWindow};
 pub use conn::{ConnState, TcpConnection};
+pub use payload::Payload;
 pub use segment::{Segment, SegmentFlags};
 pub use stack::{StackConfig, StackEvent, TcpStack};

@@ -1,5 +1,6 @@
 //! TCP segments exchanged over the virtual fabric.
 
+use crate::payload::Payload;
 use nk_types::SockAddr;
 
 /// TCP header flags (only the ones the stack uses).
@@ -83,8 +84,9 @@ pub struct Segment {
     pub flags: SegmentFlags,
     /// Set by the network when the segment experienced congestion (ECN CE).
     pub ce_mark: bool,
-    /// Application payload.
-    pub payload: Vec<u8>,
+    /// Application payload: a reference to bytes the sender's `write`
+    /// buffered, not a copy of them.
+    pub payload: Payload,
 }
 
 impl Segment {
@@ -98,7 +100,7 @@ impl Segment {
             window: 0,
             flags,
             ce_mark: false,
-            payload: Vec::new(),
+            payload: Payload::default(),
         }
     }
 
@@ -162,7 +164,7 @@ mod tests {
         let mut s = Segment::control(addr(1), addr(2), SegmentFlags::syn());
         assert_eq!(s.seq_len(), 1);
         s.flags = SegmentFlags::ack();
-        s.payload = vec![0u8; 100];
+        s.payload = vec![0u8; 100].into();
         assert_eq!(s.seq_len(), 100);
         assert_eq!(s.len(), 100);
         assert!(!s.is_empty());
@@ -176,7 +178,7 @@ mod tests {
     fn wire_bytes_include_headers() {
         let mut s = Segment::control(addr(1), addr(2), SegmentFlags::ack());
         assert_eq!(s.wire_bytes(), HEADER_BYTES);
-        s.payload = vec![0u8; 1460];
+        s.payload = vec![0u8; 1460].into();
         assert_eq!(s.wire_bytes(), HEADER_BYTES + 1460);
     }
 

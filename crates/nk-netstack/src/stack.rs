@@ -199,6 +199,12 @@ pub struct TcpStack {
     /// Reusable segment buffer `transmit` lends to every connection's
     /// `poll_transmit` (empty between ticks).
     tx_scratch: Vec<Segment>,
+    /// The frames the port delivered since the last tick, taken under one
+    /// lock; trades places with the port's queue every tick.
+    rx_burst: VecDeque<Frame<Segment>>,
+    /// The frames this tick emitted, handed to the port under one lock
+    /// when the tick ends (empty between ticks).
+    tx_burst: Vec<Frame<Segment>>,
 }
 
 impl TcpStack {
@@ -223,6 +229,8 @@ impl TcpStack {
             events: VecDeque::new(),
             stats: StackStats::default(),
             tx_scratch: Vec::new(),
+            rx_burst: VecDeque::new(),
+            tx_burst: Vec::new(),
         }
     }
 
@@ -633,27 +641,31 @@ impl TcpStack {
         let mut work = 0;
         work += self.process_incoming(now_ns);
         work += self.transmit(now_ns);
+        if !self.tx_burst.is_empty() {
+            self.port.send_burst(&mut self.tx_burst);
+        }
         self.reap_closed();
         work
     }
 
     fn process_incoming(&mut self, now_ns: u64) -> usize {
-        let mut count = 0;
-        while let Some(frame) = self.port.recv() {
-            count += 1;
-            self.stats.segments_in += 1;
-            let seg = frame.payload;
+        let mut burst = std::mem::take(&mut self.rx_burst);
+        self.port.recv_burst(&mut burst);
+        let count = burst.len();
+        self.stats.segments_in += count as u64;
+        for frame in &burst {
+            let seg = &frame.payload;
             let local = seg.dst;
             let remote = seg.src;
             // Established / embryonic connection?
             if let Some(&sock) = self.demux.get(&(local, remote)) {
-                self.deliver(sock, &seg, now_ns);
+                self.deliver(sock, seg, now_ns);
                 continue;
             }
             // New connection request towards a listener?
             if seg.flags.syn && !seg.flags.ack {
                 if let Some(listener_id) = self.pick_listener(local.port) {
-                    self.handle_syn(listener_id, &seg, now_ns);
+                    self.handle_syn(listener_id, seg, now_ns);
                     continue;
                 }
             }
@@ -667,6 +679,8 @@ impl TcpStack {
                 self.emit(rst);
             }
         }
+        burst.clear();
+        self.rx_burst = burst;
         count
     }
 
@@ -887,7 +901,7 @@ impl TcpStack {
             wire_bytes: seg.wire_bytes(),
             payload: seg,
         };
-        self.port.send(frame);
+        self.tx_burst.push(frame);
     }
 
     /// Remove the connections that are closed and fully read. Only a polled
@@ -1345,6 +1359,7 @@ mod tests {
         w.client.tick(w.now);
         let rst = crate::segment::SegmentFlags::rst();
         w.server.emit(Segment::control(to, peer, rst));
+        w.server.port.send_burst(&mut w.server.tx_burst);
         w.switch.step(w.now);
         let cwnd = shared.total_cwnd();
         for _ in 0..40 {
