@@ -26,7 +26,8 @@ use nk_types::{
     ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, SockAddr, SocketApi, SocketId, StackKind,
     VmConfig, VmId, VmToNsmPolicy,
 };
-use nk_workload::{echo_all, AgTrace, AgTraceConfig};
+use nk_workload::rows::{self, kernel_host};
+use nk_workload::{echo_all, AgTrace, AgTraceConfig, BurstyClient, Scenario, ScenarioConfig};
 
 /// Every experiment in run order, under the CLI names that select it.
 type Experiment = (&'static [&'static str], fn(&PerfModel, &mut BenchResults));
@@ -687,69 +688,31 @@ fn tab07_cpu_overhead_rps(model: &PerfModel, results: &mut BenchResults) {
         .metric("normalised_cpu_64", "ratio", model.cpu_overhead_rps(64));
 }
 
-/// A cluster host with one kernel-stack NSM serving all of `vms`.
-fn host(id: u8, vms: &[u8]) -> HostConfig {
-    let mut cfg = HostConfig::new()
-        .with_host_id(HostId(id))
-        .with_nsm(NsmConfig::kernel(NsmId(1)))
-        .with_mapping(VmToNsmPolicy::All(NsmId(1)));
-    for vm in vms {
-        cfg = cfg.with_vm(VmConfig::new(VmId(*vm)));
-    }
-    cfg
-}
-
 /// Control-plane observability: the ramping multi-tenant scenario of the
 /// control tests, with the decision log and the per-epoch utilisation time
 /// series surfaced as part of the perf trajectory.
 fn ctrl01_control_plane(results: &mut BenchResults) {
-    use nk_types::{ControlAction, ControlPolicy};
-    use nk_workload::{BurstyClient, BurstyConfig, BurstyScenario};
+    use nk_types::ControlAction;
 
-    let policy = ControlPolicy::new()
-        .with_epoch_ns(1_000_000)
-        .with_window(2)
-        .with_watermarks(0.10, 0.60)
-        .with_core_bounds(1, 2)
-        .with_cooldown(1)
-        .with_rebalance(0.50, 1)
-        .with_pool_clock_hz(1_000_000);
-    let host = HostConfig::new()
-        .with_vm(VmConfig::new(VmId(1)))
-        .with_vm(VmConfig::new(VmId(2)))
-        .with_vm(VmConfig::new(VmId(3)))
-        .with_nsm(NsmConfig::kernel(NsmId(1)))
-        .with_nsm(NsmConfig::kernel(NsmId(2)))
-        .with_mapping(VmToNsmPolicy::Static(vec![
-            (VmId(1), NsmId(1)),
-            (VmId(2), NsmId(1)),
-            (VmId(3), NsmId(1)),
-        ]))
-        .with_control(policy);
-    let report = BurstyScenario::new(
-        BurstyConfig::new(host)
-            .with_seed(11)
-            .with_client(BurstyClient::new(VmId(1), 0).with_total_bytes(96 * 1024))
-            .with_client(BurstyClient::new(VmId(2), 1_000_000).with_total_bytes(96 * 1024))
-            .with_client(BurstyClient::new(VmId(3), 2_000_000).with_total_bytes(96 * 1024)),
-    )
-    .run()
-    .expect("control scenario runs");
+    let report = Scenario::new(rows::control_ramp())
+        .run()
+        .expect("control scenario runs");
     assert!(report.completed, "control scenario must complete");
+    let host = &report.hosts[&HostId(0)];
 
     let count = |pred: fn(&ControlAction) -> bool| {
-        report.control.iter().filter(|e| pred(&e.action)).count() as f64
+        host.control.iter().filter(|e| pred(&e.action)).count() as f64
     };
     let scale_ups = count(|a| matches!(a, ControlAction::ScaleUp { .. }));
     let scale_downs = count(|a| matches!(a, ControlAction::ScaleDown { .. }));
     let rebalances = count(|a| matches!(a, ControlAction::Rebalance { .. }));
-    let nsm1 = report
+    let nsm1 = host
         .telemetry
         .nsm_utilisation
         .get(&NsmId(1))
         .cloned()
         .unwrap_or_default();
-    let rows: Vec<Vec<String>> = report
+    let rows: Vec<Vec<String>> = host
         .control
         .iter()
         .map(|e| {
@@ -770,11 +733,11 @@ fn ctrl01_control_plane(results: &mut BenchResults) {
         nsm1.len(),
         nsm1.mean(),
         nsm1.max(),
-        report.telemetry.actions_per_epoch.mean(),
+        host.telemetry.actions_per_epoch.mean(),
     );
     results
         .experiment("ctrl01")
-        .metric("control_events", "count", report.control.len() as f64)
+        .metric("control_events", "count", host.control.len() as f64)
         .metric("scale_ups", "count", scale_ups)
         .metric("scale_downs", "count", scale_downs)
         .metric("rebalances", "count", rebalances)
@@ -788,21 +751,9 @@ fn ctrl01_control_plane(results: &mut BenchResults) {
 /// cross-host traffic, with the event log and digest as the determinism
 /// fingerprint.
 fn clu01_cluster_migration(results: &mut BenchResults) {
-    use nk_workload::{ClusterScenario, ClusterScenarioConfig, ClusterTenant};
-
-    let cluster = ClusterConfig::new()
-        .with_host(host(1, &[1]))
-        .with_host(host(2, &[2]))
-        .with_uplink_latency_us(2);
-    let report = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster)
-            .with_seed(11)
-            .with_tenant(ClusterTenant::new(VmId(1), 0).with_total_bytes(96 * 1024))
-            .with_tenant(ClusterTenant::new(VmId(2), 500_000).with_total_bytes(64 * 1024))
-            .with_migration(2_000_000, VmId(1), HostId(2)),
-    )
-    .run()
-    .expect("cluster scenario runs");
+    let report = Scenario::new(rows::drained_move())
+        .run()
+        .expect("cluster scenario runs");
     assert!(report.completed, "cluster scenario must complete");
 
     let rows: Vec<Vec<String>> = report
@@ -855,21 +806,20 @@ fn clu01_cluster_migration(results: &mut BenchResults) {
 fn wm01_warm_vs_drained(results: &mut BenchResults) {
     use nk_obs::MigrationPhase;
     use nk_types::ClusterAction;
-    use nk_workload::{ClusterScenario, ClusterScenarioConfig, ClusterTenant};
 
     let cluster = || {
         ClusterConfig::new()
-            .with_host(host(1, &[1]))
-            .with_host(host(2, &[]))
+            .with_host(kernel_host(1, &[1]))
+            .with_host(kernel_host(2, &[]))
             .with_uplink_latency_us(2)
     };
 
     // Drained: the tenant rotates its connection every 4 chunks, so the
     // drain waits for the rotation point.
-    let drained = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster())
+    let drained = Scenario::new(
+        ScenarioConfig::new(cluster())
             .with_seed(11)
-            .with_tenant(ClusterTenant::new(VmId(1), 0).with_total_bytes(96 * 1024))
+            .with_tenant(BurstyClient::new(VmId(1), 0).with_total_bytes(96 * 1024))
             .with_migration(2_000_000, VmId(1), HostId(2)),
     )
     .run()
@@ -893,11 +843,11 @@ fn wm01_warm_vs_drained(results: &mut BenchResults) {
     // Warm: the same transfer over one long-lived connection (a drained
     // migration would stall until the transfer ends); the share retires in
     // the same instant the handover lands.
-    let warm = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster())
+    let warm = Scenario::new(
+        ScenarioConfig::new(cluster())
             .with_seed(11)
             .with_tenant(
-                ClusterTenant::new(VmId(1), 0)
+                BurstyClient::new(VmId(1), 0)
                     .with_total_bytes(96 * 1024)
                     .long_lived(),
             )
@@ -995,48 +945,12 @@ fn ev01_evacuation(results: &mut BenchResults) {
     use nk_ctrl::PlanEventKind;
     use nk_obs::{EventClass, MigrationPhase, ObsEventKind, ObsFilter};
     use nk_types::ClusterAction;
-    use nk_workload::{ClusterScenario, ClusterScenarioConfig, ClusterTenant};
-
-    // Host 1 maps each VM to its own NSM, so both evacuation moves take
-    // the warm path.
-    let cluster = || {
-        ClusterConfig::new()
-            .with_host(
-                HostConfig::new()
-                    .with_host_id(HostId(1))
-                    .with_nsm(NsmConfig::kernel(NsmId(1)))
-                    .with_nsm(NsmConfig::kernel(NsmId(2)))
-                    .with_mapping(VmToNsmPolicy::Static(vec![
-                        (VmId(1), NsmId(1)),
-                        (VmId(2), NsmId(2)),
-                    ]))
-                    .with_vm(VmConfig::new(VmId(1)))
-                    .with_vm(VmConfig::new(VmId(2))),
-            )
-            .with_host(host(2, &[]))
-            .with_host(host(3, &[]))
-            .with_uplink_latency_us(2)
-    };
 
     // Planned evacuation: both tenants hold long-lived connections (the
     // worst case for draining) and the whole host clears in one plan.
-    let evac = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster())
-            .with_seed(11)
-            .with_tenant(
-                ClusterTenant::new(VmId(1), 0)
-                    .with_total_bytes(96 * 1024)
-                    .long_lived(),
-            )
-            .with_tenant(
-                ClusterTenant::new(VmId(2), 0)
-                    .with_total_bytes(96 * 1024)
-                    .long_lived(),
-            )
-            .with_evacuation(2_000_000, HostId(1), 2),
-    )
-    .run()
-    .expect("evacuation scenario runs");
+    let evac = Scenario::new(rows::evacuation())
+        .run()
+        .expect("evacuation scenario runs");
     assert!(evac.completed, "evacuation scenario must complete");
     assert_eq!(evac.stats.evac_commits, 1, "the plan must commit");
     // Timing comes from the flight recorder: the plan events mirrored into
@@ -1077,11 +991,11 @@ fn ev01_evacuation(results: &mut BenchResults) {
 
     // Naive serial drain: the same host cleared one drained migration at
     // a time; rotating tenants so the drains can actually complete.
-    let naive = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster())
+    let naive = Scenario::new(
+        ScenarioConfig::new(rows::evacuation().cluster)
             .with_seed(11)
-            .with_tenant(ClusterTenant::new(VmId(1), 0).with_total_bytes(96 * 1024))
-            .with_tenant(ClusterTenant::new(VmId(2), 0).with_total_bytes(96 * 1024))
+            .with_tenant(BurstyClient::new(VmId(1), 0).with_total_bytes(96 * 1024))
+            .with_tenant(BurstyClient::new(VmId(2), 0).with_total_bytes(96 * 1024))
             .with_migration(2_000_000, VmId(1), HostId(2))
             .with_migration(6_000_000, VmId(2), HostId(3)),
     )

@@ -15,8 +15,9 @@
 //!   the cross-thread edge between a host shard and the caller's thread at
 //!   the round barrier;
 //! * [`nic`] — the symmetric receive-side-scaling (RSS) flow hash frames
-//!   carry, so both directions of a connection pick the same queue;
-//! * [`rng`] — a tiny deterministic PRNG so loss/reordering are reproducible.
+//!   carry, so both directions of a connection pick the same queue.
+//!
+//! Loss and reordering draw from `nk_sim::SplitMix64`, so they reproduce.
 //!
 //! The fabric is generic over the frame payload so it carries the TCP
 //! segments of `nk-netstack` without a dependency cycle.
@@ -26,7 +27,6 @@
 pub mod link;
 pub mod nic;
 pub mod port;
-pub mod rng;
 pub mod switch;
 pub mod tor;
 pub mod uplink;

@@ -1,8 +1,7 @@
 //! Link impairments: rate limiting, propagation delay, loss and reordering.
 
 use crate::port::Frame;
-use crate::rng::SplitMix64;
-use nk_sim::TokenBucket;
+use nk_sim::{SplitMix64, TokenBucket};
 use std::collections::VecDeque;
 
 /// Configuration of one link.

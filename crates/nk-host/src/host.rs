@@ -306,8 +306,16 @@ impl NetKernelHost {
         self.engine.stalled_nqes()
     }
 
+    /// Request NQEs of one VM parked in the engine's stall queues.
+    pub fn stalled_nqes_of(&self, vm: VmId) -> usize {
+        self.engine.stalled_nqes_of(vm)
+    }
+
     /// Step behaviour counters of [`NetKernelHost::step`] (rounds per step,
-    /// quiescent exits, round-limit hits).
+    /// quiescent exits, round-limit hits). Only `step` tallies them: a host
+    /// driven by a cluster (`begin_step` / `poll_round` / `end_step`) leaves
+    /// them at zero, and the cluster's own `ClusterStats` carries the same
+    /// counters (`control_work` for `control_actions`).
     pub fn sched_stats(&self) -> SchedStats {
         self.sched
     }

@@ -425,6 +425,10 @@ impl TcpConnection {
             ConnState::TimeWait | ConnState::Closed => {
                 return;
             }
+            // A SYN after the handshake is the peer's SYN-ACK again: our final
+            // ACK was lost. Repeat it, or a peer we never write to stays in
+            // `SynReceived` forever.
+            _ if seg.flags.syn && self.state != ConnState::SynReceived => self.ack_pending = true,
             _ => {}
         }
 
@@ -967,6 +971,42 @@ mod tests {
             }
         }
         now
+    }
+
+    /// The server speaks first, and the client's final handshake ACK is
+    /// lost: the server's SYN-ACK retransmission must draw a fresh ACK out
+    /// of the established client, or the passive open never completes.
+    #[test]
+    fn a_lost_final_handshake_ack_is_recovered_by_the_syn_ack_retransmission() {
+        let mut client =
+            TcpConnection::connect(addr(5000), peer(80), 1000, CcAlgorithm::Reno.build(), 0);
+        let syn = tx(&mut client, 0).remove(0);
+        let reno = CcAlgorithm::Reno.build();
+        let mut server = TcpConnection::accept(peer(80), addr(5000), 9000, &syn, reno, 0);
+        client.on_segment(&tx(&mut server, 0)[0], 0);
+        assert_eq!(client.state(), ConnState::Established);
+        assert_eq!(
+            tx(&mut client, 0).len(),
+            1,
+            "the final ACK — lost on the wire"
+        );
+
+        // Nobody writes. Two seconds of RTOs later the handshake is done.
+        let mut retransmitted = 0;
+        for now in (0..2_000_000_000).step_by(1_000_000) {
+            for seg in tx(&mut server, now) {
+                retransmitted += usize::from(seg.flags.syn);
+                client.on_segment(&seg, now);
+            }
+            for seg in tx(&mut client, now) {
+                server.on_segment(&seg, now);
+            }
+        }
+        assert_eq!(server.state(), ConnState::Established);
+        assert_eq!(retransmitted, 1, "one retransmission is enough");
+        assert_eq!(server.write(b"hello"), 5, "and the server can speak first");
+        pump(&mut server, &mut client, 2_000_000_000, 1_000);
+        assert_eq!(client.recv_available(), 5);
     }
 
     #[test]

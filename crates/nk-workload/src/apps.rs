@@ -8,11 +8,10 @@
 //! (use case 3, §6.3).
 //!
 //! [`VerifiedStream`] and [`echo_all`] are the one traffic driver every
-//! scenario runner in this crate streams through: a stop-and-wait client
-//! that checks each echoed byte against its seeded payload, and the echo
-//! step of the server it talks to. The runners only decide *which* socket
-//! API to hand them (a host's guest, a cluster tenant's current home) and
-//! when. [`EchoServer`] and [`ClosedLoopClient`] are the epoll-shaped pair.
+//! scenario streams through: a stop-and-wait client that checks each echoed
+//! byte against its seeded payload, and the echo step of the server it
+//! talks to. The runner only decides *which* socket API to hand them (the
+//! guest on the tenant's current home, the server's stack) and when. [`EchoServer`] and [`ClosedLoopClient`] are the epoll-shaped pair.
 
 use crate::scenario::seeded_payload;
 use nk_types::{NkError, NkResult, PollEvents, SockAddr, SocketApi, SocketId, VmId};
@@ -107,7 +106,7 @@ impl VerifiedStream {
         }
     }
 
-    /// One client per tenant of a multi-tenant run, each with its own
+    /// One client per tenant of a run, each with its own
     /// payload derived from the run's seed and the tenant's VM id.
     pub(crate) fn for_tenants(specs: &[BurstyClient], seed: u64, server: SockAddr) -> Vec<Self> {
         let tenant_seed = |vm: VmId| seed ^ (vm.raw() as u64).wrapping_mul(0x9E37_79B9);

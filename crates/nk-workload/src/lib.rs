@@ -9,33 +9,31 @@
 //!   [`nk_types::SocketApi`] trait, usable unmodified on both the NetKernel
 //!   GuestLib and the baseline in-guest stack (the property use case 3 relies
 //!   on): the byte-verified stop-and-wait client and echo step every
-//!   scenario runner below streams through, plus an epoll echo/HTTP-style
+//!   scenario streams through, plus an epoll echo/HTTP-style
 //!   server and a closed-loop `ab`-style client;
-//! * [`scenario`] — the deterministic scenario runner composing a host, one
-//!   verified stream and a fault plan (NSM crashes, live migration, link
-//!   degradation) with invariant checks, plus the seeded random
-//!   fault-schedule generator the property tests draw from;
-//! * [`bursty`] — the multi-tenant ramp-up/ramp-down runner driving the
-//!   operator control plane: tenants join and leave over virtual time, every
-//!   byte is verified, and the control-plane decision log (scale-up,
-//!   rebalancing, scale-down) is part of the report;
-//! * [`cluster`] — the cross-host scenario runner: tenants span the hosts of
-//!   a [`nk_cluster::Cluster`], every byte crosses the inter-host fabric,
-//!   and scripted or placer-driven migrations drain byte-verified.
+//! * [`scenario`] — the one deterministic scenario runner: tenants on a
+//!   [`nk_cluster::Cluster`] (a lone host is the one-host cluster) stream
+//!   byte-verified payloads to an echo server while per-host fault plans,
+//!   the hosts' control planes, the cluster placer and a script of
+//!   cross-host moves and evacuations play out — one spec, one run loop,
+//!   one report, one set of invariants (byte integrity, scheduler
+//!   accounting, exact NQE conservation per resident VM) — plus the seeded
+//!   random fault-schedule generator the property tests draw from;
+//! * [`rows`] — the scripted runs more than one suite needs, each defined
+//!   once (`control_ramp`, `drained_move`, `warm_move`, `evacuation`,
+//!   `failover`, …), and `assert_mode_invariant`, the oracle that replays a
+//!   row at threads {1, 2, 4} × {hosts, lanes} and compares whole reports.
 
 #![forbid(unsafe_code)]
 
 pub mod agtrace;
 pub mod apps;
-pub mod bursty;
-pub mod cluster;
+pub mod rows;
 pub mod scenario;
 
 pub use agtrace::{AgTrace, AgTraceConfig};
 pub use apps::{echo_all, BurstyClient, ClosedLoopClient, EchoServer, VerifiedStream};
-pub use bursty::{BurstyConfig, BurstyReport, BurstyScenario};
-pub use cluster::{
-    ClusterScenario, ClusterScenarioConfig, ClusterScenarioReport, ClusterTenant,
-    PlannedEvacuation, PlannedMigration,
+pub use scenario::{
+    random_fault_plan, seeded_payload, HostReport, Planned, PlannedOp, Scenario, ScenarioConfig,
+    ScenarioReport, TenantReport,
 };
-pub use scenario::{random_fault_plan, seeded_payload, Scenario, ScenarioConfig, ScenarioReport};

@@ -1,13 +1,15 @@
-//! The determinism matrix: every cluster scenario must be byte-identical at
-//! any `ClusterConfig::threads` value.
+//! The determinism matrix: every scenario must be byte-identical in every
+//! executor mode.
 //!
 //! The sharded executor's whole contract is that parallelism is invisible:
 //! the event-log digest, the cluster stats (including the per-phase work
-//! counters), the merged control-event view and every tenant's byte stream
-//! must not change when the datapath runs on 1, 2 or 4 worker threads.
-//! These tests replay three full scenarios — a fault-injected multi-tenant
-//! run, the drained-migration cluster scenario and the warm-migration
-//! handover — across that thread matrix and diff the complete reports.
+//! counters), every host's control log, the flight recorder's dump and every
+//! tenant's byte stream must not change when the datapath runs on 1, 2 or 4
+//! threads, with whole hosts or NSM share lanes as the parallel units. The
+//! scripted rows go through `rows::assert_mode_invariant`, which replays a
+//! `ScenarioConfig` across that matrix and diffs the complete reports; the
+//! two runs that drive `evacuate_host_with_faults` by hand (a mid-plan host
+//! kill, a refused action) keep their own reports.
 //!
 //! (`NK_CLUSTER_THREADS` deliberately overrides the configured value, so a
 //! CI job can run this whole suite under a forced thread count; equality
@@ -16,83 +18,21 @@
 use nk_cluster::{Cluster, ClusterStats, ControlLogEntry, EvacFault, EvacFaultKind};
 use nk_ctrl::{EvacAction, PlanEvent};
 use nk_types::{
-    ClusterConfig, ControlPolicy, FaultAction, FaultPlan, HostConfig, HostId, LinkFault, NkError,
-    NsmConfig, NsmId, SockAddr, SocketApi, VmConfig, VmId, VmToNsmPolicy,
+    ClusterConfig, ControlPolicy, FaultAction, FaultPlan, HostConfig, HostId, LinkFault, NsmConfig,
+    NsmId, SockAddr, SocketApi, VmConfig, VmId, VmToNsmPolicy,
 };
-use nk_workload::{ClusterScenario, ClusterScenarioConfig, ClusterScenarioReport, ClusterTenant};
+use nk_workload::rows::{self, assert_mode_invariant, kernel_host as host};
+use nk_workload::{BurstyClient, Scenario, ScenarioConfig};
 
 const SERVER_IP: u32 = 0xC0A8_0001; // 192.168.0.1, outside every host block
 const THREAD_MATRIX: [usize; 3] = [1, 2, 4];
 
-fn host(id: u8, vms: &[u8]) -> HostConfig {
-    let mut cfg = HostConfig::new()
-        .with_host_id(HostId(id))
-        .with_nsm(NsmConfig::kernel(NsmId(1)))
-        .with_mapping(VmToNsmPolicy::All(NsmId(1)));
-    for vm in vms {
-        cfg = cfg.with_vm(VmConfig::new(VmId(*vm)));
-    }
-    cfg
-}
-
-/// The drained-migration scenario at a given thread count.
-fn cluster_scenario(threads: usize) -> ClusterScenarioReport {
-    let cluster = ClusterConfig::new()
-        .with_host(host(1, &[1]))
-        .with_host(host(2, &[2]))
-        .with_uplink_latency_us(2)
-        .with_threads(threads);
-    ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster)
-            .with_seed(11)
-            .with_tenant(ClusterTenant::new(VmId(1), 0).with_total_bytes(96 * 1024))
-            .with_tenant(ClusterTenant::new(VmId(2), 500_000).with_total_bytes(64 * 1024))
-            .with_migration(2_000_000, VmId(1), HostId(2)),
-    )
-    .run()
-    .expect("cluster scenario runs")
-}
-
-/// The warm-migration scenario (freeze window, connection transplant,
-/// mid-step reroute) at a given thread count.
-fn warm_scenario(threads: usize) -> ClusterScenarioReport {
-    let cluster = ClusterConfig::new()
-        .with_host(host(1, &[1]))
-        .with_host(host(2, &[2]))
-        .with_uplink_latency_us(2)
-        .with_threads(threads);
-    ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster)
-            .with_seed(11)
-            .with_tenant(
-                ClusterTenant::new(VmId(1), 0)
-                    .with_total_bytes(96 * 1024)
-                    .long_lived(),
-            )
-            .with_tenant(ClusterTenant::new(VmId(2), 500_000).with_total_bytes(64 * 1024))
-            .with_warm_migration(2_000_000, VmId(1), HostId(2)),
-    )
-    .run()
-    .expect("warm scenario runs")
-}
-
-/// Everything observable from the fault run, for whole-value comparison.
-#[derive(Debug, PartialEq)]
-struct FaultRunReport {
-    digest: u64,
-    stats: ClusterStats,
-    bytes_per_host: Vec<u64>,
-    reconnects: u64,
-    control: Vec<ControlLogEntry>,
-    events: usize,
-}
-
-/// A fault-injected multi-tenant run: three hosts stream to a ToR server
-/// while host 1 crashes an NSM mid-flight (remapping its VM to a spare),
-/// restarts it, then degrades the spare's vNIC link — plus a drained
-/// migration so the cluster event log is non-trivial. Tenant reconnects
+/// A fault-injected multi-tenant row: three controlled hosts stream to the
+/// ToR server while host 1 crashes an NSM mid-flight (remapping its VM to a
+/// spare), restarts it, then degrades the spare's vNIC link — plus a
+/// drained move so the cluster event log is non-trivial. Tenant reconnects
 /// on reset are part of the observed behavior.
-fn fault_run(threads: usize) -> FaultRunReport {
+fn faulted_cluster() -> ScenarioConfig {
     let policy = ControlPolicy::new()
         .with_epoch_ns(500_000)
         .with_window(2)
@@ -100,26 +40,14 @@ fn fault_run(threads: usize) -> FaultRunReport {
         .with_core_bounds(1, 2)
         .with_cooldown(1)
         .with_pool_clock_hz(1_000_000);
-    let mut cfg = ClusterConfig::new()
-        .with_uplink_latency_us(2)
-        .with_threads(threads);
+    let mut cluster = ClusterConfig::new().with_uplink_latency_us(2);
     for id in 1u8..=3 {
-        cfg = cfg.with_host(
-            HostConfig::new()
-                .with_host_id(HostId(id))
-                .with_nsm(NsmConfig::kernel(NsmId(1)))
+        cluster = cluster.with_host(
+            host(id, &[id])
                 .with_nsm(NsmConfig::kernel(NsmId(2)))
-                .with_mapping(VmToNsmPolicy::All(NsmId(1)))
-                .with_vm(VmConfig::new(VmId(id)))
                 .with_control(policy.clone()),
         );
     }
-    let mut cluster = Cluster::new(cfg).expect("valid fault cluster");
-    let server = cluster.add_remote(SERVER_IP);
-    let ls = server.socket();
-    server.bind(ls, SockAddr::new(0, 7)).unwrap();
-    server.listen(ls, 32).unwrap();
-
     let plan = FaultPlan::new()
         .at(800_000, FaultAction::CrashNsm(NsmId(1)))
         .at(
@@ -137,87 +65,13 @@ fn fault_run(threads: usize) -> FaultRunReport {
                 link: LinkFault::healthy().with_latency_us(50),
             },
         );
-    cluster
-        .host_mut(HostId(1))
-        .unwrap()
-        .install_fault_plan(&plan)
-        .unwrap();
-
-    let chunk = [0xA5u8; 1024];
-    let mut buf = [0u8; 2048];
-    let mut socks = [None; 3];
-    let mut bytes_per_host = vec![0u64; 3];
-    let mut reconnects = 0u64;
-    let mut server_conns = Vec::new();
-    for step in 0..40 {
-        if step == 20 {
-            cluster.migrate_vm(VmId(2), HostId(2), HostId(3)).unwrap();
-        }
-        for h in 1u8..=3 {
-            let i = h as usize - 1;
-            // During the drain VM 2 keeps serving its pinned connection on
-            // host 2 while its home moves to host 3 — follow the socket.
-            let serving = if socks[i].is_some() {
-                HostId(h)
-            } else {
-                cluster.home_of(VmId(h)).unwrap_or(HostId(h))
-            };
-            let Some(guest) = cluster.guest_on(serving, VmId(h)) else {
-                socks[i] = None;
-                continue;
-            };
-            if let Some(s) = socks[i] {
-                let mut dead = false;
-                if guest.poll(s).writable() && guest.send(s, &chunk).is_err() {
-                    dead = true;
-                }
-                loop {
-                    match guest.recv(s, &mut buf) {
-                        Ok(0) => break,
-                        Ok(n) => bytes_per_host[i] += n as u64,
-                        Err(NkError::WouldBlock) => break,
-                        Err(_) => {
-                            dead = true;
-                            break;
-                        }
-                    }
-                }
-                if dead {
-                    let _ = guest.close(s);
-                    socks[i] = None;
-                    reconnects += 1;
-                }
-            }
-            if socks[i].is_none() {
-                if let Ok(s) = guest.socket() {
-                    if guest.connect(s, SockAddr::new(SERVER_IP, 7)).is_ok() {
-                        socks[i] = Some(s);
-                    }
-                }
-            }
-        }
-        let server = cluster.remote_mut(SERVER_IP).unwrap();
-        while let Ok((c, _)) = server.accept(ls) {
-            server_conns.push(c);
-        }
-        for &c in &server_conns {
-            while let Ok(n) = server.recv(c, &mut buf) {
-                if n == 0 {
-                    break;
-                }
-                let _ = server.send(c, &buf[..n]);
-            }
-        }
-        cluster.step(100_000);
+    let mut cfg = ScenarioConfig::new(cluster)
+        .with_fault_plan(HostId(1), plan)
+        .with_migration(2_000_000, VmId(2), HostId(3));
+    for vm in 1u8..=3 {
+        cfg = cfg.with_tenant(BurstyClient::new(VmId(vm), 0).with_total_bytes(32 * 1024));
     }
-    FaultRunReport {
-        digest: cluster.event_digest(),
-        stats: cluster.stats(),
-        bytes_per_host,
-        reconnects,
-        control: cluster.control_log(),
-        events: cluster.events().len(),
-    }
+    cfg
 }
 
 /// Everything observable from the evacuation run, for whole-value
@@ -337,47 +191,54 @@ fn evacuation_run(threads: usize) -> EvacRunReport {
 }
 
 #[test]
-fn cluster_scenario_is_identical_at_any_thread_count() {
-    let reference = cluster_scenario(THREAD_MATRIX[0]);
+fn drained_move_is_identical_in_every_mode() {
+    let reference = assert_mode_invariant(&rows::drained_move());
     assert!(reference.completed, "{reference:?}");
     assert!(!reference.events.is_empty(), "migration must be logged");
-    for &threads in &THREAD_MATRIX[1..] {
-        let report = cluster_scenario(threads);
-        assert_eq!(report, reference, "threads={threads} diverged");
-    }
 }
 
 #[test]
-fn warm_migration_scenario_is_identical_at_any_thread_count() {
-    let reference = warm_scenario(THREAD_MATRIX[0]);
+fn warm_move_is_identical_in_every_mode() {
+    let reference = assert_mode_invariant(&rows::warm_move());
     assert!(reference.completed, "{reference:?}");
     assert_eq!(reference.stats.warm_migrations, 1);
     assert!(
         reference.stats.freeze_steps > 0,
         "the freeze window must run mini-steps through the executor"
     );
-    for &threads in &THREAD_MATRIX[1..] {
-        let report = warm_scenario(threads);
-        assert_eq!(report, reference, "threads={threads} diverged");
-    }
 }
 
 #[test]
-fn fault_scenario_is_identical_at_any_thread_count() {
-    let reference = fault_run(THREAD_MATRIX[0]);
-    assert!(
-        reference.bytes_per_host.iter().all(|&b| b > 0),
-        "every tenant must move bytes: {reference:?}"
-    );
+fn planned_evacuation_is_identical_in_every_mode() {
+    let reference = assert_mode_invariant(&rows::evacuation());
+    assert!(reference.completed, "{reference:?}");
+    assert_eq!(reference.stats.evac_commits, 1);
+}
+
+/// The single-host rows run through the same sharded executor: a one-host
+/// cluster has one host unit, or one lane per NSM share.
+#[test]
+fn single_host_rows_are_identical_in_every_mode() {
+    let failover = assert_mode_invariant(&rows::failover());
+    assert!(failover.completed && failover.reconnects >= 1);
+    let ramp = assert_mode_invariant(&rows::control_ramp());
+    assert!(ramp.completed && !ramp.hosts[&HostId(0)].control.is_empty());
+}
+
+#[test]
+fn faulted_cluster_is_identical_in_every_mode() {
+    let reference = assert_mode_invariant(&faulted_cluster());
+    assert!(reference.completed, "{reference:?}");
     assert!(
         reference.reconnects > 0,
         "the NSM crash must reset the pinned connection"
     );
-    assert!(reference.events > 0, "the drained migration must be logged");
-    for &threads in &THREAD_MATRIX[1..] {
-        let report = fault_run(threads);
-        assert_eq!(report, reference, "threads={threads} diverged");
-    }
+    assert_eq!(reference.hosts[&HostId(1)].faults.applied, 4);
+    assert_eq!(reference.stats.migrations, 1, "{:?}", reference.events);
+    assert!(
+        reference.hosts.values().any(|h| !h.control.is_empty()),
+        "the control planes must have acted"
+    );
 }
 
 /// The evacuation path joins the determinism matrix: a run containing a
@@ -579,18 +440,20 @@ fn uneven_share_counts_are_identical_across_threads_and_shard_modes() {
 /// `PartialEq`; this pins the *bytes*, which is what the CI job diffs.)
 #[test]
 fn serialized_obs_dump_is_byte_identical_across_runs_and_threads() {
-    let reference =
-        serde_json::to_string(&warm_scenario(THREAD_MATRIX[0]).obs).expect("dump serializes");
+    let dump = |threads: usize| {
+        let mut cfg = rows::warm_move();
+        cfg.cluster = cfg.cluster.with_threads(threads);
+        let report = Scenario::new(cfg).run().expect("warm row runs");
+        serde_json::to_string(&report.obs).expect("dump serializes")
+    };
+    let reference = dump(THREAD_MATRIX[0]);
     assert!(
         reference.contains("WarmMigrateVm"),
         "the warm migration must land in the ring: {reference}"
     );
-    let rerun =
-        serde_json::to_string(&warm_scenario(THREAD_MATRIX[0]).obs).expect("dump serializes");
-    assert_eq!(reference, rerun, "same configuration, same bytes");
+    assert_eq!(reference, dump(THREAD_MATRIX[0]), "same row, same bytes");
     for &threads in &THREAD_MATRIX[1..] {
-        let dump = serde_json::to_string(&warm_scenario(threads).obs).expect("dump serializes");
-        assert_eq!(dump, reference, "threads={threads} diverged");
+        assert_eq!(dump(threads), reference, "threads={threads} diverged");
     }
 }
 
@@ -598,14 +461,15 @@ fn serialized_obs_dump_is_byte_identical_across_runs_and_threads() {
 /// equality contract above; this pins that they actually count.
 #[test]
 fn per_phase_counters_accumulate() {
-    let report = fault_run(1);
-    assert!(report.stats.poll_work > 0, "rounds must do datapath work");
+    let stats = Scenario::new(faulted_cluster()).run().unwrap().stats;
+    assert!(stats.poll_work > 0, "rounds must do datapath work");
+    assert!(stats.begin_work > 0, "fault events count as begin work");
     assert!(
-        report.stats.begin_work > 0,
-        "fault events count as begin work"
+        stats.control_work > 0,
+        "control actions count as close work"
     );
     assert!(
-        report.stats.barrier_frames > 0,
+        stats.barrier_frames > 0,
         "cross-host traffic must cross the ToR at the barrier"
     );
 }

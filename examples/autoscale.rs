@@ -11,10 +11,10 @@
 //! Run with: cargo run --example autoscale
 
 use netkernel::types::{
-    ControlAction, ControlPolicy, ControlTarget, HostConfig, NsmConfig, NsmId, VmConfig, VmId,
-    VmToNsmPolicy,
+    ControlAction, ControlPolicy, ControlTarget, HostConfig, HostId, NsmConfig, NsmId, VmConfig,
+    VmId, VmToNsmPolicy,
 };
-use netkernel::workload::bursty::{BurstyClient, BurstyConfig, BurstyScenario};
+use netkernel::{BurstyClient, Scenario, ScenarioConfig};
 
 fn main() {
     let policy = ControlPolicy::new()
@@ -38,18 +38,19 @@ fn main() {
         ]))
         .with_control(policy);
 
-    let report = BurstyScenario::new(
-        BurstyConfig::new(host)
+    let report = Scenario::new(
+        ScenarioConfig::single_host(host)
             .with_seed(11)
-            .with_client(BurstyClient::new(VmId(1), 0).with_total_bytes(96 * 1024))
-            .with_client(BurstyClient::new(VmId(2), 1_000_000).with_total_bytes(96 * 1024))
-            .with_client(BurstyClient::new(VmId(3), 2_000_000).with_total_bytes(96 * 1024)),
+            .with_tenant(BurstyClient::new(VmId(1), 0).with_total_bytes(96 * 1024))
+            .with_tenant(BurstyClient::new(VmId(2), 1_000_000).with_total_bytes(96 * 1024))
+            .with_tenant(BurstyClient::new(VmId(3), 2_000_000).with_total_bytes(96 * 1024)),
     )
     .run()
     .expect("scenario runs");
+    let host = &report.hosts[&HostId(0)];
 
     println!("== control decision log ==");
-    for ev in &report.control {
+    for ev in &host.control {
         let t_ms = ev.at_ns as f64 / 1e6;
         match ev.action {
             ControlAction::ScaleUp {
@@ -86,18 +87,18 @@ fn main() {
         "tenants completed: {} ({} bytes verified, {} control actions)",
         report.completed,
         report.bytes_verified,
-        report.control.len(),
+        host.control.len(),
     );
-    for (vm, nsm) in &report.final_mapping {
+    for (vm, nsm) in &host.mapping {
         println!("{vm} now served by {nsm}");
     }
-    for (nsm, cores) in &report.final_nsm_cores {
+    for (nsm, cores) in &host.nsm_cores {
         println!("{nsm} back to {cores} core(s)");
     }
 
     assert!(report.completed, "transfers must complete");
     assert!(
-        report.control.iter().any(|e| matches!(
+        host.control.iter().any(|e| matches!(
             e.action,
             ControlAction::ScaleUp {
                 target: ControlTarget::Nsm(NsmId(1)),
@@ -107,10 +108,7 @@ fn main() {
         "the loaded NSM must have been scaled up"
     );
     assert!(
-        report
-            .control
-            .iter()
-            .any(|e| matches!(e.action, ControlAction::Rebalance { .. })),
+        (host.control.iter()).any(|e| matches!(e.action, ControlAction::Rebalance { .. })),
         "a tenant must have been rebalanced"
     );
 }

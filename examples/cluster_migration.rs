@@ -19,7 +19,7 @@
 use netkernel::types::{
     ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, VmConfig, VmId, VmToNsmPolicy,
 };
-use netkernel::workload::cluster::{ClusterScenario, ClusterScenarioConfig, ClusterTenant};
+use netkernel::{BurstyClient, Scenario, ScenarioConfig};
 
 fn host(id: u8, vms: &[u8]) -> HostConfig {
     let mut cfg = HostConfig::new()
@@ -37,11 +37,11 @@ fn main() {
         .with_host(host(1, &[1]))
         .with_host(host(2, &[2]))
         .with_uplink_latency_us(2);
-    let report = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster)
+    let report = Scenario::new(
+        ScenarioConfig::new(cluster)
             .with_seed(11)
-            .with_tenant(ClusterTenant::new(VmId(1), 0).with_total_bytes(96 * 1024))
-            .with_tenant(ClusterTenant::new(VmId(2), 500_000).with_total_bytes(64 * 1024))
+            .with_tenant(BurstyClient::new(VmId(1), 0).with_total_bytes(96 * 1024))
+            .with_tenant(BurstyClient::new(VmId(2), 500_000).with_total_bytes(64 * 1024))
             .with_migration(2_000_000, VmId(1), HostId(2)),
     )
     .run()
@@ -63,11 +63,13 @@ fn main() {
             ev.at_ns, ev.epoch, ev.action
         );
     }
-    for ((host, nsm), cores) in &report.final_nsm_cores {
-        println!("final share: {host}/{nsm} = {cores} cores");
+    for (host, at_end) in &report.hosts {
+        for (nsm, cores) in &at_end.nsm_cores {
+            println!("final share: {host}/{nsm} = {cores} cores");
+        }
     }
     assert_eq!(
-        report.final_nsm_cores[&(HostId(1), NsmId(1))],
+        report.hosts[&HostId(1)].nsm_cores[&NsmId(1)],
         0,
         "the drained source share must be at zero cores"
     );

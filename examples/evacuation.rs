@@ -25,7 +25,7 @@ use netkernel::types::{
     ClusterAction, ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, VmConfig, VmId,
     VmToNsmPolicy,
 };
-use netkernel::workload::cluster::{ClusterScenario, ClusterScenarioConfig, ClusterTenant};
+use netkernel::{BurstyClient, Scenario, ScenarioConfig};
 
 fn empty_host(id: u8) -> HostConfig {
     HostConfig::new()
@@ -52,16 +52,16 @@ fn main() {
         .with_host(empty_host(2))
         .with_host(empty_host(3))
         .with_uplink_latency_us(2);
-    let report = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster)
+    let report = Scenario::new(
+        ScenarioConfig::new(cluster)
             .with_seed(11)
             .with_tenant(
-                ClusterTenant::new(VmId(1), 0)
+                BurstyClient::new(VmId(1), 0)
                     .with_total_bytes(96 * 1024)
                     .long_lived(),
             )
             .with_tenant(
-                ClusterTenant::new(VmId(2), 0)
+                BurstyClient::new(VmId(2), 0)
                     .with_total_bytes(64 * 1024)
                     .long_lived(),
             )
@@ -131,7 +131,7 @@ fn main() {
     }
     assert_ne!(report.final_homes[&VmId(1)], HostId(1));
     assert_ne!(report.final_homes[&VmId(2)], HostId(1));
-    assert_eq!(report.final_nsm_cores[&(HostId(1), NsmId(1))], 0);
-    assert_eq!(report.final_nsm_cores[&(HostId(1), NsmId(2))], 0);
+    assert_eq!(report.hosts[&HostId(1)].nsm_cores[&NsmId(1)], 0);
+    assert_eq!(report.hosts[&HostId(1)].nsm_cores[&NsmId(2)], 0);
     println!("\nevent-log digest: {:#018x}", report.event_digest);
 }

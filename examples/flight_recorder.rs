@@ -23,7 +23,7 @@ use netkernel::types::{
     ClusterConfig, FaultAction, FaultPlan, HostConfig, HostId, NsmConfig, NsmId, VmConfig, VmId,
     VmToNsmPolicy,
 };
-use netkernel::workload::cluster::{ClusterScenario, ClusterScenarioConfig, ClusterTenant};
+use netkernel::{BurstyClient, Scenario, ScenarioConfig};
 
 fn main() {
     // Host 1 carries the tenant VM on a primary NSM plus an idle standby;
@@ -51,15 +51,15 @@ fn main() {
         .with_host(host1)
         .with_host(host2)
         .with_uplink_latency_us(2);
-    let report = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster)
+    let report = Scenario::new(
+        ScenarioConfig::new(cluster)
             .with_seed(23)
             .with_tenant(
-                ClusterTenant::new(VmId(1), 0)
+                BurstyClient::new(VmId(1), 0)
                     .with_total_bytes(96 * 1024)
                     .long_lived(),
             )
-            .with_tenant(ClusterTenant::new(VmId(2), 500_000).with_total_bytes(64 * 1024))
+            .with_tenant(BurstyClient::new(VmId(2), 500_000).with_total_bytes(64 * 1024))
             .with_fault_plan(HostId(1), faults)
             .with_warm_migration(2_000_000, VmId(1), HostId(2)),
     )

@@ -12,8 +12,8 @@
 //!
 //! Run with: `cargo run --example nsm_failover`
 
-use netkernel::types::{HostConfig, NsmConfig, NsmId, VmConfig, VmId, VmToNsmPolicy};
-use netkernel::{FaultAction, FaultPlan, Scenario, ScenarioConfig};
+use netkernel::types::{HostConfig, HostId, NsmConfig, NsmId, VmConfig, VmId, VmToNsmPolicy};
+use netkernel::{BurstyClient, FaultAction, FaultPlan, Scenario, ScenarioConfig};
 
 fn main() {
     // One VM, a primary NSM and a standby NSM.
@@ -37,13 +37,20 @@ fn main() {
         )
         .at(6_000_000, FaultAction::RestartNsm(NsmId(1)));
 
-    let report = Scenario::new(
-        ScenarioConfig::new(host)
-            .with_total_bytes(128 * 1024)
-            .with_faults(plan),
-    )
+    // A lone host is the one-host cluster (host id 0); its tenant keeps one
+    // connection for the whole transfer and the run stops when it is done.
+    let tenant = BurstyClient::new(VmId(1), 0)
+        .with_total_bytes(128 * 1024)
+        .long_lived();
+    let report = Scenario::new(ScenarioConfig {
+        drain_steps: 0,
+        ..ScenarioConfig::single_host(host)
+            .with_tenant(tenant)
+            .with_fault_plan(HostId(0), plan)
+    })
     .run()
     .expect("scenario runs");
+    let host = &report.hosts[&HostId(0)];
 
     println!("transfer completed:      {}", report.completed);
     println!("bytes verified:          {}", report.bytes_verified);
@@ -51,12 +58,9 @@ fn main() {
     println!("reconnects:              {}", report.reconnects);
     println!(
         "faults applied:          {} ({} crash, {} migration, {} restart)",
-        report.faults.applied,
-        report.faults.crashes,
-        report.faults.migrations,
-        report.faults.restarts
+        host.faults.applied, host.faults.crashes, host.faults.migrations, host.faults.restarts
     );
-    println!("connections reset:       {}", report.engine.conn_resets);
+    println!("connections reset:       {}", host.engine.conn_resets);
     println!("host steps:              {}", report.steps);
 
     assert!(report.completed, "the VM must survive the NSM crash");

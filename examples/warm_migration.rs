@@ -21,7 +21,7 @@ use netkernel::types::{
     ClusterAction, ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, VmConfig, VmId,
     VmToNsmPolicy,
 };
-use netkernel::workload::cluster::{ClusterScenario, ClusterScenarioConfig, ClusterTenant};
+use netkernel::{BurstyClient, Scenario, ScenarioConfig};
 
 fn host(id: u8, vms: &[u8]) -> HostConfig {
     let mut cfg = HostConfig::new()
@@ -39,15 +39,15 @@ fn main() {
         .with_host(host(1, &[1]))
         .with_host(host(2, &[2]))
         .with_uplink_latency_us(2);
-    let report = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster)
+    let report = Scenario::new(
+        ScenarioConfig::new(cluster)
             .with_seed(11)
             .with_tenant(
-                ClusterTenant::new(VmId(1), 0)
+                BurstyClient::new(VmId(1), 0)
                     .with_total_bytes(96 * 1024)
                     .long_lived(),
             )
-            .with_tenant(ClusterTenant::new(VmId(2), 500_000).with_total_bytes(64 * 1024))
+            .with_tenant(BurstyClient::new(VmId(2), 500_000).with_total_bytes(64 * 1024))
             .with_warm_migration(2_000_000, VmId(1), HostId(2)),
     )
     .run()
@@ -91,9 +91,11 @@ fn main() {
         warm_at, retired_at,
         "the source share must retire in the same control epoch"
     );
-    for ((host, nsm), cores) in &report.final_nsm_cores {
-        println!("final share: {host}/{nsm} = {cores} cores");
+    for (host, at_end) in &report.hosts {
+        for (nsm, cores) in &at_end.nsm_cores {
+            println!("final share: {host}/{nsm} = {cores} cores");
+        }
     }
-    assert_eq!(report.final_nsm_cores[&(HostId(1), NsmId(1))], 0);
+    assert_eq!(report.hosts[&HostId(1)].nsm_cores[&NsmId(1)], 0);
     println!("\nevent-log digest: {:#018x}", report.event_digest);
 }

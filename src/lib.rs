@@ -49,7 +49,4 @@ pub use nk_types::{
     ControlPolicy, ControlTarget, FaultAction, FaultEvent, FaultPlan, LinkFault, NkError, NkResult,
     SocketApi,
 };
-pub use nk_workload::{
-    random_fault_plan, BurstyClient, BurstyConfig, BurstyScenario, ClusterScenario,
-    ClusterScenarioConfig, ClusterTenant, Scenario, ScenarioConfig, ScenarioReport,
-};
+pub use nk_workload::{random_fault_plan, BurstyClient, Scenario, ScenarioConfig, ScenarioReport};

@@ -10,22 +10,9 @@
 //! for a fixed seed (checked through the event-log digest and the full
 //! report).
 
-use netkernel::types::{
-    ClusterAction, ClusterConfig, ClusterPolicy, HostConfig, HostId, NsmConfig, NsmId, VmConfig,
-    VmId, VmToNsmPolicy,
-};
-use netkernel::workload::cluster::{ClusterScenario, ClusterScenarioConfig, ClusterTenant};
-
-fn host(id: u8, vms: &[u8]) -> HostConfig {
-    let mut cfg = HostConfig::new()
-        .with_host_id(HostId(id))
-        .with_nsm(NsmConfig::kernel(NsmId(1)))
-        .with_mapping(VmToNsmPolicy::All(NsmId(1)));
-    for vm in vms {
-        cfg = cfg.with_vm(VmConfig::new(VmId(*vm)));
-    }
-    cfg
-}
+use netkernel::types::{ClusterAction, ClusterConfig, ClusterPolicy, HostId, NsmId, VmId};
+use netkernel::workload::rows::kernel_host as host;
+use netkernel::{BurstyClient, Scenario, ScenarioConfig};
 
 /// Two hosts, one tenant each, both streaming to the ToR-attached server:
 /// every byte crosses the inter-host fabric and is verified.
@@ -34,11 +21,11 @@ fn tenants_on_two_hosts_stream_across_the_fabric() {
     let cluster = ClusterConfig::new()
         .with_host(host(1, &[1]))
         .with_host(host(2, &[2]));
-    let report = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster)
+    let report = Scenario::new(
+        ScenarioConfig::new(cluster)
             .with_seed(7)
-            .with_tenant(ClusterTenant::new(VmId(1), 0).with_total_bytes(32 * 1024))
-            .with_tenant(ClusterTenant::new(VmId(2), 500_000).with_total_bytes(32 * 1024)),
+            .with_tenant(BurstyClient::new(VmId(1), 0).with_total_bytes(32 * 1024))
+            .with_tenant(BurstyClient::new(VmId(2), 500_000).with_total_bytes(32 * 1024)),
     )
     .run()
     .unwrap();
@@ -60,11 +47,11 @@ fn drained_cross_host_migration_completes_and_retires_the_source_share() {
     let cluster = ClusterConfig::new()
         .with_host(host(1, &[1]))
         .with_host(host(2, &[2]));
-    let report = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster)
+    let report = Scenario::new(
+        ScenarioConfig::new(cluster)
             .with_seed(11)
-            .with_tenant(ClusterTenant::new(VmId(1), 0).with_total_bytes(96 * 1024))
-            .with_tenant(ClusterTenant::new(VmId(2), 0).with_total_bytes(32 * 1024))
+            .with_tenant(BurstyClient::new(VmId(1), 0).with_total_bytes(96 * 1024))
+            .with_tenant(BurstyClient::new(VmId(2), 0).with_total_bytes(32 * 1024))
             // Fire mid-transfer: vm1 has pinned connections at this point.
             .with_migration(2_000_000, VmId(1), HostId(2)),
     )
@@ -124,8 +111,8 @@ fn drained_cross_host_migration_completes_and_retires_the_source_share() {
 
     // The source NSM share is at zero cores; the destination serves both
     // tenants.
-    assert_eq!(report.final_nsm_cores[&(HostId(1), NsmId(1))], 0);
-    assert!(report.final_nsm_cores[&(HostId(2), NsmId(1))] >= 1);
+    assert_eq!(report.hosts[&HostId(1)].nsm_cores[&NsmId(1)], 0);
+    assert!(report.hosts[&HostId(2)].nsm_cores[&NsmId(1)] >= 1);
     assert_eq!(report.final_homes[&VmId(1)], HostId(2));
     assert_eq!(report.stats.migrations, 1);
     assert_eq!(report.stats.drains_completed, 1);
@@ -143,15 +130,15 @@ fn warm_migration_moves_a_long_lived_connection_without_draining() {
         .with_host(host(1, &[1]))
         .with_host(host(2, &[2]))
         .with_uplink_latency_us(2);
-    let report = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster)
+    let report = Scenario::new(
+        ScenarioConfig::new(cluster)
             .with_seed(11)
             .with_tenant(
-                ClusterTenant::new(VmId(1), 0)
+                BurstyClient::new(VmId(1), 0)
                     .with_total_bytes(96 * 1024)
                     .long_lived(),
             )
-            .with_tenant(ClusterTenant::new(VmId(2), 0).with_total_bytes(32 * 1024))
+            .with_tenant(BurstyClient::new(VmId(2), 0).with_total_bytes(32 * 1024))
             // Fire mid-transfer: vm1's single connection is pinned and busy.
             .with_warm_migration(2_000_000, VmId(1), HostId(2)),
     )
@@ -219,16 +206,16 @@ fn warm_migration_moves_a_long_lived_connection_without_draining() {
     );
 
     assert_eq!(report.final_homes[&VmId(1)], HostId(2));
-    assert_eq!(report.final_nsm_cores[&(HostId(1), NsmId(1))], 0);
-    assert!(report.final_nsm_cores[&(HostId(2), NsmId(1))] >= 1);
+    assert_eq!(report.hosts[&HostId(1)].nsm_cores[&NsmId(1)], 0);
+    assert!(report.hosts[&HostId(2)].nsm_cores[&NsmId(1)] >= 1);
 }
 
 /// Warm-migration determinism: the same seeded warm scenario replays
 /// byte-identically — equal reports, equal event-log digests.
 #[test]
 fn warm_migration_replays_byte_identically() {
-    let config = || {
-        ClusterScenarioConfig::new(
+    let config = |move_at_ns| {
+        ScenarioConfig::new(
             ClusterConfig::new()
                 .with_host(host(1, &[1]))
                 .with_host(host(2, &[2]))
@@ -236,15 +223,15 @@ fn warm_migration_replays_byte_identically() {
         )
         .with_seed(23)
         .with_tenant(
-            ClusterTenant::new(VmId(1), 0)
+            BurstyClient::new(VmId(1), 0)
                 .with_total_bytes(64 * 1024)
                 .long_lived(),
         )
-        .with_tenant(ClusterTenant::new(VmId(2), 700_000).with_total_bytes(48 * 1024))
-        .with_warm_migration(1_500_000, VmId(1), HostId(2))
+        .with_tenant(BurstyClient::new(VmId(2), 700_000).with_total_bytes(48 * 1024))
+        .with_warm_migration(move_at_ns, VmId(1), HostId(2))
     };
-    let a = ClusterScenario::new(config()).run().unwrap();
-    let b = ClusterScenario::new(config()).run().unwrap();
+    let a = Scenario::new(config(1_500_000)).run().unwrap();
+    let b = Scenario::new(config(1_500_000)).run().unwrap();
     assert_eq!(a, b, "two runs of the same seeded warm scenario diverged");
     assert_eq!(a.event_digest, b.event_digest);
     assert!(a.completed);
@@ -252,24 +239,7 @@ fn warm_migration_replays_byte_identically() {
 
     // A structurally different warm plan changes the execution — the
     // equality above is not vacuous.
-    let c = ClusterScenario::new(
-        ClusterScenarioConfig::new(
-            ClusterConfig::new()
-                .with_host(host(1, &[1]))
-                .with_host(host(2, &[2]))
-                .with_uplink_latency_us(2),
-        )
-        .with_seed(23)
-        .with_tenant(
-            ClusterTenant::new(VmId(1), 0)
-                .with_total_bytes(64 * 1024)
-                .long_lived(),
-        )
-        .with_tenant(ClusterTenant::new(VmId(2), 700_000).with_total_bytes(48 * 1024))
-        .with_warm_migration(2_500_000, VmId(1), HostId(2)),
-    )
-    .run()
-    .unwrap();
+    let c = Scenario::new(config(2_500_000)).run().unwrap();
     assert!(c.completed);
     assert_ne!(a.event_digest, c.event_digest);
 }
@@ -279,19 +249,19 @@ fn warm_migration_replays_byte_identically() {
 /// digest — and a different seed produces a different execution.
 #[test]
 fn cluster_runs_replay_byte_identically() {
-    let config = || {
-        ClusterScenarioConfig::new(
+    let config = |second_kib: usize, move_at_ns| {
+        ScenarioConfig::new(
             ClusterConfig::new()
                 .with_host(host(1, &[1]))
                 .with_host(host(2, &[2])),
         )
         .with_seed(11)
-        .with_tenant(ClusterTenant::new(VmId(1), 0).with_total_bytes(64 * 1024))
-        .with_tenant(ClusterTenant::new(VmId(2), 1_000_000).with_total_bytes(64 * 1024))
-        .with_migration(2_000_000, VmId(1), HostId(2))
+        .with_tenant(BurstyClient::new(VmId(1), 0).with_total_bytes(64 * 1024))
+        .with_tenant(BurstyClient::new(VmId(2), 1_000_000).with_total_bytes(second_kib * 1024))
+        .with_migration(move_at_ns, VmId(1), HostId(2))
     };
-    let a = ClusterScenario::new(config()).run().unwrap();
-    let b = ClusterScenario::new(config()).run().unwrap();
+    let a = Scenario::new(config(64, 2_000_000)).run().unwrap();
+    let b = Scenario::new(config(64, 2_000_000)).run().unwrap();
     assert_eq!(a, b, "two runs of the same seeded cluster diverged");
     assert_eq!(a.event_digest, b.event_digest);
     assert!(a.completed);
@@ -300,19 +270,7 @@ fn cluster_runs_replay_byte_identically() {
     // A structurally different run (the migration fires later, the second
     // tenant carries more bytes) must actually change the execution — the
     // equality above is not vacuous.
-    let c = ClusterScenario::new(
-        ClusterScenarioConfig::new(
-            ClusterConfig::new()
-                .with_host(host(1, &[1]))
-                .with_host(host(2, &[2])),
-        )
-        .with_seed(11)
-        .with_tenant(ClusterTenant::new(VmId(1), 0).with_total_bytes(64 * 1024))
-        .with_tenant(ClusterTenant::new(VmId(2), 1_000_000).with_total_bytes(96 * 1024))
-        .with_migration(3_000_000, VmId(1), HostId(2)),
-    )
-    .run()
-    .unwrap();
+    let c = Scenario::new(config(96, 3_000_000)).run().unwrap();
     assert!(c.completed);
     assert_ne!(a, c, "a different plan should change the execution");
     assert_ne!(a.event_digest, c.event_digest);
@@ -335,12 +293,12 @@ fn placer_migrates_tenants_off_the_overloaded_host() {
         .with_host(host(1, &[1, 2, 3]))
         .with_host(host(2, &[]))
         .with_policy(policy);
-    let report = ClusterScenario::new(
-        ClusterScenarioConfig::new(cluster)
+    let report = Scenario::new(
+        ScenarioConfig::new(cluster)
             .with_seed(11)
-            .with_tenant(ClusterTenant::new(VmId(1), 0).with_total_bytes(96 * 1024))
-            .with_tenant(ClusterTenant::new(VmId(2), 0).with_total_bytes(96 * 1024))
-            .with_tenant(ClusterTenant::new(VmId(3), 1_000_000).with_total_bytes(96 * 1024)),
+            .with_tenant(BurstyClient::new(VmId(1), 0).with_total_bytes(96 * 1024))
+            .with_tenant(BurstyClient::new(VmId(2), 0).with_total_bytes(96 * 1024))
+            .with_tenant(BurstyClient::new(VmId(3), 1_000_000).with_total_bytes(96 * 1024)),
     )
     .run()
     .unwrap();

@@ -3,58 +3,29 @@
 //! These prove the ISSUE's acceptance scenario end to end: under a ramping
 //! multi-tenant workload the autoscaler grows the overloaded NSM, the
 //! rebalancer live-migrates at least one VM off it with zero byte-stream
-//! corruption (the bursty runner verifies every echoed byte and panics on
+//! corruption (the scenario runner verifies every echoed byte and panics on
 //! divergence), the allocation shrinks back once load falls below the low
 //! watermark and the cooldown passes, and the whole run replays
 //! byte-identically from its seed.
 
-use netkernel::types::{
-    ControlPolicy, HostConfig, NsmConfig, NsmId, VmConfig, VmId, VmToNsmPolicy,
-};
-use netkernel::workload::bursty::{BurstyClient, BurstyConfig, BurstyScenario};
-use netkernel::{ControlAction, ControlTarget};
+use netkernel::types::{HostId, NsmId, VmId};
+use netkernel::workload::rows::control_ramp;
+use netkernel::{BurstyClient, ControlAction, ControlTarget, Scenario, ScenarioReport};
 
-/// Three tenants packed onto NSM 1 with NSM 2 standing by, under a control
-/// policy whose accounting clock is small enough that the workload actually
-/// saturates it (the thresholds are what's under test, not the testbed's
-/// absolute cycle counts).
-fn controlled_host() -> HostConfig {
-    let policy = ControlPolicy::new()
-        .with_epoch_ns(1_000_000) // 10 steps per epoch
-        .with_window(2)
-        .with_watermarks(0.10, 0.60)
-        .with_core_bounds(1, 2)
-        .with_cooldown(1)
-        .with_rebalance(0.50, 1)
-        .with_pool_clock_hz(1_000_000);
-    HostConfig::new()
-        .with_vm(VmConfig::new(VmId(1)))
-        .with_vm(VmConfig::new(VmId(2)))
-        .with_vm(VmConfig::new(VmId(3)))
-        .with_nsm(NsmConfig::kernel(NsmId(1)))
-        .with_nsm(NsmConfig::kernel(NsmId(2)))
-        .with_mapping(VmToNsmPolicy::Static(vec![
-            (VmId(1), NsmId(1)),
-            (VmId(2), NsmId(1)),
-            (VmId(3), NsmId(1)),
-        ]))
-        .with_control(policy)
-}
+/// The row's one host.
+const HOST: HostId = HostId(0);
 
-/// Tenants join one by one (ramp-up) and finish (ramp-down).
-fn ramping_config() -> BurstyConfig {
-    BurstyConfig::new(controlled_host())
-        .with_seed(11)
-        .with_client(BurstyClient::new(VmId(1), 0).with_total_bytes(96 * 1024))
-        .with_client(BurstyClient::new(VmId(2), 1_000_000).with_total_bytes(96 * 1024))
-        .with_client(BurstyClient::new(VmId(3), 2_000_000).with_total_bytes(96 * 1024))
+/// The ramping row: tenants join one by one (ramp-up) and finish (ramp-down).
+fn run_ramp() -> ScenarioReport {
+    Scenario::new(control_ramp()).run().unwrap()
 }
 
 /// The acceptance scenario: scale-up → rebalance → scale-down, with full
 /// data integrity.
 #[test]
 fn ramping_load_scales_up_rebalances_and_scales_down() {
-    let report = BurstyScenario::new(ramping_config()).run().unwrap();
+    let report = run_ramp();
+    let host = &report.hosts[&HOST];
 
     assert!(report.completed, "{report:?}");
     assert_eq!(
@@ -63,7 +34,7 @@ fn ramping_load_scales_up_rebalances_and_scales_down() {
         "every tenant's bytes must be delivered and verified"
     );
 
-    let events = &report.control;
+    let events = &host.control;
     let first_scale_up = events
         .iter()
         .position(|e| {
@@ -96,14 +67,14 @@ fn ramping_load_scales_up_rebalances_and_scales_down() {
     // The rebalancer actually moved someone: at least one tenant's new
     // connections are served by the standby NSM.
     assert!(
-        report.final_mapping.values().any(|n| *n == NsmId(2)),
+        host.mapping.values().any(|n| *n == NsmId(2)),
         "no tenant ended up on the standby NSM: {:?}",
-        report.final_mapping
+        host.mapping
     );
 
     // After the drain the allocation is back at the policy floor.
-    assert_eq!(report.final_nsm_cores.get(&NsmId(1)), Some(&1));
-    assert!(report.sched.control_actions >= 3);
+    assert_eq!(host.nsm_cores.get(&NsmId(1)), Some(&1));
+    assert!(report.stats.control_work >= 3);
 }
 
 /// Byte-identical determinism: two executions of the same seeded
@@ -111,27 +82,21 @@ fn ramping_load_scales_up_rebalances_and_scales_down() {
 /// decision log; a different seed produces a different execution.
 #[test]
 fn controlled_runs_replay_byte_identically() {
-    let a = BurstyScenario::new(ramping_config()).run().unwrap();
-    let b = BurstyScenario::new(ramping_config()).run().unwrap();
+    let a = run_ramp();
+    let b = run_ramp();
     assert_eq!(a, b, "two runs of the same seeded scenario diverged");
     assert!(a.completed);
-    assert!(!a.control.is_empty());
+    assert!(!a.hosts[&HOST].control.is_empty());
 
     // A structurally different ramp (a fourth of the load arrives later)
     // must actually change the execution — the equality above is not
     // vacuous.
-    let c = BurstyScenario::new(
-        BurstyConfig::new(controlled_host())
-            .with_seed(11)
-            .with_client(BurstyClient::new(VmId(1), 0).with_total_bytes(96 * 1024))
-            .with_client(BurstyClient::new(VmId(2), 1_000_000).with_total_bytes(96 * 1024))
-            .with_client(BurstyClient::new(VmId(3), 4_000_000).with_total_bytes(128 * 1024)),
-    )
-    .run()
-    .unwrap();
+    let mut later = control_ramp();
+    later.tenants[2] = BurstyClient::new(VmId(3), 4_000_000).with_total_bytes(128 * 1024);
+    let c = Scenario::new(later).run().unwrap();
     assert!(c.completed);
     assert_ne!(
-        a.engine, c.engine,
+        a.hosts[&HOST].engine, c.hosts[&HOST].engine,
         "a different ramp should change the execution"
     );
 }
@@ -140,8 +105,9 @@ fn controlled_runs_replay_byte_identically() {
 /// log, and utilisations attached to events are sane.
 #[test]
 fn control_decisions_respect_policy_bounds() {
-    let report = BurstyScenario::new(ramping_config()).run().unwrap();
-    for ev in &report.control {
+    let report = run_ramp();
+    let host = &report.hosts[&HOST];
+    for ev in &host.control {
         match ev.action {
             ControlAction::ScaleUp {
                 from_cores,

@@ -9,16 +9,14 @@
 //! echoed chunk, NQE conservation across CoreEngine, scheduler accounting —
 //! so a passing run certifies much more than "it did not crash".
 
-use netkernel::types::{HostConfig, NsmConfig, NsmId, VmConfig, VmId, VmToNsmPolicy};
-use netkernel::workload::scenario::{random_fault_plan, Scenario, ScenarioConfig};
-use netkernel::{FaultAction, FaultPlan, LinkFault};
+use netkernel::types::{HostId, NsmId, VmId};
+use netkernel::workload::rows::{self, single_stream, two_nsm_host};
+use netkernel::{
+    random_fault_plan, FaultAction, FaultPlan, LinkFault, Scenario, ScenarioConfig, ScenarioReport,
+};
 
-fn two_nsm_host() -> HostConfig {
-    HostConfig::new()
-        .with_vm(VmConfig::new(VmId(1)))
-        .with_nsm(NsmConfig::kernel(NsmId(1)))
-        .with_nsm(NsmConfig::kernel(NsmId(2)))
-        .with_mapping(VmToNsmPolicy::All(NsmId(1)))
+fn run(cfg: ScenarioConfig) -> ScenarioReport {
+    Scenario::new(cfg).run().unwrap()
 }
 
 /// The acceptance scenario: an NSM crash mid-transfer, the affected socket
@@ -27,25 +25,8 @@ fn two_nsm_host() -> HostConfig {
 /// fixed seed.
 #[test]
 fn nsm_crash_and_live_migration_mid_transfer() {
-    // The transfer needs ~2 steps per 2 KiB chunk, so 128 KiB spans well
-    // past step 20 (t = 2 ms): the crash lands mid-flight by construction.
-    let plan = FaultPlan::new()
-        .at(2_000_000, FaultAction::CrashNsm(NsmId(1)))
-        .at(
-            2_000_000,
-            FaultAction::MigrateVm {
-                vm: VmId(1),
-                to: NsmId(2),
-            },
-        )
-        .at(6_000_000, FaultAction::RestartNsm(NsmId(1)));
-    let report = Scenario::new(
-        ScenarioConfig::new(two_nsm_host())
-            .with_total_bytes(128 * 1024)
-            .with_faults(plan),
-    )
-    .run()
-    .unwrap();
+    let report = run(rows::failover());
+    let host = &report.hosts[&HostId(0)];
 
     assert!(
         report.completed,
@@ -60,11 +41,11 @@ fn nsm_crash_and_live_migration_mid_transfer() {
         report.reconnects >= 1,
         "the client must have reconnected through the standby NSM"
     );
-    assert_eq!(report.faults.crashes, 1);
-    assert_eq!(report.faults.migrations, 1);
-    assert_eq!(report.faults.restarts, 1);
+    assert_eq!(host.faults.crashes, 1);
+    assert_eq!(host.faults.migrations, 1);
+    assert_eq!(host.faults.restarts, 1);
     assert!(
-        report.engine.conn_resets >= 1,
+        host.engine.conn_resets >= 1,
         "CoreEngine must reset the crashed NSM's connections"
     );
 }
@@ -74,26 +55,15 @@ fn nsm_crash_and_live_migration_mid_transfer() {
 /// and after the scheduled restart the transfer completes.
 #[test]
 fn crash_without_standby_recovers_on_restart() {
-    let host = HostConfig::new()
-        .with_vm(VmConfig::new(VmId(1)))
-        .with_nsm(NsmConfig::kernel(NsmId(1)))
-        .with_nsm(NsmConfig::kernel(NsmId(2)))
-        .with_mapping(VmToNsmPolicy::All(NsmId(1)));
     let plan = FaultPlan::new()
         .at(2_000_000, FaultAction::CrashNsm(NsmId(1)))
         .at(5_000_000, FaultAction::RestartNsm(NsmId(1)));
-    let report = Scenario::new(
-        ScenarioConfig::new(host)
-            .with_total_bytes(128 * 1024)
-            .with_faults(plan),
-    )
-    .run()
-    .unwrap();
+    let report = run(single_stream(two_nsm_host(), 128 * 1024, plan));
     assert!(report.completed, "{report:?}");
     assert!(report.errors_observed >= 1);
     // While NSM 1 was down, requests failed fast instead of queueing
     // forever.
-    assert!(report.vm.dropped >= 1, "{report:?}");
+    assert!(report.tenants[&VmId(1)].switch.dropped >= 1, "{report:?}");
 }
 
 /// Mid-flight link degradation (loss + latency + reordering) never corrupts
@@ -118,16 +88,10 @@ fn link_degradation_mid_transfer_preserves_integrity() {
                 link: LinkFault::healthy(),
             },
         );
-    let report = Scenario::new(
-        ScenarioConfig::new(two_nsm_host())
-            .with_total_bytes(64 * 1024)
-            .with_faults(plan),
-    )
-    .run()
-    .unwrap();
+    let report = run(single_stream(two_nsm_host(), 64 * 1024, plan));
     assert!(report.completed, "{report:?}");
     assert_eq!(report.bytes_verified, 64 * 1024);
-    assert_eq!(report.faults.link_changes, 2);
+    assert_eq!(report.hosts[&HostId(0)].faults.link_changes, 2);
 }
 
 /// Property test: N randomized fault schedules from explicit seeds. Every
@@ -140,14 +104,7 @@ fn randomized_fault_schedules_preserve_invariants() {
     for seed in 1..=6u64 {
         let host = two_nsm_host();
         let plan = random_fault_plan(seed, &host, VmId(1), 12_000_000).expect("plan generation");
-        let report = Scenario::new(
-            ScenarioConfig::new(host)
-                .with_seed(seed)
-                .with_total_bytes(96 * 1024)
-                .with_faults(plan.clone()),
-        )
-        .run()
-        .unwrap();
+        let report = run(single_stream(host, 96 * 1024, plan.clone()).with_seed(seed));
         assert!(
             report.completed,
             "seed {seed}: transfer incomplete under plan {plan:?}: {report:?}"
@@ -158,7 +115,7 @@ fn randomized_fault_schedules_preserve_invariants() {
             "seed {seed}: byte count mismatch"
         );
         assert_eq!(
-            report.faults.applied as usize,
+            report.hosts[&HostId(0)].faults.applied as usize,
             plan.len(),
             "seed {seed}: not every scheduled fault was applied"
         );
@@ -170,34 +127,23 @@ fn randomized_fault_schedules_preserve_invariants() {
 /// counters — across two independent runs.
 #[test]
 fn identical_seeds_replay_identical_executions() {
-    let build = || {
+    let build = |plan_seed| {
         let host = two_nsm_host();
-        let plan = random_fault_plan(42, &host, VmId(1), 12_000_000).unwrap();
-        ScenarioConfig::new(host)
-            .with_seed(42)
-            .with_total_bytes(96 * 1024)
-            .with_faults(plan)
+        let plan = random_fault_plan(plan_seed, &host, VmId(1), 12_000_000).unwrap();
+        single_stream(host, 96 * 1024, plan).with_seed(42)
     };
-    let a = Scenario::new(build()).run().unwrap();
-    let b = Scenario::new(build()).run().unwrap();
+    let a = run(build(42));
+    let b = run(build(42));
     assert_eq!(a, b, "two runs of the same seeded scenario diverged");
     assert!(a.completed);
 
     // A different fault-schedule seed must actually change the execution —
     // the equality above is not vacuous.
-    let host = two_nsm_host();
-    let plan = random_fault_plan(7, &host, VmId(1), 12_000_000).unwrap();
-    let c = Scenario::new(
-        ScenarioConfig::new(host)
-            .with_seed(42)
-            .with_total_bytes(96 * 1024)
-            .with_faults(plan),
-    )
-    .run()
-    .unwrap();
+    let c = run(build(7));
     assert!(c.completed);
     assert_ne!(
-        a.faults, c.faults,
+        a.hosts[&HostId(0)].faults,
+        c.hosts[&HostId(0)].faults,
         "different fault seeds should not replay identically"
     );
 }
