@@ -1,7 +1,6 @@
 //! The CoreEngine connection table (paper §4.3, Figure 6).
 
-use nk_types::{ConnKey, NsmId, QueueSetId, SocketId, VmId};
-use std::collections::BTreeMap;
+use nk_types::{ConnKey, DetMap, NsmId, QueueSetId, SocketId, VmId};
 
 /// One connection-table entry: the NSM side of a VM tuple.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -18,13 +17,14 @@ pub struct ConnEntry {
 /// The connection table mapping ⟨VM id, queue set, socket⟩ to
 /// ⟨NSM id, queue set, socket⟩.
 ///
-/// Keyed by a `BTreeMap` so every iteration below walks entries in
-/// `ConnKey` order: the table sits on the datapath, and any hash-ordered
-/// walk here would make replay output depend on the map's per-instance
-/// seed (the determinism contract of PRs 6, 8 and 9).
+/// The datapath only looks tuples up (one `get` per switched NQE), so the
+/// table is a [`DetMap`]; every accessor below that returns more than one
+/// entry takes them from `sorted()`, in `ConnKey` order — share-lane
+/// grouping and guest notification order are part of the determinism
+/// contract.
 #[derive(Default)]
 pub struct ConnTable {
-    entries: BTreeMap<ConnKey, ConnEntry>,
+    entries: DetMap<ConnKey, ConnEntry>,
 }
 
 impl ConnTable {
@@ -55,7 +55,7 @@ impl ConnTable {
         key: ConnKey,
         pick: impl FnOnce() -> (NsmId, QueueSetId),
     ) -> &mut ConnEntry {
-        self.entries.entry(key).or_insert_with(|| {
+        self.entries.get_or_insert_with(key, || {
             let (nsm, nsm_queue_set) = pick();
             ConnEntry {
                 nsm,
@@ -85,11 +85,11 @@ impl ConnTable {
     }
 
     /// Every entry belonging to a VM, sorted by key (non-destructive view;
-    /// warm migration pre-validates against this before extracting). The
-    /// ordered map walks in `ConnKey` order, so no explicit sort is needed.
+    /// warm migration pre-validates against this before extracting).
     pub fn entries_for_vm(&self, vm: VmId) -> Vec<(ConnKey, ConnEntry)> {
         self.entries
-            .iter()
+            .sorted()
+            .into_iter()
             .filter(|(k, _)| k.entity == vm.0)
             .map(|(k, e)| (*k, *e))
             .collect()
@@ -125,39 +125,38 @@ impl ConnTable {
     /// unstable walk.
     pub fn vm_nsm_pairs(&self) -> Vec<(VmId, NsmId)> {
         self.entries
-            .iter()
+            .sorted()
+            .into_iter()
             .map(|(k, e)| (VmId(k.entity), e.nsm))
             .collect()
     }
 
     /// Number of connections currently mapped to `nsm`.
     pub fn connections_for_nsm(&self, nsm: NsmId) -> usize {
-        self.entries.values().filter(|e| e.nsm == nsm).count()
+        self.entries.count(|_, e| e.nsm == nsm)
     }
 
     /// Number of connections a VM currently has pinned, across all NSMs.
     /// This is the count connection draining watches: a migrated VM's source
     /// share retires when it reaches zero.
     pub fn connections_for_vm(&self, vm: VmId) -> usize {
-        self.entries.keys().filter(|k| k.entity == vm.0).count()
+        self.entries.count(|k, _| k.entity == vm.0)
     }
 
     /// Number of connections pinned to the `(vm, nsm)` pair — the per-share
     /// drain counter of the ROADMAP's migration drain mode.
     pub fn connections_for_vm_nsm(&self, vm: VmId, nsm: NsmId) -> usize {
-        self.entries
-            .iter()
-            .filter(|(k, e)| k.entity == vm.0 && e.nsm == nsm)
-            .count()
+        self.entries.count(|k, e| k.entity == vm.0 && e.nsm == nsm)
     }
 
     /// Remove every entry pinned to `nsm` (the NSM crashed) and return the
     /// affected VM tuples, sorted so callers notify guests in a
-    /// deterministic order (the ordered map already walks in key order).
+    /// deterministic order.
     pub fn remove_nsm(&mut self, nsm: NsmId) -> Vec<ConnKey> {
         let victims: Vec<ConnKey> = self
             .entries
-            .iter()
+            .sorted()
+            .into_iter()
             .filter(|(_, e)| e.nsm == nsm)
             .map(|(k, _)| *k)
             .collect();

@@ -13,7 +13,7 @@ use crate::segment::Segment;
 use nk_fabric::nic::symmetric_flow_hash;
 use nk_fabric::port::{Frame, Port};
 use nk_types::api::{sockopt, EpollEvent};
-use nk_types::{NkError, NkResult, PollEvents, ShutdownHow, SockAddr, SocketApi, SocketId};
+use nk_types::{DetMap, NkError, NkResult, PollEvents, ShutdownHow, SockAddr, SocketApi, SocketId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Configuration of one stack instance.
@@ -120,8 +120,9 @@ enum SocketEntry {
         bound: Option<SockAddr>,
         reuseport: bool,
     },
-    /// Passive listener.
-    Listener(ListenerSlot),
+    /// Passive listener (boxed like a connection: the socket table holds
+    /// one entry per parked TIME-WAIT socket, so an entry stays two words).
+    Listener(Box<ListenerSlot>),
     /// An in-progress or established connection.
     Conn(Box<ConnSlot>),
 }
@@ -166,20 +167,22 @@ impl ConnSlot {
 pub struct TcpStack {
     cfg: StackConfig,
     port: Port<Segment>,
-    /// Ordered like every table on the datapath. `transmit` does not walk
-    /// it: it polls `wake`, sorted — the order a walk would visit them in.
-    sockets: BTreeMap<SocketId, SocketEntry>,
-    /// (local, remote) → connection socket. Ordered like every other table
-    /// on the datapath (the workspace determinism rule).
-    demux: BTreeMap<(SockAddr, SockAddr), SocketId>,
+    /// Only ever looked up: `transmit` does not walk it, it polls `wake`,
+    /// sorted — the order a walk by id would visit them in.
+    sockets: DetMap<SocketId, SocketEntry>,
+    /// (local, remote) → connection socket; looked up once per segment.
+    demux: DetMap<(SockAddr, SockAddr), SocketId>,
     /// Listening sockets per local port (more than one with SO_REUSEPORT).
-    listeners: BTreeMap<u16, Vec<SocketId>>,
+    listeners: DetMap<u16, Vec<SocketId>>,
     /// Connections the next `transmit` polls, each id once (the slot's
     /// `queued` bit), unsorted. Ids of sockets since removed are skipped.
     wake: Vec<SocketId>,
-    /// The connections the last `transmit` polled, ascending: what
-    /// `reap_closed` examines. Trades buffers with `wake` every tick.
-    polled: Vec<SocketId>,
+    /// The wake list `transmit` works through, sorted; trades buffers with
+    /// `wake` every tick (empty between ticks).
+    due: Vec<SocketId>,
+    /// The connections the last `transmit` left closed and fully read,
+    /// ascending: what `reap_closed` removes (empty between ticks).
+    dead: Vec<SocketId>,
     /// `(deadline_ns, socket)`, at most one entry per connection, no later
     /// than its earliest timer. Lazy: the entry moves only when the deadline
     /// moves *earlier* (an RTO moves later on every send), so it may fire
@@ -214,11 +217,12 @@ impl TcpStack {
         TcpStack {
             cfg,
             port,
-            sockets: BTreeMap::new(),
-            demux: BTreeMap::new(),
-            listeners: BTreeMap::new(),
+            sockets: DetMap::new(),
+            demux: DetMap::new(),
+            listeners: DetMap::new(),
             wake: Vec::new(),
-            polled: Vec::new(),
+            due: Vec::new(),
+            dead: Vec::new(),
             timers: BTreeSet::new(),
             interest: BTreeMap::new(),
             now_ns: 0,
@@ -260,8 +264,11 @@ impl TcpStack {
         self.iss
     }
 
-    fn alloc_ephemeral(&mut self, remote: SockAddr) -> u16 {
-        for _ in 0..25_000 {
+    /// The next free ephemeral port towards `remote`, or `None` when every
+    /// one is taken by a listener or by a connection to that remote (live or
+    /// parked in TIME-WAIT).
+    fn alloc_ephemeral(&mut self, remote: SockAddr) -> Option<u16> {
+        for _ in EPHEMERAL_LOW..EPHEMERAL_HIGH {
             let p = self.next_ephemeral;
             // EPHEMERAL_HIGH is exclusive: wrap before the scan reaches it,
             // so every generation covers exactly the same range.
@@ -272,10 +279,10 @@ impl TcpStack {
             };
             let tuple = (SockAddr::new(self.cfg.local_ip, p), remote);
             if !self.listeners.contains_key(&p) && !self.demux.contains_key(&tuple) {
-                return p;
+                return Some(p);
             }
         }
-        0
+        None
     }
 
     // ---- Socket API ---------------------------------------------------------
@@ -327,13 +334,15 @@ impl TcpStack {
                 bound: Some(addr), ..
             } => {
                 let local = *addr;
-                *entry = SocketEntry::Listener(ListenerSlot {
+                *entry = SocketEntry::Listener(Box::new(ListenerSlot {
                     local,
                     backlog: backlog.max(1) as usize,
                     ready: VecDeque::new(),
                     embryonic: 0,
-                });
-                self.listeners.entry(local.port).or_default().push(sock);
+                }));
+                self.listeners
+                    .get_or_insert_with(local.port, Vec::new)
+                    .push(sock);
                 Ok(())
             }
             SocketEntry::Idle { bound: None, .. } => Err(NkError::InvalidState),
@@ -384,7 +393,7 @@ impl TcpStack {
         };
         let local_port = match local_port {
             Some(p) => p,
-            None => self.alloc_ephemeral(remote),
+            None => self.alloc_ephemeral(remote).ok_or(NkError::AddrInUse)?,
         };
         let local = SockAddr::new(self.cfg.local_ip, local_port);
         // A tuple still in the table (its last connection sits in TIME-WAIT)
@@ -598,7 +607,7 @@ impl TcpStack {
     /// address. Hosts use this to decide when an adopted (warm-migrated)
     /// address alias is no longer serving anyone and can be dropped.
     pub fn serves_ip(&self, ip: u32) -> bool {
-        self.demux.keys().any(|(local, _)| local.ip == ip)
+        self.demux.any(|(local, _), _| local.ip == ip)
     }
 
     /// Tear a connection out of this stack for a warm migration, returning
@@ -793,7 +802,7 @@ impl TcpStack {
     /// Take one embryonic connection off the count of its `parent` listener,
     /// if it has one that still listens, and return its accept queue.
     fn leave_listener(
-        sockets: &mut BTreeMap<SocketId, SocketEntry>,
+        sockets: &mut DetMap<SocketId, SocketEntry>,
         parent: Option<SocketId>,
     ) -> Option<&mut VecDeque<SocketId>> {
         let SocketEntry::Listener(l) = sockets.get_mut(&parent?)? else {
@@ -819,9 +828,7 @@ impl TcpStack {
                 slot.wake(id, &mut self.wake);
             }
         }
-        let mut due = std::mem::take(&mut self.wake);
-        self.wake = std::mem::take(&mut self.polled);
-        self.wake.clear();
+        let mut due = std::mem::replace(&mut self.wake, std::mem::take(&mut self.due));
         due.sort_unstable();
         #[cfg(debug_assertions)]
         self.audit_skipped(&due, now_ns);
@@ -849,6 +856,11 @@ impl TcpStack {
             // Edge-detect the writable transition for Writable events.
             let writable = slot.conn.writable();
             let was = std::mem::replace(&mut slot.was_writable, writable);
+            // A closed connection stays while the application has unread
+            // bytes; only connections nobody is waiting on are reaped.
+            if slot.conn.is_closed() && slot.conn.recv_available() == 0 {
+                self.dead.push(id);
+            }
             for seg in segs.drain(..) {
                 count += 1;
                 self.emit(seg);
@@ -858,7 +870,8 @@ impl TcpStack {
             }
         }
         self.tx_scratch = segs;
-        self.polled = due;
+        due.clear();
+        self.due = due;
         count
     }
 
@@ -868,11 +881,11 @@ impl TcpStack {
     #[cfg(debug_assertions)]
     fn audit_skipped(&mut self, due: &[SocketId], now_ns: u64) {
         let mut out = Vec::new();
-        for (id, entry) in &mut self.sockets {
-            let SocketEntry::Conn(slot) = entry else {
+        for id in self.sockets.sorted_keys() {
+            let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&id) else {
                 continue;
             };
-            if due.binary_search(id).is_ok() {
+            if due.binary_search(&id).is_ok() {
                 continue;
             }
             let c = &mut slot.conn;
@@ -904,20 +917,15 @@ impl TcpStack {
         self.tx_burst.push(frame);
     }
 
-    /// Remove the connections that are closed and fully read. Only a polled
-    /// connection can have become one: what closes or drains a connection —
-    /// a segment, a timer, `close`, a `recv` — also queues it.
+    /// Remove the connections `transmit` found closed and fully read. Only
+    /// a polled connection can have become one: what closes or drains a
+    /// connection — a segment, a timer, `close`, a `recv` — also queues it.
     fn reap_closed(&mut self) {
-        for i in 0..self.polled.len() {
-            let id = self.polled[i];
-            // A closed connection stays while the application has unread
-            // bytes; only connections nobody is waiting on are reaped.
-            if matches!(self.sockets.get(&id), Some(SocketEntry::Conn(slot))
-                if slot.conn.is_closed() && slot.conn.recv_available() == 0)
-            {
-                self.remove_conn(id);
-            }
+        let mut dead = std::mem::take(&mut self.dead);
+        for id in dead.drain(..) {
+            self.remove_conn(id);
         }
+        self.dead = dead;
     }
 }
 
@@ -1336,6 +1344,102 @@ mod tests {
         w.run(600);
         assert!(!w.client.sockets.contains_key(&old), "TIME-WAIT is over");
         assert_eq!(w.client.demux.get(&key(5000)), Some(&new));
+    }
+
+    /// Every ephemeral port towards one remote taken — live or parked in
+    /// TIME-WAIT, `churn`'s end state scaled up — is `AddrInUse`, typed: the
+    /// scan used to give up with port 0 and `connect` opened *from* it.
+    #[test]
+    fn connect_fails_typed_when_every_ephemeral_port_to_the_remote_is_taken() {
+        let mut w = World::new();
+        let to = SockAddr::new(SERVER_IP, 80);
+        for _ in EPHEMERAL_LOW..EPHEMERAL_HIGH {
+            let s = w.client.socket();
+            w.client.connect(s, to, w.now).unwrap();
+        }
+        let s = w.client.socket();
+        assert_eq!(w.client.connect(s, to, w.now), Err(NkError::AddrInUse));
+        assert_eq!(w.client.connect(s, to, w.now), Err(NkError::AddrInUse));
+        // The ports are taken per remote: another one still has them all.
+        w.client
+            .connect(s, SockAddr::new(SERVER_IP, 81), w.now)
+            .unwrap();
+        assert_eq!(w.client.demux.len(), 25_001);
+        assert!(!w.client.demux.any(|(local, _), _| local.port == 0));
+    }
+
+    /// One scripted echo session (connect, three writes echoed back, close)
+    /// between two stacks whose wire the test carries by hand, after each
+    /// stack first opened and closed `churned` sockets. Returns every segment
+    /// either side emitted, both stacks' counters and the kinds of the events
+    /// they raised, in order.
+    fn echo_session(
+        churned: usize,
+    ) -> (
+        Vec<Segment>,
+        [StackStats; 2],
+        Vec<std::mem::Discriminant<StackEvent>>,
+    ) {
+        let ports = [Port::new(CLIENT_IP), Port::new(SERVER_IP)];
+        let mut stacks = [
+            TcpStack::new(StackConfig::new(CLIENT_IP), ports[0].clone()),
+            TcpStack::new(StackConfig::new(SERVER_IP), ports[1].clone()),
+        ];
+        for stack in &mut stacks {
+            let opened: Vec<SocketId> = (0..churned).map(|_| stack.socket()).collect();
+            for s in opened {
+                stack.close(s).unwrap();
+            }
+        }
+        let (mut now, mut wire, mut kinds) = (0, Vec::new(), Vec::new());
+        let mut run = |stacks: &mut [TcpStack; 2], rounds: usize| {
+            for _ in 0..rounds {
+                now += 100_000;
+                for (i, stack) in stacks.iter_mut().enumerate() {
+                    stack.tick(now);
+                    let mut sent = Vec::new();
+                    ports[i].drain_tx_into(&mut sent);
+                    wire.extend(sent.iter().map(|f| f.payload.clone()));
+                    ports[1 - i].deliver_burst(|rx| rx.extend(sent));
+                    kinds.extend(drain_events(stack).iter().map(std::mem::discriminant));
+                }
+            }
+        };
+        let [client, server] = &mut stacks;
+        let ls = server.socket();
+        server.bind(ls, SockAddr::new(0, 80)).unwrap();
+        server.listen(ls, 8).unwrap();
+        let cs = client.socket();
+        client.connect(cs, SockAddr::new(SERVER_IP, 80), 0).unwrap();
+        run(&mut stacks, 4);
+        let (conn, _) = stacks[1].accept(ls).unwrap();
+        let mut buf = [0u8; 64];
+        for msg in [&b"one"[..], b"two, longer", b"three"] {
+            assert_eq!(stacks[0].send(cs, msg), Ok(msg.len()));
+            run(&mut stacks, 3);
+            assert_eq!(stacks[1].recv(conn, &mut buf), Ok(msg.len()));
+            assert_eq!(stacks[1].send(conn, &buf[..msg.len()]), Ok(msg.len()));
+            run(&mut stacks, 3);
+            assert_eq!(stacks[0].recv(cs, &mut buf), Ok(msg.len()));
+            assert_eq!(&buf[..msg.len()], msg);
+        }
+        stacks[0].close(cs).unwrap();
+        run(&mut stacks, 3);
+        assert_eq!(stacks[1].recv(conn, &mut buf), Ok(0));
+        stacks[1].close(conn).unwrap();
+        run(&mut stacks, 6);
+        (wire, [stacks[0].stats(), stacks[1].stats()], kinds)
+    }
+
+    /// Table history cannot reach the wire: a stack whose tables carry a
+    /// different capacity, tombstone pattern and id range emits the same
+    /// segments (socket ids are not on the wire), counts the same and raises
+    /// the same events in the same order.
+    #[test]
+    fn table_layout_never_leaks_into_segments() {
+        let fresh = echo_session(0);
+        assert!(fresh.0.len() > 12 && fresh.1[0].bytes_in == 19);
+        assert!(fresh == echo_session(10_000));
     }
 
     /// A reset with data in flight used to leave the RTO armed: while unread

@@ -7,8 +7,8 @@ use nk_shmem::HugepageRegion;
 use nk_types::api::ShutdownHow;
 use nk_types::ops::op_data;
 use nk_types::{
-    DataHandle, NkError, NkResult, Nqe, NsmId, OpResult, OpType, QueueSetId, SocketId, StackKind,
-    VmId,
+    DataHandle, DetMap, NkError, NkResult, Nqe, NsmId, OpResult, OpType, QueueSetId, SocketId,
+    StackKind, VmId,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -61,6 +61,8 @@ struct ConnCtx {
     vm_qs: QueueSetId,
     /// NSM-side queue set proactive events are pushed on.
     nsm_qs: usize,
+    /// Bytes announced to the guest and not yet consumed (receive credit).
+    rx_outstanding: usize,
 }
 
 /// The NSM-side library translating between NQEs and the network stack
@@ -69,11 +71,10 @@ pub struct ServiceLib {
     nsm: NsmId,
     device: NkDevice<ResponderEnd>,
     regions: BTreeMap<VmId, HugepageRegion>,
-    /// guest tuple → stack socket. Ordered maps throughout, like every
-    /// table on the datapath.
-    fwd: BTreeMap<(VmId, SocketId), SocketId>,
-    /// stack socket → guest context.
-    ctx: BTreeMap<SocketId, ConnCtx>,
+    /// guest tuple → stack socket; looked up once per request NQE.
+    fwd: DetMap<(VmId, SocketId), SocketId>,
+    /// stack socket → guest context; looked up once per stack event.
+    ctx: DetMap<SocketId, ConnCtx>,
     /// Payload accepted from guests but not yet taken by the stack; an entry
     /// lives only while something is queued.
     pending_send: BTreeMap<SocketId, PendingSend>,
@@ -83,8 +84,6 @@ pub struct ServiceLib {
     /// stays while the stack holds bytes for it (no receive credit, no
     /// hugepage — the retry keeps a starved receiver from losing data).
     rx_ready: Vec<SocketId>,
-    /// Bytes announced to the guest and not yet consumed (receive credit).
-    rx_outstanding: BTreeMap<SocketId, usize>,
     /// Per-VM Seawall windows (fair-share NSM only).
     fair_share: Option<VmWindowRegistry>,
     next_guest_sock: u32,
@@ -102,11 +101,10 @@ impl ServiceLib {
             nsm,
             device,
             regions: BTreeMap::new(),
-            fwd: BTreeMap::new(),
-            ctx: BTreeMap::new(),
+            fwd: DetMap::new(),
+            ctx: DetMap::new(),
             pending_send: BTreeMap::new(),
             rx_ready: Vec::new(),
-            rx_outstanding: BTreeMap::new(),
             fair_share: None,
             next_guest_sock: NSM_SOCKET_ID_BASE,
             batch: batch.max(1),
@@ -134,7 +132,8 @@ impl ServiceLib {
         self.regions.remove(&vm);
         let stale: Vec<((VmId, SocketId), SocketId)> = self
             .fwd
-            .iter()
+            .sorted()
+            .into_iter()
             .filter(|((owner, _), _)| *owner == vm)
             .map(|(k, s)| (*k, *s))
             .collect();
@@ -143,7 +142,6 @@ impl ServiceLib {
             self.fwd.remove(&key);
             self.ctx.remove(&sock);
             self.pending_send.remove(&sock);
-            self.rx_outstanding.remove(&sock);
         }
     }
 
@@ -155,7 +153,7 @@ impl ServiceLib {
     /// True while this ServiceLib holds state for the VM (region mapping or
     /// live sockets).
     pub fn has_vm(&self, vm: VmId) -> bool {
-        self.regions.contains_key(&vm) || self.fwd.keys().any(|(owner, _)| *owner == vm)
+        self.regions.contains_key(&vm) || self.fwd.any(|(owner, _), _| *owner == vm)
     }
 
     // ---- Warm-migration export / install ------------------------------------
@@ -174,7 +172,7 @@ impl ServiceLib {
             .fwd
             .remove(&(vm, guest_sock))
             .ok_or(NkError::BadSocket)?;
-        self.ctx.remove(&sock);
+        let outstanding = self.ctx.remove(&sock).map_or(0, |ctx| ctx.rx_outstanding);
         let pending: Vec<Vec<u8>> = self
             .pending_send
             .remove(&sock)
@@ -186,7 +184,6 @@ impl ServiceLib {
                 chunks
             })
             .unwrap_or_default();
-        let outstanding = self.rx_outstanding.remove(&sock).unwrap_or(0);
         Ok((sock, pending, outstanding))
     }
 
@@ -225,6 +222,7 @@ impl ServiceLib {
                 guest_sock,
                 vm_qs,
                 nsm_qs,
+                rx_outstanding,
             },
         );
         if !pending_send.is_empty() {
@@ -235,9 +233,6 @@ impl ServiceLib {
                     head: 0,
                 },
             );
-        }
-        if rx_outstanding > 0 {
-            self.rx_outstanding.insert(stack_sock, rx_outstanding);
         }
         // The snapshot may carry received bytes no segment will announce.
         self.rx_ready.push(stack_sock);
@@ -261,9 +256,20 @@ impl ServiceLib {
     }
 
     fn respond(&mut self, nsm_qs: usize, nqe: Nqe) {
-        if let Some(end) = self.device.queue_set(nsm_qs) {
+        Self::respond_on(&mut self.device, &mut self.stats, nsm_qs, nqe);
+    }
+
+    /// [`ServiceLib::respond`] for a caller that holds a borrow of another
+    /// field (a connection's context) across the call.
+    fn respond_on(
+        device: &mut NkDevice<ResponderEnd>,
+        stats: &mut ServiceStats,
+        nsm_qs: usize,
+        nqe: Nqe,
+    ) {
+        if let Some(end) = device.queue_set(nsm_qs) {
             if end.respond(nqe).is_ok() {
-                self.stats.responses += 1;
+                stats.responses += 1;
             }
         }
     }
@@ -306,6 +312,7 @@ impl ServiceLib {
                         guest_sock: nqe.socket,
                         vm_qs: nqe.queue_set,
                         nsm_qs,
+                        rx_outstanding: 0,
                     },
                 );
                 self.reply(nsm_qs, &nqe, Ok(()), sock.raw());
@@ -338,9 +345,8 @@ impl ServiceLib {
                 self.handle_send(stack, nsm_qs, &nqe);
             }
             OpType::RecvConsumed => {
-                if let Ok(s) = self.stack_sock(key) {
-                    let out = self.rx_outstanding.entry(s).or_insert(0);
-                    *out = out.saturating_sub(nqe.size as usize);
+                if let Some(ctx) = self.fwd.get(&key).and_then(|s| self.ctx.get_mut(s)) {
+                    ctx.rx_outstanding = ctx.rx_outstanding.saturating_sub(nqe.size as usize);
                 }
             }
             OpType::Shutdown => {
@@ -356,7 +362,6 @@ impl ServiceLib {
                         self.fwd.remove(&key);
                         self.ctx.remove(&s);
                         self.pending_send.remove(&s);
-                        self.rx_outstanding.remove(&s);
                         r
                     }
                     Err(e) => Err(e),
@@ -538,6 +543,7 @@ impl ServiceLib {
                     guest_sock: guest_id,
                     vm_qs: lctx.vm_qs,
                     nsm_qs: lctx.nsm_qs,
+                    rx_outstanding: 0,
                 },
             );
             self.stats.accepted += 1;
@@ -554,25 +560,22 @@ impl ServiceLib {
         let mut ready = std::mem::take(&mut self.rx_ready);
         ready.sort_unstable();
         ready.dedup();
-        ready.retain(|&sock| {
-            self.pump_socket(stack, sock);
-            self.ctx.contains_key(&sock) && stack.recv_available(sock) > 0
-        });
+        ready.retain(|&sock| self.pump_socket(stack, sock));
         self.rx_ready = ready;
     }
 
     /// Ship what `sock` has received to its guest, as far as receive credit
-    /// and hugepages go.
-    fn pump_socket(&mut self, stack: &mut TcpStack, sock: SocketId) {
-        let Some(ctx) = self.ctx.get(&sock).copied() else {
-            return;
+    /// and hugepages go. True while the stack still holds bytes for it: the
+    /// socket stays on the ready list.
+    fn pump_socket(&mut self, stack: &mut TcpStack, sock: SocketId) -> bool {
+        let Some(ctx) = self.ctx.get_mut(&sock) else {
+            return false;
         };
-        let Some(region) = self.regions.get(&ctx.vm).cloned() else {
-            return;
+        let Some(region) = self.regions.get(&ctx.vm) else {
+            return stack.recv_available(sock) > 0;
         };
         loop {
-            let outstanding = *self.rx_outstanding.get(&sock).unwrap_or(&0);
-            let credit = RX_BUDGET.saturating_sub(outstanding);
+            let credit = RX_BUDGET.saturating_sub(ctx.rx_outstanding);
             if credit == 0 {
                 break;
             }
@@ -593,12 +596,13 @@ impl ServiceLib {
                 break;
             };
             self.stats.bytes_rx += n as u64;
-            *self.rx_outstanding.entry(sock).or_insert(0) += n;
+            ctx.rx_outstanding += n;
             let mut ev = Nqe::new(OpType::DataReceived, ctx.vm, ctx.vm_qs, ctx.guest_sock);
             ev.data = handle;
             ev.size = n as u32;
-            self.respond(ctx.nsm_qs, ev);
+            Self::respond_on(&mut self.device, &mut self.stats, ctx.nsm_qs, ev);
         }
+        stack.recv_available(sock) > 0
     }
 }
 
@@ -1055,6 +1059,51 @@ mod tests {
             got.extend_from_slice(&buf[..n]);
         }
         assert_eq!(got, b"first half second half");
+    }
+
+    /// Receive credit lives in the connection's context, so every teardown
+    /// that drops the context drops the credit with it, and an export still
+    /// carries it away.
+    #[test]
+    fn teardown_leaves_no_receive_credit_behind() {
+        let mut w = World::new(StackKind::Kernel);
+        let ls = w.remote.socket();
+        w.remote.bind(ls, SockAddr::new(0, 7)).unwrap();
+        w.remote.listen(ls, 8).unwrap();
+        for guest in [5, 6, 7] {
+            w.submit(req(OpType::SocketCreate, guest));
+            w.submit(req(OpType::Connect, guest).with_op_data(SockAddr::new(REMOTE_IP, 7).pack()));
+        }
+        w.run(10);
+        while let Ok((conn, _)) = w.remote.accept(ls) {
+            w.remote.send(conn, &[7u8; 100]).unwrap();
+        }
+        w.run(10);
+        let announced = w.responses();
+        let announced = announced.iter().filter(|n| n.op == OpType::DataReceived);
+        assert_eq!(announced.map(|n| n.size).sum::<u32>(), 300);
+        let stack_sock = |w: &World, guest| w.nsm.service.stack_sock_of(VmId(1), SocketId(guest));
+        let socks = [5, 6, 7].map(|guest| stack_sock(&w, guest).unwrap());
+        let holds = |w: &World, guest: u32, sock: SocketId| {
+            let s = &w.nsm.service;
+            s.fwd.contains_key(&(VmId(1), SocketId(guest)))
+                || s.ctx.contains_key(&sock)
+                || s.pending_send.contains_key(&sock)
+                || s.rx_ready.contains(&sock)
+        };
+        assert!(holds(&w, 5, socks[0]) && holds(&w, 6, socks[1]) && holds(&w, 7, socks[2]));
+
+        // An export takes the credit with it.
+        let exported = w.nsm.service.extract_conn(VmId(1), SocketId(5));
+        assert_eq!(exported, Ok((socks[0], vec![], 100)));
+        // A guest close and a VM detach forget it with the context.
+        w.submit(req(OpType::Close, 6));
+        w.run(1);
+        assert!(!holds(&w, 5, socks[0]) && !holds(&w, 6, socks[1]));
+        w.nsm.remove_vm(VmId(1));
+        w.run(1);
+        assert!(!holds(&w, 7, socks[2]));
+        assert!(w.nsm.service.ctx.is_empty() && w.nsm.service.fwd.is_empty());
     }
 
     /// A region too small for the receive budget must delay data, never lose

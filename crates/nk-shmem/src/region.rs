@@ -14,7 +14,7 @@
 )]
 
 use nk_types::constants::HUGEPAGE_SIZE;
-use nk_types::{DataHandle, NkError, NkResult};
+use nk_types::{DataHandle, DetMap, NkError, NkResult};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -43,8 +43,9 @@ struct Allocator {
     /// Free extents keyed by offset → length. Invariant: extents are
     /// non-overlapping, non-adjacent (coalesced) and aligned.
     free: BTreeMap<usize, usize>,
-    /// Live chunks keyed by offset → rounded length.
-    live: BTreeMap<usize, usize>,
+    /// Live chunks keyed by offset → rounded length; only looked up (one
+    /// `span` per payload access), never walked.
+    live: DetMap<usize, usize>,
     used: usize,
     total_allocs: u64,
     failed_allocs: u64,
@@ -56,7 +57,7 @@ impl Allocator {
         free.insert(0, capacity);
         Allocator {
             free,
-            live: BTreeMap::new(),
+            live: DetMap::new(),
             used: 0,
             total_allocs: 0,
             failed_allocs: 0,

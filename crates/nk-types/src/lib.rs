@@ -15,6 +15,7 @@
 //! * cluster-scope configurations, placement policies and events ([`cluster`]),
 //! * cross-host migration payloads, drained and warm ([`migrate`]),
 //! * the provider-facing constants of the testbed ([`constants`]),
+//! * the lookup-only table with no observable order ([`detmap`]),
 //! * and the guest-facing non-blocking socket API trait ([`api`]) that both
 //!   the NetKernel `GuestLib` and the in-guest baseline stack implement.
 
@@ -26,6 +27,7 @@ pub mod cluster;
 pub mod config;
 pub mod constants;
 pub mod control;
+pub mod detmap;
 pub mod error;
 pub mod faults;
 pub mod ids;
@@ -40,6 +42,7 @@ pub use config::{
     CcKind, HostConfig, IsolationPolicy, NsmConfig, StackKind, VmConfig, VmToNsmPolicy,
 };
 pub use control::{ControlAction, ControlEvent, ControlPolicy, ControlTarget};
+pub use detmap::DetMap;
 pub use error::{NkError, NkResult};
 pub use faults::{FaultAction, FaultEvent, FaultPlan, LinkFault};
 pub use ids::{ConnKey, HostId, NsmId, QueueSetId, SocketId, VmId};
