@@ -3,21 +3,18 @@
 //! Run all experiments:
 //!
 //! ```text
-//! cargo run --release -p bench --bin experiments
+//! cargo run --release -p nk-bench --bin experiments
 //! ```
 //!
-//! or a single one by name, e.g. `cargo run -p bench --bin experiments fig13`.
-//! Output is a table per experiment in the same units the paper reports;
-//! `EXPERIMENTS.md` records the comparison against the published numbers.
+//! or a single one by name, e.g. `cargo run -p nk-bench --bin experiments fig13`.
+//! Output is a table per experiment in the same units the paper reports.
 //! Every number printed is deterministic (the `PerfModel`, or counts and
 //! virtual time from a seeded scenario), so the whole stdout is pinned in
-//! `tests/golden/experiments.stdout`; headline numbers are also written to
-//! `BENCH_results.json`, which CI archives. Wall-clock measurement lives in
-//! `examples/nkbench`.
+//! `tests/golden/experiments.stdout` — that table is the one record of a
+//! run. Wall-clock measurement lives in `examples/nkbench`.
 
 #![forbid(unsafe_code)]
 
-use bench::report::{f, print_table, BenchResults};
 use nk_cluster::Cluster;
 use nk_host::{PerfModel, TrafficDirection};
 use nk_sim::TokenBucket;
@@ -30,11 +27,11 @@ use nk_workload::rows::{self, kernel_host};
 use nk_workload::{echo_all, AgTrace, AgTraceConfig, BurstyClient, Scenario, ScenarioConfig};
 
 /// Every experiment in run order, under the CLI names that select it.
-type Experiment = (&'static [&'static str], fn(&PerfModel, &mut BenchResults));
+type Experiment = (&'static [&'static str], fn(&PerfModel));
 const EXPERIMENTS: &[Experiment] = &[
-    (&["fig07"], |_, r| fig07_ag_trace(r)),
+    (&["fig07"], |_| fig07_ag_trace()),
     (&["fig08", "tab02"], fig08_tab02_multiplexing),
-    (&["fig09"], |_, r| fig09_fair_sharing(r)),
+    (&["fig09"], |_| fig09_fair_sharing()),
     (&["tab03"], tab03_mtcp_nginx),
     (&["fig10"], fig10_shared_memory),
     (&["fig11"], fig11_nqe_switching),
@@ -45,44 +42,77 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["fig18", "fig19"], fig18_19_stack_scaling),
     (&["fig20"], fig20_rps_scaling),
     (&["tab04"], tab04_nsm_scaling),
-    (&["fig21"], |_, r| fig21_isolation(r)),
+    (&["fig21"], |_| fig21_isolation()),
     (&["tab05"], tab05_latency),
     (&["tab06"], tab06_cpu_overhead_throughput),
     (&["tab07"], tab07_cpu_overhead_rps),
-    (&["ctrl01"], |_, r| ctrl01_control_plane(r)),
-    (&["clu01"], |_, r| clu01_cluster_migration(r)),
-    (&["wm01"], |_, r| wm01_warm_vs_drained(r)),
-    (&["ev01"], |_, r| ev01_evacuation(r)),
-    (&["par01"], |_, r| par01_parallel_datapath(r)),
-    (&["par02"], |_, r| par02_intra_host_sharding(r)),
+    (&["ctrl01"], |_| ctrl01_control_plane()),
+    (&["clu01"], |_| clu01_cluster_migration()),
+    (&["wm01"], |_| wm01_warm_vs_drained()),
+    (&["ev01"], |_| ev01_evacuation()),
+    (&["par01"], |_| par01_parallel_datapath()),
+    (&["par02"], |_| par02_intra_host_sharding()),
 ];
 
 fn main() {
-    let filter: Vec<String> = std::env::args().skip(1).collect();
-    let model = PerfModel::new();
-    let mut results = BenchResults::new();
-    for (names, run) in EXPERIMENTS {
-        let wanted = |arg: &String| arg == "all" || names.contains(&arg.as_str());
-        if filter.is_empty() || filter.iter().any(wanted) {
-            run(&model, &mut results);
-        }
-    }
-    if results.experiments.is_empty() {
-        // A typo'd experiment name must fail loudly rather than exit green
-        // with an empty results file.
-        let names: Vec<_> = EXPERIMENTS.iter().flat_map(|(names, _)| *names).collect();
-        eprintln!("no experiment matched {filter:?} — choose from {names:?}");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let names: Vec<&str> = EXPERIMENTS.iter().flat_map(|e| e.0).copied().collect();
+    // Every argument is checked before anything runs: a typo beside a good
+    // name must fail loudly, not print the good one and exit green.
+    let known = |arg: &String| arg == "all" || names.contains(&arg.as_str());
+    if let Some(miss) = args.iter().find(|arg| !known(arg)) {
+        eprintln!("no experiment named {miss:?} — choose from \"all\" or {names:?}");
         std::process::exit(2);
     }
-    let path = "BENCH_results.json";
-    match results.write(path) {
-        Ok(()) => println!("\nwrote machine-readable results to {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
+    let model = PerfModel::new();
+    for (names, run) in EXPERIMENTS {
+        let wanted = |arg: &String| arg == "all" || names.contains(&arg.as_str());
+        if args.is_empty() || args.iter().any(wanted) {
+            run(&model);
+        }
     }
 }
 
+/// Print a table with a title, a header row and data rows, with columns
+/// aligned on width.
+fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+    println!("\n== {title} ==");
+    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (i, cell) in row.iter().enumerate() {
+            if i < widths.len() {
+                widths[i] = widths[i].max(cell.len());
+            }
+        }
+    }
+    let fmt_row = |cells: &[String]| {
+        cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| format!("{:>w$}", c, w = widths.get(i).copied().unwrap_or(c.len())))
+            .collect::<Vec<_>>()
+            .join("  ")
+    };
+    println!(
+        "{}",
+        fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    );
+    println!(
+        "{}",
+        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
+    );
+    for row in rows {
+        println!("{}", fmt_row(row));
+    }
+}
+
+/// Format a float with the given number of decimals.
+fn f(v: f64, decimals: usize) -> String {
+    format!("{v:.decimals$}")
+}
+
 /// Figure 7: bursty traffic of the three most-utilised application gateways.
-fn fig07_ag_trace(results: &mut BenchResults) {
+fn fig07_ag_trace() {
     let trace = AgTrace::generate(&AgTraceConfig::default());
     let top = trace.top_utilised(3);
     let rows: Vec<Vec<String>> = (0..trace.minutes())
@@ -100,7 +130,6 @@ fn fig07_ag_trace(results: &mut BenchResults) {
         &["minute", "AG1", "AG2", "AG3"],
         &rows,
     );
-    let record = results.experiment("fig07");
     for (i, &g) in top.iter().enumerate() {
         println!(
             "AG{}: mean {:.1}, peak {:.1}, utilisation {:.0}%",
@@ -109,14 +138,11 @@ fn fig07_ag_trace(results: &mut BenchResults) {
             trace.peak_of(g),
             100.0 * trace.mean_of(g) / trace.peak_rps
         );
-        record
-            .metric(&format!("ag{}_mean_rps", i + 1), "rps", trace.mean_of(g))
-            .metric(&format!("ag{}_peak_rps", i + 1), "rps", trace.peak_of(g));
     }
 }
 
 /// Figure 8 + Table 2: multiplexing bursty AGs onto a shared NSM.
-fn fig08_tab02_multiplexing(model: &PerfModel, results: &mut BenchResults) {
+fn fig08_tab02_multiplexing(model: &PerfModel) {
     let trace = AgTrace::generate(&AgTraceConfig::default());
     let top = trace.top_utilised(3);
 
@@ -200,24 +226,10 @@ fn fig08_tab02_multiplexing(model: &PerfModel, results: &mut BenchResults) {
         100.0 * (netkernel_ags as f64 / baseline_ags as f64 - 1.0),
         100.0 * (1.0 - machine_cores as f64 / baseline_cores_for_same).max(0.0)
     );
-    results
-        .experiment("fig08_tab02")
-        .metric(
-            "rps_per_core_baseline",
-            "rps",
-            aggregate_mean / baseline_cores,
-        )
-        .metric(
-            "rps_per_core_netkernel",
-            "rps",
-            aggregate_mean / netkernel_cores,
-        )
-        .metric("ags_hosted_baseline", "count", baseline_ags as f64)
-        .metric("ags_hosted_netkernel", "count", netkernel_ags as f64);
 }
 
 /// Figure 9: VM-level fair bandwidth sharing.
-fn fig09_fair_sharing(results: &mut BenchResults) {
+fn fig09_fair_sharing() {
     // A well-behaved VM A always uses 8 connections; a selfish VM B uses 8,
     // 16 and 24. Baseline TCP divides the bottleneck per *flow*; the
     // fair-share NSM divides it per *VM* via the shared congestion window
@@ -244,23 +256,15 @@ fn fig09_fair_sharing(results: &mut BenchResults) {
         ],
         &rows,
     );
-    results
-        .experiment("fig09")
-        .metric("baseline_a_share_8_24", "pct", 100.0 * 8.0 / 32.0)
-        .metric("netkernel_a_share_8_24", "pct", 50.0);
 }
 
 /// Table 3: unmodified nginx served by the kernel-stack vs mTCP NSM.
-fn tab03_mtcp_nginx(model: &PerfModel, results: &mut BenchResults) {
-    let record = results.experiment("tab03");
+fn tab03_mtcp_nginx(model: &PerfModel) {
     let rows: Vec<Vec<String>> = [1usize, 2, 4]
         .iter()
         .map(|&cores| {
             let kernel = model.rps(StackKind::Kernel, cores, 64, true, 1);
             let mtcp = model.rps(StackKind::Mtcp, cores, 64, true, 1);
-            record
-                .metric(&format!("kernel_rps_{cores}c"), "rps", kernel)
-                .metric(&format!("mtcp_rps_{cores}c"), "rps", mtcp);
             vec![
                 cores.to_string(),
                 f(kernel / 1e3, 1),
@@ -277,7 +281,7 @@ fn tab03_mtcp_nginx(model: &PerfModel, results: &mut BenchResults) {
 }
 
 /// Figure 10: shared-memory NSM for colocated VMs.
-fn fig10_shared_memory(model: &PerfModel, results: &mut BenchResults) {
+fn fig10_shared_memory(model: &PerfModel) {
     let sizes = [64usize, 128, 256, 512, 1024, 2048, 4096, 8192];
     let rows: Vec<Vec<String>> = sizes
         .iter()
@@ -299,22 +303,10 @@ fn fig10_shared_memory(model: &PerfModel, results: &mut BenchResults) {
         &["msg size (B)", "Baseline", "NetKernel shm NSM"],
         &rows,
     );
-    results
-        .experiment("fig10")
-        .metric(
-            "shm_gbps_64",
-            "Gbps",
-            (2.0 * model.memcopy_gbps(64)).min(100.0),
-        )
-        .metric(
-            "shm_gbps_8k",
-            "Gbps",
-            (2.0 * model.memcopy_gbps(8192)).min(100.0),
-        );
 }
 
 /// Figure 11: CoreEngine NQE switching throughput vs batch size.
-fn fig11_nqe_switching(model: &PerfModel, results: &mut BenchResults) {
+fn fig11_nqe_switching(model: &PerfModel) {
     let rows: Vec<Vec<String>> = [1usize, 2, 4, 8, 16, 32, 64, 128, 256]
         .iter()
         .map(|&batch| vec![batch.to_string(), f(model.nqe_switch_rate(batch) / 1e6, 1)])
@@ -324,14 +316,10 @@ fn fig11_nqe_switching(model: &PerfModel, results: &mut BenchResults) {
         &["batch size", "M NQEs/s"],
         &rows,
     );
-    results
-        .experiment("fig11")
-        .metric("switch_mnqes_b1", "M/s", model.nqe_switch_rate(1) / 1e6)
-        .metric("switch_mnqes_b256", "M/s", model.nqe_switch_rate(256) / 1e6);
 }
 
 /// Figure 12: hugepage copy-path throughput vs message size.
-fn fig12_memcopy(model: &PerfModel, results: &mut BenchResults) {
+fn fig12_memcopy(model: &PerfModel) {
     let rows: Vec<Vec<String>> = [64usize, 128, 256, 512, 1024, 2048, 4096, 8192]
         .iter()
         .map(|&msg| vec![msg.to_string(), f(model.memcopy_gbps(msg), 1)])
@@ -341,10 +329,6 @@ fn fig12_memcopy(model: &PerfModel, results: &mut BenchResults) {
         &["msg size (B)", "Gbps"],
         &rows,
     );
-    results
-        .experiment("fig12")
-        .metric("memcopy_gbps_64", "Gbps", model.memcopy_gbps(64))
-        .metric("memcopy_gbps_8k", "Gbps", model.memcopy_gbps(8192));
 }
 
 fn bulk_rows(
@@ -365,24 +349,8 @@ fn bulk_rows(
         .collect()
 }
 
-/// Record the 16 KiB-message headline numbers of one bulk figure.
-fn record_bulk(
-    results: &mut BenchResults,
-    model: &PerfModel,
-    name: &str,
-    dir: TrafficDirection,
-    streams: usize,
-) {
-    let baseline = model.bulk_throughput_gbps(StackKind::Kernel, dir, 16384, streams, 1, false, 1);
-    let netkernel = model.bulk_throughput_gbps(StackKind::Kernel, dir, 16384, streams, 1, true, 1);
-    results
-        .experiment(name)
-        .metric("baseline_gbps_16k", "Gbps", baseline)
-        .metric("netkernel_gbps_16k", "Gbps", netkernel);
-}
-
 /// Figures 13 and 14: single-stream send/receive, 1-vCPU VM and NSM.
-fn fig13_14_single_stream(model: &PerfModel, results: &mut BenchResults) {
+fn fig13_14_single_stream(model: &PerfModel) {
     print_table(
         "Figure 13: single-stream TCP send throughput (Gbps), kernel-stack NSM, 1 vCPU",
         &["msg size (B)", "Baseline", "NetKernel"],
@@ -393,12 +361,10 @@ fn fig13_14_single_stream(model: &PerfModel, results: &mut BenchResults) {
         &["msg size (B)", "Baseline", "NetKernel"],
         &bulk_rows(model, TrafficDirection::Receive, 1, 1),
     );
-    record_bulk(results, model, "fig13", TrafficDirection::Send, 1);
-    record_bulk(results, model, "fig14", TrafficDirection::Receive, 1);
 }
 
 /// Figures 15 and 16: 8-stream send/receive, 1-vCPU VM and NSM.
-fn fig15_16_multi_stream(model: &PerfModel, results: &mut BenchResults) {
+fn fig15_16_multi_stream(model: &PerfModel) {
     print_table(
         "Figure 15: 8-stream TCP send throughput (Gbps), kernel-stack NSM, 1 vCPU",
         &["msg size (B)", "Baseline", "NetKernel"],
@@ -409,12 +375,10 @@ fn fig15_16_multi_stream(model: &PerfModel, results: &mut BenchResults) {
         &["msg size (B)", "Baseline", "NetKernel"],
         &bulk_rows(model, TrafficDirection::Receive, 8, 1),
     );
-    record_bulk(results, model, "fig15", TrafficDirection::Send, 8);
-    record_bulk(results, model, "fig16", TrafficDirection::Receive, 8);
 }
 
 /// Figure 17: short TCP connections vs message size.
-fn fig17_short_connections(model: &PerfModel, results: &mut BenchResults) {
+fn fig17_short_connections(model: &PerfModel) {
     let rows: Vec<Vec<String>> = [64usize, 128, 256, 512, 1024, 2048, 4096, 8192]
         .iter()
         .map(|&msg| {
@@ -439,22 +403,10 @@ fn fig17_short_connections(model: &PerfModel, results: &mut BenchResults) {
         ],
         &rows,
     );
-    results
-        .experiment("fig17")
-        .metric(
-            "baseline_rps_64",
-            "rps",
-            model.rps(StackKind::Kernel, 1, 64, false, 1),
-        )
-        .metric(
-            "netkernel_rps_64",
-            "rps",
-            model.rps(StackKind::Kernel, 1, 64, true, 1),
-        );
 }
 
 /// Figures 18 and 19: bulk throughput scaling with vCPUs (8 KB messages).
-fn fig18_19_stack_scaling(model: &PerfModel, results: &mut BenchResults) {
+fn fig18_19_stack_scaling(model: &PerfModel) {
     // 8 streams of 8 KB messages through one kernel-stack NSM.
     let gbps = |dir, cores, netkernel| {
         model.bulk_throughput_gbps(StackKind::Kernel, dir, 8192, 8, cores, netkernel, 1)
@@ -482,14 +434,10 @@ fn fig18_19_stack_scaling(model: &PerfModel, results: &mut BenchResults) {
         ],
         &rows,
     );
-    results
-        .experiment("fig18_19")
-        .metric("netkernel_send_gbps_8c", "Gbps", gbps(send, 8, true))
-        .metric("netkernel_recv_gbps_8c", "Gbps", gbps(recv, 8, true));
 }
 
 /// Figure 20: short-connection scaling with vCPUs, kernel vs mTCP NSM.
-fn fig20_rps_scaling(model: &PerfModel, results: &mut BenchResults) {
+fn fig20_rps_scaling(model: &PerfModel) {
     let rows: Vec<Vec<String>> = [1usize, 2, 3, 4, 5, 6, 7, 8]
         .iter()
         .map(|&cores| {
@@ -514,23 +462,10 @@ fn fig20_rps_scaling(model: &PerfModel, results: &mut BenchResults) {
         ],
         &rows,
     );
-    results
-        .experiment("fig20")
-        .metric(
-            "kernel_rps_8c",
-            "rps",
-            model.rps(StackKind::Kernel, 8, 64, true, 1),
-        )
-        .metric(
-            "mtcp_rps_8c",
-            "rps",
-            model.rps(StackKind::Mtcp, 8, 64, true, 1),
-        );
 }
 
 /// Table 4: scaling with the number of 2-vCPU NSMs serving one VM.
-fn tab04_nsm_scaling(model: &PerfModel, results: &mut BenchResults) {
-    let record = results.experiment("tab04");
+fn tab04_nsm_scaling(model: &PerfModel) {
     // 8 streams of 8 KB messages spread over `nsms` 2-vCPU NSMs.
     let gbps =
         |dir, nsms| model.bulk_throughput_gbps(StackKind::Kernel, dir, 8192, 8, 2, true, nsms);
@@ -539,9 +474,6 @@ fn tab04_nsm_scaling(model: &PerfModel, results: &mut BenchResults) {
             let send = gbps(TrafficDirection::Send, nsms);
             let recv = gbps(TrafficDirection::Receive, nsms);
             let rps = model.rps(StackKind::Kernel, 2, 64, true, nsms);
-            record
-                .metric(&format!("send_gbps_{nsms}nsm"), "Gbps", send)
-                .metric(&format!("recv_gbps_{nsms}nsm"), "Gbps", recv);
             vec![nsms.to_string(), f(send, 1), f(recv, 1), f(rps / 1e3, 1)]
         })
         .collect();
@@ -553,7 +485,7 @@ fn tab04_nsm_scaling(model: &PerfModel, results: &mut BenchResults) {
 }
 
 /// Figure 21: per-VM bandwidth isolation on a shared 10G NSM.
-fn fig21_isolation(results: &mut BenchResults) {
+fn fig21_isolation() {
     // VM1 capped at 1 Gbps (t=0..25s), VM2 at 500 Mbps (t=4.5..21s), VM3
     // uncapped (t=9..30s); the NSM's vNIC is 10 Gbps and VM3 is
     // work-conserving over whatever the caps leave.
@@ -561,7 +493,6 @@ fn fig21_isolation(results: &mut BenchResults) {
     let mut vm1 = TokenBucket::for_gbps(1.0, 0);
     let mut vm2 = TokenBucket::for_gbps(0.5, 0);
     let mut rows = Vec::new();
-    let mut vm3_peak: f64 = 0.0;
     let step_ms = 100u64;
     for t_ms in (0..30_000).step_by(step_ms as usize) {
         let now_ns = t_ms * 1_000_000;
@@ -589,7 +520,6 @@ fn fig21_isolation(results: &mut BenchResults) {
         } else {
             0.0
         };
-        vm3_peak = vm3_peak.max(vm3_g);
         if t_ms % 2_000 == 0 {
             rows.push(vec![f(t, 1), f(vm1_g, 2), f(vm2_g, 2), f(vm3_g, 2)]);
         }
@@ -604,35 +534,13 @@ fn fig21_isolation(results: &mut BenchResults) {
         ],
         &rows,
     );
-    results
-        .experiment("fig21")
-        .metric("vm1_cap_gbps", "Gbps", 1.0)
-        .metric("vm2_cap_gbps", "Gbps", 0.5)
-        .metric("vm3_peak_gbps", "Gbps", vm3_peak);
 }
 
 /// Table 5: response-time distribution at concurrency 1000.
-fn tab05_latency(model: &PerfModel, results: &mut BenchResults) {
+fn tab05_latency(model: &PerfModel) {
     let kernel_rps = model.rps(StackKind::Kernel, 1, 64, true, 1);
     let baseline_rps = model.rps(StackKind::Kernel, 1, 64, false, 1);
     let mtcp_rps = model.rps(StackKind::Mtcp, 1, 64, true, 1);
-    results
-        .experiment("tab05")
-        .metric(
-            "baseline_mean_ms",
-            "ms",
-            model.closed_loop_latency_ms(1000, baseline_rps),
-        )
-        .metric(
-            "kernel_mean_ms",
-            "ms",
-            model.closed_loop_latency_ms(1000, kernel_rps),
-        )
-        .metric(
-            "mtcp_mean_ms",
-            "ms",
-            model.closed_loop_latency_ms(1000, mtcp_rps),
-        );
     let rows = vec![
         vec![
             "Baseline".into(),
@@ -655,7 +563,7 @@ fn tab05_latency(model: &PerfModel, results: &mut BenchResults) {
 }
 
 /// Table 6: CPU overhead at matched bulk throughput.
-fn tab06_cpu_overhead_throughput(model: &PerfModel, results: &mut BenchResults) {
+fn tab06_cpu_overhead_throughput(model: &PerfModel) {
     let rows: Vec<Vec<String>> = [20.0f64, 40.0, 60.0, 80.0, 100.0]
         .iter()
         .map(|&gbps| vec![f(gbps, 0), f(model.cpu_overhead_throughput(8192), 2)])
@@ -665,15 +573,10 @@ fn tab06_cpu_overhead_throughput(model: &PerfModel, results: &mut BenchResults) 
         &["throughput (Gbps)", "normalised CPU"],
         &rows,
     );
-    results.experiment("tab06").metric(
-        "normalised_cpu_8k",
-        "ratio",
-        model.cpu_overhead_throughput(8192),
-    );
 }
 
 /// Table 7: CPU overhead at matched request rate.
-fn tab07_cpu_overhead_rps(model: &PerfModel, results: &mut BenchResults) {
+fn tab07_cpu_overhead_rps(model: &PerfModel) {
     let rows: Vec<Vec<String>> = [100u32, 200, 300, 400, 500]
         .iter()
         .map(|&krps| vec![format!("{krps}K"), f(model.cpu_overhead_rps(64), 2)])
@@ -683,29 +586,18 @@ fn tab07_cpu_overhead_rps(model: &PerfModel, results: &mut BenchResults) {
         &["requests/s", "normalised CPU"],
         &rows,
     );
-    results
-        .experiment("tab07")
-        .metric("normalised_cpu_64", "ratio", model.cpu_overhead_rps(64));
 }
 
 /// Control-plane observability: the ramping multi-tenant scenario of the
 /// control tests, with the decision log and the per-epoch utilisation time
-/// series surfaced as part of the perf trajectory.
-fn ctrl01_control_plane(results: &mut BenchResults) {
-    use nk_types::ControlAction;
-
+/// series surfaced in the printed table.
+fn ctrl01_control_plane() {
     let report = Scenario::new(rows::control_ramp())
         .run()
         .expect("control scenario runs");
     assert!(report.completed, "control scenario must complete");
     let host = &report.hosts[&HostId(0)];
 
-    let count = |pred: fn(&ControlAction) -> bool| {
-        host.control.iter().filter(|e| pred(&e.action)).count() as f64
-    };
-    let scale_ups = count(|a| matches!(a, ControlAction::ScaleUp { .. }));
-    let scale_downs = count(|a| matches!(a, ControlAction::ScaleDown { .. }));
-    let rebalances = count(|a| matches!(a, ControlAction::Rebalance { .. }));
     let nsm1 = host
         .telemetry
         .nsm_utilisation
@@ -735,22 +627,12 @@ fn ctrl01_control_plane(results: &mut BenchResults) {
         nsm1.max(),
         host.telemetry.actions_per_epoch.mean(),
     );
-    results
-        .experiment("ctrl01")
-        .metric("control_events", "count", host.control.len() as f64)
-        .metric("scale_ups", "count", scale_ups)
-        .metric("scale_downs", "count", scale_downs)
-        .metric("rebalances", "count", rebalances)
-        .metric("epochs_sampled", "count", nsm1.len() as f64)
-        .metric("nsm1_util_mean", "ratio", nsm1.mean())
-        .metric("nsm1_util_max", "ratio", nsm1.max())
-        .metric("bytes_verified", "bytes", report.bytes_verified as f64);
 }
 
 /// Cluster fabric: a drained cross-host migration under byte-verified
 /// cross-host traffic, with the event log and digest as the determinism
 /// fingerprint.
-fn clu01_cluster_migration(results: &mut BenchResults) {
+fn clu01_cluster_migration() {
     let report = Scenario::new(rows::drained_move())
         .run()
         .expect("cluster scenario runs");
@@ -776,34 +658,13 @@ fn clu01_cluster_migration(results: &mut BenchResults) {
         "bytes verified {} · steps {} · event-log digest {:#018x}",
         report.bytes_verified, report.steps, report.event_digest
     );
-    results
-        .experiment("clu01")
-        .metric("bytes_verified", "bytes", report.bytes_verified as f64)
-        .metric("steps", "count", report.steps as f64)
-        .metric("migrations", "count", report.stats.migrations as f64)
-        .metric(
-            "drains_completed",
-            "count",
-            report.stats.drains_completed as f64,
-        )
-        .metric(
-            "shares_retired",
-            "count",
-            report.stats.shares_retired as f64,
-        )
-        .metric("cluster_events", "count", report.events.len() as f64)
-        .metric(
-            "rounds_per_step",
-            "ratio",
-            report.stats.rounds as f64 / report.stats.steps.max(1) as f64,
-        );
 }
 
 /// wm01: drained vs warm migration — how long a long-running tenant keeps
 /// the source share pinned. The drained mode waits for the connection's
 /// next rotation point; the warm mode transplants the connection and
 /// retires the share in the same instant.
-fn wm01_warm_vs_drained(results: &mut BenchResults) {
+fn wm01_warm_vs_drained() {
     use nk_obs::MigrationPhase;
     use nk_types::ClusterAction;
 
@@ -910,27 +771,6 @@ fn wm01_warm_vs_drained(results: &mut BenchResults) {
             w.width_ns()
         );
     }
-    results
-        .experiment("wm01")
-        .metric("drained_drain_wait_ms", "ms", drained_wait_ns as f64 / 1e6)
-        .metric("warm_handover_ms", "ms", warm_wait_ns as f64 / 1e6)
-        .metric(
-            "warm_freeze_window_ms",
-            "ms",
-            freeze.width_ns() as f64 / 1e6,
-        )
-        .metric("warm_freeze_steps", "count", warm.stats.freeze_steps as f64)
-        .metric(
-            "conns_transplanted",
-            "count",
-            warm.stats.conns_transplanted as f64,
-        )
-        .metric("warm_reconnects", "count", warm.reconnects as f64)
-        .metric(
-            "bytes_verified_total",
-            "bytes",
-            (drained.bytes_verified + warm.bytes_verified) as f64,
-        );
 }
 
 /// ev01: planned host evacuation vs a naive serial drain — virtual time to
@@ -941,7 +781,7 @@ fn wm01_warm_vs_drained(results: &mut BenchResults) {
 /// zero reconnects. The naive arm drains the VMs one at a time — each
 /// scripted drained migration waits for its tenant's next connection
 /// rotation — so the clear-out takes orders of magnitude longer.
-fn ev01_evacuation(results: &mut BenchResults) {
+fn ev01_evacuation() {
     use nk_ctrl::PlanEventKind;
     use nk_obs::{EventClass, MigrationPhase, ObsEventKind, ObsFilter};
     use nk_types::ClusterAction;
@@ -1040,7 +880,6 @@ fn ev01_evacuation(results: &mut BenchResults) {
     // wire-draining pause; every other step is a coordinator action of
     // zero virtual width.
     println!("recorder phase totals:");
-    let record = results.experiment("ev01");
     for p in [
         MigrationPhase::Freeze,
         MigrationPhase::Export,
@@ -1060,23 +899,7 @@ fn ev01_evacuation(results: &mut BenchResults) {
             windows.len(),
             total as f64 / 1e6
         );
-        record.metric(
-            &format!("phase_{}_total_ms", format!("{p:?}").to_lowercase()),
-            "ms",
-            total as f64 / 1e6,
-        );
     }
-    record
-        .metric("evac_wall_ms", "ms", evac_wall_ns as f64 / 1e6)
-        .metric("evac_retire_ms", "ms", evac_retire_ns as f64 / 1e6)
-        .metric("evac_reconnects", "count", evac.reconnects as f64)
-        .metric(
-            "conns_transplanted",
-            "count",
-            evac.stats.conns_transplanted as f64,
-        )
-        .metric("naive_drain_wall_ms", "ms", naive_wall_ns as f64 / 1e6)
-        .metric("naive_reconnects", "count", naive.reconnects as f64);
 }
 
 /// What one par01/par02 run reports. Everything is deterministic: the
@@ -1183,7 +1006,7 @@ fn par_drive(
 ///
 /// The run also asserts the determinism contract: cluster stats, guest
 /// byte counts and the event digest are identical for every thread count.
-fn par01_parallel_datapath(results: &mut BenchResults) {
+fn par01_parallel_datapath() {
     const ECHO_PORT: u16 = 7;
     const TOR_IP: u32 = 0xC0A8_0001; // 192.168.0.1, outside every host block
     const TOR_PORT: u16 = 9;
@@ -1234,7 +1057,6 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
         })
     };
 
-    let record = results.experiment("par01");
     let mut rows = Vec::new();
     let mut speedup_h16_t4 = 0.0;
     for &hosts in &[2u8, 8, 16] {
@@ -1259,14 +1081,8 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
                 format!("{:.0}%", 100.0 * out.hub_share),
                 out.barrier_frames.to_string(),
             ]);
-            record.metric(
-                &format!("modeled_speedup_h{hosts}_t{threads}"),
-                "x",
-                out.modeled_speedup,
-            );
         }
     }
-    record.metric("speedup_h16_t4", "x", speedup_h16_t4);
     print_table(
         "par01: sharded datapath — modeled schedule speedup vs worker threads",
         &[
@@ -1308,7 +1124,7 @@ fn par01_parallel_datapath(results: &mut BenchResults) {
 /// stats, event digest and echoed bytes are identical across thread
 /// counts, and identical again between shard-mode on and off for the
 /// serial run.
-fn par02_intra_host_sharding(results: &mut BenchResults) {
+fn par02_intra_host_sharding() {
     const SHARES: u8 = 8;
     const PORT: u16 = 7;
 
@@ -1344,7 +1160,6 @@ fn par02_intra_host_sharding(results: &mut BenchResults) {
         })
     };
 
-    let record = results.experiment("par02");
     let mut rows = Vec::new();
     let mut speedup_h1_t4 = 0.0;
     for &hosts in &[1u8, 2] {
@@ -1375,14 +1190,8 @@ fn par02_intra_host_sharding(results: &mut BenchResults) {
                 f(out.modeled_speedup, 2),
                 format!("{:.0}%", 100.0 * out.hub_share),
             ]);
-            record.metric(
-                &format!("modeled_speedup_h{hosts}s8_t{threads}"),
-                "x",
-                out.modeled_speedup,
-            );
         }
     }
-    record.metric("speedup_h1s8_t4", "x", speedup_h1_t4);
     print_table(
         "par02: intra-host sharding — one 8-share host fills the threads host-granularity left idle",
         &["topology", "threads (used)", "speedup", "hub share"],

@@ -442,6 +442,9 @@ impl TcpConnection {
 
     fn process_ack(&mut self, seg: &Segment, now_ns: u64) {
         let ack = seg.ack;
+        // RFC 5681 §2: an ACK that moves the window is a window update (the
+        // peer's application read), never a duplicate.
+        let window_moved = seg.window != self.snd_wnd;
         self.snd_wnd = seg.window;
         // The highest sequence number this side can ever have sent: all it
         // buffers, plus its FIN. `snd_nxt` is not that bound — an RTO, a
@@ -495,7 +498,11 @@ impl TcpConnection {
                     }
                 }
             }
-        } else if ack == self.snd_una && self.snd_nxt != self.snd_una && seg.payload.is_empty() {
+        } else if ack == self.snd_una
+            && self.snd_nxt != self.snd_una
+            && seg.payload.is_empty()
+            && !window_moved
+        {
             // Duplicate ACK.
             self.dup_acks += 1;
             if self.dup_acks == DUPACK_THRESHOLD {
@@ -1126,6 +1133,30 @@ mod tests {
             }
         }
         assert_eq!(s.recv_available(), 4 * MSS);
+    }
+
+    /// Three reads on the receiver send three ACKs at the same `ack`, each
+    /// with a wider window: updates, not duplicates (RFC 5681 §2), so
+    /// nothing is retransmitted that was never lost.
+    #[test]
+    fn window_updates_are_not_duplicate_acks() {
+        let (mut c, mut s) = pair(0);
+        c.write(&vec![5u8; 4 * MSS]);
+        let segs = tx(&mut c, 1_000);
+        assert!(segs.len() >= 4);
+        s.on_segment(&segs[0], 1_000);
+        for ack in tx(&mut s, 1_000) {
+            c.on_segment(&ack, 1_000);
+        }
+        let mut buf = [0u8; 100];
+        for _ in 0..3 {
+            assert_eq!(s.read(&mut buf), 100);
+            let update = tx(&mut s, 1_500);
+            assert_eq!(update.len(), 1);
+            assert_eq!(update[0].ack, segs[1].seq, "same ack, wider window");
+            c.on_segment(&update[0], 1_500);
+        }
+        assert_eq!(c.stats().fast_retransmits, 0);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   (paper §7.6, Figure 21);
 //! * [`poll`] — the [`Pollable`] work-reporting trait every datapath
 //!   component implements so the host can schedule them uniformly;
-//! * [`record`] — time-series recorders and counters used by experiments;
+//! * [`record`] — the (time, value) series the host's control telemetry
+//!   samples per epoch;
 //! * [`rng`] — the workspace's seeded SplitMix64 generator, the only source
 //!   of randomness (fabric impairments, fault schedules, scenario payloads)
 //!   so every run is replayable from its seed;

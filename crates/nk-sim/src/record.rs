@@ -1,9 +1,10 @@
-//! Measurement recorders used by the experiments.
+//! The time series the host's control telemetry records.
 
 use serde::{Deserialize, Serialize};
 
-/// A (time, value) series sampled by the experiments, e.g. the per-VM
-/// throughput curves of Figure 21 or the AG traffic of Figure 7.
+/// A (time, value) series, sampled once per control epoch by
+/// `nk_host::ControlTelemetry` (engine and per-NSM utilisation, actions
+/// per epoch).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
     points: Vec<(f64, f64)>,

@@ -18,6 +18,17 @@ use serde::{Deserialize, Serialize};
 /// [`crate::ids::QueueSetId`] is a `u8`.
 const MAX_VCPUS: usize = u8::MAX as usize + 1;
 
+/// Most hugepages per VM–NSM pair: 1024 (2 GiB), eight times the paper's
+/// 128 (§5). Each pair's region is allocated whole when it attaches, so a
+/// larger count is a typo, and near `usize::MAX` its byte size overflows.
+const MAX_HUGEPAGES_PER_PAIR: usize = 1024;
+
+/// Most NQEs per queue: 65 536, sixteen times the default. A queue set
+/// allocates its four rings in full when it attaches, one set per vCPU (up
+/// to 256), so the count is multiplied many times over; near `usize::MAX`
+/// the ring allocation overflows.
+const MAX_QUEUE_CAPACITY: usize = 1 << 16;
+
 /// A configured rate must be a finite, positive number of Gbps (`NaN <= 0.0`
 /// is false, so a plain sign test lets NaN and infinity through).
 pub(crate) fn valid_rate_gbps(gbps: f64) -> bool {
@@ -207,11 +218,11 @@ pub struct HostConfig {
     pub core_engine_cores: usize,
     /// Isolation policy applied by CoreEngine.
     pub isolation: IsolationPolicy,
-    /// Number of 2 MB hugepages shared between each VM–NSM pair.
+    /// Number of 2 MB hugepages shared between each VM–NSM pair (1 to 1024).
     pub hugepages_per_pair: usize,
     /// NQE batch size used for queue polling and switching.
     pub batch_size: usize,
-    /// Capacity of each lockless queue, in NQEs.
+    /// Capacity of each lockless queue, in NQEs (1 to 65 536).
     pub queue_capacity: usize,
     /// Upper bound on poll rounds per host step. Each round polls every
     /// datapath component once; the step ends early as soon as a full round
@@ -356,7 +367,10 @@ impl HostConfig {
         if self.core_engine_cores == 0 {
             return Err(NkError::BadConfig);
         }
-        if self.batch_size == 0 || self.queue_capacity == 0 || self.hugepages_per_pair == 0 {
+        if self.batch_size == 0
+            || !(1..=MAX_QUEUE_CAPACITY).contains(&self.queue_capacity)
+            || !(1..=MAX_HUGEPAGES_PER_PAIR).contains(&self.hugepages_per_pair)
+        {
             return Err(NkError::BadConfig);
         }
         if self.max_poll_rounds == 0 {
@@ -465,7 +479,9 @@ mod tests {
         type Edit = fn(&mut HostConfig);
         // One queue set per vCPU and `QueueSetId` is a `u8`: 256 is the last
         // count with an id for each (100 000 used to reach the allocator).
-        let rows: [(Edit, bool); 12] = [
+        // Oversized memory counts used to pass and then overflow in the
+        // allocation at attach.
+        let rows: [(Edit, bool); 18] = [
             (|c| c.vms[0].vcpus = 256, true),
             (|c| c.vms[0].vcpus = 257, false),
             (|c| c.vms[0].vcpus = 100_000, false),
@@ -478,6 +494,12 @@ mod tests {
             (|c| c.vms[0].rate_limit_gbps = Some(0.0), false),
             (|c| c.vms[0].rate_limit_gbps = Some(-1.0), false),
             (|c| c.core_engine_cores = 0, false),
+            (|c| c.hugepages_per_pair = 1024, true),
+            (|c| c.hugepages_per_pair = 1025, false),
+            (|c| c.hugepages_per_pair = usize::MAX, false),
+            (|c| c.queue_capacity = 1 << 16, true),
+            (|c| c.queue_capacity = (1 << 16) + 1, false),
+            (|c| c.queue_capacity = usize::MAX, false),
         ];
         for (row, (edit, ok)) in rows.iter().enumerate() {
             let mut cfg = two_vm_one_nsm();
