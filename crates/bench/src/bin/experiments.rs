@@ -1000,7 +1000,7 @@ fn par_drive(
 /// Every host runs a tenant streaming 4 KiB chunks to a host-local echo
 /// server (datapath work that lives inside one shard), and the edge hosts
 /// additionally stream to a ToR-attached server (cross-shard traffic over
-/// the uplink channels). The speedup is `serial_work / critical_work` from
+/// the uplink trunks). The speedup is `serial_work / critical_work` from
 /// the executor (per round: the largest shard plus the serial hub): the
 /// schedule's speedup, independent of how many cores this machine has.
 ///

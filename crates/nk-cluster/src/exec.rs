@@ -9,7 +9,8 @@
 //!   every datapath component already answers to — and is `Send`: whole
 //!   [`nk_host::NetKernelHost`]s, or the [`nk_host::ShareLane`]s a host
 //!   splits into. Within a round a unit only touches its own state plus the
-//!   producer end of its SPSC edges (uplink trunk, lane report channel), so
+//!   sending end of its cross-shard edges (the uplink trunk's port, the lane
+//!   report edge), which the hub reads only after the round barrier, so
 //!   units never share mutable state and their polls commute.
 //! * **Dealing.** Units go onto `min(threads, units)` shards heaviest first
 //!   (each unit arrives with its weight, normally its last step's work),
@@ -395,11 +396,11 @@ impl ShardedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nk_queue::unbounded::{unbounded, UnboundedConsumer, UnboundedProducer};
+    use nk_fabric::{uplink_pair, Frame, HostUplink, TorUplink};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A synthetic unit: does `load` work items per round for `busy_rounds`
-    /// rounds, pushing a tagged value per item into its uplink channel, and
+    /// rounds, sending a frame tagged `(id, item)` per item up its trunk, and
     /// panics on entering round `panic_in_round` when that is set. It notes
     /// the OS thread of every poll, so a test can count a unit's polls and
     /// tell which units shared a shard.
@@ -409,7 +410,7 @@ mod tests {
         busy_rounds: usize,
         rounds_done: usize,
         panic_in_round: Option<usize>,
-        tx: UnboundedProducer<(u32, usize)>,
+        uplink: HostUplink<usize>,
         #[expect(
             clippy::disallowed_types,
             reason = "thread-identity: test observes scheduling, feeds no data path"
@@ -432,49 +433,56 @@ mod tests {
             }
             self.rounds_done += 1;
             for item in 0..self.load {
-                self.tx.push((self.id, item));
+                self.uplink.send(Frame {
+                    src: self.id,
+                    dst: 0,
+                    flow_hash: 0,
+                    wire_bytes: 0,
+                    payload: item,
+                });
             }
             self.load
         }
     }
 
-    /// The units in list order, and the hub's consumer ends in the same
-    /// order — the shape of hosts behind a ToR, or lanes behind a hub.
-    type Rig = (Vec<MockUnit>, Vec<UnboundedConsumer<(u32, usize)>>);
+    /// The units in list order, and the ToR ends of their trunks in the
+    /// same order — the shape of hosts behind a ToR.
+    type Rig = (Vec<MockUnit>, Vec<TorUplink<usize>>);
 
     /// Build `n` units with *uneven* loads (unit i does `3*i + 1` items per
     /// round, for `i + 1` rounds).
     fn rig(n: u32) -> Rig {
         (0..n)
             .map(|id| {
-                let (tx, rx) = unbounded();
+                let (uplink, tor) = uplink_pair(id);
                 let unit = MockUnit {
                     id,
                     load: 3 * id as usize + 1,
                     busy_rounds: id as usize + 1,
                     rounds_done: 0,
                     panic_in_round: None,
-                    tx,
+                    uplink,
                     polled_on: Vec::new(),
                 };
-                (unit, rx)
+                (unit, tor)
             })
             .unzip()
     }
 
     /// Drive one step over the rig at `threads`, unit i weighing
     /// `weights[i]` (0 past the end of the slice), the hub merging every
-    /// uplink at the barrier in list order (and panicking on entering round
+    /// trunk at the barrier in list order (and panicking on entering round
     /// `hub_panic_in_round`, when set); 5 items of serial begin/close work
     /// are noted around it. Returns (outcome, merged log, executor stats).
     fn run_step(
         threads: usize,
-        (units, rxs): &mut Rig,
+        (units, tors): &mut Rig,
         weights: &[u64],
         max_rounds: usize,
         hub_panic_in_round: Option<usize>,
     ) -> (StepOutcome, Vec<(u32, usize)>, ExecStats) {
         let mut log = Vec::new();
+        let mut frames = Vec::new();
         let mut hub_calls = 0;
         let mut exec = ShardedExecutor::new(threads);
         exec.note_serial_work(5);
@@ -488,12 +496,12 @@ mod tests {
             |_now| {
                 hub_calls += 1;
                 assert_ne!(hub_panic_in_round, Some(hub_calls), "hub blew up");
-                let before = log.len();
-                for rx in rxs.iter_mut() {
-                    rx.drain_into(&mut log);
+                for tor in tors.iter_mut() {
+                    tor.drain_into(&mut frames);
                 }
-                let frames = log.len() - before;
-                (frames, frames)
+                let n = frames.len();
+                log.extend(frames.drain(..).map(|f| (f.src, f.payload)));
+                (n, n)
             },
             0,
             max_rounds,
@@ -526,7 +534,7 @@ mod tests {
     /// The executor's core promise: under uneven shard load, the merged
     /// cross-shard frame stream, the outcome and every
     /// thread-count-independent counter are identical for any thread count
-    /// and any weight vector, because the hub drains the channels in list
+    /// and any weight vector, because the hub drains the trunks in list
     /// order with every helper parked.
     #[test]
     fn merge_order_and_counters_are_identical_for_any_threads_and_weights() {

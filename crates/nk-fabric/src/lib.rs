@@ -11,9 +11,9 @@
 //!   with an optional uplink into a top-of-rack switch;
 //! * [`tor`] — the prefix-routed top-of-rack switch joining host uplinks
 //!   into one cluster fabric;
-//! * [`uplink`] — the host↔ToR trunk as a pair of wait-free SPSC channels,
-//!   the cross-thread edge between a host shard and the caller's thread at
-//!   the round barrier;
+//! * [`uplink`] — the host↔ToR trunk: one [`Port`] whose host end a host
+//!   shard sends into while it polls and whose ToR end the caller's thread
+//!   drains at the round barrier;
 //! * [`nic`] — the symmetric receive-side-scaling (RSS) flow hash frames
 //!   carry, so both directions of a connection pick the same queue.
 //!

@@ -1,14 +1,15 @@
-//! Ports: vNIC attachment points on the virtual switch.
+//! Ports: vNIC attachment points on the virtual switch, and the host↔ToR
+//! trunks ([`crate::uplink`]).
 
 #![expect(
     clippy::disallowed_types,
-    reason = "cross-shard-locks: a port's two handles (endpoint + switch) are \
-              always polled by the same lane, and the hub drains switch sides \
-              serially at the round barrier; the Mutexes provide interior \
-              mutability for the paired handles, never a cross-shard channel, \
-              and the datapath takes one lock per burst, not per frame. \
-              Cross-lane traffic goes over the SPSC `uplink_pair` and \
-              `nk_queue::unbounded` only."
+    reason = "cross-shard-locks: a vNIC port's two handles (endpoint + switch) \
+              are always polled by the same lane, and the hub drains switch \
+              sides serially at the round barrier. A host uplink's port is the \
+              cross-shard edge: the host end is used while units poll, the ToR \
+              end in the hub with every helper parked, so the barrier orders \
+              every lock and none is contended. The datapath takes one lock \
+              per burst, not per frame."
 )]
 
 use std::collections::VecDeque;

@@ -5,11 +5,16 @@
 //! attaches to it and frames are forwarded by destination address. Each
 //! attached port gets an egress [`Link`] so per-port rate caps, latency and
 //! loss can be configured.
+//!
+//! A clustered host's switch also holds the host end of its ToR trunk
+//! ([`crate::uplink`]): each forwarding pass sends everything with no local
+//! port up the trunk as one burst, and takes the ToR's deliveries in one
+//! call.
 
 use crate::link::{Link, LinkConfig, LinkStats};
 use crate::port::{next_run, Frame, Port};
 use crate::uplink::HostUplink;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Traffic counters of a switch's uplink towards the top-of-rack switch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -26,22 +31,22 @@ pub struct UplinkStats {
 
 /// A virtual switch over frames with payload `P`.
 ///
-/// Ports and links live in `BTreeMap`s so every forwarding pass visits them
-/// in address order: the whole fabric stays deterministic across runs, which
+/// Ports live in a `BTreeMap` so every forwarding pass visits them in
+/// address order: the whole fabric stays deterministic across runs, which
 /// the seeded fault-injection scenarios depend on.
 pub struct VirtualSwitch<P> {
-    ports: BTreeMap<u32, Port<P>>,
-    /// Egress link (impairments applied on the way *out* of the switch
-    /// towards the destination port), keyed by destination address.
-    links: BTreeMap<u32, Link<P>>,
+    /// Every attached address: the port its frames are delivered into and
+    /// its egress link (impairments applied on the way *out* of the switch
+    /// towards that port).
+    ports: BTreeMap<u32, (Port<P>, Link<P>)>,
     default_link: LinkConfig,
     /// Frames dropped because the destination is unknown.
     unroutable: u64,
     /// Uplink towards a top-of-rack switch, when this switch is one host of
     /// a cluster: frames with no local destination leave through it instead
     /// of being dropped, and frames the ToR delivers re-enter through it.
-    /// This is the host side of the trunk's SPSC channel pair — the only
-    /// edge that crosses a shard boundary when the cluster runs sharded.
+    /// This is the host end of the trunk's port — the only edge that
+    /// crosses a shard boundary when the cluster runs sharded.
     uplink: Option<HostUplink<P>>,
     /// Addresses under this `(prefix, mask)` are local to this switch even
     /// when no port currently owns them (a crashed vNIC): frames for them
@@ -52,8 +57,11 @@ pub struct VirtualSwitch<P> {
     /// `(tx_bytes, rx_bytes)` as [`VirtualSwitch::take_uplink_bytes`] last saw them.
     uplink_mark: (u64, u64),
     seed: u64,
-    /// Reusable frame buffer for the ingress/egress drains (hot path).
+    /// Reusable frame buffers (hot path): the ingress/egress drain, the
+    /// uplink-bound burst of a forwarding pass, and the ToR's deliveries.
     scratch: Vec<Frame<P>>,
+    uplink_tx: Vec<Frame<P>>,
+    uplink_rx: VecDeque<Frame<P>>,
 }
 
 impl<P> VirtualSwitch<P> {
@@ -66,7 +74,6 @@ impl<P> VirtualSwitch<P> {
     pub fn with_default_link(default_link: LinkConfig) -> Self {
         VirtualSwitch {
             ports: BTreeMap::new(),
-            links: BTreeMap::new(),
             default_link,
             unroutable: 0,
             uplink: None,
@@ -75,6 +82,8 @@ impl<P> VirtualSwitch<P> {
             uplink_mark: (0, 0),
             seed: 0x5EED,
             scratch: Vec::new(),
+            uplink_tx: Vec::new(),
+            uplink_rx: VecDeque::new(),
         }
     }
 
@@ -123,12 +132,7 @@ impl<P> VirtualSwitch<P> {
     /// Attach a new endpoint with a specific egress link configuration.
     pub fn attach_with_link(&mut self, addr: u32, link: LinkConfig) -> Port<P> {
         let port = Port::new(addr);
-        self.ports.insert(addr, port.clone());
-        self.seed = self
-            .seed
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(addr as u64);
-        self.links.insert(addr, Link::new(link, self.seed));
+        self.attach_alias(addr, port.clone(), link);
         port
     }
 
@@ -139,26 +143,24 @@ impl<P> VirtualSwitch<P> {
     /// vNIC — the stack demultiplexes by full 4-tuple, so one port can
     /// serve any number of adopted addresses.
     pub fn attach_alias(&mut self, addr: u32, port: Port<P>, link: LinkConfig) {
-        self.ports.insert(addr, port);
         self.seed = self
             .seed
             .wrapping_mul(0x9E37_79B9)
             .wrapping_add(addr as u64);
-        self.links.insert(addr, Link::new(link, self.seed));
+        self.ports.insert(addr, (port, Link::new(link, self.seed)));
     }
 
     /// Detach an endpoint.
     pub fn detach(&mut self, addr: u32) {
         self.ports.remove(&addr);
-        self.links.remove(&addr);
     }
 
     /// Reconfigure the egress link towards `addr` mid-flight (fault
     /// injection: rate, loss, latency or reordering changes under live
     /// traffic). In-flight frames keep their original delivery schedule.
     pub fn set_link_config(&mut self, addr: u32, config: LinkConfig, now_ns: u64) -> bool {
-        match self.links.get_mut(&addr) {
-            Some(link) => {
+        match self.ports.get_mut(&addr) {
+            Some((_, link)) => {
                 link.set_config(config, now_ns);
                 true
             }
@@ -180,67 +182,62 @@ impl<P> VirtualSwitch<P> {
     pub fn step(&mut self, now_ns: u64) -> usize {
         // Ingress: collect from all ports, in address order, through the
         // reusable scratch buffer (no per-port allocation, one lock per
-        // port). The uplink is moved out for the duration of the pass: its
-        // SPSC ends need `&mut` and the borrow must not overlap the
-        // link-map accesses.
-        let mut uplink = self.uplink.take();
+        // port). What has no local port leaves as one uplink burst.
         let mut scratch = std::mem::take(&mut self.scratch);
-        for port in self.ports.values() {
+        for (port, _) in self.ports.values() {
             port.drain_tx_into(&mut scratch);
         }
-        self.forward(&mut scratch, uplink.as_mut(), now_ns);
+        self.forward(&mut scratch, true, now_ns);
         // Ingress from the uplink: frames the ToR delivered enter the local
         // forwarding plane through the destination's egress link, exactly
         // like locally originated traffic. Frames for addresses this host
         // does not own are dropped here — never bounced back out — so a
         // routing mistake cannot ping-pong between switch and ToR.
-        if let Some(up) = &mut uplink {
-            while let Some(f) = up.recv() {
+        if let Some(up) = &mut self.uplink {
+            if !self.uplink_tx.is_empty() {
+                up.send_burst(&mut self.uplink_tx);
+            }
+            up.recv_burst(&mut self.uplink_rx);
+            for f in &self.uplink_rx {
                 self.uplink_stats.rx_frames += 1;
                 self.uplink_stats.rx_bytes += f.wire_bytes as u64;
-                scratch.push(f);
             }
-            self.forward(&mut scratch, None, now_ns);
+            scratch.extend(self.uplink_rx.drain(..));
+            self.forward(&mut scratch, false, now_ns);
         }
         // Egress: deliver matured frames, one burst per port.
         let mut delivered = 0;
-        for (addr, link) in self.links.iter_mut() {
+        for (port, link) in self.ports.values_mut() {
             if link.in_flight() == 0 {
                 continue; // an idle port costs no lock
             }
-            if let Some(port) = self.ports.get(addr) {
-                delivered += port.deliver_burst(|rx| link.drain_deliverable(now_ns, rx));
-            }
+            delivered += port.deliver_burst(|rx| link.drain_deliverable(now_ns, rx));
         }
-        self.uplink = uplink;
         self.scratch = scratch;
         delivered
     }
 
     /// Push `frames` (left empty) onto their destinations' egress links,
     /// resolving the egress once per run of frames with the same
-    /// destination. Frames with no local port leave through `uplink` when
-    /// there is one and the address is not this switch's own, and are
-    /// counted unroutable otherwise.
-    fn forward(
-        &mut self,
-        frames: &mut Vec<Frame<P>>,
-        mut uplink: Option<&mut HostUplink<P>>,
-        now_ns: u64,
-    ) {
+    /// destination. Frames with no local port join the uplink burst when
+    /// `to_uplink` is set, an uplink is wired and the address is not this
+    /// switch's own, and are counted unroutable otherwise.
+    fn forward(&mut self, frames: &mut Vec<Frame<P>>, to_uplink: bool, now_ns: u64) {
+        let to_uplink = to_uplink && self.uplink.is_some();
         let mut frames = frames.drain(..);
         while let Some((dst, run)) = next_run(&mut frames) {
             let local_dead = (self.uplink_local).is_some_and(|(prefix, mask)| dst & mask == prefix);
-            match (self.links.get_mut(&dst), &mut uplink) {
-                (Some(link), _) if self.ports.contains_key(&dst) => {
-                    run.for_each(|f| link.offer(f, now_ns));
+            match self.ports.get_mut(&dst) {
+                Some((_, link)) => run.for_each(|f| link.offer(f, now_ns)),
+                None if to_uplink && !local_dead => {
+                    let burst = self.uplink_tx.len();
+                    self.uplink_tx.extend(run);
+                    for f in &self.uplink_tx[burst..] {
+                        self.uplink_stats.tx_frames += 1;
+                        self.uplink_stats.tx_bytes += f.wire_bytes as u64;
+                    }
                 }
-                (_, Some(up)) if !local_dead => run.for_each(|f| {
-                    self.uplink_stats.tx_frames += 1;
-                    self.uplink_stats.tx_bytes += f.wire_bytes as u64;
-                    up.send(f);
-                }),
-                _ => self.unroutable += run.count() as u64,
+                None => self.unroutable += run.count() as u64,
             }
         }
     }
@@ -252,7 +249,7 @@ impl<P> VirtualSwitch<P> {
 
     /// Statistics of the egress link towards `addr`.
     pub fn link_stats(&self, addr: u32) -> Option<LinkStats> {
-        self.links.get(&addr).map(|l| l.stats())
+        self.ports.get(&addr).map(|(_, link)| link.stats())
     }
 }
 
@@ -370,20 +367,17 @@ mod tests {
         assert_eq!(sw.uplink_stats().tx_bytes, 100);
 
         // Inbound: the ToR delivers a frame for local port 1.
-        tor_end.deliver(frame(99, 1, 8));
+        tor_end.0.deliver_burst(|rx| rx.push_back(frame(99, 1, 8)));
         sw.step(0);
         assert_eq!(a.recv().unwrap().payload, 8);
         assert_eq!(sw.uplink_stats().rx_frames, 1);
 
         // Inbound for an unknown address is dropped, not bounced back.
-        tor_end.deliver(frame(99, 42, 9));
+        tor_end.0.deliver_burst(|rx| rx.push_back(frame(99, 42, 9)));
         sw.step(0);
         assert_eq!(sw.unroutable(), 1);
-        assert_eq!(
-            tor_end.pending_from_host(),
-            0,
-            "no ping-pong back to the ToR"
-        );
+        let bounced = tor_end.drain_into(&mut out);
+        assert_eq!(bounced, 0, "no ping-pong back to the ToR");
     }
 
     /// The filtered uplink keeps dead-local traffic local: a destination

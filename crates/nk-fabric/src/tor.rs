@@ -7,46 +7,26 @@
 //! attach with exact-match routes. Routes are kept most-specific-first, so
 //! an endpoint inside a host's block still wins over the host trunk.
 //!
-//! Host trunks and endpoints attach differently because they live on
-//! different threads of a sharded cluster. A host trunk
-//! ([`TorSwitch::attach_trunk`]) hands the host a [`HostUplink`] — the host
-//! side of a pair of wait-free SPSC channels — while the ToR keeps the
-//! matching [`TorUplink`]; the host pushes frames from the thread polling its shard
-//! and the caller's thread drains them at the round barrier, in route order (host
-//! trunks sort by prefix, i.e. ascending `HostId`), which keeps cross-shard
-//! frame merging deterministic for any thread count. An endpoint
-//! ([`TorSwitch::attach_endpoint`]) stays a shared [`Port`]: its stack runs
-//! on the caller's thread alongside the ToR, so no cross-thread edge exists.
+//! Host trunks and endpoints attach the same way: every route holds a
+//! [`Port`]. A host trunk ([`TorSwitch::attach_trunk`]) hands the host the
+//! [`HostUplink`] end of its port; the host sends from the thread polling
+//! its shard, and the ToR drains it on the caller's thread at the round
+//! barrier, in route order (host trunks sort by prefix, i.e. ascending
+//! `HostId`), which keeps cross-shard frame merging deterministic for any
+//! thread count. An endpoint ([`TorSwitch::attach_endpoint`]) gets the port
+//! itself: its stack runs on the caller's thread alongside the ToR.
 
 use crate::link::{Link, LinkConfig, LinkStats};
 use crate::port::{next_run, Frame, Port};
 use crate::uplink::{uplink_pair, HostUplink, TorUplink};
-use std::collections::BTreeMap;
-
-/// Where a route's frames come from and go to.
-enum Conduit<P> {
-    /// An endpoint local to the caller's thread: one shared port, ToR keeps
-    /// a clone.
-    Endpoint(Port<P>),
-    /// A host trunk: key into [`TorSwitch::uplinks`]. Detour routes
-    /// installed by [`TorSwitch::add_route_via`] copy the key of the trunk
-    /// serving `via`, so any number of routes can feed one uplink.
-    Uplink(u32),
-}
-
-impl<P> Conduit<P> {
-    fn duplicate(&self) -> Self {
-        match self {
-            Conduit::Endpoint(port) => Conduit::Endpoint(port.clone()),
-            Conduit::Uplink(key) => Conduit::Uplink(*key),
-        }
-    }
-}
 
 struct Trunk<P> {
     prefix: u32,
     mask: u32,
-    conduit: Conduit<P>,
+    /// Where the route's frames come from and go to: an endpoint's port or
+    /// a host trunk's. A detour ([`TorSwitch::add_route_via`]) holds a clone
+    /// of the port of the trunk it rides.
+    port: Port<P>,
     link: Link<P>,
     /// The link shape this trunk was attached with, kept so detour routes
     /// ([`TorSwitch::add_route_via`]) inherit the downlink's character.
@@ -61,9 +41,6 @@ struct Trunk<P> {
 /// build on.
 pub struct TorSwitch<P> {
     routes: Vec<Trunk<P>>,
-    /// ToR ends of the host uplinks, keyed by attach order.
-    uplinks: BTreeMap<u32, TorUplink<P>>,
-    next_uplink_key: u32,
     /// Frames dropped because no route matched the destination.
     unroutable: u64,
     /// Frames dropped because the best route led back out the ingress trunk
@@ -78,8 +55,6 @@ impl<P> TorSwitch<P> {
     pub fn new() -> Self {
         TorSwitch {
             routes: Vec::new(),
-            uplinks: BTreeMap::new(),
-            next_uplink_key: 0,
             unroutable: 0,
             hairpins: 0,
             seed: 0x70F2,
@@ -87,76 +62,47 @@ impl<P> TorSwitch<P> {
         }
     }
 
-    fn advance_seed(&mut self, prefix: u32, mask: u32) {
+    /// Install a route for `prefix/mask` over `port`, replacing any previous
+    /// route for the same `(prefix, mask)`.
+    fn install(&mut self, prefix: u32, mask: u32, port: Port<P>, config: LinkConfig) {
+        let prefix = prefix & mask;
         self.seed = self
             .seed
             .wrapping_mul(0x9E37_79B9)
             .wrapping_add(prefix as u64)
             .wrapping_add(mask as u64);
-    }
-
-    fn install(&mut self, trunk: Trunk<P>) {
-        self.routes
-            .retain(|t| (t.prefix, t.mask) != (trunk.prefix, trunk.mask));
-        self.routes.push(trunk);
+        self.routes.retain(|t| (t.prefix, t.mask) != (prefix, mask));
+        self.routes.push(Trunk {
+            prefix,
+            mask,
+            port,
+            link: Link::new(config, self.seed),
+            config,
+        });
         // Most-specific-first, ties by prefix: deterministic longest-prefix
         // matching without a trie.
         self.routes
             .sort_by_key(|t| (std::cmp::Reverse(t.mask), t.prefix));
-        self.collect_dead_uplinks();
-    }
-
-    /// Drop ToR uplink ends no route references any more (a replaced or
-    /// removed trunk).
-    fn collect_dead_uplinks(&mut self) {
-        let live: std::collections::BTreeSet<u32> = self
-            .routes
-            .iter()
-            .filter_map(|t| match t.conduit {
-                Conduit::Uplink(key) => Some(key),
-                Conduit::Endpoint(_) => None,
-            })
-            .collect();
-        self.uplinks.retain(|key, _| live.contains(key));
     }
 
     /// Attach a host trunk owning the block `prefix/mask`; returns the host
-    /// side of the uplink channel pair for the host switch to adopt
+    /// end of the trunk for the host switch to adopt
     /// ([`crate::switch::VirtualSwitch::set_uplink`]). `link` shapes the
     /// traffic *towards* the trunk (the downlink direction). Re-attaching an
     /// existing `(prefix, mask)` replaces the old trunk (the old host end
     /// goes dead).
     pub fn attach_trunk(&mut self, prefix: u32, mask: u32, link: LinkConfig) -> HostUplink<P> {
-        let prefix = prefix & mask;
-        self.advance_seed(prefix, mask);
-        let (host_end, tor_end) = uplink_pair(prefix);
-        let key = self.next_uplink_key;
-        self.next_uplink_key += 1;
-        self.uplinks.insert(key, tor_end);
-        self.install(Trunk {
-            prefix,
-            mask,
-            conduit: Conduit::Uplink(key),
-            link: Link::new(link, self.seed),
-            config: link,
-        });
+        let (host_end, TorUplink(port)) = uplink_pair(prefix & mask);
+        self.install(prefix, mask, port, link);
         host_end
     }
 
     /// Attach a single endpoint (an exact-match /32 route), e.g. a
-    /// datacenter gateway every host talks to. Returns its port. Endpoints
-    /// stay mutex-shared [`Port`]s — their stacks run on the caller's thread
-    /// next to the ToR, never across a shard boundary.
+    /// datacenter gateway every host talks to. Returns its port; its stack
+    /// runs on the caller's thread next to the ToR.
     pub fn attach_endpoint(&mut self, addr: u32, link: LinkConfig) -> Port<P> {
-        self.advance_seed(addr, u32::MAX);
         let port = Port::new(addr);
-        self.install(Trunk {
-            prefix: addr,
-            mask: u32::MAX,
-            conduit: Conduit::Endpoint(port.clone()),
-            link: Link::new(link, self.seed),
-            config: link,
-        });
+        self.install(addr, u32::MAX, port.clone(), link);
         port
     }
 
@@ -171,18 +117,8 @@ impl<P> TorSwitch<P> {
         let Some(i) = Self::route_of(&self.routes, via) else {
             return false;
         };
-        let prefix = prefix & mask;
-        let conduit = self.routes[i].conduit.duplicate();
-        let config = self.routes[i].config;
-        self.advance_seed(prefix, mask);
-        let link = Link::new(config, self.seed);
-        self.install(Trunk {
-            prefix,
-            mask,
-            conduit,
-            link,
-            config,
-        });
+        let (port, config) = (self.routes[i].port.clone(), self.routes[i].config);
+        self.install(prefix, mask, port, config);
         true
     }
 
@@ -194,11 +130,7 @@ impl<P> TorSwitch<P> {
         let prefix = prefix & mask;
         let before = self.routes.len();
         self.routes.retain(|t| (t.prefix, t.mask) != (prefix, mask));
-        let removed = before != self.routes.len();
-        if removed {
-            self.collect_dead_uplinks();
-        }
-        removed
+        before != self.routes.len()
     }
 
     /// Number of attached routes (trunks plus endpoints).
@@ -248,16 +180,7 @@ impl<P> TorSwitch<P> {
     pub fn step_with<F: FnMut(&Frame<P>)>(&mut self, now_ns: u64, mut tap: F) -> usize {
         let mut scratch = std::mem::take(&mut self.scratch);
         for i in 0..self.routes.len() {
-            match &self.routes[i].conduit {
-                Conduit::Endpoint(port) => {
-                    port.drain_tx_into(&mut scratch);
-                }
-                Conduit::Uplink(key) => {
-                    if let Some(up) = self.uplinks.get_mut(key) {
-                        up.drain_into(&mut scratch);
-                    }
-                }
-            }
+            self.routes[i].port.drain_tx_into(&mut scratch);
             // One route lookup per run of frames with the same destination.
             let mut frames = scratch.drain(..);
             while let Some((dst, run)) = next_run(&mut frames) {
@@ -275,24 +198,19 @@ impl<P> TorSwitch<P> {
                 }
             }
         }
-        let mut delivered = 0;
-        for route in &mut self.routes {
-            delivered += route.link.drain_deliverable(now_ns, &mut scratch);
-            if scratch.is_empty() {
-                continue;
-            }
-            scratch.iter().for_each(&mut tap);
-            match &route.conduit {
-                Conduit::Endpoint(port) => port.deliver_burst(|rx| rx.extend(scratch.drain(..))),
-                Conduit::Uplink(key) => {
-                    if let Some(up) = self.uplinks.get_mut(key) {
-                        scratch.drain(..).for_each(|f| up.deliver(f));
-                    }
-                }
-            }
-            scratch.clear();
-        }
         self.scratch = scratch;
+        let mut delivered = 0;
+        for Trunk { port, link, .. } in &mut self.routes {
+            if link.in_flight() == 0 {
+                continue; // an idle route costs no lock
+            }
+            delivered += port.deliver_burst(|rx| {
+                let before = rx.len();
+                let due = link.drain_deliverable(now_ns, rx);
+                rx.range(before..).for_each(&mut tap);
+                due
+            });
+        }
         delivered
     }
 }
@@ -426,7 +344,7 @@ mod tests {
         );
         t1.send(frame(0x0A01_0001, 0x0A02_0001, 5));
         tor.step(0);
-        assert_eq!(t2.rx_pending(), 0);
+        assert!(t2.recv().is_none());
         tor.step(50_000);
         assert_eq!(t2.recv().unwrap().payload, 5);
     }
@@ -460,10 +378,10 @@ mod tests {
         assert_eq!(a.recv().unwrap().payload, 78);
     }
 
-    /// Replacing a trunk kills the old host end (its channels go dead) and
-    /// garbage-collects the old ToR uplink end.
+    /// Replacing a trunk kills the old host end: the ToR neither delivers
+    /// into its port nor drains it any more.
     #[test]
-    fn reattach_replaces_the_trunk_and_collects_the_old_uplink() {
+    fn reattach_replaces_the_trunk_and_kills_the_old_end() {
         let mut tor: TorSwitch<u32> = TorSwitch::new();
         let mut old = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
         let mut gw_feed = tor.attach_trunk(0x0A02_0000, HOST_MASK, LinkConfig::ideal());

@@ -1,79 +1,59 @@
-//! The host↔ToR uplink: a pair of wait-free SPSC frame channels.
+//! The host↔ToR uplink trunk: one [`Port`], with a host end and a ToR end.
 //!
-//! A clustered host's switch and the top-of-rack switch used to share one
-//! mutex-guarded [`crate::port::Port`]. With the cluster datapath sharded
-//! across threads, the uplink is the *only* cross-shard edge — the host side
-//! lives on whichever thread polls the host's shard, the ToR side on the
-//! caller's thread at the round barrier — so it is built from two [`nk_queue::unbounded()`] SPSC queues instead: each
-//! direction has exactly one producer (the host's TX, the ToR's delivery)
-//! and one consumer (the ToR's ingress drain, the host's RX), no locks, and
-//! pushes that can never fail (dropping a frame on overflow would make
-//! behaviour depend on shard timing).
+//! A clustered host's switch and the top-of-rack switch share one
+//! mutex-backed burst [`Port`], exactly as a vNIC and its switch do. In a
+//! sharded cluster the host end lives on whichever thread polls the host's
+//! shard and the ToR end on the caller's thread, and the round barrier
+//! orders every hand-off between them: the host sends while the units poll,
+//! the ToR drains and delivers in the hub with every helper parked, and the
+//! host takes those deliveries in its next round. No datapath lock is ever
+//! contended. It is still a blocking `lock()`, so a caller that does cross
+//! the phases (nkbench's two-thread drive) is slower, never wrong.
 //!
-//! The caller's thread drains every uplink at the round barrier in route order —
-//! host trunks sort by prefix, i.e. ascending `HostId` — which is what keeps
+//! The ToR drains every trunk at the round barrier in route order — host
+//! trunks sort by prefix, i.e. ascending `HostId` — which is what keeps
 //! cross-shard frame merging deterministic for any thread count.
 
-use crate::port::Frame;
-use nk_queue::unbounded::{unbounded, UnboundedConsumer, UnboundedProducer};
+use crate::port::{Frame, Port};
+use std::collections::VecDeque;
 
-/// The host-switch side of an uplink trunk: frames with no local destination
-/// leave through [`HostUplink::send`]; ToR deliveries arrive via
-/// [`HostUplink::recv`]. Owned by exactly one host (one shard).
-pub struct HostUplink<P> {
-    to_tor: UnboundedProducer<Frame<P>>,
-    from_tor: UnboundedConsumer<Frame<P>>,
-    prefix: u32,
-}
+/// The host-switch side of an uplink trunk: frames with no local
+/// destination leave through it, ToR deliveries arrive through it. Owned by
+/// exactly one host (one shard), so it is not `Clone`.
+pub struct HostUplink<P>(Port<P>);
 
-/// The ToR side of the same trunk: [`TorUplink::drain_into`] collects the
-/// host's outbound frames at the round barrier, [`TorUplink::deliver`]
-/// pushes frames down towards the host. Owned by the ToR, which only the
-/// caller's thread touches, at the round barrier.
-pub struct TorUplink<P> {
-    from_host: UnboundedConsumer<Frame<P>>,
-    to_host: UnboundedProducer<Frame<P>>,
-}
+/// The ToR side of a trunk made by [`uplink_pair`]. A [`crate::TorSwitch`]
+/// keeps the port itself; this handle is for driving a bare trunk.
+pub struct TorUplink<P>(pub(crate) Port<P>);
 
 /// Create the two ends of one uplink trunk for the address block at
-/// `prefix`.
+/// `prefix`: both share one [`Port`].
 pub fn uplink_pair<P>(prefix: u32) -> (HostUplink<P>, TorUplink<P>) {
-    let (to_tor, from_host) = unbounded();
-    let (to_host, from_tor) = unbounded();
-    (
-        HostUplink {
-            to_tor,
-            from_tor,
-            prefix,
-        },
-        TorUplink { from_host, to_host },
-    )
+    let port = Port::new(prefix);
+    (HostUplink(port.clone()), TorUplink(port))
 }
 
 impl<P> HostUplink<P> {
-    /// The trunk's (masked) address block, for diagnostics.
-    pub fn prefix(&self) -> u32 {
-        self.prefix
+    /// Queue a frame towards the ToR.
+    pub fn send(&mut self, frame: Frame<P>) {
+        self.0.send(frame);
     }
 
-    /// Queue a frame towards the ToR. Wait-free, never fails.
-    pub fn send(&mut self, frame: Frame<P>) {
-        self.to_tor.push(frame);
+    /// Queue a whole burst towards the ToR under one lock, leaving `burst`
+    /// empty.
+    pub fn send_burst(&mut self, burst: &mut Vec<Frame<P>>) {
+        self.0.send_burst(burst);
     }
 
     /// Take one frame the ToR delivered, if any.
     pub fn recv(&mut self) -> Option<Frame<P>> {
-        self.from_tor.pop()
+        self.0.recv()
     }
 
-    /// Number of delivered frames waiting.
-    pub fn rx_pending(&self) -> usize {
-        self.from_tor.len()
-    }
-
-    /// Number of outbound frames not yet drained by the ToR.
-    pub fn tx_pending(&self) -> usize {
-        self.to_tor.len()
+    /// Take every frame the ToR delivered under one lock, appending to
+    /// `into` (see [`Port::recv_burst`]).
+    pub fn recv_burst(&mut self, into: &mut VecDeque<Frame<P>>) {
+        self.0.recv_burst(into);
     }
 }
 
@@ -81,17 +61,7 @@ impl<P> TorUplink<P> {
     /// Drain every frame the host sent, appending to `out`; returns how
     /// many were drained.
     pub fn drain_into(&mut self, out: &mut Vec<Frame<P>>) -> usize {
-        self.from_host.drain_into(out)
-    }
-
-    /// Deliver a frame down towards the host. Wait-free, never fails.
-    pub fn deliver(&mut self, frame: Frame<P>) {
-        self.to_host.push(frame);
-    }
-
-    /// Number of frames awaiting pickup from the host.
-    pub fn pending_from_host(&self) -> usize {
-        self.from_host.len()
+        self.0.drain_tx_into(out)
     }
 }
 
@@ -109,22 +79,25 @@ mod tests {
         }
     }
 
+    fn deliver(tor: &TorUplink<u32>, frames: impl IntoIterator<Item = Frame<u32>>) {
+        tor.0.deliver_burst(|rx| rx.extend(frames));
+    }
+
     #[test]
     fn frames_flow_both_directions_in_order() {
         let (mut host, mut tor) = uplink_pair::<u32>(0x0A01_0000);
-        assert_eq!(host.prefix(), 0x0A01_0000);
         host.send(frame(0x0A02_0001, 1));
-        host.send(frame(0x0A02_0001, 2));
-        assert_eq!(host.tx_pending(), 2);
+        host.send_burst(&mut vec![frame(0x0A02_0001, 2), frame(0x0A02_0001, 3)]);
         let mut out = Vec::new();
-        assert_eq!(tor.drain_into(&mut out), 2);
-        assert_eq!(out[0].payload, 1);
-        assert_eq!(out[1].payload, 2);
-        assert_eq!(tor.pending_from_host(), 0);
+        assert_eq!(tor.drain_into(&mut out), 3);
+        assert_eq!(out.iter().map(|f| f.payload).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(tor.drain_into(&mut out), 0);
 
-        tor.deliver(frame(0x0A01_0001, 3));
-        assert_eq!(host.rx_pending(), 1);
-        assert_eq!(host.recv().unwrap().payload, 3);
+        deliver(&tor, [frame(0x0A01_0001, 4), frame(0x0A01_0001, 5)]);
+        assert_eq!(host.recv().unwrap().payload, 4);
+        let mut rx = VecDeque::new();
+        host.recv_burst(&mut rx);
+        assert_eq!(rx.pop_front().unwrap().payload, 5);
         assert!(host.recv().is_none());
     }
 
@@ -134,10 +107,40 @@ mod tests {
     fn directions_are_independent() {
         let (mut host, mut tor) = uplink_pair::<u32>(0);
         host.send(frame(9, 1));
-        tor.deliver(frame(1, 2));
+        deliver(&tor, [frame(1, 2)]);
         assert_eq!(host.recv().unwrap().payload, 2);
         let mut out = Vec::new();
         assert_eq!(tor.drain_into(&mut out), 1);
         assert_eq!(out[0].payload, 1);
+    }
+
+    /// The trunk is a cross-thread edge: one thread sends N frames, singly
+    /// and in bursts, while another drains the ToR side concurrently. Every
+    /// frame arrives exactly once, in send order.
+    #[test]
+    fn a_concurrent_sender_and_drainer_see_every_frame_once_in_order() {
+        const N: u32 = 50_000;
+        let (mut host, mut tor) = uplink_pair::<u32>(0);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut tag = 0;
+                let mut burst = Vec::new();
+                while tag < N {
+                    // Alternate a single frame with a burst of up to 7.
+                    host.send(frame(2, tag));
+                    tag += 1;
+                    burst.extend((tag..N.min(tag + 7)).map(|t| frame(2, t)));
+                    tag += burst.len() as u32;
+                    host.send_burst(&mut burst);
+                }
+            });
+            let mut got = Vec::with_capacity(N as usize);
+            while got.len() < N as usize {
+                if tor.drain_into(&mut got) == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            assert!(got.iter().map(|f| f.payload).eq(0..N));
+        });
     }
 }

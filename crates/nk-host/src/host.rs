@@ -9,7 +9,7 @@
 
 use crate::control::ControlTelemetry;
 use crate::faults::{FaultInjector, FaultStats};
-use crate::lanes::LaneReport;
+use crate::lanes::ReportEdge;
 use crate::sched::SchedStats;
 use nk_ctrl::ControlPlane;
 use nk_engine::CoreEngine;
@@ -18,7 +18,6 @@ use nk_fabric::uplink::HostUplink;
 use nk_guest::GuestLib;
 use nk_netstack::{Segment, StackConfig, TcpStack};
 use nk_obs::HostFeed;
-use nk_queue::unbounded::UnboundedConsumer;
 use nk_service::{Nsm, SharedMemNsm};
 use nk_shmem::HugepageRegion;
 use nk_sim::{CorePool, CostModel, Pollable, PoolMember};
@@ -141,7 +140,7 @@ pub struct NetKernelHost {
     /// Hub ends of the share-lane report edges while the host is split into
     /// lanes ([`NetKernelHost::split_lanes`]); drained in key order every
     /// hub round, empty outside a lane phase.
-    pub(crate) lane_rx: BTreeMap<NsmId, UnboundedConsumer<LaneReport>>,
+    pub(crate) lane_rx: BTreeMap<NsmId, ReportEdge>,
     /// Work done per lane since the last [`NetKernelHost::split_lanes`],
     /// accumulated from the lanes' reports; the next split stamps each lane
     /// with its entry — the weight signal for the executor's lane placement.
@@ -151,7 +150,7 @@ pub struct NetKernelHost {
 
 // The cluster's sharded executor moves whole hosts onto worker threads, so
 // everything a host owns — guests, NSMs, stacks, hugepage regions, wake
-// state, the switch with its uplink channel end — must be `Send`. Checked
+// state, the switch with its uplink port end — must be `Send`. Checked
 // here at compile time so a non-Send field (an `Rc`, a thread-bound cache)
 // is caught in this crate, not as an inscrutable error in `nk-cluster`.
 const _: fn() = || {
@@ -256,8 +255,8 @@ impl NetKernelHost {
         self.cfg.host_id
     }
 
-    /// Adopt `uplink` (the host side of a top-of-rack trunk's SPSC channel
-    /// pair) as this host's uplink: frames with no local destination leave
+    /// Adopt `uplink` (the host end of a top-of-rack trunk's port) as this
+    /// host's uplink: frames with no local destination leave
     /// through it and ToR deliveries enter through it on every poll round.
     /// Destinations inside this host's own address block stay local even
     /// when dead (a crashed vNIC must not read as cross-host traffic).
@@ -942,6 +941,34 @@ mod tests {
         assert_eq!(host.install_fault_plan(&plan), Err(NkError::BadConfig));
         let plan = FaultPlan::new().at(0, FaultAction::RestartNsm(NsmId(1)));
         assert_eq!(host.install_fault_plan(&plan), Err(NkError::BadConfig));
+    }
+
+    /// A link fault's latency is bounded like the uplink's, whether it
+    /// arrives in a plan or directly: past one second it is refused with
+    /// `BadConfig` instead of overflowing when the next frame is scheduled.
+    #[test]
+    fn link_fault_latency_past_one_second_is_rejected() {
+        let mut host = one_vm_host(StackKind::Kernel);
+        let fault = |us| LinkFault::healthy().with_latency_us(us);
+        for us in [1_000_001, u64::MAX] {
+            let link = fault(us);
+            let plan = FaultPlan::new().at(
+                0,
+                FaultAction::DegradeLink {
+                    nsm: NsmId(1),
+                    link,
+                },
+            );
+            assert_eq!(host.install_fault_plan(&plan), Err(NkError::BadConfig));
+            assert_eq!(
+                host.degrade_nsm_link(NsmId(1), link),
+                Err(NkError::BadConfig)
+            );
+        }
+        assert_eq!(host.degrade_nsm_link(NsmId(1), fault(1_000_000)), Ok(()));
+        remote_listener(&mut host);
+        guest_connect(&mut host);
+        host.run(5, 100_000);
     }
 
     /// A non-zero host id shifts every NSM vNIC into the host's own /16

@@ -20,15 +20,15 @@
 //! *host hub*: the host's own [`NetKernelHost::poll_round`], run by the
 //! executor's caller at the round barrier.
 //!
-//! The only cross-thread channel is a wait-free unbounded SPSC queue
-//! ([`nk_queue::unbounded()`]: one producer, one consumer, pushes that never
-//! fail, so a report burst can never stall a lane or skew behaviour with
-//! shard timing) from each lane to its hub, carrying [`LaneReport`]s:
-//! per-component work counts the hub folds — in lane-key order — into the
-//! cycle ledgers (so pool accounting is identical to an undecomposed host)
-//! and into per-lane load counters (each lane of the next split carries
-//! its own as [`ShareLane::weight`], so the executor can deal heavy lanes
-//! first).
+//! The only cross-thread channel is a report edge from each lane to its
+//! hub: a `Mutex<Vec<LaneReport>>` the round barrier orders. A lane appends
+//! its round's [`LaneReport`]s once, at the end of its poll; the hub drains
+//! every edge once per hub round, with every helper parked, so no lock is
+//! ever contended. The reports are per-component work counts the hub folds
+//! — in lane-key order — into the cycle ledgers (so pool accounting is
+//! identical to an undecomposed host) and into per-lane load counters (each
+//! lane of the next split carries its own as [`ShareLane::weight`], so the
+//! executor can deal heavy lanes first).
 //!
 //! Determinism: lanes touch pairwise-disjoint state (the grouping closes
 //! over every VM↔NSM edge — mapping, table pins, NSM-held VM state — so no
@@ -39,7 +39,6 @@
 
 use crate::host::{NetKernelHost, NsmInstance};
 use nk_engine::CoreEngine;
-use nk_queue::unbounded::{unbounded, UnboundedProducer};
 use nk_sim::{Pollable, PoolMember};
 use nk_types::{NsmId, VmId};
 use std::collections::BTreeMap;
@@ -63,10 +62,41 @@ pub enum LaneReport {
     },
 }
 
+/// The report edge from one lane to its host hub. The lane holds one clone
+/// and the hub the other.
+#[derive(Clone, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "cross-shard-locks: the lane report edge. A lane appends to it \
+              once per round while the units poll; the hub drains it once per \
+              hub round, with every helper parked at the round barrier. The \
+              barrier orders every lock, so none is ever contended."
+)]
+pub(crate) struct ReportEdge(std::sync::Arc<std::sync::Mutex<Vec<LaneReport>>>);
+
+impl ReportEdge {
+    /// Lane side: hand over a round's reports, leaving `reports` empty.
+    fn append(&self, reports: &mut Vec<LaneReport>) {
+        self.0
+            .lock()
+            .expect("the hub never panics holding a report edge")
+            .append(reports);
+    }
+
+    /// Hub side: hand every report to `f`, in the order the lane sent them.
+    fn drain(&self, f: impl FnMut(LaneReport)) {
+        self.0
+            .lock()
+            .expect("a lane never panics holding its report edge")
+            .drain(..)
+            .for_each(f);
+    }
+}
+
 /// One NSM share group carved out of a [`crate::NetKernelHost`] for a poll
 /// phase: an engine shard (the group's VM/NSM ports, mappings and table
-/// entries) plus the group's NSM instances, with an SPSC report edge back to
-/// the host hub. Created by `NetKernelHost::split_lanes`, polled on an
+/// entries) plus the group's NSM instances, with a report edge back to the
+/// host hub. Created by `NetKernelHost::split_lanes`, polled on an
 /// executor thread via [`ShareLane::poll_round`], merged back by
 /// `NetKernelHost::absorb_lanes`.
 pub struct ShareLane {
@@ -80,8 +110,10 @@ pub struct ShareLane {
     pub(crate) engine: CoreEngine,
     /// The group's NSM instances, polled in ascending id order.
     pub(crate) members: BTreeMap<NsmId, NsmInstance>,
+    /// The reports of the round being polled, handed to `edge` at its end.
+    pub(crate) reports: Vec<LaneReport>,
     /// Report edge to the host hub.
-    pub(crate) tx: UnboundedProducer<LaneReport>,
+    pub(crate) edge: ReportEdge,
 }
 
 // Lanes move onto executor threads; a non-Send field would surface
@@ -107,13 +139,18 @@ impl ShareLane {
     /// One poll round over the lane's slice of the datapath: the engine
     /// shard first (exactly where the whole-host round polls the engine),
     /// then each member NSM in ascending id order. Work counts are reported
-    /// to the hub over the SPSC edge for ledger charging and lane weighting;
-    /// the return value feeds the executor's quiescence detection.
+    /// to the hub over the report edge, once per round, for ledger charging
+    /// and lane weighting; the return value feeds the executor's quiescence
+    /// detection.
     pub fn poll_round(&mut self, now_ns: u64) -> usize {
-        let tx = &mut self.tx;
-        poll_group(&mut self.engine, &mut self.members, now_ns, |report| {
-            tx.push(report)
-        })
+        let reports = &mut self.reports;
+        let work = poll_group(&mut self.engine, &mut self.members, now_ns, |report| {
+            reports.push(report)
+        });
+        if !self.reports.is_empty() {
+            self.edge.append(&mut self.reports);
+        }
+        work
     }
 }
 
@@ -184,9 +221,9 @@ impl NetKernelHost {
         let work = poll_group(&mut self.engine, &mut self.nsms, now_ns, |report| {
             book(report);
         });
-        for (key, rx) in self.lane_rx.iter_mut() {
+        for (key, edge) in self.lane_rx.iter() {
             let mut lane_load = 0u64;
-            rx.drain_with(|report| lane_load += book(report));
+            edge.drain(|report| lane_load += book(report));
             if lane_load > 0 {
                 *self.lane_loads.entry(*key).or_insert(0) += lane_load;
             }
@@ -298,8 +335,8 @@ impl NetKernelHost {
                 let nsm = self.nsms.remove(&id).expect("grouped NSMs are live");
                 member_map.insert(id, nsm);
             }
-            let (tx, rx) = unbounded();
-            self.lane_rx.insert(key, rx);
+            let edge = ReportEdge::default();
+            self.lane_rx.insert(key, edge.clone());
             lanes.insert(
                 key,
                 ShareLane {
@@ -307,7 +344,8 @@ impl NetKernelHost {
                     weight: loads.remove(&key).unwrap_or(0),
                     engine,
                     members: member_map,
-                    tx,
+                    reports: Vec::new(),
+                    edge,
                 },
             );
         }

@@ -627,9 +627,11 @@ impl NetKernelHost {
 
     /// Reconfigure the egress link towards an NSM's vNIC mid-flight (rate,
     /// loss, latency, reordering). Frames already in flight keep their
-    /// original delivery schedule.
+    /// original delivery schedule. Parameters out of range
+    /// ([`LinkFault::validate`]) are refused with `BadConfig`.
     pub fn degrade_nsm_link(&mut self, nsm: NsmId, fault: LinkFault) -> NkResult<()> {
         let nsm_cfg = self.cfg.nsm(nsm).ok_or(NkError::NotFound)?;
+        fault.validate()?;
         let config = LinkConfig {
             // A fault with no explicit cap falls back to the vNIC's
             // configured line rate — restoring a degraded link must never

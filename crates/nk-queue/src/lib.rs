@@ -9,9 +9,10 @@
 //!
 //! * [`spsc`] — a bounded single-producer/single-consumer lock-free ring
 //!   buffer, the building block of every NQE queue;
-//! * [`mod@unbounded`] — an unbounded wait-free SPSC queue, the cross-shard
-//!   fabric edge of the parallel cluster datapath (frames must never be
-//!   dropped for capacity reasons, or behaviour would depend on timing);
+//! * [`mod@unbounded`] — an unbounded wait-free SPSC queue with no datapath
+//!   user: the round barrier orders every cross-shard hand-off, so those
+//!   edges are plain ports. nkbench's `queue.unbounded_ns` drive still names
+//!   it, which pins it until ROADMAP item 7;
 //! * [`queueset`] — the four-queue set (job / completion / send / receive) of
 //!   the paper's Figure 5, split into a requester end and a responder end;
 //! * [`device`] — the NK device: the per-entity collection of queue sets plus

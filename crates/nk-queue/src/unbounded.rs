@@ -1,11 +1,11 @@
 //! An unbounded single-producer / single-consumer lock-free queue.
 //!
 //! Where [`crate::spsc`] is the paper's fixed-capacity NQE ring (backpressure
-//! by design), this queue is the *fabric* edge between a sharded host and the
-//! top-of-rack switch: the thread polling a host pushes uplink frames during a
-//! poll round and the caller's thread drains them at the round barrier.
-//! Dropping frames on overflow would make behaviour depend on shard timing, so the
-//! cross-shard edge must never refuse a push — it grows instead.
+//! by design), this queue never refuses a push — it grows instead. No
+//! datapath code uses it: the sharded cluster's cross-shard edges are each
+//! written in one phase of the round barrier and read in the other, so they
+//! never see contention and are plain barrier-ordered `Mutex`es. nkbench's
+//! `queue.unbounded_ns` drive names it, which pins it until ROADMAP item 7.
 //!
 //! The implementation is the classic Vyukov node-based queue specialised to
 //! one producer and one consumer: a singly linked list with a stub node,
@@ -13,7 +13,7 @@
 //! Both operations are wait-free — one allocation plus one Release store to
 //! publish, one Acquire load to observe — so neither side can stall the
 //! other ("A Wait-Free Universal Construct for Large Objects" makes the case
-//! for keeping exactly these cross-thread handoffs wait-free).
+//! for wait-free hand-offs under contention).
 
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
@@ -125,29 +125,6 @@ impl<T> UnboundedConsumer<T> {
         Some(value)
     }
 
-    /// Pop every queued element into `out`; returns how many were popped.
-    pub fn drain_into(&mut self, out: &mut Vec<T>) -> usize {
-        let mut n = 0;
-        while let Some(v) = self.pop() {
-            out.push(v);
-            n += 1;
-        }
-        n
-    }
-
-    /// Pop every queued element, handing each to `f` in FIFO order; returns
-    /// how many were popped. The allocation-free sibling of
-    /// [`UnboundedConsumer::drain_into`] for barrier-time drains that fold
-    /// elements into an accumulator instead of collecting them.
-    pub fn drain_with(&mut self, mut f: impl FnMut(T)) -> usize {
-        let mut n = 0;
-        while let Some(v) = self.pop() {
-            f(v);
-            n += 1;
-        }
-        n
-    }
-
     /// Number of elements currently queued (approximate under concurrency).
     pub fn len(&self) -> usize {
         self.inner.len.load(Ordering::Acquire)
@@ -198,32 +175,8 @@ mod tests {
         assert!(rx.is_empty() && tx.is_empty());
     }
 
-    #[test]
-    fn drain_into_empties_the_queue() {
-        let (mut tx, mut rx) = unbounded();
-        for i in 0..10u32 {
-            tx.push(i);
-        }
-        let mut out = Vec::new();
-        assert_eq!(rx.drain_into(&mut out), 10);
-        assert_eq!(out, (0..10).collect::<Vec<_>>());
-        assert_eq!(rx.drain_into(&mut out), 0);
-    }
-
-    #[test]
-    fn drain_with_folds_in_fifo_order() {
-        let (mut tx, mut rx) = unbounded();
-        for i in 0..10u64 {
-            tx.push(i);
-        }
-        let mut seen = Vec::new();
-        assert_eq!(rx.drain_with(|v| seen.push(v)), 10);
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert_eq!(rx.drain_with(|_| panic!("queue must be empty")), 0);
-    }
-
     /// A burst far past any plausible ring size: the queue grows instead of
-    /// refusing — the property the cross-shard fabric edge depends on.
+    /// refusing.
     #[test]
     fn grows_without_bound() {
         let (mut tx, mut rx) = unbounded();

@@ -11,7 +11,7 @@
 //! drained NSM share — is recorded as a [`ClusterEvent`] so a whole cluster
 //! run can be replayed and digested deterministically.
 
-use crate::config::{valid_rate_gbps, HostConfig};
+use crate::config::{valid_rate_gbps, HostConfig, MAX_LINK_LATENCY_US};
 use crate::error::{NkError, NkResult};
 use crate::ids::{HostId, NsmId, VmId};
 use serde::{Deserialize, Serialize};
@@ -350,7 +350,11 @@ impl ClusterConfig {
                 }
             }
         }
-        if !valid_rate_gbps(self.uplink_rate_gbps) || self.max_rounds == 0 || self.threads == 0 {
+        if !valid_rate_gbps(self.uplink_rate_gbps)
+            || self.uplink_latency_us > MAX_LINK_LATENCY_US
+            || self.max_rounds == 0
+            || self.threads == 0
+        {
             return Err(NkError::BadConfig);
         }
         if let Some(policy) = &self.policy {
@@ -559,6 +563,21 @@ mod tests {
 
         let no_threads = ClusterConfig::new().with_host(host(1, 1)).with_threads(0);
         assert_eq!(no_threads.validate(), Err(NkError::BadConfig));
+    }
+
+    /// An uplink latency the fabric cannot schedule is a configuration
+    /// error, not a multiply overflow on the first cross-host frame.
+    #[test]
+    fn uplink_latency_past_one_second_is_rejected() {
+        let cfg = |us| {
+            ClusterConfig::new()
+                .with_host(host(1, 1))
+                .with_uplink_latency_us(us)
+        };
+        assert!(cfg(1_000_000).validate().is_ok());
+        for us in [1_000_001, u64::MAX] {
+            assert_eq!(cfg(us).validate(), Err(NkError::BadConfig), "{us} us");
+        }
     }
 
     #[test]

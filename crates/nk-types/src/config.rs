@@ -29,6 +29,11 @@ const MAX_HUGEPAGES_PER_PAIR: usize = 1024;
 /// the ring allocation overflows.
 const MAX_QUEUE_CAPACITY: usize = 1 << 16;
 
+/// Longest one-way link latency, uplink or injected fault: 1 s, four orders
+/// of magnitude past a rack hop. The fabric schedules a frame at
+/// `now + latency_us * 1000` ns, which overflows near `u64::MAX`.
+pub(crate) const MAX_LINK_LATENCY_US: u64 = 1_000_000;
+
 /// A configured rate must be a finite, positive number of Gbps (`NaN <= 0.0`
 /// is false, so a plain sign test lets NaN and infinity through).
 pub(crate) fn valid_rate_gbps(gbps: f64) -> bool {

@@ -10,7 +10,7 @@
 //! the exact same execution, which is what the seeded scenario and property
 //! tests rely on.
 
-use crate::config::{valid_rate_gbps, HostConfig};
+use crate::config::{valid_rate_gbps, HostConfig, MAX_LINK_LATENCY_US};
 use crate::error::{NkError, NkResult};
 use crate::ids::{NsmId, VmId};
 use serde::{Deserialize, Serialize};
@@ -69,6 +69,19 @@ impl LinkFault {
     pub fn with_reorder(mut self, reorder: f64) -> Self {
         self.reorder = reorder;
         self
+    }
+
+    /// Check the parameters: probabilities in `0..=1`, a finite positive
+    /// rate cap, and a latency of at most one second.
+    pub fn validate(&self) -> NkResult<()> {
+        if !(0.0..=1.0).contains(&self.loss)
+            || !(0.0..=1.0).contains(&self.reorder)
+            || self.rate_gbps.is_some_and(|g| !valid_rate_gbps(g))
+            || self.latency_us > MAX_LINK_LATENCY_US
+        {
+            return Err(NkError::BadConfig);
+        }
+        Ok(())
     }
 }
 
@@ -152,9 +165,10 @@ impl FaultPlan {
 
     /// Check the plan against a host configuration: every referenced NSM and
     /// VM must exist, a restart must be preceded by a crash of the same NSM,
-    /// and migrations / link changes must target an NSM that is alive at
+    /// migrations / link changes must target an NSM that is alive at
     /// that point in the schedule (not crashed-and-not-yet-restarted — a
-    /// "validated" plan must never strand a VM on a dead NSM).
+    /// "validated" plan must never strand a VM on a dead NSM), and every
+    /// link fault must pass [`LinkFault::validate`].
     pub fn validate(&self, cfg: &HostConfig) -> NkResult<()> {
         let mut crashed: Vec<NsmId> = Vec::new();
         for ev in self.sorted_events() {
@@ -180,12 +194,7 @@ impl FaultPlan {
                     if cfg.nsm(nsm).is_none() || crashed.contains(&nsm) {
                         return Err(NkError::BadConfig);
                     }
-                    if !(0.0..=1.0).contains(&link.loss) || !(0.0..=1.0).contains(&link.reorder) {
-                        return Err(NkError::BadConfig);
-                    }
-                    if link.rate_gbps.is_some_and(|g| !valid_rate_gbps(g)) {
-                        return Err(NkError::BadConfig);
-                    }
+                    link.validate()?;
                 }
             }
         }
