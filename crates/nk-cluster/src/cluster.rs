@@ -65,18 +65,13 @@ pub struct ClusterStats {
     pub hosts_killed: u64,
 }
 
-/// An in-flight drain: the VM has moved, its source share has not emptied
-/// yet.
-pub(crate) struct ActiveDrain {
-    pub(crate) vm: VmId,
-    pub(crate) from: HostId,
-    pub(crate) nsm: NsmId,
-}
-
 /// A set of [`NetKernelHost`]s joined by uplinks through a top-of-rack
 /// switch, sharing one virtual clock, with cross-host VM moves (drained,
 /// warm, whole-host evacuation — one executor, see [`crate::evac`]) and an
-/// optional cluster placement loop.
+/// optional cluster placement loop. Placement has one record, the hosts'
+/// own VM slots: a VM's home is the host it is resident on and not
+/// draining off ([`NetKernelHost::homed_vms`]), and its drains are the
+/// hosts' [`NetKernelHost::draining_vms`].
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
     pub(crate) hosts: BTreeMap<HostId, NetKernelHost>,
@@ -84,10 +79,7 @@ pub struct Cluster {
     /// Datacenter-level endpoints attached at the ToR (gateways, servers
     /// every host talks to).
     pub(crate) remotes: BTreeMap<u32, TcpStack>,
-    /// Where each VM's *new* connections open (updated by migrations).
-    pub(crate) vm_home: BTreeMap<VmId, HostId>,
     pub(crate) placer: Option<Placer>,
-    pub(crate) drains: Vec<ActiveDrain>,
     pub(crate) events: Vec<ClusterEvent>,
     /// Plan-event logs of every move and evacuation run so far, in
     /// execution order (see [`crate::evac`]).
@@ -123,7 +115,6 @@ impl Cluster {
             .with_latency_us(cfg.uplink_latency_us);
         let mut tor = TorSwitch::new();
         let mut hosts = BTreeMap::new();
-        let mut vm_home = BTreeMap::new();
         for host_cfg in &cfg.hosts {
             let id = host_cfg.host_id;
             let mut host = NetKernelHost::new(host_cfg.clone())?;
@@ -132,9 +123,6 @@ impl Cluster {
                 host.enable_pool_accounting(policy.pool_clock_hz);
             }
             host.set_obs_enabled(cfg.obs.enabled);
-            for vm in &host_cfg.vms {
-                vm_home.insert(vm.id, id);
-            }
             hosts.insert(id, host);
         }
         let placer = match cfg.policy.clone() {
@@ -150,9 +138,7 @@ impl Cluster {
             hosts,
             tor,
             remotes: BTreeMap::new(),
-            vm_home,
             placer,
-            drains: Vec::new(),
             events: Vec::new(),
             plan_events: Vec::new(),
             epoch: 0,
@@ -277,9 +263,16 @@ impl Cluster {
         self.hosts.keys().copied().collect()
     }
 
-    /// The host a VM's *new* connections currently open on.
+    /// The host a VM's *new* connections currently open on: the one host
+    /// it is resident on and not draining off.
     pub fn home_of(&self, vm: VmId) -> Option<HostId> {
-        self.vm_home.get(&vm).copied()
+        let mut homes = self
+            .hosts
+            .iter()
+            .filter(|(_, h)| h.homed_vms().any(|v| v == vm));
+        let home = homes.next().map(|(id, _)| *id);
+        debug_assert!(homes.next().is_none(), "{vm:?} is homed on two hosts");
+        home
     }
 
     /// Mutable access to a VM's GuestLib on a specific host. During a drain
@@ -587,33 +580,26 @@ impl Cluster {
 
     /// Complete any drains whose pinned-connection count reached zero: the
     /// source VM instance is torn down and, when its NSM serves nothing
-    /// else, the share scales to zero cores.
+    /// else, the share scales to zero cores. Drains are walked in
+    /// `(HostId, VmId)` order; a step without one allocates nothing.
     fn advance_drains(&mut self) -> usize {
-        let mut work = 0;
-        let mut idx = 0;
-        while idx < self.drains.len() {
-            let (vm, from, nsm) = {
-                let d = &self.drains[idx];
-                (d.vm, d.from, d.nsm)
-            };
-            let host = self.hosts.get_mut(&from).expect("drain host exists");
-            if host.vm_pinned(vm) > 0 {
-                idx += 1;
-                continue;
+        let mut done = Vec::new();
+        for (id, host) in self.hosts.iter_mut() {
+            for (vm, nsm) in host.draining_vms() {
+                if host.vm_pinned(vm) == 0 {
+                    host.retire_vm(vm).expect("unpinned VM retires");
+                    done.push((*id, vm, nsm, host.retire_nsm_if_drained(nsm)));
+                }
             }
-            host.retire_vm(vm).expect("unpinned VM retires");
-            let retired = host.retire_nsm_if_drained(nsm);
-            self.drains.remove(idx);
+        }
+        let mut work = 0;
+        for (host, vm, nsm, retired) in done {
             self.stats.drains_completed += 1;
-            self.push_event(ClusterAction::DrainComplete {
-                vm,
-                host: from,
-                nsm,
-            });
+            self.push_event(ClusterAction::DrainComplete { vm, host, nsm });
             work += 1;
             if retired {
                 self.stats.shares_retired += 1;
-                self.push_event(ClusterAction::ScaleToZero { host: from, nsm });
+                self.push_event(ClusterAction::ScaleToZero { host, nsm });
                 work += 1;
             }
         }
@@ -691,7 +677,7 @@ impl Cluster {
                 // placer would burn the per-epoch budget on a move that can
                 // only be skipped at execution time. Its byte mark is still
                 // advanced above so later samples stay consistent.
-                if self.vm_home.get(&vm) == Some(id) {
+                if host.homed_vms().any(|v| v == vm) {
                     vm_bytes.insert(vm, bytes);
                 }
             }
@@ -1007,6 +993,89 @@ mod tests {
 
         stream_30k(&mut cluster, ls);
         assert_eq!(host1_load(&mut cluster).vm_bytes[&VmId(1)], 60 * 512);
+    }
+
+    /// Hosts 1–3 (VM 1 on host 1, VM 2 on host 2, host 3 empty), the ToR
+    /// server listening, and each VM holding one connection pinned at home.
+    fn pinned_pair() -> (Cluster, [SocketId; 2]) {
+        let cfg = ClusterConfig::new()
+            .with_host(host(1, &[1]))
+            .with_host(host(2, &[2]))
+            .with_host(host(3, &[]));
+        let mut cluster = Cluster::new(cfg).unwrap();
+        let server = cluster.add_remote(SERVER_IP);
+        let ls = server.socket();
+        server.bind(ls, SockAddr::new(0, 7)).unwrap();
+        server.listen(ls, 16).unwrap();
+        let socks = [1, 2].map(|id| {
+            let guest = cluster.guest_on(HostId(id), VmId(id)).unwrap();
+            let s = guest.socket().unwrap();
+            guest.connect(s, SockAddr::new(SERVER_IP, 7)).unwrap();
+            s
+        });
+        cluster.run(20, 100_000);
+        for id in [1, 2] {
+            assert!(cluster.host(HostId(id)).unwrap().vm_pinned(VmId(id)) >= 1);
+        }
+        (cluster, socks)
+    }
+
+    /// Drains that complete in the same step are logged in (source
+    /// `HostId`, `VmId`) order — the hosts' own order — not in the order
+    /// their moves committed.
+    #[test]
+    fn drains_completing_in_one_step_log_in_host_order() {
+        let (mut cluster, socks) = pinned_pair();
+        cluster.migrate_vm(VmId(2), HostId(2), HostId(3)).unwrap();
+        cluster.migrate_vm(VmId(1), HostId(1), HostId(3)).unwrap();
+        for (id, s) in [1, 2].into_iter().zip(socks) {
+            let guest = cluster.guest_on(HostId(id), VmId(id)).unwrap();
+            guest.close(s).unwrap();
+        }
+        cluster.run(20, 100_000);
+        let tail: Vec<(u64, HostId)> = cluster
+            .events()
+            .iter()
+            .filter_map(|e| match e.action {
+                ClusterAction::DrainComplete { host, .. }
+                | ClusterAction::ScaleToZero { host, .. } => Some((e.at_ns, host)),
+                _ => None,
+            })
+            .collect();
+        let at = tail[0].0;
+        let (one, two) = ((at, HostId(1)), (at, HostId(2)));
+        assert_eq!(tail, [one, one, two, two], "drain + scale-to-zero each");
+    }
+
+    /// Killing a drain's source host ends the drain silently: the VM stays
+    /// homed on its destination, no drain ever completes, and the cluster
+    /// keeps stepping.
+    #[test]
+    fn killing_a_drains_source_ends_it_silently() {
+        let (mut cluster, _) = pinned_pair();
+        cluster.migrate_vm(VmId(1), HostId(1), HostId(2)).unwrap();
+        let draining = cluster.host(HostId(1)).unwrap().draining_vms();
+        assert_eq!(draining, [(VmId(1), NsmId(1))]);
+        cluster.kill_host(HostId(1)).unwrap();
+        cluster.run(20, 100_000);
+        assert_eq!(cluster.stats().steps, 40);
+        assert_eq!(cluster.home_of(VmId(1)), Some(HostId(2)));
+        let drained = |e: &ClusterEvent| matches!(e.action, ClusterAction::DrainComplete { .. });
+        assert!(!cluster.events().iter().any(drained));
+    }
+
+    /// A VM homed on two hosts breaks the rule placement is derived from.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is homed on two hosts")]
+    fn a_vm_homed_on_two_hosts_trips_the_placement_check() {
+        let mut cluster = two_host_cluster();
+        let src = cluster.host_mut(HostId(1)).unwrap();
+        let export = src.export_vm(VmId(1)).unwrap();
+        src.cancel_export(VmId(1));
+        let dst = cluster.host_mut(HostId(2)).unwrap();
+        dst.import_vm(&export, NsmId(1)).unwrap();
+        cluster.home_of(VmId(1));
     }
 
     /// Warm mode refuses a share serving other tenants (the reroute would

@@ -5,17 +5,19 @@
 //! Every cross-host move is an [`EvacPlan`] run by one step loop:
 //! [`Cluster::migrate_vm`] and [`Cluster::migrate_vm_warm`] compile a
 //! one-move chain, [`Cluster::plan_evacuation`] one chain per VM homed on
-//! the host. The loop is dependency-ordered, `pace` chains per wave with
-//! one shared freeze window per wave of warm chains, and logs every
-//! milestone as a serializable [`PlanEvent`]:
+//! the host. The loop runs the plan's steps in list order, `pace` chains per
+//! wave with one shared freeze window per wave of warm chains, and logs
+//! every milestone as a serializable [`PlanEvent`]. Placement is never
+//! written here: a VM's home is the host holding it and not draining it
+//! ([`Cluster::home_of`]), so it moves with the instance.
 //!
 //! | step | does | revert |
 //! |---|---|---|
 //! | `Freeze` (warm) | pause the VM's engine ingress; the wave's freeze window then drains the wire | thaw |
-//! | `Export` | warm: snapshot identity + connections and retire the instance · drained: put the instance in drain | warm: re-import the journaled export at the source · drained: cancel the export |
+//! | `Export` | warm: snapshot identity + connections and retire the instance · drained: put the instance in drain, which opens the source-side drain | warm: re-import the journaled export at the source · drained: cancel the export, closing the drain |
 //! | `Reroute` (warm) | `/32` detours steer the transplanted addresses to the destination trunk | restore the previous route |
-//! | `Install` | import on the destination's least-loaded NSM (warm: frozen until `Thaw`) | warm: re-export back into the journal · drained: retire the import |
-//! | `Thaw` | flip the home; warm: resume on the destination · drained: open the source-side drain | restore the home; re-freeze · drop the drain |
+//! | `Install` | import on the destination's least-loaded NSM, which becomes the VM's home (warm: frozen until `Thaw`) | warm: re-export back into the journal · drained: retire the import |
+//! | `Thaw` | warm: resume on the destination · drained: check the destination is still alive | warm: re-freeze · drained: nothing |
 //! | `RetireShare` | scale an emptied source share to zero (declines while it still serves) | revive the share |
 //!
 //! The contract that makes a move safe to attempt is *atomicity by
@@ -28,14 +30,12 @@
 //! What a *committed* plan emits — which [`ClusterAction`]s, which counters —
 //! is the one thing that depends on the entry point.
 
-use crate::cluster::{ActiveDrain, Cluster};
-use nk_ctrl::{EvacAction, EvacMode, EvacMove, EvacPlan, PlanEvent, PlanRun, StepStatus};
+use crate::cluster::Cluster;
+use nk_ctrl::{EvacAction, EvacMode, EvacMove, EvacPlan, PlanEvent, PlanRun};
 use nk_host::NetKernelHost;
 use nk_obs::{FreezeReason, MigrationPhase, ObsEventKind, PhaseWindow};
 use nk_types::addr::{host_prefix, HOST_PREFIX_MASK};
-use nk_types::{
-    ClusterAction, ControlEvent, HostId, NkError, NkResult, NsmId, VmExport, VmId, VmWarmExport,
-};
+use nk_types::{ClusterAction, HostId, NkError, NkResult, NsmId, VmExport, VmId, VmWarmExport};
 use std::collections::BTreeMap;
 
 /// Upper bound on mini-steps per freeze window. The window normally closes
@@ -102,26 +102,14 @@ pub struct EvacReport {
     pub events: Vec<PlanEvent>,
     /// True when every step completed and the evacuation is final.
     pub committed: bool,
-    /// VMs moved off the host (0 on rollback).
-    pub moved: u32,
-    /// Warm moves among them.
+    /// VMs moved off the host warm (0 on rollback).
     pub warm: u32,
-    /// Drained moves among them.
+    /// VMs moved off the host drained (0 on rollback).
     pub drained: u32,
     /// The step that failed, when one did.
     pub failed_step: Option<usize>,
     /// The failure, when one occurred.
     pub error: Option<NkError>,
-}
-
-/// One entry of the merged cluster-wide control log: a host control event
-/// or a coordinator-side plan event.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ControlLogEntry {
-    /// A control event from one host's own log.
-    Host(HostId, ControlEvent),
-    /// A plan event from a move or evacuation run.
-    Plan(PlanEvent),
 }
 
 /// Which entry point a plan runs for. The step loop treats every plan
@@ -137,17 +125,40 @@ enum PlanKind {
 }
 
 /// Execution scratch state: what each completed step produced, kept so its
-/// revert can undo exactly that. The warm journal doubles as a recovery
-/// record — when a destination dies after the install, the journaled export
-/// is what the rollback re-installs at the source.
+/// revert can undo exactly that — one entry per moving VM, opened by its
+/// Export step, and the shares the tail retired.
 #[derive(Default)]
 struct EvacExec {
-    warm_exports: BTreeMap<VmId, VmWarmExport>,
-    drained_exports: BTreeMap<VmId, VmExport>,
-    reroutes: BTreeMap<VmId, Vec<(u32, Option<u32>)>>,
-    /// The destination NSM each install picked.
-    installed_on: BTreeMap<VmId, NsmId>,
+    moving: BTreeMap<VmId, Moving>,
     retired: Vec<NsmId>,
+}
+
+/// One moving VM's journal.
+struct Moving {
+    /// What the Export step took. The warm export doubles as a recovery
+    /// record — when a destination dies after the install, it is what the
+    /// rollback re-installs at the source.
+    export: Exported,
+    /// The `/32` detours the Reroute step installed, each with the route it
+    /// replaced (warm only).
+    detours: Vec<(u32, Option<u32>)>,
+    /// The destination NSM the Install step picked.
+    to_nsm: Option<NsmId>,
+}
+
+enum Exported {
+    Warm(VmWarmExport),
+    Drained(VmExport),
+}
+
+impl EvacExec {
+    /// The warm export journaled for `vm`, if it moves warm.
+    fn warm(&self, vm: VmId) -> Option<&VmWarmExport> {
+        match &self.moving.get(&vm)?.export {
+            Exported::Warm(export) => Some(export),
+            Exported::Drained(_) => None,
+        }
+    }
 }
 
 impl Cluster {
@@ -161,23 +172,17 @@ impl Cluster {
     /// [`NkError::NoNsm`] when some VM has no viable destination.
     pub fn plan_evacuation(&self, host: HostId, pace: usize) -> NkResult<EvacPlan> {
         let src = self.hosts.get(&host).ok_or(NkError::NotFound)?;
-        let vms: Vec<VmId> = self
-            .vm_home
-            .iter()
-            .filter(|(_, h)| **h == host)
-            .map(|(vm, _)| *vm)
-            .collect();
         let mut planned: BTreeMap<HostId, usize> = BTreeMap::new();
         let mut moves = Vec::new();
         let mut retire = Vec::new();
-        for vm in vms {
+        for vm in src.homed_vms() {
             let to = self
                 .hosts
                 .iter()
                 .filter(|(id, h)| **id != host && !h.has_vm(vm))
                 .filter(|(id, _)| self.pick_destination_nsm(**id).is_ok())
-                .map(|(id, _)| {
-                    let homed = self.vm_home.values().filter(|h| **h == *id).count();
+                .map(|(id, h)| {
+                    let homed = h.homed_vms().count();
                     (homed + planned.get(id).copied().unwrap_or(0), *id)
                 })
                 .min()
@@ -263,19 +268,18 @@ impl Cluster {
         report.error.map_or(Ok(()), Err)
     }
 
-    /// The step loop every move goes through: execute `plan` in dependency
-    /// order, firing each scripted fault before its step and running one
-    /// freeze window per wave; on the first failure, revert every completed
-    /// step newest-first. `kind` is not read until the plan has ended.
+    /// The step loop every move goes through: execute `plan` in list order,
+    /// firing each scripted fault before its step and running one freeze
+    /// window per wave; when step `k` fails, revert steps `k − 1` down to
+    /// `0`. `kind` is not read until the plan has ended.
     fn run_plan(&mut self, plan: EvacPlan, faults: &[EvacFault], kind: PlanKind) -> EvacReport {
-        let mut run = PlanRun::new(plan.clone(), self.now_ns, self.epoch);
+        let mut run = PlanRun::new(&plan, self.now_ns, self.epoch);
         let mut exec = EvacExec::default();
         // The wave whose shared freeze window has run.
         let mut window_wave: Option<usize> = None;
         let mut failure: Option<(usize, NkError)> = None;
-        for step in 0..plan.steps.len() {
-            debug_assert!(run.ready(step), "steps execute in dependency order");
-            let (wave, action) = (plan.steps[step].wave, plan.steps[step].action);
+        for s in &plan.steps {
+            let (step, wave, action) = (s.id, s.wave, s.action);
             let mut forced_failure = false;
             for fault in faults.iter().filter(|f| f.before_step == step) {
                 match fault.kind {
@@ -301,7 +305,7 @@ impl Cluster {
                 }
             );
             if warm_export && !forced_failure && window_wave != Some(wave) {
-                self.run_freeze_window(&plan, &run, wave);
+                self.run_freeze_window(&plan, wave, step);
                 window_wave = Some(wave);
             }
             run.started(step, self.now_ns, self.epoch);
@@ -321,10 +325,10 @@ impl Cluster {
                 Err(e) => {
                     if window_wave != Some(wave) {
                         // The wave failed before its window ran.
-                        self.close_freeze_phases(&plan, &run, wave, self.now_ns);
+                        self.close_freeze_phases(&plan, wave, step, self.now_ns);
                     }
-                    let worklist = run.failed(step, e, self.now_ns, self.epoch);
-                    for id in worklist {
+                    run.failed(step, e, self.now_ns, self.epoch);
+                    for id in (0..step).rev() {
                         self.revert_step(&plan, id, &mut exec);
                         run.reverted(id, self.now_ns, self.epoch);
                     }
@@ -335,10 +339,10 @@ impl Cluster {
         }
         let committed = failure.is_none();
         let (warm, drained) = if committed {
-            run.committed(self.now_ns, self.epoch);
+            run.committed(plan.host, self.now_ns, self.epoch);
             self.commit_plan(&plan, &exec, kind)
         } else {
-            run.rolled_back(self.now_ns, self.epoch);
+            run.rolled_back(plan.host, self.now_ns, self.epoch);
             (0, 0)
         };
         let events = run.into_events();
@@ -359,7 +363,6 @@ impl Cluster {
             plan,
             events,
             committed,
-            moved: warm + drained,
             warm,
             drained,
             failed_step: failure.map(|(id, _)| id),
@@ -375,11 +378,12 @@ impl Cluster {
     /// move counts.
     fn commit_plan(&mut self, plan: &EvacPlan, exec: &EvacExec, kind: PlanKind) -> (u32, u32) {
         let from = plan.host;
-        let conns = |e: &VmWarmExport| e.conns.len() as u32;
-        let warm = exec.warm_exports.len() as u32;
-        let drained = exec.drained_exports.len() as u32;
+        let conns = |vm| exec.warm(vm).map(|e| e.conns.len() as u32);
+        let warm_conns: Vec<u32> = plan.moves.iter().filter_map(|m| conns(m.vm)).collect();
+        let warm = warm_conns.len() as u32;
+        let drained = plan.moves.len() as u32 - warm;
         self.stats.warm_migrations += u64::from(warm);
-        self.stats.conns_transplanted += exec.warm_exports.values().map(conns).sum::<u32>() as u64;
+        self.stats.conns_transplanted += warm_conns.iter().sum::<u32>() as u64;
         self.stats.migrations += u64::from(drained);
         self.stats.shares_retired += exec.retired.len() as u64;
         if kind == PlanKind::Evacuation {
@@ -393,8 +397,8 @@ impl Cluster {
             });
         } else {
             for &EvacMove { vm, to, .. } in &plan.moves {
-                let to_nsm = exec.installed_on[&vm];
-                if let Some(connections) = exec.warm_exports.get(&vm).map(conns) {
+                let to_nsm = exec.moving[&vm].to_nsm.expect("every move installed");
+                if let Some(connections) = conns(vm) {
                     self.push_event(ClusterAction::WarmMigrateVm {
                         vm,
                         from,
@@ -428,14 +432,13 @@ impl Cluster {
         (warm, drained)
     }
 
-    /// Kill a host outright: its instance drops, its trunk route leaves the
-    /// ToR, every VM homed there loses its home and every drain off it is
-    /// abandoned. The fault injector's coarsest lever.
+    /// Kill a host outright: its instance drops — and with it every VM
+    /// homed there and every drain off it — and its trunk leaves the ToR
+    /// together with every warm-move detour riding it. The fault injector's
+    /// coarsest lever.
     pub fn kill_host(&mut self, host: HostId) -> NkResult<()> {
         self.hosts.remove(&host).ok_or(NkError::NotFound)?;
-        self.tor.remove_route(host_prefix(host), HOST_PREFIX_MASK);
-        self.vm_home.retain(|_, h| *h != host);
-        self.drains.retain(|d| d.from != host);
+        self.tor.detach_trunk(host_prefix(host), HOST_PREFIX_MASK);
         self.stats.hosts_killed += 1;
         self.push_event(ClusterAction::HostKilled { host });
         // Dump-on-fault: freeze the recorder with the kill as the last
@@ -459,38 +462,14 @@ impl Cluster {
         self.tor.routes()
     }
 
-    /// The cluster-wide control log: every host's control events merged
-    /// with the coordinator's plan events, ordered by
-    /// `(epoch, host-before-plan, host id, position-in-log)`. Each host
-    /// appends only to its own log and every component of the key is
-    /// replay-stable, so the merged view is identical at any thread count.
-    pub fn control_log(&self) -> Vec<ControlLogEntry> {
-        let mut merged: Vec<(u64, u8, u64, u64, ControlLogEntry)> = Vec::new();
-        for (id, host) in &self.hosts {
-            for (seq, event) in host.control_events().iter().enumerate() {
-                merged.push((
-                    event.epoch,
-                    0,
-                    u64::from(id.0),
-                    seq as u64,
-                    ControlLogEntry::Host(*id, *event),
-                ));
-            }
-        }
-        for (seq, event) in self.plan_events.iter().enumerate() {
-            merged.push((event.epoch, 1, 0, seq as u64, ControlLogEntry::Plan(*event)));
-        }
-        merged.sort_by_key(|&(epoch, rank, host, seq, _)| (epoch, rank, host, seq));
-        merged.into_iter().map(|(_, _, _, _, e)| e).collect()
-    }
-
     /// Drive the shared freeze window of one wave: mini-steps (no control
     /// epochs, no drains, no events) until every warm VM of the wave is
     /// wire-quiet on two consecutive checks one mini-step apart — so
     /// anything a peer had in flight towards a VM has landed — bounded by
     /// [`MAX_FREEZE_STEPS`]. Other tenants' traffic is deliberately
-    /// ignored: a busy neighbour must not stretch the handover.
-    fn run_freeze_window(&mut self, plan: &EvacPlan, run: &PlanRun, wave: usize) {
+    /// ignored: a busy neighbour must not stretch the handover. Runs before
+    /// step `at`, the wave's first warm export.
+    fn run_freeze_window(&mut self, plan: &EvacPlan, wave: usize, at: usize) {
         let vms = plan.warm_vms_of_wave(wave);
         let window_start = self.now_ns;
         let dt = freeze_dt_ns(self.cfg.uplink_latency_us);
@@ -510,15 +489,15 @@ impl Cluster {
             }
             self.freeze_ministep(dt);
         }
-        self.close_freeze_phases(plan, run, wave, window_start);
+        self.close_freeze_phases(plan, wave, at, window_start);
     }
 
-    /// Close the `Freeze` phase of every VM the wave froze: one window per
-    /// VM, from `start_ns` to now — the wire-draining pause they shared.
-    fn close_freeze_phases(&mut self, plan: &EvacPlan, run: &PlanRun, wave: usize, start_ns: u64) {
-        for s in plan.steps.iter().filter(|s| s.wave == wave) {
-            if matches!(s.action, EvacAction::Freeze { .. }) && run.status(s.id) == StepStatus::Done
-            {
+    /// Close the `Freeze` phase of every VM the wave froze before step
+    /// `before` (steps run in order, so those are done): one window per VM,
+    /// from `start_ns` to now — the wire-draining pause they shared.
+    fn close_freeze_phases(&mut self, plan: &EvacPlan, wave: usize, before: usize, start_ns: u64) {
+        for s in plan.steps[..before].iter().filter(|s| s.wave == wave) {
+            if matches!(s.action, EvacAction::Freeze { .. }) {
                 self.record_step_phase(plan, s.id, start_ns, true);
             }
         }
@@ -603,55 +582,52 @@ impl Cluster {
                 .freeze_vm(vm),
             EvacAction::Export { vm, mode } => {
                 let src = self.hosts.get_mut(&from).ok_or(NkError::NotFound)?;
-                if mode == EvacMode::Warm {
-                    exec.warm_exports.insert(vm, src.export_vm_warm(vm)?);
+                let export = if mode == EvacMode::Warm {
+                    Exported::Warm(src.export_vm_warm(vm)?)
                 } else {
-                    exec.drained_exports.insert(vm, src.export_vm(vm)?);
-                }
+                    // The source-side drain opens here; `advance_drains`
+                    // retires the instance once it empties.
+                    Exported::Drained(src.export_vm(vm)?)
+                };
+                let moving = Moving {
+                    export,
+                    detours: Vec::new(),
+                    to_nsm: None,
+                };
+                exec.moving.insert(vm, moving);
                 Ok(())
             }
             EvacAction::Reroute { vm, to } => {
-                let ips = exec
-                    .warm_exports
-                    .get(&vm)
-                    .ok_or(NkError::InvalidState)?
-                    .rerouted_ips();
+                let ips = exec.warm(vm).ok_or(NkError::InvalidState)?.rerouted_ips();
                 let detours = self.install_detours(&ips, from, to)?;
-                exec.reroutes.insert(vm, detours);
+                exec.moving.get_mut(&vm).expect("exported").detours = detours;
                 Ok(())
             }
             EvacAction::Install { vm, to } => {
                 let to_nsm = self.pick_destination_nsm(to)?;
                 let dst = self.hosts.get_mut(&to).ok_or(NkError::NotFound)?;
-                if let Some(export) = exec.warm_exports.get(&vm) {
-                    dst.import_vm_warm(export, to_nsm)?;
-                    // The VM stays frozen on the destination until its Thaw
-                    // step: later waves' freeze mini-steps run the whole
-                    // datapath and must not tick it early.
-                    dst.freeze_vm(vm).expect("just imported");
-                } else {
-                    let export = exec.drained_exports.get(&vm).ok_or(NkError::InvalidState)?;
-                    dst.import_vm(export, to_nsm)?;
+                let moving = exec.moving.get_mut(&vm).ok_or(NkError::InvalidState)?;
+                match &moving.export {
+                    Exported::Warm(export) => {
+                        dst.import_vm_warm(export, to_nsm)?;
+                        // The VM stays frozen on the destination until its
+                        // Thaw step: later waves' freeze mini-steps run the
+                        // whole datapath and must not tick it early.
+                        dst.freeze_vm(vm).expect("just imported");
+                    }
+                    Exported::Drained(export) => dst.import_vm(export, to_nsm)?,
                 }
-                exec.installed_on.insert(vm, to_nsm);
+                moving.to_nsm = Some(to_nsm);
                 Ok(())
             }
             EvacAction::Thaw { vm, to } => {
                 // Either way the VM resumes *on the destination*: a host
-                // that died since the install fails the step.
+                // that died since the install fails the step. (A drained
+                // VM's drain opened at its Export.)
                 let dst = self.hosts.get_mut(&to).ok_or(NkError::NotFound)?;
-                if let Some(export) = exec.drained_exports.get(&vm) {
-                    // Drained resume: the source-side drain opens;
-                    // `advance_drains` retires the instance once it empties.
-                    self.drains.push(ActiveDrain {
-                        vm,
-                        from,
-                        nsm: export.from_nsm,
-                    });
-                } else {
+                if exec.warm(vm).is_some() {
                     dst.thaw_vm(vm);
                 }
-                self.vm_home.insert(vm, to);
                 Ok(())
             }
             EvacAction::RetireShare { nsm } => {
@@ -685,7 +661,7 @@ impl Cluster {
                 let Some(src) = self.hosts.get_mut(&from) else {
                     return;
                 };
-                if let Some(export) = exec.warm_exports.get(&vm) {
+                if let Some(export) = exec.warm(vm) {
                     // Re-importing at the source clears the frozen flag with
                     // the old instance, so the VM resumes serving; the Freeze
                     // revert after this is then a no-op.
@@ -694,21 +670,18 @@ impl Cluster {
                     src.cancel_export(vm);
                 }
             }
-            EvacAction::Reroute { vm, .. } => {
-                let detours = exec.reroutes.remove(&vm).unwrap_or_default();
-                self.revert_detours(&detours);
-            }
+            EvacAction::Reroute { vm, .. } => self.revert_detours(&exec.moving[&vm].detours),
             EvacAction::Install { vm, to } => {
-                if let std::collections::btree_map::Entry::Occupied(mut journal) =
-                    exec.warm_exports.entry(vm)
-                {
-                    if let Some(dst) = self.hosts.get_mut(&to) {
-                        // Tear the installed state back out of the
-                        // destination. The re-export replaces the journal
-                        // entry; if the destination died (or refuses), the
-                        // journaled export from the original Export step is
-                        // still what the Export revert re-installs at the
-                        // source — nothing is lost with the host.
+                // Tear the installed state back out of the destination. If
+                // the destination died (or refuses), the journaled export
+                // from the original Export step is still what the Export
+                // revert re-installs at the source — nothing is lost with
+                // the host.
+                let Some(dst) = self.hosts.get_mut(&to) else {
+                    return;
+                };
+                match &mut exec.moving.get_mut(&vm).expect("exported").export {
+                    Exported::Warm(journal) => {
                         if let Ok(mut export) = dst.export_vm_warm(vm) {
                             // The re-export names the *destination's* NSM as
                             // its source, but the Export revert re-imports at
@@ -716,23 +689,22 @@ impl Cluster {
                             // e.g. VM2 lived on source NSM2 and was installed
                             // on destination NSM1). Restore the journaled id
                             // so the VM lands back on its own share.
-                            export.base.from_nsm = journal.get().base.from_nsm;
-                            journal.insert(export);
+                            export.base.from_nsm = journal.base.from_nsm;
+                            *journal = export;
                         }
                     }
-                } else if let Some(dst) = self.hosts.get_mut(&to) {
-                    let _ = dst.retire_vm(vm);
+                    Exported::Drained(_) => {
+                        let _ = dst.retire_vm(vm);
+                    }
                 }
             }
             EvacAction::Thaw { vm, to } => {
-                if exec.drained_exports.contains_key(&vm) {
-                    self.drains.retain(|d| !(d.vm == vm && d.from == from));
-                } else if let Some(dst) = self.hosts.get_mut(&to) {
-                    if dst.has_vm(vm) {
+                // A drained VM's drain closes with its Export's revert.
+                if exec.warm(vm).is_some() {
+                    if let Some(dst) = self.hosts.get_mut(&to).filter(|d| d.has_vm(vm)) {
                         let _ = dst.freeze_vm(vm);
                     }
                 }
-                self.vm_home.insert(vm, from);
             }
             EvacAction::RetireShare { nsm } => {
                 if let Some(pos) = exec.retired.iter().position(|n| *n == nsm) {
@@ -831,7 +803,6 @@ pub(crate) mod tests {
         cores: Vec<(HostId, NsmId, Option<usize>)>,
         frozen: Vec<(HostId, VmId, bool)>,
         draining: Vec<(HostId, Vec<(VmId, NsmId)>)>,
-        drains: Vec<(VmId, HostId, NsmId)>,
         aliases: Vec<(HostId, Vec<(u32, NsmId)>)>,
         digest: u64,
         routes: usize,
@@ -855,9 +826,7 @@ pub(crate) mod tests {
             for nsm in host.config().nsms.iter().map(|n| n.id) {
                 cores.push((id, nsm, host.nsm_cores(nsm)));
             }
-            let mut drains = host.draining_vms();
-            drains.sort();
-            draining.push((id, drains));
+            draining.push((id, host.draining_vms()));
             let mut al = host.warm_aliases();
             al.sort();
             aliases.push((id, al));
@@ -873,11 +842,6 @@ pub(crate) mod tests {
             cores,
             frozen,
             draining,
-            drains: cluster
-                .drains
-                .iter()
-                .map(|d| (d.vm, d.from, d.nsm))
-                .collect(),
             aliases,
             digest: cluster.event_digest(),
             routes: cluster.tor_routes(),
@@ -911,7 +875,7 @@ pub(crate) mod tests {
 
         let report = cluster.evacuate_host(HostId(1), 2).unwrap();
         assert!(report.committed, "{report:?}");
-        assert_eq!((report.moved, report.warm, report.drained), (2, 2, 0));
+        assert_eq!((report.warm, report.drained), (2, 0));
         assert_eq!(report.failed_step, None);
         // Least-loaded spread: one VM per empty host.
         assert_eq!(cluster.home_of(VmId(1)), Some(HostId(2)));
@@ -1074,7 +1038,7 @@ pub(crate) mod tests {
                         .unwrap();
                     assert_eq!(report.committed, report.error.is_none());
                     if !report.committed {
-                        assert_eq!(report.moved, 0);
+                        assert_eq!((report.warm, report.drained), (0, 0));
                         assert_eq!(cluster.stats().evac_rollbacks, rollbacks + 1);
                         // The rollback froze the recorder (unless a host
                         // kill had already) after every plan event of the
@@ -1289,7 +1253,7 @@ pub(crate) mod tests {
     /// whole destination host dying just before the step, or by the
     /// destination refusing the install — unwinds every completed step in
     /// reverse, after which homes, routes, cores, frozen/draining/alias
-    /// state, drains, the event digest and the commit counters equal the
+    /// state, the event digest and the commit counters equal the
     /// pre-call snapshot, at one worker thread and at four. The entry point
     /// reports the failed step's own error, an immediate retry commits, and
     /// the rolled-back placement keeps serving.
@@ -1451,9 +1415,9 @@ pub(crate) mod tests {
     }
 
     /// Direct moves go through the plan journal like evacuations do: their
-    /// plan events land in `plan_events()` and the merged control log, and
-    /// every phase window carries its plan step id — with exactly one
-    /// `Freeze` window, of real width, per warm chain.
+    /// plan events land in `plan_events()`, and every phase window carries
+    /// its plan step id — with exactly one `Freeze` window, of real width,
+    /// per warm chain.
     #[test]
     fn direct_moves_journal_their_plan_and_phases() {
         let cfg = ClusterConfig::new()
@@ -1495,9 +1459,6 @@ pub(crate) mod tests {
                 (HostId(2), 0, 0)
             ]
         );
-        let journaled = cluster.control_log().into_iter();
-        let journaled = journaled.filter(|e| matches!(e, ControlLogEntry::Plan(_)));
-        assert_eq!(journaled.count(), cluster.plan_events().len());
     }
 
     /// Both warm VMs of a wave share its freeze window: each gets exactly
@@ -1564,29 +1525,25 @@ pub(crate) mod tests {
         assert_eq!(cluster.plan_evacuation(HostId(1), 0), Err(NkError::NoNsm));
     }
 
-    /// The merged control log carries both host control events and plan
-    /// events, keyed deterministically.
+    /// A killed host takes the `/32` detours towards it along with its
+    /// block route: a detour left behind would keep delivering the peer's
+    /// frames into a port nobody drains.
     #[test]
-    fn control_log_merges_plan_events_deterministically() {
+    fn killing_a_host_drops_the_detours_towards_it() {
         let cfg = ClusterConfig::new()
             .with_host(evac_host(&[1], &[]))
-            .with_host(empty_host(2));
+            .with_host(empty_host(2))
+            .with_host(empty_host(3));
         let (mut cluster, _, _) = cluster_with_traffic(cfg, &[1]);
-        let report = cluster.evacuate_host(HostId(1), 1).unwrap();
-        assert!(report.committed);
-        let log = cluster.control_log();
-        let plan_entries: Vec<&PlanEvent> = log
-            .iter()
-            .filter_map(|e| match e {
-                ControlLogEntry::Plan(p) => Some(p),
-                ControlLogEntry::Host(..) => None,
-            })
-            .collect();
-        assert_eq!(plan_entries.len(), cluster.plan_events().len());
-        // Plan entries appear in log order (seq is strictly increasing).
-        for pair in plan_entries.windows(2) {
-            assert!(pair[0].seq < pair[1].seq);
-        }
+        assert_eq!(cluster.tor_routes(), 4, "three trunks and the server");
+        cluster
+            .migrate_vm_warm(VmId(1), HostId(1), HostId(2))
+            .unwrap();
+        assert_eq!(cluster.tor_routes(), 5, "plus the connection's detour");
+        cluster.kill_host(HostId(2)).unwrap();
+        assert_eq!(cluster.tor_routes(), 3);
+        assert_eq!(cluster.home_of(VmId(1)), None);
+        cluster.run(10, 100_000);
     }
 
     /// `kill_host` is a dump-on-fault trigger: the recorder freezes with

@@ -35,5 +35,5 @@ pub mod evac;
 pub mod exec;
 
 pub use cluster::{Cluster, ClusterStats};
-pub use evac::{ControlLogEntry, EvacFault, EvacFaultKind, EvacReport};
+pub use evac::{EvacFault, EvacFaultKind, EvacReport};
 pub use exec::{ExecStats, ShardedExecutor, StepOutcome};

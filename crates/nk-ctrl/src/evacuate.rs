@@ -4,18 +4,18 @@
 //! evacuating a whole host — many VMs across many NSM shares, under faults —
 //! needs ordering, pacing and a partial-failure story. This module is the
 //! *deciding* half of that story, in the same mechanism-free spirit as the
-//! rest of `nk-ctrl`: an [`EvacPlan`] compiles a host evacuation into a DAG
-//! of typed [`EvacAction`]s (freeze → export → reroute → install → thaw per
-//! VM, scale-to-zero retirement of the emptied shares at the tail), every
-//! action has a well-defined revert, and [`PlanRun`] tracks execution so a
-//! mid-plan failure yields the exact list of completed actions to unwind —
-//! in reverse completion order, back to a clean pre-plan state.
+//! rest of `nk-ctrl`: an [`EvacPlan`] compiles a host evacuation into an
+//! ordered list of typed [`EvacAction`]s (freeze → export → reroute →
+//! install → thaw per VM, scale-to-zero retirement of the emptied shares at
+//! the tail), every action has a well-defined revert, and steps run in list
+//! order — so a failure at step `k` unwinds steps `k − 1` down to `0`, back
+//! to a clean pre-plan state. [`PlanRun`] is the run's event log.
 //!
 //! The executor lives in `nk-cluster` (`Cluster::evacuate_host`), which owns
 //! the hosts and the fabric; this module owns the *shape* of the operation:
-//! which steps exist, what each depends on, how concurrency is paced
-//! (`pace` VMs per wave), and the serializable [`PlanEvent`] log that makes
-//! an evacuation as replayable as every other cluster decision.
+//! which steps exist, in what order, how concurrency is paced (`pace` VMs
+//! per wave), and the serializable [`PlanEvent`] log that makes an
+//! evacuation as replayable as every other cluster decision.
 
 use nk_types::{HostId, NkError, NkResult, NsmId, VmId};
 use serde::{Deserialize, Serialize};
@@ -82,9 +82,7 @@ pub enum EvacAction {
     },
 }
 
-/// One node of the compiled DAG: an action, the wave it is paced into, and
-/// the step ids it depends on. Step ids equal execution order by
-/// construction (`deps` only ever point backwards).
+/// One entry of the compiled list: an action and the wave it is paced into.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EvacStep {
     /// Position in the plan; doubles as the execution order.
@@ -94,8 +92,6 @@ pub struct EvacStep {
     pub wave: usize,
     /// The action.
     pub action: EvacAction,
-    /// Step ids that must complete before this one may run.
-    pub deps: Vec<usize>,
 }
 
 /// One VM's travel order, as the planner decided it.
@@ -109,7 +105,7 @@ pub struct EvacMove {
     pub mode: EvacMode,
 }
 
-/// A compiled evacuation: the full action DAG for clearing one host.
+/// A compiled evacuation: the ordered action list for clearing one host.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EvacPlan {
     /// The host being evacuated.
@@ -123,13 +119,13 @@ pub struct EvacPlan {
 }
 
 impl EvacPlan {
-    /// Compile an evacuation of `host` into its step DAG.
+    /// Compile an evacuation of `host` into its ordered step list.
     ///
     /// VM chains are partitioned into waves of `pace`; inside a wave the
     /// steps are laid out phase-major (all freezes, then all exports, …) so
-    /// the executor can share one freeze window per wave, while the `deps`
-    /// edges keep each VM's chain strictly ordered. `retire` shares are
-    /// scaled to zero in a final wave depending on every chain's last step.
+    /// the executor can share one freeze window per wave, and each VM's
+    /// chain stays in phase order. `retire` shares are scaled to zero in a
+    /// final wave, after every chain.
     ///
     /// Refuses (`BadConfig`) a zero pace, a move targeting the evacuating
     /// host itself, or a VM listed twice.
@@ -149,7 +145,10 @@ impl EvacPlan {
             }
         }
         let mut steps: Vec<EvacStep> = Vec::new();
-        let mut last_of_chain: Vec<Option<usize>> = vec![None; moves.len()];
+        let mut push = |wave, action| {
+            let id = steps.len();
+            steps.push(EvacStep { id, wave, action });
+        };
         let waves = moves.len().div_ceil(pace);
         for wave in 0..waves {
             let chains = wave * pace..((wave + 1) * pace).min(moves.len());
@@ -169,31 +168,16 @@ impl EvacPlan {
                         // address reroute.
                         _ => continue,
                     };
-                    let id = steps.len();
-                    let deps = last_of_chain[chain].into_iter().collect();
-                    steps.push(EvacStep {
-                        id,
-                        wave,
-                        action,
-                        deps,
-                    });
-                    last_of_chain[chain] = Some(id);
+                    push(wave, action);
                 }
             }
         }
-        // Scale-to-zero tail: every retirement waits for every chain.
-        let chain_tails: Vec<usize> = last_of_chain.iter().filter_map(|t| *t).collect();
+        // Scale-to-zero tail, after every chain.
         let mut retire_sorted: Vec<NsmId> = retire.to_vec();
         retire_sorted.sort();
         retire_sorted.dedup();
         for nsm in retire_sorted {
-            let id = steps.len();
-            steps.push(EvacStep {
-                id,
-                wave: waves,
-                action: EvacAction::RetireShare { nsm },
-                deps: chain_tails.clone(),
-            });
+            push(waves, EvacAction::RetireShare { nsm });
         }
         Ok(EvacPlan {
             host,
@@ -220,19 +204,6 @@ impl EvacPlan {
             })
             .collect()
     }
-}
-
-/// What happened to one plan step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StepStatus {
-    /// Not executed yet.
-    Pending,
-    /// Executed successfully.
-    Done,
-    /// Execution failed (the plan is rolling back).
-    Failed,
-    /// Executed, then unwound by the rollback.
-    Reverted,
 }
 
 /// One entry of the serializable plan log.
@@ -285,8 +256,7 @@ pub enum PlanEventKind {
 
 /// A [`PlanEventKind`] stamped with virtual time, placement epoch and a
 /// per-plan sequence number. The log is coordinator-only (plans never run
-/// concurrently with each other), so merging it into a cluster-wide control
-/// view stays deterministic at any thread count.
+/// concurrently with each other), so it is identical at any thread count.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlanEvent {
     /// Virtual time of the event.
@@ -299,58 +269,27 @@ pub struct PlanEvent {
     pub kind: PlanEventKind,
 }
 
-/// Execution bookkeeping of one plan: per-step status, completion order and
-/// the event log. The executor drives it: [`PlanRun::started`] /
-/// [`PlanRun::done`] around each action, [`PlanRun::failed`] on the first
-/// error — which returns the rollback worklist — then
-/// [`PlanRun::reverted`] per unwound step and one of
-/// [`PlanRun::committed`] / [`PlanRun::rolled_back`] to close the log.
+/// The event log of one plan run. The executor runs the steps in list
+/// order and logs each: [`PlanRun::started`] / [`PlanRun::done`] around
+/// each action, [`PlanRun::failed`] on the first error, then
+/// [`PlanRun::reverted`] per completed step it unwinds, newest first, and
+/// one of [`PlanRun::committed`] / [`PlanRun::rolled_back`] to close it.
 #[derive(Clone, Debug)]
 pub struct PlanRun {
-    plan: EvacPlan,
-    status: Vec<StepStatus>,
-    /// Step ids in completion order (the rollback runs this backwards).
-    completed: Vec<usize>,
     events: Vec<PlanEvent>,
-    seq: u32,
 }
 
 impl PlanRun {
     /// Admit a compiled plan and log `PlanStarted`.
-    pub fn new(plan: EvacPlan, at_ns: u64, epoch: u64) -> Self {
-        let mut run = PlanRun {
-            status: vec![StepStatus::Pending; plan.steps.len()],
-            completed: Vec::new(),
-            events: Vec::new(),
-            seq: 0,
-            plan,
-        };
+    pub fn new(plan: &EvacPlan, at_ns: u64, epoch: u64) -> Self {
+        let mut run = PlanRun { events: Vec::new() };
         let kind = PlanEventKind::PlanStarted {
-            host: run.plan.host,
-            steps: run.plan.steps.len() as u32,
-            waves: run.plan.waves() as u32,
+            host: plan.host,
+            steps: plan.steps.len() as u32,
+            waves: plan.waves() as u32,
         };
         run.push(kind, at_ns, epoch);
         run
-    }
-
-    /// The plan under execution.
-    pub fn plan(&self) -> &EvacPlan {
-        &self.plan
-    }
-
-    /// A step's current status.
-    pub fn status(&self, id: usize) -> StepStatus {
-        self.status[id]
-    }
-
-    /// True when every dependency of `id` has completed — the DAG gate the
-    /// executor checks before running a step.
-    pub fn ready(&self, id: usize) -> bool {
-        self.plan.steps[id]
-            .deps
-            .iter()
-            .all(|d| self.status[*d] == StepStatus::Done)
     }
 
     /// Log that step `id` began executing.
@@ -362,17 +301,13 @@ impl PlanRun {
         );
     }
 
-    /// Mark step `id` complete.
+    /// Log that step `id` completed.
     pub fn done(&mut self, id: usize, at_ns: u64, epoch: u64) {
-        self.status[id] = StepStatus::Done;
-        self.completed.push(id);
         self.push(PlanEventKind::ActionDone { step: id as u32 }, at_ns, epoch);
     }
 
-    /// Mark step `id` failed and return the rollback worklist: every
-    /// completed step, most recent first.
-    pub fn failed(&mut self, id: usize, error: NkError, at_ns: u64, epoch: u64) -> Vec<usize> {
-        self.status[id] = StepStatus::Failed;
+    /// Log that step `id` failed; the rollback follows.
+    pub fn failed(&mut self, id: usize, error: NkError, at_ns: u64, epoch: u64) {
         self.push(
             PlanEventKind::ActionFailed {
                 step: id as u32,
@@ -381,12 +316,10 @@ impl PlanRun {
             at_ns,
             epoch,
         );
-        self.completed.iter().rev().copied().collect()
     }
 
-    /// Mark a completed step unwound.
+    /// Log that a completed step was unwound.
     pub fn reverted(&mut self, id: usize, at_ns: u64, epoch: u64) {
-        self.status[id] = StepStatus::Reverted;
         self.push(
             PlanEventKind::ActionReverted { step: id as u32 },
             at_ns,
@@ -394,37 +327,20 @@ impl PlanRun {
         );
     }
 
-    /// Close the log: every step done, the evacuation is final.
-    pub fn committed(&mut self, at_ns: u64, epoch: u64) {
-        self.push(
-            PlanEventKind::PlanCommitted {
-                host: self.plan.host,
-            },
-            at_ns,
-            epoch,
-        );
+    /// Close the log: every step done, the evacuation of `host` is final.
+    pub fn committed(&mut self, host: HostId, at_ns: u64, epoch: u64) {
+        self.push(PlanEventKind::PlanCommitted { host }, at_ns, epoch);
     }
 
-    /// Close the log after a rollback.
-    pub fn rolled_back(&mut self, at_ns: u64, epoch: u64) {
+    /// Close the log after a rollback, counting the steps it unwound.
+    pub fn rolled_back(&mut self, host: HostId, at_ns: u64, epoch: u64) {
         let reverted = self
-            .status
+            .events
             .iter()
-            .filter(|s| **s == StepStatus::Reverted)
+            .filter(|e| matches!(e.kind, PlanEventKind::ActionReverted { .. }))
             .count() as u32;
-        self.push(
-            PlanEventKind::PlanRolledBack {
-                host: self.plan.host,
-                reverted,
-            },
-            at_ns,
-            epoch,
-        );
-    }
-
-    /// The plan event log so far.
-    pub fn events(&self) -> &[PlanEvent] {
-        &self.events
+        let kind = PlanEventKind::PlanRolledBack { host, reverted };
+        self.push(kind, at_ns, epoch);
     }
 
     /// Consume the run, yielding its event log.
@@ -433,13 +349,13 @@ impl PlanRun {
     }
 
     fn push(&mut self, kind: PlanEventKind, at_ns: u64, epoch: u64) {
+        let seq = self.events.len() as u32;
         self.events.push(PlanEvent {
             at_ns,
             epoch,
-            seq: self.seq,
+            seq,
             kind,
         });
-        self.seq += 1;
     }
 }
 
@@ -487,10 +403,8 @@ mod tests {
         ));
         for (i, step) in plan.steps.iter().enumerate() {
             assert_eq!(step.id, i, "ids equal execution order");
-            assert!(step.deps.iter().all(|d| *d < i), "deps point backwards");
         }
-        assert_eq!(plan.steps[4].deps, vec![3]);
-        assert_eq!(plan.steps[5].deps, vec![4], "retire waits for the chain");
+        assert_eq!(plan.steps[5].wave, 1, "retire runs after the chain");
         assert_eq!(plan.waves(), 2);
         assert_eq!(plan.warm_vms_of_wave(0), vec![VmId(1)]);
     }
@@ -550,33 +464,28 @@ mod tests {
         );
     }
 
-    /// The rollback worklist is the completed steps in reverse completion
-    /// order — and only those.
+    /// A rolled-back log records the failed step, one revert per completed
+    /// step, newest first, and their count.
     #[test]
-    fn failure_yields_reverse_completion_order() {
+    fn a_rolled_back_log_counts_its_reverts() {
         let plan = EvacPlan::compile(HostId(1), &[drained(1, 2)], &[NsmId(1)], 1).unwrap();
-        let mut run = PlanRun::new(plan, 0, 0);
-        assert!(run.ready(0), "first step has no deps");
-        assert!(!run.ready(1), "install waits for the export");
-        run.started(0, 10, 0);
-        run.done(0, 10, 0);
-        assert!(run.ready(1));
-        run.started(1, 20, 0);
-        run.done(1, 20, 0);
-        let worklist = run.failed(2, NkError::InvalidState, 30, 0);
-        assert_eq!(worklist, vec![1, 0], "reverse completion order");
-        run.reverted(1, 40, 0);
-        run.reverted(0, 50, 0);
-        run.rolled_back(60, 0);
-        assert_eq!(run.status(0), StepStatus::Reverted);
-        assert_eq!(run.status(2), StepStatus::Failed);
-        let last = run.events().last().unwrap();
+        let mut run = PlanRun::new(&plan, 0, 0);
+        for step in 0..2 {
+            run.started(step, 10, 0);
+            run.done(step, 10, 0);
+        }
+        run.failed(2, NkError::InvalidState, 30, 0);
+        for step in (0..2).rev() {
+            run.reverted(step, 40, 0);
+        }
+        run.rolled_back(plan.host, 60, 0);
+        let events = run.into_events();
         assert!(matches!(
-            last.kind,
+            events.last().unwrap().kind,
             PlanEventKind::PlanRolledBack { reverted: 2, .. }
         ));
-        // seq is strictly increasing — the deterministic merge key.
-        for (i, ev) in run.events().iter().enumerate() {
+        // seq is strictly increasing: the log's own order.
+        for (i, ev) in events.iter().enumerate() {
             assert_eq!(ev.seq, i as u32);
         }
     }
@@ -596,11 +505,11 @@ mod tests {
         let back: EvacPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
 
-        let mut run = PlanRun::new(plan, 5, 1);
+        let mut run = PlanRun::new(&plan, 5, 1);
         run.started(0, 6, 1);
         run.done(0, 6, 1);
-        run.committed(7, 1);
-        for ev in run.events() {
+        run.committed(plan.host, 7, 1);
+        for ev in &run.into_events() {
             let json = serde_json::to_string(ev).unwrap();
             let back: PlanEvent = serde_json::from_str(&json).unwrap();
             assert_eq!(back, *ev);

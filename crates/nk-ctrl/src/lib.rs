@@ -29,11 +29,11 @@
 //!
 //! [`evacuate`] adds the multi-step operation the one-shot decisions above
 //! cannot express: clearing a whole host compiles into an [`EvacPlan`] —
-//! a DAG of typed actions, each with a revert, paced into bounded waves —
-//! and a [`PlanRun`] tracks execution so a mid-plan failure unwinds every
-//! completed action in reverse order. The cluster layer supplies the
-//! mechanism; this crate owns the plan's shape and its serializable
-//! [`PlanEvent`] log.
+//! an ordered list of typed actions, each with a revert, paced into bounded
+//! waves — run in list order, so a mid-plan failure unwinds every completed
+//! action in reverse order. The cluster layer supplies the mechanism; this
+//! crate owns the plan's shape and its serializable [`PlanEvent`] log,
+//! which a [`PlanRun`] records.
 //!
 //! Everything is deterministic: state lives in `BTreeMap`s, decisions
 //! derive only from the sampled history and the policy, and the same sample
@@ -54,7 +54,6 @@ use std::collections::BTreeMap;
 pub use autoscale::Autoscaler;
 pub use evacuate::{
     EvacAction, EvacMode, EvacMove, EvacPlan, EvacStep, PlanEvent, PlanEventKind, PlanRun,
-    StepStatus,
 };
 pub use monitor::LoadMonitor;
 pub use placer::{ClusterSample, DecisionOutcome, HostLoad, Migration, Placer};

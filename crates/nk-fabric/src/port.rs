@@ -76,6 +76,11 @@ impl<P> Port<P> {
         self.addr
     }
 
+    /// True when both handles are the same port.
+    pub(crate) fn same_port(&self, other: &Port<P>) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared)
+    }
+
     /// Endpoint side: queue a frame for transmission.
     pub fn send(&self, frame: Frame<P>) {
         self.shared.tx.lock().unwrap().push(frame);

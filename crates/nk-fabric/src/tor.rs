@@ -133,6 +133,24 @@ impl<P> TorSwitch<P> {
         before != self.routes.len()
     }
 
+    /// Detach the trunk for exactly `(prefix, mask)` together with every
+    /// detour riding its port ([`TorSwitch::add_route_via`]) — what a dead
+    /// host leaves behind. Returns the number of routes removed.
+    pub fn detach_trunk(&mut self, prefix: u32, mask: u32) -> usize {
+        let prefix = prefix & mask;
+        let Some(trunk) = self
+            .routes
+            .iter()
+            .find(|t| (t.prefix, t.mask) == (prefix, mask))
+        else {
+            return 0;
+        };
+        let port = trunk.port.clone();
+        let before = self.routes.len();
+        self.routes.retain(|t| !t.port.same_port(&port));
+        before - self.routes.len()
+    }
+
     /// Number of attached routes (trunks plus endpoints).
     pub fn routes(&self) -> usize {
         self.routes.len()
@@ -290,8 +308,8 @@ mod tests {
     }
 
     /// A detour route steers one address off its home trunk and onto
-    /// another host's trunk — the warm-migration reroute — and removing it
-    /// restores longest-prefix routing.
+    /// another host's trunk — the warm-migration reroute — removing it
+    /// restores longest-prefix routing, and detaching the trunk removes it.
     #[test]
     fn detour_route_overrides_prefix_and_is_removable() {
         let mut tor: TorSwitch<u32> = TorSwitch::new();
@@ -315,6 +333,13 @@ mod tests {
         gw.send(frame(0xC0A8_0001, 0x0A01_0001, 3));
         tor.step(0);
         assert_eq!(t1.recv().unwrap().payload, 3);
+
+        // A dead trunk takes the detours riding it along, and nothing else.
+        assert!(tor.add_route_via(0x0A01_0001, u32::MAX, 0x0A02_0000));
+        assert!(tor.add_route_via(0x0A01_0002, u32::MAX, 0xC0A8_0001));
+        assert_eq!(tor.detach_trunk(0x0A02_0000, HOST_MASK), 2);
+        assert_eq!(tor.detach_trunk(0x0A02_0000, HOST_MASK), 0);
+        assert_eq!(tor.routes(), 3, "t1, the endpoint and its detour stay");
     }
 
     /// The delivery tap sees every delivered frame, in route order.

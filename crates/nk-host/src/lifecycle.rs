@@ -304,6 +304,13 @@ impl NetKernelHost {
         self.vms.iter().filter_map(draining).collect()
     }
 
+    /// VMs resident here and not draining — the VMs this host is *home* to,
+    /// whose new connections open here — in id order.
+    pub fn homed_vms(&self) -> impl Iterator<Item = VmId> + '_ {
+        let homed = |(vm, slot): (&VmId, &VmSlot)| slot.draining.is_none().then_some(*vm);
+        self.vms.iter().filter_map(homed)
+    }
+
     /// Tear down a fully drained VM: its engine port (queues, mapping,
     /// counters and their marks), its slot (GuestLib, hugepage region, drain
     /// flag) and its configuration entry all go. Refused while connections

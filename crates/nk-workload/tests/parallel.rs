@@ -15,17 +15,23 @@
 //! CI job can run this whole suite under a forced thread count; equality
 //! still holds because every run then uses the same override.)
 
-use nk_cluster::{Cluster, ClusterStats, ControlLogEntry, EvacFault, EvacFaultKind};
+use nk_cluster::{Cluster, ClusterStats, EvacFault, EvacFaultKind};
 use nk_ctrl::{EvacAction, PlanEvent};
 use nk_types::{
-    ClusterConfig, ControlPolicy, FaultAction, FaultPlan, HostConfig, HostId, LinkFault, NsmConfig,
-    NsmId, SockAddr, SocketApi, VmConfig, VmId, VmToNsmPolicy,
+    ClusterConfig, ControlEvent, ControlPolicy, FaultAction, FaultPlan, HostConfig, HostId,
+    LinkFault, NsmConfig, NsmId, SockAddr, SocketApi, VmConfig, VmId, VmToNsmPolicy,
 };
 use nk_workload::rows::{self, assert_mode_invariant, kernel_host as host};
 use nk_workload::{BurstyClient, Scenario, ScenarioConfig};
 
 const SERVER_IP: u32 = 0xC0A8_0001; // 192.168.0.1, outside every host block
 const THREAD_MATRIX: [usize; 3] = [1, 2, 4];
+
+/// Every host's own control log, in `HostId` order.
+fn control_logs(cluster: &Cluster) -> Vec<(HostId, Vec<ControlEvent>)> {
+    let log = |id| (id, cluster.host(id).unwrap().control_events().to_vec());
+    cluster.host_ids().into_iter().map(log).collect()
+}
 
 /// A fault-injected multi-tenant row: three controlled hosts stream to the
 /// ToR server while host 1 crashes an NSM mid-flight (remapping its VM to a
@@ -75,14 +81,14 @@ fn faulted_cluster() -> ScenarioConfig {
 }
 
 /// Everything observable from the evacuation run, for whole-value
-/// comparison: the event digest, the stats, the full plan event log, the
-/// merged control view, the final placement and every echoed byte stream.
+/// comparison: the event digest, the stats, the full plan event log, every
+/// host's control log, the final placement and every echoed byte stream.
 #[derive(Debug, PartialEq)]
 struct EvacRunReport {
     digest: u64,
     stats: ClusterStats,
     plan_events: Vec<PlanEvent>,
-    control: Vec<ControlLogEntry>,
+    control: Vec<(HostId, Vec<ControlEvent>)>,
     homes: Vec<(VmId, HostId)>,
     streams: Vec<Vec<u8>>,
 }
@@ -184,7 +190,7 @@ fn evacuation_run(threads: usize) -> EvacRunReport {
         digest: cluster.event_digest(),
         stats: cluster.stats(),
         plan_events: cluster.plan_events().to_vec(),
-        control: cluster.control_log(),
+        control: control_logs(&cluster),
         homes,
         streams,
     }
@@ -243,8 +249,8 @@ fn faulted_cluster_is_identical_in_every_mode() {
 
 /// The evacuation path joins the determinism matrix: a run containing a
 /// mid-plan host kill, the resulting full rollback and a committing retry
-/// replays byte-identically — digest, stats, plan event log, merged
-/// control view and every tenant byte — at 1, 2 and 4 worker threads.
+/// replays byte-identically — digest, stats, plan event log, every host's
+/// control log and every tenant byte — at 1, 2 and 4 worker threads.
 #[test]
 fn faulted_evacuation_is_identical_at_any_thread_count() {
     let reference = evacuation_run(THREAD_MATRIX[0]);
@@ -275,7 +281,7 @@ fn faulted_evacuation_is_identical_at_any_thread_count() {
 struct UnevenRunReport {
     digest: u64,
     stats: ClusterStats,
-    control: Vec<ControlLogEntry>,
+    control: Vec<(HostId, Vec<ControlEvent>)>,
     homes: Vec<(VmId, HostId)>,
     streams: Vec<Vec<u8>>,
     obs: String,
@@ -386,7 +392,7 @@ fn uneven_run(threads: usize, shard: bool) -> UnevenRunReport {
     UnevenRunReport {
         digest: cluster.event_digest(),
         stats: cluster.stats(),
-        control: cluster.control_log(),
+        control: control_logs(&cluster),
         homes,
         streams,
         obs: serde_json::to_string(&cluster.obs_dump()).expect("dump serializes"),
@@ -395,7 +401,7 @@ fn uneven_run(threads: usize, shard: bool) -> UnevenRunReport {
 }
 
 /// Hosts with 1, 3 and 8 shares in one cluster: digests, stats, the
-/// serialized `ObsDump`, the merged control view and every tenant byte
+/// serialized `ObsDump`, every host's control log and every tenant byte
 /// stream are identical at threads 1/2/4 — and identical again with
 /// intra-host sharding on or off, including the serial (1-thread) runs the
 /// acceptance criteria single out.
