@@ -44,7 +44,10 @@ pub struct GuestLib {
     send_buf: usize,
     batch: usize,
     stats: GuestStats,
+    /// One batch of responses `drive` works through (empty between calls).
     scratch: Vec<Nqe>,
+    /// The receive chunks one `recv` used up (empty between calls).
+    consumed: Vec<(DataHandle, usize)>,
 }
 
 impl GuestLib {
@@ -61,6 +64,7 @@ impl GuestLib {
             batch: nk_types::constants::DEFAULT_BATCH_SIZE,
             stats: GuestStats::default(),
             scratch: Vec::new(),
+            consumed: Vec::new(),
         }
     }
 
@@ -406,7 +410,7 @@ impl SocketApi for GuestLib {
         self.drive();
         let region = self.region.clone();
         let vm = self.vm;
-        let mut consumed_chunks: Vec<(DataHandle, usize)> = Vec::new();
+        let mut consumed_chunks = std::mem::take(&mut self.consumed);
         // A chunk the region refuses to read stays at the head of the queue:
         // bytes copied before it are still delivered (and their chunks freed
         // and credited) by this call, and the next call reports the error.
@@ -436,12 +440,13 @@ impl SocketApi for GuestLib {
             (s.queue_set, copied, s.state)
         };
         // Free fully consumed chunks and return receive credit to the NSM.
-        for (handle, len) in consumed_chunks {
+        for (handle, len) in consumed_chunks.drain(..) {
             let _ = region.free(handle);
             let credit = Nqe::new(OpType::RecvConsumed, vm, qs, sock)
                 .with_data(DataHandle::NULL, len as u32);
             let _ = self.submit(qs, credit);
         }
+        self.consumed = consumed_chunks;
         if copied > 0 {
             self.stats.bytes_received += copied as u64;
             return Ok(copied);
@@ -527,25 +532,25 @@ impl SocketApi for GuestLib {
         let mut processed = 0;
         let batch = self.batch.max(1);
         let sets = self.device.queue_sets();
+        let mut responses = std::mem::take(&mut self.scratch);
         for idx in 0..sets {
             loop {
-                self.scratch.clear();
                 let n = {
                     let Some(end) = self.device.queue_set(idx) else {
                         break;
                     };
-                    end.pop_responses(&mut self.scratch, batch)
+                    end.pop_responses(&mut responses, batch)
                 };
                 if n == 0 {
                     break;
                 }
-                let drained: Vec<Nqe> = self.scratch.drain(..).collect();
-                for nqe in drained {
+                for nqe in responses.drain(..) {
                     self.process_response(nqe);
                     processed += 1;
                 }
             }
         }
+        self.scratch = responses;
         processed
     }
 }

@@ -379,13 +379,30 @@ impl TcpConnection {
 
     /// A connection that will neither send nor receive again gives its
     /// queue storage back — all of it but bytes the application has yet to
-    /// read. Parked and dead sockets can outnumber live ones many times.
+    /// read. Dead sockets wait here for their reader; a parked one, once it
+    /// owes nothing, is traded by the stack for a small record that holds
+    /// no connection at all ([`TcpConnection::parked_until`]).
     fn release_queues(&mut self) {
         self.send_buf = ByteQueue::default();
         self.ooo = BTreeMap::new();
         if self.recv_buf.is_empty() {
             self.recv_buf = ByteQueue::default();
         }
+    }
+
+    /// The end of TIME-WAIT, once the connection is parked there owing
+    /// nothing: no segment or RST to send, no retransmission timer, no
+    /// unread byte. All it can still do is expire at that deadline or die of
+    /// a reset.
+    pub(crate) fn parked_until(&self) -> Option<u64> {
+        if self.state != ConnState::TimeWait
+            || self.needs_poll()
+            || self.rto_deadline.is_some()
+            || !self.recv_buf.is_empty()
+        {
+            return None;
+        }
+        self.time_wait_deadline
     }
 
     // ---- Segment processing -----------------------------------------------
@@ -1755,10 +1772,11 @@ mod tests {
     }
 
     /// A parked or dead connection keeps no queue storage — `clear()` would
-    /// keep every buffer's capacity, times thousands of TIME-WAIT sockets —
-    /// except bytes the application has not read yet.
+    /// keep every buffer's capacity — except bytes the application has not
+    /// read yet. The stack then trades a parked one for a record
+    /// (`stack::tests::time_wait_and_closed_connections_keep_no_queue_storage`).
     #[test]
-    fn time_wait_and_closed_connections_keep_no_queue_storage() {
+    fn parked_and_dead_connections_hold_only_unread_bytes() {
         let storage = |c: &TcpConnection| {
             let ooo: usize = c.ooo.values().map(|p| p.len()).sum();
             c.send_buf.storage_bytes() + c.recv_buf.storage_bytes() + ooo
@@ -1780,6 +1798,7 @@ mod tests {
             (ConnState::TimeWait, ConnState::Closed)
         );
         assert_eq!((storage(&c), storage(&s)), (0, 0));
+        assert!(c.parked_until().is_some() && s.parked_until().is_none());
 
         // A reset connection keeps its unread bytes, and only those.
         let (mut c, mut s) = pair(0);

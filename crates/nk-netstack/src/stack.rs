@@ -125,6 +125,9 @@ enum SocketEntry {
     Listener(Box<ListenerSlot>),
     /// An in-progress or established connection.
     Conn(Box<ConnSlot>),
+    /// A connection parked in TIME-WAIT that owes nothing: all that is left
+    /// of it.
+    TimeWait(Box<TimeWaitRecord>),
 }
 
 struct ListenerSlot {
@@ -154,12 +157,44 @@ struct ConnSlot {
 
 impl ConnSlot {
     /// Queue the connection for the next `transmit`: whatever can change
-    /// what it emits calls this. The id is pushed on the 0→1 edge only.
+    /// what it emits calls this.
     fn wake(&mut self, id: SocketId, wake: &mut Vec<SocketId>) {
-        if !self.queued {
-            self.queued = true;
-            wake.push(id);
-        }
+        queue_once(&mut self.queued, id, wake);
+    }
+}
+
+/// What is left of a connection parked in TIME-WAIT with nothing owed
+/// (`TcpConnection::parked_until`), like Linux's TIME-WAIT minisocket. Its
+/// slot, connection and congestion control are gone; the record keeps the
+/// tuple (its `demux` entry stays, so the tuple is still taken), the
+/// deadline and the lazy timer entry. It is polled exactly where the
+/// connection would have been — on any segment, call or timer that would
+/// have queued it — and answers every call as the parked connection did.
+struct TimeWaitRecord {
+    local: SockAddr,
+    remote: SockAddr,
+    /// The end of TIME-WAIT: the first poll at or past it reaps the record.
+    /// A reset moves it to 0.
+    deadline: u64,
+    /// As `ConnSlot::armed`: never later than `deadline`, but for a reset.
+    armed: Option<u64>,
+    /// As `ConnSlot::queued`.
+    queued: bool,
+}
+
+impl TimeWaitRecord {
+    /// As `ConnSlot::wake`.
+    fn wake(&mut self, id: SocketId, wake: &mut Vec<SocketId>) {
+        queue_once(&mut self.queued, id, wake);
+    }
+}
+
+/// Push `id` onto the wake list on the 0→1 edge of its `queued` bit, so the
+/// list holds each socket once.
+fn queue_once(queued: &mut bool, id: SocketId, wake: &mut Vec<SocketId>) {
+    if !*queued {
+        *queued = true;
+        wake.push(id);
     }
 }
 
@@ -357,6 +392,7 @@ impl TcpStack {
                 let conn_id = l.ready.pop_front().ok_or(NkError::WouldBlock)?;
                 let peer = match self.sockets.get(&conn_id) {
                     Some(SocketEntry::Conn(slot)) => slot.conn.remote(),
+                    Some(SocketEntry::TimeWait(tw)) => tw.remote,
                     _ => return Err(NkError::InvalidState),
                 };
                 self.stats.accepted += 1;
@@ -388,7 +424,9 @@ impl TcpStack {
         let entry = self.sockets.get_mut(&sock).ok_or(NkError::BadSocket)?;
         let local_port = match entry {
             SocketEntry::Idle { bound, .. } => bound.map(|a| a.port),
-            SocketEntry::Conn(_) => return Err(NkError::AlreadyConnected),
+            SocketEntry::Conn(_) | SocketEntry::TimeWait(_) => {
+                return Err(NkError::AlreadyConnected)
+            }
             SocketEntry::Listener(_) => return Err(NkError::InvalidState),
         };
         let local_port = match local_port {
@@ -464,6 +502,7 @@ impl TcpStack {
                     Err(NkError::WouldBlock)
                 }
             }
+            Some(SocketEntry::TimeWait(_)) => Ok(0),
             Some(_) => Err(NkError::NotConnected),
             None => Err(NkError::BadSocket),
         }
@@ -487,6 +526,11 @@ impl TcpStack {
                 slot.wake(sock, &mut self.wake);
                 Ok(())
             }
+            // Nothing left to resize, but a connection would have been queued.
+            (SocketEntry::TimeWait(tw), sockopt::SNDBUF | sockopt::RCVBUF) => {
+                tw.wake(sock, &mut self.wake);
+                Ok(())
+            }
             (_, sockopt::NODELAY) => Ok(()),
             (_, sockopt::CONGESTION) => Ok(()),
             (_, sockopt::SNDBUF) | (_, sockopt::RCVBUF) | (_, sockopt::REUSEPORT) => Ok(()),
@@ -507,6 +551,12 @@ impl TcpStack {
                 }
                 Ok(())
             }
+            Some(SocketEntry::TimeWait(tw)) => {
+                if how != ShutdownHow::Read {
+                    tw.wake(sock, &mut self.wake);
+                }
+                Ok(())
+            }
             Some(_) => Err(NkError::NotConnected),
             None => Err(NkError::BadSocket),
         }
@@ -519,6 +569,10 @@ impl TcpStack {
             Some(SocketEntry::Conn(slot)) => {
                 slot.conn.close();
                 slot.wake(sock, &mut self.wake);
+                Ok(())
+            }
+            Some(SocketEntry::TimeWait(tw)) => {
+                tw.wake(sock, &mut self.wake);
                 Ok(())
             }
             Some(SocketEntry::Listener(l)) => {
@@ -556,6 +610,7 @@ impl TcpStack {
                     ev |= PollEvents::HUP;
                 }
             }
+            Some(SocketEntry::TimeWait(_)) => ev |= PollEvents::READABLE | PollEvents::HUP,
             Some(SocketEntry::Listener(l)) => {
                 if !l.ready.is_empty() {
                     ev |= PollEvents::READABLE;
@@ -728,22 +783,35 @@ impl TcpStack {
     /// Hand `seg` to connection `sock` and turn what it changed into stack
     /// events.
     fn deliver(&mut self, sock: SocketId, seg: &Segment, now_ns: u64) {
-        let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&sock) else {
-            return;
+        let slot = match self.sockets.get_mut(&sock) {
+            Some(SocketEntry::Conn(slot)) => slot,
+            // TIME-WAIT answers nothing and raises nothing; a reset ends it
+            // at the poll this wakes.
+            Some(SocketEntry::TimeWait(tw)) => {
+                if seg.flags.rst {
+                    tw.deadline = 0;
+                }
+                tw.wake(sock, &mut self.wake);
+                return;
+            }
+            _ => return,
         };
         slot.wake(sock, &mut self.wake);
         let c = &mut slot.conn;
         let edges =
             |c: &TcpConnection| (c.is_established(), c.recv_available() > 0, c.fin_received());
         let (was_established, was_readable, was_fin) = edges(c);
+        let opening = matches!(c.state(), ConnState::SynSent | ConnState::SynReceived);
         c.on_segment(seg, now_ns);
         let (established, readable, fin) = edges(c);
-        // The handshake ended: completed, or the connection died before
-        // establishing (refused by RST or aborted) — a failed open. Either
-        // way an embryonic connection leaves its listener's count; one that
+        // The handshake ended: completed, or the connection died in it
+        // (refused by RST or aborted) — a failed open. A connection that was
+        // open cannot fail to open: the final ACK of a passive close, or a
+        // reset in CLOSING or TIME-WAIT, raises nothing here. Either way an
+        // embryonic connection leaves its listener's count; one that
         // completed enters the accept queue, unless the listener has closed.
         let opened = established && !was_established;
-        if opened || (c.is_closed() && !established && !was_established) {
+        if opened || (opening && c.is_closed()) {
             let parent = slot.parent.take();
             match (
                 opened,
@@ -782,21 +850,26 @@ impl TcpStack {
         self.wake.push(id);
     }
 
-    /// Drop connection `id` and what points at it. The demultiplexer entry
-    /// goes only if it is this socket's.
+    /// Drop connection `id` — a slot or a record — and what points at it.
+    /// The demultiplexer entry goes only if it is this socket's.
     fn remove_conn(&mut self, id: SocketId) {
-        let Some(SocketEntry::Conn(slot)) = self.sockets.remove(&id) else {
-            return;
+        let (key, armed, parent) = match self.sockets.remove(&id) {
+            Some(SocketEntry::Conn(slot)) => (
+                (slot.conn.local(), slot.conn.remote()),
+                slot.armed,
+                slot.parent,
+            ),
+            Some(SocketEntry::TimeWait(tw)) => ((tw.local, tw.remote), tw.armed, None),
+            _ => return,
         };
-        let key = (slot.conn.local(), slot.conn.remote());
         if self.demux.get(&key) == Some(&id) {
             self.demux.remove(&key);
         }
-        if let Some(deadline) = slot.armed {
+        if let Some(deadline) = armed {
             self.timers.remove(&(deadline, id));
         }
         self.interest.remove(&id);
-        Self::leave_listener(&mut self.sockets, slot.parent);
+        Self::leave_listener(&mut self.sockets, parent);
     }
 
     /// Take one embryonic connection off the count of its `parent` listener,
@@ -823,9 +896,16 @@ impl TcpStack {
                 break;
             }
             self.timers.pop_first();
-            if let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&id) {
-                slot.armed = None;
-                slot.wake(id, &mut self.wake);
+            match self.sockets.get_mut(&id) {
+                Some(SocketEntry::Conn(slot)) => {
+                    slot.armed = None;
+                    slot.wake(id, &mut self.wake);
+                }
+                Some(SocketEntry::TimeWait(tw)) => {
+                    tw.armed = None;
+                    tw.wake(id, &mut self.wake);
+                }
+                _ => {}
             }
         }
         let mut due = std::mem::replace(&mut self.wake, std::mem::take(&mut self.due));
@@ -836,8 +916,25 @@ impl TcpStack {
         let mut count = 0;
         let mut segs = std::mem::take(&mut self.tx_scratch);
         for &id in &due {
-            let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&id) else {
+            let Some(entry) = self.sockets.get_mut(&id) else {
                 continue; // removed since it was queued
+            };
+            let slot = match entry {
+                SocketEntry::Conn(slot) => slot,
+                // What polling the parked connection did: nothing, until
+                // its deadline or a reset closed it.
+                SocketEntry::TimeWait(tw) => {
+                    self.stats.conns_polled += 1;
+                    tw.queued = false;
+                    if now_ns >= tw.deadline {
+                        self.dead.push(id);
+                    } else if tw.armed.is_none() {
+                        tw.armed = Some(tw.deadline);
+                        self.timers.insert((tw.deadline, id));
+                    }
+                    continue;
+                }
+                _ => continue,
             };
             slot.conn.poll_transmit(now_ns, &mut segs);
             self.stats.conns_polled += 1;
@@ -861,6 +958,19 @@ impl TcpStack {
             if slot.conn.is_closed() && slot.conn.recv_available() == 0 {
                 self.dead.push(id);
             }
+            // Parked in TIME-WAIT owing nothing: the connection becomes a
+            // record, and its slot, queues and congestion control go.
+            if let Some(deadline) = slot.conn.parked_until() {
+                debug_assert!(slot.parent.is_none() && !slot.queued);
+                let record = TimeWaitRecord {
+                    local: slot.conn.local(),
+                    remote: slot.conn.remote(),
+                    deadline,
+                    armed: slot.armed,
+                    queued: false,
+                };
+                *entry = SocketEntry::TimeWait(Box::new(record));
+            }
             for seg in segs.drain(..) {
                 count += 1;
                 self.emit(seg);
@@ -877,17 +987,31 @@ impl TcpStack {
 
     /// Debug builds check the superset argument on every tick: each
     /// connection `transmit` is about to skip is polled anyway and must
-    /// produce nothing and change nothing the stack acts on.
+    /// produce nothing and change nothing the stack acts on. A skipped
+    /// record must not be due, and its timer entry must stand no later than
+    /// its deadline.
     #[cfg(debug_assertions)]
     fn audit_skipped(&mut self, due: &[SocketId], now_ns: u64) {
         let mut out = Vec::new();
         for id in self.sockets.sorted_keys() {
-            let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&id) else {
-                continue;
-            };
             if due.binary_search(&id).is_ok() {
                 continue;
             }
+            let slot = match self.sockets.get_mut(&id) {
+                Some(SocketEntry::Conn(slot)) => slot,
+                Some(SocketEntry::TimeWait(tw)) => {
+                    let entry = tw.armed.filter(|&at| at <= tw.deadline);
+                    assert!(
+                        now_ns < tw.deadline
+                            && entry.is_some_and(|at| self.timers.contains(&(at, id))),
+                        "{id:?} was skipped at {now_ns} ns in TIME-WAIT until {} (timer {:?})",
+                        tw.deadline,
+                        tw.armed
+                    );
+                    continue;
+                }
+                _ => continue,
+            };
             let c = &mut slot.conn;
             let (closed, deadline) = (c.is_closed(), c.next_deadline());
             c.poll_transmit(now_ns, &mut out);
@@ -1368,78 +1492,401 @@ mod tests {
         assert!(!w.client.demux.any(|(local, _), _| local.port == 0));
     }
 
+    fn record(stack: &TcpStack, id: SocketId) -> Option<&TimeWaitRecord> {
+        match stack.sockets.get(&id) {
+            Some(SocketEntry::TimeWait(tw)) => Some(tw),
+            _ => None,
+        }
+    }
+
+    /// The socket table holds an entry per parked socket: an entry stays
+    /// two words, and what it points at is a record, not a connection.
+    #[test]
+    fn a_parked_socket_costs_a_small_record() {
+        assert_eq!(std::mem::size_of::<SocketEntry>(), 16);
+        assert!(std::mem::size_of::<TimeWaitRecord>() <= 48);
+    }
+
+    /// A record answers every call as the TIME-WAIT connection it replaced
+    /// did (one socket, asked just before and just after it is parked), is
+    /// polled by exactly the calls that queued that connection, and is
+    /// reaped on the first tick at or past its deadline — or, quietly, on
+    /// the tick a reset reaches it.
+    #[test]
+    fn a_time_wait_record_answers_as_the_parked_connection_did() {
+        let mut w = World::new();
+        let ls = listening_server(&mut w, 80);
+        let to = SockAddr::new(SERVER_IP, 80);
+        let (cs, other) = (w.client.socket(), w.client.socket());
+        w.client.connect(cs, to, w.now).unwrap();
+        w.client.connect(other, to, w.now).unwrap();
+        w.run(10);
+        let (conn, peer) = w.server.accept(ls).unwrap();
+        let (conn2, _) = w.server.accept(ls).unwrap();
+        // The clients close first. `cs`'s peer sends a tail with its FIN,
+        // so `cs` reaches TIME-WAIT owed a read and stays a connection.
+        w.client.close(cs).unwrap();
+        w.client.close(other).unwrap();
+        w.run(5);
+        w.server.send(conn, b"tail").unwrap();
+        w.server.close(conn).unwrap();
+        w.server.close(conn2).unwrap();
+        w.run(5);
+        assert!(record(&w.client, other).is_some());
+        let Some(SocketEntry::Conn(slot)) = w.client.sockets.get(&cs) else {
+            panic!("parked with a byte unread");
+        };
+        assert_eq!(slot.conn.state(), ConnState::TimeWait);
+        assert_eq!(w.client.recv(cs, &mut [0u8; 8]), Ok(4));
+
+        let answers = |s: &mut TcpStack| {
+            (
+                TcpStack::poll(s, cs),
+                s.recv(cs, &mut [0u8; 8]),
+                s.send(cs, b"x"),
+                s.connect(cs, SockAddr::new(SERVER_IP, 81), 0),
+                s.export_conn(cs),
+                (s.conn_quiet(cs), s.conn_transplantable(cs)),
+                (
+                    s.serves_ip(CLIENT_IP),
+                    s.recv_available(cs),
+                    s.socket_count(),
+                ),
+            )
+        };
+        let owed_nothing = answers(&mut w.client);
+        assert_eq!(owed_nothing.0, PollEvents::READABLE | PollEvents::HUP);
+        w.run(1);
+        assert!(record(&w.client, cs).is_some(), "parked at its next poll");
+        assert_eq!(answers(&mut w.client), owed_nothing);
+
+        // What queued the connection queues the record: a poll, no segment.
+        type Call = fn(&mut TcpStack, SocketId) -> NkResult<()>;
+        let calls: [(Call, u64); 5] = [
+            (|s, id| s.close(id), 1),
+            (|s, id| s.shutdown(id, ShutdownHow::Write), 1),
+            (|s, id| s.shutdown(id, ShutdownHow::Read), 0),
+            (|s, id| s.set_sockopt(id, sockopt::SNDBUF, 4096), 1),
+            (|s, id| s.set_sockopt(id, sockopt::NODELAY, 1), 0),
+        ];
+        for (call, polls) in calls {
+            let before = w.client.stats();
+            assert_eq!(call(&mut w.client, cs), Ok(()));
+            w.run(1);
+            let after = w.client.stats();
+            assert_eq!(after.conns_polled - before.conns_polled, polls);
+            assert_eq!(after.segments_out, before.segments_out);
+        }
+
+        // A reset: the poll it queues reaps the record, and no event is
+        // raised.
+        let mut rst = Segment::control(to, peer, crate::segment::SegmentFlags::rst());
+        rst.seq = 1;
+        w.client.discard_events();
+        w.client.deliver(cs, &rst, w.now);
+        assert_eq!(answers(&mut w.client).0, owed_nothing.0);
+        let before = w.client.stats().conns_polled;
+        w.run(1);
+        assert!(!w.client.sockets.contains_key(&cs) && w.client.pop_event().is_none());
+        assert_eq!(w.client.stats().conns_polled - before, 1);
+
+        // The other one lives to its deadline, to the tick.
+        let deadline = record(&w.client, other).unwrap().deadline;
+        while w.now + 100_000 < deadline {
+            w.run(1);
+            assert!(record(&w.client, other).is_some(), "reaped at {}", w.now);
+        }
+        let before = w.client.stats().conns_polled;
+        w.run(1);
+        assert!(w.now >= deadline && w.client.socket_count() == 0);
+        assert_eq!(w.client.stats().conns_polled - before, 1);
+        assert!(w.client.demux.is_empty() && w.client.timers.is_empty());
+    }
+
+    /// Only a connection still in its handshake can fail to open. The final
+    /// ACK of a passive close used to raise `ConnectFailed`, and so did a
+    /// reset in TIME-WAIT; ServiceLib turns that event into a stray
+    /// `ConnectComplete(Err)` for any socket it still tracks.
+    #[test]
+    fn a_passive_close_and_a_reset_in_time_wait_raise_no_connect_failed() {
+        let mut w = World::new();
+        let (cs, conn) = established(&mut w);
+        w.client.close(cs).unwrap();
+        w.run(5);
+        w.server.close(conn).unwrap();
+        w.run(5);
+        let failed = |events: &[StackEvent]| {
+            (events.iter()).any(|e| matches!(e, StackEvent::ConnectFailed(_)))
+        };
+        let events = drain_events(&mut w.server);
+        assert!(events.contains(&StackEvent::PeerClosed(conn)), "{events:?}");
+        assert!(!failed(&events), "a passive close: {events:?}");
+        assert_eq!(w.server.socket_count(), 1, "the passive end is reaped");
+
+        // The client sits in TIME-WAIT; a reset from its peer ends it.
+        drain_events(&mut w.client);
+        let (local, remote) = w.client.demux.sorted_keys()[0];
+        let rst = crate::segment::SegmentFlags::rst();
+        w.server.emit(Segment::control(remote, local, rst));
+        w.server.port.send_burst(&mut w.server.tx_burst);
+        w.run(2);
+        assert!(!w.client.sockets.contains_key(&cs), "reset ends TIME-WAIT");
+        let events = drain_events(&mut w.client);
+        assert!(!failed(&events), "a reset in TIME-WAIT: {events:?}");
+    }
+
+    /// The socket table's records and connection slots, in that order.
+    fn entries(s: &TcpStack) -> (usize, usize) {
+        (
+            s.sockets
+                .count(|_, e| matches!(e, SocketEntry::TimeWait(_))),
+            s.sockets.count(|_, e| matches!(e, SocketEntry::Conn(_))),
+        )
+    }
+
+    /// A VM-shared window is split among the flows that still hold a
+    /// connection: one that is exported, reaped after a passive close or
+    /// parked as a record leaves the share at once. The parked one is the
+    /// change a record makes — the TIME-WAIT connection it replaces kept its
+    /// congestion control, and with it a share of the window, until its reap.
+    #[test]
+    fn a_vm_shared_window_is_split_among_live_connections_only() {
+        let mut w = World::new();
+        let ls = listening_server(&mut w, 80);
+        let shared = crate::cc::SharedVmWindow::new();
+        let flows: Vec<SocketId> = (0..4).map(|_| w.client.socket()).collect();
+        for &cs in &flows {
+            let cc = Box::new(crate::cc::VmSharedCc::new(shared.clone()));
+            (w.client)
+                .connect_with_cc(cs, SockAddr::new(SERVER_IP, 80), w.now, Some(cc))
+                .unwrap();
+        }
+        w.run(10);
+        // Ephemeral ports rise with the client's socket ids.
+        let mut accepted: Vec<_> = std::iter::from_fn(|| w.server.accept(ls).ok()).collect();
+        accepted.sort_unstable_by_key(|&(_, peer)| peer);
+        let conns: Vec<SocketId> = accepted.into_iter().map(|(conn, _)| conn).collect();
+        assert_eq!(shared.active_flows(), 4);
+
+        w.client.export_conn(flows[3]).unwrap();
+        assert_eq!(shared.active_flows(), 3, "exported");
+
+        // flows[1] closes passively: its peer first, then the final ACK.
+        w.server.close(conns[1]).unwrap();
+        w.run(5);
+        w.client.close(flows[1]).unwrap();
+        w.run(5);
+        assert!(!w.client.sockets.contains_key(&flows[1]));
+        assert_eq!(shared.active_flows(), 2, "reaped");
+
+        // flows[0] closes first and parks in TIME-WAIT.
+        w.client.close(flows[0]).unwrap();
+        w.run(5);
+        w.server.close(conns[0]).unwrap();
+        w.run(5);
+        assert!(record(&w.client, flows[0]).is_some());
+        assert_eq!(shared.active_flows(), 1, "parked");
+        assert_eq!(entries(&w.client), (1, 1));
+        let Some(SocketEntry::Conn(last)) = w.client.sockets.get(&flows[2]) else {
+            panic!("flows[2] is open");
+        };
+        assert_eq!(last.conn.cwnd(), shared.total_cwnd());
+    }
+
+    /// A thousand active closes leave a thousand records and no connection
+    /// slot — no `TcpConnection`, congestion control or queue storage per
+    /// parked socket.
+    #[test]
+    fn time_wait_and_closed_connections_keep_no_queue_storage() {
+        const N: usize = 1_000;
+        let mut w = World::new();
+        let ls = w.server.socket();
+        w.server.bind(ls, SockAddr::new(0, 80)).unwrap();
+        w.server.listen(ls, N as u32).unwrap();
+        let to = SockAddr::new(SERVER_IP, 80);
+        let clients: Vec<SocketId> = (0..N).map(|_| w.client.socket()).collect();
+        for &cs in &clients {
+            w.client.connect(cs, to, w.now).unwrap();
+        }
+        w.run(10);
+        let conns: Vec<SocketId> =
+            std::iter::from_fn(|| w.server.accept(ls).ok().map(|(conn, _)| conn)).collect();
+        assert_eq!(conns.len(), N);
+        // Every connection's queues hold bytes once: a request and its echo.
+        let mut buf = [0u8; 64];
+        for &cs in &clients {
+            assert_eq!(w.client.send(cs, b"request"), Ok(7));
+        }
+        w.run(10);
+        for &conn in &conns {
+            assert_eq!(w.server.recv(conn, &mut buf), Ok(7));
+            assert_eq!(w.server.send(conn, b"echo"), Ok(4));
+        }
+        w.run(10);
+        for &cs in &clients {
+            assert_eq!(w.client.recv(cs, &mut buf), Ok(4));
+            w.client.close(cs).unwrap();
+        }
+        w.run(10);
+        for &conn in &conns {
+            assert_eq!(w.server.recv(conn, &mut buf), Ok(0));
+            w.server.close(conn).unwrap();
+        }
+        w.run(10);
+
+        assert_eq!(entries(&w.client), (N, 0));
+        assert_eq!(entries(&w.server), (0, 0));
+        assert_eq!(w.client.socket_count(), N);
+        assert_eq!(w.server.socket_count(), 1, "the listener");
+    }
+
+    /// A client stack and a server stack whose wire the test carries by
+    /// hand, recording every segment that crosses it and the kinds of the
+    /// events both stacks raise, in order.
+    struct Wire {
+        stacks: [TcpStack; 2],
+        ports: [Port<Segment>; 2],
+        now: u64,
+        segments: Vec<Segment>,
+        kinds: Vec<std::mem::Discriminant<StackEvent>>,
+    }
+
+    impl Wire {
+        fn new() -> Self {
+            let ports = [Port::new(CLIENT_IP), Port::new(SERVER_IP)];
+            Wire {
+                stacks: [
+                    TcpStack::new(StackConfig::new(CLIENT_IP), ports[0].clone()),
+                    TcpStack::new(StackConfig::new(SERVER_IP), ports[1].clone()),
+                ],
+                ports,
+                now: 0,
+                segments: Vec::new(),
+                kinds: Vec::new(),
+            }
+        }
+
+        fn run(&mut self, rounds: usize) {
+            for _ in 0..rounds {
+                self.now += 100_000;
+                for (i, stack) in self.stacks.iter_mut().enumerate() {
+                    stack.tick(self.now);
+                    let mut sent = Vec::new();
+                    self.ports[i].drain_tx_into(&mut sent);
+                    self.segments.extend(sent.iter().map(|f| f.payload.clone()));
+                    self.ports[1 - i].deliver_burst(|rx| rx.extend(sent));
+                    let events = drain_events(stack);
+                    self.kinds.extend(events.iter().map(std::mem::discriminant));
+                }
+            }
+        }
+
+        /// `n` client connections to a new listener on `port`, each paired
+        /// with the server end it was accepted as.
+        fn open(&mut self, port: u16, n: usize) -> Vec<(SocketId, SocketId)> {
+            let [client, server] = &mut self.stacks;
+            let ls = server.socket();
+            server.bind(ls, SockAddr::new(0, port)).unwrap();
+            server.listen(ls, n as u32).unwrap();
+            let to = SockAddr::new(SERVER_IP, port);
+            let clients: Vec<SocketId> = (0..n).map(|_| client.socket()).collect();
+            for &cs in &clients {
+                client.connect(cs, to, self.now).unwrap();
+            }
+            self.run(4);
+            let accepted = std::iter::from_fn(|| self.stacks[1].accept(ls).ok());
+            let mut pairs: Vec<_> = accepted.map(|(conn, peer)| (peer, conn)).collect();
+            pairs.sort_unstable();
+            assert_eq!(pairs.len(), n);
+            // Ephemeral ports rise with the client's socket ids.
+            clients
+                .into_iter()
+                .zip(pairs)
+                .map(|(cs, (_, conn))| (cs, conn))
+                .collect()
+        }
+
+        /// Three writes on every client, echoed back by its server end;
+        /// then the clients close first and the servers after them.
+        fn echo(&mut self, pairs: &[(SocketId, SocketId)]) {
+            let mut buf = [0u8; 64];
+            for msg in [&b"one"[..], b"two, longer", b"three"] {
+                for &(cs, _) in pairs {
+                    assert_eq!(self.stacks[0].send(cs, msg), Ok(msg.len()));
+                }
+                self.run(3);
+                let server = &mut self.stacks[1];
+                for &(_, conn) in pairs {
+                    assert_eq!(server.recv(conn, &mut buf), Ok(msg.len()));
+                    assert_eq!(server.send(conn, &buf[..msg.len()]), Ok(msg.len()));
+                }
+                self.run(3);
+                for &(cs, _) in pairs {
+                    assert_eq!(self.stacks[0].recv(cs, &mut buf), Ok(msg.len()));
+                    assert_eq!(&buf[..msg.len()], msg);
+                }
+            }
+            for &(cs, _) in pairs {
+                self.stacks[0].close(cs).unwrap();
+            }
+            self.run(3);
+            let server = &mut self.stacks[1];
+            for &(_, conn) in pairs {
+                assert_eq!(server.recv(conn, &mut buf), Ok(0));
+                server.close(conn).unwrap();
+            }
+            self.run(6);
+        }
+    }
+
     /// One scripted echo session (connect, three writes echoed back, close)
-    /// between two stacks whose wire the test carries by hand, after each
-    /// stack first opened and closed `churned` sockets. Returns every segment
-    /// either side emitted, both stacks' counters and the kinds of the events
-    /// they raised, in order.
+    /// after each stack first opened and closed `idle` sockets, and ran
+    /// `cycles` whole connections through the same script — so the client
+    /// holds `cycles` TIME-WAIT records. Returns every segment the session
+    /// put on the wire, both stacks' counters over the session and the kinds
+    /// of the events they raised, in order.
     fn echo_session(
-        churned: usize,
+        idle: usize,
+        cycles: usize,
     ) -> (
         Vec<Segment>,
         [StackStats; 2],
         Vec<std::mem::Discriminant<StackEvent>>,
     ) {
-        let ports = [Port::new(CLIENT_IP), Port::new(SERVER_IP)];
-        let mut stacks = [
-            TcpStack::new(StackConfig::new(CLIENT_IP), ports[0].clone()),
-            TcpStack::new(StackConfig::new(SERVER_IP), ports[1].clone()),
-        ];
-        for stack in &mut stacks {
-            let opened: Vec<SocketId> = (0..churned).map(|_| stack.socket()).collect();
+        let mut w = Wire::new();
+        for stack in &mut w.stacks {
+            let opened: Vec<SocketId> = (0..idle).map(|_| stack.socket()).collect();
             for s in opened {
                 stack.close(s).unwrap();
             }
         }
-        let (mut now, mut wire, mut kinds) = (0, Vec::new(), Vec::new());
-        let mut run = |stacks: &mut [TcpStack; 2], rounds: usize| {
-            for _ in 0..rounds {
-                now += 100_000;
-                for (i, stack) in stacks.iter_mut().enumerate() {
-                    stack.tick(now);
-                    let mut sent = Vec::new();
-                    ports[i].drain_tx_into(&mut sent);
-                    wire.extend(sent.iter().map(|f| f.payload.clone()));
-                    ports[1 - i].deliver_burst(|rx| rx.extend(sent));
-                    kinds.extend(drain_events(stack).iter().map(std::mem::discriminant));
-                }
+        if cycles > 0 {
+            let cycled = w.open(81, cycles);
+            w.echo(&cycled);
+            assert_eq!(entries(&w.stacks[0]), (cycles, 0));
+            for stack in &mut w.stacks {
+                // The session's own numbers start where a fresh stack's do.
+                (stack.stats, stack.iss) = (StackStats::default(), 0x1000);
+                stack.next_ephemeral = EPHEMERAL_LOW;
             }
-        };
-        let [client, server] = &mut stacks;
-        let ls = server.socket();
-        server.bind(ls, SockAddr::new(0, 80)).unwrap();
-        server.listen(ls, 8).unwrap();
-        let cs = client.socket();
-        client.connect(cs, SockAddr::new(SERVER_IP, 80), 0).unwrap();
-        run(&mut stacks, 4);
-        let (conn, _) = stacks[1].accept(ls).unwrap();
-        let mut buf = [0u8; 64];
-        for msg in [&b"one"[..], b"two, longer", b"three"] {
-            assert_eq!(stacks[0].send(cs, msg), Ok(msg.len()));
-            run(&mut stacks, 3);
-            assert_eq!(stacks[1].recv(conn, &mut buf), Ok(msg.len()));
-            assert_eq!(stacks[1].send(conn, &buf[..msg.len()]), Ok(msg.len()));
-            run(&mut stacks, 3);
-            assert_eq!(stacks[0].recv(cs, &mut buf), Ok(msg.len()));
-            assert_eq!(&buf[..msg.len()], msg);
+            (w.segments, w.kinds) = (Vec::new(), Vec::new());
         }
-        stacks[0].close(cs).unwrap();
-        run(&mut stacks, 3);
-        assert_eq!(stacks[1].recv(conn, &mut buf), Ok(0));
-        stacks[1].close(conn).unwrap();
-        run(&mut stacks, 6);
-        (wire, [stacks[0].stats(), stacks[1].stats()], kinds)
+        let session = w.open(80, 1);
+        w.echo(&session);
+        let stats = [w.stacks[0].stats(), w.stacks[1].stats()];
+        (w.segments, stats, w.kinds)
     }
 
     /// Table history cannot reach the wire: a stack whose tables carry a
-    /// different capacity, tombstone pattern and id range emits the same
-    /// segments (socket ids are not on the wire), counts the same and raises
-    /// the same events in the same order.
+    /// different capacity, tombstone pattern and id range, or parked
+    /// records, emits the same segments (socket ids are not on the wire),
+    /// counts the same and raises the same events in the same order.
     #[test]
     fn table_layout_never_leaks_into_segments() {
-        let fresh = echo_session(0);
+        let fresh = echo_session(0, 0);
         assert!(fresh.0.len() > 12 && fresh.1[0].bytes_in == 19);
-        assert!(fresh == echo_session(10_000));
+        assert!(fresh == echo_session(10_000, 0));
+        assert!(fresh == echo_session(0, 64));
     }
 
     /// A reset with data in flight used to leave the RTO armed: while unread
