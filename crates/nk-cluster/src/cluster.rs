@@ -4,7 +4,7 @@ use crate::exec::{ExecStats, ShardedExecutor, StepOutcome, Unit};
 use nk_ctrl::placer::{ClusterSample, HostLoad, Placer};
 use nk_ctrl::{EvacMode, PlanEvent};
 use nk_fabric::link::LinkConfig;
-use nk_fabric::tor::TorSwitch;
+use nk_fabric::TorSwitch;
 use nk_guest::GuestLib;
 use nk_host::{NetKernelHost, ShareLane};
 use nk_netstack::{Segment, StackConfig, TcpStack};

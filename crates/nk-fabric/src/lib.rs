@@ -4,16 +4,16 @@
 //! embedded) and then to 100 G physical NICs (§4, Figure 2). This crate
 //! provides the equivalent substrate for the reproduction:
 //!
-//! * [`port`] — a bidirectional packet port (vNIC attachment point);
+//! * [`port`] — a bidirectional packet port (vNIC attachment point), and
+//!   the host↔ToR trunk: one port whose host end a host shard sends into
+//!   while it polls and whose ToR end the caller's thread drains at the
+//!   round barrier;
 //! * [`link`] — rate limiting, propagation latency, loss and reordering
 //!   applied to a stream of frames;
-//! * [`switch`] — the virtual switch connecting ports by destination address,
-//!   with an optional uplink into a top-of-rack switch;
-//! * [`tor`] — the prefix-routed top-of-rack switch joining host uplinks
-//!   into one cluster fabric;
-//! * [`uplink`] — the host↔ToR trunk: one [`Port`] whose host end a host
-//!   shard sends into while it polls and whose ToR end the caller's thread
-//!   drains at the round barrier;
+//! * [`switch`] — one longest-prefix route table with one forwarding loop:
+//!   a host's vSwitch (vNICs as /32 routes, its own block as a drop route,
+//!   its uplink as the 0/0 route) and the top-of-rack switch joining the
+//!   hosts (a /16 route per host trunk) are the same type;
 //! * [`nic`] — the symmetric receive-side-scaling (RSS) flow hash frames
 //!   carry, so both directions of a connection pick the same queue.
 //!
@@ -28,11 +28,7 @@ pub mod link;
 pub mod nic;
 pub mod port;
 pub mod switch;
-pub mod tor;
-pub mod uplink;
 
 pub use link::{Link, LinkConfig};
-pub use port::{Frame, Port};
-pub use switch::{UplinkStats, VirtualSwitch};
-pub use tor::TorSwitch;
-pub use uplink::{uplink_pair, HostUplink, TorUplink};
+pub use port::{uplink_pair, Frame, HostUplink, Port, TorUplink};
+pub use switch::{TorSwitch, VirtualSwitch};

@@ -1,5 +1,17 @@
 //! Ports: vNIC attachment points on the virtual switch, and the host↔ToR
-//! trunks ([`crate::uplink`]).
+//! trunks.
+//!
+//! A port is two frame queues shared by its handles: the endpoint sends
+//! into one and receives from the other, the switch drains the first and
+//! delivers into the second. A crossed handle (`Port::crossed`) swaps the
+//! two, so a second switch can take the endpoint's place — which is how a
+//! clustered host's switch holds its ToR trunk as its default route.
+//!
+//! A trunk's host end is used while the units of a sharded cluster poll,
+//! its ToR end in the hub with every helper parked, so the round barrier
+//! orders every hand-off and no lock is contended. The locks still block:
+//! a caller that crosses the phases (nkbench's two-thread drive) is slower,
+//! never wrong.
 
 #![expect(
     clippy::disallowed_types,
@@ -13,7 +25,7 @@
 )]
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A frame travelling through the fabric.
 ///
@@ -35,26 +47,23 @@ pub struct Frame<P> {
     pub payload: P,
 }
 
-struct Shared<P> {
-    /// Frames queued by the endpoint, awaiting pickup by the switch (which
-    /// takes them all at once, so no queue discipline is needed).
-    tx: Mutex<Vec<Frame<P>>>,
-    /// Frames delivered by the switch, awaiting pickup by the endpoint.
-    rx: Mutex<VecDeque<Frame<P>>>,
-}
+type Queue<P> = Mutex<VecDeque<Frame<P>>>;
 
 /// A bidirectional port. Cloning yields another handle to the same port (the
 /// switch keeps one clone, the endpoint keeps the other).
 pub struct Port<P> {
-    shared: Arc<Shared<P>>,
+    queues: Arc<[Queue<P>; 2]>,
     addr: u32,
+    /// Which of `queues` this handle sends into; it receives from the other.
+    tx: usize,
 }
 
 impl<P> Clone for Port<P> {
     fn clone(&self) -> Self {
         Port {
-            shared: Arc::clone(&self.shared),
+            queues: Arc::clone(&self.queues),
             addr: self.addr,
+            tx: self.tx,
         }
     }
 }
@@ -63,11 +72,18 @@ impl<P> Port<P> {
     /// Create a port for the endpoint with address `addr`.
     pub fn new(addr: u32) -> Self {
         Port {
-            shared: Arc::new(Shared {
-                tx: Mutex::new(Vec::new()),
-                rx: Mutex::new(VecDeque::new()),
-            }),
+            queues: Arc::new([Mutex::default(), Mutex::default()]),
             addr,
+            tx: 0,
+        }
+    }
+
+    /// A handle to the same port with the directions swapped: what this
+    /// handle receives, the crossed one sends, and the other way round.
+    pub(crate) fn crossed(&self) -> Port<P> {
+        Port {
+            tx: 1 - self.tx,
+            ..self.clone()
         }
     }
 
@@ -78,23 +94,40 @@ impl<P> Port<P> {
 
     /// True when both handles are the same port.
     pub(crate) fn same_port(&self, other: &Port<P>) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared)
+        Arc::ptr_eq(&self.queues, &other.queues)
+    }
+
+    /// The queue this handle sends into, locked.
+    fn tx(&self) -> MutexGuard<'_, VecDeque<Frame<P>>> {
+        self.queues[self.tx].lock().unwrap()
+    }
+
+    /// The queue this handle receives from, locked.
+    fn rx(&self) -> MutexGuard<'_, VecDeque<Frame<P>>> {
+        self.queues[1 - self.tx].lock().unwrap()
     }
 
     /// Endpoint side: queue a frame for transmission.
     pub fn send(&self, frame: Frame<P>) {
-        self.shared.tx.lock().unwrap().push(frame);
+        self.tx().push_back(frame);
     }
 
     /// Endpoint side: queue a whole burst for transmission under one lock,
-    /// leaving `burst` empty.
+    /// leaving `burst` empty. Into an empty queue the burst's buffer trades
+    /// places with the queue's, so no frame moves.
     pub fn send_burst(&self, burst: &mut Vec<Frame<P>>) {
-        self.shared.tx.lock().unwrap().append(burst);
+        let mut q = self.tx();
+        if q.is_empty() {
+            let spare = Vec::from(std::mem::take(&mut *q));
+            *q = std::mem::replace(burst, spare).into();
+        } else {
+            q.extend(burst.drain(..));
+        }
     }
 
     /// Endpoint side: take one delivered frame, if any.
     pub fn recv(&self) -> Option<Frame<P>> {
-        self.shared.rx.lock().unwrap().pop_front()
+        self.rx().pop_front()
     }
 
     /// Endpoint side: take every delivered frame under one lock, appending
@@ -102,7 +135,7 @@ impl<P> Port<P> {
     /// endpoint that consumes all it takes moves no frame (measurably
     /// faster on `bulk` than appending ~700 frames per tick).
     pub fn recv_burst(&self, into: &mut VecDeque<Frame<P>>) {
-        let mut q = self.shared.rx.lock().unwrap();
+        let mut q = self.rx();
         if into.is_empty() {
             std::mem::swap(&mut *q, into);
         } else {
@@ -112,27 +145,33 @@ impl<P> Port<P> {
 
     /// Endpoint side: number of delivered frames waiting.
     pub fn rx_pending(&self) -> usize {
-        self.shared.rx.lock().unwrap().len()
+        self.rx().len()
     }
 
     /// Switch side: drain every queued frame, appending them to `out` (no
-    /// per-call allocation). Returns how many were drained.
+    /// per-call allocation; an empty `out` trades buffers with the queue).
+    /// Returns how many were drained.
     pub fn drain_tx_into(&self, out: &mut Vec<Frame<P>>) -> usize {
-        let mut q = self.shared.tx.lock().unwrap();
+        let mut q = self.tx();
         let n = q.len();
-        out.append(&mut q);
+        if out.is_empty() {
+            let spare = VecDeque::from(std::mem::take(out));
+            *out = std::mem::replace(&mut *q, spare).into();
+        } else {
+            out.extend(q.drain(..));
+        }
         n
     }
 
     /// Switch side: number of frames awaiting pickup.
     pub fn tx_pending(&self) -> usize {
-        self.shared.tx.lock().unwrap().len()
+        self.tx().len()
     }
 
     /// Switch side: deliver a burst to the endpoint under one lock: `fill`
     /// appends it to the endpoint's receive queue.
     pub fn deliver_burst<R>(&self, fill: impl FnOnce(&mut VecDeque<Frame<P>>) -> R) -> R {
-        fill(&mut self.shared.rx.lock().unwrap())
+        fill(&mut self.rx())
     }
 }
 
@@ -146,6 +185,42 @@ pub(crate) fn next_run<'a, 'b, P>(
     let run = frames.as_slice().iter().take_while(|f| f.dst == dst);
     let len = run.count();
     Some((dst, frames.take(len)))
+}
+
+/// The host end of a ToR trunk: the host switch's default route rides it
+/// ([`crate::VirtualSwitch::set_uplink_filtered`]). Owned by exactly one
+/// host (one shard), so it is not `Clone`.
+pub struct HostUplink<P>(pub(crate) Port<P>);
+
+/// The ToR end of a trunk made by [`uplink_pair`]. A ToR switch keeps the
+/// port itself; this handle is for driving a bare trunk.
+pub struct TorUplink<P>(pub(crate) Port<P>);
+
+/// Create the two ends of one uplink trunk for the address block at
+/// `prefix`: both share one [`Port`].
+pub fn uplink_pair<P>(prefix: u32) -> (HostUplink<P>, TorUplink<P>) {
+    let port = Port::new(prefix);
+    (HostUplink(port.clone()), TorUplink(port))
+}
+
+impl<P> HostUplink<P> {
+    /// Queue a frame towards the ToR.
+    pub fn send(&mut self, frame: Frame<P>) {
+        self.0.send(frame);
+    }
+
+    /// Take one frame the ToR delivered, if any.
+    pub fn recv(&mut self) -> Option<Frame<P>> {
+        self.0.recv()
+    }
+}
+
+impl<P> TorUplink<P> {
+    /// Drain every frame the host sent, appending to `out`; returns how
+    /// many were drained.
+    pub fn drain_into(&mut self, out: &mut Vec<Frame<P>>) -> usize {
+        self.0.drain_tx_into(out)
+    }
 }
 
 #[cfg(test)]

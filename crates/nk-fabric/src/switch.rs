@@ -1,68 +1,63 @@
-//! The virtual switch connecting ports.
+//! The virtual switch: one longest-prefix route table.
 //!
 //! The switch plays the role of the paper's vSwitch / SR-IOV embedded switch
-//! (Figure 2): every vNIC (NSM port, baseline VM port, remote host port)
-//! attaches to it and frames are forwarded by destination address. Each
-//! attached port gets an egress [`Link`] so per-port rate caps, latency and
-//! loss can be configured.
+//! (Figure 2) and, in a cluster, of the top-of-rack switch joining the hosts'
+//! uplinks: one idea at two scales, one type. Every route is a
+//! `prefix/mask` over a [`Port`] and the egress [`Link`] towards it, so rate
+//! caps, latency and loss are configured per route:
 //!
-//! A clustered host's switch also holds the host end of its ToR trunk
-//! ([`crate::uplink`]): each forwarding pass sends everything with no local
-//! port up the trunk as one burst, and takes the ToR's deliveries in one
-//! call.
+//! * a vNIC is a /32 route, and a warm-migration alias a /32 route onto an
+//!   existing port;
+//! * a clustered host's own `10.<host>.0.0/16` block is a drop route: a
+//!   frame for a dead vNIC dies here instead of leaving as cross-host
+//!   traffic;
+//! * the host's uplink is its 0/0 route, over a crossed view of the trunk
+//!   port it shares with the ToR ([`HostUplink`]);
+//! * the ToR ([`TorSwitch`]) holds a /16 route per host trunk, /32
+//!   endpoints (gateways every host talks to) and /32 detours that steer a
+//!   warm-migrated address down another host's trunk.
+//!
+//! Routes are kept most-specific-first, ties by prefix, so the first match
+//! is the longest. Every forwarding pass drains and delivers them in that
+//! order: for a host the vNICs in address order, then its block, then its
+//! uplink; for the ToR the host trunks in ascending `HostId`. The fixed
+//! order is the deterministic merge point the seeded fault scenarios and the
+//! byte-identical cluster replays build on.
 
 use crate::link::{Link, LinkConfig, LinkStats};
-use crate::port::{next_run, Frame, Port};
-use crate::uplink::HostUplink;
-use std::collections::{BTreeMap, VecDeque};
+use crate::port::{next_run, uplink_pair, Frame, HostUplink, Port, TorUplink};
+use std::cmp::Reverse;
 
-/// Traffic counters of a switch's uplink towards the top-of-rack switch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct UplinkStats {
-    /// Frames sent out the uplink (no local port matched).
-    pub tx_frames: u64,
-    /// Wire bytes sent out the uplink.
-    pub tx_bytes: u64,
-    /// Frames received from the uplink and forwarded locally.
-    pub rx_frames: u64,
-    /// Wire bytes received from the uplink.
-    pub rx_bytes: u64,
+struct Route<P> {
+    prefix: u32,
+    mask: u32,
+    /// The port the route's frames come from and are delivered into, and
+    /// the egress link towards it; `None` for a drop route. An alias or a
+    /// detour holds a clone of another route's port.
+    hop: Option<(Port<P>, Link<P>)>,
+    /// Wire bytes that entered the switch through this route.
+    rx_bytes: u64,
 }
 
-/// A virtual switch over frames with payload `P`.
-///
-/// Ports live in a `BTreeMap` so every forwarding pass visits them in
-/// address order: the whole fabric stays deterministic across runs, which
-/// the seeded fault-injection scenarios depend on.
+/// A longest-prefix-routed switch over frames with payload `P`.
 pub struct VirtualSwitch<P> {
-    /// Every attached address: the port its frames are delivered into and
-    /// its egress link (impairments applied on the way *out* of the switch
-    /// towards that port).
-    ports: BTreeMap<u32, (Port<P>, Link<P>)>,
+    routes: Vec<Route<P>>,
     default_link: LinkConfig,
-    /// Frames dropped because the destination is unknown.
+    /// Frames dropped because no route, or a drop route, matched.
     unroutable: u64,
-    /// Uplink towards a top-of-rack switch, when this switch is one host of
-    /// a cluster: frames with no local destination leave through it instead
-    /// of being dropped, and frames the ToR delivers re-enter through it.
-    /// This is the host end of the trunk's port — the only edge that
-    /// crosses a shard boundary when the cluster runs sharded.
-    uplink: Option<HostUplink<P>>,
-    /// Addresses under this `(prefix, mask)` are local to this switch even
-    /// when no port currently owns them (a crashed vNIC): frames for them
-    /// die here as unroutable instead of leaking out the uplink as phantom
-    /// cross-host traffic.
-    uplink_local: Option<(u32, u32)>,
-    uplink_stats: UplinkStats,
-    /// `(tx_bytes, rx_bytes)` as [`VirtualSwitch::take_uplink_bytes`] last saw them.
+    /// Frames dropped because their best block or default route was the
+    /// one they entered on.
+    hairpins: u64,
+    /// Uplink `(tx, rx)` bytes as [`VirtualSwitch::take_uplink_bytes`] last
+    /// saw them.
     uplink_mark: (u64, u64),
     seed: u64,
-    /// Reusable frame buffers (hot path): the ingress/egress drain, the
-    /// uplink-bound burst of a forwarding pass, and the ToR's deliveries.
+    /// Reusable ingress buffer (hot path).
     scratch: Vec<Frame<P>>,
-    uplink_tx: Vec<Frame<P>>,
-    uplink_rx: VecDeque<Frame<P>>,
 }
+
+/// The top-of-rack switch is a [`VirtualSwitch`] of host trunks.
+pub type TorSwitch<P> = VirtualSwitch<P>;
 
 impl<P> VirtualSwitch<P> {
     /// A switch whose ports get ideal egress links by default.
@@ -73,54 +68,39 @@ impl<P> VirtualSwitch<P> {
     /// A switch applying `default_link` to every port unless overridden.
     pub fn with_default_link(default_link: LinkConfig) -> Self {
         VirtualSwitch {
-            ports: BTreeMap::new(),
+            routes: Vec::new(),
             default_link,
             unroutable: 0,
-            uplink: None,
-            uplink_local: None,
-            uplink_stats: UplinkStats::default(),
+            hairpins: 0,
             uplink_mark: (0, 0),
             seed: 0x5EED,
             scratch: Vec::new(),
-            uplink_tx: Vec::new(),
-            uplink_rx: VecDeque::new(),
         }
     }
 
-    /// Wire this switch's uplink: `uplink` is the host side of a trunk the
-    /// top-of-rack switch attached. From now on frames with no local port go
-    /// out the uplink instead of being dropped, and frames the ToR delivers
-    /// are forwarded to local ports on every step.
-    pub fn set_uplink(&mut self, uplink: HostUplink<P>) {
-        self.uplink = Some(uplink);
-    }
-
-    /// Like [`VirtualSwitch::set_uplink`], but frames for addresses inside
-    /// `local_prefix/local_mask` never exit the uplink: that block belongs
-    /// to this switch, so a destination in it with no port (a crashed vNIC)
-    /// is a local drop, not cross-host traffic. A clustered host passes its
-    /// own address block here.
-    pub fn set_uplink_filtered(
-        &mut self,
-        uplink: HostUplink<P>,
-        local_prefix: u32,
-        local_mask: u32,
-    ) {
-        self.uplink = Some(uplink);
-        self.uplink_local = Some((local_prefix & local_mask, local_mask));
-    }
-
-    /// Traffic counters of the uplink (zero when none is wired).
-    pub fn uplink_stats(&self) -> UplinkStats {
-        self.uplink_stats
-    }
-
-    /// Uplink wire bytes `(tx, rx)` since the last call: the cluster
-    /// placer's traffic signal, its cursor kept beside the counters.
-    pub fn take_uplink_bytes(&mut self) -> (u64, u64) {
-        let now = (self.uplink_stats.tx_bytes, self.uplink_stats.rx_bytes);
-        let prev = std::mem::replace(&mut self.uplink_mark, now);
-        (now.0 - prev.0, now.1 - prev.1)
+    /// Install `prefix/mask` over `hop` (a port and the link shape towards
+    /// it), or as a drop route, replacing any route for the same pair. Only
+    /// a /32 draws the next link seed, so a host's vNIC links see the same
+    /// loss draws whatever block or uplink routes it holds.
+    fn install(&mut self, prefix: u32, mask: u32, hop: Option<(Port<P>, LinkConfig)>) {
+        let prefix = prefix & mask;
+        if mask == u32::MAX {
+            self.seed = self
+                .seed
+                .wrapping_mul(0x9E37_79B9)
+                .wrapping_add(prefix as u64);
+        }
+        let route = Route {
+            prefix,
+            mask,
+            hop: hop.map(|(port, config)| (port, Link::new(config, self.seed))),
+            rx_bytes: 0,
+        };
+        let key = |r: &Route<P>| (Reverse(r.mask), r.prefix);
+        match self.routes.binary_search_by_key(&key(&route), key) {
+            Ok(i) => self.routes[i] = route,
+            Err(i) => self.routes.insert(i, route),
+        }
     }
 
     /// Attach a new endpoint with address `addr`; returns the endpoint's port
@@ -136,6 +116,12 @@ impl<P> VirtualSwitch<P> {
         port
     }
 
+    /// Attach a datacenter-level endpoint at the ToR: a /32 like any vNIC,
+    /// whose stack runs on the caller's thread next to the ToR.
+    pub fn attach_endpoint(&mut self, addr: u32, link: LinkConfig) -> Port<P> {
+        self.attach_with_link(addr, link)
+    }
+
     /// Attach `addr` as an *alias* of an existing port: frames for `addr`
     /// are delivered into `port`'s receive queue exactly like frames for
     /// the port's own address. A warm migration uses this to land a
@@ -143,23 +129,93 @@ impl<P> VirtualSwitch<P> {
     /// vNIC — the stack demultiplexes by full 4-tuple, so one port can
     /// serve any number of adopted addresses.
     pub fn attach_alias(&mut self, addr: u32, port: Port<P>, link: LinkConfig) {
-        self.seed = self
-            .seed
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(addr as u64);
-        self.ports.insert(addr, (port, Link::new(link, self.seed)));
+        self.install(addr, u32::MAX, Some((port, link)));
     }
 
-    /// Detach an endpoint.
+    /// Attach a host trunk owning the block `prefix/mask`; returns the host
+    /// end for the host switch to adopt
+    /// ([`VirtualSwitch::set_uplink_filtered`]). `link` shapes the traffic
+    /// *towards* the trunk (the downlink direction). Re-attaching an
+    /// existing `(prefix, mask)` replaces the old trunk (the old host end
+    /// goes dead).
+    pub fn attach_trunk(&mut self, prefix: u32, mask: u32, link: LinkConfig) -> HostUplink<P> {
+        let (host_end, TorUplink(port)) = uplink_pair(prefix & mask);
+        self.install(prefix, mask, Some((port, link)));
+        host_end
+    }
+
+    /// Wire this switch's uplink: `uplink` (the host end of a ToR trunk)
+    /// becomes the 0/0 route, so frames with no local port leave through it
+    /// and the ToR's deliveries enter through it. `local_prefix/local_mask`,
+    /// this switch's own block, becomes a drop route: a destination in it
+    /// with no port (a crashed vNIC) is a local drop, not cross-host traffic.
+    pub fn set_uplink_filtered(
+        &mut self,
+        uplink: HostUplink<P>,
+        local_prefix: u32,
+        local_mask: u32,
+    ) {
+        self.install(local_prefix, local_mask, None);
+        self.install(0, 0, Some((uplink.0.crossed(), LinkConfig::ideal())));
+    }
+
+    /// Install a detour: frames for `prefix/mask` are delivered into the
+    /// port of the route that currently serves `via`, overriding the
+    /// longest-prefix match. A warm migration adds a /32 at the ToR for each
+    /// transplanted connection's address so the peer's frames follow the
+    /// connection to its new host — the mid-step reroute of the handover.
+    /// Replaces any previous route for the same `(prefix, mask)`. Returns
+    /// `false` (and installs nothing) when no port serves `via`.
+    pub fn add_route_via(&mut self, prefix: u32, mask: u32, via: u32) -> bool {
+        let Some((port, link)) = self.route_of(via).and_then(|i| self.routes[i].hop.as_ref())
+        else {
+            return false;
+        };
+        let hop = (port.clone(), *link.config());
+        self.install(prefix, mask, Some(hop));
+        true
+    }
+
+    /// Remove the route for exactly `(prefix, mask)` — the undo of
+    /// [`VirtualSwitch::add_route_via`] when a handover rolls back. Returns
+    /// whether a route was removed. Frames already accepted onto the
+    /// removed route's link are dropped with it.
+    pub fn remove_route(&mut self, prefix: u32, mask: u32) -> bool {
+        let prefix = prefix & mask;
+        let before = self.routes.len();
+        self.routes.retain(|r| (r.prefix, r.mask) != (prefix, mask));
+        before != self.routes.len()
+    }
+
+    /// Detach an endpoint (its /32 route).
     pub fn detach(&mut self, addr: u32) {
-        self.ports.remove(&addr);
+        self.remove_route(addr, u32::MAX);
+    }
+
+    /// Detach the trunk for exactly `(prefix, mask)` together with every
+    /// detour riding its port ([`VirtualSwitch::add_route_via`]) — what a
+    /// dead host leaves behind. Returns the number of routes removed.
+    pub fn detach_trunk(&mut self, prefix: u32, mask: u32) -> usize {
+        let prefix = prefix & mask;
+        let trunk = self
+            .routes
+            .iter()
+            .find(|r| (r.prefix, r.mask) == (prefix, mask));
+        let Some((port, _)) = trunk.and_then(|r| r.hop.as_ref()) else {
+            return 0;
+        };
+        let port = port.clone();
+        let before = self.routes.len();
+        self.routes
+            .retain(|r| !r.hop.as_ref().is_some_and(|(p, _)| p.same_port(&port)));
+        before - self.routes.len()
     }
 
     /// Reconfigure the egress link towards `addr` mid-flight (fault
     /// injection: rate, loss, latency or reordering changes under live
     /// traffic). In-flight frames keep their original delivery schedule.
     pub fn set_link_config(&mut self, addr: u32, config: LinkConfig, now_ns: u64) -> bool {
-        match self.ports.get_mut(&addr) {
+        match self.exact(addr).and_then(|i| self.routes[i].hop.as_mut()) {
             Some((_, link)) => {
                 link.set_config(config, now_ns);
                 true
@@ -168,88 +224,124 @@ impl<P> VirtualSwitch<P> {
         }
     }
 
-    /// Number of attached ports.
-    pub fn ports(&self) -> usize {
-        self.ports.len()
+    /// Statistics of the egress link of the route whose prefix is exactly
+    /// `addr`: a vNIC's address, or a trunk's (already masked) block.
+    pub fn link_stats(&self, addr: u32) -> Option<LinkStats> {
+        let (_, link) = self.routes[self.exact(addr)?].hop.as_ref()?;
+        Some(link.stats())
     }
 
-    /// Forward frames: drain every port's TX queue (and the uplink's RX
-    /// side), push frames through the destination's egress link, and deliver
-    /// everything whose time has come. Frames with no local destination go
-    /// out the uplink when one is wired, and are dropped otherwise.
-    ///
-    /// Returns the number of frames delivered to ports during this call.
-    pub fn step(&mut self, now_ns: u64) -> usize {
-        // Ingress: collect from all ports, in address order, through the
-        // reusable scratch buffer (no per-port allocation, one lock per
-        // port). What has no local port leaves as one uplink burst.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for (port, _) in self.ports.values() {
-            port.drain_tx_into(&mut scratch);
-        }
-        self.forward(&mut scratch, true, now_ns);
-        // Ingress from the uplink: frames the ToR delivered enter the local
-        // forwarding plane through the destination's egress link, exactly
-        // like locally originated traffic. Frames for addresses this host
-        // does not own are dropped here — never bounced back out — so a
-        // routing mistake cannot ping-pong between switch and ToR.
-        if let Some(up) = &mut self.uplink {
-            if !self.uplink_tx.is_empty() {
-                up.send_burst(&mut self.uplink_tx);
-            }
-            up.recv_burst(&mut self.uplink_rx);
-            for f in &self.uplink_rx {
-                self.uplink_stats.rx_frames += 1;
-                self.uplink_stats.rx_bytes += f.wire_bytes as u64;
-            }
-            scratch.extend(self.uplink_rx.drain(..));
-            self.forward(&mut scratch, false, now_ns);
-        }
-        // Egress: deliver matured frames, one burst per port.
-        let mut delivered = 0;
-        for (port, link) in self.ports.values_mut() {
-            if link.in_flight() == 0 {
-                continue; // an idle port costs no lock
-            }
-            delivered += port.deliver_burst(|rx| link.drain_deliverable(now_ns, rx));
-        }
-        self.scratch = scratch;
-        delivered
+    /// Uplink wire bytes `(tx, rx)` since the last call (zero when none is
+    /// wired): the cluster placer's traffic signal, its cursor kept beside
+    /// the counters.
+    pub fn take_uplink_bytes(&mut self) -> (u64, u64) {
+        let now = match self.routes.last() {
+            Some(Route {
+                mask: 0,
+                hop: Some((_, link)),
+                rx_bytes,
+                ..
+            }) => (link.stats().delivered_bytes, *rx_bytes),
+            _ => (0, 0),
+        };
+        let prev = std::mem::replace(&mut self.uplink_mark, now);
+        (now.0 - prev.0, now.1 - prev.1)
     }
 
-    /// Push `frames` (left empty) onto their destinations' egress links,
-    /// resolving the egress once per run of frames with the same
-    /// destination. Frames with no local port join the uplink burst when
-    /// `to_uplink` is set, an uplink is wired and the address is not this
-    /// switch's own, and are counted unroutable otherwise.
-    fn forward(&mut self, frames: &mut Vec<Frame<P>>, to_uplink: bool, now_ns: u64) {
-        let to_uplink = to_uplink && self.uplink.is_some();
-        let mut frames = frames.drain(..);
-        while let Some((dst, run)) = next_run(&mut frames) {
-            let local_dead = (self.uplink_local).is_some_and(|(prefix, mask)| dst & mask == prefix);
-            match self.ports.get_mut(&dst) {
-                Some((_, link)) => run.for_each(|f| link.offer(f, now_ns)),
-                None if to_uplink && !local_dead => {
-                    let burst = self.uplink_tx.len();
-                    self.uplink_tx.extend(run);
-                    for f in &self.uplink_tx[burst..] {
-                        self.uplink_stats.tx_frames += 1;
-                        self.uplink_stats.tx_bytes += f.wire_bytes as u64;
-                    }
-                }
-                None => self.unroutable += run.count() as u64,
-            }
-        }
+    /// Number of installed routes.
+    pub fn routes(&self) -> usize {
+        self.routes.len()
     }
 
-    /// Frames dropped because no port matched the destination address.
+    /// Frames dropped because no route, or a drop route, matched.
     pub fn unroutable(&self) -> u64 {
         self.unroutable
     }
 
-    /// Statistics of the egress link towards `addr`.
-    pub fn link_stats(&self, addr: u32) -> Option<LinkStats> {
-        self.ports.get(&addr).map(|(_, link)| link.stats())
+    /// Frames dropped because their best block or default route was the
+    /// one they entered on.
+    pub fn hairpins(&self) -> u64 {
+        self.hairpins
+    }
+
+    /// The most specific route for `dst`.
+    fn route_of(&self, dst: u32) -> Option<usize> {
+        self.routes.iter().position(|r| dst & r.mask == r.prefix)
+    }
+
+    /// The most specific route whose prefix is exactly `addr`.
+    fn exact(&self, addr: u32) -> Option<usize> {
+        self.routes.iter().position(|r| r.prefix == addr)
+    }
+
+    /// Forward frames: drain every route's port in route order, push each
+    /// frame through its best route's link, and deliver everything whose
+    /// time has come. Returns the number of frames delivered.
+    ///
+    /// At the ToR of a sharded cluster this runs on the caller's thread at
+    /// the round barrier: every helper is parked, so the drain over routes —
+    /// host trunks by prefix, i.e. ascending host id — is the deterministic
+    /// merge point of all cross-shard traffic.
+    pub fn step(&mut self, now_ns: u64) -> usize {
+        self.step_with(now_ns, |_| {})
+    }
+
+    /// [`VirtualSwitch::step`] with a tap called on every frame at the
+    /// moment of delivery — in route order, on the caller's thread, which
+    /// makes the tap sequence the same for any cluster thread count. The
+    /// flight recorder's hot-flow table hangs off the ToR's.
+    pub fn step_with<F: FnMut(&Frame<P>)>(&mut self, now_ns: u64, mut tap: F) -> usize {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for i in 0..self.routes.len() {
+            let Some((port, _)) = &self.routes[i].hop else {
+                continue;
+            };
+            if port.drain_tx_into(&mut scratch) == 0 {
+                continue; // an idle port costs one lock
+            }
+            self.routes[i].rx_bytes += scratch.iter().map(|f| f.wire_bytes as u64).sum::<u64>();
+            // One route lookup per run of frames with the same destination.
+            let mut frames = scratch.drain(..);
+            while let Some((dst, run)) = next_run(&mut frames) {
+                let hop = match self.route_of(dst) {
+                    // A block or default route never sends a frame back out
+                    // where it came in: the owner has no port for it, and
+                    // reflecting would bounce a dead vNIC's frames between
+                    // host switch and ToR forever. A /32's frames to itself
+                    // are delivered (two VMs on one NSM).
+                    Some(j) if j == i && self.routes[j].mask != u32::MAX => {
+                        self.hairpins += run.count() as u64;
+                        continue;
+                    }
+                    Some(j) => self.routes[j].hop.as_mut(),
+                    None => None,
+                };
+                match hop {
+                    Some((_, link)) => run.for_each(|f| link.offer(f, now_ns)),
+                    None => self.unroutable += run.count() as u64,
+                }
+            }
+        }
+        self.scratch = scratch;
+        let mut delivered = 0;
+        for Route { mask, hop, .. } in &mut self.routes {
+            let Some((port, link)) = hop else { continue };
+            if link.in_flight() == 0 {
+                continue; // an idle route costs no lock
+            }
+            let due = port.deliver_burst(|rx| {
+                let before = rx.len();
+                let due = link.drain_deliverable(now_ns, rx);
+                rx.range(before..).for_each(&mut tap);
+                due
+            });
+            // Frames handed up the default route are the upstream switch's
+            // to deliver and count.
+            if *mask != 0 {
+                delivered += due;
+            }
+        }
+        delivered
     }
 }
 
@@ -270,7 +362,10 @@ impl<P> Default for VirtualSwitch<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::port::Frame;
+    use nk_sim::SplitMix64;
+    use std::collections::BTreeMap;
+
+    const HOST_MASK: u32 = 0xFFFF_0000;
 
     fn frame(src: u32, dst: u32, tag: u32) -> Frame<u32> {
         Frame {
@@ -280,6 +375,29 @@ mod tests {
             wire_bytes: 100,
             payload: tag,
         }
+    }
+
+    /// Every payload waiting at `port`, in arrival order.
+    fn tags(port: &Port<u32>) -> Vec<u32> {
+        std::iter::from_fn(|| port.recv())
+            .map(|f| f.payload)
+            .collect()
+    }
+
+    /// A host switch at `10.1.0.0/16` with its uplink wired, and the ToR
+    /// end of that uplink.
+    fn host_with_uplink() -> (VirtualSwitch<u32>, TorUplink<u32>) {
+        let mut sw = VirtualSwitch::new();
+        let (host_end, tor_end) = uplink_pair(0x0A01_0000);
+        sw.set_uplink_filtered(host_end, 0x0A01_0000, HOST_MASK);
+        (sw, tor_end)
+    }
+
+    /// Payloads the host sent up its uplink since the last call.
+    fn sent_up(tor_end: &mut TorUplink<u32>) -> Vec<u32> {
+        let mut out = Vec::new();
+        tor_end.drain_into(&mut out);
+        out.iter().map(|f| f.payload).collect()
     }
 
     #[test]
@@ -310,7 +428,7 @@ mod tests {
         let a = sw.attach(1);
         let _b = sw.attach(2);
         sw.detach(2);
-        assert_eq!(sw.ports(), 1);
+        assert_eq!(sw.routes(), 1);
         a.send(frame(1, 2, 1));
         sw.step(0);
         assert_eq!(sw.unroutable(), 1);
@@ -346,92 +464,6 @@ mod tests {
         assert!(!sw.set_link_config(99, LinkConfig::ideal(), 0));
     }
 
-    /// With an uplink wired, unroutable frames leave through it instead of
-    /// being dropped, and frames delivered into the uplink reach local
-    /// ports; frames from the uplink for unknown addresses die here.
-    #[test]
-    fn uplink_carries_nonlocal_traffic_both_ways() {
-        let mut sw: VirtualSwitch<u32> = VirtualSwitch::new();
-        let a = sw.attach(1);
-        let (host_end, mut tor_end) = crate::uplink::uplink_pair(0x10);
-        sw.set_uplink(host_end);
-
-        // Outbound: no local port 99 → the frame exits via the uplink.
-        a.send(frame(1, 99, 7));
-        sw.step(0);
-        assert_eq!(sw.unroutable(), 0);
-        let mut out = Vec::new();
-        assert_eq!(tor_end.drain_into(&mut out), 1);
-        assert_eq!(out[0].payload, 7);
-        assert_eq!(sw.uplink_stats().tx_frames, 1);
-        assert_eq!(sw.uplink_stats().tx_bytes, 100);
-
-        // Inbound: the ToR delivers a frame for local port 1.
-        tor_end.0.deliver_burst(|rx| rx.push_back(frame(99, 1, 8)));
-        sw.step(0);
-        assert_eq!(a.recv().unwrap().payload, 8);
-        assert_eq!(sw.uplink_stats().rx_frames, 1);
-
-        // Inbound for an unknown address is dropped, not bounced back.
-        tor_end.0.deliver_burst(|rx| rx.push_back(frame(99, 42, 9)));
-        sw.step(0);
-        assert_eq!(sw.unroutable(), 1);
-        let bounced = tor_end.drain_into(&mut out);
-        assert_eq!(bounced, 0, "no ping-pong back to the ToR");
-    }
-
-    /// The filtered uplink keeps dead-local traffic local: a destination
-    /// inside the switch's own block with no port is a drop here, never
-    /// phantom cross-host traffic.
-    #[test]
-    fn uplink_filter_keeps_dead_local_traffic_local() {
-        let mut sw: VirtualSwitch<u32> = VirtualSwitch::new();
-        let a = sw.attach(0x0A01_0001);
-        let (host_end, mut tor_end) = crate::uplink::uplink_pair(0x0A01_0000);
-        sw.set_uplink_filtered(host_end, 0x0A01_0000, 0xFFFF_0000);
-        a.send(frame(0x0A01_0001, 0x0A01_0099, 1)); // dead address in-block
-        a.send(frame(0x0A01_0001, 0x0A02_0001, 2)); // genuinely remote
-        sw.step(0);
-        assert_eq!(sw.unroutable(), 1, "in-block miss dies locally");
-        let mut out = Vec::new();
-        assert_eq!(tor_end.drain_into(&mut out), 1);
-        assert_eq!(out[0].payload, 2);
-        assert_eq!(sw.uplink_stats().tx_frames, 1);
-    }
-
-    /// The egress is resolved once per run of frames with one destination;
-    /// a burst that interleaves local, dead, unknown and remote
-    /// destinations still sends every frame where a per-frame lookup
-    /// would, in the order it was sent.
-    #[test]
-    fn a_mixed_burst_is_forwarded_run_by_run() {
-        let mut sw: VirtualSwitch<u32> = VirtualSwitch::new();
-        let a = sw.attach(0x0A01_0001);
-        let b = sw.attach(0x0A01_0002);
-        let c = sw.attach(0x0A01_0003);
-        let (host_end, mut tor_end) = crate::uplink::uplink_pair(0x0A01_0000);
-        sw.set_uplink_filtered(host_end, 0x0A01_0000, 0xFFFF_0000);
-        let (dead, remote) = (0x0A01_0099, 0x0A02_0001);
-        let dsts = [b.addr(), b.addr(), c.addr(), dead, dead, b.addr(), remote];
-        let mut burst: Vec<Frame<u32>> = (dsts.iter().zip(0..))
-            .map(|(&dst, tag)| frame(a.addr(), dst, tag))
-            .collect();
-        burst.push(frame(a.addr(), remote, 7));
-        burst.push(frame(a.addr(), c.addr(), 8));
-        a.send_burst(&mut burst);
-        assert_eq!(sw.step(0), 5);
-        let tags = |p: &Port<u32>| -> Vec<u32> {
-            std::iter::from_fn(|| p.recv()).map(|f| f.payload).collect()
-        };
-        assert_eq!((tags(&b), tags(&c)), (vec![0, 1, 5], vec![2, 8]));
-        assert_eq!(sw.unroutable(), 2);
-        let mut out = Vec::new();
-        tor_end.drain_into(&mut out);
-        let sent_up: Vec<u32> = out.iter().map(|f| f.payload).collect();
-        assert_eq!(sent_up, vec![6, 7]);
-        assert_eq!(sw.uplink_stats().tx_bytes, 200);
-    }
-
     /// An alias delivers a second address into an existing port's queue.
     #[test]
     fn alias_delivers_into_the_adopting_port() {
@@ -442,29 +474,481 @@ mod tests {
         a.send(frame(1, 99, 42));
         a.send(frame(1, 2, 43));
         sw.step(0);
-        let mut got = vec![b.recv().unwrap().payload, b.recv().unwrap().payload];
+        let mut got = tags(&b);
         got.sort_unstable();
-        assert_eq!(
-            got,
-            vec![42, 43],
-            "both the alias and the home address land"
-        );
+        assert_eq!(got, [42, 43], "both the alias and the home address land");
         sw.detach(99);
         a.send(frame(1, 99, 44));
         sw.step(0);
         assert_eq!(sw.unroutable(), 1);
     }
 
+    /// `link_stats` reads the route whose prefix is exactly the address: a
+    /// dead vNIC inside the host's block reports nothing, not the block.
     #[test]
     fn link_stats_visible_per_destination() {
-        let mut sw: VirtualSwitch<u32> = VirtualSwitch::new();
-        let a = sw.attach(1);
-        let _b = sw.attach(2);
-        a.send(frame(1, 2, 1));
-        a.send(frame(1, 2, 2));
+        let (mut sw, _tor_end) = host_with_uplink();
+        let a = sw.attach(0x0A01_0001);
+        let _b = sw.attach(0x0A01_0002);
+        a.send(frame(a.addr(), 0x0A01_0002, 1));
+        a.send(frame(a.addr(), 0x0A01_0002, 2));
         sw.step(0);
-        let stats = sw.link_stats(2).unwrap();
-        assert_eq!(stats.delivered, 2);
-        assert!(sw.link_stats(42).is_none());
+        assert_eq!(sw.link_stats(0x0A01_0002).unwrap().delivered, 2);
+        assert!(sw.link_stats(0x0A01_0042).is_none());
+        assert!(
+            sw.link_stats(0x0A01_0000).is_none(),
+            "a drop route has no link"
+        );
+    }
+
+    /// With an uplink wired, frames with no local port leave through it,
+    /// frames the ToR delivers reach local ports, and frames from the
+    /// uplink for addresses this host does not own die here — never bounced
+    /// back to the ToR.
+    #[test]
+    fn uplink_carries_nonlocal_traffic_both_ways() {
+        let (mut sw, mut tor_end) = host_with_uplink();
+        let a = sw.attach(0x0A01_0001);
+
+        // Outbound: no local port → the frame exits via the uplink, and a
+        // hand-off up the uplink is not counted as a delivery here.
+        a.send(frame(a.addr(), 0x0A02_0099, 7));
+        assert_eq!(sw.step(0), 0);
+        assert_eq!(sw.unroutable(), 0);
+        assert_eq!(sent_up(&mut tor_end), [7]);
+
+        // Inbound: the ToR delivers a frame for local port 1.
+        tor_end
+            .0
+            .deliver_burst(|rx| rx.push_back(frame(0x0A02_0099, a.addr(), 8)));
+        assert_eq!(sw.step(0), 1);
+        assert_eq!(tags(&a), [8]);
+
+        // Inbound for another host's address is a hairpin, for a dead
+        // address in the block a local drop; neither goes back up.
+        tor_end.0.deliver_burst(|rx| {
+            rx.push_back(frame(0x0A02_0099, 0x0A03_0001, 9));
+            rx.push_back(frame(0x0A02_0099, 0x0A01_0042, 10));
+        });
+        sw.step(0);
+        assert_eq!((sw.hairpins(), sw.unroutable()), (1, 1));
+        assert!(
+            sent_up(&mut tor_end).is_empty(),
+            "no ping-pong back to the ToR"
+        );
+    }
+
+    /// The uplink's byte counters: wire bytes up and down since the last
+    /// read, at the close of the step that moved them, the in-block miss
+    /// and the hairpin included on the way in.
+    #[test]
+    fn uplink_bytes_are_read_since_the_last_take() {
+        let (mut sw, mut tor_end) = host_with_uplink();
+        let a = sw.attach(0x0A01_0001);
+        assert_eq!(sw.take_uplink_bytes(), (0, 0));
+        a.send(frame(a.addr(), 0x0A02_0001, 1));
+        a.send(frame(a.addr(), 0x0A02_0002, 2));
+        a.send(frame(a.addr(), 0x0A01_0099, 3)); // dead address in-block
+        tor_end.0.deliver_burst(|rx| {
+            rx.push_back(frame(0x0A02_0001, a.addr(), 4));
+            rx.push_back(frame(0x0A02_0001, 0x0A03_0001, 5));
+        });
+        sw.step(0);
+        assert_eq!(sw.take_uplink_bytes(), (200, 200));
+        assert_eq!(sw.take_uplink_bytes(), (0, 0), "the mark moved");
+        assert_eq!(sent_up(&mut tor_end), [1, 2]);
+        let mut bare: VirtualSwitch<u32> = VirtualSwitch::new();
+        bare.attach(1).send(frame(1, 2, 6));
+        bare.step(0);
+        assert_eq!(bare.take_uplink_bytes(), (0, 0), "no uplink, no bytes");
+    }
+
+    /// The egress is resolved once per run of frames with one destination;
+    /// a burst that interleaves local, dead, unknown and remote
+    /// destinations still sends every frame where a per-frame lookup
+    /// would, in the order it was sent.
+    #[test]
+    fn a_mixed_burst_is_forwarded_run_by_run() {
+        let (mut sw, mut tor_end) = host_with_uplink();
+        let a = sw.attach(0x0A01_0001);
+        let b = sw.attach(0x0A01_0002);
+        let c = sw.attach(0x0A01_0003);
+        let (dead, remote) = (0x0A01_0099, 0x0A02_0001);
+        let dsts = [b.addr(), b.addr(), c.addr(), dead, dead, b.addr(), remote];
+        let mut burst: Vec<Frame<u32>> = (dsts.iter().zip(0..))
+            .map(|(&dst, tag)| frame(a.addr(), dst, tag))
+            .collect();
+        burst.push(frame(a.addr(), remote, 7));
+        burst.push(frame(a.addr(), c.addr(), 8));
+        a.send_burst(&mut burst);
+        assert_eq!(sw.step(0), 5);
+        assert_eq!((tags(&b), tags(&c)), (vec![0, 1, 5], vec![2, 8]));
+        assert_eq!(sw.unroutable(), 2);
+        assert_eq!(sent_up(&mut tor_end), [6, 7]);
+        assert_eq!(sw.take_uplink_bytes(), (200, 0));
+    }
+
+    /// Installing the uplink and block routes draws no link seed: a lossy
+    /// vNIC attached after them drops exactly the frames it drops on a
+    /// switch with no uplink.
+    #[test]
+    fn uplink_and_block_routes_leave_the_vnic_seeds_alone() {
+        let run = |uplink: bool| {
+            let mut sw = VirtualSwitch::with_default_link(LinkConfig::ideal().with_loss(0.3));
+            let a = sw.attach(0x0A01_0001);
+            if uplink {
+                sw.set_uplink_filtered(uplink_pair(0x0A01_0000).0, 0x0A01_0000, HOST_MASK);
+            }
+            let b = sw.attach(0x0A01_0002);
+            for tag in 0..200 {
+                a.send(frame(a.addr(), b.addr(), tag));
+                b.send(frame(b.addr(), a.addr(), tag));
+            }
+            sw.step(0);
+            (tags(&a), tags(&b))
+        };
+        let (a, b) = run(false);
+        assert!(a.len() < 180 && b.len() < 180, "the links are lossy");
+        assert_eq!(run(true), (a, b));
+    }
+
+    #[test]
+    fn routes_between_trunks_by_prefix() {
+        let mut tor: TorSwitch<u32> = TorSwitch::new();
+        let mut t1 = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
+        let mut t2 = tor.attach_trunk(0x0A02_0000, HOST_MASK, LinkConfig::ideal());
+        assert_eq!(tor.routes(), 2);
+
+        t1.send(frame(0x0A01_0001, 0x0A02_0007, 11));
+        let delivered = tor.step(0);
+        assert_eq!(delivered, 1);
+        assert_eq!(t2.recv().unwrap().payload, 11);
+        assert_eq!(tor.link_stats(0x0A02_0000).unwrap().delivered, 1);
+    }
+
+    /// An exact-match endpoint inside a trunk's block wins over the trunk.
+    #[test]
+    fn endpoints_are_more_specific_than_trunks() {
+        let mut tor: TorSwitch<u32> = TorSwitch::new();
+        let mut trunk = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
+        let gw = tor.attach_endpoint(0x0A01_0500, LinkConfig::ideal());
+
+        let mut other = tor.attach_trunk(0x0A02_0000, HOST_MASK, LinkConfig::ideal());
+        other.send(frame(0x0A02_0001, 0x0A01_0500, 1));
+        other.send(frame(0x0A02_0001, 0x0A01_0001, 2));
+        tor.step(0);
+        assert_eq!(gw.recv().unwrap().payload, 1);
+        assert_eq!(trunk.recv().unwrap().payload, 2);
+    }
+
+    /// Frames that would exit their ingress trunk (or match nothing) die at
+    /// the ToR with distinct counters.
+    #[test]
+    fn hairpins_and_unknown_destinations_are_dropped() {
+        let mut tor: TorSwitch<u32> = TorSwitch::new();
+        let mut t1 = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
+        t1.send(frame(0x0A01_0001, 0x0A01_0099, 1)); // back out the same trunk
+        t1.send(frame(0x0A01_0001, 0xDEAD_0000, 2)); // no route at all
+        tor.step(0);
+        assert_eq!(tor.hairpins(), 1);
+        assert_eq!(tor.unroutable(), 1);
+        assert!(t1.recv().is_none());
+    }
+
+    /// A detour route steers one address off its home trunk and onto
+    /// another host's trunk — the warm-migration reroute — removing it
+    /// restores longest-prefix routing, and detaching the trunk removes it.
+    #[test]
+    fn detour_route_overrides_prefix_and_is_removable() {
+        let mut tor: TorSwitch<u32> = TorSwitch::new();
+        let mut t1 = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
+        let mut t2 = tor.attach_trunk(0x0A02_0000, HOST_MASK, LinkConfig::ideal());
+        let gw = tor.attach_endpoint(0xC0A8_0001, LinkConfig::ideal());
+
+        // The migrated address 10.1.0.1 now lives behind host 2's trunk.
+        assert!(tor.add_route_via(0x0A01_0001, u32::MAX, 0x0A02_0000));
+        assert!(!tor.add_route_via(0x0A01_0001, u32::MAX, 0xDEAD_0000));
+
+        gw.send(frame(0xC0A8_0001, 0x0A01_0001, 1)); // rerouted address
+        gw.send(frame(0xC0A8_0001, 0x0A01_0002, 2)); // rest of the block
+        tor.step(0);
+        assert_eq!(t2.recv().unwrap().payload, 1, "detour wins over the /16");
+        assert_eq!(t1.recv().unwrap().payload, 2);
+
+        // Rollback: the /32 goes away and the block routes whole again.
+        assert!(tor.remove_route(0x0A01_0001, u32::MAX));
+        assert!(!tor.remove_route(0x0A01_0001, u32::MAX));
+        gw.send(frame(0xC0A8_0001, 0x0A01_0001, 3));
+        tor.step(0);
+        assert_eq!(t1.recv().unwrap().payload, 3);
+
+        // A dead trunk takes the detours riding it along, and nothing else.
+        assert!(tor.add_route_via(0x0A01_0001, u32::MAX, 0x0A02_0000));
+        assert!(tor.add_route_via(0x0A01_0002, u32::MAX, 0xC0A8_0001));
+        assert_eq!(tor.detach_trunk(0x0A02_0000, HOST_MASK), 2);
+        assert_eq!(tor.detach_trunk(0x0A02_0000, HOST_MASK), 0);
+        assert_eq!(tor.routes(), 3, "t1, the endpoint and its detour stay");
+    }
+
+    /// The delivery tap sees every delivered frame, in route order.
+    #[test]
+    fn step_with_taps_delivered_frames() {
+        let mut tor: TorSwitch<u32> = TorSwitch::new();
+        let mut t1 = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
+        let mut t2 = tor.attach_trunk(0x0A02_0000, HOST_MASK, LinkConfig::ideal());
+        t1.send(frame(0x0A01_0001, 0x0A02_0007, 11));
+        t1.send(frame(0x0A01_0001, 0x0A02_0008, 12));
+        let mut tapped = Vec::new();
+        let delivered = tor.step_with(0, |f| tapped.push((f.dst, f.payload)));
+        assert_eq!(delivered, 2);
+        assert_eq!(tapped, vec![(0x0A02_0007, 11), (0x0A02_0008, 12)]);
+        assert_eq!(t2.recv().unwrap().payload, 11);
+    }
+
+    /// Downlink latency applies on the way towards a trunk.
+    #[test]
+    fn trunk_link_latency_applies() {
+        let mut tor: TorSwitch<u32> = TorSwitch::new();
+        let mut t1 = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
+        let mut t2 = tor.attach_trunk(
+            0x0A02_0000,
+            HOST_MASK,
+            LinkConfig::ideal().with_latency_us(50),
+        );
+        t1.send(frame(0x0A01_0001, 0x0A02_0001, 5));
+        tor.step(0);
+        assert!(t2.recv().is_none());
+        tor.step(50_000);
+        assert_eq!(t2.recv().unwrap().payload, 5);
+    }
+
+    /// Two host switches wired through the ToR: a frame crosses host A's
+    /// switch → uplink → ToR → host B's uplink → host B's switch → port.
+    #[test]
+    fn end_to_end_across_two_host_switches() {
+        let mut tor: TorSwitch<u32> = TorSwitch::new();
+        let mut sw_a: VirtualSwitch<u32> = VirtualSwitch::new();
+        let mut sw_b: VirtualSwitch<u32> = VirtualSwitch::new();
+        let trunk = |tor: &mut TorSwitch<u32>, prefix| {
+            tor.attach_trunk(prefix, HOST_MASK, LinkConfig::ideal())
+        };
+        sw_a.set_uplink_filtered(trunk(&mut tor, 0x0A01_0000), 0x0A01_0000, HOST_MASK);
+        sw_b.set_uplink_filtered(trunk(&mut tor, 0x0A02_0000), 0x0A02_0000, HOST_MASK);
+        let a = sw_a.attach(0x0A01_0001);
+        let b = sw_b.attach(0x0A02_0001);
+
+        a.send(frame(0x0A01_0001, 0x0A02_0001, 77));
+        sw_a.step(0); // local miss → uplink
+        tor.step(0); // trunk A → trunk B
+        sw_b.step(0); // uplink → local port
+        assert_eq!(b.recv().unwrap().payload, 77);
+        assert_eq!(sw_a.take_uplink_bytes(), (100, 0));
+        assert_eq!(sw_b.take_uplink_bytes(), (0, 100));
+        assert_eq!(sw_a.unroutable() + sw_b.unroutable(), 0);
+
+        // And the reply crosses back.
+        b.send(frame(0x0A02_0001, 0x0A01_0001, 78));
+        sw_b.step(0);
+        tor.step(0);
+        sw_a.step(0);
+        assert_eq!(a.recv().unwrap().payload, 78);
+    }
+
+    /// Replacing a trunk kills the old host end: the ToR neither delivers
+    /// into its port nor drains it any more.
+    #[test]
+    fn reattach_replaces_the_trunk_and_kills_the_old_end() {
+        let mut tor: TorSwitch<u32> = TorSwitch::new();
+        let mut old = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
+        let mut gw_feed = tor.attach_trunk(0x0A02_0000, HOST_MASK, LinkConfig::ideal());
+        let mut new = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
+        assert_eq!(tor.routes(), 2, "re-attach replaced, not duplicated");
+
+        gw_feed.send(frame(0x0A02_0001, 0x0A01_0001, 9));
+        tor.step(0);
+        assert_eq!(new.recv().unwrap().payload, 9, "new end serves the block");
+        assert!(old.recv().is_none(), "old end is dead");
+
+        // Frames the dead end sends are never drained.
+        old.send(frame(0x0A01_0001, 0x0A02_0001, 1));
+        tor.step(0);
+        assert!(gw_feed.recv().is_none());
+    }
+
+    /// A trunk carries both directions in order, each independent of the
+    /// other.
+    #[test]
+    fn trunk_frames_flow_both_directions_in_order() {
+        let (mut host, mut tor) = uplink_pair::<u32>(0x0A01_0000);
+        host.send(frame(1, 0x0A02_0001, 1));
+        host.send(frame(1, 0x0A02_0001, 2));
+        tor.0
+            .deliver_burst(|rx| rx.push_back(frame(1, 0x0A01_0001, 3)));
+        let mut out = Vec::new();
+        assert_eq!(tor.drain_into(&mut out), 2);
+        assert_eq!(out.iter().map(|f| f.payload).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(tor.drain_into(&mut out), 0);
+        tor.0
+            .deliver_burst(|rx| rx.push_back(frame(1, 0x0A01_0001, 4)));
+        assert_eq!(host.recv().unwrap().payload, 3);
+        assert_eq!(host.recv().unwrap().payload, 4);
+        assert!(host.recv().is_none());
+    }
+
+    /// The trunk is a cross-thread edge: one thread sends N frames, singly
+    /// and in bursts, while another drains the ToR side concurrently. Every
+    /// frame arrives exactly once, in send order.
+    #[test]
+    fn a_concurrent_sender_and_drainer_see_every_frame_once_in_order() {
+        const N: u32 = 50_000;
+        let (mut host, mut tor) = uplink_pair::<u32>(0);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut tag = 0;
+                let mut burst = Vec::new();
+                while tag < N {
+                    // Alternate a single frame with a burst of up to 7.
+                    host.send(frame(1, 2, tag));
+                    tag += 1;
+                    burst.extend((tag..N.min(tag + 7)).map(|t| frame(1, 2, t)));
+                    tag += burst.len() as u32;
+                    host.0.send_burst(&mut burst);
+                }
+            });
+            let mut got = Vec::with_capacity(N as usize);
+            while got.len() < N as usize {
+                if tor.drain_into(&mut got) == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            assert!(got.iter().map(|f| f.payload).eq(0..N));
+        });
+    }
+
+    /// One end of a route in the property test, and how frames enter and
+    /// leave the switch through it.
+    enum End {
+        Port(Port<u32>),
+        Trunk(HostUplink<u32>),
+        Uplink(TorUplink<u32>),
+    }
+
+    impl End {
+        fn send(&mut self, f: Frame<u32>) {
+            match self {
+                End::Port(p) => p.send(f),
+                End::Trunk(h) => h.send(f),
+                End::Uplink(t) => t.0.deliver_burst(|rx| rx.push_back(f)),
+            }
+        }
+
+        fn received(&mut self) -> Vec<u32> {
+            let mut out = Vec::new();
+            match self {
+                End::Port(p) => out.extend(std::iter::from_fn(|| p.recv())),
+                End::Trunk(h) => out.extend(std::iter::from_fn(|| h.recv())),
+                End::Uplink(t) => {
+                    t.drain_into(&mut out);
+                }
+            }
+            out.iter().map(|f| f.payload).collect()
+        }
+    }
+
+    /// Seeded random /32, /16 and /0 routes — installed, replaced and
+    /// removed — against a brute-force longest-prefix reference: every
+    /// frame from every live end is delivered to the end of the longest
+    /// matching route, hairpinned when that is the block or default route
+    /// it came in on, and dropped when it is a drop route or nothing.
+    #[test]
+    fn forwarding_matches_a_brute_force_longest_prefix_reference() {
+        // Frames delivered, hairpinned and dropped over all seeds.
+        let mut seen = [0; 3];
+        for seed in 1..=40u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut sw: VirtualSwitch<u32> = VirtualSwitch::new();
+            let mut ends: Vec<End> = Vec::new();
+            // (prefix, mask) → the end a route delivers into, or a drop route.
+            let mut table: BTreeMap<(u32, u32), Option<usize>> = BTreeMap::new();
+            let addr = |rng: &mut SplitMix64| {
+                0x0A00_0000 | (rng.next_below(4) as u32) << 16 | rng.next_below(6) as u32
+            };
+            for _ in 0..12 {
+                let a = addr(&mut rng);
+                match rng.next_below(8) {
+                    0..=3 => {
+                        ends.push(End::Port(sw.attach(a)));
+                        table.insert((a, u32::MAX), Some(ends.len() - 1));
+                    }
+                    4 | 5 => {
+                        let prefix = a & HOST_MASK;
+                        ends.push(End::Trunk(sw.attach_trunk(
+                            prefix,
+                            HOST_MASK,
+                            LinkConfig::ideal(),
+                        )));
+                        table.insert((prefix, HOST_MASK), Some(ends.len() - 1));
+                    }
+                    6 => {
+                        let (host_end, tor_end) = uplink_pair(0);
+                        sw.set_uplink_filtered(host_end, a, HOST_MASK);
+                        ends.push(End::Uplink(tor_end));
+                        table.insert((a & HOST_MASK, HOST_MASK), None);
+                        table.insert((0, 0), Some(ends.len() - 1));
+                    }
+                    _ => {
+                        let mask = [u32::MAX, HOST_MASK][rng.next_below(2) as usize];
+                        let removed = table.remove(&(a & mask, mask)).is_some();
+                        assert_eq!(sw.remove_route(a, mask), removed);
+                    }
+                }
+            }
+            assert_eq!(sw.routes(), table.len());
+            let live: Vec<usize> = table.values().flatten().copied().collect();
+            if live.is_empty() {
+                continue;
+            }
+            let mut expected: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+            let (mut hairpins, mut dropped) = (0, 0);
+            for tag in 0..200 {
+                let from = live[rng.next_below(live.len() as u64) as usize];
+                let dst = if rng.chance(0.1) {
+                    rng.next_u64() as u32
+                } else {
+                    addr(&mut rng)
+                };
+                let best = table
+                    .iter()
+                    .filter(|((prefix, mask), _)| dst & mask == *prefix)
+                    .max_by_key(|((_, mask), _)| *mask);
+                match best {
+                    Some(((_, mask), Some(end))) if *end == from && *mask != u32::MAX => {
+                        hairpins += 1
+                    }
+                    Some((_, Some(end))) => expected.entry(*end).or_default().push(tag),
+                    _ => dropped += 1,
+                }
+                ends[from].send(frame(0, dst, tag));
+            }
+            sw.step(0);
+            for (i, end) in ends.iter_mut().enumerate() {
+                let mut got = end.received();
+                got.sort_unstable();
+                let want = expected.remove(&i).unwrap_or_default();
+                assert_eq!(got, want, "seed {seed}: end {i}");
+            }
+            assert_eq!(
+                (sw.hairpins(), sw.unroutable()),
+                (hairpins, dropped),
+                "seed {seed}"
+            );
+            seen[0] += 200 - hairpins - dropped;
+            seen[1] += hairpins;
+            seen[2] += dropped;
+        }
+        assert!(
+            seen.iter().all(|&n| n > 100),
+            "every outcome is exercised: {seen:?}"
+        );
     }
 }

@@ -13,8 +13,7 @@ use crate::lanes::ReportEdge;
 use crate::sched::SchedStats;
 use nk_ctrl::ControlPlane;
 use nk_engine::CoreEngine;
-use nk_fabric::switch::VirtualSwitch;
-use nk_fabric::uplink::HostUplink;
+use nk_fabric::{HostUplink, VirtualSwitch};
 use nk_guest::GuestLib;
 use nk_netstack::{Segment, StackConfig, TcpStack};
 use nk_obs::HostFeed;
@@ -792,6 +791,41 @@ mod tests {
         let n = g1.recv(conn, &mut buf).unwrap();
         assert_eq!(&buf[..n], b"colocated traffic");
         assert_eq!(host.shm_stats(NsmId(1)).unwrap().pairs, 1);
+    }
+
+    /// Two VMs on one kernel NSM reach each other through its vNIC, with
+    /// the host's block and uplink routes installed as in a cluster: the
+    /// NSM's frames to its own address come back in on its /32 route and
+    /// are delivered, never dropped as a hairpin, and nothing leaves the
+    /// host.
+    #[test]
+    fn two_vms_on_one_nsm_echo_through_its_own_vnic() {
+        let mut host = kernel_host(1, 2, 1);
+        host.connect_uplink(nk_fabric::uplink_pair(0).0);
+        let ip = host.nsm_addr(NsmId(1));
+        let g1 = host.guest_mut(VmId(1)).unwrap();
+        let ls = g1.socket().unwrap();
+        g1.bind(ls, SockAddr::new(ip, 80)).unwrap();
+        g1.listen(ls, 8).unwrap();
+        let g2 = host.guest_mut(VmId(2)).unwrap();
+        let cs = g2.socket().unwrap();
+        g2.connect(cs, SockAddr::new(ip, 80)).unwrap();
+        host.run(20, 100_000);
+        let g2 = host.guest_mut(VmId(2)).unwrap();
+        assert!(g2.poll(cs).writable(), "connect did not complete");
+        g2.send(cs, b"one vNIC, two VMs").unwrap();
+        host.run(20, 100_000);
+
+        let g1 = host.guest_mut(VmId(1)).unwrap();
+        let (conn, _) = g1.accept(ls).unwrap();
+        let mut buf = [0u8; 64];
+        let n = g1.recv(conn, &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"one vNIC, two VMs");
+        g1.send(conn, &buf[..n]).unwrap();
+        host.run(20, 100_000);
+        let n = host.guest_mut(VmId(2)).unwrap().recv(cs, &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"one vNIC, two VMs");
+        assert_eq!(host.take_uplink_bytes(), (0, 0), "nothing left the host");
     }
 
     #[test]

@@ -92,29 +92,6 @@ impl<T> Producer<T> {
         self.inner.buf.len()
     }
 
-    /// Number of elements currently queued (approximate from the producer's
-    /// point of view; exact when the consumer is idle).
-    pub fn len(&self) -> usize {
-        let tail = self.inner.tail.0.load(Ordering::Relaxed);
-        let head = self.inner.head.0.load(Ordering::Acquire);
-        tail - head
-    }
-
-    /// True when no element is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when the ring is full.
-    pub fn is_full(&self) -> bool {
-        self.len() == self.capacity()
-    }
-
-    /// Free slots available to the producer right now.
-    pub fn free(&self) -> usize {
-        self.capacity() - self.len()
-    }
-
     /// Push one element. Returns `Err(value)` when the ring is full, handing
     /// the value back to the caller.
     pub fn push(&mut self, value: T) -> Result<(), T> {
@@ -134,39 +111,12 @@ impl<T> Producer<T> {
         self.inner.tail.0.store(tail + 1, Ordering::Release);
         Ok(())
     }
-
-    /// Push as many elements from `iter` as fit; returns how many were
-    /// enqueued. The paper's NK devices and CoreEngine batch NQEs in exactly
-    /// this fashion (§4.6 "Batching").
-    pub fn push_batch<I: IntoIterator<Item = T>>(&mut self, iter: I) -> usize {
-        let mut n = 0;
-        for v in iter {
-            if self.push(v).is_err() {
-                break;
-            }
-            n += 1;
-        }
-        n
-    }
 }
 
 impl<T> Consumer<T> {
     /// Capacity of the ring.
     pub fn capacity(&self) -> usize {
         self.inner.buf.len()
-    }
-
-    /// Number of elements currently queued (approximate from the consumer's
-    /// point of view).
-    pub fn len(&self) -> usize {
-        let tail = self.inner.tail.0.load(Ordering::Acquire);
-        let head = self.inner.head.0.load(Ordering::Relaxed);
-        tail - head
-    }
-
-    /// True when no element is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Pop one element, or `None` when the ring is empty.
@@ -187,23 +137,9 @@ impl<T> Consumer<T> {
         Some(value)
     }
 
-    /// Look at the next element without consuming it.
-    pub fn peek(&mut self) -> Option<&T> {
-        let head = self.inner.head.0.load(Ordering::Relaxed);
-        if head == self.cached_tail {
-            self.cached_tail = self.inner.tail.0.load(Ordering::Acquire);
-            if head == self.cached_tail {
-                return None;
-            }
-        }
-        let slot = &self.inner.buf[head % self.capacity()];
-        // SAFETY: same argument as `pop`, but the element is only borrowed;
-        // the borrow ends before any further `pop` can free the slot because
-        // `peek` takes `&mut self`.
-        Some(unsafe { (*slot.get()).assume_init_ref() })
-    }
-
     /// Pop up to `max` elements into `out`; returns how many were popped.
+    /// The paper's NK devices and CoreEngine batch NQEs in exactly this
+    /// fashion (§4.6 "Batching").
     pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         let mut n = 0;
         while n < max {
@@ -247,13 +183,11 @@ mod tests {
         for i in 0..8 {
             tx.push(i).unwrap();
         }
-        assert!(tx.is_full());
         assert_eq!(tx.push(99), Err(99));
         for i in 0..8 {
             assert_eq!(rx.pop(), Some(i));
         }
         assert_eq!(rx.pop(), None);
-        assert!(rx.is_empty());
     }
 
     #[test]
@@ -265,49 +199,20 @@ mod tests {
             assert_eq!(rx.pop(), Some(round * 2));
             assert_eq!(rx.pop(), Some(round * 2 + 1));
         }
-        assert!(rx.is_empty());
+        assert_eq!(rx.pop(), None);
     }
 
     #[test]
-    fn peek_does_not_consume() {
-        let (mut tx, mut rx) = channel(4);
-        tx.push(7).unwrap();
-        assert_eq!(rx.peek(), Some(&7));
-        assert_eq!(rx.peek(), Some(&7));
-        assert_eq!(rx.pop(), Some(7));
-        assert_eq!(rx.peek(), None);
-    }
-
-    #[test]
-    fn batch_push_pop() {
+    fn batch_pop() {
         let (mut tx, mut rx) = channel(16);
-        let n = tx.push_batch(0..10);
-        assert_eq!(n, 10);
+        for i in 0..10 {
+            tx.push(i).unwrap();
+        }
         let mut out = Vec::new();
         assert_eq!(rx.pop_batch(&mut out, 4), 4);
         assert_eq!(out, vec![0, 1, 2, 3]);
         assert_eq!(rx.pop_batch(&mut out, 100), 6);
         assert_eq!(out.len(), 10);
-    }
-
-    #[test]
-    fn batch_push_stops_at_capacity() {
-        let (mut tx, _rx) = channel(4);
-        assert_eq!(tx.push_batch(0..100), 4);
-        assert!(tx.is_full());
-        assert_eq!(tx.free(), 0);
-    }
-
-    #[test]
-    fn len_tracks_occupancy() {
-        let (mut tx, mut rx) = channel(8);
-        assert_eq!(tx.len(), 0);
-        tx.push(1).unwrap();
-        tx.push(2).unwrap();
-        assert_eq!(tx.len(), 2);
-        assert_eq!(rx.len(), 2);
-        rx.pop();
-        assert_eq!(rx.len(), 1);
     }
 
     /// The tightest ring: every push wraps. Exercises the cached-index
@@ -317,7 +222,6 @@ mod tests {
         let (mut tx, mut rx) = channel(1);
         for i in 0..100u32 {
             tx.push(i).unwrap();
-            assert!(tx.is_full());
             assert_eq!(tx.push(u32::MAX), Err(u32::MAX));
             assert_eq!(rx.pop(), Some(i));
             assert_eq!(rx.pop(), None);
@@ -350,13 +254,13 @@ mod tests {
     fn repeated_fill_drain_cycles_with_stale_caches() {
         let (mut tx, mut rx) = channel(8);
         for round in 0..50u32 {
-            assert_eq!(tx.push_batch((0..100).map(|i| round * 100 + i)), 8);
-            assert!(tx.is_full());
+            let pushed = (0..100).take_while(|i| tx.push(round * 100 + i).is_ok());
+            assert_eq!(pushed.count(), 8);
             let mut out = Vec::new();
             assert_eq!(rx.pop_batch(&mut out, 100), 8);
             assert_eq!(out[0], round * 100);
             assert_eq!(out[7], round * 100 + 7);
-            assert!(rx.is_empty());
+            assert_eq!(rx.pop(), None);
         }
     }
 

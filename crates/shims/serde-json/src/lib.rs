@@ -10,6 +10,10 @@
 
 use serde::{Deserialize, Error, Serialize, Value};
 
+/// Deepest array/object nesting [`from_str`] accepts: far above any derived
+/// type, far below what would overflow the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Serialize a value to compact JSON.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
@@ -29,6 +33,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -126,6 +131,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -175,8 +182,20 @@ impl Parser<'_> {
                 "nan" => Value::Float(f64::NAN),
                 _ => Value::String(s),
             }),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ))),
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(Error(format!("unexpected input at offset {}", self.pos))),
         }
@@ -315,14 +334,41 @@ impl Parser<'_> {
             text.parse::<f64>()
                 .map(Value::Float)
                 .map_err(|_| Error(format!("invalid number {text:?}")))
-        } else if let Some(rest) = text.strip_prefix('-') {
-            rest.parse::<i64>()
-                .map(|n| Value::Int(-n))
+        } else if text.starts_with('-') {
+            text.parse::<i64>()
+                .map(Value::Int)
                 .map_err(|_| Error(format!("invalid number {text:?}")))
         } else {
             text.parse::<u64>()
                 .map(Value::Uint)
                 .map_err(|_| Error(format!("invalid number {text:?}")))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Hostile nesting is a typed error, not a stack overflow that kills
+    /// the process; nesting up to the bound still parses.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = from_str::<Value>(&open.repeat(100_000)).unwrap_err();
+            assert!(err.0.contains("nesting deeper than 128"), "{}", err.0);
+        }
+        let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    /// Every `i64` written by `to_string` reads back, the most negative one
+    /// included (its magnitude does not fit an `i64`).
+    #[test]
+    fn every_i64_round_trips() {
+        for n in [i64::MIN, i64::MIN + 1, -1, 0, i64::MAX] {
+            assert_eq!(from_str::<i64>(&to_string(&n).unwrap()).unwrap(), n);
         }
     }
 }

@@ -6,7 +6,9 @@
 # of two drives inside one run, so the machine's speed cancels; the second
 # is a count. Over the wait-free queue the run read tor/vswitch 2.28-2.43
 # and allocs_per_op 4.93-4.94 on three seeds; as a port, 1.06-1.07 and
-# 3.64-3.65.
+# 3.64-3.65. Since the ToR and the host vSwitch became one route table the
+# ratio compares one forwarding loop with itself (8 trunk routes against 2
+# vNIC routes), so it guards the trunk-as-port hand-off, not a second loop.
 #   fabric.tor_ns_per_frame  <= 1.6 x fabric.vswitch_ns_per_frame
 #   host.allocs_per_op       <= 4.3
 #   trace.wired_matches_host == 1     (the traced host is the real host)
