@@ -4,17 +4,13 @@ use crate::sockstate::{GuestSocket, GuestSocketState, RxChunk};
 use nk_queue::{NkDevice, RequesterEnd};
 use nk_shmem::HugepageRegion;
 use nk_types::api::{EpollEvent, ShutdownHow};
+use nk_types::constants::NSM_SOCKET_ID_BASE;
 use nk_types::migrate::GuestSockSnapshot;
 use nk_types::{
     DataHandle, NkError, NkResult, Nqe, OpResult, OpType, PollEvents, QueueSetId, SockAddr,
     SocketApi, SocketId, VmId,
 };
 use std::collections::BTreeMap;
-
-/// Guest-allocated socket ids live below this bit; ids with the bit set are
-/// allocated by ServiceLib for accepted connections, so the two sides never
-/// collide without a round trip (§4.6 pipelining).
-pub const NSM_SOCKET_ID_BASE: u32 = 0x8000_0000;
 
 /// Statistics exposed by GuestLib.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -17,64 +17,12 @@ use nk_fabric::{HostUplink, VirtualSwitch};
 use nk_guest::GuestLib;
 use nk_netstack::{Segment, StackConfig, TcpStack};
 use nk_obs::HostFeed;
-use nk_service::{Nsm, SharedMemNsm};
-use nk_shmem::HugepageRegion;
+use nk_service::Nsm;
 use nk_sim::{CorePool, CostModel, Pollable, PoolMember};
 use nk_types::addr::nsm_ip_on;
 use nk_types::faults::{FaultAction, FaultPlan};
 use nk_types::{ControlEvent, HostConfig, HostId, NkResult, NsmId, VmId};
 use std::collections::BTreeMap;
-
-pub(crate) enum NsmInstance {
-    /// Both variants are boxed: the instances are large (a TCP NSM carries
-    /// a whole stack) and live in a map the host iterates every step.
-    Tcp(Box<Nsm>),
-    SharedMem(Box<SharedMemNsm>),
-}
-
-impl NsmInstance {
-    /// Register a VM (and its hugepage region) with whichever NSM flavour
-    /// this is.
-    pub(crate) fn add_vm(&mut self, vm: VmId, region: HugepageRegion) {
-        match self {
-            NsmInstance::Tcp(n) => n.add_vm(vm, region),
-            NsmInstance::SharedMem(n) => n.add_vm(vm, region),
-        }
-    }
-
-    /// Detach a VM's region mapping (and any leftover per-VM state).
-    pub(crate) fn remove_vm(&mut self, vm: VmId) {
-        match self {
-            NsmInstance::Tcp(n) => n.remove_vm(vm),
-            NsmInstance::SharedMem(n) => n.remove_vm(vm),
-        }
-    }
-
-    /// True while the instance holds state for the VM.
-    pub(crate) fn has_vm(&self, vm: VmId) -> bool {
-        match self {
-            NsmInstance::Tcp(n) => n.serves_vm(vm),
-            NsmInstance::SharedMem(n) => n.has_vm(vm),
-        }
-    }
-
-    /// The VMs whose regions are wired into the instance, in id order.
-    pub(crate) fn wired_vms(&self) -> Vec<VmId> {
-        match self {
-            NsmInstance::Tcp(n) => n.wired_vms(),
-            NsmInstance::SharedMem(n) => n.wired_vms(),
-        }
-    }
-}
-
-impl Pollable for NsmInstance {
-    fn poll(&mut self, now_ns: u64) -> usize {
-        match self {
-            NsmInstance::Tcp(n) => Pollable::poll(n.as_mut(), now_ns),
-            NsmInstance::SharedMem(n) => Pollable::poll(n.as_mut(), now_ns),
-        }
-    }
-}
 
 /// Everything the host keeps about one VM, so retiring it is one `remove`
 /// (the engine's half is the VM's port in [`CoreEngine`], dropped the same
@@ -96,7 +44,7 @@ pub struct NetKernelHost {
     pub(crate) switch: VirtualSwitch<Segment>,
     pub(crate) engine: CoreEngine,
     pub(crate) vms: BTreeMap<VmId, VmSlot>,
-    pub(crate) nsms: BTreeMap<NsmId, NsmInstance>,
+    pub(crate) nsms: BTreeMap<NsmId, Nsm>,
     /// Foreign addresses adopted by a local NSM's vNIC for warm-migrated
     /// connections: alias address → owning NSM.
     pub(crate) aliases: BTreeMap<u32, NsmId>,
@@ -280,18 +228,12 @@ impl NetKernelHost {
 
     /// ServiceLib statistics of a TCP-stack NSM.
     pub fn nsm_service_stats(&self, nsm: NsmId) -> Option<nk_service::ServiceStats> {
-        match self.nsms.get(&nsm) {
-            Some(NsmInstance::Tcp(n)) => Some(n.service_stats()),
-            _ => None,
-        }
+        self.nsms.get(&nsm)?.service_stats()
     }
 
     /// Shared-memory NSM statistics, when `nsm` is one.
-    pub fn shm_stats(&self, nsm: NsmId) -> Option<nk_service::sharedmem::SharedMemStats> {
-        match self.nsms.get(&nsm) {
-            Some(NsmInstance::SharedMem(n)) => Some(n.stats()),
-            _ => None,
-        }
+    pub fn shm_stats(&self, nsm: NsmId) -> Option<nk_service::SharedMemStats> {
+        self.nsms.get(&nsm)?.shm_stats()
     }
 
     /// Per-VM CoreEngine switching statistics.

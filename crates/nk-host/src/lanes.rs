@@ -37,8 +37,9 @@
 //! drains reports in lane-key order. Any thread count therefore produces
 //! byte-identical state to the serial whole-host poll.
 
-use crate::host::{NetKernelHost, NsmInstance};
+use crate::host::NetKernelHost;
 use nk_engine::CoreEngine;
+use nk_service::Nsm;
 use nk_sim::{Pollable, PoolMember};
 use nk_types::{NsmId, VmId};
 use std::collections::BTreeMap;
@@ -109,7 +110,7 @@ pub struct ShareLane {
     /// The group's slice of the CoreEngine.
     pub(crate) engine: CoreEngine,
     /// The group's NSM instances, polled in ascending id order.
-    pub(crate) members: BTreeMap<NsmId, NsmInstance>,
+    pub(crate) members: BTreeMap<NsmId, Nsm>,
     /// The reports of the round being polled, handed to `edge` at its end.
     pub(crate) reports: Vec<LaneReport>,
     /// Report edge to the host hub.
@@ -165,7 +166,7 @@ impl Pollable for ShareLane {
 /// non-zero work count handed to `sink`. Returns the work done.
 fn poll_group(
     engine: &mut CoreEngine,
-    nsms: &mut BTreeMap<NsmId, NsmInstance>,
+    nsms: &mut BTreeMap<NsmId, Nsm>,
     now_ns: u64,
     mut sink: impl FnMut(LaneReport),
 ) -> usize {

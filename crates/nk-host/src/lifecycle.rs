@@ -7,13 +7,13 @@
 //! (`export_vm_warm` / `import_vm_warm`), share retirement and link
 //! degradation. All of it runs between poll phases, on the whole host.
 
-use crate::host::{NetKernelHost, NsmInstance, VmSlot};
+use crate::host::{NetKernelHost, VmSlot};
 use nk_fabric::link::LinkConfig;
 use nk_guest::GuestLib;
 use nk_netstack::cc::CcAlgorithm;
 use nk_netstack::{StackConfig, TcpStack};
 use nk_queue::{queue_set_pair, NkDevice, WakeState};
-use nk_service::{Nsm, ServiceLib, SharedMemNsm};
+use nk_service::{Nsm, ServiceLib, SharedMemNsm, TcpNsm};
 use nk_shmem::HugepageRegion;
 use nk_sim::PoolMember;
 use nk_types::faults::LinkFault;
@@ -47,7 +47,7 @@ impl NetKernelHost {
             }
         }
         for (addr, owner) in &self.aliases {
-            let live = matches!(self.nsms.get(owner), Some(NsmInstance::Tcp(_)));
+            let live = matches!(self.nsms.get(owner), Some(Nsm::Tcp(_)));
             let forwarded = self.switch.link_stats(*addr).is_some();
             assert!(live && forwarded, "alias {addr:#x} of {owner:?} dangles");
         }
@@ -141,9 +141,7 @@ impl NetKernelHost {
         let device = NkDevice::new(service_ends, WakeState::new());
         let batch = self.cfg.batch_size;
         let instance = match nsm_cfg.stack {
-            StackKind::SharedMem => {
-                NsmInstance::SharedMem(Box::new(SharedMemNsm::new(nsm_cfg.id, device, batch)))
-            }
+            StackKind::SharedMem => Nsm::SharedMem(Box::new(SharedMemNsm::new(device, batch))),
             kind => {
                 let ip = self.nsm_addr(nsm_cfg.id);
                 let port = self.switch.attach_with_link(
@@ -155,7 +153,7 @@ impl NetKernelHost {
                     .with_ephemeral_generation(generation);
                 let stack = TcpStack::new(stack_cfg, port);
                 let service = ServiceLib::new(nsm_cfg.id, device, batch);
-                NsmInstance::Tcp(Box::new(Nsm::new(nsm_cfg.id, kind, service, stack)))
+                Nsm::Tcp(Box::new(TcpNsm::new(kind, service, stack)))
             }
         };
         self.nsms.insert(nsm_cfg.id, instance);
@@ -172,7 +170,7 @@ impl NetKernelHost {
     /// migrated. Returns the number of connections reset.
     pub fn crash_nsm(&mut self, nsm: NsmId) -> NkResult<usize> {
         let instance = self.nsms.remove(&nsm).ok_or(NkError::NotFound)?;
-        if matches!(instance, NsmInstance::Tcp(_)) {
+        if matches!(instance, Nsm::Tcp(_)) {
             self.switch.detach(self.nsm_addr(nsm));
         }
         drop(instance);
@@ -335,7 +333,7 @@ impl NetKernelHost {
         // serves any connection on them are dropped: a stale alias would
         // shadow a later adoption of the same address by a different NSM.
         self.drop_aliases(|host, addr, owner| match host.nsms.get(&owner) {
-            Some(NsmInstance::Tcp(n)) => !n.stack().serves_ip(addr),
+            Some(Nsm::Tcp(n)) => !n.stack().serves_ip(addr),
             _ => true,
         });
         self.audit_census();
@@ -418,7 +416,7 @@ impl NetKernelHost {
         }
         self.engine.vm_entries(vm).iter().all(|(_, entry)| {
             match (entry.nsm_socket, self.nsms.get(&entry.nsm)) {
-                (Some(sock), Some(NsmInstance::Tcp(n))) => n.stack().conn_quiet(sock),
+                (Some(sock), Some(Nsm::Tcp(n))) => n.stack().conn_quiet(sock),
                 // Handshake still completing at the NQE level, or a
                 // non-TCP share: not a clean cut yet.
                 (None, _) => false,
@@ -466,14 +464,14 @@ impl NetKernelHost {
         // Pre-validation pass over every layer the destructive phase will
         // touch: nothing is torn out until the whole export is known to
         // succeed, so a refusal leaves the VM serving untouched.
-        if !matches!(self.nsms.get(&from_nsm), Some(NsmInstance::Tcp(_))) {
+        if !matches!(self.nsms.get(&from_nsm), Some(Nsm::Tcp(_))) {
             return Err(NkError::InvalidState);
         }
         for (key, entry) in &entries {
             if entry.nsm != from_nsm || entry.nsm_socket.is_none() {
                 return Err(NkError::InvalidState);
             }
-            let Some(NsmInstance::Tcp(n)) = self.nsms.get(&entry.nsm) else {
+            let Some(Nsm::Tcp(n)) = self.nsms.get(&entry.nsm) else {
                 return Err(NkError::InvalidState);
             };
             // The stack connection must be post-handshake; an embryonic or
@@ -497,7 +495,7 @@ impl NetKernelHost {
         // the checks above.
         let mut conns = Vec::new();
         for (key, _entry) in self.engine.extract_vm_entries(vm) {
-            let Some(NsmInstance::Tcp(n)) = self.nsms.get_mut(&from_nsm) else {
+            let Some(Nsm::Tcp(n)) = self.nsms.get_mut(&from_nsm) else {
                 unreachable!("validated above");
             };
             let (tcp, pending_send, rx_outstanding) = n.export_conn(vm, key.socket)?;
@@ -535,7 +533,7 @@ impl NetKernelHost {
             self.import_fail_budget -= 1;
             return Err(NkError::NsmUnavailable);
         }
-        if !matches!(self.nsms.get(&nsm), Some(NsmInstance::Tcp(_))) {
+        if !matches!(self.nsms.get(&nsm), Some(Nsm::Tcp(_))) {
             return Err(NkError::NotFound);
         }
         // A transplanted address may be adopted as an alias only when it is
@@ -568,7 +566,7 @@ impl NetKernelHost {
                     break;
                 }
             };
-            let Some(NsmInstance::Tcp(n)) = self.nsms.get_mut(&nsm) else {
+            let Some(Nsm::Tcp(n)) = self.nsms.get_mut(&nsm) else {
                 unreachable!("validated above");
             };
             let stack_sock = match n.install_conn(vm, conn, nsm_qs.raw() as usize) {
@@ -597,7 +595,7 @@ impl NetKernelHost {
             if ip != self.nsm_addr(nsm) && self.aliases.get(&ip) != Some(&nsm) {
                 // Attach — or re-point a stale mapping left by an earlier
                 // warm hop — onto this NSM's vNIC port.
-                let Some(NsmInstance::Tcp(n)) = self.nsms.get(&nsm) else {
+                let Some(Nsm::Tcp(n)) = self.nsms.get(&nsm) else {
                     unreachable!("validated above");
                 };
                 let port = n.stack().port().clone();
@@ -620,7 +618,7 @@ impl NetKernelHost {
             // adopted aliases detach, and the identity import retires.
             self.engine.extract_vm_entries(vm);
             for guest_sock in installed {
-                if let Some(NsmInstance::Tcp(n)) = self.nsms.get_mut(&nsm) {
+                if let Some(Nsm::Tcp(n)) = self.nsms.get_mut(&nsm) {
                     let _ = n.export_conn(vm, guest_sock);
                 }
             }

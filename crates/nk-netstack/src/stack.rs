@@ -86,8 +86,6 @@ pub enum StackEvent {
     Acceptable(SocketId),
     /// New in-order data is available on a connection.
     Readable(SocketId),
-    /// Send-buffer space became available again.
-    Writable(SocketId),
     /// The peer closed its write side (EOF after draining data).
     PeerClosed(SocketId),
 }
@@ -148,8 +146,6 @@ struct ConnSlot {
     /// Deadline of this socket's one entry in `timers`. Never later than
     /// the connection's `next_deadline()` once it has been polled.
     armed: Option<u64>,
-    /// `writable()` at the last poll, for the Writable edge.
-    was_writable: bool,
     /// The listener whose SYN created this connection, while it is still
     /// embryonic (counted in that listener's `embryonic`).
     parent: Option<SocketId>,
@@ -843,7 +839,6 @@ impl TcpStack {
             conn,
             queued: true,
             armed: None,
-            was_writable: false,
             parent,
         };
         self.sockets.insert(id, SocketEntry::Conn(Box::new(slot)));
@@ -950,9 +945,6 @@ impl TcpStack {
                     self.timers.insert((deadline, id));
                 }
             }
-            // Edge-detect the writable transition for Writable events.
-            let writable = slot.conn.writable();
-            let was = std::mem::replace(&mut slot.was_writable, writable);
             // A closed connection stays while the application has unread
             // bytes; only connections nobody is waiting on are reaped.
             if slot.conn.is_closed() && slot.conn.recv_available() == 0 {
@@ -974,9 +966,6 @@ impl TcpStack {
             for seg in segs.drain(..) {
                 count += 1;
                 self.emit(seg);
-            }
-            if writable && !was {
-                self.events.push_back(StackEvent::Writable(id));
             }
         }
         self.tx_scratch = segs;
@@ -1019,7 +1008,6 @@ impl TcpStack {
                 out.is_empty()
                     && c.is_closed() == closed
                     && !(closed && c.recv_available() == 0)
-                    && c.writable() == slot.was_writable
                     && c.next_deadline() == deadline
                     && !c.needs_poll(),
                 "{id:?} was skipped at {now_ns} ns with work to do: {} segment(s), {:?}",

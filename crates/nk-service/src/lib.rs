@@ -8,11 +8,16 @@
 //!
 //! Provided modules:
 //!
-//! * [`service`] — [`service::ServiceLib`] plus [`service::Nsm`], the generic
-//!   NSM wrapper binding a ServiceLib to a [`nk_netstack::TcpStack`]. The
-//!   same wrapper implements both the *kernel-stack NSM* and the *mTCP NSM*
-//!   (the difference is which cost profile and batching the host charges, and
-//!   how many queue sets / cores it gets);
+//! * [`nsm`] — [`nsm::Nsm`], the one NSM type a host stores, in either
+//!   flavour;
+//! * `frontend` (private) — the NQE ingress both flavours share: the NK
+//!   device, the per-VM hugepage regions, the request drain, respond/reply,
+//!   NSM-allocated guest socket ids and the failed-`Send` rule;
+//! * [`service`] — [`service::ServiceLib`], the TCP flavour's translation
+//!   onto a [`nk_netstack::TcpStack`], and [`service::TcpNsm`] binding the
+//!   two. The kernel-stack, mTCP and fair-share NSMs are all this flavour
+//!   (the difference is which cost profile and batching the host charges,
+//!   and how many queue sets / cores it gets);
 //! * [`sharedmem`] — the shared-memory NSM of use case 4 (§6.4), which copies
 //!   payload hugepage-to-hugepage between colocated VMs and bypasses TCP
 //!   entirely;
@@ -22,9 +27,12 @@
 #![forbid(unsafe_code)]
 
 pub mod fairshare;
+mod frontend;
+pub mod nsm;
 pub mod service;
 pub mod sharedmem;
 
 pub use fairshare::VmWindowRegistry;
-pub use service::{Nsm, ServiceLib, ServiceStats};
-pub use sharedmem::SharedMemNsm;
+pub use nsm::Nsm;
+pub use service::{ServiceLib, ServiceStats, TcpNsm};
+pub use sharedmem::{SharedMemNsm, SharedMemStats};

@@ -1,6 +1,7 @@
 //! ServiceLib: translating NQEs to network-stack calls and back.
 
 use crate::fairshare::VmWindowRegistry;
+use crate::frontend::Frontend;
 use nk_netstack::{StackEvent, TcpStack};
 use nk_queue::{NkDevice, ResponderEnd};
 use nk_shmem::HugepageRegion;
@@ -11,10 +12,6 @@ use nk_types::{
     StackKind, VmId,
 };
 use std::collections::{BTreeMap, VecDeque};
-
-/// Guest socket ids allocated by ServiceLib (for accepted connections) start
-/// at this value so they can never collide with guest-allocated ids.
-pub const NSM_SOCKET_ID_BASE: u32 = 0x8000_0000;
 
 /// Largest chunk of received payload announced to the guest in one NQE.
 const RX_CHUNK: usize = 16 * 1024;
@@ -66,11 +63,9 @@ struct ConnCtx {
 }
 
 /// The NSM-side library translating between NQEs and the network stack
-/// (paper §4.2, §4.5).
+/// (paper §4.2, §4.5): the TCP flavour of the NQE front end.
 pub struct ServiceLib {
-    nsm: NsmId,
-    device: NkDevice<ResponderEnd>,
-    regions: BTreeMap<VmId, HugepageRegion>,
+    pub(crate) front: Frontend,
     /// guest tuple → stack socket; looked up once per request NQE.
     fwd: DetMap<(VmId, SocketId), SocketId>,
     /// stack socket → guest context; looked up once per stack event.
@@ -86,42 +81,26 @@ pub struct ServiceLib {
     rx_ready: Vec<SocketId>,
     /// Per-VM Seawall windows (fair-share NSM only).
     fair_share: Option<VmWindowRegistry>,
-    next_guest_sock: u32,
-    batch: usize,
-    stats: ServiceStats,
-    /// Reusable NQE drain buffer (swapped out during a tick because the
-    /// request handlers need `&mut self`).
-    scratch: Vec<Nqe>,
 }
 
 impl ServiceLib {
-    /// Build a ServiceLib for NSM `nsm` around its NK device.
-    pub fn new(nsm: NsmId, device: NkDevice<ResponderEnd>, batch: usize) -> Self {
+    /// Build a ServiceLib for NSM `_nsm` around its NK device. The id only
+    /// names the NSM at the call site; nothing here reads it.
+    pub fn new(_nsm: NsmId, device: NkDevice<ResponderEnd>, batch: usize) -> Self {
         ServiceLib {
-            nsm,
-            device,
-            regions: BTreeMap::new(),
+            front: Frontend::new(device, batch),
             fwd: DetMap::new(),
             ctx: DetMap::new(),
             pending_send: BTreeMap::new(),
             rx_ready: Vec::new(),
             fair_share: None,
-            next_guest_sock: NSM_SOCKET_ID_BASE,
-            batch: batch.max(1),
-            stats: ServiceStats::default(),
-            scratch: Vec::new(),
         }
-    }
-
-    /// Enable per-VM shared congestion windows (fair-share NSM, §6.2).
-    pub fn enable_fair_share(&mut self) {
-        self.fair_share = Some(VmWindowRegistry::new());
     }
 
     /// Register a VM served by this NSM together with the hugepage region it
     /// shares with us.
     pub fn add_vm(&mut self, vm: VmId, region: HugepageRegion) {
-        self.regions.insert(vm, region);
+        self.front.regions.insert(vm, region);
     }
 
     /// Detach a VM: the region mapping and all translation state of its
@@ -129,7 +108,7 @@ impl ServiceLib {
     /// stale mapping would pin the hugepage region alive in an NSM that no
     /// longer serves the VM.
     pub fn remove_vm(&mut self, vm: VmId, stack: &mut TcpStack) {
-        self.regions.remove(&vm);
+        self.front.regions.remove(&vm);
         let stale: Vec<((VmId, SocketId), SocketId)> = self
             .fwd
             .sorted()
@@ -145,15 +124,10 @@ impl ServiceLib {
         }
     }
 
-    /// The VMs whose regions are mapped here, in id order.
-    pub fn wired_vms(&self) -> Vec<VmId> {
-        self.regions.keys().copied().collect()
-    }
-
     /// True while this ServiceLib holds state for the VM (region mapping or
     /// live sockets).
     pub fn has_vm(&self, vm: VmId) -> bool {
-        self.regions.contains_key(&vm) || self.fwd.any(|(owner, _), _| *owner == vm)
+        self.front.regions.contains_key(&vm) || self.fwd.any(|(owner, _), _| *owner == vm)
     }
 
     // ---- Warm-migration export / install ------------------------------------
@@ -241,65 +215,24 @@ impl ServiceLib {
 
     /// Statistics.
     pub fn stats(&self) -> ServiceStats {
-        self.stats
-    }
-
-    /// The NSM this ServiceLib belongs to.
-    pub fn nsm(&self) -> NsmId {
-        self.nsm
-    }
-
-    fn alloc_guest_sock(&mut self) -> SocketId {
-        let id = SocketId(self.next_guest_sock);
-        self.next_guest_sock += 1;
-        id
-    }
-
-    fn respond(&mut self, nsm_qs: usize, nqe: Nqe) {
-        Self::respond_on(&mut self.device, &mut self.stats, nsm_qs, nqe);
-    }
-
-    /// [`ServiceLib::respond`] for a caller that holds a borrow of another
-    /// field (a connection's context) across the call.
-    fn respond_on(
-        device: &mut NkDevice<ResponderEnd>,
-        stats: &mut ServiceStats,
-        nsm_qs: usize,
-        nqe: Nqe,
-    ) {
-        if let Some(end) = device.queue_set(nsm_qs) {
-            if end.respond(nqe).is_ok() {
-                stats.responses += 1;
-            }
-        }
+        self.front.stats
     }
 
     /// Drain request NQEs from every queue set and apply them to `stack`.
     pub fn process_requests(&mut self, stack: &mut TcpStack, now_ns: u64) -> usize {
         let mut handled = 0;
-        let sets = self.device.queue_sets();
-        let mut buf = std::mem::take(&mut self.scratch);
-        for qs in 0..sets {
-            loop {
-                let n = match self.device.queue_set(qs) {
-                    Some(end) => end.pop_requests(&mut buf, self.batch),
-                    None => 0,
-                };
-                if n == 0 {
-                    break;
-                }
-                for nqe in buf.drain(..) {
-                    self.handle_request(stack, qs, nqe, now_ns);
-                    handled += 1;
-                }
+        let mut batch = std::mem::take(&mut self.front.popped);
+        while let Some(nsm_qs) = self.front.next_batch(&mut batch) {
+            handled += batch.len();
+            for &nqe in &batch {
+                self.handle_request(stack, nsm_qs, nqe, now_ns);
             }
         }
-        self.scratch = buf;
+        self.front.popped = batch;
         handled
     }
 
     fn handle_request(&mut self, stack: &mut TcpStack, nsm_qs: usize, nqe: Nqe, now_ns: u64) {
-        self.stats.requests += 1;
         let key = (nqe.vm, nqe.socket);
         match nqe.op {
             OpType::SocketCreate => {
@@ -315,17 +248,17 @@ impl ServiceLib {
                         rx_outstanding: 0,
                     },
                 );
-                self.reply(nsm_qs, &nqe, Ok(()), sock.raw());
+                self.front.reply(nsm_qs, &nqe, Ok(()), sock.raw());
             }
             OpType::Bind => {
                 let res = self.stack_sock(key).and_then(|s| stack.bind(s, nqe.addr()));
-                self.reply(nsm_qs, &nqe, res, 0);
+                self.front.reply(nsm_qs, &nqe, res, 0);
             }
             OpType::Listen => {
                 let res = self
                     .stack_sock(key)
                     .and_then(|s| stack.listen(s, nqe.op_data as u32));
-                self.reply(nsm_qs, &nqe, res, 0);
+                self.front.reply(nsm_qs, &nqe, res, 0);
             }
             OpType::Connect => {
                 let res = match self.stack_sock(key) {
@@ -338,11 +271,13 @@ impl ServiceLib {
                 // Success is reported only when the handshake completes (the
                 // stack raises a Connected event); failures are immediate.
                 if let Err(e) = res {
-                    self.reply(nsm_qs, &nqe, Err(e), 0);
+                    self.front.reply(nsm_qs, &nqe, Err(e), 0);
                 }
             }
             OpType::Send => {
-                self.handle_send(stack, nsm_qs, &nqe);
+                if let Err(e) = self.handle_send(stack, &nqe) {
+                    self.front.reply(nsm_qs, &nqe, Err(e), 0);
+                }
             }
             OpType::RecvConsumed => {
                 if let Some(ctx) = self.fwd.get(&key).and_then(|s| self.ctx.get_mut(s)) {
@@ -353,7 +288,7 @@ impl ServiceLib {
                 let res = self
                     .stack_sock(key)
                     .and_then(|s| stack.shutdown(s, ShutdownHow::decode(nqe.op_data)));
-                self.reply(nsm_qs, &nqe, res, 0);
+                self.front.reply(nsm_qs, &nqe, res, 0);
             }
             OpType::Close => {
                 let res = match self.stack_sock(key) {
@@ -366,7 +301,7 @@ impl ServiceLib {
                     }
                     Err(e) => Err(e),
                 };
-                self.reply(nsm_qs, &nqe, res, 0);
+                self.front.reply(nsm_qs, &nqe, res, 0);
             }
             OpType::SetSockOpt => {
                 let res = self.stack_sock(key).and_then(|s| {
@@ -376,32 +311,24 @@ impl ServiceLib {
                         op_data::sockopt_value(nqe.op_data),
                     )
                 });
-                self.reply(nsm_qs, &nqe, res, 0);
+                self.front.reply(nsm_qs, &nqe, res, 0);
             }
-            OpType::GetSockOpt | OpType::Accept => {
-                self.reply(nsm_qs, &nqe, Err(NkError::Unsupported), 0);
-            }
-            _ => {}
+            _ => self.front.reply(nsm_qs, &nqe, Err(NkError::Unsupported), 0),
         }
     }
 
-    fn handle_send(&mut self, stack: &mut TcpStack, nsm_qs: usize, nqe: &Nqe) {
-        let key = (nqe.vm, nqe.socket);
-        let Ok(sock) = self.stack_sock(key) else {
-            self.reply(nsm_qs, nqe, Err(NkError::BadSocket), 0);
-            return;
-        };
-        let Some(region) = self.regions.get(&nqe.vm) else {
-            self.reply(nsm_qs, nqe, Err(NkError::NotFound), 0);
-            return;
-        };
+    /// Hand a Send's payload to the stack. An error is answered by the
+    /// caller, which frees the chunk and returns the credit.
+    fn handle_send(&mut self, stack: &mut TcpStack, nqe: &Nqe) -> NkResult<()> {
+        let sock = self.stack_sock((nqe.vm, nqe.socket))?;
+        let region = self.front.regions.get(&nqe.vm).ok_or(NkError::NotFound)?;
         // The one copy §7.8 attributes NetKernel's throughput overhead to:
         // hugepage → stack send buffer, with the chunk lent to the stack in
         // place. Only what the stack had no room for (or everything, when
         // older payload is still queued ahead of it) is copied aside.
         let len = nqe.size as usize;
         let queued_ahead = self.pending_send.get(&sock).is_some_and(|q| !q.is_empty());
-        let lent = region.with_chunk(nqe.data, len, |chunk| {
+        let accepted = region.with_chunk(nqe.data, len, |chunk| {
             let accepted = if queued_ahead {
                 0
             } else {
@@ -412,17 +339,10 @@ impl ServiceLib {
                 queue.chunks.push_back(chunk[accepted..].to_vec());
             }
             accepted
-        });
-        let accepted = match lent {
-            Ok(n) => n,
-            Err(e) => {
-                self.reply(nsm_qs, nqe, Err(e), 0);
-                return;
-            }
-        };
+        })?;
         // The lend just proved the handle live, so the free cannot fail.
         let _ = region.free(nqe.data);
-        self.stats.bytes_tx += len as u64;
+        self.front.stats.bytes_tx += len as u64;
         // Whatever the stack accepted is acknowledged back to the guest as
         // returned send-buffer credit.
         let flushed = if queued_ahead {
@@ -434,20 +354,17 @@ impl ServiceLib {
         if flushed > 0 {
             self.send_credit(sock, flushed);
         }
+        Ok(())
     }
 
     fn stack_sock(&self, key: (VmId, SocketId)) -> NkResult<SocketId> {
         self.fwd.get(&key).copied().ok_or(NkError::BadSocket)
     }
 
-    fn reply(&mut self, nsm_qs: usize, request: &Nqe, res: NkResult<()>, aux: u32) {
-        let result = match &res {
-            Ok(()) => OpResult::Ok,
-            Err(e) => OpResult::Err(*e),
-        };
-        if let Some(comp) = Nqe::completion_for(request, result, aux) {
-            self.respond(nsm_qs, comp);
-        }
+    /// Push an event NQE about `ctx`'s guest socket.
+    fn notify(&mut self, ctx: &ConnCtx, op: OpType, op_data: u64) {
+        let ev = Nqe::new(op, ctx.vm, ctx.vm_qs, ctx.guest_sock).with_op_data(op_data);
+        self.front.respond(ctx.nsm_qs, ev);
     }
 
     fn send_credit(&mut self, sock: SocketId, bytes: usize) {
@@ -457,7 +374,7 @@ impl ServiceLib {
         let mut comp = Nqe::new(OpType::SendComplete, ctx.vm, ctx.vm_qs, ctx.guest_sock);
         comp.op_data = op_data::pack(OpResult::Ok, 0);
         comp.size = bytes as u32;
-        self.respond(ctx.nsm_qs, comp);
+        self.front.respond(ctx.nsm_qs, comp);
     }
 
     /// Push `queue` into the stack until it refuses; returns bytes taken.
@@ -494,34 +411,29 @@ impl ServiceLib {
     /// Turn stack events into NQEs and ship received payload to the guests.
     pub fn process_stack(&mut self, stack: &mut TcpStack, _now_ns: u64) {
         while let Some(event) = stack.pop_event() {
-            match event {
+            let (sock, op, op_data) = match event {
                 StackEvent::Acceptable(listener) => {
                     self.drain_accepts(stack, listener);
+                    continue;
                 }
-                StackEvent::Connected(sock) => {
-                    if let Some(ctx) = self.ctx.get(&sock).copied() {
-                        let mut comp =
-                            Nqe::new(OpType::ConnectComplete, ctx.vm, ctx.vm_qs, ctx.guest_sock);
-                        comp.op_data = op_data::pack(OpResult::Ok, sock.raw());
-                        self.respond(ctx.nsm_qs, comp);
-                    }
+                StackEvent::Readable(sock) => {
+                    self.rx_ready.push(sock);
+                    continue;
                 }
-                StackEvent::ConnectFailed(sock) => {
-                    if let Some(ctx) = self.ctx.get(&sock).copied() {
-                        let mut comp =
-                            Nqe::new(OpType::ConnectComplete, ctx.vm, ctx.vm_qs, ctx.guest_sock);
-                        comp.op_data = op_data::pack(OpResult::Err(NkError::ConnRefused), 0);
-                        self.respond(ctx.nsm_qs, comp);
-                    }
-                }
-                StackEvent::PeerClosed(sock) => {
-                    if let Some(ctx) = self.ctx.get(&sock).copied() {
-                        let ev = Nqe::new(OpType::PeerClosed, ctx.vm, ctx.vm_qs, ctx.guest_sock);
-                        self.respond(ctx.nsm_qs, ev);
-                    }
-                }
-                StackEvent::Readable(sock) => self.rx_ready.push(sock),
-                StackEvent::Writable(_) => {}
+                StackEvent::Connected(sock) => (
+                    sock,
+                    OpType::ConnectComplete,
+                    op_data::pack(OpResult::Ok, sock.raw()),
+                ),
+                StackEvent::ConnectFailed(sock) => (
+                    sock,
+                    OpType::ConnectComplete,
+                    op_data::pack(OpResult::Err(NkError::ConnRefused), 0),
+                ),
+                StackEvent::PeerClosed(sock) => (sock, OpType::PeerClosed, 0),
+            };
+            if let Some(ctx) = self.ctx.get(&sock).copied() {
+                self.notify(&ctx, op, op_data);
             }
         }
         self.pump_receive(stack);
@@ -534,25 +446,23 @@ impl ServiceLib {
             return;
         };
         while let Ok((conn, peer)) = stack.accept(listener) {
-            let guest_id = self.alloc_guest_sock();
+            let guest_id = self.front.alloc_guest_sock();
             self.fwd.insert((lctx.vm, guest_id), conn);
             self.ctx.insert(
                 conn,
                 ConnCtx {
-                    vm: lctx.vm,
                     guest_sock: guest_id,
-                    vm_qs: lctx.vm_qs,
-                    nsm_qs: lctx.nsm_qs,
                     rx_outstanding: 0,
+                    ..lctx
                 },
             );
-            self.stats.accepted += 1;
+            self.front.stats.accepted += 1;
             // Its first bytes may have arrived before it had a context.
             self.rx_ready.push(conn);
             let mut ev = Nqe::new(OpType::Accepted, lctx.vm, lctx.vm_qs, lctx.guest_sock);
             ev.op_data = op_data::pack(OpResult::Ok, guest_id.raw());
             ev.data = DataHandle(peer.pack());
-            self.respond(lctx.nsm_qs, ev);
+            self.front.respond(lctx.nsm_qs, ev);
         }
     }
 
@@ -571,9 +481,6 @@ impl ServiceLib {
         let Some(ctx) = self.ctx.get_mut(&sock) else {
             return false;
         };
-        let Some(region) = self.regions.get(&ctx.vm) else {
-            return stack.recv_available(sock) > 0;
-        };
         loop {
             let credit = RX_BUDGET.saturating_sub(ctx.rx_outstanding);
             if credit == 0 {
@@ -587,6 +494,9 @@ impl ServiceLib {
                 // EOF is announced via the PeerClosed event.
                 break;
             }
+            let Some(region) = self.front.regions.get(&ctx.vm) else {
+                break;
+            };
             let Ok(handle) = region.alloc(want) else {
                 break;
             };
@@ -595,78 +505,46 @@ impl ServiceLib {
                 let _ = region.free(handle);
                 break;
             };
-            self.stats.bytes_rx += n as u64;
+            self.front.stats.bytes_rx += n as u64;
             ctx.rx_outstanding += n;
             let mut ev = Nqe::new(OpType::DataReceived, ctx.vm, ctx.vm_qs, ctx.guest_sock);
             ev.data = handle;
             ev.size = n as u32;
-            Self::respond_on(&mut self.device, &mut self.stats, ctx.nsm_qs, ev);
+            self.front.respond(ctx.nsm_qs, ev);
         }
         stack.recv_available(sock) > 0
     }
 }
 
-/// A Network Stack Module: a ServiceLib bound to a concrete network stack.
+/// The TCP flavour of an [`crate::Nsm`]: a ServiceLib bound to a concrete
+/// network stack.
 ///
-/// Both the kernel-stack NSM and the mTCP NSM are instances of this type —
-/// they run the same from-scratch TCP substrate but are provisioned and cost-
+/// The kernel-stack, mTCP and fair-share NSMs are all this type — they run
+/// the same from-scratch TCP substrate but are provisioned and cost-
 /// accounted differently (the mTCP NSM uses poll-mode batching and a cheaper
 /// per-operation profile in the host's cost model, mirroring §6.3/§7.4).
-pub struct Nsm {
-    id: NsmId,
-    kind: StackKind,
-    service: ServiceLib,
-    stack: TcpStack,
+pub struct TcpNsm {
+    pub(crate) service: ServiceLib,
+    pub(crate) stack: TcpStack,
 }
 
-impl Nsm {
-    /// Assemble an NSM from its parts.
-    pub fn new(id: NsmId, kind: StackKind, mut service: ServiceLib, stack: TcpStack) -> Self {
+impl TcpNsm {
+    /// Assemble a TCP-stack NSM of flavour `kind` from its parts.
+    pub fn new(kind: StackKind, mut service: ServiceLib, stack: TcpStack) -> Self {
         if kind == StackKind::FairShare {
-            service.enable_fair_share();
+            service.fair_share = Some(VmWindowRegistry::new());
         }
-        Nsm {
-            id,
-            kind,
-            service,
-            stack,
-        }
-    }
-
-    /// The NSM's identifier.
-    pub fn id(&self) -> NsmId {
-        self.id
-    }
-
-    /// Which stack flavour this NSM runs.
-    pub fn kind(&self) -> StackKind {
-        self.kind
-    }
-
-    /// Register a VM served by this NSM.
-    pub fn add_vm(&mut self, vm: VmId, region: HugepageRegion) {
-        self.service.add_vm(vm, region);
-    }
-
-    /// Detach a VM: its region mapping and translation state go (any of
-    /// its sockets still in the stack are closed).
-    pub fn remove_vm(&mut self, vm: VmId) {
-        self.service.remove_vm(vm, &mut self.stack);
-    }
-
-    /// True while this NSM holds state for the VM.
-    pub fn serves_vm(&self, vm: VmId) -> bool {
-        self.service.has_vm(vm)
-    }
-
-    /// The VMs whose regions are wired into this NSM, in id order.
-    pub fn wired_vms(&self) -> Vec<VmId> {
-        self.service.wired_vms()
+        TcpNsm { service, stack }
     }
 
     /// Borrow the underlying stack immutably (wire-quiet queries).
     pub fn stack(&self) -> &TcpStack {
         &self.stack
+    }
+
+    /// Borrow the underlying stack (used by tests and the host).
+    pub fn stack_mut(&mut self) -> &mut TcpStack {
+        &mut self.stack
     }
 
     /// Export one guest connection's NSM-side state for a warm migration:
@@ -720,16 +598,6 @@ impl Nsm {
         Ok(stack_sock)
     }
 
-    /// ServiceLib statistics.
-    pub fn service_stats(&self) -> ServiceStats {
-        self.service.stats()
-    }
-
-    /// Borrow the underlying stack (used by tests and the host).
-    pub fn stack_mut(&mut self) -> &mut TcpStack {
-        &mut self.stack
-    }
-
     /// One scheduling round: ingest requests, run the stack, emit events.
     /// Returns the number of NQEs and segments processed.
     pub fn tick(&mut self, now_ns: u64) -> usize {
@@ -740,18 +608,13 @@ impl Nsm {
     }
 }
 
-impl nk_sim::Pollable for Nsm {
-    fn poll(&mut self, now_ns: u64) -> usize {
-        self.tick(now_ns)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nk_fabric::switch::VirtualSwitch;
     use nk_netstack::{Segment, StackConfig};
     use nk_queue::{queue_set_pair, RequesterEnd, WakeState};
+    use nk_types::constants::NSM_SOCKET_ID_BASE;
     use nk_types::SockAddr;
 
     const NSM_IP: u32 = 0x0A00_0010;
@@ -762,7 +625,7 @@ mod tests {
     /// CoreEngine by talking to the requester end directly.
     struct World {
         switch: VirtualSwitch<Segment>,
-        nsm: Nsm,
+        nsm: TcpNsm,
         remote: TcpStack,
         guest_end: RequesterEnd,
         region: HugepageRegion,
@@ -782,8 +645,8 @@ mod tests {
             let device = NkDevice::new(vec![nsm_end], WakeState::new());
             let service = ServiceLib::new(NsmId(1), device, 8);
             let stack = TcpStack::new(StackConfig::new(NSM_IP), nsm_port);
-            let mut nsm = Nsm::new(NsmId(1), kind, service, stack);
-            nsm.add_vm(VmId(1), region.clone());
+            let mut nsm = TcpNsm::new(kind, service, stack);
+            nsm.service.add_vm(VmId(1), region.clone());
             World {
                 switch,
                 nsm,
@@ -857,7 +720,7 @@ mod tests {
             SocketId(1),
             "event targets the listener"
         );
-        assert_eq!(w.nsm.service_stats().accepted, 1);
+        assert_eq!(w.nsm.service.stats().accepted, 1);
     }
 
     #[test]
@@ -955,10 +818,10 @@ mod tests {
         w.submit(req(OpType::SocketCreate, 5));
         w.submit(req(OpType::Connect, 5).with_op_data(SockAddr::new(REMOTE_IP, 7).pack()));
         w.run(10);
-        assert!(w.nsm.serves_vm(VmId(1)));
+        assert!(w.nsm.service.has_vm(VmId(1)));
 
-        w.nsm.remove_vm(VmId(1));
-        assert!(!w.nsm.serves_vm(VmId(1)));
+        w.nsm.service.remove_vm(VmId(1), &mut w.nsm.stack);
+        assert!(!w.nsm.service.has_vm(VmId(1)));
         // Later requests from the detached VM fail cleanly (no region).
         w.submit(req(OpType::Send, 5).with_data(DataHandle(0), 4));
         w.run(2);
@@ -997,7 +860,7 @@ mod tests {
 
         let (snap, pending, outstanding) = w.nsm.export_conn(VmId(1), SocketId(5)).unwrap();
         assert_eq!(snap.remote, SockAddr::new(REMOTE_IP, 7));
-        assert!(!w.nsm.serves_vm(VmId(1)) || w.nsm.export_conn(VmId(1), SocketId(5)).is_err());
+        assert!(!w.nsm.service.has_vm(VmId(1)) || w.nsm.export_conn(VmId(1), SocketId(5)).is_err());
 
         // Second NSM on the same switch adopts the port address (the
         // "fabric reroute" of a single-switch world) and the connection.
@@ -1006,8 +869,8 @@ mod tests {
         let device2 = NkDevice::new(vec![nsm_end2], WakeState::new());
         let service2 = ServiceLib::new(NsmId(2), device2, 8);
         let stack2 = TcpStack::new(StackConfig::new(0x0A00_0099), new_port);
-        let mut nsm2 = Nsm::new(NsmId(2), StackKind::Kernel, service2, stack2);
-        nsm2.add_vm(VmId(1), w.region.clone());
+        let mut nsm2 = TcpNsm::new(StackKind::Kernel, service2, stack2);
+        nsm2.service.add_vm(VmId(1), w.region.clone());
         let conn = nk_types::ConnSnapshot {
             guest_sock: SocketId(5),
             vm_queue_set: QueueSetId(0),
@@ -1100,7 +963,7 @@ mod tests {
         w.submit(req(OpType::Close, 6));
         w.run(1);
         assert!(!holds(&w, 5, socks[0]) && !holds(&w, 6, socks[1]));
-        w.nsm.remove_vm(VmId(1));
+        w.nsm.service.remove_vm(VmId(1), &mut w.nsm.stack);
         w.run(1);
         assert!(!holds(&w, 7, socks[2]));
         assert!(w.nsm.service.ctx.is_empty() && w.nsm.service.fwd.is_empty());
@@ -1157,7 +1020,23 @@ mod tests {
     #[test]
     fn fair_share_nsm_builds_with_vm_windows() {
         let w = World::new(StackKind::FairShare);
-        assert_eq!(w.nsm.kind(), StackKind::FairShare);
+        assert!(w.nsm.service.fair_share.is_some());
+    }
+
+    /// A Send on a socket ServiceLib does not know frees its chunk and
+    /// returns its credit, as CoreEngine does for the Sends it drops.
+    #[test]
+    fn a_failed_send_frees_its_chunk_and_returns_its_credit() {
+        let mut w = World::new(StackKind::Kernel);
+        let before = w.region.available();
+        let handle = w.region.alloc_and_write(&[7u8; 1000]).unwrap();
+        w.submit(req(OpType::Send, 42).with_data(handle, 1000));
+        w.run(1);
+        let resp = w.responses();
+        let comp = resp.iter().find(|n| n.op == OpType::SendComplete).unwrap();
+        assert_eq!(comp.result(), OpResult::Err(NkError::BadSocket));
+        assert_eq!(comp.size, 1000);
+        assert_eq!(w.region.available(), before);
     }
 
     #[test]

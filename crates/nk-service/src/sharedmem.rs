@@ -4,20 +4,17 @@
 //! does not need TCP at all: the operator-controlled NSM "simply copies the
 //! message chunks between their hugepages and bypasses the TCP stack
 //! processing", reaching ~100 Gbps with a handful of cores (Figure 10). This
-//! module implements that NSM: it speaks the same NQE protocol as any other
-//! NSM, but matches connections internally and moves payload
+//! module implements that NSM: it speaks NQEs through the same front end as
+//! any other NSM, but matches connections internally and moves payload
 //! hugepage-to-hugepage.
 
+use crate::frontend::Frontend;
 use nk_queue::{NkDevice, ResponderEnd};
-use nk_shmem::HugepageRegion;
 use nk_types::ops::op_data;
 use nk_types::{
-    DataHandle, NkError, Nqe, NsmId, OpResult, OpType, QueueSetId, SockAddr, SocketId, VmId,
+    DataHandle, NkError, NkResult, Nqe, OpResult, OpType, QueueSetId, SockAddr, SocketId, VmId,
 };
 use std::collections::BTreeMap;
-
-/// Guest socket ids allocated by the NSM for accepted connections.
-const NSM_SOCKET_ID_BASE: u32 = 0x8000_0000;
 
 #[derive(Clone, Copy, Debug)]
 struct ShmSocket {
@@ -39,40 +36,23 @@ pub struct SharedMemStats {
 
 /// The shared-memory NSM.
 pub struct SharedMemNsm {
-    id: NsmId,
-    device: NkDevice<ResponderEnd>,
+    pub(crate) front: Frontend,
     /// Ordered maps throughout, per the workspace determinism rule.
-    regions: BTreeMap<VmId, HugepageRegion>,
     sockets: BTreeMap<(VmId, SocketId), ShmSocket>,
     /// port → listening socket key.
     listeners: BTreeMap<u16, (VmId, SocketId)>,
-    next_guest_sock: u32,
-    batch: usize,
     stats: SharedMemStats,
-    /// Reusable NQE drain buffer (swapped out during a tick because the
-    /// request handlers need `&mut self`).
-    scratch: Vec<Nqe>,
 }
 
 impl SharedMemNsm {
     /// Build a shared-memory NSM around its NK device.
-    pub fn new(id: NsmId, device: NkDevice<ResponderEnd>, batch: usize) -> Self {
+    pub fn new(device: NkDevice<ResponderEnd>, batch: usize) -> Self {
         SharedMemNsm {
-            id,
-            device,
-            regions: BTreeMap::new(),
+            front: Frontend::new(device, batch),
             sockets: BTreeMap::new(),
             listeners: BTreeMap::new(),
-            next_guest_sock: NSM_SOCKET_ID_BASE,
-            batch: batch.max(1),
             stats: SharedMemStats::default(),
-            scratch: Vec::new(),
         }
-    }
-
-    /// The NSM's identifier.
-    pub fn id(&self) -> NsmId {
-        self.id
     }
 
     /// Statistics.
@@ -80,158 +60,108 @@ impl SharedMemNsm {
         self.stats
     }
 
-    /// Register a VM and the hugepage region it shares with this NSM.
-    pub fn add_vm(&mut self, vm: VmId, region: HugepageRegion) {
-        self.regions.insert(vm, region);
-    }
-
     /// Detach a VM: its region mapping and any of its sockets (including
     /// listener registrations) are dropped. Called when the VM migrates to
     /// another NSM or leaves the host — a stale mapping here would pin the
     /// region alive and resurrect the VM on a later restart.
-    pub fn remove_vm(&mut self, vm: VmId) {
-        self.regions.remove(&vm);
+    pub(crate) fn remove_vm(&mut self, vm: VmId) {
+        self.front.regions.remove(&vm);
         self.sockets.retain(|(owner, _), _| *owner != vm);
         self.listeners.retain(|_, (owner, _)| *owner != vm);
-    }
-
-    /// True while this NSM holds state for the VM.
-    pub fn has_vm(&self, vm: VmId) -> bool {
-        self.regions.contains_key(&vm)
-    }
-
-    /// The VMs whose regions are wired into this NSM, in id order.
-    pub fn wired_vms(&self) -> Vec<VmId> {
-        self.regions.keys().copied().collect()
-    }
-
-    fn respond(&mut self, nsm_qs: usize, nqe: Nqe) {
-        if let Some(end) = self.device.queue_set(nsm_qs) {
-            let _ = end.respond(nqe);
-        }
-    }
-
-    fn reply(&mut self, nsm_qs: usize, request: &Nqe, result: OpResult, aux: u32) {
-        if let Some(comp) = Nqe::completion_for(request, result, aux) {
-            self.respond(nsm_qs, comp);
-        }
     }
 
     /// Drain and handle request NQEs. Returns the number handled.
     pub fn tick(&mut self, _now_ns: u64) -> usize {
         let mut handled = 0;
-        let sets = self.device.queue_sets();
-        let mut buf = std::mem::take(&mut self.scratch);
-        for qs in 0..sets {
-            loop {
-                let n = match self.device.queue_set(qs) {
-                    Some(end) => end.pop_requests(&mut buf, self.batch),
-                    None => 0,
-                };
-                if n == 0 {
-                    break;
-                }
-                for nqe in buf.drain(..) {
-                    self.handle(qs, nqe);
-                    handled += 1;
-                }
+        let mut batch = std::mem::take(&mut self.front.popped);
+        while let Some(nsm_qs) = self.front.next_batch(&mut batch) {
+            handled += batch.len();
+            for &nqe in &batch {
+                self.handle(nsm_qs, nqe);
             }
         }
-        self.scratch = buf;
+        self.front.popped = batch;
         handled
     }
 
     fn handle(&mut self, nsm_qs: usize, nqe: Nqe) {
         let key = (nqe.vm, nqe.socket);
-        match nqe.op {
+        let res = match nqe.op {
             OpType::SocketCreate => {
-                self.sockets.insert(
-                    key,
-                    ShmSocket {
-                        vm: nqe.vm,
-                        vm_qs: nqe.queue_set,
-                        nsm_qs,
-                        bound: None,
-                        peer: None,
-                    },
-                );
-                self.reply(nsm_qs, &nqe, OpResult::Ok, 0);
+                let sock = ShmSocket {
+                    vm: nqe.vm,
+                    vm_qs: nqe.queue_set,
+                    nsm_qs,
+                    bound: None,
+                    peer: None,
+                };
+                self.sockets.insert(key, sock);
+                Ok(())
             }
-            OpType::Bind => {
-                if let Some(s) = self.sockets.get_mut(&key) {
+            OpType::Bind => match self.sockets.get_mut(&key) {
+                Some(s) => {
                     s.bound = Some(nqe.addr());
-                    self.reply(nsm_qs, &nqe, OpResult::Ok, 0);
-                } else {
-                    self.reply(nsm_qs, &nqe, OpResult::Err(NkError::BadSocket), 0);
+                    Ok(())
                 }
-            }
-            OpType::Listen => {
-                let port = self.sockets.get(&key).and_then(|s| s.bound).map(|a| a.port);
-                match port {
-                    Some(p) => {
-                        self.listeners.insert(p, key);
-                        self.reply(nsm_qs, &nqe, OpResult::Ok, 0);
-                    }
-                    None => self.reply(nsm_qs, &nqe, OpResult::Err(NkError::InvalidState), 0),
+                None => Err(NkError::BadSocket),
+            },
+            OpType::Listen => match self.sockets.get(&key).and_then(|s| s.bound) {
+                Some(addr) => {
+                    self.listeners.insert(addr.port, key);
+                    Ok(())
                 }
-            }
-            OpType::Connect => {
-                self.handle_connect(nsm_qs, &nqe);
-            }
-            OpType::Send => {
-                self.handle_send(nsm_qs, &nqe);
-            }
-            OpType::Close => {
-                if let Some(sock) = self.sockets.remove(&key) {
-                    if let Some(peer_key) = sock.peer {
-                        if let Some(peer) = self.sockets.get(&peer_key).copied() {
-                            let ev = Nqe::new(OpType::PeerClosed, peer.vm, peer.vm_qs, peer_key.1);
-                            self.respond(peer.nsm_qs, ev);
-                        }
-                    }
-                    if let Some(addr) = sock.bound {
-                        if self.listeners.get(&addr.port) == Some(&key) {
-                            self.listeners.remove(&addr.port);
-                        }
-                    }
-                    self.reply(nsm_qs, &nqe, OpResult::Ok, 0);
-                } else {
-                    self.reply(nsm_qs, &nqe, OpResult::Err(NkError::BadSocket), 0);
-                }
-            }
-            OpType::Shutdown | OpType::SetSockOpt => {
-                self.reply(nsm_qs, &nqe, OpResult::Ok, 0);
-            }
-            OpType::RecvConsumed => {}
-            _ => {
-                self.reply(nsm_qs, &nqe, OpResult::Err(NkError::Unsupported), 0);
-            }
-        }
+                None => Err(NkError::InvalidState),
+            },
+            OpType::Connect => self.handle_connect(&nqe),
+            OpType::Send => match self.handle_send(nsm_qs, &nqe) {
+                // A delivered Send answers itself with its credit.
+                Ok(()) => return,
+                Err(e) => Err(e),
+            },
+            OpType::Close => self.handle_close(key),
+            OpType::Shutdown | OpType::SetSockOpt => Ok(()),
+            OpType::RecvConsumed => return,
+            _ => Err(NkError::Unsupported),
+        };
+        self.front.reply(nsm_qs, &nqe, res, 0);
     }
 
-    fn handle_connect(&mut self, nsm_qs: usize, nqe: &Nqe) {
+    fn handle_close(&mut self, key: (VmId, SocketId)) -> NkResult<()> {
+        let sock = self.sockets.remove(&key).ok_or(NkError::BadSocket)?;
+        if let Some(peer_key) = sock.peer {
+            if let Some(peer) = self.sockets.get(&peer_key).copied() {
+                let ev = Nqe::new(OpType::PeerClosed, peer.vm, peer.vm_qs, peer_key.1);
+                self.front.respond(peer.nsm_qs, ev);
+            }
+        }
+        if let Some(addr) = sock.bound {
+            if self.listeners.get(&addr.port) == Some(&key) {
+                self.listeners.remove(&addr.port);
+            }
+        }
+        Ok(())
+    }
+
+    fn handle_connect(&mut self, nqe: &Nqe) -> NkResult<()> {
         let key = (nqe.vm, nqe.socket);
         let target = nqe.addr();
-        let Some(&listener_key) = self.listeners.get(&target.port) else {
-            self.reply(nsm_qs, nqe, OpResult::Err(NkError::ConnRefused), 0);
-            return;
-        };
-        let Some(listener) = self.sockets.get(&listener_key).copied() else {
-            self.reply(nsm_qs, nqe, OpResult::Err(NkError::ConnRefused), 0);
-            return;
-        };
+        let listener_key = *self
+            .listeners
+            .get(&target.port)
+            .ok_or(NkError::ConnRefused)?;
+        let listener = *self
+            .sockets
+            .get(&listener_key)
+            .ok_or(NkError::ConnRefused)?;
         // Allocate the accepted-side guest socket and wire the pair up.
-        let accepted_id = SocketId(self.next_guest_sock);
-        self.next_guest_sock += 1;
+        let accepted_id = self.front.alloc_guest_sock();
         let accepted_key = (listener.vm, accepted_id);
         self.sockets.insert(
             accepted_key,
             ShmSocket {
-                vm: listener.vm,
-                vm_qs: listener.vm_qs,
-                nsm_qs: listener.nsm_qs,
                 bound: None,
                 peer: Some(key),
+                ..listener
             },
         );
         if let Some(connector) = self.sockets.get_mut(&key) {
@@ -239,7 +169,8 @@ impl SharedMemNsm {
         }
         self.stats.pairs += 1;
 
-        // Tell the listening VM about the new connection...
+        // Tell the listening VM about the new connection; the caller then
+        // tells the connecting VM that it succeeded.
         let mut accepted = Nqe::new(
             OpType::Accepted,
             listener.vm,
@@ -248,58 +179,43 @@ impl SharedMemNsm {
         );
         accepted.op_data = op_data::pack(OpResult::Ok, accepted_id.raw());
         accepted.data = DataHandle(SockAddr::new(0, nqe.socket.raw() as u16).pack());
-        self.respond(listener.nsm_qs, accepted);
-        // ...and the connecting VM that it succeeded.
-        self.reply(nsm_qs, nqe, OpResult::Ok, 0);
+        self.front.respond(listener.nsm_qs, accepted);
+        Ok(())
     }
 
-    fn handle_send(&mut self, nsm_qs: usize, nqe: &Nqe) {
-        let key = (nqe.vm, nqe.socket);
-        let Some(sock) = self.sockets.get(&key).copied() else {
-            self.reply(nsm_qs, nqe, OpResult::Err(NkError::BadSocket), 0);
-            return;
-        };
-        let Some(peer_key) = sock.peer else {
-            self.reply(nsm_qs, nqe, OpResult::Err(NkError::NotConnected), 0);
-            return;
-        };
-        let Some(peer) = self.sockets.get(&peer_key).copied() else {
-            self.reply(nsm_qs, nqe, OpResult::Err(NkError::ConnReset), 0);
-            return;
-        };
+    /// Copy a Send's payload into the peer's region and announce it there.
+    /// An error is answered by the caller, which frees the chunk and
+    /// returns the credit.
+    fn handle_send(&mut self, nsm_qs: usize, nqe: &Nqe) -> NkResult<()> {
+        let sock = *self
+            .sockets
+            .get(&(nqe.vm, nqe.socket))
+            .ok_or(NkError::BadSocket)?;
+        let peer_key = sock.peer.ok_or(NkError::NotConnected)?;
+        let peer = *self.sockets.get(&peer_key).ok_or(NkError::ConnReset)?;
         let len = nqe.size as usize;
-        let (Some(src_region), Some(dst_region)) =
-            (self.regions.get(&sock.vm), self.regions.get(&peer.vm))
-        else {
-            self.reply(nsm_qs, nqe, OpResult::Err(NkError::NotFound), 0);
-            return;
+        let src_region = self.front.regions.get(&sock.vm);
+        let dst_region = self.front.regions.get(&peer.vm);
+        let (Some(src_region), Some(dst_region)) = (src_region, dst_region) else {
+            return Err(NkError::NotFound);
         };
         // Copy hugepage → hugepage, bypassing any TCP processing.
-        let result = dst_region.alloc(len).and_then(|dst| {
-            src_region.copy_to(nqe.data, dst_region, dst, len)?;
-            src_region.free(nqe.data)?;
-            Ok(dst)
-        });
-        match result {
-            Ok(dst) => {
-                self.stats.bytes_copied += len as u64;
-                let mut data_ev = Nqe::new(OpType::DataReceived, peer.vm, peer.vm_qs, peer_key.1);
-                data_ev.data = dst;
-                data_ev.size = len as u32;
-                self.respond(peer.nsm_qs, data_ev);
-                // Return the send-buffer credit to the sender.
-                let mut comp = Nqe::completion_for(nqe, OpResult::Ok, 0).expect("send completes");
-                comp.size = len as u32;
-                self.respond(nsm_qs, comp);
-            }
-            Err(e) => self.reply(nsm_qs, nqe, OpResult::Err(e), 0),
+        let dst = dst_region.alloc(len)?;
+        if let Err(e) = src_region.copy_to(nqe.data, dst_region, dst, len) {
+            let _ = dst_region.free(dst);
+            return Err(e);
         }
-    }
-}
-
-impl nk_sim::Pollable for SharedMemNsm {
-    fn poll(&mut self, now_ns: u64) -> usize {
-        self.tick(now_ns)
+        // The copy just proved the handle live, so the free cannot fail.
+        let _ = src_region.free(nqe.data);
+        self.stats.bytes_copied += len as u64;
+        let data_ev = Nqe::new(OpType::DataReceived, peer.vm, peer.vm_qs, peer_key.1)
+            .with_data(dst, len as u32);
+        self.front.respond(peer.nsm_qs, data_ev);
+        // Return the send-buffer credit to the sender.
+        let mut comp = Nqe::completion_for(nqe, OpResult::Ok, 0).expect("send completes");
+        comp.size = len as u32;
+        self.front.respond(nsm_qs, comp);
+        Ok(())
     }
 }
 
@@ -307,6 +223,7 @@ impl nk_sim::Pollable for SharedMemNsm {
 mod tests {
     use super::*;
     use nk_queue::{queue_set_pair, RequesterEnd, WakeState};
+    use nk_shmem::HugepageRegion;
 
     /// Two colocated VMs of the same tenant attached to one shared-memory
     /// NSM. The test drives the requester ends directly (playing GuestLib and
@@ -325,11 +242,11 @@ mod tests {
             let (vm1_end, nsm_end1) = queue_set_pair(256);
             let (vm2_end, nsm_end2) = queue_set_pair(256);
             let device = NkDevice::new(vec![nsm_end1, nsm_end2], WakeState::new());
-            let mut nsm = SharedMemNsm::new(NsmId(9), device, 8);
+            let mut nsm = SharedMemNsm::new(device, 8);
             let region1 = HugepageRegion::with_capacity(1 << 20);
             let region2 = HugepageRegion::with_capacity(1 << 20);
-            nsm.add_vm(VmId(1), region1.clone());
-            nsm.add_vm(VmId(2), region2.clone());
+            nsm.front.regions.insert(VmId(1), region1.clone());
+            nsm.front.regions.insert(VmId(2), region2.clone());
             World {
                 nsm,
                 vm1_end,
@@ -459,5 +376,40 @@ mod tests {
         assert!(vm1
             .iter()
             .any(|n| n.op == OpType::PeerClosed && n.socket == SocketId(accepted_sock)));
+    }
+
+    /// A Send the NSM cannot deliver — here the peer closed first — frees
+    /// its chunk and returns its credit, as CoreEngine does for the Sends it
+    /// drops.
+    #[test]
+    fn a_failed_send_frees_its_chunk_and_returns_its_credit() {
+        let mut w = World::new();
+        setup_listener(&mut w);
+        w.vm2_end.submit(req(2, OpType::SocketCreate, 1)).unwrap();
+        w.vm2_end
+            .submit(req(2, OpType::Connect, 1).with_op_data(SockAddr::new(0, 8080).pack()))
+            .unwrap();
+        w.nsm.tick(0);
+        let _ = w.responses(2);
+        let accepted = w
+            .responses(1)
+            .iter()
+            .find(|n| n.op == OpType::Accepted)
+            .unwrap()
+            .aux();
+        w.vm1_end.submit(req(1, OpType::Close, accepted)).unwrap();
+        w.nsm.tick(0);
+
+        let before = w.region2.available();
+        let handle = w.region2.alloc_and_write(&[7u8; 1000]).unwrap();
+        w.vm2_end
+            .submit(req(2, OpType::Send, 1).with_data(handle, 1000))
+            .unwrap();
+        w.nsm.tick(0);
+        let vm2 = w.responses(2);
+        let comp = vm2.iter().find(|n| n.op == OpType::SendComplete).unwrap();
+        assert_eq!(comp.result(), OpResult::Err(NkError::ConnReset));
+        assert_eq!(comp.size, 1000);
+        assert_eq!(w.region2.available(), before);
     }
 }

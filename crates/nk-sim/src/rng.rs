@@ -3,9 +3,8 @@
 //! Every randomized decision in the simulation — frame loss and reordering
 //! in the fabric, generated fault schedules, scenario payloads — must be
 //! reproducible across runs and platforms, so the workspace uses this one
-//! seeded generator instead of any global randomness. It lives in `nk-sim`
-//! (the deterministic substrate) and is re-exported by `nk-fabric` for
-//! backwards compatibility.
+//! seeded generator instead of any global randomness. It lives in `nk-sim`,
+//! the deterministic substrate every other crate builds on.
 
 /// SplitMix64 pseudo-random number generator.
 #[derive(Clone, Debug)]

@@ -44,6 +44,11 @@ pub const DEFAULT_SEND_BUF: usize = 256 * 1024;
 /// Default per-socket receive buffer budget in bytes.
 pub const DEFAULT_RECV_BUF: usize = 256 * 1024;
 
+/// Guest-allocated socket ids live below this bit; ids with the bit set are
+/// allocated by the NSM for the connections it accepts, so the two sides
+/// never collide without a round trip (§4.6 pipelining).
+pub const NSM_SOCKET_ID_BASE: u32 = 0x8000_0000;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,6 +8,7 @@
 //! near the provisioned peak) and (2) the time-average load is a small
 //! fraction of the peak. Determinism comes from an explicit seed.
 
+use nk_sim::SplitMix64;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the trace generator.
@@ -49,34 +50,22 @@ pub struct AgTrace {
     pub peak_rps: f64,
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn uniform(state: &mut u64) -> f64 {
-    (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 impl AgTrace {
     /// Generate a trace from the configuration.
     pub fn generate(cfg: &AgTraceConfig) -> AgTrace {
-        let mut state = cfg.seed;
+        let mut rng = SplitMix64::new(cfg.seed);
         let base = cfg.peak_rps * cfg.mean_utilisation;
         let mut rates = Vec::with_capacity(cfg.gateways);
         for g in 0..cfg.gateways {
             let mut series = Vec::with_capacity(cfg.minutes);
             // Each AG gets its own baseline level and diurnal-ish wobble.
-            let ag_level = base * (0.5 + uniform(&mut state));
+            let ag_level = base * (0.5 + rng.next_f64());
             for m in 0..cfg.minutes {
                 let wobble = 1.0 + 0.3 * ((m as f64 / 10.0 + g as f64).sin());
-                let mut rate = ag_level * wobble * (0.6 + 0.8 * uniform(&mut state));
-                if uniform(&mut state) < cfg.burst_probability {
+                let mut rate = ag_level * wobble * (0.6 + 0.8 * rng.next_f64());
+                if rng.next_f64() < cfg.burst_probability {
                     // A burst spikes towards the provisioned peak.
-                    rate = cfg.peak_rps * (0.7 + 0.3 * uniform(&mut state));
+                    rate = cfg.peak_rps * (0.7 + 0.3 * rng.next_f64());
                 }
                 series.push(rate.min(cfg.peak_rps));
             }

@@ -9,7 +9,7 @@ use netkernel::fabric::switch::VirtualSwitch;
 use netkernel::netstack::cc::{SharedVmWindow, VmSharedCc};
 use netkernel::netstack::{Segment, StackConfig, TcpStack};
 use netkernel::queue::{queue_set_pair, NkDevice, WakeState};
-use netkernel::service::{Nsm, ServiceLib};
+use netkernel::service::{ServiceLib, TcpNsm};
 use netkernel::shmem::HugepageRegion;
 use netkernel::types::{
     Nqe, NsmId, OpType, QueueSetId, ShutdownHow, SockAddr, SocketId, StackKind, VmId,
@@ -368,15 +368,15 @@ fn five_hundred_mixed_sockets_over_a_lossy_link_deliver_every_byte() {
 fn bytes_held_at_accept_time_are_pumped_without_a_new_segment() {
     let mut w = World::new(LinkConfig::ideal());
     let (mut guest_end, nsm_end) = queue_set_pair(1024);
-    let service = ServiceLib::new(NsmId(1), NkDevice::new(vec![nsm_end], WakeState::new()), 8);
+    let mut service = ServiceLib::new(NsmId(1), NkDevice::new(vec![nsm_end], WakeState::new()), 8);
     // The world's "server" stack becomes the NSM's; the client is the remote.
     let stack = std::mem::replace(
         &mut w.server,
         TcpStack::new(StackConfig::new(0), w.switch.attach(0)),
     );
-    let mut nsm = Nsm::new(NsmId(1), StackKind::Kernel, service, stack);
     let region = HugepageRegion::with_capacity(1 << 20);
-    nsm.add_vm(VmId(1), region.clone());
+    service.add_vm(VmId(1), region.clone());
+    let mut nsm = TcpNsm::new(StackKind::Kernel, service, stack);
     let req = |op| Nqe::new(op, VmId(1), QueueSetId(0), SocketId(1));
     guest_end.submit(req(OpType::SocketCreate)).unwrap();
     let bind = req(OpType::Bind).with_op_data(SockAddr::new(0, 80).pack());
