@@ -50,10 +50,6 @@ struct VmPort {
     /// NQEs that could not be forwarded yet (rate limit or full NSM queue);
     /// retried first, in order, on later polls.
     stalled: Vec<VecDeque<Nqe>>,
-    /// Engine-originated events (connection resets from an NSM crash) that
-    /// did not fit the guest's completion queue; redelivered, in order, on
-    /// later polls so a crash notification is never lost.
-    pending_events: VecDeque<Nqe>,
     /// The hugepage region shared between the VM and its NSMs, so payload of
     /// requests dropped by the engine (NSM crashed) can be reclaimed.
     region: Option<HugepageRegion>,
@@ -70,21 +66,20 @@ struct VmPort {
     byte_marks: [u64; 2],
 }
 
+impl VmPort {
+    /// The one way a response reaches the guest: onto the queue set it
+    /// names, where a full ring parks it (`nk_queue` never refuses one), then
+    /// a wake, counted into `wakeups` when it delivered an interrupt.
+    fn hand_off(&mut self, nqe: Nqe, wakeups: &mut u64) {
+        let qs = nqe.queue_set.raw() as usize % self.ends.len().max(1);
+        let _ = self.ends[qs].respond(nqe);
+        *wakeups += self.wake.wake() as u64;
+    }
+}
+
 struct NsmPort {
     /// Switch-side ends of the NSM's queue sets (one per vCPU).
     ends: Vec<RequesterEnd>,
-}
-
-/// Outcome of attempting to forward one request NQE.
-enum Forward {
-    /// Forwarded to the NSM.
-    Done,
-    /// Dropped with an error reply to the guest (no NSM serving the VM);
-    /// carries whether the reply delivered a wakeup, which the caller
-    /// accounts into [`EngineStats::wakeups`].
-    Dropped { woken: bool },
-    /// Could not go through yet (throttle or backpressure); retry later.
-    Stalled(Nqe),
 }
 
 /// The CoreEngine software switch.
@@ -177,7 +172,6 @@ impl CoreEngine {
                 rate_bucket,
                 ops_bucket,
                 stalled,
-                pending_events: VecDeque::new(),
                 region,
                 tenant,
                 nsm: None,
@@ -238,16 +232,7 @@ impl CoreEngine {
             };
             resets += 1;
             let ev = Nqe::error_event(vm, key.queue_set, key.socket, NkError::ConnReset);
-            let qs = key.queue_set.raw() as usize % port.ends.len().max(1);
-            if port.ends[qs].respond(ev).is_ok() {
-                if port.wake.wake() {
-                    self.stats.wakeups += 1;
-                }
-            } else {
-                // The guest's completion queue is full right now; the reset
-                // notification must not be lost — park it for redelivery.
-                port.pending_events.push_back(ev);
-            }
+            port.hand_off(ev, &mut self.stats.wakeups);
         }
         self.stats.conn_resets += resets as u64;
         Ok(resets)
@@ -286,6 +271,19 @@ impl CoreEngine {
             .get(&vm)
             .map(|p| p.stalled.iter().map(|q| q.len()).sum())
             .unwrap_or(0)
+    }
+
+    /// Responses parked behind one VM's full rings, waiting for its guest.
+    pub fn parked_responses_of(&self, vm: VmId) -> usize {
+        let ends = self.vms.get(&vm).map(|p| &p.ends);
+        ends.into_iter().flatten().map(ResponderEnd::parked).sum()
+    }
+
+    /// Move what one VM has parked onto its rings as far as they have room;
+    /// returns how many NQEs moved.
+    pub fn flush_vm(&mut self, vm: VmId) -> usize {
+        let ends = self.vms.get_mut(&vm).map(|p| &mut p.ends);
+        ends.into_iter().flatten().map(ResponderEnd::flush).sum()
     }
 
     /// Aggregate statistics.
@@ -375,17 +373,9 @@ impl CoreEngine {
     /// [`CoreEngine::install_entry`] so the ServiceLib side can be wired to
     /// the same set before the pin lands.
     pub fn nsm_queue_set_for(&self, key: &ConnKey, nsm: NsmId) -> NkResult<QueueSetId> {
-        let sets = self
-            .nsms
-            .get(&nsm)
-            .map(|n| n.ends.len().max(1))
-            .ok_or(NkError::NotFound)?;
-        Ok(Self::pick_nsm_queue_set(
-            VmId(key.entity),
-            key.queue_set,
-            key.socket,
-            sets,
-        ))
+        let sets = self.nsms.get(&nsm).ok_or(NkError::NotFound)?.ends.len();
+        let (vm, qs, sock) = (VmId(key.entity), key.queue_set, key.socket);
+        Ok(Self::pick_nsm_queue_set(vm, qs, sock, sets.max(1)))
     }
 
     /// Install a transplanted connection-table entry: the tuple pins to
@@ -399,12 +389,7 @@ impl CoreEngine {
         nsm: NsmId,
         nsm_socket: SocketId,
     ) -> NkResult<QueueSetId> {
-        let sets = self
-            .nsms
-            .get(&nsm)
-            .map(|n| n.ends.len().max(1))
-            .ok_or(NkError::NotFound)?;
-        let qs = Self::pick_nsm_queue_set(VmId(key.entity), key.queue_set, key.socket, sets);
+        let qs = self.nsm_queue_set_for(&key, nsm)?;
         let entry = ConnEntry {
             nsm,
             nsm_queue_set: qs,
@@ -467,9 +452,8 @@ impl CoreEngine {
     /// Merge a shard produced by [`CoreEngine::extract_shard`] back in. The
     /// shard's switch counters are added; its `poll_rounds` is *not* — the
     /// resident engine is polled once per host round even while shards are
-    /// out (it serves ungrouped VMs and parked crash events), so its own
-    /// counter already tracks host rounds exactly as an undecomposed poll
-    /// loop would.
+    /// out (it serves ungrouped VMs), so its own counter already tracks host
+    /// rounds exactly as an undecomposed poll loop would.
     pub fn absorb_shard(&mut self, mut shard: CoreEngine) {
         self.nsms.append(&mut shard.nsms);
         let vms: Vec<VmId> = shard.vms.keys().copied().collect();
@@ -532,17 +516,14 @@ impl CoreEngine {
                 'queue_set: loop {
                     while let Some(nqe) = port.stalled[qs].pop_front() {
                         let (nsms, table) = (&mut self.nsms, &mut self.table);
-                        match Self::try_forward(nsms, table, port, nsm_id, nqe, now_ns) {
-                            Forward::Done => switched += 1,
-                            Forward::Dropped { woken } => {
-                                switched += 1;
-                                self.stats.wakeups += woken as u64;
-                            }
-                            Forward::Stalled(nqe) => {
-                                port.stalled[qs].push_front(nqe);
-                                break 'queue_set;
-                            }
+                        let wakeups = &mut self.stats.wakeups;
+                        let forward =
+                            Self::try_forward(nsms, table, port, nsm_id, nqe, now_ns, wakeups);
+                        if let Err(nqe) = forward {
+                            port.stalled[qs].push_front(nqe);
+                            break 'queue_set;
                         }
+                        switched += 1;
                     }
                     if port.frozen || port.ends[qs].pop_requests(&mut self.scratch, self.batch) == 0
                     {
@@ -555,9 +536,9 @@ impl CoreEngine {
         switched
     }
 
-    /// Attempt to forward one request NQE. Throttled or backpressured NQEs
-    /// are handed back for retry; NQEs whose target NSM no longer exists are
-    /// dropped with an error reply so the guest fails fast instead of
+    /// Attempt to forward one request NQE; a throttled or backpressured NQE
+    /// comes back as `Err` for retry. NQEs whose target NSM no longer exists
+    /// are dropped with an error reply so the guest fails fast instead of
     /// waiting on a queue nobody drains.
     fn try_forward(
         nsms: &mut BTreeMap<NsmId, NsmPort>,
@@ -566,18 +547,19 @@ impl CoreEngine {
         nsm_id: NsmId,
         nqe: Nqe,
         now_ns: u64,
-    ) -> Forward {
+        wakeups: &mut u64,
+    ) -> Result<(), Nqe> {
         // Isolation: bandwidth cap applies to payload bytes, op cap to NQEs.
         if let Some(bucket) = &mut port.rate_bucket {
             if nqe.size > 0 && !bucket.try_consume(nqe.size as f64, now_ns) {
                 port.stats.throttled += 1;
-                return Forward::Stalled(nqe);
+                return Err(nqe);
             }
         }
         if let Some(bucket) = &mut port.ops_bucket {
             if !bucket.try_consume(1.0, now_ns) {
                 port.stats.throttled += 1;
-                return Forward::Stalled(nqe);
+                return Err(nqe);
             }
         }
         // Existing connections stay pinned to the NSM recorded in the table;
@@ -591,8 +573,8 @@ impl CoreEngine {
                     // The VM's mapped NSM crashed and nothing replaced it
                     // yet: fail the request instead of pinning the tuple to
                     // a dead NSM.
-                    let woken = Self::drop_with_error(port, &nqe, NkError::NsmUnavailable);
-                    return Forward::Dropped { woken };
+                    Self::drop_with_error(port, &nqe, NkError::NsmUnavailable, wakeups);
+                    return Ok(());
                 };
                 // Hash the VM tuple onto an NSM queue set (§4.3 step 2).
                 let qs = Self::pick_nsm_queue_set(nqe.vm, nqe.queue_set, nqe.socket, sets);
@@ -604,24 +586,19 @@ impl CoreEngine {
             // Pinned NSM vanished between table lookup and delivery (crash
             // mid-batch): unpin and fail the request.
             table.remove(&key);
-            let woken = Self::drop_with_error(port, &nqe, NkError::ConnReset);
-            return Forward::Dropped { woken };
+            Self::drop_with_error(port, &nqe, NkError::ConnReset, wakeups);
+            return Ok(());
         };
         let target_qs = target_qs.raw() as usize % nsm.ends.len().max(1);
-        match nsm.ends[target_qs].submit(nqe) {
-            Ok(()) => {
-                port.stats.nqes_forwarded += 1;
-                port.stats.bytes_forwarded += nqe.size as u64;
-                Forward::Done
-            }
-            Err(_) => Forward::Stalled(nqe),
-        }
+        nsm.ends[target_qs].submit(nqe).map_err(|_| nqe)?;
+        port.stats.nqes_forwarded += 1;
+        port.stats.bytes_forwarded += nqe.size as u64;
+        Ok(())
     }
 
     /// Drop a request whose NSM is gone: reclaim its payload and answer the
     /// guest with an error completion (or nothing for fire-and-forget ops).
-    /// Returns whether the reply delivered a wakeup.
-    fn drop_with_error(port: &mut VmPort, nqe: &Nqe, err: NkError) -> bool {
+    fn drop_with_error(port: &mut VmPort, nqe: &Nqe, err: NkError, wakeups: &mut u64) {
         port.stats.dropped += 1;
         // A dropped Send's payload sits in the shared hugepages and nobody
         // downstream will ever free it.
@@ -631,68 +608,43 @@ impl CoreEngine {
             }
         }
         let Some(mut reply) = Nqe::completion_for(nqe, OpResult::Err(err), 0) else {
-            return false;
+            return;
         };
         // A failed Send still returns the reserved send-buffer budget.
         reply.size = nqe.size;
-        let qs = nqe.queue_set.raw() as usize % port.ends.len().max(1);
-        port.ends[qs].respond(reply).is_ok() && port.wake.wake()
+        port.hand_off(reply, wakeups);
     }
 
-    /// NSM → VM direction.
+    /// NSM → VM direction. Responses parked behind a full guest ring move
+    /// on first, so every VM port is flushed once per round, frozen or not.
     fn deliver_responses(&mut self) -> usize {
         let mut switched = 0;
-        // Redeliver engine-originated events (crash resets) that found the
-        // guest's completion queue full earlier.
-        for port in self.vms.values_mut() {
-            while let Some(ev) = port.pending_events.front().copied() {
-                let qs = ev.queue_set.raw() as usize % port.ends.len().max(1);
-                if port.ends[qs].respond(ev).is_err() {
-                    break;
-                }
-                port.pending_events.pop_front();
-                port.stats.nqes_delivered += 1;
-                switched += 1;
-                if port.wake.wake() {
-                    self.stats.wakeups += 1;
-                }
-            }
+        for end in self.vms.values_mut().flat_map(|p| p.ends.iter_mut()) {
+            end.flush();
         }
-        for nsm in self.nsms.values_mut() {
-            for end in nsm.ends.iter_mut() {
-                loop {
-                    let n = end.pop_responses(&mut self.scratch, self.batch);
-                    if n == 0 {
-                        break;
+        for end in self.nsms.values_mut().flat_map(|n| n.ends.iter_mut()) {
+            // Drained in place (disjoint field borrows), no per-batch
+            // allocation.
+            while end.pop_responses(&mut self.scratch, self.batch) > 0 {
+                for nqe in self.scratch.drain(..) {
+                    let Some(port) = self.vms.get_mut(&nqe.vm) else {
+                        continue;
+                    };
+                    let key = ConnKey::vm(nqe.vm, nqe.queue_set, nqe.socket);
+                    // Completion NQEs record the NSM socket id when they
+                    // carry one (Figure 6, step 4).
+                    if nqe.aux() != 0 {
+                        self.table.complete(&key, nk_types::SocketId(nqe.aux()));
                     }
-                    // Drained in place (disjoint field borrows), no
-                    // per-batch allocation.
-                    for nqe in self.scratch.drain(..) {
-                        let Some(port) = self.vms.get_mut(&nqe.vm) else {
-                            continue;
-                        };
-                        let qs = nqe.queue_set.raw() as usize % port.ends.len().max(1);
-                        // Completion NQEs record the NSM socket id when they
-                        // carry one (Figure 6, step 4).
-                        if nqe.aux() != 0 {
-                            let key = ConnKey::vm(nqe.vm, nqe.queue_set, nqe.socket);
-                            self.table.complete(&key, nk_types::SocketId(nqe.aux()));
-                        }
-                        // A completed close ends the tuple's life: unpin it
-                        // so per-(VM, NSM) drain counters actually reach
-                        // zero instead of counting closed sockets forever.
-                        if nqe.op == OpType::CloseComplete {
-                            let key = ConnKey::vm(nqe.vm, nqe.queue_set, nqe.socket);
-                            self.table.remove(&key);
-                        }
-                        if port.ends[qs].respond(nqe).is_ok() {
-                            port.stats.nqes_delivered += 1;
-                            switched += 1;
-                            if port.wake.wake() {
-                                self.stats.wakeups += 1;
-                            }
-                        }
+                    // A completed close ends the tuple's life: unpin it so
+                    // per-(VM, NSM) drain counters actually reach zero
+                    // instead of counting closed sockets forever.
+                    if nqe.op == OpType::CloseComplete {
+                        self.table.remove(&key);
                     }
+                    port.stats.nqes_delivered += 1;
+                    switched += 1;
+                    port.hand_off(nqe, &mut self.stats.wakeups);
                 }
             }
         }
@@ -742,6 +694,13 @@ mod tests {
         Nqe::new(op, VmId(1), QueueSetId(0), SocketId(sock))
     }
 
+    /// Everything the guest end holds, completions before data events.
+    fn responses(guest: &mut nk_queue::RequesterEnd) -> Vec<Nqe> {
+        let mut out = Vec::new();
+        guest.pop_responses(&mut out, usize::MAX);
+        out
+    }
+
     #[test]
     fn switches_requests_and_responses() {
         let (mut guest, mut nsm, mut ce) = setup(IsolationPolicy::RoundRobin, None);
@@ -757,7 +716,7 @@ mod tests {
         let comp = Nqe::completion_for(&reqs[0], OpResult::Ok, 42).unwrap();
         nsm.respond(comp).unwrap();
         ce.poll(0);
-        let got = guest.pop_completion().unwrap();
+        let got = responses(&mut guest)[0];
         assert_eq!(got.op, OpType::SocketCreated);
         assert_eq!(got.aux(), 42);
         assert!(ce.stats().nqes_switched >= 2);
@@ -923,7 +882,7 @@ mod tests {
         assert_eq!(ce.stats().conn_resets, 3);
         assert!(!ce.has_nsm(NsmId(1)));
         let mut seen = Vec::new();
-        while let Some(ev) = guest.pop_completion() {
+        for ev in responses(&mut guest) {
             assert_eq!(ev.op, OpType::ErrorEvent);
             assert_eq!(ev.result(), OpResult::Err(NkError::ConnReset));
             seen.push(ev.socket.raw());
@@ -931,6 +890,65 @@ mod tests {
         seen.sort();
         assert_eq!(seen, vec![1, 2, 3]);
         assert_eq!(ce.crash_nsm(NsmId(1)), Err(NkError::NotFound));
+    }
+
+    /// Crash resets and NSM responses race a guest ring of two: nothing is
+    /// dropped, everything reaches the guest in the order it was handed
+    /// off, and the guest's next request waits until the park is empty.
+    #[test]
+    fn a_full_guest_ring_parks_responses_and_resets_in_order() {
+        let (mut guest, vm_end) = queue_set_pair(2);
+        let (nsm_switch, mut nsm) = queue_set_pair(64);
+        let mut ce = CoreEngine::new(IsolationPolicy::RoundRobin, 4);
+        ce.register_vm(VmId(1), vec![vm_end], WakeState::new(), 0, None, None, 0)
+            .unwrap();
+        ce.register_nsm(NsmId(1), vec![nsm_switch]).unwrap();
+        ce.map_vm(VmId(1), NsmId(1)).unwrap();
+        for sock in [1u32, 2, 3] {
+            guest.submit(request(OpType::SocketCreate, sock)).unwrap();
+            ce.poll(0);
+        }
+        let mut reqs = Vec::new();
+        assert_eq!(nsm.pop_requests(&mut reqs, 8), 3);
+        for r in &reqs {
+            let comp = Nqe::completion_for(r, OpResult::Ok, 100 + r.socket.raw()).unwrap();
+            nsm.respond(comp).unwrap();
+        }
+        ce.poll(0);
+        assert_eq!(ce.parked_responses_of(VmId(1)), 1, "two fit the ring");
+        guest.submit(request(OpType::Connect, 1)).unwrap();
+        assert_eq!(ce.crash_nsm(NsmId(1)), Ok(3));
+        assert_eq!(ce.parked_responses_of(VmId(1)), 4, "resets queue behind");
+
+        let mut got = Vec::new();
+        for _ in 0..8 {
+            ce.poll(0);
+            got.extend(responses(&mut guest));
+        }
+        let got: Vec<_> = got
+            .iter()
+            .map(|n| (n.op, n.socket.raw(), n.result()))
+            .collect();
+        let reset = OpResult::Err(NkError::ConnReset);
+        assert_eq!(
+            got,
+            vec![
+                (OpType::SocketCreated, 1, OpResult::Ok),
+                (OpType::SocketCreated, 2, OpResult::Ok),
+                (OpType::SocketCreated, 3, OpResult::Ok),
+                (OpType::ErrorEvent, 1, reset),
+                (OpType::ErrorEvent, 2, reset),
+                (OpType::ErrorEvent, 3, reset),
+                // Popped only once the park emptied, after the crash.
+                (
+                    OpType::ConnectComplete,
+                    1,
+                    OpResult::Err(NkError::NsmUnavailable)
+                ),
+            ]
+        );
+        assert_eq!(ce.parked_responses_of(VmId(1)), 0);
+        assert_eq!(ce.vm_stats(VmId(1)).unwrap().nqes_delivered, 3);
     }
 
     /// Requests routed while the VM's mapped NSM is gone fail fast with an
@@ -967,10 +985,7 @@ mod tests {
         assert_eq!(ce.stalled_nqes(), 0, "nothing may stall on a dead NSM");
         assert_eq!(region.available(), before, "dropped payload leaked");
 
-        let mut replies = Vec::new();
-        while let Some(r) = guest.pop_completion() {
-            replies.push(r);
-        }
+        let replies = responses(&mut guest);
         assert_eq!(replies.len(), 2);
         assert!(replies
             .iter()
@@ -1048,7 +1063,7 @@ mod tests {
         let comp = Nqe::completion_for(&reqs[0], OpResult::Ok, 9).unwrap();
         nsm.respond(comp).unwrap();
         ce.poll(0);
-        assert!(guest.pop_completion().is_some());
+        assert_eq!(responses(&mut guest).len(), 1);
 
         ce.set_frozen(VmId(1), false);
         ce.poll(0);
@@ -1201,13 +1216,7 @@ mod tests {
         }
         // Guests see identical completion streams.
         for (ga, gb) in guests_a.iter_mut().zip(guests_b.iter_mut()) {
-            loop {
-                let (a, b) = (ga.pop_completion(), gb.pop_completion());
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
+            assert_eq!(responses(ga), responses(gb));
         }
         // The absorbed engine keeps switching: a close on the re-absorbed
         // group still routes to its pinned NSM.

@@ -44,6 +44,9 @@ pub struct GuestLib {
     scratch: Vec<Nqe>,
     /// The receive chunks one `recv` used up (empty between calls).
     consumed: Vec<(DataHandle, usize)>,
+    /// Receive credit a full job ring refused, per socket (with its queue
+    /// set); the socket's next credit or `drive` sends it.
+    owed_credit: BTreeMap<SocketId, (QueueSetId, usize)>,
 }
 
 impl GuestLib {
@@ -61,6 +64,7 @@ impl GuestLib {
             stats: GuestStats::default(),
             scratch: Vec::new(),
             consumed: Vec::new(),
+            owed_credit: BTreeMap::new(),
         }
     }
 
@@ -188,6 +192,18 @@ impl GuestLib {
         Ok(())
     }
 
+    /// Return `len` bytes of receive credit for `sock`, plus what a full job
+    /// ring refused it before, in one `RecvConsumed`. Credit refused again
+    /// stays on the socket for the next credit or `drive`: none is dropped.
+    fn return_credit(&mut self, sock: SocketId, qs: QueueSetId, len: usize) {
+        let owed = len + self.owed_credit.remove(&sock).map_or(0, |(_, n)| n);
+        let credit = Nqe::new(OpType::RecvConsumed, self.vm, qs, sock)
+            .with_data(DataHandle::NULL, owed as u32);
+        if self.submit(qs, credit).is_err() {
+            self.owed_credit.insert(sock, (qs, owed));
+        }
+    }
+
     fn request(&mut self, op: OpType, sock: SocketId) -> Nqe {
         let qs = self
             .sockets
@@ -298,7 +314,6 @@ impl GuestLib {
                     s.state = GuestSocketState::Error(err);
                 }
             }
-            OpType::Writable => {}
             _ => {}
         }
     }
@@ -405,7 +420,6 @@ impl SocketApi for GuestLib {
     fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
         self.drive();
         let region = self.region.clone();
-        let vm = self.vm;
         let mut consumed_chunks = std::mem::take(&mut self.consumed);
         // A chunk the region refuses to read stays at the head of the queue:
         // bytes copied before it are still delivered (and their chunks freed
@@ -438,9 +452,7 @@ impl SocketApi for GuestLib {
         // Free fully consumed chunks and return receive credit to the NSM.
         for (handle, len) in consumed_chunks.drain(..) {
             let _ = region.free(handle);
-            let credit = Nqe::new(OpType::RecvConsumed, vm, qs, sock)
-                .with_data(DataHandle::NULL, len as u32);
-            let _ = self.submit(qs, credit);
+            self.return_credit(sock, qs, len);
         }
         self.consumed = consumed_chunks;
         if copied > 0 {
@@ -547,6 +559,9 @@ impl SocketApi for GuestLib {
             }
         }
         self.scratch = responses;
+        for (sock, (qs, owed)) in std::mem::take(&mut self.owed_credit) {
+            self.return_credit(sock, qs, owed);
+        }
         processed
     }
 }
@@ -560,10 +575,18 @@ mod tests {
     /// Build a GuestLib with `sets` queue sets plus the matching responder
     /// ends, playing the role of CoreEngine+ServiceLib in the tests.
     fn guest_with_responders(sets: usize) -> (GuestLib, Vec<ResponderEnd>, HugepageRegion) {
+        guest_with_capacity(sets, 256)
+    }
+
+    /// [`guest_with_responders`] with rings of `capacity` NQEs.
+    fn guest_with_capacity(
+        sets: usize,
+        capacity: usize,
+    ) -> (GuestLib, Vec<ResponderEnd>, HugepageRegion) {
         let mut requesters = Vec::new();
         let mut responders = Vec::new();
         for _ in 0..sets {
-            let (req, resp) = queue_set_pair(256);
+            let (req, resp) = queue_set_pair(capacity);
             requesters.push(req);
             responders.push(resp);
         }
@@ -759,6 +782,32 @@ mod tests {
 
         assert_eq!(guest.recv(s, &mut buf), Err(NkError::NotFound));
         assert_eq!(guest.recv(s, &mut buf), Err(NkError::NotFound));
+    }
+
+    /// Receive credit is never dropped: credit a full job ring refuses stays
+    /// on the socket, and once the ring has room one `RecvConsumed` returns
+    /// all of it.
+    #[test]
+    fn credit_a_full_job_ring_refuses_is_returned_later() {
+        let (mut guest, mut resp, region) = guest_with_capacity(1, 2);
+        let (s, qs) = connected(&mut guest, &mut resp);
+        while guest.set_sockopt(s, 1, 1).is_ok() {}
+        for payload in [&b"held back"[..], b"twice"] {
+            let handle = region.alloc_and_write(payload).unwrap();
+            let data = Nqe::new(OpType::DataReceived, VmId(1), qs, s);
+            respond(&mut resp, data.with_data(handle, payload.len() as u32));
+        }
+        assert_eq!(guest.recv(s, &mut [0u8; 9]), Ok(9));
+        assert_eq!(guest.recv(s, &mut [0u8; 16]), Ok(5));
+        while let Some(nqe) = pop_request(&mut resp) {
+            assert_eq!(nqe.op, OpType::SetSockOpt, "no room for credit yet");
+        }
+        assert_eq!(region.stats().chunks, 0, "both chunks freed");
+
+        guest.drive();
+        let credit = pop_request(&mut resp).unwrap();
+        assert_eq!((credit.op, credit.size), (OpType::RecvConsumed, 14));
+        assert!(pop_request(&mut resp).is_none(), "one NQE carries the sum");
     }
 
     /// Partial reads resume inside the chunk: a 16 KiB chunk read 100 bytes

@@ -251,6 +251,11 @@ impl NetKernelHost {
         self.engine.stalled_nqes_of(vm)
     }
 
+    /// Responses parked behind one VM's full rings, waiting for its guest.
+    pub fn parked_responses_of(&self, vm: VmId) -> usize {
+        self.engine.parked_responses_of(vm)
+    }
+
     /// Step behaviour counters of [`NetKernelHost::step`] (rounds per step,
     /// quiescent exits, round-limit hits). Only `step` tallies them: a host
     /// driven by a cluster (`begin_step` / `poll_round` / `end_step`) leaves
@@ -642,6 +647,50 @@ mod tests {
             );
         }
         assert_eq!(region.chunks, 0, "chunks leaked");
+    }
+
+    /// A full NQE ring parks, never drops: a remote streams 400 000 bytes,
+    /// as fast as its send buffer takes them, to a guest that reads every
+    /// step, through rings of 8 and of 2 NQEs. Every byte arrives, in
+    /// order, and the region ends with nothing held.
+    #[test]
+    fn small_rings_deliver_every_byte_and_free_every_chunk() {
+        const TOTAL: usize = 400_000;
+        let byte = |i: usize| (i % 251) as u8;
+        for capacity in [8, 2] {
+            let mut cfg = kernel_cfg(0, 1, 1);
+            cfg.queue_capacity = capacity;
+            let mut host = NetKernelHost::new(cfg).unwrap();
+            let ls = remote_listener(&mut host);
+            let s = guest_connect(&mut host);
+            host.run(20, 100_000);
+            let conn = host.remote_mut(REMOTE_IP).unwrap().accept(ls).unwrap().0;
+
+            let (mut sent, mut got) = (0, Vec::new());
+            let mut buf = vec![0u8; 64 * 1024];
+            for _ in 0..5_000 {
+                let rest: Vec<u8> = (sent..TOTAL).map(byte).collect();
+                let remote = host.remote_mut(REMOTE_IP).unwrap();
+                sent += remote.send(conn, &rest).unwrap_or(0);
+                host.run(1, 100_000);
+                let guest = host.guest_mut(VmId(1)).unwrap();
+                while let Ok(n @ 1..) = guest.recv(s, &mut buf) {
+                    got.extend_from_slice(&buf[..n]);
+                }
+                if got.len() >= TOTAL {
+                    break;
+                }
+            }
+            assert_eq!(got.len(), TOTAL, "capacity {capacity}: bytes lost");
+            assert!(
+                got.iter().enumerate().all(|(i, &b)| b == byte(i)),
+                "capacity {capacity}: bytes reordered or corrupted"
+            );
+            let region = host.guest_mut(VmId(1)).unwrap().region();
+            let held = region.capacity() - region.available();
+            assert_eq!(held, 0, "capacity {capacity}: hugepage bytes held");
+            assert_eq!(host.parked_responses_of(VmId(1)), 0);
+        }
     }
 
     /// A remote's application polls its sockets and never reads the stack's

@@ -407,11 +407,12 @@ impl NetKernelHost {
     }
 
     /// True when none of the VM's pinned connections has bytes in flight
-    /// (everything transmitted is acknowledged) and no request NQEs are
-    /// parked in its stall queues — the condition under which a warm export
-    /// is a clean cut. The freeze window polls this between steps.
+    /// (everything transmitted is acknowledged), no request NQEs are
+    /// parked in its stall queues and no response is parked behind its full
+    /// rings — the condition under which a warm export is a clean cut. The
+    /// freeze window polls this between steps.
     pub fn vm_wire_quiet(&self, vm: VmId) -> bool {
-        if self.engine.stalled_nqes_of(vm) > 0 {
+        if self.engine.stalled_nqes_of(vm) > 0 || self.engine.parked_responses_of(vm) > 0 {
             return false;
         }
         self.engine.vm_entries(vm).iter().all(|(_, entry)| {
@@ -452,14 +453,18 @@ impl NetKernelHost {
     pub fn export_vm_warm(&mut self, vm: VmId) -> NkResult<VmWarmExport> {
         let base = self.exportable(vm)?;
         let from_nsm = base.from_nsm;
-        // Fold any completions still parked in the VM's NK-device queues
-        // (DataReceived payloads, send credits, a reaped CloseComplete the
-        // application has not polled for) into GuestLib state *before*
-        // validating — the queues are dropped with the instance, payload
-        // announced but not absorbed would be lost in the handover, and the
-        // guest-socket states checked below must be the settled ones.
+        // Fold every completion still waiting in the VM's NK-device queues,
+        // or parked behind them (DataReceived payloads, send credits, a
+        // reaped CloseComplete the application has not polled for), into
+        // GuestLib state *before* validating — the queues are dropped with
+        // the instance, payload announced but not absorbed would be lost in
+        // the handover, and the guest-socket states checked below must be
+        // the settled ones. Each drive empties the rings for the next flush.
         let slot = self.vms.get_mut(&vm).expect("presence checked above");
         slot.guest.drive();
+        while self.engine.flush_vm(vm) > 0 {
+            slot.guest.drive();
+        }
         let entries = self.engine.vm_entries(vm);
         // Pre-validation pass over every layer the destructive phase will
         // touch: nothing is torn out until the whole export is known to
@@ -933,6 +938,30 @@ mod tests {
         // Crashing the adopting NSM tears the alias down with it.
         dst.crash_nsm(NsmId(1)).unwrap();
         assert!(dst.warm_aliases().is_empty());
+    }
+
+    /// A warm export never retires a VM with responses parked behind its
+    /// full rings: it drains them into GuestLib first, so every byte
+    /// announced to the frozen guest travels in the snapshot.
+    #[test]
+    fn warm_export_drains_parked_responses_into_the_snapshot() {
+        let mut cfg = kernel_cfg(1, 1, 1);
+        cfg.queue_capacity = 2;
+        let mut src = crate::NetKernelHost::new(cfg).unwrap();
+        let ls = remote_listener_at(&mut src, 0x0A01_0100);
+        let s = guest_connect_to(&mut src, 0x0A01_0100);
+        src.run(20, 100_000);
+        let remote = src.remote_mut(0x0A01_0100).unwrap();
+        let (conn, _) = remote.accept(ls).unwrap();
+        assert_eq!(remote.send(conn, &[7u8; 48 * 1024]).unwrap(), 48 * 1024);
+        src.freeze_vm(VmId(1)).unwrap();
+        src.run(20, 100_000);
+        assert!(src.parked_responses_of(VmId(1)) > 0, "the guest never read");
+        assert!(!src.vm_wire_quiet(VmId(1)));
+
+        let export = src.export_vm_warm(VmId(1)).unwrap();
+        assert_eq!(export.conns[0].guest_sock, s);
+        assert_eq!(export.conns[0].guest.rx_bytes, vec![7u8; 48 * 1024]);
     }
 
     /// A warm export refuses mid-close connections *before* touching

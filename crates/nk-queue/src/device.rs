@@ -104,11 +104,6 @@ impl<E> NkDevice<E> {
         self.queue_sets.get_mut(idx)
     }
 
-    /// Iterate mutably over all queue-set ends.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut E)> {
-        self.queue_sets.iter_mut().enumerate()
-    }
-
     /// The wake flag shared with the switch side.
     pub fn wake(&self) -> &WakeState {
         &self.wake

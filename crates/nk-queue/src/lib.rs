@@ -15,7 +15,8 @@
 //!   edges are plain ports. nkbench's `queue.unbounded_ns` drive still names
 //!   it, which pins it until ROADMAP item 7;
 //! * [`queueset`] — the four-queue set (job / completion / send / receive) of
-//!   the paper's Figure 5, split into a requester end and a responder end;
+//!   the paper's Figure 5, split into a requester end and a responder end,
+//!   which parks a response a full ring cannot take and never drops one;
 //! * [`device`] — the NK device: the per-entity collection of queue sets plus
 //!   the wake flag of the interrupt-driven-polling notification of §4.6.
 
@@ -27,6 +28,6 @@ pub mod spsc;
 pub mod unbounded;
 
 pub use device::{NkDevice, WakeState};
-pub use queueset::{queue_set_pair, QueueKind, RequesterEnd, ResponderEnd};
+pub use queueset::{queue_set_pair, RequesterEnd, ResponderEnd};
 pub use spsc::{channel, Consumer, Producer};
 pub use unbounded::{unbounded, UnboundedConsumer, UnboundedProducer};

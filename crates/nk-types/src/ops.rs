@@ -74,8 +74,6 @@ pub enum OpType {
     PeerClosed = 31,
     /// Asynchronous error on the connection; `op_data` carries the error code.
     ErrorEvent = 32,
-    /// A connection became writable again after the send buffer drained.
-    Writable = 33,
 }
 
 impl OpType {
@@ -106,7 +104,6 @@ impl OpType {
             30 => OpType::GetSockOptComplete,
             31 => OpType::PeerClosed,
             32 => OpType::ErrorEvent,
-            33 => OpType::Writable,
             _ => return None,
         })
     }
@@ -265,7 +262,6 @@ mod tests {
             OpType::GetSockOptComplete,
             OpType::PeerClosed,
             OpType::ErrorEvent,
-            OpType::Writable,
         ] {
             assert_eq!(OpType::from_u8(op as u8), Some(op));
         }

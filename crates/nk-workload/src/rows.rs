@@ -185,6 +185,33 @@ fn assert_same_report(runs: impl IntoIterator<Item = (String, ScenarioConfig)>) 
 mod tests {
     use super::*;
 
+    /// A full NQE ring parks a response and never drops one, so rings of
+    /// two or eight NQEs change a row's timing, never its outcome: every
+    /// row completes with all its bytes verified (the scenario runner also
+    /// checks that nothing is left parked or allocated after the settle).
+    #[test]
+    fn rows_complete_on_rings_of_two_and_eight() {
+        let single = single_stream(two_nsm_host(), 128 * 1024, FaultPlan::new());
+        let rows = [
+            ("control_ramp", control_ramp(), 3 * 96 * 1024),
+            ("single_stream", single, 128 * 1024),
+            ("drained_move", drained_move(), 160 * 1024),
+            ("warm_move", warm_move(), 160 * 1024),
+            ("evacuation", evacuation(), 2 * 96 * 1024),
+        ];
+        for capacity in [2, 8] {
+            for (name, row, bytes) in &rows {
+                let mut cfg = row.clone();
+                for host in &mut cfg.cluster.hosts {
+                    host.queue_capacity = capacity;
+                }
+                let report = Scenario::new(cfg).run().expect("valid row");
+                let outcome = (report.completed, report.bytes_verified);
+                assert_eq!(outcome, (true, *bytes), "{name} at capacity {capacity}");
+            }
+        }
+    }
+
     /// The oracle's `assert_eq!` is not vacuous: two runs that differ — the
     /// same row with its move scripted a millisecond later — are told apart.
     #[test]

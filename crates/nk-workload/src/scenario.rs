@@ -31,6 +31,9 @@
 //!   each request NQE the guest submitted was forwarded to an NSM, answered
 //!   with an error, or is still parked for retry: exact conservation over
 //!   the CoreEngine switch, per (host, VM).
+//! * **Nothing left behind** — after the settle, every resident VM's
+//!   hugepage region is fully free again and no response is parked behind
+//!   its full rings: the response direction loses nothing either.
 
 use crate::apps::{echo_all, BurstyClient, VerifiedStream};
 use nk_cluster::{Cluster, ClusterStats};
@@ -466,13 +469,18 @@ impl Scenario {
         let mut tenant_reports = BTreeMap::new();
         for id in cluster.host_ids() {
             for &vm in &vms {
-                let Some(guest) = cluster.guest_on(id, vm).map(|g| g.stats()) else {
+                let Some(guest) = cluster.guest_on(id, vm) else {
                     continue;
                 };
+                let held = guest.region().capacity() - guest.region().available();
+                let guest = guest.stats();
                 let host = cluster.host(id).expect("listed host exists");
                 let switch = host.vm_switch_stats(vm).expect("resident VM is registered");
                 let stalled = host.stalled_nqes_of(vm) as u64;
                 check_conservation(id, vm, guest.nqes_sent, switch, stalled);
+                let parked = host.parked_responses_of(vm);
+                let left = "hugepage bytes held and responses parked after the settle";
+                assert_eq!((held, parked), (0, 0), "{id}/{vm}: {left}");
                 let is_tenant = tenants.iter().any(|t| t.stream.spec().vm == vm);
                 if is_tenant && cluster.home_of(vm) == Some(id) {
                     tenant_reports.insert(vm, TenantReport { guest, switch });
