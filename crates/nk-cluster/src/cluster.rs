@@ -1,6 +1,6 @@
 //! The cluster: hosts behind one top-of-rack switch, one clock, one placer.
 
-use crate::exec::{ExecStats, ShardedExecutor, StepOutcome, Unit};
+use crate::exec::{ExecStats, ShardedExecutor, StepOutcome};
 use nk_ctrl::placer::{ClusterSample, HostLoad, Placer};
 use nk_ctrl::{EvacMode, PlanEvent};
 use nk_fabric::link::LinkConfig;
@@ -74,7 +74,9 @@ pub struct ClusterStats {
 /// hosts' [`NetKernelHost::draining_vms`].
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
-    pub(crate) hosts: BTreeMap<HostId, NetKernelHost>,
+    /// Boxed, so a step moves each host into the executor and back as a
+    /// pointer.
+    pub(crate) hosts: BTreeMap<HostId, Box<NetKernelHost>>,
     pub(crate) tor: TorSwitch<Segment>,
     /// Datacenter-level endpoints attached at the ToR (gateways, servers
     /// every host talks to).
@@ -92,16 +94,36 @@ pub struct Cluster {
     /// Drives each step's poll rounds over the units (hosts, or their
     /// share lanes) on `threads` OS threads, the stepping thread included.
     /// Semantics are identical at any count; see [`crate::exec`].
-    pub(crate) exec: ShardedExecutor,
+    pub(crate) exec: ShardedExecutor<Unit>,
     /// Shard below the host boundary: NSM share lanes (not whole hosts)
     /// are the parallel units. See [`nk_types::ClusterConfig::shard_within_hosts`]
     /// and the `NK_CLUSTER_SHARD_WITHIN_HOSTS` override.
     pub(crate) shard_within_hosts: bool,
     /// The flight recorder: every capture happens on the stepping thread —
-    /// outside the sharded step or at the round barrier — in `HostId`
+    /// outside the sharded step or in the hub between rounds — in `HostId`
     /// order, so its dump is byte-identical at any thread count.
     pub(crate) obs: FlightRecorder,
     pub(crate) now_ns: u64,
+}
+
+/// What the executor polls in a step: a whole host taken out of the map,
+/// or one share lane of a host that stays in the map as the lane's hub.
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a lane moves by value: boxing it would allocate once per lane per step"
+)]
+pub(crate) enum Unit {
+    Host(Box<NetKernelHost>),
+    Lane(HostId, ShareLane),
+}
+
+impl Pollable for Unit {
+    fn poll(&mut self, now_ns: u64) -> usize {
+        match self {
+            Unit::Host(host) => host.poll(now_ns),
+            Unit::Lane(_, lane) => lane.poll(now_ns),
+        }
+    }
 }
 
 impl Cluster {
@@ -123,7 +145,7 @@ impl Cluster {
                 host.enable_pool_accounting(policy.pool_clock_hz);
             }
             host.set_obs_enabled(cfg.obs.enabled);
-            hosts.insert(id, host);
+            hosts.insert(id, Box::new(host));
         }
         let placer = match cfg.policy.clone() {
             Some(policy) => Some(Placer::new(policy)?),
@@ -250,12 +272,12 @@ impl Cluster {
 
     /// A host by id.
     pub fn host(&self, id: HostId) -> Option<&NetKernelHost> {
-        self.hosts.get(&id)
+        self.hosts.get(&id).map(Box::as_ref)
     }
 
     /// Mutable access to a host by id.
     pub fn host_mut(&mut self, id: HostId) -> Option<&mut NetKernelHost> {
-        self.hosts.get_mut(&id)
+        self.hosts.get_mut(&id).map(Box::as_mut)
     }
 
     /// Host ids, in order.
@@ -377,8 +399,8 @@ impl Cluster {
     ///   one many-share host no longer serialises behind the host boundary
     ///   — the hub first runs each split host's own poll round.
     ///
-    /// Either way the hub runs at each round barrier with every helper
-    /// parked and drains host uplinks in route order (ascending `HostId`),
+    /// Either way the hub runs between rounds while every helper idles and
+    /// drains host uplinks in route order (ascending `HostId`),
     /// so the cross-shard frame merge is deterministic for any thread count
     /// and both modes produce the same bytes.
     pub(crate) fn drive_step(&mut self, dt_ns: u64, close: bool) -> StepOutcome {
@@ -393,40 +415,41 @@ impl Cluster {
             let s = self.exec.stats();
             (s.poll_work, s.barrier_frames)
         };
-        // One flat list of weighted units: whole hosts at weight 1, or every
-        // host's lanes at the load they last reported. A host that is split
-        // is not a unit itself: it stays behind as its lanes' hub.
-        let mut units: Vec<(u64, Unit<'_>)> = Vec::with_capacity(self.hosts.len());
-        let mut hub_hosts: Vec<&mut NetKernelHost> = Vec::new();
-        let mut lanes: Vec<BTreeMap<NsmId, ShareLane>> = Vec::new();
-        for host in self.hosts.values_mut() {
-            if self.shard_within_hosts {
-                lanes.push(host.split_lanes());
-                hub_hosts.push(host);
-            } else {
-                units.push((1, host));
+        // One flat list of weighted units: whole hosts at weight 1, taken out
+        // of the map for the step, or every host's lanes at the load they
+        // last reported. A host that is split is not a unit itself: it stays
+        // in the map as its lanes' hub.
+        let mut units = Vec::with_capacity(self.hosts.len());
+        if self.shard_within_hosts {
+            for (id, host) in self.hosts.iter_mut() {
+                let lanes = host.split_lanes().into_values();
+                units.extend(lanes.map(|lane| (lane.weight(), Unit::Lane(*id, lane))));
+            }
+        } else {
+            while let Some((_, host)) = self.hosts.pop_first() {
+                units.push((1, Unit::Host(host)));
             }
         }
-        for lane in lanes.iter_mut().flat_map(BTreeMap::values_mut) {
-            units.push((lane.weight(), lane));
-        }
+        let hosts = &mut self.hosts;
         let tor = &mut self.tor;
         let remotes = &mut self.remotes;
         let obs = &mut self.obs;
         let obs_active = obs.active();
-        // Work the per-host hubs did at the barriers. The executor books it
+        // Work the per-host hubs did between rounds. The executor books it
         // under `hub_work`; `ClusterStats::poll_work` must still cover it —
         // with whole hosts as units the same work happens inside the units'
         // own polls and lands in `poll_work`.
         let mut host_tail = 0usize;
-        let outcome = self.exec.drive(
+        let (outcome, units) = self.exec.drive(
             units,
             |now| {
                 // Host hubs first (resident engine, lane-report ledger
                 // charges, host remotes, vNIC switch), so uplink frames are
-                // on the trunks before the ToR runs.
+                // on the trunks before the ToR runs. They are the hosts
+                // still in the map: every split host, or none when whole
+                // hosts are the units.
                 let mut work = 0usize;
-                for host in hub_hosts.iter_mut() {
+                for host in hosts.values_mut() {
                     work += host.poll(now);
                 }
                 host_tail += work;
@@ -459,8 +482,17 @@ impl Cluster {
             now_ns,
             self.cfg.max_rounds,
         );
-        for (host, lanes) in hub_hosts.into_iter().zip(lanes) {
-            host.absorb_lanes(lanes);
+        for unit in units {
+            match unit {
+                Unit::Host(host) => {
+                    self.hosts.insert(host.host_id(), host);
+                }
+                Unit::Lane(id, lane) => self
+                    .hosts
+                    .get_mut(&id)
+                    .expect("a split host stays in the map")
+                    .absorb_lane(lane),
+            }
         }
 
         let mut close_work = 0usize;

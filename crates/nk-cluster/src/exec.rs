@@ -5,13 +5,15 @@
 //! until a whole round reports no work". This module owns that loop —
 //! once — and nothing else of the step:
 //!
-//! * **Units** are whatever implements [`Pollable`] — the one poll trait
-//!   every datapath component already answers to — and is `Send`: whole
-//!   [`nk_host::NetKernelHost`]s, or the [`nk_host::ShareLane`]s a host
-//!   splits into. Within a round a unit only touches its own state plus the
-//!   sending end of its cross-shard edges (the uplink trunk's port, the lane
-//!   report edge), which the hub reads only after the round barrier, so
-//!   units never share mutable state and their polls commute.
+//! * **Units** are whatever implements [`Pollable`] and is `Send` — the one
+//!   poll trait every datapath component already answers to. The executor
+//!   owns them for the length of a step and hands them back in list order:
+//!   whole [`nk_host::NetKernelHost`]s (moved as boxes), or the
+//!   [`nk_host::ShareLane`]s a host splits into. Within a round a unit only
+//!   touches its own state plus the sending end of its cross-shard edges
+//!   (the uplink trunk's port, the lane report edge), which the hub reads
+//!   only once every helper reported the round done, so units never share
+//!   mutable state and their polls commute.
 //! * **Dealing.** Units go onto `min(threads, units)` shards heaviest first
 //!   (each unit arrives with its weight, normally its last step's work),
 //!   each onto the lightest shard — longest-processing-time dealing. A
@@ -19,14 +21,21 @@
 //!   order. The assignment is a pure function of (weights, list order,
 //!   shard count) and only ever affects scheduling.
 //! * **A round runs one way.** The caller's thread polls shard 0 itself and
-//!   one scoped helper thread polls each further shard, so `threads = N`
-//!   is N busy OS threads, the caller included, and `threads = 1` is the
-//!   same code with no helper. All of them meet at a spin-then-yield
-//!   barrier before and after each round; between rounds the caller runs
-//!   the hub with every helper parked — so the hub is free of data races
-//!   and drains the cross-shard edges in the same order at any thread
-//!   count. A panic on any thread poisons the barrier: the others leave it
-//!   and the panic reaches the caller.
+//!   one helper of the executor's crew polls each further shard, so
+//!   `threads = N` is N busy OS threads, the caller included, and
+//!   `threads = 1` is the same code with no helper. The crew outlives the
+//!   step: a helper is spawned the first time a step deals a shard to it
+//!   and joined when the executor drops. A round is one release and one
+//!   rendezvous — the caller bumps each dealt helper's release counter,
+//!   polls shard 0, and waits until every released helper reports the
+//!   round done — and then the caller runs the hub while every helper
+//!   idles, so the hub is free of data races and drains the cross-shard
+//!   edges in the same order at any thread count. Only the caller ever
+//!   waits on another thread's work, and only on work it released. An idle
+//!   helper spins, then yields, then parks; the next release unparks it.
+//!   A helper catches a panic of its shard and reports the round done;
+//!   the caller re-raises it, so the panic reaches the caller with its own
+//!   payload and the crew is ready for the next step.
 //! * **Quiescence is a sum.** The exit decision (`work == 0`, round bound)
 //!   depends only on the *total* work of a round, and sums are independent
 //!   of shard assignment — every thread count runs the same rounds.
@@ -44,11 +53,11 @@
 //! wall clock cannot show it.
 
 use nk_sim::Pollable;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::thread::ScopedJoinHandle;
-
-/// A unit of a poll phase as [`ShardedExecutor::drive`] takes it.
-pub type Unit<'u> = &'u mut (dyn Pollable + Send);
+use std::sync::{Arc, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 /// What one driven poll phase did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,14 +83,14 @@ pub struct ExecStats {
     pub rounds: u64,
     /// Work done by units in poll rounds, all shards.
     pub poll_work: u64,
-    /// Work done by the hub at round barriers.
+    /// Work done by the hub between rounds.
     pub hub_work: u64,
-    /// Frames the ToR forwarded at round barriers (the cross-shard edge).
+    /// Frames the ToR forwarded in the hub (the cross-shard edge).
     pub barrier_frames: u64,
     /// Total work items — what a single thread executes.
     pub serial_work: u64,
     /// Critical-path work items: per round the *maximum* shard (shards run
-    /// in parallel) plus the full hub (it runs serially at the barrier).
+    /// in parallel) plus the full hub (it runs serially between rounds).
     /// Begin and close phases run serially outside the executor and always
     /// count in full ([`ShardedExecutor::note_serial_work`]).
     /// `serial_work / critical_work` is the modeled speedup of the
@@ -104,7 +113,7 @@ impl ExecStats {
     /// ```
     ///
     /// Worked example: one round, 8 lanes × 12 work items dealt 2-per-shard
-    /// onto 4 shards, and a hub doing 8 items at the barrier. Serially
+    /// onto 4 shards, and a hub doing 8 items after the round. Serially
     /// that's `8 × 12 + 8 = 104` items; the critical path is one shard's
     /// `2 × 12 = 24` plus the hub's 8 = 32, so the model reports
     /// `104 / 32 = 3.25`:
@@ -128,115 +137,239 @@ impl ExecStats {
     }
 }
 
-/// How many times a waiter spin-loops before each wait falls back to
-/// [`std::thread::yield_now`]. Small on purpose: the common case (every
-/// other party is about to arrive) resolves within a few dozen iterations,
-/// and anything longer means the machine is oversubscribed — more runnable
-/// threads than cores, the normal state of CI runners — where burning the
-/// timeslice spinning *prevents* the thread we're waiting for from running.
-const BARRIER_SPIN_LIMIT: u32 = 128;
+/// How many times a waiter spin-loops before it falls back to
+/// [`std::thread::yield_now`]. Small on purpose: the common case (the
+/// awaited thread is about to get there) resolves within a few dozen
+/// iterations, and anything longer means the machine is oversubscribed —
+/// more runnable threads than cores, the normal state of CI runners —
+/// where burning the timeslice spinning *prevents* the thread we're waiting
+/// for from running.
+const SPIN_LIMIT: u32 = 128;
 
-/// A sense-reversing barrier that spins briefly and then yields.
-///
-/// `std::sync::Barrier` parks on a condvar — a syscall per round per
-/// thread, paid 10–30 times per step. Poll rounds are microseconds long, so
-/// the barrier spins up to [`BARRIER_SPIN_LIMIT`] iterations (the common
-/// case: every other party is about to arrive) and then yields its
-/// timeslice between polls, so an oversubscribed machine (CI pinning
-/// everything to one core) still makes progress instead of collapsing into
-/// N−1 threads busy-waiting on the one that holds the core.
-///
-/// A party that dies never arrives, so every party holds a
-/// [`PoisonOnPanic`] guard: unwinding sets `poisoned`, and every waiter
-/// gives up instead of spinning forever.
-struct SpinBarrier {
-    parties: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    poisoned: AtomicBool,
-}
+/// How many times an idle helper yields, after spinning, before it parks.
+/// Long enough to span the serial gap between two steps of a busy cluster
+/// (begin, close and the caller's own work), so a helper is still awake
+/// for the next step's first release; short enough that the helpers of an
+/// idle cluster soon stop taking turns on the cores.
+const YIELD_LIMIT: u32 = 1024;
 
-impl SpinBarrier {
-    fn new(parties: usize) -> Self {
-        SpinBarrier {
-            parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
-        }
-    }
+/// A waiter's backoff: spin, then yield, then — for an idle helper — park.
+#[derive(Default)]
+struct Backoff(u32);
 
-    /// Wait for every party. Returns `false` — without all parties having
-    /// arrived — once the barrier is poisoned; the caller must then stop
-    /// using it.
-    #[must_use]
-    fn wait(&self) -> bool {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            // Last arriver: reset the count *before* publishing the new
-            // generation, so early risers find a clean barrier.
-            self.arrived.store(0, Ordering::Release);
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
+impl Backoff {
+    /// One wait of the caller: it spins, then yields, but never parks —
+    /// nobody would unpark it, and the work it waits for is already
+    /// released.
+    fn snooze(&mut self) {
+        if self.0 < SPIN_LIMIT {
+            std::hint::spin_loop();
         } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                if self.poisoned.load(Ordering::Acquire) {
-                    return false;
-                }
-                spins += 1;
-                if spins < BARRIER_SPIN_LIMIT {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+            std::thread::yield_now();
+        }
+        self.0 = self.0.saturating_add(1);
+    }
+
+    /// One wait of an idle helper: past the spin and yield bounds it parks
+    /// until the next release unparks it.
+    fn idle(&mut self) {
+        if self.0 < SPIN_LIMIT + YIELD_LIMIT {
+            self.snooze();
+        } else {
+            std::thread::park();
+        }
+    }
+}
+
+/// What a helper works on in a step, and what it hands back each round.
+struct Slot<U> {
+    /// The helper's shard for the current step, in list order.
+    shard: Vec<U>,
+    now_ns: u64,
+    /// The work of the latest round, or the panic that ended it.
+    outcome: Result<usize, Box<dyn Any + Send>>,
+}
+
+impl<U> Default for Slot<U> {
+    fn default() -> Self {
+        Slot {
+            shard: Vec::new(),
+            now_ns: 0,
+            outcome: Ok(0),
+        }
+    }
+}
+
+/// One helper's end of the rendezvous. Only the caller bumps `release` and
+/// only the helper advances `done`; while `done == release` the helper is
+/// idle and its slot is the caller's.
+struct Seat<U> {
+    release: AtomicUsize,
+    done: AtomicUsize,
+    stop: AtomicBool,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "cross-shard-locks: a helper's slot. The caller fills and \
+                  empties it while `done == release` and the helper locks it \
+                  only between seeing a release and storing `done`, so the \
+                  release/done rendezvous orders every access and the lock is \
+                  never contended. A unit's panic is caught inside the lock, \
+                  so it is never poisoned either."
+    )]
+    slot: std::sync::Mutex<Slot<U>>,
+}
+
+impl<U> Seat<U> {
+    fn slot(&self) -> MutexGuard<'_, Slot<U>> {
+        self.slot
+            .lock()
+            .expect("no thread panics holding a slot: a unit's panic is caught inside it")
+    }
+}
+
+/// A helper's loop: wait for a release, poll the shard once, report done —
+/// until the executor drops. A panic of the shard is caught and handed to
+/// the caller as the round's outcome; the helper waits for the next release.
+fn serve<U: Pollable>(seat: &Seat<U>) {
+    let mut seen = 0;
+    loop {
+        let mut wait = Backoff::default();
+        // Acquire pairs with the caller's Release store of `release`, so
+        // `stop`, written before it, is visible here.
+        loop {
+            let release = seat.release.load(Ordering::Acquire);
+            if release != seen {
+                seen = release;
+                break;
             }
+            wait.idle();
         }
-        true
+        if seat.stop.load(Ordering::Relaxed) {
+            return;
+        }
+        {
+            let mut slot = seat.slot();
+            let Slot {
+                shard,
+                now_ns,
+                outcome,
+            } = &mut *slot;
+            *outcome = catch_unwind(AssertUnwindSafe(|| poll_shard(shard, *now_ns)));
+        }
+        // Release pairs with the caller's Acquire load in `wait_done`.
+        seat.done.store(seen, Ordering::Release);
     }
 }
 
-/// Held by every barrier party for as long as it may still arrive: if the
-/// holder unwinds, the barrier is poisoned and the other parties' waits
-/// return instead of hanging on an arrival that will never come.
-struct PoisonOnPanic<'a>(&'a SpinBarrier);
+/// A spawned helper: its seat and its thread.
+struct Helper<U> {
+    seat: Arc<Seat<U>>,
+    thread: JoinHandle<()>,
+}
 
-impl Drop for PoisonOnPanic<'_> {
+impl<U> Helper<U> {
+    /// Release the next round: the helper polls its shard once.
+    fn release(&self) {
+        let next = self.seat.release.load(Ordering::Relaxed).wrapping_add(1);
+        self.seat.release.store(next, Ordering::Release);
+        // Cheap when the helper is awake: it only leaves a token that makes
+        // its next park return at once.
+        self.thread.thread().unpark();
+    }
+
+    /// Wait until the helper finished every round released to it.
+    fn wait_done(&self) {
+        let released = self.seat.release.load(Ordering::Relaxed);
+        let mut wait = Backoff::default();
+        while self.seat.done.load(Ordering::Acquire) != released {
+            wait.snooze();
+        }
+    }
+
+    /// The work of the round the helper just finished; re-raises its panic
+    /// on the caller's thread.
+    fn take_work(&self) -> usize {
+        let outcome = std::mem::replace(&mut self.seat.slot().outcome, Ok(0));
+        outcome.unwrap_or_else(|payload| resume_unwind(payload))
+    }
+}
+
+/// The executor's helper threads, spawned on demand and joined on drop.
+struct Crew<U> {
+    helpers: Vec<Helper<U>>,
+}
+
+impl<U: Pollable + Send + 'static> Crew<U> {
+    /// The first `count` helpers, spawning the ones that do not exist yet.
+    fn hire(&mut self, count: usize) -> &[Helper<U>] {
+        while self.helpers.len() < count {
+            let seat = Arc::new(Seat {
+                release: AtomicUsize::new(0),
+                done: AtomicUsize::new(0),
+                stop: AtomicBool::new(false),
+                // Only the field, under its `expect`, names the lock type.
+                slot: Default::default(),
+            });
+            let theirs = Arc::clone(&seat);
+            let thread = std::thread::spawn(move || serve(&theirs));
+            self.helpers.push(Helper { seat, thread });
+        }
+        &self.helpers[..count]
+    }
+}
+
+impl<U> Drop for Crew<U> {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poisoned.store(true, Ordering::Release);
+        for helper in &self.helpers {
+            // Relaxed: the Release store in `release` publishes it.
+            helper.seat.stop.store(true, Ordering::Relaxed);
+            helper.release();
+        }
+        for helper in self.helpers.drain(..) {
+            // A helper catches every panic of its units and hands it to the
+            // caller, so its thread ends cleanly and there is nothing to
+            // report here.
+            let _ = helper.thread.join();
         }
     }
 }
 
-/// The caller's side of a barrier wait. If the barrier was poisoned a
-/// helper panicked: the survivors are already leaving, so join everyone and
-/// re-raise the helper's own panic on the caller's thread — the same thing
-/// the caller sees when a unit of its own shard panics.
-fn wait_for_helpers(barrier: &SpinBarrier, helpers: &mut Vec<ScopedJoinHandle<'_, ()>>) {
-    if barrier.wait() {
-        return;
-    }
-    for helper in helpers.drain(..) {
-        if let Err(payload) = helper.join() {
-            std::panic::resume_unwind(payload);
+/// Held by the caller while helpers hold units. If the caller unwinds — a
+/// unit of its own shard, the hub, or a helper's re-raised panic — it waits
+/// out the round in flight and drops the helpers' units, so the crew is
+/// idle and empty-handed for the next step.
+struct Recall<'a, U>(&'a [Helper<U>]);
+
+impl<U> Drop for Recall<'_, U> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        for helper in self.0 {
+            helper.wait_done();
+            let mut slot = helper
+                .seat
+                .slot
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            slot.shard.clear();
+            slot.outcome = Ok(0);
         }
     }
-    unreachable!("barrier poisoned, yet every helper exited cleanly");
 }
 
 /// One round of one shard: every unit polls, in list order.
-fn poll_shard(shard: &mut [Unit<'_>], now_ns: u64) -> usize {
+fn poll_shard<U: Pollable>(shard: &mut [U], now_ns: u64) -> usize {
     shard.iter_mut().map(|unit| unit.poll(now_ns)).sum()
 }
 
-/// Deal `units` onto `shard_count` shards: heaviest first (list order
-/// breaks ties), each onto the lightest shard; shard occupancy, then shard
-/// index, break load ties. A weight of 0 counts as 1, so a fresh topology
-/// still spreads across shards instead of piling onto shard 0 — and equal
-/// weights deal round-robin in list order. Within a shard, units keep
-/// their list order.
-fn deal<'u>(units: Vec<(u64, Unit<'u>)>, shard_count: usize) -> Vec<Vec<Unit<'u>>> {
+/// Deal `units` onto `shards`: heaviest first (list order breaks ties),
+/// each onto the lightest shard; shard occupancy, then shard index, break
+/// load ties. A weight of 0 counts as 1, so a fresh topology still spreads
+/// across shards instead of piling onto shard 0 — and equal weights deal
+/// round-robin in list order. Within a shard, units keep their list order.
+/// `dealt[i]` is left holding unit i's shard.
+fn deal<U>(units: Vec<(u64, U)>, shards: &mut [Vec<U>], dealt: &mut Vec<usize>) {
     let mut order: Vec<(usize, u64)> = units
         .iter()
         .map(|(weight, _)| (*weight).max(1))
@@ -244,39 +377,48 @@ fn deal<'u>(units: Vec<(u64, Unit<'u>)>, shard_count: usize) -> Vec<Vec<Unit<'u>
         .collect();
     // Stable: equal weights stay in list order.
     order.sort_by_key(|(_, weight)| std::cmp::Reverse(*weight));
-    let mut filled = vec![(0u64, 0usize); shard_count]; // (load, occupancy)
-    let mut assignment = vec![0usize; order.len()];
+    let mut filled = vec![(0u64, 0usize); shards.len()]; // (load, occupancy)
+    dealt.clear();
+    dealt.resize(order.len(), 0);
     for (index, weight) in order {
-        let target = (0..shard_count)
+        let target = (0..shards.len())
             .min_by_key(|i| (filled[*i], *i))
-            .expect("shard_count >= 1");
+            .expect("at least one shard");
         filled[target].0 += weight;
         filled[target].1 += 1;
-        assignment[index] = target;
+        dealt[index] = target;
     }
-    let mut shards: Vec<Vec<Unit<'u>>> = filled
-        .iter()
-        .map(|(_, occupancy)| Vec::with_capacity(*occupancy))
-        .collect();
-    for ((_, unit), shard) in units.into_iter().zip(assignment) {
-        shards[shard].push(unit);
+    for ((_, unit), shard) in units.into_iter().zip(dealt.iter()) {
+        shards[*shard].push(unit);
     }
-    shards
 }
 
-/// Drives the poll phase of cluster steps over a set of [`Pollable`] units.
-pub struct ShardedExecutor {
+/// Drives the poll phase of cluster steps over a set of [`Pollable`] units,
+/// with a crew of helper threads that lives as long as the executor.
+pub struct ShardedExecutor<U> {
     threads: usize,
     stats: ExecStats,
+    crew: Crew<U>,
+    /// Shard buffers between steps (the caller's first), kept for their
+    /// capacity.
+    shards: Vec<Vec<U>>,
+    /// The shard each unit of the current step was dealt to, in list order.
+    dealt: Vec<usize>,
 }
 
-impl ShardedExecutor {
+impl<U: Pollable + Send + 'static> ShardedExecutor<U> {
     /// An executor that keeps `threads` OS threads busy in a poll phase,
-    /// the caller's included (clamped to at least 1).
+    /// the caller's included (clamped to at least 1). No thread is spawned
+    /// before a step deals more than one shard.
     pub fn new(threads: usize) -> Self {
         ShardedExecutor {
             threads: threads.max(1),
             stats: ExecStats::default(),
+            crew: Crew {
+                helpers: Vec::new(),
+            },
+            shards: Vec::new(),
+            dealt: Vec::new(),
         }
     }
 
@@ -304,92 +446,100 @@ impl ShardedExecutor {
     /// [`Pollable::poll`] followed by the hub — which must run the
     /// cross-unit fabric (host hubs when the units are lanes, the ToR, the
     /// cluster's endpoint stacks) and return `(work, frames_forwarded)` —
-    /// until a full round reports no work or `max_rounds` is hit.
+    /// until a full round reports no work or `max_rounds` is hit. Returns
+    /// what the phase did and the units, in list order.
     ///
     /// `units` is an ordered list of `(weight, unit)`, dealt onto
     /// `min(threads, units.len())` shards (see the module docs; equal
-    /// weights deal round-robin). The caller's thread polls shard 0 and a
-    /// scoped helper thread polls each other shard; all of them meet at one
-    /// barrier twice per round — once to start it, once when it is done —
-    /// and with one shard that is a one-party barrier and no helper. The
-    /// hub always runs on the caller's thread with every helper parked, so
-    /// everything it touches is free of data races and ordered identically
-    /// for any thread count, and the rounds executed never depend on the
-    /// dealing.
+    /// weights deal round-robin). The caller's thread polls shard 0 and
+    /// helper `i` of the crew polls shard `i + 1`; a round releases every
+    /// dealt helper once and waits until each reports it done, and with
+    /// one shard there is no helper to release. The hub always runs on the
+    /// caller's thread while every helper idles, so everything it touches
+    /// is free of data races and ordered identically for any thread count,
+    /// and the rounds executed never depend on the dealing.
     ///
-    /// A panic in a unit or in the hub propagates to the caller at any
-    /// thread count, after every helper has exited.
+    /// A panic in a unit or in the hub propagates to the caller with its
+    /// own payload at any thread count, once no helper is polling; the
+    /// step's units are dropped, its counters are not booked, and the
+    /// executor drives the next step as a new one would.
     pub fn drive(
         &mut self,
-        units: Vec<(u64, Unit<'_>)>,
+        units: Vec<(u64, U)>,
         mut hub: impl FnMut(u64) -> (usize, usize),
         now_ns: u64,
         max_rounds: usize,
-    ) -> StepOutcome {
-        let shard_count = self.threads.min(units.len()).max(1);
+    ) -> (StepOutcome, Vec<U>) {
+        let count = units.len();
+        let shard_count = self.threads.min(count).max(1);
+        let mut shards = std::mem::take(&mut self.shards);
+        shards.resize_with(shard_count, Vec::new);
+        deal(units, &mut shards, &mut self.dealt);
+        let (own, theirs) = shards.split_first_mut().expect("at least one shard");
+        let helpers = self.crew.hire(theirs.len());
+        for (helper, shard) in helpers.iter().zip(theirs.iter_mut()) {
+            let mut slot = helper.seat.slot();
+            std::mem::swap(&mut slot.shard, shard);
+            slot.now_ns = now_ns;
+        }
+        let recall = Recall(helpers);
+        // This step's counters, booked once it completes.
+        let mut step = ExecStats::default();
+        let quiescent = loop {
+            for helper in helpers {
+                helper.release();
+            }
+            let mut poll_sum = poll_shard(own, now_ns);
+            let mut poll_max = poll_sum;
+            for helper in helpers {
+                helper.wait_done();
+                let work = helper.take_work();
+                poll_sum += work;
+                poll_max = poll_max.max(work);
+            }
+            let (hub_work, frames) = hub(now_ns);
+            let work = poll_sum + hub_work;
+            step.rounds += 1;
+            step.poll_work += poll_sum as u64;
+            step.hub_work += hub_work as u64;
+            step.barrier_frames += frames as u64;
+            step.serial_work += work as u64;
+            step.critical_work += (poll_max + hub_work) as u64;
+            if work == 0 {
+                break true;
+            }
+            if step.rounds >= max_rounds as u64 {
+                break false;
+            }
+        };
+        for (helper, shard) in helpers.iter().zip(theirs.iter_mut()) {
+            std::mem::swap(&mut helper.seat.slot().shard, shard);
+        }
+        drop(recall);
+        // Within a shard units keep list order, so popping each unit's
+        // shard in reverse list order yields the list reversed.
+        let mut back = Vec::with_capacity(count);
+        for shard in self.dealt.iter().rev() {
+            back.push(shards[*shard].pop().expect("every unit was dealt"));
+        }
+        back.reverse();
+        self.shards = shards;
+
         let stats = &mut self.stats;
         stats.threads = shard_count;
-        let mut shards = deal(units, shard_count).into_iter();
-        let mut own = shards.next().expect("shard_count >= 1");
-        let barrier = SpinBarrier::new(shard_count);
-        let stop = AtomicBool::new(false);
-        // Per-helper cells carry each round's work back to the caller.
-        let cells: Vec<AtomicUsize> = (1..shard_count).map(|_| AtomicUsize::new(0)).collect();
-        std::thread::scope(|scope| {
-            let _poison = PoisonOnPanic(&barrier);
-            let mut helpers = Vec::with_capacity(cells.len());
-            for (mut shard, cell) in shards.zip(&cells) {
-                let (barrier, stop) = (&barrier, &stop);
-                helpers.push(scope.spawn(move || {
-                    let _poison = PoisonOnPanic(barrier);
-                    // Round start (or stop) … round done → hub runs.
-                    while barrier.wait() && !stop.load(Ordering::Acquire) {
-                        cell.store(poll_shard(&mut shard, now_ns), Ordering::Release);
-                        if !barrier.wait() {
-                            break;
-                        }
-                    }
-                }));
-            }
-            let mut total = 0usize;
-            let mut rounds = 0usize;
-            let quiescent = loop {
-                wait_for_helpers(&barrier, &mut helpers); // round start
-                let own_work = poll_shard(&mut own, now_ns);
-                wait_for_helpers(&barrier, &mut helpers); // round done
-                let mut poll_sum = own_work;
-                let mut poll_max = own_work;
-                for cell in &cells {
-                    let work = cell.load(Ordering::Acquire);
-                    poll_sum += work;
-                    poll_max = poll_max.max(work);
-                }
-                let (hub_work, frames) = hub(now_ns);
-                let work = poll_sum + hub_work;
-                rounds += 1;
-                total += work;
-                stats.poll_work += poll_sum as u64;
-                stats.hub_work += hub_work as u64;
-                stats.barrier_frames += frames as u64;
-                stats.serial_work += work as u64;
-                stats.critical_work += (poll_max + hub_work) as u64;
-                if work == 0 {
-                    break true;
-                }
-                if rounds >= max_rounds {
-                    break false;
-                }
-            };
-            stop.store(true, Ordering::Release);
-            wait_for_helpers(&barrier, &mut helpers); // helpers observe stop
-            stats.steps += 1;
-            stats.rounds += rounds as u64;
-            StepOutcome {
-                work: total,
-                rounds,
-                quiescent,
-            }
-        })
+        stats.steps += 1;
+        stats.rounds += step.rounds;
+        stats.poll_work += step.poll_work;
+        stats.hub_work += step.hub_work;
+        stats.barrier_frames += step.barrier_frames;
+        stats.serial_work += step.serial_work;
+        stats.critical_work += step.critical_work;
+        let outcome = StepOutcome {
+            work: step.serial_work as usize,
+            rounds: step.rounds as usize,
+            quiescent,
+        };
+        (outcome, back)
     }
 }
 
@@ -397,13 +547,42 @@ impl ShardedExecutor {
 mod tests {
     use super::*;
     use nk_fabric::{uplink_pair, Frame, HostUplink, TorUplink};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::cell::RefCell;
+
+    #[expect(
+        clippy::disallowed_types,
+        reason = "thread-identity: test observes scheduling, feeds no data path"
+    )]
+    type Thread = std::thread::ThreadId;
+
+    /// Every poll a rig's units made, in the order they made them:
+    /// `(unit id, polling thread)`. Shared, so it outlives units a panic
+    /// dropped inside the executor.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "cross-shard-locks: test record, feeds no data path"
+    )]
+    type Polls = Arc<std::sync::Mutex<Vec<(u32, Thread)>>>;
+
+    /// Counts the threads that end after polling a unit carrying it: each
+    /// such thread keeps one in a thread-local, dropped when it exits.
+    struct CountOnExit(Arc<AtomicUsize>);
+
+    impl Drop for CountOnExit {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static ON_EXIT: RefCell<Option<CountOnExit>> = const { RefCell::new(None) };
+    }
 
     /// A synthetic unit: does `load` work items per round for `busy_rounds`
     /// rounds, sending a frame tagged `(id, item)` per item up its trunk, and
-    /// panics on entering round `panic_in_round` when that is set. It notes
-    /// the OS thread of every poll, so a test can count a unit's polls and
-    /// tell which units shared a shard.
+    /// panics on entering round `panic_in_round` when that is set. It logs
+    /// the OS thread of every poll to its rig's record, so a test can count
+    /// a unit's polls and tell which units shared a shard.
     struct MockUnit {
         id: u32,
         load: usize,
@@ -411,11 +590,12 @@ mod tests {
         rounds_done: usize,
         panic_in_round: Option<usize>,
         uplink: HostUplink<usize>,
-        #[expect(
-            clippy::disallowed_types,
-            reason = "thread-identity: test observes scheduling, feeds no data path"
-        )]
-        polled_on: Vec<std::thread::ThreadId>,
+        polls: Polls,
+        /// When set, every thread that polls this unit counts here when it
+        /// exits.
+        exits: Option<Arc<AtomicUsize>>,
+        /// Held while the unit lives: the rig counts its units by it.
+        _alive: Arc<()>,
     }
 
     impl Pollable for MockUnit {
@@ -424,7 +604,15 @@ mod tests {
                 clippy::disallowed_methods,
                 reason = "thread-identity: test observes scheduling, feeds no data path"
             )]
-            self.polled_on.push(std::thread::current().id());
+            let thread = std::thread::current().id();
+            self.polls.lock().unwrap().push((self.id, thread));
+            if let Some(exits) = &self.exits {
+                ON_EXIT.with(|on_exit| {
+                    on_exit
+                        .borrow_mut()
+                        .get_or_insert_with(|| CountOnExit(Arc::clone(exits)));
+                });
+            }
             if self.panic_in_round == Some(self.rounds_done + 1) {
                 panic!("unit {} blew up", self.id);
             }
@@ -445,14 +633,34 @@ mod tests {
         }
     }
 
-    /// The units in list order, and the ToR ends of their trunks in the
-    /// same order — the shape of hosts behind a ToR.
-    type Rig = (Vec<MockUnit>, Vec<TorUplink<usize>>);
+    /// The units in list order, the ToR ends of their trunks in the same
+    /// order — the shape of hosts behind a ToR — the record of polls, and a
+    /// token every unit holds a clone of.
+    struct Rig {
+        units: Vec<MockUnit>,
+        tors: Vec<TorUplink<usize>>,
+        polls: Polls,
+        alive: Arc<()>,
+    }
+
+    impl Rig {
+        /// The threads that polled unit `id`, one per poll, in order.
+        fn polled_on(&self, id: u32) -> Vec<Thread> {
+            let polls = self.polls.lock().unwrap();
+            polls
+                .iter()
+                .filter(|(unit, _)| *unit == id)
+                .map(|(_, thread)| *thread)
+                .collect()
+        }
+    }
 
     /// Build `n` units with *uneven* loads (unit i does `3*i + 1` items per
     /// round, for `i + 1` rounds).
     fn rig(n: u32) -> Rig {
-        (0..n)
+        let polls = Polls::default();
+        let alive = Arc::new(());
+        let (units, tors) = (0..n)
             .map(|id| {
                 let (uplink, tor) = uplink_pair(id);
                 let unit = MockUnit {
@@ -462,36 +670,43 @@ mod tests {
                     rounds_done: 0,
                     panic_in_round: None,
                     uplink,
-                    polled_on: Vec::new(),
+                    polls: Arc::clone(&polls),
+                    exits: None,
+                    _alive: Arc::clone(&alive),
                 };
                 (unit, tor)
             })
-            .unzip()
+            .unzip();
+        Rig {
+            units,
+            tors,
+            polls,
+            alive,
+        }
     }
 
-    /// Drive one step over the rig at `threads`, unit i weighing
-    /// `weights[i]` (0 past the end of the slice), the hub merging every
-    /// trunk at the barrier in list order (and panicking on entering round
-    /// `hub_panic_in_round`, when set); 5 items of serial begin/close work
-    /// are noted around it. Returns (outcome, merged log, executor stats).
-    fn run_step(
-        threads: usize,
-        (units, tors): &mut Rig,
+    /// Drive one step of `exec` over the rig, unit i weighing `weights[i]`
+    /// (0 past the end of the slice), the hub merging every trunk in list
+    /// order (and panicking on entering round `hub_panic_in_round`, when
+    /// set). The units come back into the rig. Returns (outcome, merged
+    /// log).
+    fn drive_rig(
+        exec: &mut ShardedExecutor<MockUnit>,
+        rig: &mut Rig,
         weights: &[u64],
         max_rounds: usize,
         hub_panic_in_round: Option<usize>,
-    ) -> (StepOutcome, Vec<(u32, usize)>, ExecStats) {
+    ) -> (StepOutcome, Vec<(u32, usize)>) {
         let mut log = Vec::new();
         let mut frames = Vec::new();
         let mut hub_calls = 0;
-        let mut exec = ShardedExecutor::new(threads);
-        exec.note_serial_work(5);
-        let units = units
-            .iter_mut()
+        let units = std::mem::take(&mut rig.units)
+            .into_iter()
             .enumerate()
-            .map(|(i, unit)| (weights.get(i).copied().unwrap_or(0), unit as Unit<'_>))
+            .map(|(i, unit)| (weights.get(i).copied().unwrap_or(0), unit))
             .collect();
-        let outcome = exec.drive(
+        let tors = &mut rig.tors;
+        let (outcome, units) = exec.drive(
             units,
             |_now| {
                 hub_calls += 1;
@@ -506,6 +721,23 @@ mod tests {
             0,
             max_rounds,
         );
+        rig.units = units;
+        (outcome, log)
+    }
+
+    /// One step over the rig on a new executor at `threads`, with 5 items
+    /// of serial begin/close work noted around it. Returns (outcome, merged
+    /// log, executor stats).
+    fn run_step(
+        threads: usize,
+        rig: &mut Rig,
+        weights: &[u64],
+        max_rounds: usize,
+        hub_panic_in_round: Option<usize>,
+    ) -> (StepOutcome, Vec<(u32, usize)>, ExecStats) {
+        let mut exec = ShardedExecutor::new(threads);
+        exec.note_serial_work(5);
+        let (outcome, log) = drive_rig(&mut exec, rig, weights, max_rounds, hub_panic_in_round);
         (outcome, log, exec.stats().clone())
     }
 
@@ -517,10 +749,10 @@ mod tests {
 
     /// Work per round of each shard of the last step, ascending: units
     /// polled on the same OS thread were dealt to the same shard.
-    fn shard_loads(units: &[MockUnit]) -> Vec<usize> {
+    fn shard_loads(rig: &Rig) -> Vec<usize> {
         let mut shards = Vec::new();
-        for unit in units {
-            let thread = unit.polled_on[0];
+        for unit in &rig.units {
+            let thread = rig.polled_on(unit.id)[0];
             match shards.iter_mut().find(|(t, _)| *t == thread) {
                 Some((_, load)) => *load += unit.load,
                 None => shards.push((thread, unit.load)),
@@ -535,7 +767,8 @@ mod tests {
     /// cross-shard frame stream, the outcome and every
     /// thread-count-independent counter are identical for any thread count
     /// and any weight vector, because the hub drains the trunks in list
-    /// order with every helper parked.
+    /// order while every helper idles — and the units come back in list
+    /// order whatever the dealing did with them.
     #[test]
     fn merge_order_and_counters_are_identical_for_any_threads_and_weights() {
         let (serial, log1, s1) = run_step(1, &mut rig(8), &[], 64, None);
@@ -552,12 +785,23 @@ mod tests {
                 assert_eq!(sn.hub_work, s1.hub_work);
                 assert_eq!(sn.barrier_frames, s1.barrier_frames);
                 assert_eq!(sn.threads, threads);
+                let ids: Vec<u32> = rig.units.iter().map(|unit| unit.id).collect();
+                assert_eq!(
+                    ids,
+                    (0..8).collect::<Vec<_>>(),
+                    "units come back in list order"
+                );
                 // Every unit was dealt to exactly one shard: one poll per
                 // round each, and the shards' work adds up to the total.
-                for unit in &rig.0 {
-                    assert_eq!(unit.polled_on.len(), serial.rounds, "unit {}", unit.id);
+                for unit in &rig.units {
+                    assert_eq!(
+                        rig.polled_on(unit.id).len(),
+                        serial.rounds,
+                        "unit {}",
+                        unit.id
+                    );
                 }
-                assert_eq!(shard_loads(&rig.0).len(), threads);
+                assert_eq!(shard_loads(&rig).len(), threads);
                 assert!(sn.critical_work <= sn.serial_work);
             }
         }
@@ -586,7 +830,7 @@ mod tests {
             let mut rig = rig(8);
             run_step(threads, &mut rig, &[], 64, None);
             let mut seen = Vec::new();
-            for thread in rig.0.iter().flat_map(|unit| &unit.polled_on) {
+            for (_, thread) in rig.polls.lock().unwrap().iter() {
                 if !seen.contains(thread) {
                     seen.push(*thread);
                 }
@@ -622,7 +866,7 @@ mod tests {
     fn round_bound_applies_identically() {
         for threads in [1, 2, 4] {
             let mut rig = rig(3);
-            for unit in rig.0.iter_mut() {
+            for unit in rig.units.iter_mut() {
                 unit.busy_rounds = usize::MAX; // never goes quiet
             }
             let (outcome, _, stats) = run_step(threads, &mut rig, &[], 8, None);
@@ -632,13 +876,40 @@ mod tests {
         }
     }
 
-    /// More threads than units degrades gracefully to one unit per shard.
+    /// More threads than units degrades gracefully to one unit per shard,
+    /// and the crew hires only the helpers a step deals a shard to: 16
+    /// threads over 2 units spawn one helper. A helper left without a shard
+    /// by a later, smaller step is never released.
     #[test]
     fn threads_clamp_to_unit_count() {
-        let mut rig = rig(2);
-        let (_, _, stats) = run_step(16, &mut rig, &[], 64, None);
-        assert_eq!(stats.threads, 2);
-        assert_eq!(shard_loads(&rig.0), vec![1, 4], "one unit per shard");
+        let mut two = rig(2);
+        let mut exec = ShardedExecutor::new(16);
+        drive_rig(&mut exec, &mut two, &[], 64, None);
+        assert_eq!(exec.stats().threads, 2);
+        assert_eq!(
+            exec.crew.helpers.len(),
+            1,
+            "one helper for the second shard"
+        );
+        assert_eq!(shard_loads(&two), vec![1, 4], "one unit per shard");
+
+        let mut exec = ShardedExecutor::new(4);
+        drive_rig(&mut exec, &mut rig(8), &[], 64, None);
+        let released = |exec: &ShardedExecutor<MockUnit>| -> Vec<usize> {
+            let helpers = exec.crew.helpers.iter();
+            helpers
+                .map(|helper| helper.seat.release.load(Ordering::Relaxed))
+                .collect()
+        };
+        let before = released(&exec);
+        assert_eq!(before, vec![9; 3], "three helpers, one release per round");
+        let (outcome, _) = drive_rig(&mut exec, &mut rig(2), &[], 64, None);
+        assert_eq!(exec.stats().threads, 2);
+        assert_eq!(
+            released(&exec),
+            vec![9 + outcome.rounds, 9, 9],
+            "only the dealt helper is released"
+        );
     }
 
     /// Weighted dealing beats round-robin where it matters: heavy units
@@ -650,7 +921,7 @@ mod tests {
         // the round's critical path is its heaviest shard.
         let uneven = || {
             let mut rig = rig(8);
-            for unit in rig.0.iter_mut() {
+            for unit in rig.units.iter_mut() {
                 unit.load = 5 * unit.id as usize + 2;
                 unit.busy_rounds = 1;
             }
@@ -664,11 +935,7 @@ mod tests {
         let mut rig = uneven();
         let (_, _, stats) = run_step(4, &mut rig, &weights, 64, None);
         assert_eq!(stats.threads, 4);
-        assert_eq!(
-            shard_loads(&rig.0),
-            vec![39; 4],
-            "LPT must balance the loads"
-        );
+        assert_eq!(shard_loads(&rig), vec![39; 4], "LPT must balance the loads");
         assert_eq!(heaviest_shard(&stats), 39);
         assert!(stats.modeled_speedup() > 1.0);
         // No weights deals round-robin in list order — units {i, i + 4} on
@@ -676,7 +943,7 @@ mod tests {
         // path.
         let mut rig = uneven();
         let (_, _, stats) = run_step(4, &mut rig, &[], 64, None);
-        assert_eq!(shard_loads(&rig.0), vec![24, 34, 44, 54]);
+        assert_eq!(shard_loads(&rig), vec![24, 34, 44, 54]);
         assert_eq!(heaviest_shard(&stats), 54);
     }
 
@@ -685,12 +952,13 @@ mod tests {
     /// payload at any thread count. Equal weights deal round-robin, so with
     /// N shards unit 0 is the caller's and unit 1 a helper's (at N = 1 both
     /// are the caller's); when the caller's unit panics, the helpers are
-    /// mid-`wait` at the round-done rendezvous and must leave through the
-    /// poisoned barrier. The scope joins every helper before returning, so
-    /// this test finishing *is* the proof nobody was left spinning.
+    /// mid-round and the caller waits them out while it unwinds. Every unit
+    /// of the step is dropped, none kept in a helper's slot, and the *same*
+    /// executor then drives a fresh rig exactly as a new one does — same
+    /// log, outcome and stats — so no helper was left polling.
     #[test]
     fn a_panic_mid_step_reaches_the_caller_and_releases_every_worker() {
-        let message = |payload: Box<dyn std::any::Any + Send>| {
+        let message = |payload: Box<dyn Any + Send>| {
             payload
                 .downcast::<String>()
                 .map(|s| *s)
@@ -702,11 +970,25 @@ mod tests {
         )]
         let caller = std::thread::current().id();
         for threads in [1, 2, 4] {
+            let fresh = {
+                let mut exec = ShardedExecutor::new(threads);
+                let (outcome, log) = drive_rig(&mut exec, &mut rig(6), &[], 64, None);
+                (outcome, log, exec.stats().clone())
+            };
+            let recovers = |exec: &mut ShardedExecutor<MockUnit>| {
+                let (outcome, log) = drive_rig(exec, &mut rig(6), &[], 64, None);
+                assert_eq!(
+                    (outcome, log, exec.stats().clone()),
+                    fresh,
+                    "threads {threads}"
+                );
+            };
             for (victim, on_caller) in [(0, true), (1, threads == 1)] {
+                let mut exec = ShardedExecutor::new(threads);
                 let mut rig = rig(6);
-                rig.0[victim].panic_in_round = Some(2);
+                rig.units[victim].panic_in_round = Some(2);
                 let died = catch_unwind(AssertUnwindSafe(|| {
-                    run_step(threads, &mut rig, &[], 64, None)
+                    drive_rig(&mut exec, &mut rig, &[], 64, None)
                 }));
                 let payload = died.expect_err("the unit's panic must propagate");
                 assert_eq!(
@@ -714,49 +996,111 @@ mod tests {
                     format!("unit {victim} blew up"),
                     "threads {threads}"
                 );
-                let polled_on = &rig.0[victim].polled_on;
+                assert_eq!(Arc::strong_count(&rig.alive), 1, "every unit dropped");
+                let polled_on = rig.polled_on(victim as u32);
                 assert_eq!(polled_on.len(), 2, "it died entering round 2");
                 assert_eq!(polled_on[1] == caller, on_caller, "threads {threads}");
+                // When its own unit died, the caller waited out the round in
+                // flight: every unit of a helper's shard finished round 2
+                // (round-robin puts unit i on shard i mod threads).
+                let helpers_units = (0..6).filter(|id| victim == 0 && id % threads != 0);
+                for id in helpers_units {
+                    assert_eq!(rig.polled_on(id as u32).len(), 2, "unit {id}");
+                }
+                recovers(&mut exec);
             }
 
+            // Two helpers' units panic in one round: the first shard's
+            // panic reaches the caller, and the other's is not left behind.
+            if threads > 2 {
+                let mut exec = ShardedExecutor::new(threads);
+                let mut rig = rig(6);
+                rig.units[1].panic_in_round = Some(2);
+                rig.units[2].panic_in_round = Some(2);
+                let died = catch_unwind(AssertUnwindSafe(|| {
+                    drive_rig(&mut exec, &mut rig, &[], 64, None)
+                }));
+                let payload = died.expect_err("the units' panic must propagate");
+                assert_eq!(message(payload), "unit 1 blew up", "threads {threads}");
+                assert_eq!(Arc::strong_count(&rig.alive), 1, "every unit dropped");
+                recovers(&mut exec);
+            }
+
+            let mut exec = ShardedExecutor::new(threads);
+            let mut rig = rig(6);
             let died = catch_unwind(AssertUnwindSafe(|| {
-                run_step(threads, &mut rig(6), &[], 64, Some(2))
+                drive_rig(&mut exec, &mut rig, &[], 64, Some(2))
             }));
             let payload = died.expect_err("the hub's panic must propagate");
             assert!(
                 message(payload).contains("hub blew up"),
                 "threads {threads}"
             );
+            assert_eq!(Arc::strong_count(&rig.alive), 1, "every unit dropped");
+            recovers(&mut exec);
         }
     }
 
-    /// The barrier round-trips under heavy oversubscription: far more
-    /// parties than this machine has cores, over many generations. With a
-    /// pure busy-wait this dies on a small runner (every spinning waiter
-    /// steals the timeslice the late arriver needs); the bounded spin +
-    /// yield backoff must keep it live.
+    /// A helper idle past its spin and yield bounds parks, and the next
+    /// release wakes it: no wakeup is lost between steps however long the
+    /// crew sat idle.
     #[test]
-    fn spin_barrier_round_trips_oversubscribed() {
-        const PARTIES: usize = 33;
-        const GENERATIONS: usize = 500;
-        let barrier = SpinBarrier::new(PARTIES);
-        let counter = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..PARTIES {
-                let barrier = &barrier;
-                let counter = &counter;
-                scope.spawn(move || {
-                    for gen in 0..GENERATIONS {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        assert!(barrier.wait());
-                        // Everyone must have bumped the counter for this
-                        // generation before anyone proceeds past the wait.
-                        assert!(counter.load(Ordering::Relaxed) >= (gen + 1) * PARTIES);
-                        assert!(barrier.wait());
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), PARTIES * GENERATIONS);
+    fn a_parked_helper_wakes_on_the_next_release() {
+        let (serial, log1, _) = run_step(1, &mut rig(4), &[], 64, None);
+        let mut exec = ShardedExecutor::new(2);
+        for _ in 0..3 {
+            let (outcome, log) = drive_rig(&mut exec, &mut rig(4), &[], 64, None);
+            assert_eq!((outcome, log), (serial, log1.clone()));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+    }
+
+    /// Dropping the executor joins every helper: each thread that polled
+    /// a unit counts itself as it exits, and the count is complete the
+    /// moment the drop returns.
+    #[test]
+    fn dropping_the_executor_joins_every_helper() {
+        let exits = Arc::new(AtomicUsize::new(0));
+        let mut rig = rig(8);
+        for unit in rig.units.iter_mut() {
+            unit.exits = Some(Arc::clone(&exits));
+        }
+        let mut exec = ShardedExecutor::new(4);
+        drive_rig(&mut exec, &mut rig, &[], 64, None);
+        drive_rig(&mut exec, &mut rig, &[], 64, None);
+        assert_eq!(
+            exits.load(Ordering::SeqCst),
+            0,
+            "the crew outlives the step"
+        );
+        drop(exec);
+        // The caller's own thread counts only when this test ends.
+        assert_eq!(exits.load(Ordering::SeqCst), 3, "three helpers joined");
+    }
+
+    /// The crew round-trips under heavy oversubscription: far more helpers
+    /// than this machine has cores, over many rounds. With a pure
+    /// busy-wait this crawls on a small runner (every spinning waiter steals
+    /// the timeslice the late one needs); the spin, yield and park backoff
+    /// must keep it live.
+    #[test]
+    fn crew_round_trips_oversubscribed() {
+        const HELPERS: usize = 33;
+        const ROUNDS: usize = 500;
+        let mut rig = rig(HELPERS as u32 + 1);
+        for unit in rig.units.iter_mut() {
+            unit.load = 1;
+            unit.busy_rounds = usize::MAX;
+        }
+        let mut exec = ShardedExecutor::new(HELPERS + 1);
+        let (outcome, log) = drive_rig(&mut exec, &mut rig, &[], ROUNDS, None);
+        assert_eq!(exec.crew.helpers.len(), HELPERS);
+        assert_eq!(outcome.rounds, ROUNDS);
+        // Every unit's frame of a round reached the hub in that round.
+        assert_eq!(log.len(), ROUNDS * (HELPERS + 1));
+        assert_eq!(outcome.work, 2 * log.len());
+        for unit in &rig.units {
+            assert_eq!(rig.polled_on(unit.id).len(), ROUNDS);
+        }
     }
 }

@@ -24,7 +24,8 @@
 //!
 //! The datapath is parallel when asked: [`exec::ShardedExecutor`] deals
 //! hosts — or, below the host boundary, their NSM share lanes — across OS
-//! threads (the caller's among them) with a round barrier, and the results
+//! threads: the caller's, and a crew of helpers that lives as long as the
+//! cluster and meets the caller once per round. The results
 //! — event logs, digests, stats — are byte-identical for any
 //! [`nk_types::ClusterConfig::threads`] value and either granularity.
 

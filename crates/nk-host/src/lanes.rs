@@ -18,13 +18,14 @@
 //! serial remainder — the vNIC/switch fabric, remote stacks, the
 //! shared-memory core ledger and any ungrouped VM — stays behind as the
 //! *host hub*: the host's own [`NetKernelHost::poll_round`], run by the
-//! executor's caller at the round barrier.
+//! executor's caller between rounds.
 //!
 //! The only cross-thread channel is a report edge from each lane to its
-//! hub: a `Mutex<Vec<LaneReport>>` the round barrier orders. A lane appends
-//! its round's [`LaneReport`]s once, at the end of its poll; the hub drains
-//! every edge once per hub round, with every helper parked, so no lock is
-//! ever contended. The reports are per-component work counts the hub folds
+//! hub: a `Mutex<Vec<LaneReport>>` the executor's round rendezvous orders.
+//! A lane appends its round's [`LaneReport`]s once, at the end of its poll;
+//! the hub drains every edge once per hub round, after every helper
+//! reported the round done, so no lock is ever contended. The reports are
+//! per-component work counts the hub folds
 //! — in lane-key order — into the cycle ledgers (so pool accounting is
 //! identical to an undecomposed host) and into per-lane load counters (each
 //! lane of the next split carries its own as [`ShareLane::weight`], so the
@@ -70,8 +71,9 @@ pub enum LaneReport {
     clippy::disallowed_types,
     reason = "cross-shard-locks: the lane report edge. A lane appends to it \
               once per round while the units poll; the hub drains it once per \
-              hub round, with every helper parked at the round barrier. The \
-              barrier orders every lock, so none is ever contended."
+              hub round, after every helper reported the round done. The \
+              executor crew's release/done rendezvous orders every lock, so \
+              none is ever contended."
 )]
 pub(crate) struct ReportEdge(std::sync::Arc<std::sync::Mutex<Vec<LaneReport>>>);
 
@@ -99,7 +101,7 @@ impl ReportEdge {
 /// entries) plus the group's NSM instances, with a report edge back to the
 /// host hub. Created by `NetKernelHost::split_lanes`, polled on an
 /// executor thread via [`ShareLane::poll_round`], merged back by
-/// `NetKernelHost::absorb_lanes`.
+/// `NetKernelHost::absorb_lanes` or, one at a time, `absorb_lane`.
 pub struct ShareLane {
     /// Lane key: the smallest NSM id in the group. Stable across rounds and
     /// steps (for a fixed topology), so weighted placement can carry load
@@ -360,12 +362,19 @@ impl NetKernelHost {
     pub fn absorb_lanes(&mut self, lanes: BTreeMap<NsmId, ShareLane>) {
         for (key, lane) in lanes {
             debug_assert_eq!(key, lane.key);
-            self.engine.absorb_shard(lane.engine);
-            let mut members = lane.members;
-            self.nsms.append(&mut members);
-            self.lane_rx.remove(&key);
+            self.absorb_lane(lane);
         }
         debug_assert!(self.lane_rx.is_empty(), "a lane was never handed back");
+    }
+
+    /// Merge one lane produced by [`NetKernelHost::split_lanes`] back into
+    /// the host. The host is whole again once every lane is back; debug
+    /// builds check that at the step's close ("a lane is out").
+    pub fn absorb_lane(&mut self, lane: ShareLane) {
+        self.engine.absorb_shard(lane.engine);
+        let mut members = lane.members;
+        self.nsms.append(&mut members);
+        self.lane_rx.remove(&lane.key);
     }
 }
 

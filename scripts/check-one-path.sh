@@ -30,6 +30,10 @@ check "$(grep -rlE --include='*.rs' 'unbounded\(|UnboundedProducer|UnboundedCons
     "the round barrier orders every cross-shard hand-off: no crate outside nk-queue names the wait-free queue"
 check "$(grep -c 'nk-queue' crates/nk-fabric/Cargo.toml crates/nk-cluster/Cargo.toml | awk -F: '{ n += $2 } END { print n }')" -eq 0 \
     "the round barrier orders every cross-shard hand-off: nk-fabric and nk-cluster do not depend on nk-queue"
+check "$(code crates/nk-cluster/src | grep -c 'thread::scope')" -eq 0 \
+    "one place spawns executor threads: no step opens a thread scope of its own"
+check "$(code crates/nk-cluster/src | grep -c 'thread::spawn')" -eq 1 \
+    "one place spawns executor threads: the executor's crew, once per helper for the executor's life"
 check "$(code crates | grep -cE 'vm_home|ActiveDrain|StepStatus|ControlLogEntry|control_log\(')" -eq 0 \
     "placement has one record: no home/drain mirror, step-status DAG or merged control-log view"
 check "$(code crates/nk-ctrl/src/evacuate.rs | grep -c 'deps')" -eq 0 \
