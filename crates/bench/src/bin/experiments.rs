@@ -51,7 +51,6 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["wm01"], |_| wm01_warm_vs_drained()),
     (&["ev01"], |_| ev01_evacuation()),
     (&["par01"], |_| par01_parallel_datapath()),
-    (&["par02"], |_| par02_intra_host_sharding()),
 ];
 
 fn main() {
@@ -902,9 +901,9 @@ fn ev01_evacuation() {
     }
 }
 
-/// What one par01/par02 run reports. Everything is deterministic: the
-/// executor's modeled schedule and the simulation's own counts (wall-clock
-/// rates of the same shapes are nkbench's `xhost_t1`/`xhost_t2`).
+/// What one par01 run reports. Everything is deterministic: the executor's
+/// modeled schedule and the simulation's own counts (wall-clock rates of a
+/// similar shape are nkbench's `xhost_t1`/`xhost_t2`).
 struct ParRun {
     modeled_speedup: f64,
     hub_share: f64,
@@ -916,8 +915,8 @@ struct ParRun {
 }
 
 impl ParRun {
-    /// The determinism contract: neither thread count nor shard mode
-    /// changes anything observable.
+    /// The determinism contract: the thread count changes nothing
+    /// observable.
     fn assert_same_outcome(&self, reference: &ParRun, what: &str) {
         assert_eq!(self.stats, reference.stats, "{what}: stats");
         assert_eq!(self.digest, reference.digest, "{what}: digest");
@@ -928,24 +927,19 @@ impl ParRun {
 const PAR_DT_NS: u64 = 100_000;
 const PAR_CHUNK: usize = 4096;
 
-/// The topology of both par experiments: `hosts` hosts of `shares` kernel
-/// NSMs each, one VM per share (VM ids count up across hosts).
-fn par_cluster(hosts: u8, shares: u8, threads: usize, shard_within_hosts: bool) -> Cluster {
+/// The par01 topology: `hosts` hosts of one kernel NSM each, VM `h` on
+/// host `h`.
+fn par_cluster(hosts: u8, threads: usize) -> Cluster {
     let mut cfg = ClusterConfig::new()
         .with_uplink_latency_us(2)
-        .with_threads(threads)
-        .with_shard_within_hosts(shard_within_hosts);
+        .with_threads(threads);
     for h in 1..=hosts {
-        let mut host = HostConfig::new().with_host_id(HostId(h));
-        let mut map = Vec::new();
-        for n in 1..=shares {
-            let vm = VmId((h - 1) * shares + n);
-            host = host
-                .with_nsm(NsmConfig::kernel(NsmId(n)))
-                .with_vm(VmConfig::new(vm));
-            map.push((vm, NsmId(n)));
-        }
-        cfg = cfg.with_host(host.with_mapping(VmToNsmPolicy::Static(map)));
+        let (vm, nsm) = (VmId(h), NsmId(1));
+        let host = HostConfig::new()
+            .with_host_id(HostId(h))
+            .with_nsm(NsmConfig::kernel(nsm))
+            .with_vm(VmConfig::new(vm));
+        cfg = cfg.with_host(host.with_mapping(VmToNsmPolicy::Static(vec![(vm, nsm)])));
     }
     Cluster::new(cfg).expect("valid par cluster")
 }
@@ -1012,7 +1006,7 @@ fn par01_parallel_datapath() {
     const TOR_PORT: u16 = 9;
 
     let run = |hosts: u8, threads: usize| -> ParRun {
-        let mut cluster = par_cluster(hosts, 1, threads, false);
+        let mut cluster = par_cluster(hosts, threads);
 
         // The ToR server the edge hosts stream to (cross-shard traffic).
         let tor = cluster.add_remote(TOR_IP);
@@ -1101,109 +1095,5 @@ fn par01_parallel_datapath() {
     assert!(
         speedup_h16_t4 >= 2.0,
         "acceptance: 16-host workload must model >= 2x at 4 threads, got {speedup_h16_t4:.2}"
-    );
-}
-
-/// par02: intra-host sharding — modeled speedup for 1-host and 2-host
-/// topologies of 8 NSM shares each, at 1/2/4 worker threads.
-///
-/// This is the shape host-granularity sharding cannot help: par01's unit
-/// is the host, so a single host models 1.0x at any thread count. With
-/// [`nk_types::ClusterConfig::shard_within_hosts`] each share lane (engine
-/// slice + service + stack) is dealt onto threads separately and only the
-/// host hub — resident engine, ledger charges, vNIC switch — stays serial
-/// at the round barrier.
-///
-/// The workload keeps the datapath inside the lanes: shares are paired on
-/// each host and the VM on one share streams 4 KiB chunks over TCP to a VM
-/// on its partner share, which echoes. Stack, service and engine work all
-/// happen lane-side; the hub only forwards the frames between the paired
-/// vNICs.
-///
-/// The determinism contract is asserted three ways per topology: cluster
-/// stats, event digest and echoed bytes are identical across thread
-/// counts, and identical again between shard-mode on and off for the
-/// serial run.
-fn par02_intra_host_sharding() {
-    const SHARES: u8 = 8;
-    const PORT: u16 = 7;
-
-    let vm_of = |h: u8, n: u8| VmId((h - 1) * SHARES + n);
-
-    let run = |hosts: u8, threads: usize, shard: bool| -> ParRun {
-        let mut cluster = par_cluster(hosts, SHARES, threads, shard);
-        // Pair the shares: the VM on share 2k-1 listens, the VM on share
-        // 2k streams to it across the host's vNIC switch. Four independent
-        // TCP flows per host, each touching exactly two lanes.
-        let mut servers = Vec::new();
-        let mut listeners = Vec::new();
-        let mut clients = Vec::new();
-        for h in 1..=hosts {
-            for k in 0..SHARES / 2 {
-                let (sn, cn) = (2 * k + 1, 2 * k + 2);
-                let addr = cluster.host(HostId(h)).unwrap().nsm_addr(NsmId(sn));
-                let guest = cluster.guest_on(HostId(h), vm_of(h, sn)).unwrap();
-                let ls = guest.socket().unwrap();
-                guest.bind(ls, SockAddr::new(0, PORT)).unwrap();
-                guest.listen(ls, 8).unwrap();
-                servers.push((HostId(h), vm_of(h, sn)));
-                listeners.push(ls);
-                let guest = cluster.guest_on(HostId(h), vm_of(h, cn)).unwrap();
-                let s = guest.socket().unwrap();
-                guest.connect(s, SockAddr::new(addr, PORT)).unwrap();
-                clients.push((HostId(h), vm_of(h, cn), s, PAR_CHUNK));
-            }
-        }
-        par_drive(cluster, &clients, &listeners, |cluster, i| {
-            let (host, vm) = servers[i];
-            cluster.guest_on(host, vm).unwrap()
-        })
-    };
-
-    let mut rows = Vec::new();
-    let mut speedup_h1_t4 = 0.0;
-    for &hosts in &[1u8, 2] {
-        // The shard-mode-off serial run is the reference the whole matrix
-        // must match byte-for-byte.
-        let reference = run(hosts, 1, false);
-        assert!(
-            reference.guest_bytes > 0,
-            "h{hosts}: the workload must flow"
-        );
-        let base = run(hosts, 1, true);
-        base.assert_same_outcome(&reference, &format!("h{hosts}: shard-mode"));
-        for &threads in &[1usize, 2, 4] {
-            let parallel;
-            let out = if threads == 1 {
-                &base
-            } else {
-                parallel = run(hosts, threads, true);
-                &parallel
-            };
-            out.assert_same_outcome(&reference, &format!("h{hosts} t{threads}"));
-            if hosts == 1 && threads == 4 {
-                speedup_h1_t4 = out.modeled_speedup;
-            }
-            rows.push(vec![
-                format!("{hosts} x {SHARES} shares"),
-                format!("{threads} ({})", out.threads_used),
-                f(out.modeled_speedup, 2),
-                format!("{:.0}%", 100.0 * out.hub_share),
-            ]);
-        }
-    }
-    print_table(
-        "par02: intra-host sharding — one 8-share host fills the threads host-granularity left idle",
-        &["topology", "threads (used)", "speedup", "hub share"],
-        &rows,
-    );
-    println!(
-        "1 host x 8 shares @ 4 threads: modeled speedup {speedup_h1_t4:.2}x over the serial \
-         walk — the same topology models 1.00x under host-granularity sharding (par01's unit \
-         floor)"
-    );
-    assert!(
-        speedup_h1_t4 >= 2.0,
-        "acceptance: a single 8-share host must model >= 2x at 4 threads, got {speedup_h1_t4:.2}"
     );
 }

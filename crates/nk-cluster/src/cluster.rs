@@ -6,7 +6,7 @@ use nk_ctrl::{EvacMode, PlanEvent};
 use nk_fabric::link::LinkConfig;
 use nk_fabric::TorSwitch;
 use nk_guest::GuestLib;
-use nk_host::{NetKernelHost, ShareLane};
+use nk_host::NetKernelHost;
 use nk_netstack::{Segment, StackConfig, TcpStack};
 use nk_obs::{FlightRecorder, FlowKey, ObsDump, ObsEventKind};
 use nk_sim::{CycleLedger, Epoch, Pollable, PoolMember};
@@ -91,39 +91,15 @@ pub struct Cluster {
     pub(crate) next_epoch_ns: u64,
     pub(crate) last_sample_ns: u64,
     pub(crate) stats: ClusterStats,
-    /// Drives each step's poll rounds over the units (hosts, or their
-    /// share lanes) on `threads` OS threads, the stepping thread included.
-    /// Semantics are identical at any count; see [`crate::exec`].
-    pub(crate) exec: ShardedExecutor<Unit>,
-    /// Shard below the host boundary: NSM share lanes (not whole hosts)
-    /// are the parallel units. See [`nk_types::ClusterConfig::shard_within_hosts`]
-    /// and the `NK_CLUSTER_SHARD_WITHIN_HOSTS` override.
-    pub(crate) shard_within_hosts: bool,
+    /// Drives each step's poll rounds over the hosts on `threads` OS
+    /// threads, the stepping thread included. Semantics are identical at
+    /// any count; see [`crate::exec`].
+    pub(crate) exec: ShardedExecutor<Box<NetKernelHost>>,
     /// The flight recorder: every capture happens on the stepping thread —
     /// outside the sharded step or in the hub between rounds — in `HostId`
     /// order, so its dump is byte-identical at any thread count.
     pub(crate) obs: FlightRecorder,
     pub(crate) now_ns: u64,
-}
-
-/// What the executor polls in a step: a whole host taken out of the map,
-/// or one share lane of a host that stays in the map as the lane's hub.
-#[expect(
-    clippy::large_enum_variant,
-    reason = "a lane moves by value: boxing it would allocate once per lane per step"
-)]
-pub(crate) enum Unit {
-    Host(Box<NetKernelHost>),
-    Lane(HostId, ShareLane),
-}
-
-impl Pollable for Unit {
-    fn poll(&mut self, now_ns: u64) -> usize {
-        match self {
-            Unit::Host(host) => host.poll(now_ns),
-            Unit::Lane(_, lane) => lane.poll(now_ns),
-        }
-    }
 }
 
 impl Cluster {
@@ -153,7 +129,6 @@ impl Cluster {
         };
         let next_epoch_ns = cfg.policy.as_ref().map(|p| p.epoch_ns).unwrap_or(u64::MAX);
         let threads = Self::resolve_threads(cfg.threads);
-        let shard_within_hosts = cfg.shard_within_hosts;
         let obs = FlightRecorder::new(cfg.obs);
         Ok(Cluster {
             cfg,
@@ -168,7 +143,6 @@ impl Cluster {
             last_sample_ns: 0,
             stats: ClusterStats::default(),
             exec: ShardedExecutor::new(threads),
-            shard_within_hosts: Self::resolve_shard_mode(shard_within_hosts),
             obs,
             now_ns: 0,
         })
@@ -204,37 +178,6 @@ impl Cluster {
         }
     }
 
-    /// The sharding granularity: `NK_CLUSTER_SHARD_WITHIN_HOSTS` (when set
-    /// to a recognised boolean) wins over
-    /// [`ClusterConfig::shard_within_hosts`], so CI can replay any scenario
-    /// at the other granularity without touching the config — the results
-    /// are identical either way.
-    fn resolve_shard_mode(configured: bool) -> bool {
-        let var = std::env::var("NK_CLUSTER_SHARD_WITHIN_HOSTS").ok();
-        Self::resolve_shard_mode_from(var.as_deref(), configured)
-    }
-
-    /// The env-free core of [`Cluster::resolve_shard_mode`]. Accepts
-    /// `1/true/on/yes` and `0/false/off/no` (case-insensitive); anything
-    /// else falls back to the configured mode, logged on stderr — a typo
-    /// must not silently flip the granularity a replay was recorded under.
-    pub(crate) fn resolve_shard_mode_from(raw: Option<&str>, configured: bool) -> bool {
-        let Some(raw) = raw else {
-            return configured;
-        };
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "yes" => true,
-            "0" | "false" | "off" | "no" => false,
-            _ => {
-                eprintln!(
-                    "NK_CLUSTER_SHARD_WITHIN_HOSTS={raw:?} is not a recognised boolean; \
-                     falling back to the configured {configured}"
-                );
-                configured
-            }
-        }
-    }
-
     /// The cluster's configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
@@ -264,10 +207,11 @@ impl Cluster {
         self.exec.threads()
     }
 
-    /// Whether the datapath shards below the host boundary (after the
-    /// `NK_CLUSTER_SHARD_WITHIN_HOSTS` override).
+    /// The configured [`ClusterConfig::shard_within_hosts`], echoed. It has
+    /// no effect: a host is the one parallel unit. Kept because the
+    /// benchmark asserts the echo.
     pub fn shard_within_hosts(&self) -> bool {
-        self.shard_within_hosts
+        self.cfg.shard_within_hosts
     }
 
     /// A host by id.
@@ -389,20 +333,13 @@ impl Cluster {
     /// the poll phase through the executor, and (for full steps) close it.
     ///
     /// Begin and close run here, serially on whole hosts in `HostId` order,
-    /// in every mode — so fault injection, the control plane and all
-    /// migration paths never see a host in pieces. What the executor's
-    /// *units* are is the only mode-dependent part:
-    ///
-    /// * whole hosts, dealt round-robin — the hub is the fabric alone; or,
-    /// * with [`ClusterConfig::shard_within_hosts`], every NSM share lane of
-    ///   every host, in one list and dealt by last step's per-lane work, so
-    ///   one many-share host no longer serialises behind the host boundary
-    ///   — the hub first runs each split host's own poll round.
-    ///
-    /// Either way the hub runs between rounds while every helper idles and
-    /// drains host uplinks in route order (ascending `HostId`),
-    /// so the cross-shard frame merge is deterministic for any thread count
-    /// and both modes produce the same bytes.
+    /// so fault injection, the control plane and all migration paths never
+    /// see a host mid-round. In between, the hosts leave the map for the
+    /// poll phase and are the executor's units, dealt round-robin in
+    /// `HostId` order; the hub — the ToR and its endpoints — runs between
+    /// rounds while every helper idles and drains host uplinks in route
+    /// order (ascending `HostId`), so the cross-shard frame merge is
+    /// deterministic for any thread count.
     pub(crate) fn drive_step(&mut self, dt_ns: u64, close: bool) -> StepOutcome {
         self.now_ns += dt_ns;
         let now_ns = self.now_ns;
@@ -415,44 +352,14 @@ impl Cluster {
             let s = self.exec.stats();
             (s.poll_work, s.barrier_frames)
         };
-        // One flat list of weighted units: whole hosts at weight 1, taken out
-        // of the map for the step, or every host's lanes at the load they
-        // last reported. A host that is split is not a unit itself: it stays
-        // in the map as its lanes' hub.
-        let mut units = Vec::with_capacity(self.hosts.len());
-        if self.shard_within_hosts {
-            for (id, host) in self.hosts.iter_mut() {
-                let lanes = host.split_lanes().into_values();
-                units.extend(lanes.map(|lane| (lane.weight(), Unit::Lane(*id, lane))));
-            }
-        } else {
-            while let Some((_, host)) = self.hosts.pop_first() {
-                units.push((1, Unit::Host(host)));
-            }
-        }
-        let hosts = &mut self.hosts;
+        let units = std::mem::take(&mut self.hosts).into_values().collect();
         let tor = &mut self.tor;
         let remotes = &mut self.remotes;
         let obs = &mut self.obs;
         let obs_active = obs.active();
-        // Work the per-host hubs did between rounds. The executor books it
-        // under `hub_work`; `ClusterStats::poll_work` must still cover it —
-        // with whole hosts as units the same work happens inside the units'
-        // own polls and lands in `poll_work`.
-        let mut host_tail = 0usize;
         let (outcome, units) = self.exec.drive(
             units,
             |now| {
-                // Host hubs first (resident engine, lane-report ledger
-                // charges, host remotes, vNIC switch), so uplink frames are
-                // on the trunks before the ToR runs. They are the hosts
-                // still in the map: every split host, or none when whole
-                // hosts are the units.
-                let mut work = 0usize;
-                for host in hosts.values_mut() {
-                    work += host.poll(now);
-                }
-                host_tail += work;
                 // The fabric hub: the one place every cross-host frame
                 // passes, in route order, on the caller's thread — so the
                 // recorder taps flows here.
@@ -471,7 +378,7 @@ impl Cluster {
                 } else {
                     tor.step(now)
                 };
-                work += frames;
+                let mut work = frames;
                 for remote in remotes.values_mut() {
                     work += Pollable::poll(remote, now);
                     // Driven by polling its sockets; nothing reads its events.
@@ -482,18 +389,7 @@ impl Cluster {
             now_ns,
             self.cfg.max_rounds,
         );
-        for unit in units {
-            match unit {
-                Unit::Host(host) => {
-                    self.hosts.insert(host.host_id(), host);
-                }
-                Unit::Lane(id, lane) => self
-                    .hosts
-                    .get_mut(&id)
-                    .expect("a split host stays in the map")
-                    .absorb_lane(lane),
-            }
-        }
+        self.hosts = units.into_iter().map(|h| (h.host_id(), h)).collect();
 
         let mut close_work = 0usize;
         if close {
@@ -504,7 +400,7 @@ impl Cluster {
         self.exec.note_serial_work(begin + close_work);
         let s = self.exec.stats();
         self.stats.begin_work += begin as u64;
-        self.stats.poll_work += (s.poll_work - before.0) + host_tail as u64;
+        self.stats.poll_work += s.poll_work - before.0;
         self.stats.control_work += close_work as u64;
         self.stats.barrier_frames += s.barrier_frames - before.1;
         self.drain_host_feeds();
@@ -1192,22 +1088,20 @@ mod tests {
     }
 
     /// Begin and close run on every host, once per step, at any thread
-    /// count and either unit granularity — and the freeze-window mini-step
-    /// runs begin and the rounds but skips close. Observed from outside: a
-    /// fault due at the first step (begin applies it and advances the host
-    /// clock) and a control epoch due every step (close samples it).
+    /// count — and the freeze-window mini-step runs begin and the rounds but
+    /// skips close. Observed from outside: a fault due at the first step
+    /// (begin applies it and advances the host clock) and a control epoch
+    /// due every step (close samples it).
     #[test]
     fn freeze_ministep_runs_begin_and_rounds_but_no_close() {
         use nk_types::{ControlPolicy, FaultAction, FaultPlan, LinkFault};
         const DT: u64 = 100_000;
-        for (threads, lanes) in [(1, false), (3, false), (1, true), (3, true)] {
+        for threads in [1, 3] {
             let policy = ControlPolicy {
                 epoch_ns: DT,
                 ..ControlPolicy::default()
             };
-            let mut cfg = ClusterConfig::new()
-                .with_threads(threads)
-                .with_shard_within_hosts(lanes);
+            let mut cfg = ClusterConfig::new().with_threads(threads);
             for id in 1..=3 {
                 cfg = cfg.with_host(host(id, &[id]).with_control(policy.clone()));
             }

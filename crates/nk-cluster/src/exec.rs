@@ -6,20 +6,17 @@
 //! once — and nothing else of the step:
 //!
 //! * **Units** are whatever implements [`Pollable`] and is `Send` — the one
-//!   poll trait every datapath component already answers to. The executor
-//!   owns them for the length of a step and hands them back in list order:
-//!   whole [`nk_host::NetKernelHost`]s (moved as boxes), or the
-//!   [`nk_host::ShareLane`]s a host splits into. Within a round a unit only
-//!   touches its own state plus the sending end of its cross-shard edges
-//!   (the uplink trunk's port, the lane report edge), which the hub reads
-//!   only once every helper reported the round done, so units never share
-//!   mutable state and their polls commute.
-//! * **Dealing.** Units go onto `min(threads, units)` shards heaviest first
-//!   (each unit arrives with its weight, normally its last step's work),
-//!   each onto the lightest shard — longest-processing-time dealing. A
-//!   weight of 0 counts as 1, so equal weights deal round-robin in list
-//!   order. The assignment is a pure function of (weights, list order,
-//!   shard count) and only ever affects scheduling.
+//!   poll trait every datapath component already answers to. The cluster's
+//!   units are whole [`nk_host::NetKernelHost`]s, moved as boxes: a host is
+//!   the one parallel unit. The executor owns the units for the length of a
+//!   step and hands them back in list order. Within a round a unit only
+//!   touches its own state plus the sending end of its uplink trunk's port,
+//!   which the hub reads only once every helper reported the round done, so
+//!   units never share mutable state and their polls commute.
+//! * **Dealing.** Units go onto `min(threads, units)` shards round-robin in
+//!   list order: unit *i* onto shard *i mod n*. The assignment is a pure
+//!   function of (list length, shard count) and only ever affects
+//!   scheduling.
 //! * **A round runs one way.** The caller's thread polls shard 0 itself and
 //!   one helper of the executor's crew polls each further shard, so
 //!   `threads = N` is N busy OS threads, the caller included, and
@@ -44,8 +41,8 @@
 //! the executor's business: [`crate::Cluster`] runs them serially on whole
 //! hosts in `HostId` order around the poll phase, in every mode.
 //!
-//! The executor also keeps the model numbers the `par01`/`par02`
-//! experiments report: `serial_work` (what one thread executes) next to
+//! The executor also keeps the model numbers the `par01` experiment
+//! reports: `serial_work` (what one thread executes) next to
 //! `critical_work` (per round the maximum shard plus the hub — the
 //! schedule's critical path). Their ratio is the thread-count-independent
 //! speedup of the sharding itself, which matters because CI runners and
@@ -112,7 +109,7 @@ impl ExecStats {
     ///               + Σ over steps  ( begin work + close work )
     /// ```
     ///
-    /// Worked example: one round, 8 lanes × 12 work items dealt 2-per-shard
+    /// Worked example: one round, 8 hosts × 12 work items dealt 2-per-shard
     /// onto 4 shards, and a hub doing 8 items after the round. Serially
     /// that's `8 × 12 + 8 = 104` items; the critical path is one shard's
     /// `2 × 12 = 24` plus the hub's 8 = 32, so the model reports
@@ -363,36 +360,6 @@ fn poll_shard<U: Pollable>(shard: &mut [U], now_ns: u64) -> usize {
     shard.iter_mut().map(|unit| unit.poll(now_ns)).sum()
 }
 
-/// Deal `units` onto `shards`: heaviest first (list order breaks ties),
-/// each onto the lightest shard; shard occupancy, then shard index, break
-/// load ties. A weight of 0 counts as 1, so a fresh topology still spreads
-/// across shards instead of piling onto shard 0 — and equal weights deal
-/// round-robin in list order. Within a shard, units keep their list order.
-/// `dealt[i]` is left holding unit i's shard.
-fn deal<U>(units: Vec<(u64, U)>, shards: &mut [Vec<U>], dealt: &mut Vec<usize>) {
-    let mut order: Vec<(usize, u64)> = units
-        .iter()
-        .map(|(weight, _)| (*weight).max(1))
-        .enumerate()
-        .collect();
-    // Stable: equal weights stay in list order.
-    order.sort_by_key(|(_, weight)| std::cmp::Reverse(*weight));
-    let mut filled = vec![(0u64, 0usize); shards.len()]; // (load, occupancy)
-    dealt.clear();
-    dealt.resize(order.len(), 0);
-    for (index, weight) in order {
-        let target = (0..shards.len())
-            .min_by_key(|i| (filled[*i], *i))
-            .expect("at least one shard");
-        filled[target].0 += weight;
-        filled[target].1 += 1;
-        dealt[index] = target;
-    }
-    for ((_, unit), shard) in units.into_iter().zip(dealt.iter()) {
-        shards[*shard].push(unit);
-    }
-}
-
 /// Drives the poll phase of cluster steps over a set of [`Pollable`] units,
 /// with a crew of helper threads that lives as long as the executor.
 pub struct ShardedExecutor<U> {
@@ -402,8 +369,6 @@ pub struct ShardedExecutor<U> {
     /// Shard buffers between steps (the caller's first), kept for their
     /// capacity.
     shards: Vec<Vec<U>>,
-    /// The shard each unit of the current step was dealt to, in list order.
-    dealt: Vec<usize>,
 }
 
 impl<U: Pollable + Send + 'static> ShardedExecutor<U> {
@@ -418,7 +383,6 @@ impl<U: Pollable + Send + 'static> ShardedExecutor<U> {
                 helpers: Vec::new(),
             },
             shards: Vec::new(),
-            dealt: Vec::new(),
         }
     }
 
@@ -444,15 +408,14 @@ impl<U: Pollable + Send + 'static> ShardedExecutor<U> {
 
     /// Drive the poll phase of one step: rounds of every unit's
     /// [`Pollable::poll`] followed by the hub — which must run the
-    /// cross-unit fabric (host hubs when the units are lanes, the ToR, the
-    /// cluster's endpoint stacks) and return `(work, frames_forwarded)` —
-    /// until a full round reports no work or `max_rounds` is hit. Returns
-    /// what the phase did and the units, in list order.
+    /// cross-unit fabric (the ToR, the cluster's endpoint stacks) and return
+    /// `(work, frames_forwarded)` — until a full round reports no work or
+    /// `max_rounds` is hit. Returns what the phase did and the units, in
+    /// list order.
     ///
-    /// `units` is an ordered list of `(weight, unit)`, dealt onto
-    /// `min(threads, units.len())` shards (see the module docs; equal
-    /// weights deal round-robin). The caller's thread polls shard 0 and
-    /// helper `i` of the crew polls shard `i + 1`; a round releases every
+    /// `units` is an ordered list, dealt round-robin onto
+    /// `min(threads, units.len())` shards. The caller's thread polls shard
+    /// 0 and helper `i` of the crew polls shard `i + 1`; a round releases every
     /// dealt helper once and waits until each reports it done, and with
     /// one shard there is no helper to release. The hub always runs on the
     /// caller's thread while every helper idles, so everything it touches
@@ -465,7 +428,7 @@ impl<U: Pollable + Send + 'static> ShardedExecutor<U> {
     /// executor drives the next step as a new one would.
     pub fn drive(
         &mut self,
-        units: Vec<(u64, U)>,
+        units: Vec<U>,
         mut hub: impl FnMut(u64) -> (usize, usize),
         now_ns: u64,
         max_rounds: usize,
@@ -474,7 +437,9 @@ impl<U: Pollable + Send + 'static> ShardedExecutor<U> {
         let shard_count = self.threads.min(count).max(1);
         let mut shards = std::mem::take(&mut self.shards);
         shards.resize_with(shard_count, Vec::new);
-        deal(units, &mut shards, &mut self.dealt);
+        for (i, unit) in units.into_iter().enumerate() {
+            shards[i % shard_count].push(unit);
+        }
         let (own, theirs) = shards.split_first_mut().expect("at least one shard");
         let helpers = self.crew.hire(theirs.len());
         for (helper, shard) in helpers.iter().zip(theirs.iter_mut()) {
@@ -519,8 +484,8 @@ impl<U: Pollable + Send + 'static> ShardedExecutor<U> {
         // Within a shard units keep list order, so popping each unit's
         // shard in reverse list order yields the list reversed.
         let mut back = Vec::with_capacity(count);
-        for shard in self.dealt.iter().rev() {
-            back.push(shards[*shard].pop().expect("every unit was dealt"));
+        for i in (0..count).rev() {
+            back.push(shards[i % shard_count].pop().expect("every unit was dealt"));
         }
         back.reverse();
         self.shards = shards;
@@ -685,29 +650,22 @@ mod tests {
         }
     }
 
-    /// Drive one step of `exec` over the rig, unit i weighing `weights[i]`
-    /// (0 past the end of the slice), the hub merging every trunk in list
-    /// order (and panicking on entering round `hub_panic_in_round`, when
-    /// set). The units come back into the rig. Returns (outcome, merged
-    /// log).
+    /// Drive one step of `exec` over the rig, the hub merging every trunk
+    /// in list order (and panicking on entering round `hub_panic_in_round`,
+    /// when set). The units come back into the rig. Returns (outcome,
+    /// merged log).
     fn drive_rig(
         exec: &mut ShardedExecutor<MockUnit>,
         rig: &mut Rig,
-        weights: &[u64],
         max_rounds: usize,
         hub_panic_in_round: Option<usize>,
     ) -> (StepOutcome, Vec<(u32, usize)>) {
         let mut log = Vec::new();
         let mut frames = Vec::new();
         let mut hub_calls = 0;
-        let units = std::mem::take(&mut rig.units)
-            .into_iter()
-            .enumerate()
-            .map(|(i, unit)| (weights.get(i).copied().unwrap_or(0), unit))
-            .collect();
         let tors = &mut rig.tors;
         let (outcome, units) = exec.drive(
-            units,
+            std::mem::take(&mut rig.units),
             |_now| {
                 hub_calls += 1;
                 assert_ne!(hub_panic_in_round, Some(hub_calls), "hub blew up");
@@ -731,20 +689,13 @@ mod tests {
     fn run_step(
         threads: usize,
         rig: &mut Rig,
-        weights: &[u64],
         max_rounds: usize,
         hub_panic_in_round: Option<usize>,
     ) -> (StepOutcome, Vec<(u32, usize)>, ExecStats) {
         let mut exec = ShardedExecutor::new(threads);
         exec.note_serial_work(5);
-        let (outcome, log) = drive_rig(&mut exec, rig, weights, max_rounds, hub_panic_in_round);
+        let (outcome, log) = drive_rig(&mut exec, rig, max_rounds, hub_panic_in_round);
         (outcome, log, exec.stats().clone())
-    }
-
-    /// A deliberately misleading weight vector: placement may be bad,
-    /// bytes must not change.
-    fn skewed(n: u32) -> Vec<u64> {
-        (0..n).map(|id| 1000 - id as u64).collect()
     }
 
     /// Work per round of each shard of the last step, ascending: units
@@ -765,45 +716,43 @@ mod tests {
 
     /// The executor's core promise: under uneven shard load, the merged
     /// cross-shard frame stream, the outcome and every
-    /// thread-count-independent counter are identical for any thread count
-    /// and any weight vector, because the hub drains the trunks in list
-    /// order while every helper idles — and the units come back in list
-    /// order whatever the dealing did with them.
+    /// thread-count-independent counter are identical for any thread count,
+    /// because the hub drains the trunks in list order while every helper
+    /// idles — and the units come back in list order whatever the dealing
+    /// did with them.
     #[test]
-    fn merge_order_and_counters_are_identical_for_any_threads_and_weights() {
-        let (serial, log1, s1) = run_step(1, &mut rig(8), &[], 64, None);
+    fn merge_order_and_counters_are_identical_for_any_threads() {
+        let (serial, log1, s1) = run_step(1, &mut rig(8), 64, None);
         for threads in [1, 2, 3, 4, 8] {
-            for weights in [&[][..], &skewed(8)] {
-                let mut rig = rig(8);
-                let (sharded, log_n, sn) = run_step(threads, &mut rig, weights, 64, None);
-                assert_eq!(sharded, serial, "outcome diverged at {threads} threads");
-                assert_eq!(log_n, log1, "merge order diverged at {threads} threads");
-                assert_eq!(sn.steps, 1);
-                assert_eq!(sn.rounds, s1.rounds);
-                assert_eq!(sn.serial_work, s1.serial_work);
-                assert_eq!(sn.poll_work, s1.poll_work);
-                assert_eq!(sn.hub_work, s1.hub_work);
-                assert_eq!(sn.barrier_frames, s1.barrier_frames);
-                assert_eq!(sn.threads, threads);
-                let ids: Vec<u32> = rig.units.iter().map(|unit| unit.id).collect();
+            let mut rig = rig(8);
+            let (sharded, log_n, sn) = run_step(threads, &mut rig, 64, None);
+            assert_eq!(sharded, serial, "outcome diverged at {threads} threads");
+            assert_eq!(log_n, log1, "merge order diverged at {threads} threads");
+            assert_eq!(sn.steps, 1);
+            assert_eq!(sn.rounds, s1.rounds);
+            assert_eq!(sn.serial_work, s1.serial_work);
+            assert_eq!(sn.poll_work, s1.poll_work);
+            assert_eq!(sn.hub_work, s1.hub_work);
+            assert_eq!(sn.barrier_frames, s1.barrier_frames);
+            assert_eq!(sn.threads, threads);
+            let ids: Vec<u32> = rig.units.iter().map(|unit| unit.id).collect();
+            assert_eq!(
+                ids,
+                (0..8).collect::<Vec<_>>(),
+                "units come back in list order"
+            );
+            // Every unit was dealt to exactly one shard: one poll per round
+            // each, and the shards' work adds up to the total.
+            for unit in &rig.units {
                 assert_eq!(
-                    ids,
-                    (0..8).collect::<Vec<_>>(),
-                    "units come back in list order"
+                    rig.polled_on(unit.id).len(),
+                    serial.rounds,
+                    "unit {}",
+                    unit.id
                 );
-                // Every unit was dealt to exactly one shard: one poll per
-                // round each, and the shards' work adds up to the total.
-                for unit in &rig.units {
-                    assert_eq!(
-                        rig.polled_on(unit.id).len(),
-                        serial.rounds,
-                        "unit {}",
-                        unit.id
-                    );
-                }
-                assert_eq!(shard_loads(&rig).len(), threads);
-                assert!(sn.critical_work <= sn.serial_work);
             }
+            assert_eq!(shard_loads(&rig).len(), threads);
+            assert!(sn.critical_work <= sn.serial_work);
         }
         // Sanity: the log really is the full uneven workload, in list order
         // within each round, and the step ran to quiescence.
@@ -828,7 +777,7 @@ mod tests {
         let caller = std::thread::current().id();
         for threads in [1, 2, 4] {
             let mut rig = rig(8);
-            run_step(threads, &mut rig, &[], 64, None);
+            run_step(threads, &mut rig, 64, None);
             let mut seen = Vec::new();
             for (_, thread) in rig.polls.lock().unwrap().iter() {
                 if !seen.contains(thread) {
@@ -845,19 +794,17 @@ mod tests {
     /// work or the hub as overlapped.
     #[test]
     fn work_model_tracks_the_critical_path() {
-        for weights in [&[][..], &skewed(8)] {
-            let (_, _, s1) = run_step(1, &mut rig(8), weights, 64, None);
-            let (_, _, s4) = run_step(4, &mut rig(8), weights, 64, None);
-            assert_eq!(s1.critical_work, s1.serial_work, "one shard: no overlap");
-            assert!(
-                s4.critical_work < s4.serial_work,
-                "four shards overlap work: {} < {}",
-                s4.critical_work,
-                s4.serial_work
-            );
-            assert!(s4.critical_work >= s4.hub_work + 5);
-            assert!(s4.modeled_speedup() > 1.0);
-        }
+        let (_, _, s1) = run_step(1, &mut rig(8), 64, None);
+        let (_, _, s4) = run_step(4, &mut rig(8), 64, None);
+        assert_eq!(s1.critical_work, s1.serial_work, "one shard: no overlap");
+        assert!(
+            s4.critical_work < s4.serial_work,
+            "four shards overlap work: {} < {}",
+            s4.critical_work,
+            s4.serial_work
+        );
+        assert!(s4.critical_work >= s4.hub_work + 5);
+        assert!(s4.modeled_speedup() > 1.0);
     }
 
     /// The round bound cuts a step that never quiesces, at the same round
@@ -869,7 +816,7 @@ mod tests {
             for unit in rig.units.iter_mut() {
                 unit.busy_rounds = usize::MAX; // never goes quiet
             }
-            let (outcome, _, stats) = run_step(threads, &mut rig, &[], 8, None);
+            let (outcome, _, stats) = run_step(threads, &mut rig, 8, None);
             assert_eq!(outcome.rounds, 8);
             assert!(!outcome.quiescent);
             assert_eq!(stats.rounds, 8);
@@ -884,7 +831,7 @@ mod tests {
     fn threads_clamp_to_unit_count() {
         let mut two = rig(2);
         let mut exec = ShardedExecutor::new(16);
-        drive_rig(&mut exec, &mut two, &[], 64, None);
+        drive_rig(&mut exec, &mut two, 64, None);
         assert_eq!(exec.stats().threads, 2);
         assert_eq!(
             exec.crew.helpers.len(),
@@ -894,7 +841,7 @@ mod tests {
         assert_eq!(shard_loads(&two), vec![1, 4], "one unit per shard");
 
         let mut exec = ShardedExecutor::new(4);
-        drive_rig(&mut exec, &mut rig(8), &[], 64, None);
+        drive_rig(&mut exec, &mut rig(8), 64, None);
         let released = |exec: &ShardedExecutor<MockUnit>| -> Vec<usize> {
             let helpers = exec.crew.helpers.iter();
             helpers
@@ -903,7 +850,7 @@ mod tests {
         };
         let before = released(&exec);
         assert_eq!(before, vec![9; 3], "three helpers, one release per round");
-        let (outcome, _) = drive_rig(&mut exec, &mut rig(2), &[], 64, None);
+        let (outcome, _) = drive_rig(&mut exec, &mut rig(2), 64, None);
         assert_eq!(exec.stats().threads, 2);
         assert_eq!(
             released(&exec),
@@ -912,44 +859,30 @@ mod tests {
         );
     }
 
-    /// Weighted dealing beats round-robin where it matters: heavy units
-    /// spread across shards instead of stacking, so the critical path sits
-    /// near the heaviest unit's own work rather than a pile of them.
+    /// Units deal round-robin in list order: unit i onto shard i mod N.
     #[test]
-    fn weighted_dealing_balances_uneven_units() {
+    fn units_deal_round_robin_in_list_order() {
         // 8 units with loads 2, 7, …, 37, each busy for exactly one round:
-        // the round's critical path is its heaviest shard.
-        let uneven = || {
-            let mut rig = rig(8);
-            for unit in rig.units.iter_mut() {
-                unit.load = 5 * unit.id as usize + 2;
-                unit.busy_rounds = 1;
-            }
-            rig
-        };
-        let heaviest_shard = |stats: &ExecStats| stats.critical_work - stats.hub_work - 5;
-        // Weights matching the loads (as a converged previous step would
-        // report): LPT on 4 shards pairs 37+2, 32+7, 27+12, 22+17 — every
-        // shard polls exactly 39.
-        let weights: Vec<u64> = (0..8).map(|id| 5 * id + 2).collect();
-        let mut rig = uneven();
-        let (_, _, stats) = run_step(4, &mut rig, &weights, 64, None);
+        // the round's critical path is its heaviest shard. On 4 shards,
+        // units {i, i + 4} share shard i, which stacks {3, 7} for
+        // 17 + 37 = 54 on the critical path.
+        let mut rig = rig(8);
+        for unit in rig.units.iter_mut() {
+            unit.load = 5 * unit.id as usize + 2;
+            unit.busy_rounds = 1;
+        }
+        let (_, _, stats) = run_step(4, &mut rig, 64, None);
         assert_eq!(stats.threads, 4);
-        assert_eq!(shard_loads(&rig), vec![39; 4], "LPT must balance the loads");
-        assert_eq!(heaviest_shard(&stats), 39);
-        assert!(stats.modeled_speedup() > 1.0);
-        // No weights deals round-robin in list order — units {i, i + 4} on
-        // shard i — which stacks {3, 7} for 17 + 37 = 54 on the critical
-        // path.
-        let mut rig = uneven();
-        let (_, _, stats) = run_step(4, &mut rig, &[], 64, None);
         assert_eq!(shard_loads(&rig), vec![24, 34, 44, 54]);
-        assert_eq!(heaviest_shard(&stats), 54);
+        assert_eq!(stats.critical_work - stats.hub_work - 5, 54);
+        for id in 0..4 {
+            assert_eq!(rig.polled_on(id), rig.polled_on(id + 4), "unit {id}");
+        }
     }
 
     /// A panic on any thread of the step — a unit's round on the caller's
     /// shard or on a helper's, or the hub — reaches the caller with its own
-    /// payload at any thread count. Equal weights deal round-robin, so with
+    /// payload at any thread count. Units deal round-robin, so with
     /// N shards unit 0 is the caller's and unit 1 a helper's (at N = 1 both
     /// are the caller's); when the caller's unit panics, the helpers are
     /// mid-round and the caller waits them out while it unwinds. Every unit
@@ -972,11 +905,11 @@ mod tests {
         for threads in [1, 2, 4] {
             let fresh = {
                 let mut exec = ShardedExecutor::new(threads);
-                let (outcome, log) = drive_rig(&mut exec, &mut rig(6), &[], 64, None);
+                let (outcome, log) = drive_rig(&mut exec, &mut rig(6), 64, None);
                 (outcome, log, exec.stats().clone())
             };
             let recovers = |exec: &mut ShardedExecutor<MockUnit>| {
-                let (outcome, log) = drive_rig(exec, &mut rig(6), &[], 64, None);
+                let (outcome, log) = drive_rig(exec, &mut rig(6), 64, None);
                 assert_eq!(
                     (outcome, log, exec.stats().clone()),
                     fresh,
@@ -988,7 +921,7 @@ mod tests {
                 let mut rig = rig(6);
                 rig.units[victim].panic_in_round = Some(2);
                 let died = catch_unwind(AssertUnwindSafe(|| {
-                    drive_rig(&mut exec, &mut rig, &[], 64, None)
+                    drive_rig(&mut exec, &mut rig, 64, None)
                 }));
                 let payload = died.expect_err("the unit's panic must propagate");
                 assert_eq!(
@@ -1018,7 +951,7 @@ mod tests {
                 rig.units[1].panic_in_round = Some(2);
                 rig.units[2].panic_in_round = Some(2);
                 let died = catch_unwind(AssertUnwindSafe(|| {
-                    drive_rig(&mut exec, &mut rig, &[], 64, None)
+                    drive_rig(&mut exec, &mut rig, 64, None)
                 }));
                 let payload = died.expect_err("the units' panic must propagate");
                 assert_eq!(message(payload), "unit 1 blew up", "threads {threads}");
@@ -1029,7 +962,7 @@ mod tests {
             let mut exec = ShardedExecutor::new(threads);
             let mut rig = rig(6);
             let died = catch_unwind(AssertUnwindSafe(|| {
-                drive_rig(&mut exec, &mut rig, &[], 64, Some(2))
+                drive_rig(&mut exec, &mut rig, 64, Some(2))
             }));
             let payload = died.expect_err("the hub's panic must propagate");
             assert!(
@@ -1046,10 +979,10 @@ mod tests {
     /// crew sat idle.
     #[test]
     fn a_parked_helper_wakes_on_the_next_release() {
-        let (serial, log1, _) = run_step(1, &mut rig(4), &[], 64, None);
+        let (serial, log1, _) = run_step(1, &mut rig(4), 64, None);
         let mut exec = ShardedExecutor::new(2);
         for _ in 0..3 {
-            let (outcome, log) = drive_rig(&mut exec, &mut rig(4), &[], 64, None);
+            let (outcome, log) = drive_rig(&mut exec, &mut rig(4), 64, None);
             assert_eq!((outcome, log), (serial, log1.clone()));
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
@@ -1066,8 +999,8 @@ mod tests {
             unit.exits = Some(Arc::clone(&exits));
         }
         let mut exec = ShardedExecutor::new(4);
-        drive_rig(&mut exec, &mut rig, &[], 64, None);
-        drive_rig(&mut exec, &mut rig, &[], 64, None);
+        drive_rig(&mut exec, &mut rig, 64, None);
+        drive_rig(&mut exec, &mut rig, 64, None);
         assert_eq!(
             exits.load(Ordering::SeqCst),
             0,
@@ -1093,7 +1026,7 @@ mod tests {
             unit.busy_rounds = usize::MAX;
         }
         let mut exec = ShardedExecutor::new(HELPERS + 1);
-        let (outcome, log) = drive_rig(&mut exec, &mut rig, &[], ROUNDS, None);
+        let (outcome, log) = drive_rig(&mut exec, &mut rig, ROUNDS, None);
         assert_eq!(exec.crew.helpers.len(), HELPERS);
         assert_eq!(outcome.rounds, ROUNDS);
         // Every unit's frame of a round reached the hub in that round.

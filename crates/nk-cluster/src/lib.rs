@@ -23,11 +23,10 @@
 //! byte-identically from its seed.
 //!
 //! The datapath is parallel when asked: [`exec::ShardedExecutor`] deals
-//! hosts — or, below the host boundary, their NSM share lanes — across OS
-//! threads: the caller's, and a crew of helpers that lives as long as the
-//! cluster and meets the caller once per round. The results
-//! — event logs, digests, stats — are byte-identical for any
-//! [`nk_types::ClusterConfig::threads`] value and either granularity.
+//! whole hosts — the one parallel unit — across OS threads: the caller's,
+//! and a crew of helpers that lives as long as the cluster and meets the
+//! caller once per round. The results — event logs, digests, stats — are
+//! byte-identical for any [`nk_types::ClusterConfig::threads`] value.
 
 #![forbid(unsafe_code)]
 

@@ -95,9 +95,9 @@ struct NsmPort {
 /// disjoint NSM share groups never touch each other's ports, table entries
 /// or queues, so polling a subset of the id space commutes with polling the
 /// rest. [`CoreEngine::extract_shard`] carves one share group out into its
-/// own engine (polled on a worker thread as part of a share lane) and
-/// [`CoreEngine::absorb_shard`] merges it back, with the whole-engine poll
-/// and the group-by-group polls producing byte-identical state.
+/// own engine and [`CoreEngine::absorb_shard`] merges it back, with the
+/// whole-engine poll and the group-by-group polls producing byte-identical
+/// state.
 pub struct CoreEngine {
     vms: BTreeMap<VmId, VmPort>,
     nsms: BTreeMap<NsmId, NsmPort>,
@@ -451,9 +451,8 @@ impl CoreEngine {
 
     /// Merge a shard produced by [`CoreEngine::extract_shard`] back in. The
     /// shard's switch counters are added; its `poll_rounds` is *not* — the
-    /// resident engine is polled once per host round even while shards are
-    /// out (it serves ungrouped VMs), so its own counter already tracks host
-    /// rounds exactly as an undecomposed poll loop would.
+    /// resident engine's own counter already tracks the rounds of the
+    /// undecomposed poll loop.
     pub fn absorb_shard(&mut self, mut shard: CoreEngine) {
         self.nsms.append(&mut shard.nsms);
         let vms: Vec<VmId> = shard.vms.keys().copied().collect();

@@ -16,7 +16,7 @@
 #![expect(
     clippy::disallowed_types,
     reason = "cross-shard-locks: a vNIC port's two handles (endpoint + switch) \
-              are always polled by the same lane, and the hub drains switch \
+              are always polled by the same host, and the hub drains switch \
               sides serially at the round barrier. A host uplink's port is the \
               cross-shard edge: the host end is used while units poll, the ToR \
               end in the hub with every helper parked, so the barrier orders \

@@ -2,14 +2,13 @@
 //!
 //! The struct, its accessors, the step protocol (`step`, and the
 //! `begin_step` / `poll_round` / `end_step` pieces a cluster interleaves
-//! across hosts), fault application and flight-recorder sampling live
-//! here. The poll round itself is [`crate::lanes`], everything that
-//! attaches or detaches a VM or an NSM is [`crate::lifecycle`], and the
-//! control epoch is [`crate::control`].
+//! across hosts, the poll round included), fault application and
+//! flight-recorder sampling live here. Everything that attaches or
+//! detaches a VM or an NSM is [`crate::lifecycle`], and the control epoch
+//! is [`crate::control`].
 
 use crate::control::ControlTelemetry;
 use crate::faults::{FaultInjector, FaultStats};
-use crate::lanes::ReportEdge;
 use crate::sched::SchedStats;
 use nk_ctrl::ControlPlane;
 use nk_engine::CoreEngine;
@@ -84,14 +83,6 @@ pub struct NetKernelHost {
     /// plus the fault events applied this interval. A cluster drains it at
     /// the round barrier; a bare host reads it directly.
     pub(crate) obs: HostFeed,
-    /// Hub ends of the share-lane report edges while the host is split into
-    /// lanes ([`NetKernelHost::split_lanes`]); drained in key order every
-    /// hub round, empty outside a lane phase.
-    pub(crate) lane_rx: BTreeMap<NsmId, ReportEdge>,
-    /// Work done per lane since the last [`NetKernelHost::split_lanes`],
-    /// accumulated from the lanes' reports; the next split stamps each lane
-    /// with its entry — the weight signal for the executor's lane placement.
-    pub(crate) lane_loads: BTreeMap<NsmId, u64>,
     pub(crate) now_ns: u64,
 }
 
@@ -140,8 +131,6 @@ impl NetKernelHost {
             next_epoch_ns,
             import_fail_budget: 0,
             obs: HostFeed::new(),
-            lane_rx: BTreeMap::new(),
-            lane_loads: BTreeMap::new(),
             now_ns: 0,
         };
         // Bring up the NSMs first so VMs can be mapped onto them.
@@ -357,10 +346,47 @@ impl NetKernelHost {
         self.record_applied_faults(self.now_ns)
     }
 
-    /// One poll round over the whole datapath at the current virtual time.
-    /// Returns the work done; the caller loops until quiescence.
+    /// One poll round over the whole datapath at the current virtual time,
+    /// in a fixed order: CoreEngine, the NSMs in ascending id, remote
+    /// stacks, the virtual switch. Returns the work done; the caller loops
+    /// until quiescence.
+    ///
+    /// With accounting on, each NSM's work is charged to its pool ledger as
+    /// it polls, and the engine's after the NSMs, in one batched charge.
     pub fn poll_round(&mut self) -> usize {
-        self.poll_datapath(self.now_ns)
+        let now_ns = self.now_ns;
+        let engine_work = Pollable::poll(&mut self.engine, now_ns);
+        // Each NSM work item is roughly one NQE translated plus one
+        // socket-level message processed by the stack; precise per-figure
+        // costs live in the perf model, this is the load signal the
+        // autoscaler watches.
+        let per_item = self.cost.nqe_translate + self.cost.kernel_tx.per_msg;
+        let mut work = engine_work;
+        for (id, nsm) in self.nsms.iter_mut() {
+            let nsm_work = Pollable::poll(nsm, now_ns);
+            // Nobody reads the ledgers without a control plane (host- or
+            // cluster-level); keep the charging off the hot path then.
+            if self.accounting && nsm_work > 0 {
+                let cycles = (nsm_work as f64 * per_item) as u64;
+                self.pools.charge_up_to(PoolMember::Nsm(*id), cycles);
+            }
+            work += nsm_work;
+        }
+        if self.accounting && engine_work > 0 {
+            let cycles = self
+                .cost
+                .switch_cost(engine_work as u64, self.cfg.batch_size);
+            self.pools.charge_up_to(PoolMember::Engine, cycles as u64);
+        }
+        for remote in self.remotes.values_mut() {
+            work += Pollable::poll(remote, now_ns);
+            // A remote's application drives its sockets by polling them
+            // and nothing reads the stack's event queue, so the round's
+            // events are dropped here rather than piling up for the life
+            // of the host.
+            remote.discard_events();
+        }
+        work + Pollable::poll(&mut self.switch, now_ns)
     }
 
     /// Close a step: run the control phase (a no-op off epoch boundaries or

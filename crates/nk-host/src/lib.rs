@@ -9,12 +9,13 @@
 //! * [`host`] — the struct, its accessors, and the step: an inject phase
 //!   replaying deterministic [`nk_types::FaultPlan`] schedules ([`faults`]),
 //!   poll rounds until one reports no work ([`sched`] holds the counters),
-//!   and a control phase closing it;
-//! * [`lanes`] — the poll round, written once: an engine and its NSMs are
-//!   polled through [`nk_sim::Pollable`] and report their work, the reports
-//!   are charged to the [`nk_sim::CorePool`] ledgers, then remote stacks
-//!   and the virtual switch run. A host split into [`ShareLane`]s for
-//!   worker threads runs the very same round in pieces;
+//!   and a control phase closing it. A poll round drives the engine, the
+//!   NSMs, remote stacks and the virtual switch through
+//!   [`nk_sim::Pollable`], charging the work to the [`nk_sim::CorePool`]
+//!   ledgers;
+//! * [`lanes`] — the host's NSM share groups, split off as [`ShareLane`]s
+//!   and merged back. Nothing steps a lane; the split stays because the
+//!   benchmark times it;
 //! * [`lifecycle`] — everything that attaches or detaches a VM or an NSM:
 //!   bring-up, crash / restart, live migration, the drained and the warm
 //!   export / import pairs, freeze windows, link degradation;
@@ -45,7 +46,7 @@ pub use baseline::BaselineVm;
 pub use control::ControlTelemetry;
 pub use faults::{FaultInjector, FaultStats};
 pub use host::NetKernelHost;
-pub use lanes::{LaneReport, ShareLane};
+pub use lanes::ShareLane;
 pub use lifecycle::VmExport;
 pub use model::{PerfModel, TrafficDirection};
 pub use sched::SchedStats;

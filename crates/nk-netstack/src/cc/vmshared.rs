@@ -12,7 +12,7 @@
     clippy::disallowed_types,
     reason = "cross-shard-locks: the shared VM window is cloned only into \
               connections of one VM, which all live on that VM's NSM stack and \
-              are ticked by a single lane; the Mutex is same-thread interior \
+              are ticked by one thread at a time; the Mutex is interior \
               mutability, never contended across shards."
 )]
 

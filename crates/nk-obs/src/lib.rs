@@ -33,21 +33,16 @@
 //! hashing over addresses, every capture made by the caller's thread at the
 //! round barrier. Two runs of the same seeded scenario — at any
 //! `NK_CLUSTER_THREADS` — serialize to byte-identical dumps; CI's golden loop
-//! pins the `flight_recorder` example's dump in all three executor modes.
+//! pins the `flight_recorder` example's dump in both executor modes.
 //!
-//! Intra-host sharding (`NK_CLUSTER_SHARD_WITHIN_HOSTS`) changes nothing
-//! about this contract, because the recorder never taps a lane directly:
-//! share lanes only *produce* — frames, metric deltas, host-feed entries —
-//! and every capture keeps happening on the caller's thread in the same merge
-//! order as the serial walk. Fault and control entries drain from host
-//! feeds in `HostId` order between steps, latency histograms merge in
-//! `HostId` order at epoch seals, and the flow tap sits behind the ToR,
-//! which drains uplink trunks in route (`HostId`) order at the round
-//! barrier — after every host hub has already folded its lanes' traffic
-//! back together in lane-key order. Dumps are therefore byte-identical
-//! across thread counts *and* across sharding granularities; the
-//! uneven-lane matrix in `nk-workload/tests/parallel.rs` pins exactly
-//! that.
+//! The recorder never taps a host while it polls on a helper thread: hosts
+//! only *produce* — frames, metric deltas, host-feed entries — and every
+//! capture happens on the caller's thread in the same merge order as the
+//! serial walk. Fault and control entries drain from host feeds in `HostId`
+//! order between steps, latency histograms merge in `HostId` order at epoch
+//! seals, and the flow tap sits behind the ToR, which drains uplink trunks
+//! in route (`HostId`) order at the round barrier. The uneven-share matrix
+//! in `nk-workload/tests/parallel.rs` pins the dump across thread counts.
 
 #![forbid(unsafe_code)]
 

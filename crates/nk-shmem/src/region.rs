@@ -3,14 +3,14 @@
 #![expect(
     clippy::disallowed_types,
     reason = "cross-shard-locks: the region is shared between a guest and the \
-              NSMs of one host, all members of the same share lane (lane \
-              grouping unions over exactly these edges), so the Mutexes \
-              serialise same-lane borrows only; no cross-shard data ever \
-              crosses them. `copy_to` is the one place two regions' data locks \
-              are held together (the shared-memory NSM copying between two of \
-              its VMs, all one lane): it takes them in address order, so even \
-              two copies in opposite directions on different threads could not \
-              each hold the lock the other waits for."
+              NSMs of one host, and a host is polled by one thread at a time, \
+              so the Mutexes serialise same-host borrows only; no cross-shard \
+              data ever crosses them. `copy_to` is the one place two regions' \
+              data locks are held together (the shared-memory NSM copying \
+              between two of its VMs, all on one host): it takes them in \
+              address order, so even two copies in opposite directions on \
+              different threads could not each hold the lock the other waits \
+              for."
 )]
 
 use nk_types::constants::HUGEPAGE_SIZE;

@@ -17,3 +17,10 @@ pub trait Pollable {
     /// long as work keeps being reported.
     fn poll(&mut self, now_ns: u64) -> usize;
 }
+
+/// A boxed component polls as the component itself.
+impl<P: Pollable + ?Sized> Pollable for Box<P> {
+    fn poll(&mut self, now_ns: u64) -> usize {
+        (**self).poll(now_ns)
+    }
+}

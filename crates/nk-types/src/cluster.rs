@@ -237,12 +237,9 @@ pub struct ClusterConfig {
     /// separated by barriers, so results are byte-identical for any value).
     /// `1` — the default — is the serial reference: the caller alone.
     pub threads: usize,
-    /// Shard *below* the host boundary: every NSM share group of every host
-    /// becomes its own parallel unit (with the host's vNIC switch, ledger
-    /// and resident engine polled serially at the round barrier), so a
-    /// single many-share host can saturate the threads. Results stay
-    /// byte-identical to host-granularity sharding and to the serial path
-    /// for any thread count. Defaults to `false` (hosts are the unit).
+    /// Has no effect: a whole host is the one parallel unit. The field
+    /// stays, defaulting to `false`, because the benchmark still sets it
+    /// and `Cluster::shard_within_hosts` echoes it back.
     #[serde(default)]
     pub shard_within_hosts: bool,
     /// Cluster placement policy. `None` leaves placement static (hosts may
@@ -294,10 +291,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Shard the datapath below the host boundary: NSM share groups become
-    /// the parallel units instead of whole hosts (builder style).
-    /// Determinism is preserved either way; see
-    /// [`ClusterConfig::shard_within_hosts`].
+    /// Set [`ClusterConfig::shard_within_hosts`], which has no effect
+    /// (builder style).
     pub fn with_shard_within_hosts(mut self, on: bool) -> Self {
         self.shard_within_hosts = on;
         self

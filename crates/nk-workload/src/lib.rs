@@ -22,7 +22,7 @@
 //! * [`rows`] — the scripted runs more than one suite needs, each defined
 //!   once (`control_ramp`, `drained_move`, `warm_move`, `evacuation`,
 //!   `failover`, …), and `assert_mode_invariant`, the oracle that replays a
-//!   row at threads {1, 2, 4} × {hosts, lanes} and compares whole reports.
+//!   row at threads {1, 2, 4} and compares whole reports.
 
 #![forbid(unsafe_code)]
 

@@ -145,25 +145,18 @@ pub fn evacuation() -> ScenarioConfig {
         .with_evacuation(2_000_000, HostId(1), 2)
 }
 
-/// The executor-mode oracle: run `cfg` at threads {1, 2, 4} with hosts and
-/// then lanes (NSM shares, below the host boundary) as the parallel units,
-/// assert that the whole reports are equal, and return the serial reference
-/// for further assertions.
+/// The executor-mode oracle: run `cfg` at threads {1, 2, 4}, assert that
+/// the whole reports are equal, and return the serial reference for further
+/// assertions.
 ///
-/// (`NK_CLUSTER_THREADS` / `NK_CLUSTER_SHARD_WITHIN_HOSTS` deliberately
-/// override the configured values, so a CI job can run a whole suite under
-/// one forced mode; equality still holds because every run then uses the
-/// same override.)
+/// (`NK_CLUSTER_THREADS` deliberately overrides the configured value, so a
+/// CI job can run a whole suite under one forced thread count; equality
+/// still holds because every run then uses the same override.)
 pub fn assert_mode_invariant(cfg: &ScenarioConfig) -> ScenarioReport {
-    let modes = [false, true]
-        .into_iter()
-        .flat_map(|lanes| [1, 2, 4].map(|threads| (threads, lanes)));
-    assert_same_report(modes.map(|(threads, lanes)| {
+    assert_same_report([1, 2, 4].map(|threads| {
         let mut cfg = cfg.clone();
-        cfg.cluster = (cfg.cluster)
-            .with_threads(threads)
-            .with_shard_within_hosts(lanes);
-        (format!("threads={threads} lanes={lanes}"), cfg)
+        cfg.cluster = cfg.cluster.with_threads(threads);
+        (format!("threads={threads}"), cfg)
     }))
 }
 

@@ -13,7 +13,7 @@
 //! transplants the pinned connection and the runner follows the socket to
 //! its new host. Because the payloads, the fault schedules, the script and
 //! the whole datapath derive from explicit seeds, a scenario replays
-//! bit-for-bit at any thread count and shard mode, and two runs compare
+//! bit-for-bit at any thread count, and two runs compare
 //! with one `assert_eq!` on the [`ScenarioReport`].
 //!
 //! Where the echo server attaches is derived from its address: inside a
@@ -242,7 +242,7 @@ pub struct TenantReport {
 
 /// Everything a finished scenario reports. Two runs of the same
 /// configuration must produce equal reports (the determinism guarantee) —
-/// at any thread count and shard mode.
+/// at any thread count.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioReport {
     /// True when every tenant delivered and verified all its bytes.
@@ -382,6 +382,11 @@ impl Scenario {
     /// Panics with a descriptive message when an invariant is violated —
     /// byte corruption, NQE loss, scheduler accounting drift.
     pub fn run(&self) -> NkResult<ScenarioReport> {
+        self.run_on().map(|(report, _)| report)
+    }
+
+    /// [`Scenario::run`], also handing back the cluster it ran on.
+    fn run_on(&self) -> NkResult<(ScenarioReport, Cluster)> {
         let cfg = &self.cfg;
         let mut cluster = Cluster::new(cfg.cluster.clone())?;
         for (host, plan) in &cfg.fault_plans {
@@ -490,7 +495,7 @@ impl Scenario {
             hosts.insert(id, HostReport::of(host, &vms));
         }
         let streams = || tenants.iter().map(|t| &t.stream);
-        Ok(ScenarioReport {
+        let report = ScenarioReport {
             completed: streams().all(VerifiedStream::done),
             steps,
             bytes_verified: streams().map(VerifiedStream::bytes_verified).sum(),
@@ -510,7 +515,8 @@ impl Scenario {
             server_stack: server_stack(&mut cluster, server_host, server_ip)
                 .ok_or(NkError::NotFound)?
                 .stats(),
-        })
+        };
+        Ok((report, cluster))
     }
 
     /// Apply one due script entry.
@@ -643,6 +649,23 @@ mod tests {
             random_fault_plan(1, &kernel_host(0, &[1]), VmId(1), 1_000_000),
             Err(NkError::BadConfig)
         );
+    }
+
+    /// `ClusterConfig::shard_within_hosts` has no effect: a host is the one
+    /// parallel unit, so a run with the flag set reports the same and
+    /// drives the executor the same, down to every `ExecStats` counter.
+    #[test]
+    fn the_shard_within_hosts_flag_changes_nothing() {
+        let run = |flag| {
+            let mut cfg = rows::evacuation();
+            cfg.cluster = cfg.cluster.with_threads(2).with_shard_within_hosts(flag);
+            let (report, cluster) = Scenario::new(cfg).run_on().unwrap();
+            (report, cluster.exec_stats().clone())
+        };
+        let (report, exec) = run(false);
+        assert!(report.completed, "{report:?}");
+        assert!(exec.threads > 1, "{exec:?}");
+        assert_eq!(run(true), (report, exec));
     }
 
     /// Without a control policy a one-host row is just a multi-tenant

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # The sharded datapath must be invisible to the tests too: the whole suite
-# runs with 4 executor threads forced, first with hosts and then with share
-# lanes as the units. The facade's root test targets are listed from
-# tests/*.rs, so a new one cannot be left out of the forced runs; only two
-# stay out by name — the benchmark's smoke test (tests/nkbench/ asserts these
-# variables are unset: it measures at each workload's own thread count) and
-# tests/layering.rs (reads manifests; no executor in it).
+# runs with 4 executor threads forced. The facade's root test targets are
+# listed from tests/*.rs, so a new one cannot be left out of the forced run;
+# only two stay out by name — the benchmark's smoke test (tests/nkbench/
+# asserts the variable is unset: it measures at each workload's own thread
+# count) and tests/layering.rs (reads manifests; no executor in it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,10 +17,6 @@ for file in tests/*.rs; do
   esac
 done
 
-for mode in "NK_CLUSTER_THREADS=4" "NK_CLUSTER_SHARD_WITHIN_HOSTS=1 NK_CLUSTER_THREADS=4"; do
-  echo "== $mode: workspace, then netkernel --lib ${targets[*]}"
-  # shellcheck disable=SC2086  # $mode is one or more VAR=value words
-  env $mode cargo test --workspace --exclude netkernel -q
-  # shellcheck disable=SC2086
-  env $mode cargo test -p netkernel -q --lib "${targets[@]}"
-done
+echo "== NK_CLUSTER_THREADS=4: workspace, then netkernel --lib ${targets[*]}"
+NK_CLUSTER_THREADS=4 cargo test --workspace --exclude netkernel -q
+NK_CLUSTER_THREADS=4 cargo test -p netkernel -q --lib "${targets[@]}"

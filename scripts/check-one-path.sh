@@ -34,6 +34,10 @@ check "$(code crates/nk-cluster/src | grep -c 'thread::scope')" -eq 0 \
     "one place spawns executor threads: no step opens a thread scope of its own"
 check "$(code crates/nk-cluster/src | grep -c 'thread::spawn')" -eq 1 \
     "one place spawns executor threads: the executor's crew, once per helper for the executor's life"
+check "$(code crates/nk-cluster/src | grep -cE 'ShareLane|split_lanes|Unit::Lane')" -eq 0 \
+    "one parallel unit, the host: the cluster step never splits a host into share lanes"
+check "$(code crates | grep -cE 'NK_CLUSTER_SHARD_WITHIN_HOSTS|ReportEdge|LaneReport')" -eq 0 \
+    "one parallel unit, the host: no shard-mode override and no lane report edge"
 check "$(code crates | grep -cE 'vm_home|ActiveDrain|StepStatus|ControlLogEntry|control_log\(')" -eq 0 \
     "placement has one record: no home/drain mirror, step-status DAG or merged control-log view"
 check "$(code crates/nk-ctrl/src/evacuate.rs | grep -c 'deps')" -eq 0 \
