@@ -41,15 +41,21 @@ impl WakeState {
     /// Switch side: wake the device if it is armed. Returns `true` when a
     /// wake-up (virtual interrupt) was actually delivered — CoreEngine counts
     /// these for its overhead accounting.
+    ///
+    /// A device that is not armed is told so by one load, linearized there,
+    /// so a polling device costs CoreEngine a load per response rather than
+    /// a locked compare-and-swap that always fails.
     pub fn wake(&self) -> bool {
-        self.state
-            .compare_exchange(
-                STATE_ARMED,
-                STATE_WOKEN,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
-            .is_ok()
+        self.state.load(Ordering::Acquire) == STATE_ARMED
+            && self
+                .state
+                .compare_exchange(
+                    STATE_ARMED,
+                    STATE_WOKEN,
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                )
+                .is_ok()
     }
 
     /// Device side: true when armed (sleeping, waiting for an interrupt).

@@ -9,7 +9,8 @@
 //!
 //! * [`spsc`] — a bounded single-producer/single-consumer lock-free ring
 //!   buffer, the building block of every NQE queue: `push`, `pop` and
-//!   `pop_batch` over four `unsafe` sites, the datapath's only ones;
+//!   `pop_batch` over four `unsafe` sites, the datapath's only ones. Each
+//!   end owns its index, and a batch is published with one store;
 //! * [`mod@unbounded`] — an unbounded wait-free SPSC queue with no datapath
 //!   user: the round barrier orders every cross-shard hand-off, so those
 //!   edges are plain ports. nkbench's `queue.unbounded_ns` drive still names

@@ -7,10 +7,15 @@
 //! [`Consumer`] handle, no locks, and only `Acquire`/`Release` atomics on the
 //! head and tail indices.
 //!
-//! The implementation follows the classic Lamport queue with cached indices:
-//! the producer caches the consumer's head and only reloads it when the ring
-//! appears full, and symmetrically for the consumer, so the common case costs
-//! one atomic load and one atomic store per operation.
+//! The implementation follows the classic Lamport queue with owner-local
+//! indices: each handle keeps its own index (and the slot it maps to) in a
+//! plain field and is the only writer of the shared copy, and it caches the
+//! other side's index, reloading it only when that view runs out (the
+//! producer when the ring looks full, the consumer when its cached tail does
+//! not cover what it wants). So a `push` or a `pop` costs one Release store,
+//! plus one Acquire load only when the cached view runs out, and never a
+//! division; a `pop_batch` takes its whole run and publishes it with one
+//! store.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -24,9 +29,11 @@ use std::sync::Arc;
 struct CachePadded(AtomicUsize);
 
 struct Inner<T> {
-    /// Next slot the producer will write (monotonically increasing).
+    /// Next slot the producer will write (monotonically increasing); only
+    /// the producer stores it.
     tail: CachePadded,
-    /// Next slot the consumer will read (monotonically increasing).
+    /// Next slot the consumer will read (monotonically increasing); only
+    /// the consumer stores it.
     head: CachePadded,
     /// Ring storage; slot `i % capacity` is owned by the producer when
     /// `head <= i < tail + capacity` and unread data lives in `[head, tail)`.
@@ -42,9 +49,30 @@ unsafe impl<T: Send> Send for Inner<T> {}
 // SAFETY: the argument above, word for word: it covers sharing `&Inner`.
 unsafe impl<T: Send> Sync for Inner<T> {}
 
+/// One side's own index: the value it last published and the ring slot it
+/// maps to, moved in step so no access divides.
+struct Cursor {
+    index: usize,
+    slot: usize,
+}
+
+impl Cursor {
+    /// Step one element forward on a ring of `capacity` slots.
+    #[inline]
+    fn advance(&mut self, capacity: usize) {
+        self.index += 1;
+        self.slot += 1;
+        if self.slot == capacity {
+            self.slot = 0;
+        }
+    }
+}
+
 /// Producing half of an SPSC queue. Not clonable: single producer.
 pub struct Producer<T> {
     inner: Arc<Inner<T>>,
+    /// The producer's own `tail`.
+    tail: Cursor,
     /// Producer's cached copy of `head`, refreshed only when the ring looks
     /// full.
     cached_head: usize,
@@ -53,8 +81,10 @@ pub struct Producer<T> {
 /// Consuming half of an SPSC queue. Not clonable: single consumer.
 pub struct Consumer<T> {
     inner: Arc<Inner<T>>,
-    /// Consumer's cached copy of `tail`, refreshed only when the ring looks
-    /// empty.
+    /// The consumer's own `head`.
+    head: Cursor,
+    /// Consumer's cached copy of `tail`, refreshed only when it does not
+    /// cover the request: empty for `pop`, short of `max` for `pop_batch`.
     cached_tail: usize,
 }
 
@@ -77,10 +107,12 @@ pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     (
         Producer {
             inner: Arc::clone(&inner),
+            tail: Cursor { index: 0, slot: 0 },
             cached_head: 0,
         },
         Consumer {
             inner,
+            head: Cursor { index: 0, slot: 0 },
             cached_tail: 0,
         },
     )
@@ -95,20 +127,21 @@ impl<T> Producer<T> {
     /// Push one element. Returns `Err(value)` when the ring is full, handing
     /// the value back to the caller.
     pub fn push(&mut self, value: T) -> Result<(), T> {
-        let tail = self.inner.tail.0.load(Ordering::Relaxed);
-        if tail - self.cached_head == self.capacity() {
+        let capacity = self.capacity();
+        if self.tail.index - self.cached_head == capacity {
             // Looks full; refresh the cached head and re-check.
             self.cached_head = self.inner.head.0.load(Ordering::Acquire);
-            if tail - self.cached_head == self.capacity() {
+            if self.tail.index - self.cached_head == capacity {
                 return Err(value);
             }
         }
-        let slot = &self.inner.buf[tail % self.capacity()];
+        let slot = &self.inner.buf[self.tail.slot];
         // SAFETY: slot index `tail` is exclusively owned by the producer
         // until the Release store below publishes it; the consumer will not
         // read it before observing the new tail.
         unsafe { (*slot.get()).write(value) };
-        self.inner.tail.0.store(tail + 1, Ordering::Release);
+        self.tail.advance(capacity);
+        self.inner.tail.0.store(self.tail.index, Ordering::Release);
         Ok(())
     }
 }
@@ -121,37 +154,58 @@ impl<T> Consumer<T> {
 
     /// Pop one element, or `None` when the ring is empty.
     pub fn pop(&mut self) -> Option<T> {
-        let head = self.inner.head.0.load(Ordering::Relaxed);
-        if head == self.cached_tail {
+        if self.head.index == self.cached_tail {
             // Looks empty; refresh the cached tail and re-check.
             self.cached_tail = self.inner.tail.0.load(Ordering::Acquire);
-            if head == self.cached_tail {
+            if self.head.index == self.cached_tail {
                 return None;
             }
         }
-        let slot = &self.inner.buf[head % self.capacity()];
-        // SAFETY: `head < tail`, so the producer has fully initialised this
-        // slot and will not touch it again until we publish `head + 1`.
-        let value = unsafe { (*slot.get()).assume_init_read() };
-        self.inner.head.0.store(head + 1, Ordering::Release);
+        let value = self.take();
+        self.inner.head.0.store(self.head.index, Ordering::Release);
         Some(value)
     }
 
     /// Pop up to `max` elements into `out`; returns how many were popped.
     /// The paper's NK devices and CoreEngine batch NQEs in exactly this
     /// fashion (§4.6 "Batching").
+    ///
+    /// When the cached tail covers fewer than `max` elements it is reloaded
+    /// once, before the run is taken, so a batch pops everything published
+    /// up to `max` — what popping one element at a time until `max` or
+    /// empty would pop — and not merely what the last look saw. The run is
+    /// published with one Release store.
     pub fn pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.pop() {
-                Some(v) => {
-                    out.push(v);
-                    n += 1;
-                }
-                None => break,
-            }
+        if self.cached_tail - self.head.index < max {
+            self.cached_tail = self.inner.tail.0.load(Ordering::Acquire);
         }
+        let n = (self.cached_tail - self.head.index).min(max);
+        if n == 0 {
+            return 0;
+        }
+        out.reserve(n);
+        for _ in 0..n {
+            out.push(self.take());
+        }
+        self.inner.head.0.store(self.head.index, Ordering::Release);
         n
+    }
+
+    /// Move the element at `head` out and step past it; the caller has
+    /// checked `head < cached_tail` and publishes the new head.
+    #[inline]
+    fn take(&mut self) -> T {
+        debug_assert!(
+            self.head.index < self.cached_tail,
+            "took an unpublished slot"
+        );
+        let slot = &self.inner.buf[self.head.slot];
+        // SAFETY: `head < cached_tail <= tail`, so the producer has fully
+        // initialised this slot and will not touch it again until we
+        // publish a head past it.
+        let value = unsafe { (*slot.get()).assume_init_read() };
+        self.head.advance(self.inner.buf.len());
+        value
     }
 }
 
@@ -169,6 +223,7 @@ impl<T> Drop for Consumer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use std::thread;
 
     #[test]
@@ -295,6 +350,99 @@ mod tests {
         producer.join().unwrap();
         let sum = consumer.join().unwrap();
         assert_eq!(sum, N * (N - 1) / 2);
+    }
+
+    /// Seeded interleavings of `push`, `pop` and `pop_batch(max)` on rings
+    /// of capacity 1, 3, 7 and 8, with `max` in {1, 2, 5, cap, cap + 3},
+    /// checked op by op against a `VecDeque` bounded at `cap`. The run also
+    /// counts the batches issued while the consumer's cached tail covered
+    /// less than the batch should take (the producer pushed past a partial
+    /// batch), and requires some: those are the batches that must reload.
+    #[test]
+    fn ring_matches_a_vecdeque_model() {
+        let mut stale_batches = 0;
+        let mut ops = 0;
+        for seed in 1..=40u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = |below: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % below
+            };
+            let cap = [1, 3, 7, 8][seed as usize % 4];
+            let (mut tx, mut rx) = channel(cap);
+            let mut model = VecDeque::new();
+            let mut pushed = 0u32;
+            for _ in 0..600 {
+                ops += 1;
+                match next(5) {
+                    0 | 1 => {
+                        let got = tx.push(pushed);
+                        if model.len() < cap {
+                            assert_eq!(got, Ok(()), "seed {seed}");
+                            model.push_back(pushed);
+                        } else {
+                            assert_eq!(got, Err(pushed), "seed {seed}: full");
+                        }
+                        pushed += 1;
+                    }
+                    2 => assert_eq!(rx.pop(), model.pop_front(), "seed {seed}"),
+                    _ => {
+                        let max = [1, 2, 5, cap, cap + 3][next(5) as usize];
+                        let want: Vec<u32> = model.drain(..model.len().min(max)).collect();
+                        if rx.cached_tail - rx.head.index < want.len() {
+                            stale_batches += 1;
+                        }
+                        let mut out = vec![u32::MAX];
+                        assert_eq!(rx.pop_batch(&mut out, max), want.len(), "seed {seed}");
+                        assert_eq!(out[1..], want[..], "seed {seed}: batch of {max}");
+                    }
+                }
+            }
+        }
+        assert!(ops >= 20_000);
+        assert!(
+            stale_batches > 0,
+            "no batch ever found its cached tail short"
+        );
+    }
+
+    /// A producer thread pushes 200 000 values while the consumer drains
+    /// them with `pop_batch` at a `max` that cycles through 1, 2, 5, the
+    /// capacity and more: every value arrives exactly once, in order.
+    #[test]
+    fn cross_thread_batches_preserve_order_and_count() {
+        const N: u64 = 200_000;
+        const CAP: usize = 64;
+        let (mut tx, mut rx) = channel(CAP);
+        let producer = thread::spawn(move || {
+            for i in 0..N {
+                let mut v = i;
+                while let Err(back) = tx.push(v) {
+                    v = back;
+                    std::hint::spin_loop();
+                }
+            }
+        });
+        let mut expected = 0u64;
+        let mut out = Vec::with_capacity(CAP + 3);
+        for max in [1, 2, 5, CAP, CAP + 3].into_iter().cycle() {
+            if expected == N {
+                break;
+            }
+            out.clear();
+            if rx.pop_batch(&mut out, max) == 0 {
+                std::hint::spin_loop();
+            }
+            assert!(out.len() <= max);
+            for &v in &out {
+                assert_eq!(v, expected, "FIFO order violated");
+                expected += 1;
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(rx.pop(), None, "a value arrived twice");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * [`region::HugepageRegion`] — the shared region (2 MB pages, paper §5)
 //!   with a first-fit chunk allocator and accessors keyed by
 //!   [`nk_types::DataHandle`] that copy in or out, or lend a live chunk to
-//!   the caller in place so each hop moves its payload once;
+//!   the caller in place so each hop moves its payload once. The allocator
+//!   and the bytes sit behind one lock, so each access takes it once
+//!   (allocate + copy in, check + copy out, or a lend);
 //! * [`budget::BufferBudget`] — the per-socket send/receive buffer accounting
 //!   GuestLib and ServiceLib maintain on top of the region (§4.5).
 

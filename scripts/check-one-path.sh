@@ -57,5 +57,9 @@ check "$(code crates | grep -c 'pending_events')" -eq 0 \
 # shellcheck disable=SC2086 # one directory per word
 check "$(code $not_nk_queue | grep -cE "$inspects_respond")" -eq 0 \
     "one rule for a full NQE ring: respond never refuses, so no caller outside nk-queue inspects its result"
+check "$(code crates/nk-shmem/src/region.rs | grep -c 'Mutex<')" -eq 1 \
+    "one lock per hugepage access: the allocator and the bytes sit behind one Mutex"
+check "$(code crates/nk-queue/src/spsc.rs | grep -cw 'unsafe')" -eq 4 \
+    "four unsafe sites in the SPSC ring, the interleaving checker's scope (ROADMAP item 3)"
 
 exit "$fails"
