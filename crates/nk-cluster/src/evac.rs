@@ -7,7 +7,7 @@
 //! one-move chain, [`Cluster::plan_evacuation`] one chain per VM homed on
 //! the host. The loop runs the plan's steps in list order, `pace` chains per
 //! wave with one shared freeze window per wave of warm chains, and logs
-//! every milestone as a serializable [`PlanEvent`]. Placement is never
+//! every milestone as a [`PlanEvent`]. Placement is never
 //! written here: a VM's home is the host holding it and not draining it
 //! ([`Cluster::home_of`]), so it moves with the instance.
 //!

@@ -14,14 +14,14 @@
 //! The executor lives in `nk-cluster` (`Cluster::evacuate_host`), which owns
 //! the hosts and the fabric; this module owns the *shape* of the operation:
 //! which steps exist, in what order, how concurrency is paced (`pace` VMs
-//! per wave), and the serializable [`PlanEvent`] log that makes an
+//! per wave), and the [`PlanEvent`] log that makes an
 //! evacuation as replayable as every other cluster decision.
 
 use nk_types::{HostId, NkError, NkResult, NsmId, VmId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a VM travels during an evacuation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EvacMode {
     /// Freeze the VM, export live connection state, reroute its addresses
     /// and install on the destination — zero reconnects, zero drain wait.
@@ -36,7 +36,7 @@ pub enum EvacMode {
 /// executor applies when a later action fails (see `nk-cluster`):
 /// freeze ↔ thaw, export ↔ re-import/cancel, reroute ↔ route restore,
 /// install ↔ uninstall, thaw ↔ re-freeze + home restore, retire ↔ revive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EvacAction {
     /// Open the warm-migration freeze window on the VM (warm chains only).
     Freeze {
@@ -83,7 +83,7 @@ pub enum EvacAction {
 }
 
 /// One entry of the compiled list: an action and the wave it is paced into.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EvacStep {
     /// Position in the plan; doubles as the execution order.
     pub id: usize,
@@ -95,7 +95,7 @@ pub struct EvacStep {
 }
 
 /// One VM's travel order, as the planner decided it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EvacMove {
     /// The VM leaving the evacuating host.
     pub vm: VmId,
@@ -106,7 +106,7 @@ pub struct EvacMove {
 }
 
 /// A compiled evacuation: the ordered action list for clearing one host.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EvacPlan {
     /// The host being evacuated.
     pub host: HostId,
@@ -206,8 +206,8 @@ impl EvacPlan {
     }
 }
 
-/// One entry of the serializable plan log.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// One entry of the plan log, as a flight-recorder dump writes it.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum PlanEventKind {
     /// The plan was admitted and execution begins.
     PlanStarted {
@@ -257,7 +257,7 @@ pub enum PlanEventKind {
 /// A [`PlanEventKind`] stamped with virtual time, placement epoch and a
 /// per-plan sequence number. The log is coordinator-only (plans never run
 /// concurrently with each other), so it is identical at any thread count.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlanEvent {
     /// Virtual time of the event.
     pub at_ns: u64,
@@ -490,29 +490,48 @@ mod tests {
         }
     }
 
-    /// Plans and plan events survive a JSON round trip (the log is part of
-    /// the serializable record of a run).
+    /// The serialized form of each plan-event variant, as a flight-recorder
+    /// dump writes it.
     #[test]
-    fn plans_and_events_round_trip_through_json() {
-        let plan = EvacPlan::compile(
-            HostId(1),
-            &[warm(1, 2), drained(2, 3)],
-            &[NsmId(1), NsmId(2)],
-            2,
-        )
-        .unwrap();
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: EvacPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
-
-        let mut run = PlanRun::new(&plan, 5, 1);
-        run.started(0, 6, 1);
-        run.done(0, 6, 1);
-        run.committed(plan.host, 7, 1);
-        for ev in &run.into_events() {
-            let json = serde_json::to_string(ev).unwrap();
-            let back: PlanEvent = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, *ev);
+    fn plan_events_serialize_to_pinned_json() {
+        for (kind, json) in [
+            (
+                PlanEventKind::PlanStarted {
+                    host: HostId(1),
+                    steps: 9,
+                    waves: 2,
+                },
+                r#"{"PlanStarted":{"host":1,"steps":9,"waves":2}}"#,
+            ),
+            (
+                PlanEventKind::ActionStarted { step: 0 },
+                r#"{"ActionStarted":{"step":0}}"#,
+            ),
+            (
+                PlanEventKind::ActionDone { step: 0 },
+                r#"{"ActionDone":{"step":0}}"#,
+            ),
+            (
+                PlanEventKind::ActionFailed { step: 3, code: 7 },
+                r#"{"ActionFailed":{"step":3,"code":7}}"#,
+            ),
+            (
+                PlanEventKind::ActionReverted { step: 2 },
+                r#"{"ActionReverted":{"step":2}}"#,
+            ),
+            (
+                PlanEventKind::PlanCommitted { host: HostId(1) },
+                r#"{"PlanCommitted":{"host":1}}"#,
+            ),
+            (
+                PlanEventKind::PlanRolledBack {
+                    host: HostId(1),
+                    reverted: 3,
+                },
+                r#"{"PlanRolledBack":{"host":1,"reverted":3}}"#,
+            ),
+        ] {
+            assert_eq!(serde_json::to_string(&kind).unwrap(), json);
         }
     }
 }

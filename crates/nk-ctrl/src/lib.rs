@@ -32,7 +32,7 @@
 //! an ordered list of typed actions, each with a revert, paced into bounded
 //! waves — run in list order, so a mid-plan failure unwinds every completed
 //! action in reverse order. The cluster layer supplies the mechanism; this
-//! crate owns the plan's shape and its serializable [`PlanEvent`] log,
+//! crate owns the plan's shape and its [`PlanEvent`] log,
 //! which a [`PlanRun`] records.
 //!
 //! Everything is deterministic: state lives in `BTreeMap`s, decisions

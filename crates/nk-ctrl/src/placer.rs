@@ -14,7 +14,7 @@ use crate::{EpochSample, LoadMonitor, NsmLoad, Rebalancer};
 use nk_types::{
     ClusterPolicy, ControlAction, ControlPolicy, ControlTarget, HostId, NkResult, NsmId, VmId,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Load signals of one host over one placement epoch.
@@ -63,7 +63,7 @@ pub struct Migration {
 /// case the cluster skips it and the placer re-observes next epoch. The
 /// flight recorder keeps both halves — what was decided and whether it
 /// happened — which is exactly the signal a skipped-decision loop hides.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct DecisionOutcome {
     /// Placement epoch the decision was taken in.
     pub epoch: u64,

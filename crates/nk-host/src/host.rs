@@ -394,7 +394,7 @@ impl NetKernelHost {
     pub fn end_step(&mut self) -> usize {
         let applied = self.run_control(self.now_ns);
         self.obs_sample(self.now_ns);
-        self.audit_census();
+        self.settle_census();
         applied
     }
 

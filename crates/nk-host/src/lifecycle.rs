@@ -25,12 +25,47 @@ use nk_types::{
 pub use nk_types::migrate::VmExport;
 
 impl NetKernelHost {
-    /// The census audit: in debug builds, at the close of every step and of
-    /// every entry point below that attaches or detaches something, no
-    /// resource is half-attached. The engine's registered VMs are exactly
-    /// the host's slots; every region wired into an NSM belongs to a slot,
-    /// and a VM's mapped NSM is wired to it; every alias is owned by a live
-    /// TCP NSM and still forwarded by the switch.
+    /// Close a step or an entry point below that attaches or detaches
+    /// something: unwire the shares VMs left behind, then audit the census.
+    pub(crate) fn settle_census(&mut self) {
+        self.unwire_left_shares();
+        self.audit_census();
+    }
+
+    /// Every NSM still wired to a VM that switched away from it (intra-host
+    /// migration) with nothing of the VM left there: no tuple pinned to it
+    /// and no socket on it.
+    fn left_shares(&self) -> Vec<(VmId, NsmId)> {
+        let mut left = Vec::new();
+        for vm in self.vms.keys().copied() {
+            let home = self.engine.nsm_of(vm);
+            for (id, nsm) in &self.nsms {
+                if home != Some(*id)
+                    && nsm.wires(vm)
+                    && self.engine.pinned_connections(vm, *id) == 0
+                    && !nsm.has_sockets_of(vm)
+                {
+                    left.push((vm, *id));
+                }
+            }
+        }
+        left
+    }
+
+    /// Unwire every [`Self::left_shares`] pair. Only the region mapping
+    /// goes; nothing is closed.
+    fn unwire_left_shares(&mut self) {
+        for (vm, id) in self.left_shares() {
+            self.nsms.get_mut(&id).expect("listed live").unwire(vm);
+        }
+    }
+
+    /// The census audit: in debug builds, at every [`Self::settle_census`],
+    /// no resource is half-attached. The engine's registered VMs are exactly
+    /// the host's slots; every region wired into an NSM belongs to a slot;
+    /// a VM's mapped NSM is wired to it, and no other NSM stays wired to
+    /// it with nothing of it left there; every alias is owned by a live TCP
+    /// NSM and still forwarded by the switch.
     pub(crate) fn audit_census(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -42,9 +77,11 @@ impl NetKernelHost {
                 assert!(self.vms.contains_key(&vm), "{id:?} kept retired {vm:?}");
             }
             for vm in self.engine.mapped_vms(*id) {
-                assert!(nsm.has_vm(vm), "{vm:?} maps to {id:?}, not wired to it");
+                assert!(nsm.wires(vm), "{vm:?} maps to {id:?}, not wired to it");
             }
         }
+        let left = self.left_shares();
+        assert!(left.is_empty(), "{left:?} still wired, nothing left there");
         for (addr, owner) in &self.aliases {
             let live = matches!(self.nsms.get(owner), Some(Nsm::Tcp(_)));
             let forwarded = self.switch.link_stats(*addr).is_some();
@@ -177,7 +214,7 @@ impl NetKernelHost {
         self.drop_aliases(|_, _, owner| owner == nsm);
         self.pools.remove(PoolMember::Nsm(nsm));
         let resets = self.engine.crash_nsm(nsm);
-        self.audit_census();
+        self.settle_census();
         resets
     }
 
@@ -203,7 +240,7 @@ impl NetKernelHost {
         for vm in self.engine.mapped_vms(nsm) {
             self.wire_vm(nsm, vm)?;
         }
-        self.audit_census();
+        self.settle_census();
         Ok(())
     }
 
@@ -213,7 +250,8 @@ impl NetKernelHost {
     /// whichever NSM they were opened on.
     ///
     /// The VM is *detached* from its previous NSM unless connections are
-    /// still pinned there (those need the region until they drain) — a
+    /// still pinned there (those need the region until they drain; the
+    /// first step close after the last one is gone unwires it) — a
     /// migrated-away VM must not linger in the old instance's mappings,
     /// where it would leak the region and survive a later restart.
     pub fn migrate_vm(&mut self, vm: VmId, to: NsmId) -> NkResult<()> {
@@ -227,7 +265,7 @@ impl NetKernelHost {
                 }
             }
         }
-        self.audit_census();
+        self.settle_census();
         Ok(())
     }
 
@@ -279,7 +317,7 @@ impl NetKernelHost {
         // arrives, so the placer and autoscaler see real utilisation again
         // instead of a permanently idle-looking zero-budget pool.
         self.revive_nsm_share(nsm);
-        self.audit_census();
+        self.settle_census();
         Ok(())
     }
 
@@ -335,7 +373,7 @@ impl NetKernelHost {
             Some(Nsm::Tcp(n)) => !n.stack().serves_ip(addr),
             _ => true,
         });
-        self.audit_census();
+        self.settle_census();
         Ok(())
     }
 
@@ -630,7 +668,7 @@ impl NetKernelHost {
             self.retire_vm(vm).expect("unpinned partial import retires");
             return Err(e);
         }
-        self.audit_census();
+        self.settle_census();
         Ok(())
     }
 
@@ -846,6 +884,28 @@ mod tests {
         host.retire_vm(VmId(1)).unwrap();
         assert!(!host.nsm_serves_vm(NsmId(1), VmId(1)));
         assert!(!host.nsm_serves_vm(NsmId(2), VmId(1)));
+    }
+
+    /// A share left with a connection pinned is unwired once that
+    /// connection is gone: nothing of the VM is left there, so the old NSM
+    /// must not keep its region for good.
+    #[test]
+    fn a_left_share_is_unwired_once_its_last_connection_closes() {
+        let mut host = kernel_host(0, 1, 2);
+        remote_listener(&mut host);
+        let s = guest_connect(&mut host);
+        host.run(20, 100_000);
+        host.migrate_vm(VmId(1), NsmId(2)).unwrap();
+        assert!(host.nsm_serves_vm(NsmId(1), VmId(1)));
+
+        host.guest_mut(VmId(1)).unwrap().close(s).unwrap();
+        host.run(50, 100_000);
+        assert_eq!(host.vm_pinned(VmId(1)), 0);
+        assert!(
+            !host.nsm_serves_vm(NsmId(1), VmId(1)),
+            "the left share still maps the VM's region"
+        );
+        assert!(host.nsm_serves_vm(NsmId(2), VmId(1)));
     }
 
     /// `import_vm` is atomic: a failed import leaves no residue (a retry

@@ -662,7 +662,7 @@ impl TcpStack {
     }
 
     /// Tear a connection out of this stack for a warm migration, returning
-    /// its serializable state. The socket, its demultiplexer entry and its
+    /// its state as plain data. The socket, its demultiplexer entry and its
     /// timer all go; stray segments that still arrive for
     /// the tuple are dropped (counted as `no_socket_drops`), never answered
     /// with a reset — the connection lives on elsewhere.

@@ -2,11 +2,11 @@
 
 use nk_ctrl::{DecisionOutcome, PlanEventKind};
 use nk_types::{ClusterAction, ControlAction, HostId, VmId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// What kind of event a ring entry carries — the filter vocabulary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventClass {
     /// Cluster-scope milestones (migrations, drains, evacuations, kills).
     Cluster,
@@ -22,7 +22,7 @@ pub enum EventClass {
 
 /// One captured event. The payloads are the system's own serializable
 /// types, not strings — a dump consumer filters and matches structurally.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum ObsEventKind {
     /// A [`ClusterAction`] as pushed to the cluster event log.
     Cluster(ClusterAction),
@@ -102,7 +102,7 @@ impl ObsEventKind {
 }
 
 /// One event ring entry: the payload plus its capture stamps.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct ObsEvent {
     /// Monotonic capture sequence number. Survives wraparound: after the
     /// ring overwrote old entries, the retained entries' numbers still say

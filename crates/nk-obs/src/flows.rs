@@ -9,11 +9,11 @@
 //! Eviction ties break on the smaller key, keeping the table a pure
 //! function of the observation sequence.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// A directional transport 4-tuple.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct FlowKey {
     /// Source address.
     pub src_ip: u32,
@@ -26,7 +26,7 @@ pub struct FlowKey {
 }
 
 /// Accumulated weight of one tracked flow.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct FlowStat {
     /// Wire bytes observed (headers included), possibly inherited from an
     /// evicted lighter flow.

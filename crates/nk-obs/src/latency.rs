@@ -21,7 +21,7 @@
 
 use nk_sim::Histogram;
 use nk_types::{HostId, VmId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Stamps a feed will queue per VM before dropping new ones: bounds memory
@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 const OUTSTANDING_CAP: usize = 4096;
 
 /// Headline quantiles of one histogram, in the recorded unit (ns).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct LatencySummary {
     /// Samples recorded.
     pub count: u64,
@@ -56,7 +56,7 @@ impl LatencySummary {
 
 /// One sealed recorder epoch: per-host and cluster-wide completion-latency
 /// summaries over `[start_ns, end_ns)`.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct EpochLatency {
     /// Recorder epoch index (independent of the placement epoch: latency
     /// aggregation runs on its own virtual-time cadence so it works

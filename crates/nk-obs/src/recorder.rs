@@ -5,11 +5,11 @@ use crate::flows::{FlowKey, FlowStat, FlowTable};
 use crate::latency::{EpochLatency, LatencySummary};
 use nk_sim::Histogram;
 use nk_types::{HostId, ObsConfig, VmId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// The named windows of a migration or evacuation handover.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum MigrationPhase {
     /// Engine ingress paused, mini-steps draining the wire to quiescence.
     Freeze,
@@ -29,7 +29,7 @@ pub enum MigrationPhase {
 /// advancing virtual time (an export is a single action of the plan
 /// coordinator) have `start_ns == end_ns`; the freeze window, which runs
 /// wire-draining mini-steps, has real width.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct PhaseWindow {
     /// The VM the window belongs to (`None` for share retirement).
     pub vm: Option<VmId>,
@@ -57,7 +57,7 @@ impl PhaseWindow {
 }
 
 /// Why capture stopped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum FreezeReason {
     /// An evacuation plan failed mid-flight and rolled back.
     PlanRolledBack {
@@ -72,7 +72,7 @@ pub enum FreezeReason {
 }
 
 /// The dump-on-fault stamp: where and why the ring froze.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct FreezeInfo {
     /// Virtual time of the trigger.
     pub at_ns: u64,
@@ -83,7 +83,7 @@ pub struct FreezeInfo {
 }
 
 /// A serializable snapshot of everything the recorder retains.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ObsDump {
     /// Set when a dump-on-fault trigger froze capture.
     pub frozen: Option<FreezeInfo>,
@@ -275,7 +275,9 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::event::EventClass;
-    use nk_types::ClusterAction;
+    use nk_ctrl::{DecisionOutcome, PlanEventKind};
+    use nk_sim::SplitMix64;
+    use nk_types::{ClusterAction, ControlAction, NsmId};
 
     fn kill(host: u8) -> ObsEventKind {
         ObsEventKind::Cluster(ClusterAction::HostKilled { host: HostId(host) })
@@ -377,10 +379,9 @@ mod tests {
         assert!(dump.flows.is_empty());
     }
 
-    /// Dumps serialize to JSON and the filtered snapshot narrows only the
-    /// event ring.
+    /// The filtered snapshot narrows only the event ring.
     #[test]
-    fn dump_serializes_and_filters() {
+    fn a_filtered_snapshot_narrows_only_the_events() {
         let mut rec = FlightRecorder::new(ObsConfig::new());
         rec.record_event(100, 0, kill(1));
         rec.record_event(
@@ -394,13 +395,168 @@ mod tests {
         rec.seal_epoch(1_000, vec![(HostId(1), ns_hist(&[100]))]);
 
         let full = rec.snapshot();
-        let json = serde_json::to_string(&full).expect("dump serializes");
-        let back: ObsDump = serde_json::from_str(&json).expect("dump deserializes");
-        assert_eq!(back, full);
-
         let narrowed = rec.snapshot_filtered(&ObsFilter::new().with_class(EventClass::Fault));
         assert_eq!(narrowed.events.len(), 1);
         assert_eq!(narrowed.epochs, full.epochs);
         assert_eq!(narrowed.events_captured, 2);
+    }
+
+    /// A small dump's serialized form, with one event of each kind and one
+    /// entry in every other section: the bytes `flight_recorder` prints and
+    /// the mode-invariance tests compare.
+    #[test]
+    fn a_dump_serializes_to_pinned_json() {
+        let summary = LatencySummary {
+            count: 2,
+            p50_ns: 100,
+            p99_ns: 200,
+            max_ns: 200,
+        };
+        let event = |seq, at_ns, epoch, kind| ObsEvent {
+            seq,
+            at_ns,
+            epoch,
+            kind,
+        };
+        let dump = ObsDump {
+            frozen: Some(FreezeInfo {
+                at_ns: 300,
+                epoch: 2,
+                reason: FreezeReason::PlanRolledBack { host: HostId(2) },
+            }),
+            events_captured: 6,
+            events: vec![
+                event(1, 100, 0, kill(1)),
+                event(
+                    2,
+                    150,
+                    0,
+                    ObsEventKind::Control {
+                        host: HostId(1),
+                        action: ControlAction::Rebalance {
+                            vm: VmId(3),
+                            from: NsmId(1),
+                            to: NsmId(2),
+                        },
+                    },
+                ),
+                event(
+                    3,
+                    200,
+                    1,
+                    ObsEventKind::Plan(PlanEventKind::ActionDone { step: 4 }),
+                ),
+                event(
+                    4,
+                    200,
+                    1,
+                    ObsEventKind::Fault {
+                        host: HostId(2),
+                        faults: 1,
+                    },
+                ),
+                event(
+                    5,
+                    250,
+                    2,
+                    ObsEventKind::Decision(DecisionOutcome {
+                        epoch: 2,
+                        vm: VmId(3),
+                        from: HostId(1),
+                        to: HostId(2),
+                        applied: false,
+                    }),
+                ),
+            ],
+            epochs: vec![EpochLatency {
+                epoch: 0,
+                start_ns: 0,
+                end_ns: 1_000,
+                cluster: summary,
+                hosts: vec![(HostId(1), summary)],
+            }],
+            phases: vec![PhaseWindow {
+                vm: Some(VmId(3)),
+                phase: MigrationPhase::Freeze,
+                start_ns: 150,
+                end_ns: 250,
+                epoch: 1,
+                step: None,
+                ok: true,
+            }],
+            flows: vec![(
+                FlowKey {
+                    src_ip: 1,
+                    src_port: 2,
+                    dst_ip: 3,
+                    dst_port: 4,
+                },
+                FlowStat {
+                    bytes: 1500,
+                    ops: 1,
+                },
+            )],
+        };
+        let summary = r#"{"count":2,"p50_ns":100,"p99_ns":200,"max_ns":200}"#;
+        let want = [
+            r#"{"frozen":{"at_ns":300,"epoch":2,"reason":{"PlanRolledBack":{"host":2}}},"#,
+            r#""events_captured":6,"events":["#,
+            r#"{"seq":1,"at_ns":100,"epoch":0,"kind":{"Cluster":{"HostKilled":{"host":1}}}},"#,
+            r#"{"seq":2,"at_ns":150,"epoch":0,"kind":{"Control":{"host":1,"#,
+            r#""action":{"Rebalance":{"vm":3,"from":1,"to":2}}}}},"#,
+            r#"{"seq":3,"at_ns":200,"epoch":1,"kind":{"Plan":{"ActionDone":{"step":4}}}},"#,
+            r#"{"seq":4,"at_ns":200,"epoch":1,"kind":{"Fault":{"host":2,"faults":1}}},"#,
+            r#"{"seq":5,"at_ns":250,"epoch":2,"kind":{"Decision":"#,
+            r#"{"epoch":2,"vm":3,"from":1,"to":2,"applied":false}}}],"#,
+            r#""epochs":[{"epoch":0,"start_ns":0,"end_ns":1000,"#,
+            &format!(r#""cluster":{summary},"hosts":[[1,{summary}]]}}],"#),
+            r#""phases":[{"vm":3,"phase":"Freeze","start_ns":150,"end_ns":250,"#,
+            r#""epoch":1,"step":null,"ok":true}],"#,
+            r#""flows":[[{"src_ip":1,"src_port":2,"dst_ip":3,"dst_port":4},"#,
+            r#"{"bytes":1500,"ops":1}]]}"#,
+        ]
+        .concat();
+        assert_eq!(serde_json::to_string(&dump).unwrap(), want);
+    }
+
+    /// Damaged dump text is an `Err`, never a panic: every proper prefix is
+    /// refused, and seeded single-byte ASCII mutations either parse or are
+    /// refused. The undamaged text parses to a `Value` that writes back the
+    /// same bytes.
+    #[test]
+    fn damaged_dump_json_is_an_error_never_a_panic() {
+        let mut rec = FlightRecorder::new(ObsConfig::new());
+        rec.record_event(100, 0, kill(1));
+        rec.record_event(
+            150,
+            0,
+            ObsEventKind::Plan(PlanEventKind::ActionFailed { step: 2, code: 7 }),
+        );
+        rec.observe_flow(
+            FlowKey {
+                src_ip: 0x0A01_0001,
+                src_port: 40_000,
+                dst_ip: 0x0A02_0001,
+                dst_port: 7,
+            },
+            1_500,
+        );
+        rec.seal_epoch(1_000, vec![(HostId(1), ns_hist(&[100, 2_500]))]);
+        rec.freeze(1_000, 1, FreezeReason::HostKilled { host: HostId(1) });
+        let json = serde_json::to_string(&rec.snapshot()).unwrap();
+
+        let value = serde_json::from_str(&json).expect("the writer's own text parses");
+        assert_eq!(serde_json::to_string(&value).unwrap(), json);
+        for end in 0..json.len() {
+            assert!(serde_json::from_str(&json[..end]).is_err(), "{end}");
+        }
+        let mut rng = SplitMix64::new(35);
+        for _ in 0..2_000 {
+            let mut bytes = json.clone().into_bytes();
+            let at = rng.next_below(bytes.len() as u64) as usize;
+            bytes[at] = b' ' + rng.next_below(95) as u8;
+            let text = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            let _ = serde_json::from_str(&text);
+        }
     }
 }

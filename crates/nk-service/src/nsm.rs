@@ -10,6 +10,7 @@ use crate::service::{ServiceStats, TcpNsm};
 use crate::sharedmem::{SharedMemNsm, SharedMemStats};
 use nk_shmem::HugepageRegion;
 use nk_types::VmId;
+use std::collections::BTreeMap;
 
 /// A Network Stack Module of either flavour. Both are boxed: a TCP NSM
 /// carries a whole stack, and the host walks its NSM map every round.
@@ -22,31 +23,54 @@ pub enum Nsm {
 }
 
 impl Nsm {
-    /// Map the hugepage region `vm` shares with this NSM.
-    pub fn add_vm(&mut self, vm: VmId, region: HugepageRegion) {
-        let regions = match self {
+    fn regions(&self) -> &BTreeMap<VmId, HugepageRegion> {
+        match self {
+            Nsm::Tcp(n) => &n.service.front.regions,
+            Nsm::SharedMem(n) => &n.front.regions,
+        }
+    }
+
+    fn regions_mut(&mut self) -> &mut BTreeMap<VmId, HugepageRegion> {
+        match self {
             Nsm::Tcp(n) => &mut n.service.front.regions,
             Nsm::SharedMem(n) => &mut n.front.regions,
-        };
-        regions.insert(vm, region);
+        }
+    }
+
+    /// Map the hugepage region `vm` shares with this NSM.
+    pub fn add_vm(&mut self, vm: VmId, region: HugepageRegion) {
+        self.regions_mut().insert(vm, region);
     }
 
     /// The VMs whose regions are mapped here, in id order.
     pub fn wired_vms(&self) -> Vec<VmId> {
-        let regions = match self {
-            Nsm::Tcp(n) => &n.service.front.regions,
-            Nsm::SharedMem(n) => &n.front.regions,
-        };
-        regions.keys().copied().collect()
+        self.regions().keys().copied().collect()
+    }
+
+    /// True while `vm`'s region is mapped here.
+    pub fn wires(&self, vm: VmId) -> bool {
+        self.regions().contains_key(&vm)
+    }
+
+    /// True while a socket of the VM lives here: a translated socket (TCP),
+    /// or a socket or listener (shared memory).
+    pub fn has_sockets_of(&self, vm: VmId) -> bool {
+        match self {
+            Nsm::Tcp(n) => n.service.has_sockets_of(vm),
+            Nsm::SharedMem(n) => n.has_sockets_of(vm),
+        }
     }
 
     /// True while this NSM holds state for the VM: its region is mapped,
-    /// or (TCP) a socket of it is still live.
+    /// or a socket of it is still live.
     pub fn has_vm(&self, vm: VmId) -> bool {
-        match self {
-            Nsm::Tcp(n) => n.service.has_vm(vm),
-            Nsm::SharedMem(n) => n.front.regions.contains_key(&vm),
-        }
+        self.wires(vm) || self.has_sockets_of(vm)
+    }
+
+    /// Unmap `vm`'s region and nothing else: no socket is closed. For a VM
+    /// that left this NSM and has nothing left here.
+    pub fn unwire(&mut self, vm: VmId) {
+        self.regions_mut().remove(&vm);
     }
 
     /// Detach a VM: its region mapping goes, and so do its sockets — closed

@@ -127,7 +127,12 @@ impl ServiceLib {
     /// True while this ServiceLib holds state for the VM (region mapping or
     /// live sockets).
     pub fn has_vm(&self, vm: VmId) -> bool {
-        self.front.regions.contains_key(&vm) || self.fwd.any(|(owner, _), _| *owner == vm)
+        self.front.regions.contains_key(&vm) || self.has_sockets_of(vm)
+    }
+
+    /// True while a socket of the VM is live here.
+    pub(crate) fn has_sockets_of(&self, vm: VmId) -> bool {
+        self.fwd.any(|(owner, _), _| *owner == vm)
     }
 
     // ---- Warm-migration export / install ------------------------------------

@@ -64,6 +64,11 @@ impl SharedMemNsm {
     /// listener registrations) are dropped. Called when the VM migrates to
     /// another NSM or leaves the host — a stale mapping here would pin the
     /// region alive and resurrect the VM on a later restart.
+    pub(crate) fn has_sockets_of(&self, vm: VmId) -> bool {
+        self.sockets.keys().any(|(owner, _)| *owner == vm)
+            || self.listeners.values().any(|(owner, _)| *owner == vm)
+    }
+
     pub(crate) fn remove_vm(&mut self, vm: VmId) {
         self.front.regions.remove(&vm);
         self.sockets.retain(|(owner, _), _| *owner != vm);

@@ -11,10 +11,9 @@
 //! from the same mechanism the paper describes.
 
 use nk_types::constants::MSS;
-use serde::{Deserialize, Serialize};
 
 /// Per-operation costs of one direction (TX or RX) of a network stack.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StackCosts {
     /// Cycles per socket-level message (syscall + socket bookkeeping).
     pub per_msg: f64,
@@ -40,7 +39,7 @@ impl StackCosts {
 }
 
 /// The full cost model of the simulated host.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     // ---- NetKernel machinery -------------------------------------------------
     /// GuestLib / ServiceLib cycles to translate one socket operation to or
@@ -292,13 +291,5 @@ mod tests {
         let large = m.guest_data_path(8192);
         assert!(large > small);
         assert!(large - small >= 0.04 * (8192.0 - 64.0));
-    }
-
-    #[test]
-    fn model_serializes() {
-        let m = CostModel::default();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: CostModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, m);
     }
 }

@@ -5,13 +5,11 @@
 //! wasteful, so the histogram keeps logarithmic buckets (5% relative error)
 //! plus exact moments, which is plenty for reproducing the table.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative width of each bucket (5%).
 const GROWTH: f64 = 1.05;
 
 /// A latency histogram with logarithmic buckets.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     /// bucket i covers [GROWTH^i, GROWTH^(i+1)) in the recorded unit.
     counts: Vec<u64>,

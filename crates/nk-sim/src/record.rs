@@ -1,11 +1,9 @@
 //! The time series the host's control telemetry records.
 
-use serde::{Deserialize, Serialize};
-
 /// A (time, value) series, sampled once per control epoch by
 /// `nk_host::ControlTelemetry` (engine and per-NSM utilisation, actions
 /// per epoch).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TimeSeries {
     points: Vec<(f64, f64)>,
 }

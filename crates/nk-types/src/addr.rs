@@ -7,7 +7,6 @@
 //! field (Figure 3).
 
 use crate::ids::{HostId, NsmId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Mask isolating the per-host block of the cluster address scheme: every
@@ -32,7 +31,7 @@ pub fn nsm_ip_on(host: HostId, nsm: NsmId) -> u32 {
 }
 
 /// An IPv4-style socket address (host, port).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SockAddr {
     /// Host address, conventionally written `a.b.c.d`.
     pub ip: u32,

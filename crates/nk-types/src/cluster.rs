@@ -14,7 +14,7 @@
 use crate::config::{valid_rate_gbps, HostConfig, MAX_LINK_LATENCY_US};
 use crate::error::{NkError, NkResult};
 use crate::ids::{HostId, NsmId, VmId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Placement policy driving the cluster-scope control loop.
 ///
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// is above [`ClusterPolicy::hot_watermark`] — the same hysteresis shape as
 /// the per-host rebalancer, because it *is* the per-host rebalancer run over
 /// hosts instead of NSMs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterPolicy {
     /// Length of one placement epoch in virtual nanoseconds.
     pub epoch_ns: u64,
@@ -152,7 +152,7 @@ impl ClusterPolicy {
 /// Flight-recorder shape: how much history the always-on observability
 /// layer retains. All buffers are fixed-capacity rings, so an enabled
 /// recorder bounds its memory regardless of run length.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ObsConfig {
     /// Capture anything at all. `false` turns every hook into a no-op (the
     /// overhead-comparison baseline of nkbench's `obs.idle_step_overhead_us`).
@@ -221,7 +221,7 @@ impl ObsConfig {
 
 /// Full description of one NetKernel cluster: hosts behind a top-of-rack
 /// switch, the uplink characteristics, and an optional placement policy.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterConfig {
     /// The hosts, each carrying its own [`HostConfig::host_id`].
     pub hosts: Vec<HostConfig>,
@@ -238,9 +238,8 @@ pub struct ClusterConfig {
     /// `1` — the default — is the serial reference: the caller alone.
     pub threads: usize,
     /// Has no effect: a whole host is the one parallel unit. The field
-    /// stays, defaulting to `false`, because the benchmark still sets it
-    /// and `Cluster::shard_within_hosts` echoes it back.
-    #[serde(default)]
+    /// stays only because the benchmark sets it and
+    /// `Cluster::shard_within_hosts` echoes it back; nothing serializes it.
     pub shard_within_hosts: bool,
     /// Cluster placement policy. `None` leaves placement static (hosts may
     /// still run their own per-host control planes).
@@ -361,7 +360,7 @@ impl ClusterConfig {
 }
 
 /// One decision taken (or milestone reached) by the cluster control loop.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum ClusterAction {
     /// Live-migrate a VM to another host: its state is exported and
     /// re-imported, new connections land on `to_nsm` on the destination
@@ -447,7 +446,7 @@ pub enum ClusterAction {
 }
 
 /// A [`ClusterAction`] stamped with when it was taken.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct ClusterEvent {
     /// Virtual time at which the action applied.
     pub at_ns: u64,
@@ -575,76 +574,78 @@ mod tests {
         }
     }
 
+    /// The event log's serialized form, one event per action variant: the
+    /// bytes `Cluster::event_digest` folds, so a change here moves every
+    /// cluster digest.
     #[test]
-    fn events_serialize_to_json() {
-        for action in [
-            ClusterAction::MigrateVm {
-                vm: VmId(1),
-                from: HostId(1),
-                to: HostId(2),
-                to_nsm: NsmId(1),
-            },
-            ClusterAction::DrainComplete {
-                vm: VmId(1),
-                host: HostId(1),
-                nsm: NsmId(1),
-            },
-            ClusterAction::ScaleToZero {
-                host: HostId(1),
-                nsm: NsmId(1),
-            },
-            ClusterAction::WarmMigrateVm {
-                vm: VmId(1),
-                from: HostId(1),
-                to: HostId(2),
-                to_nsm: NsmId(1),
-                connections: 3,
-            },
-            ClusterAction::WarmHandoverComplete {
-                vm: VmId(1),
-                to: HostId(2),
-                connections: 3,
-            },
-            ClusterAction::HostEvacuated {
-                host: HostId(1),
-                vms: 3,
-                warm: 2,
-                drained: 1,
-            },
-            ClusterAction::HostKilled { host: HostId(3) },
+    fn events_serialize_to_pinned_json() {
+        for (action, json) in [
+            (
+                ClusterAction::MigrateVm {
+                    vm: VmId(1),
+                    from: HostId(1),
+                    to: HostId(2),
+                    to_nsm: NsmId(1),
+                },
+                r#"{"MigrateVm":{"vm":1,"from":1,"to":2,"to_nsm":1}}"#,
+            ),
+            (
+                ClusterAction::DrainComplete {
+                    vm: VmId(1),
+                    host: HostId(1),
+                    nsm: NsmId(1),
+                },
+                r#"{"DrainComplete":{"vm":1,"host":1,"nsm":1}}"#,
+            ),
+            (
+                ClusterAction::ScaleToZero {
+                    host: HostId(1),
+                    nsm: NsmId(1),
+                },
+                r#"{"ScaleToZero":{"host":1,"nsm":1}}"#,
+            ),
+            (
+                ClusterAction::WarmMigrateVm {
+                    vm: VmId(1),
+                    from: HostId(1),
+                    to: HostId(2),
+                    to_nsm: NsmId(1),
+                    connections: 3,
+                },
+                r#"{"WarmMigrateVm":{"vm":1,"from":1,"to":2,"to_nsm":1,"connections":3}}"#,
+            ),
+            (
+                ClusterAction::WarmHandoverComplete {
+                    vm: VmId(1),
+                    to: HostId(2),
+                    connections: 3,
+                },
+                r#"{"WarmHandoverComplete":{"vm":1,"to":2,"connections":3}}"#,
+            ),
+            (
+                ClusterAction::HostEvacuated {
+                    host: HostId(1),
+                    vms: 3,
+                    warm: 2,
+                    drained: 1,
+                },
+                r#"{"HostEvacuated":{"host":1,"vms":3,"warm":2,"drained":1}}"#,
+            ),
+            (
+                ClusterAction::HostKilled { host: HostId(3) },
+                r#"{"HostKilled":{"host":3}}"#,
+            ),
         ] {
             let ev = ClusterEvent {
                 at_ns: 42,
                 epoch: 7,
                 action,
             };
-            let json = serde_json::to_string(&ev).unwrap();
-            let back: ClusterEvent = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, ev);
+            assert_eq!(
+                serde_json::to_string(&ev).unwrap(),
+                format!(r#"{{"at_ns":42,"epoch":7,"action":{json}}}"#)
+            );
         }
-    }
-
-    #[test]
-    fn cluster_config_round_trips_through_json() {
-        let mut cfg = ClusterConfig::new()
-            .with_host(host(1, 1))
-            .with_uplink_latency_us(5)
-            .with_threads(4)
-            .with_shard_within_hosts(true)
-            .with_policy(ClusterPolicy::new().with_pool_clock_hz(1_000_000));
-        cfg.uplink_rate_gbps = 40.0;
-        cfg.obs.event_capacity = 128;
-        cfg.obs.flow_k = 8;
-        assert!(cfg.validate().is_ok());
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: ClusterConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cfg);
-
-        // Configs serialized before the knob existed still deserialize (the
-        // field defaults off).
-        let legacy = json.replace("\"shard_within_hosts\":true,", "");
-        let back: ClusterConfig = serde_json::from_str(&legacy).unwrap();
-        assert!(!back.shard_within_hosts);
     }
 
     /// An enabled recorder with any zero-capacity ring is rejected at

@@ -12,7 +12,6 @@ use crate::constants::{
 use crate::control::ControlPolicy;
 use crate::error::{NkError, NkResult};
 use crate::ids::{HostId, NsmId, VmId};
-use serde::{Deserialize, Serialize};
 
 /// Most vCPUs a VM or NSM may have: one queue set per vCPU (§4.3), and
 /// [`crate::ids::QueueSetId`] is a `u8`.
@@ -41,7 +40,7 @@ pub(crate) fn valid_rate_gbps(gbps: f64) -> bool {
 }
 
 /// Which network stack implementation an NSM runs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum StackKind {
     /// A monolithic kernel-style TCP/IP stack (the paper's "kernel stack NSM",
     /// modelled on Linux 4.9 behaviour: interrupt-driven RX, per-packet
@@ -60,7 +59,7 @@ pub enum StackKind {
 }
 
 /// Which congestion-control algorithm a stack uses.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum CcKind {
     /// TCP NewReno-style AIMD.
     Reno,
@@ -75,7 +74,7 @@ pub enum CcKind {
 }
 
 /// Configuration of one tenant VM.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VmConfig {
     /// VM identifier, unique per host.
     pub id: VmId,
@@ -113,7 +112,7 @@ impl VmConfig {
 }
 
 /// Configuration of one Network Stack Module.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NsmConfig {
     /// NSM identifier, unique per host.
     pub id: NsmId,
@@ -178,7 +177,7 @@ impl NsmConfig {
 }
 
 /// How CoreEngine arbitrates between VMs sharing NSMs (§4.4, §7.6).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub enum IsolationPolicy {
     /// Plain round-robin polling over the per-VM queue sets: basic fair
     /// sharing of CoreEngine and NSM attention.
@@ -196,7 +195,7 @@ pub enum IsolationPolicy {
 
 /// How VMs are assigned to NSMs (§4.3 footnote: offline by the user or
 /// dynamically by CoreEngine).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum VmToNsmPolicy {
     /// Explicit static assignment.
     Static(Vec<(VmId, NsmId)>),
@@ -207,7 +206,7 @@ pub enum VmToNsmPolicy {
 }
 
 /// Full description of one NetKernel host.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HostConfig {
     /// Identity of the host in the cluster address scheme: every NSM vNIC
     /// lives in the `10.<host>.0.0/16` block. Single-host setups keep the
@@ -522,13 +521,5 @@ mod tests {
         let fs = NsmConfig::fair_share(NsmId(1));
         assert_eq!(fs.stack, StackKind::FairShare);
         assert_eq!(fs.cc, CcKind::VmShared);
-    }
-
-    #[test]
-    fn config_serializes_to_json() {
-        let cfg = two_vm_one_nsm();
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: HostConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cfg);
     }
 }

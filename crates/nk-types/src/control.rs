@@ -4,17 +4,17 @@
 //! infrastructure lets the *operator* manage it: observe load, elastically
 //! add or remove NSM cores ("cores can be readily added to or removed from a
 //! NSM", §3), and move tenants between stack instances without guest
-//! cooperation. A [`ControlPolicy`] is the serializable knob set the
+//! cooperation. A [`ControlPolicy`] is the knob set the
 //! operator hands the control plane; every decision the control plane takes
 //! is emitted as a [`ControlEvent`] so tests, logs and dashboards can replay
 //! exactly what happened and why.
 
 use crate::error::{NkError, NkResult};
 use crate::ids::{NsmId, VmId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A component the control plane can resize.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize)]
 pub enum ControlTarget {
     /// The CoreEngine NQE switch.
     Engine,
@@ -23,7 +23,7 @@ pub enum ControlTarget {
 }
 
 /// One decision taken by the control plane.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum ControlAction {
     /// Grow a component's core allocation because smoothed utilisation
     /// crossed the high watermark.
@@ -63,7 +63,7 @@ pub enum ControlAction {
 }
 
 /// A [`ControlAction`] stamped with when it was taken.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ControlEvent {
     /// Virtual time at which the decision applied.
     pub at_ns: u64,
@@ -79,7 +79,7 @@ pub struct ControlEvent {
 /// [`ControlPolicy::window`] epochs), and scaling actions per target are
 /// spaced at least [`ControlPolicy::cooldown_epochs`] apart — together these
 /// give the loop hysteresis so bursty load does not thrash the allocation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ControlPolicy {
     /// Length of one control epoch in virtual nanoseconds; the load monitor
     /// samples and the policy runs once per epoch.
@@ -280,44 +280,40 @@ mod tests {
         assert!(p.validate().is_err());
     }
 
+    /// The serialized form of each action variant, as a flight-recorder
+    /// dump writes it.
     #[test]
-    fn events_serialize_to_json() {
-        let ev = ControlEvent {
-            at_ns: 5_000_000,
-            epoch: 4,
-            action: ControlAction::ScaleUp {
-                target: ControlTarget::Nsm(NsmId(1)),
-                from_cores: 1,
-                to_cores: 2,
-                utilisation: 0.9,
-            },
-        };
-        let json = serde_json::to_string(&ev).unwrap();
-        let back: ControlEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ev);
-
-        let ev = ControlEvent {
-            at_ns: 1,
-            epoch: 0,
-            action: ControlAction::Rebalance {
-                vm: VmId(3),
-                from: NsmId(1),
-                to: NsmId(2),
-            },
-        };
-        let json = serde_json::to_string(&ev).unwrap();
-        let back: ControlEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ev);
-    }
-
-    #[test]
-    fn policy_round_trips_through_json() {
-        let p = ControlPolicy::new()
-            .with_anti_affinity(VmId(1), VmId(2))
-            .with_pool_clock_hz(2_000_000);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: ControlPolicy = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
+    fn actions_serialize_to_pinned_json() {
+        for (action, json) in [
+            (
+                ControlAction::ScaleUp {
+                    target: ControlTarget::Nsm(NsmId(1)),
+                    from_cores: 1,
+                    to_cores: 2,
+                    utilisation: 0.9,
+                },
+                r#"{"ScaleUp":{"target":{"Nsm":1},"from_cores":1,"to_cores":2,"utilisation":0.9}}"#,
+            ),
+            (
+                ControlAction::ScaleDown {
+                    target: ControlTarget::Engine,
+                    from_cores: 2,
+                    to_cores: 1,
+                    utilisation: 0.0,
+                },
+                r#"{"ScaleDown":{"target":"Engine","from_cores":2,"to_cores":1,"utilisation":0.0}}"#,
+            ),
+            (
+                ControlAction::Rebalance {
+                    vm: VmId(3),
+                    from: NsmId(1),
+                    to: NsmId(2),
+                },
+                r#"{"Rebalance":{"vm":3,"from":1,"to":2}}"#,
+            ),
+        ] {
+            assert_eq!(serde_json::to_string(&action).unwrap(), json);
+        }
     }
 
     #[test]

@@ -13,11 +13,10 @@
 use crate::config::{valid_rate_gbps, HostConfig, MAX_LINK_LATENCY_US};
 use crate::error::{NkError, NkResult};
 use crate::ids::{NsmId, VmId};
-use serde::{Deserialize, Serialize};
 
 /// A mid-flight change to an NSM's vNIC link, mirroring
 /// `nk_fabric::LinkConfig` without depending on the fabric crate.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkFault {
     /// New line rate in Gbps; `None` keeps the NSM vNIC's configured rate.
     pub rate_gbps: Option<f64>,
@@ -86,7 +85,7 @@ impl LinkFault {
 }
 
 /// One infrastructure fault (or recovery action) a host can apply.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultAction {
     /// Hard-crash an NSM: its queues, stack state and vNIC vanish. Every
     /// connection pinned to it observes [`NkError::ConnReset`].
@@ -113,7 +112,7 @@ pub enum FaultAction {
 }
 
 /// A fault action scheduled at a point in virtual time.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {
     /// Virtual time (nanoseconds) at or after which the action applies.
     pub at_ns: u64,
@@ -127,7 +126,7 @@ pub struct FaultEvent {
 /// first host step whose virtual time reaches `at_ns`, before any datapath
 /// component is polled — so a plan plus a seed fully determines the
 /// execution.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// The scheduled events.
     pub events: Vec<FaultEvent>,
@@ -337,21 +336,5 @@ mod tests {
             );
             assert_eq!(plan.validate(&cfg()).is_ok(), ok, "rate {gbps}");
         }
-    }
-
-    #[test]
-    fn plans_serialize_to_json() {
-        let plan = FaultPlan::new()
-            .at(100, FaultAction::CrashNsm(NsmId(1)))
-            .at(
-                200,
-                FaultAction::DegradeLink {
-                    nsm: NsmId(2),
-                    link: LinkFault::default().with_loss(0.01),
-                },
-            );
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

@@ -4,7 +4,7 @@
 //! one byte for the queue-set identifier and four bytes for the socket
 //! identifier, so the corresponding newtypes wrap `u8`/`u32`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a host in a NetKernel cluster.
@@ -12,29 +12,29 @@ use std::fmt;
 /// The cluster address scheme folds the host id into the second octet of
 /// every NSM vNIC address (`10.<host>.0.<nsm>`), so a `u8` covers the fabric
 /// a single top-of-rack switch can serve.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct HostId(pub u8);
 
 /// Identifier of a tenant virtual machine on a host.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct VmId(pub u8);
 
 /// Identifier of a Network Stack Module (NSM) on a host.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct NsmId(pub u8);
 
 /// Identifier of a queue set inside an NK device.
 ///
 /// There is one queue set per vCPU on each side (paper §4.3), so the id space
 /// is small and a `u8` suffices.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueueSetId(pub u8);
 
 /// Identifier of a socket inside a VM or an NSM.
 ///
 /// The paper uses the address of the `sock` struct; here an opaque 32-bit
 /// handle allocated by the owning side plays the same role.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SocketId(pub u32);
 
 impl HostId {
@@ -133,7 +133,7 @@ impl fmt::Display for NsmId {
 ///
 /// The same shape is reused for the *NSM tuple* with [`ConnKey::entity`]
 /// holding the NSM id.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ConnKey {
     /// Owning entity (a VM id for VM tuples, an NSM id for NSM tuples).
     pub entity: u8,

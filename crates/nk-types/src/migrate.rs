@@ -12,18 +12,17 @@
 //! snapshot-and-install handoff "A Wait-Free Universal Construct for Large
 //! Objects" uses for large-object ownership transfer.
 //!
-//! Everything here is serializable: an export is a value that could cross
-//! a real control-plane wire, not a bundle of live Rust objects.
+//! Everything here is plain data: an export is a value that could cross a
+//! real control-plane wire, not a bundle of live Rust objects.
 
 use crate::addr::SockAddr;
 use crate::config::VmConfig;
 use crate::ids::{HostId, NsmId, QueueSetId, SocketId, VmId};
-use serde::{Deserialize, Serialize};
 
 /// Host-independent snapshot of a VM's identity, produced by
 /// `NetKernelHost::export_vm` and consumed by `NetKernelHost::import_vm` on
 /// the destination host of a cross-host migration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VmExport {
     /// The VM's configuration (identity, vCPUs, tenant, rate limit).
     pub vm: VmConfig,
@@ -35,7 +34,7 @@ pub struct VmExport {
 /// TCP phase of a transplantable connection. Only post-handshake phases
 /// move: an embryonic connection has no state worth carrying, and a closed
 /// one has none left.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TcpPhase {
     /// Data transfer.
     Established,
@@ -51,7 +50,7 @@ pub enum TcpPhase {
     LastAck,
 }
 
-/// Serializable state of one TCP connection, exported from the source NSM's
+/// Plain-data state of one TCP connection, exported from the source NSM's
 /// stack and installed into the destination NSM's stack.
 ///
 /// The snapshot rewinds the send side to the first unacknowledged byte
@@ -60,7 +59,7 @@ pub enum TcpPhase {
 /// survive the handoff. Congestion-control state is deliberately *not*
 /// transplanted — the path changed with the host, so the window is
 /// re-probed from its initial value, exactly as after a route change.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TcpConnSnapshot {
     /// Local endpoint — the *source* NSM's vNIC address and the ephemeral
     /// (or bound) port. The 4-tuple is the connection's identity and
@@ -104,7 +103,7 @@ pub struct TcpConnSnapshot {
 /// Guest-side bookkeeping of one transplanted socket: what GuestLib must
 /// recreate on the destination so the application keeps using the same
 /// socket id without observing the move.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GuestSockSnapshot {
     /// The application-visible socket id (preserved across the move).
     pub id: SocketId,
@@ -130,7 +129,7 @@ pub struct GuestSockSnapshot {
 
 /// One pinned connection's complete cross-layer state: the TCP machine,
 /// the ServiceLib translation context, and the guest socket.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConnSnapshot {
     /// Guest-side socket id (the key of the CoreEngine VM tuple).
     pub guest_sock: SocketId,
@@ -151,7 +150,7 @@ pub struct ConnSnapshot {
 /// connection pinned to its source share. Installing this at the
 /// destination moves the connections instead of draining them — the source
 /// share empties immediately.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VmWarmExport {
     /// The identity export a drained migration would carry.
     pub base: VmExport,
@@ -224,22 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_export_round_trips_through_json() {
-        let export = VmWarmExport {
-            base: VmExport {
-                vm: VmConfig::new(VmId(1)),
-                from_nsm: NsmId(1),
-            },
-            from_host: HostId(1),
-            conns: vec![snapshot()],
-        };
-        let json = serde_json::to_string(&export).expect("serializes");
-        let back: VmWarmExport = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back, export);
-        assert_eq!(back.vm_id(), VmId(1));
-    }
-
-    #[test]
     fn rerouted_ips_are_deduplicated_and_sorted() {
         let mut export = VmWarmExport {
             base: VmExport {
@@ -249,6 +232,7 @@ mod tests {
             from_host: HostId(1),
             conns: vec![snapshot(), snapshot()],
         };
+        assert_eq!(export.vm_id(), VmId(1));
         export.conns[1].tcp.local = SockAddr::new(0x0A01_0001, 40_001);
         assert_eq!(export.rerouted_ips(), vec![0x0A01_0001]);
         export.conns[1].tcp.local = SockAddr::new(0x0A01_0002, 40_001);

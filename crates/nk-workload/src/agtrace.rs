@@ -9,10 +9,9 @@
 //! fraction of the peak. Determinism comes from an explicit seed.
 
 use nk_sim::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the trace generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AgTraceConfig {
     /// Number of application gateways.
     pub gateways: usize,
@@ -42,7 +41,7 @@ impl Default for AgTraceConfig {
 }
 
 /// A generated trace: per-AG, per-minute request rates.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AgTrace {
     /// `rates[g][m]` is gateway `g`'s request rate in minute `m`.
     pub rates: Vec<Vec<f64>>,

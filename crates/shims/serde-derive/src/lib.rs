@@ -1,13 +1,11 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Hand-rolled (no `syn`/`quote`, the container builds offline) derives of
-//! the shim `serde::Serialize` / `serde::Deserialize` traits. The parser
-//! covers the shapes this workspace actually derives on — generic-free named
-//! structs, tuple structs, and enums with unit / tuple / struct variants —
-//! and the generated code keeps serde's external enum tagging. The one field
-//! attribute honoured is `#[serde(default)]` on named-struct fields: a
-//! missing (or `null`) key deserializes to `Default::default()` instead of
-//! erroring, so configs serialized before a field existed keep loading.
+//! A hand-rolled (no `syn`/`quote`, the workspace builds offline) derive of
+//! the shim `serde::Serialize` trait, the only one there is: JSON goes one
+//! way. The parser covers the shapes this workspace actually derives on —
+//! generic-free named structs, tuple structs, and enums with unit / tuple /
+//! struct variants — and the generated code keeps serde's external enum
+//! tagging. No `#[serde(...)]` attribute is accepted.
 
 #![forbid(unsafe_code)]
 
@@ -16,8 +14,7 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 enum Shape {
     NamedStruct {
         name: String,
-        /// Field name plus whether it carries `#[serde(default)]`.
-        fields: Vec<(String, bool)>,
+        fields: Vec<String>,
     },
     TupleStruct {
         name: String,
@@ -88,39 +85,11 @@ fn strip_attrs_and_vis(chunk: &[TokenTree]) -> &[TokenTree] {
     &chunk[i..]
 }
 
-/// Does this field chunk carry a `#[serde(default)]` attribute?
-fn has_serde_default(chunk: &[TokenTree]) -> bool {
-    let mut i = 0;
-    while i + 1 < chunk.len() {
-        match (&chunk[i], &chunk[i + 1]) {
-            (TokenTree::Punct(p), TokenTree::Group(g))
-                if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
-            {
-                let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                if let (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) =
-                    (inner.first(), inner.get(1))
-                {
-                    if id.to_string() == "serde"
-                        && args.stream().into_iter().any(
-                            |tt| matches!(&tt, TokenTree::Ident(a) if a.to_string() == "default"),
-                        )
-                    {
-                        return true;
-                    }
-                }
-                i += 2;
-            }
-            _ => break,
-        }
-    }
-    false
-}
-
-fn named_fields(stream: TokenStream) -> Vec<(String, bool)> {
+fn named_fields(stream: TokenStream) -> Vec<String> {
     split_top_level(stream)
         .iter()
         .filter_map(|chunk| match strip_attrs_and_vis(chunk).first() {
-            Some(TokenTree::Ident(id)) => Some((id.to_string(), has_serde_default(chunk))),
+            Some(TokenTree::Ident(id)) => Some(id.to_string()),
             _ => None,
         })
         .collect()
@@ -140,14 +109,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
                     VariantKind::Tuple(split_top_level(g.stream()).len())
                 }
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    // `#[serde(default)]` is only honoured on struct fields;
-                    // enum variant fields keep the plain name.
-                    VariantKind::Named(
-                        named_fields(g.stream())
-                            .into_iter()
-                            .map(|(f, _)| f)
-                            .collect(),
-                    )
+                    VariantKind::Named(named_fields(g.stream()))
                 }
                 _ => VariantKind::Unit,
             };
@@ -219,7 +181,7 @@ fn gen_serialize(shape: &Shape) -> String {
         Shape::NamedStruct { name, fields } => {
             let entries: Vec<String> = fields
                 .iter()
-                .map(|(f, _)| {
+                .map(|f| {
                     format!("(String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f}))")
                 })
                 .collect();
@@ -308,167 +270,12 @@ fn gen_serialize(shape: &Shape) -> String {
     }
 }
 
-fn gen_deserialize(shape: &Shape) -> String {
-    let header = |name: &str, body: &str| {
-        format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                     {body}\n\
-                 }}\n\
-             }}"
-        )
-    };
-    match shape {
-        Shape::NamedStruct { name, fields } => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|(f, defaulted)| {
-                    if *defaulted {
-                        format!(
-                            "{f}: match v.get(\"{f}\") {{\n\
-                                 ::serde::Value::Null => ::core::default::Default::default(),\n\
-                                 present => ::serde::Deserialize::from_value(present)?,\n\
-                             }}"
-                        )
-                    } else {
-                        format!("{f}: ::serde::Deserialize::from_value(v.get(\"{f}\"))?")
-                    }
-                })
-                .collect();
-            header(
-                name,
-                &format!(
-                    "match v {{\n\
-                         ::serde::Value::Object(_) => Ok({name} {{ {inits} }}),\n\
-                         _ => Err(::serde::Error::expected(\"object\", \"{name}\")),\n\
-                     }}",
-                    inits = inits.join(", ")
-                ),
-            )
-        }
-        Shape::TupleStruct { name, arity: 1 } => header(
-            name,
-            &format!("Ok({name}(::serde::Deserialize::from_value(v)?))"),
-        ),
-        Shape::TupleStruct { name, arity } => {
-            let inits: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                .collect();
-            header(
-                name,
-                &format!(
-                    "match v {{\n\
-                         ::serde::Value::Array(items) if items.len() == {arity} => Ok({name}({inits})),\n\
-                         _ => Err(::serde::Error::expected(\"array of {arity}\", \"{name}\")),\n\
-                     }}",
-                    inits = inits.join(", ")
-                ),
-            )
-        }
-        Shape::UnitStruct { name } => header(
-            name,
-            &format!(
-                "match v {{\n\
-                     ::serde::Value::Null => Ok({name}),\n\
-                     _ => Err(::serde::Error::expected(\"null\", \"{name}\")),\n\
-                 }}"
-            ),
-        ),
-        Shape::Enum { name, variants } => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("\"{vn}\" => Ok({name}::{vn})", vn = v.name))
-                .collect();
-            let data_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| {
-                    let vn = &v.name;
-                    match &v.kind {
-                        VariantKind::Unit => None,
-                        VariantKind::Tuple(1) => Some(format!(
-                            "\"{vn}\" => Ok({name}::{vn}(::serde::Deserialize::from_value(content)?))"
-                        )),
-                        VariantKind::Tuple(arity) => {
-                            let inits: Vec<String> = (0..*arity)
-                                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => match content {{\n\
-                                     ::serde::Value::Array(items) if items.len() == {arity} => Ok({name}::{vn}({inits})),\n\
-                                     _ => Err(::serde::Error::expected(\"array of {arity}\", \"{name}::{vn}\")),\n\
-                                 }}",
-                                inits = inits.join(", ")
-                            ))
-                        }
-                        VariantKind::Named(fields) => {
-                            let inits: Vec<String> = fields
-                                .iter()
-                                .map(|f| format!(
-                                    "{f}: ::serde::Deserialize::from_value(content.get(\"{f}\"))?"
-                                ))
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => Ok({name}::{vn} {{ {inits} }})",
-                                inits = inits.join(", ")
-                            ))
-                        }
-                    }
-                })
-                .collect();
-            // Avoid an unused `content` binding when every variant is a
-            // unit variant (the Object arm then only inspects the tag).
-            let content_pat = if data_arms.is_empty() { "_" } else { "content" };
-            header(
-                name,
-                &format!(
-                    "match v {{\n\
-                         ::serde::Value::String(s) => match s.as_str() {{\n\
-                             {unit_arms}\n\
-                             _ => Err(::serde::Error::expected(\"known unit variant\", \"{name}\")),\n\
-                         }},\n\
-                         ::serde::Value::Object(fields) if fields.len() == 1 => {{\n\
-                             let (tag, {content_pat}) = &fields[0];\n\
-                             match tag.as_str() {{\n\
-                                 {data_arms}\n\
-                                 _ => Err(::serde::Error::expected(\"known variant\", \"{name}\")),\n\
-                             }}\n\
-                         }}\n\
-                         _ => Err(::serde::Error::expected(\"string or single-key object\", \"{name}\")),\n\
-                     }}",
-                    unit_arms = if unit_arms.is_empty() {
-                        String::new()
-                    } else {
-                        format!("{},", unit_arms.join(", "))
-                    },
-                    data_arms = if data_arms.is_empty() {
-                        String::new()
-                    } else {
-                        format!("{},", data_arms.join(", "))
-                    },
-                ),
-            )
-        }
-    }
-}
-
 /// Derive the shim `serde::Serialize`.
-#[proc_macro_derive(Serialize, attributes(serde))]
+#[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let code = format!(
         "#[automatically_derived]\n{}",
         gen_serialize(&parse_shape(input))
-    );
-    code.parse()
-        .expect("serde shim derive: generated code parses")
-}
-
-/// Derive the shim `serde::Deserialize`.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let code = format!(
-        "#[automatically_derived]\n{}",
-        gen_deserialize(&parse_shape(input))
     );
     code.parse()
         .expect("serde shim derive: generated code parses")

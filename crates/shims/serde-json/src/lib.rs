@@ -1,14 +1,17 @@
 //! Offline stand-in for `serde_json` over the shim `serde::Value` model.
 //!
 //! Supports the subset the workspace uses: [`to_string`], [`to_string_pretty`]
-//! and [`from_str`]. Numbers round-trip exactly (`u64`/`i64` stay integers,
-//! floats use Rust's shortest round-trippable formatting); non-finite floats,
-//! which JSON cannot express, are written as the strings `"inf"`, `"-inf"`
-//! and `"nan"` and parsed back symmetrically.
+//! and [`from_str`]. JSON goes one way: the writer takes any `Serialize`
+//! type, the reader yields a [`Value`] and nothing typed (its one input is
+//! nkbench's own reports). The reader accepts only RFC 8259 JSON. Numbers
+//! round-trip exactly (`u64`/`i64` stay integers, floats use Rust's shortest
+//! round-trippable formatting); non-finite floats, which JSON cannot
+//! express, are written as the strings `"inf"`, `"-inf"` and `"nan"` and
+//! parsed back symmetrically.
 
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Error, Serialize, Value};
 
 /// Deepest array/object nesting [`from_str`] accepts: far above any derived
 /// type, far below what would overflow the parser's stack.
@@ -28,8 +31,8 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
-/// Deserialize a value from JSON text.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+/// Parse JSON text into a [`Value`].
+pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
@@ -44,7 +47,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
             parser.pos
         )));
     }
-    T::from_value(&value)
+    Ok(value)
 }
 
 fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
@@ -287,16 +290,16 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix` alone
+                            // would also take a sign.
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error("bad \\u escape".into()))?,
-                                16,
-                            )
-                            .map_err(|_| Error("bad \\u escape".into()))?;
+                                .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                                .ok_or_else(|| Error("bad \\u escape".into()))?;
+                            let code = hex.iter().fold(0, |code, &b| {
+                                code * 16 + (b as char).to_digit(16).expect("a hex digit")
+                            });
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| Error("bad \\u escape".into()))?,
@@ -312,37 +315,60 @@ impl Parser<'_> {
         }
     }
 
+    /// Skip a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number by RFC 8259 §6: `-? (0 | [1-9][0-9]*) (\.[0-9]+)?
+    /// ([eE][+-]?[0-9]+)?`.
     fn parse_number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
+        let invalid = |p: &Self| {
+            Error(format!(
+                "invalid number {:?}",
+                String::from_utf8_lossy(&p.bytes[start..p.pos])
+            ))
+        };
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        if int_digits == 0 || (int_digits > 1 && self.bytes[int_start] == b'0') {
+            return Err(invalid(self));
+        }
         let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            is_float = true;
+            if self.digits() == 0 {
+                return Err(invalid(self));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid number".into()))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error(format!("invalid number {text:?}")))
-        } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| Error(format!("invalid number {text:?}")))
-        } else {
-            text.parse::<u64>()
-                .map(Value::Uint)
-                .map_err(|_| Error(format!("invalid number {text:?}")))
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            is_float = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(invalid(self));
+            }
         }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        let value = if is_float {
+            text.parse::<f64>().ok().map(Value::Float)
+        } else if text.starts_with('-') {
+            text.parse::<i64>().ok().map(Value::Int)
+        } else {
+            text.parse::<u64>().ok().map(Value::Uint)
+        };
+        value.ok_or_else(|| invalid(self))
     }
 }
 
@@ -355,20 +381,66 @@ mod tests {
     #[test]
     fn deep_nesting_is_an_error_not_a_stack_overflow() {
         for open in ["[", "{\"a\":"] {
-            let err = from_str::<Value>(&open.repeat(100_000)).unwrap_err();
+            let err = from_str(&open.repeat(100_000)).unwrap_err();
             assert!(err.0.contains("nesting deeper than 128"), "{}", err.0);
         }
         let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
-        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
-        assert!(from_str::<Value>(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str(&nested(MAX_DEPTH + 1)).is_err());
     }
 
-    /// Every `i64` written by `to_string` reads back, the most negative one
+    /// Every integer `to_string` writes reads back, the most negative one
     /// included (its magnitude does not fit an `i64`).
     #[test]
-    fn every_i64_round_trips() {
-        for n in [i64::MIN, i64::MIN + 1, -1, 0, i64::MAX] {
-            assert_eq!(from_str::<i64>(&to_string(&n).unwrap()).unwrap(), n);
+    fn every_integer_round_trips() {
+        for n in [i64::MIN, i64::MIN + 1, -1] {
+            assert_eq!(
+                from_str(&to_string(&Value::Int(n)).unwrap()),
+                Ok(Value::Int(n))
+            );
+        }
+        for n in [0, u64::MAX] {
+            assert_eq!(from_str(&to_string(&n).unwrap()), Ok(Value::Uint(n)));
+        }
+    }
+
+    /// The reader refuses text JSON forbids: a `\u` escape takes exactly
+    /// four hex digits, and a number has no leading zero, no bare point
+    /// and digits on both sides of its point (RFC 8259 §6). The forms the
+    /// grammar allows still parse.
+    #[test]
+    fn text_json_forbids_is_refused() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u04""#,
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "-.5",
+            ".5",
+            "+1",
+            "-",
+            "1e",
+            "1e+",
+            "1.e5",
+            "0x10",
+        ] {
+            assert!(from_str(bad).is_err(), "{bad} parsed");
+        }
+        for (good, want) in [
+            ("\"\\u0041\\u00E9\"", Value::String("A\u{e9}".into())),
+            ("0", Value::Uint(0)),
+            ("10", Value::Uint(10)),
+            ("-10", Value::Int(-10)),
+            ("0.25", Value::Float(0.25)),
+            ("-0.5", Value::Float(-0.5)),
+            ("1e3", Value::Float(1e3)),
+            ("2.5E-1", Value::Float(0.25)),
+            ("1e+2", Value::Float(100.0)),
+        ] {
+            assert_eq!(from_str(good), Ok(want), "{good}");
         }
     }
 }

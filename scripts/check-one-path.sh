@@ -61,5 +61,12 @@ check "$(code crates/nk-shmem/src/region.rs | grep -c 'Mutex<')" -eq 1 \
     "one lock per hugepage access: the allocator and the bytes sit behind one Mutex"
 check "$(code crates/nk-queue/src/spsc.rs | grep -cw 'unsafe')" -eq 4 \
     "four unsafe sites in the SPSC ring, the interleaving checker's scope (ROADMAP item 3)"
+# shellcheck disable=SC2046 # one directory per word
+check "$(code $(find crates -mindepth 1 -maxdepth 1 -type d ! -name shims) | grep -c 'Deserialize')" -eq 0 \
+    "JSON goes one way: no crate reads JSON back into a typed value"
+check "$(code crates/shims/serde-derive/src | grep -c 'proc_macro_derive')" -eq 1 \
+    "JSON goes one way: the derive shim derives Serialize alone"
+check "$(sed -s -n '/^\[dependencies\]/,/^\[/p' crates/nk-sim/Cargo.toml crates/nk-workload/Cargo.toml | grep -c '^serde')" -eq 0 \
+    "JSON goes one way: nk-sim and nk-workload write nothing, so they do not depend on serde"
 
 exit "$fails"
