@@ -3,7 +3,10 @@
 //! "We do not enforce a single transport design" (paper §1): every NSM picks
 //! its own stack and congestion control. The [`CongestionControl`] trait is
 //! the seam: the connection state machine asks it for the current window and
-//! feeds it ACK/loss/ECN signals. Four algorithms are provided:
+//! feeds it ACK/loss/ECN signals. A connection holds its instance inline, as
+//! a [`Cc`]: one enum over the four algorithms, so opening a connection
+//! allocates nothing for it and every `cwnd()` is a `match`, not a pointer
+//! chase. Four algorithms are provided:
 //!
 //! * [`reno::Reno`] — NewReno-style AIMD;
 //! * [`cubic::Cubic`] — the Linux default the paper's Baseline runs;
@@ -53,6 +56,52 @@ pub trait CongestionControl: Send {
     fn name(&self) -> &'static str;
 }
 
+/// One connection's congestion-control state, held by value.
+pub enum Cc {
+    /// NewReno.
+    Reno(Reno),
+    /// CUBIC.
+    Cubic(Cubic),
+    /// DCTCP.
+    Dctcp(Dctcp),
+    /// A flow's view of its VM's shared window; dropping it leaves the share.
+    VmShared(VmSharedCc),
+}
+
+/// Forward a call to whichever algorithm `$cc` holds.
+macro_rules! each_cc {
+    ($cc:expr, $alg:ident => $call:expr) => {
+        match $cc {
+            Cc::Reno($alg) => $call,
+            Cc::Cubic($alg) => $call,
+            Cc::Dctcp($alg) => $call,
+            Cc::VmShared($alg) => $call,
+        }
+    };
+}
+
+impl CongestionControl for Cc {
+    fn cwnd(&self) -> usize {
+        each_cc!(self, cc => cc.cwnd())
+    }
+
+    fn on_ack(&mut self, acked: usize, rtt_ns: u64, ecn_echo: bool, now_ns: u64) {
+        each_cc!(self, cc => cc.on_ack(acked, rtt_ns, ecn_echo, now_ns))
+    }
+
+    fn on_fast_retransmit(&mut self, now_ns: u64) {
+        each_cc!(self, cc => cc.on_fast_retransmit(now_ns))
+    }
+
+    fn on_timeout(&mut self, now_ns: u64) {
+        each_cc!(self, cc => cc.on_timeout(now_ns))
+    }
+
+    fn name(&self) -> &'static str {
+        each_cc!(self, cc => cc.name())
+    }
+}
+
 /// Factory for congestion-control instances.
 #[derive(Clone)]
 pub enum CcAlgorithm {
@@ -69,12 +118,12 @@ pub enum CcAlgorithm {
 
 impl CcAlgorithm {
     /// Build an instance for a new connection.
-    pub fn build(&self) -> Box<dyn CongestionControl> {
+    pub fn build(&self) -> Cc {
         match self {
-            CcAlgorithm::Reno => Box::new(Reno::new()),
-            CcAlgorithm::Cubic => Box::new(Cubic::new()),
-            CcAlgorithm::Dctcp => Box::new(Dctcp::new()),
-            CcAlgorithm::VmShared(shared) => Box::new(VmSharedCc::new(shared.clone())),
+            CcAlgorithm::Reno => Cc::Reno(Reno::new()),
+            CcAlgorithm::Cubic => Cc::Cubic(Cubic::new()),
+            CcAlgorithm::Dctcp => Cc::Dctcp(Dctcp::new()),
+            CcAlgorithm::VmShared(shared) => Cc::VmShared(VmSharedCc::new(shared.clone())),
         }
     }
 

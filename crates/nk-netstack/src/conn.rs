@@ -7,7 +7,7 @@
 //! FIN / abortive RST teardown. Congestion control is delegated to a
 //! [`CongestionControl`] implementation chosen per NSM.
 
-use crate::cc::CongestionControl;
+use crate::cc::{Cc, CcAlgorithm, CongestionControl};
 use crate::payload::{ByteQueue, Payload};
 use crate::segment::{seq_ge, seq_gt, seq_le, seq_lt, Segment, SegmentFlags};
 use nk_types::constants::{DEFAULT_RECV_BUF, DEFAULT_SEND_BUF, MSS};
@@ -121,8 +121,11 @@ pub struct TcpConnection {
     dup_acks: u32,
     /// Time at which TIME-WAIT expires.
     time_wait_deadline: Option<u64>,
+    /// Persist timer (RFC 9293 §3.8.6.1), `(deadline, interval)`: armed while
+    /// the peer's zero window holds back unsent bytes with nothing in flight.
+    persist: Option<(u64, u64)>,
 
-    cc: Box<dyn CongestionControl>,
+    cc: Cc,
     stats: ConnStats,
     /// A reset must be emitted to the peer.
     rst_pending: bool,
@@ -131,13 +134,7 @@ pub struct TcpConnection {
 impl TcpConnection {
     /// Start an active open (client side): the first `poll_transmit` emits a
     /// SYN.
-    pub fn connect(
-        local: SockAddr,
-        remote: SockAddr,
-        iss: u32,
-        cc: Box<dyn CongestionControl>,
-        now_ns: u64,
-    ) -> Self {
+    pub fn connect(local: SockAddr, remote: SockAddr, iss: u32, cc: Cc, now_ns: u64) -> Self {
         let mut c = Self::new_common(local, remote, iss, cc);
         c.state = ConnState::SynSent;
         c.snd_nxt = iss; // SYN not yet emitted; poll_transmit sends it.
@@ -152,7 +149,7 @@ impl TcpConnection {
         remote: SockAddr,
         iss: u32,
         syn: &Segment,
-        cc: Box<dyn CongestionControl>,
+        cc: Cc,
         now_ns: u64,
     ) -> Self {
         debug_assert!(syn.flags.syn);
@@ -165,12 +162,7 @@ impl TcpConnection {
         c
     }
 
-    fn new_common(
-        local: SockAddr,
-        remote: SockAddr,
-        iss: u32,
-        cc: Box<dyn CongestionControl>,
-    ) -> Self {
+    fn new_common(local: SockAddr, remote: SockAddr, iss: u32, cc: Cc) -> Self {
         TcpConnection {
             local,
             remote,
@@ -198,6 +190,7 @@ impl TcpConnection {
             rtt_sample: None,
             dup_acks: 0,
             time_wait_deadline: None,
+            persist: None,
             cc,
             stats: ConnStats::default(),
             rst_pending: false,
@@ -357,7 +350,7 @@ impl TcpConnection {
         if !matches!(self.state, ConnState::Closed | ConnState::TimeWait) {
             self.rst_pending = true;
         }
-        self.recv_buf = ByteQueue::default();
+        self.recv_buf.clear();
         self.enter_closed();
     }
 
@@ -367,6 +360,7 @@ impl TcpConnection {
         self.state = ConnState::Closed;
         self.rto_deadline = None;
         self.time_wait_deadline = None;
+        self.persist = None;
         self.release_queues();
     }
 
@@ -377,17 +371,47 @@ impl TcpConnection {
         self.release_queues();
     }
 
-    /// A connection that will neither send nor receive again gives its
-    /// queue storage back — all of it but bytes the application has yet to
-    /// read. Dead sockets wait here for their reader; a parked one, once it
-    /// owes nothing, is traded by the stack for a small record that holds
-    /// no connection at all ([`TcpConnection::parked_until`]).
+    /// A connection that will neither send nor receive again holds no
+    /// payload byte but those the application has yet to read. Its queues
+    /// keep their capacity (storage, not held bytes), which the next
+    /// connection in its slot adopts. Dead sockets wait here for their
+    /// reader; a parked one, once it owes nothing, is traded by the stack for
+    /// a small record that holds no connection at all
+    /// ([`TcpConnection::parked_until`]).
     fn release_queues(&mut self) {
-        self.send_buf = ByteQueue::default();
-        self.ooo = BTreeMap::new();
-        if self.recv_buf.is_empty() {
-            self.recv_buf = ByteQueue::default();
+        self.send_buf.clear();
+        self.ooo.clear();
+    }
+
+    /// Strip a connection whose slot the stack keeps for the next one: its
+    /// congestion control goes at once (a VM-shared window is split among
+    /// live flows only; a Reno instance, which holds nothing shared, takes
+    /// its place) and its queues forget their bytes but keep their capacity.
+    pub(crate) fn retire(&mut self) {
+        self.cc = CcAlgorithm::Reno.build();
+        self.send_buf.clear();
+        self.recv_buf.clear();
+        self.ooo.clear();
+    }
+
+    /// Take over the emptied queues of a retired connection, so a connection
+    /// opened in a recycled slot does not allocate its run tables and open
+    /// tails again. Queues that already hold bytes (a restored snapshot's)
+    /// are kept.
+    pub(crate) fn adopt_queues(&mut self, retired: &mut TcpConnection) {
+        if self.send_buf.is_empty() {
+            std::mem::swap(&mut self.send_buf, &mut retired.send_buf);
         }
+        if self.recv_buf.is_empty() {
+            std::mem::swap(&mut self.recv_buf, &mut retired.recv_buf);
+        }
+    }
+
+    /// The peer's zero window holds back every unsent byte and nothing is in
+    /// flight, so no ACK or retransmission timer will come: only the persist
+    /// timer (or the peer's own update) moves the connection on.
+    fn window_shut(&self) -> bool {
+        self.snd_wnd == 0 && self.snd_nxt == self.snd_una
     }
 
     /// The end of TIME-WAIT, once the connection is parked there owing
@@ -463,6 +487,9 @@ impl TcpConnection {
         // peer's application read), never a duplicate.
         let window_moved = seg.window != self.snd_wnd;
         self.snd_wnd = seg.window;
+        if seg.window > 0 {
+            self.persist = None; // the window opened: no probe is owed
+        }
         // The highest sequence number this side can ever have sent: all it
         // buffers, plus its FIN. `snd_nxt` is not that bound — an RTO, a
         // fast retransmit and a warm-migration restore all rewind it to
@@ -725,6 +752,31 @@ impl TcpConnection {
             self.arm_rto(now_ns);
         }
 
+        // Persist timer (RFC 9293 §3.8.6.1): a shut window may wait on an
+        // update the peer sent and lost. Probe it with one byte, doubling the
+        // interval each time; the ACK the probe draws carries the window.
+        if self.window_shut() && offset < self.send_buf.len() {
+            match self.persist {
+                None => self.persist = Some((now_ns + self.rto_ns, self.rto_ns)),
+                Some((at, interval)) if now_ns >= at => {
+                    let mut probe = Segment::control(self.local, self.remote, SegmentFlags::ack());
+                    probe.seq = self.snd_nxt;
+                    probe.ack = self.rcv_nxt;
+                    probe.window = self.recv_window() as u32;
+                    probe.flags.ece = self.ece_pending;
+                    probe.payload = self.send_buf.range(offset, 1);
+                    let interval = (interval * 2).min(MAX_RTO_NS);
+                    self.persist = Some((now_ns + interval, interval));
+                    self.ack_pending = false;
+                    self.ece_pending = false;
+                    out.push(probe);
+                }
+                Some(_) => {}
+            }
+        } else {
+            self.persist = None;
+        }
+
         // FIN once all buffered data has been transmitted.
         if self.fin_queued
             && self.fin_seq.is_none()
@@ -778,7 +830,9 @@ impl TcpConnection {
     /// True when the next [`TcpConnection::poll_transmit`] may act without a
     /// segment, an application call or a timer coming first: unsent bytes
     /// (window-blocked — a shared congestion window can open through a
-    /// sibling's ACK), an unsent FIN, SYN or SYN-ACK, a pending RST or ACK,
+    /// sibling's ACK — but not behind the peer's shut window, which only a
+    /// segment or the persist timer opens), an unsent FIN, SYN or SYN-ACK, a
+    /// pending RST or ACK,
     /// a TIME-WAIT without its deadline. Any other connection can be left
     /// alone until an event or its [`TcpConnection::next_deadline`].
     pub fn needs_poll(&self) -> bool {
@@ -787,7 +841,7 @@ impl TcpConnection {
             ConnState::Closed => false,
             ConnState::SynSent | ConnState::SynReceived => self.snd_nxt == self.snd_una,
             state => {
-                self.send_offset() < self.send_buf.len()
+                self.send_offset() < self.send_buf.len() && !self.window_shut()
                     || self.ack_pending
                     || self.dup_ack_burst > 0
                     || self.fin_queued
@@ -803,9 +857,11 @@ impl TcpConnection {
 
     /// The earliest time a timer of this connection fires (`poll_transmit`
     /// acts on it at the first `now_ns >= deadline`): the retransmission
-    /// timeout or the end of TIME-WAIT. `None` for a closed connection.
+    /// timeout, the persist timer or the end of TIME-WAIT. `None` for a
+    /// closed connection.
     pub fn next_deadline(&self) -> Option<u64> {
-        let timers = [self.rto_deadline, self.time_wait_deadline];
+        let persist = self.persist.map(|(at, _)| at);
+        let timers = [self.rto_deadline, self.time_wait_deadline, persist];
         timers.into_iter().flatten().min()
     }
 
@@ -886,7 +942,7 @@ impl TcpConnection {
     /// everything unacknowledged; `ack_pending` is armed so the first tick
     /// announces the receive window to the peer — the handover's "I am
     /// alive here now" signal.
-    pub fn restore(snap: &TcpConnSnapshot, cc: Box<dyn CongestionControl>) -> Self {
+    pub fn restore(snap: &TcpConnSnapshot, cc: Cc) -> Self {
         let state = match snap.phase {
             TcpPhase::Established => ConnState::Established,
             TcpPhase::FinWait1 => ConnState::FinWait1,
@@ -926,6 +982,7 @@ impl TcpConnection {
             rtt_sample: None,
             dup_acks: 0,
             time_wait_deadline: None,
+            persist: None,
             cc,
             stats: ConnStats::default(),
             rst_pending: false,
@@ -1771,15 +1828,16 @@ mod tests {
         assert_eq!(got, pattern(0, N));
     }
 
-    /// A parked or dead connection keeps no queue storage — `clear()` would
-    /// keep every buffer's capacity — except bytes the application has not
-    /// read yet. The stack then trades a parked one for a record
+    /// A parked or dead connection holds no payload byte except those the
+    /// application has not read yet; its queues keep their capacity, which
+    /// the stack hands to the next connection in the slot. The stack then
+    /// trades a parked one for a record
     /// (`stack::tests::time_wait_and_closed_connections_keep_no_queue_storage`).
     #[test]
     fn parked_and_dead_connections_hold_only_unread_bytes() {
         let storage = |c: &TcpConnection| {
             let ooo: usize = c.ooo.values().map(|p| p.len()).sum();
-            c.send_buf.storage_bytes() + c.recv_buf.storage_bytes() + ooo
+            c.send_buf.held_bytes() + c.recv_buf.held_bytes() + ooo
         };
         let (mut c, mut s) = pair(0);
         let mut got = Vec::new();
@@ -1787,7 +1845,6 @@ mod tests {
         s.write(&pattern(0, 8 * MSS));
         let now = run_ms(&mut c, &mut s, 1_000, 5, &mut got);
         assert_eq!(c.read(&mut vec![0u8; 8 * MSS]), 8 * MSS);
-        assert!(storage(&c) > 0 && storage(&s) > 0, "the run tables remain");
         // `c` closes first and parks in TIME-WAIT; `s` goes straight to Closed.
         c.close();
         let now = run_ms(&mut c, &mut s, now, 1, &mut got);
@@ -1798,6 +1855,7 @@ mod tests {
             (ConnState::TimeWait, ConnState::Closed)
         );
         assert_eq!((storage(&c), storage(&s)), (0, 0));
+        assert!(c.send_buf.storage_bytes() > 0, "capacity is kept for reuse");
         assert!(c.parked_until().is_some() && s.parked_until().is_none());
 
         // A reset connection keeps its unread bytes, and only those.
@@ -1810,13 +1868,13 @@ mod tests {
         let mut rst = Segment::control(peer(80), addr(5000), SegmentFlags::rst());
         rst.seq = s.snd_nxt;
         c.on_segment(&rst, 2_000);
-        assert!(c.is_closed() && c.send_buf.storage_bytes() == 0);
+        assert!(c.is_closed() && c.send_buf.held_bytes() == 0);
         assert_eq!(c.read(&mut [0u8; 8]), 6);
     }
 
     #[test]
     fn reno_is_default_like_and_exposed_via_cwnd() {
-        let cc: Box<dyn CongestionControl> = Box::new(Reno::new());
+        let cc = Cc::Reno(Reno::new());
         let c = TcpConnection::connect(addr(1), peer(2), 0, cc, 0);
         assert!(c.cwnd() >= MSS);
         assert_eq!(c.state(), ConnState::SynSent);

@@ -30,7 +30,7 @@ pub mod payload;
 pub mod segment;
 pub mod stack;
 
-pub use cc::{CcAlgorithm, CongestionControl, SharedVmWindow};
+pub use cc::{Cc, CcAlgorithm, CongestionControl, SharedVmWindow};
 pub use conn::{ConnState, TcpConnection};
 pub use payload::Payload;
 pub use segment::{Segment, SegmentFlags};

@@ -100,7 +100,9 @@ const OPEN_RUN: usize = 2048;
 /// receive buffer. Memory follows the bytes held, not the number of pushes:
 /// small pushes gather in an open tail that is frozen into a run when it
 /// reaches [`OPEN_RUN`] bytes or when [`ByteQueue::range`] first hands part
-/// of it out.
+/// of it out. Capacity outlives the bytes: [`ByteQueue::clear`] keeps the run
+/// table and the open tail, so a connection slot the stack recycles hands
+/// them to its next connection instead of allocating them again.
 #[derive(Default)]
 pub(crate) struct ByteQueue {
     runs: VecDeque<Payload>,
@@ -121,6 +123,15 @@ impl ByteQueue {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Forget every byte but keep the capacity of the run table and the
+    /// open tail.
+    pub(crate) fn clear(&mut self) {
+        self.runs.clear();
+        self.open.clear();
+        self.len = 0;
+        self.cursor = (0, 0);
     }
 
     /// Append a run, by reference.
@@ -254,17 +265,24 @@ impl ByteQueue {
         self.runs.iter()
     }
 
-    /// Heap bytes this queue keeps alive: the buffers behind its runs (each
-    /// counted once), the open tail and the run table.
+    /// Payload bytes this queue keeps alive: the buffers behind its runs
+    /// (each counted once) and the open tail's bytes.
     #[cfg(test)]
-    pub(crate) fn storage_bytes(&self) -> usize {
+    pub(crate) fn held_bytes(&self) -> usize {
         let mut buffers: Vec<(*const u8, usize)> = (self.runs.iter())
             .filter_map(|run| run.buf.as_ref())
             .map(|buf| (buf.as_ptr(), buf.len()))
             .collect();
         buffers.sort_unstable();
         buffers.dedup();
-        buffers.iter().map(|(_, len)| len).sum::<usize>()
+        buffers.iter().map(|(_, len)| len).sum::<usize>() + self.open.len()
+    }
+
+    /// Heap bytes this queue keeps: the bytes it holds plus the capacity of
+    /// the open tail and the run table.
+    #[cfg(test)]
+    pub(crate) fn storage_bytes(&self) -> usize {
+        self.held_bytes() - self.open.len()
             + self.open.capacity()
             + self.runs.capacity() * std::mem::size_of::<Payload>()
     }

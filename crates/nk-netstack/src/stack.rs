@@ -6,8 +6,16 @@
 //! calls into the methods of this type. The stack is driven by
 //! [`TcpStack::tick`], which ingests frames from the fabric, runs the
 //! connection state machines, and emits outgoing frames.
+//!
+//! A short connection pays once. A connection slot that leaves the socket
+//! table — reaped, traded for a TIME-WAIT record, or exported — goes onto a
+//! spare list, never longer than the table's live connection slots; its
+//! congestion control (held inline, no box) is dropped at once and its
+//! queues keep their capacity, and the next connection opened takes it. A
+//! parked socket is a small record that expires from a FIFO kept in deadline
+//! order; only connections use the lazy timer set.
 
-use crate::cc::CcAlgorithm;
+use crate::cc::{Cc, CcAlgorithm};
 use crate::conn::{ConnState, TcpConnection};
 use crate::segment::Segment;
 use nk_fabric::nic::symmetric_flow_hash;
@@ -162,18 +170,17 @@ impl ConnSlot {
 /// What is left of a connection parked in TIME-WAIT with nothing owed
 /// (`TcpConnection::parked_until`), like Linux's TIME-WAIT minisocket. Its
 /// slot, connection and congestion control are gone; the record keeps the
-/// tuple (its `demux` entry stays, so the tuple is still taken), the
-/// deadline and the lazy timer entry. It is polled exactly where the
-/// connection would have been — on any segment, call or timer that would
-/// have queued it — and answers every call as the parked connection did.
+/// tuple (its `demux` entry stays, so the tuple is still taken) and the
+/// deadline, which never moves, so it has no lazy timer entry: it waits in
+/// the stack's expiry FIFO and is polled once, on its deadline tick, or
+/// wherever a segment or call would have queued the connection. It answers
+/// every call as the parked connection did.
 struct TimeWaitRecord {
     local: SockAddr,
     remote: SockAddr,
     /// The end of TIME-WAIT: the first poll at or past it reaps the record.
     /// A reset moves it to 0.
     deadline: u64,
-    /// As `ConnSlot::armed`: never later than `deadline`, but for a reset.
-    armed: Option<u64>,
     /// As `ConnSlot::queued`.
     queued: bool,
 }
@@ -217,8 +224,23 @@ pub struct TcpStack {
     /// `(deadline_ns, socket)`, at most one entry per connection, no later
     /// than its earliest timer. Lazy: the entry moves only when the deadline
     /// moves *earlier* (an RTO moves later on every send), so it may fire
-    /// early; the woken connection finds nothing due and re-arms.
+    /// early; the woken connection finds nothing due and re-arms. Records
+    /// never enter it.
     timers: BTreeSet<(u64, SocketId)>,
+    /// `(deadline_ns, socket)` of every TIME-WAIT record, ascending: records
+    /// expire from the front. Entries of records a reset reaped early stay
+    /// until they surface and are skipped (socket ids are never reused).
+    expiry: VecDeque<(u64, SocketId)>,
+    /// Connection slots that left the socket table, their connection retired
+    /// (no congestion control, emptied queues that keep their capacity):
+    /// what `insert_conn` fills first. Never more than `live`.
+    #[expect(
+        clippy::vec_box,
+        reason = "the boxes are what is recycled: a socket-table entry holds a Box<ConnSlot>"
+    )]
+    spare: Vec<Box<ConnSlot>>,
+    /// Connection slots in the socket table: the bound on `spare`.
+    live: usize,
     /// The [`SocketApi`] epoll interest set; an entry dies with its socket.
     /// Ordered so `epoll_wait` reports deterministically.
     interest: BTreeMap<SocketId, PollEvents>,
@@ -255,6 +277,9 @@ impl TcpStack {
             due: Vec::new(),
             dead: Vec::new(),
             timers: BTreeSet::new(),
+            expiry: VecDeque::new(),
+            spare: Vec::new(),
+            live: 0,
             interest: BTreeMap::new(),
             now_ns: 0,
             next_socket: 1,
@@ -415,7 +440,7 @@ impl TcpStack {
         sock: SocketId,
         remote: SockAddr,
         now_ns: u64,
-        cc: Option<Box<dyn crate::cc::CongestionControl>>,
+        cc: Option<Cc>,
     ) -> NkResult<()> {
         let entry = self.sockets.get_mut(&sock).ok_or(NkError::BadSocket)?;
         let local_port = match entry {
@@ -832,36 +857,59 @@ impl TcpStack {
     }
 
     /// Enter a new connection into the socket table and the demultiplexer,
-    /// queued for the next `transmit`: it owes a SYN, a SYN-ACK or a window ACK.
+    /// queued for the next `transmit`: it owes a SYN, a SYN-ACK or a window
+    /// ACK. It takes a spare slot when there is one, and adopts the slot's
+    /// emptied queues.
     fn insert_conn(&mut self, id: SocketId, conn: TcpConnection, parent: Option<SocketId>) {
         self.demux.insert((conn.local(), conn.remote()), id);
-        let slot = ConnSlot {
+        let mut slot = ConnSlot {
             conn,
             queued: true,
             armed: None,
             parent,
         };
-        self.sockets.insert(id, SocketEntry::Conn(Box::new(slot)));
+        let slot = match self.spare.pop() {
+            Some(mut spare) => {
+                slot.conn.adopt_queues(&mut spare.conn);
+                *spare = slot;
+                spare
+            }
+            None => Box::new(slot),
+        };
+        self.live += 1;
+        self.sockets.insert(id, SocketEntry::Conn(slot));
         self.wake.push(id);
+    }
+
+    /// Take back the slot of a connection that left the socket table. Its
+    /// connection is retired at once — the congestion control goes, so a
+    /// VM-shared window counts live flows only — and the slot is kept for the
+    /// next connection while fewer are spare than live, so slot memory stays
+    /// within twice its peak.
+    fn give_back(&mut self, mut slot: Box<ConnSlot>) {
+        self.live -= 1;
+        slot.conn.retire();
+        self.spare.push(slot);
+        self.spare.truncate(self.live);
     }
 
     /// Drop connection `id` — a slot or a record — and what points at it.
     /// The demultiplexer entry goes only if it is this socket's.
     fn remove_conn(&mut self, id: SocketId) {
-        let (key, armed, parent) = match self.sockets.remove(&id) {
-            Some(SocketEntry::Conn(slot)) => (
-                (slot.conn.local(), slot.conn.remote()),
-                slot.armed,
-                slot.parent,
-            ),
-            Some(SocketEntry::TimeWait(tw)) => ((tw.local, tw.remote), tw.armed, None),
+        let (key, parent) = match self.sockets.remove(&id) {
+            Some(SocketEntry::Conn(slot)) => {
+                if let Some(deadline) = slot.armed {
+                    self.timers.remove(&(deadline, id));
+                }
+                let found = ((slot.conn.local(), slot.conn.remote()), slot.parent);
+                self.give_back(slot);
+                found
+            }
+            Some(SocketEntry::TimeWait(tw)) => ((tw.local, tw.remote), None),
             _ => return,
         };
         if self.demux.get(&key) == Some(&id) {
             self.demux.remove(&key);
-        }
-        if let Some(deadline) = armed {
-            self.timers.remove(&(deadline, id));
         }
         self.interest.remove(&id);
         Self::leave_listener(&mut self.sockets, parent);
@@ -891,16 +939,18 @@ impl TcpStack {
                 break;
             }
             self.timers.pop_first();
-            match self.sockets.get_mut(&id) {
-                Some(SocketEntry::Conn(slot)) => {
-                    slot.armed = None;
-                    slot.wake(id, &mut self.wake);
-                }
-                Some(SocketEntry::TimeWait(tw)) => {
-                    tw.armed = None;
-                    tw.wake(id, &mut self.wake);
-                }
-                _ => {}
+            if let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&id) {
+                slot.armed = None;
+                slot.wake(id, &mut self.wake);
+            }
+        }
+        while let Some(&(deadline, id)) = self.expiry.front() {
+            if deadline > now_ns {
+                break;
+            }
+            self.expiry.pop_front();
+            if let Some(SocketEntry::TimeWait(tw)) = self.sockets.get_mut(&id) {
+                tw.wake(id, &mut self.wake);
             }
         }
         let mut due = std::mem::replace(&mut self.wake, std::mem::take(&mut self.due));
@@ -923,9 +973,6 @@ impl TcpStack {
                     tw.queued = false;
                     if now_ns >= tw.deadline {
                         self.dead.push(id);
-                    } else if tw.armed.is_none() {
-                        tw.armed = Some(tw.deadline);
-                        self.timers.insert((tw.deadline, id));
                     }
                     continue;
                 }
@@ -951,17 +998,26 @@ impl TcpStack {
                 self.dead.push(id);
             }
             // Parked in TIME-WAIT owing nothing: the connection becomes a
-            // record, and its slot, queues and congestion control go.
+            // record in the expiry FIFO, and its slot goes back to the spares.
+            // The insert is an append unless it parked late, behind unread
+            // bytes.
             if let Some(deadline) = slot.conn.parked_until() {
                 debug_assert!(slot.parent.is_none() && !slot.queued);
+                if let Some(at) = slot.armed {
+                    self.timers.remove(&(at, id));
+                }
+                let at = self.expiry.partition_point(|&e| e < (deadline, id));
+                self.expiry.insert(at, (deadline, id));
                 let record = TimeWaitRecord {
                     local: slot.conn.local(),
                     remote: slot.conn.remote(),
                     deadline,
-                    armed: slot.armed,
                     queued: false,
                 };
-                *entry = SocketEntry::TimeWait(Box::new(record));
+                let record = SocketEntry::TimeWait(Box::new(record));
+                if let SocketEntry::Conn(slot) = std::mem::replace(entry, record) {
+                    self.give_back(slot);
+                }
             }
             for seg in segs.drain(..) {
                 count += 1;
@@ -977,8 +1033,8 @@ impl TcpStack {
     /// Debug builds check the superset argument on every tick: each
     /// connection `transmit` is about to skip is polled anyway and must
     /// produce nothing and change nothing the stack acts on. A skipped
-    /// record must not be due, and its timer entry must stand no later than
-    /// its deadline.
+    /// record must not be due, and must wait in the expiry FIFO (sorted, so
+    /// a binary search finds it).
     #[cfg(debug_assertions)]
     fn audit_skipped(&mut self, due: &[SocketId], now_ns: u64) {
         let mut out = Vec::new();
@@ -989,13 +1045,11 @@ impl TcpStack {
             let slot = match self.sockets.get_mut(&id) {
                 Some(SocketEntry::Conn(slot)) => slot,
                 Some(SocketEntry::TimeWait(tw)) => {
-                    let entry = tw.armed.filter(|&at| at <= tw.deadline);
                     assert!(
                         now_ns < tw.deadline
-                            && entry.is_some_and(|at| self.timers.contains(&(at, id))),
-                        "{id:?} was skipped at {now_ns} ns in TIME-WAIT until {} (timer {:?})",
-                        tw.deadline,
-                        tw.armed
+                            && self.expiry.binary_search(&(tw.deadline, id)).is_ok(),
+                        "{id:?} was skipped at {now_ns} ns in TIME-WAIT until {}",
+                        tw.deadline
                     );
                     continue;
                 }
@@ -1134,6 +1188,7 @@ impl nk_sim::Pollable for TcpStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cc::SharedVmWindow;
     use nk_fabric::switch::VirtualSwitch;
 
     const SERVER_IP: u32 = 0x0A00_0001;
@@ -1644,7 +1699,7 @@ mod tests {
         let shared = crate::cc::SharedVmWindow::new();
         let flows: Vec<SocketId> = (0..4).map(|_| w.client.socket()).collect();
         for &cs in &flows {
-            let cc = Box::new(crate::cc::VmSharedCc::new(shared.clone()));
+            let cc = Cc::VmShared(crate::cc::VmSharedCc::new(shared.clone()));
             (w.client)
                 .connect_with_cc(cs, SockAddr::new(SERVER_IP, 80), w.now, Some(cc))
                 .unwrap();
@@ -1737,6 +1792,8 @@ mod tests {
         now: u64,
         segments: Vec<Segment>,
         kinds: Vec<std::mem::Discriminant<StackEvent>>,
+        /// The stack whose segments the wire loses.
+        mute: Option<usize>,
     }
 
     impl Wire {
@@ -1751,6 +1808,7 @@ mod tests {
                 now: 0,
                 segments: Vec::new(),
                 kinds: Vec::new(),
+                mute: None,
             }
         }
 
@@ -1761,8 +1819,10 @@ mod tests {
                     stack.tick(self.now);
                     let mut sent = Vec::new();
                     self.ports[i].drain_tx_into(&mut sent);
-                    self.segments.extend(sent.iter().map(|f| f.payload.clone()));
-                    self.ports[1 - i].deliver_burst(|rx| rx.extend(sent));
+                    if self.mute != Some(i) {
+                        self.segments.extend(sent.iter().map(|f| f.payload.clone()));
+                        self.ports[1 - i].deliver_burst(|rx| rx.extend(sent));
+                    }
                     let events = drain_events(stack);
                     self.kinds.extend(events.iter().map(std::mem::discriminant));
                 }
@@ -1829,13 +1889,16 @@ mod tests {
 
     /// One scripted echo session (connect, three writes echoed back, close)
     /// after each stack first opened and closed `idle` sockets, and ran
-    /// `cycles` whole connections through the same script — so the client
-    /// holds `cycles` TIME-WAIT records. Returns every segment the session
-    /// put on the wire, both stacks' counters over the session and the kinds
-    /// of the events they raised, in order.
+    /// `cycles` whole connections through the same script beside `kept` more
+    /// it left open and idle — so the client holds `cycles` TIME-WAIT
+    /// records and each stack `kept.min(cycles)` spare slots whose queues
+    /// held bytes. Returns every segment the session put on the wire, both
+    /// stacks' counters over the session and the kinds of the events they
+    /// raised, in order.
     fn echo_session(
         idle: usize,
         cycles: usize,
+        kept: usize,
     ) -> (
         Vec<Segment>,
         [StackStats; 2],
@@ -1849,10 +1912,11 @@ mod tests {
             }
         }
         if cycles > 0 {
-            let cycled = w.open(81, cycles);
-            w.echo(&cycled);
-            assert_eq!(entries(&w.stacks[0]), (cycles, 0));
+            let cycled = w.open(81, cycles + kept);
+            w.echo(&cycled[..cycles]);
+            assert_eq!(entries(&w.stacks[0]), (cycles, kept));
             for stack in &mut w.stacks {
+                assert_eq!(stack.spare.len(), kept.min(cycles));
                 // The session's own numbers start where a fresh stack's do.
                 (stack.stats, stack.iss) = (StackStats::default(), 0x1000);
                 stack.next_ephemeral = EPHEMERAL_LOW;
@@ -1871,10 +1935,201 @@ mod tests {
     /// counts the same and raises the same events in the same order.
     #[test]
     fn table_layout_never_leaks_into_segments() {
-        let fresh = echo_session(0, 0);
+        let fresh = echo_session(0, 0, 0);
         assert!(fresh.0.len() > 12 && fresh.1[0].bytes_in == 19);
-        assert!(fresh == echo_session(10_000, 0));
-        assert!(fresh == echo_session(0, 64));
+        assert!(fresh == echo_session(10_000, 0, 0));
+        assert!(fresh == echo_session(0, 64, 0));
+    }
+
+    /// A connection opened in a recycled slot — queues another connection
+    /// filled and emptied, congestion control and every protocol field
+    /// fresh — behaves as one on a fresh stack: the same segments, counters
+    /// and events, on both ends.
+    #[test]
+    fn a_connection_in_a_recycled_slot_starts_clean() {
+        assert!(echo_session(0, 0, 0) == echo_session(0, 64, 2));
+    }
+
+    /// A thousand connections churn through two stacks whose congestion
+    /// control is a VM-shared window, a few at a time, so most of them open
+    /// in a recycled slot. After every tick each window counts exactly the
+    /// connections its stack still holds: a slot that kept its connection's
+    /// congestion control would still count a flow that left.
+    #[test]
+    fn recycled_slots_leave_the_vm_shared_window() {
+        const N: usize = 1_000;
+        const AT_ONCE: usize = 8;
+        let mut w = World::new();
+        let windows = [SharedVmWindow::new(), SharedVmWindow::new()];
+        w.client.cfg.cc = CcAlgorithm::VmShared(windows[0].clone());
+        w.server.cfg.cc = CcAlgorithm::VmShared(windows[1].clone());
+        let ls = listening_server(&mut w, 80);
+        let to = SockAddr::new(SERVER_IP, 80);
+        let (mut opened, mut clients, mut served) = (0, Vec::new(), Vec::new());
+        let mut spares = [0usize; 2];
+        let mut buf = [0u8; 16];
+        while opened < N || !clients.is_empty() || !served.is_empty() {
+            while opened < N && clients.len() < AT_ONCE {
+                let cs = w.client.socket();
+                w.client.connect(cs, to, w.now).unwrap();
+                clients.push(cs);
+                opened += 1;
+            }
+            w.run(1);
+            for (i, (stack, window)) in [(&w.client, &windows[0]), (&w.server, &windows[1])]
+                .into_iter()
+                .enumerate()
+            {
+                assert_eq!(
+                    window.active_flows(),
+                    entries(stack).1.max(1),
+                    "at {}",
+                    w.now
+                );
+                spares[i] = spares[i].max(stack.spare.len());
+            }
+            clients.retain(|&cs| {
+                let open = w.client.poll(cs).writable();
+                if open {
+                    w.client.send(cs, b"ping").unwrap();
+                    w.client.close(cs).unwrap();
+                }
+                !open
+            });
+            served.extend(std::iter::from_fn(|| {
+                w.server.accept(ls).ok().map(|(c, _)| c)
+            }));
+            served.retain(|&conn| loop {
+                match w.server.recv(conn, &mut buf) {
+                    Ok(0) => {
+                        w.server.close(conn).unwrap();
+                        break false;
+                    }
+                    Ok(_) => {}
+                    Err(_) => break true,
+                }
+            });
+        }
+        assert!(
+            spares.iter().all(|&n| n > 0),
+            "slots were recycled: {spares:?}"
+        );
+    }
+
+    /// Records expire from a FIFO kept in deadline order. One that parks
+    /// late, behind unread bytes, keeps the deadline its TIME-WAIT began
+    /// with and goes in ahead of records parked before it; one a reset
+    /// reaped leaves its entry behind, skipped when it surfaces. Each socket
+    /// goes on exactly the tick a TIME-WAIT connection would: the one its
+    /// reset queued, or the first at or past its deadline.
+    #[test]
+    fn records_expire_in_deadline_order_whenever_they_parked() {
+        let mut w = World::new();
+        let ls = listening_server(&mut w, 80);
+        let to = SockAddr::new(SERVER_IP, 80);
+        let socks: Vec<SocketId> = (0..3).map(|_| w.client.socket()).collect();
+        for &cs in &socks {
+            w.client.connect(cs, to, w.now).unwrap();
+        }
+        w.run(10);
+        // Ephemeral ports rise with the client's socket ids.
+        let mut accepted: Vec<_> = std::iter::from_fn(|| w.server.accept(ls).ok()).collect();
+        accepted.sort_unstable_by_key(|&(_, peer)| peer);
+        let conns: Vec<SocketId> = accepted.into_iter().map(|(c, _)| c).collect();
+        let [late, reset, plain] = socks[..] else {
+            unreachable!()
+        };
+
+        // `late` reaches TIME-WAIT first, owed a read: it stays a connection.
+        w.client.close(late).unwrap();
+        w.run(5);
+        w.server.send(conns[0], b"tail").unwrap();
+        w.server.close(conns[0]).unwrap();
+        w.run(5);
+        assert!(record(&w.client, late).is_none());
+        // The other two park as records, later in time.
+        w.run(20);
+        w.client.close(reset).unwrap();
+        w.client.close(plain).unwrap();
+        w.run(5);
+        w.server.close(conns[1]).unwrap();
+        w.server.close(conns[2]).unwrap();
+        w.run(5);
+        let later = record(&w.client, plain).unwrap().deadline;
+        assert_eq!(record(&w.client, reset).unwrap().deadline, later);
+        // `late` is read and parks with its earlier deadline, at the front.
+        assert_eq!(w.client.recv(late, &mut [0u8; 8]), Ok(4));
+        w.run(1);
+        let early = record(&w.client, late).unwrap().deadline;
+        assert!(early < later);
+        assert_eq!(w.client.expiry.front(), Some(&(early, late)));
+
+        // A reset ends `reset` on the tick it queued.
+        let tw = record(&w.client, reset).unwrap();
+        let rst = Segment::control(tw.remote, tw.local, crate::segment::SegmentFlags::rst());
+        w.client.deliver(reset, &rst, w.now);
+        w.run(1);
+        assert!(!w.client.sockets.contains_key(&reset));
+        // The others go on the first tick at or past their deadlines.
+        while w.client.socket_count() > 0 {
+            w.run(1);
+            let alive = |id| w.client.sockets.contains_key(&id);
+            assert_eq!(alive(late), w.now < early, "late at {}", w.now);
+            assert_eq!(alive(plain), w.now < later, "plain at {}", w.now);
+        }
+        assert!(w.client.expiry.is_empty() && w.client.timers.is_empty());
+    }
+
+    /// RFC 9293 §3.8.6.1: the receiver lets its window close, then reads
+    /// everything, and the ACK that reopens the window is lost. Nothing is
+    /// in flight, so no retransmission timer runs: without a persist timer
+    /// the sender waits forever. Its one-byte window probe draws the update
+    /// and the transfer completes; while it waits, it costs no poll.
+    #[test]
+    fn a_lost_window_update_is_recovered_by_a_window_probe() {
+        const WINDOW: usize = 4 * nk_types::constants::MSS;
+        let mut w = Wire::new();
+        w.stacks[1].cfg.recv_buf = WINDOW;
+        let (cs, conn) = w.open(80, 1)[0];
+        let data: Vec<u8> = (0..4 * WINDOW).map(|i| (i % 251) as u8).collect();
+        assert_eq!(w.stacks[0].send(cs, &data), Ok(data.len()));
+        w.run(5);
+        let mut got = Vec::new();
+        let mut buf = vec![0u8; WINDOW];
+        let mut read = |w: &mut Wire, got: &mut Vec<u8>| {
+            while let Ok(n) = w.stacks[1].recv(conn, &mut buf) {
+                if n == 0 {
+                    break;
+                }
+                got.extend_from_slice(&buf[..n]);
+            }
+        };
+        read(&mut w, &mut got);
+        assert_eq!(got.len(), WINDOW, "the window closed after one window");
+        // The ACK that reopens the window is lost.
+        w.mute = Some(1);
+        w.run(1);
+        w.mute = None;
+        let polled = w.stacks[0].stats().conns_polled;
+        w.run(50);
+        let stalled_polls = w.stacks[0].stats().conns_polled - polled;
+        for _ in 0..20_000 {
+            w.run(1);
+            read(&mut w, &mut got);
+            if got.len() == data.len() {
+                break;
+            }
+        }
+        assert!(
+            got == data,
+            "stalled at {} of {} bytes",
+            got.len(),
+            data.len()
+        );
+        assert!(
+            stalled_polls <= 1,
+            "{stalled_polls} polls while the window was shut"
+        );
     }
 
     /// A reset with data in flight used to leave the RTO armed: while unread
@@ -1885,7 +2140,7 @@ mod tests {
         let mut w = World::new();
         let ls = listening_server(&mut w, 80);
         let shared = crate::cc::SharedVmWindow::new();
-        let cc = Box::new(crate::cc::VmSharedCc::new(shared.clone()));
+        let cc = Cc::VmShared(crate::cc::VmSharedCc::new(shared.clone()));
         let to = SockAddr::new(SERVER_IP, 80);
         let cs = w.client.socket();
         w.client.connect_with_cc(cs, to, w.now, Some(cc)).unwrap();

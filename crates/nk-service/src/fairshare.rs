@@ -1,6 +1,6 @@
 //! Per-VM shared congestion windows for the fair-sharing NSM (use case 2).
 
-use nk_netstack::cc::{CongestionControl, SharedVmWindow, VmSharedCc};
+use nk_netstack::cc::{Cc, SharedVmWindow, VmSharedCc};
 use nk_types::VmId;
 use std::collections::BTreeMap;
 
@@ -28,8 +28,8 @@ impl VmWindowRegistry {
     }
 
     /// Build a congestion-control instance joining `vm`'s shared window.
-    pub fn cc_for(&mut self, vm: VmId) -> Box<dyn CongestionControl> {
-        Box::new(VmSharedCc::new(self.window(vm)))
+    pub fn cc_for(&mut self, vm: VmId) -> Cc {
+        Cc::VmShared(VmSharedCc::new(self.window(vm)))
     }
 
     /// Number of VMs with a registered window.
@@ -41,6 +41,7 @@ impl VmWindowRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nk_netstack::cc::CongestionControl;
     use nk_types::constants::MSS;
 
     #[test]

@@ -68,5 +68,9 @@ check "$(code crates/shims/serde-derive/src | grep -c 'proc_macro_derive')" -eq 
     "JSON goes one way: the derive shim derives Serialize alone"
 check "$(sed -s -n '/^\[dependencies\]/,/^\[/p' crates/nk-sim/Cargo.toml crates/nk-workload/Cargo.toml | grep -c '^serde')" -eq 0 \
     "JSON goes one way: nk-sim and nk-workload write nothing, so they do not depend on serde"
+check "$(code crates | grep -c 'dyn CongestionControl')" -eq 0 \
+    "a connection pays once: congestion control is held inline as one enum, never boxed per connection"
+check "$(code crates/nk-netstack/src/stack.rs | grep -c 'timers.insert(')" -eq 1 \
+    "a connection pays once: only a connection's poll arms the lazy timer set; records expire from the FIFO"
 
 exit "$fails"

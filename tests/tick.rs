@@ -6,7 +6,7 @@
 
 use netkernel::fabric::link::LinkConfig;
 use netkernel::fabric::switch::VirtualSwitch;
-use netkernel::netstack::cc::{SharedVmWindow, VmSharedCc};
+use netkernel::netstack::cc::{Cc, SharedVmWindow, VmSharedCc};
 use netkernel::netstack::{Segment, StackConfig, TcpStack};
 use netkernel::queue::{queue_set_pair, NkDevice, WakeState};
 use netkernel::service::{ServiceLib, TcpNsm};
@@ -139,9 +139,9 @@ fn parked_time_wait_sockets_cost_nothing_and_are_reaped_on_time() {
     }
     assert!(echoed > 50, "the stream ran: {echoed} echoes");
 
-    // No traffic, no poll, until the deadline — but for the lazy timers:
-    // each parked socket's one entry still stands where its SYN's RTO put
-    // it, fires once (all on one tick here), finds nothing due and moves.
+    // No traffic, no poll, until the deadline: the records wait in the
+    // expiry FIFO, and only the live connection may still be polled, once,
+    // by a lazy timer entry of its own.
     let _ = w.client.recv(live, &mut buf);
     w.run(3);
     let deadline = entered_at + TIME_WAIT_NS;
@@ -155,10 +155,14 @@ fn parked_time_wait_sockets_cost_nothing_and_are_reaped_on_time() {
     }
     let idle_to = w.client.stats().conns_polled;
     assert!(
-        ticks_with_polls <= 2,
+        ticks_with_polls <= 1,
         "{ticks_with_polls} idle ticks polled"
     );
-    assert!(idle_to - idle_from <= PARKED as u64 + 2);
+    assert!(
+        idle_to - idle_from <= 1,
+        "{} idle polls",
+        idle_to - idle_from
+    );
     w.step();
     assert!(w.now >= deadline && w.now - DT_NS < deadline);
     assert_eq!(
@@ -217,7 +221,7 @@ fn a_siblings_ack_unblocks_a_window_blocked_connection_the_same_tick() {
     let shared = SharedVmWindow::new();
     let open = |w: &mut World, ip: u32| {
         let cs = w.client.socket();
-        let cc = Box::new(VmSharedCc::new(shared.clone()));
+        let cc = Cc::VmShared(VmSharedCc::new(shared.clone()));
         w.client
             .connect_with_cc(cs, SockAddr::new(ip, 80), w.now, Some(cc))
             .unwrap();
