@@ -499,9 +499,14 @@ impl CoreEngine {
     /// would couple every VM's poll position to the whole host's VM census
     /// and make whole-engine and per-share-group polling diverge. Fairness
     /// under a full NSM queue comes from the per-VM stall queues alone.
+    ///
+    /// A guest speaks only for itself: every popped request is stamped with
+    /// the id of the VM port it came from before anything reads it, so the
+    /// connection table, the NSM's socket maps and its choice of hugepage
+    /// region never see a VM id the guest chose.
     fn forward_requests(&mut self, now_ns: u64) -> usize {
         let mut switched = 0;
-        for port in self.vms.values_mut() {
+        for (&vm, port) in self.vms.iter_mut() {
             let Some(nsm_id) = port.nsm else {
                 continue;
             };
@@ -528,7 +533,7 @@ impl CoreEngine {
                     {
                         break;
                     }
-                    port.stalled[qs].extend(self.scratch.drain(..));
+                    port.stalled[qs].extend(self.scratch.drain(..).map(|nqe| Nqe { vm, ..nqe }));
                 }
             }
         }

@@ -42,8 +42,9 @@ pub struct GuestLib {
     stats: GuestStats,
     /// One batch of responses `drive` works through (empty between calls).
     scratch: Vec<Nqe>,
-    /// The receive chunks one `recv` used up (empty between calls).
-    consumed: Vec<(DataHandle, usize)>,
+    /// The lengths of the receive chunks one `recv` used up (empty between
+    /// calls).
+    consumed: Vec<usize>,
     /// Receive credit a full job ring refused, per socket (with its queue
     /// set); the socket's next credit or `drive` sends it.
     owed_credit: BTreeMap<SocketId, (QueueSetId, usize)>,
@@ -124,10 +125,10 @@ impl GuestLib {
         let s = self.sockets.remove(&sock).expect("state checked above");
         let mut rx_bytes = Vec::new();
         for chunk in &s.rx_chunks {
-            self.region.with_chunk(chunk.handle, chunk.len, |bytes| {
-                rx_bytes.extend_from_slice(&bytes[chunk.consumed..])
-            })?;
-            let _ = self.region.free(chunk.handle);
+            self.region
+                .lend_and_free(chunk.handle, chunk.len, |bytes| {
+                    rx_bytes.extend_from_slice(&bytes[chunk.consumed..])
+                })?;
         }
         Ok(GuestSockSnapshot {
             id: s.id,
@@ -419,14 +420,14 @@ impl SocketApi for GuestLib {
 
     fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
         self.drive();
-        let region = self.region.clone();
         let mut consumed_chunks = std::mem::take(&mut self.consumed);
         // A chunk the region refuses to read stays at the head of the queue:
-        // bytes copied before it are still delivered (and their chunks freed
-        // and credited) by this call, and the next call reports the error.
+        // bytes copied before it are still delivered (and their chunks
+        // credited) by this call, and the next call reports the error.
         let mut failure = None;
         let (qs, copied, state) = {
-            let s = self.sock_mut(sock)?;
+            let region = &self.region;
+            let s = self.sockets.get_mut(&sock).ok_or(NkError::BadSocket)?;
             let mut copied = 0usize;
             while copied < buf.len() {
                 let Some(chunk) = s.rx_chunks.front_mut() else {
@@ -435,23 +436,29 @@ impl SocketApi for GuestLib {
                 let remaining = chunk.len - chunk.consumed;
                 let take = remaining.min(buf.len() - copied);
                 // The one copy of this hop: hugepage → the caller's buffer.
+                // A read that finishes the chunk frees it under the same
+                // lock hold.
                 let dst = &mut buf[copied..copied + take];
-                if let Err(e) = region.read_at(chunk.handle, chunk.consumed, dst) {
+                let read = if take == remaining {
+                    region.read_and_free(chunk.handle, chunk.consumed, dst)
+                } else {
+                    region.read_at(chunk.handle, chunk.consumed, dst)
+                };
+                if let Err(e) = read {
                     failure = Some(e);
                     break;
                 }
                 chunk.consumed += take;
                 copied += take;
                 if chunk.consumed == chunk.len {
-                    consumed_chunks.push((chunk.handle, chunk.len));
+                    consumed_chunks.push(chunk.len);
                     s.rx_chunks.pop_front();
                 }
             }
             (s.queue_set, copied, s.state)
         };
-        // Free fully consumed chunks and return receive credit to the NSM.
-        for (handle, len) in consumed_chunks.drain(..) {
-            let _ = region.free(handle);
+        // Return receive credit to the NSM for every finished chunk.
+        for len in consumed_chunks.drain(..) {
             self.return_credit(sock, qs, len);
         }
         self.consumed = consumed_chunks;
@@ -833,6 +840,35 @@ mod tests {
         }
         assert!(got == payload);
         assert_eq!(region.stats().chunks, 0);
+    }
+
+    /// A chunk read in three pieces stays live through the first two and is
+    /// freed by the third, which returns its credit; nothing frees it or
+    /// credits it again, even once its lines are handed out anew.
+    #[test]
+    fn a_chunk_read_in_three_pieces_is_freed_and_credited_once() {
+        let (mut guest, mut resp, region) = guest_with_responders(1);
+        let (s, qs) = connected(&mut guest, &mut resp);
+        let handle = region.alloc_and_write(b"one-two-three").unwrap();
+        respond(
+            &mut resp,
+            Nqe::new(OpType::DataReceived, VmId(1), qs, s).with_data(handle, 13),
+        );
+        let mut got = Vec::new();
+        for (piece, live) in [(4, 1), (4, 1), (5, 0)] {
+            let mut buf = [0u8; 5];
+            assert_eq!(guest.recv(s, &mut buf[..piece]), Ok(piece));
+            got.extend_from_slice(&buf[..piece]);
+            assert_eq!(region.stats().chunks, live, "after {got:?}");
+            assert_eq!(pop_request(&mut resp).is_some(), live == 0, "credit");
+        }
+        assert_eq!(got, b"one-two-three");
+        let reused = region.alloc_and_write(b"next").unwrap();
+        assert_eq!(reused, handle, "the freed lines are handed out again");
+        assert_eq!(guest.recv(s, &mut [0u8; 8]), Err(NkError::WouldBlock));
+        assert_eq!(region.stats().chunks, 1, "the reused chunk stays live");
+        assert!(pop_request(&mut resp).is_none(), "credited once");
+        assert_eq!(region.free(handle), Ok(()));
     }
 
     #[test]

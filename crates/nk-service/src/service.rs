@@ -329,11 +329,12 @@ impl ServiceLib {
         let region = self.front.regions.get(&nqe.vm).ok_or(NkError::NotFound)?;
         // The one copy §7.8 attributes NetKernel's throughput overhead to:
         // hugepage → stack send buffer, with the chunk lent to the stack in
-        // place. Only what the stack had no room for (or everything, when
-        // older payload is still queued ahead of it) is copied aside.
+        // place and freed under the same lock hold. Only what the stack had
+        // no room for (or everything, when older payload is still queued
+        // ahead of it) is copied aside.
         let len = nqe.size as usize;
         let queued_ahead = self.pending_send.get(&sock).is_some_and(|q| !q.is_empty());
-        let accepted = region.with_chunk(nqe.data, len, |chunk| {
+        let accepted = region.lend_and_free(nqe.data, len, |chunk| {
             let accepted = if queued_ahead {
                 0
             } else {
@@ -345,8 +346,6 @@ impl ServiceLib {
             }
             accepted
         })?;
-        // The lend just proved the handle live, so the free cannot fail.
-        let _ = region.free(nqe.data);
         self.front.stats.bytes_tx += len as u64;
         // Whatever the stack accepted is acknowledged back to the guest as
         // returned send-buffer credit.
@@ -492,8 +491,9 @@ impl ServiceLib {
                 break;
             }
             // Size the chunk from what the stack holds, allocate it, and
-            // only then let the stack fill it in place: nothing leaves
-            // `recv_buf` unless it has a hugepage chunk to land in.
+            // only then let the stack fill it in place, under one lock
+            // hold: nothing leaves `recv_buf` unless it has a hugepage
+            // chunk to land in, and a failed `recv` frees the chunk again.
             let want = credit.min(RX_CHUNK).min(stack.recv_available(sock));
             if want == 0 {
                 // EOF is announced via the PeerClosed event.
@@ -502,12 +502,8 @@ impl ServiceLib {
             let Some(region) = self.front.regions.get(&ctx.vm) else {
                 break;
             };
-            let Ok(handle) = region.alloc(want) else {
-                break;
-            };
-            let filled = region.with_chunk_mut(handle, want, |chunk| stack.recv(sock, chunk));
-            let Ok(Ok(n)) = filled else {
-                let _ = region.free(handle);
+            let filled = region.alloc_and_fill(want, |chunk| stack.recv(sock, chunk));
+            let Ok((handle, n)) = filled else {
                 break;
             };
             self.front.stats.bytes_rx += n as u64;

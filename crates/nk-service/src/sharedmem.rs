@@ -204,14 +204,9 @@ impl SharedMemNsm {
         let (Some(src_region), Some(dst_region)) = (src_region, dst_region) else {
             return Err(NkError::NotFound);
         };
-        // Copy hugepage → hugepage, bypassing any TCP processing.
-        let dst = dst_region.alloc(len)?;
-        if let Err(e) = src_region.copy_to(nqe.data, dst_region, dst, len) {
-            let _ = dst_region.free(dst);
-            return Err(e);
-        }
-        // The copy just proved the handle live, so the free cannot fail.
-        let _ = src_region.free(nqe.data);
+        // Move hugepage → hugepage, bypassing any TCP processing: one call
+        // allocates in the peer's region, copies and frees the source.
+        let dst = src_region.move_to(nqe.data, dst_region, len)?;
         self.stats.bytes_copied += len as u64;
         let data_ev = Nqe::new(OpType::DataReceived, peer.vm, peer.vm_qs, peer_key.1)
             .with_data(dst, len as u32);
@@ -416,5 +411,44 @@ mod tests {
         assert_eq!(comp.result(), OpResult::Err(NkError::ConnReset));
         assert_eq!(comp.size, 1000);
         assert_eq!(w.region2.available(), before);
+    }
+
+    /// A Send whose peer region is full is refused before anything moves:
+    /// the peer's region is untouched and sees no data, and the error reply
+    /// frees the source chunk and returns its credit.
+    #[test]
+    fn a_send_into_a_full_peer_region_frees_only_the_source() {
+        let mut w = World::new();
+        setup_listener(&mut w);
+        w.vm2_end.submit(req(2, OpType::SocketCreate, 1)).unwrap();
+        w.vm2_end
+            .submit(req(2, OpType::Connect, 1).with_op_data(SockAddr::new(0, 8080).pack()))
+            .unwrap();
+        w.nsm.tick(0);
+        let _ = w.responses(2);
+        let _ = w.responses(1);
+
+        let filler = w
+            .region1
+            .alloc_and_write(&vec![0u8; w.region1.available()])
+            .unwrap();
+        let full = w.region1.stats();
+        let before = w.region2.available();
+        let handle = w.region2.alloc_and_write(&[7u8; 1000]).unwrap();
+        w.vm2_end
+            .submit(req(2, OpType::Send, 1).with_data(handle, 1000))
+            .unwrap();
+        w.nsm.tick(0);
+        let vm2 = w.responses(2);
+        let comp = vm2.iter().find(|n| n.op == OpType::SendComplete).unwrap();
+        assert_eq!(comp.result(), OpResult::Err(NkError::OutOfHugepages));
+        assert_eq!(comp.size, 1000);
+        assert_eq!(w.region2.available(), before, "the source is freed");
+        assert!(w.responses(1).is_empty(), "the peer sees no data");
+        let stats = w.region1.stats();
+        assert_eq!(stats.failed_allocs, full.failed_allocs + 1);
+        assert_eq!((stats.chunks, stats.used), (full.chunks, full.used));
+        assert_eq!(w.nsm.stats().bytes_copied, 0);
+        w.region1.free(filler).unwrap();
     }
 }

@@ -7,11 +7,11 @@
 //! versa for received data). This crate provides:
 //!
 //! * [`region::HugepageRegion`] — the shared region (2 MB pages, paper §5)
-//!   with a first-fit chunk allocator and accessors keyed by
-//!   [`nk_types::DataHandle`] that copy in or out, or lend a live chunk to
-//!   the caller in place so each hop moves its payload once. The allocator
-//!   and the bytes sit behind one lock, so each access takes it once
-//!   (allocate + copy in, check + copy out, or a lend);
+//!   with a first-fit chunk allocator over two line bitmaps and accessors
+//!   keyed by [`nk_types::DataHandle`] that copy in or out, or lend a
+//!   chunk to the caller in place so each hop moves its payload once. The
+//!   allocator and the bytes sit behind one lock, and each hop takes it
+//!   once (allocate + copy in or fill, lend + free, copy out + free);
 //! * [`budget::BufferBudget`] — the per-socket send/receive buffer accounting
 //!   GuestLib and ServiceLib maintain on top of the region (§4.5).
 

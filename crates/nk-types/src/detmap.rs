@@ -19,8 +19,12 @@
 //! sanctioned use of the hash map clippy otherwise bans.
 //!
 //! Choosing: *is the table ever walked in key order on a live path?* If so
-//! it stays a `BTreeMap` (timers, epoll interest, free extents, every
-//! host/cluster/control map). If it is only looked up, it is a `DetMap`.
+//! it stays a `BTreeMap` (timers, epoll interest, every host/cluster/control
+//! map). If it is only looked up, it is a `DetMap` (the stack's sockets,
+//! demultiplexer and listeners, ServiceLib's `fwd` and `ctx`, CoreEngine's
+//! `ConnTable`). A table that is neither can be no table at all: the
+//! hugepage allocator's chunks are two line bitmaps, not a map of live
+//! chunks beside a tree of free extents.
 //!
 //! # What the fixed hasher does and does not promise
 //!

@@ -59,6 +59,12 @@ check "$(code $not_nk_queue | grep -cE "$inspects_respond")" -eq 0 \
     "one rule for a full NQE ring: respond never refuses, so no caller outside nk-queue inspects its result"
 check "$(code crates/nk-shmem/src/region.rs | grep -c 'Mutex<')" -eq 1 \
     "one lock per hugepage access: the allocator and the bytes sit behind one Mutex"
+check "$(code crates/nk-shmem/src/region.rs | grep -cE 'BTreeMap|DetMap')" -eq 0 \
+    "one lock hold and no search per hugepage hop: the allocator is the two line bitmaps, no extent tree or chunk map"
+check "$(code crates/nk-guest/src | grep -c 'region.clone()')" -eq 0 \
+    "one lock hold and no search per hugepage hop: GuestLib borrows its region, it never clones the handle per call"
+check "$(code crates/nk-service/src/service.rs | grep -c '\.free(')" -eq 0 \
+    "one lock hold and no search per hugepage hop: a Send's lend frees its chunk and a failed fill frees its own; only the front end's failed-Send reply frees"
 check "$(code crates/nk-queue/src/spsc.rs | grep -cw 'unsafe')" -eq 4 \
     "four unsafe sites in the SPSC ring, the interleaving checker's scope (ROADMAP item 3)"
 # shellcheck disable=SC2046 # one directory per word

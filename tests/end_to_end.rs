@@ -227,3 +227,79 @@ fn shared_nsm_isolation_of_errors() {
         "VM2's connection must be unaffected"
     );
 }
+
+/// A guest speaks only for itself. VM 1 and VM 2 share one NSM; VM 2's ring
+/// submits a `SocketCreate`, and a `Send` naming a chunk that is live in VM
+/// 1's hugepages, both claiming `vm = VmId(1)`. CoreEngine stamps each
+/// request with the port it came from, so both are answered on VM 2's own
+/// ring, VM 1's ring and region stay untouched, and nothing is pinned for
+/// VM 1.
+#[test]
+fn a_forged_vm_id_is_answered_as_the_sender() {
+    use netkernel::engine::CoreEngine;
+    use netkernel::fabric::VirtualSwitch;
+    use netkernel::netstack::{StackConfig, TcpStack};
+    use netkernel::queue::{queue_set_pair, NkDevice, WakeState};
+    use netkernel::service::{Nsm, ServiceLib, TcpNsm};
+    use netkernel::shmem::HugepageRegion;
+    use netkernel::sim::Pollable;
+    use netkernel::types::{IsolationPolicy, Nqe, OpType, QueueSetId, SocketId};
+
+    const NSM_IP: u32 = 0x0A00_0010;
+    let mut switch = VirtualSwitch::<Segment>::new();
+    let (engine_end, nsm_end) = queue_set_pair(64);
+    let device = NkDevice::new(vec![nsm_end], WakeState::new());
+    let stack = TcpStack::new(StackConfig::new(NSM_IP), switch.attach(NSM_IP));
+    let service = ServiceLib::new(NsmId(1), device, 8);
+    let mut nsm = Nsm::Tcp(Box::new(TcpNsm::new(StackKind::Kernel, service, stack)));
+    let mut engine = CoreEngine::new(IsolationPolicy::RoundRobin, 8);
+    engine.register_nsm(NsmId(1), vec![engine_end]).unwrap();
+    let mut rings = Vec::new();
+    let mut regions = Vec::new();
+    for vm in [VmId(1), VmId(2)] {
+        let (guest_end, vm_end) = queue_set_pair(64);
+        let region = HugepageRegion::with_capacity(1 << 20);
+        let wake = WakeState::new();
+        engine
+            .register_vm(vm, vec![vm_end], wake, 0, None, Some(region.clone()), 0)
+            .unwrap();
+        engine.map_vm(vm, NsmId(1)).unwrap();
+        nsm.add_vm(vm, region.clone());
+        rings.push(guest_end);
+        regions.push(region);
+    }
+    let victim = regions[0].alloc_and_write(b"tenant one's bytes").unwrap();
+    let before = regions[0].stats();
+
+    let forged = |op| Nqe::new(op, VmId(1), QueueSetId(0), SocketId(5));
+    rings[1].submit(forged(OpType::SocketCreate)).unwrap();
+    rings[1]
+        .submit(forged(OpType::Send).with_data(victim, 18))
+        .unwrap();
+    for step in 1..=4 {
+        let now = step * 100_000;
+        engine.poll(now);
+        nsm.poll(now);
+        engine.poll(now);
+    }
+
+    let mut answers = Vec::new();
+    rings[1].pop_responses(&mut answers, 16);
+    let answers: Vec<_> = answers.iter().map(|n| (n.op, n.vm, n.socket)).collect();
+    assert_eq!(
+        answers,
+        [
+            (OpType::SocketCreated, VmId(2), SocketId(5)),
+            (OpType::SendComplete, VmId(2), SocketId(5)),
+        ],
+        "both answers come back on the sender's own ring"
+    );
+    let mut leaked = Vec::new();
+    assert_eq!(rings[0].pop_responses(&mut leaked, 16), 0, "{leaked:?}");
+    assert_eq!(regions[0].stats(), before, "VM 1's hugepages were touched");
+    let mut out = [0u8; 18];
+    regions[0].read(victim, &mut out).unwrap();
+    assert_eq!(&out, b"tenant one's bytes");
+    assert_eq!(engine.pinned_connections(VmId(1), NsmId(1)), 0);
+    assert_eq!(engine.pinned_connections(VmId(2), NsmId(1)), 1);
+}
