@@ -15,16 +15,11 @@
 
 #![forbid(unsafe_code)]
 
-use nk_cluster::Cluster;
 use nk_host::{PerfModel, TrafficDirection};
 use nk_sim::TokenBucket;
-use nk_types::addr::host_prefix;
-use nk_types::{
-    ClusterConfig, HostConfig, HostId, NsmConfig, NsmId, SockAddr, SocketApi, SocketId, StackKind,
-    VmConfig, VmId, VmToNsmPolicy,
-};
+use nk_types::{ClusterConfig, HostId, NsmId, StackKind, VmId};
 use nk_workload::rows::{self, kernel_host};
-use nk_workload::{echo_all, AgTrace, AgTraceConfig, BurstyClient, Scenario, ScenarioConfig};
+use nk_workload::{AgTrace, AgTraceConfig, BurstyClient, Scenario, ScenarioConfig};
 
 /// Every experiment in run order, under the CLI names that select it.
 type Experiment = (&'static [&'static str], fn(&PerfModel));
@@ -50,7 +45,6 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["clu01"], |_| clu01_cluster_migration()),
     (&["wm01"], |_| wm01_warm_vs_drained()),
     (&["ev01"], |_| ev01_evacuation()),
-    (&["par01"], |_| par01_parallel_datapath()),
 ];
 
 fn main() {
@@ -899,201 +893,4 @@ fn ev01_evacuation() {
             total as f64 / 1e6
         );
     }
-}
-
-/// What one par01 run reports. Everything is deterministic: the executor's
-/// modeled schedule and the simulation's own counts (wall-clock rates of a
-/// similar shape are nkbench's `xhost_t1`/`xhost_t2`).
-struct ParRun {
-    modeled_speedup: f64,
-    hub_share: f64,
-    barrier_frames: u64,
-    threads_used: usize,
-    stats: nk_cluster::ClusterStats,
-    digest: u64,
-    guest_bytes: u64,
-}
-
-impl ParRun {
-    /// The determinism contract: the thread count changes nothing
-    /// observable.
-    fn assert_same_outcome(&self, reference: &ParRun, what: &str) {
-        assert_eq!(self.stats, reference.stats, "{what}: stats");
-        assert_eq!(self.digest, reference.digest, "{what}: digest");
-        assert_eq!(self.guest_bytes, reference.guest_bytes, "{what}: bytes");
-    }
-}
-
-const PAR_DT_NS: u64 = 100_000;
-const PAR_CHUNK: usize = 4096;
-
-/// The par01 topology: `hosts` hosts of one kernel NSM each, VM `h` on
-/// host `h`.
-fn par_cluster(hosts: u8, threads: usize) -> Cluster {
-    let mut cfg = ClusterConfig::new()
-        .with_uplink_latency_us(2)
-        .with_threads(threads);
-    for h in 1..=hosts {
-        let (vm, nsm) = (VmId(h), NsmId(1));
-        let host = HostConfig::new()
-            .with_host_id(HostId(h))
-            .with_nsm(NsmConfig::kernel(nsm))
-            .with_vm(VmConfig::new(vm));
-        cfg = cfg.with_host(host.with_mapping(VmToNsmPolicy::Static(vec![(vm, nsm)])));
-    }
-    Cluster::new(cfg).expect("valid par cluster")
-}
-
-/// Drive a par run for 60 steps after the handshakes: every client
-/// `(host, vm, socket, bytes)` offers `bytes` of a chunk whenever its
-/// socket is writable and counts what comes back; server `i` listens on
-/// `listeners[i]` of the socket API `server_at(cluster, i)` — a host's
-/// remote, the ToR remote or a guest — and echoes through the shared
-/// [`echo_all`].
-fn par_drive(
-    mut cluster: Cluster,
-    clients: &[(HostId, VmId, SocketId, usize)],
-    listeners: &[SocketId],
-    server_at: impl for<'c> Fn(&'c mut Cluster, usize) -> &'c mut dyn SocketApi,
-) -> ParRun {
-    cluster.run(5, PAR_DT_NS); // handshakes
-    let chunk = [0x5Au8; PAR_CHUNK];
-    let mut buf = [0u8; PAR_CHUNK];
-    let mut guest_bytes = 0u64;
-    let mut conns: Vec<Vec<SocketId>> = vec![Vec::new(); listeners.len()];
-    for _ in 0..60 {
-        for &(h, vm, s, len) in clients {
-            let guest = cluster.guest_on(h, vm).unwrap();
-            if guest.poll(s).writable() {
-                let _ = guest.send(s, &chunk[..len]);
-            }
-            while let Ok(n @ 1..) = guest.recv(s, &mut buf) {
-                guest_bytes += n as u64;
-            }
-        }
-        for (i, (listener, conns)) in listeners.iter().zip(&mut conns).enumerate() {
-            echo_all(server_at(&mut cluster, i), *listener, conns, &mut buf);
-        }
-        cluster.step(PAR_DT_NS);
-    }
-    let exec = cluster.exec_stats();
-    ParRun {
-        modeled_speedup: exec.modeled_speedup(),
-        hub_share: exec.hub_work as f64 / exec.serial_work.max(1) as f64,
-        barrier_frames: exec.barrier_frames,
-        threads_used: exec.threads,
-        stats: cluster.stats(),
-        digest: cluster.event_digest(),
-        guest_bytes,
-    }
-}
-
-/// par01: the sharded cluster datapath — modeled speedup vs worker threads
-/// at 2, 8 and 16 hosts.
-///
-/// Every host runs a tenant streaming 4 KiB chunks to a host-local echo
-/// server (datapath work that lives inside one shard), and the edge hosts
-/// additionally stream to a ToR-attached server (cross-shard traffic over
-/// the uplink trunks). The speedup is `serial_work / critical_work` from
-/// the executor (per round: the largest shard plus the serial hub): the
-/// schedule's speedup, independent of how many cores this machine has.
-///
-/// The run also asserts the determinism contract: cluster stats, guest
-/// byte counts and the event digest are identical for every thread count.
-fn par01_parallel_datapath() {
-    const ECHO_PORT: u16 = 7;
-    const TOR_IP: u32 = 0xC0A8_0001; // 192.168.0.1, outside every host block
-    const TOR_PORT: u16 = 9;
-
-    let run = |hosts: u8, threads: usize| -> ParRun {
-        let mut cluster = par_cluster(hosts, threads);
-
-        // The ToR server the edge hosts stream to (cross-shard traffic).
-        let tor = cluster.add_remote(TOR_IP);
-        let tor_ls = tor.socket();
-        tor.bind(tor_ls, SockAddr::new(0, TOR_PORT)).unwrap();
-        tor.listen(tor_ls, 64).unwrap();
-
-        // Per host: a local echo server plus one tenant connection to it.
-        let local_ip = |h: u8| host_prefix(HostId(h)) | 0xFF;
-        let mut clients = Vec::new();
-        let mut listeners = Vec::new();
-        for h in 1..=hosts {
-            let echo = cluster.host_mut(HostId(h)).unwrap().add_remote(local_ip(h));
-            let ls = echo.socket();
-            echo.bind(ls, SockAddr::new(0, ECHO_PORT)).unwrap();
-            echo.listen(ls, 16).unwrap();
-            listeners.push(ls);
-            let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
-            let s = guest.socket().unwrap();
-            guest
-                .connect(s, SockAddr::new(local_ip(h), ECHO_PORT))
-                .unwrap();
-            clients.push((HostId(h), VmId(h), s, PAR_CHUNK));
-        }
-        // The edge tenants (first and last host) also talk across the ToR.
-        listeners.push(tor_ls);
-        for h in [1, hosts] {
-            let guest = cluster.guest_on(HostId(h), VmId(h)).unwrap();
-            let s = guest.socket().unwrap();
-            guest.connect(s, SockAddr::new(TOR_IP, TOR_PORT)).unwrap();
-            clients.push((HostId(h), VmId(h), s, 256));
-        }
-        // Server i < hosts is host i+1's local remote; the last is the ToR's.
-        par_drive(cluster, &clients, &listeners, |cluster, i| {
-            if i < usize::from(hosts) {
-                let h = i as u8 + 1;
-                let host = cluster.host_mut(HostId(h)).unwrap();
-                host.remote_mut(local_ip(h)).unwrap()
-            } else {
-                cluster.remote_mut(TOR_IP).unwrap()
-            }
-        })
-    };
-
-    let mut rows = Vec::new();
-    let mut speedup_h16_t4 = 0.0;
-    for &hosts in &[2u8, 8, 16] {
-        let base = run(hosts, 1);
-        assert!(base.guest_bytes > 0, "h{hosts}: the workload must flow");
-        for &threads in &[1usize, 2, 4, 8] {
-            let parallel;
-            let out = if threads == 1 {
-                &base
-            } else {
-                parallel = run(hosts, threads);
-                &parallel
-            };
-            out.assert_same_outcome(&base, &format!("h{hosts} t{threads}"));
-            if hosts == 16 && threads == 4 {
-                speedup_h16_t4 = out.modeled_speedup;
-            }
-            rows.push(vec![
-                hosts.to_string(),
-                format!("{threads} ({})", out.threads_used),
-                f(out.modeled_speedup, 2),
-                format!("{:.0}%", 100.0 * out.hub_share),
-                out.barrier_frames.to_string(),
-            ]);
-        }
-    }
-    print_table(
-        "par01: sharded datapath — modeled schedule speedup vs worker threads",
-        &[
-            "hosts",
-            "threads (used)",
-            "speedup",
-            "hub share",
-            "barrier frames",
-        ],
-        &rows,
-    );
-    println!(
-        "16 hosts @ 4 threads: modeled speedup {speedup_h16_t4:.2}x over the serial walk \
-         (per-round critical path = max shard + hub)"
-    );
-    assert!(
-        speedup_h16_t4 >= 2.0,
-        "acceptance: 16-host workload must model >= 2x at 4 threads, got {speedup_h16_t4:.2}"
-    );
 }

@@ -41,13 +41,12 @@
 //! the executor's business: [`crate::Cluster`] runs them serially on whole
 //! hosts in `HostId` order around the poll phase, in every mode.
 //!
-//! The executor also keeps the model numbers the `par01` experiment
-//! reports: `serial_work` (what one thread executes) next to
-//! `critical_work` (per round the maximum shard plus the hub — the
-//! schedule's critical path). Their ratio is the thread-count-independent
-//! speedup of the sharding itself, which matters because CI runners and
-//! the development container often pin the process to a single core where
-//! wall clock cannot show it.
+//! The executor also keeps work counters: `serial_work` (what one thread
+//! executes) next to `critical_work` (per round the maximum shard plus the
+//! hub — the schedule's critical path) and `hub_work`. Only nkbench reads
+//! them (its `cluster.modeled_speedup` and `cluster.hub_share`); the
+//! measured `xhost_t2` / `xhost_t1` rate ratio is the parallel number that
+//! counts (ROADMAP item 7 deletes the counters).
 
 use nk_sim::Pollable;
 use std::any::Any;

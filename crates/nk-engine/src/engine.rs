@@ -635,9 +635,11 @@ impl CoreEngine {
                         continue;
                     };
                     let key = ConnKey::vm(nqe.vm, nqe.queue_set, nqe.socket);
-                    // Completion NQEs record the NSM socket id when they
-                    // carry one (Figure 6, step 4).
-                    if nqe.aux() != 0 {
+                    // A socket's creation completion names its NSM-side
+                    // socket (Figure 6, step 4). Other completions use
+                    // `aux` for other things: an `Accepted` carries the new
+                    // connection's guest id on the listener's tuple.
+                    if nqe.op == OpType::SocketCreated && nqe.aux() != 0 {
                         self.table.complete(&key, nk_types::SocketId(nqe.aux()));
                     }
                     // A completed close ends the tuple's life: unpin it so
@@ -668,6 +670,8 @@ impl nk_sim::Pollable for CoreEngine {
 mod tests {
     use super::*;
     use nk_queue::queue_set_pair;
+    use nk_types::constants::NSM_SOCKET_ID_BASE;
+    use nk_types::ops::op_data;
     use nk_types::{OpResult, OpType, SocketId};
 
     /// Wire one VM and one NSM through a CoreEngine; returns the guest-side
@@ -726,6 +730,29 @@ mod tests {
         assert!(ce.stats().nqes_switched >= 2);
         assert_eq!(ce.vm_stats(VmId(1)).unwrap().nqes_forwarded, 1);
         assert_eq!(ce.vm_stats(VmId(1)).unwrap().nqes_delivered, 1);
+    }
+
+    /// Only `SocketCreated` names the NSM-side socket: an `Accepted` on a
+    /// listener's tuple carries the new connection's guest id in `aux`, and
+    /// must not overwrite the listener's record.
+    #[test]
+    fn an_accepted_event_keeps_the_listeners_nsm_socket() {
+        let (mut guest, mut nsm, mut ce) = setup(IsolationPolicy::RoundRobin, None);
+        guest.submit(request(OpType::SocketCreate, 7)).unwrap();
+        ce.poll(0);
+        let mut reqs = Vec::new();
+        assert_eq!(nsm.pop_requests(&mut reqs, 8), 1);
+        let created = Nqe::completion_for(&reqs[0], OpResult::Ok, 42).unwrap();
+        nsm.respond(created).unwrap();
+        let guest_id = NSM_SOCKET_ID_BASE | 1;
+        let accepted = Nqe::new(OpType::Accepted, VmId(1), QueueSetId(0), SocketId(7))
+            .with_op_data(op_data::pack(OpResult::Ok, guest_id));
+        nsm.respond(accepted).unwrap();
+        ce.poll(0);
+        assert_eq!(responses(&mut guest).len(), 2);
+        let entries = ce.vm_entries(VmId(1));
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].1.nsm_socket, Some(SocketId(42)));
     }
 
     #[test]
@@ -1081,7 +1108,7 @@ mod tests {
     fn extract_and_install_transplant_table_entries() {
         let (mut guest, mut nsm, mut ce) = setup(IsolationPolicy::RoundRobin, None);
         for sock in [4u32, 7] {
-            guest.submit(request(OpType::Connect, sock)).unwrap();
+            guest.submit(request(OpType::SocketCreate, sock)).unwrap();
         }
         ce.poll(0);
         let mut reqs = Vec::new();

@@ -1,18 +1,18 @@
 //! Per-epoch request-completion latency, sampled from metric deltas.
 //!
 //! The datapath does not stamp individual NQEs (the paper's queue elements
-//! are 48-byte descriptors; growing them for telemetry would change the
-//! thing being measured). Instead each host's [`HostFeed`] derives latency
-//! from the engine's per-VM switch counters at every step close: newly
-//! *forwarded* request NQEs enqueue the current virtual time, newly
-//! *delivered* completion NQEs dequeue the oldest stamp and record
-//! `now - stamp`. FIFO matching over counter deltas is an approximation —
-//! unsolicited deliveries (receive pushes) consume stamps too — but it is
-//! cheap, needs no datapath surgery, and is exactly as deterministic as
-//! the counters it reads: requests answered within the step record 0, a
-//! handshake crossing the wire records whole step multiples, and a VM
-//! starved behind a frozen or overloaded NSM records the stall the
-//! operator actually cares about.
+//! are 32-byte descriptors, 5 bytes of them reserved; growing them for
+//! telemetry would change the thing being measured). Instead each host's
+//! [`HostFeed`] derives latency from the engine's per-VM switch counters at
+//! every step close: newly *forwarded* request NQEs enqueue the current
+//! virtual time, newly *delivered* completion NQEs dequeue the oldest stamp
+//! and record `now - stamp`. FIFO matching over counter deltas is an
+//! approximation — unsolicited deliveries (receive pushes) consume stamps
+//! too — but it is cheap, needs no datapath surgery, and is exactly as
+//! deterministic as the counters it reads: requests answered within the
+//! step record 0, a handshake crossing the wire records whole step
+//! multiples, and a VM starved behind a frozen or overloaded NSM records
+//! the stall the operator actually cares about.
 //!
 //! At each recorder epoch boundary the cluster drains every host's
 //! histogram in `HostId` order at the round barrier and seals an

@@ -66,7 +66,9 @@ struct ConnCtx {
 /// (paper §4.2, §4.5): the TCP flavour of the NQE front end.
 pub struct ServiceLib {
     pub(crate) front: Frontend,
-    /// guest tuple → stack socket; looked up once per request NQE.
+    /// guest tuple → stack socket; looked up once per request NQE. It stays
+    /// because a guest pipelines bind, listen and connect behind its
+    /// `SocketCreate`, so the stack socket is not known when they leave it.
     fwd: DetMap<(VmId, SocketId), SocketId>,
     /// stack socket → guest context; looked up once per stack event.
     ctx: DetMap<SocketId, ConnCtx>,

@@ -51,8 +51,10 @@ pub enum OpType {
     BindComplete = 21,
     /// Completion of [`OpType::Listen`].
     ListenComplete = 22,
-    /// A new connection was accepted; `op_data` carries the NSM-side socket id
-    /// of the accepted connection and `data` carries the packed peer address.
+    /// A new connection was accepted, on the listener's tuple; `op_data`
+    /// carries the guest socket id the NSM allocated for the new connection
+    /// (at or above `NSM_SOCKET_ID_BASE`) and `data` the packed peer
+    /// address.
     Accepted = 23,
     /// Completion of [`OpType::Connect`].
     ConnectComplete = 24,

@@ -79,6 +79,21 @@ fn faulted_cluster() -> ScenarioConfig {
     cfg
 }
 
+/// A wide fabric: hosts `1..=hosts`, each with one kernel NSM and VM `h`,
+/// every VM streaming to the default ToR server, so every byte crosses a
+/// trunk and the hub.
+fn wide_fabric(hosts: u8) -> ScenarioConfig {
+    let mut cluster = ClusterConfig::new().with_uplink_latency_us(2);
+    for h in 1..=hosts {
+        cluster = cluster.with_host(host(h, &[h]));
+    }
+    let mut cfg = ScenarioConfig::new(cluster);
+    for vm in 1..=hosts {
+        cfg = cfg.with_tenant(BurstyClient::new(VmId(vm), 0));
+    }
+    cfg
+}
+
 /// Everything observable from the evacuation run, for whole-value
 /// comparison: the event digest, the stats, the full plan event log, every
 /// host's control log, the final placement and every echoed byte stream.
@@ -228,6 +243,27 @@ fn single_host_rows_are_identical_in_every_mode() {
     assert!(failover.completed && failover.reconnects >= 1);
     let ramp = assert_mode_invariant(&rows::control_ramp());
     assert!(ramp.completed && !ramp.hosts[&HostId(0)].control.is_empty());
+}
+
+/// Up to 16 hosts and 8 threads — wider than any other row — with every
+/// byte crossing the hub: the whole report is identical at every thread
+/// count.
+#[test]
+fn wide_fabric_is_identical_in_every_mode() {
+    for hosts in [2, 8, 16] {
+        let reference = assert_mode_invariant(&wide_fabric(hosts));
+        assert!(reference.completed, "h{hosts}: {reference:?}");
+        assert!(
+            reference.bytes_verified > 0,
+            "h{hosts}: the workload must flow"
+        );
+        if hosts == 16 {
+            let mut cfg = wide_fabric(hosts);
+            cfg.cluster = cfg.cluster.with_threads(8);
+            let report = Scenario::new(cfg).run().expect("wide row runs");
+            assert_eq!(report, reference, "h16 threads=8 diverged");
+        }
+    }
 }
 
 #[test]

@@ -78,5 +78,9 @@ check "$(code crates | grep -c 'dyn CongestionControl')" -eq 0 \
     "a connection pays once: congestion control is held inline as one enum, never boxed per connection"
 check "$(code crates/nk-netstack/src/stack.rs | grep -c 'timers.insert(')" -eq 1 \
     "a connection pays once: only a connection's poll arms the lazy timer set; records expire from the FIFO"
+check "$(code crates/bench/src | grep -cE 'nk_cluster|Cluster::new')" -eq 0 \
+    "one traffic driver: experiments runs every system run through Scenario"
+check "$(sed -n '/^\[dependencies\]/,/^\[/p' crates/bench/Cargo.toml | grep -c 'nk-cluster')" -eq 0 \
+    "one traffic driver: experiments runs every system run through Scenario, so nk-bench does not depend on nk-cluster"
 
 exit "$fails"
