@@ -2,9 +2,10 @@
 //!
 //! Implements the subset of TCP the evaluation exercises: three-way
 //! handshake, cumulative-ACK sliding-window data transfer, receiver flow
-//! control, retransmission (RTO with exponential backoff and fast retransmit
-//! on three duplicate ACKs), out-of-order reassembly, ECN echo, and orderly
-//! FIN / abortive RST teardown. Congestion control is delegated to a
+//! control with silly-window avoidance, a persist timer, retransmission
+//! (RTO with exponential backoff and fast retransmit on three duplicate
+//! ACKs), out-of-order reassembly, ECN echo, and orderly FIN / abortive RST
+//! teardown. Congestion control is delegated to a
 //! [`CongestionControl`] implementation chosen per NSM.
 
 use crate::cc::{Cc, CcAlgorithm, CongestionControl};
@@ -101,7 +102,12 @@ pub struct TcpConnection {
     peer_fin_seq: Option<u32>,
     /// The peer's FIN has been consumed (rcv_nxt advanced past it).
     peer_fin_received: bool,
-    /// An ACK should be emitted.
+    /// The right edge of the receive window last advertised: every segment
+    /// `poll_transmit` emits carries `rcv_nxt + recv_window()`. The peer may
+    /// send up to here, so `rcv_adv − rcv_nxt` is the window it sees.
+    rcv_adv: u32,
+    /// An ACK should be emitted: data, a FIN or a SYN arrived, or the window
+    /// opened past what the peer sees ([`TcpConnection::window_update_owed`]).
     ack_pending: bool,
     /// Immediate duplicate ACKs owed for out-of-order arrivals (one per
     /// out-of-order segment, so the sender's fast-retransmit logic sees them).
@@ -180,6 +186,7 @@ impl TcpConnection {
             ooo: BTreeMap::new(),
             peer_fin_seq: None,
             peer_fin_received: false,
+            rcv_adv: 0,
             ack_pending: false,
             dup_ack_burst: 0,
             ece_pending: false,
@@ -300,9 +307,11 @@ impl TcpConnection {
         self.send_buf_cap = cap.max(MSS);
     }
 
-    /// Resize the receive buffer (SO_RCVBUF).
+    /// Resize the receive buffer (SO_RCVBUF). A buffer grown far enough
+    /// past what the peer sees owes it a window update, as a read does.
     pub fn set_recv_buf_cap(&mut self, cap: usize) {
         self.recv_buf_cap = cap.max(MSS);
+        self.ack_pending |= self.window_update_owed();
     }
 
     // ---- Application interface -------------------------------------------
@@ -322,12 +331,14 @@ impl TcpConnection {
 
     /// Read up to `buf.len()` bytes of in-order data. Returns 0 when no data
     /// is available (check [`TcpConnection::peer_closed`] to distinguish EOF).
+    /// A read owes the peer a pure window update only once it opens the
+    /// window by min(half the buffer, one MSS) past the edge last
+    /// advertised (RFC 9293 §3.8.6.2.2, receiver silly-window avoidance).
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
         let n = self.recv_buf.read(buf);
         if n > 0 {
             self.stats.bytes_received += n as u64;
-            // Window update for the peer.
-            self.ack_pending = true;
+            self.ack_pending |= self.window_update_owed();
         }
         n
     }
@@ -661,12 +672,38 @@ impl TcpConnection {
         self.recv_buf_cap.saturating_sub(self.recv_buf.len())
     }
 
+    /// Receiver silly-window avoidance (RFC 9293 §3.8.6.2.2, a MUST): a pure
+    /// window update is owed once the window this side can offer exceeds
+    /// the one the peer sees (`rcv_adv − rcv_nxt`, 0 once `rcv_nxt` has
+    /// passed the edge) by at least min(half the buffer, one MSS). A smaller
+    /// opening rides on the next segment out; if the window was shut, the
+    /// peer's persist probe draws it.
+    fn window_update_owed(&self) -> bool {
+        let seen = if seq_gt(self.rcv_adv, self.rcv_nxt) {
+            self.rcv_adv.wrapping_sub(self.rcv_nxt) as usize
+        } else {
+            0
+        };
+        self.recv_window().saturating_sub(seen) >= (self.recv_buf_cap / 2).min(MSS)
+    }
+
     // ---- Output ------------------------------------------------------------
 
     /// Run timers and append the segments that should be transmitted now to
     /// `out` (the caller's buffer, so a stack ticking many connections
     /// reuses one allocation).
     pub fn poll_transmit(&mut self, now_ns: u64, out: &mut Vec<Segment>) {
+        let before = out.len();
+        self.emit(now_ns, out);
+        if out.len() > before {
+            // Each segment advertised the same window: neither `rcv_nxt` nor
+            // the buffer moves while a poll emits.
+            self.rcv_adv = self.rcv_nxt.wrapping_add(self.recv_window() as u32);
+        }
+    }
+
+    /// The body of [`TcpConnection::poll_transmit`].
+    fn emit(&mut self, now_ns: u64, out: &mut Vec<Segment>) {
         if self.rst_pending {
             self.rst_pending = false;
             let mut rst = Segment::control(self.local, self.remote, SegmentFlags::rst());
@@ -972,6 +1009,8 @@ impl TcpConnection {
                 .collect(),
             peer_fin_seq: snap.peer_fin_seq,
             peer_fin_received: snap.peer_fin_received,
+            // Unknown here; the ACK owed below announces the window.
+            rcv_adv: snap.rcv_nxt,
             ack_pending: true,
             dup_ack_burst: 0,
             ece_pending: false,
@@ -1209,28 +1248,97 @@ mod tests {
         assert_eq!(s.recv_available(), 4 * MSS);
     }
 
-    /// Three reads on the receiver send three ACKs at the same `ack`, each
-    /// with a wider window: updates, not duplicates (RFC 5681 §2), so
-    /// nothing is retransmitted that was never lost.
+    /// Three reads on the receiver, each opening the window by one MSS,
+    /// send three ACKs at the same `ack`, each with a wider window: updates,
+    /// not duplicates (RFC 5681 §2), so nothing is retransmitted that was
+    /// never lost.
     #[test]
     fn window_updates_are_not_duplicate_acks() {
         let (mut c, mut s) = pair(0);
         c.write(&vec![5u8; 4 * MSS]);
         let segs = tx(&mut c, 1_000);
         assert!(segs.len() >= 4);
-        s.on_segment(&segs[0], 1_000);
+        for seg in &segs[..3] {
+            s.on_segment(seg, 1_000);
+        }
         for ack in tx(&mut s, 1_000) {
             c.on_segment(&ack, 1_000);
         }
-        let mut buf = [0u8; 100];
+        let mut buf = [0u8; MSS];
         for _ in 0..3 {
-            assert_eq!(s.read(&mut buf), 100);
+            assert_eq!(s.read(&mut buf), MSS);
             let update = tx(&mut s, 1_500);
             assert_eq!(update.len(), 1);
-            assert_eq!(update[0].ack, segs[1].seq, "same ack, wider window");
+            assert_eq!(update[0].ack, segs[3].seq, "same ack, wider window");
             c.on_segment(&update[0], 1_500);
         }
         assert_eq!(c.stats().fast_retransmits, 0);
+    }
+
+    /// Receiver silly-window avoidance (RFC 9293 §3.8.6.2.2): reads that
+    /// open the window by less than an MSS past the edge the peer saw owe it
+    /// nothing. The read that brings the opening to one MSS owes one update,
+    /// at the same ACK number, which the sender — data still in flight —
+    /// does not count as a duplicate.
+    #[test]
+    fn small_reads_owe_no_window_update_until_it_opens_by_an_mss() {
+        let (mut c, mut s) = pair(0);
+        c.write(&vec![5u8; 3 * MSS]);
+        let segs = tx(&mut c, 1_000);
+        assert_eq!(segs.len(), 3);
+        for seg in &segs[..2] {
+            s.on_segment(seg, 1_000);
+        }
+        for ack in tx(&mut s, 1_000) {
+            c.on_segment(&ack, 1_000);
+        }
+        assert_eq!(c.in_flight(), MSS);
+        let mut buf = [0u8; MSS];
+        for _ in 0..3 {
+            assert_eq!(s.read(&mut buf[..100]), 100);
+            assert!(!s.needs_poll());
+            assert!(tx(&mut s, 1_500).is_empty(), "a 100-B read owes nothing");
+        }
+        assert_eq!(s.read(&mut buf[..MSS - 300]), MSS - 300);
+        let update = tx(&mut s, 2_000);
+        assert_eq!(update.len(), 1);
+        assert!(update[0].payload.is_empty() && update[0].flags == SegmentFlags::ack());
+        assert_eq!(update[0].ack, segs[2].seq, "the ACK number is unchanged");
+        assert_eq!(update[0].window as usize, s.recv_window());
+        c.on_segment(&update[0], 2_000);
+        assert_eq!((c.dup_acks, c.stats().fast_retransmits), (0, 0));
+        assert!(tx(&mut s, 2_500).is_empty(), "the update is owed once");
+    }
+
+    /// Growing `SO_RCVBUF` under a shut window reopens it, and the peer —
+    /// which sees a zero window and sends nothing but a persist probe — is
+    /// told at once, with one pure ACK.
+    #[test]
+    fn growing_the_receive_buffer_announces_the_window() {
+        let (mut c, mut s) = pair(0);
+        s.set_recv_buf_cap(2 * MSS);
+        s.ack_pending = true;
+        for seg in tx(&mut s, 1_000) {
+            c.on_segment(&seg, 1_000);
+        }
+        c.write(&vec![3u8; 4 * MSS]);
+        for seg in tx(&mut c, 2_000) {
+            s.on_segment(&seg, 2_000);
+        }
+        for ack in tx(&mut s, 2_000) {
+            c.on_segment(&ack, 2_000);
+        }
+        assert_eq!((s.recv_window(), c.snd_wnd), (0, 0), "the window is shut");
+        assert!(tx(&mut c, 3_000).is_empty());
+
+        s.set_recv_buf_cap(4 * MSS);
+        let update = tx(&mut s, 3_000);
+        assert_eq!(update.len(), 1, "one pure ACK");
+        assert!(update[0].payload.is_empty() && update[0].flags == SegmentFlags::ack());
+        assert_eq!(update[0].window as usize, 2 * MSS);
+        c.on_segment(&update[0], 3_000);
+        let sent: usize = tx(&mut c, 3_500).iter().map(|seg| seg.len()).sum();
+        assert_eq!(sent, 2 * MSS, "the sender fills the new room");
     }
 
     #[test]

@@ -512,9 +512,15 @@ impl TcpStack {
                 let c = &mut slot.conn;
                 let n = c.read(buf);
                 if n > 0 {
-                    // Owes a window update; may have drained a closed
-                    // connection into a reapable one.
-                    slot.wake(sock, &mut self.wake);
+                    // Queued only for what the read left to do: a window
+                    // update it owes, a closed connection it drained into a
+                    // reapable one, or a TIME-WAIT one it let park as a record.
+                    if c.needs_poll()
+                        || c.is_closed() && c.recv_available() == 0
+                        || c.parked_until().is_some()
+                    {
+                        slot.wake(sock, &mut self.wake);
+                    }
                     self.stats.bytes_in += n as u64;
                     Ok(n)
                 } else if c.peer_closed() || c.is_closed() {
@@ -2168,6 +2174,31 @@ mod tests {
         assert_eq!(shared.total_cwnd(), cwnd);
         assert!(w.client.timers.is_empty());
         assert_eq!(w.client.recv(cs, &mut [0u8; 8]), Ok(6));
+    }
+
+    /// A `recv` queues its connection only for work it left. 100 bytes
+    /// read out of a wide window owe the peer nothing, so the next tick
+    /// polls nothing; the read that opens the window by an MSS owes an
+    /// update, which the next tick polls and sends.
+    #[test]
+    fn a_recv_that_owes_nothing_costs_no_poll() {
+        const MSS: usize = nk_types::constants::MSS;
+        let mut w = World::new();
+        let (cs, conn) = established(&mut w);
+        assert_eq!(w.client.send(cs, &[7u8; 2 * MSS]), Ok(2 * MSS));
+        w.run(10);
+        let mut buf = [0u8; 2 * MSS];
+        let before = w.server.stats();
+        assert_eq!(w.server.recv(conn, &mut buf[..100]), Ok(100));
+        w.run(1);
+        let after = w.server.stats();
+        assert_eq!(after.conns_polled, before.conns_polled, "nothing owed");
+        assert_eq!(after.segments_out, before.segments_out);
+        assert_eq!(w.server.recv(conn, &mut buf), Ok(2 * MSS - 100));
+        w.run(1);
+        let last = w.server.stats();
+        assert_eq!(last.conns_polled - after.conns_polled, 1);
+        assert_eq!(last.segments_out - after.segments_out, 1, "one update");
     }
 
     #[test]

@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Segment gates, each a count per operation inside one traced 3-second run,
+# so the machine's speed cancels (the run is seeded, so the counts are exact).
+# - A read owes the peer nothing (RFC 9293 §3.8.6.2.2, receiver silly-window
+#   avoidance): a read sends a pure window update only once it opens the
+#   window by min(half the buffer, one MSS) past the edge last advertised.
+#   A 64-B `rpc` echo reads 4.00 per operation, and `churn` (open,
+#   exchange, close) 11.00 (10.996). They read 5.00 and 12.00 (11.995) when
+#   every read that returned bytes owed an update.
+# - `bulk` (16 KiB chunks through wide-open windows) reads 22.63 either way:
+#   its reads open the window by far more than an MSS.
+#   rpc:   netstack.segments / sim.ops <= 4.0,  trace.wired_matches_host == 1
+#   churn: netstack.segments / sim.ops <= 11.0, trace.wired_matches_host == 1
+#   bulk:  netstack.segments / sim.ops <= 22.7, trace.wired_matches_host == 1
+# The ratio is compared at two decimals: the handshakes that open the run's
+# connections add a few segments that no operation owns.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+status=0
+for gate in rpc:4.0 churn:11.0 bulk:22.7; do
+  workload=${gate%%:*}
+  limit=${gate#*:}
+  # The command of BENCHMARK.json, so the binary is built the way the benchmark builds it.
+  out=$(cargo run --release --offline --quiet --manifest-path examples/nkbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 3 --trace 1)
+  metric() {
+    grep -o "\"$1\":{\"value\":[-0-9.e+]*" <<<"$out" | sed 's/.*"value"://'
+  }
+  segments=$(metric netstack.segments)
+  ops=$(metric sim.ops)
+  wired=$(metric trace.wired_matches_host)
+  per_op=$(awk -v s="$segments" -v o="$ops" 'BEGIN { printf "%.2f", (o > 0 ? s / o : 1e9) }')
+  echo "$workload: segments_per_op=$per_op (netstack.segments=$segments sim.ops=$ops) trace.wired_matches_host=$wired"
+  awk -v p="$per_op" -v l="$limit" -v w="$wired" 'BEGIN { exit !(p <= l && w == 1) }' || {
+    echo "$workload sends more segments per operation again (want <= $limit, wired == 1)"
+    status=1
+  }
+done
+exit $status

@@ -6,15 +6,19 @@
 
 use netkernel::fabric::link::LinkConfig;
 use netkernel::fabric::switch::VirtualSwitch;
-use netkernel::netstack::cc::{Cc, SharedVmWindow, VmSharedCc};
+use netkernel::fabric::{Frame, Port};
+use netkernel::netstack::cc::{Cc, CcAlgorithm, SharedVmWindow, VmSharedCc};
 use netkernel::netstack::{Segment, StackConfig, TcpStack};
 use netkernel::queue::{queue_set_pair, NkDevice, WakeState};
 use netkernel::service::{ServiceLib, TcpNsm};
 use netkernel::shmem::HugepageRegion;
+use netkernel::sim::SplitMix64;
+use netkernel::types::constants::MSS;
 use netkernel::types::{
     Nqe, NsmId, OpType, QueueSetId, ShutdownHow, SockAddr, SocketId, StackKind, VmId,
 };
 use netkernel::workload::seeded_payload;
+use std::collections::BTreeMap;
 
 /// What a sender of the mixed run does once its bytes are queued.
 #[derive(Clone, Copy)]
@@ -30,6 +34,8 @@ const DT_NS: u64 = 100_000;
 /// `nk_netstack::conn`'s TIME-WAIT linger and its RTO before any RTT sample.
 const TIME_WAIT_NS: u64 = 50_000_000;
 const INITIAL_RTO_NS: u64 = 50_000_000;
+/// `nk_netstack::conn`'s cap on the RTO and on the persist-probe interval.
+const MAX_RTO_NS: u64 = 2_000_000_000;
 
 struct World {
     switch: VirtualSwitch<Segment>,
@@ -415,4 +421,172 @@ fn bytes_held_at_accept_time_are_pumped_without_a_new_segment() {
     let mut out = [0u8; 10];
     region.read(data.data, &mut out).unwrap();
     assert_eq!(&out, b"early bird");
+}
+
+/// A wire the test carries by hand between two stacks' ports: until step
+/// `clean_from` it loses, duplicates and delays (so reorders) frames as its
+/// seed decides; from then on every frame it picks up arrives on the next
+/// step.
+struct HostileWire {
+    ports: [Port<Segment>; 2],
+    rng: SplitMix64,
+    clean_from: u64,
+    /// Frames on the wire by (delivery step, pickup order): the
+    /// destination port's index and the frame.
+    held: BTreeMap<(u64, u64), (usize, Frame<Segment>)>,
+    picked: u64,
+    /// Frames lost, duplicated and delayed by more than one step.
+    harm: [u64; 3],
+}
+
+impl HostileWire {
+    const LOSS: f64 = 0.1;
+    const DUPLICATE: f64 = 0.05;
+    /// A hostile step delays a frame by 1 to this many steps.
+    const MAX_DELAY: u64 = 4;
+
+    /// Pick up what both ports sent and deliver what is due at `step`.
+    fn carry(&mut self, step: u64) {
+        let mut sent = Vec::new();
+        for from in 0..2 {
+            self.ports[from].drain_tx_into(&mut sent);
+            for frame in sent.drain(..) {
+                let hostile = step < self.clean_from;
+                if hostile && self.rng.chance(Self::LOSS) {
+                    self.harm[0] += 1;
+                    continue;
+                }
+                let copies = if hostile && self.rng.chance(Self::DUPLICATE) {
+                    self.harm[1] += 1;
+                    2
+                } else {
+                    1
+                };
+                for _ in 0..copies {
+                    let delay = if hostile {
+                        1 + self.rng.next_below(Self::MAX_DELAY)
+                    } else {
+                        1
+                    };
+                    self.harm[2] += u64::from(delay > 1);
+                    self.held
+                        .insert((step + delay, self.picked), (1 - from, frame.clone()));
+                    self.picked += 1;
+                }
+            }
+        }
+        while let Some(entry) = self.held.first_entry() {
+            if entry.key().0 > step {
+                break;
+            }
+            let (to, frame) = entry.remove();
+            self.ports[to].deliver_burst(|rx| rx.push_back(frame));
+        }
+    }
+}
+
+/// Liveness as a property: a seeded wire loses, duplicates and reorders
+/// frames until step `S`, then runs clean. A reader that reads everything
+/// only every few steps keeps shutting a small receive window, so lost
+/// window updates leave senders with nothing in flight behind a zero
+/// window, which only the persist timer reopens. For every congestion
+/// control and every seed, each transfer completes, intact, by `S` plus two
+/// `MAX_RTO_NS` (the longest a backed-off retransmission or persist probe
+/// waits) plus the reader's pace.
+#[test]
+fn every_transfer_completes_once_a_hostile_wire_runs_clean() {
+    const CONNS: usize = 4;
+    const BYTES: usize = 64 * 1024;
+    const WINDOW: usize = 4 * MSS;
+    const PACE: u64 = 8;
+    const CLEAN_FROM: u64 = 1_000;
+    const SEEDS: u64 = 8;
+    let budget = CLEAN_FROM + 2 * MAX_RTO_NS / DT_NS + PACE;
+    let ccs: [fn() -> CcAlgorithm; 4] = [
+        || CcAlgorithm::Reno,
+        || CcAlgorithm::Cubic,
+        || CcAlgorithm::Dctcp,
+        || CcAlgorithm::VmShared(SharedVmWindow::new()),
+    ];
+    let mut harm = [0u64; 3];
+    for (c, cc) in ccs.iter().enumerate() {
+        for seed in 1..=SEEDS {
+            let ports = [Port::new(CLIENT_IP), Port::new(SERVER_IP)];
+            let mut client =
+                TcpStack::new(StackConfig::new(CLIENT_IP).with_cc(cc()), ports[0].clone());
+            let mut server_cfg = StackConfig::new(SERVER_IP).with_cc(cc());
+            server_cfg.recv_buf = WINDOW;
+            let mut server = TcpStack::new(server_cfg, ports[1].clone());
+            let mut wire = HostileWire {
+                ports,
+                rng: SplitMix64::new(seed),
+                clean_from: CLEAN_FROM,
+                held: BTreeMap::new(),
+                picked: 0,
+                harm: [0; 3],
+            };
+            let ls = server.socket();
+            server.bind(ls, SockAddr::new(0, 80)).unwrap();
+            server.listen(ls, CONNS as u32).unwrap();
+            let mut todo: Vec<(SocketId, Vec<u8>)> = (0..CONNS)
+                .map(|i| {
+                    let cs = client.socket();
+                    client.connect(cs, SockAddr::new(SERVER_IP, 80), 0).unwrap();
+                    (cs, seeded_payload(seed * 100 + i as u64, BYTES))
+                })
+                .collect();
+            let mut served: Vec<(SocketId, Vec<u8>)> = Vec::new();
+            let mut buf = vec![0u8; WINDOW];
+            let mut done = false;
+            for step in 1..=budget {
+                let now = step * DT_NS;
+                todo.retain_mut(|(cs, data)| {
+                    if client.poll(*cs).writable() {
+                        let n = client.send(*cs, data).unwrap_or(0);
+                        data.drain(..n);
+                    }
+                    !data.is_empty()
+                });
+                client.tick(now);
+                server.tick(now);
+                wire.carry(step);
+                served.extend(
+                    std::iter::from_fn(|| server.accept(ls).ok())
+                        .map(|(conn, _)| (conn, Vec::new())),
+                );
+                if step % PACE == 0 {
+                    for (conn, got) in &mut served {
+                        while let Ok(n @ 1..) = server.recv(*conn, &mut buf) {
+                            got.extend_from_slice(&buf[..n]);
+                        }
+                    }
+                }
+                done = served.len() == CONNS && served.iter().all(|(_, got)| got.len() == BYTES);
+                if done {
+                    break;
+                }
+            }
+            let delivered: Vec<usize> = served.iter().map(|(_, got)| got.len()).collect();
+            assert!(
+                done,
+                "cc {c} seed {seed}: {delivered:?} of {BYTES} bytes by step {budget}"
+            );
+            let mut senders: Vec<usize> = (served.iter())
+                .map(|(_, got)| {
+                    (0..CONNS)
+                        .find(|&i| *got == seeded_payload(seed * 100 + i as u64, BYTES))
+                        .expect("a corrupt stream")
+                })
+                .collect();
+            senders.sort_unstable();
+            assert_eq!(senders, (0..CONNS).collect::<Vec<_>>());
+            for (total, n) in harm.iter_mut().zip(wire.harm) {
+                *total += n;
+            }
+        }
+    }
+    assert!(
+        harm.iter().all(|&n| n > 0),
+        "lost, duplicated, delayed: {harm:?}"
+    );
 }
