@@ -405,6 +405,18 @@ impl TcpConnection {
         self.ooo.clear();
     }
 
+    /// Give back the queue storage a retired connection kept.
+    pub(crate) fn drop_queues(&mut self) {
+        self.send_buf = ByteQueue::default();
+        self.recv_buf = ByteQueue::default();
+    }
+
+    /// Queue storage held: run-table slots and open-tail bytes.
+    #[cfg(test)]
+    pub(crate) fn queue_capacity(&self) -> usize {
+        self.send_buf.capacity() + self.recv_buf.capacity()
+    }
+
     /// Take over the emptied queues of a retired connection, so a connection
     /// opened in a recycled slot does not allocate its run tables and open
     /// tails again. Queues that already hold bytes (a restored snapshot's)

@@ -125,6 +125,12 @@ impl ByteQueue {
         self.len == 0
     }
 
+    /// Run-table slots and open-tail bytes held, whatever the bytes.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.runs.capacity() + self.open.capacity()
+    }
+
     /// Forget every byte but keep the capacity of the run table and the
     /// open tail.
     pub(crate) fn clear(&mut self) {

@@ -7,13 +7,21 @@
 //! [`TcpStack::tick`], which ingests frames from the fabric, runs the
 //! connection state machines, and emits outgoing frames.
 //!
-//! A short connection pays once. A connection slot that leaves the socket
-//! table — reaped, traded for a TIME-WAIT record, or exported — goes onto a
-//! spare list, never longer than the table's live connection slots; its
-//! congestion control (held inline, no box) is dropped at once and its
-//! queues keep their capacity, and the next connection opened takes it. A
-//! parked socket is a small record that expires from a FIFO kept in deadline
-//! order; only connections use the lazy timer set.
+//! A segment costs one hash. A socket id is looked up once per socket-API
+//! call (`ids`, id → slot); inside the stack a socket is a `(SocketId,
+//! slot)` handle into a dense slot vector, and the demultiplexer, the wake
+//! list, the timer heap, the expiry FIFO and the accept queues all carry
+//! slots. Ids are never reused, so the id doubles as the slot's generation:
+//! a handle that outlived its socket is ignored.
+//!
+//! A short connection pays once. Connections live in an arena beside the
+//! slots; one that leaves the socket table — reaped, traded for a TIME-WAIT
+//! record, or exported — is retired in place and its index goes onto a free
+//! list: its congestion control (held inline, no box) is dropped at once and
+//! its queues keep their capacity while the free list is no longer than the
+//! live connections, and the next connection opened takes it. A parked
+//! socket is a small record, inline in its slot, that expires from a FIFO
+//! kept in deadline order; only connections use the lazy timer heap.
 
 use crate::cc::{Cc, CcAlgorithm};
 use crate::conn::{ConnState, TcpConnection};
@@ -22,7 +30,8 @@ use nk_fabric::nic::symmetric_flow_hash;
 use nk_fabric::port::{Frame, Port};
 use nk_types::api::{sockopt, EpollEvent};
 use nk_types::{DetMap, NkError, NkResult, PollEvents, ShutdownHow, SockAddr, SocketApi, SocketId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Configuration of one stack instance.
 #[derive(Clone)]
@@ -120,30 +129,69 @@ pub struct StackStats {
     pub conns_polled: u64,
 }
 
+/// A socket named by id and by slot: what the stack's queues, its timer heap
+/// and its accept queues carry, so none of them hashes the id again. Socket
+/// ids are never reused, so the id is the slot's generation: a reference
+/// kept past its socket's removal finds another id in the slot (or
+/// [`FREE`]) and is ignored.
+type Handle = (SocketId, u32);
+
+/// The id a free slot holds: the stack numbers its sockets from 1.
+const FREE: SocketId = SocketId(0);
+
+/// One entry of the socket table.
+struct Slot {
+    /// The socket this slot holds, or [`FREE`].
+    id: SocketId,
+    entry: SocketEntry,
+}
+
+/// What a socket-table slot holds, inline: a connection is an index into
+/// the connection arena, a parked one all that is left of it.
 enum SocketEntry {
     /// Created but neither listening nor connected.
     Idle {
         bound: Option<SockAddr>,
         reuseport: bool,
     },
-    /// Passive listener (boxed like a connection: the socket table holds
-    /// one entry per parked TIME-WAIT socket, so an entry stays two words).
+    /// Passive listener.
     Listener(Box<ListenerSlot>),
-    /// An in-progress or established connection.
-    Conn(Box<ConnSlot>),
+    /// An in-progress or established connection: its index in
+    /// `TcpStack::conns`.
+    Conn(u32),
     /// A connection parked in TIME-WAIT that owes nothing: all that is left
     /// of it.
-    TimeWait(Box<TimeWaitRecord>),
+    TimeWait(TimeWaitRecord),
+}
+
+/// What slot `at` holds while it still holds socket `at.0`. A reference
+/// that outlived its socket — the slot freed, or taken by a socket opened
+/// since — finds nothing.
+fn held(slots: &mut [Slot], (id, slot): Handle) -> Option<&mut SocketEntry> {
+    let s = &mut slots[slot as usize];
+    if s.id != id {
+        return None;
+    }
+    Some(&mut s.entry)
 }
 
 struct ListenerSlot {
     local: SockAddr,
     backlog: usize,
-    /// Established connections awaiting `accept()`.
-    ready: VecDeque<SocketId>,
+    /// Established connections awaiting `accept()`, live ones only: a
+    /// connection reaped before it is accepted takes itself out.
+    ready: VecDeque<Handle>,
     /// Connections still in their handshake whose `ConnSlot::parent` is
     /// this listener; with `ready`, what the backlog bounds.
     embryonic: usize,
+}
+
+/// The listener `parent` names, while it still listens.
+fn listener_mut(slots: &mut [Slot], parent: Option<Handle>) -> Option<&mut ListenerSlot> {
+    match held(slots, parent?)? {
+        SocketEntry::Listener(l) => Some(l),
+        _ => None,
+    }
 }
 
 /// A connection plus what `tick` remembers about it between polls.
@@ -151,30 +199,32 @@ struct ConnSlot {
     conn: TcpConnection,
     /// On the wake list: the next `transmit` polls it.
     queued: bool,
-    /// Deadline of this socket's one entry in `timers`. Never later than
-    /// the connection's `next_deadline()` once it has been polled.
+    /// Deadline of this connection's valid entry in `timers`: the one entry
+    /// a pop acts on. Never later than the connection's `next_deadline()`
+    /// once it has been polled.
     armed: Option<u64>,
-    /// The listener whose SYN created this connection, while it is still
-    /// embryonic (counted in that listener's `embryonic`).
-    parent: Option<SocketId>,
+    /// The listener whose SYN created this connection, until `accept` hands
+    /// it out: counted in that listener's `embryonic` during the handshake,
+    /// then queued in its `ready`.
+    parent: Option<Handle>,
 }
 
 impl ConnSlot {
     /// Queue the connection for the next `transmit`: whatever can change
     /// what it emits calls this.
-    fn wake(&mut self, id: SocketId, wake: &mut Vec<SocketId>) {
-        queue_once(&mut self.queued, id, wake);
+    fn wake(&mut self, at: Handle, wake: &mut Vec<Handle>) {
+        queue_once(&mut self.queued, at, wake);
     }
 }
 
 /// What is left of a connection parked in TIME-WAIT with nothing owed
 /// (`TcpConnection::parked_until`), like Linux's TIME-WAIT minisocket. Its
-/// slot, connection and congestion control are gone; the record keeps the
-/// tuple (its `demux` entry stays, so the tuple is still taken) and the
-/// deadline, which never moves, so it has no lazy timer entry: it waits in
-/// the stack's expiry FIFO and is polled once, on its deadline tick, or
-/// wherever a segment or call would have queued the connection. It answers
-/// every call as the parked connection did.
+/// connection and congestion control are gone; the record keeps the tuple
+/// (its `demux` entry stays, so the tuple is still taken) and the deadline,
+/// which never moves, so it has no timer entry: it waits in the stack's
+/// expiry FIFO and is polled once, on its deadline tick, or wherever a
+/// segment or call would have queued the connection. It answers every call
+/// as the parked connection did.
 struct TimeWaitRecord {
     local: SockAddr,
     remote: SockAddr,
@@ -187,17 +237,17 @@ struct TimeWaitRecord {
 
 impl TimeWaitRecord {
     /// As `ConnSlot::wake`.
-    fn wake(&mut self, id: SocketId, wake: &mut Vec<SocketId>) {
-        queue_once(&mut self.queued, id, wake);
+    fn wake(&mut self, at: Handle, wake: &mut Vec<Handle>) {
+        queue_once(&mut self.queued, at, wake);
     }
 }
 
-/// Push `id` onto the wake list on the 0→1 edge of its `queued` bit, so the
+/// Push `at` onto the wake list on the 0→1 edge of its `queued` bit, so the
 /// list holds each socket once.
-fn queue_once(queued: &mut bool, id: SocketId, wake: &mut Vec<SocketId>) {
+fn queue_once(queued: &mut bool, at: Handle, wake: &mut Vec<Handle>) {
     if !*queued {
         *queued = true;
-        wake.push(id);
+        wake.push(at);
     }
 }
 
@@ -205,42 +255,53 @@ fn queue_once(queued: &mut bool, id: SocketId, wake: &mut Vec<SocketId>) {
 pub struct TcpStack {
     cfg: StackConfig,
     port: Port<Segment>,
-    /// Only ever looked up: `transmit` does not walk it, it polls `wake`,
-    /// sorted — the order a walk by id would visit them in.
-    sockets: DetMap<SocketId, SocketEntry>,
-    /// (local, remote) → connection socket; looked up once per segment.
-    demux: DetMap<(SockAddr, SockAddr), SocketId>,
+    /// Socket id → slot: consulted once per socket-API call, never per
+    /// segment or timer.
+    ids: DetMap<SocketId, u32>,
+    /// The socket table. Only ever indexed: `transmit` does not walk it, it
+    /// polls `wake`, sorted — the order a walk by id would visit them in.
+    slots: Vec<Slot>,
+    /// Indices of the free `slots`, the next `socket` takes the last.
+    free_slots: Vec<u32>,
+    /// The connection arena `SocketEntry::Conn` indexes. A connection that
+    /// leaves the socket table — reaped, traded for a record, or exported —
+    /// is retired in place (no congestion control, emptied queues) and its
+    /// index goes to `free_conns`.
+    conns: Vec<ConnSlot>,
+    /// Indices of the free `conns`, the next connection opened takes the
+    /// last. One at position `live` or past it keeps no queue storage, so
+    /// the free list holds storage for at most as many as are live.
+    free_conns: Vec<u32>,
+    /// Connections in the socket table.
+    live: usize,
+    /// (local, remote) → the slot of its connection or record; looked up
+    /// once per segment.
+    demux: DetMap<(SockAddr, SockAddr), u32>,
     /// Listening sockets per local port (more than one with SO_REUSEPORT).
-    listeners: DetMap<u16, Vec<SocketId>>,
-    /// Connections the next `transmit` polls, each id once (the slot's
-    /// `queued` bit), unsorted. Ids of sockets since removed are skipped.
-    wake: Vec<SocketId>,
-    /// The wake list `transmit` works through, sorted; trades buffers with
-    /// `wake` every tick (empty between ticks).
-    due: Vec<SocketId>,
+    listeners: DetMap<u16, Vec<Handle>>,
+    /// Sockets the next `transmit` polls, each once (the `queued` bit),
+    /// unsorted. Stale references are skipped.
+    wake: Vec<Handle>,
+    /// The wake list `transmit` works through, sorted by id; trades buffers
+    /// with `wake` every tick (empty between ticks).
+    due: Vec<Handle>,
     /// The connections the last `transmit` left closed and fully read,
     /// ascending: what `reap_closed` removes (empty between ticks).
-    dead: Vec<SocketId>,
-    /// `(deadline_ns, socket)`, at most one entry per connection, no later
-    /// than its earliest timer. Lazy: the entry moves only when the deadline
-    /// moves *earlier* (an RTO moves later on every send), so it may fire
-    /// early; the woken connection finds nothing due and re-arms. Records
-    /// never enter it.
-    timers: BTreeSet<(u64, SocketId)>,
-    /// `(deadline_ns, socket)` of every TIME-WAIT record, ascending: records
-    /// expire from the front. Entries of records a reset reaped early stay
-    /// until they surface and are skipped (socket ids are never reused).
-    expiry: VecDeque<(u64, SocketId)>,
-    /// Connection slots that left the socket table, their connection retired
-    /// (no congestion control, emptied queues that keep their capacity):
-    /// what `insert_conn` fills first. Never more than `live`.
-    #[expect(
-        clippy::vec_box,
-        reason = "the boxes are what is recycled: a socket-table entry holds a Box<ConnSlot>"
-    )]
-    spare: Vec<Box<ConnSlot>>,
-    /// Connection slots in the socket table: the bound on `spare`.
-    live: usize,
+    dead: Vec<Handle>,
+    /// Min-heap of `(deadline_ns, socket, slot)`, with lazy deletion: an
+    /// entry wakes its connection only if the slot still holds that socket
+    /// as a connection armed at that deadline, so removing or parking a
+    /// connection deletes nothing, and neither does a deadline moving
+    /// earlier. A connection's armed deadline is no later than its earliest
+    /// timer and moves only when that moves *earlier* (an RTO moves later on
+    /// every send), so it may fire early; the woken connection finds nothing
+    /// due and re-arms. Records never enter it. Pruned to its valid entries
+    /// once it holds more than `2·live + 64`.
+    timers: BinaryHeap<Reverse<(u64, SocketId, u32)>>,
+    /// `(deadline_ns, socket, slot)` of every TIME-WAIT record, ascending:
+    /// records expire from the front. Entries of records a reset reaped
+    /// early stay until they surface and are skipped.
+    expiry: VecDeque<(u64, SocketId, u32)>,
     /// The [`SocketApi`] epoll interest set; an entry dies with its socket.
     /// Ordered so `epoll_wait` reports deterministically.
     interest: BTreeMap<SocketId, PollEvents>,
@@ -270,16 +331,19 @@ impl TcpStack {
         TcpStack {
             cfg,
             port,
-            sockets: DetMap::new(),
+            ids: DetMap::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            conns: Vec::new(),
+            free_conns: Vec::new(),
+            live: 0,
             demux: DetMap::new(),
             listeners: DetMap::new(),
             wake: Vec::new(),
             due: Vec::new(),
             dead: Vec::new(),
-            timers: BTreeSet::new(),
+            timers: BinaryHeap::new(),
             expiry: VecDeque::new(),
-            spare: Vec::new(),
-            live: 0,
             interest: BTreeMap::new(),
             now_ns: 0,
             next_socket: 1,
@@ -301,7 +365,7 @@ impl TcpStack {
 
     /// Number of live sockets (of any kind).
     pub fn socket_count(&self) -> usize {
-        self.sockets.len()
+        self.ids.len()
     }
 
     /// The fabric port this stack sends and receives on.
@@ -309,10 +373,60 @@ impl TcpStack {
         &self.port
     }
 
-    fn alloc_socket_id(&mut self) -> SocketId {
+    /// A new socket id in a new, idle slot.
+    fn alloc_socket(&mut self) -> Handle {
         let id = SocketId(self.next_socket);
         self.next_socket += 1;
-        id
+        let fresh = Slot {
+            id,
+            entry: SocketEntry::Idle {
+                bound: None,
+                reuseport: false,
+            },
+        };
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = fresh;
+                slot
+            }
+            None => {
+                self.slots.push(fresh);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.ids.insert(id, slot);
+        (id, slot)
+    }
+
+    /// Take socket `at` out of the table; what its slot held is dropped.
+    fn free_socket(&mut self, (id, slot): Handle) {
+        self.ids.remove(&id);
+        let s = &mut self.slots[slot as usize];
+        s.id = FREE;
+        s.entry = SocketEntry::Idle {
+            bound: None,
+            reuseport: false,
+        };
+        self.free_slots.push(slot);
+    }
+
+    /// Socket `sock` and its slot.
+    fn handle(&self, sock: SocketId) -> NkResult<Handle> {
+        let slot = self.ids.get(&sock).ok_or(NkError::BadSocket)?;
+        Ok((sock, *slot))
+    }
+
+    /// What socket `sock`'s slot holds.
+    fn entry(&self, sock: SocketId) -> Option<&SocketEntry> {
+        Some(&self.slots[*self.ids.get(&sock)? as usize].entry)
+    }
+
+    /// The connection socket `sock` is, if it is one.
+    fn conn(&self, sock: SocketId) -> Option<&TcpConnection> {
+        match self.entry(sock)? {
+            SocketEntry::Conn(c) => Some(&self.conns[*c as usize].conn),
+            _ => None,
+        }
     }
 
     fn next_iss(&mut self) -> u32 {
@@ -345,83 +459,76 @@ impl TcpStack {
 
     /// Create a new socket.
     pub fn socket(&mut self) -> SocketId {
-        let id = self.alloc_socket_id();
-        self.sockets.insert(
-            id,
-            SocketEntry::Idle {
-                bound: None,
-                reuseport: false,
-            },
-        );
-        id
+        self.alloc_socket().0
     }
 
     /// Bind a socket to a local address.
     pub fn bind(&mut self, sock: SocketId, addr: SockAddr) -> NkResult<()> {
+        let (_, slot) = self.handle(sock)?;
         // Reject the bind when the port is taken by a listener without
         // SO_REUSEPORT on either side.
         let reuse_requested = matches!(
-            self.sockets.get(&sock),
-            Some(SocketEntry::Idle {
+            self.slots[slot as usize].entry,
+            SocketEntry::Idle {
                 reuseport: true,
                 ..
-            })
+            }
         );
         if let Some(existing) = self.listeners.get(&addr.port) {
             if !existing.is_empty() && !reuse_requested {
                 return Err(NkError::AddrInUse);
             }
         }
-        match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Idle { bound, .. }) => {
+        match &mut self.slots[slot as usize].entry {
+            SocketEntry::Idle { bound, .. } => {
                 *bound = Some(SockAddr::new(self.cfg.local_ip, addr.port));
                 Ok(())
             }
-            Some(_) => Err(NkError::InvalidState),
-            None => Err(NkError::BadSocket),
+            _ => Err(NkError::InvalidState),
         }
     }
 
     /// Put a bound socket into the listening state.
     pub fn listen(&mut self, sock: SocketId, backlog: u32) -> NkResult<()> {
-        let entry = self.sockets.get_mut(&sock).ok_or(NkError::BadSocket)?;
-        match entry {
-            SocketEntry::Idle {
-                bound: Some(addr), ..
-            } => {
-                let local = *addr;
-                *entry = SocketEntry::Listener(Box::new(ListenerSlot {
-                    local,
-                    backlog: backlog.max(1) as usize,
-                    ready: VecDeque::new(),
-                    embryonic: 0,
-                }));
-                self.listeners
-                    .get_or_insert_with(local.port, Vec::new)
-                    .push(sock);
-                Ok(())
-            }
-            SocketEntry::Idle { bound: None, .. } => Err(NkError::InvalidState),
-            _ => Err(NkError::InvalidState),
-        }
+        let at = self.handle(sock)?;
+        let entry = &mut self.slots[at.1 as usize].entry;
+        let SocketEntry::Idle {
+            bound: Some(local), ..
+        } = *entry
+        else {
+            return Err(NkError::InvalidState);
+        };
+        *entry = SocketEntry::Listener(Box::new(ListenerSlot {
+            local,
+            backlog: backlog.max(1) as usize,
+            ready: VecDeque::new(),
+            embryonic: 0,
+        }));
+        self.listeners
+            .get_or_insert_with(local.port, Vec::new)
+            .push(at);
+        Ok(())
     }
 
     /// Accept one pending connection from a listener.
     pub fn accept(&mut self, sock: SocketId) -> NkResult<(SocketId, SockAddr)> {
-        match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Listener(l)) => {
-                let conn_id = l.ready.pop_front().ok_or(NkError::WouldBlock)?;
-                let peer = match self.sockets.get(&conn_id) {
-                    Some(SocketEntry::Conn(slot)) => slot.conn.remote(),
-                    Some(SocketEntry::TimeWait(tw)) => tw.remote,
-                    _ => return Err(NkError::InvalidState),
-                };
-                self.stats.accepted += 1;
-                Ok((conn_id, peer))
-            }
-            Some(_) => Err(NkError::InvalidState),
-            None => Err(NkError::BadSocket),
-        }
+        let (_, slot) = self.handle(sock)?;
+        let SocketEntry::Listener(l) = &mut self.slots[slot as usize].entry else {
+            return Err(NkError::InvalidState);
+        };
+        let (conn_id, conn_slot) = l.ready.pop_front().ok_or(NkError::WouldBlock)?;
+        let s = &self.slots[conn_slot as usize];
+        let SocketEntry::Conn(c) = s.entry else {
+            unreachable!("{conn_id:?} in the accept queue of {sock:?} is no connection");
+        };
+        debug_assert_eq!(
+            s.id, conn_id,
+            "the accept queue of {sock:?} holds a reaped id"
+        );
+        let cs = &mut self.conns[c as usize];
+        cs.parent = None;
+        self.stats.accepted += 1;
+        Ok((conn_id, cs.conn.remote()))
     }
 
     /// Start an active open towards `remote` using the stack's default
@@ -442,8 +549,8 @@ impl TcpStack {
         now_ns: u64,
         cc: Option<Cc>,
     ) -> NkResult<()> {
-        let entry = self.sockets.get_mut(&sock).ok_or(NkError::BadSocket)?;
-        let local_port = match entry {
+        let at = self.handle(sock)?;
+        let local_port = match &self.slots[at.1 as usize].entry {
             SocketEntry::Idle { bound, .. } => bound.map(|a| a.port),
             SocketEntry::Conn(_) | SocketEntry::TimeWait(_) => {
                 return Err(NkError::AlreadyConnected)
@@ -465,97 +572,91 @@ impl TcpStack {
         let mut conn = TcpConnection::connect(local, remote, iss, cc, now_ns);
         conn.set_send_buf_cap(self.cfg.send_buf);
         conn.set_recv_buf_cap(self.cfg.recv_buf);
-        self.insert_conn(sock, conn, None);
+        self.insert_conn(at, conn, None);
         self.stats.connected += 1;
         Ok(())
     }
 
     /// Queue data for transmission.
     pub fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize> {
-        match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Conn(slot)) => {
-                let c = &mut slot.conn;
-                if c.is_closed() {
-                    return Err(NkError::Closed);
-                }
-                let n = c.write(data);
-                if n == 0 {
-                    if !c.is_established() && c.state() != ConnState::SynSent {
-                        Err(NkError::NotConnected)
-                    } else {
-                        Err(NkError::WouldBlock)
-                    }
-                } else {
-                    slot.wake(sock, &mut self.wake);
-                    self.stats.bytes_out += n as u64;
-                    Ok(n)
-                }
+        let at = self.handle(sock)?;
+        let SocketEntry::Conn(c) = self.slots[at.1 as usize].entry else {
+            return Err(NkError::NotConnected);
+        };
+        let cs = &mut self.conns[c as usize];
+        if cs.conn.is_closed() {
+            return Err(NkError::Closed);
+        }
+        let n = cs.conn.write(data);
+        if n == 0 {
+            if !cs.conn.is_established() && cs.conn.state() != ConnState::SynSent {
+                Err(NkError::NotConnected)
+            } else {
+                Err(NkError::WouldBlock)
             }
-            Some(_) => Err(NkError::NotConnected),
-            None => Err(NkError::BadSocket),
+        } else {
+            cs.wake(at, &mut self.wake);
+            self.stats.bytes_out += n as u64;
+            Ok(n)
         }
     }
 
     /// In-order bytes `recv` would return right now (0 for anything that is
     /// not a connection), so a caller can size its destination first.
     pub fn recv_available(&self, sock: SocketId) -> usize {
-        match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(slot)) => slot.conn.recv_available(),
-            _ => 0,
-        }
+        self.conn(sock).map_or(0, TcpConnection::recv_available)
     }
 
     /// Read received data.
     pub fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
-        match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Conn(slot)) => {
-                let c = &mut slot.conn;
-                let n = c.read(buf);
-                if n > 0 {
-                    // Queued only for what the read left to do: a window
-                    // update it owes, a closed connection it drained into a
-                    // reapable one, or a TIME-WAIT one it let park as a record.
-                    if c.needs_poll()
-                        || c.is_closed() && c.recv_available() == 0
-                        || c.parked_until().is_some()
-                    {
-                        slot.wake(sock, &mut self.wake);
-                    }
-                    self.stats.bytes_in += n as u64;
-                    Ok(n)
-                } else if c.peer_closed() || c.is_closed() {
-                    Ok(0)
-                } else {
-                    Err(NkError::WouldBlock)
-                }
+        let at = self.handle(sock)?;
+        let cs = match self.slots[at.1 as usize].entry {
+            SocketEntry::Conn(c) => &mut self.conns[c as usize],
+            SocketEntry::TimeWait(_) => return Ok(0),
+            _ => return Err(NkError::NotConnected),
+        };
+        let c = &mut cs.conn;
+        let n = c.read(buf);
+        if n > 0 {
+            // Queued only for what the read left to do: a window update it
+            // owes, a closed connection it drained into a reapable one, or a
+            // TIME-WAIT one it let park as a record.
+            if c.needs_poll()
+                || c.is_closed() && c.recv_available() == 0
+                || c.parked_until().is_some()
+            {
+                cs.wake(at, &mut self.wake);
             }
-            Some(SocketEntry::TimeWait(_)) => Ok(0),
-            Some(_) => Err(NkError::NotConnected),
-            None => Err(NkError::BadSocket),
+            self.stats.bytes_in += n as u64;
+            Ok(n)
+        } else if c.peer_closed() || c.is_closed() {
+            Ok(0)
+        } else {
+            Err(NkError::WouldBlock)
         }
     }
 
     /// Set a socket option.
     pub fn set_sockopt(&mut self, sock: SocketId, opt: u32, value: u32) -> NkResult<()> {
-        let entry = self.sockets.get_mut(&sock).ok_or(NkError::BadSocket)?;
-        match (entry, opt) {
+        let at = self.handle(sock)?;
+        match (&mut self.slots[at.1 as usize].entry, opt) {
             (SocketEntry::Idle { reuseport, .. }, sockopt::REUSEPORT) => {
                 *reuseport = value != 0;
                 Ok(())
             }
-            (SocketEntry::Conn(slot), sockopt::SNDBUF) => {
-                slot.conn.set_send_buf_cap(value as usize);
-                slot.wake(sock, &mut self.wake);
-                Ok(())
-            }
-            (SocketEntry::Conn(slot), sockopt::RCVBUF) => {
-                slot.conn.set_recv_buf_cap(value as usize);
-                slot.wake(sock, &mut self.wake);
+            (SocketEntry::Conn(c), sockopt::SNDBUF | sockopt::RCVBUF) => {
+                let cs = &mut self.conns[*c as usize];
+                if opt == sockopt::SNDBUF {
+                    cs.conn.set_send_buf_cap(value as usize);
+                } else {
+                    cs.conn.set_recv_buf_cap(value as usize);
+                }
+                cs.wake(at, &mut self.wake);
                 Ok(())
             }
             // Nothing left to resize, but a connection would have been queued.
             (SocketEntry::TimeWait(tw), sockopt::SNDBUF | sockopt::RCVBUF) => {
-                tw.wake(sock, &mut self.wake);
+                tw.wake(at, &mut self.wake);
                 Ok(())
             }
             (_, sockopt::NODELAY) => Ok(()),
@@ -567,66 +668,58 @@ impl TcpStack {
 
     /// Shut down one or both directions of a connection.
     pub fn shutdown(&mut self, sock: SocketId, how: ShutdownHow) -> NkResult<()> {
-        match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Conn(slot)) => {
-                match how {
-                    ShutdownHow::Write | ShutdownHow::Both => {
-                        slot.conn.close();
-                        slot.wake(sock, &mut self.wake);
-                    }
-                    ShutdownHow::Read => {}
-                }
-                Ok(())
-            }
-            Some(SocketEntry::TimeWait(tw)) => {
+        let at = self.handle(sock)?;
+        match &mut self.slots[at.1 as usize].entry {
+            SocketEntry::Conn(c) => {
                 if how != ShutdownHow::Read {
-                    tw.wake(sock, &mut self.wake);
+                    let cs = &mut self.conns[*c as usize];
+                    cs.conn.close();
+                    cs.wake(at, &mut self.wake);
                 }
                 Ok(())
             }
-            Some(_) => Err(NkError::NotConnected),
-            None => Err(NkError::BadSocket),
+            SocketEntry::TimeWait(tw) => {
+                if how != ShutdownHow::Read {
+                    tw.wake(at, &mut self.wake);
+                }
+                Ok(())
+            }
+            _ => Err(NkError::NotConnected),
         }
     }
 
     /// Close a socket. Connections close gracefully; listeners stop
     /// accepting.
     pub fn close(&mut self, sock: SocketId) -> NkResult<()> {
-        match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Conn(slot)) => {
-                slot.conn.close();
-                slot.wake(sock, &mut self.wake);
-                Ok(())
+        let at = self.handle(sock)?;
+        match &mut self.slots[at.1 as usize].entry {
+            SocketEntry::Conn(c) => {
+                let cs = &mut self.conns[*c as usize];
+                cs.conn.close();
+                cs.wake(at, &mut self.wake);
             }
-            Some(SocketEntry::TimeWait(tw)) => {
-                tw.wake(sock, &mut self.wake);
-                Ok(())
-            }
-            Some(SocketEntry::Listener(l)) => {
+            SocketEntry::TimeWait(tw) => tw.wake(at, &mut self.wake),
+            SocketEntry::Listener(l) => {
                 let port = l.local.port;
                 if let Some(v) = self.listeners.get_mut(&port) {
-                    v.retain(|s| *s != sock);
+                    v.retain(|&(s, _)| s != sock);
                     if v.is_empty() {
                         self.listeners.remove(&port);
                     }
                 }
-                self.sockets.remove(&sock);
-                Ok(())
+                self.free_socket(at);
             }
-            Some(SocketEntry::Idle { .. }) => {
-                self.sockets.remove(&sock);
-                Ok(())
-            }
-            None => Err(NkError::BadSocket),
+            SocketEntry::Idle { .. } => self.free_socket(at),
         }
+        Ok(())
     }
 
     /// Current readiness of a socket.
     pub fn poll(&self, sock: SocketId) -> PollEvents {
         let mut ev = PollEvents::NONE;
-        match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(slot)) => {
-                let c = &slot.conn;
+        match self.entry(sock) {
+            Some(SocketEntry::Conn(c)) => {
+                let c = &self.conns[*c as usize].conn;
                 if c.readable() {
                     ev |= PollEvents::READABLE;
                 }
@@ -669,20 +762,14 @@ impl TcpStack {
     /// unknown ids read as quiet — the freeze window only waits on live
     /// connections.
     pub fn conn_quiet(&self, sock: SocketId) -> bool {
-        match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(slot)) => slot.conn.in_flight() == 0,
-            _ => true,
-        }
+        self.conn(sock).is_none_or(|c| c.in_flight() == 0)
     }
 
     /// True when `sock` is a connection [`TcpStack::export_conn`] would
     /// accept — post-handshake, not dying. Used to pre-validate a warm
     /// export before anything destructive happens.
     pub fn conn_transplantable(&self, sock: SocketId) -> bool {
-        match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(slot)) => slot.conn.transplantable(),
-            _ => false,
-        }
+        self.conn(sock).is_some_and(TcpConnection::transplantable)
     }
 
     /// True while any connection in this stack has `ip` as its local
@@ -693,17 +780,17 @@ impl TcpStack {
     }
 
     /// Tear a connection out of this stack for a warm migration, returning
-    /// its state as plain data. The socket, its demultiplexer entry and its
-    /// timer all go; stray segments that still arrive for
-    /// the tuple are dropped (counted as `no_socket_drops`), never answered
-    /// with a reset — the connection lives on elsewhere.
+    /// its state as plain data. The socket and its demultiplexer entry go,
+    /// and its timer entry is left to lapse; stray segments that still
+    /// arrive for the tuple are dropped (counted as `no_socket_drops`),
+    /// never answered with a reset — the connection lives on elsewhere.
     pub fn export_conn(&mut self, sock: SocketId) -> NkResult<nk_types::TcpConnSnapshot> {
-        let snap = match self.sockets.get(&sock) {
-            Some(SocketEntry::Conn(slot)) => slot.conn.snapshot()?,
-            Some(_) => return Err(NkError::InvalidState),
-            None => return Err(NkError::BadSocket),
+        let at = self.handle(sock)?;
+        let snap = match self.conn(sock) {
+            Some(c) => c.snapshot()?,
+            None => return Err(NkError::InvalidState),
         };
-        self.remove_conn(sock);
+        self.remove_conn(at);
         Ok(snap)
     }
 
@@ -718,9 +805,9 @@ impl TcpStack {
             return Err(NkError::AlreadyRegistered);
         }
         let conn = TcpConnection::restore(snap, self.cfg.cc.build());
-        let id = self.alloc_socket_id();
-        self.insert_conn(id, conn, None);
-        Ok(id)
+        let at = self.alloc_socket();
+        self.insert_conn(at, conn, None);
+        Ok(at.0)
     }
 
     // ---- Datapath -----------------------------------------------------------
@@ -736,6 +823,7 @@ impl TcpStack {
             self.port.send_burst(&mut self.tx_burst);
         }
         self.reap_closed();
+        self.prune_timers();
         work
     }
 
@@ -749,14 +837,14 @@ impl TcpStack {
             let local = seg.dst;
             let remote = seg.src;
             // Established / embryonic connection?
-            if let Some(&sock) = self.demux.get(&(local, remote)) {
-                self.deliver(sock, seg, now_ns);
+            if let Some(&slot) = self.demux.get(&(local, remote)) {
+                self.deliver(slot, seg, now_ns);
                 continue;
             }
             // New connection request towards a listener?
             if seg.flags.syn && !seg.flags.ack {
-                if let Some(listener_id) = self.pick_listener(local.port) {
-                    self.handle_syn(listener_id, seg, now_ns);
+                if let Some(listener) = self.pick_listener(local.port) {
+                    self.handle_syn(listener, seg, now_ns);
                     continue;
                 }
             }
@@ -775,7 +863,7 @@ impl TcpStack {
         count
     }
 
-    fn pick_listener(&mut self, port: u16) -> Option<SocketId> {
+    fn pick_listener(&mut self, port: u16) -> Option<Handle> {
         let v = self.listeners.get(&port)?;
         if v.is_empty() {
             return None;
@@ -787,9 +875,9 @@ impl TcpStack {
         Some(v[idx])
     }
 
-    fn handle_syn(&mut self, listener_id: SocketId, syn: &Segment, now_ns: u64) {
+    fn handle_syn(&mut self, listener: Handle, syn: &Segment, now_ns: u64) {
         // Enforce the backlog across embryonic + ready connections.
-        let Some(SocketEntry::Listener(l)) = self.sockets.get_mut(&listener_id) else {
+        let Some(l) = listener_mut(&mut self.slots, Some(listener)) else {
             return;
         };
         if l.ready.len() + l.embryonic >= l.backlog {
@@ -803,51 +891,56 @@ impl TcpStack {
             TcpConnection::accept(local_addr, remote, iss, syn, self.cfg.cc.build(), now_ns);
         conn.set_send_buf_cap(self.cfg.send_buf);
         conn.set_recv_buf_cap(self.cfg.recv_buf);
-        let id = self.alloc_socket_id();
-        self.insert_conn(id, conn, Some(listener_id));
+        let at = self.alloc_socket();
+        self.insert_conn(at, conn, Some(listener));
     }
 
-    /// Hand `seg` to connection `sock` and turn what it changed into stack
-    /// events.
-    fn deliver(&mut self, sock: SocketId, seg: &Segment, now_ns: u64) {
-        let slot = match self.sockets.get_mut(&sock) {
-            Some(SocketEntry::Conn(slot)) => slot,
+    /// Hand `seg` to the connection or record in `slot` and turn what it
+    /// changed into stack events.
+    fn deliver(&mut self, slot: u32, seg: &Segment, now_ns: u64) {
+        let s = &mut self.slots[slot as usize];
+        let at = (s.id, slot);
+        let cs = match &mut s.entry {
+            SocketEntry::Conn(c) => &mut self.conns[*c as usize],
             // TIME-WAIT answers nothing and raises nothing; a reset ends it
             // at the poll this wakes.
-            Some(SocketEntry::TimeWait(tw)) => {
+            SocketEntry::TimeWait(tw) => {
                 if seg.flags.rst {
                     tw.deadline = 0;
                 }
-                tw.wake(sock, &mut self.wake);
+                tw.wake(at, &mut self.wake);
                 return;
             }
             _ => return,
         };
-        slot.wake(sock, &mut self.wake);
-        let c = &mut slot.conn;
+        cs.wake(at, &mut self.wake);
+        let c = &mut cs.conn;
         let edges =
             |c: &TcpConnection| (c.is_established(), c.recv_available() > 0, c.fin_received());
         let (was_established, was_readable, was_fin) = edges(c);
         let opening = matches!(c.state(), ConnState::SynSent | ConnState::SynReceived);
         c.on_segment(seg, now_ns);
         let (established, readable, fin) = edges(c);
+        let sock = at.0;
         // The handshake ended: completed, or the connection died in it
         // (refused by RST or aborted) — a failed open. A connection that was
         // open cannot fail to open: the final ACK of a passive close, or a
         // reset in CLOSING or TIME-WAIT, raises nothing here. Either way an
         // embryonic connection leaves its listener's count; one that
-        // completed enters the accept queue, unless the listener has closed.
+        // completed enters the accept queue, and keeps its parent until it
+        // is accepted, unless the listener has closed.
         let opened = established && !was_established;
         if opened || (opening && c.is_closed()) {
-            let parent = slot.parent.take();
-            match (
-                opened,
-                parent,
-                Self::leave_listener(&mut self.sockets, parent),
-            ) {
-                (true, Some(listener), Some(ready)) => {
-                    ready.push_back(sock);
-                    self.events.push_back(StackEvent::Acceptable(listener));
+            let parent = cs.parent.take();
+            let mut listener = listener_mut(&mut self.slots, parent);
+            if let Some(l) = listener.as_deref_mut() {
+                l.embryonic -= 1;
+            }
+            match (opened, parent, listener) {
+                (true, Some((id, _)), Some(l)) => {
+                    l.ready.push_back(at);
+                    cs.parent = parent;
+                    self.events.push_back(StackEvent::Acceptable(id));
                 }
                 (true, Some(_), None) => {}
                 (true, None, _) => self.events.push_back(StackEvent::Connected(sock)),
@@ -862,76 +955,84 @@ impl TcpStack {
         }
     }
 
-    /// Enter a new connection into the socket table and the demultiplexer,
-    /// queued for the next `transmit`: it owes a SYN, a SYN-ACK or a window
-    /// ACK. It takes a spare slot when there is one, and adopts the slot's
-    /// emptied queues.
-    fn insert_conn(&mut self, id: SocketId, conn: TcpConnection, parent: Option<SocketId>) {
-        self.demux.insert((conn.local(), conn.remote()), id);
-        let mut slot = ConnSlot {
+    /// Turn socket `at` into a new connection, entered into the
+    /// demultiplexer and queued for the next `transmit`: it owes a SYN, a
+    /// SYN-ACK or a window ACK. It takes a free arena slot when there is
+    /// one, and adopts its emptied queues.
+    fn insert_conn(&mut self, at: Handle, conn: TcpConnection, parent: Option<Handle>) {
+        self.demux.insert((conn.local(), conn.remote()), at.1);
+        let mut fresh = ConnSlot {
             conn,
             queued: true,
             armed: None,
             parent,
         };
-        let slot = match self.spare.pop() {
-            Some(mut spare) => {
-                slot.conn.adopt_queues(&mut spare.conn);
-                *spare = slot;
-                spare
+        let c = match self.free_conns.pop() {
+            Some(c) => {
+                let spare = &mut self.conns[c as usize];
+                fresh.conn.adopt_queues(&mut spare.conn);
+                *spare = fresh;
+                c
             }
-            None => Box::new(slot),
+            None => {
+                self.conns.push(fresh);
+                (self.conns.len() - 1) as u32
+            }
         };
         self.live += 1;
-        self.sockets.insert(id, SocketEntry::Conn(slot));
-        self.wake.push(id);
+        self.slots[at.1 as usize].entry = SocketEntry::Conn(c);
+        self.wake.push(at);
     }
 
-    /// Take back the slot of a connection that left the socket table. Its
+    /// Take back arena slot `c`, whose connection left the socket table. Its
     /// connection is retired at once — the congestion control goes, so a
-    /// VM-shared window counts live flows only — and the slot is kept for the
-    /// next connection while fewer are spare than live, so slot memory stays
-    /// within twice its peak.
-    fn give_back(&mut self, mut slot: Box<ConnSlot>) {
+    /// VM-shared window counts live flows only — and its queue storage is
+    /// kept for the next connection while the free list is no longer than
+    /// the live connections, so queue memory stays within twice its peak.
+    fn give_back(&mut self, c: u32) {
         self.live -= 1;
-        slot.conn.retire();
-        self.spare.push(slot);
-        self.spare.truncate(self.live);
+        self.conns[c as usize].conn.retire();
+        // Positions `live` and past keep nothing: the one `live` just
+        // reached, and the one pushed now if it lands there.
+        if let Some(&over) = self.free_conns.get(self.live) {
+            self.conns[over as usize].conn.drop_queues();
+        }
+        if self.free_conns.len() >= self.live {
+            self.conns[c as usize].conn.drop_queues();
+        }
+        self.free_conns.push(c);
     }
 
-    /// Drop connection `id` — a slot or a record — and what points at it.
-    /// The demultiplexer entry goes only if it is this socket's.
-    fn remove_conn(&mut self, id: SocketId) {
-        let (key, parent) = match self.sockets.remove(&id) {
-            Some(SocketEntry::Conn(slot)) => {
-                if let Some(deadline) = slot.armed {
-                    self.timers.remove(&(deadline, id));
-                }
-                let found = ((slot.conn.local(), slot.conn.remote()), slot.parent);
-                self.give_back(slot);
+    /// Drop connection `at` — a connection or a record — and what points at
+    /// it. The demultiplexer entry goes only if it is this socket's.
+    fn remove_conn(&mut self, at: Handle) {
+        let (key, parent) = match held(&mut self.slots, at) {
+            Some(SocketEntry::Conn(c)) => {
+                let c = *c;
+                let cs = &self.conns[c as usize];
+                let found = ((cs.conn.local(), cs.conn.remote()), cs.parent);
+                self.give_back(c);
                 found
             }
             Some(SocketEntry::TimeWait(tw)) => ((tw.local, tw.remote), None),
             _ => return,
         };
-        if self.demux.get(&key) == Some(&id) {
-            self.demux.remove(&key);
+        match self.demux.remove(&key) {
+            Some(slot) if slot != at.1 => {
+                self.demux.insert(key, slot);
+            }
+            _ => {}
         }
-        self.interest.remove(&id);
-        Self::leave_listener(&mut self.sockets, parent);
-    }
-
-    /// Take one embryonic connection off the count of its `parent` listener,
-    /// if it has one that still listens, and return its accept queue.
-    fn leave_listener(
-        sockets: &mut DetMap<SocketId, SocketEntry>,
-        parent: Option<SocketId>,
-    ) -> Option<&mut VecDeque<SocketId>> {
-        let SocketEntry::Listener(l) = sockets.get_mut(&parent?)? else {
-            return None;
-        };
-        l.embryonic -= 1;
-        Some(&mut l.ready)
+        self.interest.remove(&at.0);
+        // Still the child of a listener: counted in its handshakes, or
+        // waiting in its accept queue, which must not hand out a reaped id.
+        if let Some(l) = listener_mut(&mut self.slots, parent) {
+            match l.ready.iter().position(|&r| r == at) {
+                Some(queued) => _ = l.ready.remove(queued),
+                None => l.embryonic -= 1,
+            }
+        }
+        self.free_socket(at);
     }
 
     /// Poll the connections an event queued since the last tick, those still
@@ -940,23 +1041,26 @@ impl TcpStack {
     /// walking every socket, because `poll_transmit` on a socket with
     /// nothing to do emits nothing and changes nothing.
     fn transmit(&mut self, now_ns: u64) -> usize {
-        while let Some(&(deadline, id)) = self.timers.first() {
+        while let Some(&Reverse((deadline, id, slot))) = self.timers.peek() {
             if deadline > now_ns {
                 break;
             }
-            self.timers.pop_first();
-            if let Some(SocketEntry::Conn(slot)) = self.sockets.get_mut(&id) {
-                slot.armed = None;
-                slot.wake(id, &mut self.wake);
+            self.timers.pop();
+            if let Some(SocketEntry::Conn(c)) = held(&mut self.slots, (id, slot)) {
+                let cs = &mut self.conns[*c as usize];
+                if cs.armed == Some(deadline) {
+                    cs.armed = None;
+                    cs.wake((id, slot), &mut self.wake);
+                }
             }
         }
-        while let Some(&(deadline, id)) = self.expiry.front() {
+        while let Some(&(deadline, id, slot)) = self.expiry.front() {
             if deadline > now_ns {
                 break;
             }
             self.expiry.pop_front();
-            if let Some(SocketEntry::TimeWait(tw)) = self.sockets.get_mut(&id) {
-                tw.wake(id, &mut self.wake);
+            if let Some(SocketEntry::TimeWait(tw)) = held(&mut self.slots, (id, slot)) {
+                tw.wake((id, slot), &mut self.wake);
             }
         }
         let mut due = std::mem::replace(&mut self.wake, std::mem::take(&mut self.due));
@@ -966,63 +1070,65 @@ impl TcpStack {
 
         let mut count = 0;
         let mut segs = std::mem::take(&mut self.tx_scratch);
-        for &id in &due {
-            let Some(entry) = self.sockets.get_mut(&id) else {
+        for &at in &due {
+            let Some(entry) = held(&mut self.slots, at) else {
                 continue; // removed since it was queued
             };
-            let slot = match entry {
-                SocketEntry::Conn(slot) => slot,
+            let c = match entry {
+                SocketEntry::Conn(c) => *c,
                 // What polling the parked connection did: nothing, until
                 // its deadline or a reset closed it.
                 SocketEntry::TimeWait(tw) => {
                     self.stats.conns_polled += 1;
                     tw.queued = false;
                     if now_ns >= tw.deadline {
-                        self.dead.push(id);
+                        self.dead.push(at);
                     }
                     continue;
                 }
                 _ => continue,
             };
-            slot.conn.poll_transmit(now_ns, &mut segs);
+            let cs = &mut self.conns[c as usize];
+            cs.conn.poll_transmit(now_ns, &mut segs);
             self.stats.conns_polled += 1;
-            slot.queued = slot.conn.needs_poll();
-            if slot.queued {
-                self.wake.push(id);
-            }
-            if let Some(deadline) = slot.conn.next_deadline() {
-                if slot.armed.is_none_or(|armed| deadline < armed) {
-                    if let Some(later) = slot.armed.replace(deadline) {
-                        self.timers.remove(&(later, id));
-                    }
-                    self.timers.insert((deadline, id));
-                }
+            cs.queued = cs.conn.needs_poll();
+            if cs.queued {
+                self.wake.push(at);
             }
             // A closed connection stays while the application has unread
             // bytes; only connections nobody is waiting on are reaped.
-            if slot.conn.is_closed() && slot.conn.recv_available() == 0 {
-                self.dead.push(id);
+            if cs.conn.is_closed() && cs.conn.recv_available() == 0 {
+                self.dead.push(at);
             }
-            // Parked in TIME-WAIT owing nothing: the connection becomes a
-            // record in the expiry FIFO, and its slot goes back to the spares.
-            // The insert is an append unless it parked late, behind unread
-            // bytes.
-            if let Some(deadline) = slot.conn.parked_until() {
-                debug_assert!(slot.parent.is_none() && !slot.queued);
-                if let Some(at) = slot.armed {
-                    self.timers.remove(&(at, id));
+            match cs.conn.parked_until().filter(|_| cs.parent.is_none()) {
+                // Parked in TIME-WAIT owing nothing (and accepted): the
+                // connection becomes a record in the expiry FIFO, and its
+                // arena slot goes back to the free list. The insert is an
+                // append unless it parked late, behind unread bytes.
+                Some(deadline) => {
+                    debug_assert!(!cs.queued);
+                    let key = (deadline, at.0, at.1);
+                    if self.expiry.back().is_none_or(|&last| last < key) {
+                        self.expiry.push_back(key);
+                    } else {
+                        let before = self.expiry.partition_point(|&e| e < key);
+                        self.expiry.insert(before, key);
+                    }
+                    *entry = SocketEntry::TimeWait(TimeWaitRecord {
+                        local: cs.conn.local(),
+                        remote: cs.conn.remote(),
+                        deadline,
+                        queued: false,
+                    });
+                    self.give_back(c);
                 }
-                let at = self.expiry.partition_point(|&e| e < (deadline, id));
-                self.expiry.insert(at, (deadline, id));
-                let record = TimeWaitRecord {
-                    local: slot.conn.local(),
-                    remote: slot.conn.remote(),
-                    deadline,
-                    queued: false,
-                };
-                let record = SocketEntry::TimeWait(Box::new(record));
-                if let SocketEntry::Conn(slot) = std::mem::replace(entry, record) {
-                    self.give_back(slot);
+                None => {
+                    if let Some(deadline) = cs.conn.next_deadline() {
+                        if cs.armed.is_none_or(|armed| deadline < armed) {
+                            cs.armed = Some(deadline);
+                            self.timers.push(Reverse((deadline, at.0, at.1)));
+                        }
+                    }
                 }
             }
             for seg in segs.drain(..) {
@@ -1036,24 +1142,52 @@ impl TcpStack {
         count
     }
 
+    /// Keep the timer heap's lapsed entries bounded: once it holds more
+    /// than `2·live + 64`, keep only the entries a pop would act on, each
+    /// once — a deadline armed again at a value it had before leaves a
+    /// twin (a lossy wire makes them) — which is at most one per live
+    /// connection. Each prune drops at least half of what it visits, so the
+    /// heap costs amortised O(1) per entry pushed.
+    fn prune_timers(&mut self) {
+        if self.timers.len() <= 2 * self.live + 64 {
+            return;
+        }
+        let (slots, conns) = (&mut self.slots, &self.conns);
+        let mut entries = std::mem::take(&mut self.timers).into_vec();
+        entries.retain(|&Reverse((deadline, id, slot))| {
+            matches!(held(slots, (id, slot)),
+                Some(SocketEntry::Conn(c)) if conns[*c as usize].armed == Some(deadline))
+        });
+        entries.sort_unstable();
+        entries.dedup();
+        self.timers = entries.into();
+    }
+
     /// Debug builds check the superset argument on every tick: each
     /// connection `transmit` is about to skip is polled anyway and must
     /// produce nothing and change nothing the stack acts on. A skipped
     /// record must not be due, and must wait in the expiry FIFO (sorted, so
     /// a binary search finds it).
     #[cfg(debug_assertions)]
-    fn audit_skipped(&mut self, due: &[SocketId], now_ns: u64) {
+    fn audit_skipped(&mut self, due: &[Handle], now_ns: u64) {
+        let mut sockets: Vec<Handle> = (self.slots.iter().enumerate())
+            .filter(|(_, s)| s.id != FREE)
+            .map(|(slot, s)| (s.id, slot as u32))
+            .collect();
+        sockets.sort_unstable();
+        assert_eq!(sockets.len(), self.ids.len(), "a slot for every id");
         let mut out = Vec::new();
-        for id in self.sockets.sorted_keys() {
-            if due.binary_search(&id).is_ok() {
+        for at in sockets {
+            if due.binary_search(&at).is_ok() {
                 continue;
             }
-            let slot = match self.sockets.get_mut(&id) {
-                Some(SocketEntry::Conn(slot)) => slot,
-                Some(SocketEntry::TimeWait(tw)) => {
+            let (id, slot) = at;
+            let c = match &self.slots[slot as usize].entry {
+                SocketEntry::Conn(c) => &mut self.conns[*c as usize].conn,
+                SocketEntry::TimeWait(tw) => {
                     assert!(
                         now_ns < tw.deadline
-                            && self.expiry.binary_search(&(tw.deadline, id)).is_ok(),
+                            && self.expiry.binary_search(&(tw.deadline, id, slot)).is_ok(),
                         "{id:?} was skipped at {now_ns} ns in TIME-WAIT until {}",
                         tw.deadline
                     );
@@ -1061,7 +1195,6 @@ impl TcpStack {
                 }
                 _ => continue,
             };
-            let c = &mut slot.conn;
             let (closed, deadline) = (c.is_closed(), c.next_deadline());
             c.poll_transmit(now_ns, &mut out);
             assert!(
@@ -1094,8 +1227,8 @@ impl TcpStack {
     /// connection — a segment, a timer, `close`, a `recv` — also queues it.
     fn reap_closed(&mut self) {
         let mut dead = std::mem::take(&mut self.dead);
-        for id in dead.drain(..) {
-            self.remove_conn(id);
+        for at in dead.drain(..) {
+            self.remove_conn(at);
         }
         self.dead = dead;
     }
@@ -1148,13 +1281,13 @@ impl SocketApi for TcpStack {
     }
 
     fn epoll_register(&mut self, sock: SocketId, interest: PollEvents) -> NkResult<()> {
-        self.sockets.get(&sock).ok_or(NkError::BadSocket)?;
+        self.handle(sock)?;
         self.interest.insert(sock, interest);
         Ok(())
     }
 
     fn epoll_unregister(&mut self, sock: SocketId) -> NkResult<()> {
-        self.sockets.get(&sock).ok_or(NkError::BadSocket)?;
+        self.handle(sock)?;
         self.interest.remove(&sock);
         Ok(())
     }
@@ -1510,13 +1643,15 @@ mod tests {
         let other = w.client.socket();
         w.client.connect(other, to, w.now).unwrap();
         let key = |port| (SockAddr::new(CLIENT_IP, port), to);
-        assert_eq!(w.client.demux.get(&key(5001)), Some(&other));
+        let other_slot = slot(&w.client, other);
+        assert_eq!(w.client.demux.get(&key(5001)), Some(&other_slot));
 
         // Had the entry been handed on regardless, reaping `old` spares it.
-        w.client.demux.insert(key(5000), new);
+        let new_slot = slot(&w.client, new);
+        w.client.demux.insert(key(5000), new_slot);
         w.run(600);
-        assert!(!w.client.sockets.contains_key(&old), "TIME-WAIT is over");
-        assert_eq!(w.client.demux.get(&key(5000)), Some(&new));
+        assert!(!alive(&w.client, old), "TIME-WAIT is over");
+        assert_eq!(w.client.demux.get(&key(5000)), Some(&new_slot));
     }
 
     /// Every ephemeral port towards one remote taken — live or parked in
@@ -1541,19 +1676,58 @@ mod tests {
         assert!(!w.client.demux.any(|(local, _), _| local.port == 0));
     }
 
+    /// The slot of live socket `id`.
+    fn slot(stack: &TcpStack, id: SocketId) -> u32 {
+        *stack.ids.get(&id).expect("a live socket")
+    }
+
+    /// Socket `id` is still in the table.
+    fn alive(stack: &TcpStack, id: SocketId) -> bool {
+        stack.ids.contains_key(&id)
+    }
+
     fn record(stack: &TcpStack, id: SocketId) -> Option<&TimeWaitRecord> {
-        match stack.sockets.get(&id) {
-            Some(SocketEntry::TimeWait(tw)) => Some(tw),
+        match stack.entry(id)? {
+            SocketEntry::TimeWait(tw) => Some(tw),
             _ => None,
         }
     }
 
-    /// The socket table holds an entry per parked socket: an entry stays
-    /// two words, and what it points at is a record, not a connection.
+    fn conn_slot(stack: &TcpStack, id: SocketId) -> Option<&ConnSlot> {
+        match stack.entry(id)? {
+            SocketEntry::Conn(c) => Some(&stack.conns[*c as usize]),
+            _ => None,
+        }
+    }
+
+    /// Timer-heap entries a pop would act on: the slot still holds their
+    /// socket, as a connection armed at their deadline.
+    fn armed_timers(stack: &TcpStack) -> usize {
+        let armed = |&Reverse((deadline, id, slot)): &Reverse<(u64, SocketId, u32)>| {
+            let s = &stack.slots[slot as usize];
+            s.id == id
+                && matches!(s.entry,
+                    SocketEntry::Conn(c) if stack.conns[c as usize].armed == Some(deadline))
+        };
+        stack.timers.iter().filter(|e| armed(e)).count()
+    }
+
+    /// Free arena slots that kept their queue storage.
+    fn stocked(stack: &TcpStack) -> usize {
+        let conns = &stack.conns;
+        (stack.free_conns.iter())
+            .filter(|&&c| conns[c as usize].conn.queue_capacity() > 0)
+            .count()
+    }
+
+    /// The socket table holds a slot per parked socket, and the record sits
+    /// in it inline: a slot is the record and its id, with no connection
+    /// and no box behind it.
     #[test]
     fn a_parked_socket_costs_a_small_record() {
-        assert_eq!(std::mem::size_of::<SocketEntry>(), 16);
-        assert!(std::mem::size_of::<TimeWaitRecord>() <= 48);
+        assert_eq!(std::mem::size_of::<TimeWaitRecord>(), 32);
+        assert_eq!(std::mem::size_of::<SocketEntry>(), 32);
+        assert_eq!(std::mem::size_of::<Slot>(), 40);
     }
 
     /// A record answers every call as the TIME-WAIT connection it replaced
@@ -1582,10 +1756,10 @@ mod tests {
         w.server.close(conn2).unwrap();
         w.run(5);
         assert!(record(&w.client, other).is_some());
-        let Some(SocketEntry::Conn(slot)) = w.client.sockets.get(&cs) else {
+        let Some(parked) = conn_slot(&w.client, cs) else {
             panic!("parked with a byte unread");
         };
-        assert_eq!(slot.conn.state(), ConnState::TimeWait);
+        assert_eq!(parked.conn.state(), ConnState::TimeWait);
         assert_eq!(w.client.recv(cs, &mut [0u8; 8]), Ok(4));
 
         let answers = |s: &mut TcpStack| {
@@ -1632,11 +1806,11 @@ mod tests {
         let mut rst = Segment::control(to, peer, crate::segment::SegmentFlags::rst());
         rst.seq = 1;
         w.client.discard_events();
-        w.client.deliver(cs, &rst, w.now);
+        w.client.deliver(slot(&w.client, cs), &rst, w.now);
         assert_eq!(answers(&mut w.client).0, owed_nothing.0);
         let before = w.client.stats().conns_polled;
         w.run(1);
-        assert!(!w.client.sockets.contains_key(&cs) && w.client.pop_event().is_none());
+        assert!(!alive(&w.client, cs) && w.client.pop_event().is_none());
         assert_eq!(w.client.stats().conns_polled - before, 1);
 
         // The other one lives to its deadline, to the tick.
@@ -1649,7 +1823,7 @@ mod tests {
         w.run(1);
         assert!(w.now >= deadline && w.client.socket_count() == 0);
         assert_eq!(w.client.stats().conns_polled - before, 1);
-        assert!(w.client.demux.is_empty() && w.client.timers.is_empty());
+        assert!(w.client.demux.is_empty() && armed_timers(&w.client) == 0);
     }
 
     /// Only a connection still in its handshake can fail to open. The final
@@ -1679,17 +1853,19 @@ mod tests {
         w.server.emit(Segment::control(remote, local, rst));
         w.server.port.send_burst(&mut w.server.tx_burst);
         w.run(2);
-        assert!(!w.client.sockets.contains_key(&cs), "reset ends TIME-WAIT");
+        assert!(!alive(&w.client, cs), "reset ends TIME-WAIT");
         let events = drain_events(&mut w.client);
         assert!(!failed(&events), "a reset in TIME-WAIT: {events:?}");
     }
 
-    /// The socket table's records and connection slots, in that order.
+    /// The socket table's records and connections, in that order.
     fn entries(s: &TcpStack) -> (usize, usize) {
+        let count = |kind: fn(&SocketEntry) -> bool| {
+            s.slots.iter().filter(|slot| kind(&slot.entry)).count()
+        };
         (
-            s.sockets
-                .count(|_, e| matches!(e, SocketEntry::TimeWait(_))),
-            s.sockets.count(|_, e| matches!(e, SocketEntry::Conn(_))),
+            count(|e| matches!(e, SocketEntry::TimeWait(_))),
+            count(|e| matches!(e, SocketEntry::Conn(_))),
         )
     }
 
@@ -1725,7 +1901,7 @@ mod tests {
         w.run(5);
         w.client.close(flows[1]).unwrap();
         w.run(5);
-        assert!(!w.client.sockets.contains_key(&flows[1]));
+        assert!(!alive(&w.client, flows[1]));
         assert_eq!(shared.active_flows(), 2, "reaped");
 
         // flows[0] closes first and parks in TIME-WAIT.
@@ -1736,7 +1912,7 @@ mod tests {
         assert!(record(&w.client, flows[0]).is_some());
         assert_eq!(shared.active_flows(), 1, "parked");
         assert_eq!(entries(&w.client), (1, 1));
-        let Some(SocketEntry::Conn(last)) = w.client.sockets.get(&flows[2]) else {
+        let Some(last) = conn_slot(&w.client, flows[2]) else {
             panic!("flows[2] is open");
         };
         assert_eq!(last.conn.cwnd(), shared.total_cwnd());
@@ -1922,7 +2098,7 @@ mod tests {
             w.echo(&cycled[..cycles]);
             assert_eq!(entries(&w.stacks[0]), (cycles, kept));
             for stack in &mut w.stacks {
-                assert_eq!(stack.spare.len(), kept.min(cycles));
+                assert_eq!(stocked(stack), kept.min(cycles));
                 // The session's own numbers start where a fresh stack's do.
                 (stack.stats, stack.iss) = (StackStats::default(), 0x1000);
                 stack.next_ephemeral = EPHEMERAL_LOW;
@@ -1992,7 +2168,7 @@ mod tests {
                     "at {}",
                     w.now
                 );
-                spares[i] = spares[i].max(stack.spare.len());
+                spares[i] = spares[i].max(stocked(stack));
             }
             clients.retain(|&cs| {
                 let open = w.client.poll(cs).writable();
@@ -2068,22 +2244,25 @@ mod tests {
         w.run(1);
         let early = record(&w.client, late).unwrap().deadline;
         assert!(early < later);
-        assert_eq!(w.client.expiry.front(), Some(&(early, late)));
+        assert_eq!(
+            w.client.expiry.front(),
+            Some(&(early, late, slot(&w.client, late)))
+        );
 
         // A reset ends `reset` on the tick it queued.
         let tw = record(&w.client, reset).unwrap();
         let rst = Segment::control(tw.remote, tw.local, crate::segment::SegmentFlags::rst());
-        w.client.deliver(reset, &rst, w.now);
+        w.client.deliver(slot(&w.client, reset), &rst, w.now);
         w.run(1);
-        assert!(!w.client.sockets.contains_key(&reset));
+        assert!(!alive(&w.client, reset));
         // The others go on the first tick at or past their deadlines.
         while w.client.socket_count() > 0 {
             w.run(1);
-            let alive = |id| w.client.sockets.contains_key(&id);
+            let alive = |id| alive(&w.client, id);
             assert_eq!(alive(late), w.now < early, "late at {}", w.now);
             assert_eq!(alive(plain), w.now < later, "plain at {}", w.now);
         }
-        assert!(w.client.expiry.is_empty() && w.client.timers.is_empty());
+        assert!(w.client.expiry.is_empty() && armed_timers(&w.client) == 0);
     }
 
     /// RFC 9293 §3.8.6.1: the receiver lets its window close, then reads
@@ -2166,14 +2345,154 @@ mod tests {
             w.now += 10_000_000; // 400 ms: many times any RTO
             w.client.tick(w.now);
         }
-        let Some(SocketEntry::Conn(slot)) = w.client.sockets.get(&cs) else {
+        let Some(reset) = conn_slot(&w.client, cs) else {
             panic!("reaped with unread bytes");
         };
-        assert!(slot.conn.is_closed());
-        assert_eq!(slot.conn.stats().timeouts, 0);
+        assert!(reset.conn.is_closed());
+        assert_eq!(reset.conn.stats().timeouts, 0);
         assert_eq!(shared.total_cwnd(), cwnd);
-        assert!(w.client.timers.is_empty());
+        assert_eq!(armed_timers(&w.client), 0);
         assert_eq!(w.client.recv(cs, &mut [0u8; 8]), Ok(6));
+    }
+
+    /// A connection reset while it waits in the accept queue is reaped and
+    /// leaves the queue with it: `accept` hands out the live one behind it,
+    /// and the listener reads as readable only while a live one waits. The
+    /// reaped id used to stay queued: `accept` answered `InvalidState` for
+    /// it, so ServiceLib's drain stopped there and stranded the connections
+    /// behind it, and `poll` reported `READABLE` for the dead id.
+    #[test]
+    fn a_connection_reset_before_accept_leaves_the_accept_queue() {
+        let mut w = World::new();
+        let ls = listening_server(&mut w, 80);
+        let to = SockAddr::new(SERVER_IP, 80);
+        for _ in 0..3 {
+            let cs = w.client.socket();
+            w.client.connect(cs, to, w.now).unwrap();
+        }
+        w.run(10);
+        // The client's i-th connection is from the i-th ephemeral port.
+        let reset = |w: &mut World, i: u16| {
+            let from = SockAddr::new(CLIENT_IP, EPHEMERAL_LOW + i);
+            let rst = crate::segment::SegmentFlags::rst();
+            w.client.emit(Segment::control(from, to, rst));
+            w.client.port.send_burst(&mut w.client.tx_burst);
+            w.run(5);
+        };
+        let sockets = w.server.socket_count();
+        reset(&mut w, 0);
+        assert_eq!(w.server.socket_count(), sockets - 1, "reaped unaccepted");
+        assert!(w.server.poll(ls).readable());
+        let (_, peer) = w.server.accept(ls).unwrap();
+        assert_eq!(peer.port, EPHEMERAL_LOW + 1);
+        reset(&mut w, 2);
+        assert!(!w.server.poll(ls).readable());
+        assert_eq!(w.server.accept(ls), Err(NkError::WouldBlock));
+    }
+
+    /// Stale references wake nothing. A connection on the wake list that
+    /// also holds a timer entry is exported, or reset and reaped, and a
+    /// connection opened next takes its slot before the next tick: that tick
+    /// polls the newcomer exactly once, and the old timer entry polls nothing
+    /// when it comes due.
+    #[test]
+    fn stale_references_to_a_reused_slot_wake_nothing() {
+        for reaped in [false, true] {
+            let mut w = World::new();
+            let (cs, _) = established(&mut w);
+            // Bytes in flight arm an RTO; more bytes queue the connection.
+            assert_eq!(w.client.send(cs, b"in flight"), Ok(9));
+            w.run(1);
+            let armed = conn_slot(&w.client, cs).unwrap().armed.expect("an RTO");
+            assert_eq!(w.client.send(cs, b"queued"), Ok(6));
+            let old = slot(&w.client, cs);
+            if reaped {
+                let rst = crate::segment::SegmentFlags::rst();
+                let rst = Segment::control(SockAddr::new(SERVER_IP, 80), SockAddr::new(0, 0), rst);
+                w.client.deliver(old, &rst, w.now);
+                w.run(1);
+            } else {
+                w.client.export_conn(cs).unwrap();
+                assert!(w.client.wake.contains(&(cs, old)));
+            }
+            assert!(!alive(&w.client, cs));
+            let fresh = w.client.socket();
+            assert_eq!(slot(&w.client, fresh), old, "the slot is reused");
+            let to = SockAddr::new(SERVER_IP, 80);
+            w.client.connect(fresh, to, w.now).unwrap();
+            let before = w.client.stats().conns_polled;
+            w.run(1);
+            assert_eq!(w.client.stats().conns_polled - before, 1, "polled once");
+            // The newcomer settles into an idle connection; its own lazy
+            // entry, if it comes due first, costs it one poll.
+            w.run(9);
+            assert!(w.client.poll(fresh).writable());
+            let own = conn_slot(&w.client, fresh).unwrap().armed;
+            assert_eq!(armed_timers(&w.client), usize::from(own.is_some()));
+            assert!(w.client.timers.len() > armed_timers(&w.client) && w.now < armed);
+            let before = w.client.stats().conns_polled;
+            while w.now <= armed {
+                w.run(1);
+            }
+            let own_polls = u64::from(own.is_some_and(|at| at <= armed));
+            assert_eq!(w.client.stats().conns_polled - before, own_polls);
+            assert_eq!(w.client.timers.len(), armed_timers(&w.client), "lapsed");
+        }
+    }
+
+    /// The timer heap deletes lazily, so a connection that leaves leaves its
+    /// entries behind, due an RTO or a TIME-WAIT later. A thousand short
+    /// connections, a few at a time, keep each stack's heap within
+    /// `2·live + 64` after every tick, with most of them parked as records.
+    #[test]
+    fn the_timer_heap_stays_within_twice_the_live_connections() {
+        const N: usize = 1_000;
+        const AT_ONCE: usize = 8;
+        let mut w = World::new();
+        let ls = listening_server(&mut w, 80);
+        let to = SockAddr::new(SERVER_IP, 80);
+        let (mut opened, mut clients, mut served) = (0, Vec::new(), Vec::new());
+        let mut buf = [0u8; 16];
+        while opened < N || !clients.is_empty() || !served.is_empty() {
+            while opened < N && clients.len() < AT_ONCE {
+                let cs = w.client.socket();
+                w.client.connect(cs, to, w.now).unwrap();
+                clients.push(cs);
+                opened += 1;
+            }
+            w.run(1);
+            for stack in [&w.client, &w.server] {
+                assert!(
+                    stack.timers.len() <= 2 * stack.live + 64,
+                    "{} timer entries for {} connections at {}",
+                    stack.timers.len(),
+                    stack.live,
+                    w.now
+                );
+            }
+            clients.retain(|&cs| {
+                let open = w.client.poll(cs).writable();
+                if open {
+                    w.client.send(cs, b"ping").unwrap();
+                    w.client.close(cs).unwrap();
+                }
+                !open
+            });
+            served.extend(std::iter::from_fn(|| {
+                w.server.accept(ls).ok().map(|(c, _)| c)
+            }));
+            served.retain(|&conn| loop {
+                match w.server.recv(conn, &mut buf) {
+                    Ok(0) => {
+                        w.server.close(conn).unwrap();
+                        break false;
+                    }
+                    Ok(_) => {}
+                    Err(_) => break true,
+                }
+            });
+        }
+        assert!(entries(&w.client).0 > N / 2, "{:?}", entries(&w.client));
     }
 
     /// A `recv` queues its connection only for work it left. 100 bytes
@@ -2279,7 +2598,7 @@ mod tests {
         // Stray frames for the tuple at the old stack are dropped, not
         // reset; its timer left with it.
         assert_eq!(w.client.export_conn(cs), Err(NkError::BadSocket));
-        assert!(w.client.timers.is_empty());
+        assert_eq!(armed_timers(&w.client), 0);
 
         // The installed connection is polled on its first tick, unprompted:
         // the bytes the snapshot carried go out, the window ACK on them.

@@ -76,8 +76,15 @@ check "$(sed -s -n '/^\[dependencies\]/,/^\[/p' crates/nk-sim/Cargo.toml crates/
     "JSON goes one way: nk-sim and nk-workload write nothing, so they do not depend on serde"
 check "$(code crates | grep -c 'dyn CongestionControl')" -eq 0 \
     "a connection pays once: congestion control is held inline as one enum, never boxed per connection"
-check "$(code crates/nk-netstack/src/stack.rs | grep -c 'timers.insert(')" -eq 1 \
-    "a connection pays once: only a connection's poll arms the lazy timer set; records expire from the FIFO"
+check "$(code crates/nk-netstack/src/stack.rs | grep -c 'timers.push(')" -eq 1 \
+    "a connection pays once: only a connection's poll arms the lazy timer heap; records expire from the FIFO"
+check "$(code crates/nk-netstack/src/stack.rs | grep -cE 'Box<ConnSlot>|Box<TimeWaitRecord>|BTreeSet')" -eq 0 \
+    "a segment costs one hash: slots hold connections by arena index and records inline, and timers are a heap, not a tree"
+# shellcheck disable=SC2016 # awk's own $0
+check "$(code crates/nk-netstack/src/stack.rs \
+    | awk '/^    (pub )?fn (process_incoming|deliver|transmit)\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' \
+    | grep -cE '\b(ids|sockets)\.')" -eq 0 \
+    "a segment costs one hash: the per-segment and per-timer paths carry slots and never look a socket id up (ids, or sockets as the table was named)"
 check "$(code crates/bench/src | grep -cE 'nk_cluster|Cluster::new')" -eq 0 \
     "one traffic driver: experiments runs every system run through Scenario"
 check "$(sed -n '/^\[dependencies\]/,/^\[/p' crates/bench/Cargo.toml | grep -c 'nk-cluster')" -eq 0 \
