@@ -160,6 +160,25 @@ mod tests {
         }
     }
 
+    /// RFC 3465 byte counting: slow start grows the window by the bytes an
+    /// ACK covers, not by one MSS per ACK, so a delayed ACK covering two
+    /// segments grows it exactly as much as two ACKs of one segment each.
+    #[test]
+    fn slow_start_counts_bytes_not_acks() {
+        for kind in [CcKind::Reno, CcKind::Cubic, CcKind::Dctcp, CcKind::VmShared] {
+            let mut one = CcAlgorithm::from_kind(kind).build();
+            let mut two = CcAlgorithm::from_kind(kind).build();
+            for round in 1..=8 {
+                let now = round * 1_000_000;
+                one.on_ack(2 * MSS, 100_000, false, now);
+                two.on_ack(MSS, 100_000, false, now);
+                two.on_ack(MSS, 100_000, false, now);
+                assert_eq!(one.cwnd(), two.cwnd(), "{} round {round}", one.name());
+            }
+            assert_eq!(one.cwnd(), INITIAL_CWND + 16 * MSS, "{}", one.name());
+        }
+    }
+
     #[test]
     fn all_algorithms_grow_on_acks_and_shrink_on_loss() {
         for kind in [CcKind::Reno, CcKind::Cubic, CcKind::Dctcp, CcKind::VmShared] {

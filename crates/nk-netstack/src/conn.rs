@@ -4,8 +4,8 @@
 //! handshake, cumulative-ACK sliding-window data transfer, receiver flow
 //! control with silly-window avoidance, a persist timer, retransmission
 //! (RTO with exponential backoff and fast retransmit on three duplicate
-//! ACKs), out-of-order reassembly, ECN echo, and orderly FIN / abortive RST
-//! teardown. Congestion control is delegated to a
+//! ACKs), delayed ACKs, out-of-order reassembly, ECN echo, and orderly FIN /
+//! abortive RST teardown. Congestion control is delegated to a
 //! [`CongestionControl`] implementation chosen per NSM.
 
 use crate::cc::{Cc, CcAlgorithm, CongestionControl};
@@ -45,6 +45,13 @@ pub enum ConnState {
 const INITIAL_RTO_NS: u64 = 50_000_000;
 /// Lower bound on the RTO.
 const MIN_RTO_NS: u64 = 10_000_000;
+/// How long the ACK of an in-order segment waits for a segment to ride on
+/// (RFC 9293 §3.8.6.3 allows up to 0.5 s). Five 100 µs steps: long enough
+/// for an rpc reply to come back through the NSM and carry it, and 1/20 of
+/// [`MIN_RTO_NS`], so no retransmission timer fires on a delayed ACK. One
+/// constant, so every deadline is `now + ACK_DELAY_NS` and the stack keeps
+/// them in arrival order in a FIFO.
+pub(crate) const ACK_DELAY_NS: u64 = 500_000;
 /// Upper bound on the RTO.
 const MAX_RTO_NS: u64 = 2_000_000_000;
 /// How long a connection lingers in TIME-WAIT (shortened 2MSL).
@@ -106,9 +113,23 @@ pub struct TcpConnection {
     /// `poll_transmit` emits carries `rcv_nxt + recv_window()`. The peer may
     /// send up to here, so `rcv_adv − rcv_nxt` is the window it sees.
     rcv_adv: u32,
-    /// An ACK should be emitted: data, a FIN or a SYN arrived, or the window
-    /// opened past what the peer sees ([`TcpConnection::window_update_owed`]).
+    /// An ACK is owed at the next poll: a FIN, a SYN-ACK or a segment that
+    /// does not take the delayed path ([`TcpConnection::process_payload`])
+    /// arrived, the delayed ACK's deadline passed, or the window opened past
+    /// what the peer sees ([`TcpConnection::window_update_owed`]).
     ack_pending: bool,
+    /// The delayed ACK (RFC 9293 §3.8.6.3): in-order data arrived at
+    /// `deadline − ACK_DELAY_NS` and has not been acknowledged. Whatever
+    /// segment goes out first carries the ACK and clears it; at the deadline
+    /// it becomes `ack_pending`.
+    ack_deadline: Option<u64>,
+    /// Full-sized segments received since the last segment sent: the second
+    /// is acknowledged at once (RFC 5681 §4.2).
+    full_unacked: u8,
+    /// Whether the last data segment arrived CE-marked: a change is
+    /// acknowledged at once, so the sender's ECE count follows the marks
+    /// (RFC 8257 §3.2).
+    ce_last: bool,
     /// Immediate duplicate ACKs owed for out-of-order arrivals (one per
     /// out-of-order segment, so the sender's fast-retransmit logic sees them).
     dup_ack_burst: u32,
@@ -188,6 +209,9 @@ impl TcpConnection {
             peer_fin_received: false,
             rcv_adv: 0,
             ack_pending: false,
+            ack_deadline: None,
+            full_unacked: 0,
+            ce_last: false,
             dup_ack_burst: 0,
             ece_pending: false,
             rto_ns: INITIAL_RTO_NS,
@@ -372,6 +396,7 @@ impl TcpConnection {
         self.rto_deadline = None;
         self.time_wait_deadline = None;
         self.persist = None;
+        self.ack_deadline = None;
         self.release_queues();
     }
 
@@ -445,6 +470,7 @@ impl TcpConnection {
         if self.state != ConnState::TimeWait
             || self.needs_poll()
             || self.rto_deadline.is_some()
+            || self.ack_deadline.is_some()
             || !self.recv_buf.is_empty()
         {
             return None;
@@ -500,7 +526,7 @@ impl TcpConnection {
             self.process_ack(seg, now_ns);
         }
         if !seg.payload.is_empty() || seg.flags.fin {
-            self.process_payload(seg);
+            self.process_payload(seg, now_ns);
         }
     }
 
@@ -578,18 +604,26 @@ impl TcpConnection {
         }
     }
 
-    fn process_payload(&mut self, seg: &Segment) {
+    /// Take a segment's data and FIN. Only new in-order data that fits the
+    /// window, fills no hole and keeps the CE state delays its ACK, and
+    /// only until the second full-sized segment; anything else — out of
+    /// order, a duplicate, a hole filled, a window overrun (a persist
+    /// probe), a CE change, a FIN — is acknowledged at the next poll.
+    fn process_payload(&mut self, seg: &Segment, now_ns: u64) {
         let seq = seg.seq;
         if seg.flags.fin {
             let fin_seq = seq.wrapping_add(seg.payload.len() as u32);
             self.peer_fin_seq = Some(fin_seq);
         }
         if !seg.payload.is_empty() {
+            let ce_changed = std::mem::replace(&mut self.ce_last, seg.ce_mark) != seg.ce_mark;
+            let mut delay = false;
             if seq_le(seq, self.rcv_nxt) {
                 // Overlapping or exactly in-order: take the part we miss.
                 let skip = self.rcv_nxt.wrapping_sub(seq) as usize;
                 if skip < seg.payload.len() {
-                    self.accept_in_order(&seg.payload, skip);
+                    let filling = !self.ooo.is_empty();
+                    delay = self.accept_in_order(&seg.payload, skip) && !filling && !ce_changed;
                     self.drain_ooo();
                 }
             } else if seq_lt(seq, self.rcv_nxt.wrapping_add(self.recv_window() as u32)) {
@@ -598,7 +632,12 @@ impl TcpConnection {
                 self.ooo.entry(seq).or_insert_with(|| seg.payload.clone());
                 self.dup_ack_burst += 1;
             }
-            self.ack_pending = true;
+            self.full_unacked = (self.full_unacked + u8::from(seg.payload.len() >= MSS)).min(2);
+            if delay && self.full_unacked < 2 {
+                self.ack_deadline.get_or_insert(now_ns + ACK_DELAY_NS);
+            } else {
+                self.ack_pending = true;
+            }
         }
         // Consume the peer's FIN once all data before it has arrived.
         if let Some(fin_seq) = self.peer_fin_seq {
@@ -705,13 +744,26 @@ impl TcpConnection {
     /// `out` (the caller's buffer, so a stack ticking many connections
     /// reuses one allocation).
     pub fn poll_transmit(&mut self, now_ns: u64, out: &mut Vec<Segment>) {
+        if self.ack_deadline.is_some_and(|at| now_ns >= at) {
+            self.ack_pending = true;
+        }
         let before = out.len();
         self.emit(now_ns, out);
         if out.len() > before {
             // Each segment advertised the same window: neither `rcv_nxt` nor
-            // the buffer moves while a poll emits.
+            // the buffer moves while a poll emits. Each carried the ACK, so
+            // none is owed any more.
             self.rcv_adv = self.rcv_nxt.wrapping_add(self.recv_window() as u32);
+            self.ack_deadline = None;
+            self.full_unacked = 0;
         }
+    }
+
+    /// When the delayed ACK goes out if no segment carries it first (the
+    /// stack's ACK FIFO wakes the connection then). Not a
+    /// [`TcpConnection::next_deadline`] timer.
+    pub(crate) fn ack_deadline(&self) -> Option<u64> {
+        self.ack_deadline
     }
 
     /// The body of [`TcpConnection::poll_transmit`].
@@ -907,7 +959,8 @@ impl TcpConnection {
     /// The earliest time a timer of this connection fires (`poll_transmit`
     /// acts on it at the first `now_ns >= deadline`): the retransmission
     /// timeout, the persist timer or the end of TIME-WAIT. `None` for a
-    /// closed connection.
+    /// closed connection. The delayed ACK is not among them: the stack keeps
+    /// its deadline in a FIFO ([`TcpConnection::ack_deadline`]).
     pub fn next_deadline(&self) -> Option<u64> {
         let persist = self.persist.map(|(at, _)| at);
         let timers = [self.rto_deadline, self.time_wait_deadline, persist];
@@ -1024,6 +1077,9 @@ impl TcpConnection {
             // Unknown here; the ACK owed below announces the window.
             rcv_adv: snap.rcv_nxt,
             ack_pending: true,
+            ack_deadline: None,
+            full_unacked: 0,
+            ce_last: false,
             dup_ack_burst: 0,
             ece_pending: false,
             rto_ns: snap.rto_ns.clamp(MIN_RTO_NS, MAX_RTO_NS),
@@ -1320,6 +1376,136 @@ mod tests {
         c.on_segment(&update[0], 2_000);
         assert_eq!((c.dup_acks, c.stats().fast_retransmits), (0, 0));
         assert!(tx(&mut s, 2_500).is_empty(), "the update is owed once");
+    }
+
+    /// Delayed ACKs (RFC 9293 §3.8.6.3, RFC 1122 §4.2.3.2, RFC 5681 §4.2):
+    /// a lone in-order segment is acknowledged [`ACK_DELAY_NS`] after it
+    /// arrived, or by whatever the receiver sends first. Every other arrival
+    /// is acknowledged by the poll at the same instant: the handshake's
+    /// SYN-ACK, an out-of-order segment, one that fills the hole, a
+    /// duplicate, a persist probe past a shut window, a change of CE mark
+    /// (RFC 8257 §3.2), the second full-sized segment, a FIN, and a read
+    /// that owes a window update.
+    #[test]
+    fn only_in_order_data_delays_its_ack() {
+        const T: u64 = 1_000_000;
+        /// The segments `c` sends after writing `len` bytes at `at`.
+        fn send(c: &mut TcpConnection, len: usize, at: u64) -> Vec<Segment> {
+            assert_eq!(c.write(&pattern(0, len)), len);
+            tx(c, at)
+        }
+        /// `s`'s answer to `seg`, polled at the instant it arrived: the
+        /// ACK number of the one pure ACK, or `None` for silence.
+        fn answer(s: &mut TcpConnection, seg: &Segment) -> Option<u32> {
+            s.on_segment(seg, T);
+            match &tx(s, T)[..] {
+                [] => None,
+                [ack] if ack.payload.is_empty() && ack.flags.ack => Some(ack.ack),
+                other => panic!("{} segments", other.len()),
+            }
+        }
+
+        // The handshake's final ACK leaves with the SYN-ACK's arrival.
+        let mut c =
+            TcpConnection::connect(addr(5000), peer(80), 1000, CcAlgorithm::Reno.build(), 0);
+        let syn = tx(&mut c, 0).remove(0);
+        let reno = CcAlgorithm::Reno.build();
+        let mut s = TcpConnection::accept(peer(80), addr(5000), 9000, &syn, reno, 0);
+        let syn_ack = tx(&mut s, 0).remove(0);
+        assert_eq!(answer(&mut c, &syn_ack), Some(9001));
+
+        // The lone in-order segment waits; nothing else does.
+        let (mut c, mut s) = pair(0);
+        let seg = send(&mut c, 100, T).remove(0);
+        assert_eq!(answer(&mut s, &seg), None, "delayed");
+        assert_eq!(s.ack_deadline(), Some(T + ACK_DELAY_NS));
+        assert!(tx(&mut s, T + ACK_DELAY_NS - 1).is_empty(), "not before");
+        let late = tx(&mut s, T + ACK_DELAY_NS);
+        assert_eq!((late.len(), late[0].ack), (1, seg.seq_end()), "not never");
+        assert_eq!(s.ack_deadline(), None);
+
+        // Whatever `s` sends first carries the ACK and clears the deadline.
+        let seg = send(&mut c, 100, T).remove(0);
+        assert_eq!(answer(&mut s, &seg), None);
+        let reply = send(&mut s, 64, T + 1);
+        assert_eq!((reply.len(), reply[0].ack), (1, seg.seq_end()));
+        assert_eq!(s.ack_deadline(), None);
+        assert!(tx(&mut s, T + ACK_DELAY_NS).is_empty(), "owed once");
+
+        // Out of order, then the segment that fills the hole: both at once.
+        let (mut c, mut s) = pair(0);
+        let first = send(&mut c, 100, T).remove(0);
+        let second = send(&mut c, 100, T).remove(0);
+        assert_eq!(answer(&mut s, &second), Some(first.seq), "a duplicate ACK");
+        assert_eq!(
+            answer(&mut s, &first),
+            Some(second.seq_end()),
+            "the hole filled"
+        );
+        // A segment the receiver already holds: its first ACK was lost.
+        assert_eq!(
+            answer(&mut s, &first),
+            Some(second.seq_end()),
+            "a duplicate"
+        );
+
+        // A CE mark that starts and one that stops are acknowledged at
+        // once; one that repeats is not.
+        let (mut c, mut s) = pair(0);
+        for (mark, immediate) in [(true, true), (true, false), (false, true), (false, false)] {
+            let mut seg = send(&mut c, 100, T).remove(0);
+            seg.ce_mark = mark;
+            let expected = immediate.then(|| seg.seq_end());
+            assert_eq!(
+                answer(&mut s, &seg),
+                expected,
+                "CE {mark}, immediate {immediate}"
+            );
+            tx(&mut s, T + ACK_DELAY_NS);
+        }
+
+        // The second full-sized segment; then a FIN.
+        let (mut c, mut s) = pair(0);
+        let segs = send(&mut c, 2 * MSS, T);
+        assert_eq!(answer(&mut s, &segs[0]), None);
+        assert_eq!(answer(&mut s, &segs[1]), Some(segs[1].seq_end()));
+        c.close();
+        let fin = tx(&mut c, T).remove(0);
+        assert!(fin.flags.fin);
+        assert_eq!(answer(&mut s, &fin), Some(fin.seq.wrapping_add(1)));
+
+        // A read that owes a window update sends it, and the delayed ACK
+        // with it, at once.
+        let (mut c, mut s) = pair(0);
+        s.set_recv_buf_cap(2 * MSS);
+        s.ack_pending = true;
+        for seg in tx(&mut s, 0) {
+            c.on_segment(&seg, 0);
+        }
+        let seg = send(&mut c, MSS, T).remove(0);
+        assert_eq!(answer(&mut s, &seg), None);
+        assert_eq!(s.read(&mut [0u8; MSS]), MSS);
+        let update = tx(&mut s, T);
+        assert_eq!(update.len(), 1);
+        assert_eq!(
+            (update[0].ack, update[0].window),
+            (seg.seq_end(), 2 * MSS as u32)
+        );
+
+        // A persist probe past a shut window draws the window at once.
+        let (mut c, mut s) = pair(0);
+        s.set_recv_buf_cap(MSS);
+        s.ack_pending = true;
+        for seg in tx(&mut s, 0) {
+            c.on_segment(&seg, 0);
+        }
+        let full = send(&mut c, MSS, T).remove(0);
+        assert_eq!(answer(&mut s, &full), None, "the window shuts");
+        let mut probe = full.clone();
+        probe.seq = full.seq_end();
+        probe.payload = vec![0].into();
+        assert_eq!(answer(&mut s, &probe), Some(full.seq_end()), "the probe");
+        assert_eq!(s.recv_window(), 0);
     }
 
     /// Growing `SO_RCVBUF` under a shut window reopens it, and the peer —

@@ -11,8 +11,8 @@
 //! * [`cc`] — pluggable congestion control: NewReno, CUBIC, DCTCP and the
 //!   Seawall-style VM-shared window used by the fair-sharing NSM (§6.2);
 //! * [`conn`] — the per-connection state machine: three-way handshake,
-//!   sliding-window data transfer, retransmission (RTO and fast retransmit),
-//!   out-of-order reassembly, FIN/RST teardown;
+//!   sliding-window data transfer, delayed ACKs, retransmission (RTO and
+//!   fast retransmit), out-of-order reassembly, FIN/RST teardown;
 //! * [`stack`] — the socket layer: listeners and accept queues, port
 //!   allocation, demultiplexing, readiness events, and the non-blocking
 //!   socket-call surface ServiceLib and the baseline guest translate into.

@@ -22,6 +22,11 @@
 //! live connections, and the next connection opened takes it. A parked
 //! socket is a small record, inline in its slot, that expires from a FIFO
 //! kept in deadline order; only connections use the lazy timer heap.
+//!
+//! An in-order segment's ACK waits `conn::ACK_DELAY_NS` for a segment to
+//! ride on. Every such deadline is the arrival time plus that one
+//! constant, so they arrive in order: they wait in a second FIFO, not in the
+//! timer heap, and a connection's `next_deadline()` never reports them.
 
 use crate::cc::{Cc, CcAlgorithm};
 use crate::conn::{ConnState, TcpConnection};
@@ -302,6 +307,12 @@ pub struct TcpStack {
     /// records expire from the front. Entries of records a reset reaped
     /// early stay until they surface and are skipped.
     expiry: VecDeque<(u64, SocketId, u32)>,
+    /// `(deadline_ns, socket, slot)` of every delayed ACK, by deadline
+    /// (each is its segment's arrival plus one constant,
+    /// `conn::ACK_DELAY_NS`): appended when a segment arms a connection's
+    /// deadline, popped when due. A pop wakes the connection only if it still holds that deadline;
+    /// one whose ACK rode out on an earlier segment is skipped.
+    acks: VecDeque<(u64, SocketId, u32)>,
     /// The [`SocketApi`] epoll interest set; an entry dies with its socket.
     /// Ordered so `epoll_wait` reports deterministically.
     interest: BTreeMap<SocketId, PollEvents>,
@@ -344,6 +355,7 @@ impl TcpStack {
             dead: Vec::new(),
             timers: BinaryHeap::new(),
             expiry: VecDeque::new(),
+            acks: VecDeque::new(),
             interest: BTreeMap::new(),
             now_ns: 0,
             next_socket: 1,
@@ -919,9 +931,14 @@ impl TcpStack {
             |c: &TcpConnection| (c.is_established(), c.recv_available() > 0, c.fin_received());
         let (was_established, was_readable, was_fin) = edges(c);
         let opening = matches!(c.state(), ConnState::SynSent | ConnState::SynReceived);
+        let ack_owed = c.ack_deadline().is_some();
         c.on_segment(seg, now_ns);
         let (established, readable, fin) = edges(c);
         let sock = at.0;
+        if let Some(deadline) = c.ack_deadline().filter(|_| !ack_owed) {
+            debug_assert!(self.acks.back().is_none_or(|&(last, ..)| last <= deadline));
+            self.acks.push_back((deadline, sock, slot));
+        }
         // The handshake ended: completed, or the connection died in it
         // (refused by RST or aborted) — a failed open. A connection that was
         // open cannot fail to open: the final ACK of a passive close, or a
@@ -1063,6 +1080,18 @@ impl TcpStack {
                 tw.wake((id, slot), &mut self.wake);
             }
         }
+        while let Some(&(deadline, id, slot)) = self.acks.front() {
+            if deadline > now_ns {
+                break;
+            }
+            self.acks.pop_front();
+            if let Some(SocketEntry::Conn(c)) = held(&mut self.slots, (id, slot)) {
+                let cs = &mut self.conns[*c as usize];
+                if cs.conn.ack_deadline() == Some(deadline) {
+                    cs.wake((id, slot), &mut self.wake);
+                }
+            }
+        }
         let mut due = std::mem::replace(&mut self.wake, std::mem::take(&mut self.due));
         due.sort_unstable();
         #[cfg(debug_assertions)]
@@ -1167,7 +1196,9 @@ impl TcpStack {
     /// connection `transmit` is about to skip is polled anyway and must
     /// produce nothing and change nothing the stack acts on. A skipped
     /// record must not be due, and must wait in the expiry FIFO (sorted, so
-    /// a binary search finds it).
+    /// a binary search finds it); so must a skipped connection's delayed ACK
+    /// in the ACK FIFO (sorted by deadline only: a search finds the run of
+    /// entries due at that time).
     #[cfg(debug_assertions)]
     fn audit_skipped(&mut self, due: &[Handle], now_ns: u64) {
         let mut sockets: Vec<Handle> = (self.slots.iter().enumerate())
@@ -1195,6 +1226,14 @@ impl TcpStack {
                 }
                 _ => continue,
             };
+            if let Some(ack) = c.ack_deadline() {
+                let from = self.acks.partition_point(|&(at, ..)| at < ack);
+                let mut same_deadline = self.acks.range(from..).take_while(|&&(at, ..)| at == ack);
+                assert!(
+                    now_ns < ack && same_deadline.any(|&e| e == (ack, id, slot)),
+                    "{id:?} was skipped at {now_ns} ns owing an ACK at {ack} ns"
+                );
+            }
             let (closed, deadline) = (c.is_closed(), c.next_deadline());
             c.poll_transmit(now_ns, &mut out);
             assert!(
@@ -2518,6 +2557,74 @@ mod tests {
         let last = w.server.stats();
         assert_eq!(last.conns_polled - after.conns_polled, 1);
         assert_eq!(last.segments_out - after.segments_out, 1, "one update");
+    }
+
+    /// A 64-B request and its reply cost two segments: the reply carries
+    /// the ACK of the request, and the next request the ACK of the reply.
+    /// Only the last reply, which no request follows, is acknowledged on
+    /// its own, `ACK_DELAY_NS` after it arrived.
+    #[test]
+    fn an_rpc_echo_costs_two_segments() {
+        let mut w = World::new();
+        let (cs, conn) = established(&mut w);
+        w.run(10);
+        let segments = |w: &World| w.client.stats().segments_out + w.server.stats().segments_out;
+        /// Run rounds until `sock`, on the server or the client, holds 64
+        /// bytes, and read them.
+        fn await_64(w: &mut World, server: bool, sock: SocketId) -> [u8; 64] {
+            let mut buf = [0u8; 64];
+            for _ in 0..10 {
+                w.run(1);
+                let stack = if server { &mut w.server } else { &mut w.client };
+                if stack.recv(sock, &mut buf) == Ok(64) {
+                    return buf;
+                }
+            }
+            panic!("no 64-B message within 10 rounds");
+        }
+        for i in 0..20u8 {
+            let before = segments(&w);
+            assert_eq!(w.client.send(cs, &[i; 64]), Ok(64));
+            let request = await_64(&mut w, true, conn);
+            assert_eq!(w.server.send(conn, &request), Ok(64));
+            assert_eq!(await_64(&mut w, false, cs), [i; 64]);
+            assert_eq!(segments(&w) - before, 2, "exchange {i}");
+        }
+        let last = segments(&w);
+        w.run((crate::conn::ACK_DELAY_NS / 100_000) as usize + 1);
+        assert_eq!(segments(&w) - last, 1, "the last reply's ACK");
+        assert!(w.server.conn_quiet(conn));
+    }
+
+    /// A one-way write draws its ACK at the first tick `ACK_DELAY_NS` after
+    /// it arrived: not before, and not never. The ACK-FIFO entry is what
+    /// wakes the connection; no timer entry does.
+    #[test]
+    fn a_one_way_write_is_acknowledged_after_the_ack_delay() {
+        const DELAY: u64 = crate::conn::ACK_DELAY_NS;
+        let mut w = World::new();
+        let (cs, _conn) = established(&mut w);
+        w.run(10);
+        assert_eq!(w.client.send(cs, b"one way"), Ok(7));
+        let (received, quiet) = (w.server.stats().segments_in, w.server.stats().segments_out);
+        let heap = w.server.timers.len();
+        while w.server.stats().segments_in == received {
+            assert!(w.now < 10_000_000, "the write never arrived");
+            w.run(1);
+        }
+        let arrived = w.now;
+        assert_eq!(w.server.timers.len(), heap, "no timer entry");
+        assert_eq!(w.server.acks.len(), 1);
+        while w.now < arrived + DELAY {
+            assert_eq!(w.server.stats().segments_out, quiet, "at {} ns", w.now);
+            assert!(!w.client.conn_quiet(cs));
+            w.run(1);
+        }
+        assert_eq!(w.now, arrived + DELAY);
+        assert_eq!(w.server.stats().segments_out, quiet + 1, "the ACK");
+        assert!(w.server.acks.is_empty() && w.server.timers.len() == heap);
+        w.run(1);
+        assert!(w.client.conn_quiet(cs));
     }
 
     #[test]

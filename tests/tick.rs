@@ -213,7 +213,9 @@ fn rto_fires_on_a_socket_nothing_else_wakes() {
 /// Two connections of one VM share a Seawall window. One is window-blocked
 /// with queued data towards a silent peer, so no event ever reaches it; the
 /// other's ACKs open the shared window. The blocked connection must use the
-/// new room on the very tick it appears.
+/// new room on the very tick it appears. The other writes one full-sized
+/// segment per tick, so its peer acknowledges every second one at once
+/// instead of delaying the ACK.
 #[test]
 fn a_siblings_ack_unblocks_a_window_blocked_connection_the_same_tick() {
     const SILENT_IP: u32 = 0x0A00_0003;
@@ -250,7 +252,7 @@ fn a_siblings_ack_unblocks_a_window_blocked_connection_the_same_tick() {
     let mut opened = 0;
     for tick in 0..60u64 {
         let before = (shared.total_cwnd(), w.client.stats().segments_out);
-        assert_eq!(w.client.send(chatty, &seeded_payload(tick, 100)), Ok(100));
+        assert_eq!(w.client.send(chatty, &seeded_payload(tick, MSS)), Ok(MSS));
         w.step();
         let grew = shared.total_cwnd() > before.0;
         opened += u32::from(grew);
