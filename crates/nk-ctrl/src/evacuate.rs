@@ -18,7 +18,6 @@
 //! evacuation as replayable as every other cluster decision.
 
 use nk_types::{HostId, NkError, NkResult, NsmId, VmId};
-use serde::Serialize;
 
 /// How a VM travels during an evacuation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -207,7 +206,7 @@ impl EvacPlan {
 }
 
 /// One entry of the plan log, as a flight-recorder dump writes it.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PlanEventKind {
     /// The plan was admitted and execution begins.
     PlanStarted {
@@ -253,6 +252,16 @@ pub enum PlanEventKind {
         reverted: u32,
     },
 }
+
+serde::impl_serialize!(enum PlanEventKind {
+    PlanStarted { host, steps, waves },
+    ActionStarted { step },
+    ActionDone { step },
+    ActionFailed { step, code },
+    ActionReverted { step },
+    PlanCommitted { host },
+    PlanRolledBack { host, reverted },
+});
 
 /// A [`PlanEventKind`] stamped with virtual time, placement epoch and a
 /// per-plan sequence number. The log is coordinator-only (plans never run

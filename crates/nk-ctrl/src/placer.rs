@@ -14,7 +14,6 @@ use crate::{EpochSample, LoadMonitor, NsmLoad, Rebalancer};
 use nk_types::{
     ClusterPolicy, ControlAction, ControlPolicy, ControlTarget, HostId, NkResult, NsmId, VmId,
 };
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Load signals of one host over one placement epoch.
@@ -63,7 +62,7 @@ pub struct Migration {
 /// case the cluster skips it and the placer re-observes next epoch. The
 /// flight recorder keeps both halves — what was decided and whether it
 /// happened — which is exactly the signal a skipped-decision loop hides.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecisionOutcome {
     /// Placement epoch the decision was taken in.
     pub epoch: u64,
@@ -76,6 +75,8 @@ pub struct DecisionOutcome {
     /// Whether the mechanism applied the migration.
     pub applied: bool,
 }
+
+serde::impl_serialize!(struct DecisionOutcome { epoch, vm, from, to, applied });
 
 /// The cluster placement loop (monitor + rebalancer over hosts).
 pub struct Placer {

@@ -2,7 +2,6 @@
 
 use nk_ctrl::{DecisionOutcome, PlanEventKind};
 use nk_types::{ClusterAction, ControlAction, HostId, VmId};
-use serde::Serialize;
 use std::collections::VecDeque;
 
 /// What kind of event a ring entry carries — the filter vocabulary.
@@ -22,7 +21,7 @@ pub enum EventClass {
 
 /// One captured event. The payloads are the system's own serializable
 /// types, not strings — a dump consumer filters and matches structurally.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ObsEventKind {
     /// A [`ClusterAction`] as pushed to the cluster event log.
     Cluster(ClusterAction),
@@ -45,6 +44,14 @@ pub enum ObsEventKind {
     /// A placement decision outcome.
     Decision(DecisionOutcome),
 }
+
+serde::impl_serialize!(enum ObsEventKind {
+    Cluster(action),
+    Control { host, action },
+    Plan(kind),
+    Fault { host, faults },
+    Decision(outcome),
+});
 
 impl ObsEventKind {
     /// The event's class (the coarse filter axis).
@@ -102,7 +109,7 @@ impl ObsEventKind {
 }
 
 /// One event ring entry: the payload plus its capture stamps.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ObsEvent {
     /// Monotonic capture sequence number. Survives wraparound: after the
     /// ring overwrote old entries, the retained entries' numbers still say
@@ -115,6 +122,8 @@ pub struct ObsEvent {
     /// The event.
     pub kind: ObsEventKind,
 }
+
+serde::impl_serialize!(struct ObsEvent { seq, at_ns, epoch, kind });
 
 /// A fixed-capacity ring of [`ObsEvent`]s: wraparound keeps the newest N.
 /// Internal state — a dump serializes the retained events as a `Vec`.

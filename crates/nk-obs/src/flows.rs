@@ -9,11 +9,10 @@
 //! Eviction ties break on the smaller key, keeping the table a pure
 //! function of the observation sequence.
 
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// A directional transport 4-tuple.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowKey {
     /// Source address.
     pub src_ip: u32,
@@ -25,8 +24,10 @@ pub struct FlowKey {
     pub dst_port: u16,
 }
 
+serde::impl_serialize!(struct FlowKey { src_ip, src_port, dst_ip, dst_port });
+
 /// Accumulated weight of one tracked flow.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlowStat {
     /// Wire bytes observed (headers included), possibly inherited from an
     /// evicted lighter flow.
@@ -34,6 +35,8 @@ pub struct FlowStat {
     /// Frames observed.
     pub ops: u64,
 }
+
+serde::impl_serialize!(struct FlowStat { bytes, ops });
 
 /// A fixed-capacity top-K flow table with space-saving eviction. Internal
 /// state — a dump serializes [`FlowTable::top`] as a `Vec`.

@@ -21,7 +21,6 @@
 
 use nk_sim::Histogram;
 use nk_types::{HostId, VmId};
-use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Stamps a feed will queue per VM before dropping new ones: bounds memory
@@ -30,7 +29,7 @@ use std::collections::{BTreeMap, VecDeque};
 const OUTSTANDING_CAP: usize = 4096;
 
 /// Headline quantiles of one histogram, in the recorded unit (ns).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Samples recorded.
     pub count: u64,
@@ -41,6 +40,8 @@ pub struct LatencySummary {
     /// Largest sample.
     pub max_ns: u64,
 }
+
+serde::impl_serialize!(struct LatencySummary { count, p50_ns, p99_ns, max_ns });
 
 impl LatencySummary {
     /// Summarize a histogram of ns samples.
@@ -56,7 +57,7 @@ impl LatencySummary {
 
 /// One sealed recorder epoch: per-host and cluster-wide completion-latency
 /// summaries over `[start_ns, end_ns)`.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EpochLatency {
     /// Recorder epoch index (independent of the placement epoch: latency
     /// aggregation runs on its own virtual-time cadence so it works
@@ -71,6 +72,8 @@ pub struct EpochLatency {
     /// Per-host summaries, ascending `HostId`.
     pub hosts: Vec<(HostId, LatencySummary)>,
 }
+
+serde::impl_serialize!(struct EpochLatency { epoch, start_ns, end_ns, cluster, hosts });
 
 /// A host's capture feed: the per-host half of the flight recorder.
 ///

@@ -5,11 +5,10 @@ use crate::flows::{FlowKey, FlowStat, FlowTable};
 use crate::latency::{EpochLatency, LatencySummary};
 use nk_sim::Histogram;
 use nk_types::{HostId, ObsConfig, VmId};
-use serde::Serialize;
 use std::collections::VecDeque;
 
 /// The named windows of a migration or evacuation handover.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MigrationPhase {
     /// Engine ingress paused, mini-steps draining the wire to quiescence.
     Freeze,
@@ -25,11 +24,22 @@ pub enum MigrationPhase {
     Retire,
 }
 
+serde::impl_serialize!(
+    enum MigrationPhase {
+        Freeze,
+        Export,
+        Reroute,
+        Install,
+        Thaw,
+        Retire,
+    }
+);
+
 /// One phase window in virtual time. Phases that complete without
 /// advancing virtual time (an export is a single action of the plan
 /// coordinator) have `start_ns == end_ns`; the freeze window, which runs
 /// wire-draining mini-steps, has real width.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseWindow {
     /// The VM the window belongs to (`None` for share retirement).
     pub vm: Option<VmId>,
@@ -49,6 +59,8 @@ pub struct PhaseWindow {
     pub ok: bool,
 }
 
+serde::impl_serialize!(struct PhaseWindow { vm, phase, start_ns, end_ns, epoch, step, ok });
+
 impl PhaseWindow {
     /// The window's width in virtual ns.
     pub fn width_ns(&self) -> u64 {
@@ -57,7 +69,7 @@ impl PhaseWindow {
 }
 
 /// Why capture stopped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FreezeReason {
     /// An evacuation plan failed mid-flight and rolled back.
     PlanRolledBack {
@@ -71,8 +83,10 @@ pub enum FreezeReason {
     },
 }
 
+serde::impl_serialize!(enum FreezeReason { PlanRolledBack { host }, HostKilled { host } });
+
 /// The dump-on-fault stamp: where and why the ring froze.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FreezeInfo {
     /// Virtual time of the trigger.
     pub at_ns: u64,
@@ -82,8 +96,10 @@ pub struct FreezeInfo {
     pub reason: FreezeReason,
 }
 
+serde::impl_serialize!(struct FreezeInfo { at_ns, epoch, reason });
+
 /// A serializable snapshot of everything the recorder retains.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ObsDump {
     /// Set when a dump-on-fault trigger froze capture.
     pub frozen: Option<FreezeInfo>,
@@ -98,6 +114,8 @@ pub struct ObsDump {
     /// Hot flows, heaviest first.
     pub flows: Vec<(FlowKey, FlowStat)>,
 }
+
+serde::impl_serialize!(struct ObsDump { frozen, events_captured, events, epochs, phases, flows });
 
 /// The cluster-scope flight recorder. Owned by `Cluster` (one per run) and
 /// written only from the caller's thread: every capture call happens either
@@ -517,6 +535,56 @@ mod tests {
         ]
         .concat();
         assert_eq!(serde_json::to_string(&dump).unwrap(), want);
+
+        // The shapes the dump above leaves out: no freeze, a host kill, and
+        // every other phase, one of them a share retirement run by a plan.
+        let phase = |vm, phase, step| PhaseWindow {
+            vm,
+            phase,
+            start_ns: 300,
+            end_ns: 300,
+            epoch: 2,
+            step,
+            ok: false,
+        };
+        let bare = ObsDump {
+            frozen: None,
+            events_captured: 0,
+            events: vec![],
+            epochs: vec![],
+            phases: vec![
+                phase(Some(VmId(3)), MigrationPhase::Export, None),
+                phase(Some(VmId(3)), MigrationPhase::Reroute, None),
+                phase(Some(VmId(3)), MigrationPhase::Install, None),
+                phase(Some(VmId(3)), MigrationPhase::Thaw, None),
+                phase(None, MigrationPhase::Retire, Some(7)),
+            ],
+            flows: vec![],
+        };
+        let want = [
+            r#"{"frozen":null,"events_captured":0,"events":[],"epochs":[],"phases":["#,
+            r#"{"vm":3,"phase":"Export","start_ns":300,"end_ns":300,"#,
+            r#""epoch":2,"step":null,"ok":false},"#,
+            r#"{"vm":3,"phase":"Reroute","start_ns":300,"end_ns":300,"#,
+            r#""epoch":2,"step":null,"ok":false},"#,
+            r#"{"vm":3,"phase":"Install","start_ns":300,"end_ns":300,"#,
+            r#""epoch":2,"step":null,"ok":false},"#,
+            r#"{"vm":3,"phase":"Thaw","start_ns":300,"end_ns":300,"#,
+            r#""epoch":2,"step":null,"ok":false},"#,
+            r#"{"vm":null,"phase":"Retire","start_ns":300,"end_ns":300,"#,
+            r#""epoch":2,"step":7,"ok":false}],"flows":[]}"#,
+        ]
+        .concat();
+        assert_eq!(serde_json::to_string(&bare).unwrap(), want);
+        let killed = FreezeInfo {
+            at_ns: 400,
+            epoch: 3,
+            reason: FreezeReason::HostKilled { host: HostId(4) },
+        };
+        assert_eq!(
+            serde_json::to_string(&killed).unwrap(),
+            r#"{"at_ns":400,"epoch":3,"reason":{"HostKilled":{"host":4}}}"#
+        );
     }
 
     /// Damaged dump text is an `Err`, never a panic: every proper prefix is

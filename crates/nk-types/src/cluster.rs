@@ -14,7 +14,6 @@
 use crate::config::{valid_rate_gbps, HostConfig, MAX_LINK_LATENCY_US};
 use crate::error::{NkError, NkResult};
 use crate::ids::{HostId, NsmId, VmId};
-use serde::Serialize;
 
 /// Placement policy driving the cluster-scope control loop.
 ///
@@ -360,7 +359,7 @@ impl ClusterConfig {
 }
 
 /// One decision taken (or milestone reached) by the cluster control loop.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ClusterAction {
     /// Live-migrate a VM to another host: its state is exported and
     /// re-imported, new connections land on `to_nsm` on the destination
@@ -445,8 +444,18 @@ pub enum ClusterAction {
     },
 }
 
+serde::impl_serialize!(enum ClusterAction {
+    MigrateVm { vm, from, to, to_nsm },
+    DrainComplete { vm, host, nsm },
+    ScaleToZero { host, nsm },
+    WarmMigrateVm { vm, from, to, to_nsm, connections },
+    WarmHandoverComplete { vm, to, connections },
+    HostEvacuated { host, vms, warm, drained },
+    HostKilled { host },
+});
+
 /// A [`ClusterAction`] stamped with when it was taken.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClusterEvent {
     /// Virtual time at which the action applied.
     pub at_ns: u64,
@@ -455,6 +464,8 @@ pub struct ClusterEvent {
     /// The action.
     pub action: ClusterAction,
 }
+
+serde::impl_serialize!(struct ClusterEvent { at_ns, epoch, action });
 
 #[cfg(test)]
 mod tests {

@@ -188,7 +188,7 @@ pub enum IsolationPolicy {
     RateLimited,
     /// Round-robin polling plus a cap on NQE operations per second per VM.
     OpsLimited {
-        /// Maximum NQEs per second each VM may issue.
+        /// Maximum NQEs per second each VM may issue (at least 1).
         max_ops_per_sec: u64,
     },
 }
@@ -380,6 +380,10 @@ impl HostConfig {
         if self.max_poll_rounds == 0 {
             return Err(NkError::BadConfig);
         }
+        // A zero rate refills no tokens: each VM's second NQE would stall forever.
+        if let IsolationPolicy::OpsLimited { max_ops_per_sec: 0 } = self.isolation {
+            return Err(NkError::BadConfig);
+        }
         if let VmToNsmPolicy::Static(map) = &self.mapping {
             for (v, n) in map {
                 if !vm_ids.contains(v) || !nsm_ids.contains(n) {
@@ -485,7 +489,7 @@ mod tests {
         // count with an id for each (100 000 used to reach the allocator).
         // Oversized memory counts used to pass and then overflow in the
         // allocation at attach.
-        let rows: [(Edit, bool); 18] = [
+        let rows: [(Edit, bool); 20] = [
             (|c| c.vms[0].vcpus = 256, true),
             (|c| c.vms[0].vcpus = 257, false),
             (|c| c.vms[0].vcpus = 100_000, false),
@@ -504,6 +508,14 @@ mod tests {
             (|c| c.queue_capacity = 1 << 16, true),
             (|c| c.queue_capacity = (1 << 16) + 1, false),
             (|c| c.queue_capacity = usize::MAX, false),
+            (
+                |c| c.isolation = IsolationPolicy::OpsLimited { max_ops_per_sec: 1 },
+                true,
+            ),
+            (
+                |c| c.isolation = IsolationPolicy::OpsLimited { max_ops_per_sec: 0 },
+                false,
+            ),
         ];
         for (row, (edit, ok)) in rows.iter().enumerate() {
             let mut cfg = two_vm_one_nsm();

@@ -11,10 +11,9 @@
 
 use crate::error::{NkError, NkResult};
 use crate::ids::{NsmId, VmId};
-use serde::Serialize;
 
 /// A component the control plane can resize.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum ControlTarget {
     /// The CoreEngine NQE switch.
     Engine,
@@ -22,8 +21,15 @@ pub enum ControlTarget {
     Nsm(NsmId),
 }
 
+serde::impl_serialize!(
+    enum ControlTarget {
+        Engine,
+        Nsm(nsm),
+    }
+);
+
 /// One decision taken by the control plane.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ControlAction {
     /// Grow a component's core allocation because smoothed utilisation
     /// crossed the high watermark.
@@ -61,6 +67,12 @@ pub enum ControlAction {
         to: NsmId,
     },
 }
+
+serde::impl_serialize!(enum ControlAction {
+    ScaleUp { target, from_cores, to_cores, utilisation },
+    ScaleDown { target, from_cores, to_cores, utilisation },
+    Rebalance { vm, from, to },
+});
 
 /// A [`ControlAction`] stamped with when it was taken.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -4,7 +4,6 @@
 //! one byte for the queue-set identifier and four bytes for the socket
 //! identifier, so the corresponding newtypes wrap `u8`/`u32`.
 
-use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a host in a NetKernel cluster.
@@ -12,16 +11,22 @@ use std::fmt;
 /// The cluster address scheme folds the host id into the second octet of
 /// every NSM vNIC address (`10.<host>.0.<nsm>`), so a `u8` covers the fabric
 /// a single top-of-rack switch can serve.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HostId(pub u8);
 
+serde::impl_serialize!(struct HostId(id));
+
 /// Identifier of a tenant virtual machine on a host.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmId(pub u8);
 
+serde::impl_serialize!(struct VmId(id));
+
 /// Identifier of a Network Stack Module (NSM) on a host.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NsmId(pub u8);
+
+serde::impl_serialize!(struct NsmId(id));
 
 /// Identifier of a queue set inside an NK device.
 ///

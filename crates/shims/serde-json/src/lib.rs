@@ -13,7 +13,7 @@
 
 use serde::{Error, Serialize, Value};
 
-/// Deepest array/object nesting [`from_str`] accepts: far above any derived
+/// Deepest array/object nesting [`from_str`] accepts: far above any written
 /// type, far below what would overflow the parser's stack.
 const MAX_DEPTH: usize = 128;
 

@@ -4,15 +4,14 @@
 //! serde it vendors a minimal replacement: a self-describing [`Value`] data
 //! model plus a [`Serialize`] trait that converts into it. JSON goes one
 //! way: the workspace writes its event logs and flight-recorder dumps and
-//! reads no typed value back, so there is no `Deserialize`. The derive
-//! re-exported from `serde_derive` covers exactly the shapes this codebase
-//! uses (named structs, tuple structs, enums with unit, tuple and struct
-//! variants) and keeps serde's external enum tagging, so a later switch to
-//! the real serde is a manifest-only change.
+//! reads no typed value back, so there is no `Deserialize`. There is no
+//! derive either: [`impl_serialize!`] writes each impl from the field and
+//! variant names its invocation lists, covering exactly the shapes this
+//! codebase uses (named structs, newtype structs, enums with unit, newtype
+//! and named variants) and keeping serde's external enum tagging. Moving
+//! to the real serde would mean replacing those invocations with derives.
 
 #![forbid(unsafe_code)]
-
-pub use serde_derive::Serialize;
 
 use std::fmt;
 
@@ -70,6 +69,79 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Represent `self` as a [`Value`].
     fn to_value(&self) -> Value;
+}
+
+/// Implement [`Serialize`] for a type by naming its fields and variants
+/// the way a pattern destructures them:
+///
+/// ```
+/// # struct HostId(u8);
+/// # struct Event { at_ns: u64, host: HostId }
+/// # enum Target { Engine, Nsm(u8), Host { host: HostId } }
+/// serde::impl_serialize!(struct HostId(id));
+/// serde::impl_serialize!(struct Event { at_ns, host });
+/// serde::impl_serialize!(enum Target { Engine, Nsm(id), Host { host } });
+/// let event = Event { at_ns: 5, host: HostId(2) };
+/// assert_eq!(serde::Serialize::to_value(&event).get("host"), &serde::Value::Uint(2));
+/// ```
+///
+/// A named struct is an object whose keys follow the invocation's field
+/// order; a newtype struct is its inner value. An enum is externally
+/// tagged: a unit variant is its name as a string, any other variant a
+/// one-key object from its name to its content. The impl destructures with
+/// no `..`, so a field or variant the invocation leaves out fails to
+/// compile.
+#[macro_export]
+macro_rules! impl_serialize {
+    (struct $name:ident($inner:ident)) => {
+        impl $crate::Serialize for $name {
+            fn to_value(&self) -> $crate::Value {
+                let Self($inner) = self;
+                $crate::Serialize::to_value($inner)
+            }
+        }
+    };
+    (struct $name:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::Serialize for $name {
+            fn to_value(&self) -> $crate::Value {
+                let Self { $($field),* } = self;
+                $crate::impl_serialize!(@object $($field),*)
+            }
+        }
+    };
+    (enum $name:ident {
+        $($variant:ident $(($inner:ident))? $({ $($field:ident),* $(,)? })?),* $(,)?
+    }) => {
+        impl $crate::Serialize for $name {
+            fn to_value(&self) -> $crate::Value {
+                match self {
+                    $(Self::$variant $(($inner))? $({ $($field),* })? => {
+                        $crate::impl_serialize!(@tagged $variant $(($inner))? $({ $($field),* })?)
+                    })*
+                }
+            }
+        }
+    };
+    (@tagged $variant:ident) => {
+        $crate::Value::String(String::from(stringify!($variant)))
+    };
+    (@tagged $variant:ident ($inner:ident)) => {
+        $crate::Value::Object(vec![(
+            String::from(stringify!($variant)),
+            $crate::Serialize::to_value($inner),
+        )])
+    };
+    (@tagged $variant:ident { $($field:ident),* }) => {
+        $crate::Value::Object(vec![(
+            String::from(stringify!($variant)),
+            $crate::impl_serialize!(@object $($field),*),
+        )])
+    };
+    (@object $($field:ident),*) => {
+        $crate::Value::Object(vec![
+            $((String::from(stringify!($field)), $crate::Serialize::to_value($field))),*
+        ])
+    };
 }
 
 macro_rules! impl_uint {

@@ -4,10 +4,12 @@
 # checkout and run only the test it names. Fails when a mutant survives its
 # test, when the test fails (or runs no test at all) without the mutant, or
 # when the mutant's line is not found exactly once in the file's non-test
-# code. It also plants one mutant that changes nothing and fails unless it
-# sees that one survive, so a runner that cannot tell the two apart fails
-# too. Builds in debug, in its own target directory: ~1 min per crate the
-# first time, then an incremental rebuild and one test per mutant.
+# code. An entry marked `expect: survivor` must survive instead, and fails
+# the run when its test kills it, so the entry gets promoted. It also
+# plants one mutant that changes nothing and fails unless it sees that one
+# survive, so a runner that cannot tell the two apart fails too. Builds
+# in debug, in its own target directory: ~1 min per crate the first time,
+# then an incremental rebuild and one test per mutant.
 #   scripts/check-mutants.sh [corpus]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,9 +43,9 @@ run_test() {
 }
 
 # Check one entry; print a verdict line and return 1 unless the test passes
-# unmutated and fails mutated.
-check_entry() { # <file> <line> <with> <test>
-  local file=$1 line=$2 with=$3 test=$4 found verdict
+# unmutated and fails mutated (passes mutated, given a survivor's reason).
+check_entry() { # <file> <line> <with> <test> [<survivor reason>]
+  local file=$1 line=$2 with=$3 test=$4 survivor=${5:-} found verdict
   # shellcheck disable=SC2086 # the test field is cargo arguments, one per word
   verdict=$(run_test $test)
   if [ "$verdict" != passed ]; then
@@ -61,6 +63,14 @@ check_entry() { # <file> <line> <with> <test>
   # shellcheck disable=SC2086
   verdict=$(run_test $test)
   cp "$work/original" "$file"
+  if [ -n "$survivor" ]; then
+    if [ "$verdict" != passed ]; then
+      echo "KILLED expected survivor $file: $line -> $with: $test $verdict (promote the entry)"
+      return 1
+    fi
+    echo "survived as expected $file: ${line#"${line%%[![:space:]]*}"} ($survivor)"
+    return 0
+  fi
   if [ "$verdict" != failed ]; then
     echo "SURVIVED $file: $line -> $with: $test $verdict"
     return 1
@@ -68,16 +78,21 @@ check_entry() { # <file> <line> <with> <test>
   echo "killed $file: ${line#"${line%%[![:space:]]*}"}"
 }
 
-status=0 entries=0 file='' line='' with=''
+status=0 entries=0 survivors=0 file='' line='' with='' survivor=''
 while IFS= read -r row || [ -n "$row" ]; do
   case $row in
     'file: '*) file=${row#file: } ;;
     'line: '*) line=${row#line: } ;;
     'with: '*) with=${row#with: } ;;
+    'expect: survivor '?*) survivor=${row#expect: survivor } ;;
     'test: '*)
       entries=$((entries + 1))
-      check_entry "$file" "$line" "$with" "${row#test: }" || status=1
+      if [ -n "$survivor" ]; then
+        survivors=$((survivors + 1))
+      fi
+      check_entry "$file" "$line" "$with" "${row#test: }" "$survivor" || status=1
       planted=("$file" "$line" "${row#test: }")
+      survivor=''
       ;;
   esac
 done <"$corpus"
@@ -88,5 +103,5 @@ if check_entry "${planted[0]}" "${planted[1]}" "${planted[1]} " "${planted[2]}" 
   echo "the runner saw a mutant that changes nothing killed"
   status=1
 fi
-echo "mutants: $entries in the corpus, status $status"
+echo "mutants: $entries in the corpus, $survivors of them expected survivors, status $status"
 exit $status
