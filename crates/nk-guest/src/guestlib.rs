@@ -125,10 +125,10 @@ impl GuestLib {
         let s = self.sockets.remove(&sock).expect("state checked above");
         let mut rx_bytes = Vec::new();
         for chunk in &s.rx_chunks {
+            let at = rx_bytes.len();
+            rx_bytes.resize(at + chunk.len - chunk.consumed, 0);
             self.region
-                .lend_and_free(chunk.handle, chunk.len, |bytes| {
-                    rx_bytes.extend_from_slice(&bytes[chunk.consumed..])
-                })?;
+                .read_and_free(chunk.handle, chunk.consumed, &mut rx_bytes[at..])?;
         }
         Ok(GuestSockSnapshot {
             id: s.id,

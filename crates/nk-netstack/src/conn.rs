@@ -344,12 +344,27 @@ impl TcpConnection {
     /// bytes accepted (possibly zero when the send buffer is full or the
     /// write side is closed).
     pub fn write(&mut self, data: &[u8]) -> usize {
+        self.queue_send(data.len(), |queue, n| queue.write(&data[..n]))
+    }
+
+    /// [`TcpConnection::write`] of a run, by reference: the bytes the send
+    /// buffer admits are taken off the front of `run`, which keeps the
+    /// rest, and the send queue points into its buffer (a short run behind
+    /// a short run is copied into the queue's open tail, as a short write
+    /// is).
+    pub fn write_payload(&mut self, run: &mut Payload) -> usize {
+        self.queue_send(run.len(), |queue, n| queue.append(run.take_front(n)))
+    }
+
+    /// The body `write` and `write_payload` share: how much of `len` bytes
+    /// the send buffer admits, queued by `queue`.
+    fn queue_send(&mut self, len: usize, queue: impl FnOnce(&mut ByteQueue, usize)) -> usize {
         if self.fin_queued || !self.is_established() && self.state != ConnState::SynSent {
             return 0;
         }
         let room = self.send_buf_cap.saturating_sub(self.send_buf.len());
-        let n = room.min(data.len());
-        self.send_buf.write(&data[..n]);
+        let n = room.min(len);
+        queue(&mut self.send_buf, n);
         n
     }
 
@@ -359,7 +374,19 @@ impl TcpConnection {
     /// window by min(half the buffer, one MSS) past the edge last
     /// advertised (RFC 9293 §3.8.6.2.2, receiver silly-window avoidance).
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
-        let n = self.recv_buf.read(buf);
+        self.take_received(|queue| queue.read(buf))
+    }
+
+    /// [`TcpConnection::read`] of up to `max` bytes as runs pushed onto
+    /// `out`, by reference, owing the peer exactly what that read would.
+    pub fn read_runs(&mut self, max: usize, out: &mut Vec<Payload>) -> usize {
+        self.take_received(|queue| queue.read_runs(max, out))
+    }
+
+    /// The body `read` and `read_runs` share: the bytes `take` moved out of
+    /// the receive buffer are delivered, and may owe a window update.
+    fn take_received(&mut self, take: impl FnOnce(&mut ByteQueue) -> usize) -> usize {
+        let n = take(&mut self.recv_buf);
         if n > 0 {
             self.stats.bytes_received += n as u64;
             self.ack_pending |= self.window_update_owed();
@@ -1376,6 +1403,45 @@ mod tests {
         c.on_segment(&update[0], 2_000);
         assert_eq!((c.dup_acks, c.stats().fast_retransmits), (0, 0));
         assert!(tx(&mut s, 2_500).is_empty(), "the update is owed once");
+    }
+
+    /// `read_runs` owes the peer exactly what `read` owes it: two receivers
+    /// fed the same segments, one reading bytes and one reading runs of the
+    /// same sizes, answer alike after every read — silence for the 100-B
+    /// reads, one window update once the window opens by an MSS. The runs
+    /// point into the sender's buffer.
+    #[test]
+    fn small_run_reads_owe_no_window_update_until_it_opens_by_an_mss() {
+        let (mut c, mut s) = pair(0);
+        let (mut c2, mut s2) = pair(0);
+        let data = pattern(0, 3 * MSS);
+        c.write(&data);
+        c2.write_payload(&mut Payload::from(&data[..]));
+        let (segs, segs2) = (tx(&mut c, 1_000), tx(&mut c2, 1_000));
+        assert_eq!(segs, segs2);
+        for seg in &segs[..2] {
+            s.on_segment(seg, 1_000);
+            s2.on_segment(seg, 1_000);
+        }
+        for ack in tx(&mut s, 1_000) {
+            c.on_segment(&ack, 1_000);
+        }
+        tx(&mut s2, 1_000);
+        let mut buf = [0u8; MSS];
+        let mut runs = Vec::new();
+        for (n, at) in [(100, 1_500), (100, 1_600), (100, 1_700), (MSS - 300, 2_000)] {
+            assert_eq!(s.read(&mut buf[..n]), n);
+            runs.clear();
+            assert_eq!(s2.read_runs(n, &mut runs), n);
+            let got: Vec<u8> = runs.iter().flat_map(|run| run.iter().copied()).collect();
+            assert_eq!(got, buf[..n]);
+            assert!(runs.iter().all(|run| run.shares_buffer(&segs[0].payload)));
+            assert_eq!(s2.needs_poll(), s.needs_poll());
+            let (update, update2) = (tx(&mut s, at), tx(&mut s2, at));
+            assert_eq!(update, update2);
+            assert_eq!(update.len(), usize::from(n > 100), "after a {n}-B read");
+        }
+        assert_eq!(s2.stats().bytes_received, s.stats().bytes_received);
     }
 
     /// Delayed ACKs (RFC 9293 §3.8.6.3, RFC 1122 §4.2.3.2, RFC 5681 §4.2):

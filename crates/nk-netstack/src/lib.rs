@@ -6,8 +6,8 @@
 //! depends on:
 //!
 //! * [`segment`] — TCP segments carried over the `nk-fabric` virtual switch;
-//! * [`payload`] — the bytes they carry, shared by reference from `write`
-//!   to `read`;
+//! * [`payload`] — the byte queues of the bytes they carry, held as
+//!   [`Payload`] runs shared by reference from `write` to `read`;
 //! * [`cc`] — pluggable congestion control: NewReno, CUBIC, DCTCP and the
 //!   Seawall-style VM-shared window used by the fair-sharing NSM (§6.2);
 //! * [`conn`] — the per-connection state machine: three-way handshake,
@@ -32,6 +32,6 @@ pub mod stack;
 
 pub use cc::{Cc, CcAlgorithm, CongestionControl, SharedVmWindow};
 pub use conn::{ConnState, TcpConnection};
-pub use payload::Payload;
+pub use nk_types::Payload;
 pub use segment::{Segment, SegmentFlags};
 pub use stack::{StackConfig, StackEvent, TcpStack};

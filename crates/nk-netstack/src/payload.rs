@@ -1,96 +1,14 @@
-//! Payload bytes shared by reference, and the byte queues built from them.
+//! The byte queues built from shared payload runs.
 //!
 //! Bytes are immutable from the moment `write` accepts them, so a data
-//! segment never needs its own copy: a [`Payload`] is a reference-counted
-//! buffer plus a range, and the send queue, the segment on the wire, the
-//! out-of-order stash and the receive queue all point into the run the
-//! `write` created.
+//! segment never needs its own copy: the send queue, the segment on the
+//! wire, the out-of-order stash and the receive queue all point into the
+//! run the `write` created ([`Payload`], which lives in `nk-types` so that a
+//! hugepage chunk can hold runs too).
 
+pub use nk_types::Payload;
 use std::collections::VecDeque;
-use std::ops::{Deref, Range};
 use std::sync::Arc;
-
-/// An immutable run of payload bytes: a shared buffer and a range of it.
-/// Cloning and slicing bump a reference count; the empty payload (every
-/// control segment's) holds no buffer at all.
-#[derive(Clone, Default)]
-pub struct Payload {
-    buf: Option<Arc<[u8]>>,
-    start: u32,
-    end: u32,
-}
-
-impl Payload {
-    /// The whole of a buffer nothing else refers to yet.
-    fn whole(buf: Arc<[u8]>) -> Payload {
-        let end = u32::try_from(buf.len()).expect("a run is bounded by a socket buffer");
-        Payload {
-            buf: Some(buf),
-            start: 0,
-            end,
-        }
-    }
-
-    /// The sub-run `range` (relative to this one), sharing the buffer.
-    pub fn slice(&self, range: Range<usize>) -> Payload {
-        assert!(range.start <= range.end && range.end <= self.len());
-        if range.is_empty() {
-            return Payload::default();
-        }
-        Payload {
-            buf: self.buf.clone(),
-            start: self.start + range.start as u32,
-            end: self.start + range.end as u32,
-        }
-    }
-
-    /// True when both runs point into one buffer.
-    #[cfg(test)]
-    pub(crate) fn shares_buffer(&self, other: &Payload) -> bool {
-        matches!((&self.buf, &other.buf), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
-    }
-}
-
-impl Deref for Payload {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match &self.buf {
-            Some(buf) => &buf[self.start as usize..self.end as usize],
-            None => &[],
-        }
-    }
-}
-
-/// Copies `bytes` once, into a fresh buffer of exactly that size.
-impl From<&[u8]> for Payload {
-    fn from(bytes: &[u8]) -> Self {
-        if bytes.is_empty() {
-            return Payload::default();
-        }
-        Payload::whole(Arc::from(bytes))
-    }
-}
-
-impl From<Vec<u8>> for Payload {
-    fn from(bytes: Vec<u8>) -> Self {
-        Payload::from(&bytes[..])
-    }
-}
-
-impl PartialEq for Payload {
-    fn eq(&self, other: &Self) -> bool {
-        self[..] == other[..]
-    }
-}
-
-impl Eq for Payload {}
-
-impl std::fmt::Debug for Payload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self[..].fmt(f)
-    }
-}
 
 /// Pushes shorter than this coalesce in the queue's open tail; the tail
 /// becomes a run when it reaches this size. Larger pushes are their own run.
@@ -140,12 +58,37 @@ impl ByteQueue {
         self.cursor = (0, 0);
     }
 
-    /// Append a run, by reference.
+    /// Append a run, by reference. A run that continues the last one in
+    /// its buffer extends it, so the in-order segments of one write land
+    /// as one run.
     pub(crate) fn push(&mut self, run: Payload) {
-        if !run.is_empty() {
-            self.freeze();
-            self.len += run.len();
+        if run.is_empty() {
+            return;
+        }
+        self.freeze();
+        self.len += run.len();
+        if !self
+            .runs
+            .back_mut()
+            .is_some_and(|last| last.extend_with(&run))
+        {
             self.runs.push_back(run);
+        }
+    }
+
+    /// Append `run`, by reference when it is a run's worth ([`OPEN_RUN`]
+    /// bytes or more) or when it follows one (or nothing): a lone short
+    /// message rides in its own buffer. A short run behind a short run is
+    /// copied into the open tail as [`ByteQueue::write`] would, so a stream
+    /// of small writes still costs a run per [`OPEN_RUN`] bytes, not one
+    /// per write.
+    pub(crate) fn append(&mut self, run: Payload) {
+        let after_short =
+            !self.open.is_empty() || self.runs.back().is_some_and(|last| last.len() < OPEN_RUN);
+        if run.len() >= OPEN_RUN || !after_short {
+            self.push(run);
+        } else {
+            self.write(&run);
         }
     }
 
@@ -178,19 +121,21 @@ impl ByteQueue {
         }
     }
 
-    /// Drop the first `n` bytes: whole runs are popped, the next is trimmed.
-    pub(crate) fn consume(&mut self, n: usize) {
+    /// Take the first `n` bytes off the front, handing each to `each` by
+    /// move, front to back: whole runs are popped, and the run the cut
+    /// falls in gives up its head.
+    fn take(&mut self, n: usize, mut each: impl FnMut(Payload)) {
         self.freeze_to(n);
         self.len -= n;
         let (mut left, mut popped) = (n, 0);
         while left > 0 {
             let front = self.runs.front_mut().expect("runs hold `len` bytes");
             if left < front.len() {
-                *front = front.slice(left..front.len());
+                each(front.take_front(left));
                 break;
             }
             left -= front.len();
-            self.runs.pop_front();
+            each(self.runs.pop_front().expect("front just seen"));
             popped += 1;
         }
         let (idx, base) = self.cursor;
@@ -200,21 +145,28 @@ impl ByteQueue {
         };
     }
 
+    /// Drop the first `n` bytes.
+    pub(crate) fn consume(&mut self, n: usize) {
+        self.take(n, drop);
+    }
+
     /// Move up to `buf.len()` bytes from the front into `buf`; returns how
     /// many.
     pub(crate) fn read(&mut self, buf: &mut [u8]) -> usize {
         let n = buf.len().min(self.len);
-        self.freeze_to(n);
         let mut at = 0;
-        for run in &self.runs {
-            if at == n {
-                break;
-            }
-            let take = run.len().min(n - at);
-            buf[at..at + take].copy_from_slice(&run[..take]);
-            at += take;
-        }
-        self.consume(n);
+        self.take(n, |run| {
+            buf[at..at + run.len()].copy_from_slice(&run);
+            at += run.len();
+        });
+        n
+    }
+
+    /// Move up to `max` bytes from the front onto `out` as runs, by
+    /// reference; returns how many.
+    pub(crate) fn read_runs(&mut self, max: usize, out: &mut Vec<Payload>) -> usize {
+        let n = max.min(self.len);
+        self.take(n, |run| out.push(run));
         n
     }
 
@@ -252,7 +204,7 @@ impl ByteQueue {
             filled += take;
             skip = 0;
         }
-        Payload::whole(gathered)
+        Payload::from(gathered)
     }
 
     /// Every byte held, flattened (the snapshot format).
@@ -276,7 +228,7 @@ impl ByteQueue {
     #[cfg(test)]
     pub(crate) fn held_bytes(&self) -> usize {
         let mut buffers: Vec<(*const u8, usize)> = (self.runs.iter())
-            .filter_map(|run| run.buf.as_ref())
+            .filter_map(Payload::buffer)
             .map(|buf| (buf.as_ptr(), buf.len()))
             .collect();
         buffers.sort_unstable();
@@ -306,28 +258,12 @@ impl From<&[u8]> for ByteQueue {
 mod tests {
     use super::*;
 
-    #[test]
-    fn slices_share_the_buffer_and_the_empty_payload_holds_none() {
-        let whole = Payload::from(vec![1u8, 2, 3, 4, 5]);
-        let mid = whole.slice(1..4);
-        assert_eq!(mid[..], [2, 3, 4]);
-        assert!(mid.shares_buffer(&whole) && mid.slice(1..2).shares_buffer(&whole));
-        assert_eq!(mid.slice(1..2)[..], [3]);
-        assert_eq!(mid, Payload::from(&[2u8, 3, 4][..]), "equal by bytes");
-        assert_eq!(format!("{mid:?}"), "[2, 3, 4]");
-        for empty in [
-            Payload::default(),
-            Payload::from(Vec::new()),
-            mid.slice(2..2),
-        ] {
-            assert!(empty.is_empty() && empty.buf.is_none());
-        }
-    }
-
-    /// Every operation against a flat `Vec<u8>`: small and large writes,
-    /// pushed runs of a few bytes (so one `range` gathers across many
-    /// seams), reads and consumes that pop runs from under the cursor, and
-    /// ranges that mostly walk forward and sometimes rewind.
+    /// Every operation against a flat `Vec<u8>`: small and large writes
+    /// and appends, pushed runs of a few bytes (so one `range` gathers
+    /// across many seams) and pushed slices of one buffer in order (which
+    /// extend the last run), reads that copy or hand out runs and consumes
+    /// that pop runs from under the cursor, and ranges that mostly walk
+    /// forward and sometimes rewind.
     #[test]
     fn byte_queue_matches_a_flat_model() {
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;
@@ -338,6 +274,7 @@ mod tests {
         let (mut queue, mut model) = (ByteQueue::default(), Vec::<u8>::new());
         let (mut next, mut at) = (0u8, 0usize);
         let (mut inside, mut gathered) = (0usize, 0usize);
+        let (mut source, mut cut) = (Payload::default(), 0usize);
         let mut bytes = |n: usize| -> Vec<u8> {
             (0..n)
                 .map(|_| (next = next.wrapping_add(1), next).1)
@@ -347,13 +284,26 @@ mod tests {
             match below(8) {
                 0 => {
                     let data = bytes([1, 7, 60, 300, OPEN_RUN - 1, OPEN_RUN][below(6)]);
-                    queue.write(&data);
+                    if below(2) == 0 {
+                        queue.write(&data);
+                    } else {
+                        queue.append(Payload::from(&data[..]));
+                    }
                     model.extend_from_slice(&data);
                 }
-                1 | 2 => {
+                1 => {
                     let data = bytes(1 + below(6));
                     queue.push(Payload::from(&data[..]));
                     model.extend_from_slice(&data);
+                }
+                2 => {
+                    if cut == source.len() {
+                        (source, cut) = (Payload::from(bytes(64)), 0);
+                    }
+                    let end = (cut + 1 + below(12)).min(source.len());
+                    queue.push(source.slice(cut..end));
+                    model.extend_from_slice(&source[cut..end]);
+                    cut = end;
                 }
                 3 => {
                     let n = below(model.len().min(400) + 1);
@@ -362,10 +312,19 @@ mod tests {
                     at = at.saturating_sub(n);
                 }
                 4 => {
-                    let mut buf = vec![0u8; below(400)];
-                    let n = queue.read(&mut buf);
+                    let max = below(400);
+                    let mut buf = vec![0u8; max];
+                    let n = if below(2) == 0 {
+                        queue.read(&mut buf)
+                    } else {
+                        let mut runs = Vec::new();
+                        let n = queue.read_runs(max, &mut runs);
+                        buf = runs.iter().flat_map(|run| run.iter().copied()).collect();
+                        assert_eq!(buf.len(), n);
+                        n
+                    };
                     assert_eq!(buf[..n], model[..n]);
-                    assert_eq!(n, buf.len().min(model.len()));
+                    assert_eq!(n, max.min(model.len()));
                     model.drain(..n);
                     at = at.saturating_sub(n);
                 }
@@ -389,5 +348,34 @@ mod tests {
         }
         assert_eq!(queue.to_vec(), model);
         assert!(inside > 500 && gathered > 500, "{inside} / {gathered}");
+    }
+
+    /// The in-order segments of one 16 KiB write land in the receive queue
+    /// as one run of the write's buffer. Runs of two buffers stay two, even
+    /// when one ends at the offset where the other starts.
+    #[test]
+    fn push_coalesces_one_writes_segments_but_never_two_buffers() {
+        let write: Vec<u8> = (0..16 << 10).map(|i| (i % 251) as u8).collect();
+        let write = Payload::from(write);
+        let mut queue = ByteQueue::default();
+        for at in (0..write.len()).step_by(1460) {
+            queue.push(write.slice(at..(at + 1460).min(write.len())));
+        }
+        assert_eq!(queue.runs().count(), 1);
+        assert!(queue.runs().all(|run| run.shares_buffer(&write)));
+        assert_eq!(queue.to_vec(), write[..]);
+
+        let (a, b) = (Payload::from(vec![1u8; 100]), Payload::from(vec![2u8; 100]));
+        let mut queue = ByteQueue::default();
+        queue.push(a.slice(0..50));
+        queue.push(b.slice(50..100));
+        assert_eq!(queue.runs().count(), 2);
+        let mut want = vec![1u8; 50];
+        want.extend([2u8; 50]);
+        assert_eq!(queue.to_vec(), want);
+        let mut runs = Vec::new();
+        assert_eq!(queue.read_runs(80, &mut runs), 80);
+        assert!(runs[0].shares_buffer(&a) && runs[1].shares_buffer(&b));
+        assert_eq!((runs[0].len(), runs[1].len(), queue.len()), (50, 30, 20));
     }
 }

@@ -30,6 +30,7 @@
 
 use crate::cc::{Cc, CcAlgorithm};
 use crate::conn::{ConnState, TcpConnection};
+use crate::payload::Payload;
 use crate::segment::Segment;
 use nk_fabric::nic::symmetric_flow_hash;
 use nk_fabric::port::{Frame, Port};
@@ -591,6 +592,22 @@ impl TcpStack {
 
     /// Queue data for transmission.
     pub fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize> {
+        self.send_with(sock, |conn| conn.write(data))
+    }
+
+    /// [`TcpStack::send`] of a run, by reference: the bytes the send buffer
+    /// admits are taken off the front of `run` into the send queue, not
+    /// copied, and `run` keeps the rest.
+    pub fn send_payload(&mut self, sock: SocketId, run: &mut Payload) -> NkResult<usize> {
+        self.send_with(sock, |conn| conn.write_payload(run))
+    }
+
+    /// The body `send` and `send_payload` share, around the write `write`.
+    fn send_with(
+        &mut self,
+        sock: SocketId,
+        write: impl FnOnce(&mut TcpConnection) -> usize,
+    ) -> NkResult<usize> {
         let at = self.handle(sock)?;
         let SocketEntry::Conn(c) = self.slots[at.1 as usize].entry else {
             return Err(NkError::NotConnected);
@@ -599,7 +616,7 @@ impl TcpStack {
         if cs.conn.is_closed() {
             return Err(NkError::Closed);
         }
-        let n = cs.conn.write(data);
+        let n = write(&mut cs.conn);
         if n == 0 {
             if !cs.conn.is_established() && cs.conn.state() != ConnState::SynSent {
                 Err(NkError::NotConnected)
@@ -621,6 +638,27 @@ impl TcpStack {
 
     /// Read received data.
     pub fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
+        self.recv_with(sock, |conn| conn.read(buf))
+    }
+
+    /// [`TcpStack::recv`] of up to `max` bytes as runs pushed onto `out`,
+    /// by reference; it answers, queues the connection and owes the peer
+    /// exactly as that `recv` would.
+    pub fn recv_runs(
+        &mut self,
+        sock: SocketId,
+        max: usize,
+        out: &mut Vec<Payload>,
+    ) -> NkResult<usize> {
+        self.recv_with(sock, |conn| conn.read_runs(max, out))
+    }
+
+    /// The body `recv` and `recv_runs` share, around the read `read`.
+    fn recv_with(
+        &mut self,
+        sock: SocketId,
+        read: impl FnOnce(&mut TcpConnection) -> usize,
+    ) -> NkResult<usize> {
         let at = self.handle(sock)?;
         let cs = match self.slots[at.1 as usize].entry {
             SocketEntry::Conn(c) => &mut self.conns[c as usize],
@@ -628,7 +666,7 @@ impl TcpStack {
             _ => return Err(NkError::NotConnected),
         };
         let c = &mut cs.conn;
-        let n = c.read(buf);
+        let n = read(c);
         if n > 0 {
             // Queued only for what the read left to do: a window update it
             // owes, a closed connection it drained into a reapable one, or a

@@ -18,7 +18,7 @@
 //!   two. The kernel-stack, mTCP and fair-share NSMs are all this flavour
 //!   (the difference is which cost profile and batching the host charges,
 //!   and how many queue sets / cores it gets);
-//! * [`sharedmem`] — the shared-memory NSM of use case 4 (§6.4), which copies
+//! * [`sharedmem`] — the shared-memory NSM of use case 4 (§6.4), which moves
 //!   payload hugepage-to-hugepage between colocated VMs and bypasses TCP
 //!   entirely;
 //! * [`fairshare`] — helpers giving each VM one Seawall-style shared

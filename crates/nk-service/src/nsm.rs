@@ -4,7 +4,7 @@
 //! `frontend` module); what differs is what a request does. The TCP
 //! flavour translates it onto a [`nk_netstack::TcpStack`] through
 //! [`ServiceLib`](crate::ServiceLib); the shared-memory flavour matches
-//! colocated connections itself and copies payload hugepage-to-hugepage.
+//! colocated connections itself and moves payload hugepage-to-hugepage.
 
 use crate::service::{ServiceStats, TcpNsm};
 use crate::sharedmem::{SharedMemNsm, SharedMemStats};

@@ -2,7 +2,7 @@
 
 use crate::fairshare::VmWindowRegistry;
 use crate::frontend::Frontend;
-use nk_netstack::{StackEvent, TcpStack};
+use nk_netstack::{Payload, StackEvent, TcpStack};
 use nk_queue::{NkDevice, ResponderEnd};
 use nk_shmem::HugepageRegion;
 use nk_types::api::ShutdownHow;
@@ -25,27 +25,14 @@ pub struct ServiceStats {
     pub requests: u64,
     /// Completion / event NQEs emitted.
     pub responses: u64,
-    /// Payload bytes moved from hugepages into the stack.
+    /// Payload bytes moved from hugepages into the stack, by reference:
+    /// the stack's send buffer takes a `Send` chunk's runs.
     pub bytes_tx: u64,
-    /// Payload bytes moved from the stack into hugepages.
+    /// Payload bytes moved from the stack into hugepages, by reference: a
+    /// fresh chunk takes the runs of the stack's receive buffer.
     pub bytes_rx: u64,
     /// Connections accepted on behalf of guests.
     pub accepted: u64,
-}
-
-/// Payload a guest handed over that the stack's send buffer had no room for
-/// yet, oldest first.
-#[derive(Default)]
-struct PendingSend {
-    chunks: VecDeque<Vec<u8>>,
-    /// Bytes of the front chunk the stack already accepted.
-    head: usize,
-}
-
-impl PendingSend {
-    fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
 }
 
 /// Per-connection context linking a stack socket back to its guest tuple.
@@ -72,9 +59,12 @@ pub struct ServiceLib {
     fwd: DetMap<(VmId, SocketId), SocketId>,
     /// stack socket → guest context; looked up once per stack event.
     ctx: DetMap<SocketId, ConnCtx>,
-    /// Payload accepted from guests but not yet taken by the stack; an entry
-    /// lives only while something is queued.
-    pending_send: BTreeMap<SocketId, PendingSend>,
+    /// Payload accepted from guests but not yet taken by the stack, oldest
+    /// run first (a run the stack took part of is cut to its rest); an
+    /// entry lives only while something is queued.
+    pending_send: BTreeMap<SocketId, VecDeque<Payload>>,
+    /// The runs of the `Send` chunk in hand, kept for its capacity.
+    runs: Vec<Payload>,
     /// Sockets that may hold received bytes not yet shipped to their guest:
     /// all `pump_receive` visits, in `SocketId` order (the order of `ctx`).
     /// A `Readable` event, an accept and a warm install enter a socket; it
@@ -94,6 +84,7 @@ impl ServiceLib {
             fwd: DetMap::new(),
             ctx: DetMap::new(),
             pending_send: BTreeMap::new(),
+            runs: Vec::new(),
             rx_ready: Vec::new(),
             fair_share: None,
         }
@@ -157,13 +148,7 @@ impl ServiceLib {
         let pending: Vec<Vec<u8>> = self
             .pending_send
             .remove(&sock)
-            .map(|q| {
-                let mut chunks: Vec<Vec<u8>> = q.chunks.into();
-                if let Some(front) = chunks.first_mut() {
-                    front.drain(..q.head);
-                }
-                chunks
-            })
+            .map(|queue| queue.iter().map(|run| run.to_vec()).collect())
             .unwrap_or_default();
         Ok((sock, pending, outstanding))
     }
@@ -207,13 +192,8 @@ impl ServiceLib {
             },
         );
         if !pending_send.is_empty() {
-            self.pending_send.insert(
-                stack_sock,
-                PendingSend {
-                    chunks: pending_send.into(),
-                    head: 0,
-                },
-            );
+            let queue = pending_send.into_iter().map(Payload::from).collect();
+            self.pending_send.insert(stack_sock, queue);
         }
         // The snapshot may carry received bytes no segment will announce.
         self.rx_ready.push(stack_sock);
@@ -329,25 +309,29 @@ impl ServiceLib {
     fn handle_send(&mut self, stack: &mut TcpStack, nqe: &Nqe) -> NkResult<()> {
         let sock = self.stack_sock((nqe.vm, nqe.socket))?;
         let region = self.front.regions.get(&nqe.vm).ok_or(NkError::NotFound)?;
-        // The one copy §7.8 attributes NetKernel's throughput overhead to:
-        // hugepage → stack send buffer, with the chunk lent to the stack in
-        // place and freed under the same lock hold. Only what the stack had
-        // no room for (or everything, when older payload is still queued
-        // ahead of it) is copied aside.
+        // The hop §7.8 attributes NetKernel's throughput overhead to, made
+        // by reference: the chunk's runs leave the hugepage (which is freed
+        // under the same lock hold) for the stack's send buffer. Only what
+        // the stack had no room for (or everything, when older payload is
+        // still queued ahead of it) waits aside, as runs too.
         let len = nqe.size as usize;
         let queued_ahead = self.pending_send.get(&sock).is_some_and(|q| !q.is_empty());
-        let accepted = region.lend_and_free(nqe.data, len, |chunk| {
-            let accepted = if queued_ahead {
-                0
-            } else {
-                stack.send(sock, chunk).unwrap_or(0)
-            };
-            if accepted < chunk.len() {
-                let queue = self.pending_send.entry(sock).or_default();
-                queue.chunks.push_back(chunk[accepted..].to_vec());
+        region.lend_and_free(nqe.data, len, &mut self.runs)?;
+        let (mut accepted, mut taken) = (0, 0);
+        if !queued_ahead {
+            for run in &mut self.runs {
+                accepted += stack.send_payload(sock, run).unwrap_or(0);
+                if !run.is_empty() {
+                    break;
+                }
+                taken += 1;
             }
-            accepted
-        })?;
+        }
+        if taken < self.runs.len() {
+            let queue = self.pending_send.entry(sock).or_default();
+            queue.extend(self.runs.drain(taken..));
+        }
+        self.runs.clear();
         self.front.stats.bytes_tx += len as u64;
         // Whatever the stack accepted is acknowledged back to the guest as
         // returned send-buffer credit.
@@ -384,19 +368,17 @@ impl ServiceLib {
     }
 
     /// Push `queue` into the stack until it refuses; returns bytes taken.
-    fn flush_queue(stack: &mut TcpStack, sock: SocketId, queue: &mut PendingSend) -> usize {
+    fn flush_queue(stack: &mut TcpStack, sock: SocketId, queue: &mut VecDeque<Payload>) -> usize {
         let mut flushed = 0;
-        while let Some(front) = queue.chunks.front() {
-            let Ok(n) = stack.send(sock, &front[queue.head..]) else {
+        while let Some(front) = queue.front_mut() {
+            let Ok(n) = stack.send_payload(sock, front) else {
                 break;
             };
             flushed += n;
-            queue.head += n;
-            if queue.head < front.len() {
+            if !front.is_empty() {
                 break;
             }
-            queue.chunks.pop_front();
-            queue.head = 0;
+            queue.pop_front();
         }
         flushed
     }
@@ -493,9 +475,10 @@ impl ServiceLib {
                 break;
             }
             // Size the chunk from what the stack holds, allocate it, and
-            // only then let the stack fill it in place, under one lock
-            // hold: nothing leaves `recv_buf` unless it has a hugepage
-            // chunk to land in, and a failed `recv` frees the chunk again.
+            // only then move the stack's runs into it by reference, under
+            // one lock hold: nothing leaves `recv_buf` unless it has a
+            // hugepage chunk to land in, and a failed `recv_runs` frees the
+            // chunk again.
             let want = credit.min(RX_CHUNK).min(stack.recv_available(sock));
             if want == 0 {
                 // EOF is announced via the PeerClosed event.
@@ -504,7 +487,7 @@ impl ServiceLib {
             let Some(region) = self.front.regions.get(&ctx.vm) else {
                 break;
             };
-            let filled = region.alloc_and_fill(want, |chunk| stack.recv(sock, chunk));
+            let filled = region.alloc_and_fill(want, |runs| stack.recv_runs(sock, want, runs));
             let Ok((handle, n)) = filled else {
                 break;
             };

@@ -6,7 +6,9 @@
 //! processing", reaching ~100 Gbps with a handful of cores (Figure 10). This
 //! module implements that NSM: it speaks NQEs through the same front end as
 //! any other NSM, but matches connections internally and moves payload
-//! hugepage-to-hugepage.
+//! hugepage-to-hugepage. Here not even the copy is left: a chunk holds its
+//! bytes as shared runs, and the move hands the runs to a chunk of the
+//! peer's region by reference.
 
 use crate::frontend::Frontend;
 use nk_queue::{NkDevice, ResponderEnd};
@@ -30,7 +32,9 @@ struct ShmSocket {
 pub struct SharedMemStats {
     /// Connections matched between colocated VMs.
     pub pairs: u64,
-    /// Bytes copied hugepage-to-hugepage.
+    /// Bytes moved hugepage-to-hugepage. The runs change chunks by
+    /// reference and no byte is copied; the field keeps its name because
+    /// callers read it (the `colocated_shared_memory` example prints it).
     pub bytes_copied: u64,
 }
 
@@ -188,7 +192,7 @@ impl SharedMemNsm {
         Ok(())
     }
 
-    /// Copy a Send's payload into the peer's region and announce it there.
+    /// Move a Send's payload into the peer's region and announce it there.
     /// An error is answered by the caller, which frees the chunk and
     /// returns the credit.
     fn handle_send(&mut self, nsm_qs: usize, nqe: &Nqe) -> NkResult<()> {
@@ -205,7 +209,8 @@ impl SharedMemNsm {
             return Err(NkError::NotFound);
         };
         // Move hugepage → hugepage, bypassing any TCP processing: one call
-        // allocates in the peer's region, copies and frees the source.
+        // allocates in the peer's region, moves the source chunk's runs
+        // into it by reference and frees the source.
         let dst = src_region.move_to(nqe.data, dst_region, len)?;
         self.stats.bytes_copied += len as u64;
         let data_ev = Nqe::new(OpType::DataReceived, peer.vm, peer.vm_qs, peer_key.1)

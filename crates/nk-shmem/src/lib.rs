@@ -8,10 +8,12 @@
 //!
 //! * [`region::HugepageRegion`] — the shared region (2 MB pages, paper §5)
 //!   with a first-fit chunk allocator over two line bitmaps and accessors
-//!   keyed by [`nk_types::DataHandle`] that copy in or out, or lend a
-//!   chunk to the caller in place so each hop moves its payload once. The
-//!   allocator and the bytes sit behind one lock, and each hop takes it
-//!   once (allocate + copy in or fill, lend + free, copy out + free);
+//!   keyed by [`nk_types::DataHandle`]. A chunk holds its bytes as
+//!   [`nk_types::Payload`] runs: the guest's hops copy in (into a recycled
+//!   buffer) and out, and the NSM's hops hand runs to and from its stack by
+//!   reference. The allocator and the runs sit behind one lock, and each
+//!   hop takes it once (allocate + copy in or fill, lend + free, copy out +
+//!   free);
 //! * [`budget::BufferBudget`] — the per-socket send/receive buffer accounting
 //!   GuestLib and ServiceLib maintain on top of the region (§4.5).
 

@@ -10,19 +10,28 @@
 //! ever holds a few small chunks keeps a few words, not a capacity-sized
 //! table.
 //!
+//! A live chunk holds its bytes as [`Payload`] runs, not as bytes of an
+//! arena: each chunk owns a slot of runs, found through a slot index kept
+//! on its first line. Bytes past what a chunk was written with read as
+//! zero, so a chunk never shows what an earlier chunk on its lines held.
+//! Offsets, bounds and statistics stay line-based, as if the bytes were
+//! laid out in the region.
+//!
 //! Every datapath hop takes the region's one lock once: a guest `send()`
-//! allocates and copies in (`alloc_and_write`), an NSM `Send` lends the
-//! chunk to the stack and frees it (`lend_and_free`), the NSM's receive
-//! path allocates a chunk and lets the stack fill it (`alloc_and_fill`), a
-//! guest `recv()` copies out and frees a finished chunk (`read_and_free`),
-//! and the shared-memory NSM moves a chunk into a peer's region
-//! (`move_to`).
+//! allocates and copies in, into a buffer its recycler lends again once
+//! every run into it is gone (`alloc_and_write`); an NSM `Send` takes the
+//! chunk's runs for its stack and frees the chunk (`lend_and_free`); the
+//! NSM's receive path allocates a chunk and lets the stack fill it with
+//! runs (`alloc_and_fill`); a guest `recv()` copies out and frees a
+//! finished chunk (`read_and_free`); and the shared-memory NSM moves a
+//! chunk's runs into a peer's region (`move_to`). The guest's two hops
+//! copy; the NSM's three move runs by reference.
 
 #![expect(
     clippy::disallowed_types,
     reason = "cross-shard-locks: the region is shared between a guest and the \
               NSMs of one host, and a host is polled by one thread at a time, \
-              so its one Mutex (bitmaps and bytes together: every hop takes \
+              so its one Mutex (bitmaps and runs together: every hop takes \
               one lock hold) serialises same-host borrows only; no \
               cross-shard data ever crosses it. `move_to` between two regions \
               is the one place two of them are held together (the \
@@ -33,7 +42,7 @@
 )]
 
 use nk_types::constants::HUGEPAGE_SIZE;
-use nk_types::{DataHandle, NkError, NkResult};
+use nk_types::{DataHandle, NkError, NkResult, Payload, Recycler};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -61,16 +70,25 @@ pub struct RegionStats {
     pub failed_allocs: u64,
 }
 
-/// Everything behind the region's one lock: the bytes and the allocator
-/// that carves them into chunks of whole lines.
+/// Everything behind the region's one lock: the allocator that carves the
+/// region into chunks of whole lines, and the runs each live chunk holds.
 struct Pages {
-    bytes: Box<[u8]>,
+    capacity: usize,
     /// One bit per line, set while the line belongs to a live chunk. Lines
     /// past the end of the vector are free.
     taken: Vec<u64>,
     /// One bit per line, set on the first line of every live chunk; the
     /// same length as `taken`.
     start: Vec<u64>,
+    /// One entry per line of `taken`: on a live chunk's first line, the
+    /// index of its slot in `slots`.
+    slot_of: Vec<u32>,
+    /// The runs of each live chunk, front to back; a freed chunk's slot
+    /// joins `spare` empty but with its capacity, for the next chunk.
+    slots: Vec<Vec<Payload>>,
+    spare: Vec<u32>,
+    /// The buffers `alloc_and_write` copies a guest's bytes into.
+    recycler: Recycler,
     /// Every line below this one is taken: where first fit starts looking.
     first_free: usize,
     chunks: usize,
@@ -103,9 +121,13 @@ fn mark(bits: &mut [u64], lines: Range<usize>, on: bool) {
 impl Pages {
     fn new(capacity: usize) -> Self {
         Pages {
-            bytes: vec![0u8; capacity].into_boxed_slice(),
+            capacity,
             taken: Vec::new(),
             start: Vec::new(),
+            slot_of: Vec::new(),
+            slots: Vec::new(),
+            spare: Vec::new(),
+            recycler: Recycler::default(),
             first_free: 0,
             chunks: 0,
             used: 0,
@@ -115,7 +137,7 @@ impl Pages {
     }
 
     fn lines(&self) -> usize {
-        self.bytes.len() / ALIGN
+        self.capacity / ALIGN
     }
 
     /// The first line in `from..limit` whose bit in `word_at(w)` is set, or
@@ -163,7 +185,7 @@ impl Pages {
     /// First fit over the free lines; every refusal is counted, a request
     /// larger than the whole region included.
     fn alloc(&mut self, len: usize) -> NkResult<usize> {
-        let fit = if len <= self.bytes.len() {
+        let fit = if len <= self.capacity {
             let want = len.max(1).div_ceil(ALIGN);
             let first = self.next_free(self.first_free);
             let mut at = first;
@@ -188,9 +210,14 @@ impl Pages {
         if self.taken.len() < words {
             self.taken.resize(words, 0);
             self.start.resize(words, 0);
+            self.slot_of.resize(words * WORD, 0);
         }
         mark(&mut self.taken, at..at + want, true);
         mark(&mut self.start, at..at + 1, true);
+        self.slot_of[at] = self.spare.pop().unwrap_or_else(|| {
+            self.slots.push(Vec::new());
+            u32::try_from(self.slots.len() - 1).expect("fewer chunks than lines")
+        });
         self.first_free = if at == first { at + want } else { first };
         self.chunks += 1;
         self.used += want * ALIGN;
@@ -201,6 +228,9 @@ impl Pages {
     fn free(&mut self, off: usize) -> NkResult<()> {
         let line = self.chunk_at(off)?;
         let end = self.next_boundary(line + 1, self.lines());
+        let slot = self.slot_of[line];
+        self.slots[slot as usize].clear();
+        self.spare.push(slot);
         mark(&mut self.taken, line..end, false);
         mark(&mut self.start, line..line + 1, false);
         self.first_free = self.first_free.min(line);
@@ -209,20 +239,71 @@ impl Pages {
         Ok(())
     }
 
-    /// Byte range of the first `len` bytes of the live chunk at `handle`
-    /// after skipping `skip`: unknown handle → `NotFound`, range past the
-    /// chunk's end → `InvalidState`. Only the lines the range covers are
-    /// looked at.
-    fn span(&self, handle: DataHandle, skip: usize, len: usize) -> NkResult<Range<usize>> {
-        let off = handle.offset() as usize;
-        let line = self.chunk_at(off)?;
+    /// The runs of the live chunk at `handle`, once the first `len` bytes
+    /// after skipping `skip` are known to lie inside it: unknown handle →
+    /// `NotFound`, range past the chunk's end → `InvalidState`. Only the
+    /// lines the range covers are looked at.
+    fn span(&mut self, handle: DataHandle, skip: usize, len: usize) -> NkResult<&mut Vec<Payload>> {
+        let line = self.chunk_at(handle.offset() as usize)?;
         let end = skip.checked_add(len).ok_or(NkError::InvalidState)?;
         let reach = line.saturating_add(end.div_ceil(ALIGN));
         if self.next_boundary(line + 1, reach) < reach {
             return Err(NkError::InvalidState);
         }
-        Ok(off + skip..off + end)
+        Ok(&mut self.slots[self.slot_of[line] as usize])
     }
+
+    /// The runs of the chunk just allocated at byte offset `off`.
+    fn runs_at(&mut self, off: usize) -> &mut Vec<Payload> {
+        &mut self.slots[self.slot_of[off / ALIGN] as usize]
+    }
+
+    /// Move the runs of the first `len` bytes of the live chunk at `handle`
+    /// onto `out`, by reference, and free the chunk; returns the bytes they
+    /// hold, less than `len` when the chunk was written with less. A
+    /// refused range frees nothing.
+    fn take_runs(
+        &mut self,
+        handle: DataHandle,
+        len: usize,
+        out: &mut Vec<Payload>,
+    ) -> NkResult<usize> {
+        let mut moved = 0;
+        for run in self.span(handle, 0, len)?.drain(..) {
+            if moved == len {
+                break;
+            }
+            let take = run.len().min(len - moved);
+            out.push(if take == run.len() {
+                run
+            } else {
+                run.slice(0..take)
+            });
+            moved += take;
+        }
+        self.free(handle.offset() as usize)?;
+        Ok(moved)
+    }
+}
+
+/// Copy the bytes of `runs` from `skip` on into `out`; what the runs do not
+/// reach reads as zero.
+fn copy_out(runs: &[Payload], mut skip: usize, out: &mut [u8]) {
+    let mut at = 0;
+    for run in runs {
+        if at == out.len() {
+            break;
+        }
+        if skip >= run.len() {
+            skip -= run.len();
+            continue;
+        }
+        let take = (run.len() - skip).min(out.len() - at);
+        out[at..at + take].copy_from_slice(&run[skip..skip + take]);
+        at += take;
+        skip = 0;
+    }
+    out[at..].fill(0);
 }
 
 fn round_up(len: usize) -> usize {
@@ -281,11 +362,10 @@ impl HugepageRegion {
 
     /// Copy bytes `[offset, offset + out.len())` of the chunk at `handle`
     /// into `out` — a partial `recv()` resumes where the last one stopped
-    /// without re-reading the chunk's head.
+    /// without re-reading the chunk's head. Bytes past what the chunk was
+    /// written with read as zero.
     pub fn read_at(&self, handle: DataHandle, offset: usize, out: &mut [u8]) -> NkResult<()> {
-        let pages = self.lock();
-        let span = pages.span(handle, offset, out.len())?;
-        out.copy_from_slice(&pages.bytes[span]);
+        copy_out(self.lock().span(handle, offset, out.len())?, offset, out);
         Ok(())
     }
 
@@ -294,40 +374,48 @@ impl HugepageRegion {
     /// refused read frees nothing.
     pub fn read_and_free(&self, handle: DataHandle, offset: usize, out: &mut [u8]) -> NkResult<()> {
         let mut pages = self.lock();
-        let span = pages.span(handle, offset, out.len())?;
-        out.copy_from_slice(&pages.bytes[span]);
+        copy_out(pages.span(handle, offset, out.len())?, offset, out);
         pages.free(handle.offset() as usize)
     }
 
-    /// Lend the first `len` bytes of the chunk at `handle` to `f` in place,
-    /// then free the chunk — the NSM handing a `Send`'s payload to its
-    /// stack, under one lock hold. A refused lend frees nothing.
-    pub fn lend_and_free<R>(
+    /// Move the first `len` bytes of the chunk at `handle` onto `runs`, as
+    /// the runs it holds, then free the chunk — the NSM handing a `Send`'s
+    /// payload to its stack by reference, under one lock hold. Bytes past
+    /// what the chunk was written with are handed out as zeros. A refused
+    /// lend frees nothing.
+    pub fn lend_and_free(
         &self,
         handle: DataHandle,
         len: usize,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> NkResult<R> {
-        let mut pages = self.lock();
-        let span = pages.span(handle, 0, len)?;
-        let r = f(&pages.bytes[span]);
-        pages.free(handle.offset() as usize)?;
-        Ok(r)
+        runs: &mut Vec<Payload>,
+    ) -> NkResult<()> {
+        let moved = self.lock().take_runs(handle, len, runs)?;
+        if moved < len {
+            runs.push(Payload::from(vec![0; len - moved]));
+        }
+        Ok(())
     }
 
-    /// Allocate a chunk of at least `len` bytes and let `fill` write its
-    /// first `len` bytes in place — the NSM landing received bytes, under
-    /// one lock hold. A failed fill frees the chunk again and returns its
-    /// error.
+    /// Allocate a chunk of at least `len` bytes and let `fill` push the runs
+    /// of its first `len` bytes at most — the NSM landing received bytes by
+    /// reference, under one lock hold. A failed fill frees the chunk again
+    /// and returns its error.
     pub fn alloc_and_fill<R>(
         &self,
         len: usize,
-        fill: impl FnOnce(&mut [u8]) -> NkResult<R>,
+        fill: impl FnOnce(&mut Vec<Payload>) -> NkResult<R>,
     ) -> NkResult<(DataHandle, R)> {
         let mut pages = self.lock();
         let off = pages.alloc(len)?;
-        match fill(&mut pages.bytes[off..off + len]) {
-            Ok(r) => Ok((DataHandle::from_offset(off as u64), r)),
+        let runs = pages.runs_at(off);
+        match fill(runs) {
+            Ok(r) => {
+                assert!(
+                    runs.iter().map(|run| run.len()).sum::<usize>() <= len,
+                    "a fill overran its chunk"
+                );
+                Ok((DataHandle::from_offset(off as u64), r))
+            }
             Err(e) => {
                 pages.free(off)?;
                 Err(e)
@@ -337,41 +425,41 @@ impl HugepageRegion {
 
     /// Allocate a chunk, copy `data` into it and return the handle — the
     /// common GuestLib `send()` path (§4.5 "Sending Data"), under one lock
-    /// hold.
+    /// hold. The copy lands in a buffer of the region's recycler, which
+    /// lends it again once no run points into it.
     pub fn alloc_and_write(&self, data: &[u8]) -> NkResult<DataHandle> {
-        self.alloc_and_fill(data.len(), |chunk| {
-            chunk.copy_from_slice(data);
-            Ok(())
-        })
-        .map(|(handle, ())| handle)
+        let mut pages = self.lock();
+        let off = pages.alloc(data.len())?;
+        let run = pages.recycler.write(data);
+        if !run.is_empty() {
+            pages.runs_at(off).push(run);
+        }
+        Ok(DataHandle::from_offset(off as u64))
     }
 
     /// Move the first `len` bytes of the chunk at `src` into a fresh chunk
     /// of `dst_region` (or of this region), free `src` and return the new
     /// handle. This is the shared-memory NSM's fast path (§6.4): payload
-    /// moves hugepage-to-hugepage with one `memcpy`, without touching a TCP
-    /// stack or a temporary, holding each region's lock once. The
-    /// destination chunk is allocated before the source is checked; a
-    /// refused allocation or source frees nothing.
+    /// moves hugepage-to-hugepage by reference — the runs change chunks and
+    /// no byte is copied — without touching a TCP stack, holding each
+    /// region's lock once. The destination chunk is allocated before the
+    /// source is checked; a refused allocation or source frees nothing.
     pub fn move_to(
         &self,
         src: DataHandle,
         dst_region: &HugepageRegion,
         len: usize,
     ) -> NkResult<DataHandle> {
-        let src_off = src.offset() as usize;
         if Arc::ptr_eq(&self.pages, &dst_region.pages) {
             let mut pages = self.lock();
             let dst = pages.alloc(len)?;
-            let src_span = match pages.span(src, 0, len) {
-                Ok(span) => span,
-                Err(e) => {
-                    pages.free(dst)?;
-                    return Err(e);
-                }
-            };
-            pages.bytes.copy_within(src_span, dst);
-            pages.free(src_off)?;
+            let mut runs = std::mem::take(pages.runs_at(dst));
+            let moved = pages.take_runs(src, len, &mut runs);
+            *pages.runs_at(dst) = runs;
+            if let Err(e) = moved {
+                pages.free(dst)?;
+                return Err(e);
+            }
             return Ok(DataHandle::from_offset(dst as u64));
         }
         // Address order, whichever way the move runs (see the file note).
@@ -384,15 +472,10 @@ impl HugepageRegion {
             src_pages = self.lock();
         }
         let dst = dst_pages.alloc(len)?;
-        let src_span = match src_pages.span(src, 0, len) {
-            Ok(span) => span,
-            Err(e) => {
-                dst_pages.free(dst)?;
-                return Err(e);
-            }
-        };
-        dst_pages.bytes[dst..dst + len].copy_from_slice(&src_pages.bytes[src_span]);
-        src_pages.free(src_off)?;
+        if let Err(e) = src_pages.take_runs(src, len, dst_pages.runs_at(dst)) {
+            dst_pages.free(dst)?;
+            return Err(e);
+        }
         Ok(DataHandle::from_offset(dst as u64))
     }
 
@@ -456,8 +539,9 @@ mod tests {
     }
 
     /// The flat model `region_matches_a_flat_model` checks against: the
-    /// region's bytes as one array, occupancy per 64-byte line, the live
-    /// chunks and the counters `stats()` reports.
+    /// region's bytes as one array (a chunk's lines zeroed when they are
+    /// allocated), occupancy per 64-byte line, the live chunks and the
+    /// counters `stats()` reports.
     struct Model {
         bytes: Vec<u8>,
         taken: Vec<bool>,
@@ -492,6 +576,7 @@ mod tests {
                 return Err(NkError::OutOfHugepages);
             };
             self.taken[line..line + lines].fill(true);
+            self.bytes[line * ALIGN..(line + lines) * ALIGN].fill(0);
             self.live.insert(line * ALIGN, lines * ALIGN);
             self.total_allocs += 1;
             Ok(line * ALIGN)
@@ -515,6 +600,11 @@ mod tests {
                 failed_allocs: self.failed_allocs,
             }
         }
+    }
+
+    /// The bytes of `runs`, front to back.
+    fn flatten(runs: &[Payload]) -> Vec<u8> {
+        runs.iter().flat_map(|run| run.iter().copied()).collect()
     }
 
     /// Free `h` in the model; a freed handle joins the `stale` ones.
@@ -551,7 +641,8 @@ mod tests {
     /// `lend_and_free`, `move_to` within and across two regions, and `free`
     /// — against a flat model of offsets, bytes and `RegionStats`: the
     /// bitmap region hands out exactly the offsets first fit hands out,
-    /// refuses what the model refuses, and holds the model's bytes.
+    /// refuses what the model refuses, and holds the model's bytes, zeros
+    /// past what each chunk was written with included.
     #[test]
     fn region_matches_a_flat_model() {
         const CAP: usize = 2048;
@@ -585,27 +676,31 @@ mod tests {
                 let n = len % 300;
                 match next(8) {
                     0 => {
-                        // One fill in four fails, after writing.
+                        // One fill in four fails, after writing. A fill
+                        // pushes two runs that may stop short of `len`.
                         let fails = next(4) == 0;
                         let fill = next(256) as u8;
-                        let got = regions[r].alloc_and_fill(len, |chunk| {
-                            chunk.fill(fill);
+                        let k = next(len.min(CAP) as u64 + 1);
+                        let got = regions[r].alloc_and_fill(len, |runs| {
+                            runs.push(Payload::from(vec![fill; k / 2]));
+                            runs.push(Payload::from(vec![!fill; k - k / 2]));
                             if fails {
                                 Err(NkError::WouldBlock)
                             } else {
-                                Ok(chunk.len())
+                                Ok(k)
                             }
                         });
                         let got = got.map(|(h, filled)| (h.offset() as usize, filled));
                         let want = match models[r].alloc(len) {
                             Ok(off) => {
-                                models[r].bytes[off..off + len].fill(fill);
+                                models[r].bytes[off..off + k / 2].fill(fill);
+                                models[r].bytes[off + k / 2..off + k].fill(!fill);
                                 if fails {
                                     let h = DataHandle::from_offset(off as u64);
                                     model_free(&mut models[r], h, &mut stale).unwrap();
                                     Err(NkError::WouldBlock)
                                 } else {
-                                    Ok((off, len))
+                                    Ok((off, k))
                                 }
                             }
                             Err(e) => Err(e),
@@ -644,7 +739,9 @@ mod tests {
                     }
                     4 => {
                         let h = pick(&mut next, &models[r], &stale);
-                        let got = regions[r].lend_and_free(h, n, <[u8]>::to_vec);
+                        let mut runs = Vec::new();
+                        let got = regions[r].lend_and_free(h, n, &mut runs);
+                        let got = got.map(|()| flatten(&runs));
                         let want = models[r].span(h, 0, n);
                         let want = want.map(|s| models[r].bytes[s].to_vec());
                         if want.is_ok() {
@@ -719,6 +816,8 @@ mod tests {
         assert_eq!(high_water, 2 * (16 << 10) / ALIGN);
         assert!(pages.taken.len() <= high_water.div_ceil(WORD) + 1);
         assert_eq!(pages.start.len(), pages.taken.len());
+        assert_eq!(pages.slot_of.len(), pages.taken.len() * WORD);
+        assert_eq!((pages.slots.len(), pages.spare.len()), (2, 2));
         assert!(pages.taken.iter().chain(&pages.start).all(|&w| w == 0));
         assert_eq!((pages.used, pages.chunks, pages.first_free), (0, 0, 0));
     }
@@ -788,28 +887,29 @@ mod tests {
     fn lend_and_free_lends_then_frees() {
         let region = HugepageRegion::with_capacity(4096);
         let (h, filled) = region
-            .alloc_and_fill(100, |chunk| {
-                chunk.iter_mut().zip(0u8..).for_each(|(b, i)| *b = i);
-                Ok(chunk.len())
+            .alloc_and_fill(100, |runs| {
+                runs.push(Payload::from((0u8..100).collect::<Vec<u8>>()));
+                Ok(100)
             })
             .unwrap();
         assert_eq!(filled, 100);
         // 100 bytes round up to two lines; a longer lend is refused and
         // frees nothing.
+        let mut runs = Vec::new();
         assert_eq!(
-            region.lend_and_free(h, 129, |_| ()),
+            region.lend_and_free(h, 129, &mut runs),
             Err(NkError::InvalidState)
         );
-        let sum = region
-            .lend_and_free(h, 10, |chunk| {
-                chunk.iter().map(|&b| u32::from(b)).sum::<u32>()
-            })
-            .unwrap();
+        region.lend_and_free(h, 10, &mut runs).unwrap();
+        let sum = flatten(&runs).iter().map(|&b| u32::from(b)).sum::<u32>();
         assert_eq!(sum, 45);
         assert_eq!(region.stats().chunks, 0);
-        assert_eq!(region.lend_and_free(h, 1, |_| ()), Err(NkError::NotFound));
         assert_eq!(
-            region.lend_and_free(DataHandle::NULL, 0, |_| ()),
+            region.lend_and_free(h, 1, &mut runs),
+            Err(NkError::NotFound)
+        );
+        assert_eq!(
+            region.lend_and_free(DataHandle::NULL, 0, &mut runs),
             Err(NkError::NotFound)
         );
     }
@@ -818,8 +918,8 @@ mod tests {
     fn a_failed_fill_frees_its_chunk() {
         let region = HugepageRegion::with_capacity(4096);
         let keep = region.alloc_and_write(b"head").unwrap();
-        let got = region.alloc_and_fill(100, |chunk| {
-            chunk.fill(9);
+        let got = region.alloc_and_fill(100, |runs| {
+            runs.push(Payload::from(vec![9; 100]));
             Err::<(), _>(NkError::WouldBlock)
         });
         assert_eq!(got, Err(NkError::WouldBlock));
@@ -879,6 +979,81 @@ mod tests {
             Err(NkError::OutOfHugepages)
         );
         assert_eq!(src_region.stats().chunks, 1);
+    }
+
+    /// A chunk's bytes past what it was written with read as zero, never
+    /// as what an earlier chunk on the same lines held.
+    #[test]
+    fn a_reused_line_never_shows_an_earlier_chunks_bytes() {
+        let region = HugepageRegion::with_capacity(4096);
+        let old = region.alloc_and_write(&[0xAA; 128]).unwrap();
+        region.free(old).unwrap();
+        let new = region.alloc_and_write(&[1, 2]).unwrap();
+        assert_eq!(new, old, "first fit hands the same line out again");
+        let mut out = [0xFF; 64];
+        region.read(new, &mut out).unwrap();
+        let mut want = [0u8; 64];
+        want[..2].copy_from_slice(&[1, 2]);
+        assert_eq!(out, want);
+        // A lend of the whole line hands the same zeros to the stack.
+        let mut runs = Vec::new();
+        region.lend_and_free(new, 64, &mut runs).unwrap();
+        assert_eq!(flatten(&runs), want);
+    }
+
+    /// The runs of a live chunk, by reference.
+    fn runs_of(region: &HugepageRegion, h: DataHandle) -> Vec<Payload> {
+        region.lock().span(h, 0, 0).unwrap().clone()
+    }
+
+    /// The NSM hops copy nothing: `move_to` moves the very run
+    /// `alloc_and_write` made into the destination chunk, in another region
+    /// and within one, and `lend_and_free` hands that run out.
+    #[test]
+    fn the_hops_move_the_run_alloc_and_write_made() {
+        let (a, b) = (
+            HugepageRegion::with_capacity(4096),
+            HugepageRegion::with_capacity(4096),
+        );
+        let h = a.alloc_and_write(&[7; 1000]).unwrap();
+        let made = runs_of(&a, h);
+        assert_eq!(made.len(), 1);
+        let h = a.move_to(h, &b, 1000).unwrap();
+        assert!(runs_of(&b, h)[0].shares_buffer(&made[0]));
+        let h = b.move_to(h, &b, 600).unwrap();
+        let moved = runs_of(&b, h);
+        assert!(moved[0].shares_buffer(&made[0]) && moved[0].len() == 600);
+        let mut runs = Vec::new();
+        b.lend_and_free(h, 500, &mut runs).unwrap();
+        assert_eq!(runs.len(), 1);
+        assert!(runs[0].shares_buffer(&made[0]));
+        assert_eq!(runs[0][..], [7; 500]);
+        assert_eq!((a.stats().chunks, b.stats().chunks), (0, 0));
+    }
+
+    /// A guest write never lands in a buffer a run still points into: a run
+    /// of chunk A held past A's free keeps its bytes while chunk B of the
+    /// same size class gets another buffer; once let go, the buffer serves
+    /// the next write.
+    #[test]
+    fn a_held_run_keeps_its_buffer_from_the_next_write() {
+        let region = HugepageRegion::with_capacity(1 << 20);
+        let a = region.alloc_and_write(&[0xA; 16 << 10]).unwrap();
+        let mut held = Vec::new();
+        region.lend_and_free(a, 16 << 10, &mut held).unwrap();
+        let b = region.alloc_and_write(&[0xB; 16 << 10]).unwrap();
+        let mut b_runs = Vec::new();
+        region.lend_and_free(b, 16 << 10, &mut b_runs).unwrap();
+        assert!(!b_runs[0].shares_buffer(&held[0]), "B got another buffer");
+        assert_eq!(held[0][..], [0xA; 16 << 10], "A's bytes are unchanged");
+        assert_eq!(b_runs[0][..], [0xB; 16 << 10]);
+        let a_buf = held[0].buffer().unwrap().as_ptr();
+        drop(held);
+        let c = region.alloc_and_write(&[0xC; 10_000]).unwrap();
+        assert_eq!(runs_of(&region, c)[0].buffer().unwrap().as_ptr(), a_buf);
+        let mut out = vec![0; 10_000];
+        region.read_and_free(c, 0, &mut out).unwrap();
+        assert_eq!(out, [0xC; 10_000]);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! * cross-host migration payloads, drained and warm ([`migrate`]),
 //! * the provider-facing constants of the testbed ([`constants`]),
 //! * the lookup-only table with no observable order ([`detmap`]),
+//! * payload bytes shared by reference and the buffers they are written
+//!   into ([`payload`]),
 //! * and the guest-facing non-blocking socket API trait ([`api`]) that both
 //!   the NetKernel `GuestLib` and the in-guest baseline stack implement.
 
@@ -34,6 +36,7 @@ pub mod ids;
 pub mod migrate;
 pub mod nqe;
 pub mod ops;
+pub mod payload;
 
 pub use addr::SockAddr;
 pub use api::{EpollEvent, PollEvents, ShutdownHow, SocketApi};
@@ -51,3 +54,4 @@ pub use migrate::{
 };
 pub use nqe::{DataHandle, Nqe, NQE_SIZE};
 pub use ops::{OpResult, OpType};
+pub use payload::{Payload, Recycler};

@@ -58,13 +58,21 @@ check "$(code crates | grep -c 'pending_events')" -eq 0 \
 check "$(code $not_nk_queue | grep -cE "$inspects_respond")" -eq 0 \
     "one rule for a full NQE ring: respond never refuses, so no caller outside nk-queue inspects its result"
 check "$(code crates/nk-shmem/src/region.rs | grep -c 'Mutex<')" -eq 1 \
-    "one lock per hugepage access: the allocator and the bytes sit behind one Mutex"
+    "one lock per hugepage access: the allocator and the chunks' runs sit behind one Mutex"
 check "$(code crates/nk-shmem/src/region.rs | grep -cE 'BTreeMap|DetMap')" -eq 0 \
     "one lock hold and no search per hugepage hop: the allocator is the two line bitmaps, no extent tree or chunk map"
 check "$(code crates/nk-guest/src | grep -c 'region.clone()')" -eq 0 \
     "one lock hold and no search per hugepage hop: GuestLib borrows its region, it never clones the handle per call"
 check "$(code crates/nk-service/src/service.rs | grep -c '\.free(')" -eq 0 \
     "one lock hold and no search per hugepage hop: a Send's lend frees its chunk and a failed fill frees its own; only the front end's failed-Send reply frees"
+# A copying hop: a capacity-sized byte arena in the region, or a byte-slice
+# region or stack call (or a `to_vec`) in the NSM's send, flush and receive
+# hops, which move `Payload` runs by reference.
+# shellcheck disable=SC2016 # awk's own $0
+check "$(( $(code crates/nk-shmem/src/region.rs | grep -c 'Box<\[u8\]>') + $(code crates/nk-service/src/service.rs \
+    | awk '/^    fn (handle_send|flush_queue|pump_socket)\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' \
+    | grep -cE 'to_vec\(|\.(send|recv|read|read_at|read_and_free|alloc_and_write)\(') ))" -eq 0 \
+    "the NSM hops copy nothing: hugepage chunks hold runs, not an arena, and ServiceLib moves them by reference"
 check "$(code crates/nk-queue/src/spsc.rs | grep -cw 'unsafe')" -eq 4 \
     "four unsafe sites in the SPSC ring, the interleaving checker's scope (ROADMAP item 3)"
 # shellcheck disable=SC2046 # one directory per word
