@@ -4,7 +4,7 @@ use crate::exec::{ExecStats, ShardedExecutor, StepOutcome};
 use nk_ctrl::placer::{ClusterSample, HostLoad, Placer};
 use nk_ctrl::{EvacMode, PlanEvent};
 use nk_fabric::link::LinkConfig;
-use nk_fabric::TorSwitch;
+use nk_fabric::{TorSwitch, Train};
 use nk_guest::GuestLib;
 use nk_host::NetKernelHost;
 use nk_netstack::{Segment, StackConfig, TcpStack};
@@ -372,6 +372,7 @@ impl Cluster {
                                 dst_ip: f.payload.dst.ip,
                                 dst_port: f.payload.dst.port,
                             },
+                            f.payload.frames() as u64,
                             f.wire_bytes as u64,
                         )
                     })

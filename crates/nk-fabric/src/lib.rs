@@ -20,7 +20,10 @@
 //! Loss and reordering draw from `nk_sim::SplitMix64`, so they reproduce.
 //!
 //! The fabric is generic over the frame payload so it carries the TCP
-//! segments of `nk-netstack` without a dependency cycle.
+//! segments of `nk-netstack` without a dependency cycle. A payload may be a
+//! [`Train`] of several same-sized wire frames: it crosses a port, a switch
+//! and a clean link as one object, while every count, token-bucket charge
+//! and random draw stays per wire frame.
 
 #![forbid(unsafe_code)]
 
@@ -30,5 +33,5 @@ pub mod port;
 pub mod switch;
 
 pub use link::{Link, LinkConfig};
-pub use port::{uplink_pair, Frame, HostUplink, Port, TorUplink};
+pub use port::{uplink_pair, Frame, HostUplink, Port, TorUplink, Train};
 pub use switch::{TorSwitch, VirtualSwitch};

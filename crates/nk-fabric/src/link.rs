@@ -1,6 +1,6 @@
 //! Link impairments: rate limiting, propagation delay, loss and reordering.
 
-use crate::port::Frame;
+use crate::port::{Frame, Train};
 use nk_sim::{SplitMix64, TokenBucket};
 use std::collections::VecDeque;
 
@@ -104,7 +104,7 @@ pub struct Link<P> {
     stats: LinkStats,
 }
 
-impl<P> Link<P> {
+impl<P: Train> Link<P> {
     /// Create a link with the given configuration and RNG seed.
     pub fn new(config: LinkConfig, seed: u64) -> Self {
         Link {
@@ -119,12 +119,46 @@ impl<P> Link<P> {
 
     /// Offer a frame to the link at time `now_ns`. Frames beyond the rate cap
     /// or hit by loss are dropped (TCP sees them as congestion).
+    ///
+    /// A [`Train`] is admitted whole when the link draws nothing per frame
+    /// (no loss, no reordering): it is charged to the rate cap frame by
+    /// frame and cut to the frames that passed. Otherwise each of its wire
+    /// frames is offered on its own, so the random draws and delivery order
+    /// are those of the frames sent one by one.
     pub fn offer(&mut self, frame: Frame<P>, now_ns: u64) {
-        self.stats.sent += 1;
+        let frames = frame.payload.frames();
+        if frames > 1 && (self.config.loss > 0.0 || self.config.reorder > 0.0) {
+            for piece in frame.into_frames() {
+                self.admit(piece, 1, now_ns);
+            }
+        } else {
+            self.admit(frame, frames, now_ns);
+        }
+    }
+
+    /// [`Link::offer`] for a single frame, or a train of `frames` on a link
+    /// that draws nothing per frame.
+    fn admit(&mut self, mut frame: Frame<P>, mut frames: usize, now_ns: u64) {
+        self.stats.sent += frames as u64;
         if let Some(bucket) = &mut self.bucket {
-            if !bucket.try_consume(frame.wire_bytes as f64, now_ns) {
-                self.stats.dropped += 1;
-                return;
+            // Charged in order: once one frame fails at `now_ns`, every
+            // later one of the same size fails too, without a refill. A
+            // lone frame skips the division.
+            let passed = if frames == 1 {
+                usize::from(bucket.try_consume(frame.wire_bytes as f64, now_ns))
+            } else {
+                let each = (frame.wire_bytes / frames) as f64;
+                (0..frames)
+                    .take_while(|_| bucket.try_consume(each, now_ns))
+                    .count()
+            };
+            if passed < frames {
+                self.stats.dropped += (frames - passed) as u64;
+                if passed == 0 {
+                    return;
+                }
+                frame = frame.split_front(passed);
+                frames = passed;
             }
         }
         if self.rng.chance(self.config.loss) {
@@ -135,12 +169,14 @@ impl<P> Link<P> {
         if self.rng.chance(self.config.reorder) {
             delay_us += self.config.reorder_extra_us;
         }
-        self.seq += 1;
+        // The train's frames take consecutive sequence numbers, so it sorts
+        // where each of them would.
         let pending = Pending {
             deliver_at_ns: now_ns + delay_us * 1_000,
-            seq: self.seq,
+            seq: self.seq + 1,
             frame,
         };
+        self.seq += frames as u64;
         let key = pending.key();
         if self.in_flight.back().is_none_or(|last| last.key() < key) {
             self.in_flight.push_back(pending);
@@ -164,21 +200,22 @@ impl<P> Link<P> {
     }
 
     /// Append every frame whose delivery time has arrived to `out`,
-    /// returning how many were drained.
+    /// returning how many wire frames were drained (a train counts each).
     pub fn drain_deliverable(&mut self, now_ns: u64, out: &mut impl Extend<Frame<P>>) -> usize {
         let due = self
             .in_flight
             .partition_point(|p| p.deliver_at_ns <= now_ns);
+        let before = self.stats.delivered;
         let stats = &mut self.stats;
         out.extend(self.in_flight.drain(..due).map(|p| {
-            stats.delivered += 1;
+            stats.delivered += p.frame.payload.frames() as u64;
             stats.delivered_bytes += p.frame.wire_bytes as u64;
             p.frame
         }));
-        due
+        (self.stats.delivered - before) as usize
     }
 
-    /// Frames still queued on the link.
+    /// Frames still queued on the link (a train is one).
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
@@ -197,6 +234,7 @@ impl<P> Link<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port::tests::Run;
 
     fn frame(bytes: usize) -> Frame<u32> {
         Frame {
@@ -467,5 +505,75 @@ mod tests {
         let _ = deliverable(&mut link, 0);
         assert_eq!(link.stats().delivered_bytes, 800);
         assert_eq!(link.stats().delivered, 2);
+    }
+
+    /// The wire frames of `trains`, one `(tag, wire bytes)` each.
+    fn expand(trains: Vec<Frame<Run>>) -> Vec<(u32, usize)> {
+        let frames = trains.into_iter().flat_map(Train::into_frames);
+        frames.map(|f| (f.payload.first, f.wire_bytes)).collect()
+    }
+
+    /// A link offered trains behaves as its twin offered their frames one
+    /// by one: same seed, same frames delivered in the same order at the
+    /// same times, same statistics. Under a rate cap trains are cut where
+    /// the bucket runs dry; under loss or reordering they go frame by frame.
+    #[test]
+    fn a_train_crosses_a_link_as_its_frames_would() {
+        const FRAME: usize = 1_514;
+        let configs = [
+            LinkConfig::ideal(),
+            LinkConfig::ideal().with_latency_us(30),
+            LinkConfig::ideal().with_rate_gbps(1.0),
+            LinkConfig::ideal().with_rate_gbps(2.0).with_latency_us(10),
+            LinkConfig::ideal().with_loss(0.1),
+            LinkConfig::ideal().with_reorder(0.3).with_latency_us(20),
+            LinkConfig::ideal()
+                .with_rate_gbps(1.0)
+                .with_loss(0.05)
+                .with_reorder(0.1),
+        ];
+        for (c, config) in configs.into_iter().enumerate() {
+            for seed in 1..=3u64 {
+                let mut trains: Link<Run> = Link::new(config, seed);
+                let mut singles: Link<Run> = Link::new(config, seed);
+                let mut ops = SplitMix64::new(seed ^ 0x7A1);
+                let (mut now, mut tag, mut cut) = (0u64, 0u32, 0usize);
+                for _ in 0..3_000 {
+                    now += ops.next_below(4) * 20_000;
+                    let frames = 1 + ops.next_below(12) as usize;
+                    let train = Frame {
+                        src: 1,
+                        dst: 2,
+                        flow_hash: 9,
+                        wire_bytes: frames * FRAME,
+                        payload: Run { first: tag, frames },
+                    };
+                    tag += frames as u32;
+                    let dropped = trains.stats().dropped;
+                    trains.offer(train.clone(), now);
+                    let lost = (trains.stats().dropped - dropped) as usize;
+                    cut += usize::from(lost > 0 && lost < frames);
+                    for piece in train.into_frames() {
+                        singles.offer(piece, now);
+                    }
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    let drained = trains.drain_deliverable(now, &mut a);
+                    assert_eq!(drained, singles.drain_deliverable(now, &mut b));
+                    assert_eq!(expand(a), expand(b), "config {c}, seed {seed}, at {now} ns");
+                    assert_eq!(trains.stats(), singles.stats(), "config {c}, seed {seed}");
+                }
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                trains.drain_deliverable(u64::MAX, &mut a);
+                singles.drain_deliverable(u64::MAX, &mut b);
+                assert_eq!(expand(a), expand(b));
+                let stats = trains.stats();
+                assert_eq!(stats, singles.stats());
+                assert_eq!(stats.sent, u64::from(tag));
+                assert_eq!(stats.delivered + stats.dropped, stats.sent);
+                if config.rate_gbps.is_some() && config.loss == 0.0 {
+                    assert!(cut > 0, "config {c}: some train is cut by the bucket");
+                }
+            }
+        }
     }
 }

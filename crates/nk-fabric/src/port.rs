@@ -47,6 +47,62 @@ pub struct Frame<P> {
     pub payload: P,
 }
 
+/// A frame payload that may stand for several wire frames of one size sent
+/// back to back: a *train*, such as the full-sized segments a TCP stack
+/// sends from one write. The fabric moves a train as one object, but
+/// counts, polices and impairs it wire frame by wire frame. A payload is
+/// one frame unless its type says otherwise.
+pub trait Train: Sized {
+    /// Wire frames this payload stands for (at least one).
+    #[inline]
+    fn frames(&self) -> usize {
+        1
+    }
+
+    /// Split the first `n` wire frames off (`0 < n < frames()`), as a train
+    /// of their own; this one keeps the rest.
+    fn split_front(&mut self, n: usize) -> Self {
+        unreachable!("a single frame ({n} asked) has nothing to split off")
+    }
+
+    /// This payload's wire frames one by one, front first.
+    fn into_frames(self) -> impl Iterator<Item = Self> {
+        let mut rest = Some(self);
+        std::iter::from_fn(move || {
+            let train = rest.as_mut()?;
+            if train.frames() > 1 {
+                Some(train.split_front(1))
+            } else {
+                rest.take()
+            }
+        })
+    }
+}
+
+impl Train for u32 {}
+impl Train for u64 {}
+
+/// A frame is as many wire frames as its payload, each `wire_bytes /
+/// frames()` long.
+impl<P: Train> Train for Frame<P> {
+    #[inline]
+    fn frames(&self) -> usize {
+        self.payload.frames()
+    }
+
+    fn split_front(&mut self, n: usize) -> Self {
+        let wire_bytes = self.wire_bytes / self.payload.frames() * n;
+        self.wire_bytes -= wire_bytes;
+        Frame {
+            src: self.src,
+            dst: self.dst,
+            flow_hash: self.flow_hash,
+            wire_bytes,
+            payload: self.payload.split_front(n),
+        }
+    }
+}
+
 type Queue<P> = Mutex<VecDeque<Frame<P>>>;
 
 /// A bidirectional port. Cloning yields another handle to the same port (the
@@ -224,8 +280,31 @@ impl<P> TorUplink<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Wire frames `first..first + frames`, sent back to back as one train.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub(crate) struct Run {
+        pub(crate) first: u32,
+        pub(crate) frames: usize,
+    }
+
+    impl Train for Run {
+        fn frames(&self) -> usize {
+            self.frames
+        }
+
+        fn split_front(&mut self, n: usize) -> Run {
+            let head = Run {
+                first: self.first,
+                frames: n,
+            };
+            self.first += n as u32;
+            self.frames -= n;
+            head
+        }
+    }
 
     fn frame(dst: u32, tag: u32) -> Frame<u32> {
         Frame {

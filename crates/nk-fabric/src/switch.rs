@@ -25,7 +25,7 @@
 //! byte-identical cluster replays build on.
 
 use crate::link::{Link, LinkConfig, LinkStats};
-use crate::port::{next_run, uplink_pair, Frame, HostUplink, Port, TorUplink};
+use crate::port::{next_run, uplink_pair, Frame, HostUplink, Port, TorUplink, Train};
 use std::cmp::Reverse;
 
 struct Route<P> {
@@ -59,7 +59,7 @@ pub struct VirtualSwitch<P> {
 /// The top-of-rack switch is a [`VirtualSwitch`] of host trunks.
 pub type TorSwitch<P> = VirtualSwitch<P>;
 
-impl<P> VirtualSwitch<P> {
+impl<P: Train> VirtualSwitch<P> {
     /// A switch whose ports get ideal egress links by default.
     pub fn new() -> Self {
         Self::with_default_link(LinkConfig::ideal())
@@ -276,7 +276,8 @@ impl<P> VirtualSwitch<P> {
 
     /// Forward frames: drain every route's port in route order, push each
     /// frame through its best route's link, and deliver everything whose
-    /// time has come. Returns the number of frames delivered.
+    /// time has come. Returns the number of wire frames delivered (a
+    /// [`Train`] counts each of its frames).
     ///
     /// At the ToR of a sharded cluster this runs on the caller's thread at
     /// the round barrier: every helper is parked, so the drain over routes —
@@ -288,8 +289,9 @@ impl<P> VirtualSwitch<P> {
 
     /// [`VirtualSwitch::step`] with a tap called on every frame at the
     /// moment of delivery — in route order, on the caller's thread, which
-    /// makes the tap sequence the same for any cluster thread count. The
-    /// flight recorder's hot-flow table hangs off the ToR's.
+    /// makes the tap sequence the same for any cluster thread count. A train
+    /// is tapped once, as it was delivered ([`Train::frames`] tells its
+    /// size). The flight recorder's hot-flow table hangs off the ToR's.
     pub fn step_with<F: FnMut(&Frame<P>)>(&mut self, now_ns: u64, mut tap: F) -> usize {
         let mut scratch = std::mem::take(&mut self.scratch);
         for i in 0..self.routes.len() {
@@ -310,7 +312,7 @@ impl<P> VirtualSwitch<P> {
                     // host switch and ToR forever. A /32's frames to itself
                     // are delivered (two VMs on one NSM).
                     Some(j) if j == i && self.routes[j].mask != u32::MAX => {
-                        self.hairpins += run.count() as u64;
+                        self.hairpins += wire_frames(run);
                         continue;
                     }
                     Some(j) => self.routes[j].hop.as_mut(),
@@ -318,7 +320,7 @@ impl<P> VirtualSwitch<P> {
                 };
                 match hop {
                     Some((_, link)) => run.for_each(|f| link.offer(f, now_ns)),
-                    None => self.unroutable += run.count() as u64,
+                    None => self.unroutable += wire_frames(run),
                 }
             }
         }
@@ -345,7 +347,12 @@ impl<P> VirtualSwitch<P> {
     }
 }
 
-impl<P> nk_sim::Pollable for VirtualSwitch<P> {
+/// Wire frames in `run`: what the switch counts, a train as its frames.
+fn wire_frames<P: Train>(run: impl Iterator<Item = Frame<P>>) -> u64 {
+    run.map(|f| f.payload.frames() as u64).sum()
+}
+
+impl<P: Train> nk_sim::Pollable for VirtualSwitch<P> {
     /// One forwarding pass: ingress collection plus delivery of every frame
     /// whose link latency has elapsed at `now_ns`.
     fn poll(&mut self, now_ns: u64) -> usize {
@@ -353,7 +360,7 @@ impl<P> nk_sim::Pollable for VirtualSwitch<P> {
     }
 }
 
-impl<P> Default for VirtualSwitch<P> {
+impl<P: Train> Default for VirtualSwitch<P> {
     fn default() -> Self {
         Self::new()
     }
@@ -691,6 +698,46 @@ mod tests {
     }
 
     /// The delivery tap sees every delivered frame, in route order.
+    /// The switch counts wire frames: a train delivered, hairpinned or
+    /// unroutable counts each of its frames, and is tapped once, whole.
+    #[test]
+    fn a_train_counts_as_its_frames() {
+        use crate::port::tests::Run;
+        let train = |dst, first, frames| Frame {
+            src: 0x0A01_0001,
+            dst,
+            flow_hash: 0,
+            wire_bytes: 100 * frames,
+            payload: Run { first, frames },
+        };
+        let mut sw: VirtualSwitch<Run> = VirtualSwitch::new();
+        let (host_end, _tor_end) = uplink_pair(0x0A01_0000);
+        sw.set_uplink_filtered(host_end, 0x0A01_0000, HOST_MASK);
+        let a = sw.attach(0x0A01_0001);
+        let b = sw.attach(0x0A01_0002);
+        a.send(train(0x0A01_0002, 0, 3));
+        a.send(train(0x0A01_0009, 3, 4)); // a dead vNIC in the block
+        let mut tapped = Vec::new();
+        assert_eq!(sw.step_with(0, |f| tapped.push(f.payload)), 3);
+        assert_eq!(
+            tapped,
+            [Run {
+                first: 0,
+                frames: 3
+            }]
+        );
+        assert_eq!(b.recv().map(|f| f.wire_bytes), Some(300));
+        assert_eq!(sw.unroutable(), 4);
+        let stats = sw.link_stats(0x0A01_0002).unwrap();
+        assert_eq!((stats.sent, stats.delivered), (3, 3));
+
+        let mut tor: TorSwitch<Run> = TorSwitch::new();
+        let mut trunk = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
+        trunk.send(train(0x0A01_0005, 7, 2));
+        assert_eq!(tor.step(0), 0);
+        assert_eq!(tor.hairpins(), 2);
+    }
+
     #[test]
     fn step_with_taps_delivered_frames() {
         let mut tor: TorSwitch<u32> = TorSwitch::new();

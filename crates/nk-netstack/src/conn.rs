@@ -11,9 +11,10 @@
 use crate::cc::{Cc, CcAlgorithm, CongestionControl};
 use crate::payload::{ByteQueue, Payload};
 use crate::segment::{seq_ge, seq_gt, seq_le, seq_lt, Segment, SegmentFlags};
+use nk_fabric::Train;
 use nk_types::constants::{DEFAULT_RECV_BUF, DEFAULT_SEND_BUF, MSS};
 use nk_types::migrate::{TcpConnSnapshot, TcpPhase};
-use nk_types::{NkError, NkResult, SockAddr};
+use nk_types::{NkError, NkResult, Recycler, SockAddr};
 use std::collections::BTreeMap;
 
 /// TCP connection states (RFC 793 names).
@@ -340,11 +341,12 @@ impl TcpConnection {
 
     // ---- Application interface -------------------------------------------
 
-    /// Queue up to `data.len()` bytes for transmission; returns the number of
-    /// bytes accepted (possibly zero when the send buffer is full or the
-    /// write side is closed).
-    pub fn write(&mut self, data: &[u8]) -> usize {
-        self.queue_send(data.len(), |queue, n| queue.write(&data[..n]))
+    /// Queue up to `data.len()` bytes for transmission, copied into a
+    /// buffer `recycler` lends when they are a run's worth; returns the
+    /// number of bytes accepted (possibly zero when the send buffer is full
+    /// or the write side is closed).
+    pub fn write(&mut self, data: &[u8], recycler: &mut Recycler) -> usize {
+        self.queue_send(data.len(), |queue, n| queue.write(&data[..n], recycler))
     }
 
     /// [`TcpConnection::write`] of a run, by reference: the bytes the send
@@ -507,8 +509,13 @@ impl TcpConnection {
 
     // ---- Segment processing -----------------------------------------------
 
-    /// Process an incoming segment addressed to this connection.
+    /// Process an incoming segment addressed to this connection. A train
+    /// leaves it exactly as its segments would, one by one.
     pub fn on_segment(&mut self, seg: &Segment, now_ns: u64) {
+        if seg.frames() > 1 {
+            self.on_train(seg, now_ns);
+            return;
+        }
         if seg.flags.rst {
             // A reset kills the connection immediately.
             self.enter_closed();
@@ -555,6 +562,46 @@ impl TcpConnection {
         if !seg.payload.is_empty() || seg.flags.fin {
             self.process_payload(seg, now_ns);
         }
+    }
+
+    /// A train leaves the connection exactly as its segments would one by
+    /// one: in one step when [`TcpConnection::takes_whole`] admits it, else
+    /// segment by segment. In one step, every segment carries the ACK and
+    /// window of the first, and data, so only the first one's ACK can act;
+    /// every segment is full-sized, so the first may delay the ACK and the
+    /// second owes it at once.
+    fn on_train(&mut self, seg: &Segment, now_ns: u64) {
+        if !self.takes_whole(seg) {
+            for piece in seg.clone().into_frames() {
+                self.on_segment(&piece, now_ns);
+            }
+            return;
+        }
+        if seg.ce_mark {
+            self.ece_pending = true;
+        }
+        self.process_ack(seg, now_ns);
+        let ce_changed = std::mem::replace(&mut self.ce_last, seg.ce_mark) != seg.ce_mark;
+        self.recv_buf.push(seg.payload.clone());
+        self.rcv_nxt = self.rcv_nxt.wrapping_add(seg.payload.len() as u32);
+        if !ce_changed && self.full_unacked == 0 {
+            self.ack_deadline.get_or_insert(now_ns + ACK_DELAY_NS);
+        }
+        self.full_unacked = 2;
+        self.ack_pending = true;
+    }
+
+    /// Whether a train is taken in one step: it is new in-order data with a
+    /// plain ACK, on an established connection, and nothing it meets ends a
+    /// segment's processing early — it fits the receive window, fills no
+    /// hole and reaches no FIN.
+    fn takes_whole(&self, seg: &Segment) -> bool {
+        self.state == ConnState::Established
+            && seg.seq == self.rcv_nxt
+            && seg.payload.len() <= self.recv_window()
+            && self.ooo.is_empty()
+            && self.peer_fin_seq.is_none()
+            && seg.flags == SegmentFlags::ack()
     }
 
     fn process_ack(&mut self, seg: &Segment, now_ns: u64) {
@@ -874,7 +921,20 @@ impl TcpConnection {
             budget -= chunk;
             self.ack_pending = false;
             self.ece_pending = false;
-            out.push(seg);
+            // A full-sized piece that continues the previous one in its
+            // buffer, under the same header, rides in its train. A pending
+            // ECE sets the first piece apart; a gathered piece (straddling
+            // two runs) has a buffer of its own.
+            let joined = chunk == MSS
+                && out[first_data..].last_mut().is_some_and(|train| {
+                    train.flags == seg.flags
+                        && (train.ack, train.window) == (seg.ack, seg.window)
+                        && train.payload.len().is_multiple_of(MSS)
+                        && train.payload.extend_with(&seg.payload)
+                });
+            if !joined {
+                out.push(seg);
+            }
         }
         if out.len() > first_data {
             self.arm_rto(now_ns);
@@ -987,7 +1047,7 @@ impl TcpConnection {
     /// acts on it at the first `now_ns >= deadline`): the retransmission
     /// timeout, the persist timer or the end of TIME-WAIT. `None` for a
     /// closed connection. The delayed ACK is not among them: the stack keeps
-    /// its deadline in a FIFO ([`TcpConnection::ack_deadline`]).
+    /// its deadline in a FIFO (`TcpConnection::ack_deadline`).
     pub fn next_deadline(&self) -> Option<u64> {
         let persist = self.persist.map(|(at, _)| at);
         let timers = [self.rto_deadline, self.time_wait_deadline, persist];
@@ -1138,11 +1198,27 @@ mod tests {
         SockAddr::v4(10, 0, 0, 2, port)
     }
 
+    impl TcpConnection {
+        /// [`TcpConnection::write`] with a recycler of its own.
+        fn write_bytes(&mut self, data: &[u8]) -> usize {
+            self.write(data, &mut Recycler::default())
+        }
+    }
+
     /// One `poll_transmit` into a fresh vector.
     fn tx(c: &mut TcpConnection, now: u64) -> Vec<Segment> {
         let mut out = Vec::new();
         c.poll_transmit(now, &mut out);
         out
+    }
+
+    /// One `poll_transmit`, each train expanded into its segments: for a
+    /// test that counts, drops or reorders segments one by one.
+    fn pieces(c: &mut TcpConnection, now: u64) -> Vec<Segment> {
+        tx(c, now)
+            .into_iter()
+            .flat_map(Train::into_frames)
+            .collect()
     }
 
     fn pair(now: u64) -> (TcpConnection, TcpConnection) {
@@ -1219,7 +1295,11 @@ mod tests {
         }
         assert_eq!(server.state(), ConnState::Established);
         assert_eq!(retransmitted, 1, "one retransmission is enough");
-        assert_eq!(server.write(b"hello"), 5, "and the server can speak first");
+        assert_eq!(
+            server.write_bytes(b"hello"),
+            5,
+            "and the server can speak first"
+        );
         pump(&mut server, &mut client, 2_000_000_000, 1_000);
         assert_eq!(client.recv_available(), 5);
     }
@@ -1235,7 +1315,7 @@ mod tests {
     fn data_transfer_in_both_directions() {
         let (mut c, mut s) = pair(0);
         let msg = vec![7u8; 10_000];
-        assert_eq!(c.write(&msg), 10_000);
+        assert_eq!(c.write_bytes(&msg), 10_000);
         let now = pump(&mut c, &mut s, 1_000, 1_000);
         assert_eq!(s.recv_available(), 10_000);
         let mut buf = vec![0u8; 10_000];
@@ -1243,7 +1323,7 @@ mod tests {
         assert_eq!(buf, msg);
 
         // Server replies.
-        assert_eq!(s.write(b"response"), 8);
+        assert_eq!(s.write_bytes(b"response"), 8);
         pump(&mut c, &mut s, now, 1_000);
         let mut buf = [0u8; 32];
         assert_eq!(c.read(&mut buf), 8);
@@ -1254,8 +1334,8 @@ mod tests {
     #[test]
     fn segmentation_respects_mss() {
         let (mut c, mut s) = pair(0);
-        c.write(&vec![1u8; 5 * MSS]);
-        let segs = tx(&mut c, 1_000);
+        c.write_bytes(&vec![1u8; 5 * MSS]);
+        let segs = pieces(&mut c, 1_000);
         assert!(segs.iter().all(|s| s.len() <= MSS));
         assert!(segs.len() >= 5);
         for seg in &segs {
@@ -1267,8 +1347,8 @@ mod tests {
     #[test]
     fn out_of_order_segments_are_reassembled() {
         let (mut c, mut s) = pair(0);
-        c.write(&vec![9u8; 3 * MSS]);
-        let segs = tx(&mut c, 1_000);
+        c.write_bytes(&vec![9u8; 3 * MSS]);
+        let segs = pieces(&mut c, 1_000);
         assert_eq!(segs.len(), 3);
         // Deliver in reverse order.
         for seg in segs.iter().rev() {
@@ -1283,7 +1363,7 @@ mod tests {
     #[test]
     fn lost_segment_is_retransmitted_on_timeout() {
         let (mut c, mut s) = pair(0);
-        c.write(b"important");
+        c.write_bytes(b"important");
         // First transmission is lost (never delivered).
         let lost = tx(&mut c, 1_000);
         assert_eq!(lost.len(), 1);
@@ -1299,8 +1379,8 @@ mod tests {
     #[test]
     fn triple_duplicate_acks_trigger_fast_retransmit() {
         let (mut c, mut s) = pair(0);
-        c.write(&vec![5u8; 4 * MSS]);
-        let segs = tx(&mut c, 1_000);
+        c.write_bytes(&vec![5u8; 4 * MSS]);
+        let segs = pieces(&mut c, 1_000);
         assert!(segs.len() >= 4);
         // Drop the first segment, deliver the rest: the receiver owes one
         // duplicate ACK per out-of-order segment.
@@ -1350,8 +1430,8 @@ mod tests {
     #[test]
     fn window_updates_are_not_duplicate_acks() {
         let (mut c, mut s) = pair(0);
-        c.write(&vec![5u8; 4 * MSS]);
-        let segs = tx(&mut c, 1_000);
+        c.write_bytes(&vec![5u8; 4 * MSS]);
+        let segs = pieces(&mut c, 1_000);
         assert!(segs.len() >= 4);
         for seg in &segs[..3] {
             s.on_segment(seg, 1_000);
@@ -1378,8 +1458,8 @@ mod tests {
     #[test]
     fn small_reads_owe_no_window_update_until_it_opens_by_an_mss() {
         let (mut c, mut s) = pair(0);
-        c.write(&vec![5u8; 3 * MSS]);
-        let segs = tx(&mut c, 1_000);
+        c.write_bytes(&vec![5u8; 3 * MSS]);
+        let segs = pieces(&mut c, 1_000);
         assert_eq!(segs.len(), 3);
         for seg in &segs[..2] {
             s.on_segment(seg, 1_000);
@@ -1415,9 +1495,9 @@ mod tests {
         let (mut c, mut s) = pair(0);
         let (mut c2, mut s2) = pair(0);
         let data = pattern(0, 3 * MSS);
-        c.write(&data);
+        c.write_bytes(&data);
         c2.write_payload(&mut Payload::from(&data[..]));
-        let (segs, segs2) = (tx(&mut c, 1_000), tx(&mut c2, 1_000));
+        let (segs, segs2) = (pieces(&mut c, 1_000), pieces(&mut c2, 1_000));
         assert_eq!(segs, segs2);
         for seg in &segs[..2] {
             s.on_segment(seg, 1_000);
@@ -1457,8 +1537,8 @@ mod tests {
         const T: u64 = 1_000_000;
         /// The segments `c` sends after writing `len` bytes at `at`.
         fn send(c: &mut TcpConnection, len: usize, at: u64) -> Vec<Segment> {
-            assert_eq!(c.write(&pattern(0, len)), len);
-            tx(c, at)
+            assert_eq!(c.write_bytes(&pattern(0, len)), len);
+            pieces(c, at)
         }
         /// `s`'s answer to `seg`, polled at the instant it arrived: the
         /// ACK number of the one pure ACK, or `None` for silence.
@@ -1585,7 +1665,7 @@ mod tests {
         for seg in tx(&mut s, 1_000) {
             c.on_segment(&seg, 1_000);
         }
-        c.write(&vec![3u8; 4 * MSS]);
+        c.write_bytes(&vec![3u8; 4 * MSS]);
         for seg in tx(&mut c, 2_000) {
             s.on_segment(&seg, 2_000);
         }
@@ -1608,7 +1688,7 @@ mod tests {
     #[test]
     fn graceful_close_both_sides() {
         let (mut c, mut s) = pair(0);
-        c.write(b"bye");
+        c.write_bytes(b"bye");
         c.close();
         let now = pump(&mut c, &mut s, 1_000, 1_000);
         let mut buf = [0u8; 8];
@@ -1647,7 +1727,7 @@ mod tests {
         for seg in tx(&mut s, 1_000) {
             c.on_segment(&seg, 1_000);
         }
-        c.write(&vec![3u8; 10 * MSS]);
+        c.write_bytes(&vec![3u8; 10 * MSS]);
         let segs = tx(&mut c, 2_000);
         let sent: usize = segs.iter().map(|s| s.len()).sum();
         assert!(sent <= 2 * MSS, "sent {sent} despite a 2-MSS window");
@@ -1657,7 +1737,7 @@ mod tests {
     fn write_after_close_is_rejected() {
         let (mut c, _s) = pair(0);
         c.close();
-        assert_eq!(c.write(b"nope"), 0);
+        assert_eq!(c.write_bytes(b"nope"), 0);
         assert!(!c.writable());
     }
 
@@ -1666,25 +1746,25 @@ mod tests {
         let (mut c, _s) = pair(0);
         // Capacities below one MSS are clamped up to an MSS.
         c.set_send_buf_cap(100);
-        assert_eq!(c.write(&vec![0u8; 5000]), MSS);
-        assert_eq!(c.write(&[0u8; 1]), 0);
+        assert_eq!(c.write_bytes(&vec![0u8; 5000]), MSS);
+        assert_eq!(c.write_bytes(&[0u8; 1]), 0);
         assert!(!c.writable());
 
         let (mut c2, _s2) = pair(0);
         c2.set_send_buf_cap(2000);
-        assert_eq!(c2.write(&vec![0u8; 5000]), 2000);
-        assert_eq!(c2.write(&[0u8; 1]), 0);
+        assert_eq!(c2.write_bytes(&vec![0u8; 5000]), 2000);
+        assert_eq!(c2.write_bytes(&[0u8; 1]), 0);
     }
 
     #[test]
     fn ecn_marks_are_echoed_and_reduce_cwnd() {
         let (mut c, mut s) = pair(0);
         // Grow the client's window a bit first.
-        c.write(&vec![1u8; 20 * MSS]);
+        c.write_bytes(&vec![1u8; 20 * MSS]);
         pump(&mut c, &mut s, 1_000, 1_000);
         let cwnd_before = c.cwnd();
 
-        c.write(&vec![1u8; 4 * MSS]);
+        c.write_bytes(&vec![1u8; 4 * MSS]);
         let mut segs = tx(&mut c, 100_000);
         assert!(!segs.is_empty());
         // The network marks congestion on the first data segment.
@@ -1703,7 +1783,7 @@ mod tests {
     #[test]
     fn rtt_estimation_updates_rto() {
         let (mut c, mut s) = pair(0);
-        c.write(&vec![1u8; MSS]);
+        c.write_bytes(&vec![1u8; MSS]);
         let segs = tx(&mut c, 1_000_000);
         for seg in &segs {
             s.on_segment(seg, 1_000_000);
@@ -1726,13 +1806,13 @@ mod tests {
     fn snapshot_restore_resumes_a_mid_transfer_connection() {
         let (mut c, mut s) = pair(0);
         // Client sends a first batch, the server echoes acknowledgements.
-        c.write(&vec![0xA5u8; 4 * MSS]);
+        c.write_bytes(&vec![0xA5u8; 4 * MSS]);
         let now = pump(&mut c, &mut s, 1_000, 1_000);
         assert_eq!(s.recv_available(), 4 * MSS);
 
         // More data is written and *transmitted but not delivered* (lost on
         // the wire at migration time).
-        c.write(&vec![0x5Au8; 2 * MSS]);
+        c.write_bytes(&vec![0x5Au8; 2 * MSS]);
         let lost = tx(&mut c, now);
         assert!(!lost.is_empty(), "in-flight data expected");
         assert!(c.in_flight() > 0);
@@ -1755,7 +1835,7 @@ mod tests {
         assert!(buf[4 * MSS..].iter().all(|&b| b == 0x5A));
 
         // And the reverse direction still works through the restored side.
-        s.write(b"ack from peer");
+        s.write_bytes(b"ack from peer");
         pump(&mut c2, &mut s, now, 1_000);
         let mut buf = [0u8; 32];
         assert_eq!(c2.read(&mut buf), 13);
@@ -1810,7 +1890,7 @@ mod tests {
     #[test]
     fn rto_rewind_below_what_the_peer_holds_does_not_livelock() {
         let (mut c, mut s) = pair(0);
-        assert_eq!(c.write(&pattern(0, 8 * MSS)), 8 * MSS);
+        assert_eq!(c.write_bytes(&pattern(0, 8 * MSS)), 8 * MSS);
         deliver_acks_lost(&mut c, &mut s, 1_000);
         assert_eq!(c.in_flight(), 8 * MSS);
         assert_eq!(s.recv_available(), 8 * MSS, "the receiver holds it all");
@@ -1830,7 +1910,7 @@ mod tests {
             "the sender must learn the flight was delivered"
         );
         // The connection is alive: later data flows, nothing is duplicated.
-        assert_eq!(c.write(&pattern(8 * MSS, 3 * MSS)), 3 * MSS);
+        assert_eq!(c.write_bytes(&pattern(8 * MSS, 3 * MSS)), 3 * MSS);
         run_ms(&mut c, &mut s, now, 100, &mut got);
         assert_eq!(got, pattern(0, 11 * MSS));
     }
@@ -1845,13 +1925,13 @@ mod tests {
         let (mut c, mut s) = pair(0);
         let mut got = Vec::new();
         // Open the congestion window past its initial size.
-        assert_eq!(c.write(&pattern(0, 40 * MSS)), 40 * MSS);
+        assert_eq!(c.write_bytes(&pattern(0, 40 * MSS)), 40 * MSS);
         let now = run_ms(&mut c, &mut s, 1_000, 20, &mut got);
         assert_eq!(got.len(), 40 * MSS);
         assert!(c.cwnd() >= 16 * MSS, "cwnd {} must have grown", c.cwnd());
 
         // The last flight — 16×MSS and the FIN — all lands; no ACK returns.
-        assert_eq!(c.write(&pattern(40 * MSS, 16 * MSS)), 16 * MSS);
+        assert_eq!(c.write_bytes(&pattern(40 * MSS, 16 * MSS)), 16 * MSS);
         c.close();
         deliver_acks_lost(&mut c, &mut s, now);
         assert_eq!(c.in_flight(), 16 * MSS + 1);
@@ -1874,8 +1954,8 @@ mod tests {
     #[test]
     fn ack_beyond_everything_buffered_is_ignored() {
         let (mut c, mut s) = pair(0);
-        c.write(&pattern(0, 2 * MSS));
-        let segs = tx(&mut c, 1_000);
+        c.write_bytes(&pattern(0, 2 * MSS));
+        let segs = pieces(&mut c, 1_000);
         assert_eq!(segs.len(), 2);
         let mut bogus = Segment::control(peer(80), addr(5000), SegmentFlags::ack());
         bogus.ack = segs[1].seq_end().wrapping_add(1);
@@ -1900,8 +1980,8 @@ mod tests {
     #[test]
     fn cumulative_ack_after_fast_retransmit_skips_what_the_peer_holds() {
         let (mut c, mut s) = pair(0);
-        c.write(&pattern(0, 8 * MSS));
-        let segs = tx(&mut c, 1_000);
+        c.write_bytes(&pattern(0, 8 * MSS));
+        let segs = pieces(&mut c, 1_000);
         assert_eq!(segs.len(), 8);
         for seg in &segs[1..] {
             s.on_segment(seg, 1_000);
@@ -1928,8 +2008,8 @@ mod tests {
     #[test]
     fn snapshot_carries_receive_side_buffers() {
         let (mut c, mut s) = pair(0);
-        c.write(&vec![3u8; 3 * MSS]);
-        let segs = tx(&mut c, 1_000);
+        c.write_bytes(&vec![3u8; 3 * MSS]);
+        let segs = pieces(&mut c, 1_000);
         assert_eq!(segs.len(), 3);
         // Deliver segment 0 (in order) and segment 2 (out of order).
         s.on_segment(&segs[0], 1_000);
@@ -2066,7 +2146,7 @@ mod tests {
                             .map(|i| ((i as u32).wrapping_mul(2_654_435_761) >> 24) as u8)
                             .collect();
                         let room = CAP - a.send_buffered();
-                        let n = a.write(&data);
+                        let n = a.write_bytes(&data);
                         assert_eq!(n, size.min(room));
                         stream.extend_from_slice(&data[..n]);
                     }
@@ -2162,8 +2242,8 @@ mod tests {
         assert!(c.is_established() && s.is_established());
 
         let data = pattern(0, 3 * MSS);
-        c.write(&data);
-        let segs = tx(&mut c, 1_000);
+        c.write_bytes(&data);
+        let segs = pieces(&mut c, 1_000);
         assert_eq!(segs.len(), 3);
         assert!(
             segs[2].seq < segs[0].seq,
@@ -2186,7 +2266,7 @@ mod tests {
         const N: usize = 64 * 1024;
         let (mut c, mut s) = pair(0);
         for i in 0..N {
-            assert_eq!(c.write(&[(i % 251) as u8]), 1);
+            assert_eq!(c.write_bytes(&[(i % 251) as u8]), 1);
         }
         assert_eq!(c.send_buffered(), N);
         assert!(
@@ -2213,8 +2293,8 @@ mod tests {
         };
         let (mut c, mut s) = pair(0);
         let mut got = Vec::new();
-        c.write(&pattern(0, 8 * MSS));
-        s.write(&pattern(0, 8 * MSS));
+        c.write_bytes(&pattern(0, 8 * MSS));
+        s.write_bytes(&pattern(0, 8 * MSS));
         let now = run_ms(&mut c, &mut s, 1_000, 5, &mut got);
         assert_eq!(c.read(&mut vec![0u8; 8 * MSS]), 8 * MSS);
         // `c` closes first and parks in TIME-WAIT; `s` goes straight to Closed.
@@ -2232,8 +2312,8 @@ mod tests {
 
         // A reset connection keeps its unread bytes, and only those.
         let (mut c, mut s) = pair(0);
-        s.write(b"unread");
-        c.write(&pattern(0, 4 * MSS));
+        s.write_bytes(b"unread");
+        c.write_bytes(&pattern(0, 4 * MSS));
         for seg in tx(&mut s, 1_000) {
             c.on_segment(&seg, 1_000);
         }
@@ -2252,5 +2332,158 @@ mod tests {
         assert_eq!(c.state(), ConnState::SynSent);
         assert_eq!(c.local(), addr(1));
         assert_eq!(c.remote(), peer(2));
+    }
+
+    /// The trains one `poll_transmit` forms expand to the per-MSS
+    /// segmentation of the byte stream — `seq`, `ack`, `window`, flags and
+    /// bytes — and only full-sized pieces that continue each other in one
+    /// buffer share a train. Three writes leave two buffer seams: the piece
+    /// straddling the first and the short tail are gathered, so they travel
+    /// alone, and a pending ECE sets the first piece apart. The RTT sample
+    /// times the first piece, as it did before trains.
+    #[test]
+    fn trains_expand_to_the_per_mss_segmentation_of_the_stream() {
+        const T: u64 = 1_000;
+        let data = pattern(0, 7 * MSS + 800);
+        for ece in [false, true] {
+            let (mut c, mut s) = pair(0);
+            assert_eq!(s.write_bytes(b"window and ack"), 14);
+            for seg in tx(&mut s, 0) {
+                c.on_segment(&seg, 0);
+            }
+            let seams = [2 * MSS + 700, 7 * MSS + 700];
+            c.write_bytes(&data[..seams[0]]);
+            c.write_bytes(&data[seams[0]..seams[1]]);
+            c.write_bytes(&data[seams[1]..]);
+            c.ece_pending = ece;
+            let seq0 = c.snd_nxt;
+            let trains = tx(&mut c, T);
+            let frames: Vec<usize> = trains.iter().map(Train::frames).collect();
+            let expect: &[usize] = if ece { &[1, 1, 1, 4, 1] } else { &[2, 1, 4, 1] };
+            assert_eq!(frames, expect, "ECE {ece}");
+            let flat: Vec<Segment> = (0..data.len().div_ceil(MSS))
+                .map(|i| {
+                    let bytes = &data[i * MSS..data.len().min((i + 1) * MSS)];
+                    let mut seg = Segment::control(addr(5000), peer(80), SegmentFlags::ack());
+                    seg.seq = seq0.wrapping_add((i * MSS) as u32);
+                    seg.ack = c.rcv_nxt;
+                    seg.window = c.recv_window() as u32;
+                    seg.flags.ece = ece && i == 0;
+                    seg.payload = bytes.into();
+                    seg
+                })
+                .collect();
+            let wire: Vec<usize> = trains.iter().map(Segment::wire_bytes).collect();
+            let pieces: Vec<Segment> = trains.into_iter().flat_map(Train::into_frames).collect();
+            assert_eq!(pieces, flat, "ECE {ece}");
+            let per_piece = flat.iter().map(Segment::wire_bytes);
+            assert_eq!(wire.iter().sum::<usize>(), per_piece.sum::<usize>());
+            assert_eq!(c.rtt_sample, Some((flat[0].seq_end(), T)), "ECE {ece}");
+            assert_eq!(c.snd_nxt, seq0.wrapping_add(data.len() as u32));
+        }
+    }
+
+    /// Everything an arriving segment can change on a connection.
+    fn receive_state(c: &TcpConnection) -> impl PartialEq + std::fmt::Debug {
+        let ooo: Vec<(u32, Vec<u8>)> = c.ooo.iter().map(|(k, v)| (*k, v.to_vec())).collect();
+        (
+            (c.state, c.rcv_nxt, c.recv_buf.to_vec(), ooo),
+            (c.peer_fin_seq, c.peer_fin_received, c.ece_pending),
+            (c.ack_pending, c.ack_deadline, c.full_unacked, c.ce_last),
+            (c.dup_ack_burst, c.snd_una, c.snd_nxt, c.snd_wnd, c.dup_acks),
+            (c.rto_deadline, c.rtt_sample, c.srtt_ns, c.persist),
+            (c.stats, c.cwnd(), c.send_buf.len(), c.fin_seq),
+        )
+    }
+
+    /// A train leaves its receiver exactly as its segments one by one
+    /// would, and the receiver answers alike, whether it takes the train
+    /// whole or splits it: fresh or after a delayed lone segment, CE-marked,
+    /// acknowledging data, into a window that shuts mid-train, behind a
+    /// hole, reaching a FIN that came early, out of order and duplicated.
+    #[test]
+    fn a_train_is_received_as_its_segments_one_by_one() {
+        const T: u64 = 1_000_000;
+        /// `c`'s segments after writing `len` bytes, trains kept whole.
+        fn send(c: &mut TcpConnection, len: usize) -> Vec<Segment> {
+            assert_eq!(c.write_bytes(&pattern(0, len)), len);
+            tx(c, T)
+        }
+        /// Deliver `segs` to `s` and consume what it answers.
+        fn feed(s: &mut TcpConnection, segs: &[Segment]) {
+            for seg in segs {
+                s.on_segment(seg, T);
+            }
+            tx(s, T);
+        }
+        type Setup = fn(&mut TcpConnection, &mut TcpConnection) -> Segment;
+        let cases: [(&str, Setup); 9] = [
+            ("fresh", |c, _| send(c, 5 * MSS).remove(0)),
+            ("after a delayed lone segment", |c, s| {
+                let lone = send(c, MSS);
+                lone.iter().for_each(|seg| s.on_segment(seg, T));
+                assert_eq!((s.full_unacked, s.ack_pending), (1, false));
+                send(c, 4 * MSS).remove(0)
+            }),
+            ("CE-marked", |c, _| {
+                let mut train = send(c, 3 * MSS).remove(0);
+                train.ce_mark = true;
+                train
+            }),
+            ("acknowledging data", |c, s| {
+                let reply = send(s, 2 * MSS);
+                reply.iter().for_each(|seg| c.on_segment(seg, T));
+                let train = send(c, 4 * MSS).remove(0);
+                assert!(seq_gt(train.ack, s.snd_una));
+                train
+            }),
+            ("into a window that shuts mid-train", |c, s| {
+                s.set_recv_buf_cap(2 * MSS + 100);
+                send(c, 4 * MSS).remove(0)
+            }),
+            ("behind a hole", |c, s| {
+                let mut train = send(c, 6 * MSS).remove(0);
+                let head = train.split_front(5);
+                feed(s, &[train]);
+                head
+            }),
+            ("reaching a FIN that came early", |c, s| {
+                let train = send(c, 3 * MSS).remove(0);
+                c.close();
+                let fin = tx(c, T);
+                assert!(fin[0].flags.fin);
+                feed(s, &fin);
+                train
+            }),
+            ("out of order", |c, _| {
+                let mut train = send(c, 5 * MSS).remove(0);
+                train.split_front(1);
+                train
+            }),
+            ("duplicated", |c, s| {
+                let train = send(c, 4 * MSS).remove(0);
+                feed(s, std::slice::from_ref(&train));
+                train
+            }),
+        ];
+        for (case, setup) in cases {
+            let (mut c, mut whole) = pair(0);
+            let train = setup(&mut c, &mut whole);
+            let (mut c2, mut one_by_one) = pair(0);
+            assert_eq!(setup(&mut c2, &mut one_by_one), train);
+            assert!(train.frames() > 1, "{case}");
+            let before = receive_state(&whole);
+            whole.on_segment(&train, T);
+            for piece in train.clone().into_frames() {
+                one_by_one.on_segment(&piece, T);
+            }
+            assert_ne!(
+                receive_state(&one_by_one),
+                before,
+                "{case} changes something"
+            );
+            assert_eq!(receive_state(&whole), receive_state(&one_by_one), "{case}");
+            assert_eq!(pieces(&mut whole, T), pieces(&mut one_by_one, T), "{case}");
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! hugepage chunk can hold runs too).
 
 pub use nk_types::Payload;
+use nk_types::Recycler;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -88,16 +89,23 @@ impl ByteQueue {
         if run.len() >= OPEN_RUN || !after_short {
             self.push(run);
         } else {
-            self.write(&run);
+            self.gather(&run);
         }
     }
 
-    /// Append a copy of `bytes`: the one copy a byte pays on its way in.
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
+    /// Append a copy of `bytes`: the one copy a byte pays on its way in. A
+    /// run's worth lands in a buffer `recycler` lends; less gathers in the
+    /// open tail.
+    pub(crate) fn write(&mut self, bytes: &[u8], recycler: &mut Recycler) {
         if bytes.len() >= OPEN_RUN {
-            self.push(Payload::from(bytes));
-            return;
+            self.push(recycler.write(bytes));
+        } else {
+            self.gather(bytes);
         }
+    }
+
+    /// Copy `bytes`, shorter than a run, into the open tail.
+    fn gather(&mut self, bytes: &[u8]) {
         self.open.extend_from_slice(bytes);
         self.len += bytes.len();
         if self.open.len() >= OPEN_RUN {
@@ -272,6 +280,7 @@ mod tests {
             ((rng >> 33) % n as u64) as usize
         };
         let (mut queue, mut model) = (ByteQueue::default(), Vec::<u8>::new());
+        let mut recycler = Recycler::default();
         let (mut next, mut at) = (0u8, 0usize);
         let (mut inside, mut gathered) = (0usize, 0usize);
         let (mut source, mut cut) = (Payload::default(), 0usize);
@@ -285,7 +294,7 @@ mod tests {
                 0 => {
                     let data = bytes([1, 7, 60, 300, OPEN_RUN - 1, OPEN_RUN][below(6)]);
                     if below(2) == 0 {
-                        queue.write(&data);
+                        queue.write(&data, &mut recycler);
                     } else {
                         queue.append(Payload::from(&data[..]));
                     }

@@ -1,6 +1,8 @@
 //! TCP segments exchanged over the virtual fabric.
 
 use crate::payload::Payload;
+use nk_fabric::Train;
+use nk_types::constants::MSS;
 use nk_types::SockAddr;
 
 /// TCP header flags (only the ones the stack uses).
@@ -67,7 +69,10 @@ impl SegmentFlags {
 /// Fixed per-segment header overhead on the wire (Ethernet + IPv4 + TCP).
 pub const HEADER_BYTES: usize = 14 + 20 + 20;
 
-/// A TCP segment.
+/// A TCP segment, or a train of them: a data segment of k·[`MSS`] bytes,
+/// k ≥ 2, stands for k full-sized segments that differ only in `seq`
+/// ([`Train`]). Only a stack's `poll_transmit` forms one, from consecutive
+/// pieces of one buffer.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Segment {
     /// Source endpoint.
@@ -114,9 +119,10 @@ impl Segment {
         self.payload.is_empty()
     }
 
-    /// Size of the segment on the wire, including header overhead.
+    /// Size of the segment on the wire, including header overhead (a
+    /// train's total: one header per segment in it).
     pub fn wire_bytes(&self) -> usize {
-        HEADER_BYTES + self.payload.len()
+        HEADER_BYTES * self.frames() + self.payload.len()
     }
 
     /// Sequence space consumed by this segment (payload plus one for SYN and
@@ -128,6 +134,34 @@ impl Segment {
     /// The sequence number immediately after this segment.
     pub fn seq_end(&self) -> u32 {
         self.seq.wrapping_add(self.seq_len())
+    }
+}
+
+impl Train for Segment {
+    #[inline]
+    fn frames(&self) -> usize {
+        let len = self.payload.len();
+        if len > MSS && len.is_multiple_of(MSS) {
+            len / MSS
+        } else {
+            1
+        }
+    }
+
+    fn split_front(&mut self, n: usize) -> Segment {
+        let bytes = n * MSS;
+        let head = Segment {
+            src: self.src,
+            dst: self.dst,
+            seq: self.seq,
+            ack: self.ack,
+            window: self.window,
+            flags: self.flags,
+            ce_mark: self.ce_mark,
+            payload: self.payload.take_front(bytes),
+        };
+        self.seq = self.seq.wrapping_add(bytes as u32);
+        head
     }
 }
 

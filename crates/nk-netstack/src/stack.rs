@@ -23,6 +23,13 @@
 //! socket is a small record, inline in its slot, that expires from a FIFO
 //! kept in deadline order; only connections use the lazy timer heap.
 //!
+//! A burst pays once. `poll_transmit` carries the full-sized segments of
+//! one write as one train (a [`Segment`] of k·MSS bytes), which crosses the
+//! fabric as one frame and costs the receiver one demultiplexer lookup and
+//! one delivery. Every count — `segments_in`, `segments_out`,
+//! `no_socket_drops` and the work [`TcpStack::tick`] returns — is per
+//! segment, a train's k included.
+//!
 //! An in-order segment's ACK waits `conn::ACK_DELAY_NS` for a segment to
 //! ride on. Every such deadline is the arrival time plus that one
 //! constant, so they arrive in order: they wait in a second FIFO, not in the
@@ -33,9 +40,11 @@ use crate::conn::{ConnState, TcpConnection};
 use crate::payload::Payload;
 use crate::segment::Segment;
 use nk_fabric::nic::symmetric_flow_hash;
-use nk_fabric::port::{Frame, Port};
+use nk_fabric::port::{Frame, Port, Train};
 use nk_types::api::{sockopt, EpollEvent};
-use nk_types::{DetMap, NkError, NkResult, PollEvents, ShutdownHow, SockAddr, SocketApi, SocketId};
+use nk_types::{
+    DetMap, NkError, NkResult, PollEvents, Recycler, ShutdownHow, SockAddr, SocketApi, SocketId,
+};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
@@ -334,6 +343,10 @@ pub struct TcpStack {
     /// The frames this tick emitted, handed to the port under one lock
     /// when the tick ends (empty between ticks).
     tx_burst: Vec<Frame<Segment>>,
+    /// The buffers a byte-slice [`TcpStack::send`] of a run's worth copies
+    /// into, lent again once no segment or queue points into them: a
+    /// stream of large writes allocates nothing once warm.
+    recycler: Recycler,
 }
 
 impl TcpStack {
@@ -366,6 +379,7 @@ impl TcpStack {
             events: VecDeque::new(),
             stats: StackStats::default(),
             tx_scratch: Vec::new(),
+            recycler: Recycler::default(),
             rx_burst: VecDeque::new(),
             tx_burst: Vec::new(),
         }
@@ -592,21 +606,21 @@ impl TcpStack {
 
     /// Queue data for transmission.
     pub fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize> {
-        self.send_with(sock, |conn| conn.write(data))
+        self.send_with(sock, |conn, recycler| conn.write(data, recycler))
     }
 
     /// [`TcpStack::send`] of a run, by reference: the bytes the send buffer
     /// admits are taken off the front of `run` into the send queue, not
     /// copied, and `run` keeps the rest.
     pub fn send_payload(&mut self, sock: SocketId, run: &mut Payload) -> NkResult<usize> {
-        self.send_with(sock, |conn| conn.write_payload(run))
+        self.send_with(sock, |conn, _| conn.write_payload(run))
     }
 
     /// The body `send` and `send_payload` share, around the write `write`.
     fn send_with(
         &mut self,
         sock: SocketId,
-        write: impl FnOnce(&mut TcpConnection) -> usize,
+        write: impl FnOnce(&mut TcpConnection, &mut Recycler) -> usize,
     ) -> NkResult<usize> {
         let at = self.handle(sock)?;
         let SocketEntry::Conn(c) = self.slots[at.1 as usize].entry else {
@@ -616,7 +630,7 @@ impl TcpStack {
         if cs.conn.is_closed() {
             return Err(NkError::Closed);
         }
-        let n = write(&mut cs.conn);
+        let n = write(&mut cs.conn, &mut self.recycler);
         if n == 0 {
             if !cs.conn.is_established() && cs.conn.state() != ConnState::SynSent {
                 Err(NkError::NotConnected)
@@ -880,10 +894,11 @@ impl TcpStack {
     fn process_incoming(&mut self, now_ns: u64) -> usize {
         let mut burst = std::mem::take(&mut self.rx_burst);
         self.port.recv_burst(&mut burst);
-        let count = burst.len();
-        self.stats.segments_in += count as u64;
+        let mut count = 0;
         for frame in &burst {
             let seg = &frame.payload;
+            let frames = seg.frames();
+            count += frames;
             let local = seg.dst;
             let remote = seg.src;
             // Established / embryonic connection?
@@ -900,7 +915,7 @@ impl TcpStack {
             }
             // No socket: drop (and count). A RST in response to a SYN gives
             // the remote a crisp "connection refused".
-            self.stats.no_socket_drops += 1;
+            self.stats.no_socket_drops += frames as u64;
             if seg.flags.syn && !seg.flags.ack {
                 let mut rst = Segment::control(local, remote, crate::segment::SegmentFlags::rst());
                 rst.seq = 0;
@@ -908,6 +923,7 @@ impl TcpStack {
                 self.emit(rst);
             }
         }
+        self.stats.segments_in += count as u64;
         burst.clear();
         self.rx_burst = burst;
         count
@@ -1199,8 +1215,7 @@ impl TcpStack {
                 }
             }
             for seg in segs.drain(..) {
-                count += 1;
-                self.emit(seg);
+                count += self.emit(seg);
             }
         }
         self.tx_scratch = segs;
@@ -1287,8 +1302,10 @@ impl TcpStack {
         }
     }
 
-    fn emit(&mut self, seg: Segment) {
-        self.stats.segments_out += 1;
+    /// Queue `seg` for the fabric; returns the segments it stands for.
+    fn emit(&mut self, seg: Segment) -> usize {
+        let frames = seg.frames();
+        self.stats.segments_out += frames as u64;
         let frame = Frame {
             src: seg.src.ip,
             dst: seg.dst.ip,
@@ -1297,6 +1314,7 @@ impl TcpStack {
             payload: seg,
         };
         self.tx_burst.push(frame);
+        frames
     }
 
     /// Remove the connections `transmit` found closed and fully read. Only
@@ -1486,6 +1504,28 @@ mod tests {
         w.run(10);
         let (conn, _) = w.server.accept(ls).unwrap();
         (cs, conn)
+    }
+
+    /// A byte-slice send of a run's worth copies into a buffer of the
+    /// stack's recycler (a power-of-two size class), and the next such send
+    /// gets the same buffer back once the peer has read the first.
+    #[test]
+    fn large_sends_copy_into_recycled_buffers() {
+        let mut w = World::new();
+        let (cs, conn) = established(&mut w);
+        let mut buffers = Vec::new();
+        for round in 0..3u8 {
+            assert_eq!(w.client.send(cs, &[round; 10_000]), Ok(10_000));
+            w.run(10);
+            let mut runs = Vec::new();
+            assert_eq!(w.server.recv_runs(conn, usize::MAX, &mut runs), Ok(10_000));
+            assert!(runs.iter().all(|run| run.iter().all(|&b| b == round)));
+            let buffer = runs[0].buffer().expect("a data run").clone();
+            assert!(runs.iter().all(|run| run.shares_buffer(&runs[0])));
+            assert_eq!(buffer.len(), 16 * 1024, "the 16 KiB class");
+            buffers.push(buffer.as_ptr());
+        }
+        assert!(buffers.windows(2).all(|w| w[0] == w[1]), "{buffers:?}");
     }
 
     #[test]
@@ -2789,5 +2829,130 @@ mod tests {
         let s = w.client.socket();
         assert_eq!(w.client.send(s, b"x"), Err(NkError::NotConnected));
         assert_eq!(w.client.listen(s, 4), Err(NkError::InvalidState));
+    }
+
+    /// What one step of [`echo_over`] left: both stacks' statistics, the
+    /// bytes each side read, and the segments each side sent, trains
+    /// expanded.
+    type EchoStep = ([StackStats; 2], [usize; 2], [Vec<Segment>; 2]);
+
+    /// The frames one step moved, by sending side (0 the client).
+    type Sent = [Vec<Frame<Segment>>; 2];
+
+    /// A client sends 96 KiB on each of two connections to a server that
+    /// echoes what it reads: at most 3 000 B per socket every third step,
+    /// through a receive buffer shorter than a train, which it shrinks
+    /// every 50 steps for 25, so windows shut mid-train, trains overrun
+    /// the shrunk window, and windows reopen by less than one. After both
+    /// stacks tick,
+    /// `carry` moves what they sent and appends every frame it moved to the
+    /// sender's list, by side (0 the client).
+    fn echo_over(
+        client_port: Port<Segment>,
+        server_port: Port<Segment>,
+        carry: &mut dyn FnMut(u64, &mut Sent),
+    ) -> Vec<EchoStep> {
+        const BYTES: usize = 96 * 1024;
+        use nk_types::constants::MSS;
+        let mut client = TcpStack::new(StackConfig::new(CLIENT_IP), client_port);
+        let mut server_cfg = StackConfig::new(SERVER_IP);
+        server_cfg.recv_buf = 5 * MSS + 300;
+        let mut server = TcpStack::new(server_cfg, server_port);
+        let ls = server.socket();
+        server.bind(ls, SockAddr::new(0, 80)).unwrap();
+        server.listen(ls, 4).unwrap();
+        let mut todo: Vec<(SocketId, Vec<u8>)> = (0..2u64)
+            .map(|i| {
+                let cs = client.socket();
+                client.connect(cs, SockAddr::new(SERVER_IP, 80), 0).unwrap();
+                (cs, seeded(i, BYTES))
+            })
+            .collect();
+        let clients: Vec<SocketId> = todo.iter().map(|(cs, _)| *cs).collect();
+        let mut served = Vec::new();
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut echoed = [0usize; 2];
+        let mut steps = Vec::new();
+        for step in 1..=4_000u64 {
+            let now = step * 100_000;
+            todo.retain_mut(|(cs, data)| {
+                let n = client.send(*cs, data).unwrap_or(0);
+                data.drain(..n);
+                !data.is_empty()
+            });
+            client.tick(now);
+            server.tick(now);
+            let mut sent = [Vec::new(), Vec::new()];
+            carry(now, &mut sent);
+            served.extend(std::iter::from_fn(|| server.accept(ls).ok()).map(|(s, _)| s));
+            if step % 25 == 0 {
+                let cap = [5 * MSS + 300, 2 * MSS + 100][(step / 25 % 2) as usize];
+                for &s in &served {
+                    server.set_sockopt(s, sockopt::RCVBUF, cap as u32).unwrap();
+                }
+            }
+            let mut read = [0, 0];
+            if step % 3 == 0 {
+                for &s in &served {
+                    let n = server.recv(s, &mut buf[..3_000]).unwrap_or(0);
+                    if n > 0 {
+                        assert_eq!(server.send(s, &buf[..n]), Ok(n), "the echo fits");
+                    }
+                    read[1] += n;
+                }
+            }
+            for &cs in &clients {
+                read[0] += client.recv(cs, &mut buf).unwrap_or(0);
+            }
+            echoed[0] += read[0];
+            let sent = sent.map(|frames| {
+                let pieces = frames.into_iter().flat_map(Train::into_frames);
+                pieces.map(|f| f.payload).collect()
+            });
+            steps.push(([client.stats(), server.stats()], read, sent));
+            if echoed[0] == 2 * BYTES {
+                return steps;
+            }
+        }
+        panic!("the echo did not complete: {echoed:?}");
+    }
+
+    /// Seeded bytes for connection `i`.
+    fn seeded(i: u64, len: usize) -> Vec<u8> {
+        let mut rng = nk_sim::SplitMix64::new(i + 1);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    /// Trains change no count and no answer: the echo run over a switch,
+    /// which carries every train whole, and over a wire that splits every
+    /// train into its segments before delivering them, agrees at every
+    /// step on both stacks' statistics, the bytes read and the segments
+    /// sent. Some trains cross, and some are taken apart by a receive
+    /// window that shuts.
+    #[test]
+    fn a_wire_that_splits_every_train_changes_nothing() {
+        let mut switch = VirtualSwitch::new();
+        let (cp, sp) = (switch.attach(CLIENT_IP), switch.attach(SERVER_IP));
+        let mut trains = 0;
+        let whole = echo_over(cp, sp, &mut |now, sent| {
+            switch.step_with(now, |f| {
+                trains += usize::from(f.payload.frames() > 1);
+                sent[usize::from(f.src == SERVER_IP)].push(f.clone());
+            });
+        });
+        let ports = [Port::new(CLIENT_IP), Port::new(SERVER_IP)];
+        let (cp, sp) = (ports[0].clone(), ports[1].clone());
+        let split = echo_over(cp, sp, &mut |_, sent| {
+            for from in 0..2 {
+                ports[from].drain_tx_into(&mut sent[from]);
+                let pieces = sent[from].iter().cloned().flat_map(Train::into_frames);
+                ports[1 - from].deliver_burst(|rx| rx.extend(pieces));
+            }
+        });
+        assert!(trains > 100, "{trains} trains crossed the switch");
+        assert_eq!(whole.len(), split.len());
+        for (step, (a, b)) in whole.iter().zip(&split).enumerate() {
+            assert_eq!(a, b, "step {}", step + 1);
+        }
     }
 }

@@ -55,18 +55,19 @@ impl FlowTable {
         }
     }
 
-    /// Observe one frame of `bytes` wire bytes on `key`.
-    pub fn observe(&mut self, key: FlowKey, bytes: u64) {
+    /// Observe `frames` wire frames of `bytes` wire bytes in all on `key`
+    /// (a train delivered as one object counts each of its frames).
+    pub fn observe(&mut self, key: FlowKey, frames: u64, bytes: u64) {
         if self.k == 0 {
             return;
         }
         if let Some(stat) = self.entries.get_mut(&key) {
             stat.bytes += bytes;
-            stat.ops += 1;
+            stat.ops += frames;
             return;
         }
         if self.entries.len() < self.k {
-            self.entries.insert(key, FlowStat { bytes, ops: 1 });
+            self.entries.insert(key, FlowStat { bytes, ops: frames });
             return;
         }
         // Space-saving: evict the lightest entry (ties on the smaller key —
@@ -83,7 +84,7 @@ impl FlowTable {
             key,
             FlowStat {
                 bytes: inherited.bytes + bytes,
-                ops: inherited.ops + 1,
+                ops: inherited.ops + frames,
             },
         );
     }
@@ -126,10 +127,10 @@ mod tests {
     fn heavy_flows_survive_churn() {
         let mut table = FlowTable::new(4);
         for round in 0..50u64 {
-            table.observe(key(1), 10_000);
-            table.observe(key(2), 5_000);
+            table.observe(key(1), 1, 10_000);
+            table.observe(key(2), 1, 5_000);
             // A fresh light flow every round churns the tail slots.
-            table.observe(key(100 + round as u16), 10);
+            table.observe(key(100 + round as u16), 1, 10);
         }
         assert_eq!(table.len(), 4);
         let top = table.top();
@@ -144,19 +145,35 @@ mod tests {
     #[test]
     fn eviction_inherits_counts_deterministically() {
         let mut table = FlowTable::new(2);
-        table.observe(key(1), 100);
-        table.observe(key(2), 100); // same weight: key(1) < key(2)
-        table.observe(key(3), 1); // evicts key(1), inherits its 100 bytes
+        table.observe(key(1), 1, 100);
+        table.observe(key(2), 1, 100); // same weight: key(1) < key(2)
+        table.observe(key(3), 1, 1); // evicts key(1), inherits its 100 bytes
         let top = table.top();
         assert_eq!(top.len(), 2);
         assert_eq!(top[0], (key(3), FlowStat { bytes: 101, ops: 2 }));
         assert_eq!(top[1], (key(2), FlowStat { bytes: 100, ops: 1 }));
     }
 
+    /// A train of frames counts as that many ops, one call or many.
+    #[test]
+    fn a_train_counts_each_of_its_frames() {
+        let (mut whole, mut one_by_one) = (FlowTable::new(2), FlowTable::new(2));
+        whole.observe(key(1), 3, 4_542);
+        (0..3).for_each(|_| one_by_one.observe(key(1), 1, 1_514));
+        assert_eq!(whole, one_by_one);
+        assert_eq!(
+            whole.top()[0].1,
+            FlowStat {
+                bytes: 4_542,
+                ops: 3
+            }
+        );
+    }
+
     #[test]
     fn zero_capacity_observes_nothing() {
         let mut table = FlowTable::new(0);
-        table.observe(key(1), 100);
+        table.observe(key(1), 1, 100);
         assert!(table.is_empty());
     }
 }

@@ -188,12 +188,13 @@ impl FlightRecorder {
         self.phases.push_back(window);
     }
 
-    /// Observe one delivered frame on `key`.
-    pub fn observe_flow(&mut self, key: FlowKey, bytes: u64) {
+    /// Observe a delivered frame on `key`: `frames` wire frames (a train's
+    /// count) of `bytes` wire bytes in all.
+    pub fn observe_flow(&mut self, key: FlowKey, frames: u64, bytes: u64) {
         if !self.active() {
             return;
         }
-        self.flows.observe(key, bytes);
+        self.flows.observe(key, frames, bytes);
     }
 
     /// Whether a latency epoch is due to seal at `now_ns`.
@@ -387,6 +388,7 @@ mod tests {
                 dst_ip: 3,
                 dst_port: 4,
             },
+            1,
             100,
         );
         assert!(!rec.epoch_due(u64::MAX));
@@ -607,6 +609,7 @@ mod tests {
                 dst_ip: 0x0A02_0001,
                 dst_port: 7,
             },
+            1,
             1_500,
         );
         rec.seal_epoch(1_000, vec![(HostId(1), ns_hist(&[100, 2_500]))]);

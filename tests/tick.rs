@@ -6,7 +6,7 @@
 
 use netkernel::fabric::link::LinkConfig;
 use netkernel::fabric::switch::VirtualSwitch;
-use netkernel::fabric::{Frame, Port};
+use netkernel::fabric::{Frame, Port, Train};
 use netkernel::netstack::cc::{Cc, CcAlgorithm, SharedVmWindow, VmSharedCc};
 use netkernel::netstack::{Segment, StackConfig, TcpStack};
 use netkernel::queue::{queue_set_pair, NkDevice, WakeState};
@@ -452,7 +452,8 @@ impl HostileWire {
         let mut sent = Vec::new();
         for from in 0..2 {
             self.ports[from].drain_tx_into(&mut sent);
-            for frame in sent.drain(..) {
+            // Harm strikes wire frames: a train is carried as its segments.
+            for frame in sent.drain(..).flat_map(Train::into_frames) {
                 let hostile = step < self.clean_from;
                 if hostile && self.rng.chance(Self::LOSS) {
                     self.harm[0] += 1;
