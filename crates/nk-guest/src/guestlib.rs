@@ -45,9 +45,9 @@ pub struct GuestLib {
     /// The lengths of the receive chunks one `recv` used up (empty between
     /// calls).
     consumed: Vec<usize>,
-    /// Receive credit a full job ring refused, per socket (with its queue
-    /// set); the socket's next credit or `drive` sends it.
-    owed_credit: BTreeMap<SocketId, (QueueSetId, usize)>,
+    /// Sockets that may owe receive credit a full job ring refused (the
+    /// amount is `GuestSocket::owed`): all `drive` retries, in id order.
+    owing: Vec<SocketId>,
 }
 
 impl GuestLib {
@@ -65,7 +65,7 @@ impl GuestLib {
             stats: GuestStats::default(),
             scratch: Vec::new(),
             consumed: Vec::new(),
-            owed_credit: BTreeMap::new(),
+            owing: Vec::new(),
         }
     }
 
@@ -193,25 +193,33 @@ impl GuestLib {
         Ok(())
     }
 
-    /// Return `len` bytes of receive credit for `sock`, plus what a full job
-    /// ring refused it before, in one `RecvConsumed`. Credit refused again
-    /// stays on the socket for the next credit or `drive`: none is dropped.
-    fn return_credit(&mut self, sock: SocketId, qs: QueueSetId, len: usize) {
-        let owed = len + self.owed_credit.remove(&sock).map_or(0, |(_, n)| n);
+    /// Return `owed` bytes of receive credit for `sock` in one
+    /// `RecvConsumed`; false when a full job ring refused it.
+    fn send_credit(&mut self, sock: SocketId, qs: QueueSetId, owed: usize) -> bool {
         let credit = Nqe::new(OpType::RecvConsumed, self.vm, qs, sock)
             .with_data(DataHandle::NULL, owed as u32);
-        if self.submit(qs, credit).is_err() {
-            self.owed_credit.insert(sock, (qs, owed));
+        self.submit(qs, credit).is_ok()
+    }
+
+    /// Keep credit a full job ring refused on its socket, for the socket's
+    /// next credit or `drive`: none is dropped while the socket lives.
+    fn owe_credit(&mut self, sock: SocketId, owed: usize) {
+        if let Some(s) = self.sockets.get_mut(&sock) {
+            s.owed = owed;
+            self.owing.push(sock);
         }
     }
 
-    fn request(&mut self, op: OpType, sock: SocketId) -> Nqe {
-        let qs = self
-            .sockets
-            .get(&sock)
-            .map(|s| s.queue_set)
-            .unwrap_or_else(|| self.queue_set_for(sock));
-        Nqe::new(op, self.vm, qs, sock)
+    /// Send the request `op` for `sock`. A closing socket sends nothing
+    /// more: its `CloseComplete` unpins its tuple in CoreEngine, and a
+    /// later request would pin the tuple again, for good.
+    fn request(&mut self, sock: SocketId, op: OpType, op_data: u64) -> NkResult<()> {
+        let s = self.sock(sock)?;
+        if s.state == GuestSocketState::Closing {
+            return Err(NkError::Closed);
+        }
+        let qs = s.queue_set;
+        self.submit(qs, Nqe::new(op, self.vm, qs, sock).with_op_data(op_data))
     }
 
     fn sock(&self, id: SocketId) -> NkResult<&GuestSocket> {
@@ -333,9 +341,7 @@ impl SocketApi for GuestLib {
     }
 
     fn bind(&mut self, sock: SocketId, addr: SockAddr) -> NkResult<()> {
-        let qs = self.sock(sock)?.queue_set;
-        let nqe = self.request(OpType::Bind, sock).with_op_data(addr.pack());
-        self.submit(qs, nqe)?;
+        self.request(sock, OpType::Bind, addr.pack())?;
         let s = self.sock_mut(sock)?;
         s.local = Some(addr);
         s.state = GuestSocketState::Bound;
@@ -343,14 +349,8 @@ impl SocketApi for GuestLib {
     }
 
     fn listen(&mut self, sock: SocketId, backlog: u32) -> NkResult<()> {
-        let qs = self.sock(sock)?.queue_set;
-        let nqe = self
-            .request(OpType::Listen, sock)
-            .with_op_data(u64::from(backlog));
-        self.submit(qs, nqe)?;
-        let s = self.sock_mut(sock)?;
-        s.backlog = backlog;
-        s.state = GuestSocketState::Listening;
+        self.request(sock, OpType::Listen, u64::from(backlog))?;
+        self.sock_mut(sock)?.state = GuestSocketState::Listening;
         Ok(())
     }
 
@@ -364,11 +364,7 @@ impl SocketApi for GuestLib {
     }
 
     fn connect(&mut self, sock: SocketId, addr: SockAddr) -> NkResult<()> {
-        let qs = self.sock(sock)?.queue_set;
-        let nqe = self
-            .request(OpType::Connect, sock)
-            .with_op_data(addr.pack());
-        self.submit(qs, nqe)?;
+        self.request(sock, OpType::Connect, addr.pack())?;
         let s = self.sock_mut(sock)?;
         s.remote = Some(addr);
         s.state = GuestSocketState::Connecting;
@@ -382,9 +378,7 @@ impl SocketApi for GuestLib {
                 GuestSocketState::Established | GuestSocketState::Connecting => {}
                 GuestSocketState::PeerClosed => {}
                 GuestSocketState::Error(e) => return Err(e),
-                GuestSocketState::Closed | GuestSocketState::Closing => {
-                    return Err(NkError::Closed)
-                }
+                GuestSocketState::Closing => return Err(NkError::Closed),
                 _ => return Err(NkError::NotConnected),
             }
             let granted = s.send_budget.reserve_up_to(data.len());
@@ -402,9 +396,7 @@ impl SocketApi for GuestLib {
                 return Err(e);
             }
         };
-        let nqe = self
-            .request(OpType::Send, sock)
-            .with_data(handle, granted as u32);
+        let nqe = Nqe::new(OpType::Send, self.vm, qs, sock).with_data(handle, granted as u32);
         match self.submit(qs, nqe) {
             Ok(()) => {
                 self.stats.bytes_sent += granted as u64;
@@ -425,7 +417,7 @@ impl SocketApi for GuestLib {
         // bytes copied before it are still delivered (and their chunks
         // credited) by this call, and the next call reports the error.
         let mut failure = None;
-        let (qs, copied, state) = {
+        let (qs, copied, state, mut owed) = {
             let region = &self.region;
             let s = self.sockets.get_mut(&sock).ok_or(NkError::BadSocket)?;
             let mut copied = 0usize;
@@ -455,12 +447,24 @@ impl SocketApi for GuestLib {
                     s.rx_chunks.pop_front();
                 }
             }
-            (s.queue_set, copied, s.state)
+            (s.queue_set, copied, s.state, std::mem::take(&mut s.owed))
         };
-        // Return receive credit to the NSM for every finished chunk.
-        for len in consumed_chunks.drain(..) {
-            self.return_credit(sock, qs, len);
+        // Return receive credit to the NSM for every finished chunk, one
+        // `RecvConsumed` each, plus what a full job ring refused before.
+        // Credit refused again stays on the socket. A closing socket reads
+        // on but returns none.
+        if state != GuestSocketState::Closing {
+            for &len in &consumed_chunks {
+                owed += len;
+                if self.send_credit(sock, qs, owed) {
+                    owed = 0;
+                }
+            }
+            if owed > 0 {
+                self.owe_credit(sock, owed);
+            }
         }
+        consumed_chunks.clear();
         self.consumed = consumed_chunks;
         if copied > 0 {
             self.stats.bytes_received += copied as u64;
@@ -470,35 +474,26 @@ impl SocketApi for GuestLib {
             return Err(e);
         }
         match state {
-            GuestSocketState::PeerClosed | GuestSocketState::Closed => Ok(0),
+            GuestSocketState::PeerClosed => Ok(0),
             GuestSocketState::Error(e) => Err(e),
             _ => Err(NkError::WouldBlock),
         }
     }
 
     fn set_sockopt(&mut self, sock: SocketId, opt: u32, value: u32) -> NkResult<()> {
-        let qs = self.sock(sock)?.queue_set;
-        let nqe = self
-            .request(OpType::SetSockOpt, sock)
-            .with_op_data(nk_types::ops::op_data::pack_sockopt(opt, value));
-        self.submit(qs, nqe)
+        let packed = nk_types::ops::op_data::pack_sockopt(opt, value);
+        self.request(sock, OpType::SetSockOpt, packed)
     }
 
     fn shutdown(&mut self, sock: SocketId, how: ShutdownHow) -> NkResult<()> {
-        let qs = self.sock(sock)?.queue_set;
-        let nqe = self
-            .request(OpType::Shutdown, sock)
-            .with_op_data(how.encode());
-        self.submit(qs, nqe)
+        self.request(sock, OpType::Shutdown, how.encode())
     }
 
     fn close(&mut self, sock: SocketId) -> NkResult<()> {
-        let qs = self.sock(sock)?.queue_set;
-        let nqe = self.request(OpType::Close, sock);
-        self.submit(qs, nqe)?;
-        if let Some(s) = self.sockets.get_mut(&sock) {
-            s.state = GuestSocketState::Closing;
-        }
+        self.request(sock, OpType::Close, 0)?;
+        let s = self.sock_mut(sock)?;
+        s.state = GuestSocketState::Closing;
+        s.owed = 0;
         Ok(())
     }
 
@@ -566,8 +561,17 @@ impl SocketApi for GuestLib {
             }
         }
         self.scratch = responses;
-        for (sock, (qs, owed)) in std::mem::take(&mut self.owed_credit) {
-            self.return_credit(sock, qs, owed);
+        let mut owing = std::mem::take(&mut self.owing);
+        owing.sort_unstable();
+        owing.dedup();
+        for sock in owing {
+            let Some(s) = self.sockets.get_mut(&sock) else {
+                continue;
+            };
+            let (qs, owed) = (s.queue_set, std::mem::take(&mut s.owed));
+            if owed > 0 && !self.send_credit(sock, qs, owed) {
+                self.owe_credit(sock, owed);
+            }
         }
         processed
     }
@@ -815,6 +819,43 @@ mod tests {
         let credit = pop_request(&mut resp).unwrap();
         assert_eq!((credit.op, credit.size), (OpType::RecvConsumed, 14));
         assert!(pop_request(&mut resp).is_none(), "one NQE carries the sum");
+    }
+
+    /// Owed credit dies with its socket: `close` drops what a full job ring
+    /// refused, and nothing sends it once the `CloseComplete` is drained.
+    /// Credit after the close would reach CoreEngine after it unpinned the
+    /// tuple, and pin it again for good.
+    #[test]
+    fn a_closed_sockets_refused_credit_is_never_sent() {
+        let (mut guest, mut resp, region) = guest_with_capacity(1, 2);
+        let (s, qs) = connected(&mut guest, &mut resp);
+        while guest.set_sockopt(s, 1, 1).is_ok() {}
+        let handle = region.alloc_and_write(b"owed").unwrap();
+        respond(
+            &mut resp,
+            Nqe::new(OpType::DataReceived, VmId(1), qs, s).with_data(handle, 4),
+        );
+        assert_eq!(guest.recv(s, &mut [0u8; 4]), Ok(4));
+        while let Some(nqe) = pop_request(&mut resp) {
+            assert_eq!(nqe.op, OpType::SetSockOpt, "no room for credit yet");
+        }
+
+        guest.close(s).unwrap();
+        guest.drive();
+        let close = pop_request(&mut resp).unwrap();
+        assert_eq!(close.op, OpType::Close);
+        assert!(pop_request(&mut resp).is_none(), "credit sent after close");
+        respond(
+            &mut resp,
+            Nqe::completion_for(&close, OpResult::Ok, 0).unwrap(),
+        );
+        guest.drive();
+        guest.drive();
+        assert_eq!(guest.socket_count(), 0);
+        assert!(
+            pop_request(&mut resp).is_none(),
+            "credit sent for a closed socket"
+        );
     }
 
     /// Partial reads resume inside the chunk: a 16 KiB chunk read 100 bytes

@@ -21,8 +21,6 @@ pub enum GuestSocketState {
     PeerClosed,
     /// Closed locally; awaiting the NSM's confirmation.
     Closing,
-    /// Fully closed.
-    Closed,
     /// An unrecoverable error was reported by the NSM.
     Error(NkError),
 }
@@ -62,8 +60,9 @@ pub struct GuestSocket {
     pub accept_queue: VecDeque<(SocketId, SockAddr)>,
     /// Readiness interest registered via `epoll_register`.
     pub interest: PollEvents,
-    /// Listener backlog (listeners only).
-    pub backlog: u32,
+    /// Receive credit a full job ring refused: the socket's next credit or
+    /// GuestLib's `drive` sends it, and it dies with the socket.
+    pub owed: usize,
 }
 
 impl GuestSocket {
@@ -79,7 +78,7 @@ impl GuestSocket {
             rx_chunks: VecDeque::new(),
             accept_queue: VecDeque::new(),
             interest: PollEvents::NONE,
-            backlog: 0,
+            owed: 0,
         }
     }
 
@@ -109,7 +108,7 @@ impl GuestSocket {
                 }
             }
             GuestSocketState::Error(_) => ev |= PollEvents::ERROR,
-            GuestSocketState::Closed | GuestSocketState::Closing => ev |= PollEvents::HUP,
+            GuestSocketState::Closing => ev |= PollEvents::HUP,
             _ => {}
         }
         ev

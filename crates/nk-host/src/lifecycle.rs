@@ -540,14 +540,14 @@ impl NetKernelHost {
             let Some(Nsm::Tcp(n)) = self.nsms.get_mut(&from_nsm) else {
                 unreachable!("validated above");
             };
-            let (tcp, pending_send, rx_outstanding) = n.export_conn(vm, key.socket)?;
+            let (tcp, queued, rx_outstanding) = n.export_conn(vm, key.socket)?;
             let slot = self.vms.get_mut(&vm).expect("presence checked above");
             let guest = slot.guest.export_socket(key.socket)?;
             conns.push(ConnSnapshot {
                 guest_sock: key.socket,
                 vm_queue_set: key.queue_set,
                 tcp,
-                pending_send,
+                queued,
                 rx_outstanding,
                 guest,
             });
@@ -703,6 +703,7 @@ impl NetKernelHost {
 #[cfg(test)]
 mod tests {
     use crate::host::testutil::*;
+    use nk_types::api::ShutdownHow;
     use nk_types::{NkError, NsmId, SockAddr, SocketApi, StackKind, VmId};
 
     /// Crash the serving NSM mid-connection: the guest socket observes a
@@ -906,6 +907,39 @@ mod tests {
             "the left share still maps the VM's region"
         );
         assert!(host.nsm_serves_vm(NsmId(2), VmId(1)));
+    }
+
+    /// A closed socket sends nothing more. CoreEngine unpins its tuple at
+    /// the `CloseComplete`; a request after that would pin the tuple again
+    /// for good, and the VM could never retire. Here the `CloseComplete`
+    /// waits undrained, so GuestLib still holds the socket as closing.
+    #[test]
+    fn a_closing_socket_sends_nothing_that_pins_its_tuple_again() {
+        let mut host = one_vm_host(StackKind::Kernel);
+        remote_listener(&mut host);
+        let s = guest_connect(&mut host);
+        host.run(20, 100_000);
+        host.guest_mut(VmId(1)).unwrap().close(s).unwrap();
+        host.run(50, 100_000);
+        assert_eq!(host.vm_pinned(VmId(1)), 0);
+
+        let guest = host.guest_mut(VmId(1)).unwrap();
+        let sent = guest.stats().nqes_sent;
+        let addr = SockAddr::new(REMOTE_IP, 7);
+        assert_eq!(guest.shutdown(s, ShutdownHow::Both), Err(NkError::Closed));
+        assert_eq!(guest.bind(s, addr), Err(NkError::Closed));
+        assert_eq!(guest.listen(s, 8), Err(NkError::Closed));
+        assert_eq!(guest.connect(s, addr), Err(NkError::Closed));
+        assert_eq!(guest.set_sockopt(s, 1, 1), Err(NkError::Closed));
+        assert_eq!(guest.close(s), Err(NkError::Closed));
+        assert_eq!(
+            guest.stats().nqes_sent,
+            sent,
+            "a closing socket sent an NQE"
+        );
+        host.run(50, 100_000);
+        assert_eq!(host.vm_pinned(VmId(1)), 0);
+        host.retire_vm(VmId(1)).unwrap();
     }
 
     /// `import_vm` is atomic: a failed import leaves no residue (a retry

@@ -31,11 +31,6 @@ impl VmWindowRegistry {
     pub fn cc_for(&mut self, vm: VmId) -> Cc {
         Cc::VmShared(VmSharedCc::new(self.window(vm)))
     }
-
-    /// Number of VMs with a registered window.
-    pub fn vms(&self) -> usize {
-        self.windows.len()
-    }
 }
 
 #[cfg(test)]
@@ -50,7 +45,7 @@ mod tests {
         let mut a1 = reg.cc_for(VmId(1));
         let a2 = reg.cc_for(VmId(1));
         let b1 = reg.cc_for(VmId(2));
-        assert_eq!(reg.vms(), 2);
+        assert_eq!(reg.windows.len(), 2);
 
         // Grow VM 1's shared window through flow a1; flow a2 sees the growth,
         // VM 2's flow does not.
@@ -66,6 +61,6 @@ mod tests {
         let w1 = reg.window(VmId(7));
         let w2 = reg.window(VmId(7));
         assert_eq!(w1.total_cwnd(), w2.total_cwnd());
-        assert_eq!(reg.vms(), 1);
+        assert_eq!(reg.windows.len(), 1);
     }
 }

@@ -8,10 +8,10 @@ use nk_shmem::HugepageRegion;
 use nk_types::api::ShutdownHow;
 use nk_types::ops::op_data;
 use nk_types::{
-    DataHandle, DetMap, NkError, NkResult, Nqe, NsmId, OpResult, OpType, QueueSetId, SocketId,
-    StackKind, VmId,
+    ConnSnapshot, DataHandle, DetMap, NkError, NkResult, Nqe, NsmId, OpResult, OpType, QueueSetId,
+    SocketId, StackKind, VmId,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Largest chunk of received payload announced to the guest in one NQE.
 const RX_CHUNK: usize = 16 * 1024;
@@ -35,9 +35,9 @@ pub struct ServiceStats {
     pub accepted: u64,
 }
 
-/// Per-connection context linking a stack socket back to its guest tuple.
-#[derive(Clone, Copy, Debug)]
-struct ConnCtx {
+/// One guest socket as the NSM keeps it, keyed by its stack socket: whose
+/// it is, where its NQEs go, and what it holds between calls.
+struct NsmSocket {
     vm: VmId,
     guest_sock: SocketId,
     /// VM-side queue set the guest pinned this socket to (used by CoreEngine
@@ -47,30 +47,60 @@ struct ConnCtx {
     nsm_qs: usize,
     /// Bytes announced to the guest and not yet consumed (receive credit).
     rx_outstanding: usize,
+    /// Payload accepted from the guest but not yet taken by the stack,
+    /// oldest run first (a run the stack took part of is cut to its rest).
+    queued: VecDeque<Payload>,
+}
+
+impl NsmSocket {
+    fn new(vm: VmId, guest_sock: SocketId, vm_qs: QueueSetId, nsm_qs: usize) -> Self {
+        NsmSocket {
+            vm,
+            guest_sock,
+            vm_qs,
+            nsm_qs,
+            rx_outstanding: 0,
+            queued: VecDeque::new(),
+        }
+    }
+
+    /// An NQE of `op` addressed to this socket's guest end.
+    fn nqe(&self, op: OpType) -> Nqe {
+        Nqe::new(op, self.vm, self.vm_qs, self.guest_sock)
+    }
+
+    /// Return `bytes` of send-buffer credit to the guest.
+    fn send_credit(&self, front: &mut Frontend, bytes: usize) {
+        let comp = self
+            .nqe(OpType::SendComplete)
+            .with_op_data(op_data::pack(OpResult::Ok, 0));
+        front.respond(self.nsm_qs, comp.with_data(DataHandle::NULL, bytes as u32));
+    }
 }
 
 /// The NSM-side library translating between NQEs and the network stack
 /// (paper §4.2, §4.5): the TCP flavour of the NQE front end.
 pub struct ServiceLib {
     pub(crate) front: Frontend,
+    /// Every guest socket, by stack socket; looked up once per request NQE
+    /// that needs more than the stack socket, and once per stack event.
+    socks: DetMap<SocketId, NsmSocket>,
     /// guest tuple → stack socket; looked up once per request NQE. It stays
     /// because a guest pipelines bind, listen and connect behind its
     /// `SocketCreate`, so the stack socket is not known when they leave it.
-    fwd: DetMap<(VmId, SocketId), SocketId>,
-    /// stack socket → guest context; looked up once per stack event.
-    ctx: DetMap<SocketId, ConnCtx>,
-    /// Payload accepted from guests but not yet taken by the stack, oldest
-    /// run first (a run the stack took part of is cut to its rest); an
-    /// entry lives only while something is queued.
-    pending_send: BTreeMap<SocketId, VecDeque<Payload>>,
+    by_guest: DetMap<(VmId, SocketId), SocketId>,
     /// The runs of the `Send` chunk in hand, kept for its capacity.
     runs: Vec<Payload>,
     /// Sockets that may hold received bytes not yet shipped to their guest:
-    /// all `pump_receive` visits, in `SocketId` order (the order of `ctx`).
-    /// A `Readable` event, an accept and a warm install enter a socket; it
-    /// stays while the stack holds bytes for it (no receive credit, no
-    /// hugepage — the retry keeps a starved receiver from losing data).
+    /// all `pump_receive` visits, in `SocketId` order. A `Readable` event,
+    /// an accept and a warm install enter a socket; it stays while the
+    /// stack holds bytes for it (no receive credit, no hugepage — the retry
+    /// keeps a starved receiver from losing data).
     rx_ready: Vec<SocketId>,
+    /// Sockets that may hold queued runs: all `flush_pending` visits, in
+    /// `SocketId` order. A `Send` the stack could not take whole and a warm
+    /// install with queued payload enter a socket; it stays while runs do.
+    tx_ready: Vec<SocketId>,
     /// Per-VM Seawall windows (fair-share NSM only).
     fair_share: Option<VmWindowRegistry>,
 }
@@ -81,11 +111,11 @@ impl ServiceLib {
     pub fn new(_nsm: NsmId, device: NkDevice<ResponderEnd>, batch: usize) -> Self {
         ServiceLib {
             front: Frontend::new(device, batch),
-            fwd: DetMap::new(),
-            ctx: DetMap::new(),
-            pending_send: BTreeMap::new(),
+            socks: DetMap::new(),
+            by_guest: DetMap::new(),
             runs: Vec::new(),
             rx_ready: Vec::new(),
+            tx_ready: Vec::new(),
             fair_share: None,
         }
     }
@@ -102,18 +132,10 @@ impl ServiceLib {
     /// longer serves the VM.
     pub fn remove_vm(&mut self, vm: VmId, stack: &mut TcpStack) {
         self.front.regions.remove(&vm);
-        let stale: Vec<((VmId, SocketId), SocketId)> = self
-            .fwd
-            .sorted()
-            .into_iter()
-            .filter(|((owner, _), _)| *owner == vm)
-            .map(|(k, s)| (*k, *s))
-            .collect();
-        for (key, sock) in stale {
-            let _ = stack.close(sock);
-            self.fwd.remove(&key);
-            self.ctx.remove(&sock);
-            self.pending_send.remove(&sock);
+        for key in self.by_guest.sorted_keys() {
+            if key.0 == vm {
+                let _ = self.close(stack, key);
+            }
         }
     }
 
@@ -125,7 +147,15 @@ impl ServiceLib {
 
     /// True while a socket of the VM is live here.
     pub(crate) fn has_sockets_of(&self, vm: VmId) -> bool {
-        self.fwd.any(|(owner, _), _| *owner == vm)
+        self.by_guest.any(|(owner, _), _| *owner == vm)
+    }
+
+    /// Close a guest socket's stack socket and forget the socket, its
+    /// receive credit and its queued runs with it.
+    fn close(&mut self, stack: &mut TcpStack, key: (VmId, SocketId)) -> NkResult<()> {
+        let sock = self.by_guest.remove(&key).ok_or(NkError::BadSocket)?;
+        self.socks.remove(&sock);
+        stack.close(sock)
     }
 
     // ---- Warm-migration export / install ------------------------------------
@@ -135,27 +165,18 @@ impl ServiceLib {
     /// but not yet pushed into the stack, and the outstanding receive
     /// credit. The caller exports the stack connection under the returned
     /// socket id.
-    pub fn extract_conn(
+    fn extract_conn(
         &mut self,
         vm: VmId,
         guest_sock: SocketId,
     ) -> NkResult<(SocketId, Vec<Vec<u8>>, usize)> {
         let sock = self
-            .fwd
+            .by_guest
             .remove(&(vm, guest_sock))
             .ok_or(NkError::BadSocket)?;
-        let outstanding = self.ctx.remove(&sock).map_or(0, |ctx| ctx.rx_outstanding);
-        let pending: Vec<Vec<u8>> = self
-            .pending_send
-            .remove(&sock)
-            .map(|queue| queue.iter().map(|run| run.to_vec()).collect())
-            .unwrap_or_default();
-        Ok((sock, pending, outstanding))
-    }
-
-    /// The stack-side socket a guest tuple currently maps to, if any.
-    pub fn stack_sock_of(&self, vm: VmId, guest_sock: SocketId) -> Option<SocketId> {
-        self.fwd.get(&(vm, guest_sock)).copied()
+        let rec = self.socks.remove(&sock).ok_or(NkError::BadSocket)?;
+        let queued = rec.queued.iter().map(|run| run.to_vec()).collect();
+        Ok((sock, queued, rec.rx_outstanding))
     }
 
     /// Wire a warm-migrated connection into this ServiceLib: the guest
@@ -163,38 +184,25 @@ impl ServiceLib {
     /// stack), queued payload resumes flushing, and the receive-credit
     /// accounting continues where the source left off. `nsm_qs` must be the
     /// NSM-side queue set CoreEngine pinned the tuple to.
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "the arguments are exactly the per-connection state a warm import carries; a struct would be built only to be taken apart here"
-    )]
-    pub fn install_conn(
+    fn install_conn(
         &mut self,
         vm: VmId,
-        guest_sock: SocketId,
-        vm_qs: QueueSetId,
+        conn: &ConnSnapshot,
         nsm_qs: usize,
         stack_sock: SocketId,
-        pending_send: Vec<Vec<u8>>,
-        rx_outstanding: usize,
     ) -> NkResult<()> {
-        if self.fwd.contains_key(&(vm, guest_sock)) || self.ctx.contains_key(&stack_sock) {
+        let key = (vm, conn.guest_sock);
+        if self.by_guest.contains_key(&key) {
             return Err(NkError::AlreadyRegistered);
         }
-        self.fwd.insert((vm, guest_sock), stack_sock);
-        self.ctx.insert(
-            stack_sock,
-            ConnCtx {
-                vm,
-                guest_sock,
-                vm_qs,
-                nsm_qs,
-                rx_outstanding,
-            },
-        );
-        if !pending_send.is_empty() {
-            let queue = pending_send.into_iter().map(Payload::from).collect();
-            self.pending_send.insert(stack_sock, queue);
+        let mut rec = NsmSocket::new(vm, conn.guest_sock, conn.vm_queue_set, nsm_qs);
+        rec.rx_outstanding = conn.rx_outstanding;
+        rec.queued = conn.queued.iter().map(|run| run[..].into()).collect();
+        if !rec.queued.is_empty() {
+            self.tx_ready.push(stack_sock);
         }
+        self.by_guest.insert(key, stack_sock);
+        self.socks.insert(stack_sock, rec);
         // The snapshot may carry received bytes no segment will announce.
         self.rx_ready.push(stack_sock);
         Ok(())
@@ -224,17 +232,9 @@ impl ServiceLib {
         match nqe.op {
             OpType::SocketCreate => {
                 let sock = stack.socket();
-                self.fwd.insert(key, sock);
-                self.ctx.insert(
-                    sock,
-                    ConnCtx {
-                        vm: nqe.vm,
-                        guest_sock: nqe.socket,
-                        vm_qs: nqe.queue_set,
-                        nsm_qs,
-                        rx_outstanding: 0,
-                    },
-                );
+                self.by_guest.insert(key, sock);
+                let rec = NsmSocket::new(nqe.vm, nqe.socket, nqe.queue_set, nsm_qs);
+                self.socks.insert(sock, rec);
                 self.front.reply(nsm_qs, &nqe, Ok(()), sock.raw());
             }
             OpType::Bind => {
@@ -267,8 +267,8 @@ impl ServiceLib {
                 }
             }
             OpType::RecvConsumed => {
-                if let Some(ctx) = self.fwd.get(&key).and_then(|s| self.ctx.get_mut(s)) {
-                    ctx.rx_outstanding = ctx.rx_outstanding.saturating_sub(nqe.size as usize);
+                if let Some(rec) = self.by_guest.get(&key).and_then(|s| self.socks.get_mut(s)) {
+                    rec.rx_outstanding = rec.rx_outstanding.saturating_sub(nqe.size as usize);
                 }
             }
             OpType::Shutdown => {
@@ -278,16 +278,7 @@ impl ServiceLib {
                 self.front.reply(nsm_qs, &nqe, res, 0);
             }
             OpType::Close => {
-                let res = match self.stack_sock(key) {
-                    Ok(s) => {
-                        let r = stack.close(s);
-                        self.fwd.remove(&key);
-                        self.ctx.remove(&s);
-                        self.pending_send.remove(&s);
-                        r
-                    }
-                    Err(e) => Err(e),
-                };
+                let res = self.close(stack, key);
                 self.front.reply(nsm_qs, &nqe, res, 0);
             }
             OpType::SetSockOpt => {
@@ -308,6 +299,7 @@ impl ServiceLib {
     /// caller, which frees the chunk and returns the credit.
     fn handle_send(&mut self, stack: &mut TcpStack, nqe: &Nqe) -> NkResult<()> {
         let sock = self.stack_sock((nqe.vm, nqe.socket))?;
+        let rec = self.socks.get_mut(&sock).ok_or(NkError::BadSocket)?;
         let region = self.front.regions.get(&nqe.vm).ok_or(NkError::NotFound)?;
         // The hop §7.8 attributes NetKernel's throughput overhead to, made
         // by reference: the chunk's runs leave the hugepage (which is freed
@@ -315,7 +307,7 @@ impl ServiceLib {
         // the stack had no room for (or everything, when older payload is
         // still queued ahead of it) waits aside, as runs too.
         let len = nqe.size as usize;
-        let queued_ahead = self.pending_send.get(&sock).is_some_and(|q| !q.is_empty());
+        let queued_ahead = !rec.queued.is_empty();
         region.lend_and_free(nqe.data, len, &mut self.runs)?;
         let (mut accepted, mut taken) = (0, 0);
         if !queued_ahead {
@@ -328,43 +320,26 @@ impl ServiceLib {
             }
         }
         if taken < self.runs.len() {
-            let queue = self.pending_send.entry(sock).or_default();
-            queue.extend(self.runs.drain(taken..));
+            rec.queued.extend(self.runs.drain(taken..));
+            self.tx_ready.push(sock);
         }
         self.runs.clear();
         self.front.stats.bytes_tx += len as u64;
         // Whatever the stack accepted is acknowledged back to the guest as
         // returned send-buffer credit.
         let flushed = if queued_ahead {
-            let queue = self.pending_send.get_mut(&sock);
-            queue.map_or(0, |queue| Self::flush_queue(stack, sock, queue))
+            Self::flush_queue(stack, sock, &mut rec.queued)
         } else {
             accepted
         };
         if flushed > 0 {
-            self.send_credit(sock, flushed);
+            rec.send_credit(&mut self.front, flushed);
         }
         Ok(())
     }
 
     fn stack_sock(&self, key: (VmId, SocketId)) -> NkResult<SocketId> {
-        self.fwd.get(&key).copied().ok_or(NkError::BadSocket)
-    }
-
-    /// Push an event NQE about `ctx`'s guest socket.
-    fn notify(&mut self, ctx: &ConnCtx, op: OpType, op_data: u64) {
-        let ev = Nqe::new(op, ctx.vm, ctx.vm_qs, ctx.guest_sock).with_op_data(op_data);
-        self.front.respond(ctx.nsm_qs, ev);
-    }
-
-    fn send_credit(&mut self, sock: SocketId, bytes: usize) {
-        let Some(ctx) = self.ctx.get(&sock).copied() else {
-            return;
-        };
-        let mut comp = Nqe::new(OpType::SendComplete, ctx.vm, ctx.vm_qs, ctx.guest_sock);
-        comp.op_data = op_data::pack(OpResult::Ok, 0);
-        comp.size = bytes as u32;
-        self.front.respond(ctx.nsm_qs, comp);
+        self.by_guest.get(&key).copied().ok_or(NkError::BadSocket)
     }
 
     /// Push `queue` into the stack until it refuses; returns bytes taken.
@@ -383,17 +358,22 @@ impl ServiceLib {
         flushed
     }
 
-    /// Push pending payload into the stack and return credit to guests.
-    pub fn flush_pending(&mut self, stack: &mut TcpStack) {
-        let mut pending = std::mem::take(&mut self.pending_send);
-        pending.retain(|&sock, queue| {
-            let flushed = Self::flush_queue(stack, sock, queue);
+    /// Push queued payload into the stack and return credit to guests.
+    fn flush_pending(&mut self, stack: &mut TcpStack) {
+        let mut ready = std::mem::take(&mut self.tx_ready);
+        ready.sort_unstable();
+        ready.dedup();
+        ready.retain(|&sock| {
+            let Some(rec) = self.socks.get_mut(&sock) else {
+                return false;
+            };
+            let flushed = Self::flush_queue(stack, sock, &mut rec.queued);
             if flushed > 0 {
-                self.send_credit(sock, flushed);
+                rec.send_credit(&mut self.front, flushed);
             }
-            !queue.is_empty()
+            !rec.queued.is_empty()
         });
-        self.pending_send = pending;
+        self.tx_ready = ready;
     }
 
     /// Turn stack events into NQEs and ship received payload to the guests.
@@ -420,8 +400,9 @@ impl ServiceLib {
                 ),
                 StackEvent::PeerClosed(sock) => (sock, OpType::PeerClosed, 0),
             };
-            if let Some(ctx) = self.ctx.get(&sock).copied() {
-                self.notify(&ctx, op, op_data);
+            if let Some(rec) = self.socks.get(&sock) {
+                let ev = rec.nqe(op).with_op_data(op_data);
+                self.front.respond(rec.nsm_qs, ev);
             }
         }
         self.pump_receive(stack);
@@ -429,28 +410,22 @@ impl ServiceLib {
     }
 
     fn drain_accepts(&mut self, stack: &mut TcpStack, listener: SocketId) {
-        // The listener context tells us which guest owns it.
-        let Some(lctx) = self.ctx.get(&listener).copied() else {
+        // The listener's record tells us which guest owns it.
+        let Some(l) = self.socks.get(&listener) else {
             return;
         };
+        let (vm, vm_qs, nsm_qs, event) = (l.vm, l.vm_qs, l.nsm_qs, l.nqe(OpType::Accepted));
         while let Ok((conn, peer)) = stack.accept(listener) {
             let guest_id = self.front.alloc_guest_sock();
-            self.fwd.insert((lctx.vm, guest_id), conn);
-            self.ctx.insert(
-                conn,
-                ConnCtx {
-                    guest_sock: guest_id,
-                    rx_outstanding: 0,
-                    ..lctx
-                },
-            );
+            self.by_guest.insert((vm, guest_id), conn);
+            self.socks
+                .insert(conn, NsmSocket::new(vm, guest_id, vm_qs, nsm_qs));
             self.front.stats.accepted += 1;
-            // Its first bytes may have arrived before it had a context.
+            // Its first bytes may have arrived before it had a record.
             self.rx_ready.push(conn);
-            let mut ev = Nqe::new(OpType::Accepted, lctx.vm, lctx.vm_qs, lctx.guest_sock);
-            ev.op_data = op_data::pack(OpResult::Ok, guest_id.raw());
-            ev.data = DataHandle(peer.pack());
-            self.front.respond(lctx.nsm_qs, ev);
+            let ev = event.with_op_data(op_data::pack(OpResult::Ok, guest_id.raw()));
+            self.front
+                .respond(nsm_qs, ev.with_data(DataHandle(peer.pack()), 0));
         }
     }
 
@@ -466,11 +441,11 @@ impl ServiceLib {
     /// and hugepages go. True while the stack still holds bytes for it: the
     /// socket stays on the ready list.
     fn pump_socket(&mut self, stack: &mut TcpStack, sock: SocketId) -> bool {
-        let Some(ctx) = self.ctx.get_mut(&sock) else {
+        let Some(rec) = self.socks.get_mut(&sock) else {
             return false;
         };
         loop {
-            let credit = RX_BUDGET.saturating_sub(ctx.rx_outstanding);
+            let credit = RX_BUDGET.saturating_sub(rec.rx_outstanding);
             if credit == 0 {
                 break;
             }
@@ -484,7 +459,7 @@ impl ServiceLib {
                 // EOF is announced via the PeerClosed event.
                 break;
             }
-            let Some(region) = self.front.regions.get(&ctx.vm) else {
+            let Some(region) = self.front.regions.get(&rec.vm) else {
                 break;
             };
             let filled = region.alloc_and_fill(want, |runs| stack.recv_runs(sock, want, runs));
@@ -492,11 +467,9 @@ impl ServiceLib {
                 break;
             };
             self.front.stats.bytes_rx += n as u64;
-            ctx.rx_outstanding += n;
-            let mut ev = Nqe::new(OpType::DataReceived, ctx.vm, ctx.vm_qs, ctx.guest_sock);
-            ev.data = handle;
-            ev.size = n as u32;
-            self.front.respond(ctx.nsm_qs, ev);
+            rec.rx_outstanding += n;
+            let ev = rec.nqe(OpType::DataReceived).with_data(handle, n as u32);
+            self.front.respond(rec.nsm_qs, ev);
         }
         stack.recv_available(sock) > 0
     }
@@ -544,10 +517,7 @@ impl TcpNsm {
         // Snapshot the stack side first: if the connection is not in a
         // transplantable phase the export fails *before* any translation
         // state is torn out.
-        let stack_sock = self
-            .service
-            .stack_sock_of(vm, guest_sock)
-            .ok_or(NkError::BadSocket)?;
+        let stack_sock = self.service.stack_sock((vm, guest_sock))?;
         let snap = self.stack.export_conn(stack_sock)?;
         let (_, pending, outstanding) = self
             .service
@@ -563,19 +533,11 @@ impl TcpNsm {
     pub fn install_conn(
         &mut self,
         vm: VmId,
-        conn: &nk_types::ConnSnapshot,
+        conn: &ConnSnapshot,
         nsm_qs: usize,
     ) -> NkResult<SocketId> {
         let stack_sock = self.stack.install_conn(&conn.tcp)?;
-        if let Err(e) = self.service.install_conn(
-            vm,
-            conn.guest_sock,
-            conn.vm_queue_set,
-            nsm_qs,
-            stack_sock,
-            conn.pending_send.clone(),
-            conn.rx_outstanding,
-        ) {
+        if let Err(e) = self.service.install_conn(vm, conn, nsm_qs, stack_sock) {
             // Unwind the stack install so a refused wiring leaves no
             // orphaned connection behind.
             let _ = self.stack.export_conn(stack_sock);
@@ -861,7 +823,7 @@ mod tests {
             guest_sock: SocketId(5),
             vm_queue_set: QueueSetId(0),
             tcp: snap,
-            pending_send: pending,
+            queued: pending,
             rx_outstanding: outstanding,
             guest: nk_types::GuestSockSnapshot {
                 id: SocketId(5),
@@ -910,8 +872,8 @@ mod tests {
         assert_eq!(got, b"first half second half");
     }
 
-    /// Receive credit lives in the connection's context, so every teardown
-    /// that drops the context drops the credit with it, and an export still
+    /// Receive credit lives in the socket's record, so every teardown that
+    /// drops the record drops the credit with it, and an export still
     /// carries it away.
     #[test]
     fn teardown_leaves_no_receive_credit_behind() {
@@ -931,14 +893,14 @@ mod tests {
         let announced = w.responses();
         let announced = announced.iter().filter(|n| n.op == OpType::DataReceived);
         assert_eq!(announced.map(|n| n.size).sum::<u32>(), 300);
-        let stack_sock = |w: &World, guest| w.nsm.service.stack_sock_of(VmId(1), SocketId(guest));
-        let socks = [5, 6, 7].map(|guest| stack_sock(&w, guest).unwrap());
+        let socks = [5, 6, 7].map(|guest| w.nsm.service.stack_sock((VmId(1), SocketId(guest))));
+        let socks = socks.map(Result::unwrap);
         let holds = |w: &World, guest: u32, sock: SocketId| {
             let s = &w.nsm.service;
-            s.fwd.contains_key(&(VmId(1), SocketId(guest)))
-                || s.ctx.contains_key(&sock)
-                || s.pending_send.contains_key(&sock)
+            s.by_guest.contains_key(&(VmId(1), SocketId(guest)))
+                || s.socks.contains_key(&sock)
                 || s.rx_ready.contains(&sock)
+                || s.tx_ready.contains(&sock)
         };
         assert!(holds(&w, 5, socks[0]) && holds(&w, 6, socks[1]) && holds(&w, 7, socks[2]));
 
@@ -952,7 +914,7 @@ mod tests {
         w.nsm.service.remove_vm(VmId(1), &mut w.nsm.stack);
         w.run(1);
         assert!(!holds(&w, 7, socks[2]));
-        assert!(w.nsm.service.ctx.is_empty() && w.nsm.service.fwd.is_empty());
+        assert!(w.nsm.service.socks.is_empty() && w.nsm.service.by_guest.is_empty());
     }
 
     /// A region too small for the receive budget must delay data, never lose

@@ -21,10 +21,10 @@
 //! Choosing: *is the table ever walked in key order on a live path?* If so
 //! it stays a `BTreeMap` (timers, epoll interest, every host/cluster/control
 //! map). If it is only looked up, it is a `DetMap` (the stack's sockets,
-//! demultiplexer and listeners, ServiceLib's `fwd` and `ctx`, CoreEngine's
-//! `ConnTable`). A table that is neither can be no table at all: the
-//! hugepage allocator's chunks are two line bitmaps, not a map of live
-//! chunks beside a tree of free extents.
+//! demultiplexer and listeners, ServiceLib's socket records and their
+//! guest-tuple index, CoreEngine's `ConnTable`). A table that is neither can
+//! be no table at all: the hugepage allocator's chunks are two line bitmaps,
+//! not a map of live chunks beside a tree of free extents.
 //!
 //! # What the fixed hasher does and does not promise
 //!
@@ -34,15 +34,15 @@
 //! the one property a B-tree had and this does not: a worst case independent
 //! of the keys. Three of the tables built on `DetMap` are keyed by values the
 //! other side of a trust boundary chooses — guest socket ids in ServiceLib's
-//! `fwd` and CoreEngine's `ConnTable`, remote 4-tuples in the stack's
-//! `demux` — and a peer that knows the mixer can choose keys that share a
-//! bucket chain, making each lookup linear in the keys it planted. Lookup
-//! *cost* under chosen keys is therefore not bounded the way a B-tree's was;
-//! lookup *results* can never depend on it. Keying the hasher per process is
-//! the standard answer and is safe here precisely *because* no order is
-//! observable: it would change nothing but timing. It is not done yet;
-//! ROADMAP item 3 (the hostile guest) owns measuring chosen-key collisions
-//! before doing it.
+//! guest-tuple index and CoreEngine's `ConnTable`, remote 4-tuples in the
+//! stack's `demux` — and a peer that knows the mixer can choose keys that
+//! share a bucket chain, making each lookup linear in the keys it planted.
+//! Lookup *cost* under chosen keys is therefore not bounded the way a
+//! B-tree's was; lookup *results* can never depend on it. Keying the hasher
+//! per process is the standard answer and is safe here precisely *because*
+//! no order is observable: it would change nothing but timing. It is not
+//! done yet; ROADMAP item 3 (the hostile guest) owns measuring chosen-key
+//! collisions before doing it.
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 

@@ -137,9 +137,9 @@ pub struct ConnSnapshot {
     pub vm_queue_set: QueueSetId,
     /// The TCP state machine.
     pub tcp: TcpConnSnapshot,
-    /// Payload accepted from the guest but not yet pushed into the stack
-    /// (ServiceLib's pending-send queue, in order).
-    pub pending_send: Vec<Vec<u8>>,
+    /// Payload accepted from the guest but not yet taken by the stack
+    /// (the runs ServiceLib queued for the socket, in order).
+    pub queued: Vec<Vec<u8>>,
     /// Receive-credit bytes announced to the guest and not yet consumed.
     pub rx_outstanding: usize,
     /// The guest socket to recreate.
@@ -206,7 +206,7 @@ mod tests {
                 rttvar_ns: 50_000,
                 rto_ns: 10_000_000,
             },
-            pending_send: vec![vec![4, 5]],
+            queued: vec![vec![4, 5]],
             rx_outstanding: 10,
             guest: GuestSockSnapshot {
                 id: SocketId(3),

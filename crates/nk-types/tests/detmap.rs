@@ -86,9 +86,9 @@ where
 /// 100 000 operations over the key shapes the datapath uses.
 #[test]
 fn detmap_matches_btreemap_on_datapath_key_shapes() {
-    // Sequential socket ids (`TcpStack::sockets`, `ServiceLib::ctx`).
+    // Sequential socket ids (`TcpStack::sockets`, `ServiceLib::socks`).
     differential(1, 25_000, 3_000, |i| SocketId(i as u32 + 1));
-    // Guest tuples: a few VMs, NSM-allocated ids above the base (`fwd`).
+    // Guest tuples: a few VMs, NSM-allocated ids above the base (`by_guest`).
     differential(2, 25_000, 3_000, |i| {
         (VmId((i % 3) as u8), SocketId(0x8000_0000 + (i / 3) as u32))
     });

@@ -57,6 +57,10 @@ check "$(code crates | grep -c 'pending_events')" -eq 0 \
 # shellcheck disable=SC2086 # one directory per word
 check "$(code $not_nk_queue | grep -cE "$inspects_respond")" -eq 0 \
     "one rule for a full NQE ring: respond never refuses, so no caller outside nk-queue inspects its result"
+check "$(code crates/nk-service/src crates/nk-guest/src | grep -cE '(BTreeMap|DetMap)<\(?(VmId, )?SocketId')" -eq 4 \
+    "one record per socket on the NQE path: ServiceLib's record and its one guest-tuple index, SharedMemNsm's sockets and GuestLib's sockets"
+check "$(code crates/nk-service/src crates/nk-guest/src | grep -cE 'ConnCtx|pending_send|owed_credit')" -eq 0 \
+    "one record per socket on the NQE path: no context, send-queue or owed-credit map beside the record"
 check "$(code crates/nk-shmem/src/region.rs | grep -c 'Mutex<')" -eq 1 \
     "one lock per hugepage access: the allocator and the chunks' runs sit behind one Mutex"
 check "$(code crates/nk-shmem/src/region.rs | grep -cE 'BTreeMap|DetMap')" -eq 0 \
