@@ -353,9 +353,11 @@ impl TcpConnection {
     /// buffer admits are taken off the front of `run`, which keeps the
     /// rest, and the send queue points into its buffer (a short run behind
     /// a short run is copied into the queue's open tail, as a short write
-    /// is).
-    pub fn write_payload(&mut self, run: &mut Payload) -> usize {
-        self.queue_send(run.len(), |queue, n| queue.append(run.take_front(n)))
+    /// is, and the tail is frozen into a buffer `recycler` lends).
+    pub fn write_payload(&mut self, run: &mut Payload, recycler: &mut Recycler) -> usize {
+        self.queue_send(run.len(), |queue, n| {
+            queue.append(run.take_front(n), recycler)
+        })
     }
 
     /// The body `write` and `write_payload` share: how much of `len` bytes
@@ -816,13 +818,15 @@ impl TcpConnection {
 
     /// Run timers and append the segments that should be transmitted now to
     /// `out` (the caller's buffer, so a stack ticking many connections
-    /// reuses one allocation).
-    pub fn poll_transmit(&mut self, now_ns: u64, out: &mut Vec<Segment>) {
+    /// reuses one allocation). A payload that straddles two of the send
+    /// queue's runs, and the queue's open tail once it is sent, are copied
+    /// into buffers `recycler` lends.
+    pub fn poll_transmit(&mut self, now_ns: u64, out: &mut Vec<Segment>, recycler: &mut Recycler) {
         if self.ack_deadline.is_some_and(|at| now_ns >= at) {
             self.ack_pending = true;
         }
         let before = out.len();
-        self.emit(now_ns, out);
+        self.emit(now_ns, out, recycler);
         if out.len() > before {
             // Each segment advertised the same window: neither `rcv_nxt` nor
             // the buffer moves while a poll emits. Each carried the ACK, so
@@ -841,7 +845,7 @@ impl TcpConnection {
     }
 
     /// The body of [`TcpConnection::poll_transmit`].
-    fn emit(&mut self, now_ns: u64, out: &mut Vec<Segment>) {
+    fn emit(&mut self, now_ns: u64, out: &mut Vec<Segment>, recycler: &mut Recycler) {
         if self.rst_pending {
             self.rst_pending = false;
             let mut rst = Segment::control(self.local, self.remote, SegmentFlags::rst());
@@ -912,29 +916,28 @@ impl TcpConnection {
             seg.ack = self.rcv_nxt;
             seg.window = self.recv_window() as u32;
             seg.flags.ece = self.ece_pending;
-            seg.payload = self.send_buf.range(offset, chunk);
+            // A full-sized piece takes the full-sized pieces behind it in
+            // its run along, as one train cut once, up to the budget: the
+            // train ends where its run does (the piece across the seam is
+            // gathered into a buffer of its own, so it travels alone), and
+            // a pending ECE sets the first piece apart.
+            seg.payload = if chunk == MSS {
+                let max = if self.ece_pending { MSS } else { budget };
+                self.send_buf.range_units(offset, MSS, max, recycler)
+            } else {
+                self.send_buf.range(offset, chunk, recycler)
+            };
             if self.rtt_sample.is_none() {
-                self.rtt_sample = Some((seg.seq_end(), now_ns));
+                // The first piece's end, as when every piece was a segment.
+                self.rtt_sample = Some((seg.seq.wrapping_add(chunk as u32), now_ns));
             }
-            self.snd_nxt = self.snd_nxt.wrapping_add(chunk as u32);
-            offset += chunk;
-            budget -= chunk;
+            let sent = seg.payload.len();
+            self.snd_nxt = self.snd_nxt.wrapping_add(sent as u32);
+            offset += sent;
+            budget -= sent;
             self.ack_pending = false;
             self.ece_pending = false;
-            // A full-sized piece that continues the previous one in its
-            // buffer, under the same header, rides in its train. A pending
-            // ECE sets the first piece apart; a gathered piece (straddling
-            // two runs) has a buffer of its own.
-            let joined = chunk == MSS
-                && out[first_data..].last_mut().is_some_and(|train| {
-                    train.flags == seg.flags
-                        && (train.ack, train.window) == (seg.ack, seg.window)
-                        && train.payload.len().is_multiple_of(MSS)
-                        && train.payload.extend_with(&seg.payload)
-                });
-            if !joined {
-                out.push(seg);
-            }
+            out.push(seg);
         }
         if out.len() > first_data {
             self.arm_rto(now_ns);
@@ -952,7 +955,7 @@ impl TcpConnection {
                     probe.ack = self.rcv_nxt;
                     probe.window = self.recv_window() as u32;
                     probe.flags.ece = self.ece_pending;
-                    probe.payload = self.send_buf.range(offset, 1);
+                    probe.payload = self.send_buf.range(offset, 1, recycler);
                     let interval = (interval * 2).min(MAX_RTO_NS);
                     self.persist = Some((now_ns + interval, interval));
                     self.ack_pending = false;
@@ -1205,10 +1208,10 @@ mod tests {
         }
     }
 
-    /// One `poll_transmit` into a fresh vector.
+    /// One `poll_transmit` into a fresh vector, with a recycler of its own.
     fn tx(c: &mut TcpConnection, now: u64) -> Vec<Segment> {
         let mut out = Vec::new();
-        c.poll_transmit(now, &mut out);
+        c.poll_transmit(now, &mut out, &mut Recycler::default());
         out
     }
 
@@ -1496,7 +1499,7 @@ mod tests {
         let (mut c2, mut s2) = pair(0);
         let data = pattern(0, 3 * MSS);
         c.write_bytes(&data);
-        c2.write_payload(&mut Payload::from(&data[..]));
+        c2.write_payload(&mut Payload::from(&data[..]), &mut Recycler::default());
         let (segs, segs2) = (pieces(&mut c, 1_000), pieces(&mut c2, 1_000));
         assert_eq!(segs, segs2);
         for seg in &segs[..2] {
@@ -2337,15 +2340,34 @@ mod tests {
     /// The trains one `poll_transmit` forms expand to the per-MSS
     /// segmentation of the byte stream — `seq`, `ack`, `window`, flags and
     /// bytes — and only full-sized pieces that continue each other in one
-    /// buffer share a train. Three writes leave two buffer seams: the piece
-    /// straddling the first and the short tail are gathered, so they travel
-    /// alone, and a pending ECE sets the first piece apart. The RTT sample
-    /// times the first piece, as it did before trains.
+    /// run share a train, cut from it as one slice. Three writes leave two
+    /// run seams: the piece straddling the first and the short tail are
+    /// gathered, so they travel alone, a pending ECE sets the first piece
+    /// apart, and a send window that shuts inside a run ends the train
+    /// there. The RTT sample times the first piece, as it did before trains.
     #[test]
     fn trains_expand_to_the_per_mss_segmentation_of_the_stream() {
         const T: u64 = 1_000;
         let data = pattern(0, 7 * MSS + 800);
-        for ece in [false, true] {
+        /// ECE pending, the send window, each train's frames and whether it
+        /// is a slice of a run.
+        type Case = (bool, Option<usize>, &'static [usize], &'static [bool]);
+        let cases: [Case; 3] = [
+            (false, None, &[2, 1, 4, 1], &[true, false, true, false]),
+            (
+                true,
+                None,
+                &[1, 1, 1, 4, 1],
+                &[true, true, false, true, false],
+            ),
+            (
+                false,
+                Some(4 * MSS + MSS / 2),
+                &[2, 1, 1, 1],
+                &[true, false, true, true],
+            ),
+        ];
+        for (ece, window, expect, sliced) in cases {
             let (mut c, mut s) = pair(0);
             assert_eq!(s.write_bytes(b"window and ack"), 14);
             for seg in tx(&mut s, 0) {
@@ -2356,14 +2378,24 @@ mod tests {
             c.write_bytes(&data[seams[0]..seams[1]]);
             c.write_bytes(&data[seams[1]..]);
             c.ece_pending = ece;
+            if let Some(window) = window {
+                c.snd_wnd = window as u32;
+            }
+            let sent = window.unwrap_or(data.len());
             let seq0 = c.snd_nxt;
             let trains = tx(&mut c, T);
             let frames: Vec<usize> = trains.iter().map(Train::frames).collect();
-            let expect: &[usize] = if ece { &[1, 1, 1, 4, 1] } else { &[2, 1, 4, 1] };
-            assert_eq!(frames, expect, "ECE {ece}");
-            let flat: Vec<Segment> = (0..data.len().div_ceil(MSS))
+            assert_eq!(frames, expect, "ECE {ece}, window {window:?}");
+            let lent = |train: &Segment| {
+                c.send_buf
+                    .runs()
+                    .any(|run| run.shares_buffer(&train.payload))
+            };
+            let shared: Vec<bool> = trains.iter().map(lent).collect();
+            assert_eq!(shared, sliced, "ECE {ece}, window {window:?}");
+            let flat: Vec<Segment> = (0..sent.div_ceil(MSS))
                 .map(|i| {
-                    let bytes = &data[i * MSS..data.len().min((i + 1) * MSS)];
+                    let bytes = &data[i * MSS..sent.min((i + 1) * MSS)];
                     let mut seg = Segment::control(addr(5000), peer(80), SegmentFlags::ack());
                     seg.seq = seq0.wrapping_add((i * MSS) as u32);
                     seg.ack = c.rcv_nxt;
@@ -2375,11 +2407,11 @@ mod tests {
                 .collect();
             let wire: Vec<usize> = trains.iter().map(Segment::wire_bytes).collect();
             let pieces: Vec<Segment> = trains.into_iter().flat_map(Train::into_frames).collect();
-            assert_eq!(pieces, flat, "ECE {ece}");
+            assert_eq!(pieces, flat, "ECE {ece}, window {window:?}");
             let per_piece = flat.iter().map(Segment::wire_bytes);
             assert_eq!(wire.iter().sum::<usize>(), per_piece.sum::<usize>());
             assert_eq!(c.rtt_sample, Some((flat[0].seq_end(), T)), "ECE {ece}");
-            assert_eq!(c.snd_nxt, seq0.wrapping_add(data.len() as u32));
+            assert_eq!(c.snd_nxt, seq0.wrapping_add(sent as u32));
         }
     }
 

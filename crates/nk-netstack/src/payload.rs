@@ -9,7 +9,6 @@
 pub use nk_types::Payload;
 use nk_types::Recycler;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Pushes shorter than this coalesce in the queue's open tail; the tail
 /// becomes a run when it reaches this size. Larger pushes are their own run.
@@ -30,8 +29,8 @@ pub(crate) struct ByteQueue {
     /// Bytes held: all runs plus the open tail.
     len: usize,
     /// Where the last [`ByteQueue::range`] began: a run's index and the
-    /// queue offset of its first byte. `range` walks on from here, so a
-    /// sender working its way through many small runs pays for each once.
+    /// queue offset of its first byte ([`ByteQueue::seek`] walks on from
+    /// here).
     cursor: (usize, usize),
 }
 
@@ -61,12 +60,14 @@ impl ByteQueue {
 
     /// Append a run, by reference. A run that continues the last one in
     /// its buffer extends it, so the in-order segments of one write land
-    /// as one run.
+    /// as one run. Only a send queue gathers, and its own appends
+    /// ([`ByteQueue::write`], [`ByteQueue::append`]) freeze the open tail
+    /// first, so a throwaway recycler serves the freeze here.
     pub(crate) fn push(&mut self, run: Payload) {
         if run.is_empty() {
             return;
         }
-        self.freeze();
+        self.freeze(&mut Recycler::default());
         self.len += run.len();
         if !self
             .runs
@@ -83,13 +84,14 @@ impl ByteQueue {
     /// copied into the open tail as [`ByteQueue::write`] would, so a stream
     /// of small writes still costs a run per [`OPEN_RUN`] bytes, not one
     /// per write.
-    pub(crate) fn append(&mut self, run: Payload) {
+    pub(crate) fn append(&mut self, run: Payload, recycler: &mut Recycler) {
         let after_short =
             !self.open.is_empty() || self.runs.back().is_some_and(|last| last.len() < OPEN_RUN);
         if run.len() >= OPEN_RUN || !after_short {
+            self.freeze(recycler);
             self.push(run);
         } else {
-            self.gather(&run);
+            self.gather(&run, recycler);
         }
     }
 
@@ -98,42 +100,45 @@ impl ByteQueue {
     /// open tail.
     pub(crate) fn write(&mut self, bytes: &[u8], recycler: &mut Recycler) {
         if bytes.len() >= OPEN_RUN {
+            self.freeze(recycler);
             self.push(recycler.write(bytes));
         } else {
-            self.gather(bytes);
+            self.gather(bytes, recycler);
         }
     }
 
     /// Copy `bytes`, shorter than a run, into the open tail.
-    fn gather(&mut self, bytes: &[u8]) {
+    fn gather(&mut self, bytes: &[u8], recycler: &mut Recycler) {
         self.open.extend_from_slice(bytes);
         self.len += bytes.len();
         if self.open.len() >= OPEN_RUN {
-            self.freeze();
+            self.freeze(recycler);
         }
     }
 
-    /// Turn the open tail into a run.
-    fn freeze(&mut self) {
+    /// Turn the open tail into a run, in a buffer `recycler` lends.
+    fn freeze(&mut self, recycler: &mut Recycler) {
         if !self.open.is_empty() {
-            self.runs.push_back(Payload::from(&self.open[..]));
+            self.runs.push_back(recycler.write(&self.open));
             self.open.clear();
         }
     }
 
     /// Make the first `end` bytes lie in runs.
-    fn freeze_to(&mut self, end: usize) {
+    fn freeze_to(&mut self, end: usize, recycler: &mut Recycler) {
         assert!(end <= self.len);
         if end > self.len - self.open.len() {
-            self.freeze();
+            self.freeze(recycler);
         }
     }
 
     /// Take the first `n` bytes off the front, handing each to `each` by
     /// move, front to back: whole runs are popped, and the run the cut
-    /// falls in gives up its head.
+    /// falls in gives up its head. A send queue froze every byte it sent,
+    /// and a receive queue never gathers, so only an ACK for bytes never
+    /// sent freezes here, through a throwaway recycler.
     fn take(&mut self, n: usize, mut each: impl FnMut(Payload)) {
-        self.freeze_to(n);
+        self.freeze_to(n, &mut Recycler::default());
         self.len -= n;
         let (mut left, mut popped) = (n, 0);
         while left > 0 {
@@ -178,13 +183,10 @@ impl ByteQueue {
         n
     }
 
-    /// The `len` bytes from `offset` on as one payload: a slice of the run
-    /// when they lie inside one, a gathered copy when they straddle a seam.
-    pub(crate) fn range(&mut self, offset: usize, len: usize) -> Payload {
-        self.freeze_to(offset + len);
-        if len == 0 {
-            return Payload::default();
-        }
+    /// The index of the run holding `offset`, and `offset` within it. The
+    /// walk starts where the last one ended, so a sender working its way
+    /// through many small runs pays for each once.
+    fn seek(&mut self, offset: usize) -> (usize, usize) {
         let (mut idx, mut base) = self.cursor;
         if offset < base {
             (idx, base) = (0, 0); // a rewind: go-back-N re-reads from the front
@@ -194,25 +196,56 @@ impl ByteQueue {
             idx += 1;
         }
         self.cursor = (idx, base);
-        let at = offset - base;
+        (idx, offset - base)
+    }
+
+    /// The `len` bytes from `offset` on as one payload: a slice of the run
+    /// when they lie inside one, else gathered across the seam into a
+    /// buffer `recycler` lends.
+    pub(crate) fn range(&mut self, offset: usize, len: usize, recycler: &mut Recycler) -> Payload {
+        self.freeze_to(offset + len, recycler);
+        if len == 0 {
+            return Payload::default();
+        }
+        let (idx, at) = self.seek(offset);
         let run = &self.runs[idx];
         if at + len <= run.len() {
             return run.slice(at..at + len);
         }
-        let mut gathered: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
-        let dst = Arc::get_mut(&mut gathered).expect("not yet shared");
-        let mut filled = 0;
-        let mut skip = at;
-        for run in self.runs.range(idx..) {
-            if filled == len {
-                break;
+        recycler.write_with(len, |dst| {
+            let (mut filled, mut skip) = (0, at);
+            for run in self.runs.range(idx..) {
+                if filled == len {
+                    break;
+                }
+                let take = (run.len() - skip).min(len - filled);
+                dst[filled..filled + take].copy_from_slice(&run[skip..skip + take]);
+                filled += take;
+                skip = 0;
             }
-            let take = (run.len() - skip).min(len - filled);
-            dst[filled..filled + take].copy_from_slice(&run[skip..skip + take]);
-            filled += take;
-            skip = 0;
+        })
+    }
+
+    /// As many whole `unit`s from `offset` on as lie in the run holding it,
+    /// at most `max` bytes, as one slice of that run: a train's pieces in
+    /// one cut. When less than one unit lies there, the one unit from
+    /// `offset` on, gathered across the seam ([`ByteQueue::range`]).
+    pub(crate) fn range_units(
+        &mut self,
+        offset: usize,
+        unit: usize,
+        max: usize,
+        recycler: &mut Recycler,
+    ) -> Payload {
+        assert!(unit > 0 && max >= unit);
+        self.freeze_to(offset + unit, recycler);
+        let (idx, at) = self.seek(offset);
+        let run = &self.runs[idx];
+        let units = (run.len() - at).min(max) / unit;
+        if units == 0 {
+            return self.range(offset, unit, recycler);
         }
-        Payload::from(gathered)
+        run.slice(at..at + units * unit)
     }
 
     /// Every byte held, flattened (the snapshot format).
@@ -271,7 +304,9 @@ mod tests {
     /// across many seams) and pushed slices of one buffer in order (which
     /// extend the last run), reads that copy or hand out runs and consumes
     /// that pop runs from under the cursor, and ranges that mostly walk
-    /// forward and sometimes rewind.
+    /// forward and sometimes rewind: of a length, or of whole units up to a
+    /// cap, which take all the units the run holds up to the cap in one
+    /// slice and gather one unit across a seam.
     #[test]
     fn byte_queue_matches_a_flat_model() {
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;
@@ -282,7 +317,7 @@ mod tests {
         let (mut queue, mut model) = (ByteQueue::default(), Vec::<u8>::new());
         let mut recycler = Recycler::default();
         let (mut next, mut at) = (0u8, 0usize);
-        let (mut inside, mut gathered) = (0usize, 0usize);
+        let (mut inside, mut gathered, mut units) = (0usize, 0usize, [0usize; 3]);
         let (mut source, mut cut) = (Payload::default(), 0usize);
         let mut bytes = |n: usize| -> Vec<u8> {
             (0..n)
@@ -296,7 +331,7 @@ mod tests {
                     if below(2) == 0 {
                         queue.write(&data, &mut recycler);
                     } else {
-                        queue.append(Payload::from(&data[..]));
+                        queue.append(Payload::from(&data[..]), &mut recycler);
                     }
                     model.extend_from_slice(&data);
                 }
@@ -341,8 +376,36 @@ mod tests {
                     if below(16) == 0 {
                         at = 0; // go-back-N
                     }
-                    let len = below(300).min(model.len() - at);
-                    let got = queue.range(at, len);
+                    let unit = [1, 7, 64, 300][below(4)];
+                    let got = if below(2) == 0 || at + unit > model.len() {
+                        let len = below(300).min(model.len() - at);
+                        queue.range(at, len, &mut recycler)
+                    } else {
+                        let max = unit * (1 + below(4)) + below(unit);
+                        let got = queue.range_units(at, unit, max, &mut recycler);
+                        let (mut skip, mut runs) = (at, queue.runs());
+                        let left_in_run = loop {
+                            let len = runs.next().expect("the run holding `at`").len();
+                            if skip < len {
+                                break len - skip;
+                            }
+                            skip -= len;
+                        };
+                        let want = if left_in_run < unit {
+                            unit
+                        } else {
+                            left_in_run.min(max) / unit * unit
+                        };
+                        assert_eq!(
+                            got.len(),
+                            want,
+                            "{left_in_run} left, unit {unit}, max {max}"
+                        );
+                        units[usize::from(left_in_run >= unit) + usize::from(got.len() > unit)] +=
+                            1;
+                        got
+                    };
+                    let len = got.len();
                     assert_eq!(got[..], model[at..at + len]);
                     let lent = queue.runs().any(|run| run.shares_buffer(&got));
                     inside += usize::from(lent);
@@ -357,6 +420,51 @@ mod tests {
         }
         assert_eq!(queue.to_vec(), model);
         assert!(inside > 500 && gathered > 500, "{inside} / {gathered}");
+        assert!(
+            units.iter().all(|&n| n > 100),
+            "gathered, one unit, several: {units:?}"
+        );
+    }
+
+    /// A piece gathered across a seam, and the open tail once a piece
+    /// reaches into it, are copied into buffers of the recycler: a buffer
+    /// an earlier piece let go of comes back, and one a held piece points
+    /// into is never rewritten.
+    #[test]
+    fn a_gathered_piece_takes_a_recycled_buffer() {
+        let (mut queue, mut recycler) = (ByteQueue::default(), Recycler::default());
+        for i in 0..4u8 {
+            queue.push(Payload::from(vec![i; 1000]));
+        }
+        let ptr = |run: &Payload| run.buffer().expect("a buffer").as_ptr();
+        let seam = |i: u8| [[i; 500], [i + 1; 500]].concat();
+        let first = queue.range(500, 1000, &mut recycler);
+        let held = queue.range(1500, 1000, &mut recycler);
+        assert_ne!(ptr(&held), ptr(&first), "the first is still held");
+        let lent = |piece: &Payload| queue.runs().any(|run| run.shares_buffer(piece));
+        assert!(!lent(&first) && !lent(&held), "gathered, not sliced");
+        let first_buf = ptr(&first);
+        drop(first);
+        let third = queue.range(2500, 1000, &mut recycler);
+        assert_eq!(ptr(&third), first_buf, "let go, so taken again");
+        assert_eq!((&held[..], &third[..]), (&seam(1)[..], &seam(2)[..]));
+
+        let held_buf = ptr(&held);
+        drop(held);
+        queue.write(&[4; 900], &mut recycler);
+        assert_eq!(queue.runs().count(), 4, "the tail is open");
+        let last = queue.range(3500, 1000, &mut recycler);
+        let tail = queue.runs().last().expect("the frozen tail");
+        assert_eq!(
+            (tail.len(), ptr(tail)),
+            (900, held_buf),
+            "frozen into a let-go buffer"
+        );
+        assert!(
+            ![first_buf, held_buf].contains(&ptr(&last)),
+            "the third is still held"
+        );
+        assert_eq!((&third[..], &last[..]), (&seam(2)[..], &seam(3)[..]));
     }
 
     /// The in-order segments of one 16 KiB write land in the receive queue

@@ -71,8 +71,9 @@ pub const HEADER_BYTES: usize = 14 + 20 + 20;
 
 /// A TCP segment, or a train of them: a data segment of k·[`MSS`] bytes,
 /// k ≥ 2, stands for k full-sized segments that differ only in `seq`
-/// ([`Train`]). Only a stack's `poll_transmit` forms one, from consecutive
-/// pieces of one buffer.
+/// ([`Train`]). Only a stack's `poll_transmit` forms one, cut in one slice
+/// from a run of its send queue: as many whole pieces as the run holds, up
+/// to the send window.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Segment {
     /// Source endpoint.
@@ -124,17 +125,6 @@ impl Segment {
     pub fn wire_bytes(&self) -> usize {
         HEADER_BYTES * self.frames() + self.payload.len()
     }
-
-    /// Sequence space consumed by this segment (payload plus one for SYN and
-    /// one for FIN).
-    pub fn seq_len(&self) -> u32 {
-        self.payload.len() as u32 + u32::from(self.flags.syn) + u32::from(self.flags.fin)
-    }
-
-    /// The sequence number immediately after this segment.
-    pub fn seq_end(&self) -> u32 {
-        self.seq.wrapping_add(self.seq_len())
-    }
 }
 
 impl Train for Segment {
@@ -183,6 +173,20 @@ pub fn seq_gt(a: u32, b: u32) -> bool {
 /// Wrapping sequence-number comparison: true when `a >= b` in sequence space.
 pub fn seq_ge(a: u32, b: u32) -> bool {
     seq_le(b, a)
+}
+
+#[cfg(test)]
+impl Segment {
+    /// Sequence space consumed by this segment (payload plus one for SYN and
+    /// one for FIN).
+    pub(crate) fn seq_len(&self) -> u32 {
+        self.payload.len() as u32 + u32::from(self.flags.syn) + u32::from(self.flags.fin)
+    }
+
+    /// The sequence number immediately after this segment.
+    pub(crate) fn seq_end(&self) -> u32 {
+        self.seq.wrapping_add(self.seq_len())
+    }
 }
 
 #[cfg(test)]

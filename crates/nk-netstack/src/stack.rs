@@ -24,11 +24,15 @@
 //! kept in deadline order; only connections use the lazy timer heap.
 //!
 //! A burst pays once. `poll_transmit` carries the full-sized segments of
-//! one write as one train (a [`Segment`] of k·MSS bytes), which crosses the
-//! fabric as one frame and costs the receiver one demultiplexer lookup and
-//! one delivery. Every count — `segments_in`, `segments_out`,
-//! `no_socket_drops` and the work [`TcpStack::tick`] returns — is per
-//! segment, a train's k included.
+//! one write as one train (a [`Segment`] of k·MSS bytes), cut from the send
+//! queue's run in one slice, which crosses the fabric as one frame and
+//! costs the receiver one demultiplexer lookup and one delivery. Every
+//! count — `segments_in`, `segments_out`, `no_socket_drops` and the work
+//! [`TcpStack::tick`] returns — is per segment, a train's k included. The
+//! copies the send path still makes — a byte-slice `send` of a run's worth,
+//! a piece gathered across two runs, a send queue's open tail once sent —
+//! land in buffers of the stack's `Recycler`, so a warm tick allocates
+//! nothing (`tests/warm_allocs.rs`).
 //!
 //! An in-order segment's ACK waits `conn::ACK_DELAY_NS` for a segment to
 //! ride on. Every such deadline is the arrival time plus that one
@@ -343,9 +347,10 @@ pub struct TcpStack {
     /// The frames this tick emitted, handed to the port under one lock
     /// when the tick ends (empty between ticks).
     tx_burst: Vec<Frame<Segment>>,
-    /// The buffers a byte-slice [`TcpStack::send`] of a run's worth copies
-    /// into, lent again once no segment or queue points into them: a
-    /// stream of large writes allocates nothing once warm.
+    /// The buffers a byte-slice [`TcpStack::send`] of a run's worth, a
+    /// piece gathered across a seam and a frozen open tail are copied into,
+    /// lent again once no segment or queue points into them: a warm stream
+    /// of writes allocates nothing.
     recycler: Recycler,
 }
 
@@ -613,7 +618,7 @@ impl TcpStack {
     /// admits are taken off the front of `run` into the send queue, not
     /// copied, and `run` keeps the rest.
     pub fn send_payload(&mut self, sock: SocketId, run: &mut Payload) -> NkResult<usize> {
-        self.send_with(sock, |conn, _| conn.write_payload(run))
+        self.send_with(sock, |conn, recycler| conn.write_payload(run, recycler))
     }
 
     /// The body `send` and `send_payload` share, around the write `write`.
@@ -1172,7 +1177,7 @@ impl TcpStack {
                 _ => continue,
             };
             let cs = &mut self.conns[c as usize];
-            cs.conn.poll_transmit(now_ns, &mut segs);
+            cs.conn.poll_transmit(now_ns, &mut segs, &mut self.recycler);
             self.stats.conns_polled += 1;
             cs.queued = cs.conn.needs_poll();
             if cs.queued {
@@ -1251,21 +1256,22 @@ impl TcpStack {
     /// record must not be due, and must wait in the expiry FIFO (sorted, so
     /// a binary search finds it); so must a skipped connection's delayed ACK
     /// in the ACK FIFO (sorted by deadline only: a search finds the run of
-    /// entries due at that time).
+    /// entries due at that time). It walks the slots in place, so a debug
+    /// build's warm tick allocates no more than a release build's.
     #[cfg(debug_assertions)]
     fn audit_skipped(&mut self, due: &[Handle], now_ns: u64) {
-        let mut sockets: Vec<Handle> = (self.slots.iter().enumerate())
-            .filter(|(_, s)| s.id != FREE)
-            .map(|(slot, s)| (s.id, slot as u32))
-            .collect();
-        sockets.sort_unstable();
-        assert_eq!(sockets.len(), self.ids.len(), "a slot for every id");
+        let mut live = 0;
         let mut out = Vec::new();
-        for at in sockets {
+        for slot in 0..self.slots.len() as u32 {
+            let id = self.slots[slot as usize].id;
+            if id == FREE {
+                continue;
+            }
+            live += 1;
+            let at = (id, slot);
             if due.binary_search(&at).is_ok() {
                 continue;
             }
-            let (id, slot) = at;
             let c = match &self.slots[slot as usize].entry {
                 SocketEntry::Conn(c) => &mut self.conns[*c as usize].conn,
                 SocketEntry::TimeWait(tw) => {
@@ -1288,7 +1294,7 @@ impl TcpStack {
                 );
             }
             let (closed, deadline) = (c.is_closed(), c.next_deadline());
-            c.poll_transmit(now_ns, &mut out);
+            c.poll_transmit(now_ns, &mut out, &mut self.recycler);
             assert!(
                 out.is_empty()
                     && c.is_closed() == closed
@@ -1300,6 +1306,7 @@ impl TcpStack {
                 c.state()
             );
         }
+        assert_eq!(live, self.ids.len(), "a slot for every id");
     }
 
     /// Queue `seg` for the fabric; returns the segments it stands for.

@@ -38,6 +38,13 @@ impl Payload {
         }
     }
 
+    /// `len` bytes that `fill` writes, in a buffer of exactly that size.
+    fn own(len: usize, fill: impl FnOnce(&mut [u8])) -> Payload {
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        fill(Arc::get_mut(&mut buf).expect("not yet shared"));
+        Payload::prefix(buf, len)
+    }
+
     /// Bytes in the run.
     #[inline]
     pub fn len(&self) -> usize {
@@ -187,14 +194,19 @@ impl Recycler {
     /// fewer than [`RECYCLED_PER_CLASS`]. A write longer than the largest
     /// class, or past the bound, gets a buffer of its own.
     pub fn write(&mut self, bytes: &[u8]) -> Payload {
-        let class = bytes
-            .len()
-            .max(1)
-            .next_power_of_two()
-            .trailing_zeros()
-            .max(MIN_CLASS);
-        if bytes.is_empty() || class > MAX_CLASS {
-            return Payload::from(bytes);
+        self.write_with(bytes.len(), |dst| dst.copy_from_slice(bytes))
+    }
+
+    /// A run of `len` bytes that `fill` writes, in a buffer picked as
+    /// [`Recycler::write`] picks one. `fill` gets exactly `len` bytes, with
+    /// whatever the buffer held before, and must write all of them.
+    pub fn write_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> Payload {
+        if len == 0 {
+            return Payload::default();
+        }
+        let class = len.next_power_of_two().trailing_zeros().max(MIN_CLASS);
+        if class > MAX_CLASS {
+            return Payload::own(len, fill);
         }
         let at = (class - MIN_CLASS) as usize;
         if self.rings.len() <= at {
@@ -202,20 +214,20 @@ impl Recycler {
         }
         let ring = &mut self.rings[at];
         if let Some(front) = ring.front_mut().and_then(Arc::get_mut) {
-            front[..bytes.len()].copy_from_slice(bytes);
+            fill(&mut front[..len]);
             ring.rotate_left(1);
         } else if ring.len() < RECYCLED_PER_CLASS {
             let mut buf: Arc<[u8]> = std::iter::repeat_n(0, 1 << class).collect();
-            Arc::get_mut(&mut buf).expect("not yet shared")[..bytes.len()].copy_from_slice(bytes);
+            fill(&mut Arc::get_mut(&mut buf).expect("not yet shared")[..len]);
             ring.push_back(buf);
         } else {
             // A buffer held for long at the front must not stop the ones
             // behind it from coming back.
             ring.rotate_left(1);
-            return Payload::from(bytes);
+            return Payload::own(len, fill);
         }
         let buf = ring.back().expect("just written").clone();
-        Payload::prefix(buf, bytes.len())
+        Payload::prefix(buf, len)
     }
 }
 

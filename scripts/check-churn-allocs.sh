@@ -3,30 +3,32 @@
 # run, so the machine's speed cancels.
 # - A data segment pays once and a hugepage hop pays nothing: `bulk` (4
 #   connections echoing 16 KiB chunks, ~23 segments per operation)
-#   allocates per echo `write`, not per segment or per hop. A guest write
-#   reuses a recycled buffer, the NSM moves that buffer's run into its
-#   stack and the echo's runs into a fresh chunk by reference, so what is
-#   left is the echo's write plus a gathered segment where two writes meet.
-#   With a `Vec` per segment it read 25.8; with shared runs but a copy per
-#   hugepage hop, 2.6; it reads ~1.6.
-# - A call pays nothing: GuestLib allocates nothing per call, so `rpc` sits
-#   near one per echo. With a `Vec` per response batch and per `recv` `rpc`
-#   read 3.9, and 2.2 while each hugepage hop still copied.
+#   allocates neither per echo `write`, per segment nor per hop. A guest
+#   write and a stack write reuse recycled buffers, the NSM moves runs by
+#   reference, and a segment straddling two writes is gathered into a
+#   recycled buffer too. With a `Vec` per segment it read 25.8; with shared
+#   runs but a copy per hugepage hop, 2.6; and 1.3 while each gathered seam
+#   piece was a fresh buffer; it reads ~0.10.
+# - A call pays nothing: GuestLib allocates nothing per call, and a send
+#   queue's open tail is frozen into a recycled buffer, so `rpc` allocates
+#   about once per 20 echoes. With a `Vec` per response batch and per `recv`
+#   `rpc` read 3.9, 2.2 while each hugepage hop still copied, and 1.1 while
+#   each frozen tail was a fresh buffer; it reads ~0.05.
 # - A connection pays once: `churn` (open, exchange, close) reuses connection
 #   slots with their queue storage and holds congestion control inline. It
 #   read 17.4 with a slot, a congestion-control box and fresh queue tables
 #   per connection, 18.8 when it also parked a whole connection per
 #   TIME-WAIT socket, 6.4 with a boxed socket-table entry per connection and
-#   per record, and 4.9 with the slot vector before the hops stopped
-#   copying; it reads ~3.8.
-#   bulk:  host.allocs_per_op <= 2,   trace.wired_matches_host == 1
-#   churn: host.allocs_per_op <= 4.5, trace.wired_matches_host == 1
-#   rpc:   host.allocs_per_op <= 1.5, trace.wired_matches_host == 1
+#   per record, 4.9 with the slot vector before the hops stopped copying,
+#   and 3.8 while each frozen tail was a fresh buffer; it reads ~2.7.
+#   bulk:  host.allocs_per_op <= 0.2, trace.wired_matches_host == 1
+#   churn: host.allocs_per_op <= 3.0, trace.wired_matches_host == 1
+#   rpc:   host.allocs_per_op <= 0.1, trace.wired_matches_host == 1
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 status=0
-for gate in bulk:2 churn:4.5 rpc:1.5; do
+for gate in bulk:0.2 churn:3.0 rpc:0.1; do
   workload=${gate%%:*}
   limit=${gate#*:}
   # The command of BENCHMARK.json, so the binary is built the way the benchmark builds it.
