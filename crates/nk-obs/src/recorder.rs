@@ -182,10 +182,7 @@ impl FlightRecorder {
         if !self.active() {
             return;
         }
-        if self.phases.len() == self.cfg.event_capacity {
-            self.phases.pop_front();
-        }
-        self.phases.push_back(window);
+        push_bounded(&mut self.phases, self.cfg.event_capacity, window);
     }
 
     /// Observe a delivered frame on `key`: `frames` wire frames (a train's
@@ -217,16 +214,14 @@ impl FlightRecorder {
             cluster.merge(hist);
             summaries.push((*id, LatencySummary::of(hist)));
         }
-        if self.epochs.len() == self.cfg.latency_epochs {
-            self.epochs.pop_front();
-        }
-        self.epochs.push_back(EpochLatency {
+        let sealed = EpochLatency {
             epoch: self.next_epoch,
             start_ns: self.epoch_start_ns,
             end_ns: now_ns,
             cluster: LatencySummary::of(&cluster),
             hosts: summaries,
-        });
+        };
+        push_bounded(&mut self.epochs, self.cfg.latency_epochs, sealed);
         self.next_epoch += 1;
         self.epoch_start_ns = now_ns;
         self.next_epoch_ns = now_ns + self.cfg.epoch_ns;
@@ -288,6 +283,18 @@ impl FlightRecorder {
             flows: self.flows.top(),
         }
     }
+}
+
+/// Append `item` to `ring`, keeping the newest `cap` entries and nothing
+/// at all at capacity 0 (as [`EventRing::push`] does).
+fn push_bounded<T>(ring: &mut VecDeque<T>, cap: usize, item: T) {
+    if cap == 0 {
+        return;
+    }
+    if ring.len() == cap {
+        ring.pop_front();
+    }
+    ring.push_back(item);
 }
 
 #[cfg(test)]
@@ -374,6 +381,39 @@ mod tests {
         assert_eq!(sealed.hosts.len(), 2);
         assert_eq!(sealed.hosts[0].0, HostId(1));
         assert_eq!(sealed.hosts[0].1.count, 2);
+    }
+
+    /// Every ring stays within its capacity, 0 included: an enabled
+    /// recorder built without `ObsConfig::validate` still bounds its memory.
+    #[test]
+    fn every_ring_stays_within_its_capacity() {
+        for cap in [0, 2] {
+            let mut cfg = ObsConfig::new().with_epoch_ns(1_000);
+            (cfg.event_capacity, cfg.latency_epochs) = (cap, cap);
+            let mut rec = FlightRecorder::new(cfg);
+            for i in 0..100u64 {
+                rec.record_phase(PhaseWindow {
+                    vm: Some(VmId(1)),
+                    phase: MigrationPhase::Export,
+                    start_ns: i,
+                    end_ns: i,
+                    epoch: 0,
+                    step: None,
+                    ok: true,
+                });
+                rec.seal_epoch((i + 1) * 1_000, vec![(HostId(1), ns_hist(&[100]))]);
+            }
+            let dump = rec.snapshot();
+            assert_eq!((dump.phases.len(), dump.epochs.len()), (cap, cap));
+            if cap > 0 {
+                assert_eq!(dump.phases[cap - 1].start_ns, 99, "the newest stay");
+                assert_eq!(dump.epochs[cap - 1].epoch, 99);
+            }
+            assert!(
+                rec.epoch_due(101_000) && !rec.epoch_due(100_999),
+                "epochs still advance"
+            );
+        }
     }
 
     /// A disabled recorder captures nothing and never seals.

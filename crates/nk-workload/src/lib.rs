@@ -21,8 +21,9 @@
 //!   random fault-schedule generator the property tests draw from;
 //! * [`rows`] — the scripted runs more than one suite needs, each defined
 //!   once (`control_ramp`, `drained_move`, `warm_move`, `evacuation`,
-//!   `failover`, …), and `assert_mode_invariant`, the oracle that replays a
-//!   row at threads {1, 2, 4} and compares whole reports.
+//!   `faulted_evacuation`, `uneven_shares`, `failover`, …), and
+//!   `assert_mode_invariant`, the oracle that replays a row at threads
+//!   {1, 2, 4} and compares whole reports.
 
 #![forbid(unsafe_code)]
 

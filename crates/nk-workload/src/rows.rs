@@ -4,15 +4,22 @@
 //! A *row* is a function returning a [`ScenarioConfig`]: the experiments
 //! binary prints it, the integration tests assert on it, the determinism
 //! matrix replays it across executor modes. A caller that needs a variation
-//! edits the returned value — the fields are public.
+//! edits the returned value — the fields are public. The faulted rows
+//! ([`faulted_evacuation`]: a host killed mid-plan, then a committing retry;
+//! [`uneven_shares`]: hosts of 1, 3 and 8 shares, a warm move, then an
+//! evacuation refused at its last step) script their fault as a
+//! [`PlannedOp::Evacuate`] entry, so every determinism check in the suites,
+//! rollbacks included, is one [`assert_mode_invariant`] call.
 
 use crate::apps::BurstyClient;
-use crate::scenario::{Scenario, ScenarioConfig, ScenarioReport};
+use crate::scenario::{Planned, PlannedOp, Scenario, ScenarioConfig, ScenarioReport};
+use nk_cluster::{EvacFault, EvacFaultKind};
 use nk_types::faults::{FaultAction, FaultPlan};
 use nk_types::{
     ClusterConfig, ControlPolicy, HostConfig, HostId, NsmConfig, NsmId, VmConfig, VmId,
     VmToNsmPolicy,
 };
+use std::ops::RangeInclusive;
 
 /// Host `id` with one kernel-stack NSM serving all of `vms`.
 pub fn kernel_host(id: u8, vms: &[u8]) -> HostConfig {
@@ -24,6 +31,27 @@ pub fn kernel_host(id: u8, vms: &[u8]) -> HostConfig {
         cfg = cfg.with_vm(VmConfig::new(VmId(*vm)));
     }
     cfg
+}
+
+/// Host `id` with one kernel-stack NSM per VM of `vms`, NSM `n` serving
+/// the `n`th: every VM is its share's only tenant, so each may move warm.
+fn exclusive_host(id: u8, vms: RangeInclusive<u8>) -> HostConfig {
+    let mut cfg = HostConfig::new().with_host_id(HostId(id));
+    let mut mapping = Vec::new();
+    for (n, vm) in (1..).zip(vms) {
+        cfg = cfg
+            .with_nsm(NsmConfig::kernel(NsmId(n)))
+            .with_vm(VmConfig::new(VmId(vm)));
+        mapping.push((VmId(vm), NsmId(n)));
+    }
+    cfg.with_mapping(VmToNsmPolicy::Static(mapping))
+}
+
+/// A long-lived tenant on `vm` streaming `total_bytes` from t = 0.
+fn long_lived(vm: u8, total_bytes: usize) -> BurstyClient {
+    BurstyClient::new(VmId(vm), 0)
+        .with_total_bytes(total_bytes)
+        .long_lived()
 }
 
 /// Host 0 with VM 1 on a primary kernel-stack NSM and an idle standby.
@@ -124,25 +152,57 @@ pub fn warm_move() -> ScenarioConfig {
 /// long-lived connections — the worst case for draining — and the whole
 /// host clears in one plan at 2 ms onto the empty hosts 2 and 3.
 pub fn evacuation() -> ScenarioConfig {
-    let mapping = vec![(VmId(1), NsmId(1)), (VmId(2), NsmId(2))];
-    let evacuated = kernel_host(1, &[1, 2])
-        .with_nsm(NsmConfig::kernel(NsmId(2)))
-        .with_mapping(VmToNsmPolicy::Static(mapping));
     let cluster = ClusterConfig::new()
-        .with_host(evacuated)
+        .with_host(exclusive_host(1, 1..=2))
         .with_host(kernel_host(2, &[]))
         .with_host(kernel_host(3, &[]))
         .with_uplink_latency_us(2);
-    let tenant = |vm| {
-        BurstyClient::new(VmId(vm), 0)
-            .with_total_bytes(96 * 1024)
-            .long_lived()
-    };
     ScenarioConfig::new(cluster)
         .with_seed(11)
-        .with_tenant(tenant(1))
-        .with_tenant(tenant(2))
+        .with_tenant(long_lived(1, 96 * 1024))
+        .with_tenant(long_lived(2, 96 * 1024))
         .with_evacuation(2_000_000, HostId(1), 2)
+}
+
+/// [`evacuation`] under a fault: host 3 dies right before the plan installs
+/// VM 2 onto it (step 7), so the whole plan rolls back and both VMs stay on
+/// host 1; a retry a millisecond later packs both onto host 2 and commits.
+/// Both connections ride the rollback and the retry.
+pub fn faulted_evacuation() -> ScenarioConfig {
+    let mut cfg = evacuation().with_evacuation(3_000_000, HostId(1), 2);
+    let kill = EvacFault {
+        before_step: 7,
+        kind: EvacFaultKind::KillHost(HostId(3)),
+    };
+    let (host, pace, fault) = (HostId(1), 2, Some(kill));
+    cfg.script[0].op = PlannedOp::Evacuate { host, pace, fault };
+    cfg
+}
+
+/// Hosts of 1, 3 and 8 NSM shares — units of very uneven weight — with
+/// twelve long-lived tenants: at 2 ms VM 5 moves warm off the 8-share
+/// host 3 onto host 1's one share, at 3 ms an evacuation of the 3-share
+/// host 2 is refused at its last step (step 17, a share retirement) and
+/// every completed action reverts across hosts.
+pub fn uneven_shares() -> ScenarioConfig {
+    let cluster = ClusterConfig::new()
+        .with_host(kernel_host(1, &[1]))
+        .with_host(exclusive_host(2, 2..=4))
+        .with_host(exclusive_host(3, 5..=12))
+        .with_uplink_latency_us(2);
+    let mut cfg = ScenarioConfig::new(cluster).with_seed(11);
+    for vm in 1..=12 {
+        cfg = cfg.with_tenant(long_lived(vm, 32 * 1024));
+    }
+    let mut cfg = cfg.with_warm_migration(2_000_000, VmId(5), HostId(1));
+    let refuse = EvacFault {
+        before_step: 17,
+        kind: EvacFaultKind::FailAction,
+    };
+    let (at_ns, host, pace, fault) = (3_000_000, HostId(2), 2, Some(refuse));
+    let op = PlannedOp::Evacuate { host, pace, fault };
+    cfg.script.push(Planned { at_ns, op });
+    cfg
 }
 
 /// The executor-mode oracle: run `cfg` at threads {1, 2, 4}, assert that
@@ -191,6 +251,8 @@ mod tests {
             ("drained_move", drained_move(), 160 * 1024),
             ("warm_move", warm_move(), 160 * 1024),
             ("evacuation", evacuation(), 2 * 96 * 1024),
+            ("faulted_evacuation", faulted_evacuation(), 2 * 96 * 1024),
+            ("uneven_shares", uneven_shares(), 12 * 32 * 1024),
         ];
         for capacity in [2, 8] {
             for (name, row, bytes) in &rows {

@@ -36,7 +36,7 @@
 //!   its full rings: the response direction loses nothing either.
 
 use crate::apps::{echo_all, BurstyClient, VerifiedStream};
-use nk_cluster::{Cluster, ClusterStats};
+use nk_cluster::{Cluster, ClusterStats, EvacFault};
 use nk_ctrl::PlanEvent;
 use nk_engine::{EngineStats, VmSwitchStats};
 use nk_guest::GuestStats;
@@ -81,14 +81,17 @@ pub enum PlannedOp {
         warm: bool,
     },
     /// Clear a whole host through the planned, revertible path
-    /// ([`Cluster::evacuate_host`]) — warm per VM where the exclusivity
-    /// guard allows, drained otherwise, the emptied shares scaled to zero at
-    /// the plan tail.
+    /// ([`Cluster::evacuate_host_with_faults`]) — warm per VM where the
+    /// exclusivity guard allows, drained otherwise, the emptied shares
+    /// scaled to zero at the plan tail.
     Evacuate {
         /// The host to clear.
         host: HostId,
         /// VM chains started per plan wave (bounded concurrency).
         pace: usize,
+        /// A fault fired before one plan step; the plan rolls back when it
+        /// makes the step fail.
+        fault: Option<EvacFault>,
     },
 }
 
@@ -169,7 +172,8 @@ impl ScenarioConfig {
 
     /// Script a planned host evacuation (builder style).
     pub fn with_evacuation(self, at_ns: u64, host: HostId, pace: usize) -> Self {
-        self.planned(at_ns, PlannedOp::Evacuate { host, pace })
+        let fault = None;
+        self.planned(at_ns, PlannedOp::Evacuate { host, pace, fault })
     }
 
     fn planned(mut self, at_ns: u64, op: PlannedOp) -> Self {
@@ -528,8 +532,10 @@ impl Scenario {
                 _ => Ok(()),
             },
             // An evacuation of an already-empty host compiles to a
-            // trivially committing plan.
-            PlannedOp::Evacuate { host, pace } => cluster.evacuate_host(host, pace).map(|_| ()),
+            // trivially committing plan; a rolled-back one is no error.
+            PlannedOp::Evacuate { host, pace, fault } => cluster
+                .evacuate_host_with_faults(host, pace, fault.as_slice())
+                .map(|_| ()),
         }
     }
 

@@ -97,6 +97,10 @@ check "$(code crates/nk-netstack/src/stack.rs \
     | awk '/^    (pub )?fn (process_incoming|deliver|transmit)\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' \
     | grep -cE '\b(ids|sockets)\.')" -eq 0 \
     "a segment costs one hash: the per-segment and per-timer paths carry slots and never look a socket id up (ids, or sockets as the table was named)"
+check "$(cat crates/nk-workload/tests/*.rs tests/*.rs | grep -cE 'evacuate_host_with_faults|Cluster::new')" -eq 0 \
+    "one determinism oracle: no test builds a cluster or drives a faulted evacuation by hand; a fault is a scripted PlannedOp::Evacuate"
+check "$(cat crates/nk-workload/tests/*.rs tests/*.rs | grep -cE 'struct \w*RunReport')" -eq 0 \
+    "one determinism oracle: no test diffs a report of its own; runs compare whole ScenarioReports through rows::assert_mode_invariant"
 check "$(code crates/bench/src | grep -cE 'nk_cluster|Cluster::new')" -eq 0 \
     "one traffic driver: experiments runs every system run through Scenario"
 check "$(sed -n '/^\[dependencies\]/,/^\[/p' crates/bench/Cargo.toml | grep -c 'nk-cluster')" -eq 0 \

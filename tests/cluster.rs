@@ -7,11 +7,11 @@
 //! server, a cross-host migration drains — new connections land on the
 //! destination host's NSM while pinned ones finish on the source, whose NSM
 //! share then scales to zero — and the whole run replays byte-identically
-//! for a fixed seed (checked through the event-log digest and the full
-//! report).
+//! for a fixed seed at any thread count (`rows::assert_mode_invariant`
+//! diffs the full reports, event-log digest included).
 
 use netkernel::types::{ClusterAction, ClusterConfig, ClusterPolicy, HostId, NsmId, VmId};
-use netkernel::workload::rows::kernel_host as host;
+use netkernel::workload::rows::{assert_mode_invariant, kernel_host as host};
 use netkernel::{BurstyClient, Scenario, ScenarioConfig};
 
 /// Two hosts, one tenant each, both streaming to the ToR-attached server:
@@ -211,7 +211,8 @@ fn warm_migration_moves_a_long_lived_connection_without_draining() {
 }
 
 /// Warm-migration determinism: the same seeded warm scenario replays
-/// byte-identically — equal reports, equal event-log digests.
+/// byte-identically at threads 1, 2 and 4 — equal reports, event-log
+/// digests included.
 #[test]
 fn warm_migration_replays_byte_identically() {
     let config = |move_at_ns| {
@@ -230,10 +231,7 @@ fn warm_migration_replays_byte_identically() {
         .with_tenant(BurstyClient::new(VmId(2), 700_000).with_total_bytes(48 * 1024))
         .with_warm_migration(move_at_ns, VmId(1), HostId(2))
     };
-    let a = Scenario::new(config(1_500_000)).run().unwrap();
-    let b = Scenario::new(config(1_500_000)).run().unwrap();
-    assert_eq!(a, b, "two runs of the same seeded warm scenario diverged");
-    assert_eq!(a.event_digest, b.event_digest);
+    let a = assert_mode_invariant(&config(1_500_000));
     assert!(a.completed);
     assert_eq!(a.stats.warm_migrations, 1);
 
@@ -244,9 +242,9 @@ fn warm_migration_replays_byte_identically() {
     assert_ne!(a.event_digest, c.event_digest);
 }
 
-/// Byte-identical determinism: two executions of the same seeded
-/// configuration produce the same report — including the same event-log
-/// digest — and a different seed produces a different execution.
+/// Byte-identical determinism: executions of the same seeded configuration
+/// at threads 1, 2 and 4 produce the same report — including the same
+/// event-log digest — and a different plan produces a different execution.
 #[test]
 fn cluster_runs_replay_byte_identically() {
     let config = |second_kib: usize, move_at_ns| {
@@ -260,10 +258,7 @@ fn cluster_runs_replay_byte_identically() {
         .with_tenant(BurstyClient::new(VmId(2), 1_000_000).with_total_bytes(second_kib * 1024))
         .with_migration(move_at_ns, VmId(1), HostId(2))
     };
-    let a = Scenario::new(config(64, 2_000_000)).run().unwrap();
-    let b = Scenario::new(config(64, 2_000_000)).run().unwrap();
-    assert_eq!(a, b, "two runs of the same seeded cluster diverged");
-    assert_eq!(a.event_digest, b.event_digest);
+    let a = assert_mode_invariant(&config(64, 2_000_000));
     assert!(a.completed);
     assert!(!a.events.is_empty());
 

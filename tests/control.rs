@@ -9,7 +9,7 @@
 //! byte-identically from its seed.
 
 use netkernel::types::{HostId, NsmId, VmId};
-use netkernel::workload::rows::control_ramp;
+use netkernel::workload::rows::{assert_mode_invariant, control_ramp};
 use netkernel::{BurstyClient, ControlAction, ControlTarget, Scenario, ScenarioReport};
 
 /// The row's one host.
@@ -77,14 +77,12 @@ fn ramping_load_scales_up_rebalances_and_scales_down() {
     assert!(report.stats.control_work >= 3);
 }
 
-/// Byte-identical determinism: two executions of the same seeded
-/// configuration produce the same report, including the same control
-/// decision log; a different seed produces a different execution.
+/// Byte-identical determinism: executions of the same seeded configuration
+/// at threads 1, 2 and 4 produce the same report, including the same
+/// control decision log; a different ramp produces a different execution.
 #[test]
 fn controlled_runs_replay_byte_identically() {
-    let a = run_ramp();
-    let b = run_ramp();
-    assert_eq!(a, b, "two runs of the same seeded scenario diverged");
+    let a = assert_mode_invariant(&control_ramp());
     assert!(a.completed);
     assert!(!a.hosts[&HOST].control.is_empty());
 

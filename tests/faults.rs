@@ -10,7 +10,7 @@
 //! so a passing run certifies much more than "it did not crash".
 
 use netkernel::types::{HostId, NsmId, VmId};
-use netkernel::workload::rows::{self, single_stream, two_nsm_host};
+use netkernel::workload::rows::{self, assert_mode_invariant, single_stream, two_nsm_host};
 use netkernel::{
     random_fault_plan, FaultAction, FaultPlan, LinkFault, Scenario, ScenarioConfig, ScenarioReport,
 };
@@ -124,7 +124,7 @@ fn randomized_fault_schedules_preserve_invariants() {
 
 /// Determinism: the same `HostConfig` + `FaultPlan` + seed produces
 /// byte-identical statistics — engine, scheduler, guest, fault and stack
-/// counters — across two independent runs.
+/// counters — at threads 1, 2 and 4.
 #[test]
 fn identical_seeds_replay_identical_executions() {
     let build = |plan_seed| {
@@ -132,9 +132,7 @@ fn identical_seeds_replay_identical_executions() {
         let plan = random_fault_plan(plan_seed, &host, VmId(1), 12_000_000).unwrap();
         single_stream(host, 96 * 1024, plan).with_seed(42)
     };
-    let a = run(build(42));
-    let b = run(build(42));
-    assert_eq!(a, b, "two runs of the same seeded scenario diverged");
+    let a = assert_mode_invariant(&build(42));
     assert!(a.completed);
 
     // A different fault-schedule seed must actually change the execution —
