@@ -3,7 +3,6 @@
 use crate::exec::{ExecStats, ShardedExecutor, StepOutcome};
 use nk_ctrl::placer::{ClusterSample, HostLoad, Placer};
 use nk_ctrl::{EvacMode, PlanEvent};
-use nk_fabric::link::LinkConfig;
 use nk_fabric::{TorSwitch, Train};
 use nk_guest::GuestLib;
 use nk_host::NetKernelHost;
@@ -11,6 +10,7 @@ use nk_netstack::{Segment, StackConfig, TcpStack};
 use nk_obs::{FlightRecorder, FlowKey, ObsDump, ObsEventKind};
 use nk_sim::{CycleLedger, Epoch, Pollable, PoolMember};
 use nk_types::addr::{host_prefix, HOST_PREFIX_MASK};
+use nk_types::constants::{DEFAULT_POLL_ROUNDS, LINE_RATE_GBPS};
 use nk_types::{
     ClusterAction, ClusterConfig, ClusterEvent, HostId, NkError, NkResult, NsmId, StackKind, VmId,
 };
@@ -108,9 +108,7 @@ impl Cluster {
     /// charging datapath work so the placer sees utilisation.
     pub fn new(cfg: ClusterConfig) -> NkResult<Self> {
         cfg.validate()?;
-        let uplink = LinkConfig::ideal()
-            .with_rate_gbps(cfg.uplink_rate_gbps)
-            .with_latency_us(cfg.uplink_latency_us);
+        let uplink = cfg.uplink();
         let mut tor = TorSwitch::new();
         let mut hosts = BTreeMap::new();
         for host_cfg in &cfg.hosts {
@@ -255,10 +253,7 @@ impl Cluster {
     /// sockets by polling them (`poll`, `accept`, `recv`): the cluster ticks
     /// the stack every round and discards its `StackEvent`s.
     pub fn add_remote(&mut self, ip: u32) -> &mut TcpStack {
-        let link = LinkConfig::ideal()
-            .with_rate_gbps(self.cfg.uplink_rate_gbps)
-            .with_latency_us(self.cfg.uplink_latency_us);
-        let port = self.tor.attach_endpoint(ip, link);
+        let port = self.tor.attach_with_link(ip, self.cfg.uplink());
         let stack = TcpStack::new(StackConfig::new(ip), port);
         self.remotes.insert(ip, stack);
         self.remotes.get_mut(&ip).expect("just inserted")
@@ -388,7 +383,7 @@ impl Cluster {
                 (work, frames)
             },
             now_ns,
-            self.cfg.max_rounds,
+            DEFAULT_POLL_ROUNDS,
         );
         self.hosts = units.into_iter().map(|h| (h.host_id(), h)).collect();
 
@@ -581,7 +576,7 @@ impl Cluster {
         let elapsed_ns = now_ns.saturating_sub(self.last_sample_ns).max(1);
         self.last_sample_ns = now_ns;
         // Bytes one uplink direction can carry over the elapsed window.
-        let uplink_capacity = (self.cfg.uplink_rate_gbps * elapsed_ns as f64 / 8.0).max(1.0);
+        let uplink_capacity = (LINE_RATE_GBPS * elapsed_ns as f64 / 8.0).max(1.0);
         let mut hosts = BTreeMap::new();
         for (id, host) in self.hosts.iter_mut() {
             let members: Vec<PoolMember> = host.core_pool().members().collect();
@@ -1095,7 +1090,7 @@ mod tests {
     /// due every step (close samples it).
     #[test]
     fn freeze_ministep_runs_begin_and_rounds_but_no_close() {
-        use nk_types::{ControlPolicy, FaultAction, FaultPlan, LinkFault};
+        use nk_types::{ControlPolicy, FaultAction, FaultPlan, LinkConfig};
         const DT: u64 = 100_000;
         for threads in [1, 3] {
             let policy = ControlPolicy {
@@ -1111,7 +1106,7 @@ mod tests {
                 DT,
                 FaultAction::DegradeLink {
                     nsm: NsmId(1),
-                    link: LinkFault::default(),
+                    link: LinkConfig::ideal(),
                 },
             );
             for host in cluster.hosts.values_mut() {

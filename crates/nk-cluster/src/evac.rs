@@ -93,6 +93,16 @@ pub struct EvacFault {
     pub kind: EvacFaultKind,
 }
 
+/// Refuse a fault that names no step of `plan`: the step loop fires a fault
+/// only before the step with its id, so one past the end would be dropped
+/// and the plan would commit as if nothing had been scripted.
+fn check_faults(plan: &EvacPlan, faults: &[EvacFault]) -> NkResult<()> {
+    if faults.iter().any(|f| f.before_step >= plan.steps.len()) {
+        return Err(NkError::BadConfig);
+    }
+    Ok(())
+}
+
 /// The outcome of one evacuation attempt.
 #[derive(Clone, Debug)]
 pub struct EvacReport {
@@ -217,7 +227,8 @@ impl Cluster {
     /// rollback contract holds under every fault kind — completed actions
     /// unwind in reverse completion order, best-effort where a dead host
     /// makes the exact inverse impossible (its journaled exports re-install
-    /// at the source either way).
+    /// at the source either way). A fault naming a step past the plan's end
+    /// is refused (`BadConfig`) before anything runs.
     pub fn evacuate_host_with_faults(
         &mut self,
         host: HostId,
@@ -225,14 +236,16 @@ impl Cluster {
         faults: &[EvacFault],
     ) -> NkResult<EvacReport> {
         let plan = self.plan_evacuation(host, pace)?;
+        check_faults(&plan, faults)?;
         self.stats.evac_plans += 1;
         Ok(self.run_plan(plan, faults, PlanKind::Evacuation))
     }
 
     /// The body of [`Cluster::migrate_vm`] and [`Cluster::migrate_vm_warm`]:
     /// validate, compile the one-move chain (a warm move also retires the
-    /// source share it empties) and run it like any other plan. A
-    /// rolled-back plan returns the failed step's own error.
+    /// source share it empties), refuse a fault past its end and run it
+    /// like any other plan. A rolled-back plan returns the failed step's
+    /// own error.
     pub(crate) fn move_vm(
         &mut self,
         vm: VmId,
@@ -264,6 +277,7 @@ impl Cluster {
             retire.push(from_nsm);
         }
         let plan = EvacPlan::compile(from, &[EvacMove { vm, to, mode }], &retire, 1)?;
+        check_faults(&plan, faults)?;
         let report = self.run_plan(plan, faults, PlanKind::Direct);
         report.error.map_or(Ok(()), Err)
     }
@@ -1302,7 +1316,7 @@ pub(crate) mod tests {
     /// already holds must be honoured there, or the stream never resumes.
     #[test]
     fn warm_move_cut_at_the_freeze_bound_recovers_by_retransmission() {
-        use nk_types::LinkFault;
+        use nk_types::LinkConfig;
         // A quarter moves over the healthy link, a socket buffer's worth is
         // in flight at the cut, and the rest can only follow once that
         // flight is acknowledged at the destination.
@@ -1348,10 +1362,7 @@ pub(crate) mod tests {
         // Everything towards the source NSM is now lost — the peer's ACKs
         // included — while the NSM keeps transmitting.
         let src = cluster.host_mut(HostId(1)).unwrap();
-        let lossy = LinkFault {
-            loss: 1.0,
-            ..LinkFault::default()
-        };
+        let lossy = LinkConfig::ideal().with_loss(1.0);
         src.degrade_nsm_link(NsmId(1), lossy).unwrap();
         for _ in 0..4 {
             pump(&mut cluster, &mut sent, TOTAL);
@@ -1523,6 +1534,41 @@ pub(crate) mod tests {
         // Only one host: nowhere to go (found before pace validation).
         assert_eq!(cluster.plan_evacuation(HostId(1), 1), Err(NkError::NoNsm));
         assert_eq!(cluster.plan_evacuation(HostId(1), 0), Err(NkError::NoNsm));
+    }
+
+    /// A scripted fault must name a step of its plan: one past the end would
+    /// never fire, and the plan would commit as if nothing had been
+    /// scripted. Both entry points refuse it before the first step, and
+    /// the cluster, the plan counter and the plan log stay as they were.
+    #[test]
+    fn a_fault_past_the_plans_end_is_refused_before_any_step() {
+        let cfg = ClusterConfig::new()
+            .with_host(evac_host(&[1], &[]))
+            .with_host(empty_host(2))
+            .with_host(empty_host(3));
+        let (mut cluster, _, _) = cluster_with_traffic(cfg, &[1]);
+        let past_end = |plan: &EvacPlan| EvacFault {
+            before_step: plan.steps.len(),
+            kind: EvacFaultKind::FailAction,
+        };
+        let before = snapshot(&cluster);
+        let (plans, logged) = (cluster.stats().evac_plans, cluster.plan_events().len());
+
+        let fault = past_end(&cluster.plan_evacuation(HostId(1), 1).unwrap());
+        let evacuation = cluster.evacuate_host_with_faults(HostId(1), 1, &[fault]);
+        assert_eq!(evacuation.err(), Some(NkError::BadConfig));
+
+        let (vm, to, mode) = (VmId(1), HostId(2), EvacMode::Drained);
+        let one_move = EvacPlan::compile(HostId(1), &[EvacMove { vm, to, mode }], &[], 1);
+        let fault = past_end(&one_move.unwrap());
+        assert_eq!(
+            cluster.move_vm(vm, HostId(1), to, mode, &[fault]),
+            Err(NkError::BadConfig)
+        );
+
+        assert_eq!(snapshot(&cluster), before);
+        assert_eq!(cluster.stats().evac_plans, plans);
+        assert_eq!(cluster.plan_events().len(), logged);
     }
 
     /// A killed host takes the `/32` detours towards it along with its

@@ -201,20 +201,16 @@ impl CoreEngine {
     }
 
     /// Assign a VM to an NSM (statically by the operator or dynamically by a
-    /// load-balancing policy, §4.3). `NotFound` unless both are registered.
+    /// load-balancing policy, §4.3), or re-map it to a different one ("a
+    /// user can switch her NSM on the fly", §3): existing connections stay
+    /// pinned to their old NSM, new connections use the new one. `NotFound`
+    /// unless both are registered.
     pub fn map_vm(&mut self, vm: VmId, nsm: NsmId) -> NkResult<()> {
         if !self.nsms.contains_key(&nsm) {
             return Err(NkError::NotFound);
         }
         self.vms.get_mut(&vm).ok_or(NkError::NotFound)?.nsm = Some(nsm);
         Ok(())
-    }
-
-    /// Re-map a VM to a different NSM ("a user can switch her NSM on the
-    /// fly", §3). Existing connections stay pinned to their old NSM; new
-    /// connections use the new one.
-    pub fn remap_vm(&mut self, vm: VmId, nsm: NsmId) -> NkResult<()> {
-        self.map_vm(vm, nsm)
     }
 
     /// Hard-crash an NSM: its queue ends are dropped and every connection
@@ -787,7 +783,6 @@ mod tests {
         // A VM that was never registered cannot be mapped or frozen, and
         // the attempt leaves nothing behind for a later registration.
         assert_eq!(ce.map_vm(VmId(7), NsmId(1)), Err(NkError::NotFound));
-        assert_eq!(ce.remap_vm(VmId(7), NsmId(1)), Err(NkError::NotFound));
         ce.set_frozen(VmId(7), true);
         let (_g7, vm_end) = queue_set_pair(16);
         ce.register_vm(VmId(7), vec![vm_end], WakeState::new(), 0, None, None, 0)
@@ -1151,7 +1146,7 @@ mod tests {
         assert_eq!(ce.nsm_of(VmId(1)), Some(NsmId(1)));
         let (nsm2_switch, _n2) = queue_set_pair(16);
         ce.register_nsm(NsmId(2), vec![nsm2_switch]).unwrap();
-        ce.remap_vm(VmId(1), NsmId(2)).unwrap();
+        ce.map_vm(VmId(1), NsmId(2)).unwrap();
         assert!(ce.mapped_vms(NsmId(1)).is_empty());
         assert_eq!(ce.mapped_vms(NsmId(2)), vec![VmId(1)]);
     }
@@ -1273,7 +1268,7 @@ mod tests {
         assert_eq!(nsm1.pop_requests(&mut v, 8), 1);
 
         // Switch the VM to NSM 2 on the fly; a *new* socket goes there.
-        ce.remap_vm(VmId(1), NsmId(2)).unwrap();
+        ce.map_vm(VmId(1), NsmId(2)).unwrap();
         guest.submit(request(OpType::SocketCreate, 2)).unwrap();
         ce.poll(0);
         assert_eq!(nsm2.pop_requests(&mut v, 8), 1);

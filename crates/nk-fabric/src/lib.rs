@@ -9,7 +9,8 @@
 //!   while it polls and whose ToR end the caller's thread drains at the
 //!   round barrier;
 //! * [`link`] — rate limiting, propagation latency, loss and reordering
-//!   applied to a stream of frames;
+//!   applied to a stream of frames, in the one link shape
+//!   [`LinkConfig`] that `nk-types` defines and this crate re-exports;
 //! * [`switch`] — one longest-prefix route table with one forwarding loop:
 //!   a host's vSwitch (vNICs as /32 routes, its own block as a drop route,
 //!   its uplink as the 0/0 route) and the top-of-rack switch joining the

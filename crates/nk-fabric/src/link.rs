@@ -1,67 +1,18 @@
 //! Link impairments: rate limiting, propagation delay, loss and reordering.
+//!
+//! A link's shape is [`LinkConfig`], defined in `nk-types` so that host and
+//! cluster configurations and fault plans can name it; this module applies
+//! it to a stream of frames. A reordered frame is late by a fixed
+//! 50 µs (`REORDER_EXTRA_US`).
 
 use crate::port::{Frame, Train};
 use nk_sim::{SplitMix64, TokenBucket};
+pub use nk_types::LinkConfig;
 use std::collections::VecDeque;
 
-/// Configuration of one link.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkConfig {
-    /// Line rate in Gbps; `None` means unconstrained.
-    pub rate_gbps: Option<f64>,
-    /// One-way propagation delay in microseconds.
-    pub latency_us: u64,
-    /// Probability of dropping a frame.
-    pub loss: f64,
-    /// Probability of delaying a frame by an extra jitter, causing
-    /// reordering relative to later frames.
-    pub reorder: f64,
-    /// Extra delay applied to reordered frames, in microseconds.
-    pub reorder_extra_us: u64,
-}
-
-impl Default for LinkConfig {
-    fn default() -> Self {
-        LinkConfig {
-            rate_gbps: None,
-            latency_us: 0,
-            loss: 0.0,
-            reorder: 0.0,
-            reorder_extra_us: 50,
-        }
-    }
-}
-
-impl LinkConfig {
-    /// An ideal link: no rate cap, no delay, no loss.
-    pub fn ideal() -> Self {
-        Self::default()
-    }
-
-    /// A link with a rate cap in Gbps.
-    pub fn with_rate_gbps(mut self, gbps: f64) -> Self {
-        self.rate_gbps = Some(gbps);
-        self
-    }
-
-    /// A link with a one-way latency in microseconds.
-    pub fn with_latency_us(mut self, us: u64) -> Self {
-        self.latency_us = us;
-        self
-    }
-
-    /// A link dropping frames with probability `loss`.
-    pub fn with_loss(mut self, loss: f64) -> Self {
-        self.loss = loss;
-        self
-    }
-
-    /// A link reordering frames with probability `reorder`.
-    pub fn with_reorder(mut self, reorder: f64) -> Self {
-        self.reorder = reorder;
-        self
-    }
-}
+/// Extra delay of a reordered frame, in microseconds: it arrives after the
+/// frames sent within this window behind it.
+const REORDER_EXTRA_US: u64 = 50;
 
 struct Pending<P> {
     deliver_at_ns: u64,
@@ -167,7 +118,7 @@ impl<P: Train> Link<P> {
         }
         let mut delay_us = self.config.latency_us;
         if self.rng.chance(self.config.reorder) {
-            delay_us += self.config.reorder_extra_us;
+            delay_us += REORDER_EXTRA_US;
         }
         // The train's frames take consecutive sequence numbers, so it sorts
         // where each of them would.
@@ -443,7 +394,6 @@ mod tests {
             // (deliver_at_ns, seq, tag) of every admitted frame not yet due.
             let mut model: Vec<(u64, u64, u32)> = Vec::new();
             let (mut now, mut tag, mut inserted_inside) = (0u64, 0u32, 0usize);
-            let reorder_extra_us = LinkConfig::ideal().reorder_extra_us;
             for _ in 0..4_000 {
                 now += ops.next_below(8) * 1_000;
                 match ops.next_below(16) {
@@ -466,7 +416,7 @@ mod tests {
                     _ => {
                         // `offer` draws loss (never, at 0.0) then reorder.
                         let late = model_rng.chance(0.3);
-                        let delay_us = latency_us + if late { reorder_extra_us } else { 0 };
+                        let delay_us = latency_us + if late { REORDER_EXTRA_US } else { 0 };
                         tag += 1;
                         let key = (now + delay_us * 1_000, u64::from(tag));
                         inserted_inside += usize::from(model.iter().any(|m| (m.0, m.1) > key));

@@ -42,7 +42,6 @@ struct Route<P> {
 /// A longest-prefix-routed switch over frames with payload `P`.
 pub struct VirtualSwitch<P> {
     routes: Vec<Route<P>>,
-    default_link: LinkConfig,
     /// Frames dropped because no route, or a drop route, matched.
     unroutable: u64,
     /// Frames dropped because their best block or default route was the
@@ -60,16 +59,10 @@ pub struct VirtualSwitch<P> {
 pub type TorSwitch<P> = VirtualSwitch<P>;
 
 impl<P: Train> VirtualSwitch<P> {
-    /// A switch whose ports get ideal egress links by default.
+    /// A switch with no routes.
     pub fn new() -> Self {
-        Self::with_default_link(LinkConfig::ideal())
-    }
-
-    /// A switch applying `default_link` to every port unless overridden.
-    pub fn with_default_link(default_link: LinkConfig) -> Self {
         VirtualSwitch {
             routes: Vec::new(),
-            default_link,
             unroutable: 0,
             hairpins: 0,
             uplink_mark: (0, 0),
@@ -103,23 +96,20 @@ impl<P: Train> VirtualSwitch<P> {
         }
     }
 
-    /// Attach a new endpoint with address `addr`; returns the endpoint's port
-    /// handle. Re-attaching an existing address replaces the old port.
+    /// Attach a new endpoint with address `addr` over an ideal egress link;
+    /// returns the endpoint's port handle. Re-attaching an existing address
+    /// replaces the old port.
     pub fn attach(&mut self, addr: u32) -> Port<P> {
-        self.attach_with_link(addr, self.default_link)
+        self.attach_with_link(addr, LinkConfig::ideal())
     }
 
-    /// Attach a new endpoint with a specific egress link configuration.
+    /// Attach a new endpoint with a specific egress link configuration: a
+    /// vNIC, or at the ToR a datacenter-level endpoint whose stack runs on
+    /// the caller's thread.
     pub fn attach_with_link(&mut self, addr: u32, link: LinkConfig) -> Port<P> {
         let port = Port::new(addr);
         self.attach_alias(addr, port.clone(), link);
         port
-    }
-
-    /// Attach a datacenter-level endpoint at the ToR: a /32 like any vNIC,
-    /// whose stack runs on the caller's thread next to the ToR.
-    pub fn attach_endpoint(&mut self, addr: u32, link: LinkConfig) -> Port<P> {
-        self.attach_with_link(addr, link)
     }
 
     /// Attach `addr` as an *alias* of an existing port: frames for `addr`
@@ -229,6 +219,12 @@ impl<P: Train> VirtualSwitch<P> {
     pub fn link_stats(&self, addr: u32) -> Option<LinkStats> {
         let (_, link) = self.routes[self.exact(addr)?].hop.as_ref()?;
         Some(link.stats())
+    }
+
+    /// The shape of the egress link [`VirtualSwitch::link_stats`] reports on.
+    pub fn link_config(&self, addr: u32) -> Option<LinkConfig> {
+        let (_, link) = self.routes[self.exact(addr)?].hop.as_ref()?;
+        Some(*link.config())
     }
 
     /// Uplink wire bytes `(tx, rx)` since the last call (zero when none is
@@ -601,12 +597,13 @@ mod tests {
     #[test]
     fn uplink_and_block_routes_leave_the_vnic_seeds_alone() {
         let run = |uplink: bool| {
-            let mut sw = VirtualSwitch::with_default_link(LinkConfig::ideal().with_loss(0.3));
-            let a = sw.attach(0x0A01_0001);
+            let lossy = LinkConfig::ideal().with_loss(0.3);
+            let mut sw = VirtualSwitch::new();
+            let a = sw.attach_with_link(0x0A01_0001, lossy);
             if uplink {
                 sw.set_uplink_filtered(uplink_pair(0x0A01_0000).0, 0x0A01_0000, HOST_MASK);
             }
-            let b = sw.attach(0x0A01_0002);
+            let b = sw.attach_with_link(0x0A01_0002, lossy);
             for tag in 0..200 {
                 a.send(frame(a.addr(), b.addr(), tag));
                 b.send(frame(b.addr(), a.addr(), tag));
@@ -638,7 +635,7 @@ mod tests {
     fn endpoints_are_more_specific_than_trunks() {
         let mut tor: TorSwitch<u32> = TorSwitch::new();
         let mut trunk = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
-        let gw = tor.attach_endpoint(0x0A01_0500, LinkConfig::ideal());
+        let gw = tor.attach_with_link(0x0A01_0500, LinkConfig::ideal());
 
         let mut other = tor.attach_trunk(0x0A02_0000, HOST_MASK, LinkConfig::ideal());
         other.send(frame(0x0A02_0001, 0x0A01_0500, 1));
@@ -670,7 +667,7 @@ mod tests {
         let mut tor: TorSwitch<u32> = TorSwitch::new();
         let mut t1 = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
         let mut t2 = tor.attach_trunk(0x0A02_0000, HOST_MASK, LinkConfig::ideal());
-        let gw = tor.attach_endpoint(0xC0A8_0001, LinkConfig::ideal());
+        let gw = tor.attach_with_link(0xC0A8_0001, LinkConfig::ideal());
 
         // The migrated address 10.1.0.1 now lives behind host 2's trunk.
         assert!(tor.add_route_via(0x0A01_0001, u32::MAX, 0x0A02_0000));

@@ -5,6 +5,7 @@ use crate::host::NetKernelHost;
 use nk_ctrl::{EpochSample, NsmLoad};
 use nk_sim::record::TimeSeries;
 use nk_sim::{CorePool, CycleLedger, Epoch, PoolMember};
+use nk_types::constants::CORE_ENGINE_CORES;
 use nk_types::{ControlAction, ControlEvent, ControlTarget, NsmId, VmId};
 use std::collections::BTreeMap;
 
@@ -41,8 +42,7 @@ impl NetKernelHost {
         }
         if let Some(hz) = clock_hz {
             self.pools = CorePool::with_clock(hz);
-            self.pools
-                .register(PoolMember::Engine, self.cfg.core_engine_cores);
+            self.pools.register(PoolMember::Engine, CORE_ENGINE_CORES);
             for nsm_cfg in &self.cfg.nsms {
                 if self.nsms.contains_key(&nsm_cfg.id) {
                     self.pools
@@ -189,7 +189,7 @@ impl NetKernelHost {
     pub fn engine_cores(&self) -> usize {
         self.pools
             .cores(PoolMember::Engine)
-            .unwrap_or(self.cfg.core_engine_cores)
+            .unwrap_or(CORE_ENGINE_CORES)
     }
 }
 

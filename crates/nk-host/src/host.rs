@@ -19,6 +19,7 @@ use nk_obs::HostFeed;
 use nk_service::Nsm;
 use nk_sim::{CorePool, CostModel, Pollable, PoolMember};
 use nk_types::addr::nsm_ip_on;
+use nk_types::constants::CORE_ENGINE_CORES;
 use nk_types::faults::{FaultAction, FaultPlan};
 use nk_types::{ControlEvent, HostConfig, HostId, NkResult, NsmId, VmId};
 use std::collections::BTreeMap;
@@ -104,7 +105,7 @@ impl NetKernelHost {
             Some(hz) => CorePool::with_clock(hz),
             None => CorePool::new(),
         };
-        pools.register(PoolMember::Engine, cfg.core_engine_cores);
+        pools.register(PoolMember::Engine, CORE_ENGINE_CORES);
         let ctrl = match cfg.control.clone() {
             Some(policy) => Some(ControlPlane::new(policy)?),
             None => None,
@@ -336,8 +337,8 @@ impl NetKernelHost {
     // Because the round loop lives with the caller, a cluster-driven host
     // tallies nothing: `sched_stats()` stays at zero and
     // `HostConfig::max_poll_rounds` does not bound the rounds — the
-    // cluster's own stats and `ClusterConfig::max_rounds` play those roles
-    // at cluster scope.
+    // cluster's own stats and its `DEFAULT_POLL_ROUNDS` bound play those
+    // roles at cluster scope.
 
     /// Open a step of `dt_ns`: advance virtual time, refill accounting
     /// budgets and apply due fault events. Returns the fault events applied.
@@ -574,9 +575,9 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::*;
     use super::*;
-    use nk_types::faults::LinkFault;
     use nk_types::{
-        HostConfig, NkError, NsmConfig, SockAddr, SocketApi, StackKind, VmConfig, VmToNsmPolicy,
+        HostConfig, LinkConfig, NkError, NsmConfig, SockAddr, SocketApi, StackKind, VmConfig,
+        VmToNsmPolicy,
     };
 
     /// End-to-end: a guest application talks through GuestLib → CoreEngine →
@@ -956,7 +957,7 @@ mod tests {
                 450_000,
                 FaultAction::DegradeLink {
                     nsm: NsmId(2),
-                    link: LinkFault::default().with_latency_us(100),
+                    link: LinkConfig::ideal().with_latency_us(100),
                 },
             )
             .at(650_000, FaultAction::RestartNsm(NsmId(1)));
@@ -1000,7 +1001,7 @@ mod tests {
     #[test]
     fn link_fault_latency_past_one_second_is_rejected() {
         let mut host = one_vm_host(StackKind::Kernel);
-        let fault = |us| LinkFault::healthy().with_latency_us(us);
+        let fault = |us| LinkConfig::ideal().with_latency_us(us);
         for us in [1_000_001, u64::MAX] {
             let link = fault(us);
             let plan = FaultPlan::new().at(
@@ -1020,6 +1021,31 @@ mod tests {
         remote_listener(&mut host);
         guest_connect(&mut host);
         host.run(5, 100_000);
+    }
+
+    /// A `DegradeLink` with no rate cap gives the vNIC back its provisioned
+    /// `nic_rate_gbps`, not an uncapped link: restoring a degraded link
+    /// never leaves it faster than it was provisioned.
+    #[test]
+    fn restoring_a_degraded_link_gives_back_the_provisioned_rate() {
+        let mut cfg = kernel_cfg(0, 1, 1);
+        cfg.nsms[0].nic_rate_gbps = 25.0;
+        let mut host = NetKernelHost::new(cfg).unwrap();
+        let degrade = |link| FaultAction::DegradeLink {
+            nsm: NsmId(1),
+            link,
+        };
+        let plan = FaultPlan::new()
+            .at(100_000, degrade(LinkConfig::ideal().with_rate_gbps(1.0)))
+            .at(200_000, degrade(LinkConfig::ideal()));
+        host.install_fault_plan(&plan).unwrap();
+        let vnic = host.nsm_addr(NsmId(1));
+        let mut rates = Vec::new();
+        for _ in 0..3 {
+            rates.push(host.switch.link_config(vnic).unwrap().rate_gbps);
+            host.step(100_000);
+        }
+        assert_eq!(rates, [Some(25.0), Some(1.0), Some(25.0)]);
     }
 
     /// A non-zero host id shifts every NSM vNIC into the host's own /16

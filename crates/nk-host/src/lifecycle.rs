@@ -8,7 +8,6 @@
 //! degradation. All of it runs between poll phases, on the whole host.
 
 use crate::host::{NetKernelHost, VmSlot};
-use nk_fabric::link::LinkConfig;
 use nk_guest::GuestLib;
 use nk_netstack::cc::CcAlgorithm;
 use nk_netstack::{StackConfig, TcpStack};
@@ -16,10 +15,9 @@ use nk_queue::{queue_set_pair, NkDevice, WakeState};
 use nk_service::{Nsm, ServiceLib, SharedMemNsm, TcpNsm};
 use nk_shmem::HugepageRegion;
 use nk_sim::PoolMember;
-use nk_types::faults::LinkFault;
 use nk_types::migrate::{ConnSnapshot, VmWarmExport};
 use nk_types::{
-    NkError, NkResult, NsmConfig, NsmId, SocketApi, SocketId, StackKind, VmConfig, VmId,
+    LinkConfig, NkError, NkResult, NsmConfig, NsmId, SocketApi, SocketId, StackKind, VmConfig, VmId,
 };
 
 pub use nk_types::migrate::VmExport;
@@ -257,7 +255,7 @@ impl NetKernelHost {
     pub fn migrate_vm(&mut self, vm: VmId, to: NsmId) -> NkResult<()> {
         let from = self.engine.nsm_of(vm);
         self.wire_vm(to, vm)?;
-        self.engine.remap_vm(vm, to)?;
+        self.engine.map_vm(vm, to)?;
         if let Some(from) = from.filter(|f| *f != to) {
             if self.engine.pinned_connections(vm, from) == 0 {
                 if let Some(old) = self.nsms.get_mut(&from) {
@@ -675,19 +673,16 @@ impl NetKernelHost {
     /// Reconfigure the egress link towards an NSM's vNIC mid-flight (rate,
     /// loss, latency, reordering). Frames already in flight keep their
     /// original delivery schedule. Parameters out of range
-    /// ([`LinkFault::validate`]) are refused with `BadConfig`.
-    pub fn degrade_nsm_link(&mut self, nsm: NsmId, fault: LinkFault) -> NkResult<()> {
+    /// ([`LinkConfig::validate`]) are refused with `BadConfig`.
+    pub fn degrade_nsm_link(&mut self, nsm: NsmId, link: LinkConfig) -> NkResult<()> {
         let nsm_cfg = self.cfg.nsm(nsm).ok_or(NkError::NotFound)?;
-        fault.validate()?;
+        link.validate()?;
         let config = LinkConfig {
-            // A fault with no explicit cap falls back to the vNIC's
+            // A link with no explicit cap falls back to the vNIC's
             // configured line rate — restoring a degraded link must never
             // leave it faster than it was provisioned.
-            rate_gbps: Some(fault.rate_gbps.unwrap_or(nsm_cfg.nic_rate_gbps)),
-            latency_us: fault.latency_us,
-            loss: fault.loss,
-            reorder: fault.reorder,
-            ..LinkConfig::default()
+            rate_gbps: Some(link.rate_gbps.unwrap_or(nsm_cfg.nic_rate_gbps)),
+            ..link
         };
         if self
             .switch

@@ -11,7 +11,8 @@
 //! drained NSM share — is recorded as a [`ClusterEvent`] so a whole cluster
 //! run can be replayed and digested deterministically.
 
-use crate::config::{valid_rate_gbps, HostConfig, MAX_LINK_LATENCY_US};
+use crate::config::{HostConfig, LinkConfig};
+use crate::constants::LINE_RATE_GBPS;
 use crate::error::{NkError, NkResult};
 use crate::ids::{HostId, NsmId, VmId};
 
@@ -224,13 +225,9 @@ impl ObsConfig {
 pub struct ClusterConfig {
     /// The hosts, each carrying its own [`HostConfig::host_id`].
     pub hosts: Vec<HostConfig>,
-    /// Rate of each host's uplink into the top-of-rack switch, in Gbps.
-    pub uplink_rate_gbps: f64,
-    /// One-way latency of each uplink, in microseconds.
+    /// One-way latency of each uplink, in microseconds. The uplink runs at
+    /// [`LINE_RATE_GBPS`] ([`ClusterConfig::uplink`]).
     pub uplink_latency_us: u64,
-    /// Upper bound on interleaved poll rounds per cluster step (the
-    /// cluster-level analogue of [`HostConfig::max_poll_rounds`]).
-    pub max_rounds: usize,
     /// OS threads busy in a poll phase of the cluster datapath, the caller
     /// of the step included (hosts are the unit of parallelism; rounds are
     /// separated by barriers, so results are byte-identical for any value).
@@ -251,9 +248,7 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             hosts: Vec::new(),
-            uplink_rate_gbps: crate::constants::LINE_RATE_GBPS,
             uplink_latency_us: 0,
-            max_rounds: crate::constants::DEFAULT_POLL_ROUNDS,
             threads: 1,
             shard_within_hosts: false,
             policy: None,
@@ -310,6 +305,14 @@ impl ClusterConfig {
         self
     }
 
+    /// The link each host's uplink and each ToR endpoint get: line rate,
+    /// [`ClusterConfig::uplink_latency_us`] one way.
+    pub fn uplink(&self) -> LinkConfig {
+        LinkConfig::ideal()
+            .with_rate_gbps(LINE_RATE_GBPS)
+            .with_latency_us(self.uplink_latency_us)
+    }
+
     /// Look up a host's configuration.
     pub fn host(&self, id: HostId) -> Option<&HostConfig> {
         self.hosts.iter().find(|h| h.host_id == id)
@@ -343,11 +346,8 @@ impl ClusterConfig {
                 }
             }
         }
-        if !valid_rate_gbps(self.uplink_rate_gbps)
-            || self.uplink_latency_us > MAX_LINK_LATENCY_US
-            || self.max_rounds == 0
-            || self.threads == 0
-        {
+        self.uplink().validate()?;
+        if self.threads == 0 {
             return Err(NkError::BadConfig);
         }
         if let Some(policy) = &self.policy {
@@ -555,16 +555,6 @@ mod tests {
             .with_host(host(1, 1))
             .with_host(host(2, 1));
         assert_eq!(dup_vm.validate(), Err(NkError::BadConfig));
-
-        for gbps in [0.0, f64::NAN, f64::INFINITY] {
-            let mut dead_uplink = ClusterConfig::new().with_host(host(1, 1));
-            dead_uplink.uplink_rate_gbps = gbps;
-            assert_eq!(dead_uplink.validate(), Err(NkError::BadConfig));
-        }
-
-        let mut no_rounds = ClusterConfig::new().with_host(host(1, 1));
-        no_rounds.max_rounds = 0;
-        assert_eq!(no_rounds.validate(), Err(NkError::BadConfig));
 
         let no_threads = ClusterConfig::new().with_host(host(1, 1)).with_threads(0);
         assert_eq!(no_threads.validate(), Err(NkError::BadConfig));

@@ -1,9 +1,10 @@
 //! Configuration for hosts, tenant VMs and Network Stack Modules.
 //!
 //! A [`HostConfig`] describes everything the operator controls: which VMs run
-//! on the host, which NSMs are provisioned, how VMs map onto NSMs, how many
-//! cores CoreEngine gets, and what isolation policy applies. The same
-//! configuration drives both the threaded and the simulated execution modes.
+//! on the host, which NSMs are provisioned, how VMs map onto NSMs, and what
+//! isolation policy applies. A [`LinkConfig`] describes one fabric link. The
+//! same configuration drives both the threaded and the simulated execution
+//! modes.
 
 use crate::constants::{
     DEFAULT_BATCH_SIZE, DEFAULT_HUGEPAGE_COUNT, DEFAULT_POLL_ROUNDS, DEFAULT_QUEUE_CAPACITY,
@@ -31,11 +32,11 @@ const MAX_QUEUE_CAPACITY: usize = 1 << 16;
 /// Longest one-way link latency, uplink or injected fault: 1 s, four orders
 /// of magnitude past a rack hop. The fabric schedules a frame at
 /// `now + latency_us * 1000` ns, which overflows near `u64::MAX`.
-pub(crate) const MAX_LINK_LATENCY_US: u64 = 1_000_000;
+const MAX_LINK_LATENCY_US: u64 = 1_000_000;
 
 /// A configured rate must be a finite, positive number of Gbps (`NaN <= 0.0`
 /// is false, so a plain sign test lets NaN and infinity through).
-pub(crate) fn valid_rate_gbps(gbps: f64) -> bool {
+fn valid_rate_gbps(gbps: f64) -> bool {
     gbps.is_finite() && gbps > 0.0
 }
 
@@ -176,6 +177,67 @@ impl NsmConfig {
     }
 }
 
+/// The shape of one fabric link: a vNIC's, an uplink's, or the one a
+/// [`crate::FaultAction::DegradeLink`] installs mid-flight. The fabric's
+/// links apply it; this crate describes it so configurations and fault
+/// plans can name it without depending on the fabric.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct LinkConfig {
+    /// Line rate in Gbps; `None` means unconstrained.
+    pub rate_gbps: Option<f64>,
+    /// One-way propagation delay in microseconds.
+    pub latency_us: u64,
+    /// Probability of dropping a frame.
+    pub loss: f64,
+    /// Probability of delaying a frame by a fixed extra jitter, so it
+    /// arrives after frames sent later.
+    pub reorder: f64,
+}
+
+impl LinkConfig {
+    /// An ideal link: no rate cap, no delay, no loss, no reordering.
+    pub fn ideal() -> Self {
+        Self::default()
+    }
+
+    /// Cap the rate in Gbps (builder style).
+    pub fn with_rate_gbps(mut self, gbps: f64) -> Self {
+        self.rate_gbps = Some(gbps);
+        self
+    }
+
+    /// Set the one-way latency in microseconds (builder style).
+    pub fn with_latency_us(mut self, us: u64) -> Self {
+        self.latency_us = us;
+        self
+    }
+
+    /// Drop frames with probability `loss` (builder style).
+    pub fn with_loss(mut self, loss: f64) -> Self {
+        self.loss = loss;
+        self
+    }
+
+    /// Reorder frames with probability `reorder` (builder style).
+    pub fn with_reorder(mut self, reorder: f64) -> Self {
+        self.reorder = reorder;
+        self
+    }
+
+    /// Check the parameters: probabilities in `0..=1`, a finite positive
+    /// rate cap, and a latency of at most one second.
+    pub fn validate(&self) -> NkResult<()> {
+        if !(0.0..=1.0).contains(&self.loss)
+            || !(0.0..=1.0).contains(&self.reorder)
+            || self.rate_gbps.is_some_and(|g| !valid_rate_gbps(g))
+            || self.latency_us > MAX_LINK_LATENCY_US
+        {
+            return Err(NkError::BadConfig);
+        }
+        Ok(())
+    }
+}
+
 /// How CoreEngine arbitrates between VMs sharing NSMs (§4.4, §7.6).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub enum IsolationPolicy {
@@ -218,8 +280,6 @@ pub struct HostConfig {
     pub nsms: Vec<NsmConfig>,
     /// VM → NSM assignment policy.
     pub mapping: VmToNsmPolicy,
-    /// Cores dedicated to CoreEngine NQE switching (the paper always uses 1).
-    pub core_engine_cores: usize,
     /// Isolation policy applied by CoreEngine.
     pub isolation: IsolationPolicy,
     /// Number of 2 MB hugepages shared between each VM–NSM pair (1 to 1024).
@@ -244,7 +304,6 @@ impl Default for HostConfig {
             vms: Vec::new(),
             nsms: Vec::new(),
             mapping: VmToNsmPolicy::LeastLoaded,
-            core_engine_cores: 1,
             isolation: IsolationPolicy::RoundRobin,
             hugepages_per_pair: DEFAULT_HUGEPAGE_COUNT,
             batch_size: DEFAULT_BATCH_SIZE,
@@ -368,9 +427,6 @@ impl HostConfig {
                 return Err(NkError::BadConfig);
             }
         }
-        if self.core_engine_cores == 0 {
-            return Err(NkError::BadConfig);
-        }
         if self.batch_size == 0
             || !(1..=MAX_QUEUE_CAPACITY).contains(&self.queue_capacity)
             || !(1..=MAX_HUGEPAGES_PER_PAIR).contains(&self.hugepages_per_pair)
@@ -489,7 +545,7 @@ mod tests {
         // count with an id for each (100 000 used to reach the allocator).
         // Oversized memory counts used to pass and then overflow in the
         // allocation at attach.
-        let rows: [(Edit, bool); 20] = [
+        let rows: [(Edit, bool); 19] = [
             (|c| c.vms[0].vcpus = 256, true),
             (|c| c.vms[0].vcpus = 257, false),
             (|c| c.vms[0].vcpus = 100_000, false),
@@ -501,7 +557,6 @@ mod tests {
             (|c| c.vms[0].rate_limit_gbps = Some(f64::INFINITY), false),
             (|c| c.vms[0].rate_limit_gbps = Some(0.0), false),
             (|c| c.vms[0].rate_limit_gbps = Some(-1.0), false),
-            (|c| c.core_engine_cores = 0, false),
             (|c| c.hugepages_per_pair = 1024, true),
             (|c| c.hugepages_per_pair = 1025, false),
             (|c| c.hugepages_per_pair = usize::MAX, false),

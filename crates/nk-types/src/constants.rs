@@ -27,6 +27,10 @@ pub const DEFAULT_POLL_ROUNDS: usize = 16;
 /// Line rate of the physical NIC in gigabits per second (Mellanox CX-4 100G).
 pub const LINE_RATE_GBPS: f64 = 100.0;
 
+/// Cores dedicated to CoreEngine NQE switching on every host (the paper
+/// always uses 1).
+pub const CORE_ENGINE_CORES: usize = 1;
+
 /// Clock frequency of one physical core in cycles per second (2.3 GHz Xeon
 /// E5-2698 v3, §7.1).
 pub const CYCLES_PER_SECOND: u64 = 2_300_000_000;

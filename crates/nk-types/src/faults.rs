@@ -10,79 +10,9 @@
 //! the exact same execution, which is what the seeded scenario and property
 //! tests rely on.
 
-use crate::config::{valid_rate_gbps, HostConfig, MAX_LINK_LATENCY_US};
+use crate::config::{HostConfig, LinkConfig};
 use crate::error::{NkError, NkResult};
 use crate::ids::{NsmId, VmId};
-
-/// A mid-flight change to an NSM's vNIC link, mirroring
-/// `nk_fabric::LinkConfig` without depending on the fabric crate.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkFault {
-    /// New line rate in Gbps; `None` keeps the NSM vNIC's configured rate.
-    pub rate_gbps: Option<f64>,
-    /// New one-way propagation delay in microseconds.
-    pub latency_us: u64,
-    /// New frame-loss probability.
-    pub loss: f64,
-    /// New reordering probability.
-    pub reorder: f64,
-}
-
-impl Default for LinkFault {
-    fn default() -> Self {
-        LinkFault {
-            rate_gbps: None,
-            latency_us: 0,
-            loss: 0.0,
-            reorder: 0.0,
-        }
-    }
-}
-
-impl LinkFault {
-    /// An unimpaired link (no cap, no delay, no loss): restores a degraded
-    /// link to health.
-    pub fn healthy() -> Self {
-        Self::default()
-    }
-
-    /// Cap the rate (builder style).
-    pub fn with_rate_gbps(mut self, gbps: f64) -> Self {
-        self.rate_gbps = Some(gbps);
-        self
-    }
-
-    /// Add propagation delay (builder style).
-    pub fn with_latency_us(mut self, us: u64) -> Self {
-        self.latency_us = us;
-        self
-    }
-
-    /// Drop frames with probability `loss` (builder style).
-    pub fn with_loss(mut self, loss: f64) -> Self {
-        self.loss = loss;
-        self
-    }
-
-    /// Reorder frames with probability `reorder` (builder style).
-    pub fn with_reorder(mut self, reorder: f64) -> Self {
-        self.reorder = reorder;
-        self
-    }
-
-    /// Check the parameters: probabilities in `0..=1`, a finite positive
-    /// rate cap, and a latency of at most one second.
-    pub fn validate(&self) -> NkResult<()> {
-        if !(0.0..=1.0).contains(&self.loss)
-            || !(0.0..=1.0).contains(&self.reorder)
-            || self.rate_gbps.is_some_and(|g| !valid_rate_gbps(g))
-            || self.latency_us > MAX_LINK_LATENCY_US
-        {
-            return Err(NkError::BadConfig);
-        }
-        Ok(())
-    }
-}
 
 /// One infrastructure fault (or recovery action) a host can apply.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -102,12 +32,15 @@ pub enum FaultAction {
         to: NsmId,
     },
     /// Reconfigure the egress link towards an NSM's vNIC mid-flight.
-    /// In-flight frames keep their original delivery schedule.
+    /// In-flight frames keep their original delivery schedule. A link with
+    /// no rate cap gets the vNIC's provisioned `nic_rate_gbps`, so restoring
+    /// with [`LinkConfig::ideal`] never leaves the vNIC faster than it was
+    /// provisioned.
     DegradeLink {
         /// The NSM whose vNIC link changes.
         nsm: NsmId,
-        /// The new impairment parameters.
-        link: LinkFault,
+        /// The new link shape.
+        link: LinkConfig,
     },
 }
 
@@ -167,7 +100,7 @@ impl FaultPlan {
     /// migrations / link changes must target an NSM that is alive at
     /// that point in the schedule (not crashed-and-not-yet-restarted — a
     /// "validated" plan must never strand a VM on a dead NSM), and every
-    /// link fault must pass [`LinkFault::validate`].
+    /// degraded link must pass [`LinkConfig::validate`].
     pub fn validate(&self, cfg: &HostConfig) -> NkResult<()> {
         let mut crashed: Vec<NsmId> = Vec::new();
         for ev in self.sorted_events() {
@@ -303,7 +236,7 @@ mod tests {
                 200,
                 FaultAction::DegradeLink {
                     nsm: NsmId(1),
-                    link: LinkFault::default().with_loss(0.1),
+                    link: LinkConfig::ideal().with_loss(0.1),
                 },
             );
         assert_eq!(plan.validate(&cfg()), Err(NkError::BadConfig));
@@ -315,7 +248,7 @@ mod tests {
             100,
             FaultAction::DegradeLink {
                 nsm: NsmId(1),
-                link: LinkFault::default().with_loss(1.5),
+                link: LinkConfig::ideal().with_loss(1.5),
             },
         );
         assert_eq!(plan.validate(&cfg()), Err(NkError::BadConfig));
@@ -329,9 +262,7 @@ mod tests {
                 100,
                 FaultAction::DegradeLink {
                     nsm: NsmId(1),
-                    link: LinkFault::healthy()
-                        .with_rate_gbps(gbps)
-                        .with_latency_us(50),
+                    link: LinkConfig::ideal().with_rate_gbps(gbps).with_latency_us(50),
                 },
             );
             assert_eq!(plan.validate(&cfg()).is_ok(), ok, "rate {gbps}");

@@ -9,7 +9,7 @@
 //! * the socket operations and execution results carried by NQEs ([`ops`]),
 //! * simplified socket addresses ([`addr`]),
 //! * error types ([`error`]),
-//! * configuration for hosts, VMs and NSMs ([`config`]),
+//! * configuration for hosts, VMs, NSMs and fabric links ([`config`]),
 //! * deterministic fault-injection plans ([`faults`]),
 //! * operator control-plane policies and decision events ([`control`]),
 //! * cluster-scope configurations, placement policies and events ([`cluster`]),
@@ -42,12 +42,12 @@ pub use addr::SockAddr;
 pub use api::{EpollEvent, PollEvents, ShutdownHow, SocketApi};
 pub use cluster::{ClusterAction, ClusterConfig, ClusterEvent, ClusterPolicy, ObsConfig};
 pub use config::{
-    CcKind, HostConfig, IsolationPolicy, NsmConfig, StackKind, VmConfig, VmToNsmPolicy,
+    CcKind, HostConfig, IsolationPolicy, LinkConfig, NsmConfig, StackKind, VmConfig, VmToNsmPolicy,
 };
 pub use control::{ControlAction, ControlEvent, ControlPolicy, ControlTarget};
 pub use detmap::DetMap;
 pub use error::{NkError, NkResult};
-pub use faults::{FaultAction, FaultEvent, FaultPlan, LinkFault};
+pub use faults::{FaultAction, FaultEvent, FaultPlan};
 pub use ids::{ConnKey, HostId, NsmId, QueueSetId, SocketId, VmId};
 pub use migrate::{
     ConnSnapshot, GuestSockSnapshot, TcpConnSnapshot, TcpPhase, VmExport, VmWarmExport,

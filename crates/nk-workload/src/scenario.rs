@@ -47,10 +47,10 @@ use nk_netstack::TcpStack;
 use nk_obs::ObsDump;
 use nk_sim::SplitMix64;
 use nk_types::addr::{host_prefix, HOST_PREFIX_MASK};
-use nk_types::faults::{FaultAction, FaultPlan, LinkFault};
+use nk_types::faults::{FaultAction, FaultPlan};
 use nk_types::{
-    ClusterConfig, ClusterEvent, ControlEvent, HostConfig, HostId, NkError, NkResult, NsmId,
-    SockAddr, SocketId, VmId,
+    ClusterConfig, ClusterEvent, ControlEvent, HostConfig, HostId, LinkConfig, NkError, NkResult,
+    NsmId, SockAddr, SocketId, VmId,
 };
 use std::collections::BTreeMap;
 
@@ -114,7 +114,7 @@ pub struct ScenarioConfig {
     pub fault_plans: Vec<(HostId, FaultPlan)>,
     /// Step budget: the run stops, incomplete, if the tenants have not
     /// finished by then (livelock guard; each step is itself bounded by
-    /// [`ClusterConfig::max_rounds`]).
+    /// [`nk_types::constants::DEFAULT_POLL_ROUNDS`] poll rounds).
     pub max_steps: usize,
     /// Steps to keep running after every tenant finished, so drains
     /// complete and the control planes observe the ramp-down.
@@ -319,7 +319,7 @@ pub fn random_fault_plan(
         match rng.next_below(3) {
             0 => {
                 // Degrade the serving NSM's link, restore it half a slot on.
-                let link = LinkFault::default()
+                let link = LinkConfig::ideal()
                     .with_loss(rng.next_f64() * 0.02)
                     .with_latency_us(rng.next_below(150))
                     .with_reorder(rng.next_f64() * 0.05);
@@ -329,7 +329,7 @@ pub fn random_fault_plan(
                         t + slot / 2,
                         FaultAction::DegradeLink {
                             nsm: current,
-                            link: LinkFault::healthy(),
+                            link: LinkConfig::ideal(),
                         },
                     );
             }

@@ -16,11 +16,11 @@
 
 use nk_ctrl::{PlanEvent, PlanEventKind};
 use nk_types::{
-    ClusterConfig, ControlPolicy, FaultAction, FaultPlan, HostId, LinkFault, NkError, NsmConfig,
+    ClusterConfig, ControlPolicy, FaultAction, FaultPlan, HostId, LinkConfig, NkError, NsmConfig,
     NsmId, VmId,
 };
 use nk_workload::rows::{self, assert_mode_invariant, kernel_host as host};
-use nk_workload::{BurstyClient, Scenario, ScenarioConfig, ScenarioReport};
+use nk_workload::{BurstyClient, PlannedOp, Scenario, ScenarioConfig, ScenarioReport};
 use std::collections::BTreeMap;
 
 const THREAD_MATRIX: [usize; 3] = [1, 2, 4];
@@ -60,7 +60,7 @@ fn faulted_cluster() -> ScenarioConfig {
             2_400_000,
             FaultAction::DegradeLink {
                 nsm: NsmId(2),
-                link: LinkFault::healthy().with_latency_us(50),
+                link: LinkConfig::ideal().with_latency_us(50),
             },
         );
     let mut cfg = ScenarioConfig::new(cluster)
@@ -181,6 +181,21 @@ fn faulted_evacuation_is_identical_at_any_thread_count() {
     assert_eq!(reference.bytes_verified, 2 * 96 * 1024);
     assert_eq!(reference.reconnects, 0);
     assert!(!reference.plan_events.is_empty());
+}
+
+/// A scripted fault past its plan's end fails the run loudly, before the
+/// plan's first step, instead of never firing while the plan commits.
+#[test]
+fn a_fault_past_the_plans_end_fails_the_run() {
+    let mut cfg = rows::faulted_evacuation();
+    let PlannedOp::Evacuate {
+        fault: Some(kill), ..
+    } = &mut cfg.script[0].op
+    else {
+        panic!("the row's first script entry is its faulted evacuation");
+    };
+    kill.before_step = 1_000;
+    assert_eq!(Scenario::new(cfg).run().err(), Some(NkError::BadConfig));
 }
 
 /// Hosts with 1, 3 and 8 shares in one cluster: digests, stats, the

@@ -105,5 +105,7 @@ check "$(code crates/bench/src | grep -cE 'nk_cluster|Cluster::new')" -eq 0 \
     "one traffic driver: experiments runs every system run through Scenario"
 check "$(sed -n '/^\[dependencies\]/,/^\[/p' crates/bench/Cargo.toml | grep -c 'nk-cluster')" -eq 0 \
     "one traffic driver: experiments runs every system run through Scenario, so nk-bench does not depend on nk-cluster"
+check "$(code crates src | grep -cE 'struct LinkFault|pub (reorder_extra_us|core_engine_cores|max_rounds|uplink_rate_gbps):|fn with_default_link')" -eq 0 \
+    "a link is described once, and a setting nothing sets is a constant"
 
 exit "$fails"

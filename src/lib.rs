@@ -46,7 +46,7 @@ pub use nk_cluster::Cluster;
 pub use nk_obs::{FlightRecorder, ObsDump, ObsFilter};
 pub use nk_types::{
     ClusterAction, ClusterConfig, ClusterEvent, ClusterPolicy, ControlAction, ControlEvent,
-    ControlPolicy, ControlTarget, FaultAction, FaultEvent, FaultPlan, LinkFault, NkError, NkResult,
-    SocketApi,
+    ControlPolicy, ControlTarget, FaultAction, FaultEvent, FaultPlan, LinkConfig, NkError,
+    NkResult, SocketApi,
 };
 pub use nk_workload::{random_fault_plan, BurstyClient, Scenario, ScenarioConfig, ScenarioReport};

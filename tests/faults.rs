@@ -12,7 +12,7 @@
 use netkernel::types::{HostId, NsmId, VmId};
 use netkernel::workload::rows::{self, assert_mode_invariant, single_stream, two_nsm_host};
 use netkernel::{
-    random_fault_plan, FaultAction, FaultPlan, LinkFault, Scenario, ScenarioConfig, ScenarioReport,
+    random_fault_plan, FaultAction, FaultPlan, LinkConfig, Scenario, ScenarioConfig, ScenarioReport,
 };
 
 fn run(cfg: ScenarioConfig) -> ScenarioReport {
@@ -75,7 +75,7 @@ fn link_degradation_mid_transfer_preserves_integrity() {
             1_000_000,
             FaultAction::DegradeLink {
                 nsm: NsmId(1),
-                link: LinkFault::default()
+                link: LinkConfig::ideal()
                     .with_loss(0.02)
                     .with_latency_us(100)
                     .with_reorder(0.05),
@@ -85,7 +85,7 @@ fn link_degradation_mid_transfer_preserves_integrity() {
             8_000_000,
             FaultAction::DegradeLink {
                 nsm: NsmId(1),
-                link: LinkFault::healthy(),
+                link: LinkConfig::ideal(),
             },
         );
     let report = run(single_stream(two_nsm_host(), 64 * 1024, plan));

@@ -46,9 +46,15 @@ struct World {
 
 impl World {
     fn new(link: LinkConfig) -> Self {
-        let mut switch = VirtualSwitch::with_default_link(link);
-        let client = TcpStack::new(StackConfig::new(CLIENT_IP), switch.attach(CLIENT_IP));
-        let server = TcpStack::new(StackConfig::new(SERVER_IP), switch.attach(SERVER_IP));
+        let mut switch = VirtualSwitch::new();
+        let client = TcpStack::new(
+            StackConfig::new(CLIENT_IP),
+            switch.attach_with_link(CLIENT_IP, link),
+        );
+        let server = TcpStack::new(
+            StackConfig::new(SERVER_IP),
+            switch.attach_with_link(SERVER_IP, link),
+        );
         World {
             switch,
             client,
