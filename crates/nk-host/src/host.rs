@@ -221,6 +221,14 @@ impl NetKernelHost {
         self.nsms.get(&nsm)?.service_stats()
     }
 
+    /// The TCP stack of a TCP-stack NSM, read-only.
+    pub fn nsm_stack(&self, nsm: NsmId) -> Option<&TcpStack> {
+        match self.nsms.get(&nsm)? {
+            Nsm::Tcp(n) => Some(n.stack()),
+            Nsm::SharedMem(_) => None,
+        }
+    }
+
     /// Shared-memory NSM statistics, when `nsm` is one.
     pub fn shm_stats(&self, nsm: NsmId) -> Option<nk_service::SharedMemStats> {
         self.nsms.get(&nsm)?.shm_stats()

@@ -1,13 +1,15 @@
 //! A warm step allocates nothing: once two stacks have exchanged traffic of
 //! one shape for a while, every buffer a step needs — the send queues' open
 //! tails once frozen, pieces gathered across a seam, run tables, timer and
-//! ACK queues, the switch's queues — comes back from an earlier step. The
-//! count is of allocations made on the test's own thread: the test harness
-//! allocates on threads of its own.
+//! ACK queues, the switches' queues and the trunks between them — comes
+//! back from an earlier step. The count is of allocations made on the
+//! test's own thread: the test harness allocates on threads of its own.
 
 use nk_fabric::switch::VirtualSwitch;
+use nk_fabric::Port;
 use nk_netstack::{Segment, StackConfig, TcpStack};
-use nk_types::{SockAddr, SocketId};
+use nk_types::addr::{host_prefix, HOST_PREFIX_MASK};
+use nk_types::{ClusterConfig, HostId, SockAddr, SocketId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -72,10 +74,10 @@ const CLIENT_IP: u32 = 0x0A00_0002;
 /// Steps run before counting, and steps counted.
 const STEPS: usize = 2000;
 
-/// A client and a server stack over one switch, with `conns` connections
-/// between them.
+/// A client and a server stack with `conns` connections between them, and
+/// the switches that carry their frames.
 struct World {
-    switch: VirtualSwitch<Segment>,
+    switches: Vec<VirtualSwitch<Segment>>,
     client: TcpStack,
     server: TcpStack,
     now: u64,
@@ -83,14 +85,49 @@ struct World {
 }
 
 impl World {
+    /// Both stacks on one switch.
     fn new(conns: usize) -> Self {
         let mut switch = VirtualSwitch::new();
-        let sp = switch.attach(SERVER_IP);
-        let cp = switch.attach(CLIENT_IP);
+        let server = (SERVER_IP, switch.attach(SERVER_IP));
+        let client = (CLIENT_IP, switch.attach(CLIENT_IP));
+        Self::connected(vec![switch], server, client, conns)
+    }
+
+    /// Each stack on a host switch of its own, the two joined through a
+    /// ToR by trunks shaped as a cluster's uplinks: every frame crosses
+    /// both trunks.
+    fn across_a_tor(conns: usize) -> Self {
+        let mut tor = VirtualSwitch::new();
+        let uplink = ClusterConfig::new().with_uplink_latency_us(2).uplink();
+        let mut host = |id: u8| {
+            let prefix = host_prefix(HostId(id));
+            let ip = prefix | 0xFF;
+            let mut switch = VirtualSwitch::new();
+            let trunk = tor.attach_trunk(prefix, HOST_PREFIX_MASK, uplink);
+            switch.set_uplink_filtered(trunk, prefix, HOST_PREFIX_MASK);
+            let port = switch.attach(ip);
+            (switch, (ip, port))
+        };
+        let (server_switch, server) = host(1);
+        let (client_switch, client) = host(2);
+        Self::connected(
+            vec![server_switch, client_switch, tor],
+            server,
+            client,
+            conns,
+        )
+    }
+
+    fn connected(
+        switches: Vec<VirtualSwitch<Segment>>,
+        (server_ip, server_port): (u32, Port<Segment>),
+        (client_ip, client_port): (u32, Port<Segment>),
+        conns: usize,
+    ) -> Self {
         let mut w = World {
-            switch,
-            client: TcpStack::new(StackConfig::new(CLIENT_IP), cp),
-            server: TcpStack::new(StackConfig::new(SERVER_IP), sp),
+            switches,
+            client: TcpStack::new(StackConfig::new(client_ip), client_port),
+            server: TcpStack::new(StackConfig::new(server_ip), server_port),
             now: 0,
             pairs: Vec::new(),
         };
@@ -100,7 +137,7 @@ impl World {
         let clients: Vec<SocketId> = (0..conns).map(|_| w.client.socket()).collect();
         for &cs in &clients {
             w.client
-                .connect(cs, SockAddr::new(SERVER_IP, 80), w.now)
+                .connect(cs, SockAddr::new(server_ip, 80), w.now)
                 .unwrap();
         }
         for _ in 0..10 {
@@ -120,12 +157,15 @@ impl World {
         w
     }
 
-    /// One 100-µs step: both stacks tick, the switch moves their frames.
+    /// One 100-µs step: both stacks tick, the switches move their frames,
+    /// the host switches before the ToR.
     fn step(&mut self) {
         self.now += 100_000;
         self.client.tick(self.now);
         self.server.tick(self.now);
-        self.switch.step(self.now);
+        for switch in &mut self.switches {
+            switch.step(self.now);
+        }
         self.client.discard_events();
         self.server.discard_events();
     }
@@ -185,7 +225,25 @@ fn warm_then_count(w: &mut World, mut shape: impl FnMut(&mut World) -> usize) ->
 /// that the server echoes.
 #[test]
 fn a_warm_rpc_step_allocates_nothing() {
-    let mut w = World::new(64);
+    rpc_allocates_nothing(World::new(64));
+}
+
+/// `bulk`-shaped: 4 connections, each writing 16 KiB whenever its send
+/// buffer takes it, and the server echoing what it reads.
+#[test]
+fn a_warm_bulk_step_allocates_nothing() {
+    bulk_allocates_nothing(World::new(4));
+}
+
+/// Both shapes with each stack on a host of its own: the trunks and the
+/// ToR hand frames on in buffers they trade, never in a node per frame.
+#[test]
+fn a_warm_step_across_a_tor_allocates_nothing() {
+    rpc_allocates_nothing(World::across_a_tor(64));
+    bulk_allocates_nothing(World::across_a_tor(4));
+}
+
+fn rpc_allocates_nothing(mut w: World) {
     let mut echo = Echo::each(64, 64);
     let mut owed = [0usize; 64];
     let mut reply = [0u8; 64];
@@ -214,11 +272,7 @@ fn a_warm_rpc_step_allocates_nothing() {
     );
 }
 
-/// `bulk`-shaped: 4 connections, each writing 16 KiB whenever its send
-/// buffer takes it, and the server echoing what it reads.
-#[test]
-fn a_warm_bulk_step_allocates_nothing() {
-    let mut w = World::new(4);
+fn bulk_allocates_nothing(mut w: World) {
     let mut echo = Echo::each(4, 64 << 10);
     let chunk: Vec<u8> = (0..16 << 10).map(|i| (i % 251) as u8).collect();
     let mut sink = vec![0u8; 64 << 10];

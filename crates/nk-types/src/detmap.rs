@@ -20,11 +20,13 @@
 //!
 //! Choosing: *is the table ever walked in key order on a live path?* If so
 //! it stays a `BTreeMap` (timers, epoll interest, every host/cluster/control
-//! map). If it is only looked up, it is a `DetMap` (the stack's sockets,
-//! demultiplexer and listeners, ServiceLib's socket records and their
-//! guest-tuple index, CoreEngine's `ConnTable`). A table that is neither can
-//! be no table at all: the hugepage allocator's chunks are two line bitmaps,
-//! not a map of live chunks beside a tree of free extents.
+//! map). If it is only looked up, it is a `DetMap`: `TcpStack::{ids, demux,
+//! listeners}`, ServiceLib's `socks` and `by_guest`, and
+//! `ConnTable::entries` (`scripts/check-one-path.sh` holds these six to it,
+//! and this module's test holds the mixer to spreading their keys). A table
+//! that is neither can be no table at all: the hugepage allocator's chunks
+//! are two line bitmaps, not a map of live chunks beside a tree of free
+//! extents.
 //!
 //! # What the fixed hasher does and does not promise
 //!
@@ -197,5 +199,80 @@ impl<K: Eq + Hash, V> DetMap<K, V> {
         let mut keys: Vec<K> = self.map.keys().cloned().collect();
         keys.sort_unstable();
         keys
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ConnKey, QueueSetId, SockAddr, SocketId, VmId};
+    use std::hash::BuildHasher;
+
+    /// Keys per shape: the scale of a datapath table.
+    const KEYS: u32 = 1_000;
+    /// Buckets of a table holding [`KEYS`] entries (a power of two, loaded
+    /// to at most 7/8): it indexes with the low 11 bits of the hash.
+    const BUCKETS: u64 = 2_048;
+
+    /// How many distinct low-bit buckets `keys` land in.
+    fn buckets_filled<K: Hash>(keys: impl Iterator<Item = K>) -> usize {
+        let hasher = BuildHasherDefault::<Mix64>::default();
+        let mut filled = vec![false; BUCKETS as usize];
+        for key in keys {
+            filled[(hasher.hash_one(&key) & (BUCKETS - 1)) as usize] = true;
+        }
+        filled.iter().filter(|&&f| f).count()
+    }
+
+    /// The fixed mixer spreads each datapath key shape, taken sequentially
+    /// as the system hands them out, like a random function: [`KEYS`] keys
+    /// fill at least 95 % of the buckets a uniformly random hash fills on
+    /// average, `BUCKETS · (1 − (1 − 1/BUCKETS)^KEYS)` ≈ 790. A mixer that
+    /// kept only the last word written puts every 4-tuple whose source port
+    /// is not its last field in one bucket.
+    #[test]
+    fn sequential_datapath_keys_fill_the_low_bit_buckets() {
+        let random = BUCKETS as f64 * (1.0 - (1.0 - 1.0 / BUCKETS as f64).powi(KEYS as i32));
+        let (nsm, remote) = (0x0A00_0010, 0x0A00_0200);
+        let port = |i: u32| 49_152 + i as u16;
+        let shapes = [
+            // The NSM stack's `demux` key of its own connections: (local,
+            // remote), the source port local.
+            (
+                "4-tuple, source port local",
+                buckets_filled(
+                    (0..KEYS).map(|i| (SockAddr::new(nsm, port(i)), SockAddr::new(remote, 7))),
+                ),
+            ),
+            // A listening stack's: the source port remote.
+            (
+                "4-tuple, source port remote",
+                buckets_filled(
+                    (0..KEYS).map(|i| (SockAddr::new(remote, 7), SockAddr::new(nsm, port(i)))),
+                ),
+            ),
+            // `TcpStack::ids` and ServiceLib's `socks`.
+            ("socket id", buckets_filled((1..=KEYS).map(SocketId))),
+            // ServiceLib's `by_guest` index.
+            (
+                "guest tuple",
+                buckets_filled((1..=KEYS).map(|i| (VmId(1), SocketId(i)))),
+            ),
+            // CoreEngine's `ConnTable`: a guest tuple with its queue set.
+            (
+                "connection key",
+                buckets_filled((1..=KEYS).map(|i| ConnKey {
+                    entity: 1,
+                    queue_set: QueueSetId(0),
+                    socket: SocketId(i),
+                })),
+            ),
+        ];
+        for (shape, filled) in shapes {
+            assert!(
+                filled as f64 >= 0.95 * random,
+                "{shape}: {KEYS} keys filled {filled} of {BUCKETS} buckets; a random hash fills {random:.0}"
+            );
+        }
     }
 }

@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# Count gates: one traced 3-second nkbench run per workload, and every bound
+# a count per operation inside it, so the machine's speed cancels (the runs
+# are seeded, so segment counts are exact). No bound here reads a clock.
+# - Allocations per operation (`host.allocs_per_op`, at most):
+#   - bulk 0.2 (reads ~0.10): a data segment pays once and a hugepage hop
+#     pays nothing. Guest and stack writes, and a segment gathered across
+#     two writes, reuse recycled buffers; the NSM moves runs by reference.
+#     25.8 with a `Vec` per segment, 2.6 with a copy per hugepage hop, 1.3
+#     while each gathered seam piece was a fresh buffer.
+#   - rpc 0.1 (~0.05): a call pays nothing. 3.9 with a `Vec` per response
+#     batch and per `recv`, 2.2 while the hops copied, 1.1 while each frozen
+#     send-queue tail was a fresh buffer.
+#   - churn 3.0 (~2.7): a connection pays once, reusing its slot, queue
+#     storage and inline congestion control. 17.4 with a slot, a boxed
+#     congestion control and fresh queues per connection, 18.8 parking a
+#     whole connection per TIME-WAIT socket, 6.4 with a boxed socket-table
+#     entry, 4.9 while the hops copied, 3.8 with fresh frozen tails.
+#   - xhost_t1 0.8 (~0.40): the host<->ToR trunk is a port that trades
+#     buffers. 4.9 with a queue node per trunk frame and per lane report,
+#     3.6 before the ports traded buffers.
+# - Segments per operation (`netstack.segments / sim.ops`, equal at two
+#   decimals; the handshakes opening a run add a few that no operation
+#   owns). More is a protocol regression, fewer a count that lost segments:
+#   - rpc 2.00: an in-order segment's ACK waits up to 500 us for a segment
+#     to carry it (RFC 9293 3.8.6.3), and a read owes the peer a window
+#     update only once it opens the window by min(half the buffer, one
+#     MSS) (3.8.6.2.2). 4.00 with an ACK per data segment, 5.00 when every
+#     read owed an update too;
+#   - churn 9.00 (11.00 and 12.00 before those two rules);
+#   - bulk 22.63 throughout: its ACKs ride on echoed data, its reads open
+#     the window by far more than an MSS, and a train of full-sized
+#     segments still counts each.
+# - Every segment the NSM stacks send or receive crosses one vNIC link:
+#   `fabric.frames == netstack.segments` on bulk, rpc and churn (a train
+#   counted as one frame breaks it).
+# - `trace.wired_matches_host == 1` on every run: the traced host is the
+#   real host.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+status=0
+# workload, allocs_per_op bound, pinned segments per operation (- for none)
+while read -r workload allocs_max pinned; do
+  # The command of BENCHMARK.json, so the binary is built the way the benchmark builds it.
+  out=$(cargo run --release --offline --quiet --manifest-path examples/nkbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 3 --trace 1 </dev/null)
+  metric() {
+    grep -o "\"$1\":{\"value\":[-0-9.e+]*" <<<"$out" | sed 's/.*"value"://'
+  }
+  allocs=$(metric host.allocs_per_op)
+  segments=$(metric netstack.segments)
+  frames=$(metric fabric.frames)
+  ops=$(metric sim.ops)
+  wired=$(metric trace.wired_matches_host)
+  per_op=$(awk -v s="$segments" -v o="$ops" 'BEGIN { printf "%.2f", (o > 0 ? s / o : 1e9) }')
+  segs=""
+  if [ "$pinned" != - ]; then
+    segs=" segments_per_op=$per_op (netstack.segments=$segments sim.ops=$ops) fabric.frames=$frames"
+  fi
+  echo "$workload: host.allocs_per_op=$allocs$segs trace.wired_matches_host=$wired"
+  awk -v a="$allocs" -v l="$allocs_max" -v p="$per_op" -v want="$pinned" -v s="$segments" -v f="$frames" -v w="$wired" \
+    'BEGIN { exit !(a <= l && w == 1 && (want == "-" || (p == want && s == f))) }' || {
+    echo "$workload: a count moved (want allocs_per_op <= $allocs_max, segments_per_op == $pinned and fabric.frames == netstack.segments where pinned, wired == 1)"
+    status=1
+  }
+done <<'EOF'
+bulk 0.2 22.63
+rpc 0.1 2.00
+churn 3.0 9.00
+xhost_t1 0.8 -
+EOF
+exit $status

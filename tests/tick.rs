@@ -1,12 +1,13 @@
 //! `TcpStack::tick` costs what is active, not what exists — and behaves as
-//! if it still walked every socket. These tests drive bare stacks through
-//! the public API only. In a debug build (tier-1) every tick also runs the
-//! stack's own skip-audit, which polls each connection the wake list left
-//! out and panics if it had anything to do.
+//! if it still walked every socket. These tests drive bare stacks, and one
+//! a whole host, through the public API only. In a debug build (tier-1)
+//! every tick also runs the stack's own skip-audit, which polls each
+//! connection the wake list left out and panics if it had anything to do.
 
 use netkernel::fabric::link::LinkConfig;
 use netkernel::fabric::switch::VirtualSwitch;
 use netkernel::fabric::{Frame, Port, Train};
+use netkernel::host::NetKernelHost;
 use netkernel::netstack::cc::{Cc, CcAlgorithm, SharedVmWindow, VmSharedCc};
 use netkernel::netstack::{Segment, StackConfig, TcpStack};
 use netkernel::queue::{queue_set_pair, NkDevice, WakeState};
@@ -15,9 +16,10 @@ use netkernel::shmem::HugepageRegion;
 use netkernel::sim::SplitMix64;
 use netkernel::types::constants::MSS;
 use netkernel::types::{
-    Nqe, NsmId, OpType, QueueSetId, ShutdownHow, SockAddr, SocketId, StackKind, VmId,
+    HostConfig, NkError, Nqe, NsmConfig, NsmId, OpType, QueueSetId, ShutdownHow, SockAddr,
+    SocketApi, SocketId, StackKind, VmConfig, VmId, VmToNsmPolicy,
 };
-use netkernel::workload::seeded_payload;
+use netkernel::workload::{echo_all, seeded_payload};
 use std::collections::BTreeMap;
 
 /// What a sender of the mixed run does once its bytes are queued.
@@ -183,6 +185,113 @@ fn parked_time_wait_sockets_cost_nothing_and_are_reaped_on_time() {
         "all reaped on the deadline tick"
     );
     assert_eq!(w.client.stats().conns_polled - idle_to, PARKED as u64);
+}
+
+/// One short-connection slot of a guest: connect, send a request, read the
+/// echo back, close, and open again.
+enum ChurnSlot {
+    Idle,
+    Opening(SocketId),
+    Waiting(SocketId, usize),
+}
+
+/// Flat by count on the whole datapath, nkbench's `churn` shape: a guest's
+/// 32 slots open, exchange 64 B with a remote echo server and close, through
+/// GuestLib, CoreEngine, ServiceLib and the NSM's stack. The guest closes
+/// first, so the NSM's stack keeps a TIME-WAIT record per connection, and
+/// none expires inside the run: they grow from 0 into the thousands while
+/// the connections the stack polls per closed connection stay flat. A tick
+/// that walked every socket would poll each record on every tick. Seeded,
+/// so every count is exact.
+#[test]
+fn a_hosts_churn_polls_as_much_per_connection_as_time_wait_grows() {
+    const SLOTS: usize = 32;
+    const REQUEST: usize = 64;
+    /// Counted steps, in four quarters; 480 steps stay inside one TIME-WAIT
+    /// linger, so every record made is still held at the end.
+    const QUARTER: u64 = 120;
+    const REMOTE_IP: u32 = 0x0A00_0200;
+    let nsm = NsmId(1);
+    let mut host = NetKernelHost::new(
+        HostConfig::new()
+            .with_nsm(NsmConfig::kernel(nsm))
+            .with_vm(VmConfig::new(VmId(1)))
+            .with_mapping(VmToNsmPolicy::Static(vec![(VmId(1), nsm)])),
+    )
+    .unwrap();
+    let remote = host.add_remote(REMOTE_IP);
+    let listener = remote.socket();
+    remote.bind(listener, SockAddr::new(0, 7)).unwrap();
+    remote.listen(listener, SLOTS as u32).unwrap();
+    let server = SockAddr::new(REMOTE_IP, 7);
+    assert_eq!(host.nsm_stack(nsm).unwrap().socket_count(), 0);
+    let mut echoing = Vec::new();
+    let mut slots: Vec<ChurnSlot> = (0..SLOTS).map(|_| ChurnSlot::Idle).collect();
+    let mut rng = SplitMix64::new(7);
+    let mut buf = vec![0u8; 4096];
+    let request = seeded_payload(7, REQUEST);
+    let mut closed = 0u64;
+    let mut step = || {
+        let guest = host.guest_mut(VmId(1)).unwrap();
+        for slot in &mut slots {
+            *slot = match *slot {
+                // A slot waits a step now and then, as nkbench's think time.
+                ChurnSlot::Idle if rng.next_below(64) == 0 => ChurnSlot::Idle,
+                ChurnSlot::Idle => {
+                    let sock = guest.socket().unwrap();
+                    guest.connect(sock, server).unwrap();
+                    ChurnSlot::Opening(sock)
+                }
+                ChurnSlot::Opening(sock) => {
+                    let ev = SocketApi::poll(guest, sock);
+                    assert!(!ev.error() && !ev.hup(), "{sock:?} failed to open");
+                    if !ev.writable() {
+                        continue;
+                    }
+                    assert_eq!(guest.send(sock, &request), Ok(REQUEST));
+                    ChurnSlot::Waiting(sock, 0)
+                }
+                ChurnSlot::Waiting(sock, got) => {
+                    match guest.recv(sock, &mut buf[..REQUEST - got]) {
+                        Ok(n @ 1..) if got + n == REQUEST => {
+                            guest.close(sock).unwrap();
+                            closed += 1;
+                            ChurnSlot::Idle
+                        }
+                        Ok(n @ 1..) => ChurnSlot::Waiting(sock, got + n),
+                        Err(NkError::WouldBlock) => continue,
+                        other => panic!("{sock:?} read {other:?}"),
+                    }
+                }
+            };
+        }
+        host.step(DT_NS);
+        echo_all(
+            host.remote_mut(REMOTE_IP).unwrap(),
+            listener,
+            &mut echoing,
+            &mut buf,
+        );
+        let stack = host.nsm_stack(nsm).unwrap();
+        (stack.stats().conns_polled, stack.socket_count(), closed)
+    };
+    let mut quarters = Vec::new();
+    let mut from = step();
+    for _ in 0..4 {
+        let to = (0..QUARTER).map(|_| step()).last().unwrap();
+        quarters.push((to.0 - from.0, to.2 - from.2));
+        from = to;
+    }
+    let held = from.1.saturating_sub(SLOTS);
+    let per_conn: Vec<f64> = (quarters.iter())
+        .map(|&(polled, closed)| polled as f64 / closed as f64)
+        .collect();
+    assert!(held >= 2_000, "only {held} TIME-WAIT records");
+    assert!(
+        per_conn[3] <= 1.1 * per_conn[0],
+        "{per_conn:?} polls per closed connection, quarter by quarter ({quarters:?} polls and \
+         closes), as {held} records piled up"
+    );
 }
 
 /// An RTO fires on a socket nothing has touched since it sent: the peer is
