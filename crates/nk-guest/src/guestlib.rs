@@ -7,10 +7,9 @@ use nk_types::api::{EpollEvent, ShutdownHow};
 use nk_types::constants::NSM_SOCKET_ID_BASE;
 use nk_types::migrate::GuestSockSnapshot;
 use nk_types::{
-    DataHandle, NkError, NkResult, Nqe, OpResult, OpType, PollEvents, QueueSetId, SockAddr,
-    SocketApi, SocketId, VmId,
+    DataHandle, NkError, NkResult, Nqe, OpResult, OpType, PollEvents, QueueSetId, SlotTable,
+    SockAddr, SocketApi, SocketId, VmId,
 };
-use std::collections::BTreeMap;
 
 /// Statistics exposed by GuestLib.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -34,8 +33,12 @@ pub struct GuestLib {
     vm: VmId,
     device: NkDevice<RequesterEnd>,
     region: HugepageRegion,
-    /// Ordered so `epoll_wait` reports events deterministically across runs.
-    sockets: BTreeMap<SocketId, GuestSocket>,
+    /// Every socket, by id: one hash per call or NQE, and a closed socket's
+    /// slot (with its queues' storage) goes to the next socket.
+    sockets: SlotTable<SocketId, GuestSocket>,
+    /// Every socket and its slot, kept ascending by id: the order
+    /// `epoll_wait` reports in, whatever the slots'.
+    by_id: Vec<(SocketId, u32)>,
     next_socket: u32,
     send_buf: usize,
     batch: usize,
@@ -58,7 +61,8 @@ impl GuestLib {
             vm,
             device,
             region,
-            sockets: BTreeMap::new(),
+            sockets: SlotTable::new(),
+            by_id: Vec::new(),
             next_socket: 1,
             send_buf: nk_types::constants::DEFAULT_SEND_BUF,
             batch: nk_types::constants::DEFAULT_BATCH_SIZE,
@@ -122,9 +126,10 @@ impl GuestLib {
             Some(_) => return Err(NkError::InvalidState),
             None => return Err(NkError::BadSocket),
         };
+        self.unlist(sock);
         let s = self.sockets.remove(&sock).expect("state checked above");
         let mut rx_bytes = Vec::new();
-        for chunk in &s.rx_chunks {
+        for chunk in s.rx_chunks.drain(..) {
             let at = rx_bytes.len();
             rx_bytes.resize(at + chunk.len - chunk.consumed, 0);
             self.region
@@ -174,8 +179,22 @@ impl GuestLib {
         if snap.id.raw() < NSM_SOCKET_ID_BASE {
             self.next_socket = self.next_socket.max(snap.id.raw() + 1);
         }
-        self.sockets.insert(snap.id, s);
+        self.insert(s)
+    }
+
+    /// File socket `s` under its id, in the table and in id order.
+    fn insert(&mut self, s: GuestSocket) -> NkResult<()> {
+        let id = s.id;
+        let slot = self.sockets.insert(id, s)?;
+        let at = self.by_id.partition_point(|&(other, _)| other < id);
+        self.by_id.insert(at, (id, slot));
         Ok(())
+    }
+
+    /// Drop live socket `id` from the id order `epoll_wait` walks.
+    fn unlist(&mut self, id: SocketId) {
+        let at = self.by_id.binary_search_by_key(&id, |&(other, _)| other);
+        self.by_id.remove(at.expect("every live socket is listed"));
     }
 
     fn queue_set_for(&self, id: SocketId) -> QueueSetId {
@@ -214,16 +233,12 @@ impl GuestLib {
     /// more: its `CloseComplete` unpins its tuple in CoreEngine, and a
     /// later request would pin the tuple again, for good.
     fn request(&mut self, sock: SocketId, op: OpType, op_data: u64) -> NkResult<()> {
-        let s = self.sock(sock)?;
+        let s = self.sockets.get(&sock).ok_or(NkError::BadSocket)?;
         if s.state == GuestSocketState::Closing {
             return Err(NkError::Closed);
         }
         let qs = s.queue_set;
         self.submit(qs, Nqe::new(op, self.vm, qs, sock).with_op_data(op_data))
-    }
-
-    fn sock(&self, id: SocketId) -> NkResult<&GuestSocket> {
-        self.sockets.get(&id).ok_or(NkError::BadSocket)
     }
 
     fn sock_mut(&mut self, id: SocketId) -> NkResult<&mut GuestSocket> {
@@ -234,6 +249,27 @@ impl GuestLib {
 
     fn process_response(&mut self, nqe: Nqe) {
         self.stats.nqes_received += 1;
+        if nqe.op == OpType::ErrorEvent {
+            self.stats.errors += 1;
+        }
+        if nqe.op == OpType::Accepted && nqe.result().is_ok() {
+            // aux carries the ServiceLib-allocated guest socket id for the
+            // new connection; the data-handle field carries the packed peer
+            // address.
+            let (id, peer) = (SocketId(nqe.aux()), SockAddr::unpack(nqe.data.0));
+            let mut conn = GuestSocket::new(id, nqe.queue_set, self.send_buf);
+            conn.state = GuestSocketState::Established;
+            conn.remote = Some(peer);
+            if self.insert(conn).is_ok() {
+                if let Some(listener) = self.sockets.get_mut(&nqe.socket) {
+                    listener.accept_queue.push_back((id, peer));
+                }
+            }
+            return;
+        }
+        let Some(s) = self.sockets.get_mut(&nqe.socket) else {
+            return;
+        };
         match nqe.op {
             OpType::SocketCreated
             | OpType::BindComplete
@@ -242,86 +278,49 @@ impl GuestLib {
             | OpType::GetSockOptComplete
             | OpType::ShutdownComplete => {
                 if let OpResult::Err(e) = nqe.result() {
-                    if let Some(s) = self.sockets.get_mut(&nqe.socket) {
-                        s.state = GuestSocketState::Error(e);
-                    }
+                    s.state = GuestSocketState::Error(e);
                 }
             }
-            OpType::ConnectComplete => {
-                // Only a socket still connecting transitions: a late
-                // completion drained after the application already moved on
-                // (closed the socket, observed an error) must not resurrect
-                // it into the established state.
-                if let Some(s) = self.sockets.get_mut(&nqe.socket) {
-                    if matches!(s.state, GuestSocketState::Connecting) {
-                        match nqe.result() {
-                            OpResult::Ok => s.state = GuestSocketState::Established,
-                            OpResult::Err(e) => s.state = GuestSocketState::Error(e),
-                        }
-                    }
-                }
-            }
-            OpType::Accepted => {
-                // aux carries the ServiceLib-allocated guest socket id for the
-                // new connection; the data-handle field carries the packed
-                // peer address.
-                let new_id = SocketId(nqe.aux());
-                let peer = SockAddr::unpack(nqe.data.0);
-                let qs = nqe.queue_set;
-                if nqe.result().is_ok() {
-                    let mut conn = GuestSocket::new(new_id, qs, self.send_buf);
-                    conn.state = GuestSocketState::Established;
-                    conn.remote = Some(peer);
-                    self.sockets.insert(new_id, conn);
-                    if let Some(listener) = self.sockets.get_mut(&nqe.socket) {
-                        listener.accept_queue.push_back((new_id, peer));
-                    }
-                }
+            // Only a socket still connecting transitions: a late completion
+            // drained after the application already moved on (closed the
+            // socket, observed an error) must not resurrect it into the
+            // established state.
+            OpType::ConnectComplete if s.state == GuestSocketState::Connecting => {
+                s.state = match nqe.result() {
+                    OpResult::Ok => GuestSocketState::Established,
+                    OpResult::Err(e) => GuestSocketState::Error(e),
+                };
             }
             OpType::SendComplete => {
-                if let Some(s) = self.sockets.get_mut(&nqe.socket) {
-                    s.send_budget.release(nqe.size as usize);
-                    if let OpResult::Err(e) = nqe.result() {
-                        s.state = GuestSocketState::Error(e);
-                    }
+                s.send_budget.release(nqe.size as usize);
+                if let OpResult::Err(e) = nqe.result() {
+                    s.state = GuestSocketState::Error(e);
                 }
             }
-            OpType::DataReceived => {
-                if let Some(s) = self.sockets.get_mut(&nqe.socket) {
-                    s.rx_chunks.push_back(RxChunk {
-                        handle: nqe.data,
-                        len: nqe.size as usize,
-                        consumed: 0,
-                    });
-                }
-            }
-            OpType::PeerClosed => {
-                if let Some(s) = self.sockets.get_mut(&nqe.socket) {
-                    // Only an established connection transitions to the
-                    // half-closed state; errors and closed sockets keep their
-                    // state so the application still observes the failure.
-                    if matches!(s.state, GuestSocketState::Established) {
-                        s.state = GuestSocketState::PeerClosed;
-                    }
-                }
+            OpType::DataReceived => s.rx_chunks.push_back(RxChunk {
+                handle: nqe.data,
+                len: nqe.size as usize,
+                consumed: 0,
+            }),
+            // Only an established connection transitions to the half-closed
+            // state; errors and closed sockets keep their state so the
+            // application still observes the failure.
+            OpType::PeerClosed if s.state == GuestSocketState::Established => {
+                s.state = GuestSocketState::PeerClosed;
             }
             OpType::CloseComplete => {
-                if let Some(s) = self.sockets.remove(&nqe.socket) {
-                    // Release any unread payload still parked in the region.
-                    for chunk in s.rx_chunks {
-                        let _ = self.region.free(chunk.handle);
-                    }
+                // Release any unread payload still parked in the region.
+                self.unlist(nqe.socket);
+                let s = self.sockets.remove(&nqe.socket).expect("found above");
+                for chunk in s.rx_chunks.drain(..) {
+                    let _ = self.region.free(chunk.handle);
                 }
             }
             OpType::ErrorEvent => {
-                self.stats.errors += 1;
-                if let Some(s) = self.sockets.get_mut(&nqe.socket) {
-                    let err = match nqe.result() {
-                        OpResult::Err(e) => e,
-                        OpResult::Ok => NkError::InvalidState,
-                    };
-                    s.state = GuestSocketState::Error(err);
-                }
+                s.state = GuestSocketState::Error(match nqe.result() {
+                    OpResult::Err(e) => e,
+                    OpResult::Ok => NkError::InvalidState,
+                });
             }
             _ => {}
         }
@@ -333,10 +332,11 @@ impl SocketApi for GuestLib {
         let id = SocketId(self.next_socket);
         self.next_socket += 1;
         let qs = self.queue_set_for(id);
-        self.sockets
-            .insert(id, GuestSocket::new(id, qs, self.send_buf));
+        // The record is filed only once the request is out: a full job ring
+        // leaves nothing behind.
         let nqe = Nqe::new(OpType::SocketCreate, self.vm, qs, id);
         self.submit(qs, nqe)?;
+        self.insert(GuestSocket::new(id, qs, self.send_buf))?;
         Ok(id)
     }
 
@@ -510,10 +510,11 @@ impl SocketApi for GuestLib {
     fn epoll_wait(&mut self, max_events: usize) -> Vec<EpollEvent> {
         self.drive();
         let mut out = Vec::new();
-        for (id, s) in self.sockets.iter() {
+        for &(id, slot) in &self.by_id {
             if out.len() >= max_events {
                 break;
             }
+            let s = self.sockets.at_mut(slot);
             if s.interest.is_empty() {
                 continue;
             }
@@ -522,7 +523,7 @@ impl SocketApi for GuestLib {
                 PollEvents(ready.0 & (s.interest.0 | PollEvents::HUP.0 | PollEvents::ERROR.0));
             if !masked.is_empty() {
                 out.push(EpollEvent {
-                    socket: *id,
+                    socket: id,
                     events: masked,
                 });
             }
@@ -819,6 +820,47 @@ mod tests {
         let credit = pop_request(&mut resp).unwrap();
         assert_eq!((credit.op, credit.size), (OpType::RecvConsumed, 14));
         assert!(pop_request(&mut resp).is_none(), "one NQE carries the sum");
+    }
+
+    /// A socket the job ring refuses leaves no record behind: nothing could
+    /// ever close it.
+    #[test]
+    fn a_socket_a_full_job_ring_refuses_leaves_no_record() {
+        let (mut guest, mut resp, _region) = guest_with_capacity(1, 2);
+        let (s, _) = connected(&mut guest, &mut resp);
+        while guest.set_sockopt(s, 1, 1).is_ok() {}
+        assert_eq!(guest.socket(), Err(NkError::QueueFull));
+        assert_eq!(guest.socket_count(), 1);
+    }
+
+    /// Close `s` and drain its `CloseComplete`, freeing its slot.
+    fn closed(guest: &mut GuestLib, resp: &mut [ResponderEnd], s: SocketId) {
+        guest.close(s).unwrap();
+        let close = pop_request(resp).unwrap();
+        respond(resp, Nqe::completion_for(&close, OpResult::Ok, 0).unwrap());
+        guest.drive();
+    }
+
+    /// `epoll_wait` reports in socket-id order, not slot order: a fourth
+    /// socket takes the first one's freed slot and is still reported last.
+    #[test]
+    fn epoll_reports_in_id_order_whatever_the_slots() {
+        let (mut guest, mut resp, _region) = guest_with_responders(1);
+        let first = guest.socket().unwrap();
+        let mut open = vec![guest.socket().unwrap(), guest.socket().unwrap()];
+        while pop_request(&mut resp).is_some() {}
+        let first_slot = guest.by_id[0].1;
+        closed(&mut guest, &mut resp, first);
+        open.push(guest.socket().unwrap());
+        assert_eq!(guest.by_id.last(), Some(&(open[2], first_slot)));
+        for &s in &open {
+            guest.epoll_register(s, PollEvents::READABLE).unwrap();
+            let err = Nqe::error_event(VmId(1), QueueSetId(0), s, NkError::ConnReset);
+            respond(&mut resp, err);
+        }
+        let ids: Vec<SocketId> = guest.epoll_wait(16).iter().map(|e| e.socket).collect();
+        assert_eq!(ids, open);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
     }
 
     /// Owed credit dies with its socket: `close` drops what a full job ring

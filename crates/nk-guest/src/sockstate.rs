@@ -1,7 +1,7 @@
 //! Per-socket state kept by GuestLib.
 
 use nk_shmem::BufferBudget;
-use nk_types::{DataHandle, NkError, PollEvents, QueueSetId, SockAddr, SocketId};
+use nk_types::{DataHandle, NkError, PollEvents, QueueSetId, Recycle, SockAddr, SocketId};
 use std::collections::VecDeque;
 
 /// Lifecycle of a NetKernel socket as seen from the guest.
@@ -112,6 +112,15 @@ impl GuestSocket {
             _ => {}
         }
         ev
+    }
+}
+
+impl Recycle for GuestSocket {
+    /// A new socket in a freed slot takes the old one's queues, emptied.
+    fn recycle(&mut self, old: Self) {
+        (self.rx_chunks, self.accept_queue) = (old.rx_chunks, old.accept_queue);
+        self.rx_chunks.clear();
+        self.accept_queue.clear();
     }
 }
 

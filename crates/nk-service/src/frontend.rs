@@ -40,9 +40,12 @@ impl Frontend {
         }
     }
 
-    /// A fresh guest socket id for a connection the NSM accepted; these
-    /// never collide with the ids a guest allocates itself.
-    pub(crate) fn alloc_guest_sock(&mut self) -> SocketId {
+    /// A fresh guest socket id for a connection the NSM accepted, skipping
+    /// any `taken` says is live (a raw-NQE guest or a warm move may hold one).
+    pub(crate) fn alloc_guest_sock(&mut self, taken: impl Fn(SocketId) -> bool) -> SocketId {
+        while taken(SocketId(self.next_guest_sock)) {
+            self.next_guest_sock += 1;
+        }
         let id = SocketId(self.next_guest_sock);
         self.next_guest_sock += 1;
         id

@@ -9,7 +9,7 @@ use nk_types::api::ShutdownHow;
 use nk_types::ops::op_data;
 use nk_types::{
     ConnSnapshot, DataHandle, DetMap, NkError, NkResult, Nqe, NsmId, OpResult, OpType, QueueSetId,
-    SocketId, StackKind, VmId,
+    Recycle, SlotTable, SocketId, StackKind, VmId,
 };
 use std::collections::VecDeque;
 
@@ -35,11 +35,14 @@ pub struct ServiceStats {
     pub accepted: u64,
 }
 
-/// One guest socket as the NSM keeps it, keyed by its stack socket: whose
-/// it is, where its NQEs go, and what it holds between calls.
+/// One guest socket as the NSM keeps it, keyed by its guest tuple: which
+/// stack socket serves it, where its NQEs go, and what it holds between
+/// calls.
 struct NsmSocket {
     vm: VmId,
     guest_sock: SocketId,
+    /// The stack socket serving it.
+    stack: SocketId,
     /// VM-side queue set the guest pinned this socket to (used by CoreEngine
     /// to route responses back to the right vCPU).
     vm_qs: QueueSetId,
@@ -53,10 +56,11 @@ struct NsmSocket {
 }
 
 impl NsmSocket {
-    fn new(vm: VmId, guest_sock: SocketId, vm_qs: QueueSetId, nsm_qs: usize) -> Self {
+    fn new(key: (VmId, SocketId), stack: SocketId, vm_qs: QueueSetId, nsm_qs: usize) -> Self {
         NsmSocket {
-            vm,
-            guest_sock,
+            vm: key.0,
+            guest_sock: key.1,
+            stack,
             vm_qs,
             nsm_qs,
             rx_outstanding: 0,
@@ -78,17 +82,25 @@ impl NsmSocket {
     }
 }
 
+impl Recycle for NsmSocket {
+    /// A new socket in a freed slot takes the old one's run queue, emptied.
+    fn recycle(&mut self, old: Self) {
+        self.queued = old.queued;
+        self.queued.clear();
+    }
+}
+
 /// The NSM-side library translating between NQEs and the network stack
 /// (paper §4.2, §4.5): the TCP flavour of the NQE front end.
 pub struct ServiceLib {
     pub(crate) front: Frontend,
-    /// Every guest socket, by stack socket; looked up once per request NQE
-    /// that needs more than the stack socket, and once per stack event.
-    socks: DetMap<SocketId, NsmSocket>,
-    /// guest tuple → stack socket; looked up once per request NQE. It stays
-    /// because a guest pipelines bind, listen and connect behind its
-    /// `SocketCreate`, so the stack socket is not known when they leave it.
-    by_guest: DetMap<(VmId, SocketId), SocketId>,
+    /// Every guest socket, by guest tuple: one hash per request NQE. The
+    /// tuple is the key because a guest pipelines bind, listen and connect
+    /// behind its `SocketCreate`, so the stack socket is not known when they
+    /// leave it.
+    socks: SlotTable<(VmId, SocketId), NsmSocket>,
+    /// Stack socket → slot in `socks`; looked up once per stack event.
+    by_stack: DetMap<SocketId, u32>,
     /// The runs of the `Send` chunk in hand, kept for its capacity.
     runs: Vec<Payload>,
     /// Sockets that may hold received bytes not yet shipped to their guest:
@@ -111,8 +123,8 @@ impl ServiceLib {
     pub fn new(_nsm: NsmId, device: NkDevice<ResponderEnd>, batch: usize) -> Self {
         ServiceLib {
             front: Frontend::new(device, batch),
-            socks: DetMap::new(),
-            by_guest: DetMap::new(),
+            socks: SlotTable::new(),
+            by_stack: DetMap::new(),
             runs: Vec::new(),
             rx_ready: Vec::new(),
             tx_ready: Vec::new(),
@@ -132,7 +144,7 @@ impl ServiceLib {
     /// longer serves the VM.
     pub fn remove_vm(&mut self, vm: VmId, stack: &mut TcpStack) {
         self.front.regions.remove(&vm);
-        for key in self.by_guest.sorted_keys() {
+        for key in self.socks.sorted_keys() {
             if key.0 == vm {
                 let _ = self.close(stack, key);
             }
@@ -147,37 +159,32 @@ impl ServiceLib {
 
     /// True while a socket of the VM is live here.
     pub(crate) fn has_sockets_of(&self, vm: VmId) -> bool {
-        self.by_guest.any(|(owner, _), _| *owner == vm)
+        self.socks.any(|(owner, _)| *owner == vm)
     }
 
-    /// Close a guest socket's stack socket and forget the socket, its
-    /// receive credit and its queued runs with it.
+    /// File `rec` under guest tuple `key` and its stack socket.
+    fn file(&mut self, key: (VmId, SocketId), rec: NsmSocket) -> NkResult<()> {
+        let sock = rec.stack;
+        self.by_stack.insert(sock, self.socks.insert(key, rec)?);
+        Ok(())
+    }
+
+    /// Forget guest socket `key`, its receive credit and its queued runs,
+    /// and return its record (still in its slot) for what outlives it.
+    fn forget(&mut self, key: (VmId, SocketId)) -> NkResult<&mut NsmSocket> {
+        let rec = self.socks.remove(&key).ok_or(NkError::BadSocket)?;
+        self.by_stack.remove(&rec.stack);
+        Ok(rec)
+    }
+
+    /// Close a guest socket's stack socket and forget the socket.
     fn close(&mut self, stack: &mut TcpStack, key: (VmId, SocketId)) -> NkResult<()> {
-        let sock = self.by_guest.remove(&key).ok_or(NkError::BadSocket)?;
-        self.socks.remove(&sock);
-        stack.close(sock)
+        let rec = self.forget(key)?;
+        rec.queued.clear();
+        stack.close(rec.stack)
     }
 
     // ---- Warm-migration export / install ------------------------------------
-
-    /// Tear one guest socket's translation state out of this ServiceLib for
-    /// a warm migration: returns the stack-side socket, the payload queued
-    /// but not yet pushed into the stack, and the outstanding receive
-    /// credit. The caller exports the stack connection under the returned
-    /// socket id.
-    fn extract_conn(
-        &mut self,
-        vm: VmId,
-        guest_sock: SocketId,
-    ) -> NkResult<(SocketId, Vec<Vec<u8>>, usize)> {
-        let sock = self
-            .by_guest
-            .remove(&(vm, guest_sock))
-            .ok_or(NkError::BadSocket)?;
-        let rec = self.socks.remove(&sock).ok_or(NkError::BadSocket)?;
-        let queued = rec.queued.iter().map(|run| run.to_vec()).collect();
-        Ok((sock, queued, rec.rx_outstanding))
-    }
 
     /// Wire a warm-migrated connection into this ServiceLib: the guest
     /// tuple maps to `stack_sock` (freshly installed into the destination
@@ -192,17 +199,14 @@ impl ServiceLib {
         stack_sock: SocketId,
     ) -> NkResult<()> {
         let key = (vm, conn.guest_sock);
-        if self.by_guest.contains_key(&key) {
-            return Err(NkError::AlreadyRegistered);
-        }
-        let mut rec = NsmSocket::new(vm, conn.guest_sock, conn.vm_queue_set, nsm_qs);
+        let mut rec = NsmSocket::new(key, stack_sock, conn.vm_queue_set, nsm_qs);
         rec.rx_outstanding = conn.rx_outstanding;
         rec.queued = conn.queued.iter().map(|run| run[..].into()).collect();
-        if !rec.queued.is_empty() {
+        let queued = !rec.queued.is_empty();
+        self.file(key, rec)?;
+        if queued {
             self.tx_ready.push(stack_sock);
         }
-        self.by_guest.insert(key, stack_sock);
-        self.socks.insert(stack_sock, rec);
         // The snapshot may carry received bytes no segment will announce.
         self.rx_ready.push(stack_sock);
         Ok(())
@@ -229,84 +233,62 @@ impl ServiceLib {
 
     fn handle_request(&mut self, stack: &mut TcpStack, nsm_qs: usize, nqe: Nqe, now_ns: u64) {
         let key = (nqe.vm, nqe.socket);
-        match nqe.op {
+        let slot = self.socks.slot(&key);
+        let rec = slot.map(|slot| self.socks.at_mut(slot));
+        let sock = rec.as_ref().map(|rec| rec.stack).ok_or(NkError::BadSocket);
+        let res = match nqe.op {
+            // A live tuple is refused before a stack socket opens: a second
+            // record would orphan the first, and its stack socket, for good.
+            OpType::SocketCreate if sock.is_ok() => Err(NkError::AlreadyRegistered),
             OpType::SocketCreate => {
                 let sock = stack.socket();
-                self.by_guest.insert(key, sock);
-                let rec = NsmSocket::new(nqe.vm, nqe.socket, nqe.queue_set, nsm_qs);
-                self.socks.insert(sock, rec);
-                self.front.reply(nsm_qs, &nqe, Ok(()), sock.raw());
+                let rec = NsmSocket::new(key, sock, nqe.queue_set, nsm_qs);
+                self.file(key, rec).expect("the tuple is free");
+                return self.front.reply(nsm_qs, &nqe, Ok(()), sock.raw());
             }
-            OpType::Bind => {
-                let res = self.stack_sock(key).and_then(|s| stack.bind(s, nqe.addr()));
-                self.front.reply(nsm_qs, &nqe, res, 0);
-            }
-            OpType::Listen => {
-                let res = self
-                    .stack_sock(key)
-                    .and_then(|s| stack.listen(s, nqe.op_data as u32));
-                self.front.reply(nsm_qs, &nqe, res, 0);
-            }
-            OpType::Connect => {
-                let res = match self.stack_sock(key) {
-                    Ok(s) => {
-                        let cc = self.fair_share.as_mut().map(|reg| reg.cc_for(nqe.vm));
-                        stack.connect_with_cc(s, nqe.addr(), now_ns, cc)
-                    }
-                    Err(e) => Err(e),
-                };
-                // Success is reported only when the handshake completes (the
-                // stack raises a Connected event); failures are immediate.
-                if let Err(e) = res {
-                    self.front.reply(nsm_qs, &nqe, Err(e), 0);
-                }
-            }
-            OpType::Send => {
-                if let Err(e) = self.handle_send(stack, &nqe) {
-                    self.front.reply(nsm_qs, &nqe, Err(e), 0);
-                }
-            }
+            OpType::Bind => sock.and_then(|s| stack.bind(s, nqe.addr())),
+            OpType::Listen => sock.and_then(|s| stack.listen(s, nqe.op_data as u32)),
+            OpType::Connect => sock.and_then(|s| {
+                let cc = self.fair_share.as_mut().map(|reg| reg.cc_for(nqe.vm));
+                stack.connect_with_cc(s, nqe.addr(), now_ns, cc)
+            }),
+            OpType::Send => self.handle_send(stack, &nqe, slot),
             OpType::RecvConsumed => {
-                if let Some(rec) = self.by_guest.get(&key).and_then(|s| self.socks.get_mut(s)) {
+                if let Some(rec) = rec {
                     rec.rx_outstanding = rec.rx_outstanding.saturating_sub(nqe.size as usize);
                 }
+                return;
             }
             OpType::Shutdown => {
-                let res = self
-                    .stack_sock(key)
-                    .and_then(|s| stack.shutdown(s, ShutdownHow::decode(nqe.op_data)));
-                self.front.reply(nsm_qs, &nqe, res, 0);
+                sock.and_then(|s| stack.shutdown(s, ShutdownHow::decode(nqe.op_data)))
             }
-            OpType::Close => {
-                let res = self.close(stack, key);
-                self.front.reply(nsm_qs, &nqe, res, 0);
-            }
-            OpType::SetSockOpt => {
-                let res = self.stack_sock(key).and_then(|s| {
-                    stack.set_sockopt(
-                        s,
-                        op_data::sockopt_opt(nqe.op_data),
-                        op_data::sockopt_value(nqe.op_data),
-                    )
-                });
-                self.front.reply(nsm_qs, &nqe, res, 0);
-            }
-            _ => self.front.reply(nsm_qs, &nqe, Err(NkError::Unsupported), 0),
+            OpType::Close => self.close(stack, key),
+            OpType::SetSockOpt => sock.and_then(|s| {
+                let opt = op_data::sockopt_opt(nqe.op_data);
+                stack.set_sockopt(s, opt, op_data::sockopt_value(nqe.op_data))
+            }),
+            _ => Err(NkError::Unsupported),
+        };
+        // A connect succeeds when the handshake completes (the stack raises
+        // a Connected event) and a send answers with its credit: only their
+        // failures are answered here.
+        if res.is_err() || !matches!(nqe.op, OpType::Connect | OpType::Send) {
+            self.front.reply(nsm_qs, &nqe, res, 0);
         }
     }
 
-    /// Hand a Send's payload to the stack. An error is answered by the
-    /// caller, which frees the chunk and returns the credit.
-    fn handle_send(&mut self, stack: &mut TcpStack, nqe: &Nqe) -> NkResult<()> {
-        let sock = self.stack_sock((nqe.vm, nqe.socket))?;
-        let rec = self.socks.get_mut(&sock).ok_or(NkError::BadSocket)?;
+    /// Hand a Send's payload to the stack socket of the record in `slot`,
+    /// if any. An error is answered by the caller, which frees the chunk and
+    /// returns the credit.
+    fn handle_send(&mut self, stack: &mut TcpStack, nqe: &Nqe, slot: Option<u32>) -> NkResult<()> {
+        let rec = self.socks.at_mut(slot.ok_or(NkError::BadSocket)?);
         let region = self.front.regions.get(&nqe.vm).ok_or(NkError::NotFound)?;
         // The hop §7.8 attributes NetKernel's throughput overhead to, made
         // by reference: the chunk's runs leave the hugepage (which is freed
         // under the same lock hold) for the stack's send buffer. Only what
         // the stack had no room for (or everything, when older payload is
         // still queued ahead of it) waits aside, as runs too.
-        let len = nqe.size as usize;
+        let (sock, len) = (rec.stack, nqe.size as usize);
         let queued_ahead = !rec.queued.is_empty();
         region.lend_and_free(nqe.data, len, &mut self.runs)?;
         let (mut accepted, mut taken) = (0, 0);
@@ -338,8 +320,9 @@ impl ServiceLib {
         Ok(())
     }
 
-    fn stack_sock(&self, key: (VmId, SocketId)) -> NkResult<SocketId> {
-        self.by_guest.get(&key).copied().ok_or(NkError::BadSocket)
+    /// The record of stack socket `sock`: one hash.
+    fn by_stack(&mut self, sock: SocketId) -> Option<&mut NsmSocket> {
+        Some(self.socks.at_mut(*self.by_stack.get(&sock)?))
     }
 
     /// Push `queue` into the stack until it refuses; returns bytes taken.
@@ -364,9 +347,10 @@ impl ServiceLib {
         ready.sort_unstable();
         ready.dedup();
         ready.retain(|&sock| {
-            let Some(rec) = self.socks.get_mut(&sock) else {
+            let Some(&slot) = self.by_stack.get(&sock) else {
                 return false;
             };
+            let rec = self.socks.at_mut(slot);
             let flushed = Self::flush_queue(stack, sock, &mut rec.queued);
             if flushed > 0 {
                 rec.send_credit(&mut self.front, flushed);
@@ -400,9 +384,9 @@ impl ServiceLib {
                 ),
                 StackEvent::PeerClosed(sock) => (sock, OpType::PeerClosed, 0),
             };
-            if let Some(rec) = self.socks.get(&sock) {
-                let ev = rec.nqe(op).with_op_data(op_data);
-                self.front.respond(rec.nsm_qs, ev);
+            if let Some(rec) = self.by_stack(sock) {
+                let (nsm_qs, ev) = (rec.nsm_qs, rec.nqe(op).with_op_data(op_data));
+                self.front.respond(nsm_qs, ev);
             }
         }
         self.pump_receive(stack);
@@ -411,19 +395,19 @@ impl ServiceLib {
 
     fn drain_accepts(&mut self, stack: &mut TcpStack, listener: SocketId) {
         // The listener's record tells us which guest owns it.
-        let Some(l) = self.socks.get(&listener) else {
+        let Some(l) = self.by_stack(listener) else {
             return;
         };
         let (vm, vm_qs, nsm_qs, event) = (l.vm, l.vm_qs, l.nsm_qs, l.nqe(OpType::Accepted));
         while let Ok((conn, peer)) = stack.accept(listener) {
-            let guest_id = self.front.alloc_guest_sock();
-            self.by_guest.insert((vm, guest_id), conn);
-            self.socks
-                .insert(conn, NsmSocket::new(vm, guest_id, vm_qs, nsm_qs));
+            let taken = |id| self.socks.contains_key(&(vm, id));
+            let key = (vm, self.front.alloc_guest_sock(taken));
+            let rec = NsmSocket::new(key, conn, vm_qs, nsm_qs);
+            self.file(key, rec).expect("ids skip live tuples");
             self.front.stats.accepted += 1;
             // Its first bytes may have arrived before it had a record.
             self.rx_ready.push(conn);
-            let ev = event.with_op_data(op_data::pack(OpResult::Ok, guest_id.raw()));
+            let ev = event.with_op_data(op_data::pack(OpResult::Ok, key.1.raw()));
             self.front
                 .respond(nsm_qs, ev.with_data(DataHandle(peer.pack()), 0));
         }
@@ -441,9 +425,10 @@ impl ServiceLib {
     /// and hugepages go. True while the stack still holds bytes for it: the
     /// socket stays on the ready list.
     fn pump_socket(&mut self, stack: &mut TcpStack, sock: SocketId) -> bool {
-        let Some(rec) = self.socks.get_mut(&sock) else {
+        let Some(&slot) = self.by_stack.get(&sock) else {
             return false;
         };
+        let rec = self.socks.at_mut(slot);
         loop {
             let credit = RX_BUDGET.saturating_sub(rec.rx_outstanding);
             if credit == 0 {
@@ -517,13 +502,12 @@ impl TcpNsm {
         // Snapshot the stack side first: if the connection is not in a
         // transplantable phase the export fails *before* any translation
         // state is torn out.
-        let stack_sock = self.service.stack_sock((vm, guest_sock))?;
-        let snap = self.stack.export_conn(stack_sock)?;
-        let (_, pending, outstanding) = self
-            .service
-            .extract_conn(vm, guest_sock)
-            .expect("mapping observed above");
-        Ok((snap, pending, outstanding))
+        let key = (vm, guest_sock);
+        let rec = self.service.socks.get(&key).ok_or(NkError::BadSocket)?;
+        let snap = self.stack.export_conn(rec.stack)?;
+        let rec = self.service.forget(key).expect("mapping observed above");
+        let queued = rec.queued.drain(..).map(|run| run.to_vec()).collect();
+        Ok((snap, queued, rec.rx_outstanding))
     }
 
     /// Install a warm-migrated connection into this NSM: the TCP state
@@ -779,6 +763,62 @@ mod tests {
             .any(|n| n.op == OpType::SendComplete && !n.result().is_ok()));
     }
 
+    /// A `SocketCreate` for a live guest tuple is refused and opens no stack
+    /// socket: a second record would orphan the first, and its stack
+    /// socket, for good.
+    #[test]
+    fn a_socket_create_for_a_live_tuple_is_refused() {
+        let mut w = World::new(StackKind::Kernel);
+        w.submit(req(OpType::SocketCreate, 1));
+        w.submit(req(OpType::SocketCreate, 1));
+        w.run(1);
+        let results: Vec<OpResult> = w.responses().iter().map(|n| n.result()).collect();
+        let refused = OpResult::Err(NkError::AlreadyRegistered);
+        assert_eq!(results, [OpResult::Ok, refused]);
+        assert_eq!(w.nsm.stack.socket_count(), 1);
+        w.submit(req(OpType::Close, 1));
+        w.run(1);
+        assert_eq!(w.responses()[0].result(), OpResult::Ok);
+        assert_eq!(w.nsm.stack.socket_count(), 0, "no stack socket left behind");
+        assert!(w.nsm.service.socks.is_empty() && w.nsm.service.by_stack.is_empty());
+    }
+
+    /// A guest may create a socket with an id in the NSM's range; the next
+    /// accept skips that id rather than collide with it, and both sockets
+    /// keep their own stack socket.
+    #[test]
+    fn an_accept_skips_an_nsm_range_id_the_guest_holds() {
+        let mut w = World::new(StackKind::Kernel);
+        w.submit(req(OpType::SocketCreate, NSM_SOCKET_ID_BASE));
+        w.submit(req(OpType::SocketCreate, 1));
+        w.submit(req(OpType::Bind, 1).with_op_data(SockAddr::new(0, 80).pack()));
+        w.submit(req(OpType::Listen, 1).with_op_data(16));
+        w.run(2);
+        assert!(w.responses().iter().all(|n| n.result().is_ok()));
+
+        let rs = w.remote.socket();
+        w.remote
+            .connect(rs, SockAddr::new(NSM_IP, 80), w.now)
+            .unwrap();
+        w.run(10);
+        let resp = w.responses();
+        let accepted: Vec<u32> = resp
+            .iter()
+            .filter(|n| n.op == OpType::Accepted)
+            .map(|n| n.aux())
+            .collect();
+        assert_eq!(accepted, [NSM_SOCKET_ID_BASE + 1]);
+        assert_eq!(w.nsm.service.socks.len(), 3);
+        assert_eq!(
+            w.nsm.stack.socket_count(),
+            3,
+            "the guest's socket kept its own"
+        );
+        w.submit(req(OpType::Close, NSM_SOCKET_ID_BASE));
+        w.run(1);
+        assert_eq!(w.responses()[0].result(), OpResult::Ok);
+    }
+
     /// A connection exported from one NSM and installed into another keeps
     /// its guest tuple working end to end: pending payload flushes, receive
     /// credit survives, and the peer sees a contiguous byte stream.
@@ -893,20 +933,20 @@ mod tests {
         let announced = w.responses();
         let announced = announced.iter().filter(|n| n.op == OpType::DataReceived);
         assert_eq!(announced.map(|n| n.size).sum::<u32>(), 300);
-        let socks = [5, 6, 7].map(|guest| w.nsm.service.stack_sock((VmId(1), SocketId(guest))));
-        let socks = socks.map(Result::unwrap);
+        let socks = [5, 6, 7].map(|guest| w.nsm.service.socks.get(&(VmId(1), SocketId(guest))));
+        let socks = socks.map(|rec| rec.unwrap().stack);
         let holds = |w: &World, guest: u32, sock: SocketId| {
             let s = &w.nsm.service;
-            s.by_guest.contains_key(&(VmId(1), SocketId(guest)))
-                || s.socks.contains_key(&sock)
+            s.socks.contains_key(&(VmId(1), SocketId(guest)))
+                || s.by_stack.contains_key(&sock)
                 || s.rx_ready.contains(&sock)
                 || s.tx_ready.contains(&sock)
         };
         assert!(holds(&w, 5, socks[0]) && holds(&w, 6, socks[1]) && holds(&w, 7, socks[2]));
 
         // An export takes the credit with it.
-        let exported = w.nsm.service.extract_conn(VmId(1), SocketId(5));
-        assert_eq!(exported, Ok((socks[0], vec![], 100)));
+        let (_, queued, credit) = w.nsm.export_conn(VmId(1), SocketId(5)).unwrap();
+        assert_eq!((queued, credit), (vec![], 100));
         // A guest close and a VM detach forget it with the context.
         w.submit(req(OpType::Close, 6));
         w.run(1);
@@ -914,7 +954,7 @@ mod tests {
         w.nsm.service.remove_vm(VmId(1), &mut w.nsm.stack);
         w.run(1);
         assert!(!holds(&w, 7, socks[2]));
-        assert!(w.nsm.service.socks.is_empty() && w.nsm.service.by_guest.is_empty());
+        assert!(w.nsm.service.socks.is_empty() && w.nsm.service.by_stack.is_empty());
     }
 
     /// A region too small for the receive budget must delay data, never lose

@@ -163,7 +163,8 @@ impl SharedMemNsm {
             .get(&listener_key)
             .ok_or(NkError::ConnRefused)?;
         // Allocate the accepted-side guest socket and wire the pair up.
-        let accepted_id = self.front.alloc_guest_sock();
+        let taken = |id| self.sockets.contains_key(&(listener.vm, id));
+        let accepted_id = self.front.alloc_guest_sock(taken);
         let accepted_key = (listener.vm, accepted_id);
         self.sockets.insert(
             accepted_key,
@@ -229,6 +230,7 @@ mod tests {
     use super::*;
     use nk_queue::{queue_set_pair, RequesterEnd, WakeState};
     use nk_shmem::HugepageRegion;
+    use nk_types::constants::NSM_SOCKET_ID_BASE;
 
     /// Two colocated VMs of the same tenant attached to one shared-memory
     /// NSM. The test drives the requester ends directly (playing GuestLib and
@@ -306,6 +308,31 @@ mod tests {
         let accepted: Vec<&Nqe> = vm1.iter().filter(|n| n.op == OpType::Accepted).collect();
         assert_eq!(accepted.len(), 1);
         assert_eq!(w.nsm.stats().pairs, 1);
+    }
+
+    /// An accepted id the listening VM already holds (a raw-NQE guest may
+    /// create one in the NSM's range) is skipped, not overwritten.
+    #[test]
+    fn an_accept_skips_an_nsm_range_id_the_guest_holds() {
+        let mut w = World::new();
+        let held = NSM_SOCKET_ID_BASE;
+        w.vm1_end
+            .submit(req(1, OpType::SocketCreate, held))
+            .unwrap();
+        setup_listener(&mut w);
+        w.vm2_end.submit(req(2, OpType::SocketCreate, 1)).unwrap();
+        w.vm2_end
+            .submit(req(2, OpType::Connect, 1).with_op_data(SockAddr::new(0, 8080).pack()))
+            .unwrap();
+        w.nsm.tick(0);
+        let vm1 = w.responses(1);
+        let accepted: Vec<u32> = vm1
+            .iter()
+            .filter(|n| n.op == OpType::Accepted)
+            .map(|n| n.aux())
+            .collect();
+        assert_eq!(accepted, [held + 1]);
+        assert!(w.nsm.sockets[&(VmId(1), SocketId(held))].peer.is_none());
     }
 
     #[test]

@@ -21,12 +21,16 @@
 //! Choosing: *is the table ever walked in key order on a live path?* If so
 //! it stays a `BTreeMap` (timers, epoll interest, every host/cluster/control
 //! map). If it is only looked up, it is a `DetMap`: `TcpStack::{ids, demux,
-//! listeners}`, ServiceLib's `socks` and `by_guest`, and
-//! `ConnTable::entries` (`scripts/check-one-path.sh` holds these six to it,
-//! and this module's test holds the mixer to spreading their keys). A table
-//! that is neither can be no table at all: the hugepage allocator's chunks
-//! are two line bitmaps, not a map of live chunks beside a tree of free
-//! extents.
+//! listeners}`, ServiceLib's `by_stack` and `ConnTable::entries`
+//! (`scripts/check-one-path.sh` holds these five to it, and this module's
+//! test holds the mixer to spreading their keys). If it holds the records
+//! of short-lived sockets, it is a [`crate::SlotTable`], whose key map is a
+//! `DetMap` and whose freed slots keep their records' queue storage for the
+//! next: GuestLib's `sockets` and ServiceLib's `socks` (the same script
+//! holds both to it).
+//! A table that is neither can be no table at all: the hugepage allocator's
+//! chunks are two line bitmaps, not a map of live chunks beside a tree of
+//! free extents.
 //!
 //! # What the fixed hasher does and does not promise
 //!
@@ -36,7 +40,7 @@
 //! the one property a B-tree had and this does not: a worst case independent
 //! of the keys. Three of the tables built on `DetMap` are keyed by values the
 //! other side of a trust boundary chooses — guest socket ids in ServiceLib's
-//! guest-tuple index and CoreEngine's `ConnTable`, remote 4-tuples in the
+//! slot table's key map and CoreEngine's `ConnTable`, remote 4-tuples in the
 //! stack's `demux` — and a peer that knows the mixer can choose keys that
 //! share a bucket chain, making each lookup linear in the keys it planted.
 //! Lookup *cost* under chosen keys is therefore not bounded the way a
@@ -251,9 +255,9 @@ mod tests {
                     (0..KEYS).map(|i| (SockAddr::new(remote, 7), SockAddr::new(nsm, port(i)))),
                 ),
             ),
-            // `TcpStack::ids` and ServiceLib's `socks`.
+            // `TcpStack::ids`, ServiceLib's `by_stack` and GuestLib's `sockets`.
             ("socket id", buckets_filled((1..=KEYS).map(SocketId))),
-            // ServiceLib's `by_guest` index.
+            // ServiceLib's `socks`.
             (
                 "guest tuple",
                 buckets_filled((1..=KEYS).map(|i| (VmId(1), SocketId(i)))),

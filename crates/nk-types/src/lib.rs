@@ -15,7 +15,8 @@
 //! * cluster-scope configurations, placement policies and events ([`cluster`]),
 //! * cross-host migration payloads, drained and warm ([`migrate`]),
 //! * the provider-facing constants of the testbed ([`constants`]),
-//! * the lookup-only table with no observable order ([`detmap`]),
+//! * the lookup-only table with no observable order ([`detmap`]) and the
+//!   slot table of reused records built on it ([`slots`]),
 //! * payload bytes shared by reference and the buffers they are written
 //!   into ([`payload`]),
 //! * and the guest-facing non-blocking socket API trait ([`api`]) that both
@@ -37,6 +38,7 @@ pub mod migrate;
 pub mod nqe;
 pub mod ops;
 pub mod payload;
+pub mod slots;
 
 pub use addr::SockAddr;
 pub use api::{EpollEvent, PollEvents, ShutdownHow, SocketApi};
@@ -55,3 +57,4 @@ pub use migrate::{
 pub use nqe::{DataHandle, Nqe, NQE_SIZE};
 pub use ops::{OpResult, OpType};
 pub use payload::{Payload, Recycler};
+pub use slots::{Recycle, SlotTable};

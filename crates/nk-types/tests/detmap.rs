@@ -88,7 +88,7 @@ where
 fn detmap_matches_btreemap_on_datapath_key_shapes() {
     // Sequential socket ids (`TcpStack::sockets`, `ServiceLib::socks`).
     differential(1, 25_000, 3_000, |i| SocketId(i as u32 + 1));
-    // Guest tuples: a few VMs, NSM-allocated ids above the base (`by_guest`).
+    // Guest tuples: a few VMs, NSM-allocated ids above the base (ServiceLib's `socks`).
     differential(2, 25_000, 3_000, |i| {
         (VmId((i % 3) as u8), SocketId(0x8000_0000 + (i / 3) as u32))
     });

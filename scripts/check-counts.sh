@@ -11,11 +11,14 @@
 #   - rpc 0.1 (~0.05): a call pays nothing. 3.9 with a `Vec` per response
 #     batch and per `recv`, 2.2 while the hops copied, 1.1 while each frozen
 #     send-queue tail was a fresh buffer.
-#   - churn 3.0 (~2.7): a connection pays once, reusing its slot, queue
-#     storage and inline congestion control. 17.4 with a slot, a boxed
-#     congestion control and fresh queues per connection, 18.8 parking a
-#     whole connection per TIME-WAIT socket, 6.4 with a boxed socket-table
-#     entry, 4.9 while the hops copied, 3.8 with fresh frozen tails.
+#   - churn 1.6 (~1.47): a connection pays once, reusing its slot, queue
+#     storage and inline congestion control, and its GuestLib and ServiceLib
+#     records reuse a slot table's. 17.4 with a slot, a boxed congestion
+#     control and fresh queues per connection, 18.8 parking a whole
+#     connection per TIME-WAIT socket, 6.4 with a boxed socket-table entry,
+#     4.9 while the hops copied, 3.8 with fresh frozen tails, 2.7 with a
+#     fresh GuestLib `rx_chunks` queue per socket and its sockets in a
+#     B-tree.
 #   - xhost_t1 0.8 (~0.40): the host<->ToR trunk is a port that trades
 #     buffers. 4.9 with a queue node per trunk frame and per lane report,
 #     3.6 before the ports traded buffers.
@@ -67,7 +70,7 @@ while read -r workload allocs_max pinned; do
 done <<'EOF'
 bulk 0.2 22.63
 rpc 0.1 2.00
-churn 3.0 9.00
+churn 1.6 9.00
 xhost_t1 0.8 -
 EOF
 exit $status

@@ -57,11 +57,13 @@ check "$(code crates | grep -c 'pending_events')" -eq 0 \
 # shellcheck disable=SC2086 # one directory per word
 check "$(code $not_nk_queue | grep -cE "$inspects_respond")" -eq 0 \
     "one rule for a full NQE ring: respond never refuses, so no caller outside nk-queue inspects its result"
-check "$(code crates/nk-service/src crates/nk-guest/src | grep -cE '(BTreeMap|DetMap)<\(?(VmId, )?SocketId')" -eq 4 \
-    "one record per socket on the NQE path: ServiceLib's record and its one guest-tuple index, SharedMemNsm's sockets and GuestLib's sockets"
+check "$(code crates/nk-service/src crates/nk-guest/src | grep -cE '(BTreeMap|DetMap)<\(?(VmId, )?SocketId')" -eq 2 \
+    "one record per socket on the NQE path: beside the slot tables, only ServiceLib's stack-socket index and SharedMemNsm's sockets (item 24) are socket maps"
+check "$(code crates/nk-service/src/service.rs crates/nk-guest/src/guestlib.rs | grep -cE '^ +(socks|sockets): SlotTable<')" -eq 2 \
+    "one record per socket on the NQE path: GuestLib's and ServiceLib's socket records sit in a SlotTable, one hash away, and a closed socket's slot and queues go to the next"
 check "$(code crates/nk-netstack/src/stack.rs crates/nk-service/src/service.rs crates/nk-engine/src/table.rs \
-    | grep -cE '^ +(ids|demux|listeners|socks|by_guest|entries): DetMap<')" -eq 6 \
-    "a lookup costs one hash: TcpStack's ids, demux and listeners, ServiceLib's socks and by_guest and ConnTable's entries are DetMaps (detmap.rs's list), never B-trees"
+    | grep -cE '^ +(ids|demux|listeners|by_stack|entries): DetMap<')" -eq 5 \
+    "a lookup costs one hash: TcpStack's ids, demux and listeners, ServiceLib's by_stack and ConnTable's entries are DetMaps (detmap.rs's list), never B-trees"
 check "$(code crates/nk-service/src crates/nk-guest/src | grep -cE 'ConnCtx|pending_send|owed_credit')" -eq 0 \
     "one record per socket on the NQE path: no context, send-queue or owed-credit map beside the record"
 check "$(code crates/nk-shmem/src/region.rs | grep -c 'Mutex<')" -eq 1 \
