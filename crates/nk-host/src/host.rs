@@ -216,9 +216,9 @@ impl NetKernelHost {
         self.engine.stats()
     }
 
-    /// ServiceLib statistics of a TCP-stack NSM.
+    /// ServiceLib statistics of an NSM.
     pub fn nsm_service_stats(&self, nsm: NsmId) -> Option<nk_service::ServiceStats> {
-        self.nsms.get(&nsm)?.service_stats()
+        self.nsms.get(&nsm).map(Nsm::service_stats)
     }
 
     /// The TCP stack of a TCP-stack NSM, read-only.
@@ -227,11 +227,6 @@ impl NetKernelHost {
             Nsm::Tcp(n) => Some(n.stack()),
             Nsm::SharedMem(_) => None,
         }
-    }
-
-    /// Shared-memory NSM statistics, when `nsm` is one.
-    pub fn shm_stats(&self, nsm: NsmId) -> Option<nk_service::SharedMemStats> {
-        self.nsms.get(&nsm)?.shm_stats()
     }
 
     /// Per-VM CoreEngine switching statistics.
@@ -583,9 +578,10 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::*;
     use super::*;
+    use nk_types::constants::{DEFAULT_HUGEPAGE_COUNT, DEFAULT_RECV_BUF, HUGEPAGE_SIZE};
     use nk_types::{
-        HostConfig, LinkConfig, NkError, NsmConfig, SockAddr, SocketApi, StackKind, VmConfig,
-        VmToNsmPolicy,
+        HostConfig, LinkConfig, NkError, NsmConfig, ShutdownHow, SockAddr, SocketApi, SocketId,
+        StackKind, VmConfig, VmToNsmPolicy,
     };
 
     /// End-to-end: a guest application talks through GuestLib → CoreEngine →
@@ -783,40 +779,150 @@ mod tests {
         assert_eq!(accepted, 2, "both VMs' connections reach the shared NSM");
     }
 
-    /// Colocated VMs of the same tenant exchange data through the
-    /// shared-memory NSM without any TCP processing (use case 4).
-    #[test]
-    fn shared_memory_nsm_connects_colocated_vms() {
-        let cfg = HostConfig::new()
+    /// Two colocated VMs of one tenant on a shared-memory NSM, with
+    /// `hugepages` pages per VM–NSM pair; VM1 listens on port 9000.
+    fn colocated(hugepages: usize) -> (NetKernelHost, SocketId) {
+        let mut cfg = HostConfig::new()
             .with_vm(VmConfig::new(VmId(1)).with_tenant(7))
             .with_vm(VmConfig::new(VmId(2)).with_tenant(7))
             .with_nsm(NsmConfig::shared_mem(NsmId(1)))
             .with_mapping(VmToNsmPolicy::All(NsmId(1)));
+        cfg.hugepages_per_pair = hugepages;
         let mut host = NetKernelHost::new(cfg).unwrap();
-
-        // VM1 listens (via the shared-memory NSM's internal rendezvous).
         let g1 = host.guest_mut(VmId(1)).unwrap();
         let ls = g1.socket().unwrap();
         g1.bind(ls, SockAddr::new(0, 9000)).unwrap();
         g1.listen(ls, 8).unwrap();
         host.run(5, 100_000);
+        (host, ls)
+    }
 
-        // VM2 connects and sends.
+    /// VM2 connects to VM1's listener `ls`: the writer's and the reader's
+    /// sockets.
+    fn colocated_pair(host: &mut NetKernelHost, ls: SocketId) -> (SocketId, SocketId) {
         let g2 = host.guest_mut(VmId(2)).unwrap();
         let cs = g2.socket().unwrap();
         g2.connect(cs, SockAddr::new(0, 9000)).unwrap();
         host.run(5, 100_000);
+        let (conn, _) = host.guest_mut(VmId(1)).unwrap().accept(ls).unwrap();
+        (cs, conn)
+    }
+
+    /// VM2 writes `stream` from `sent` on for one step, as far as its send
+    /// credit goes; a writer is refused with `WouldBlock`, never an error.
+    fn write_step(host: &mut NetKernelHost, cs: SocketId, stream: &[u8], sent: &mut usize) {
+        let g2 = host.guest_mut(VmId(2)).unwrap();
+        g2.drive();
+        while *sent < stream.len() {
+            match g2.send(cs, &stream[*sent..]) {
+                Ok(n) => *sent += n,
+                Err(NkError::WouldBlock) => break,
+                Err(e) => panic!("the writer failed with {e:?} after {sent} bytes"),
+            }
+        }
+        host.run(1, 100_000);
+    }
+
+    /// VM1 reads all it has on `conn` onto `got`; the last result.
+    fn read_all(host: &mut NetKernelHost, conn: SocketId, got: &mut Vec<u8>) -> NkResult<usize> {
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            match host.guest_mut(VmId(1)).unwrap().recv(conn, &mut buf) {
+                Ok(n) if n > 0 => got.extend_from_slice(&buf[..n]),
+                other => return other,
+            }
+        }
+    }
+
+    fn stream(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Colocated VMs of the same tenant exchange data through the
+    /// shared-memory NSM without any TCP processing (use case 4).
+    #[test]
+    fn shared_memory_nsm_connects_colocated_vms() {
+        let (mut host, ls) = colocated(DEFAULT_HUGEPAGE_COUNT);
+        let (cs, conn) = colocated_pair(&mut host, ls);
         let g2 = host.guest_mut(VmId(2)).unwrap();
         assert!(g2.poll(cs).writable());
         g2.send(cs, b"colocated traffic").unwrap();
         host.run(5, 100_000);
 
-        let g1 = host.guest_mut(VmId(1)).unwrap();
-        let (conn, _) = g1.accept(ls).unwrap();
-        let mut buf = [0u8; 64];
-        let n = g1.recv(conn, &mut buf).unwrap();
-        assert_eq!(&buf[..n], b"colocated traffic");
-        assert_eq!(host.shm_stats(NsmId(1)).unwrap().pairs, 1);
+        let mut got = Vec::new();
+        let _ = read_all(&mut host, conn, &mut got);
+        assert_eq!(got, b"colocated traffic");
+        assert_eq!(host.nsm_service_stats(NsmId(1)).unwrap().accepted, 1);
+    }
+
+    /// A colocated reader that stalls holds its writer back as a TCP window
+    /// would: the writer is refused with `WouldBlock`, never an error, and
+    /// every byte arrives in order once the reader resumes. The reader's
+    /// 2-MiB region never fills: ServiceLib announces at most its receive
+    /// budget, and the rest waits in the stack.
+    #[test]
+    fn a_stalled_colocated_reader_holds_its_writer_back_and_loses_nothing() {
+        let (mut host, ls) = colocated(1);
+        let (cs, conn) = colocated_pair(&mut host, ls);
+        let stream = stream(4 * HUGEPAGE_SIZE);
+        let (mut sent, mut got) = (0, Vec::new());
+        for _ in 0..50 {
+            write_step(&mut host, cs, &stream, &mut sent);
+        }
+        // The reader's receive budget in its region, the stack's receive
+        // queue and the writer's send credit: nothing more leaves the writer.
+        assert!(sent <= 3 * DEFAULT_RECV_BUF, "{sent} bytes left the writer");
+        for _ in 0..2_000 {
+            if got.len() == stream.len() {
+                break;
+            }
+            assert_eq!(
+                read_all(&mut host, conn, &mut got),
+                Err(NkError::WouldBlock)
+            );
+            write_step(&mut host, cs, &stream, &mut sent);
+        }
+        assert!(
+            got == stream,
+            "{} of {} bytes, in order",
+            got.len(),
+            stream.len()
+        );
+    }
+
+    /// `shutdown(Write)` reaches a colocated reader as EOF after every byte
+    /// written before it, even bytes still waiting for receive credit when
+    /// the shutdown arrives: a stalled reader's budget and the stack's
+    /// receive queue are full, and a third share waits in ServiceLib.
+    #[test]
+    fn a_colocated_shutdown_reaches_the_reader_as_eof_after_its_bytes() {
+        let (mut host, ls) = colocated(DEFAULT_HUGEPAGE_COUNT);
+        let (cs, conn) = colocated_pair(&mut host, ls);
+        let stream = stream(3 * DEFAULT_RECV_BUF);
+        let mut sent = 0;
+        for _ in 0..100 {
+            write_step(&mut host, cs, &stream, &mut sent);
+        }
+        assert_eq!(sent, stream.len(), "the writer's credit ran out early");
+        let g2 = host.guest_mut(VmId(2)).unwrap();
+        g2.shutdown(cs, ShutdownHow::Write).unwrap();
+        host.run(5, 100_000);
+        let mut got = Vec::new();
+        let mut last = Err(NkError::WouldBlock);
+        for _ in 0..100 {
+            last = read_all(&mut host, conn, &mut got);
+            if last != Err(NkError::WouldBlock) {
+                break;
+            }
+            host.run(1, 100_000);
+        }
+        assert_eq!(last, Ok(0), "EOF after {} bytes", got.len());
+        assert!(
+            got == stream,
+            "{} of {} bytes before EOF",
+            got.len(),
+            stream.len()
+        );
     }
 
     /// Two VMs on one kernel NSM reach each other through its vNIC, with

@@ -10,9 +10,9 @@
 use crate::host::{NetKernelHost, VmSlot};
 use nk_guest::GuestLib;
 use nk_netstack::cc::CcAlgorithm;
-use nk_netstack::{StackConfig, TcpStack};
+use nk_netstack::{LocalStack, StackConfig, TcpStack};
 use nk_queue::{queue_set_pair, NkDevice, WakeState};
-use nk_service::{Nsm, ServiceLib, SharedMemNsm, TcpNsm};
+use nk_service::{Nsm, ServiceLib, StackNsm, TcpNsm};
 use nk_shmem::HugepageRegion;
 use nk_sim::PoolMember;
 use nk_types::migrate::{ConnSnapshot, VmWarmExport};
@@ -173,9 +173,11 @@ impl NetKernelHost {
         }
         self.engine.register_nsm(nsm_cfg.id, engine_ends)?;
         let device = NkDevice::new(service_ends, WakeState::new());
-        let batch = self.cfg.batch_size;
+        let service = ServiceLib::new(nsm_cfg.id, device, self.cfg.batch_size);
         let instance = match nsm_cfg.stack {
-            StackKind::SharedMem => Nsm::SharedMem(Box::new(SharedMemNsm::new(device, batch))),
+            kind @ StackKind::SharedMem => {
+                Nsm::SharedMem(Box::new(StackNsm::new(kind, service, LocalStack::new())))
+            }
             kind => {
                 let ip = self.nsm_addr(nsm_cfg.id);
                 let port = self.switch.attach_with_link(
@@ -186,7 +188,6 @@ impl NetKernelHost {
                     .with_cc(CcAlgorithm::from_kind(nsm_cfg.cc))
                     .with_ephemeral_generation(generation);
                 let stack = TcpStack::new(stack_cfg, port);
-                let service = ServiceLib::new(nsm_cfg.id, device, batch);
                 Nsm::Tcp(Box::new(TcpNsm::new(kind, service, stack)))
             }
         };
@@ -517,10 +518,7 @@ impl NetKernelHost {
             // The stack connection must be post-handshake; an embryonic or
             // dying connection refuses to snapshot, so refuse the whole
             // export before anything is torn out.
-            if !n
-                .stack()
-                .conn_transplantable(entry.nsm_socket.expect("checked above"))
-            {
+            if !n.conn_transplantable(vm, key.socket) {
                 return Err(NkError::InvalidState);
             }
             // The guest socket must be transplantable too — a socket the

@@ -15,7 +15,11 @@
 //!   fast retransmit), out-of-order reassembly, FIN/RST teardown;
 //! * [`stack`] — the socket layer: listeners and accept queues, port
 //!   allocation, demultiplexing, readiness events, and the non-blocking
-//!   socket-call surface ServiceLib and the baseline guest translate into.
+//!   socket-call surface ServiceLib and the baseline guest translate into,
+//!   and [`NsmStack`], the calls ServiceLib makes on whichever stack it
+//!   serves guests through;
+//! * [`local`] — [`LocalStack`], the shared-memory NSM's stack: colocated
+//!   sockets paired inside the NSM, with no TCP at all (use case 4, §6.4).
 //!
 //! The stack is deliberately synchronous and single-owner: it is driven by
 //! `tick(now_ns)` from whoever owns it (an NSM, a baseline VM, a remote-host
@@ -26,12 +30,14 @@
 
 pub mod cc;
 pub mod conn;
+pub mod local;
 pub mod payload;
 pub mod segment;
 pub mod stack;
 
 pub use cc::{Cc, CcAlgorithm, CongestionControl, SharedVmWindow};
 pub use conn::{ConnState, TcpConnection};
+pub use local::LocalStack;
 pub use nk_types::Payload;
 pub use segment::{Segment, SegmentFlags};
-pub use stack::{StackConfig, StackEvent, TcpStack};
+pub use stack::{NsmStack, StackConfig, StackEvent, TcpStack};

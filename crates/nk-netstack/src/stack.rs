@@ -1336,6 +1336,67 @@ impl TcpStack {
     }
 }
 
+/// The calls an NSM's ServiceLib makes on the stack it serves guests
+/// through: a [`TcpStack`], or the shared-memory NSM's
+/// [`LocalStack`](crate::LocalStack). Each means what `TcpStack`'s inherent
+/// method of the same name means. ServiceLib is generic over the trait, so
+/// every NSM runs one request handler, monomorphised per stack.
+pub trait NsmStack {
+    fn socket(&mut self) -> SocketId;
+    fn bind(&mut self, sock: SocketId, addr: SockAddr) -> NkResult<()>;
+    fn listen(&mut self, sock: SocketId, backlog: u32) -> NkResult<()>;
+    fn connect_with_cc(
+        &mut self,
+        sock: SocketId,
+        remote: SockAddr,
+        now_ns: u64,
+        cc: Option<Cc>,
+    ) -> NkResult<()>;
+    fn accept(&mut self, sock: SocketId) -> NkResult<(SocketId, SockAddr)>;
+    fn send_payload(&mut self, sock: SocketId, run: &mut Payload) -> NkResult<usize>;
+    fn recv_available(&self, sock: SocketId) -> usize;
+    fn recv_runs(&mut self, sock: SocketId, max: usize, out: &mut Vec<Payload>) -> NkResult<usize>;
+    fn shutdown(&mut self, sock: SocketId, how: ShutdownHow) -> NkResult<()>;
+    fn close(&mut self, sock: SocketId) -> NkResult<()>;
+    fn set_sockopt(&mut self, sock: SocketId, opt: u32, value: u32) -> NkResult<()>;
+    fn pop_event(&mut self) -> Option<StackEvent>;
+    fn tick(&mut self, now_ns: u64) -> usize;
+}
+
+/// `fn name(&mut self, args) -> ret` as a call of `TcpStack`'s inherent
+/// method of that name, inlined into ServiceLib's monomorphised caller.
+macro_rules! inherent {
+    ($(fn $name:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {
+        $(#[inline]
+        fn $name(&mut self, $($arg: $ty),*) -> $ret {
+            TcpStack::$name(self, $($arg),*)
+        })*
+    };
+}
+
+impl NsmStack for TcpStack {
+    inherent! {
+        fn socket() -> SocketId;
+        fn bind(sock: SocketId, addr: SockAddr) -> NkResult<()>;
+        fn listen(sock: SocketId, backlog: u32) -> NkResult<()>;
+        fn connect_with_cc(sock: SocketId, remote: SockAddr, now_ns: u64, cc: Option<Cc>)
+            -> NkResult<()>;
+        fn accept(sock: SocketId) -> NkResult<(SocketId, SockAddr)>;
+        fn send_payload(sock: SocketId, run: &mut Payload) -> NkResult<usize>;
+        fn recv_runs(sock: SocketId, max: usize, out: &mut Vec<Payload>) -> NkResult<usize>;
+        fn shutdown(sock: SocketId, how: ShutdownHow) -> NkResult<()>;
+        fn close(sock: SocketId) -> NkResult<()>;
+        fn set_sockopt(sock: SocketId, opt: u32, value: u32) -> NkResult<()>;
+        fn pop_event() -> Option<StackEvent>;
+        fn tick(now_ns: u64) -> usize;
+    }
+
+    #[inline]
+    fn recv_available(&self, sock: SocketId) -> usize {
+        TcpStack::recv_available(self, sock)
+    }
+}
+
 /// The baseline architecture's socket surface (paper §7.1): applications
 /// written against [`SocketApi`] run on a bare stack exactly as they do on
 /// GuestLib. Every call delegates to the inherent method of the same name;

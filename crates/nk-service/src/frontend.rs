@@ -3,10 +3,10 @@
 //! Whatever stack an NSM runs, it meets CoreEngine the same way: request
 //! NQEs arrive on its NK device, payload lives in the hugepage region each
 //! served VM shares with it, and answers go back as completion or event
-//! NQEs. This module is that ingress, once: the device, the per-VM regions,
-//! the request drain, respond/reply, the counter of NSM-allocated guest
-//! socket ids and the failed-`Send` rule. The flavours ([`crate::service`],
-//! [`crate::sharedmem`]) only decide what a request *does*.
+//! NQEs. This module is that ingress: the device, the per-VM regions, the
+//! request drain, respond/reply, the counter of NSM-allocated guest socket
+//! ids and the failed-`Send` rule. What a request *does* is decided once, by
+//! [`crate::service::ServiceLib`], over whichever stack the NSM runs.
 
 use crate::service::ServiceStats;
 use nk_queue::{NkDevice, ResponderEnd};
@@ -20,7 +20,7 @@ pub(crate) struct Frontend {
     pub(crate) regions: BTreeMap<VmId, HugepageRegion>,
     next_guest_sock: u32,
     batch: usize,
-    /// The buffer a flavour drains batches into, kept between rounds.
+    /// The buffer ServiceLib drains batches into, kept between rounds.
     pub(crate) popped: Vec<Nqe>,
     /// Queue set the drain is on.
     queue_set: usize,

@@ -10,17 +10,17 @@
 //!
 //! * [`nsm`] — [`nsm::Nsm`], the one NSM type a host stores, in either
 //!   flavour;
-//! * `frontend` (private) — the NQE ingress both flavours share: the NK
-//!   device, the per-VM hugepage regions, the request drain, respond/reply,
-//!   NSM-allocated guest socket ids and the failed-`Send` rule;
-//! * [`service`] — [`service::ServiceLib`], the TCP flavour's translation
-//!   onto a [`nk_netstack::TcpStack`], and [`service::TcpNsm`] binding the
-//!   two. The kernel-stack, mTCP and fair-share NSMs are all this flavour
+//! * `frontend` (private) — the NQE ingress: the NK device, the per-VM
+//!   hugepage regions, the request drain, respond/reply, NSM-allocated guest
+//!   socket ids and the failed-`Send` rule;
+//! * [`service`] — [`service::ServiceLib`], the one request handler,
+//!   translating NQEs onto any [`nk_netstack::NsmStack`], and
+//!   [`service::StackNsm`] binding the two. A [`service::TcpNsm`] runs a
+//!   [`nk_netstack::TcpStack`]: the kernel-stack, mTCP and fair-share NSMs
 //!   (the difference is which cost profile and batching the host charges,
-//!   and how many queue sets / cores it gets);
-//! * [`sharedmem`] — the shared-memory NSM of use case 4 (§6.4), which moves
-//!   payload hugepage-to-hugepage between colocated VMs and bypasses TCP
-//!   entirely;
+//!   and how many queue sets / cores it gets). The shared-memory NSM of use
+//!   case 4 (§6.4) runs a [`nk_netstack::LocalStack`], which moves payload
+//!   hugepage-to-hugepage between colocated VMs and bypasses TCP entirely;
 //! * [`fairshare`] — helpers giving each VM one Seawall-style shared
 //!   congestion window (use case 2, §6.2).
 
@@ -30,9 +30,7 @@ pub mod fairshare;
 mod frontend;
 pub mod nsm;
 pub mod service;
-pub mod sharedmem;
 
 pub use fairshare::VmWindowRegistry;
 pub use nsm::Nsm;
-pub use service::{ServiceLib, ServiceStats, TcpNsm};
-pub use sharedmem::{SharedMemNsm, SharedMemStats};
+pub use service::{ServiceLib, ServiceStats, StackNsm, TcpNsm};

@@ -1,16 +1,17 @@
 //! The one NSM type a host stores.
 //!
-//! Every NSM meets CoreEngine through the same NQE front end (the private
-//! `frontend` module); what differs is what a request does. The TCP
-//! flavour translates it onto a [`nk_netstack::TcpStack`] through
-//! [`ServiceLib`](crate::ServiceLib); the shared-memory flavour matches
-//! colocated connections itself and moves payload hugepage-to-hugepage.
+//! Every NSM is a [`StackNsm`]: ServiceLib, the one request handler, over
+//! the stack the NSM runs. The TCP flavour runs a
+//! [`TcpStack`](nk_netstack::TcpStack); the shared-memory flavour runs a
+//! [`LocalStack`], which pairs colocated sockets inside the NSM and moves
+//! payload hugepage-to-hugepage by reference. Both arms of [`Nsm`] run the
+//! same code, monomorphised over their stack; the enum only keeps the
+//! stack's type.
 
-use crate::service::{ServiceStats, TcpNsm};
-use crate::sharedmem::{SharedMemNsm, SharedMemStats};
+use crate::service::{ServiceLib, ServiceStats, StackNsm, TcpNsm};
+use nk_netstack::LocalStack;
 use nk_shmem::HugepageRegion;
 use nk_types::VmId;
-use std::collections::BTreeMap;
 
 /// A Network Stack Module of either flavour. Both are boxed: a TCP NSM
 /// carries a whole stack, and the host walks its NSM map every round.
@@ -18,47 +19,45 @@ pub enum Nsm {
     /// A ServiceLib over a TCP stack: the kernel-stack, mTCP and fair-share
     /// NSMs.
     Tcp(Box<TcpNsm>),
-    /// The shared-memory NSM of use case 4 (§6.4).
-    SharedMem(Box<SharedMemNsm>),
+    /// A ServiceLib over a [`LocalStack`]: the shared-memory NSM of use case
+    /// 4 (§6.4).
+    SharedMem(Box<StackNsm<LocalStack>>),
+}
+
+/// `$body` with `$n` bound to whichever flavour `$nsm` holds: the same code
+/// in both arms.
+macro_rules! either {
+    ($nsm:expr, $n:ident => $body:expr) => {
+        match $nsm {
+            Nsm::Tcp($n) => $body,
+            Nsm::SharedMem($n) => $body,
+        }
+    };
 }
 
 impl Nsm {
-    fn regions(&self) -> &BTreeMap<VmId, HugepageRegion> {
-        match self {
-            Nsm::Tcp(n) => &n.service.front.regions,
-            Nsm::SharedMem(n) => &n.front.regions,
-        }
-    }
-
-    fn regions_mut(&mut self) -> &mut BTreeMap<VmId, HugepageRegion> {
-        match self {
-            Nsm::Tcp(n) => &mut n.service.front.regions,
-            Nsm::SharedMem(n) => &mut n.front.regions,
-        }
+    fn service(&self) -> &ServiceLib {
+        either!(self, n => &n.service)
     }
 
     /// Map the hugepage region `vm` shares with this NSM.
     pub fn add_vm(&mut self, vm: VmId, region: HugepageRegion) {
-        self.regions_mut().insert(vm, region);
+        either!(self, n => n.service.add_vm(vm, region));
     }
 
     /// The VMs whose regions are mapped here, in id order.
     pub fn wired_vms(&self) -> Vec<VmId> {
-        self.regions().keys().copied().collect()
+        self.service().front.regions.keys().copied().collect()
     }
 
     /// True while `vm`'s region is mapped here.
     pub fn wires(&self, vm: VmId) -> bool {
-        self.regions().contains_key(&vm)
+        self.service().front.regions.contains_key(&vm)
     }
 
-    /// True while a socket of the VM lives here: a translated socket (TCP),
-    /// or a socket or listener (shared memory).
+    /// True while a socket of the VM lives here.
     pub fn has_sockets_of(&self, vm: VmId) -> bool {
-        match self {
-            Nsm::Tcp(n) => n.service.has_sockets_of(vm),
-            Nsm::SharedMem(n) => n.has_sockets_of(vm),
-        }
+        self.service().has_sockets_of(vm)
     }
 
     /// True while this NSM holds state for the VM: its region is mapped,
@@ -70,50 +69,32 @@ impl Nsm {
     /// Unmap `vm`'s region and nothing else: no socket is closed. For a VM
     /// that left this NSM and has nothing left here.
     pub fn unwire(&mut self, vm: VmId) {
-        self.regions_mut().remove(&vm);
+        either!(self, n => n.service.front.regions.remove(&vm));
     }
 
-    /// Detach a VM: its region mapping goes, and so do its sockets — closed
-    /// in the stack (TCP), or dropped with its listeners (shared memory).
-    /// Called when the VM migrates away or leaves the host: a stale mapping
-    /// would pin the region alive and resurrect the VM on a later restart.
+    /// Detach a VM: its region mapping goes, and its sockets close in the
+    /// stack. Called when the VM migrates away or leaves the host: a stale
+    /// mapping would pin the region alive and resurrect the VM on a later
+    /// restart.
     pub fn remove_vm(&mut self, vm: VmId) {
-        match self {
-            Nsm::Tcp(n) => n.service.remove_vm(vm, &mut n.stack),
-            Nsm::SharedMem(n) => n.remove_vm(vm),
-        }
+        either!(self, n => n.service.remove_vm(vm, &mut n.stack));
     }
 
-    /// ServiceLib statistics, for a TCP-stack NSM.
-    pub fn service_stats(&self) -> Option<ServiceStats> {
-        match self {
-            Nsm::Tcp(n) => Some(n.service.stats()),
-            Nsm::SharedMem(_) => None,
-        }
-    }
-
-    /// Shared-memory statistics, for the shared-memory NSM.
-    pub fn shm_stats(&self) -> Option<SharedMemStats> {
-        match self {
-            Nsm::Tcp(_) => None,
-            Nsm::SharedMem(n) => Some(n.stats()),
-        }
+    /// ServiceLib statistics.
+    pub fn service_stats(&self) -> ServiceStats {
+        self.service().stats()
     }
 }
 
 impl nk_sim::Pollable for Nsm {
     fn poll(&mut self, now_ns: u64) -> usize {
-        match self {
-            Nsm::Tcp(n) => n.tick(now_ns),
-            Nsm::SharedMem(n) => n.tick(now_ns),
-        }
+        either!(self, n => n.tick(now_ns))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ServiceLib;
     use nk_fabric::switch::VirtualSwitch;
     use nk_netstack::{Segment, StackConfig, TcpStack};
     use nk_queue::{queue_set_pair, NkDevice, RequesterEnd, WakeState};
@@ -127,12 +108,14 @@ mod tests {
     fn nsm(kind: StackKind) -> (Nsm, RequesterEnd, HugepageRegion) {
         let (guest_end, nsm_end) = queue_set_pair(64);
         let device = NkDevice::new(vec![nsm_end], WakeState::new());
+        let service = ServiceLib::new(NsmId(1), device, 8);
         let mut nsm = match kind {
-            StackKind::SharedMem => Nsm::SharedMem(Box::new(SharedMemNsm::new(device, 8))),
+            StackKind::SharedMem => {
+                Nsm::SharedMem(Box::new(StackNsm::new(kind, service, LocalStack::new())))
+            }
             kind => {
                 let port = VirtualSwitch::<Segment>::new().attach(0x0A00_0010);
                 let stack = TcpStack::new(StackConfig::new(0x0A00_0010), port);
-                let service = ServiceLib::new(NsmId(1), device, 8);
                 Nsm::Tcp(Box::new(TcpNsm::new(kind, service, stack)))
             }
         };

@@ -2,7 +2,7 @@
 
 use crate::fairshare::VmWindowRegistry;
 use crate::frontend::Frontend;
-use nk_netstack::{Payload, StackEvent, TcpStack};
+use nk_netstack::{NsmStack, Payload, StackEvent, TcpStack};
 use nk_queue::{NkDevice, ResponderEnd};
 use nk_shmem::HugepageRegion;
 use nk_types::api::ShutdownHow;
@@ -33,6 +33,11 @@ pub struct ServiceStats {
     pub bytes_rx: u64,
     /// Connections accepted on behalf of guests.
     pub accepted: u64,
+    /// Sockets `pump_receive` visited: the ones that may hold received
+    /// bytes, never every record.
+    pub rx_visits: u64,
+    /// Sockets `flush_pending` visited: the ones that may hold queued runs.
+    pub tx_visits: u64,
 }
 
 /// One guest socket as the NSM keeps it, keyed by its guest tuple: which
@@ -53,6 +58,9 @@ struct NsmSocket {
     /// Payload accepted from the guest but not yet taken by the stack,
     /// oldest run first (a run the stack took part of is cut to its rest).
     queued: VecDeque<Payload>,
+    /// The guest shut its write side while runs were queued: the stack
+    /// shuts it once they are all in, so EOF follows every byte sent.
+    shut_queued: bool,
 }
 
 impl NsmSocket {
@@ -65,6 +73,7 @@ impl NsmSocket {
             nsm_qs,
             rx_outstanding: 0,
             queued: VecDeque::new(),
+            shut_queued: false,
         }
     }
 
@@ -91,7 +100,8 @@ impl Recycle for NsmSocket {
 }
 
 /// The NSM-side library translating between NQEs and the network stack
-/// (paper §4.2, §4.5): the TCP flavour of the NQE front end.
+/// (paper §4.2, §4.5): every NSM's one request handler, over whichever
+/// [`NsmStack`] the NSM runs.
 pub struct ServiceLib {
     pub(crate) front: Frontend,
     /// Every guest socket, by guest tuple: one hash per request NQE. The
@@ -142,19 +152,13 @@ impl ServiceLib {
     /// sockets go. Called when the VM migrates away or leaves the host — a
     /// stale mapping would pin the hugepage region alive in an NSM that no
     /// longer serves the VM.
-    pub fn remove_vm(&mut self, vm: VmId, stack: &mut TcpStack) {
+    pub fn remove_vm(&mut self, vm: VmId, stack: &mut impl NsmStack) {
         self.front.regions.remove(&vm);
         for key in self.socks.sorted_keys() {
             if key.0 == vm {
                 let _ = self.close(stack, key);
             }
         }
-    }
-
-    /// True while this ServiceLib holds state for the VM (region mapping or
-    /// live sockets).
-    pub fn has_vm(&self, vm: VmId) -> bool {
-        self.front.regions.contains_key(&vm) || self.has_sockets_of(vm)
     }
 
     /// True while a socket of the VM is live here.
@@ -178,7 +182,7 @@ impl ServiceLib {
     }
 
     /// Close a guest socket's stack socket and forget the socket.
-    fn close(&mut self, stack: &mut TcpStack, key: (VmId, SocketId)) -> NkResult<()> {
+    fn close(&mut self, stack: &mut impl NsmStack, key: (VmId, SocketId)) -> NkResult<()> {
         let rec = self.forget(key)?;
         rec.queued.clear();
         stack.close(rec.stack)
@@ -218,7 +222,7 @@ impl ServiceLib {
     }
 
     /// Drain request NQEs from every queue set and apply them to `stack`.
-    pub fn process_requests(&mut self, stack: &mut TcpStack, now_ns: u64) -> usize {
+    pub fn process_requests(&mut self, stack: &mut impl NsmStack, now_ns: u64) -> usize {
         let mut handled = 0;
         let mut batch = std::mem::take(&mut self.front.popped);
         while let Some(nsm_qs) = self.front.next_batch(&mut batch) {
@@ -231,7 +235,7 @@ impl ServiceLib {
         handled
     }
 
-    fn handle_request(&mut self, stack: &mut TcpStack, nsm_qs: usize, nqe: Nqe, now_ns: u64) {
+    fn handle_request(&mut self, stack: &mut impl NsmStack, nsm_qs: usize, nqe: Nqe, now_ns: u64) {
         let key = (nqe.vm, nqe.socket);
         let slot = self.socks.slot(&key);
         let rec = slot.map(|slot| self.socks.at_mut(slot));
@@ -259,9 +263,13 @@ impl ServiceLib {
                 }
                 return;
             }
-            OpType::Shutdown => {
-                sock.and_then(|s| stack.shutdown(s, ShutdownHow::decode(nqe.op_data)))
-            }
+            OpType::Shutdown => match (rec, ShutdownHow::decode(nqe.op_data)) {
+                (Some(rec), how) if how != ShutdownHow::Read && !rec.queued.is_empty() => {
+                    rec.shut_queued = true;
+                    Ok(())
+                }
+                (_, how) => sock.and_then(|s| stack.shutdown(s, how)),
+            },
             OpType::Close => self.close(stack, key),
             OpType::SetSockOpt => sock.and_then(|s| {
                 let opt = op_data::sockopt_opt(nqe.op_data);
@@ -280,8 +288,16 @@ impl ServiceLib {
     /// Hand a Send's payload to the stack socket of the record in `slot`,
     /// if any. An error is answered by the caller, which frees the chunk and
     /// returns the credit.
-    fn handle_send(&mut self, stack: &mut TcpStack, nqe: &Nqe, slot: Option<u32>) -> NkResult<()> {
+    fn handle_send(
+        &mut self,
+        stack: &mut impl NsmStack,
+        nqe: &Nqe,
+        slot: Option<u32>,
+    ) -> NkResult<()> {
         let rec = self.socks.at_mut(slot.ok_or(NkError::BadSocket)?);
+        if rec.shut_queued {
+            return Err(NkError::NotConnected);
+        }
         let region = self.front.regions.get(&nqe.vm).ok_or(NkError::NotFound)?;
         // The hop §7.8 attributes NetKernel's throughput overhead to, made
         // by reference: the chunk's runs leave the hugepage (which is freed
@@ -326,7 +342,11 @@ impl ServiceLib {
     }
 
     /// Push `queue` into the stack until it refuses; returns bytes taken.
-    fn flush_queue(stack: &mut TcpStack, sock: SocketId, queue: &mut VecDeque<Payload>) -> usize {
+    fn flush_queue(
+        stack: &mut impl NsmStack,
+        sock: SocketId,
+        queue: &mut VecDeque<Payload>,
+    ) -> usize {
         let mut flushed = 0;
         while let Some(front) = queue.front_mut() {
             let Ok(n) = stack.send_payload(sock, front) else {
@@ -341,11 +361,13 @@ impl ServiceLib {
         flushed
     }
 
-    /// Push queued payload into the stack and return credit to guests.
-    fn flush_pending(&mut self, stack: &mut TcpStack) {
+    /// Push queued payload into the stack and return credit to guests; a
+    /// write side the guest shut behind its runs shuts once they are in.
+    fn flush_pending(&mut self, stack: &mut impl NsmStack) {
         let mut ready = std::mem::take(&mut self.tx_ready);
         ready.sort_unstable();
         ready.dedup();
+        self.front.stats.tx_visits += ready.len() as u64;
         ready.retain(|&sock| {
             let Some(&slot) = self.by_stack.get(&sock) else {
                 return false;
@@ -355,13 +377,16 @@ impl ServiceLib {
             if flushed > 0 {
                 rec.send_credit(&mut self.front, flushed);
             }
+            if rec.queued.is_empty() && std::mem::take(&mut rec.shut_queued) {
+                let _ = stack.shutdown(sock, ShutdownHow::Write);
+            }
             !rec.queued.is_empty()
         });
         self.tx_ready = ready;
     }
 
     /// Turn stack events into NQEs and ship received payload to the guests.
-    pub fn process_stack(&mut self, stack: &mut TcpStack, _now_ns: u64) {
+    pub fn process_stack(&mut self, stack: &mut impl NsmStack, _now_ns: u64) {
         while let Some(event) = stack.pop_event() {
             let (sock, op, op_data) = match event {
                 StackEvent::Acceptable(listener) => {
@@ -393,7 +418,7 @@ impl ServiceLib {
         self.flush_pending(stack);
     }
 
-    fn drain_accepts(&mut self, stack: &mut TcpStack, listener: SocketId) {
+    fn drain_accepts(&mut self, stack: &mut impl NsmStack, listener: SocketId) {
         // The listener's record tells us which guest owns it.
         let Some(l) = self.by_stack(listener) else {
             return;
@@ -413,10 +438,11 @@ impl ServiceLib {
         }
     }
 
-    fn pump_receive(&mut self, stack: &mut TcpStack) {
+    fn pump_receive(&mut self, stack: &mut impl NsmStack) {
         let mut ready = std::mem::take(&mut self.rx_ready);
         ready.sort_unstable();
         ready.dedup();
+        self.front.stats.rx_visits += ready.len() as u64;
         ready.retain(|&sock| self.pump_socket(stack, sock));
         self.rx_ready = ready;
     }
@@ -424,7 +450,7 @@ impl ServiceLib {
     /// Ship what `sock` has received to its guest, as far as receive credit
     /// and hugepages go. True while the stack still holds bytes for it: the
     /// socket stays on the ready list.
-    fn pump_socket(&mut self, stack: &mut TcpStack, sock: SocketId) -> bool {
+    fn pump_socket(&mut self, stack: &mut impl NsmStack, sock: SocketId) -> bool {
         let Some(&slot) = self.by_stack.get(&sock) else {
             return false;
         };
@@ -460,27 +486,41 @@ impl ServiceLib {
     }
 }
 
-/// The TCP flavour of an [`crate::Nsm`]: a ServiceLib bound to a concrete
-/// network stack.
+/// An NSM: a ServiceLib paired with the stack it serves guests through.
 ///
-/// The kernel-stack, mTCP and fair-share NSMs are all this type — they run
-/// the same from-scratch TCP substrate but are provisioned and cost-
+/// The kernel-stack, mTCP and fair-share NSMs are all a [`TcpNsm`] — they
+/// run the same from-scratch TCP substrate but are provisioned and cost-
 /// accounted differently (the mTCP NSM uses poll-mode batching and a cheaper
-/// per-operation profile in the host's cost model, mirroring §6.3/§7.4).
-pub struct TcpNsm {
+/// per-operation profile in the host's cost model, mirroring §6.3/§7.4). The
+/// shared-memory NSM of use case 4 (§6.4) is a `StackNsm<LocalStack>`.
+pub struct StackNsm<S> {
     pub(crate) service: ServiceLib,
-    pub(crate) stack: TcpStack,
+    pub(crate) stack: S,
 }
 
-impl TcpNsm {
-    /// Assemble a TCP-stack NSM of flavour `kind` from its parts.
-    pub fn new(kind: StackKind, mut service: ServiceLib, stack: TcpStack) -> Self {
+/// A ServiceLib over a TCP stack.
+pub type TcpNsm = StackNsm<TcpStack>;
+
+impl<S: NsmStack> StackNsm<S> {
+    /// Assemble an NSM of flavour `kind` from its parts.
+    pub fn new(kind: StackKind, mut service: ServiceLib, stack: S) -> Self {
         if kind == StackKind::FairShare {
             service.fair_share = Some(VmWindowRegistry::new());
         }
-        TcpNsm { service, stack }
+        StackNsm { service, stack }
     }
 
+    /// One scheduling round: ingest requests, run the stack, emit events.
+    /// Returns the number of NQEs and segments processed.
+    pub fn tick(&mut self, now_ns: u64) -> usize {
+        let mut work = self.service.process_requests(&mut self.stack, now_ns);
+        work += self.stack.tick(now_ns);
+        self.service.process_stack(&mut self.stack, now_ns);
+        work
+    }
+}
+
+impl TcpNsm {
     /// Borrow the underlying stack immutably (wire-quiet queries).
     pub fn stack(&self) -> &TcpStack {
         &self.stack
@@ -489,6 +529,14 @@ impl TcpNsm {
     /// Borrow the underlying stack (used by tests and the host).
     pub fn stack_mut(&mut self) -> &mut TcpStack {
         &mut self.stack
+    }
+
+    /// True when guest connection `(vm, guest_sock)` would export: its
+    /// stack connection is transplantable, and no shutdown waits behind
+    /// its queued runs (a snapshot has no place for one).
+    pub fn conn_transplantable(&self, vm: VmId, guest_sock: SocketId) -> bool {
+        let rec = self.service.socks.get(&(vm, guest_sock));
+        rec.is_some_and(|rec| !rec.shut_queued && self.stack.conn_transplantable(rec.stack))
     }
 
     /// Export one guest connection's NSM-side state for a warm migration:
@@ -504,6 +552,9 @@ impl TcpNsm {
         // state is torn out.
         let key = (vm, guest_sock);
         let rec = self.service.socks.get(&key).ok_or(NkError::BadSocket)?;
+        if rec.shut_queued {
+            return Err(NkError::InvalidState);
+        }
         let snap = self.stack.export_conn(rec.stack)?;
         let rec = self.service.forget(key).expect("mapping observed above");
         let queued = rec.queued.drain(..).map(|run| run.to_vec()).collect();
@@ -529,25 +580,24 @@ impl TcpNsm {
         }
         Ok(stack_sock)
     }
-
-    /// One scheduling round: ingest requests, run the stack, emit events.
-    /// Returns the number of NQEs and segments processed.
-    pub fn tick(&mut self, now_ns: u64) -> usize {
-        let mut work = self.service.process_requests(&mut self.stack, now_ns);
-        work += self.stack.tick(now_ns);
-        self.service.process_stack(&mut self.stack, now_ns);
-        work
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nk_fabric::switch::VirtualSwitch;
-    use nk_netstack::{Segment, StackConfig};
+    use nk_netstack::{LocalStack, Segment, StackConfig};
     use nk_queue::{queue_set_pair, RequesterEnd, WakeState};
     use nk_types::constants::NSM_SOCKET_ID_BASE;
     use nk_types::SockAddr;
+
+    impl ServiceLib {
+        /// True while this ServiceLib holds state for the VM (region mapping
+        /// or live sockets).
+        fn has_vm(&self, vm: VmId) -> bool {
+            self.front.regions.contains_key(&vm) || self.has_sockets_of(vm)
+        }
+    }
 
     const NSM_IP: u32 = 0x0A00_0010;
     const REMOTE_IP: u32 = 0x0A00_0020;
@@ -1005,6 +1055,52 @@ mod tests {
         assert_eq!(w.region.stats().chunks, 0);
     }
 
+    /// A guest `shutdown(Write)` behind runs the stack has not taken yet
+    /// waits for them: the peer reads every byte, then EOF. Until then the
+    /// connection does not export, since a snapshot cannot carry the
+    /// shutdown.
+    #[test]
+    fn a_shutdown_waits_behind_the_runs_queued_ahead_of_it() {
+        let mut w = World::new(StackKind::Kernel);
+        let ls = w.remote.socket();
+        w.remote.bind(ls, SockAddr::new(0, 7)).unwrap();
+        w.remote.listen(ls, 8).unwrap();
+        w.submit(req(OpType::SocketCreate, 5));
+        w.submit(req(OpType::Connect, 5).with_op_data(SockAddr::new(REMOTE_IP, 7).pack()));
+        w.run(10);
+        let (conn, _) = w.remote.accept(ls).unwrap();
+        let payload: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+        for part in payload.chunks(64 * 1024) {
+            let handle = w.region.alloc_and_write(part).unwrap();
+            w.submit(req(OpType::Send, 5).with_data(handle, part.len() as u32));
+        }
+        w.run(10);
+        let shut = req(OpType::Shutdown, 5).with_op_data(ShutdownHow::Write.encode());
+        w.submit(shut);
+        w.run(1);
+        let rec = w.nsm.service.socks.get(&(VmId(1), SocketId(5))).unwrap();
+        assert!(
+            !rec.queued.is_empty(),
+            "nothing queued: the test exercises nothing"
+        );
+        assert!(!w.nsm.conn_transplantable(VmId(1), SocketId(5)));
+        let (mut got, mut buf) = (Vec::new(), vec![0u8; 64 * 1024]);
+        for _ in 0..2_000 {
+            match w.remote.recv(conn, &mut buf) {
+                Ok(0) => break,
+                Ok(n) => got.extend_from_slice(&buf[..n]),
+                Err(NkError::WouldBlock) => w.run(1),
+                Err(e) => panic!("{e:?} after {} bytes", got.len()),
+            }
+        }
+        assert!(
+            got == payload,
+            "{} of {} bytes before EOF",
+            got.len(),
+            payload.len()
+        );
+    }
+
     #[test]
     fn fair_share_nsm_builds_with_vm_windows() {
         let w = World::new(StackKind::FairShare);
@@ -1037,5 +1133,210 @@ mod tests {
         assert!(resp
             .iter()
             .any(|n| n.op == OpType::GetSockOptComplete && !n.result().is_ok()));
+    }
+
+    /// Two colocated VMs on one shared-memory NSM: ServiceLib over a
+    /// [`LocalStack`]. Queue set 0 carries VM 1, queue set 1 VM 2; the test
+    /// plays GuestLib and CoreEngine on the requester ends.
+    struct Colocated {
+        nsm: StackNsm<LocalStack>,
+        ends: [RequesterEnd; 2],
+        regions: [HugepageRegion; 2],
+    }
+
+    impl Colocated {
+        fn new() -> Self {
+            let (vm1_end, nsm_end1) = queue_set_pair(256);
+            let (vm2_end, nsm_end2) = queue_set_pair(256);
+            let device = NkDevice::new(vec![nsm_end1, nsm_end2], WakeState::new());
+            let service = ServiceLib::new(NsmId(1), device, 8);
+            let mut nsm = StackNsm::new(StackKind::SharedMem, service, LocalStack::new());
+            let regions = [1, 2].map(|_| HugepageRegion::with_capacity(1 << 20));
+            nsm.service.add_vm(VmId(1), regions[0].clone());
+            nsm.service.add_vm(VmId(2), regions[1].clone());
+            Colocated {
+                nsm,
+                ends: [vm1_end, vm2_end],
+                regions,
+            }
+        }
+
+        /// Submit `op` on VM `vm`'s socket `sock`, shaped by `with`.
+        fn submit(&mut self, vm: u8, op: OpType, sock: u32, with: impl FnOnce(Nqe) -> Nqe) {
+            let nqe = Nqe::new(op, VmId(vm), QueueSetId(0), SocketId(sock));
+            self.ends[vm as usize - 1].submit(with(nqe)).unwrap();
+        }
+
+        fn responses(&mut self, vm: u8) -> Vec<Nqe> {
+            let mut out = Vec::new();
+            self.ends[vm as usize - 1].pop_responses(&mut out, 64);
+            out
+        }
+
+        /// VM 1's socket 1 listens on port 8080 with `backlog`.
+        fn listen(&mut self, backlog: u64) {
+            self.submit(1, OpType::SocketCreate, 1, |n| n);
+            let port = SockAddr::new(0, 8080).pack();
+            self.submit(1, OpType::Bind, 1, |n| n.with_op_data(port));
+            self.submit(1, OpType::Listen, 1, |n| n.with_op_data(backlog));
+            self.nsm.tick(0);
+            assert!(self.responses(1).iter().all(|n| n.result().is_ok()));
+        }
+
+        /// VM 2's socket `sock` connects to `port`.
+        fn connect(&mut self, sock: u32, port: u16) {
+            self.submit(2, OpType::SocketCreate, sock, |n| n);
+            let to = SockAddr::new(0, port).pack();
+            self.submit(2, OpType::Connect, sock, |n| n.with_op_data(to));
+        }
+
+        /// VM 2's socket 1 connects to VM 1's listener: the guest socket id
+        /// VM 1 was handed for it.
+        fn pair(&mut self) -> u32 {
+            self.listen(16);
+            self.connect(1, 8080);
+            self.nsm.tick(0);
+            let vm2 = self.responses(2);
+            let ok = |n: &&Nqe| n.op == OpType::ConnectComplete && n.result().is_ok();
+            assert_eq!(vm2.iter().filter(ok).count(), 1, "{vm2:?}");
+            let vm1 = self.responses(1);
+            let accepted: Vec<u32> = (vm1.iter().filter(|n| n.op == OpType::Accepted))
+                .map(|n| n.aux())
+                .collect();
+            assert_eq!(accepted.len(), 1, "{vm1:?}");
+            accepted[0]
+        }
+
+        /// VM 2 sends `bytes` on its socket 1.
+        fn send(&mut self, bytes: &[u8]) {
+            let handle = self.regions[1].alloc_and_write(bytes).unwrap();
+            let len = bytes.len() as u32;
+            self.submit(2, OpType::Send, 1, |n| n.with_data(handle, len));
+            self.nsm.tick(0);
+        }
+    }
+
+    #[test]
+    fn colocated_vms_connect_through_a_local_stack() {
+        let mut w = Colocated::new();
+        w.pair();
+        assert_eq!(w.nsm.service.stats().accepted, 1);
+    }
+
+    #[test]
+    fn a_local_connect_to_an_unknown_port_is_refused() {
+        let mut w = Colocated::new();
+        w.connect(1, 9999);
+        w.nsm.tick(0);
+        let refused = OpResult::Err(NkError::ConnRefused);
+        assert!(w
+            .responses(2)
+            .iter()
+            .any(|n| n.op == OpType::ConnectComplete && n.result() == refused));
+    }
+
+    /// A listener refuses the connects its backlog has no room for.
+    #[test]
+    fn local_connects_beyond_the_backlog_are_refused() {
+        let mut w = Colocated::new();
+        w.listen(2);
+        for sock in 1..=3 {
+            w.connect(sock, 8080);
+        }
+        w.nsm.tick(0);
+        let connects: Vec<OpResult> = (w.responses(2).iter())
+            .filter(|n| n.op == OpType::ConnectComplete)
+            .map(|n| n.result())
+            .collect();
+        let refused = OpResult::Err(NkError::ConnRefused);
+        assert_eq!(connects, [refused, OpResult::Ok, OpResult::Ok]);
+        let accepted = w
+            .responses(1)
+            .iter()
+            .filter(|n| n.op == OpType::Accepted)
+            .count();
+        assert_eq!(accepted, 2);
+    }
+
+    /// A send moves the payload into the peer's region, and the sender gets
+    /// its credit back.
+    #[test]
+    fn a_local_send_moves_between_hugepage_regions() {
+        let mut w = Colocated::new();
+        w.pair();
+        let payload = b"zero copy-ish shared memory path";
+        w.send(payload);
+        let vm1 = w.responses(1);
+        let data: Vec<&Nqe> = (vm1.iter().filter(|n| n.op == OpType::DataReceived)).collect();
+        assert_eq!(data.len(), 1);
+        let mut out = vec![0u8; data[0].size as usize];
+        w.regions[0].read(data[0].data, &mut out).unwrap();
+        assert_eq!(out, payload);
+        let credit = |n: &Nqe| n.op == OpType::SendComplete && n.size as usize == payload.len();
+        assert!(w.responses(2).iter().any(credit));
+        assert_eq!(w.nsm.service.stats().bytes_tx, payload.len() as u64);
+    }
+
+    #[test]
+    fn a_local_close_notifies_the_peer() {
+        let mut w = Colocated::new();
+        let accepted = w.pair();
+        w.submit(2, OpType::Close, 1, |n| n);
+        w.nsm.tick(0);
+        let closed = |n: &Nqe| n.op == OpType::PeerClosed && n.socket == SocketId(accepted);
+        assert!(w.responses(1).iter().any(closed));
+    }
+
+    /// An accepted id the listening VM already holds (a raw-NQE guest may
+    /// create one in the NSM's range) is skipped, not overwritten.
+    #[test]
+    fn a_local_accept_skips_an_nsm_range_id_the_guest_holds() {
+        let mut w = Colocated::new();
+        w.submit(1, OpType::SocketCreate, NSM_SOCKET_ID_BASE, |n| n);
+        assert_eq!(w.pair(), NSM_SOCKET_ID_BASE + 1);
+        assert_eq!(w.nsm.service.socks.len(), 4);
+    }
+
+    /// A Send the NSM cannot deliver — here the socket it names was closed
+    /// first — frees its chunk and returns its credit, as CoreEngine does
+    /// for the Sends it drops.
+    #[test]
+    fn a_failed_local_send_frees_its_chunk_and_returns_its_credit() {
+        let mut w = Colocated::new();
+        w.pair();
+        w.submit(2, OpType::Close, 1, |n| n);
+        w.nsm.tick(0);
+        let before = w.regions[1].available();
+        w.send(&[7u8; 1000]);
+        let vm2 = w.responses(2);
+        let comp = vm2.iter().find(|n| n.op == OpType::SendComplete).unwrap();
+        assert_eq!(comp.result(), OpResult::Err(NkError::BadSocket));
+        assert_eq!(comp.size, 1000);
+        assert_eq!(w.regions[1].available(), before);
+    }
+
+    /// A Send whose peer's region is full is taken by the stack and waits
+    /// there, not refused: the sender gets its credit, the peer sees no data
+    /// while its region has no room, and the bytes arrive once it has.
+    #[test]
+    fn a_local_send_into_a_full_peer_region_waits_in_the_stack() {
+        let mut w = Colocated::new();
+        w.pair();
+        let region = w.regions[0].clone();
+        let filler = region
+            .alloc_and_write(&vec![0u8; region.available()])
+            .unwrap();
+        w.send(&[7u8; 1000]);
+        let credit = |n: &Nqe| n.op == OpType::SendComplete && n.result().is_ok() && n.size == 1000;
+        assert!(w.responses(2).iter().any(credit));
+        assert!(w.responses(1).is_empty(), "the peer sees no data");
+        assert!(region.stats().failed_allocs > 0);
+        region.free(filler).unwrap();
+        w.nsm.tick(0);
+        let vm1 = w.responses(1);
+        let data = vm1.iter().find(|n| n.op == OpType::DataReceived).unwrap();
+        let mut out = vec![0u8; data.size as usize];
+        region.read(data.data, &mut out).unwrap();
+        assert_eq!(out, [7u8; 1000]);
     }
 }

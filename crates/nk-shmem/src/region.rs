@@ -22,10 +22,10 @@
 //! every run into it is gone (`alloc_and_write`); an NSM `Send` takes the
 //! chunk's runs for its stack and frees the chunk (`lend_and_free`); the
 //! NSM's receive path allocates a chunk and lets the stack fill it with
-//! runs (`alloc_and_fill`); a guest `recv()` copies out and frees a
-//! finished chunk (`read_and_free`); and the shared-memory NSM moves a
-//! chunk's runs into a peer's region (`move_to`). The guest's two hops
-//! copy; the NSM's three move runs by reference.
+//! runs (`alloc_and_fill`); and a guest `recv()` copies out and frees a
+//! finished chunk (`read_and_free`). The guest's two hops copy; the NSM's
+//! two move runs by reference, the shared-memory NSM's too: its stack
+//! carries the runs a `Send` lent to the chunk its peer's receive fills.
 
 #![expect(
     clippy::disallowed_types,
@@ -33,12 +33,8 @@
               NSMs of one host, and a host is polled by one thread at a time, \
               so its one Mutex (bitmaps and runs together: every hop takes \
               one lock hold) serialises same-host borrows only; no \
-              cross-shard data ever crosses it. `move_to` between two regions \
-              is the one place two of them are held together (the \
-              shared-memory NSM moving a chunk between two of its VMs, all on \
-              one host): it takes them in address order, so even two moves in \
-              opposite directions on different threads could not each hold \
-              the lock the other waits for."
+              cross-shard data ever crosses it, and no hop holds two \
+              regions' locks at once."
 )]
 
 use nk_types::constants::HUGEPAGE_SIZE;
@@ -437,48 +433,6 @@ impl HugepageRegion {
         Ok(DataHandle::from_offset(off as u64))
     }
 
-    /// Move the first `len` bytes of the chunk at `src` into a fresh chunk
-    /// of `dst_region` (or of this region), free `src` and return the new
-    /// handle. This is the shared-memory NSM's fast path (§6.4): payload
-    /// moves hugepage-to-hugepage by reference — the runs change chunks and
-    /// no byte is copied — without touching a TCP stack, holding each
-    /// region's lock once. The destination chunk is allocated before the
-    /// source is checked; a refused allocation or source frees nothing.
-    pub fn move_to(
-        &self,
-        src: DataHandle,
-        dst_region: &HugepageRegion,
-        len: usize,
-    ) -> NkResult<DataHandle> {
-        if Arc::ptr_eq(&self.pages, &dst_region.pages) {
-            let mut pages = self.lock();
-            let dst = pages.alloc(len)?;
-            let mut runs = std::mem::take(pages.runs_at(dst));
-            let moved = pages.take_runs(src, len, &mut runs);
-            *pages.runs_at(dst) = runs;
-            if let Err(e) = moved {
-                pages.free(dst)?;
-                return Err(e);
-            }
-            return Ok(DataHandle::from_offset(dst as u64));
-        }
-        // Address order, whichever way the move runs (see the file note).
-        let (mut src_pages, mut dst_pages);
-        if Arc::as_ptr(&self.pages) < Arc::as_ptr(&dst_region.pages) {
-            src_pages = self.lock();
-            dst_pages = dst_region.lock();
-        } else {
-            dst_pages = dst_region.lock();
-            src_pages = self.lock();
-        }
-        let dst = dst_pages.alloc(len)?;
-        if let Err(e) = src_pages.take_runs(src, len, dst_pages.runs_at(dst)) {
-            dst_pages.free(dst)?;
-            return Err(e);
-        }
-        Ok(DataHandle::from_offset(dst as u64))
-    }
-
     /// Current statistics.
     pub fn stats(&self) -> RegionStats {
         let pages = self.lock();
@@ -638,8 +592,7 @@ mod tests {
 
     /// Seeded runs of every region call — `alloc_and_fill` (a fill that
     /// fails included), `alloc_and_write`, `read_at`, `read_and_free`,
-    /// `lend_and_free`, `move_to` within and across two regions, and `free`
-    /// — against a flat model of offsets, bytes and `RegionStats`: the
+    /// `lend_and_free` and `free` on two regions — against a flat model of offsets, bytes and `RegionStats`: the
     /// bitmap region hands out exactly the offsets first fit hands out,
     /// refuses what the model refuses, and holds the model's bytes, zeros
     /// past what each chunk was written with included.
@@ -748,31 +701,6 @@ mod tests {
                             model_free(&mut models[r], h, &mut stale).unwrap();
                         }
                         assert_eq!(got, want, "{at}: lend_and_free");
-                    }
-                    5 => {
-                        let d = next(2);
-                        let src = pick(&mut next, &models[r], &stale);
-                        let got = regions[r].move_to(src, &regions[d], n);
-                        let got = got.map(|h| h.offset() as usize);
-                        // The destination is allocated first, then the
-                        // source checked; a refused source frees it again.
-                        let want = match models[d].alloc(n) {
-                            Ok(dst) => match models[r].span(src, 0, n) {
-                                Ok(s) => {
-                                    let moved = models[r].bytes[s].to_vec();
-                                    models[d].bytes[dst..dst + n].copy_from_slice(&moved);
-                                    model_free(&mut models[r], src, &mut stale).unwrap();
-                                    Ok(dst)
-                                }
-                                Err(e) => {
-                                    let h = DataHandle::from_offset(dst as u64);
-                                    model_free(&mut models[d], h, &mut stale).unwrap();
-                                    Err(e)
-                                }
-                            },
-                            Err(e) => Err(e),
-                        };
-                        assert_eq!(got, want, "{at}: move_to");
                     }
                     _ => {
                         let h = pick(&mut next, &models[r], &stale);
@@ -930,57 +858,6 @@ mod tests {
         region.free(keep).unwrap();
     }
 
-    #[test]
-    fn move_to_across_regions_within_one_and_of_nothing() {
-        let src_region = HugepageRegion::with_capacity(4096);
-        let dst_region = HugepageRegion::with_capacity(4096);
-        let mut out = vec![0u8; 20];
-
-        // Cross-region, in both lock orders; the source is freed.
-        let src = src_region.alloc_and_write(b"colocated vm payload").unwrap();
-        let dst = src_region.move_to(src, &dst_region, 20).unwrap();
-        dst_region.read(dst, &mut out).unwrap();
-        assert_eq!(&out, b"colocated vm payload");
-        assert_eq!(src_region.stats().chunks, 0);
-        let back = dst_region.move_to(dst, &src_region, 9).unwrap();
-        src_region.read(back, &mut out[..9]).unwrap();
-        assert_eq!(&out[..9], b"colocated");
-        assert_eq!(dst_region.stats().chunks, 0);
-
-        // Same region (through a clone): one lock, no deadlock. The copy
-        // is allocated before the source is freed, so it lands beside it.
-        let twin = src_region.move_to(back, &src_region.clone(), 9).unwrap();
-        assert_eq!(twin.offset(), 64);
-        src_region.read(twin, &mut out[..9]).unwrap();
-        assert_eq!(&out[..9], b"colocated");
-
-        // Zero length still checks the source; a refused source frees the
-        // destination again, and a dead source refuses.
-        let moved = src_region.move_to(twin, &dst_region, 0).unwrap();
-        dst_region.free(moved).unwrap();
-        let dst_allocs = dst_region.stats().total_allocs;
-        assert_eq!(
-            src_region.move_to(twin, &dst_region, 20),
-            Err(NkError::NotFound)
-        );
-        let stats = dst_region.stats();
-        assert_eq!((stats.chunks, stats.total_allocs), (0, dst_allocs + 1));
-        let src = src_region.alloc_and_write(b"short").unwrap();
-        assert_eq!(
-            src_region.move_to(src, &dst_region, 65),
-            Err(NkError::InvalidState)
-        );
-        assert_eq!(src_region.stats().chunks, 1, "a refused move frees nothing");
-        // A full destination refuses before the source is looked at.
-        let full = HugepageRegion::with_capacity(64);
-        let _taken = alloc(&full, 64).unwrap();
-        assert_eq!(
-            src_region.move_to(src, &full, 5),
-            Err(NkError::OutOfHugepages)
-        );
-        assert_eq!(src_region.stats().chunks, 1);
-    }
-
     /// A chunk's bytes past what it was written with read as zero, never
     /// as what an earlier chunk on the same lines held.
     #[test]
@@ -1006,9 +883,9 @@ mod tests {
         region.lock().span(h, 0, 0).unwrap().clone()
     }
 
-    /// The NSM hops copy nothing: `move_to` moves the very run
-    /// `alloc_and_write` made into the destination chunk, in another region
-    /// and within one, and `lend_and_free` hands that run out.
+    /// The NSM hops copy nothing: `lend_and_free` hands out the very run
+    /// `alloc_and_write` made, and `alloc_and_fill` lands it in a chunk of
+    /// another region, as the shared-memory NSM's stack carries it.
     #[test]
     fn the_hops_move_the_run_alloc_and_write_made() {
         let (a, b) = (
@@ -1018,16 +895,20 @@ mod tests {
         let h = a.alloc_and_write(&[7; 1000]).unwrap();
         let made = runs_of(&a, h);
         assert_eq!(made.len(), 1);
-        let h = a.move_to(h, &b, 1000).unwrap();
-        assert!(runs_of(&b, h)[0].shares_buffer(&made[0]));
-        let h = b.move_to(h, &b, 600).unwrap();
-        let moved = runs_of(&b, h);
-        assert!(moved[0].shares_buffer(&made[0]) && moved[0].len() == 600);
         let mut runs = Vec::new();
-        b.lend_and_free(h, 500, &mut runs).unwrap();
+        a.lend_and_free(h, 600, &mut runs).unwrap();
         assert_eq!(runs.len(), 1);
-        assert!(runs[0].shares_buffer(&made[0]));
-        assert_eq!(runs[0][..], [7; 500]);
+        assert!(runs[0].shares_buffer(&made[0]) && runs[0].len() == 600);
+        let (h, n) = b
+            .alloc_and_fill(600, |out| {
+                out.append(&mut runs);
+                Ok(600)
+            })
+            .unwrap();
+        assert!(runs_of(&b, h)[0].shares_buffer(&made[0]));
+        assert_eq!(runs_of(&b, h)[0][..], [7; 600]);
+        assert_eq!(n, 600);
+        b.free(h).unwrap();
         assert_eq!((a.stats().chunks, b.stats().chunks), (0, 0));
     }
 

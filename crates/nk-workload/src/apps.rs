@@ -421,17 +421,27 @@ mod tests {
     const SUBJECT_IP: u32 = 0x0A00_0600;
     const PEER_IP: u32 = 0x0A00_0500;
 
-    /// One row of the seam table: a host whose switch carries the socket
-    /// API under test (picked by `subject`, reached at `subject_ip`) and the
-    /// bare stack it talks to at `PEER_IP`.
+    /// One row of the seam table: a host carrying the socket API under test
+    /// (picked by `subject`, reached at `subject_ip`) and the peer it talks
+    /// to at `PEER_IP` (picked by `peer`): a bare stack, or a colocated
+    /// guest.
     struct World {
         host: NetKernelHost,
         subject: fn(&mut NetKernelHost) -> &mut dyn SocketApi,
         subject_ip: u32,
+        peer: fn(&mut NetKernelHost) -> &mut dyn SocketApi,
     }
 
     fn guest(host: &mut NetKernelHost) -> &mut dyn SocketApi {
         host.guest_mut(VmId(1)).unwrap()
+    }
+
+    fn colocated_guest(host: &mut NetKernelHost) -> &mut dyn SocketApi {
+        host.guest_mut(VmId(2)).unwrap()
+    }
+
+    fn remote_peer(host: &mut NetKernelHost) -> &mut dyn SocketApi {
+        host.remote_mut(PEER_IP).unwrap()
     }
 
     fn bare(host: &mut NetKernelHost) -> &mut dyn SocketApi {
@@ -444,7 +454,7 @@ mod tests {
         }
 
         fn peer(&mut self) -> &mut dyn SocketApi {
-            self.host.remote_mut(PEER_IP).unwrap()
+            (self.peer)(&mut self.host)
         }
 
         /// Let `steps` × 100 µs pass.
@@ -453,8 +463,10 @@ mod tests {
         }
     }
 
-    /// The paper's two architectures as three socket APIs: GuestLib behind
-    /// a kernel-stack NSM, GuestLib behind an mTCP NSM, a bare `TcpStack`.
+    /// The paper's two architectures as four socket APIs: GuestLib behind
+    /// a kernel-stack NSM, GuestLib behind an mTCP NSM, a bare `TcpStack`,
+    /// and GuestLib behind the shared-memory NSM with a colocated guest as
+    /// its peer.
     fn worlds() -> Vec<(&'static str, World)> {
         let host = |nsm: NsmConfig| {
             let cfg = HostConfig::new()
@@ -470,29 +482,44 @@ mod tests {
             host: host(nsm),
             subject: guest,
             subject_ip: NetKernelHost::nsm_ip(NsmId(1)),
+            peer: remote_peer,
         };
         let bare = World {
             host: host(NsmConfig::kernel(NsmId(1))),
             subject: bare,
             subject_ip: SUBJECT_IP,
+            peer: remote_peer,
+        };
+        let cfg = HostConfig::new()
+            .with_vm(VmConfig::new(VmId(1)))
+            .with_vm(VmConfig::new(VmId(2)))
+            .with_nsm(NsmConfig::shared_mem(NsmId(1)))
+            .with_mapping(VmToNsmPolicy::All(NsmId(1)));
+        let colocated = World {
+            host: NetKernelHost::new(cfg).unwrap(),
+            subject: guest,
+            subject_ip: 0,
+            peer: colocated_guest,
         };
         vec![
             ("kernel", over_nsm(NsmConfig::kernel(NsmId(1)))),
             ("mtcp", over_nsm(NsmConfig::mtcp(NsmId(1)))),
             ("bare", bare),
+            ("shared-memory", colocated),
         ]
     }
 
     /// The paper's "no code change" (use case 3): the same client and the
-    /// same echo step, unchanged, over a kernel-stack NSM, an mTCP NSM and
-    /// a bare stack (the baseline) — a fresh 32 KiB stream, a new connection
-    /// every four chunks.
+    /// same echo step, unchanged, over a kernel-stack NSM, an mTCP NSM, a
+    /// bare stack (the baseline) and the shared-memory NSM — a fresh 32 KiB
+    /// stream, a new connection every four chunks.
     #[test]
     fn the_same_stream_and_echo_run_unchanged_over_every_stack() {
         for (stack, mut w) in worlds() {
             let listener = w.peer().socket().unwrap();
             w.peer().bind(listener, SockAddr::new(0, 7)).unwrap();
             w.peer().listen(listener, 64).unwrap();
+            w.run(5); // a colocated guest's listen is a request in flight
             let spec = BurstyClient::new(VmId(1), 0).with_total_bytes(32 * 1024);
             let mut stream = VerifiedStream::new(spec, 42, SockAddr::new(PEER_IP, 7));
             let (mut conns, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
@@ -574,6 +601,7 @@ mod tests {
         let pl = w.peer().socket().unwrap();
         w.peer().bind(pl, SockAddr::new(0, 90)).unwrap();
         w.peer().listen(pl, 8).unwrap();
+        w.run(5); // a colocated guest's listen is a request in flight
         let cs = w.subject().socket().unwrap();
         names.push((cs, "cs"));
         let to_peer = SockAddr::new(PEER_IP, 90);
@@ -613,21 +641,29 @@ mod tests {
         log
     }
 
-    /// The seam, as a table: the one session reads the same over all three
+    /// The seam, as a table: the one session reads the same over all four
     /// socket APIs, call for call.
     #[test]
     fn one_session_reads_the_same_over_every_socket_api() {
-        // The one legitimate difference: after `shutdown(Write)` a bare
-        // stack knows the socket is half-closed and stops reporting it
-        // writable; GuestLib keeps no half-close state — its writability is
-        // the send budget — and leaves refusing the bytes to the NSM.
-        let differs = |line: &String| line.starts_with("half-closed cs writable");
+        // The legitimate differences. After `shutdown(Write)` a bare stack
+        // knows the socket is half-closed and stops reporting it writable;
+        // GuestLib keeps no half-close state — its writability is the send
+        // budget — and leaves refusing the bytes to the NSM. And the
+        // shared-memory NSM pairs sockets by port alone, so the address it
+        // reports for a colocated peer carries no IP.
+        let differs = |line: &String| {
+            line.starts_with("half-closed cs writable")
+                || line.starts_with("accepted from the peer")
+        };
         let mut sessions = worlds().into_iter().map(|(name, mut w)| {
             let (diff, same): (Vec<_>, Vec<_>) =
                 scripted_session(&mut w).into_iter().partition(differs);
             assert_eq!(
                 diff,
-                [format!("half-closed cs writable: {}", name != "bare")]
+                [
+                    format!("accepted from the peer: {}", name != "shared-memory"),
+                    format!("half-closed cs writable: {}", name != "bare"),
+                ]
             );
             (name, same)
         });

@@ -1,8 +1,8 @@
 //! Use case 4 (§6.4): shared-memory networking between colocated VMs.
 //!
 //! Two VMs of the same tenant on the same host exchange data through the
-//! shared-memory NSM: payload is copied hugepage-to-hugepage and never
-//! touches a TCP stack.
+//! shared-memory NSM: ServiceLib over a `LocalStack`, which moves payload
+//! hugepage-to-hugepage by reference and never touches a TCP stack.
 //!
 //! Run with: `cargo run --example colocated_shared_memory`
 
@@ -52,10 +52,10 @@ fn main() {
             Ok(n) => received += n as u64,
         }
     }
-    let stats = host.shm_stats(NsmId(1)).unwrap();
+    let stats = host.nsm_service_stats(NsmId(1)).unwrap();
     println!("VM2 sent {sent} bytes; VM1 received {received} bytes");
     println!(
-        "shared-memory NSM matched {} connection pair(s) and copied {} bytes hugepage-to-hugepage, bypassing TCP entirely",
-        stats.pairs, stats.bytes_copied
+        "shared-memory NSM accepted {} connection(s) and moved {} bytes hugepage-to-hugepage, bypassing TCP entirely",
+        stats.accepted, stats.bytes_tx
     );
 }

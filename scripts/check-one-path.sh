@@ -57,8 +57,10 @@ check "$(code crates | grep -c 'pending_events')" -eq 0 \
 # shellcheck disable=SC2086 # one directory per word
 check "$(code $not_nk_queue | grep -cE "$inspects_respond")" -eq 0 \
     "one rule for a full NQE ring: respond never refuses, so no caller outside nk-queue inspects its result"
-check "$(code crates/nk-service/src crates/nk-guest/src | grep -cE '(BTreeMap|DetMap)<\(?(VmId, )?SocketId')" -eq 2 \
-    "one record per socket on the NQE path: beside the slot tables, only ServiceLib's stack-socket index and SharedMemNsm's sockets (item 24) are socket maps"
+check "$(code crates/nk-service/src crates/nk-guest/src | grep -cE '(BTreeMap|DetMap)<\(?(VmId, )?SocketId')" -eq 1 \
+    "one record per socket on the NQE path: beside the slot tables, only ServiceLib's stack-socket index (by_stack) is a socket map"
+check "$(code crates src examples | grep -cE 'SharedMemNsm|SharedMemStats|shm_stats|ShmSocket')" -eq 0 \
+    "one NSM request handler: the shared-memory NSM is ServiceLib over a LocalStack, with no handler, socket type or stats of its own"
 check "$(code crates/nk-service/src/service.rs crates/nk-guest/src/guestlib.rs | grep -cE '^ +(socks|sockets): SlotTable<')" -eq 2 \
     "one record per socket on the NQE path: GuestLib's and ServiceLib's socket records sit in a SlotTable, one hash away, and a closed socket's slot and queues go to the next"
 check "$(code crates/nk-netstack/src/stack.rs crates/nk-service/src/service.rs crates/nk-engine/src/table.rs \

@@ -201,8 +201,9 @@ enum ChurnSlot {
 /// first, so the NSM's stack keeps a TIME-WAIT record per connection, and
 /// none expires inside the run: they grow from 0 into the thousands while
 /// the connections the stack polls per closed connection stay flat. A tick
-/// that walked every socket would poll each record on every tick. Seeded,
-/// so every count is exact.
+/// that walked every socket would poll each record on every tick. So do the
+/// sockets ServiceLib's receive pump and send flush visit, read through
+/// `nsm_service_stats`. Seeded, so every count is exact.
 #[test]
 fn a_hosts_churn_polls_as_much_per_connection_as_time_wait_grows() {
     const SLOTS: usize = 32;
@@ -273,25 +274,43 @@ fn a_hosts_churn_polls_as_much_per_connection_as_time_wait_grows() {
             &mut buf,
         );
         let stack = host.nsm_stack(nsm).unwrap();
-        (stack.stats().conns_polled, stack.socket_count(), closed)
+        let service = host.nsm_service_stats(nsm).unwrap();
+        let visits = [
+            stack.stats().conns_polled,
+            service.rx_visits,
+            service.tx_visits,
+        ];
+        (visits, stack.socket_count(), closed)
     };
     let mut quarters = Vec::new();
     let mut from = step();
     for _ in 0..4 {
         let to = (0..QUARTER).map(|_| step()).last().unwrap();
-        quarters.push((to.0 - from.0, to.2 - from.2));
+        quarters.push((std::array::from_fn(|i| to.0[i] - from.0[i]), to.2 - from.2));
         from = to;
     }
     let held = from.1.saturating_sub(SLOTS);
-    let per_conn: Vec<f64> = (quarters.iter())
-        .map(|&(polled, closed)| polled as f64 / closed as f64)
-        .collect();
     assert!(held >= 2_000, "only {held} TIME-WAIT records");
-    assert!(
-        per_conn[3] <= 1.1 * per_conn[0],
-        "{per_conn:?} polls per closed connection, quarter by quarter ({quarters:?} polls and \
-         closes), as {held} records piled up"
-    );
+    // The stack's polls, and the sockets ServiceLib's receive pump and send
+    // flush visit, per closed connection, quarter by quarter. A connection
+    // carries one message each way, so ServiceLib visits its socket about
+    // once: its reply's `Readable`. A pass over every record would visit
+    // each live socket on every step.
+    let bounds = [
+        ("stack polls", f64::INFINITY),
+        ("rx visits", 2.0),
+        ("tx visits", 2.0),
+    ];
+    for (i, (what, bound)) in bounds.into_iter().enumerate() {
+        let per_conn: Vec<f64> = (quarters.iter())
+            .map(|&(visits, closed): &([u64; 3], u64)| visits[i] as f64 / closed as f64)
+            .collect();
+        assert!(
+            per_conn[3] <= 1.1 * per_conn[0] && per_conn.iter().all(|&v| v <= bound),
+            "{per_conn:?} {what} per closed connection, quarter by quarter ({quarters:?} visits \
+             and closes), as {held} records piled up"
+        );
+    }
 }
 
 /// An RTO fires on a socket nothing has touched since it sent: the peer is
