@@ -373,7 +373,13 @@ impl SocketApi for GuestLib {
 
     fn send(&mut self, sock: SocketId, data: &[u8]) -> NkResult<usize> {
         let (qs, granted) = {
-            let s = self.sock_mut(sock)?;
+            let mut s = self.sock_mut(sock)?;
+            // Credit the NSM returned waits in the response rings: a write
+            // the budget cannot cover drains them first.
+            if s.send_budget.available() < data.len() {
+                self.drive();
+                s = self.sock_mut(sock)?;
+            }
             match s.state {
                 GuestSocketState::Established | GuestSocketState::Connecting => {}
                 GuestSocketState::PeerClosed => {}
@@ -714,6 +720,31 @@ mod tests {
 
         assert_eq!(guest.send(s, &[0u8; 64]).unwrap(), 64);
         assert_eq!(guest.send(s, &[0u8; 16]), Err(NkError::WouldBlock));
+    }
+
+    /// A writer that only sends sees the credit the NSM returned: a write
+    /// the budget cannot cover drains the response rings first, so credit
+    /// already back never leaves it at `WouldBlock`.
+    #[test]
+    fn a_send_sees_the_credit_the_nsm_returned() {
+        let (mut guest, mut resp, _region) = guest_with_responders(1);
+        guest.send_buf = 64;
+        let s = guest.socket().unwrap();
+        let _ = pop_request(&mut resp);
+        guest.connect(s, SockAddr::v4(10, 0, 0, 2, 80)).unwrap();
+        let req = pop_request(&mut resp).unwrap();
+        respond(
+            &mut resp,
+            Nqe::completion_for(&req, OpResult::Ok, 0).unwrap(),
+        );
+        guest.drive();
+
+        assert_eq!(guest.send(s, &[0u8; 64]), Ok(64));
+        let send_nqe = pop_request(&mut resp).unwrap();
+        let mut comp = Nqe::completion_for(&send_nqe, OpResult::Ok, 0).unwrap();
+        comp.size = 64;
+        respond(&mut resp, comp);
+        assert_eq!(guest.send(s, &[0u8; 64]), Ok(64));
     }
 
     #[test]

@@ -812,7 +812,6 @@ mod tests {
     /// credit goes; a writer is refused with `WouldBlock`, never an error.
     fn write_step(host: &mut NetKernelHost, cs: SocketId, stream: &[u8], sent: &mut usize) {
         let g2 = host.guest_mut(VmId(2)).unwrap();
-        g2.drive();
         while *sent < stream.len() {
             match g2.send(cs, &stream[*sent..]) {
                 Ok(n) => *sent += n,
@@ -917,6 +916,46 @@ mod tests {
             host.run(1, 100_000);
         }
         assert_eq!(last, Ok(0), "EOF after {} bytes", got.len());
+        assert!(
+            got == stream,
+            "{} of {} bytes before EOF",
+            got.len(),
+            stream.len()
+        );
+    }
+
+    /// A remote's close reaches a guest over TCP as EOF after every byte
+    /// it wrote, even bytes the NSM's stack still holds when the FIN
+    /// arrives: the guest does not read until the remote has closed, and its
+    /// receive budget takes half the stream.
+    #[test]
+    fn a_tcp_peer_close_reaches_the_guest_as_eof_after_its_bytes() {
+        let mut host = one_vm_host(StackKind::Kernel);
+        let ls = remote_listener(&mut host);
+        let s = guest_connect(&mut host);
+        host.run(20, 100_000);
+        let conn = host.remote_mut(REMOTE_IP).unwrap().accept(ls).unwrap().0;
+        let stream = stream(2 * DEFAULT_RECV_BUF);
+        let mut sent = 0;
+        for _ in 0..100 {
+            let remote = host.remote_mut(REMOTE_IP).unwrap();
+            sent += remote.send(conn, &stream[sent..]).unwrap_or(0);
+            host.run(1, 100_000);
+        }
+        assert_eq!(sent, stream.len(), "the remote's window closed early");
+        host.remote_mut(REMOTE_IP).unwrap().close(conn).unwrap();
+        host.run(20, 100_000);
+        let (mut got, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
+        let mut last = Err(NkError::WouldBlock);
+        for _ in 0..100 {
+            last = host.guest_mut(VmId(1)).unwrap().recv(s, &mut buf);
+            match last {
+                Ok(n @ 1..) => got.extend_from_slice(&buf[..n]),
+                Err(NkError::WouldBlock) => host.run(1, 100_000),
+                _ => break,
+            }
+        }
+        assert_eq!(last, Ok(0), "no EOF after {} bytes", got.len());
         assert!(
             got == stream,
             "{} of {} bytes before EOF",

@@ -17,7 +17,7 @@ use nk_shmem::HugepageRegion;
 use nk_sim::PoolMember;
 use nk_types::migrate::{ConnSnapshot, VmWarmExport};
 use nk_types::{
-    LinkConfig, NkError, NkResult, NsmConfig, NsmId, SocketApi, SocketId, StackKind, VmConfig, VmId,
+    LinkConfig, NkError, NkResult, NsmConfig, NsmId, SocketApi, StackKind, VmConfig, VmId,
 };
 
 pub use nk_types::migrate::VmExport;
@@ -462,12 +462,6 @@ impl NetKernelHost {
         })
     }
 
-    /// True when `nsm` currently holds per-VM state for `vm` (region
-    /// mapping or sockets). Exposed for migration-hygiene assertions.
-    pub fn nsm_serves_vm(&self, nsm: NsmId, vm: VmId) -> bool {
-        self.nsms.get(&nsm).is_some_and(|i| i.has_vm(vm))
-    }
-
     /// Foreign addresses currently aliased onto local vNICs for
     /// warm-migrated connections, in address order.
     pub fn warm_aliases(&self) -> Vec<(u32, NsmId)> {
@@ -518,7 +512,10 @@ impl NetKernelHost {
             // The stack connection must be post-handshake; an embryonic or
             // dying connection refuses to snapshot, so refuse the whole
             // export before anything is torn out.
-            if !n.conn_transplantable(vm, key.socket) {
+            if !n
+                .stack()
+                .conn_transplantable(entry.nsm_socket.expect("checked above"))
+            {
                 return Err(NkError::InvalidState);
             }
             // The guest socket must be transplantable too — a socket the
@@ -536,17 +533,9 @@ impl NetKernelHost {
             let Some(Nsm::Tcp(n)) = self.nsms.get_mut(&from_nsm) else {
                 unreachable!("validated above");
             };
-            let (tcp, queued, rx_outstanding) = n.export_conn(vm, key.socket)?;
             let slot = self.vms.get_mut(&vm).expect("presence checked above");
             let guest = slot.guest.export_socket(key.socket)?;
-            conns.push(ConnSnapshot {
-                guest_sock: key.socket,
-                vm_queue_set: key.queue_set,
-                tcp,
-                queued,
-                rx_outstanding,
-                guest,
-            });
+            conns.push(n.export_conn(vm, key.socket, guest)?);
         }
         // Nothing is pinned any more: the instance retires in place, and
         // the freeze window closes with it.
@@ -589,7 +578,7 @@ impl NetKernelHost {
             }
         }
         self.import_vm(&export.base, nsm)?;
-        let mut installed: Vec<SocketId> = Vec::new();
+        let mut installed: Vec<&ConnSnapshot> = Vec::new();
         let mut added_aliases: Vec<u32> = Vec::new();
         let mut result = Ok(());
         for conn in &export.conns {
@@ -614,7 +603,7 @@ impl NetKernelHost {
                     break;
                 }
             };
-            installed.push(conn.guest_sock);
+            installed.push(conn);
             let step = self
                 .engine
                 .install_entry(key, nsm, stack_sock)
@@ -655,9 +644,9 @@ impl NetKernelHost {
             // the peer of a connection that lives on at the source),
             // adopted aliases detach, and the identity import retires.
             self.engine.extract_vm_entries(vm);
-            for guest_sock in installed {
+            for conn in installed {
                 if let Some(Nsm::Tcp(n)) = self.nsms.get_mut(&nsm) {
-                    let _ = n.export_conn(vm, guest_sock);
+                    let _ = n.export_conn(vm, conn.guest_sock, conn.guest.clone());
                 }
             }
             self.drop_aliases(|_, ip, _| added_aliases.contains(&ip));
@@ -695,9 +684,18 @@ impl NetKernelHost {
 
 #[cfg(test)]
 mod tests {
+    use super::NetKernelHost;
     use crate::host::testutil::*;
     use nk_types::api::ShutdownHow;
     use nk_types::{NkError, NsmId, SockAddr, SocketApi, StackKind, VmId};
+
+    impl NetKernelHost {
+        /// True when `nsm` currently holds per-VM state for `vm` (region
+        /// mapping or sockets).
+        fn nsm_serves_vm(&self, nsm: NsmId, vm: VmId) -> bool {
+            self.nsms.get(&nsm).is_some_and(|i| i.has_vm(vm))
+        }
+    }
 
     /// Crash the serving NSM mid-connection: the guest socket observes a
     /// reset, and after a restart the guest reconnects with no app changes.

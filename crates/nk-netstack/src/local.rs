@@ -8,7 +8,10 @@
 //! its runs into the peer's receive queue by reference: no segments, no
 //! congestion control, no timers. A receive queue holds at most
 //! `DEFAULT_RECV_BUF` bytes and an accept queue at most the listen backlog,
-//! so a stalled reader holds its writer back as a TCP window would.
+//! so a stalled reader holds its writer back as a TCP window would. A
+//! shutdown raises `PeerClosed` on the peer at once, as a FIN arriving
+//! would, whatever the peer still holds: ServiceLib, not the stack, keeps
+//! EOF behind the bytes, for this stack and TCP alike.
 
 use crate::cc::Cc;
 use crate::payload::ByteQueue;
@@ -86,17 +89,14 @@ impl LocalStack {
         self.pipe(sock).expect("an open end's peer is a connection")
     }
 
-    /// Shut `sock`'s write side: its peer reads EOF after the bytes it
-    /// holds, at once when it holds none.
+    /// Shut `sock`'s write side: its peer's FIN arrives at once, and the
+    /// peer reads EOF after the bytes it holds.
     fn shut_write(&mut self, sock: SocketId) -> NkResult<()> {
         let pipe = self.pipe(sock)?;
         let was_shut = std::mem::replace(&mut pipe.shut, true);
         if let Some(peer) = pipe.peer.filter(|_| !was_shut) {
-            let to = self.peer_of(peer);
-            to.fin = true;
-            if to.rx.is_empty() {
-                self.events.push_back(StackEvent::PeerClosed(peer));
-            }
+            self.peer_of(peer).fin = true;
+            self.events.push_back(StackEvent::PeerClosed(peer));
         }
         Ok(())
     }
@@ -209,18 +209,12 @@ impl NsmStack for LocalStack {
         }
     }
 
-    /// A read that drains the queue after the peer shut its write side
-    /// raises `PeerClosed`: EOF comes after the bytes.
     fn recv_runs(&mut self, sock: SocketId, max: usize, out: &mut Vec<Payload>) -> NkResult<usize> {
         let pipe = self.pipe(sock)?;
-        let (n, fin) = (pipe.rx.read_runs(max, out), pipe.fin);
-        if n > 0 && fin && pipe.rx.is_empty() {
-            self.events.push_back(StackEvent::PeerClosed(sock));
+        match pipe.rx.read_runs(max, out) {
+            0 if !pipe.fin => Err(NkError::WouldBlock),
+            n => Ok(n),
         }
-        if n == 0 && !fin {
-            return Err(NkError::WouldBlock);
-        }
-        Ok(n)
     }
 
     fn shutdown(&mut self, sock: SocketId, how: ShutdownHow) -> NkResult<()> {

@@ -122,7 +122,9 @@ pub enum StackEvent {
     Acceptable(SocketId),
     /// New in-order data is available on a connection.
     Readable(SocketId),
-    /// The peer closed its write side (EOF after draining data).
+    /// The peer's FIN arrived: it closed its write side. Received bytes
+    /// may still be held; EOF comes after them, which is the consumer's to
+    /// order (ServiceLib holds it until the stack holds none).
     PeerClosed(SocketId),
 }
 

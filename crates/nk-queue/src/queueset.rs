@@ -24,7 +24,7 @@
 //! allow.
 
 use crate::spsc::{channel, Consumer, Producer};
-use nk_types::{NkError, NkResult, Nqe};
+use nk_types::{NkError, NkResult, Nqe, OpType};
 use std::collections::VecDeque;
 
 /// The end of a queue set that issues requests and receives completions.
@@ -70,10 +70,12 @@ pub fn queue_set_pair(capacity: usize) -> (RequesterEnd, ResponderEnd) {
 }
 
 impl RequesterEnd {
-    /// Submit a request NQE on the queue implied by its op type.
+    /// Submit a request NQE on the queue implied by its op type. A
+    /// `Shutdown` rides the send queue, behind the `Send`s before it: the
+    /// job queue drains first, and would shut a write side ahead of them.
     pub fn submit(&mut self, nqe: Nqe) -> NkResult<()> {
         debug_assert!(nqe.op.is_request(), "requester submitted a completion");
-        let q = if nqe.op.carries_data() {
+        let q = if nqe.op.carries_data() || nqe.op == OpType::Shutdown {
             &mut self.send
         } else {
             &mut self.job

@@ -6,7 +6,8 @@
 //! [`LocalStack`], which pairs colocated sockets inside the NSM and moves
 //! payload hugepage-to-hugepage by reference. Both arms of [`Nsm`] run the
 //! same code, monomorphised over their stack; the enum only keeps the
-//! stack's type.
+//! stack's type. So both end a stream the same way: a stack reports the
+//! peer's FIN when it arrives, and ServiceLib holds EOF behind the bytes.
 
 use crate::service::{ServiceLib, ServiceStats, StackNsm, TcpNsm};
 use nk_netstack::LocalStack;

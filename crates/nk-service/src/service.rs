@@ -1,4 +1,10 @@
 //! ServiceLib: translating NQEs to network-stack calls and back.
+//!
+//! It is also the one place a stream's ends are ordered, whatever the
+//! stack: a `Send`'s runs join its socket's queue and one loop pushes the
+//! queue into the stack, a guest `shutdown(Write)` waits behind the queued
+//! runs, and the peer's FIN, which a stack reports when it arrives, reaches
+//! the guest as `PeerClosed` only once the stack holds no byte for it.
 
 use crate::fairshare::VmWindowRegistry;
 use crate::frontend::Frontend;
@@ -8,8 +14,8 @@ use nk_shmem::HugepageRegion;
 use nk_types::api::ShutdownHow;
 use nk_types::ops::op_data;
 use nk_types::{
-    ConnSnapshot, DataHandle, DetMap, NkError, NkResult, Nqe, NsmId, OpResult, OpType, QueueSetId,
-    Recycle, SlotTable, SocketId, StackKind, VmId,
+    ConnSnapshot, DataHandle, DetMap, GuestSockSnapshot, NkError, NkResult, Nqe, NsmId, OpResult,
+    OpType, QueueSetId, Recycle, SlotTable, SocketId, StackKind, VmId,
 };
 use std::collections::VecDeque;
 
@@ -61,6 +67,9 @@ struct NsmSocket {
     /// The guest shut its write side while runs were queued: the stack
     /// shuts it once they are all in, so EOF follows every byte sent.
     shut_queued: bool,
+    /// The peer's FIN arrived: `PeerClosed` goes to the guest once the
+    /// stack holds no byte for it, so EOF follows every byte received.
+    eof_owed: bool,
 }
 
 impl NsmSocket {
@@ -74,6 +83,7 @@ impl NsmSocket {
             rx_outstanding: 0,
             queued: VecDeque::new(),
             shut_queued: false,
+            eof_owed: false,
         }
     }
 
@@ -82,12 +92,38 @@ impl NsmSocket {
         Nqe::new(op, self.vm, self.vm_qs, self.guest_sock)
     }
 
-    /// Return `bytes` of send-buffer credit to the guest.
-    fn send_credit(&self, front: &mut Frontend, bytes: usize) {
-        let comp = self
-            .nqe(OpType::SendComplete)
-            .with_op_data(op_data::pack(OpResult::Ok, 0));
-        front.respond(self.nsm_qs, comp.with_data(DataHandle::NULL, bytes as u32));
+    /// Push the queued runs into the stack until it refuses, return what it
+    /// took to the guest as send credit, and shut the write side once they
+    /// are all in if the guest shut it behind them. A refusal other than
+    /// `WouldBlock` is for good: the runs go, and their bytes ride the same
+    /// credit, which carries the error. True while runs wait.
+    fn flush(&mut self, stack: &mut impl NsmStack, front: &mut Frontend) -> bool {
+        let (mut credit, mut result) = (0, OpResult::Ok);
+        while let Some(run) = self.queued.front_mut() {
+            match stack.send_payload(self.stack, run) {
+                Ok(n) => credit += n,
+                Err(NkError::WouldBlock) => break,
+                Err(e) => {
+                    credit += self.queued.drain(..).map(|run| run.len()).sum::<usize>();
+                    (self.shut_queued, result) = (false, OpResult::Err(e));
+                    break;
+                }
+            }
+            if !run.is_empty() {
+                break;
+            }
+            self.queued.pop_front();
+        }
+        if credit > 0 {
+            let comp = self
+                .nqe(OpType::SendComplete)
+                .with_op_data(op_data::pack(result, 0));
+            front.respond(self.nsm_qs, comp.with_data(DataHandle::NULL, credit as u32));
+        }
+        if self.queued.is_empty() && std::mem::take(&mut self.shut_queued) {
+            let _ = stack.shutdown(self.stack, ShutdownHow::Write);
+        }
+        !self.queued.is_empty()
     }
 }
 
@@ -111,13 +147,11 @@ pub struct ServiceLib {
     socks: SlotTable<(VmId, SocketId), NsmSocket>,
     /// Stack socket → slot in `socks`; looked up once per stack event.
     by_stack: DetMap<SocketId, u32>,
-    /// The runs of the `Send` chunk in hand, kept for its capacity.
-    runs: Vec<Payload>,
     /// Sockets that may hold received bytes not yet shipped to their guest:
-    /// all `pump_receive` visits, in `SocketId` order. A `Readable` event,
-    /// an accept and a warm install enter a socket; it stays while the
-    /// stack holds bytes for it (no receive credit, no hugepage — the retry
-    /// keeps a starved receiver from losing data).
+    /// all `pump_receive` visits, in `SocketId` order. A `Readable` or
+    /// `PeerClosed` event, an accept and a warm install enter a socket; it
+    /// stays while the stack holds bytes for it (no receive credit, no
+    /// hugepage — the retry keeps a starved receiver from losing data).
     rx_ready: Vec<SocketId>,
     /// Sockets that may hold queued runs: all `flush_pending` visits, in
     /// `SocketId` order. A `Send` the stack could not take whole and a warm
@@ -135,7 +169,6 @@ impl ServiceLib {
             front: Frontend::new(device, batch),
             socks: SlotTable::new(),
             by_stack: DetMap::new(),
-            runs: Vec::new(),
             rx_ready: Vec::new(),
             tx_ready: Vec::new(),
             fair_share: None,
@@ -206,12 +239,14 @@ impl ServiceLib {
         let mut rec = NsmSocket::new(key, stack_sock, conn.vm_queue_set, nsm_qs);
         rec.rx_outstanding = conn.rx_outstanding;
         rec.queued = conn.queued.iter().map(|run| run[..].into()).collect();
+        (rec.shut_queued, rec.eof_owed) = (conn.shut_queued, conn.eof_owed);
         let queued = !rec.queued.is_empty();
         self.file(key, rec)?;
         if queued {
             self.tx_ready.push(stack_sock);
         }
-        // The snapshot may carry received bytes no segment will announce.
+        // The snapshot may carry received bytes, or a FIN, no segment will
+        // announce.
         self.rx_ready.push(stack_sock);
         Ok(())
     }
@@ -285,9 +320,10 @@ impl ServiceLib {
         }
     }
 
-    /// Hand a Send's payload to the stack socket of the record in `slot`,
-    /// if any. An error is answered by the caller, which frees the chunk and
-    /// returns the credit.
+    /// Queue a Send's payload behind the runs of the record in `slot`, if
+    /// any, and push the queue into its stack socket. An error is answered
+    /// by the caller, which frees the chunk and returns the credit; once
+    /// the chunk is lent, the record's credit answers for its bytes.
     fn handle_send(
         &mut self,
         stack: &mut impl NsmStack,
@@ -302,36 +338,11 @@ impl ServiceLib {
         // The hop §7.8 attributes NetKernel's throughput overhead to, made
         // by reference: the chunk's runs leave the hugepage (which is freed
         // under the same lock hold) for the stack's send buffer. Only what
-        // the stack had no room for (or everything, when older payload is
-        // still queued ahead of it) waits aside, as runs too.
-        let (sock, len) = (rec.stack, nqe.size as usize);
-        let queued_ahead = !rec.queued.is_empty();
-        region.lend_and_free(nqe.data, len, &mut self.runs)?;
-        let (mut accepted, mut taken) = (0, 0);
-        if !queued_ahead {
-            for run in &mut self.runs {
-                accepted += stack.send_payload(sock, run).unwrap_or(0);
-                if !run.is_empty() {
-                    break;
-                }
-                taken += 1;
-            }
-        }
-        if taken < self.runs.len() {
-            rec.queued.extend(self.runs.drain(taken..));
-            self.tx_ready.push(sock);
-        }
-        self.runs.clear();
-        self.front.stats.bytes_tx += len as u64;
-        // Whatever the stack accepted is acknowledged back to the guest as
-        // returned send-buffer credit.
-        let flushed = if queued_ahead {
-            Self::flush_queue(stack, sock, &mut rec.queued)
-        } else {
-            accepted
-        };
-        if flushed > 0 {
-            rec.send_credit(&mut self.front, flushed);
+        // the stack has no room for waits aside, as runs too.
+        region.lend_and_free(nqe.data, nqe.size as usize, &mut rec.queued)?;
+        self.front.stats.bytes_tx += u64::from(nqe.size);
+        if rec.flush(stack, &mut self.front) {
+            self.tx_ready.push(rec.stack);
         }
         Ok(())
     }
@@ -341,28 +352,7 @@ impl ServiceLib {
         Some(self.socks.at_mut(*self.by_stack.get(&sock)?))
     }
 
-    /// Push `queue` into the stack until it refuses; returns bytes taken.
-    fn flush_queue(
-        stack: &mut impl NsmStack,
-        sock: SocketId,
-        queue: &mut VecDeque<Payload>,
-    ) -> usize {
-        let mut flushed = 0;
-        while let Some(front) = queue.front_mut() {
-            let Ok(n) = stack.send_payload(sock, front) else {
-                break;
-            };
-            flushed += n;
-            if !front.is_empty() {
-                break;
-            }
-            queue.pop_front();
-        }
-        flushed
-    }
-
-    /// Push queued payload into the stack and return credit to guests; a
-    /// write side the guest shut behind its runs shuts once they are in.
+    /// Push the queued runs of every socket that may hold some.
     fn flush_pending(&mut self, stack: &mut impl NsmStack) {
         let mut ready = std::mem::take(&mut self.tx_ready);
         ready.sort_unstable();
@@ -372,15 +362,7 @@ impl ServiceLib {
             let Some(&slot) = self.by_stack.get(&sock) else {
                 return false;
             };
-            let rec = self.socks.at_mut(slot);
-            let flushed = Self::flush_queue(stack, sock, &mut rec.queued);
-            if flushed > 0 {
-                rec.send_credit(&mut self.front, flushed);
-            }
-            if rec.queued.is_empty() && std::mem::take(&mut rec.shut_queued) {
-                let _ = stack.shutdown(sock, ShutdownHow::Write);
-            }
-            !rec.queued.is_empty()
+            self.socks.at_mut(slot).flush(stack, &mut self.front)
         });
         self.tx_ready = ready;
     }
@@ -397,6 +379,14 @@ impl ServiceLib {
                     self.rx_ready.push(sock);
                     continue;
                 }
+                // EOF waits behind the bytes the stack still holds.
+                StackEvent::PeerClosed(sock) => {
+                    if let Some(&slot) = self.by_stack.get(&sock) {
+                        self.socks.at_mut(slot).eof_owed = true;
+                        self.rx_ready.push(sock);
+                    }
+                    continue;
+                }
                 StackEvent::Connected(sock) => (
                     sock,
                     OpType::ConnectComplete,
@@ -407,7 +397,6 @@ impl ServiceLib {
                     OpType::ConnectComplete,
                     op_data::pack(OpResult::Err(NkError::ConnRefused), 0),
                 ),
-                StackEvent::PeerClosed(sock) => (sock, OpType::PeerClosed, 0),
             };
             if let Some(rec) = self.by_stack(sock) {
                 let (nsm_qs, ev) = (rec.nsm_qs, rec.nqe(op).with_op_data(op_data));
@@ -448,8 +437,9 @@ impl ServiceLib {
     }
 
     /// Ship what `sock` has received to its guest, as far as receive credit
-    /// and hugepages go. True while the stack still holds bytes for it: the
-    /// socket stays on the ready list.
+    /// and hugepages go, and the peer's FIN once the stack holds no byte
+    /// for it. True while the stack still holds bytes: the socket stays on
+    /// the ready list.
     fn pump_socket(&mut self, stack: &mut impl NsmStack, sock: SocketId) -> bool {
         let Some(&slot) = self.by_stack.get(&sock) else {
             return false;
@@ -467,7 +457,6 @@ impl ServiceLib {
             // chunk again.
             let want = credit.min(RX_CHUNK).min(stack.recv_available(sock));
             if want == 0 {
-                // EOF is announced via the PeerClosed event.
                 break;
             }
             let Some(region) = self.front.regions.get(&rec.vm) else {
@@ -482,7 +471,11 @@ impl ServiceLib {
             let ev = rec.nqe(OpType::DataReceived).with_data(handle, n as u32);
             self.front.respond(rec.nsm_qs, ev);
         }
-        stack.recv_available(sock) > 0
+        let held = stack.recv_available(sock);
+        if held == 0 && std::mem::take(&mut rec.eof_owed) {
+            self.front.respond(rec.nsm_qs, rec.nqe(OpType::PeerClosed));
+        }
+        held > 0
     }
 }
 
@@ -531,34 +524,34 @@ impl TcpNsm {
         &mut self.stack
     }
 
-    /// True when guest connection `(vm, guest_sock)` would export: its
-    /// stack connection is transplantable, and no shutdown waits behind
-    /// its queued runs (a snapshot has no place for one).
-    pub fn conn_transplantable(&self, vm: VmId, guest_sock: SocketId) -> bool {
-        let rec = self.service.socks.get(&(vm, guest_sock));
-        rec.is_some_and(|rec| !rec.shut_queued && self.stack.conn_transplantable(rec.stack))
-    }
-
-    /// Export one guest connection's NSM-side state for a warm migration:
-    /// the TCP snapshot plus ServiceLib's queued payload and receive
-    /// credit. The connection leaves this NSM entirely.
+    /// Export one guest connection's NSM-side state for a warm migration,
+    /// around the guest socket's snapshot `guest`: the TCP snapshot plus
+    /// ServiceLib's queued payload, receive credit and both pending ends (a
+    /// shutdown behind the queued runs, EOF behind the held bytes). The
+    /// connection leaves this NSM entirely.
     pub fn export_conn(
         &mut self,
         vm: VmId,
         guest_sock: SocketId,
-    ) -> NkResult<(nk_types::TcpConnSnapshot, Vec<Vec<u8>>, usize)> {
+        guest: GuestSockSnapshot,
+    ) -> NkResult<ConnSnapshot> {
         // Snapshot the stack side first: if the connection is not in a
         // transplantable phase the export fails *before* any translation
         // state is torn out.
         let key = (vm, guest_sock);
         let rec = self.service.socks.get(&key).ok_or(NkError::BadSocket)?;
-        if rec.shut_queued {
-            return Err(NkError::InvalidState);
-        }
-        let snap = self.stack.export_conn(rec.stack)?;
+        let tcp = self.stack.export_conn(rec.stack)?;
         let rec = self.service.forget(key).expect("mapping observed above");
-        let queued = rec.queued.drain(..).map(|run| run.to_vec()).collect();
-        Ok((snap, queued, rec.rx_outstanding))
+        Ok(ConnSnapshot {
+            guest_sock,
+            vm_queue_set: rec.vm_qs,
+            tcp,
+            queued: rec.queued.drain(..).map(|run| run.to_vec()).collect(),
+            rx_outstanding: rec.rx_outstanding,
+            shut_queued: rec.shut_queued,
+            eof_owed: rec.eof_owed,
+            guest,
+        })
     }
 
     /// Install a warm-migrated connection into this NSM: the TCP state
@@ -586,7 +579,8 @@ impl TcpNsm {
 mod tests {
     use super::*;
     use nk_fabric::switch::VirtualSwitch;
-    use nk_netstack::{LocalStack, Segment, StackConfig};
+    use nk_fabric::Frame;
+    use nk_netstack::{LocalStack, Segment, SegmentFlags, StackConfig};
     use nk_queue::{queue_set_pair, RequesterEnd, WakeState};
     use nk_types::constants::NSM_SOCKET_ID_BASE;
     use nk_types::SockAddr;
@@ -603,12 +597,13 @@ mod tests {
     const REMOTE_IP: u32 = 0x0A00_0020;
 
     /// A little world: one NSM (serving VM 1) and one remote peer stack,
-    /// connected by a switch. The test plays the roles of GuestLib and
-    /// CoreEngine by talking to the requester end directly.
+    /// listening on port 7, connected by a switch. The test plays the roles
+    /// of GuestLib and CoreEngine by talking to the requester end directly.
     struct World {
         switch: VirtualSwitch<Segment>,
         nsm: TcpNsm,
         remote: TcpStack,
+        ls: SocketId,
         guest_end: RequesterEnd,
         region: HugepageRegion,
         now: u64,
@@ -629,14 +624,56 @@ mod tests {
             let stack = TcpStack::new(StackConfig::new(NSM_IP), nsm_port);
             let mut nsm = TcpNsm::new(kind, service, stack);
             nsm.service.add_vm(VmId(1), region.clone());
+            let mut remote = TcpStack::new(StackConfig::new(REMOTE_IP), remote_port);
+            let ls = remote.socket();
+            remote.bind(ls, SockAddr::new(0, 7)).unwrap();
+            remote.listen(ls, 8).unwrap();
             World {
                 switch,
                 nsm,
-                remote: TcpStack::new(StackConfig::new(REMOTE_IP), remote_port),
+                remote,
+                ls,
                 guest_end,
                 region,
                 now: 0,
             }
+        }
+
+        /// Guest socket `sock` connects to the remote's listener: the
+        /// remote's end, and the NSM's end's address.
+        fn connect(&mut self, sock: u32) -> (SocketId, SockAddr) {
+            self.submit(req(OpType::SocketCreate, sock));
+            let to = SockAddr::new(REMOTE_IP, 7).pack();
+            self.submit(req(OpType::Connect, sock).with_op_data(to));
+            self.run(10);
+            self.remote.accept(self.ls).unwrap()
+        }
+
+        /// Move guest socket `sock` to a fresh NSM on the switch, which
+        /// adopts this one's address (the "fabric reroute" of a
+        /// one-switch world) and from then on is the world's NSM: the
+        /// export and install a host's warm move makes. The snapshot.
+        fn move_conn(&mut self, sock: u32) -> ConnSnapshot {
+            let guest = guest_sock(sock);
+            let conn = self
+                .nsm
+                .export_conn(VmId(1), SocketId(sock), guest)
+                .unwrap();
+            assert!(!self
+                .nsm
+                .service
+                .socks
+                .contains_key(&(VmId(1), SocketId(sock))));
+            let port = self.switch.attach(NSM_IP);
+            let (guest_end, nsm_end) = queue_set_pair(1024);
+            let device = NkDevice::new(vec![nsm_end], WakeState::new());
+            let service = ServiceLib::new(NsmId(2), device, 8);
+            let stack = TcpStack::new(StackConfig::new(0x0A00_0099), port);
+            self.nsm = TcpNsm::new(StackKind::Kernel, service, stack);
+            self.nsm.service.add_vm(VmId(1), self.region.clone());
+            self.nsm.install_conn(VmId(1), &conn, 0).unwrap();
+            self.guest_end = guest_end;
+            conn
         }
 
         fn run(&mut self, rounds: usize) {
@@ -661,6 +698,22 @@ mod tests {
 
     fn req(op: OpType, sock: u32) -> Nqe {
         Nqe::new(op, VmId(1), QueueSetId(0), SocketId(sock))
+    }
+
+    /// What a guest socket connected to the remote's listener exports:
+    /// these tests play GuestLib, so nothing reads it.
+    fn guest_sock(sock: u32) -> GuestSockSnapshot {
+        GuestSockSnapshot {
+            id: SocketId(sock),
+            queue_set: QueueSetId(0),
+            local: None,
+            remote: Some(SockAddr::new(REMOTE_IP, 7)),
+            peer_closed: false,
+            send_buf_cap: 64 * 1024,
+            send_reserved: 0,
+            rx_bytes: Vec::new(),
+            interest: 0,
+        }
     }
 
     #[test]
@@ -709,9 +762,7 @@ mod tests {
     fn guest_connect_send_and_receive_via_nsm() {
         let mut w = World::new(StackKind::Kernel);
         // Remote echo listener.
-        let ls = w.remote.socket();
-        w.remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        w.remote.listen(ls, 8).unwrap();
+        let ls = w.ls;
 
         // Guest: socket + connect.
         w.submit(req(OpType::SocketCreate, 5));
@@ -794,12 +845,7 @@ mod tests {
     #[test]
     fn remove_vm_detaches_region_and_sockets() {
         let mut w = World::new(StackKind::Kernel);
-        let ls = w.remote.socket();
-        w.remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        w.remote.listen(ls, 8).unwrap();
-        w.submit(req(OpType::SocketCreate, 5));
-        w.submit(req(OpType::Connect, 5).with_op_data(SockAddr::new(REMOTE_IP, 7).pack()));
-        w.run(10);
+        w.connect(5);
         assert!(w.nsm.service.has_vm(VmId(1)));
 
         w.nsm.service.remove_vm(VmId(1), &mut w.nsm.stack);
@@ -875,19 +921,13 @@ mod tests {
     #[test]
     fn export_install_moves_a_connection_between_nsms() {
         let mut w = World::new(StackKind::Kernel);
-        let ls = w.remote.socket();
-        w.remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        w.remote.listen(ls, 8).unwrap();
-        w.submit(req(OpType::SocketCreate, 5));
-        w.submit(req(OpType::Connect, 5).with_op_data(SockAddr::new(REMOTE_IP, 7).pack()));
-        w.run(10);
+        let (conn_sock, _) = w.connect(5);
         let payload = b"first half ".to_vec();
         let handle = w.region.alloc_and_write(&payload).unwrap();
         w.submit(req(OpType::Send, 5).with_data(handle, payload.len() as u32));
         w.run(10);
         let _ = w.responses();
         // Bytes ServiceLib has not shipped yet travel in the snapshot.
-        let (conn_sock, _) = w.remote.accept(ls).unwrap();
         w.remote.send(conn_sock, b"held").unwrap();
         for _ in 0..5 {
             w.now += 100_000;
@@ -896,42 +936,10 @@ mod tests {
             w.nsm.stack_mut().tick(w.now);
         }
 
-        let (snap, pending, outstanding) = w.nsm.export_conn(VmId(1), SocketId(5)).unwrap();
-        assert_eq!(snap.remote, SockAddr::new(REMOTE_IP, 7));
-        assert!(!w.nsm.service.has_vm(VmId(1)) || w.nsm.export_conn(VmId(1), SocketId(5)).is_err());
-
-        // Second NSM on the same switch adopts the port address (the
-        // "fabric reroute" of a single-switch world) and the connection.
-        let new_port = w.switch.attach(NSM_IP);
-        let (guest_end2, nsm_end2) = queue_set_pair(1024);
-        let device2 = NkDevice::new(vec![nsm_end2], WakeState::new());
-        let service2 = ServiceLib::new(NsmId(2), device2, 8);
-        let stack2 = TcpStack::new(StackConfig::new(0x0A00_0099), new_port);
-        let mut nsm2 = TcpNsm::new(StackKind::Kernel, service2, stack2);
-        nsm2.service.add_vm(VmId(1), w.region.clone());
-        let conn = nk_types::ConnSnapshot {
-            guest_sock: SocketId(5),
-            vm_queue_set: QueueSetId(0),
-            tcp: snap,
-            queued: pending,
-            rx_outstanding: outstanding,
-            guest: nk_types::GuestSockSnapshot {
-                id: SocketId(5),
-                queue_set: QueueSetId(0),
-                local: None,
-                remote: Some(SockAddr::new(REMOTE_IP, 7)),
-                peer_closed: false,
-                send_buf_cap: 64 * 1024,
-                send_reserved: 0,
-                rx_bytes: Vec::new(),
-                interest: 0,
-            },
-        };
-        nsm2.install_conn(VmId(1), &conn, 0).unwrap();
-        let mut guest_end2 = guest_end2;
-        nsm2.tick(w.now + 1);
-        let mut early = Vec::new();
-        guest_end2.pop_responses(&mut early, 8);
+        let conn = w.move_conn(5);
+        assert_eq!(conn.tcp.remote, SockAddr::new(REMOTE_IP, 7));
+        w.nsm.tick(w.now + 1);
+        let early = w.responses();
         assert!(
             early
                 .iter()
@@ -942,15 +950,8 @@ mod tests {
         // The guest keeps sending through the new NSM's queue pair.
         let second = b"second half".to_vec();
         let handle = w.region.alloc_and_write(&second).unwrap();
-        guest_end2
-            .submit(req(OpType::Send, 5).with_data(handle, second.len() as u32))
-            .unwrap();
-        for _ in 0..10 {
-            w.now += 100_000;
-            nsm2.tick(w.now);
-            w.remote.tick(w.now);
-            w.switch.step(w.now);
-        }
+        w.submit(req(OpType::Send, 5).with_data(handle, second.len() as u32));
+        w.run(10);
         let mut buf = [0u8; 64];
         let mut got = Vec::new();
         while let Ok(n) = w.remote.recv(conn_sock, &mut buf) {
@@ -968,15 +969,12 @@ mod tests {
     #[test]
     fn teardown_leaves_no_receive_credit_behind() {
         let mut w = World::new(StackKind::Kernel);
-        let ls = w.remote.socket();
-        w.remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        w.remote.listen(ls, 8).unwrap();
         for guest in [5, 6, 7] {
             w.submit(req(OpType::SocketCreate, guest));
             w.submit(req(OpType::Connect, guest).with_op_data(SockAddr::new(REMOTE_IP, 7).pack()));
         }
         w.run(10);
-        while let Ok((conn, _)) = w.remote.accept(ls) {
+        while let Ok((conn, _)) = w.remote.accept(w.ls) {
             w.remote.send(conn, &[7u8; 100]).unwrap();
         }
         w.run(10);
@@ -995,8 +993,11 @@ mod tests {
         assert!(holds(&w, 5, socks[0]) && holds(&w, 6, socks[1]) && holds(&w, 7, socks[2]));
 
         // An export takes the credit with it.
-        let (_, queued, credit) = w.nsm.export_conn(VmId(1), SocketId(5)).unwrap();
-        assert_eq!((queued, credit), (vec![], 100));
+        let conn = w
+            .nsm
+            .export_conn(VmId(1), SocketId(5), guest_sock(5))
+            .unwrap();
+        assert_eq!((conn.queued, conn.rx_outstanding), (vec![], 100));
         // A guest close and a VM detach forget it with the context.
         w.submit(req(OpType::Close, 6));
         w.run(1);
@@ -1014,14 +1015,8 @@ mod tests {
     #[test]
     fn exhausted_region_delays_received_data_without_losing_it() {
         let mut w = World::with_region(StackKind::Kernel, HugepageRegion::with_capacity(40 * 1024));
-        let ls = w.remote.socket();
-        w.remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        w.remote.listen(ls, 8).unwrap();
-        w.submit(req(OpType::SocketCreate, 5));
-        w.submit(req(OpType::Connect, 5).with_op_data(SockAddr::new(REMOTE_IP, 7).pack()));
-        w.run(10);
+        let (conn, _) = w.connect(5);
         let _ = w.responses();
-        let (conn, _) = w.remote.accept(ls).unwrap();
 
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         let mut sent = 0;
@@ -1056,19 +1051,12 @@ mod tests {
     }
 
     /// A guest `shutdown(Write)` behind runs the stack has not taken yet
-    /// waits for them: the peer reads every byte, then EOF. Until then the
-    /// connection does not export, since a snapshot cannot carry the
-    /// shutdown.
+    /// waits for them: the peer reads every byte, then EOF. The wait
+    /// travels with the runs: the connection moves to another NSM midway.
     #[test]
     fn a_shutdown_waits_behind_the_runs_queued_ahead_of_it() {
         let mut w = World::new(StackKind::Kernel);
-        let ls = w.remote.socket();
-        w.remote.bind(ls, SockAddr::new(0, 7)).unwrap();
-        w.remote.listen(ls, 8).unwrap();
-        w.submit(req(OpType::SocketCreate, 5));
-        w.submit(req(OpType::Connect, 5).with_op_data(SockAddr::new(REMOTE_IP, 7).pack()));
-        w.run(10);
-        let (conn, _) = w.remote.accept(ls).unwrap();
+        let (conn, _) = w.connect(5);
         let payload: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
         for part in payload.chunks(64 * 1024) {
             let handle = w.region.alloc_and_write(part).unwrap();
@@ -1083,7 +1071,8 @@ mod tests {
             !rec.queued.is_empty(),
             "nothing queued: the test exercises nothing"
         );
-        assert!(!w.nsm.conn_transplantable(VmId(1), SocketId(5)));
+        let conn_snap = w.move_conn(5);
+        assert!(conn_snap.shut_queued && !conn_snap.queued.is_empty());
         let (mut got, mut buf) = (Vec::new(), vec![0u8; 64 * 1024]);
         for _ in 0..2_000 {
             match w.remote.recv(conn, &mut buf) {
@@ -1098,6 +1087,110 @@ mod tests {
             "{} of {} bytes before EOF",
             got.len(),
             payload.len()
+        );
+    }
+
+    /// The peer's FIN waits behind the bytes the stack still holds: the
+    /// guest, which does not read meanwhile, is told `PeerClosed` only after
+    /// the last `DataReceived`. The wait travels with the bytes: the
+    /// connection moves to another NSM while EOF is owed (the other pending
+    /// end moves in `a_shutdown_waits_behind_the_runs_queued_ahead_of_it`).
+    #[test]
+    fn eof_waits_behind_the_bytes_the_stack_holds() {
+        let mut w = World::new(StackKind::Kernel);
+        let (conn, _) = w.connect(5);
+        let payload: Vec<u8> = (0..2 * RX_BUDGET).map(|i| (i % 251) as u8).collect();
+        let mut sent = 0;
+        for _ in 0..100 {
+            sent += w.remote.send(conn, &payload[sent..]).unwrap_or(0);
+            w.run(1);
+        }
+        assert_eq!(sent, payload.len());
+        w.remote.close(conn).unwrap();
+        w.run(5);
+        let rec = w.nsm.service.socks.get(&(VmId(1), SocketId(5))).unwrap();
+        assert!(rec.eof_owed && w.nsm.stack.recv_available(rec.stack) > 0);
+        let mut announced = w.responses();
+        assert!(announced.iter().all(|n| n.op != OpType::PeerClosed));
+        let conn_snap = w.move_conn(5);
+        assert!(conn_snap.eof_owed && !conn_snap.tcp.recv_buf.is_empty());
+        // The guest wakes and reads: every byte, then EOF.
+        // The guest wakes and reads: every byte, then EOF. GuestLib reads
+        // a batch's bytes before the EOF it carries (events overtake data
+        // in a queue set), and so does this guest.
+        let mut got = Vec::new();
+        for _ in 0..100 {
+            for nqe in announced.iter().filter(|n| n.op == OpType::DataReceived) {
+                let at = got.len();
+                got.resize(at + nqe.size as usize, 0);
+                w.region.read(nqe.data, &mut got[at..]).unwrap();
+                w.region.free(nqe.data).unwrap();
+                w.submit(req(OpType::RecvConsumed, 5).with_data(DataHandle::NULL, nqe.size));
+            }
+            if announced.iter().any(|n| n.op == OpType::PeerClosed) {
+                assert!(got == payload, "EOF after {} bytes", got.len());
+                return;
+            }
+            w.run(1);
+            announced = w.responses();
+        }
+        panic!("no EOF after {} bytes", got.len());
+    }
+
+    /// Queued runs the stack refuses for good are dropped, not held: their
+    /// bytes go back to the guest as credit carrying the error, and the
+    /// socket leaves the flush list. The remote never reads, then resets
+    /// the connection (a close here sends a FIN, and the NSM's end would
+    /// wait on the zero window for good).
+    #[test]
+    fn runs_the_stack_refuses_for_good_go_back_with_the_error() {
+        let mut w = World::new(StackKind::Kernel);
+        let (_, nsm_end) = w.connect(5);
+        for _ in 0..16 {
+            let handle = w.region.alloc_and_write(&[7u8; 64 * 1024]).unwrap();
+            w.submit(req(OpType::Send, 5).with_data(handle, 64 * 1024));
+        }
+        w.run(10);
+        let queued = |w: &World| {
+            w.nsm
+                .service
+                .socks
+                .get(&(VmId(1), SocketId(5)))
+                .unwrap()
+                .queued
+                .len()
+        };
+        assert!(queued(&w) > 0, "nothing queued: the test exercises nothing");
+        let rst = Segment::control(SockAddr::new(REMOTE_IP, 7), nsm_end, SegmentFlags::rst());
+        w.remote.port().send(Frame {
+            src: REMOTE_IP,
+            dst: NSM_IP,
+            flow_hash: 0,
+            wire_bytes: 64,
+            payload: rst,
+        });
+        for _ in 0..100 {
+            w.run(1);
+            if queued(&w) == 0 {
+                break;
+            }
+        }
+        assert_eq!(queued(&w), 0, "the runs are held");
+        let visits = w.nsm.service.stats().tx_visits;
+        w.run(100);
+        assert_eq!(w.nsm.service.stats().tx_visits, visits);
+        let credit: Vec<(OpResult, u32)> = (w.responses().iter())
+            .filter(|n| n.op == OpType::SendComplete)
+            .map(|n| (n.result(), n.size))
+            .collect();
+        assert_eq!(
+            credit.iter().map(|c| c.1).sum::<u32>(),
+            1 << 20,
+            "{credit:?}"
+        );
+        assert!(
+            matches!(credit.last(), Some((OpResult::Err(_), _))),
+            "{credit:?}"
         );
     }
 

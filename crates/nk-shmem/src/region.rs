@@ -262,7 +262,7 @@ impl Pages {
         &mut self,
         handle: DataHandle,
         len: usize,
-        out: &mut Vec<Payload>,
+        out: &mut impl Extend<Payload>,
     ) -> NkResult<usize> {
         let mut moved = 0;
         for run in self.span(handle, 0, len)?.drain(..) {
@@ -270,11 +270,11 @@ impl Pages {
                 break;
             }
             let take = run.len().min(len - moved);
-            out.push(if take == run.len() {
+            out.extend(Some(if take == run.len() {
                 run
             } else {
                 run.slice(0..take)
-            });
+            }));
             moved += take;
         }
         self.free(handle.offset() as usize)?;
@@ -383,11 +383,11 @@ impl HugepageRegion {
         &self,
         handle: DataHandle,
         len: usize,
-        runs: &mut Vec<Payload>,
+        runs: &mut impl Extend<Payload>,
     ) -> NkResult<()> {
         let moved = self.lock().take_runs(handle, len, runs)?;
         if moved < len {
-            runs.push(Payload::from(vec![0; len - moved]));
+            runs.extend(Some(Payload::from(vec![0; len - moved])));
         }
         Ok(())
     }

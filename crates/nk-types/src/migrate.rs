@@ -142,6 +142,12 @@ pub struct ConnSnapshot {
     pub queued: Vec<Vec<u8>>,
     /// Receive-credit bytes announced to the guest and not yet consumed.
     pub rx_outstanding: usize,
+    /// The guest shut its write side behind `queued`: the stack shuts it
+    /// once they are all in.
+    pub shut_queued: bool,
+    /// The peer's FIN arrived and the guest has not been told: it is, once
+    /// the stack holds no byte for it.
+    pub eof_owed: bool,
     /// The guest socket to recreate.
     pub guest: GuestSockSnapshot,
 }
@@ -208,6 +214,8 @@ mod tests {
             },
             queued: vec![vec![4, 5]],
             rx_outstanding: 10,
+            shut_queued: false,
+            eof_owed: false,
             guest: GuestSockSnapshot {
                 id: SocketId(3),
                 queue_set: QueueSetId(0),

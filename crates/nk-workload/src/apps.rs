@@ -416,6 +416,7 @@ impl ClosedLoopClient {
 mod tests {
     use super::*;
     use nk_host::NetKernelHost;
+    use nk_types::constants::DEFAULT_RECV_BUF;
     use nk_types::{HostConfig, NsmConfig, NsmId, ShutdownHow, VmConfig, VmToNsmPolicy};
 
     const SUBJECT_IP: u32 = 0x0A00_0600;
@@ -639,6 +640,64 @@ mod tests {
         note!("register unknown", w.subject().epoll_register(never, both));
         note!("unregister unknown", w.subject().epoll_unregister(never));
         log
+    }
+
+    /// EOF comes after the bytes over all four socket APIs: the peer
+    /// writes three receive buffers' worth and shuts its write side while
+    /// the reader stalls, and the reader then gets every byte, then
+    /// `Ok(0)`. Over a stack the FIN arrives while the NSM still holds
+    /// bytes; the NSM, not the stack, holds EOF behind them.
+    #[test]
+    fn eof_follows_every_byte_over_every_socket_api() {
+        let stream: Vec<u8> = (0..3 * DEFAULT_RECV_BUF).map(|i| (i % 251) as u8).collect();
+        for (name, mut w) in worlds() {
+            let ls = w.subject().socket().unwrap();
+            w.subject().bind(ls, SockAddr::new(0, 80)).unwrap();
+            w.subject().listen(ls, 8).unwrap();
+            w.run(5);
+            let (pc, to) = (w.peer().socket().unwrap(), SockAddr::new(w.subject_ip, 80));
+            w.peer().connect(pc, to).unwrap();
+            w.run(30);
+            let (conn, _) = w.subject().accept(ls).unwrap();
+            let (mut sent, mut shut, mut got) = (0, false, Vec::new());
+            let (mut buf, mut last) = (vec![0u8; 16 * 1024], Err(NkError::WouldBlock));
+            for step in 0..2_000 {
+                while sent < stream.len() {
+                    match w.peer().send(pc, &stream[sent..]) {
+                        Ok(n) => sent += n,
+                        Err(e) => {
+                            assert_eq!(e, NkError::WouldBlock, "{name}");
+                            break;
+                        }
+                    }
+                }
+                if sent == stream.len() && !shut {
+                    w.peer().shutdown(pc, ShutdownHow::Write).unwrap();
+                    shut = true;
+                }
+                // The reader stalls for the first 200 steps.
+                if step >= 200 {
+                    loop {
+                        last = w.subject().recv(conn, &mut buf);
+                        match last {
+                            Ok(n @ 1..) => got.extend_from_slice(&buf[..n]),
+                            _ => break,
+                        }
+                    }
+                }
+                if last != Err(NkError::WouldBlock) {
+                    break;
+                }
+                w.run(1);
+            }
+            assert_eq!(last, Ok(0), "{name}: no EOF after {} bytes", got.len());
+            assert!(
+                got == stream,
+                "{name}: {} of {} bytes before EOF",
+                got.len(),
+                stream.len()
+            );
+        }
     }
 
     /// The seam, as a table: the one session reads the same over all four

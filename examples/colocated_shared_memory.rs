@@ -8,7 +8,7 @@
 
 use netkernel::host::NetKernelHost;
 use netkernel::types::{
-    HostConfig, NsmConfig, NsmId, SockAddr, SocketApi, VmConfig, VmId, VmToNsmPolicy,
+    HostConfig, NkError, NsmConfig, NsmId, SockAddr, SocketApi, VmConfig, VmId, VmToNsmPolicy,
 };
 
 fn main() {
@@ -42,14 +42,17 @@ fn main() {
         host.run(2, 100_000);
     }
 
-    let g1 = host.guest_mut(VmId(1)).unwrap();
-    let (conn, _) = g1.accept(listener).unwrap();
+    // VM1 reads what VM2 sent, the host stepping while the rest waits in
+    // the NSM for VM1's receive credit.
+    let (conn, _) = host.guest_mut(VmId(1)).unwrap().accept(listener).unwrap();
     let mut received = 0u64;
     let mut buf = vec![0u8; 16 * 1024];
-    loop {
-        match g1.recv(conn, &mut buf) {
-            Ok(0) | Err(_) => break,
+    while received < sent {
+        match host.guest_mut(VmId(1)).unwrap().recv(conn, &mut buf) {
+            Ok(0) => break,
             Ok(n) => received += n as u64,
+            Err(NkError::WouldBlock) => host.run(1, 100_000),
+            Err(e) => panic!("VM1's recv failed with {e:?}"),
         }
     }
     let stats = host.nsm_service_stats(NsmId(1)).unwrap();

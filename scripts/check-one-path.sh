@@ -81,7 +81,7 @@ check "$(code crates/nk-service/src/service.rs | grep -c '\.free(')" -eq 0 \
 # hops, which move `Payload` runs by reference.
 # shellcheck disable=SC2016 # awk's own $0
 check "$(( $(code crates/nk-shmem/src/region.rs | grep -c 'Box<\[u8\]>') + $(code crates/nk-service/src/service.rs \
-    | awk '/^    fn (handle_send|flush_queue|pump_socket)\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' \
+    | awk '/^    fn (handle_send|flush|pump_socket)\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' \
     | grep -cE 'to_vec\(|\.(send|recv|read|read_at|read_and_free|alloc_and_write)\(') ))" -eq 0 \
     "the NSM hops copy nothing: hugepage chunks hold runs, not an arena, and ServiceLib moves them by reference"
 check "$(code crates/nk-queue/src/spsc.rs | grep -cw 'unsafe')" -eq 4 \
@@ -114,5 +114,9 @@ check "$(sed -n '/^\[dependencies\]/,/^\[/p' crates/bench/Cargo.toml | grep -c '
     "one traffic driver: experiments runs every system run through Scenario, so nk-bench does not depend on nk-cluster"
 check "$(code crates src | grep -cE 'struct LinkFault|pub (reorder_extra_us|core_engine_cores|max_rounds|uplink_rate_gbps):|fn with_default_link')" -eq 0 \
     "a link is described once, and a setting nothing sets is a constant"
+check "$(code crates/nk-service/src/service.rs | grep -c 'send_payload(')" -eq 1 \
+    "a Send reaches the stack through one loop: a record's queued runs, pushed by its flush"
+check "$(code crates/nk-netstack/src/local.rs | grep -c 'StackEvent::PeerClosed')" -eq 1 \
+    "the stack never times EOF: LocalStack raises PeerClosed when the FIN arrives, and ServiceLib holds EOF behind the bytes"
 
 exit "$fails"
