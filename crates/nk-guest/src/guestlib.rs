@@ -45,9 +45,6 @@ pub struct GuestLib {
     stats: GuestStats,
     /// One batch of responses `drive` works through (empty between calls).
     scratch: Vec<Nqe>,
-    /// The lengths of the receive chunks one `recv` used up (empty between
-    /// calls).
-    consumed: Vec<usize>,
     /// Sockets that may owe receive credit a full job ring refused (the
     /// amount is `GuestSocket::owed`): all `drive` retries, in id order.
     owing: Vec<SocketId>,
@@ -68,7 +65,6 @@ impl GuestLib {
             batch: nk_types::constants::DEFAULT_BATCH_SIZE,
             stats: GuestStats::default(),
             scratch: Vec::new(),
-            consumed: Vec::new(),
             owing: Vec::new(),
         }
     }
@@ -418,15 +414,14 @@ impl SocketApi for GuestLib {
 
     fn recv(&mut self, sock: SocketId, buf: &mut [u8]) -> NkResult<usize> {
         self.drive();
-        let mut consumed_chunks = std::mem::take(&mut self.consumed);
         // A chunk the region refuses to read stays at the head of the queue:
         // bytes copied before it are still delivered (and their chunks
         // credited) by this call, and the next call reports the error.
         let mut failure = None;
-        let (qs, copied, state, mut owed) = {
+        let (qs, copied, state, owed) = {
             let region = &self.region;
             let s = self.sockets.get_mut(&sock).ok_or(NkError::BadSocket)?;
-            let mut copied = 0usize;
+            let (mut copied, mut owed) = (0usize, std::mem::take(&mut s.owed));
             while copied < buf.len() {
                 let Some(chunk) = s.rx_chunks.front_mut() else {
                     break;
@@ -449,29 +444,19 @@ impl SocketApi for GuestLib {
                 chunk.consumed += take;
                 copied += take;
                 if chunk.consumed == chunk.len {
-                    consumed_chunks.push(chunk.len);
+                    owed += chunk.len;
                     s.rx_chunks.pop_front();
                 }
             }
-            (s.queue_set, copied, s.state, std::mem::take(&mut s.owed))
+            (s.queue_set, copied, s.state, owed)
         };
-        // Return receive credit to the NSM for every finished chunk, one
-        // `RecvConsumed` each, plus what a full job ring refused before.
+        // Return the receive credit of every chunk this call finished, plus
+        // what a full job ring refused before, in one `RecvConsumed`.
         // Credit refused again stays on the socket. A closing socket reads
         // on but returns none.
-        if state != GuestSocketState::Closing {
-            for &len in &consumed_chunks {
-                owed += len;
-                if self.send_credit(sock, qs, owed) {
-                    owed = 0;
-                }
-            }
-            if owed > 0 {
-                self.owe_credit(sock, owed);
-            }
+        if state != GuestSocketState::Closing && owed > 0 && !self.send_credit(sock, qs, owed) {
+            self.owe_credit(sock, owed);
         }
-        consumed_chunks.clear();
-        self.consumed = consumed_chunks;
         if copied > 0 {
             self.stats.bytes_received += copied as u64;
             return Ok(copied);
@@ -929,6 +914,31 @@ mod tests {
             pop_request(&mut resp).is_none(),
             "credit sent for a closed socket"
         );
+    }
+
+    /// One `recv` returns the credit of every chunk it finishes in one
+    /// `RecvConsumed` of their sum; a chunk it only starts is credited by
+    /// the call that finishes it.
+    #[test]
+    fn a_recv_that_finishes_three_chunks_returns_their_credit_in_one_nqe() {
+        let (mut guest, mut resp, region) = guest_with_responders(1);
+        let (s, qs) = connected(&mut guest, &mut resp);
+        let payload: Vec<u8> = (0..80_000u32).map(|i| (i % 251) as u8).collect();
+        for part in payload.chunks(20_000) {
+            let handle = region.alloc_and_write(part).unwrap();
+            let data = Nqe::new(OpType::DataReceived, VmId(1), qs, s);
+            respond(&mut resp, data.with_data(handle, part.len() as u32));
+        }
+        let mut buf = vec![0u8; 70_000];
+        assert_eq!(guest.recv(s, &mut buf), Ok(70_000));
+        let credit = pop_request(&mut resp).unwrap();
+        assert_eq!((credit.op, credit.size), (OpType::RecvConsumed, 60_000));
+        assert!(pop_request(&mut resp).is_none(), "one NQE carries the sum");
+
+        assert_eq!(guest.recv(s, &mut buf), Ok(10_000));
+        let credit = pop_request(&mut resp).unwrap();
+        assert_eq!((credit.op, credit.size), (OpType::RecvConsumed, 20_000));
+        assert!(buf[..10_000] == payload[70_000..]);
     }
 
     /// Partial reads resume inside the chunk: a 16 KiB chunk read 100 bytes

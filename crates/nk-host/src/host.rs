@@ -889,6 +889,40 @@ mod tests {
         );
     }
 
+    /// A colocated stream of 64-KiB messages costs CoreEngine at most 64
+    /// NQEs per MiB: a `Send` and its `SendComplete` per message, and on
+    /// the reader's side one `DataReceived` per pump and one
+    /// `RecvConsumed` per `recv`. Receive announced and credited in 16-KiB
+    /// pieces costs 156.
+    #[test]
+    fn a_colocated_stream_costs_at_most_64_engine_nqes_per_mib() {
+        let (mut host, ls) = colocated(DEFAULT_HUGEPAGE_COUNT);
+        let (cs, conn) = colocated_pair(&mut host, ls);
+        let stream = stream(4 << 20);
+        let (mut sent, mut got) = (0, Vec::new());
+        let before = host.engine_stats().nqes_switched;
+        for _ in 0..1_000 {
+            if got.len() == stream.len() {
+                break;
+            }
+            let g2 = host.guest_mut(VmId(2)).unwrap();
+            while sent < stream.len() {
+                match g2.send(cs, &stream[sent..(sent + 64 * 1024).min(stream.len())]) {
+                    Ok(n) => sent += n,
+                    Err(e) => {
+                        assert_eq!(e, NkError::WouldBlock);
+                        break;
+                    }
+                }
+            }
+            host.run(1, 100_000);
+            let _ = read_all(&mut host, conn, &mut got);
+        }
+        assert!(got == stream, "{} of {} bytes", got.len(), stream.len());
+        let per_mib = (host.engine_stats().nqes_switched - before) / 4;
+        assert!(per_mib <= 64, "{per_mib} CoreEngine NQEs per MiB");
+    }
+
     /// `shutdown(Write)` reaches a colocated reader as EOF after every byte
     /// written before it, even bytes still waiting for receive credit when
     /// the shutdown arrives: a stalled reader's budget and the stack's

@@ -71,11 +71,13 @@ pub fn queue_set_pair(capacity: usize) -> (RequesterEnd, ResponderEnd) {
 
 impl RequesterEnd {
     /// Submit a request NQE on the queue implied by its op type. A
-    /// `Shutdown` rides the send queue, behind the `Send`s before it: the
-    /// job queue drains first, and would shut a write side ahead of them.
+    /// `Shutdown` or a `Close` rides the send queue, behind the `Send`s
+    /// before it: the job queue drains first, and would end the stream
+    /// ahead of them.
     pub fn submit(&mut self, nqe: Nqe) -> NkResult<()> {
         debug_assert!(nqe.op.is_request(), "requester submitted a completion");
-        let q = if nqe.op.carries_data() || nqe.op == OpType::Shutdown {
+        let ends_stream = matches!(nqe.op, OpType::Shutdown | OpType::Close);
+        let q = if nqe.op.carries_data() || ends_stream {
             &mut self.send
         } else {
             &mut self.job
@@ -169,12 +171,14 @@ mod tests {
             .submit(req(OpType::Send).with_data(DataHandle::from_offset(0), 64))
             .unwrap();
         requester.submit(req(OpType::Connect)).unwrap();
+        requester.submit(req(OpType::Close)).unwrap();
         // Job queue drains before the send queue in pop_requests, so the
-        // Connect submitted second comes out first.
+        // Connect submitted second comes out first; the Close stays behind
+        // the Send.
         let mut out = Vec::new();
-        assert_eq!(responder.pop_requests(&mut out, 16), 2);
-        assert_eq!(out[0].op, OpType::Connect);
-        assert_eq!(out[1].op, OpType::Send);
+        assert_eq!(responder.pop_requests(&mut out, 16), 3);
+        let ops: Vec<OpType> = out.iter().map(|nqe| nqe.op).collect();
+        assert_eq!(ops, [OpType::Connect, OpType::Send, OpType::Close]);
         assert_eq!(
             responder.pop_requests(&mut out, 16),
             0,
@@ -226,7 +230,7 @@ mod tests {
     fn queue_full_is_reported() {
         let (mut requester, _responder) = queue_set_pair(2);
         requester.submit(req(OpType::Connect)).unwrap();
-        requester.submit(req(OpType::Close)).unwrap();
+        requester.submit(req(OpType::Listen)).unwrap();
         assert_eq!(
             requester.submit(req(OpType::Accept)),
             Err(NkError::QueueFull)

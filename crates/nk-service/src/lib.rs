@@ -25,6 +25,18 @@
 //!   congestion window (use case 2, §6.2).
 
 #![forbid(unsafe_code)]
+// One NSM serves many tenants, so a guest's NQE must never be able to panic
+// it: a site that cannot fail names its invariant in an `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable
+    )
+)]
 
 pub mod fairshare;
 mod frontend;

@@ -19,8 +19,6 @@ use nk_types::{
 };
 use std::collections::VecDeque;
 
-/// Largest chunk of received payload announced to the guest in one NQE.
-const RX_CHUNK: usize = 16 * 1024;
 /// Per-connection cap on bytes parked in the hugepages awaiting `recv()`.
 const RX_BUDGET: usize = 256 * 1024;
 
@@ -282,6 +280,7 @@ impl ServiceLib {
             OpType::SocketCreate => {
                 let sock = stack.socket();
                 let rec = NsmSocket::new(key, sock, nqe.queue_set, nsm_qs);
+                #[expect(clippy::expect_used, reason = "the arm above refused a live tuple")]
                 self.file(key, rec).expect("the tuple is free");
                 return self.front.reply(nsm_qs, &nqe, Ok(()), sock.raw());
             }
@@ -417,6 +416,10 @@ impl ServiceLib {
             let taken = |id| self.socks.contains_key(&(vm, id));
             let key = (vm, self.front.alloc_guest_sock(taken));
             let rec = NsmSocket::new(key, conn, vm_qs, nsm_qs);
+            #[expect(
+                clippy::expect_used,
+                reason = "alloc_guest_sock skips every id live for the VM"
+            )]
             self.file(key, rec).expect("ids skip live tuples");
             self.front.stats.accepted += 1;
             // Its first bytes may have arrived before it had a record.
@@ -436,10 +439,13 @@ impl ServiceLib {
         self.rx_ready = ready;
     }
 
-    /// Ship what `sock` has received to its guest, as far as receive credit
-    /// and hugepages go, and the peer's FIN once the stack holds no byte
-    /// for it. True while the stack still holds bytes: the socket stays on
-    /// the ready list.
+    /// Ship what `sock` has received to its guest in one `DataReceived`:
+    /// every byte the stack holds, as far as the receive credit goes and
+    /// never more than the VM's region can hold (a chunk spends the credit
+    /// or the bytes, or fills the region, so a second pass finds nothing
+    /// to send or no room). Then the peer's FIN, once the stack holds no
+    /// byte for it. True while the stack still holds bytes: the socket
+    /// stays on the ready list, and the next pump tries again.
     fn pump_socket(&mut self, stack: &mut impl NsmStack, sock: SocketId) -> bool {
         let Some(&slot) = self.by_stack.get(&sock) else {
             return false;
@@ -455,13 +461,15 @@ impl ServiceLib {
             // one lock hold: nothing leaves `recv_buf` unless it has a
             // hugepage chunk to land in, and a failed `recv_runs` frees the
             // chunk again.
-            let want = credit.min(RX_CHUNK).min(stack.recv_available(sock));
+            let want = credit.min(stack.recv_available(sock));
             if want == 0 {
                 break;
             }
             let Some(region) = self.front.regions.get(&rec.vm) else {
                 break;
             };
+            // A chunk larger than the region could never land.
+            let want = want.min(region.capacity());
             let filled = region.alloc_and_fill(want, |runs| stack.recv_runs(sock, want, runs));
             let Ok((handle, n)) = filled else {
                 break;
@@ -541,6 +549,10 @@ impl TcpNsm {
         let key = (vm, guest_sock);
         let rec = self.service.socks.get(&key).ok_or(NkError::BadSocket)?;
         let tcp = self.stack.export_conn(rec.stack)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "the record was read above, and the stack's export leaves ServiceLib alone"
+        )]
         let rec = self.service.forget(key).expect("mapping observed above");
         Ok(ConnSnapshot {
             guest_sock,
@@ -1047,6 +1059,67 @@ mod tests {
         );
         assert_eq!(got.len(), payload.len(), "bytes lost or duplicated");
         assert!(got == payload, "bytes reordered or corrupted");
+        assert_eq!(w.region.stats().chunks, 0);
+    }
+
+    /// A stack holding several times what the region can hold ships it a
+    /// region at a time: a chunk is never sized past the region's
+    /// capacity, where it could never land and the bytes would stall in
+    /// the stack for good.
+    #[test]
+    fn a_stack_holding_several_regions_worth_ships_it_a_region_at_a_time() {
+        let capacity = 40 * 1024;
+        let mut w = World::with_region(StackKind::Kernel, HugepageRegion::with_capacity(capacity));
+        let (conn, _) = w.connect(5);
+        let _ = w.responses();
+        let stack_sock = w
+            .nsm
+            .service
+            .socks
+            .get(&(VmId(1), SocketId(5)))
+            .unwrap()
+            .stack;
+
+        let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        let (mut sent, mut announced) = (0, Vec::new());
+        // The guest reads nothing until the stack holds three regions' worth.
+        for _ in 0..200 {
+            sent += w.remote.send(conn, &payload[sent..]).unwrap_or(0);
+            w.run(1);
+            announced.extend(w.responses());
+            if w.nsm.stack.recv_available(stack_sock) >= 3 * capacity {
+                break;
+            }
+        }
+        let held = w.nsm.stack.recv_available(stack_sock);
+        assert!(held >= 3 * capacity, "the stack holds only {held} bytes");
+
+        let mut got = Vec::new();
+        for _ in 0..2_000 {
+            for nqe in announced.drain(..) {
+                if nqe.op != OpType::DataReceived {
+                    continue;
+                }
+                assert!(nqe.size as usize <= capacity, "a {}-byte chunk", nqe.size);
+                let at = got.len();
+                got.resize(at + nqe.size as usize, 0);
+                w.region.read(nqe.data, &mut got[at..]).unwrap();
+                w.region.free(nqe.data).unwrap();
+                w.submit(req(OpType::RecvConsumed, 5).with_data(DataHandle::NULL, nqe.size));
+            }
+            if got.len() == payload.len() {
+                break;
+            }
+            sent += w.remote.send(conn, &payload[sent..]).unwrap_or(0);
+            w.run(1);
+            announced.extend(w.responses());
+        }
+        assert!(
+            got == payload,
+            "{} of {} bytes, in order",
+            got.len(),
+            payload.len()
+        );
         assert_eq!(w.region.stats().chunks, 0);
     }
 

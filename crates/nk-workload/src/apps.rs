@@ -462,6 +462,23 @@ mod tests {
         fn run(&mut self, steps: usize) {
             self.host.run(steps, 100_000);
         }
+
+        /// The subject listens on port 80 and the peer connects: the
+        /// subject's accepted socket and the peer's.
+        fn session(&mut self) -> (SocketId, SocketId) {
+            let ls = self.subject().socket().unwrap();
+            self.subject().bind(ls, SockAddr::new(0, 80)).unwrap();
+            self.subject().listen(ls, 8).unwrap();
+            self.run(5);
+            let (pc, to) = (
+                self.peer().socket().unwrap(),
+                SockAddr::new(self.subject_ip, 80),
+            );
+            self.peer().connect(pc, to).unwrap();
+            self.run(30);
+            let (conn, _) = self.subject().accept(ls).unwrap();
+            (conn, pc)
+        }
     }
 
     /// The paper's two architectures as four socket APIs: GuestLib behind
@@ -651,14 +668,7 @@ mod tests {
     fn eof_follows_every_byte_over_every_socket_api() {
         let stream: Vec<u8> = (0..3 * DEFAULT_RECV_BUF).map(|i| (i % 251) as u8).collect();
         for (name, mut w) in worlds() {
-            let ls = w.subject().socket().unwrap();
-            w.subject().bind(ls, SockAddr::new(0, 80)).unwrap();
-            w.subject().listen(ls, 8).unwrap();
-            w.run(5);
-            let (pc, to) = (w.peer().socket().unwrap(), SockAddr::new(w.subject_ip, 80));
-            w.peer().connect(pc, to).unwrap();
-            w.run(30);
-            let (conn, _) = w.subject().accept(ls).unwrap();
+            let (conn, pc) = w.session();
             let (mut sent, mut shut, mut got) = (0, false, Vec::new());
             let (mut buf, mut last) = (vec![0u8; 16 * 1024], Err(NkError::WouldBlock));
             for step in 0..2_000 {
@@ -696,6 +706,40 @@ mod tests {
                 "{name}: {} of {} bytes before EOF",
                 got.len(),
                 stream.len()
+            );
+        }
+    }
+
+    /// A response sent and closed at once reaches the peer whole, then
+    /// EOF, over all four socket APIs. The stack takes the response whole,
+    /// so nothing waits in ServiceLib; what matters is that the `Close`
+    /// queues behind the `Send` before it, and never reaches the NSM first
+    /// to close the stack socket under the bytes.
+    #[test]
+    fn eof_follows_every_byte_sent_before_a_close_over_every_socket_api() {
+        let response: Vec<u8> = (0..4_000).map(|i| (i % 251) as u8).collect();
+        for (name, mut w) in worlds() {
+            let (conn, pc) = w.session();
+            let sent = w.subject().send(conn, &response);
+            assert_eq!(sent, Ok(response.len()), "{name}");
+            w.subject().close(conn).unwrap();
+            let (mut got, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
+            let mut last = Err(NkError::WouldBlock);
+            for _ in 0..200 {
+                w.run(1);
+                last = w.peer().recv(pc, &mut buf);
+                match last {
+                    Ok(n @ 1..) => got.extend_from_slice(&buf[..n]),
+                    Err(NkError::WouldBlock) => {}
+                    _ => break,
+                }
+            }
+            assert_eq!(last, Ok(0), "{name}: no EOF after {} bytes", got.len());
+            assert!(
+                got == response,
+                "{name}: {} of {} bytes before EOF",
+                got.len(),
+                response.len()
             );
         }
     }

@@ -118,5 +118,7 @@ check "$(code crates/nk-service/src/service.rs | grep -c 'send_payload(')" -eq 1
     "a Send reaches the stack through one loop: a record's queued runs, pushed by its flush"
 check "$(code crates/nk-netstack/src/local.rs | grep -c 'StackEvent::PeerClosed')" -eq 1 \
     "the stack never times EOF: LocalStack raises PeerClosed when the FIN arrives, and ServiceLib holds EOF behind the bytes"
+check "$(code crates | grep -c 'RX_CHUNK')" -eq 0 \
+    "receive is announced by the credit: one DataReceived carries what the stack holds, up to the receive credit and the region, never a fixed piece"
 
 exit "$fails"
