@@ -148,8 +148,8 @@ impl CoreEngine {
         let rate_bucket = match (&self.isolation, rate_limit_gbps) {
             (IsolationPolicy::RateLimited, Some(gbps)) => {
                 let bytes_per_sec = gbps * 1e9 / 8.0;
-                // The burst must cover at least one maximum-size data chunk,
-                // otherwise large sends could never pass the cap.
+                // One millisecond's worth, and at least 64 KiB; a larger
+                // send passes a full bucket and leaves it in debt.
                 let burst = (bytes_per_sec / 1_000.0).max(64.0 * 1024.0);
                 Some(TokenBucket::new(bytes_per_sec, burst, now_ns))
             }
@@ -549,9 +549,11 @@ impl CoreEngine {
         now_ns: u64,
         wakeups: &mut u64,
     ) -> Result<(), Nqe> {
-        // Isolation: bandwidth cap applies to payload bytes, op cap to NQEs.
+        // Isolation: the bandwidth cap applies to the payload bytes a VM
+        // sends (a `RecvConsumed`'s size is receive credit, not egress), the
+        // op cap to NQEs.
         if let Some(bucket) = &mut port.rate_bucket {
-            if nqe.size > 0 && !bucket.try_consume(nqe.size as f64, now_ns) {
+            if nqe.op.carries_data() && !bucket.try_charge(nqe.size as f64, now_ns) {
                 port.stats.throttled += 1;
                 return Err(nqe);
             }
@@ -844,6 +846,42 @@ mod tests {
         assert_eq!(ce.take_bytes_forwarded(VmId(1), Epoch::Control), 100_000);
         assert_eq!(ce.take_bytes_forwarded(VmId(1), Epoch::Control), 0);
         assert_eq!(ce.take_bytes_forwarded(VmId(1), Epoch::Placement), 100_000);
+    }
+
+    /// A cap below one receive credit (256 KiB at 0.5 Gbps, burst 64 KiB)
+    /// stalls nothing for good: a credit is not egress and passes, a send
+    /// past the burst passes a full bucket, and the send and close behind
+    /// it pass once refills pay its debt off.
+    #[test]
+    fn a_rate_limited_vm_forwards_credit_and_sends_past_the_burst() {
+        let (mut guest, mut nsm, mut ce) = setup(IsolationPolicy::RateLimited, Some(0.5));
+        let big = 256 * 1024;
+        let credit = request(OpType::RecvConsumed, 3).with_data(nk_types::DataHandle::NULL, big);
+        guest.submit(credit).unwrap();
+        let send = request(OpType::Send, 3).with_data(nk_types::DataHandle(0), big);
+        guest.submit(send).unwrap();
+        let send = request(OpType::Send, 3).with_data(nk_types::DataHandle(0), 1_000);
+        guest.submit(send).unwrap();
+        guest.submit(request(OpType::Close, 3)).unwrap();
+        ce.poll(0);
+        let mut reqs = Vec::new();
+        assert_eq!(nsm.pop_requests(&mut reqs, 16), 2);
+        ce.poll(1_000_000);
+        assert_eq!(
+            nsm.pop_requests(&mut reqs, 16),
+            0,
+            "the big send's debt holds the rest"
+        );
+        ce.poll(10_000_000);
+        assert_eq!(nsm.pop_requests(&mut reqs, 16), 2);
+        let ops: Vec<OpType> = reqs.iter().map(|nqe| nqe.op).collect();
+        let want = [
+            OpType::RecvConsumed,
+            OpType::Send,
+            OpType::Send,
+            OpType::Close,
+        ];
+        assert_eq!(ops, want);
     }
 
     #[test]

@@ -439,13 +439,16 @@ impl ServiceLib {
         self.rx_ready = ready;
     }
 
-    /// Ship what `sock` has received to its guest in one `DataReceived`:
-    /// every byte the stack holds, as far as the receive credit goes and
-    /// never more than the VM's region can hold (a chunk spends the credit
-    /// or the bytes, or fills the region, so a second pass finds nothing
-    /// to send or no room). Then the peer's FIN, once the stack holds no
-    /// byte for it. True while the stack still holds bytes: the socket
-    /// stays on the ready list, and the next pump tries again.
+    /// Ship what `sock` has received to its guest: a chunk of every byte
+    /// the stack holds, as far as the receive credit goes and as the VM's
+    /// region can take now (the longest free run of its lines, shared with
+    /// the VM's other sockets and its `Send`s). A chunk spends the credit
+    /// or the bytes, or takes that run, so one `DataReceived` per pump is
+    /// the rule; a region whose free lines are split takes a chunk per
+    /// run, and a full one refuses the next (counted in `failed_allocs`).
+    /// Then the peer's FIN, once the stack holds no byte for it. True
+    /// while the stack still holds bytes: the socket stays on the ready
+    /// list, and the next pump tries again.
     fn pump_socket(&mut self, stack: &mut impl NsmStack, sock: SocketId) -> bool {
         let Some(&slot) = self.by_stack.get(&sock) else {
             return false;
@@ -468,9 +471,7 @@ impl ServiceLib {
             let Some(region) = self.front.regions.get(&rec.vm) else {
                 break;
             };
-            // A chunk larger than the region could never land.
-            let want = want.min(region.capacity());
-            let filled = region.alloc_and_fill(want, |runs| stack.recv_runs(sock, want, runs));
+            let filled = region.alloc_and_fill(want, |runs, n| stack.recv_runs(sock, n, runs));
             let Ok((handle, n)) = filled else {
                 break;
             };
@@ -1063,9 +1064,9 @@ mod tests {
     }
 
     /// A stack holding several times what the region can hold ships it a
-    /// region at a time: a chunk is never sized past the region's
-    /// capacity, where it could never land and the bytes would stall in
-    /// the stack for good.
+    /// region at a time: a chunk takes what the region's free lines hold,
+    /// never a size the region could not land, where the bytes would stall
+    /// in the stack for good.
     #[test]
     fn a_stack_holding_several_regions_worth_ships_it_a_region_at_a_time() {
         let capacity = 40 * 1024;
@@ -1121,6 +1122,65 @@ mod tests {
             payload.len()
         );
         assert_eq!(w.region.stats().chunks, 0);
+    }
+
+    /// A socket whose held bytes outgrow the region's free lines still
+    /// receives while another socket's unread chunk holds the rest: its
+    /// chunk takes the free lines there are, and the remainder follows once
+    /// the guest reads it.
+    #[test]
+    fn a_socket_receives_while_another_sockets_unread_chunk_holds_the_region() {
+        let mut w = World::with_region(StackKind::Kernel, HugepageRegion::with_capacity(64 << 10));
+        let (conn_a, _) = w.connect(5);
+        let (conn_b, _) = w.connect(6);
+        let _ = w.responses();
+        let a: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+        let b: Vec<u8> = (0..30_000u32).map(|i| (i % 241) as u8).collect();
+
+        // Socket 5's 40 000 bytes land and stay unread.
+        let (mut sent, mut landed) = (0, 0);
+        for _ in 0..200 {
+            sent += w.remote.send(conn_a, &a[sent..]).unwrap_or(0);
+            w.run(1);
+            landed += w
+                .responses()
+                .iter()
+                .map(|nqe| nqe.size as usize)
+                .sum::<usize>();
+            if landed == a.len() {
+                break;
+            }
+        }
+        assert_eq!(landed, a.len());
+        // A `Send` chunk in flight takes every line left while socket 6's
+        // 30 000 bytes arrive, so the stack holds them all.
+        let send = w
+            .region
+            .alloc_and_write(&vec![0; w.region.available()])
+            .unwrap();
+        let mut sent = 0;
+        for _ in 0..100 {
+            sent += w.remote.send(conn_b, &b[sent..]).unwrap_or(0);
+            w.run(1);
+        }
+        assert_eq!(sent, b.len());
+        assert!(w.responses().is_empty(), "the region had no room");
+        w.region.free(send).unwrap();
+        assert!(w.region.available() < b.len());
+
+        let mut got = Vec::new();
+        for _ in 0..20 {
+            w.run(1);
+            for nqe in w.responses() {
+                assert_eq!((nqe.op, nqe.socket), (OpType::DataReceived, SocketId(6)));
+                let at = got.len();
+                got.resize(at + nqe.size as usize, 0);
+                w.region.read(nqe.data, &mut got[at..]).unwrap();
+                w.region.free(nqe.data).unwrap();
+                w.submit(req(OpType::RecvConsumed, 6).with_data(DataHandle::NULL, nqe.size));
+            }
+        }
+        assert!(got == b, "{} of {} bytes, in order", got.len(), b.len());
     }
 
     /// A guest `shutdown(Write)` behind runs the stack has not taken yet

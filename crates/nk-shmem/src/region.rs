@@ -178,30 +178,55 @@ impl Pages {
         live.then_some(line).ok_or(NkError::NotFound)
     }
 
+    /// First fit for a run of `want` free lines: the first free line, and
+    /// the run found, `want` lines from the lowest line that starts one, or,
+    /// when no free run is that long, the lowest of the longest ones (0
+    /// lines when no line is free).
+    fn fit(&self, want: usize) -> (usize, usize, usize) {
+        let lines = self.lines();
+        let first = self.next_free(self.first_free);
+        let (mut at, mut longest) = (first, (first, 0));
+        while at < lines {
+            let end = self.next_taken(at, (at + want).min(lines));
+            if end - at == want {
+                return (first, at, want);
+            }
+            if end - at > longest.1 {
+                longest = (at, end - at);
+            }
+            at = self.next_free(end);
+        }
+        (first, longest.0, longest.1)
+    }
+
     /// First fit over the free lines; every refusal is counted, a request
     /// larger than the whole region included.
     fn alloc(&mut self, len: usize) -> NkResult<usize> {
-        let fit = if len <= self.capacity {
-            let want = len.max(1).div_ceil(ALIGN);
-            let first = self.next_free(self.first_free);
-            let mut at = first;
-            loop {
-                if at + want > self.lines() {
-                    break None;
-                }
-                let end = self.next_taken(at, at + want);
-                if end == at + want {
-                    break Some((first, at, want));
-                }
-                at = self.next_free(end);
+        let want = len.max(1).div_ceil(ALIGN);
+        match (len <= self.capacity).then(|| self.fit(want)) {
+            Some((first, at, lines)) if lines == want => Ok(self.take(first, at, want)),
+            _ => {
+                self.failed_allocs += 1;
+                Err(NkError::OutOfHugepages)
             }
-        } else {
-            None
-        };
-        let Some((first, at, want)) = fit else {
+        }
+    }
+
+    /// [`Pages::alloc`] of `len` bytes, or of the longest free run when no
+    /// free run is that long: the chunk's offset and the bytes it grants,
+    /// `len` at most. Refused (and counted) only when no line is free.
+    fn alloc_up_to(&mut self, len: usize) -> NkResult<(usize, usize)> {
+        let (first, at, lines) = self.fit(len.max(1).div_ceil(ALIGN));
+        if lines == 0 {
             self.failed_allocs += 1;
             return Err(NkError::OutOfHugepages);
-        };
+        }
+        Ok((self.take(first, at, lines), len.min(lines * ALIGN)))
+    }
+
+    /// Make lines `at..at + want` a live chunk; `first` is the first free
+    /// line. Returns the chunk's byte offset.
+    fn take(&mut self, first: usize, at: usize, want: usize) -> usize {
         let words = (at + want).div_ceil(WORD);
         if self.taken.len() < words {
             self.taken.resize(words, 0);
@@ -218,7 +243,7 @@ impl Pages {
         self.chunks += 1;
         self.used += want * ALIGN;
         self.total_allocs += 1;
-        Ok(at * ALIGN)
+        at * ALIGN
     }
 
     fn free(&mut self, off: usize) -> NkResult<()> {
@@ -392,22 +417,24 @@ impl HugepageRegion {
         Ok(())
     }
 
-    /// Allocate a chunk of at least `len` bytes and let `fill` push the runs
-    /// of its first `len` bytes at most — the NSM landing received bytes by
-    /// reference, under one lock hold. A failed fill frees the chunk again
-    /// and returns its error.
+    /// Allocate a chunk of `len` bytes, or of the longest free run when no
+    /// free run is that long, and let `fill` push the runs of its first `n`
+    /// bytes at most, where `n` (`len` at most) is what the chunk grants —
+    /// the NSM landing received bytes by reference, under one lock hold. So
+    /// a region with any free line takes some bytes: only a full one
+    /// refuses. A failed fill frees the chunk again and returns its error.
     pub fn alloc_and_fill<R>(
         &self,
         len: usize,
-        fill: impl FnOnce(&mut Vec<Payload>) -> NkResult<R>,
+        fill: impl FnOnce(&mut Vec<Payload>, usize) -> NkResult<R>,
     ) -> NkResult<(DataHandle, R)> {
         let mut pages = self.lock();
-        let off = pages.alloc(len)?;
+        let (off, n) = pages.alloc_up_to(len)?;
         let runs = pages.runs_at(off);
-        match fill(runs) {
+        match fill(runs, n) {
             Ok(r) => {
                 assert!(
-                    runs.iter().map(|run| run.len()).sum::<usize>() <= len,
+                    runs.iter().map(|run| run.len()).sum::<usize>() <= n,
                     "a fill overran its chunk"
                 );
                 Ok((DataHandle::from_offset(off as u64), r))
@@ -454,11 +481,13 @@ impl HugepageRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
     use std::collections::BTreeMap;
 
-    /// Allocate without writing: a fill that leaves the chunk as it is.
+    /// Allocate exactly `len` bytes without writing, first fit.
     fn alloc(region: &HugepageRegion, len: usize) -> NkResult<DataHandle> {
-        region.alloc_and_fill(len, |_| Ok(())).map(|(h, ())| h)
+        let off = region.lock().alloc(len)?;
+        Ok(DataHandle::from_offset(off as u64))
     }
 
     #[test]
@@ -529,11 +558,43 @@ mod tests {
                 self.failed_allocs += 1;
                 return Err(NkError::OutOfHugepages);
             };
+            Ok(self.take(line, lines))
+        }
+
+        /// First fit for `len` bytes, else the lowest of the longest free
+        /// runs; the bytes granted are `len` at most.
+        fn alloc_up_to(&mut self, len: usize) -> NkResult<(usize, usize)> {
+            let want = len.max(1).div_ceil(ALIGN).min(self.taken.len());
+            let mut free = Vec::new();
+            let mut line = 0;
+            while line < self.taken.len() {
+                let start = line;
+                while line < self.taken.len() && !self.taken[line] {
+                    line += 1;
+                }
+                if line > start {
+                    free.push((start, line - start));
+                }
+                line += 1;
+            }
+            let fit = free
+                .iter()
+                .find(|run| run.1 >= want)
+                .map(|&(at, _)| (at, want));
+            let longest = free.iter().copied().min_by_key(|&(at, n)| (Reverse(n), at));
+            let Some((line, lines)) = fit.or(longest) else {
+                self.failed_allocs += 1;
+                return Err(NkError::OutOfHugepages);
+            };
+            Ok((self.take(line, lines), len.min(lines * ALIGN)))
+        }
+
+        fn take(&mut self, line: usize, lines: usize) -> usize {
             self.taken[line..line + lines].fill(true);
             self.bytes[line * ALIGN..(line + lines) * ALIGN].fill(0);
             self.live.insert(line * ALIGN, lines * ALIGN);
             self.total_allocs += 1;
-            Ok(line * ALIGN)
+            line * ALIGN
         }
 
         fn span(&self, h: DataHandle, skip: usize, len: usize) -> NkResult<Range<usize>> {
@@ -593,8 +654,9 @@ mod tests {
     /// Seeded runs of every region call — `alloc_and_fill` (a fill that
     /// fails included), `alloc_and_write`, `read_at`, `read_and_free`,
     /// `lend_and_free` and `free` on two regions — against a flat model of offsets, bytes and `RegionStats`: the
-    /// bitmap region hands out exactly the offsets first fit hands out,
-    /// refuses what the model refuses, and holds the model's bytes, zeros
+    /// bitmap region hands out exactly the offsets first fit hands out
+    /// (the longest free run to a fill that no run can hold), refuses what
+    /// the model refuses, and holds the model's bytes, zeros
     /// past what each chunk was written with included.
     #[test]
     fn region_matches_a_flat_model() {
@@ -630,11 +692,13 @@ mod tests {
                 match next(8) {
                     0 => {
                         // One fill in four fails, after writing. A fill
-                        // pushes two runs that may stop short of `len`.
+                        // pushes two runs that may stop short of what the
+                        // chunk grants.
                         let fails = next(4) == 0;
                         let fill = next(256) as u8;
-                        let k = next(len.min(CAP) as u64 + 1);
-                        let got = regions[r].alloc_and_fill(len, |runs| {
+                        let most = next(len.min(CAP) as u64 + 1);
+                        let got = regions[r].alloc_and_fill(len, |runs, n| {
+                            let k = most.min(n);
                             runs.push(Payload::from(vec![fill; k / 2]));
                             runs.push(Payload::from(vec![!fill; k - k / 2]));
                             if fails {
@@ -644,8 +708,9 @@ mod tests {
                             }
                         });
                         let got = got.map(|(h, filled)| (h.offset() as usize, filled));
-                        let want = match models[r].alloc(len) {
-                            Ok(off) => {
+                        let want = match models[r].alloc_up_to(len) {
+                            Ok((off, n)) => {
+                                let k = most.min(n);
                                 models[r].bytes[off..off + k / 2].fill(fill);
                                 models[r].bytes[off + k / 2..off + k].fill(!fill);
                                 if fails {
@@ -815,7 +880,7 @@ mod tests {
     fn lend_and_free_lends_then_frees() {
         let region = HugepageRegion::with_capacity(4096);
         let (h, filled) = region
-            .alloc_and_fill(100, |runs| {
+            .alloc_and_fill(100, |runs, _| {
                 runs.push(Payload::from((0u8..100).collect::<Vec<u8>>()));
                 Ok(100)
             })
@@ -846,7 +911,7 @@ mod tests {
     fn a_failed_fill_frees_its_chunk() {
         let region = HugepageRegion::with_capacity(4096);
         let keep = region.alloc_and_write(b"head").unwrap();
-        let got = region.alloc_and_fill(100, |runs| {
+        let got = region.alloc_and_fill(100, |runs, _| {
             runs.push(Payload::from(vec![9; 100]));
             Err::<(), _>(NkError::WouldBlock)
         });
@@ -856,6 +921,30 @@ mod tests {
         // The freed lines are handed out again.
         assert_eq!(alloc(&region, 100).unwrap().offset(), 64);
         region.free(keep).unwrap();
+    }
+
+    /// A fill no free run can hold takes the longest one instead, so a
+    /// region refuses a fill only when it is full; an exact allocation of
+    /// the same size is refused.
+    #[test]
+    fn a_fill_takes_the_longest_free_run_when_none_fits() {
+        let region = HugepageRegion::with_capacity(1024);
+        let chunks: Vec<_> = (0..8).map(|_| alloc(&region, 128).unwrap()).collect();
+        // Free runs of 128 bytes at 128 and of 256 bytes at 512.
+        for &h in &[chunks[1], chunks[4], chunks[5]] {
+            region.free(h).unwrap();
+        }
+        assert_eq!(alloc(&region, 300), Err(NkError::OutOfHugepages));
+        let (h, n) = region.alloc_and_fill(300, |_, n| Ok(n)).unwrap();
+        assert_eq!((h.offset(), n), (512, 256));
+        let (h, n) = region.alloc_and_fill(300, |_, n| Ok(n)).unwrap();
+        assert_eq!((h.offset(), n), (128, 128));
+        assert_eq!(
+            region.alloc_and_fill(1, |_, n| Ok(n)),
+            Err(NkError::OutOfHugepages)
+        );
+        let stats = region.stats();
+        assert_eq!((stats.used, stats.failed_allocs), (1024, 2));
     }
 
     /// A chunk's bytes past what it was written with read as zero, never
@@ -900,7 +989,7 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert!(runs[0].shares_buffer(&made[0]) && runs[0].len() == 600);
         let (h, n) = b
-            .alloc_and_fill(600, |out| {
+            .alloc_and_fill(600, |out, _| {
                 out.append(&mut runs);
                 Ok(600)
             })

@@ -58,6 +58,20 @@ impl TokenBucket {
         }
     }
 
+    /// Take `amount` tokens at time `now_ns` if the bucket holds them or is
+    /// full. A full bucket lends what an amount past its burst lacks, so no
+    /// charge stalls for good, and refills pay the debt off before the next
+    /// charge passes: the long-term rate holds. Returns `true` when taken.
+    pub fn try_charge(&mut self, amount: f64, now_ns: u64) -> bool {
+        self.refill(now_ns);
+        if self.tokens >= amount.min(self.burst) {
+            self.tokens -= amount;
+            true
+        } else {
+            false
+        }
+    }
+
     /// Consume up to `amount` tokens, returning how many were granted.
     pub fn consume_up_to(&mut self, amount: f64, now_ns: u64) -> f64 {
         self.refill(now_ns);
@@ -127,6 +141,24 @@ mod tests {
         // so ask for a hair less than the exact sum).
         assert!((b.available(10_000_000) - 10.0).abs() < 1e-6);
         assert!(b.try_consume(10.0 - 1e-6, 10_000_000));
+    }
+
+    /// A charge past the burst passes a full bucket only, and the debt it
+    /// leaves is paid off at the refill rate before the next one passes.
+    #[test]
+    fn a_charge_past_the_burst_passes_a_full_bucket_and_is_paid_off() {
+        let mut b = TokenBucket::new(1000.0, 100.0, 0);
+        assert!(b.try_consume(1.0, 0));
+        assert!(
+            !b.try_charge(250.0, 0),
+            "a bucket short of full lends nothing"
+        );
+        assert!(b.try_charge(250.0, 1_000_000));
+        assert!(
+            !b.try_charge(1.0, 150_000_000),
+            "the debt is not paid off yet"
+        );
+        assert!(b.try_charge(1.0, 160_000_000));
     }
 
     /// Virtual time observed out of order (e.g. components polled with an

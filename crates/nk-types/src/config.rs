@@ -246,7 +246,9 @@ pub enum IsolationPolicy {
     #[default]
     RoundRobin,
     /// Round-robin polling plus per-VM token-bucket rate limiting of egress
-    /// bytes, honouring each VM's `rate_limit_gbps`.
+    /// bytes (the payload of `Send`s), honouring each VM's
+    /// `rate_limit_gbps`. A send larger than the bucket's burst passes a
+    /// full bucket and leaves it in debt.
     RateLimited,
     /// Round-robin polling plus a cap on NQE operations per second per VM.
     OpsLimited {
