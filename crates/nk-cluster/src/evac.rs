@@ -452,7 +452,7 @@ impl Cluster {
     /// coarsest lever.
     pub fn kill_host(&mut self, host: HostId) -> NkResult<()> {
         self.hosts.remove(&host).ok_or(NkError::NotFound)?;
-        self.tor.detach_trunk(host_prefix(host), HOST_PREFIX_MASK);
+        self.tor.detach_port(host_prefix(host), HOST_PREFIX_MASK);
         self.stats.hosts_killed += 1;
         self.push_event(ClusterAction::HostKilled { host });
         // Dump-on-fault: freeze the recorder with the kill as the last
@@ -817,7 +817,7 @@ pub(crate) mod tests {
         cores: Vec<(HostId, NsmId, Option<usize>)>,
         frozen: Vec<(HostId, VmId, bool)>,
         draining: Vec<(HostId, Vec<(VmId, NsmId)>)>,
-        aliases: Vec<(HostId, Vec<(u32, NsmId)>)>,
+        aliases: Vec<(HostId, Vec<(u32, u32)>)>,
         digest: u64,
         routes: usize,
         stats: ClusterStats,
@@ -841,9 +841,7 @@ pub(crate) mod tests {
                 cores.push((id, nsm, host.nsm_cores(nsm)));
             }
             draining.push((id, host.draining_vms()));
-            let mut al = host.warm_aliases();
-            al.sort();
-            aliases.push((id, al));
+            aliases.push((id, host.switch().aliases()));
         }
         let homes: std::collections::BTreeSet<(VmId, HostId)> = present
             .iter()

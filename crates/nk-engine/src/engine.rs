@@ -72,6 +72,10 @@ impl VmPort {
     /// a wake, counted into `wakeups` when it delivered an interrupt.
     fn hand_off(&mut self, nqe: Nqe, wakeups: &mut u64) {
         let qs = nqe.queue_set.raw() as usize % self.ends.len().max(1);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "modulo the ends; a VM has at least one"
+        )]
         let _ = self.ends[qs].respond(nqe);
         *wakeups += self.wake.wake() as u64;
     }
@@ -122,7 +126,8 @@ impl CoreEngine {
         }
     }
 
-    /// Register a VM's NK device (switch-side queue ends plus its wake flag).
+    /// Register a VM's NK device (switch-side queue ends, at least one, plus
+    /// its wake flag).
     ///
     /// `region` is the hugepage region the VM shares with its NSMs; the
     /// engine uses it to reclaim the payload of requests it has to drop
@@ -144,6 +149,8 @@ impl CoreEngine {
     ) -> NkResult<()> {
         if self.vms.contains_key(&vm) {
             return Err(NkError::AlreadyRegistered);
+        } else if ends.is_empty() {
+            return Err(NkError::BadConfig);
         }
         let rate_bucket = match (&self.isolation, rate_limit_gbps) {
             (IsolationPolicy::RateLimited, Some(gbps)) => {
@@ -191,10 +198,12 @@ impl CoreEngine {
         Ok(())
     }
 
-    /// Register an NSM's NK device (switch-side queue ends).
+    /// Register an NSM's NK device (switch-side queue ends, at least one).
     pub fn register_nsm(&mut self, nsm: NsmId, ends: Vec<RequesterEnd>) -> NkResult<()> {
         if self.nsms.contains_key(&nsm) {
             return Err(NkError::AlreadyRegistered);
+        } else if ends.is_empty() {
+            return Err(NkError::BadConfig);
         }
         self.nsms.insert(nsm, NsmPort { ends });
         Ok(())
@@ -301,7 +310,12 @@ impl CoreEngine {
             return 0;
         };
         let total = port.stats.bytes_forwarded;
-        total - std::mem::replace(&mut port.byte_marks[reader as usize], total)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "one mark per `Epoch` reader, of two"
+        )]
+        let mark = &mut port.byte_marks[reader as usize];
+        total - std::mem::replace(mark, total)
     }
 
     /// Number of connections currently tracked.
@@ -500,6 +514,10 @@ impl CoreEngine {
     /// the id of the VM port it came from before anything reads it, so the
     /// connection table, the NSM's socket maps and its choice of hugepage
     /// region never see a VM id the guest chose.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "qs runs below the ends; each has a stall queue"
+    )]
     fn forward_requests(&mut self, now_ns: u64) -> usize {
         let mut switched = 0;
         for (&vm, port) in self.vms.iter_mut() {
@@ -592,6 +610,10 @@ impl CoreEngine {
             return Ok(());
         };
         let target_qs = target_qs.raw() as usize % nsm.ends.len().max(1);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "modulo the ends; an NSM has at least one"
+        )]
         nsm.ends[target_qs].submit(nqe).map_err(|_| nqe)?;
         port.stats.nqes_forwarded += 1;
         port.stats.bytes_forwarded += nqe.size as u64;
@@ -705,6 +727,32 @@ mod tests {
         let mut out = Vec::new();
         guest.pop_responses(&mut out, usize::MAX);
         out
+    }
+
+    /// A guest's NQE names any queue set it likes: one the VM does not
+    /// have is switched like any other, onto a queue set of the NSM and
+    /// back onto one of the VM's own, never past either's ends. A VM or an
+    /// NSM with no queue set at all is refused at registration.
+    #[test]
+    fn a_raw_nqe_naming_a_missing_queue_set_is_switched_not_a_panic() {
+        let (mut guest, mut nsm, mut ce) = setup(IsolationPolicy::RoundRobin, None);
+        let forged = Nqe::new(OpType::SocketCreate, VmId(1), QueueSetId(200), SocketId(7));
+        guest.submit(forged).unwrap();
+        ce.poll(0);
+        let mut reqs = Vec::new();
+        assert_eq!(nsm.pop_requests(&mut reqs, 8), 1);
+        assert_eq!(reqs[0].queue_set, QueueSetId(200));
+        nsm.respond(Nqe::completion_for(&reqs[0], OpResult::Ok, 42).unwrap())
+            .unwrap();
+        ce.poll(0);
+        assert_eq!(responses(&mut guest)[0].op, OpType::SocketCreated);
+
+        let vm = ce.register_vm(VmId(2), Vec::new(), WakeState::new(), 0, None, None, 0);
+        assert_eq!(vm, Err(NkError::BadConfig));
+        assert_eq!(
+            ce.register_nsm(NsmId(2), Vec::new()),
+            Err(NkError::BadConfig)
+        );
     }
 
     #[test]

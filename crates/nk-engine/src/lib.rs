@@ -8,6 +8,19 @@
 //! operation-rate limits (§7.6).
 
 #![forbid(unsafe_code)]
+// CoreEngine switches every VM's and every NSM's NQEs, so a guest's NQE must
+// never be able to panic it: a site that cannot fail names its invariant in
+// an `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable
+    )
+)]
 
 pub mod engine;
 pub mod table;

@@ -182,16 +182,18 @@ impl<P: Train> VirtualSwitch<P> {
         self.remove_route(addr, u32::MAX);
     }
 
-    /// Detach the trunk for exactly `(prefix, mask)` together with every
-    /// detour riding its port ([`VirtualSwitch::add_route_via`]) — what a
-    /// dead host leaves behind. Returns the number of routes removed.
-    pub fn detach_trunk(&mut self, prefix: u32, mask: u32) -> usize {
+    /// Detach the route for exactly `(prefix, mask)` together with every
+    /// route riding its port — aliases ([`VirtualSwitch::attach_alias`])
+    /// and detours ([`VirtualSwitch::add_route_via`]): what a crashed vNIC
+    /// or a dead host's trunk leaves behind. Returns the number of routes
+    /// removed.
+    pub fn detach_port(&mut self, prefix: u32, mask: u32) -> usize {
         let prefix = prefix & mask;
-        let trunk = self
+        let route = self
             .routes
             .iter()
             .find(|r| (r.prefix, r.mask) == (prefix, mask));
-        let Some((port, _)) = trunk.and_then(|r| r.hop.as_ref()) else {
+        let Some((port, _)) = route.and_then(|r| r.hop.as_ref()) else {
             return 0;
         };
         let port = port.clone();
@@ -199,6 +201,18 @@ impl<P: Train> VirtualSwitch<P> {
         self.routes
             .retain(|r| !r.hop.as_ref().is_some_and(|(p, _)| p.same_port(&port)));
         before - self.routes.len()
+    }
+
+    /// Every /32 route that delivers into another address's port, as
+    /// `(address, the port's address)`, in address order: a host switch's
+    /// adopted warm-move addresses, a ToR's detours.
+    pub fn aliases(&self) -> Vec<(u32, u32)> {
+        let hosts = self.routes.iter().filter(|r| r.mask == u32::MAX);
+        let via = |r: &Route<P>| Some((r.prefix, r.hop.as_ref()?.0.addr()));
+        hosts
+            .filter_map(via)
+            .filter(|(addr, port)| addr != port)
+            .collect()
     }
 
     /// Reconfigure the egress link towards `addr` mid-flight (fault
@@ -219,12 +233,6 @@ impl<P: Train> VirtualSwitch<P> {
     pub fn link_stats(&self, addr: u32) -> Option<LinkStats> {
         let (_, link) = self.routes[self.exact(addr)?].hop.as_ref()?;
         Some(link.stats())
-    }
-
-    /// The shape of the egress link [`VirtualSwitch::link_stats`] reports on.
-    pub fn link_config(&self, addr: u32) -> Option<LinkConfig> {
-        let (_, link) = self.routes[self.exact(addr)?].hop.as_ref()?;
-        Some(*link.config())
     }
 
     /// Uplink wire bytes `(tx, rx)` since the last call (zero when none is
@@ -480,6 +488,7 @@ mod tests {
         let mut got = tags(&b);
         got.sort_unstable();
         assert_eq!(got, [42, 43], "both the alias and the home address land");
+        assert_eq!(sw.aliases(), [(99, 2)]);
         sw.detach(99);
         a.send(frame(1, 99, 44));
         sw.step(0);
@@ -689,8 +698,13 @@ mod tests {
         // A dead trunk takes the detours riding it along, and nothing else.
         assert!(tor.add_route_via(0x0A01_0001, u32::MAX, 0x0A02_0000));
         assert!(tor.add_route_via(0x0A01_0002, u32::MAX, 0xC0A8_0001));
-        assert_eq!(tor.detach_trunk(0x0A02_0000, HOST_MASK), 2);
-        assert_eq!(tor.detach_trunk(0x0A02_0000, HOST_MASK), 0);
+        assert_eq!(
+            tor.aliases(),
+            [(0x0A01_0001, 0x0A02_0000), (0x0A01_0002, 0xC0A8_0001)]
+        );
+        assert_eq!(tor.detach_port(0x0A02_0000, HOST_MASK), 2);
+        assert_eq!(tor.detach_port(0x0A02_0000, HOST_MASK), 0);
+        assert_eq!(tor.aliases(), [(0x0A01_0002, 0xC0A8_0001)]);
         assert_eq!(tor.routes(), 3, "t1, the endpoint and its detour stay");
     }
 

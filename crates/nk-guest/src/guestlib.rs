@@ -96,40 +96,30 @@ impl GuestLib {
         self.sockets.contains_key(&id)
     }
 
-    /// True when [`GuestLib::export_socket`] would accept the socket —
-    /// established or half-closed, not mid-handshake or closing. A warm
-    /// export pre-validates against this before tearing anything out.
-    pub fn socket_transplantable(&self, id: SocketId) -> bool {
-        matches!(
-            self.sockets.get(&id).map(|s| s.state),
-            Some(GuestSocketState::Established) | Some(GuestSocketState::PeerClosed)
-        )
-    }
+    // ---- Warm-migration snapshot / install ----------------------------------
 
-    // ---- Warm-migration export / install ------------------------------------
-
-    /// Tear a connected socket out of this GuestLib for a warm migration.
-    ///
-    /// Unconsumed receive chunks are copied out of (and freed from) the
-    /// source hugepages — the snapshot owns plain bytes, not region
-    /// handles, because the destination has a different region. Only
-    /// established (or half-closed) connections export; listeners and
-    /// embryonic sockets have no transplantable stack state.
-    pub fn export_socket(&mut self, sock: SocketId) -> NkResult<GuestSockSnapshot> {
-        let peer_closed = match self.sockets.get(&sock).map(|s| s.state) {
-            Some(GuestSocketState::Established) => false,
-            Some(GuestSocketState::PeerClosed) => true,
-            Some(_) => return Err(NkError::InvalidState),
-            None => return Err(NkError::BadSocket),
+    /// A connected socket's state for a warm migration; the socket is left
+    /// as it was (a warm export retires the whole GuestLib once every
+    /// layer has snapshotted, so nothing cuts a single socket). Unconsumed
+    /// receive chunks are copied out of the source hugepages — the
+    /// snapshot owns plain bytes, not region handles, because the
+    /// destination has a different region. Only established (or
+    /// half-closed) connections snapshot (`InvalidState` otherwise):
+    /// listeners and embryonic sockets have no stack state to move, and a
+    /// closing one is on its way out.
+    pub fn snapshot_socket(&self, sock: SocketId) -> NkResult<GuestSockSnapshot> {
+        let s = self.sockets.get(&sock).ok_or(NkError::BadSocket)?;
+        let peer_closed = match s.state {
+            GuestSocketState::Established => false,
+            GuestSocketState::PeerClosed => true,
+            _ => return Err(NkError::InvalidState),
         };
-        self.unlist(sock);
-        let s = self.sockets.remove(&sock).expect("state checked above");
         let mut rx_bytes = Vec::new();
-        for chunk in s.rx_chunks.drain(..) {
+        for chunk in &s.rx_chunks {
             let at = rx_bytes.len();
             rx_bytes.resize(at + chunk.len - chunk.consumed, 0);
             self.region
-                .read_and_free(chunk.handle, chunk.consumed, &mut rx_bytes[at..])?;
+                .read_at(chunk.handle, chunk.consumed, &mut rx_bytes[at..])?;
         }
         Ok(GuestSockSnapshot {
             id: s.id,
@@ -1082,7 +1072,7 @@ mod tests {
         );
     }
 
-    /// Export pulls unread payload out of the source region; install parks
+    /// A snapshot copies unread payload out of the source region; install parks
     /// it in the destination region and the application reads on under the
     /// same socket id.
     #[test]
@@ -1107,15 +1097,16 @@ mod tests {
         assert_eq!(guest.recv(s, &mut buf).unwrap(), 5);
         let free_before = region.available();
 
-        let snap = guest.export_socket(s).unwrap();
+        let snap = guest.snapshot_socket(s).unwrap();
         assert_eq!(snap.id, s);
         assert_eq!(snap.rx_bytes, b"migration payload");
-        assert!(!guest.has_socket(s));
-        assert!(
-            region.available() > free_before,
-            "export must free the source chunks"
+        assert!(guest.has_socket(s), "a snapshot changes nothing");
+        assert_eq!(region.available(), free_before);
+        assert_eq!(guest.snapshot_socket(s), Ok(snap.clone()));
+        assert_eq!(
+            guest.snapshot_socket(SocketId(999)),
+            Err(NkError::BadSocket)
         );
-        assert_eq!(guest.export_socket(s), Err(NkError::BadSocket));
 
         // Install into a fresh GuestLib (the destination instance).
         let (mut dest, _dresp, _dregion) = guest_with_responders(1);

@@ -45,9 +45,6 @@ pub struct NetKernelHost {
     pub(crate) engine: CoreEngine,
     pub(crate) vms: BTreeMap<VmId, VmSlot>,
     pub(crate) nsms: BTreeMap<NsmId, Nsm>,
-    /// Foreign addresses adopted by a local NSM's vNIC for warm-migrated
-    /// connections: alias address → owning NSM.
-    pub(crate) aliases: BTreeMap<u32, NsmId>,
     pub(crate) remotes: BTreeMap<u32, TcpStack>,
     /// Restart generation per NSM: a restarted NSM's stack starts its
     /// ephemeral-port scan elsewhere, like a rebooted kernel would, so new
@@ -117,7 +114,6 @@ impl NetKernelHost {
             cfg,
             vms: BTreeMap::new(),
             nsms: BTreeMap::new(),
-            aliases: BTreeMap::new(),
             remotes: BTreeMap::new(),
             generations: BTreeMap::new(),
             sched: SchedStats::default(),
@@ -175,13 +171,6 @@ impl NetKernelHost {
         self.remotes.get_mut(&ip)
     }
 
-    /// The address a guest should connect to in order to reach NSM-hosted
-    /// listeners of `nsm` on a host-0 (single-host) configuration. Hosts in
-    /// a cluster shift by their id — use [`NetKernelHost::nsm_addr`].
-    pub fn nsm_ip(nsm: NsmId) -> u32 {
-        nsm_ip_on(HostId(0), nsm)
-    }
-
     /// The vNIC address of `nsm` on *this* host (`10.<host>.0.<nsm>`).
     pub fn nsm_addr(&self, nsm: NsmId) -> u32 {
         nsm_ip_on(self.cfg.host_id, nsm)
@@ -203,6 +192,13 @@ impl NetKernelHost {
             nk_types::addr::host_prefix(self.cfg.host_id),
             nk_types::addr::HOST_PREFIX_MASK,
         );
+    }
+
+    /// The host's virtual switch, read-only: its routes are the one record
+    /// of every vNIC and of every address a warm move adopted
+    /// ([`VirtualSwitch::aliases`]).
+    pub fn switch(&self) -> &VirtualSwitch<Segment> {
+        &self.switch
     }
 
     /// Uplink wire bytes `(tx, rx)` since the last call (zero when none is
@@ -476,11 +472,6 @@ impl NetKernelHost {
     /// Counters of the fault events applied so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.injector.stats()
-    }
-
-    /// Fault events installed but not yet applied.
-    pub fn pending_faults(&self) -> usize {
-        self.injector.pending()
     }
 
     /// Apply one fault action immediately (the injector calls this; tests
@@ -1149,7 +1140,7 @@ mod tests {
             )
             .at(650_000, FaultAction::RestartNsm(NsmId(1)));
         host.install_fault_plan(&plan).unwrap();
-        assert_eq!(host.pending_faults(), 4);
+        assert_eq!(host.injector.pending(), 4);
 
         host.step(100_000); // t=100µs: nothing due
         assert_eq!(host.fault_stats().applied, 0);
@@ -1167,7 +1158,7 @@ mod tests {
         host.step(200_000); // t=700µs: restart
         assert_eq!(host.fault_stats().applied, 4);
         assert!(host.has_nsm(NsmId(1)));
-        assert_eq!(host.pending_faults(), 0);
+        assert_eq!(host.injector.pending(), 0);
         let stats = host.sched_stats();
         assert_eq!(stats.fault_events, 4);
         assert!(stats.work_items >= 4, "{stats:?}");
@@ -1212,9 +1203,13 @@ mod tests {
 
     /// A `DegradeLink` with no rate cap gives the vNIC back its provisioned
     /// `nic_rate_gbps`, not an uncapped link: restoring a degraded link
-    /// never leaves it faster than it was provisioned.
+    /// never leaves it faster than it was provisioned. The rate is read
+    /// off the link's policing: of a 200-kB and a 4-MB frame offered at
+    /// once, a 25 Gbps link's 1-ms burst passes the first only, a 1 Gbps
+    /// link neither, an uncapped one both.
     #[test]
     fn restoring_a_degraded_link_gives_back_the_provisioned_rate() {
+        const PROBE: u32 = 0x0A00_0200;
         let mut cfg = kernel_cfg(0, 1, 1);
         cfg.nsms[0].nic_rate_gbps = 25.0;
         let mut host = NetKernelHost::new(cfg).unwrap();
@@ -1227,12 +1222,26 @@ mod tests {
             .at(200_000, degrade(LinkConfig::ideal()));
         host.install_fault_plan(&plan).unwrap();
         let vnic = host.nsm_addr(NsmId(1));
-        let mut rates = Vec::new();
+        let probe = host.switch.attach(PROBE);
+        let mut policed = Vec::new();
         for _ in 0..3 {
-            rates.push(host.switch.link_config(vnic).unwrap().rate_gbps);
+            let before = host.switch.link_stats(vnic).unwrap().dropped;
+            for wire_bytes in [200_000, 4_000_000] {
+                let (src, dst) = (SockAddr::new(PROBE, 9), SockAddr::new(vnic, 9));
+                let payload = Segment::control(src, dst, nk_netstack::SegmentFlags::ack());
+                probe.send(nk_fabric::Frame {
+                    src: PROBE,
+                    dst: vnic,
+                    flow_hash: 0,
+                    wire_bytes,
+                    payload,
+                });
+            }
+            host.switch.step(host.now_ns);
+            policed.push(host.switch.link_stats(vnic).unwrap().dropped - before);
             host.step(100_000);
         }
-        assert_eq!(rates, [Some(25.0), Some(1.0), Some(25.0)]);
+        assert_eq!(policed, [1, 2, 1], "frames policed at 25, 1, 25 Gbps");
     }
 
     /// A non-zero host id shifts every NSM vNIC into the host's own /16

@@ -6,18 +6,27 @@
 //! `import_vm`, `retire_vm`), the warm pair with its freeze window
 //! (`export_vm_warm` / `import_vm_warm`), share retirement and link
 //! degradation. All of it runs between poll phases, on the whole host.
+//!
+//! A warm export reads before it cuts: each layer snapshots its part of a
+//! connection without changing it (`GuestLib::snapshot_socket`,
+//! `TcpNsm::snapshot_conn` over `TcpStack::snapshot_conn`), so the first
+//! refusal returns with nothing touched, and only then is every
+//! connection cut (`TcpNsm::cut_conn`), which cannot fail. A failed warm
+//! import unwinds with the same cut. An adopted address has one record,
+//! its /32 route riding the adopting vNIC's port in the switch.
 
 use crate::host::{NetKernelHost, VmSlot};
+use nk_fabric::Port;
 use nk_guest::GuestLib;
 use nk_netstack::cc::CcAlgorithm;
-use nk_netstack::{LocalStack, StackConfig, TcpStack};
+use nk_netstack::{LocalStack, Segment, StackConfig, TcpStack};
 use nk_queue::{queue_set_pair, NkDevice, WakeState};
 use nk_service::{Nsm, ServiceLib, StackNsm, TcpNsm};
 use nk_shmem::HugepageRegion;
 use nk_sim::PoolMember;
 use nk_types::migrate::{ConnSnapshot, VmWarmExport};
 use nk_types::{
-    LinkConfig, NkError, NkResult, NsmConfig, NsmId, SocketApi, StackKind, VmConfig, VmId,
+    ConnKey, LinkConfig, NkError, NkResult, NsmConfig, NsmId, SocketApi, StackKind, VmConfig, VmId,
 };
 
 pub use nk_types::migrate::VmExport;
@@ -62,8 +71,7 @@ impl NetKernelHost {
     /// no resource is half-attached. The engine's registered VMs are exactly
     /// the host's slots; every region wired into an NSM belongs to a slot;
     /// a VM's mapped NSM is wired to it, and no other NSM stays wired to
-    /// it with nothing of it left there; every alias is owned by a live TCP
-    /// NSM and still forwarded by the switch.
+    /// it with nothing of it left there.
     pub(crate) fn audit_census(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -80,11 +88,6 @@ impl NetKernelHost {
         }
         let left = self.left_shares();
         assert!(left.is_empty(), "{left:?} still wired, nothing left there");
-        for (addr, owner) in &self.aliases {
-            let live = matches!(self.nsms.get(owner), Some(Nsm::Tcp(_)));
-            let forwarded = self.switch.link_stats(*addr).is_some();
-            assert!(live && forwarded, "alias {addr:#x} of {owner:?} dangles");
-        }
     }
 
     /// Bring one VM up on `nsm`: fresh queue sets, wake state and hugepage
@@ -142,18 +145,14 @@ impl NetKernelHost {
         Ok(())
     }
 
-    /// Detach every warm-migration alias `dead` selects from the switch and
-    /// forget it.
-    fn drop_aliases(&mut self, dead: impl Fn(&Self, u32, NsmId) -> bool) {
-        let gone: Vec<u32> = self
-            .aliases
-            .iter()
-            .filter(|(addr, owner)| dead(self, **addr, **owner))
-            .map(|(addr, _)| *addr)
-            .collect();
-        for addr in gone {
-            self.switch.detach(addr);
-            self.aliases.remove(&addr);
+    /// NSM `nsm` as a TCP-stack NSM, the one kind a warm move reaches:
+    /// `NotFound` when it is gone, `InvalidState` for the shared-memory
+    /// flavour, which has no connection state to move and no vNIC.
+    fn tcp_nsm(&mut self, nsm: NsmId) -> NkResult<&mut TcpNsm> {
+        match self.nsms.get_mut(&nsm) {
+            Some(Nsm::Tcp(n)) => Ok(n),
+            Some(Nsm::SharedMem(_)) => Err(NkError::InvalidState),
+            None => Err(NkError::NotFound),
         }
     }
 
@@ -206,11 +205,10 @@ impl NetKernelHost {
     pub fn crash_nsm(&mut self, nsm: NsmId) -> NkResult<usize> {
         let instance = self.nsms.remove(&nsm).ok_or(NkError::NotFound)?;
         if matches!(instance, Nsm::Tcp(_)) {
-            self.switch.detach(self.nsm_addr(nsm));
+            // The vNIC goes, and every warm-moved address it adopted.
+            self.switch.detach_port(self.nsm_addr(nsm), u32::MAX);
         }
         drop(instance);
-        // Warm-migrated addresses adopted by the crashed vNIC die with it.
-        self.drop_aliases(|_, _, owner| owner == nsm);
         self.pools.remove(PoolMember::Nsm(nsm));
         let resets = self.engine.crash_nsm(nsm);
         self.settle_census();
@@ -365,13 +363,18 @@ impl NetKernelHost {
             instance.remove_vm(vm);
         }
         self.cfg.vms.retain(|v| v.id != vm);
-        // Adopted warm-migration addresses whose owning stack no longer
-        // serves any connection on them are dropped: a stale alias would
-        // shadow a later adoption of the same address by a different NSM.
-        self.drop_aliases(|host, addr, owner| match host.nsms.get(&owner) {
-            Some(Nsm::Tcp(n)) => !n.stack().serves_ip(addr),
-            _ => true,
-        });
+        // An adopted warm-move address that no connection of the adopting
+        // stack uses any more goes: a stale route would shadow a later
+        // adoption of the same address by a different NSM.
+        for (addr, vnic) in self.switch.aliases() {
+            let serves = |n: &Nsm| match n {
+                Nsm::Tcp(n) => n.stack().port().addr() == vnic && n.stack().serves_ip(addr),
+                Nsm::SharedMem(_) => false,
+            };
+            if !self.nsms.values().any(serves) {
+                self.switch.detach(addr);
+            }
+        }
         self.settle_census();
         Ok(())
     }
@@ -462,84 +465,54 @@ impl NetKernelHost {
         })
     }
 
-    /// Foreign addresses currently aliased onto local vNICs for
-    /// warm-migrated connections, in address order.
-    pub fn warm_aliases(&self) -> Vec<(u32, NsmId)> {
-        self.aliases.iter().map(|(a, n)| (*a, *n)).collect()
-    }
-
     /// Export a VM *with* the live state of its pinned connections — the
     /// warm half of "switch her NSM on the fly" across hosts. Every
-    /// connection's TCP machine, ServiceLib translation context and guest
-    /// socket are snapshotted and torn out; the VM instance then retires
+    /// connection's guest socket, ServiceLib record and TCP machine is
+    /// snapshotted, then cut out of its NSM; the VM instance then retires
     /// immediately (nothing is left to drain). Call inside a freeze window
     /// after [`NetKernelHost::vm_wire_quiet`] reports a clean cut.
     ///
-    /// Pre-validates before touching anything: all pinned connections must
-    /// sit on the VM's current (TCP-stack) NSM with their NSM-side sockets
-    /// known, and the guest sockets must be in a transplantable state —
-    /// otherwise the export refuses with [`NkError::InvalidState`] and the
-    /// VM keeps serving untouched.
+    /// Every snapshot is taken before anything is cut: a connection that
+    /// does not sit on the VM's current (TCP-stack) NSM, a guest socket
+    /// that is not established or half-closed, or a stack connection
+    /// mid-handshake or dying refuses the export (with
+    /// [`NkError::InvalidState`]), and the VM keeps serving untouched.
     pub fn export_vm_warm(&mut self, vm: VmId) -> NkResult<VmWarmExport> {
         let base = self.exportable(vm)?;
         let from_nsm = base.from_nsm;
         // Fold every completion still waiting in the VM's NK-device queues,
         // or parked behind them (DataReceived payloads, send credits, a
         // reaped CloseComplete the application has not polled for), into
-        // GuestLib state *before* validating — the queues are dropped with
-        // the instance, payload announced but not absorbed would be lost in
-        // the handover, and the guest-socket states checked below must be
-        // the settled ones. Each drive empties the rings for the next flush.
-        let slot = self.vms.get_mut(&vm).expect("presence checked above");
+        // GuestLib state before the snapshots: the queues are dropped with
+        // the instance, payload announced but not absorbed would be lost
+        // in the handover, and the guest sockets must be the settled ones.
+        // Each drive empties the rings for the next flush.
+        let slot = self.vms.get_mut(&vm).ok_or(NkError::NotFound)?;
         slot.guest.drive();
         while self.engine.flush_vm(vm) > 0 {
             slot.guest.drive();
         }
-        let entries = self.engine.vm_entries(vm);
-        // Pre-validation pass over every layer the destructive phase will
-        // touch: nothing is torn out until the whole export is known to
-        // succeed, so a refusal leaves the VM serving untouched.
-        if !matches!(self.nsms.get(&from_nsm), Some(Nsm::Tcp(_))) {
-            return Err(NkError::InvalidState);
-        }
-        for (key, entry) in &entries {
-            if entry.nsm != from_nsm || entry.nsm_socket.is_none() {
+        let mut guests = Vec::new();
+        for (key, entry) in self.engine.vm_entries(vm) {
+            if entry.nsm != from_nsm {
                 return Err(NkError::InvalidState);
             }
-            let Some(Nsm::Tcp(n)) = self.nsms.get(&entry.nsm) else {
-                return Err(NkError::InvalidState);
-            };
-            // The stack connection must be post-handshake; an embryonic or
-            // dying connection refuses to snapshot, so refuse the whole
-            // export before anything is torn out.
-            if !n
-                .stack()
-                .conn_transplantable(entry.nsm_socket.expect("checked above"))
-            {
-                return Err(NkError::InvalidState);
-            }
-            // The guest socket must be transplantable too — a socket the
-            // application is closing (Close NQE parked by the freeze) would
-            // fail export_socket *after* the NSM state was torn out.
-            let slot = self.vms.get(&vm).expect("checked above");
-            if !slot.guest.socket_transplantable(key.socket) {
-                return Err(NkError::InvalidState);
-            }
+            guests.push(slot.guest.snapshot_socket(key.socket)?);
         }
-        // Destructive phase — every step below succeeds by construction of
-        // the checks above.
-        let mut conns = Vec::new();
-        for (key, _entry) in self.engine.extract_vm_entries(vm) {
-            let Some(Nsm::Tcp(n)) = self.nsms.get_mut(&from_nsm) else {
-                unreachable!("validated above");
-            };
-            let slot = self.vms.get_mut(&vm).expect("presence checked above");
-            let guest = slot.guest.export_socket(key.socket)?;
-            conns.push(n.export_conn(vm, key.socket, guest)?);
+        let n = self.tcp_nsm(from_nsm)?;
+        let conns = guests
+            .into_iter()
+            .map(|guest| n.snapshot_conn(vm, guest.id, guest))
+            .collect::<NkResult<Vec<_>>>()?;
+        // The cut: the connections leave the NSM silently (no FIN may reach
+        // a peer whose connection lives on), their tuples unpin, and the
+        // instance retires with its GuestLib; the freeze window closes
+        // with it.
+        for conn in &conns {
+            n.cut_conn(vm, conn.guest_sock);
         }
-        // Nothing is pinned any more: the instance retires in place, and
-        // the freeze window closes with it.
-        self.retire_vm(vm).expect("extracted VM has nothing pinned");
+        self.engine.extract_vm_entries(vm);
+        self.retire_vm(vm)?;
         Ok(VmWarmExport {
             base,
             from_host: self.cfg.host_id,
@@ -549,27 +522,25 @@ impl NetKernelHost {
 
     /// Bring a warm-exported VM up on this host: the identity import of
     /// [`NetKernelHost::import_vm`] plus the installation of every
-    /// transplanted connection — TCP state into `nsm`'s stack, translation
-    /// context into its ServiceLib, tuples into the CoreEngine table, and
-    /// the guest sockets (with their unread payload) into the fresh
-    /// GuestLib. Each connection's original address is aliased onto the
-    /// destination vNIC so rerouted frames land in the adopted stack.
+    /// transplanted connection: TCP state, ServiceLib record, CoreEngine
+    /// tuple, guest socket and adopted address.
+    /// Atomic: a connection that fails to install unwinds the whole import
+    /// with the export's cut, so the caller can re-install the export
+    /// elsewhere.
     pub fn import_vm_warm(&mut self, export: &VmWarmExport, nsm: NsmId) -> NkResult<()> {
         let vm = export.vm_id();
         if self.import_fail_budget > 0 {
             self.import_fail_budget -= 1;
             return Err(NkError::NsmUnavailable);
         }
-        if !matches!(self.nsms.get(&nsm), Some(Nsm::Tcp(_))) {
-            return Err(NkError::NotFound);
-        }
-        // A transplanted address may be adopted as an alias only when it is
-        // not the home vNIC address of a *different* alive local NSM —
-        // aliasing over it would hijack that NSM's traffic. (A VM returning
-        // to its origin host must land on the NSM whose address its
-        // connections carry, or travel drained.)
+        let vnic = self.tcp_nsm(nsm)?.stack().port().clone();
+        // A transplanted address may be adopted only when it is not the
+        // home vNIC address of a *different* alive local NSM — adopting it
+        // would hijack that NSM's traffic. (A VM returning to its origin
+        // host must land on the NSM whose address its connections carry,
+        // or travel drained.)
         for ip in export.rerouted_ips() {
-            let conflict = ip != self.nsm_addr(nsm)
+            let conflict = ip != vnic.addr()
                 && self.cfg.nsms.iter().any(|n| {
                     n.id != nsm && self.nsms.contains_key(&n.id) && self.nsm_addr(n.id) == ip
                 });
@@ -578,82 +549,63 @@ impl NetKernelHost {
             }
         }
         self.import_vm(&export.base, nsm)?;
-        let mut installed: Vec<&ConnSnapshot> = Vec::new();
-        let mut added_aliases: Vec<u32> = Vec::new();
-        let mut result = Ok(());
-        for conn in &export.conns {
-            let key = nk_types::ConnKey::vm(vm, conn.vm_queue_set, conn.guest_sock);
-            // The engine pins the tuple with the same queue-set hash a
-            // fresh connection would get; ServiceLib's proactive events
-            // must ride that same set, so it is resolved first.
-            let nsm_qs = match self.engine.nsm_queue_set_for(&key, nsm) {
-                Ok(qs) => qs,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            };
-            let Some(Nsm::Tcp(n)) = self.nsms.get_mut(&nsm) else {
-                unreachable!("validated above");
-            };
-            let stack_sock = match n.install_conn(vm, conn, nsm_qs.raw() as usize) {
-                Ok(sock) => sock,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            };
-            installed.push(conn);
-            let step = self
-                .engine
-                .install_entry(key, nsm, stack_sock)
-                .map(|pinned_qs| {
-                    debug_assert_eq!(pinned_qs, nsm_qs, "hash must agree across layers");
-                })
-                .and_then(|()| {
-                    let slot = self.vms.get_mut(&vm).expect("imported above");
-                    slot.guest.install_socket(&conn.guest)
-                });
-            if let Err(e) = step {
-                result = Err(e);
-                break;
-            }
-            let ip = conn.tcp.local.ip;
-            if ip != self.nsm_addr(nsm) && self.aliases.get(&ip) != Some(&nsm) {
-                // Attach — or re-point a stale mapping left by an earlier
-                // warm hop — onto this NSM's vNIC port.
-                let Some(Nsm::Tcp(n)) = self.nsms.get(&nsm) else {
-                    unreachable!("validated above");
-                };
-                let port = n.stack().port().clone();
-                let rate = self
-                    .cfg
-                    .nsm(nsm)
-                    .map(|n| n.nic_rate_gbps)
-                    .unwrap_or(nk_types::constants::LINE_RATE_GBPS);
-                self.switch
-                    .attach_alias(ip, port, LinkConfig::ideal().with_rate_gbps(rate));
-                self.aliases.insert(ip, nsm);
-                added_aliases.push(ip);
-            }
-        }
-        if let Err(e) = result {
-            // Unwind the partial import so the caller can re-install the
-            // export elsewhere: tuples unpin, installed connections leave
-            // the stack *silently* (export, not close — no FIN may reach
-            // the peer of a connection that lives on at the source),
-            // adopted aliases detach, and the identity import retires.
+        let installed = export
+            .conns
+            .iter()
+            .try_for_each(|conn| self.install_warm_conn(vm, nsm, conn, &vnic));
+        if let Err(e) = installed {
+            // Unwind: tuples unpin, installed connections leave the stack
+            // silently (the export's cut; a connection that never got in
+            // has nothing to cut), and the identity import retires, taking
+            // every address it adopted with it.
             self.engine.extract_vm_entries(vm);
-            for conn in installed {
-                if let Some(Nsm::Tcp(n)) = self.nsms.get_mut(&nsm) {
-                    let _ = n.export_conn(vm, conn.guest_sock, conn.guest.clone());
-                }
+            let n = self.tcp_nsm(nsm)?;
+            for conn in &export.conns {
+                n.cut_conn(vm, conn.guest_sock);
             }
-            self.drop_aliases(|_, ip, _| added_aliases.contains(&ip));
-            self.retire_vm(vm).expect("unpinned partial import retires");
+            self.retire_vm(vm)?;
             return Err(e);
         }
         self.settle_census();
+        Ok(())
+    }
+
+    /// Install one transplanted connection of `vm`: TCP state into `nsm`'s
+    /// stack, its record into ServiceLib, its tuple into the CoreEngine
+    /// table and its guest socket (with its unread payload) into GuestLib.
+    /// Its original address is adopted onto `vnic`, `nsm`'s port, unless it
+    /// already rides it, so rerouted frames land in the adopting stack.
+    fn install_warm_conn(
+        &mut self,
+        vm: VmId,
+        nsm: NsmId,
+        conn: &ConnSnapshot,
+        vnic: &Port<Segment>,
+    ) -> NkResult<()> {
+        let key = ConnKey::vm(vm, conn.vm_queue_set, conn.guest_sock);
+        // The engine pins the tuple with the same queue-set hash a fresh
+        // connection would get; ServiceLib's proactive events must ride
+        // that same set, so it is resolved first.
+        let nsm_qs = self.engine.nsm_queue_set_for(&key, nsm)?;
+        let stack_sock = self
+            .tcp_nsm(nsm)?
+            .install_conn(vm, conn, nsm_qs.raw() as usize)?;
+        let pinned_qs = self.engine.install_entry(key, nsm, stack_sock)?;
+        debug_assert_eq!(pinned_qs, nsm_qs, "hash must agree across layers");
+        let slot = self.vms.get_mut(&vm).ok_or(NkError::NotFound)?;
+        slot.guest.install_socket(&conn.guest)?;
+        let ip = conn.tcp.local.ip;
+        if ip != vnic.addr() && !self.switch.aliases().contains(&(ip, vnic.addr())) {
+            // Attach — or re-point a route left by an earlier warm hop —
+            // onto this NSM's vNIC port.
+            let rate = self
+                .cfg
+                .nsm(nsm)
+                .map(|n| n.nic_rate_gbps)
+                .unwrap_or(nk_types::constants::LINE_RATE_GBPS);
+            self.switch
+                .attach_alias(ip, vnic.clone(), LinkConfig::ideal().with_rate_gbps(rate));
+        }
         Ok(())
     }
 
@@ -1009,8 +961,11 @@ mod tests {
         // alias adopted for the foreign address.
         dst.import_vm_warm(&export, NsmId(1)).unwrap();
         assert_eq!(dst.vm_pinned(VmId(1)), 1);
-        let aliases = dst.warm_aliases();
-        assert_eq!(aliases, vec![(src.nsm_addr(NsmId(1)), NsmId(1))]);
+        let aliases = dst.switch.aliases();
+        assert_eq!(
+            aliases,
+            vec![(src.nsm_addr(NsmId(1)), dst.nsm_addr(NsmId(1)))]
+        );
         let guest = dst.guest_mut(VmId(1)).unwrap();
         assert!(guest.has_socket(s));
         assert!(guest.poll(s).writable());
@@ -1021,7 +976,7 @@ mod tests {
         );
         // Crashing the adopting NSM tears the alias down with it.
         dst.crash_nsm(NsmId(1)).unwrap();
-        assert!(dst.warm_aliases().is_empty());
+        assert!(dst.switch.aliases().is_empty());
     }
 
     /// A warm export never retires a VM with responses parked behind its
@@ -1078,6 +1033,63 @@ mod tests {
         assert_eq!(src.vm_pinned(VmId(1)), 0, "close completes after thaw");
     }
 
+    /// A warm export takes every snapshot before it cuts anything. The
+    /// VM's second connection, in `ConnKey` order, refuses at the stack:
+    /// the guest shut its write side and the remote closed, so its guest
+    /// socket only saw EOF while its NSM socket waits in TIME-WAIT. The
+    /// export refuses after snapshotting the first connection, and the VM
+    /// keeps serving with that connection untouched.
+    #[test]
+    fn a_warm_export_refused_at_the_second_connection_cuts_nothing() {
+        const REMOTE: u32 = 0x0A01_0100;
+        let mut src = kernel_host(1, 1, 1);
+        let ls = remote_listener_at(&mut src, REMOTE);
+        let mut pairs = Vec::new();
+        for _ in 0..2 {
+            let s = guest_connect_to(&mut src, REMOTE);
+            src.run(20, 100_000);
+            pairs.push((s, src.remote_mut(REMOTE).unwrap().accept(ls).unwrap().0));
+        }
+        let [(first, r1), (second, r2)] = pairs[..] else {
+            unreachable!()
+        };
+        assert!(first < second, "the first connection comes first");
+        let guest = src.guest_mut(VmId(1)).unwrap();
+        guest.shutdown(second, ShutdownHow::Write).unwrap();
+        src.run(5, 100_000);
+        let remote = src.remote_mut(REMOTE).unwrap();
+        assert_eq!(remote.recv(r2, &mut [0u8; 8]), Ok(0));
+        remote.close(r2).unwrap();
+        src.run(5, 100_000);
+        assert_eq!(src.vm_pinned(VmId(1)), 2);
+
+        src.freeze_vm(VmId(1)).unwrap();
+        src.run(5, 100_000);
+        // The export drives the guest before it snapshots; so does this.
+        let guest = src.guest_mut(VmId(1)).unwrap();
+        guest.drive();
+        assert!(
+            guest.snapshot_socket(second).is_ok(),
+            "refused at the guest"
+        );
+        assert_eq!(src.export_vm_warm(VmId(1)), Err(NkError::InvalidState));
+        assert!(src.has_vm(VmId(1)));
+        assert_eq!(src.vm_pinned(VmId(1)), 2);
+        src.thaw_vm(VmId(1));
+        let guest = src.guest_mut(VmId(1)).unwrap();
+        assert_eq!(guest.send(first, b"still here").unwrap(), 10);
+        src.run(10, 100_000);
+        let remote = src.remote_mut(REMOTE).unwrap();
+        let mut buf = [0u8; 16];
+        assert_eq!(remote.recv(r1, &mut buf), Ok(10));
+        assert_eq!(&buf[..10], b"still here");
+        remote.send(r1, b"and back").unwrap();
+        src.run(10, 100_000);
+        let guest = src.guest_mut(VmId(1)).unwrap();
+        assert_eq!(guest.recv(first, &mut buf), Ok(8));
+        assert_eq!(&buf[..8], b"and back");
+    }
+
     /// A warm import must not alias a transplanted address over a
     /// *different* alive local NSM's home vNIC address (that would hijack
     /// its traffic): the import refuses and, being atomic, leaves nothing
@@ -1103,11 +1115,11 @@ mod tests {
             Err(NkError::InvalidState)
         );
         assert!(!dst.has_vm(VmId(1)));
-        assert!(dst.warm_aliases().is_empty());
+        assert!(dst.switch.aliases().is_empty());
         assert!(dst.config().vm(VmId(1)).is_none());
         // Landing on the NSM that owns the address needs no alias at all.
         dst.import_vm_warm(&export, NsmId(1)).unwrap();
-        assert!(dst.warm_aliases().is_empty());
+        assert!(dst.switch.aliases().is_empty());
         assert_eq!(dst.vm_pinned(VmId(1)), 1);
     }
 

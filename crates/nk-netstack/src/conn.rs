@@ -157,6 +157,9 @@ pub struct TcpConnection {
     stats: ConnStats,
     /// A reset must be emitted to the peer.
     rst_pending: bool,
+    /// The application closed the socket ([`TcpConnection::release`]):
+    /// nothing reads what arrives any more.
+    released: bool,
 }
 
 impl TcpConnection {
@@ -226,6 +229,7 @@ impl TcpConnection {
             cc,
             stats: ConnStats::default(),
             rst_pending: false,
+            released: false,
         }
     }
 
@@ -301,20 +305,6 @@ impl TcpConnection {
     /// wire-quiet condition a warm-migration freeze window waits for.
     pub fn in_flight(&self) -> usize {
         self.snd_nxt.wrapping_sub(self.snd_una) as usize
-    }
-
-    /// True when the connection is in a phase [`TcpConnection::snapshot`]
-    /// accepts — post-handshake and not yet dying.
-    pub fn transplantable(&self) -> bool {
-        matches!(
-            self.state,
-            ConnState::Established
-                | ConnState::FinWait1
-                | ConnState::FinWait2
-                | ConnState::CloseWait
-                | ConnState::Closing
-                | ConnState::LastAck
-        )
     }
 
     /// Bytes available to read right now.
@@ -408,6 +398,19 @@ impl TcpConnection {
                 ConnState::SynSent | ConnState::SynReceived => self.enter_closed(),
                 _ => {}
             }
+        }
+    }
+
+    /// The application closed the socket, both directions. With received
+    /// bytes unread the connection aborts with a reset (RFC 1122
+    /// §4.2.2.13), and so does payload that arrives afterwards; otherwise
+    /// it closes like [`TcpConnection::close`].
+    pub fn release(&mut self) {
+        self.released = true;
+        if self.recv_available() == 0 {
+            self.close();
+        } else {
+            self.abort();
         }
     }
 
@@ -560,6 +563,12 @@ impl TcpConnection {
 
         if seg.flags.ack {
             self.process_ack(seg, now_ns);
+        }
+        let end = seg.seq.wrapping_add(seg.payload.len() as u32);
+        if self.released && !seg.payload.is_empty() && seq_gt(end, self.rcv_nxt) {
+            // New data for a socket nobody reads any more.
+            self.abort();
+            return;
         }
         if !seg.payload.is_empty() || seg.flags.fin {
             self.process_payload(seg, now_ns);
@@ -1183,6 +1192,7 @@ impl TcpConnection {
             cc,
             stats: ConnStats::default(),
             rst_pending: false,
+            released: false,
         }
     }
 }

@@ -759,14 +759,15 @@ impl TcpStack {
         }
     }
 
-    /// Close a socket. Connections close gracefully; listeners stop
-    /// accepting.
+    /// Close a socket. A connection closes gracefully, or resets when it
+    /// holds unread bytes or receives more ([`TcpConnection::release`]);
+    /// listeners stop accepting.
     pub fn close(&mut self, sock: SocketId) -> NkResult<()> {
         let at = self.handle(sock)?;
         match &mut self.slots[at.1 as usize].entry {
             SocketEntry::Conn(c) => {
                 let cs = &mut self.conns[*c as usize];
-                cs.conn.close();
+                cs.conn.release();
                 cs.wake(at, &mut self.wake);
             }
             SocketEntry::TimeWait(tw) => tw.wake(at, &mut self.wake),
@@ -836,13 +837,6 @@ impl TcpStack {
         self.conn(sock).is_none_or(|c| c.in_flight() == 0)
     }
 
-    /// True when `sock` is a connection [`TcpStack::export_conn`] would
-    /// accept — post-handshake, not dying. Used to pre-validate a warm
-    /// export before anything destructive happens.
-    pub fn conn_transplantable(&self, sock: SocketId) -> bool {
-        self.conn(sock).is_some_and(TcpConnection::transplantable)
-    }
-
     /// True while any connection in this stack has `ip` as its local
     /// address. Hosts use this to decide when an adopted (warm-migrated)
     /// address alias is no longer serving anyone and can be dropped.
@@ -850,19 +844,25 @@ impl TcpStack {
         self.demux.any(|(local, _), _| local.ip == ip)
     }
 
-    /// Tear a connection out of this stack for a warm migration, returning
-    /// its state as plain data. The socket and its demultiplexer entry go,
-    /// and its timer entry is left to lapse; stray segments that still
-    /// arrive for the tuple are dropped (counted as `no_socket_drops`),
-    /// never answered with a reset — the connection lives on elsewhere.
-    pub fn export_conn(&mut self, sock: SocketId) -> NkResult<nk_types::TcpConnSnapshot> {
-        let at = self.handle(sock)?;
-        let snap = match self.conn(sock) {
-            Some(c) => c.snapshot()?,
-            None => return Err(NkError::InvalidState),
-        };
-        self.remove_conn(at);
-        Ok(snap)
+    /// Connection `sock`'s state as plain data, for a warm migration; the
+    /// stack is left as it was. Only a post-handshake connection that is
+    /// not dying snapshots ([`TcpConnection::snapshot`]): anything else is
+    /// `InvalidState`, an unknown id `BadSocket`.
+    pub fn snapshot_conn(&self, sock: SocketId) -> NkResult<nk_types::TcpConnSnapshot> {
+        self.handle(sock)?;
+        self.conn(sock).ok_or(NkError::InvalidState)?.snapshot()
+    }
+
+    /// Take connection `sock` out of this stack without a word to its peer,
+    /// once its [`TcpStack::snapshot_conn`] lives on elsewhere. The socket
+    /// and its demultiplexer entry go, and its timer entry is left to
+    /// lapse; stray segments that still arrive for the tuple are dropped
+    /// (counted as `no_socket_drops`), never answered with a reset. An
+    /// unknown id is left alone.
+    pub fn cut_conn(&mut self, sock: SocketId) {
+        if let Ok(at) = self.handle(sock) {
+            self.remove_conn(at);
+        }
     }
 
     /// Install a warm-migrated connection into this stack under a fresh
@@ -1498,6 +1498,15 @@ mod tests {
     const SERVER_IP: u32 = 0x0A00_0001;
     const CLIENT_IP: u32 = 0x0A00_0002;
 
+    impl TcpStack {
+        /// A warm export of one connection: its snapshot, then the cut.
+        fn export_conn(&mut self, sock: SocketId) -> NkResult<nk_types::TcpConnSnapshot> {
+            let snap = self.snapshot_conn(sock)?;
+            self.cut_conn(sock);
+            Ok(snap)
+        }
+    }
+
     /// The per-generation ephemeral start stays in range for arbitrarily
     /// large restart generations and never aliases two generations within a
     /// full sweep of the range — the u16 wraparound regression guard.
@@ -1574,6 +1583,55 @@ mod tests {
         w.run(10);
         let (conn, _) = w.server.accept(ls).unwrap();
         (cs, conn)
+    }
+
+    /// A close resets the connection when the application leaves bytes
+    /// unread, or when payload reaches it afterwards (RFC 1122
+    /// §4.2.2.13); otherwise it sends a FIN. A `shutdown(Write)` keeps
+    /// reading. The peer's end of a reset connection takes no more writes.
+    #[test]
+    fn a_close_with_unread_or_later_payload_resets_the_connection() {
+        let mut w = World::new();
+        let ls = listening_server(&mut w, 80);
+        let to = SockAddr::new(SERVER_IP, 80);
+        let socks: Vec<SocketId> = (0..3).map(|_| w.client.socket()).collect();
+        for &cs in &socks {
+            w.client.connect(cs, to, w.now).unwrap();
+        }
+        w.run(10);
+        // Ephemeral ports rise with the client's socket ids.
+        let mut accepted: Vec<_> = std::iter::from_fn(|| w.server.accept(ls).ok()).collect();
+        accepted.sort_unstable_by_key(|&(_, peer)| peer);
+        let conns: Vec<SocketId> = accepted.into_iter().map(|(c, _)| c).collect();
+        let [unread, late, shut] = socks[..] else {
+            unreachable!()
+        };
+        let mut buf = [0u8; 16];
+        for &conn in &conns {
+            w.server.send(conn, b"before").unwrap();
+        }
+        w.run(5);
+        assert_eq!(w.client.recv(late, &mut buf), Ok(6));
+        assert_eq!(w.client.recv(shut, &mut buf), Ok(6));
+        w.client.close(unread).unwrap();
+        w.client.close(late).unwrap();
+        w.client.shutdown(shut, ShutdownHow::Write).unwrap();
+        w.run(5);
+        assert!(
+            w.server.send(conns[0], b"x").is_err(),
+            "unread bytes: no reset"
+        );
+        for &conn in &conns[1..] {
+            w.server.send(conn, b"after").unwrap();
+        }
+        w.run(5);
+        assert!(
+            w.server.send(conns[1], b"x").is_err(),
+            "late payload: no reset"
+        );
+        assert_eq!(w.client.recv(shut, &mut buf), Ok(5));
+        assert_eq!(&buf[..5], b"after");
+        assert_eq!(w.server.send(conns[2], b"x"), Ok(1));
     }
 
     /// A byte-slice send of a run's worth copies into a buffer of the
@@ -1933,9 +1991,10 @@ mod tests {
         w.run(10);
         let (conn, peer) = w.server.accept(ls).unwrap();
         let (conn2, _) = w.server.accept(ls).unwrap();
-        // The clients close first. `cs`'s peer sends a tail with its FIN,
-        // so `cs` reaches TIME-WAIT owed a read and stays a connection.
-        w.client.close(cs).unwrap();
+        // The clients close first. `cs` only shuts its write side, and its
+        // peer sends a tail with its FIN, so `cs` reaches TIME-WAIT owed a
+        // read and stays a connection (a closed socket would reset).
+        w.client.shutdown(cs, ShutdownHow::Write).unwrap();
         w.client.close(other).unwrap();
         w.run(5);
         w.server.send(conn, b"tail").unwrap();
@@ -1955,8 +2014,8 @@ mod tests {
                 s.recv(cs, &mut [0u8; 8]),
                 s.send(cs, b"x"),
                 s.connect(cs, SockAddr::new(SERVER_IP, 81), 0),
-                s.export_conn(cs),
-                (s.conn_quiet(cs), s.conn_transplantable(cs)),
+                s.snapshot_conn(cs),
+                s.conn_quiet(cs),
                 (
                     s.serves_ip(CLIENT_IP),
                     s.recv_available(cs),
@@ -2410,7 +2469,7 @@ mod tests {
         };
 
         // `late` reaches TIME-WAIT first, owed a read: it stays a connection.
-        w.client.close(late).unwrap();
+        w.client.shutdown(late, ShutdownHow::Write).unwrap();
         w.run(5);
         w.server.send(conns[0], b"tail").unwrap();
         w.server.close(conns[0]).unwrap();

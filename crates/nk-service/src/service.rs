@@ -65,6 +65,10 @@ struct NsmSocket {
     /// The guest shut its write side while runs were queued: the stack
     /// shuts it once they are all in, so EOF follows every byte sent.
     shut_queued: bool,
+    /// The guest closed the socket while runs were queued: the record
+    /// stays, shipping nothing more to the guest, until they are all in;
+    /// then the stack socket closes and the record goes.
+    close_queued: bool,
     /// The peer's FIN arrived: `PeerClosed` goes to the guest once the
     /// stack holds no byte for it, so EOF follows every byte received.
     eof_owed: bool,
@@ -81,6 +85,7 @@ impl NsmSocket {
             rx_outstanding: 0,
             queued: VecDeque::new(),
             shut_queued: false,
+            close_queued: false,
             eof_owed: false,
         }
     }
@@ -91,10 +96,11 @@ impl NsmSocket {
     }
 
     /// Push the queued runs into the stack until it refuses, return what it
-    /// took to the guest as send credit, and shut the write side once they
-    /// are all in if the guest shut it behind them. A refusal other than
-    /// `WouldBlock` is for good: the runs go, and their bytes ride the same
-    /// credit, which carries the error. True while runs wait.
+    /// took to the guest as send credit (unless the guest closed the
+    /// socket), and shut the write side once they are all in if the guest
+    /// shut it behind them. A refusal other than `WouldBlock` is for good:
+    /// the runs go, and their bytes ride the same credit, which carries the
+    /// error. True while runs wait.
     fn flush(&mut self, stack: &mut impl NsmStack, front: &mut Frontend) -> bool {
         let (mut credit, mut result) = (0, OpResult::Ok);
         while let Some(run) = self.queued.front_mut() {
@@ -112,7 +118,7 @@ impl NsmSocket {
             }
             self.queued.pop_front();
         }
-        if credit > 0 {
+        if credit > 0 && !self.close_queued {
             let comp = self
                 .nqe(OpType::SendComplete)
                 .with_op_data(op_data::pack(result, 0));
@@ -304,7 +310,14 @@ impl ServiceLib {
                 }
                 (_, how) => sock.and_then(|s| stack.shutdown(s, how)),
             },
-            OpType::Close => self.close(stack, key),
+            // A Close behind runs the stack has not taken waits for them.
+            OpType::Close => match rec {
+                Some(rec) if !rec.queued.is_empty() => {
+                    rec.close_queued = true;
+                    Ok(())
+                }
+                _ => self.close(stack, key),
+            },
             OpType::SetSockOpt => sock.and_then(|s| {
                 let opt = op_data::sockopt_opt(nqe.op_data);
                 stack.set_sockopt(s, opt, op_data::sockopt_value(nqe.op_data))
@@ -330,7 +343,7 @@ impl ServiceLib {
         slot: Option<u32>,
     ) -> NkResult<()> {
         let rec = self.socks.at_mut(slot.ok_or(NkError::BadSocket)?);
-        if rec.shut_queued {
+        if rec.shut_queued || rec.close_queued {
             return Err(NkError::NotConnected);
         }
         let region = self.front.regions.get(&nqe.vm).ok_or(NkError::NotFound)?;
@@ -351,19 +364,29 @@ impl ServiceLib {
         Some(self.socks.at_mut(*self.by_stack.get(&sock)?))
     }
 
-    /// Push the queued runs of every socket that may hold some.
+    /// Push the queued runs of every socket that may hold some, and close
+    /// each socket whose `Close` waited for the last of them.
     fn flush_pending(&mut self, stack: &mut impl NsmStack) {
         let mut ready = std::mem::take(&mut self.tx_ready);
         ready.sort_unstable();
         ready.dedup();
         self.front.stats.tx_visits += ready.len() as u64;
+        let mut closed = Vec::new();
         ready.retain(|&sock| {
             let Some(&slot) = self.by_stack.get(&sock) else {
                 return false;
             };
-            self.socks.at_mut(slot).flush(stack, &mut self.front)
+            let rec = self.socks.at_mut(slot);
+            let waiting = rec.flush(stack, &mut self.front);
+            if !waiting && rec.close_queued {
+                closed.push((rec.vm, rec.guest_sock));
+            }
+            waiting
         });
         self.tx_ready = ready;
+        for key in closed {
+            let _ = self.close(stack, key);
+        }
     }
 
     /// Turn stack events into NQEs and ship received payload to the guests.
@@ -454,6 +477,9 @@ impl ServiceLib {
             return false;
         };
         let rec = self.socks.at_mut(slot);
+        if rec.close_queued {
+            return false;
+        }
         loop {
             let credit = RX_BUDGET.saturating_sub(rec.rx_outstanding);
             if credit == 0 {
@@ -533,38 +559,43 @@ impl TcpNsm {
         &mut self.stack
     }
 
-    /// Export one guest connection's NSM-side state for a warm migration,
-    /// around the guest socket's snapshot `guest`: the TCP snapshot plus
+    /// One guest connection's NSM-side state for a warm migration, around
+    /// the guest socket's snapshot `guest`: the TCP snapshot plus
     /// ServiceLib's queued payload, receive credit and both pending ends (a
-    /// shutdown behind the queued runs, EOF behind the held bytes). The
-    /// connection leaves this NSM entirely.
-    pub fn export_conn(
-        &mut self,
+    /// shutdown behind the queued runs, EOF behind the held bytes). Nothing
+    /// here changes; [`TcpNsm::cut_conn`] takes the connection out.
+    pub fn snapshot_conn(
+        &self,
         vm: VmId,
         guest_sock: SocketId,
         guest: GuestSockSnapshot,
     ) -> NkResult<ConnSnapshot> {
-        // Snapshot the stack side first: if the connection is not in a
-        // transplantable phase the export fails *before* any translation
-        // state is torn out.
-        let key = (vm, guest_sock);
-        let rec = self.service.socks.get(&key).ok_or(NkError::BadSocket)?;
-        let tcp = self.stack.export_conn(rec.stack)?;
-        #[expect(
-            clippy::expect_used,
-            reason = "the record was read above, and the stack's export leaves ServiceLib alone"
-        )]
-        let rec = self.service.forget(key).expect("mapping observed above");
+        let rec = self
+            .service
+            .socks
+            .get(&(vm, guest_sock))
+            .ok_or(NkError::BadSocket)?;
         Ok(ConnSnapshot {
             guest_sock,
             vm_queue_set: rec.vm_qs,
-            tcp,
-            queued: rec.queued.drain(..).map(|run| run.to_vec()).collect(),
+            tcp: self.stack.snapshot_conn(rec.stack)?,
+            queued: rec.queued.iter().map(|run| run.to_vec()).collect(),
             rx_outstanding: rec.rx_outstanding,
             shut_queued: rec.shut_queued,
             eof_owed: rec.eof_owed,
             guest,
         })
+    }
+
+    /// Take guest connection `(vm, guest_sock)` out of this NSM without a
+    /// word to its peer: the record, its queued runs and its stack
+    /// connection go ([`TcpStack::cut_conn`]). An unknown tuple is left
+    /// alone.
+    pub fn cut_conn(&mut self, vm: VmId, guest_sock: SocketId) {
+        if let Ok(rec) = self.service.forget((vm, guest_sock)) {
+            rec.queued.clear();
+            self.stack.cut_conn(rec.stack);
+        }
     }
 
     /// Install a warm-migrated connection into this NSM: the TCP state
@@ -581,7 +612,7 @@ impl TcpNsm {
         if let Err(e) = self.service.install_conn(vm, conn, nsm_qs, stack_sock) {
             // Unwind the stack install so a refused wiring leaves no
             // orphaned connection behind.
-            let _ = self.stack.export_conn(stack_sock);
+            self.stack.cut_conn(stack_sock);
             return Err(e);
         }
         Ok(stack_sock)
@@ -592,8 +623,7 @@ impl TcpNsm {
 mod tests {
     use super::*;
     use nk_fabric::switch::VirtualSwitch;
-    use nk_fabric::Frame;
-    use nk_netstack::{LocalStack, Segment, SegmentFlags, StackConfig};
+    use nk_netstack::{LocalStack, Segment, StackConfig};
     use nk_queue::{queue_set_pair, RequesterEnd, WakeState};
     use nk_types::constants::NSM_SOCKET_ID_BASE;
     use nk_types::SockAddr;
@@ -603,6 +633,20 @@ mod tests {
         /// or live sockets).
         fn has_vm(&self, vm: VmId) -> bool {
             self.front.regions.contains_key(&vm) || self.has_sockets_of(vm)
+        }
+    }
+
+    impl TcpNsm {
+        /// A warm export of one connection: its snapshot, then the cut.
+        fn export_conn(
+            &mut self,
+            vm: VmId,
+            guest_sock: SocketId,
+            guest: GuestSockSnapshot,
+        ) -> NkResult<ConnSnapshot> {
+            let conn = self.snapshot_conn(vm, guest_sock, guest)?;
+            self.cut_conn(vm, guest_sock);
+            Ok(conn)
         }
     }
 
@@ -1272,13 +1316,12 @@ mod tests {
 
     /// Queued runs the stack refuses for good are dropped, not held: their
     /// bytes go back to the guest as credit carrying the error, and the
-    /// socket leaves the flush list. The remote never reads, then resets
-    /// the connection (a close here sends a FIN, and the NSM's end would
-    /// wait on the zero window for good).
+    /// socket leaves the flush list. The remote never reads, then closes,
+    /// which resets the connection: it holds unread bytes.
     #[test]
     fn runs_the_stack_refuses_for_good_go_back_with_the_error() {
         let mut w = World::new(StackKind::Kernel);
-        let (_, nsm_end) = w.connect(5);
+        let (remote_end, _) = w.connect(5);
         for _ in 0..16 {
             let handle = w.region.alloc_and_write(&[7u8; 64 * 1024]).unwrap();
             w.submit(req(OpType::Send, 5).with_data(handle, 64 * 1024));
@@ -1294,14 +1337,7 @@ mod tests {
                 .len()
         };
         assert!(queued(&w) > 0, "nothing queued: the test exercises nothing");
-        let rst = Segment::control(SockAddr::new(REMOTE_IP, 7), nsm_end, SegmentFlags::rst());
-        w.remote.port().send(Frame {
-            src: REMOTE_IP,
-            dst: NSM_IP,
-            flow_hash: 0,
-            wire_bytes: 64,
-            payload: rst,
-        });
+        w.remote.close(remote_end).unwrap();
         for _ in 0..100 {
             w.run(1);
             if queued(&w) == 0 {

@@ -496,11 +496,14 @@ mod tests {
             host.add_remote(SUBJECT_IP);
             host
         };
-        let over_nsm = |nsm| World {
-            host: host(nsm),
-            subject: guest,
-            subject_ip: NetKernelHost::nsm_ip(NsmId(1)),
-            peer: remote_peer,
+        let over_nsm = |nsm| {
+            let host = host(nsm);
+            World {
+                subject_ip: host.nsm_addr(NsmId(1)),
+                host,
+                subject: guest,
+                peer: remote_peer,
+            }
         };
         let bare = World {
             host: host(NsmConfig::kernel(NsmId(1))),
@@ -740,6 +743,54 @@ mod tests {
                 "{name}: {} of {} bytes before EOF",
                 got.len(),
                 response.len()
+            );
+        }
+    }
+
+    /// A close behind bytes the stack has not taken yet waits for them:
+    /// the writer sends three receive buffers' worth to a stalled reader
+    /// over 100 steps and closes, and the reader then gets every byte the
+    /// writer's `send` took, then `Ok(0)`, over all four socket APIs. Over
+    /// an NSM the last of them still wait in ServiceLib at the close.
+    #[test]
+    fn eof_follows_every_byte_queued_before_a_close_over_every_socket_api() {
+        let stream: Vec<u8> = (0..3 * DEFAULT_RECV_BUF).map(|i| (i % 251) as u8).collect();
+        for (name, mut w) in worlds() {
+            let (conn, pc) = w.session();
+            let mut sent = 0;
+            for _ in 0..100 {
+                while sent < stream.len() {
+                    match w.subject().send(conn, &stream[sent..]) {
+                        Ok(n) => sent += n,
+                        Err(e) => {
+                            assert_eq!(e, NkError::WouldBlock, "{name}");
+                            break;
+                        }
+                    }
+                }
+                w.run(1);
+            }
+            w.subject().close(conn).unwrap();
+            let (mut got, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
+            let mut last = Err(NkError::WouldBlock);
+            for _ in 0..2_000 {
+                w.run(1);
+                loop {
+                    last = w.peer().recv(pc, &mut buf);
+                    match last {
+                        Ok(n @ 1..) => got.extend_from_slice(&buf[..n]),
+                        _ => break,
+                    }
+                }
+                if last != Err(NkError::WouldBlock) {
+                    break;
+                }
+            }
+            assert_eq!(last, Ok(0), "{name}: no EOF after {} bytes", got.len());
+            assert!(
+                got == stream[..sent],
+                "{name}: {} of {sent} bytes before EOF",
+                got.len()
             );
         }
     }

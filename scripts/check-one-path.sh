@@ -120,5 +120,9 @@ check "$(code crates/nk-netstack/src/local.rs | grep -c 'StackEvent::PeerClosed'
     "the stack never times EOF: LocalStack raises PeerClosed when the FIN arrives, and ServiceLib holds EOF behind the bytes"
 check "$(code crates | grep -c 'RX_CHUNK')" -eq 0 \
     "receive is announced by the credit: one DataReceived carries what the stack holds, up to the receive credit and the region, never a fixed piece"
+check "$(code crates | grep -cE 'fn .*transplantable')" -eq 0 \
+    "a warm export's rule is written once: each layer's snapshot refuses what cannot move, and no predicate restates it"
+check "$(code crates/nk-host/src | grep -c 'aliases:')" -eq 0 \
+    "adopted addresses have one record: the switch's /32 routes, with no alias map beside them in the host"
 
 exit "$fails"

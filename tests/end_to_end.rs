@@ -143,7 +143,7 @@ fn workloads_run_unmodified_on_netkernel_and_baseline() {
 #[test]
 fn remote_clients_reach_a_guest_server() {
     let mut host = host_with(StackKind::Kernel, 1);
-    let nsm_ip = NetKernelHost::nsm_ip(NsmId(1));
+    let nsm_ip = host.nsm_addr(NsmId(1));
 
     // Guest server listens on port 8080 (through its NSM's vNIC address).
     let guest = host.guest_mut(VmId(1)).unwrap();
