@@ -569,7 +569,9 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::*;
     use super::*;
-    use nk_types::constants::{DEFAULT_HUGEPAGE_COUNT, DEFAULT_RECV_BUF, HUGEPAGE_SIZE};
+    use nk_types::constants::{
+        DEFAULT_HUGEPAGE_COUNT, DEFAULT_QUEUE_CAPACITY, DEFAULT_RECV_BUF, HUGEPAGE_SIZE,
+    };
     use nk_types::{
         HostConfig, LinkConfig, NkError, NsmConfig, ShutdownHow, SockAddr, SocketApi, SocketId,
         StackKind, VmConfig, VmToNsmPolicy,
@@ -713,6 +715,75 @@ mod tests {
             assert_eq!(held, 0, "capacity {capacity}: hugepage bytes held");
             assert_eq!(host.parked_responses_of(VmId(1)), 0);
         }
+    }
+
+    /// The fullest ring of any nkbench workload is `rpc`'s set-up: 4 VMs,
+    /// two per kernel NSM, each open 64 sockets and connect them in one
+    /// tick, so each NSM's job ring takes 2 × 64 × 2 = 256 NQEs at once.
+    /// Rings of half the default capacity hold that burst with no room to
+    /// spare (at 255 slots a step takes one more poll round): every step
+    /// switches and schedules exactly as on 4096-slot rings, and nothing
+    /// stalls or parks, until all 256 connections are established.
+    #[test]
+    fn the_heaviest_open_burst_fits_half_a_default_ring() {
+        const VMS: u8 = 4;
+        const SOCKETS: usize = 64;
+        let open = |capacity: usize| {
+            let mut cfg = HostConfig::new()
+                .with_nsm(NsmConfig::kernel(NsmId(1)))
+                .with_nsm(NsmConfig::kernel(NsmId(2)));
+            let mut mapping = Vec::new();
+            for vm in 1..=VMS {
+                cfg = cfg.with_vm(VmConfig::new(VmId(vm)));
+                mapping.push((VmId(vm), NsmId((vm - 1) % 2 + 1)));
+            }
+            let mut cfg = cfg.with_mapping(VmToNsmPolicy::Static(mapping));
+            cfg.queue_capacity = capacity;
+            let mut host = NetKernelHost::new(cfg).unwrap();
+            let remote = host.add_remote(REMOTE_IP);
+            let ls = remote.socket();
+            remote.bind(ls, SockAddr::new(0, 7)).unwrap();
+            remote.listen(ls, 1024).unwrap();
+            let mut socks = Vec::new();
+            for vm in (1..=VMS).map(VmId) {
+                let guest = host.guest_mut(vm).unwrap();
+                for _ in 0..SOCKETS {
+                    let s = guest.socket().unwrap();
+                    guest.connect(s, SockAddr::new(REMOTE_IP, 7)).unwrap();
+                    socks.push((vm, s));
+                }
+            }
+            (host, socks)
+        };
+        let (mut half, socks) = open(DEFAULT_QUEUE_CAPACITY / 2);
+        let (mut full, full_socks) = open(4096);
+        assert_eq!(socks, full_socks);
+        let established = |host: &mut NetKernelHost| {
+            socks
+                .iter()
+                .filter(|&&(vm, s)| host.guest_mut(vm).unwrap().poll(s).writable())
+                .count()
+        };
+        for step in 0..100 {
+            half.step(100_000);
+            full.step(100_000);
+            assert_eq!(half.engine_stats(), full.engine_stats(), "step {step}");
+            assert_eq!(half.sched_stats(), full.sched_stats(), "step {step}");
+            for vm in (1..=VMS).map(VmId) {
+                assert_eq!(
+                    half.vm_switch_stats(vm),
+                    full.vm_switch_stats(vm),
+                    "step {step}: {vm:?}"
+                );
+                assert_eq!(half.parked_responses_of(vm), 0, "step {step}: {vm:?}");
+            }
+            assert_eq!(half.stalled_nqes(), 0, "step {step}: a request stalled");
+            if established(&mut half) == socks.len() {
+                break;
+            }
+        }
+        assert_eq!(established(&mut half), VMS as usize * SOCKETS);
+        assert_eq!(established(&mut full), VMS as usize * SOCKETS);
     }
 
     /// A remote's application polls its sockets and never reads the stack's

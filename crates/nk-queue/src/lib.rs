@@ -22,6 +22,19 @@
 //!   the wake flag of the interrupt-driven-polling notification of §4.6.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
+// Every NQE of every VM and NSM crosses these rings, so a ring must never
+// panic on the datapath: a site that cannot fail names its invariant in an
+// `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable
+    )
+)]
 
 pub mod device;
 pub mod queueset;

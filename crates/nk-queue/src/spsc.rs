@@ -135,6 +135,10 @@ impl<T> Producer<T> {
                 return Err(value);
             }
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`Cursor::advance` wraps the slot at `buf.len()`"
+        )]
         let slot = &self.inner.buf[self.tail.slot];
         // SAFETY: slot index `tail` is exclusively owned by the producer
         // until the Release store below publishes it; the consumer will not
@@ -199,6 +203,10 @@ impl<T> Consumer<T> {
             self.head.index < self.cached_tail,
             "took an unpublished slot"
         );
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`Cursor::advance` wraps the slot at `buf.len()`"
+        )]
         let slot = &self.inner.buf[self.head.slot];
         // SAFETY: `head < cached_tail <= tail`, so the producer has fully
         // initialised this slot and will not touch it again until we

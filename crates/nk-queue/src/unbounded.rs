@@ -114,6 +114,10 @@ impl<T> UnboundedConsumer<T> {
         if next.is_null() {
             return None;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the producer publishes a node only after it stored the value"
+        )]
         // SAFETY: `next` was fully initialised before being published.
         let value = unsafe { (*next).value.take().expect("published node has a value") };
         self.inner.head.store(next, Ordering::Relaxed);

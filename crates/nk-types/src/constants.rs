@@ -15,7 +15,16 @@ pub const DEFAULT_HUGEPAGE_COUNT: usize = 128;
 pub const DEFAULT_BATCH_SIZE: usize = 4;
 
 /// Default capacity (in NQEs) of each lockless queue in a queue set.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 4096;
+///
+/// A ring's memory is its capacity: an SPSC ring writes its slots in turn,
+/// so every slot becomes resident however few NQEs the ring holds at once.
+/// A queue set of four 512-slot rings of 32-B NQEs is 64 KiB (4096 slots
+/// made it 512 KiB). The fullest ring of nkbench's workloads (12-s windows,
+/// seeds 1–2) held 256 NQEs on `rpc` (its set-up burst: 4 VMs × 64
+/// `socket` + `connect` in one tick, two VMs per NSM), 64 on `bulk` and on
+/// `churn` and 4 on `xhost_t1`, so none fills; a ring that does parks its
+/// responses instead of dropping them.
+pub const DEFAULT_QUEUE_CAPACITY: usize = 512;
 
 /// Default bound on scheduler rounds per host step: the host polls every
 /// datapath component repeatedly until a full round reports no work (a

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Count gates: one traced 3-second nkbench run per workload, and every bound
 # a count per operation inside it, so the machine's speed cancels (the runs
-# are seeded, so segment counts are exact). No bound here reads a clock.
+# are seeded, so segment counts are exact), plus two memory ceilings. No
+# bound here reads a clock.
 # - Allocations per operation (`host.allocs_per_op`, at most):
 #   - bulk 0.2 (reads ~0.10): a data segment pays once and a hugepage hop
 #     pays nothing. Guest and stack writes, and a segment gathered across
@@ -39,18 +40,26 @@
 #   counted as one frame breaks it).
 # - `trace.wired_matches_host == 1` on every run: the traced host is the
 #   real host.
+# - Peak resident memory (`peak_rss_MB`, at most; one untraced 3-second run
+#   each, since the tracer keeps its own records): an NQE ring's memory is
+#   its capacity, and this holds every queue set, region and table to what
+#   the workload needs.
+#   - rpc 8.5 (reads ~6.9): 9.4 with 4096-slot NQE rings.
+#   - xhost_t1 10.0 (~8.1): 12.3 with 4096-slot rings (32 queue sets of
+#     512 KiB; 64 KiB each at 512 slots).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 status=0
+# One metric of the report in $out.
+metric() {
+  grep -o "\"$1\":{\"value\":[-0-9.e+]*" <<<"$out" | sed 's/.*"value"://'
+}
 # workload, allocs_per_op bound, pinned segments per operation (- for none)
 while read -r workload allocs_max pinned; do
   # The command of BENCHMARK.json, so the binary is built the way the benchmark builds it.
   out=$(cargo run --release --offline --quiet --manifest-path examples/nkbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 3 --trace 1 </dev/null)
-  metric() {
-    grep -o "\"$1\":{\"value\":[-0-9.e+]*" <<<"$out" | sed 's/.*"value"://'
-  }
   allocs=$(metric host.allocs_per_op)
   segments=$(metric netstack.segments)
   frames=$(metric fabric.frames)
@@ -72,5 +81,20 @@ bulk 0.2 22.63
 rpc 0.1 2.00
 churn 1.6 9.00
 xhost_t1 0.8 -
+EOF
+
+# workload, peak_rss_MB bound
+while read -r workload rss_max; do
+  out=$(cargo run --release --offline --quiet --manifest-path examples/nkbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 3 --trace 0 </dev/null)
+  rss=$(metric peak_rss_MB)
+  echo "$workload: peak_rss_MB=$rss"
+  awk -v r="$rss" -v l="$rss_max" 'BEGIN { exit !(r != "" && r <= l) }' || {
+    echo "$workload: peak memory grew (want peak_rss_MB <= $rss_max)"
+    status=1
+  }
+done <<'EOF'
+rpc 8.5
+xhost_t1 10.0
 EOF
 exit $status
