@@ -647,6 +647,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nk_types::constants::DEFAULT_QUEUE_CAPACITY;
     use nk_types::{
         ClusterPolicy, HostConfig, NsmConfig, SockAddr, SocketApi, SocketId, VmConfig,
         VmToNsmPolicy,
@@ -704,6 +705,82 @@ mod tests {
         let stats = cluster.stats();
         assert_eq!(stats.quiescent_exits + stats.round_limit_hits, stats.steps);
         assert!(stats.quiescent_exits > 0);
+    }
+
+    /// The hosts of a cluster rewind their empty rings on the thread that
+    /// polls them: two hosts' guests echo through a ToR server for 300
+    /// steps, many times a default ring's worth of NQEs, at threads 1 and
+    /// 2, and after every step no ring on either host has written further
+    /// than its first page (128 slots of 32-B NQEs) plus one NQE a socket.
+    /// Both runs end with the same digest.
+    #[test]
+    fn clustered_hosts_rewind_their_empty_rings() {
+        const SOCKETS: usize = 3;
+        const PAGE_SLOTS: usize = 4096 / 32;
+        let mut digests = Vec::new();
+        for threads in [1, 2] {
+            let mut cluster = Cluster::new(
+                ClusterConfig::new()
+                    .with_threads(threads)
+                    .with_host(host(1, &[1]))
+                    .with_host(host(2, &[2])),
+            )
+            .unwrap();
+            let server = cluster.add_remote(SERVER_IP);
+            let ls = server.socket();
+            server.bind(ls, SockAddr::new(0, 7)).unwrap();
+            server.listen(ls, 16).unwrap();
+            let guests = [(HostId(1), VmId(1)), (HostId(2), VmId(2))];
+            let mut socks = Vec::new();
+            for (h, vm) in guests {
+                let guest = cluster.guest_on(h, vm).unwrap();
+                for _ in 0..SOCKETS {
+                    let s = guest.socket().unwrap();
+                    guest.connect(s, SockAddr::new(SERVER_IP, 7)).unwrap();
+                    socks.push((h, vm, s));
+                }
+            }
+            cluster.run(30, 100_000);
+            let server = cluster.remote_mut(SERVER_IP).unwrap();
+            let conns: Vec<SocketId> = std::iter::from_fn(|| server.accept(ls).ok())
+                .map(|(c, _)| c)
+                .collect();
+            assert_eq!(conns.len(), 2 * SOCKETS);
+            let mut buf = [0u8; 64];
+            for step in 0..300u32 {
+                for &(h, vm, s) in &socks {
+                    let guest = cluster.guest_on(h, vm).unwrap();
+                    while guest.recv(s, &mut buf).is_ok() {}
+                    guest.send(s, &step.to_le_bytes()).unwrap();
+                }
+                cluster.step(100_000);
+                let server = cluster.remote_mut(SERVER_IP).unwrap();
+                for &c in &conns {
+                    while let Ok(n) = server.recv(c, &mut buf) {
+                        server.send(c, &buf[..n]).unwrap();
+                    }
+                }
+                cluster.step(100_000);
+                for h in [HostId(1), HostId(2)] {
+                    let reach = cluster.host_mut(h).unwrap().ring_reach();
+                    assert!(
+                        reach <= PAGE_SLOTS + SOCKETS,
+                        "threads {threads}, step {step}, {h}: {reach}"
+                    );
+                }
+            }
+            let switched = cluster
+                .host(HostId(1))
+                .unwrap()
+                .engine_stats()
+                .nqes_switched;
+            assert!(
+                switched > 4 * DEFAULT_QUEUE_CAPACITY as u64,
+                "{switched} NQEs"
+            );
+            digests.push(cluster.event_digest());
+        }
+        assert_eq!(digests[0], digests[1]);
     }
 
     /// A scripted migration moves a VM's home; without pinned connections

@@ -291,6 +291,25 @@ impl CoreEngine {
         ends.into_iter().flatten().map(ResponderEnd::flush).sum()
     }
 
+    /// The switch-side ends of every VM's and every NSM's queue sets, in id
+    /// order: the host pairs them with the guest's and ServiceLib's ends to
+    /// rewind the empty rings.
+    #[expect(
+        clippy::type_complexity,
+        reason = "one walk per port map, borrowed together"
+    )]
+    pub fn queue_ends_mut(
+        &mut self,
+    ) -> (
+        impl Iterator<Item = (VmId, &mut [ResponderEnd])> + '_,
+        impl Iterator<Item = (NsmId, &mut [RequesterEnd])> + '_,
+    ) {
+        (
+            self.vms.iter_mut().map(|(vm, p)| (*vm, &mut p.ends[..])),
+            self.nsms.iter_mut().map(|(nsm, p)| (*nsm, &mut p.ends[..])),
+        )
+    }
+
     /// Aggregate statistics.
     pub fn stats(&self) -> EngineStats {
         self.stats

@@ -89,6 +89,12 @@ impl GuestLib {
         &self.region
     }
 
+    /// The guest ends of the VM's queue sets, in index order: the host
+    /// pairs them with CoreEngine's ends to rewind the empty rings.
+    pub fn queue_sets_mut(&mut self) -> &mut [RequesterEnd] {
+        self.device.queue_sets_mut()
+    }
+
     /// True when a socket with this id currently exists. After a warm
     /// migration the application's socket id reappears under the VM's new
     /// host; workload drivers use this to follow the transplant.
@@ -118,8 +124,12 @@ impl GuestLib {
         for chunk in &s.rx_chunks {
             let at = rx_bytes.len();
             rx_bytes.resize(at + chunk.len - chunk.consumed, 0);
-            self.region
-                .read_at(chunk.handle, chunk.consumed, &mut rx_bytes[at..])?;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`at` is the length before the resize, so the tail exists"
+            )]
+            let dst = &mut rx_bytes[at..];
+            self.region.read_at(chunk.handle, chunk.consumed, dst)?;
         }
         Ok(GuestSockSnapshot {
             id: s.id,
@@ -180,7 +190,12 @@ impl GuestLib {
     /// Drop live socket `id` from the id order `epoll_wait` walks.
     fn unlist(&mut self, id: SocketId) {
         let at = self.by_id.binary_search_by_key(&id, |&(other, _)| other);
-        self.by_id.remove(at.expect("every live socket is listed"));
+        #[expect(
+            clippy::expect_used,
+            reason = "`insert` lists every socket it files, and only here is one unlisted"
+        )]
+        let at = at.expect("every live socket is listed");
+        self.by_id.remove(at);
     }
 
     fn queue_set_for(&self, id: SocketId) -> QueueSetId {
@@ -297,6 +312,10 @@ impl GuestLib {
             OpType::CloseComplete => {
                 // Release any unread payload still parked in the region.
                 self.unlist(nqe.socket);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the NQE's socket was looked up above, and nothing removed it since"
+                )]
                 let s = self.sockets.remove(&nqe.socket).expect("found above");
                 for chunk in s.rx_chunks.drain(..) {
                     let _ = self.region.free(chunk.handle);
@@ -381,7 +400,12 @@ impl SocketApi for GuestLib {
         }
         // Copy the payload into the shared hugepages and describe it in the
         // NQE (§4.5 "Sending Data").
-        let handle = match self.region.alloc_and_write(&data[..granted]) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the budget grants at most `data.len()`"
+        )]
+        let granted_data = &data[..granted];
+        let handle = match self.region.alloc_and_write(granted_data) {
             Ok(h) => h,
             Err(e) => {
                 self.sock_mut(sock)?.send_budget.release(granted);
@@ -421,6 +445,10 @@ impl SocketApi for GuestLib {
                 // The one copy of this hop: hugepage → the caller's buffer.
                 // A read that finishes the chunk frees it under the same
                 // lock hold.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`take` is at most what is left of `buf` past `copied`"
+                )]
                 let dst = &mut buf[copied..copied + take];
                 let read = if take == remaining {
                     region.read_and_free(chunk.handle, chunk.consumed, dst)

@@ -9,6 +9,19 @@
 //! so unmodified applications (and workload generators) run on either.
 
 #![forbid(unsafe_code)]
+// Every NQE a VM receives crosses GuestLib, so a response must never be
+// able to panic the guest: a site that cannot fail names its invariant in
+// an `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable
+    )
+)]
 
 pub mod guestlib;
 pub mod sockstate;

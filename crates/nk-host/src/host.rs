@@ -16,6 +16,7 @@ use nk_fabric::{HostUplink, VirtualSwitch};
 use nk_guest::GuestLib;
 use nk_netstack::{Segment, StackConfig, TcpStack};
 use nk_obs::HostFeed;
+use nk_queue::{rewind_set, RequesterEnd, ResponderEnd};
 use nk_service::Nsm;
 use nk_sim::{CorePool, CostModel, Pollable, PoolMember};
 use nk_types::addr::nsm_ip_on;
@@ -81,6 +82,9 @@ pub struct NetKernelHost {
     /// plus the fault events applied this interval. A cluster drains it at
     /// the round barrier; a bare host reads it directly.
     pub(crate) obs: HostFeed,
+    /// Set by `begin_step`: the step's first round has yet to rewind the
+    /// rings the applications drained since the last step.
+    pub(crate) step_opened: bool,
     pub(crate) now_ns: u64,
 }
 
@@ -128,6 +132,7 @@ impl NetKernelHost {
             next_epoch_ns,
             import_fail_budget: 0,
             obs: HostFeed::new(),
+            step_opened: false,
             now_ns: 0,
         };
         // Bring up the NSMs first so VMs can be mapped onto them.
@@ -343,6 +348,7 @@ impl NetKernelHost {
     /// budgets and apply due fault events. Returns the fault events applied.
     pub fn begin_step(&mut self, dt_ns: u64) -> usize {
         self.advance(dt_ns);
+        self.step_opened = true;
         self.record_applied_faults(self.now_ns)
     }
 
@@ -351,9 +357,21 @@ impl NetKernelHost {
     /// stacks, the virtual switch. Returns the work done; the caller loops
     /// until quiescence.
     ///
+    /// The first round of a step and every round that does no work start
+    /// each empty ring of the host's queue sets that has left its first
+    /// page over at slot 0 ([`nk_queue::rewind_set`]), so a ring's resident
+    /// memory follows its traffic, not its capacity: the first catches the
+    /// rings the applications drained between steps (completions and
+    /// events), a quiet one the rings the round drained (requests, the
+    /// NSMs' rings). Both run on the thread that polls the host, which
+    /// holds both ends of each set for the round.
+    ///
     /// With accounting on, each NSM's work is charged to its pool ledger as
     /// it polls, and the engine's after the NSMs, in one batched charge.
     pub fn poll_round(&mut self) -> usize {
+        if std::mem::take(&mut self.step_opened) {
+            self.rewind_empty_rings();
+        }
         let now_ns = self.now_ns;
         let engine_work = Pollable::poll(&mut self.engine, now_ns);
         // Each NSM work item is roughly one NQE translated plus one
@@ -386,7 +404,56 @@ impl NetKernelHost {
             // of the host.
             remote.discard_events();
         }
-        work + Pollable::poll(&mut self.switch, now_ns)
+        work += Pollable::poll(&mut self.switch, now_ns);
+        if work == 0 {
+            self.rewind_empty_rings();
+        }
+        work
+    }
+
+    /// Start every empty ring of the host's queue sets that has left its
+    /// first page over at slot 0.
+    fn rewind_empty_rings(&mut self) {
+        self.for_each_queue_set(|requester, responder| {
+            let _ = rewind_set(requester, responder);
+        });
+    }
+
+    /// Call `f` on both ends of every queue set of the host's VMs and NSMs:
+    /// the guest's and CoreEngine's ends of each VM's, CoreEngine's and
+    /// ServiceLib's of each NSM's.
+    fn for_each_queue_set(&mut self, mut f: impl FnMut(&mut RequesterEnd, &mut ResponderEnd)) {
+        let (vm_ports, nsm_ports) = self.engine.queue_ends_mut();
+        for (vm, engine_ends) in vm_ports {
+            if let Some(slot) = self.vms.get_mut(&vm) {
+                let guest_ends = slot.guest.queue_sets_mut();
+                guest_ends
+                    .iter_mut()
+                    .zip(engine_ends)
+                    .for_each(|(g, e)| f(g, e));
+            }
+        }
+        for (nsm, engine_ends) in nsm_ports {
+            if let Some(instance) = self.nsms.get_mut(&nsm) {
+                let service_ends = instance.queue_sets_mut();
+                engine_ends
+                    .iter_mut()
+                    .zip(service_ends)
+                    .for_each(|(e, s)| f(e, s));
+            }
+        }
+    }
+
+    /// The furthest write index of any ring of the host's queue sets since
+    /// it last started at slot 0: how many of its slots the busiest ring
+    /// has touched. A test view of the rewind.
+    #[doc(hidden)]
+    pub fn ring_reach(&mut self) -> usize {
+        let mut reach = 0;
+        self.for_each_queue_set(|requester, responder| {
+            reach = reach.max(requester.written()).max(responder.written());
+        });
+        reach
     }
 
     /// Close a step: run the control phase (a no-op off epoch boundaries or
@@ -569,6 +636,7 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::*;
     use super::*;
+    use nk_queue::queueset::PAGE_SLOTS;
     use nk_types::constants::{
         DEFAULT_HUGEPAGE_COUNT, DEFAULT_QUEUE_CAPACITY, DEFAULT_RECV_BUF, HUGEPAGE_SIZE,
     };
@@ -609,6 +677,47 @@ mod tests {
         assert_eq!(&buf[..n], b"hello from outside");
         assert!(host.engine_stats().nqes_switched > 0);
         assert!(host.nsm_service_stats(NsmId(1)).unwrap().bytes_tx >= 17);
+    }
+
+    /// A step's first round and its quiet one start every empty ring that
+    /// left its first page over at slot 0: four guest sockets echo through
+    /// a remote for 600 steps, many times a default ring's worth of NQEs,
+    /// yet after every step no ring of the host has written further than
+    /// its first page plus one NQE a socket, one step's traffic, and every
+    /// echo arrives whole.
+    #[test]
+    fn every_empty_ring_restarts_at_slot_0_past_its_first_page() {
+        const SOCKETS: usize = 4;
+        let mut host = one_vm_host(StackKind::Kernel);
+        let ls = remote_listener(&mut host);
+        let socks: Vec<SocketId> = (0..SOCKETS).map(|_| guest_connect(&mut host)).collect();
+        host.run(20, 100_000);
+        let remote = host.remote_mut(REMOTE_IP).unwrap();
+        let conns: Vec<SocketId> = (0..SOCKETS).map(|_| remote.accept(ls).unwrap().0).collect();
+        let mut buf = [0u8; 64];
+        let mut echoed = 0;
+        for step in 0..600u32 {
+            let guest = host.guest_mut(VmId(1)).unwrap();
+            for &s in &socks {
+                if let Ok(n) = guest.recv(s, &mut buf) {
+                    assert_eq!(&buf[..n], &step.to_le_bytes()[..n]);
+                    echoed += n;
+                }
+                guest.send(s, &(step + 1).to_le_bytes()).unwrap();
+            }
+            host.step(100_000);
+            let remote = host.remote_mut(REMOTE_IP).unwrap();
+            for &c in &conns {
+                while let Ok(n) = remote.recv(c, &mut buf) {
+                    remote.send(c, &buf[..n]).unwrap();
+                }
+            }
+            host.step(100_000);
+            assert!(host.ring_reach() <= PAGE_SLOTS + SOCKETS, "step {step}");
+        }
+        assert_eq!(echoed, 599 * 4 * SOCKETS, "an echo went missing");
+        let switched = host.engine_stats().nqes_switched as usize;
+        assert!(switched > 8 * DEFAULT_QUEUE_CAPACITY, "{switched} NQEs");
     }
 
     /// One hugepage (2 MB) shared by ten receiving sockets whose receive

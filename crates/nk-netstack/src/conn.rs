@@ -55,6 +55,9 @@ const MIN_RTO_NS: u64 = 10_000_000;
 pub(crate) const ACK_DELAY_NS: u64 = 500_000;
 /// Upper bound on the RTO.
 const MAX_RTO_NS: u64 = 2_000_000_000;
+/// RTO backoffs an unanswered SYN-ACK gets before its embryonic connection
+/// gives up: Linux's `tcp_synack_retries`, ≈ 3.1 s from [`INITIAL_RTO_NS`].
+const SYNACK_RETRIES: u64 = 5;
 /// How long a connection lingers in TIME-WAIT (shortened 2MSL).
 const TIME_WAIT_NS: u64 = 50_000_000;
 /// Duplicate-ACK threshold for fast retransmit.
@@ -1077,6 +1080,14 @@ impl TcpConnection {
             && !matches!(self.state, ConnState::SynSent | ConnState::SynReceived)
         {
             self.rto_deadline = None;
+            return;
+        }
+        // A half-open connection whose peer went silent holds a place in
+        // its listener's backlog: past the bound it closes, and the stack
+        // reaps it like a failed open. Only `accept` makes a `SynReceived`
+        // connection, so its timeouts are its SYN-ACK's backoffs.
+        if self.state == ConnState::SynReceived && self.stats.timeouts >= SYNACK_RETRIES {
+            self.enter_closed();
             return;
         }
         self.stats.timeouts += 1;

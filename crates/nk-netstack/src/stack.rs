@@ -1715,6 +1715,36 @@ mod tests {
         assert!(w.server.accept(ls).is_ok());
     }
 
+    /// A half-open connection gives up: a peer sends two SYNs to a
+    /// backlog-2 listener and goes silent. Through five SYN-ACK backoffs
+    /// (≈ 3.1 s) both embryonic connections hold the backlog; past them
+    /// both are gone, and a fresh client gets in.
+    #[test]
+    fn half_open_connections_give_up_and_free_the_backlog() {
+        const SILENT_IP: u32 = 0x0A00_0003;
+        let mut w = World::new();
+        let ls = w.server.socket();
+        w.server.bind(ls, SockAddr::new(0, 80)).unwrap();
+        w.server.listen(ls, 2).unwrap();
+        let to = SockAddr::new(SERVER_IP, 80);
+        let port = w.switch.attach(SILENT_IP);
+        let mut silent = TcpStack::new(StackConfig::new(SILENT_IP), port);
+        for _ in 0..2 {
+            let s = silent.socket();
+            silent.connect(s, to, w.now).unwrap();
+        }
+        silent.tick(w.now); // its SYNs leave, and it never runs again
+        w.run(30_000); // 3 s: the fifth backoff has not run out
+        assert_eq!(w.server.socket_count(), 3);
+        w.run(2_000);
+        assert_eq!(w.server.socket_count(), 1, "half-open connections linger");
+        let cs = w.client.socket();
+        w.client.connect(cs, to, w.now).unwrap();
+        w.run(10);
+        assert!(w.server.accept(ls).is_ok());
+        assert!(w.client.poll(cs).writable());
+    }
+
     #[test]
     fn accept_before_connection_would_block() {
         let mut w = World::new();

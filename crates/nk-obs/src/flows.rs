@@ -9,8 +9,6 @@
 //! Eviction ties break on the smaller key, keeping the table a pure
 //! function of the observation sequence.
 
-use std::collections::BTreeMap;
-
 /// A directional transport 4-tuple.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowKey {
@@ -40,10 +38,14 @@ serde::impl_serialize!(struct FlowStat { bytes, ops });
 
 /// A fixed-capacity top-K flow table with space-saving eviction. Internal
 /// state — a dump serializes [`FlowTable::top`] as a `Vec`.
+///
+/// At most K slots, in no order: a hit adds in place, and a miss at a full
+/// table overwrites the lightest slot, so no observation allocates or
+/// reorders anything.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlowTable {
     k: usize,
-    entries: BTreeMap<FlowKey, FlowStat>,
+    slots: Vec<(FlowKey, FlowStat)>,
 }
 
 impl FlowTable {
@@ -51,60 +53,51 @@ impl FlowTable {
     pub fn new(k: usize) -> Self {
         FlowTable {
             k,
-            entries: BTreeMap::new(),
+            slots: Vec::new(),
         }
     }
 
     /// Observe `frames` wire frames of `bytes` wire bytes in all on `key`
     /// (a train delivered as one object counts each of its frames).
     pub fn observe(&mut self, key: FlowKey, frames: u64, bytes: u64) {
-        if self.k == 0 {
-            return;
-        }
-        if let Some(stat) = self.entries.get_mut(&key) {
+        if let Some((_, stat)) = self.slots.iter_mut().find(|(k, _)| *k == key) {
             stat.bytes += bytes;
             stat.ops += frames;
             return;
         }
-        if self.entries.len() < self.k {
-            self.entries.insert(key, FlowStat { bytes, ops: frames });
+        if self.slots.len() < self.k {
+            self.slots.push((key, FlowStat { bytes, ops: frames }));
             return;
         }
-        // Space-saving: evict the lightest entry (ties on the smaller key —
-        // the BTreeMap iteration order makes `min_by_key` deterministic)
-        // and let the newcomer inherit its counts.
-        let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(k, s)| (s.bytes, **k))
-            .map(|(k, _)| *k)
-            .expect("table is full, so non-empty");
-        let inherited = self.entries.remove(&victim).expect("victim exists");
-        self.entries.insert(
+        // Space-saving: the newcomer takes the lightest slot (ties on the
+        // smaller key) and inherits its counts. Nothing to take at K = 0.
+        let Some(victim) = self.slots.iter_mut().min_by_key(|(k, s)| (s.bytes, *k)) else {
+            return;
+        };
+        *victim = (
             key,
             FlowStat {
-                bytes: inherited.bytes + bytes,
-                ops: inherited.ops + frames,
+                bytes: victim.1.bytes + bytes,
+                ops: victim.1.ops + frames,
             },
         );
     }
 
     /// Tracked flows, heaviest first (ties on the smaller key).
     pub fn top(&self) -> Vec<(FlowKey, FlowStat)> {
-        let mut out: Vec<(FlowKey, FlowStat)> =
-            self.entries.iter().map(|(k, s)| (*k, *s)).collect();
+        let mut out = self.slots.clone();
         out.sort_by_key(|(k, s)| (std::cmp::Reverse(s.bytes), *k));
         out
     }
 
     /// Number of tracked flows.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether nothing has been observed yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 }
 

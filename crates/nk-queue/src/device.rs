@@ -110,6 +110,11 @@ impl<E> NkDevice<E> {
         self.queue_sets.get_mut(idx)
     }
 
+    /// Every queue-set end, in index order.
+    pub fn queue_sets_mut(&mut self) -> &mut [E] {
+        &mut self.queue_sets
+    }
+
     /// The wake flag shared with the switch side.
     pub fn wake(&self) -> &WakeState {
         &self.wake

@@ -10,14 +10,16 @@
 //! * [`spsc`] — a bounded single-producer/single-consumer lock-free ring
 //!   buffer, the building block of every NQE queue: `push`, `pop` and
 //!   `pop_batch` over four `unsafe` sites, the datapath's only ones. Each
-//!   end owns its index, and a batch is published with one store;
+//!   end owns its index, and a batch is published with one store; a caller
+//!   holding both ends `rewind`s an empty ring to slot 0;
 //! * [`mod@unbounded`] — an unbounded wait-free SPSC queue with no datapath
 //!   user: the round barrier orders every cross-shard hand-off, so those
 //!   edges are plain ports. nkbench's `queue.unbounded_ns` drive still names
 //!   it, which pins it until ROADMAP item 7;
 //! * [`queueset`] — the four-queue set (job / completion / send / receive) of
 //!   the paper's Figure 5, split into a requester end and a responder end,
-//!   which parks a response a full ring cannot take and never drops one;
+//!   which parks a response a full ring cannot take and never drops one,
+//!   and [`rewind_set`] over its four rings;
 //! * [`device`] — the NK device: the per-entity collection of queue sets plus
 //!   the wake flag of the interrupt-driven-polling notification of §4.6.
 
@@ -42,6 +44,6 @@ pub mod spsc;
 pub mod unbounded;
 
 pub use device::{NkDevice, WakeState};
-pub use queueset::{queue_set_pair, RequesterEnd, ResponderEnd};
+pub use queueset::{queue_set_pair, rewind_set, RequesterEnd, ResponderEnd};
 pub use spsc::{channel, Consumer, Producer};
 pub use unbounded::{unbounded, UnboundedConsumer, UnboundedProducer};

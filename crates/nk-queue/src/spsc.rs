@@ -16,7 +16,13 @@
 //! plus one Acquire load only when the cached view runs out, and never a
 //! division; a `pop_batch` takes its whole run and publishes it with one
 //! store.
+//!
+//! A ring writes its slots in turn, so a ring that has carried `capacity`
+//! elements has touched all of its storage. [`rewind`] starts an empty ring
+//! over at slot 0 from a caller holding both ends, so a ring that is
+//! drained between bursts only ever touches the slots one burst needs.
 
+use nk_types::{NkError, NkResult};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -148,6 +154,34 @@ impl<T> Producer<T> {
         self.inner.tail.0.store(self.tail.index, Ordering::Release);
         Ok(())
     }
+
+    /// Elements pushed since the ring last started at slot 0; it has
+    /// touched that many of its slots, up to its capacity.
+    pub fn written(&self) -> usize {
+        self.tail.index
+    }
+}
+
+/// Start an empty ring over at slot 0: both cursors, both cached views and
+/// both shared indices go back to 0, so the next push writes the first
+/// slot again. Holding both ends, the caller is the only one touching the
+/// ring. Refuses with `BadConfig` when the two ends are not of one ring,
+/// and with `InvalidState` when the ring holds anything; capacity, order
+/// and the full-ring rule are as before.
+pub fn rewind<T>(tx: &mut Producer<T>, rx: &mut Consumer<T>) -> NkResult<()> {
+    if !Arc::ptr_eq(&tx.inner, &rx.inner) {
+        return Err(NkError::BadConfig);
+    }
+    if tx.tail.index != rx.head.index {
+        return Err(NkError::InvalidState);
+    }
+    tx.tail = Cursor { index: 0, slot: 0 };
+    tx.cached_head = 0;
+    rx.head = Cursor { index: 0, slot: 0 };
+    rx.cached_tail = 0;
+    tx.inner.tail.0.store(0, Ordering::Release);
+    tx.inner.head.0.store(0, Ordering::Release);
+    Ok(())
 }
 
 impl<T> Consumer<T> {
@@ -451,6 +485,131 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(rx.pop(), None, "a value arrived twice");
+    }
+
+    /// A ring that holds anything is not rewound, and keeps its order and
+    /// contents; once drained, it is.
+    #[test]
+    fn rewind_refuses_a_ring_that_holds_anything() {
+        let (mut tx, mut rx) = channel(4);
+        for i in 0..3u32 {
+            tx.push(i).unwrap();
+        }
+        assert_eq!(rx.pop(), Some(0));
+        assert_eq!(rewind(&mut tx, &mut rx), Err(NkError::InvalidState));
+        assert_eq!(tx.written(), 3);
+        tx.push(3).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(rx.pop_batch(&mut out, 8), 3);
+        assert_eq!(out, [1, 2, 3]);
+        assert_eq!(rewind(&mut tx, &mut rx), Ok(()));
+        assert_eq!(tx.written(), 0);
+    }
+
+    /// Two empty rings whose ends stand at the same index are still two
+    /// rings: a rewind over one's producer and the other's consumer is
+    /// refused, and both keep working from where they were.
+    #[test]
+    fn rewind_refuses_ends_of_two_rings() {
+        let (mut a_tx, mut a_rx) = channel(4);
+        let (mut b_tx, mut b_rx) = channel(4);
+        for i in 0..3u32 {
+            a_tx.push(i).unwrap();
+            b_tx.push(10 + i).unwrap();
+        }
+        let mut out = Vec::new();
+        a_rx.pop_batch(&mut out, 8);
+        b_rx.pop_batch(&mut out, 8);
+        // Both calls before the check: were either taken, the two would
+        // still leave all four ends at 0, and a failing test unwinds clean.
+        let crossed = (rewind(&mut a_tx, &mut b_rx), rewind(&mut b_tx, &mut a_rx));
+        let refused = Err(NkError::BadConfig);
+        assert_eq!(crossed, (refused, refused));
+        assert_eq!((a_tx.written(), b_tx.written()), (3, 3));
+        a_tx.push(3).unwrap();
+        b_tx.push(13).unwrap();
+        assert_eq!((a_rx.pop(), b_rx.pop()), (Some(3), Some(13)));
+        assert_eq!((a_rx.pop(), b_rx.pop()), (None, None));
+    }
+
+    /// A rewound ring starts at slot 0 and is as big as before: it takes
+    /// exactly `capacity` elements, refuses the next, and returns them in
+    /// order.
+    #[test]
+    fn a_rewound_ring_holds_its_capacity_in_order() {
+        for cap in [1, 3, 8] {
+            let (mut tx, mut rx) = channel(cap);
+            for i in 0..(2 * cap as u32 + 1) {
+                tx.push(i).unwrap();
+                assert_eq!(rx.pop(), Some(i));
+            }
+            assert_eq!(rewind(&mut tx, &mut rx), Ok(()));
+            assert_eq!(tx.written(), 0);
+            for i in 0..cap as u32 {
+                tx.push(100 + i).unwrap();
+            }
+            assert_eq!(tx.push(999), Err(999), "capacity {cap}");
+            let mut out = Vec::new();
+            assert_eq!(rx.pop_batch(&mut out, cap + 3), cap);
+            assert_eq!(out, (100..100 + cap as u32).collect::<Vec<_>>());
+            assert_eq!(rx.pop(), None);
+        }
+    }
+
+    /// Seeded interleavings of `push`, `pop_batch` and `rewind` on rings of
+    /// capacity 1, 3, 7 and 8 against a `VecDeque` bounded at `cap`: a
+    /// rewind succeeds exactly when the model is empty, and then the ring
+    /// writes from slot 0 again; nothing else about the ring changes.
+    #[test]
+    fn rewinds_match_a_vecdeque_model() {
+        let mut rewound = 0;
+        for seed in 1..=40u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = |below: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % below
+            };
+            let cap = [1, 3, 7, 8][seed as usize % 4];
+            let (mut tx, mut rx) = channel(cap);
+            let mut model = VecDeque::new();
+            let (mut pushed, mut written) = (0u32, 0);
+            for _ in 0..600 {
+                match next(5) {
+                    0 | 1 => {
+                        let got = tx.push(pushed);
+                        if model.len() < cap {
+                            assert_eq!(got, Ok(()), "seed {seed}");
+                            model.push_back(pushed);
+                            written += 1;
+                        } else {
+                            assert_eq!(got, Err(pushed), "seed {seed}: full");
+                        }
+                        pushed += 1;
+                    }
+                    2 | 3 => {
+                        let max = [1, 2, 5, cap, cap + 3][next(5) as usize];
+                        let want: Vec<u32> = model.drain(..model.len().min(max)).collect();
+                        let mut out = Vec::new();
+                        assert_eq!(rx.pop_batch(&mut out, max), want.len(), "seed {seed}");
+                        assert_eq!(out, want, "seed {seed}: batch of {max}");
+                    }
+                    _ => {
+                        let got = rewind(&mut tx, &mut rx);
+                        if model.is_empty() {
+                            assert_eq!(got, Ok(()), "seed {seed}");
+                            rewound += (written > 0) as u32;
+                            written = 0;
+                        } else {
+                            assert_eq!(got, Err(NkError::InvalidState), "seed {seed}");
+                        }
+                    }
+                }
+                assert_eq!(tx.written(), written, "seed {seed}");
+            }
+        }
+        assert!(rewound > 1_000, "only {rewound} rewinds moved a ring");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use nk_types::{NkResult, Nqe, OpResult, OpType, SocketId, VmId};
 use std::collections::BTreeMap;
 
 pub(crate) struct Frontend {
-    device: NkDevice<ResponderEnd>,
+    pub(crate) device: NkDevice<ResponderEnd>,
     pub(crate) regions: BTreeMap<VmId, HugepageRegion>,
     next_guest_sock: u32,
     batch: usize,

@@ -11,6 +11,7 @@
 
 use crate::service::{ServiceLib, ServiceStats, StackNsm, TcpNsm};
 use nk_netstack::LocalStack;
+use nk_queue::ResponderEnd;
 use nk_shmem::HugepageRegion;
 use nk_types::VmId;
 
@@ -79,6 +80,12 @@ impl Nsm {
     /// restart.
     pub fn remove_vm(&mut self, vm: VmId) {
         either!(self, n => n.service.remove_vm(vm, &mut n.stack));
+    }
+
+    /// ServiceLib's ends of the NSM's queue sets, in index order: the host
+    /// pairs them with CoreEngine's ends to rewind the empty rings.
+    pub fn queue_sets_mut(&mut self) -> &mut [ResponderEnd] {
+        either!(self, n => n.service.front.device.queue_sets_mut())
     }
 
     /// ServiceLib statistics.

@@ -16,10 +16,14 @@ pub const DEFAULT_BATCH_SIZE: usize = 4;
 
 /// Default capacity (in NQEs) of each lockless queue in a queue set.
 ///
-/// A ring's memory is its capacity: an SPSC ring writes its slots in turn,
-/// so every slot becomes resident however few NQEs the ring holds at once.
-/// A queue set of four 512-slot rings of 32-B NQEs is 64 KiB (4096 slots
-/// made it 512 KiB). The fullest ring of nkbench's workloads (12-s windows,
+/// Capacity bounds backpressure, not memory: an SPSC ring writes its slots
+/// in turn, but the host starts every empty ring that has left its first
+/// 4-KiB page over at slot 0 on the first round of a step and on every
+/// round that does no work (`nk_queue::rewind_set`), so a ring's resident
+/// memory is that page plus one round's traffic. A queue set of four
+/// 512-slot rings of 32-B NQEs reserves
+/// 64 KiB (4096 slots reserved 512 KiB, all of it resident once that many
+/// NQEs had passed). The fullest ring of nkbench's workloads (12-s windows,
 /// seeds 1–2) held 256 NQEs on `rpc` (its set-up burst: 4 VMs × 64
 /// `socket` + `connect` in one tick, two VMs per NSM), 64 on `bulk` and on
 /// `churn` and 4 on `xhost_t1`, so none fills; a ring that does parks its

@@ -41,12 +41,15 @@
 # - `trace.wired_matches_host == 1` on every run: the traced host is the
 #   real host.
 # - Peak resident memory (`peak_rss_MB`, at most; one untraced 3-second run
-#   each, since the tracer keeps its own records): an NQE ring's memory is
-#   its capacity, and this holds every queue set, region and table to what
-#   the workload needs.
+#   each, since the tracer keeps its own records): an empty NQE ring past
+#   its first page starts over at slot 0 when its host goes quiet, so a
+#   ring's memory is that page plus one round's traffic, and this holds
+#   every queue set, region and table to what the workload needs.
 #   - rpc 8.5 (reads ~6.9): 9.4 with 4096-slot NQE rings.
-#   - xhost_t1 10.0 (~8.1): 12.3 with 4096-slot rings (32 queue sets of
-#     512 KiB; 64 KiB each at 512 slots).
+#   - xhost_t1 7.95 (20 runs read 7.72-7.89, median 7.80): 8.01-8.17
+#     (median 8.09) while each ring wrote all of its 512 slots in turn
+#     (its 128 rings 2 MiB), 12.3 with 4096-slot rings (32 queue sets of
+#     512 KiB).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,6 +98,6 @@ while read -r workload rss_max; do
   }
 done <<'EOF'
 rpc 8.5
-xhost_t1 10.0
+xhost_t1 7.95
 EOF
 exit $status
