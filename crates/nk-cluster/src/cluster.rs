@@ -118,7 +118,6 @@ impl Cluster {
             if let Some(policy) = &cfg.policy {
                 host.enable_pool_accounting(policy.pool_clock_hz);
             }
-            host.set_obs_enabled(cfg.obs.enabled);
             hosts.insert(id, Box::new(host));
         }
         let placer = match cfg.policy.clone() {
@@ -306,18 +305,6 @@ impl Cluster {
         if self.placer.is_some() && now >= self.next_epoch_ns {
             total += self.run_placement_epoch(now);
         }
-        // Seal a recorder latency epoch when one is due: every host's
-        // histogram is drained in `HostId` order and merged cluster-wide.
-        // The recorder runs its own virtual-time cadence
-        // ([`nk_types::ObsConfig::epoch_ns`]), independent of the placement
-        // epoch, so latency aggregation works without a placer installed.
-        if self.obs.epoch_due(now) {
-            let mut hists = Vec::with_capacity(self.hosts.len());
-            for (id, host) in self.hosts.iter_mut() {
-                hists.push((*id, host.obs_feed_mut().take_hist()));
-            }
-            self.obs.seal_epoch(now, hists);
-        }
         self.stats.steps += 1;
         self.stats.rounds += outcome.rounds as u64;
         total
@@ -407,8 +394,8 @@ impl Cluster {
         }
     }
 
-    /// Mirror what each host's recorder feed accumulated this step — fault
-    /// applications and fresh control-log entries — into the event ring.
+    /// Mirror what each host noted this step — fault applications and fresh
+    /// control-log entries — into the event ring.
     /// Runs on the stepping thread after the poll phase, iterating hosts in
     /// `HostId` order, so the ring's contents are thread-count-independent.
     fn drain_host_feeds(&mut self) {
@@ -417,7 +404,7 @@ impl Cluster {
         }
         let epoch = self.epoch;
         for (id, host) in self.hosts.iter_mut() {
-            for (at_ns, faults) in host.obs_feed_mut().take_faults() {
+            for (at_ns, faults) in host.take_applied_faults() {
                 self.obs
                     .record_event(at_ns, epoch, ObsEventKind::Fault { host: *id, faults });
             }
@@ -631,9 +618,9 @@ impl Cluster {
 
     // ---- The flight recorder -------------------------------------------------
 
-    /// The flight recorder (event ring, latency epochs, phase timelines,
-    /// hot flows). Its serialized snapshot is byte-identical for any
-    /// `NK_CLUSTER_THREADS` value.
+    /// The flight recorder (event ring, phase timelines, hot flows). Its
+    /// serialized snapshot is byte-identical for any `NK_CLUSTER_THREADS`
+    /// value.
     pub fn recorder(&self) -> &FlightRecorder {
         &self.obs
     }

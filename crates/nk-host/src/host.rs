@@ -2,10 +2,9 @@
 //!
 //! The struct, its accessors, the step protocol (`step`, and the
 //! `begin_step` / `poll_round` / `end_step` pieces a cluster interleaves
-//! across hosts, the poll round included), fault application and
-//! flight-recorder sampling live here. Everything that attaches or
-//! detaches a VM or an NSM is [`crate::lifecycle`], and the control epoch
-//! is [`crate::control`].
+//! across hosts, the poll round included) and fault application live
+//! here. Everything that attaches or detaches a VM or an NSM is
+//! [`crate::lifecycle`], and the control epoch is [`crate::control`].
 
 use crate::control::ControlTelemetry;
 use crate::faults::{FaultInjector, FaultStats};
@@ -15,7 +14,6 @@ use nk_engine::CoreEngine;
 use nk_fabric::{HostUplink, VirtualSwitch};
 use nk_guest::GuestLib;
 use nk_netstack::{Segment, StackConfig, TcpStack};
-use nk_obs::HostFeed;
 use nk_queue::{rewind_set, RequesterEnd, ResponderEnd};
 use nk_service::Nsm;
 use nk_sim::{CorePool, CostModel, Pollable, PoolMember};
@@ -77,11 +75,11 @@ pub struct NetKernelHost {
     /// [`NetKernelHost::inject_import_failures`] — the fault surface
     /// evacuation-rollback tests drive.
     pub(crate) import_fail_budget: u32,
-    /// The flight recorder's per-host feed: request-completion latency
-    /// sampled from the engine's per-VM counter deltas at each step close,
-    /// plus the fault events applied this interval. A cluster drains it at
-    /// the round barrier; a bare host reads it directly.
-    pub(crate) obs: HostFeed,
+    /// `(virtual time, fault events applied)` of each step open that applied
+    /// any, until [`NetKernelHost::take_applied_faults`] drains them: a
+    /// cluster's flight recorder mirrors them after each step. At most one
+    /// entry per event of the installed fault plans.
+    pub(crate) applied_faults: Vec<(u64, u32)>,
     /// Set by `begin_step`: the step's first round has yet to rewind the
     /// rings the applications drained since the last step.
     pub(crate) step_opened: bool,
@@ -131,7 +129,7 @@ impl NetKernelHost {
             telemetry: ControlTelemetry::default(),
             next_epoch_ns,
             import_fail_budget: 0,
-            obs: HostFeed::new(),
+            applied_faults: Vec::new(),
             step_opened: false,
             now_ns: 0,
         };
@@ -349,7 +347,7 @@ impl NetKernelHost {
     pub fn begin_step(&mut self, dt_ns: u64) -> usize {
         self.advance(dt_ns);
         self.step_opened = true;
-        self.record_applied_faults(self.now_ns)
+        self.apply_due_faults(self.now_ns)
     }
 
     /// One poll round over the whole datapath at the current virtual time,
@@ -460,12 +458,13 @@ impl NetKernelHost {
     /// without a control plane). Returns the control actions applied.
     pub fn end_step(&mut self) -> usize {
         let applied = self.run_control(self.now_ns);
-        self.obs_sample(self.now_ns);
         self.settle_census();
         applied
     }
 
-    /// Apply every fault event due at `now_ns`; returns how many applied.
+    /// Apply every fault event due at `now_ns` and note how many applied
+    /// (a cluster's flight recorder builds its fault timeline from the
+    /// notes); returns how many applied.
     fn apply_due_faults(&mut self, now_ns: u64) -> usize {
         let mut applied = 0;
         while let Some(action) = self.injector.take_due(now_ns) {
@@ -475,47 +474,16 @@ impl NetKernelHost {
             let _ = self.apply_fault(action);
             applied += 1;
         }
-        applied
-    }
-
-    /// Apply due faults and mirror the count into the flight-recorder feed
-    /// (the recorder's dump-on-fault trigger and fault timeline ride on
-    /// these samples).
-    fn record_applied_faults(&mut self, now_ns: u64) -> usize {
-        let applied = self.apply_due_faults(now_ns);
-        if applied > 0 && self.obs.enabled() {
-            self.obs.record_faults(now_ns, applied as u32);
+        if applied > 0 {
+            self.applied_faults.push((now_ns, applied as u32));
         }
         applied
     }
 
-    /// Sample every VM's cumulative forwarded/delivered NQE counters into
-    /// the latency feed. Runs at each step close (the `Control` phase for a
-    /// self-stepped host, [`NetKernelHost::end_step`] under a cluster), so
-    /// request completions are attributed at step granularity in virtual
-    /// time.
-    fn obs_sample(&mut self, now_ns: u64) {
-        if !self.obs.enabled() {
-            return;
-        }
-        for vm in self.vms.keys() {
-            if let Some(stats) = self.engine.vm_stats(*vm) {
-                self.obs
-                    .sample_vm(now_ns, *vm, stats.nqes_forwarded, stats.nqes_delivered);
-            }
-        }
-    }
-
-    /// Mutable access to the flight-recorder feed (the cluster drains it at
-    /// the round barrier via [`nk_obs::HostFeed::take_hist`]).
-    pub fn obs_feed_mut(&mut self) -> &mut HostFeed {
-        &mut self.obs
-    }
-
-    /// Enable or disable this host's recorder feed. Disabled feeds skip all
-    /// sampling work — the recorder-off arm of an overhead measurement.
-    pub fn set_obs_enabled(&mut self, on: bool) {
-        self.obs.set_enabled(on);
+    /// The `(virtual time, fault events applied)` of every step open that
+    /// applied any since the last call, oldest first.
+    pub fn take_applied_faults(&mut self) -> Vec<(u64, u32)> {
+        std::mem::take(&mut self.applied_faults)
     }
 
     /// Step repeatedly with a fixed increment.

@@ -55,9 +55,10 @@ const MIN_RTO_NS: u64 = 10_000_000;
 pub(crate) const ACK_DELAY_NS: u64 = 500_000;
 /// Upper bound on the RTO.
 const MAX_RTO_NS: u64 = 2_000_000_000;
-/// RTO backoffs an unanswered SYN-ACK gets before its embryonic connection
-/// gives up: Linux's `tcp_synack_retries`, ≈ 3.1 s from [`INITIAL_RTO_NS`].
-const SYNACK_RETRIES: u64 = 5;
+/// RTO backoffs an unanswered SYN or SYN-ACK gets before its embryonic
+/// connection gives up: Linux's `tcp_synack_retries` (its SYN bound,
+/// `tcp_syn_retries`, is 6), ≈ 3.1 s from [`INITIAL_RTO_NS`].
+const HANDSHAKE_RETRIES: u64 = 5;
 /// How long a connection lingers in TIME-WAIT (shortened 2MSL).
 const TIME_WAIT_NS: u64 = 50_000_000;
 /// Duplicate-ACK threshold for fast retransmit.
@@ -1076,17 +1077,18 @@ impl TcpConnection {
     }
 
     fn on_rto(&mut self, now_ns: u64) {
-        if self.snd_una == self.snd_nxt
-            && !matches!(self.state, ConnState::SynSent | ConnState::SynReceived)
-        {
+        let embryonic = matches!(self.state, ConnState::SynSent | ConnState::SynReceived);
+        if self.snd_una == self.snd_nxt && !embryonic {
             self.rto_deadline = None;
             return;
         }
-        // A half-open connection whose peer went silent holds a place in
-        // its listener's backlog: past the bound it closes, and the stack
-        // reaps it like a failed open. Only `accept` makes a `SynReceived`
-        // connection, so its timeouts are its SYN-ACK's backoffs.
-        if self.state == ConnState::SynReceived && self.stats.timeouts >= SYNACK_RETRIES {
+        // An embryonic connection whose peer went silent gives up past the
+        // bound: a half-open one holds a place in its listener's backlog, an
+        // active open's socket waits for its answer. It closes, and the
+        // stack reaps it like a failed open. A connection starts in its
+        // handshake, so its timeouts there are its SYN's or SYN-ACK's
+        // backoffs.
+        if embryonic && self.stats.timeouts >= HANDSHAKE_RETRIES {
             self.enter_closed();
             return;
         }

@@ -116,8 +116,9 @@ impl StackConfig {
 pub enum StackEvent {
     /// An active open completed (connect succeeded).
     Connected(SocketId),
-    /// An active open failed.
-    ConnectFailed(SocketId),
+    /// An active open failed: `ConnRefused` when the peer reset it,
+    /// `TimedOut` when its SYN went unanswered.
+    ConnectFailed(SocketId, NkError),
     /// A listener has at least one connection ready to accept.
     Acceptable(SocketId),
     /// New in-order data is available on a connection.
@@ -1022,7 +1023,10 @@ impl TcpStack {
                 }
                 (true, Some(_), None) => {}
                 (true, None, _) => self.events.push_back(StackEvent::Connected(sock)),
-                (false, ..) => self.events.push_back(StackEvent::ConnectFailed(sock)),
+                (false, ..) => {
+                    let refused = StackEvent::ConnectFailed(sock, NkError::ConnRefused);
+                    self.events.push_back(refused);
+                }
             }
         }
         if readable && !was_readable {
@@ -1179,8 +1183,15 @@ impl TcpStack {
                 _ => continue,
             };
             let cs = &mut self.conns[c as usize];
+            let connecting = cs.conn.state() == ConnState::SynSent;
             cs.conn.poll_transmit(now_ns, &mut segs, &mut self.recycler);
             self.stats.conns_polled += 1;
+            // Only a timer closes an active open while it is polled: its
+            // SYN went unanswered past the handshake bound.
+            if connecting && cs.conn.is_closed() {
+                self.events
+                    .push_back(StackEvent::ConnectFailed(at.0, NkError::TimedOut));
+            }
             cs.queued = cs.conn.needs_poll();
             if cs.queued {
                 self.wake.push(at);
@@ -1745,6 +1756,25 @@ mod tests {
         assert!(w.client.poll(cs).writable());
     }
 
+    /// An active open nobody answers gives up like a half-open one: through
+    /// five SYN backoffs (≈ 3.15 s) its socket waits; past them the stack
+    /// reports `TimedOut` and reaps the connection.
+    #[test]
+    fn a_connect_nobody_answers_times_out_and_is_reaped() {
+        const NOBODY_IP: u32 = 0x0A00_0009;
+        let mut w = World::new();
+        let cs = w.client.socket();
+        let to = SockAddr::new(NOBODY_IP, 80);
+        w.client.connect(cs, to, w.now).unwrap();
+        w.run(30_000); // 3 s: the fifth backoff has not run out
+        assert_eq!(drain_events(&mut w.client), []);
+        assert_eq!(w.client.socket_count(), 1);
+        w.run(2_000);
+        let failed = StackEvent::ConnectFailed(cs, NkError::TimedOut);
+        assert_eq!(drain_events(&mut w.client), [failed]);
+        assert_eq!(w.client.socket_count(), 0, "the failed open lingers");
+    }
+
     #[test]
     fn accept_before_connection_would_block() {
         let mut w = World::new();
@@ -2115,7 +2145,7 @@ mod tests {
         w.server.close(conn).unwrap();
         w.run(5);
         let failed = |events: &[StackEvent]| {
-            (events.iter()).any(|e| matches!(e, StackEvent::ConnectFailed(_)))
+            (events.iter()).any(|e| matches!(e, StackEvent::ConnectFailed(..)))
         };
         let events = drain_events(&mut w.server);
         assert!(events.contains(&StackEvent::PeerClosed(conn)), "{events:?}");

@@ -3,19 +3,14 @@
 //! The datapath, the migration machinery and the sharded executor all keep
 //! enough state to *run* deterministically, but until this crate the repo
 //! retained almost nothing about *what a run was doing*: the cluster event
-//! log grows without bound, latency never leaves the ad-hoc experiment
-//! meters, and when an evacuation reverts the epochs leading up to it are
-//! gone. The flight recorder is the retained record — part of the system,
-//! not of any one experiment — capturing into fixed-capacity ring buffers:
+//! log grows without bound, and when an evacuation reverts the epochs
+//! leading up to it are gone. The flight recorder is the retained record —
+//! part of the system, not of any one experiment — capturing into
+//! fixed-capacity ring buffers:
 //!
 //! * [`EventRing`] — a typed ring merging cluster / control / plan / fault /
 //!   decision events, each stamped with a monotonic sequence number, the
 //!   virtual time and the placement epoch. Wraparound keeps the newest N.
-//! * [`HostFeed`] + [`EpochLatency`] — per-epoch request-completion latency
-//!   (p50 / p99 / max over an [`nk_sim::Histogram`]), sampled per host from
-//!   engine metric deltas and merged across shards in `HostId` order at the
-//!   cluster's round barrier, so dumps are byte-identical at any thread
-//!   count.
 //! * [`PhaseWindow`] — migration / evacuation phase timelines: the freeze,
 //!   export, reroute, install and thaw windows in virtual ns, attributed to
 //!   the VM and (for planned evacuations) the plan step.
@@ -35,25 +30,28 @@
 //! `NK_CLUSTER_THREADS` — serialize to byte-identical dumps; CI's golden loop
 //! pins the `flight_recorder` example's dump in both executor modes.
 //!
+//! The recorder keeps what it observed and infers nothing: it holds no
+//! request latency (the datapath stamps no NQE yet), only events, phase
+//! windows and flows.
+//!
 //! The recorder never taps a host while it polls on a helper thread: hosts
-//! only *produce* — frames, metric deltas, host-feed entries — and every
+//! only *produce* — frames, applied faults, control-log entries — and every
 //! capture happens on the caller's thread in the same merge order as the
-//! serial walk. Fault and control entries drain from host feeds in `HostId`
-//! order between steps, latency histograms merge in `HostId` order at epoch
-//! seals, and the flow tap sits behind the ToR, which drains uplink trunks
-//! in route (`HostId`) order at the round barrier. The uneven-share matrix
-//! in `nk-workload/tests/parallel.rs` pins the dump across thread counts.
+//! serial walk. Fault and control entries drain from the hosts in `HostId`
+//! order between steps, and the flow tap sits behind the ToR, which drains
+//! uplink trunks in route (`HostId`) order at the round barrier. The
+//! uneven-share matrix in `nk-workload/tests/parallel.rs` pins the dump
+//! across thread counts.
 
 #![forbid(unsafe_code)]
 
 mod event;
 mod flows;
-mod latency;
 mod recorder;
 
 pub use event::{EventClass, EventRing, ObsEvent, ObsEventKind, ObsFilter};
 pub use flows::{FlowKey, FlowStat, FlowTable};
-pub use latency::{EpochLatency, HostFeed, LatencySummary};
 pub use recorder::{
-    FlightRecorder, FreezeInfo, FreezeReason, MigrationPhase, ObsDump, PhaseWindow,
+    FlightRecorder, FreezeInfo, FreezeReason, MigrationPhase, ObsDump, PhaseWindow, EVENT_CAPACITY,
+    FLOW_K,
 };

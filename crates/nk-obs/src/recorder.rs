@@ -2,10 +2,14 @@
 
 use crate::event::{EventRing, ObsEvent, ObsEventKind, ObsFilter};
 use crate::flows::{FlowKey, FlowStat, FlowTable};
-use crate::latency::{EpochLatency, LatencySummary};
-use nk_sim::Histogram;
 use nk_types::{HostId, ObsConfig, VmId};
 use std::collections::VecDeque;
+
+/// How many of the newest events the recorder retains, and as many phase
+/// windows.
+pub const EVENT_CAPACITY: usize = 4096;
+/// How many hot flows the recorder's top-K table keeps.
+pub const FLOW_K: usize = 16;
 
 /// The named windows of a migration or evacuation handover.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,15 +111,13 @@ pub struct ObsDump {
     pub events_captured: u64,
     /// Retained events, oldest first.
     pub events: Vec<ObsEvent>,
-    /// Sealed latency epochs, oldest first.
-    pub epochs: Vec<EpochLatency>,
     /// Migration / evacuation phase windows, capture order.
     pub phases: Vec<PhaseWindow>,
     /// Hot flows, heaviest first.
     pub flows: Vec<(FlowKey, FlowStat)>,
 }
 
-serde::impl_serialize!(struct ObsDump { frozen, events_captured, events, epochs, phases, flows });
+serde::impl_serialize!(struct ObsDump { frozen, events_captured, events, phases, flows });
 
 /// The cluster-scope flight recorder. Owned by `Cluster` (one per run) and
 /// written only from the caller's thread: every capture call happens either
@@ -124,12 +126,10 @@ serde::impl_serialize!(struct ObsDump { frozen, events_captured, events, epochs,
 /// snapshot is byte-identical for any datapath thread count.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
-    cfg: ObsConfig,
+    enabled: bool,
+    /// The event ring's capacity, which bounds the phase windows too.
+    capacity: usize,
     ring: EventRing,
-    epochs: VecDeque<EpochLatency>,
-    next_epoch: u64,
-    epoch_start_ns: u64,
-    next_epoch_ns: u64,
     phases: VecDeque<PhaseWindow>,
     flows: FlowTable,
     frozen: Option<FreezeInfo>,
@@ -139,28 +139,32 @@ impl FlightRecorder {
     /// A recorder shaped by `cfg`. A disabled config produces a recorder
     /// whose every capture hook is a no-op.
     pub fn new(cfg: ObsConfig) -> Self {
+        let on = |cap| if cfg.enabled { cap } else { 0 };
         FlightRecorder {
-            cfg,
-            ring: EventRing::new(if cfg.enabled { cfg.event_capacity } else { 0 }),
-            epochs: VecDeque::new(),
-            next_epoch: 0,
-            epoch_start_ns: 0,
-            next_epoch_ns: cfg.epoch_ns,
+            enabled: cfg.enabled,
+            capacity: on(EVENT_CAPACITY),
+            ring: EventRing::new(on(EVENT_CAPACITY)),
             phases: VecDeque::new(),
-            flows: FlowTable::new(if cfg.enabled { cfg.flow_k } else { 0 }),
+            flows: FlowTable::new(on(FLOW_K)),
             frozen: None,
         }
     }
 
-    /// The shape the recorder was built with.
-    pub fn config(&self) -> &ObsConfig {
-        &self.cfg
+    /// An enabled recorder whose event ring and phase windows keep
+    /// `capacity` entries.
+    #[cfg(test)]
+    fn with_capacity(capacity: usize) -> Self {
+        FlightRecorder {
+            capacity,
+            ring: EventRing::new(capacity),
+            ..Self::new(ObsConfig::new())
+        }
     }
 
     /// Whether capture hooks do anything right now (configured on and not
     /// frozen).
     pub fn active(&self) -> bool {
-        self.cfg.enabled && self.frozen.is_none()
+        self.enabled && self.frozen.is_none()
     }
 
     /// The dump-on-fault stamp, if a trigger fired.
@@ -177,12 +181,12 @@ impl FlightRecorder {
     }
 
     /// Capture one phase window. Windows share the event ring's capacity
-    /// bound: the newest `event_capacity` are retained.
+    /// bound: the newest [`EVENT_CAPACITY`] are retained.
     pub fn record_phase(&mut self, window: PhaseWindow) {
         if !self.active() {
             return;
         }
-        push_bounded(&mut self.phases, self.cfg.event_capacity, window);
+        push_bounded(&mut self.phases, self.capacity, window);
     }
 
     /// Observe a delivered frame on `key`: `frames` wire frames (a train's
@@ -194,45 +198,12 @@ impl FlightRecorder {
         self.flows.observe(key, frames, bytes);
     }
 
-    /// Whether a latency epoch is due to seal at `now_ns`.
-    pub fn epoch_due(&self, now_ns: u64) -> bool {
-        self.active() && now_ns >= self.next_epoch_ns
-    }
-
-    /// Seal the latency epoch ending at `now_ns` from every host's drained
-    /// histogram, pre-sorted ascending by `HostId` (the caller iterates its
-    /// host map in order). The cluster-wide summary is the merge of the
-    /// per-host histograms — moments and min/max combine exactly, so the
-    /// merged quantiles equal the quantiles of the union of samples.
-    pub fn seal_epoch(&mut self, now_ns: u64, hosts: Vec<(HostId, Histogram)>) {
-        if !self.active() {
-            return;
-        }
-        let mut cluster = Histogram::new();
-        let mut summaries = Vec::with_capacity(hosts.len());
-        for (id, hist) in &hosts {
-            cluster.merge(hist);
-            summaries.push((*id, LatencySummary::of(hist)));
-        }
-        let sealed = EpochLatency {
-            epoch: self.next_epoch,
-            start_ns: self.epoch_start_ns,
-            end_ns: now_ns,
-            cluster: LatencySummary::of(&cluster),
-            hosts: summaries,
-        };
-        push_bounded(&mut self.epochs, self.cfg.latency_epochs, sealed);
-        self.next_epoch += 1;
-        self.epoch_start_ns = now_ns;
-        self.next_epoch_ns = now_ns + self.cfg.epoch_ns;
-    }
-
     /// The dump-on-fault trigger: stop capture at exactly this point. The
     /// triggering events themselves are expected to be recorded *before*
     /// the freeze; everything after is dropped. Only the first trigger
     /// sticks — a later fault must not overwrite the record of the first.
     pub fn freeze(&mut self, at_ns: u64, epoch: u64, reason: FreezeReason) {
-        if !self.cfg.enabled || self.frozen.is_some() {
+        if !self.enabled || self.frozen.is_some() {
             return;
         }
         self.frozen = Some(FreezeInfo {
@@ -261,24 +232,18 @@ impl FlightRecorder {
         self.phases.iter()
     }
 
-    /// Sealed latency epochs, oldest first.
-    pub fn latency_epochs(&self) -> impl Iterator<Item = &EpochLatency> {
-        self.epochs.iter()
-    }
-
     /// Snapshot everything retained.
     pub fn snapshot(&self) -> ObsDump {
         self.snapshot_filtered(&ObsFilter::new())
     }
 
-    /// Snapshot with the event ring narrowed by `filter` (latency epochs,
-    /// phases and flows are cluster-scoped aggregates and stay whole).
+    /// Snapshot with the event ring narrowed by `filter` (phases and flows
+    /// are cluster-scoped aggregates and stay whole).
     pub fn snapshot_filtered(&self, filter: &ObsFilter) -> ObsDump {
         ObsDump {
             frozen: self.frozen,
             events_captured: self.ring.captured(),
             events: self.query(filter),
-            epochs: self.epochs.iter().cloned().collect(),
             phases: self.phases.iter().copied().collect(),
             flows: self.flows.top(),
         }
@@ -307,14 +272,6 @@ mod tests {
 
     fn kill(host: u8) -> ObsEventKind {
         ObsEventKind::Cluster(ClusterAction::HostKilled { host: HostId(host) })
-    }
-
-    fn ns_hist(samples: &[u64]) -> Histogram {
-        let mut h = Histogram::new();
-        for s in samples {
-            h.record(*s as f64);
-        }
-        h
     }
 
     /// The freeze trigger stops capture at exactly the triggering point:
@@ -346,51 +303,12 @@ mod tests {
         assert_eq!(info.reason, FreezeReason::HostKilled { host: HostId(1) });
     }
 
-    /// Sealed epochs merge per-host histograms into a cluster summary whose
-    /// quantiles equal the union's, and the epoch ring drops the oldest.
-    #[test]
-    fn epochs_seal_and_merge_in_host_order() {
-        let mut cfg = ObsConfig::new().with_epoch_ns(1_000);
-        cfg.latency_epochs = 2;
-        let mut rec = FlightRecorder::new(cfg);
-        assert!(!rec.epoch_due(999));
-        assert!(rec.epoch_due(1_000));
-        let a = ns_hist(&[100, 200]);
-        let b = ns_hist(&[300, 400]);
-        let mut union = a.clone();
-        union.merge(&b);
-        rec.seal_epoch(1_000, vec![(HostId(1), a), (HostId(2), b)]);
-        rec.seal_epoch(2_000, vec![]);
-        rec.seal_epoch(3_000, vec![]);
-
-        let dump = rec.snapshot();
-        assert_eq!(dump.epochs.len(), 2, "oldest epoch dropped");
-        assert_eq!(dump.epochs[0].epoch, 1);
-        // Epoch 0 was dropped but its content was correct while retained;
-        // re-check via a fresh recorder for the merge property.
-        let mut rec2 = FlightRecorder::new(ObsConfig::new());
-        rec2.seal_epoch(
-            1_000,
-            vec![
-                (HostId(1), ns_hist(&[100, 200])),
-                (HostId(2), ns_hist(&[300, 400])),
-            ],
-        );
-        let sealed = rec2.snapshot().epochs[0].clone();
-        assert_eq!(sealed.cluster, LatencySummary::of(&union));
-        assert_eq!(sealed.hosts.len(), 2);
-        assert_eq!(sealed.hosts[0].0, HostId(1));
-        assert_eq!(sealed.hosts[0].1.count, 2);
-    }
-
     /// Every ring stays within its capacity, 0 included: an enabled
-    /// recorder built without `ObsConfig::validate` still bounds its memory.
+    /// recorder of any capacity bounds its memory.
     #[test]
     fn every_ring_stays_within_its_capacity() {
         for cap in [0, 2] {
-            let mut cfg = ObsConfig::new().with_epoch_ns(1_000);
-            (cfg.event_capacity, cfg.latency_epochs) = (cap, cap);
-            let mut rec = FlightRecorder::new(cfg);
+            let mut rec = FlightRecorder::with_capacity(cap);
             for i in 0..100u64 {
                 rec.record_phase(PhaseWindow {
                     vm: Some(VmId(1)),
@@ -401,22 +319,18 @@ mod tests {
                     step: None,
                     ok: true,
                 });
-                rec.seal_epoch((i + 1) * 1_000, vec![(HostId(1), ns_hist(&[100]))]);
+                rec.record_event(i, 0, kill(1));
             }
             let dump = rec.snapshot();
-            assert_eq!((dump.phases.len(), dump.epochs.len()), (cap, cap));
+            assert_eq!((dump.phases.len(), dump.events.len()), (cap, cap));
             if cap > 0 {
                 assert_eq!(dump.phases[cap - 1].start_ns, 99, "the newest stay");
-                assert_eq!(dump.epochs[cap - 1].epoch, 99);
+                assert_eq!(dump.events[cap - 1].at_ns, 99);
             }
-            assert!(
-                rec.epoch_due(101_000) && !rec.epoch_due(100_999),
-                "epochs still advance"
-            );
         }
     }
 
-    /// A disabled recorder captures nothing and never seals.
+    /// A disabled recorder captures nothing.
     #[test]
     fn disabled_recorder_is_a_no_op() {
         let mut rec = FlightRecorder::new(ObsConfig::disabled());
@@ -431,11 +345,8 @@ mod tests {
             1,
             100,
         );
-        assert!(!rec.epoch_due(u64::MAX));
-        rec.seal_epoch(1_000, vec![(HostId(1), ns_hist(&[100]))]);
         let dump = rec.snapshot();
         assert!(dump.events.is_empty());
-        assert!(dump.epochs.is_empty());
         assert!(dump.flows.is_empty());
     }
 
@@ -452,12 +363,18 @@ mod tests {
                 faults: 1,
             },
         );
-        rec.seal_epoch(1_000, vec![(HostId(1), ns_hist(&[100]))]);
+        let key = FlowKey {
+            src_ip: 1,
+            src_port: 2,
+            dst_ip: 3,
+            dst_port: 4,
+        };
+        rec.observe_flow(key, 1, 100);
 
         let full = rec.snapshot();
         let narrowed = rec.snapshot_filtered(&ObsFilter::new().with_class(EventClass::Fault));
         assert_eq!(narrowed.events.len(), 1);
-        assert_eq!(narrowed.epochs, full.epochs);
+        assert_eq!(narrowed.flows, full.flows);
         assert_eq!(narrowed.events_captured, 2);
     }
 
@@ -466,12 +383,6 @@ mod tests {
     /// the mode-invariance tests compare.
     #[test]
     fn a_dump_serializes_to_pinned_json() {
-        let summary = LatencySummary {
-            count: 2,
-            p50_ns: 100,
-            p99_ns: 200,
-            max_ns: 200,
-        };
         let event = |seq, at_ns, epoch, kind| ObsEvent {
             seq,
             at_ns,
@@ -528,13 +439,6 @@ mod tests {
                     }),
                 ),
             ],
-            epochs: vec![EpochLatency {
-                epoch: 0,
-                start_ns: 0,
-                end_ns: 1_000,
-                cluster: summary,
-                hosts: vec![(HostId(1), summary)],
-            }],
             phases: vec![PhaseWindow {
                 vm: Some(VmId(3)),
                 phase: MigrationPhase::Freeze,
@@ -557,7 +461,6 @@ mod tests {
                 },
             )],
         };
-        let summary = r#"{"count":2,"p50_ns":100,"p99_ns":200,"max_ns":200}"#;
         let want = [
             r#"{"frozen":{"at_ns":300,"epoch":2,"reason":{"PlanRolledBack":{"host":2}}},"#,
             r#""events_captured":6,"events":["#,
@@ -568,8 +471,6 @@ mod tests {
             r#"{"seq":4,"at_ns":200,"epoch":1,"kind":{"Fault":{"host":2,"faults":1}}},"#,
             r#"{"seq":5,"at_ns":250,"epoch":2,"kind":{"Decision":"#,
             r#"{"epoch":2,"vm":3,"from":1,"to":2,"applied":false}}}],"#,
-            r#""epochs":[{"epoch":0,"start_ns":0,"end_ns":1000,"#,
-            &format!(r#""cluster":{summary},"hosts":[[1,{summary}]]}}],"#),
             r#""phases":[{"vm":3,"phase":"Freeze","start_ns":150,"end_ns":250,"#,
             r#""epoch":1,"step":null,"ok":true}],"#,
             r#""flows":[[{"src_ip":1,"src_port":2,"dst_ip":3,"dst_port":4},"#,
@@ -593,7 +494,6 @@ mod tests {
             frozen: None,
             events_captured: 0,
             events: vec![],
-            epochs: vec![],
             phases: vec![
                 phase(Some(VmId(3)), MigrationPhase::Export, None),
                 phase(Some(VmId(3)), MigrationPhase::Reroute, None),
@@ -604,7 +504,7 @@ mod tests {
             flows: vec![],
         };
         let want = [
-            r#"{"frozen":null,"events_captured":0,"events":[],"epochs":[],"phases":["#,
+            r#"{"frozen":null,"events_captured":0,"events":[],"phases":["#,
             r#"{"vm":3,"phase":"Export","start_ns":300,"end_ns":300,"#,
             r#""epoch":2,"step":null,"ok":false},"#,
             r#"{"vm":3,"phase":"Reroute","start_ns":300,"end_ns":300,"#,
@@ -652,7 +552,6 @@ mod tests {
             1,
             1_500,
         );
-        rec.seal_epoch(1_000, vec![(HostId(1), ns_hist(&[100, 2_500]))]);
         rec.freeze(1_000, 1, FreezeReason::HostKilled { host: HostId(1) });
         let json = serde_json::to_string(&rec.snapshot()).unwrap();
 

@@ -414,10 +414,10 @@ impl ServiceLib {
                     OpType::ConnectComplete,
                     op_data::pack(OpResult::Ok, sock.raw()),
                 ),
-                StackEvent::ConnectFailed(sock) => (
+                StackEvent::ConnectFailed(sock, err) => (
                     sock,
                     OpType::ConnectComplete,
-                    op_data::pack(OpResult::Err(NkError::ConnRefused), 0),
+                    op_data::pack(OpResult::Err(err), 0),
                 ),
             };
             if let Some(rec) = self.by_stack(sock) {

@@ -20,15 +20,13 @@
 //!   samples per epoch;
 //! * [`rng`] — the workspace's seeded SplitMix64 generator, the only source
 //!   of randomness (fabric impairments, fault schedules, scenario payloads)
-//!   so every run is replayable from its seed;
-//! * [`histogram`] — a logarithmic-bucket latency histogram (paper Table 5).
+//!   so every run is replayable from its seed.
 
 #![forbid(unsafe_code)]
 
 pub mod bucket;
 pub mod cores;
 pub mod cost;
-pub mod histogram;
 pub mod poll;
 pub mod record;
 pub mod rng;
@@ -36,7 +34,6 @@ pub mod rng;
 pub use bucket::TokenBucket;
 pub use cores::{CorePool, CoreSet, CycleLedger, Epoch, PoolMember};
 pub use cost::CostModel;
-pub use histogram::Histogram;
 pub use poll::Pollable;
 pub use record::TimeSeries;
 pub use rng::SplitMix64;

@@ -149,73 +149,32 @@ impl ClusterPolicy {
     }
 }
 
-/// Flight-recorder shape: how much history the always-on observability
-/// layer retains. All buffers are fixed-capacity rings, so an enabled
-/// recorder bounds its memory regardless of run length.
+/// Whether the always-on flight recorder captures. Its rings have fixed
+/// capacities (`nk_obs::EVENT_CAPACITY` events and phase windows,
+/// `nk_obs::FLOW_K` hot flows), so an enabled recorder bounds its memory
+/// regardless of run length.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ObsConfig {
     /// Capture anything at all. `false` turns every hook into a no-op (the
     /// overhead-comparison baseline of nkbench's `obs.idle_step_overhead_us`).
     pub enabled: bool,
-    /// Event-ring capacity: the newest `event_capacity` cluster / control /
-    /// plan / fault events are retained.
-    pub event_capacity: usize,
-    /// How many sealed latency epochs the recorder keeps.
-    pub latency_epochs: usize,
-    /// Virtual-time length of one recorder latency epoch. Independent of
-    /// the placement epoch so latency aggregation works without a policy.
-    pub epoch_ns: u64,
-    /// Top-K capacity of the hot-flow table.
-    pub flow_k: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig {
-            enabled: true,
-            event_capacity: 4096,
-            latency_epochs: 64,
-            epoch_ns: 1_000_000,
-            flow_k: 16,
-        }
+        ObsConfig { enabled: true }
     }
 }
 
 impl ObsConfig {
-    /// The default always-on shape.
+    /// The default always-on recorder.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// A disabled recorder: every capture hook becomes a no-op.
     pub fn disabled() -> Self {
-        ObsConfig {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-
-    /// Set the recorder latency-epoch length (builder style).
-    pub fn with_epoch_ns(mut self, ns: u64) -> Self {
-        self.epoch_ns = ns;
-        self
-    }
-
-    /// Validate internal consistency. An enabled recorder with any
-    /// zero-capacity ring is a configuration error: a capacity-0 ring would
-    /// silently record nothing while claiming to be on.
-    pub fn validate(&self) -> NkResult<()> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if self.event_capacity == 0
-            || self.latency_epochs == 0
-            || self.epoch_ns == 0
-            || self.flow_k == 0
-        {
-            return Err(NkError::BadConfig);
-        }
-        Ok(())
+        ObsConfig { enabled: false }
     }
 }
 
@@ -353,7 +312,6 @@ impl ClusterConfig {
         if let Some(policy) = &self.policy {
             policy.validate()?;
         }
-        self.obs.validate()?;
         Ok(())
     }
 }
@@ -646,32 +604,6 @@ mod tests {
                 serde_json::to_string(&ev).unwrap(),
                 format!(r#"{{"at_ns":42,"epoch":7,"action":{json}}}"#)
             );
-        }
-    }
-
-    /// An enabled recorder with any zero-capacity ring is rejected at
-    /// cluster-config validation; a disabled one passes regardless.
-    #[test]
-    fn zero_capacity_recorder_is_rejected() {
-        let base = ClusterConfig::new().with_host(host(1, 1));
-        assert!(base.clone().validate().is_ok());
-        let zeroed: [fn(&mut ObsConfig); 4] = [
-            |o| o.event_capacity = 0,
-            |o| o.latency_epochs = 0,
-            |o| o.epoch_ns = 0,
-            |o| o.flow_k = 0,
-        ];
-        for zero in zeroed {
-            let mut bad = ObsConfig::new();
-            zero(&mut bad);
-            assert_eq!(
-                base.clone().with_obs(bad).validate(),
-                Err(NkError::BadConfig),
-                "{bad:?}"
-            );
-            let mut off = bad;
-            off.enabled = false;
-            assert!(base.clone().with_obs(off).validate().is_ok());
         }
     }
 }

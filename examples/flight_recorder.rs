@@ -5,9 +5,9 @@
 //! and is re-provisioned (scripted fault plan), and mid-stream the
 //! long-lived tenant is *warm*-migrated to host 2. The cluster's flight
 //! recorder captures all of it — the merged event ring (cluster, control,
-//! fault and decision events), per-epoch request-latency quantiles, the
-//! warm migration's freeze/export/reroute/install/thaw phase timeline, and
-//! the hot-flow table — without the workload doing anything special.
+//! fault and decision events), the warm migration's
+//! freeze/export/reroute/install/thaw phase timeline, and the hot-flow
+//! table — without the workload doing anything special.
 //!
 //! The run is fully deterministic: the serialized [`ObsDump`] printed at
 //! the end is byte-identical across repeated runs *and* across datapath
@@ -75,10 +75,9 @@ fn main() {
 
     let dump = &report.obs;
     println!(
-        "recorder: {} events captured ({} retained) · {} latency epochs · {} phase windows · {} hot flows",
+        "recorder: {} events captured ({} retained) · {} phase windows · {} hot flows",
         dump.events_captured,
         dump.events.len(),
-        dump.epochs.len(),
         dump.phases.len(),
         dump.flows.len()
     );
@@ -106,18 +105,6 @@ fn main() {
         dump.events.iter().any(|e| fault_events.matches(e)),
         "the scripted NSM crash/restart must land in the ring"
     );
-
-    // Cluster-wide latency quantiles from the last sealed epoch.
-    if let Some(epoch) = dump.epochs.iter().rev().find(|e| e.cluster.count > 0) {
-        println!(
-            "\nlatency (epoch {}): {} samples · p50 {}ns · p99 {}ns · max {}ns",
-            epoch.epoch,
-            epoch.cluster.count,
-            epoch.cluster.p50_ns,
-            epoch.cluster.p99_ns,
-            epoch.cluster.max_ns
-        );
-    }
 
     // The serialized dump is the CI determinism fingerprint: byte-identical
     // across runs and across NK_CLUSTER_THREADS settings.

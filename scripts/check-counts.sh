@@ -45,11 +45,13 @@
 #   its first page starts over at slot 0 when its host goes quiet, so a
 #   ring's memory is that page plus one round's traffic, and this holds
 #   every queue set, region and table to what the workload needs.
-#   - rpc 8.5 (reads ~6.9): 9.4 with 4096-slot NQE rings.
-#   - xhost_t1 7.95 (20 runs read 7.72-7.89, median 7.80): 8.01-8.17
-#     (median 8.09) while each ring wrote all of its 512 slots in turn
-#     (its 128 rings 2 MiB), 12.3 with 4096-slot rings (32 queue sets of
-#     512 KiB).
+#   - rpc 6.6 (20 runs read 6.16-6.40, median 6.28): 6.75-6.89 (median
+#     6.83) while the flight recorder's per-host latency feed queued a
+#     stamp per request, 9.4 with 4096-slot NQE rings.
+#   - xhost_t1 7.45 (20 runs read 7.09-7.25, median 7.16): 7.68-7.92
+#     (median 7.79) with that feed, 8.01-8.17 (median 8.09) while each
+#     ring wrote all of its 512 slots in turn (its 128 rings 2 MiB), 12.3
+#     with 4096-slot rings (32 queue sets of 512 KiB).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,7 +99,7 @@ while read -r workload rss_max; do
     status=1
   }
 done <<'EOF'
-rpc 8.5
-xhost_t1 7.95
+rpc 6.6
+xhost_t1 7.45
 EOF
 exit $status

@@ -124,5 +124,7 @@ check "$(code crates | grep -cE 'fn .*transplantable')" -eq 0 \
     "a warm export's rule is written once: each layer's snapshot refuses what cannot move, and no predicate restates it"
 check "$(code crates/nk-host/src | grep -c 'aliases:')" -eq 0 \
     "adopted addresses have one record: the switch's /32 routes, with no alias map beside them in the host"
+check "$(code crates | grep -cE 'sample_vm|OUTSTANDING_CAP|struct Histogram')" -eq 0 \
+    "the recorder keeps what it observed; latency returns only as stamps (item 1)"
 
 exit "$fails"

@@ -20,8 +20,8 @@
 //!   performance model.
 //! * [`cluster`] — the cluster fabric: hosts behind a top-of-rack switch,
 //!   cross-host VM migration with connection draining.
-//! * [`obs`] — the deterministic flight recorder: event ring, latency
-//!   epochs, migration phase timelines, hot-flow table.
+//! * [`obs`] — the deterministic flight recorder: event ring, migration
+//!   phase timelines, hot-flow table.
 //! * [`workload`] — workload generators used by the evaluation, all
 //!   streaming through one byte-verified traffic driver.
 

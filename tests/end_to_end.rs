@@ -228,6 +228,28 @@ fn shared_nsm_isolation_of_errors() {
     );
 }
 
+/// A connect nobody answers gives up: the NSM's stack stops resending the
+/// SYN after five backoffs (≈ 3.15 s), and the guest's socket then reports
+/// `TimedOut`, not the `ConnRefused` of a reset.
+#[test]
+fn a_connect_nobody_answers_times_out_at_the_guest() {
+    let mut host = host_with(StackKind::Kernel, 1);
+    let g = host.guest_mut(VmId(1)).unwrap();
+    let s = g.socket().unwrap();
+    g.connect(s, SockAddr::new(REMOTE_IP, 80)).unwrap(); // no remote there
+    host.run(300, 10_000_000); // 3 s: the fifth backoff has not run out
+    let ev = host.guest_mut(VmId(1)).unwrap().poll(s);
+    assert!(!ev.error() && !ev.hup(), "gave up early: {ev:?}");
+    host.run(20, 10_000_000);
+    let g = host.guest_mut(VmId(1)).unwrap();
+    let ev = g.poll(s);
+    assert!(
+        ev.error() || ev.hup(),
+        "the failed connect is reported: {ev:?}"
+    );
+    assert_eq!(g.recv(s, &mut [0u8; 4]), Err(NkError::TimedOut));
+}
+
 /// A guest speaks only for itself. VM 1 and VM 2 share one NSM; VM 2's ring
 /// submits a `SocketCreate`, and a `Send` naming a chunk that is live in VM
 /// 1's hugepages, both claiming `vm = VmId(1)`. CoreEngine stamps each

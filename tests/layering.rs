@@ -1,7 +1,8 @@
 //! The crate DAG points strictly down this rank table: a crate may depend
-//! only on crates of lower rank, in any dependency section. `nk-ctrl` and
-//! `nk-obs` sit below the host because the host embeds them; everything
-//! cluster-scoped stacks above it. The root facade re-exports everything by
+//! only on crates of lower rank, in any dependency section. `nk-ctrl` sits
+//! below the host because the host embeds it, and `nk-obs` below it too,
+//! though only the cluster records into it; everything cluster-scoped
+//! stacks above the host. The root facade re-exports everything by
 //! design and the offline shims under `crates/shims/` stand in for crates.io
 //! packages, so neither is ranked. Adding a crate or an edge across the
 //! table is an architecture change: edit the table in the same PR.
