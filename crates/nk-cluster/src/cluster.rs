@@ -3,11 +3,11 @@
 use crate::exec::{ExecStats, ShardedExecutor, StepOutcome};
 use nk_ctrl::placer::{ClusterSample, HostLoad, Placer};
 use nk_ctrl::{EvacMode, PlanEvent};
-use nk_fabric::{TorSwitch, Train};
+use nk_fabric::TorSwitch;
 use nk_guest::GuestLib;
 use nk_host::NetKernelHost;
 use nk_netstack::{Segment, StackConfig, TcpStack};
-use nk_obs::{FlightRecorder, FlowKey, ObsDump, ObsEventKind};
+use nk_obs::{FlightRecorder, ObsDump, ObsEventKind};
 use nk_sim::{CycleLedger, Epoch, Pollable, PoolMember};
 use nk_types::addr::{host_prefix, HOST_PREFIX_MASK};
 use nk_types::constants::{DEFAULT_POLL_ROUNDS, LINE_RATE_GBPS};
@@ -95,9 +95,9 @@ pub struct Cluster {
     /// threads, the stepping thread included. Semantics are identical at
     /// any count; see [`crate::exec`].
     pub(crate) exec: ShardedExecutor<Box<NetKernelHost>>,
-    /// The flight recorder: every capture happens on the stepping thread —
-    /// outside the sharded step or in the hub between rounds — in `HostId`
-    /// order, so its dump is byte-identical at any thread count.
+    /// The flight recorder: every capture happens on the stepping thread
+    /// outside the sharded step, in `HostId` order, so its dump is
+    /// byte-identical at any thread count.
     pub(crate) obs: FlightRecorder,
     pub(crate) now_ns: u64,
 }
@@ -337,30 +337,12 @@ impl Cluster {
         let units = std::mem::take(&mut self.hosts).into_values().collect();
         let tor = &mut self.tor;
         let remotes = &mut self.remotes;
-        let obs = &mut self.obs;
-        let obs_active = obs.active();
         let (outcome, units) = self.exec.drive(
             units,
             |now| {
                 // The fabric hub: the one place every cross-host frame
-                // passes, in route order, on the caller's thread — so the
-                // recorder taps flows here.
-                let frames = if obs_active {
-                    tor.step_with(now, |f| {
-                        obs.observe_flow(
-                            FlowKey {
-                                src_ip: f.payload.src.ip,
-                                src_port: f.payload.src.port,
-                                dst_ip: f.payload.dst.ip,
-                                dst_port: f.payload.dst.port,
-                            },
-                            f.payload.frames() as u64,
-                            f.wire_bytes as u64,
-                        )
-                    })
-                } else {
-                    tor.step(now)
-                };
+                // passes, in route order, on the caller's thread.
+                let frames = tor.step(now);
                 let mut work = frames;
                 for remote in remotes.values_mut() {
                     work += Pollable::poll(remote, now);
@@ -618,14 +600,9 @@ impl Cluster {
 
     // ---- The flight recorder -------------------------------------------------
 
-    /// The flight recorder (event ring, phase timelines, hot flows). Its
-    /// serialized snapshot is byte-identical for any `NK_CLUSTER_THREADS`
-    /// value.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.obs
-    }
-
-    /// Snapshot everything the recorder retains.
+    /// Snapshot everything the flight recorder retains (event ring, phase
+    /// timelines, freeze stamp). Its serialized form is byte-identical for
+    /// any `NK_CLUSTER_THREADS` value.
     pub fn obs_dump(&self) -> ObsDump {
         self.obs.snapshot()
     }

@@ -1055,8 +1055,8 @@ pub(crate) mod tests {
                         // The rollback froze the recorder (unless a host
                         // kill had already) after every plan event of the
                         // failed run, rollback tail included, had landed.
-                        let frozen = cluster.recorder().frozen().unwrap().reason;
                         let dump = cluster.obs_dump();
+                        let frozen = dump.frozen.unwrap().reason;
                         let plan_event =
                             |e: &&nk_obs::ObsEvent| matches!(e.kind, ObsEventKind::Plan(_));
                         if frozen == (FreezeReason::PlanRolledBack { host: HostId(1) }) {
@@ -1072,7 +1072,7 @@ pub(crate) mod tests {
                 }
             };
             let home = cluster.home_of(VmId(1)).unwrap();
-            let (stats, frozen) = (cluster.stats(), cluster.recorder().frozen().copied());
+            let (stats, frozen) = (cluster.stats(), cluster.obs_dump().frozen);
             let outcome = cluster.move_vm(VmId(1), home, to, mode, faults);
             // Dump-on-fault and the `evac_*` counters belong to evacuations.
             let evac = |s: ClusterStats| (s.evac_plans, s.evac_commits, s.evac_rollbacks);
@@ -1081,7 +1081,7 @@ pub(crate) mod tests {
                 .iter()
                 .any(|f| matches!(f.kind, EvacFaultKind::KillHost(_)))
             {
-                assert_eq!(cluster.recorder().frozen().copied(), frozen);
+                assert_eq!(cluster.obs_dump().frozen, frozen);
             }
             outcome
         }
@@ -1600,13 +1600,13 @@ pub(crate) mod tests {
             .with_host(empty_host(2))
             .with_host(empty_host(3));
         let (mut cluster, _, _) = cluster_with_traffic(cfg, &[1]);
-        assert!(cluster.recorder().frozen().is_none());
+        assert!(cluster.obs_dump().frozen.is_none());
 
         let kill_at = cluster.now_ns();
         cluster.kill_host(HostId(3)).unwrap();
-        let info = *cluster
-            .recorder()
-            .frozen()
+        let info = cluster
+            .obs_dump()
+            .frozen
             .expect("the kill must freeze the ring");
         assert_eq!(info.at_ns, kill_at);
         assert_eq!(info.reason, FreezeReason::HostKilled { host: HostId(3) });

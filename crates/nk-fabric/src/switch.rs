@@ -283,20 +283,15 @@ impl<P: Train> VirtualSwitch<P> {
     /// time has come. Returns the number of wire frames delivered (a
     /// [`Train`] counts each of its frames).
     ///
+    /// This is the switch's one forwarding loop, host switch and ToR alike,
+    /// and nothing taps it: a due frame goes straight from its link into
+    /// the port's receive queue.
+    ///
     /// At the ToR of a sharded cluster this runs on the caller's thread at
     /// the round barrier: every helper is parked, so the drain over routes —
     /// host trunks by prefix, i.e. ascending host id — is the deterministic
     /// merge point of all cross-shard traffic.
     pub fn step(&mut self, now_ns: u64) -> usize {
-        self.step_with(now_ns, |_| {})
-    }
-
-    /// [`VirtualSwitch::step`] with a tap called on every frame at the
-    /// moment of delivery — in route order, on the caller's thread, which
-    /// makes the tap sequence the same for any cluster thread count. A train
-    /// is tapped once, as it was delivered ([`Train::frames`] tells its
-    /// size). The flight recorder's hot-flow table hangs off the ToR's.
-    pub fn step_with<F: FnMut(&Frame<P>)>(&mut self, now_ns: u64, mut tap: F) -> usize {
         let mut scratch = std::mem::take(&mut self.scratch);
         for i in 0..self.routes.len() {
             let Some((port, _)) = &self.routes[i].hop else {
@@ -335,12 +330,7 @@ impl<P: Train> VirtualSwitch<P> {
             if link.in_flight() == 0 {
                 continue; // an idle route costs no lock
             }
-            let due = port.deliver_burst(|rx| {
-                let before = rx.len();
-                let due = link.drain_deliverable(now_ns, rx);
-                rx.range(before..).for_each(&mut tap);
-                due
-            });
+            let due = port.deliver_burst(|rx| link.drain_deliverable(now_ns, rx));
             // Frames handed up the default route are the upstream switch's
             // to deliver and count.
             if *mask != 0 {
@@ -708,9 +698,8 @@ mod tests {
         assert_eq!(tor.routes(), 3, "t1, the endpoint and its detour stay");
     }
 
-    /// The delivery tap sees every delivered frame, in route order.
     /// The switch counts wire frames: a train delivered, hairpinned or
-    /// unroutable counts each of its frames, and is tapped once, whole.
+    /// unroutable counts each of its frames, and is delivered once, whole.
     #[test]
     fn a_train_counts_as_its_frames() {
         use crate::port::tests::Run;
@@ -728,16 +717,16 @@ mod tests {
         let b = sw.attach(0x0A01_0002);
         a.send(train(0x0A01_0002, 0, 3));
         a.send(train(0x0A01_0009, 3, 4)); // a dead vNIC in the block
-        let mut tapped = Vec::new();
-        assert_eq!(sw.step_with(0, |f| tapped.push(f.payload)), 3);
+        assert_eq!(sw.step(0), 3);
+        let whole = Run {
+            first: 0,
+            frames: 3,
+        };
         assert_eq!(
-            tapped,
-            [Run {
-                first: 0,
-                frames: 3
-            }]
+            b.recv().map(|f| (f.payload, f.wire_bytes)),
+            Some((whole, 300))
         );
-        assert_eq!(b.recv().map(|f| f.wire_bytes), Some(300));
+        assert!(b.recv().is_none());
         assert_eq!(sw.unroutable(), 4);
         let stats = sw.link_stats(0x0A01_0002).unwrap();
         assert_eq!((stats.sent, stats.delivered), (3, 3));
@@ -747,20 +736,6 @@ mod tests {
         trunk.send(train(0x0A01_0005, 7, 2));
         assert_eq!(tor.step(0), 0);
         assert_eq!(tor.hairpins(), 2);
-    }
-
-    #[test]
-    fn step_with_taps_delivered_frames() {
-        let mut tor: TorSwitch<u32> = TorSwitch::new();
-        let mut t1 = tor.attach_trunk(0x0A01_0000, HOST_MASK, LinkConfig::ideal());
-        let mut t2 = tor.attach_trunk(0x0A02_0000, HOST_MASK, LinkConfig::ideal());
-        t1.send(frame(0x0A01_0001, 0x0A02_0007, 11));
-        t1.send(frame(0x0A01_0001, 0x0A02_0008, 12));
-        let mut tapped = Vec::new();
-        let delivered = tor.step_with(0, |f| tapped.push((f.dst, f.payload)));
-        assert_eq!(delivered, 2);
-        assert_eq!(tapped, vec![(0x0A02_0007, 11), (0x0A02_0008, 12)]);
-        assert_eq!(t2.recv().unwrap().payload, 11);
     }
 
     /// Downlink latency applies on the way towards a trunk.

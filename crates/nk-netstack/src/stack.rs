@@ -3123,11 +3123,18 @@ mod tests {
         let mut switch = VirtualSwitch::new();
         let (cp, sp) = (switch.attach(CLIENT_IP), switch.attach(SERVER_IP));
         let mut trains = 0;
+        // Each stack drains its receive queue as it ticks, so after a
+        // switch step the queues hold what that step delivered: the
+        // server's what the client sent, and the other way round.
+        let delivered_from = [sp.clone(), cp.clone()];
         let whole = echo_over(cp, sp, &mut |now, sent| {
-            switch.step_with(now, |f| {
-                trains += usize::from(f.payload.frames() > 1);
-                sent[usize::from(f.src == SERVER_IP)].push(f.clone());
-            });
+            switch.step(now);
+            for (from, port) in delivered_from.iter().enumerate() {
+                port.deliver_burst(|rx| {
+                    trains += rx.iter().filter(|f| f.payload.frames() > 1).count();
+                    sent[from].extend(rx.iter().cloned());
+                });
+            }
         });
         let ports = [Port::new(CLIENT_IP), Port::new(SERVER_IP)];
         let (cp, sp) = (ports[0].clone(), ports[1].clone());

@@ -14,44 +14,37 @@
 //! * [`PhaseWindow`] — migration / evacuation phase timelines: the freeze,
 //!   export, reroute, install and thaw windows in virtual ns, attributed to
 //!   the VM and (for planned evacuations) the plan step.
-//! * [`FlowTable`] — a top-K hot-flow table (bytes / ops per 4-tuple) with
-//!   deterministic space-saving eviction, fed from the frames the ToR
-//!   delivers at the round barrier.
 //!
-//! [`FlightRecorder::snapshot`] turns all of it into a serializable
-//! [`ObsDump`], filterable by epoch range, host, VM or event class, and
-//! [`FlightRecorder::freeze`] is the dump-on-fault trigger: when a plan
-//! rolls back or a host is killed, capture stops at that exact step so the
-//! ring preserves the run-up to the fault instead of scrolling past it.
+//! [`FlightRecorder::snapshot`] turns both into a serializable [`ObsDump`],
+//! whose events [`ObsFilter`] narrows by epoch range, host, VM or event
+//! class, and [`FlightRecorder::freeze`] is the dump-on-fault trigger: when
+//! a plan rolls back or a host is killed, capture stops at that exact step
+//! so the ring preserves the run-up to the fault instead of scrolling past
+//! it.
 //!
 //! Everything here is deterministic by construction: no wall clock, no
-//! hashing over addresses, every capture made by the caller's thread at the
-//! round barrier. Two runs of the same seeded scenario — at any
+//! hashing over addresses, every capture made by the caller's thread
+//! between steps. Two runs of the same seeded scenario — at any
 //! `NK_CLUSTER_THREADS` — serialize to byte-identical dumps; CI's golden loop
 //! pins the `flight_recorder` example's dump in both executor modes.
 //!
 //! The recorder keeps what it observed and infers nothing: it holds no
-//! request latency (the datapath stamps no NQE yet), only events, phase
-//! windows and flows.
+//! request latency (the datapath stamps no NQE yet) and no per-flow
+//! traffic (CoreEngine counts each VM's sent bytes exactly, the host switch
+//! each uplink's), only events and phase windows.
 //!
-//! The recorder never taps a host while it polls on a helper thread: hosts
-//! only *produce* — frames, applied faults, control-log entries — and every
-//! capture happens on the caller's thread in the same merge order as the
-//! serial walk. Fault and control entries drain from the hosts in `HostId`
-//! order between steps, and the flow tap sits behind the ToR, which drains
-//! uplink trunks in route (`HostId`) order at the round barrier. The
+//! The recorder taps no datapath: hosts only *produce* — applied faults,
+//! control-log entries — and every capture happens on the caller's thread
+//! between steps, draining the hosts in `HostId` order. The
 //! uneven-share matrix in `nk-workload/tests/parallel.rs` pins the dump
 //! across thread counts.
 
 #![forbid(unsafe_code)]
 
 mod event;
-mod flows;
 mod recorder;
 
 pub use event::{EventClass, EventRing, ObsEvent, ObsEventKind, ObsFilter};
-pub use flows::{FlowKey, FlowStat, FlowTable};
 pub use recorder::{
     FlightRecorder, FreezeInfo, FreezeReason, MigrationPhase, ObsDump, PhaseWindow, EVENT_CAPACITY,
-    FLOW_K,
 };

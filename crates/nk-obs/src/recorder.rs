@@ -1,15 +1,12 @@
 //! The recorder proper: capture surface, freeze trigger, snapshot.
 
-use crate::event::{EventRing, ObsEvent, ObsEventKind, ObsFilter};
-use crate::flows::{FlowKey, FlowStat, FlowTable};
+use crate::event::{EventRing, ObsEvent, ObsEventKind};
 use nk_types::{HostId, ObsConfig, VmId};
 use std::collections::VecDeque;
 
 /// How many of the newest events the recorder retains, and as many phase
 /// windows.
 pub const EVENT_CAPACITY: usize = 4096;
-/// How many hot flows the recorder's top-K table keeps.
-pub const FLOW_K: usize = 16;
 
 /// The named windows of a migration or evacuation handover.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,17 +110,14 @@ pub struct ObsDump {
     pub events: Vec<ObsEvent>,
     /// Migration / evacuation phase windows, capture order.
     pub phases: Vec<PhaseWindow>,
-    /// Hot flows, heaviest first.
-    pub flows: Vec<(FlowKey, FlowStat)>,
 }
 
-serde::impl_serialize!(struct ObsDump { frozen, events_captured, events, phases, flows });
+serde::impl_serialize!(struct ObsDump { frozen, events_captured, events, phases });
 
 /// The cluster-scope flight recorder. Owned by `Cluster` (one per run) and
-/// written only from the caller's thread: every capture call happens either
-/// outside the sharded step or at the round barrier with every helper
-/// parked, in an order fixed by `HostId` — which is why its serialized
-/// snapshot is byte-identical for any datapath thread count.
+/// written only from the caller's thread between steps, in an order fixed
+/// by `HostId` — which is why its serialized snapshot is byte-identical for
+/// any datapath thread count.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
     enabled: bool,
@@ -131,7 +125,6 @@ pub struct FlightRecorder {
     capacity: usize,
     ring: EventRing,
     phases: VecDeque<PhaseWindow>,
-    flows: FlowTable,
     frozen: Option<FreezeInfo>,
 }
 
@@ -145,7 +138,6 @@ impl FlightRecorder {
             capacity: on(EVENT_CAPACITY),
             ring: EventRing::new(on(EVENT_CAPACITY)),
             phases: VecDeque::new(),
-            flows: FlowTable::new(on(FLOW_K)),
             frozen: None,
         }
     }
@@ -167,11 +159,6 @@ impl FlightRecorder {
         self.enabled && self.frozen.is_none()
     }
 
-    /// The dump-on-fault stamp, if a trigger fired.
-    pub fn frozen(&self) -> Option<&FreezeInfo> {
-        self.frozen.as_ref()
-    }
-
     /// Capture one event.
     pub fn record_event(&mut self, at_ns: u64, epoch: u64, kind: ObsEventKind) {
         if !self.active() {
@@ -189,15 +176,6 @@ impl FlightRecorder {
         push_bounded(&mut self.phases, self.capacity, window);
     }
 
-    /// Observe a delivered frame on `key`: `frames` wire frames (a train's
-    /// count) of `bytes` wire bytes in all.
-    pub fn observe_flow(&mut self, key: FlowKey, frames: u64, bytes: u64) {
-        if !self.active() {
-            return;
-        }
-        self.flows.observe(key, frames, bytes);
-    }
-
     /// The dump-on-fault trigger: stop capture at exactly this point. The
     /// triggering events themselves are expected to be recorded *before*
     /// the freeze; everything after is dropped. Only the first trigger
@@ -213,39 +191,13 @@ impl FlightRecorder {
         });
     }
 
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &ObsEvent> {
-        self.ring.iter()
-    }
-
-    /// Events passing `filter`, oldest first.
-    pub fn query(&self, filter: &ObsFilter) -> Vec<ObsEvent> {
-        self.ring
-            .iter()
-            .filter(|e| filter.matches(e))
-            .copied()
-            .collect()
-    }
-
-    /// Phase windows, capture order.
-    pub fn phases(&self) -> impl Iterator<Item = &PhaseWindow> {
-        self.phases.iter()
-    }
-
     /// Snapshot everything retained.
     pub fn snapshot(&self) -> ObsDump {
-        self.snapshot_filtered(&ObsFilter::new())
-    }
-
-    /// Snapshot with the event ring narrowed by `filter` (phases and flows
-    /// are cluster-scoped aggregates and stay whole).
-    pub fn snapshot_filtered(&self, filter: &ObsFilter) -> ObsDump {
         ObsDump {
             frozen: self.frozen,
             events_captured: self.ring.captured(),
-            events: self.query(filter),
+            events: self.ring.iter().copied().collect(),
             phases: self.phases.iter().copied().collect(),
-            flows: self.flows.top(),
         }
     }
 }
@@ -265,7 +217,6 @@ fn push_bounded<T>(ring: &mut VecDeque<T>, cap: usize, item: T) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventClass;
     use nk_ctrl::{DecisionOutcome, PlanEventKind};
     use nk_sim::SplitMix64;
     use nk_types::{ClusterAction, ControlAction, NsmId};
@@ -335,47 +286,8 @@ mod tests {
     fn disabled_recorder_is_a_no_op() {
         let mut rec = FlightRecorder::new(ObsConfig::disabled());
         rec.record_event(100, 0, kill(1));
-        rec.observe_flow(
-            FlowKey {
-                src_ip: 1,
-                src_port: 2,
-                dst_ip: 3,
-                dst_port: 4,
-            },
-            1,
-            100,
-        );
         let dump = rec.snapshot();
         assert!(dump.events.is_empty());
-        assert!(dump.flows.is_empty());
-    }
-
-    /// The filtered snapshot narrows only the event ring.
-    #[test]
-    fn a_filtered_snapshot_narrows_only_the_events() {
-        let mut rec = FlightRecorder::new(ObsConfig::new());
-        rec.record_event(100, 0, kill(1));
-        rec.record_event(
-            200,
-            1,
-            ObsEventKind::Fault {
-                host: HostId(2),
-                faults: 1,
-            },
-        );
-        let key = FlowKey {
-            src_ip: 1,
-            src_port: 2,
-            dst_ip: 3,
-            dst_port: 4,
-        };
-        rec.observe_flow(key, 1, 100);
-
-        let full = rec.snapshot();
-        let narrowed = rec.snapshot_filtered(&ObsFilter::new().with_class(EventClass::Fault));
-        assert_eq!(narrowed.events.len(), 1);
-        assert_eq!(narrowed.flows, full.flows);
-        assert_eq!(narrowed.events_captured, 2);
     }
 
     /// A small dump's serialized form, with one event of each kind and one
@@ -448,18 +360,6 @@ mod tests {
                 step: None,
                 ok: true,
             }],
-            flows: vec![(
-                FlowKey {
-                    src_ip: 1,
-                    src_port: 2,
-                    dst_ip: 3,
-                    dst_port: 4,
-                },
-                FlowStat {
-                    bytes: 1500,
-                    ops: 1,
-                },
-            )],
         };
         let want = [
             r#"{"frozen":{"at_ns":300,"epoch":2,"reason":{"PlanRolledBack":{"host":2}}},"#,
@@ -472,9 +372,7 @@ mod tests {
             r#"{"seq":5,"at_ns":250,"epoch":2,"kind":{"Decision":"#,
             r#"{"epoch":2,"vm":3,"from":1,"to":2,"applied":false}}}],"#,
             r#""phases":[{"vm":3,"phase":"Freeze","start_ns":150,"end_ns":250,"#,
-            r#""epoch":1,"step":null,"ok":true}],"#,
-            r#""flows":[[{"src_ip":1,"src_port":2,"dst_ip":3,"dst_port":4},"#,
-            r#"{"bytes":1500,"ops":1}]]}"#,
+            r#""epoch":1,"step":null,"ok":true}]}"#,
         ]
         .concat();
         assert_eq!(serde_json::to_string(&dump).unwrap(), want);
@@ -501,7 +399,6 @@ mod tests {
                 phase(Some(VmId(3)), MigrationPhase::Thaw, None),
                 phase(None, MigrationPhase::Retire, Some(7)),
             ],
-            flows: vec![],
         };
         let want = [
             r#"{"frozen":null,"events_captured":0,"events":[],"phases":["#,
@@ -514,7 +411,7 @@ mod tests {
             r#"{"vm":3,"phase":"Thaw","start_ns":300,"end_ns":300,"#,
             r#""epoch":2,"step":null,"ok":false},"#,
             r#"{"vm":null,"phase":"Retire","start_ns":300,"end_ns":300,"#,
-            r#""epoch":2,"step":7,"ok":false}],"flows":[]}"#,
+            r#""epoch":2,"step":7,"ok":false}]}"#,
         ]
         .concat();
         assert_eq!(serde_json::to_string(&bare).unwrap(), want);
@@ -541,16 +438,6 @@ mod tests {
             150,
             0,
             ObsEventKind::Plan(PlanEventKind::ActionFailed { step: 2, code: 7 }),
-        );
-        rec.observe_flow(
-            FlowKey {
-                src_ip: 0x0A01_0001,
-                src_port: 40_000,
-                dst_ip: 0x0A02_0001,
-                dst_port: 7,
-            },
-            1,
-            1_500,
         );
         rec.freeze(1_000, 1, FreezeReason::HostKilled { host: HostId(1) });
         let json = serde_json::to_string(&rec.snapshot()).unwrap();

@@ -149,10 +149,9 @@ impl ClusterPolicy {
     }
 }
 
-/// Whether the always-on flight recorder captures. Its rings have fixed
-/// capacities (`nk_obs::EVENT_CAPACITY` events and phase windows,
-/// `nk_obs::FLOW_K` hot flows), so an enabled recorder bounds its memory
-/// regardless of run length.
+/// Whether the always-on flight recorder captures. Its rings have a fixed
+/// capacity (`nk_obs::EVENT_CAPACITY` events and as many phase windows), so
+/// an enabled recorder bounds its memory regardless of run length.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ObsConfig {
     /// Capture anything at all. `false` turns every hook into a no-op (the

@@ -270,8 +270,7 @@ pub struct ScenarioReport {
     /// Cluster scheduler and placement counters.
     pub stats: ClusterStats,
     /// The flight recorder's snapshot at the end of the run: merged event
-    /// ring, migration phase timelines, and the hot-flow table
-    /// ([`nk_obs::FlightRecorder`]).
+    /// ring and migration phase timelines ([`nk_obs::FlightRecorder`]).
     pub obs: ObsDump,
     /// Every host at the end of the run.
     pub hosts: BTreeMap<HostId, HostReport>,
@@ -758,10 +757,6 @@ mod tests {
             report.obs.phases
         );
         assert!(phases.iter().all(|w| w.ok));
-        assert!(
-            !report.obs.flows.is_empty(),
-            "cross-host echo traffic must populate the hot-flow table"
-        );
     }
 
     /// A scripted host evacuation clears the host mid-stream through the

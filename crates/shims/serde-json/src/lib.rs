@@ -377,16 +377,18 @@ mod tests {
     use super::*;
 
     /// Hostile nesting is a typed error, not a stack overflow that kills
-    /// the process; nesting up to the bound still parses.
+    /// the process; nesting up to the bound still parses. The bound is
+    /// checked first, so a parser without it fails here instead of
+    /// overflowing on the hostile text below.
     #[test]
     fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str(&nested(MAX_DEPTH + 1)).is_err());
         for open in ["[", "{\"a\":"] {
             let err = from_str(&open.repeat(100_000)).unwrap_err();
             assert!(err.0.contains("nesting deeper than 128"), "{}", err.0);
         }
-        let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
-        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
-        assert!(from_str(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     /// Every integer `to_string` writes reads back, the most negative one

@@ -5,9 +5,9 @@
 //! and is re-provisioned (scripted fault plan), and mid-stream the
 //! long-lived tenant is *warm*-migrated to host 2. The cluster's flight
 //! recorder captures all of it — the merged event ring (cluster, control,
-//! fault and decision events), the warm migration's
-//! freeze/export/reroute/install/thaw phase timeline, and the hot-flow
-//! table — without the workload doing anything special.
+//! fault and decision events) and the warm migration's
+//! freeze/export/reroute/install/thaw phase timeline — without the
+//! workload doing anything special.
 //!
 //! The run is fully deterministic: the serialized [`ObsDump`] printed at
 //! the end is byte-identical across repeated runs *and* across datapath
@@ -75,11 +75,10 @@ fn main() {
 
     let dump = &report.obs;
     println!(
-        "recorder: {} events captured ({} retained) · {} phase windows · {} hot flows",
+        "recorder: {} events captured ({} retained) · {} phase windows",
         dump.events_captured,
         dump.events.len(),
-        dump.phases.len(),
-        dump.flows.len()
+        dump.phases.len()
     );
 
     // The warm migration's phase timeline, attributed to the VM.

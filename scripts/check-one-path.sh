@@ -42,8 +42,10 @@ check "$(code crates | grep -cE 'vm_home|ActiveDrain|StepStatus|ControlLogEntry|
     "placement has one record: no home/drain mirror, step-status DAG or merged control-log view"
 check "$(code crates/nk-ctrl/src/evacuate.rs | grep -c 'deps')" -eq 0 \
     "placement has one record: an evacuation plan is a plain list run in order"
-check "$(code crates/nk-fabric/src | grep -c 'fn step_with')" -eq 1 \
+check "$(code crates/nk-fabric/src | grep -c 'fn step\b')" -eq 1 \
     "one forwarding plane: the vSwitch and the ToR are one route table with one loop"
+check "$(code crates | grep -cE 'FlowTable|observe_flow|FLOW_K|fn step_with')" -eq 0 \
+    "the recorder taps no datapath; it writes only between steps"
 check "$(code crates/nk-fabric/src | grep -cE 'struct Trunk|UplinkStats|uplink_tx')" -eq 0 \
     "one forwarding plane: no trunk type, uplink counters or uplink burst path beside the table"
 check "$(code crates | grep -c 'NsmInstance')" -eq 0 \
