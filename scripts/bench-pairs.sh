@@ -1,33 +1,30 @@
 #!/usr/bin/env bash
 # Paired nkbench runs: a parent revision against the working tree, on one
 # box. Builds the working tree's nkbench and, from a `git archive` of
-# <parent-rev> in a temporary directory (the current
-# examples/nkbench/target copied in first), the parent's. Then, per
-# workload, runs N pairs of untraced runs at one seed, alternating which
-# side goes first, and prints one line per end-to-end metric of
-# BENCHMARK.json: both medians, the change's median relative to the
-# parent's, the parent's IQR (q3 - q1), how many pairs the change won (a
-# tie wins nothing) and the failed operations summed over each side's
-# runs. Reads and edits no nkbench file.
-#   scripts/bench-pairs.sh <parent-rev> <workload>... [--pairs N] [--seed S] [--seconds T]
-# Defaults: 10 pairs, seed 1, 12-s runs (BENCHMARK.json's run_seconds).
-# The build directory goes under ${TMPDIR:-/tmp} and is removed on exit.
+# <parent-rev> in a temporary directory, the parent's. Then, per workload,
+# runs N pairs of untraced seed-1 runs as long as BENCHMARK.json's
+# run_seconds, alternating which side goes first, and prints one line per
+# end-to-end metric of BENCHMARK.json: both medians, the change's median
+# relative to the parent's, the parent's IQR (q3 - q1), how many pairs the
+# change won (a tie wins nothing) and the failed operations summed over
+# each side's runs. Reads and edits no nkbench file.
+#   scripts/bench-pairs.sh <parent-rev> <workload>... [--pairs N]
+# N defaults to 10. The build directory goes under ${TMPDIR:-/tmp} and is
+# removed on exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: $0 <parent-rev> <workload>... [--pairs N] [--seed S] [--seconds T]" >&2
+  echo "usage: $0 <parent-rev> <workload>... [--pairs N]" >&2
   exit 2
 }
 [ $# -ge 2 ] || usage
 parent_rev=$1
 shift
-pairs=10 seed=1 seconds=12 workloads=()
+pairs=10 workloads=()
 while [ $# -gt 0 ]; do
   case $1 in
     --pairs) pairs=${2:?}; shift 2 ;;
-    --seed) seed=${2:?}; shift 2 ;;
-    --seconds) seconds=${2:?}; shift 2 ;;
     -*) usage ;;
     *) workloads+=("$1"); shift ;;
   esac
@@ -38,6 +35,7 @@ git rev-parse --verify -q "$parent_rev^{commit}" >/dev/null || {
   exit 2
 }
 
+seconds=$(awk -F'[:,]' '/"run_seconds"/ { gsub(/ /, "", $2); print $2 }' BENCHMARK.json)
 # name:better for every end-to-end metric, in BENCHMARK.json's order.
 metrics=$(awk '
   /"end_to_end"/ { on = 1 }
@@ -58,12 +56,11 @@ build . "$work/change"
 echo "building $parent_rev's nkbench" >&2
 mkdir "$work/parent-src"
 git archive "$parent_rev" | tar -xf - -C "$work/parent-src"
-cp -a examples/nkbench/target "$work/parent-src/examples/nkbench/"
 build "$work/parent-src" "$work/parent"
 rm -rf "$work/parent-src"
 
 run() { # <side> <workload>: append one JSON line to $work/<workload>.<side>
-  "$work/$1" --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 >>"$work/$2.$1"
+  "$work/$1" --workload "$2" --seed 1 --seconds "$seconds" --trace 0 >>"$work/$2.$1"
 }
 
 printf '%-9s %-18s %12s %12s %8s %11s %6s %s\n' \
