@@ -418,6 +418,11 @@ impl TcpConnection {
         }
     }
 
+    /// The application closed the socket ([`TcpConnection::release`]).
+    pub(crate) fn released(&self) -> bool {
+        self.released
+    }
+
     /// Abort the connection: an RST is sent and the state drops to `Closed`.
     pub fn abort(&mut self) {
         if !matches!(self.state, ConnState::Closed | ConnState::TimeWait) {
@@ -449,8 +454,8 @@ impl TcpConnection {
     /// payload byte but those the application has yet to read. Its queues
     /// keep their capacity (storage, not held bytes), which the next
     /// connection in its slot adopts. Dead sockets wait here for their
-    /// reader; a parked one, once it owes nothing, is traded by the stack for
-    /// a small record that holds no connection at all
+    /// reader; a parked one, once it owes nothing and its application let go
+    /// of it, leaves the stack but for its 4-tuple
     /// ([`TcpConnection::parked_until`]).
     fn release_queues(&mut self) {
         self.send_buf.clear();
@@ -2309,7 +2314,7 @@ mod tests {
     /// A parked or dead connection holds no payload byte except those the
     /// application has not read yet; its queues keep their capacity, which
     /// the stack hands to the next connection in the slot. The stack then
-    /// trades a parked one for a record
+    /// keeps only a parked one's tuple
     /// (`stack::tests::time_wait_and_closed_connections_keep_no_queue_storage`).
     #[test]
     fn parked_and_dead_connections_hold_only_unread_bytes() {

@@ -10,18 +10,20 @@
 //! A segment costs one hash. A socket id is looked up once per socket-API
 //! call (`ids`, id → slot); inside the stack a socket is a `(SocketId,
 //! slot)` handle into a dense slot vector, and the demultiplexer, the wake
-//! list, the timer heap, the expiry FIFO and the accept queues all carry
-//! slots. Ids are never reused, so the id doubles as the slot's generation:
-//! a handle that outlived its socket is ignored.
+//! list, the timer heap and the accept queues all carry slots. Ids are never
+//! reused, so the id doubles as the slot's generation: a handle that
+//! outlived its socket is ignored.
 //!
 //! A short connection pays once. Connections live in an arena beside the
-//! slots; one that leaves the socket table — reaped, traded for a TIME-WAIT
-//! record, or exported — is retired in place and its index goes onto a free
-//! list: its congestion control (held inline, no box) is dropped at once and
-//! its queues keep their capacity while the free list is no longer than the
-//! live connections, and the next connection opened takes it. A parked
-//! socket is a small record, inline in its slot, that expires from a FIFO
-//! kept in deadline order; only connections use the lazy timer heap.
+//! slots; one that leaves the socket table — reaped, parked in TIME-WAIT, or
+//! exported — is retired in place and its index goes onto a free list: its
+//! congestion control (held inline, no box) is dropped at once and its
+//! queues keep their capacity while the free list is no longer than the
+//! live connections, and the next connection opened takes it. TIME-WAIT is
+//! state of the 4-tuple, not of a socket (RFC 9293 §3.3.2): once a parked
+//! connection's application has let go of it, only its `demux` entry stays,
+//! holding the deadline, and the tuple expires from a FIFO of `(deadline,
+//! tuple)` kept in deadline order; only connections use the lazy timer heap.
 //!
 //! A burst pays once. `poll_transmit` carries the full-sized segments of
 //! one write as one train (a [`Segment`] of k·MSS bytes), cut from the send
@@ -169,7 +171,7 @@ struct Slot {
 }
 
 /// What a socket-table slot holds, inline: a connection is an index into
-/// the connection arena, a parked one all that is left of it.
+/// the connection arena.
 enum SocketEntry {
     /// Created but neither listening nor connected.
     Idle {
@@ -181,9 +183,18 @@ enum SocketEntry {
     /// An in-progress or established connection: its index in
     /// `TcpStack::conns`.
     Conn(u32),
-    /// A connection parked in TIME-WAIT that owes nothing: all that is left
-    /// of it.
-    TimeWait(TimeWaitRecord),
+}
+
+/// What the demultiplexer holds for a 4-tuple.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Tuple {
+    /// The slot of its connection.
+    Slot(u32),
+    /// TIME-WAIT until this deadline, with no socket: the connection parked
+    /// owing nothing once its application let go of it (like Linux's
+    /// `inet_timewait_sock`). A segment for the tuple is dropped unanswered,
+    /// a reset frees it, and so does the expiry entry of this deadline.
+    TimeWait(u64),
 }
 
 /// What slot `at` holds while it still holds socket `at.0`. A reference
@@ -233,43 +244,12 @@ struct ConnSlot {
 
 impl ConnSlot {
     /// Queue the connection for the next `transmit`: whatever can change
-    /// what it emits calls this.
+    /// what it emits calls this. The `queued` bit keeps it on the list once.
     fn wake(&mut self, at: Handle, wake: &mut Vec<Handle>) {
-        queue_once(&mut self.queued, at, wake);
-    }
-}
-
-/// What is left of a connection parked in TIME-WAIT with nothing owed
-/// (`TcpConnection::parked_until`), like Linux's TIME-WAIT minisocket. Its
-/// connection and congestion control are gone; the record keeps the tuple
-/// (its `demux` entry stays, so the tuple is still taken) and the deadline,
-/// which never moves, so it has no timer entry: it waits in the stack's
-/// expiry FIFO and is polled once, on its deadline tick, or wherever a
-/// segment or call would have queued the connection. It answers every call
-/// as the parked connection did.
-struct TimeWaitRecord {
-    local: SockAddr,
-    remote: SockAddr,
-    /// The end of TIME-WAIT: the first poll at or past it reaps the record.
-    /// A reset moves it to 0.
-    deadline: u64,
-    /// As `ConnSlot::queued`.
-    queued: bool,
-}
-
-impl TimeWaitRecord {
-    /// As `ConnSlot::wake`.
-    fn wake(&mut self, at: Handle, wake: &mut Vec<Handle>) {
-        queue_once(&mut self.queued, at, wake);
-    }
-}
-
-/// Push `at` onto the wake list on the 0→1 edge of its `queued` bit, so the
-/// list holds each socket once.
-fn queue_once(queued: &mut bool, at: Handle, wake: &mut Vec<Handle>) {
-    if !*queued {
-        *queued = true;
-        wake.push(at);
+        if !self.queued {
+            self.queued = true;
+            wake.push(at);
+        }
     }
 }
 
@@ -286,9 +266,9 @@ pub struct TcpStack {
     /// Indices of the free `slots`, the next `socket` takes the last.
     free_slots: Vec<u32>,
     /// The connection arena `SocketEntry::Conn` indexes. A connection that
-    /// leaves the socket table — reaped, traded for a record, or exported —
-    /// is retired in place (no congestion control, emptied queues) and its
-    /// index goes to `free_conns`.
+    /// leaves the socket table — reaped, parked, or exported — is retired
+    /// in place (no congestion control, emptied queues) and its index goes
+    /// to `free_conns`.
     conns: Vec<ConnSlot>,
     /// Indices of the free `conns`, the next connection opened takes the
     /// last. One at position `live` or past it keeps no queue storage, so
@@ -296,9 +276,11 @@ pub struct TcpStack {
     free_conns: Vec<u32>,
     /// Connections in the socket table.
     live: usize,
-    /// (local, remote) → the slot of its connection or record; looked up
-    /// once per segment.
-    demux: DetMap<(SockAddr, SockAddr), u32>,
+    /// (local, remote) → the slot of its connection, or the deadline of its
+    /// TIME-WAIT; looked up once per segment.
+    demux: DetMap<(SockAddr, SockAddr), Tuple>,
+    /// The `Tuple::TimeWait` entries in `demux`.
+    time_wait: usize,
     /// Listening sockets per local port (more than one with SO_REUSEPORT).
     listeners: DetMap<u16, Vec<Handle>>,
     /// Sockets the next `transmit` polls, each once (the `queued` bit),
@@ -317,13 +299,14 @@ pub struct TcpStack {
     /// earlier. A connection's armed deadline is no later than its earliest
     /// timer and moves only when that moves *earlier* (an RTO moves later on
     /// every send), so it may fire early; the woken connection finds nothing
-    /// due and re-arms. Records never enter it. Pruned to its valid entries
-    /// once it holds more than `2·live + 64`.
+    /// due and re-arms. TIME-WAIT tuples never enter it. Pruned to its valid
+    /// entries once it holds more than `2·live + 64`.
     timers: BinaryHeap<Reverse<(u64, SocketId, u32)>>,
-    /// `(deadline_ns, socket, slot)` of every TIME-WAIT record, ascending:
-    /// records expire from the front. Entries of records a reset reaped
-    /// early stay until they surface and are skipped.
-    expiry: VecDeque<(u64, SocketId, u32)>,
+    /// `(deadline_ns, tuple)` of every TIME-WAIT tuple, ascending: tuples
+    /// expire from the front. An entry frees its tuple only if `demux` still
+    /// holds that deadline for it; one a reset freed early stays until it
+    /// surfaces and is skipped.
+    expiry: VecDeque<(u64, (SockAddr, SockAddr))>,
     /// `(deadline_ns, socket, slot)` of every delayed ACK, by deadline
     /// (each is its segment's arrival plus one constant,
     /// `conn::ACK_DELAY_NS`): appended when a segment arms a connection's
@@ -371,6 +354,7 @@ impl TcpStack {
             free_conns: Vec::new(),
             live: 0,
             demux: DetMap::new(),
+            time_wait: 0,
             listeners: DetMap::new(),
             wake: Vec::new(),
             due: Vec::new(),
@@ -398,9 +382,9 @@ impl TcpStack {
         self.stats
     }
 
-    /// Number of live sockets (of any kind).
+    /// Number of live sockets (of any kind) plus TIME-WAIT tuples.
     pub fn socket_count(&self) -> usize {
-        self.ids.len()
+        self.ids.len() + self.time_wait
     }
 
     /// The fabric port this stack sends and receives on.
@@ -433,9 +417,11 @@ impl TcpStack {
         (id, slot)
     }
 
-    /// Take socket `at` out of the table; what its slot held is dropped.
+    /// Take socket `at` out of the table; what its slot held is dropped, and
+    /// so is its epoll interest.
     fn free_socket(&mut self, (id, slot): Handle) {
         self.ids.remove(&id);
+        self.interest.remove(&id);
         let s = &mut self.slots[slot as usize];
         s.id = FREE;
         s.entry = SocketEntry::Idle {
@@ -587,9 +573,7 @@ impl TcpStack {
         let at = self.handle(sock)?;
         let local_port = match &self.slots[at.1 as usize].entry {
             SocketEntry::Idle { bound, .. } => bound.map(|a| a.port),
-            SocketEntry::Conn(_) | SocketEntry::TimeWait(_) => {
-                return Err(NkError::AlreadyConnected)
-            }
+            SocketEntry::Conn(_) => return Err(NkError::AlreadyConnected),
             SocketEntry::Listener(_) => return Err(NkError::InvalidState),
         };
         let local_port = match local_port {
@@ -682,17 +666,16 @@ impl TcpStack {
         read: impl FnOnce(&mut TcpConnection) -> usize,
     ) -> NkResult<usize> {
         let at = self.handle(sock)?;
-        let cs = match self.slots[at.1 as usize].entry {
-            SocketEntry::Conn(c) => &mut self.conns[c as usize],
-            SocketEntry::TimeWait(_) => return Ok(0),
-            _ => return Err(NkError::NotConnected),
+        let SocketEntry::Conn(c) = self.slots[at.1 as usize].entry else {
+            return Err(NkError::NotConnected);
         };
+        let cs = &mut self.conns[c as usize];
         let c = &mut cs.conn;
         let n = read(c);
         if n > 0 {
             // Queued only for what the read left to do: a window update it
             // owes, a closed connection it drained into a reapable one, or a
-            // TIME-WAIT one it let park as a record.
+            // TIME-WAIT one it let park.
             if c.needs_poll()
                 || c.is_closed() && c.recv_available() == 0
                 || c.parked_until().is_some()
@@ -726,11 +709,6 @@ impl TcpStack {
                 cs.wake(at, &mut self.wake);
                 Ok(())
             }
-            // Nothing left to resize, but a connection would have been queued.
-            (SocketEntry::TimeWait(tw), sockopt::SNDBUF | sockopt::RCVBUF) => {
-                tw.wake(at, &mut self.wake);
-                Ok(())
-            }
             (_, sockopt::NODELAY) => Ok(()),
             (_, sockopt::CONGESTION) => Ok(()),
             (_, sockopt::SNDBUF) | (_, sockopt::RCVBUF) | (_, sockopt::REUSEPORT) => Ok(()),
@@ -741,28 +719,21 @@ impl TcpStack {
     /// Shut down one or both directions of a connection.
     pub fn shutdown(&mut self, sock: SocketId, how: ShutdownHow) -> NkResult<()> {
         let at = self.handle(sock)?;
-        match &mut self.slots[at.1 as usize].entry {
-            SocketEntry::Conn(c) => {
-                if how != ShutdownHow::Read {
-                    let cs = &mut self.conns[*c as usize];
-                    cs.conn.close();
-                    cs.wake(at, &mut self.wake);
-                }
-                Ok(())
-            }
-            SocketEntry::TimeWait(tw) => {
-                if how != ShutdownHow::Read {
-                    tw.wake(at, &mut self.wake);
-                }
-                Ok(())
-            }
-            _ => Err(NkError::NotConnected),
+        let SocketEntry::Conn(c) = self.slots[at.1 as usize].entry else {
+            return Err(NkError::NotConnected);
+        };
+        if how != ShutdownHow::Read {
+            let cs = &mut self.conns[c as usize];
+            cs.conn.close();
+            cs.wake(at, &mut self.wake);
         }
+        Ok(())
     }
 
     /// Close a socket. A connection closes gracefully, or resets when it
-    /// holds unread bytes or receives more ([`TcpConnection::release`]);
-    /// listeners stop accepting.
+    /// holds unread bytes or receives more ([`TcpConnection::release`]),
+    /// and leaves the socket table once it is closed and read, or parked in
+    /// TIME-WAIT; listeners stop accepting.
     pub fn close(&mut self, sock: SocketId) -> NkResult<()> {
         let at = self.handle(sock)?;
         match &mut self.slots[at.1 as usize].entry {
@@ -771,7 +742,6 @@ impl TcpStack {
                 cs.conn.release();
                 cs.wake(at, &mut self.wake);
             }
-            SocketEntry::TimeWait(tw) => tw.wake(at, &mut self.wake),
             SocketEntry::Listener(l) => {
                 let port = l.local.port;
                 if let Some(v) = self.listeners.get_mut(&port) {
@@ -803,7 +773,6 @@ impl TcpStack {
                     ev |= PollEvents::HUP;
                 }
             }
-            Some(SocketEntry::TimeWait(_)) => ev |= PollEvents::READABLE | PollEvents::HUP,
             Some(SocketEntry::Listener(l)) => {
                 if !l.ready.is_empty() {
                     ev |= PollEvents::READABLE;
@@ -909,10 +878,22 @@ impl TcpStack {
             count += frames;
             let local = seg.dst;
             let remote = seg.src;
-            // Established / embryonic connection?
-            if let Some(&slot) = self.demux.get(&(local, remote)) {
-                self.deliver(slot, seg, now_ns);
-                continue;
+            match self.demux.get(&(local, remote)) {
+                // Established / embryonic connection?
+                Some(&Tuple::Slot(slot)) => {
+                    self.deliver(slot, seg, now_ns);
+                    continue;
+                }
+                // TIME-WAIT answers nothing and raises nothing; a reset
+                // ends it.
+                Some(Tuple::TimeWait(_)) => {
+                    if seg.flags.rst {
+                        self.demux.remove(&(local, remote));
+                        self.time_wait -= 1;
+                    }
+                    continue;
+                }
+                None => {}
             }
             // New connection request towards a listener?
             if seg.flags.syn && !seg.flags.ack {
@@ -969,24 +950,15 @@ impl TcpStack {
         self.insert_conn(at, conn, Some(listener));
     }
 
-    /// Hand `seg` to the connection or record in `slot` and turn what it
-    /// changed into stack events.
+    /// Hand `seg` to the connection in `slot` and turn what it changed into
+    /// stack events.
     fn deliver(&mut self, slot: u32, seg: &Segment, now_ns: u64) {
-        let s = &mut self.slots[slot as usize];
+        let s = &self.slots[slot as usize];
         let at = (s.id, slot);
-        let cs = match &mut s.entry {
-            SocketEntry::Conn(c) => &mut self.conns[*c as usize],
-            // TIME-WAIT answers nothing and raises nothing; a reset ends it
-            // at the poll this wakes.
-            SocketEntry::TimeWait(tw) => {
-                if seg.flags.rst {
-                    tw.deadline = 0;
-                }
-                tw.wake(at, &mut self.wake);
-                return;
-            }
-            _ => return,
+        let SocketEntry::Conn(c) = s.entry else {
+            return;
         };
+        let cs = &mut self.conns[c as usize];
         cs.wake(at, &mut self.wake);
         let c = &mut cs.conn;
         let edges =
@@ -1042,7 +1014,8 @@ impl TcpStack {
     /// SYN-ACK or a window ACK. It takes a free arena slot when there is
     /// one, and adopts its emptied queues.
     fn insert_conn(&mut self, at: Handle, conn: TcpConnection, parent: Option<Handle>) {
-        self.demux.insert((conn.local(), conn.remote()), at.1);
+        self.demux
+            .insert((conn.local(), conn.remote()), Tuple::Slot(at.1));
         let mut fresh = ConnSlot {
             conn,
             queued: true,
@@ -1085,27 +1058,18 @@ impl TcpStack {
         self.free_conns.push(c);
     }
 
-    /// Drop connection `at` — a connection or a record — and what points at
-    /// it. The demultiplexer entry goes only if it is this socket's.
+    /// Drop connection `at` and what points at it. The demultiplexer entry
+    /// goes only if it is this socket's.
     fn remove_conn(&mut self, at: Handle) {
-        let (key, parent) = match held(&mut self.slots, at) {
-            Some(SocketEntry::Conn(c)) => {
-                let c = *c;
-                let cs = &self.conns[c as usize];
-                let found = ((cs.conn.local(), cs.conn.remote()), cs.parent);
-                self.give_back(c);
-                found
-            }
-            Some(SocketEntry::TimeWait(tw)) => ((tw.local, tw.remote), None),
-            _ => return,
+        let Some(&mut SocketEntry::Conn(c)) = held(&mut self.slots, at) else {
+            return;
         };
-        match self.demux.remove(&key) {
-            Some(slot) if slot != at.1 => {
-                self.demux.insert(key, slot);
-            }
-            _ => {}
+        let cs = &self.conns[c as usize];
+        let (key, parent) = ((cs.conn.local(), cs.conn.remote()), cs.parent);
+        self.give_back(c);
+        if self.demux.get(&key) == Some(&Tuple::Slot(at.1)) {
+            self.demux.remove(&key);
         }
-        self.interest.remove(&at.0);
         // Still the child of a listener: counted in its handshakes, or
         // waiting in its accept queue, which must not hand out a reaped id.
         if let Some(l) = listener_mut(&mut self.slots, parent) {
@@ -1136,13 +1100,16 @@ impl TcpStack {
                 }
             }
         }
-        while let Some(&(deadline, id, slot)) = self.expiry.front() {
+        while let Some(&(deadline, tuple)) = self.expiry.front() {
             if deadline > now_ns {
                 break;
             }
             self.expiry.pop_front();
-            if let Some(SocketEntry::TimeWait(tw)) = held(&mut self.slots, (id, slot)) {
-                tw.wake((id, slot), &mut self.wake);
+            // Only if the tuple still waits on this entry: not reset since,
+            // nor reset and parked again under a later deadline.
+            if self.demux.get(&tuple) == Some(&Tuple::TimeWait(deadline)) {
+                self.demux.remove(&tuple);
+                self.time_wait -= 1;
             }
         }
         while let Some(&(deadline, id, slot)) = self.acks.front() {
@@ -1165,22 +1132,8 @@ impl TcpStack {
         let mut count = 0;
         let mut segs = std::mem::take(&mut self.tx_scratch);
         for &at in &due {
-            let Some(entry) = held(&mut self.slots, at) else {
+            let Some(&mut SocketEntry::Conn(c)) = held(&mut self.slots, at) else {
                 continue; // removed since it was queued
-            };
-            let c = match entry {
-                SocketEntry::Conn(c) => *c,
-                // What polling the parked connection did: nothing, until
-                // its deadline or a reset closed it.
-                SocketEntry::TimeWait(tw) => {
-                    self.stats.conns_polled += 1;
-                    tw.queued = false;
-                    if now_ns >= tw.deadline {
-                        self.dead.push(at);
-                    }
-                    continue;
-                }
-                _ => continue,
             };
             let cs = &mut self.conns[c as usize];
             let connecting = cs.conn.state() == ConnState::SynSent;
@@ -1201,27 +1154,26 @@ impl TcpStack {
             if cs.conn.is_closed() && cs.conn.recv_available() == 0 {
                 self.dead.push(at);
             }
-            match cs.conn.parked_until().filter(|_| cs.parent.is_none()) {
-                // Parked in TIME-WAIT owing nothing (and accepted): the
-                // connection becomes a record in the expiry FIFO, and its
-                // arena slot goes back to the free list. The insert is an
-                // append unless it parked late, behind unread bytes.
+            let let_go = cs.parent.is_none() && cs.conn.released();
+            match cs.conn.parked_until().filter(|_| let_go) {
+                // Parked in TIME-WAIT owing nothing, and let go by its
+                // application: the socket leaves the table, and only its
+                // tuple stays, in `demux` and the expiry FIFO. The insert is
+                // an append unless it was let go of after it parked.
                 Some(deadline) => {
                     debug_assert!(!cs.queued);
-                    let key = (deadline, at.0, at.1);
+                    let tuple = (cs.conn.local(), cs.conn.remote());
+                    self.give_back(c);
+                    self.free_socket(at);
+                    self.demux.insert(tuple, Tuple::TimeWait(deadline));
+                    self.time_wait += 1;
+                    let key = (deadline, tuple);
                     if self.expiry.back().is_none_or(|&last| last < key) {
                         self.expiry.push_back(key);
                     } else {
                         let before = self.expiry.partition_point(|&e| e < key);
                         self.expiry.insert(before, key);
                     }
-                    *entry = SocketEntry::TimeWait(TimeWaitRecord {
-                        local: cs.conn.local(),
-                        remote: cs.conn.remote(),
-                        deadline,
-                        queued: false,
-                    });
-                    self.give_back(c);
                 }
                 None => {
                     if let Some(deadline) = cs.conn.next_deadline() {
@@ -1266,11 +1218,10 @@ impl TcpStack {
     /// Debug builds check the superset argument on every tick: each
     /// connection `transmit` is about to skip is polled anyway and must
     /// produce nothing and change nothing the stack acts on. A skipped
-    /// record must not be due, and must wait in the expiry FIFO (sorted, so
-    /// a binary search finds it); so must a skipped connection's delayed ACK
-    /// in the ACK FIFO (sorted by deadline only: a search finds the run of
-    /// entries due at that time). It walks the slots in place, so a debug
-    /// build's warm tick allocates no more than a release build's.
+    /// connection's delayed ACK must not be due, and must wait in the ACK
+    /// FIFO (sorted by deadline only: a search finds the run of entries due
+    /// at that time). It walks the slots in place, so a debug build's warm
+    /// tick allocates no more than a release build's.
     #[cfg(debug_assertions)]
     fn audit_skipped(&mut self, due: &[Handle], now_ns: u64) {
         let mut live = 0;
@@ -1285,19 +1236,10 @@ impl TcpStack {
             if due.binary_search(&at).is_ok() {
                 continue;
             }
-            let c = match &self.slots[slot as usize].entry {
-                SocketEntry::Conn(c) => &mut self.conns[*c as usize].conn,
-                SocketEntry::TimeWait(tw) => {
-                    assert!(
-                        now_ns < tw.deadline
-                            && self.expiry.binary_search(&(tw.deadline, id, slot)).is_ok(),
-                        "{id:?} was skipped at {now_ns} ns in TIME-WAIT until {}",
-                        tw.deadline
-                    );
-                    continue;
-                }
-                _ => continue,
+            let SocketEntry::Conn(c) = self.slots[slot as usize].entry else {
+                continue;
             };
+            let c = &mut self.conns[c as usize].conn;
             if let Some(ack) = c.ack_deadline() {
                 let from = self.acks.partition_point(|&(at, ..)| at < ack);
                 let mut same_deadline = self.acks.range(from..).take_while(|&&(at, ..)| at == ack);
@@ -1940,6 +1882,9 @@ mod tests {
         w.run(5);
         w.server.close(conn).unwrap();
         w.run(5);
+        let key = |port| (SockAddr::new(CLIENT_IP, port), to);
+        let deadline = time_wait(&w.client, key(5000)).expect("parked");
+        assert!(!alive(&w.client, old), "only the tuple stays");
 
         w.client.bind(new, SockAddr::new(0, 5000)).unwrap();
         assert_eq!(w.client.connect(new, to, w.now), Err(NkError::AddrInUse));
@@ -1947,15 +1892,14 @@ mod tests {
         w.client.next_ephemeral = 5000;
         let other = w.client.socket();
         w.client.connect(other, to, w.now).unwrap();
-        let key = |port| (SockAddr::new(CLIENT_IP, port), to);
-        let other_slot = slot(&w.client, other);
+        let other_slot = Tuple::Slot(slot(&w.client, other));
         assert_eq!(w.client.demux.get(&key(5001)), Some(&other_slot));
 
-        // Had the entry been handed on regardless, reaping `old` spares it.
-        let new_slot = slot(&w.client, new);
+        // Had the entry been handed on regardless, expiring `old` spares it.
+        let new_slot = Tuple::Slot(slot(&w.client, new));
         w.client.demux.insert(key(5000), new_slot);
         w.run(600);
-        assert!(!alive(&w.client, old), "TIME-WAIT is over");
+        assert!(w.now >= deadline, "TIME-WAIT is over");
         assert_eq!(w.client.demux.get(&key(5000)), Some(&new_slot));
     }
 
@@ -1991,11 +1935,27 @@ mod tests {
         stack.ids.contains_key(&id)
     }
 
-    fn record(stack: &TcpStack, id: SocketId) -> Option<&TimeWaitRecord> {
-        match stack.entry(id)? {
-            SocketEntry::TimeWait(tw) => Some(tw),
-            _ => None,
+    /// The 4-tuple of connection `id`.
+    fn tuple(stack: &TcpStack, id: SocketId) -> (SockAddr, SockAddr) {
+        let c = stack.conn(id).expect("a connection");
+        (c.local(), c.remote())
+    }
+
+    /// The deadline `tuple` waits in TIME-WAIT for, with no socket.
+    fn time_wait(stack: &TcpStack, tuple: (SockAddr, SockAddr)) -> Option<u64> {
+        match stack.demux.get(&tuple)? {
+            Tuple::TimeWait(deadline) => Some(*deadline),
+            Tuple::Slot(_) => None,
         }
+    }
+
+    /// The server sends a reset to the client end of `tuple`, which the
+    /// client reads on its next tick.
+    fn reset_client(w: &mut World, (local, remote): (SockAddr, SockAddr)) {
+        let rst = crate::segment::SegmentFlags::rst();
+        w.server.emit(Segment::control(remote, local, rst));
+        w.server.port.send_burst(&mut w.server.tx_burst);
+        w.run(2);
     }
 
     fn conn_slot(stack: &TcpStack, id: SocketId) -> Option<&ConnSlot> {
@@ -2025,35 +1985,37 @@ mod tests {
             .count()
     }
 
-    /// The socket table holds a slot per parked socket, and the record sits
-    /// in it inline: a slot is the record and its id, with no connection
-    /// and no box behind it.
+    /// TIME-WAIT takes no slot: a parked tuple is its `demux` value, and a
+    /// slot holds an id and an idle socket, a listener's box or a
+    /// connection's arena index.
     #[test]
-    fn a_parked_socket_costs_a_small_record() {
-        assert_eq!(std::mem::size_of::<TimeWaitRecord>(), 32);
-        assert_eq!(std::mem::size_of::<SocketEntry>(), 32);
-        assert_eq!(std::mem::size_of::<Slot>(), 40);
+    fn time_wait_takes_a_demux_entry_and_no_slot() {
+        assert_eq!(std::mem::size_of::<Tuple>(), 16);
+        assert_eq!(std::mem::size_of::<SocketEntry>(), 16);
+        assert_eq!(std::mem::size_of::<Slot>(), 24);
     }
 
-    /// A record answers every call as the TIME-WAIT connection it replaced
-    /// did (one socket, asked just before and just after it is parked), is
-    /// polled by exactly the calls that queued that connection, and is
-    /// reaped on the first tick at or past its deadline — or, quietly, on
-    /// the tick a reset reaches it.
+    /// A connection parked in TIME-WAIT while its application still holds it
+    /// stays a connection: it answers every call as it did before it
+    /// parked, and the calls that queue a connection queue it. Its `close`
+    /// queues the poll that takes the socket out of the table; only the
+    /// tuple stays, taken until the first tick at or past its deadline, or
+    /// freed on the tick a reset reaches it. Neither costs a poll.
     #[test]
-    fn a_time_wait_record_answers_as_the_parked_connection_did() {
+    fn a_held_parked_connection_answers_as_before_and_its_close_leaves_the_tuple() {
         let mut w = World::new();
         let ls = listening_server(&mut w, 80);
         let to = SockAddr::new(SERVER_IP, 80);
         let (cs, other) = (w.client.socket(), w.client.socket());
         w.client.connect(cs, to, w.now).unwrap();
         w.client.connect(other, to, w.now).unwrap();
+        let (held, let_go) = (tuple(&w.client, cs), tuple(&w.client, other));
         w.run(10);
-        let (conn, peer) = w.server.accept(ls).unwrap();
+        let (conn, _) = w.server.accept(ls).unwrap();
         let (conn2, _) = w.server.accept(ls).unwrap();
         // The clients close first. `cs` only shuts its write side, and its
         // peer sends a tail with its FIN, so `cs` reaches TIME-WAIT owed a
-        // read and stays a connection (a closed socket would reset).
+        // read (a closed socket would reset).
         w.client.shutdown(cs, ShutdownHow::Write).unwrap();
         w.client.close(other).unwrap();
         w.run(5);
@@ -2061,7 +2023,7 @@ mod tests {
         w.server.close(conn).unwrap();
         w.server.close(conn2).unwrap();
         w.run(5);
-        assert!(record(&w.client, other).is_some());
+        assert!(time_wait(&w.client, let_go).is_some() && !alive(&w.client, other));
         let Some(parked) = conn_slot(&w.client, cs) else {
             panic!("parked with a byte unread");
         };
@@ -2086,17 +2048,18 @@ mod tests {
         let owed_nothing = answers(&mut w.client);
         assert_eq!(owed_nothing.0, PollEvents::READABLE | PollEvents::HUP);
         w.run(1);
-        assert!(record(&w.client, cs).is_some(), "parked at its next poll");
+        assert!(conn_slot(&w.client, cs).is_some(), "held: a connection");
         assert_eq!(answers(&mut w.client), owed_nothing);
 
-        // What queued the connection queues the record: a poll, no segment.
+        // What queues a connection queues it: a poll, no segment. The close
+        // goes last, and the socket leaves at the poll it queues.
         type Call = fn(&mut TcpStack, SocketId) -> NkResult<()>;
         let calls: [(Call, u64); 5] = [
-            (|s, id| s.close(id), 1),
             (|s, id| s.shutdown(id, ShutdownHow::Write), 1),
             (|s, id| s.shutdown(id, ShutdownHow::Read), 0),
             (|s, id| s.set_sockopt(id, sockopt::SNDBUF, 4096), 1),
             (|s, id| s.set_sockopt(id, sockopt::NODELAY, 1), 0),
+            (|s, id| s.close(id), 1),
         ];
         for (call, polls) in calls {
             let before = w.client.stats();
@@ -2106,29 +2069,28 @@ mod tests {
             assert_eq!(after.conns_polled - before.conns_polled, polls);
             assert_eq!(after.segments_out, before.segments_out);
         }
+        assert!(!alive(&w.client, cs) && time_wait(&w.client, held).is_some());
+        assert_eq!(w.client.socket_count(), owed_nothing.6 .2, "now a tuple");
 
-        // A reset: the poll it queues reaps the record, and no event is
-        // raised.
-        let mut rst = Segment::control(to, peer, crate::segment::SegmentFlags::rst());
-        rst.seq = 1;
+        // A reset frees the tuple on the tick it arrives, quietly.
         w.client.discard_events();
-        w.client.deliver(slot(&w.client, cs), &rst, w.now);
-        assert_eq!(answers(&mut w.client).0, owed_nothing.0);
-        let before = w.client.stats().conns_polled;
-        w.run(1);
-        assert!(!alive(&w.client, cs) && w.client.pop_event().is_none());
-        assert_eq!(w.client.stats().conns_polled - before, 1);
+        let before = w.client.stats();
+        reset_client(&mut w, held);
+        assert_eq!(time_wait(&w.client, held), None);
+        assert!(w.client.pop_event().is_none());
+        assert_eq!(w.client.stats().conns_polled, before.conns_polled);
+        assert_eq!(w.client.stats().segments_out, before.segments_out);
 
         // The other one lives to its deadline, to the tick.
-        let deadline = record(&w.client, other).unwrap().deadline;
+        let deadline = time_wait(&w.client, let_go).unwrap();
         while w.now + 100_000 < deadline {
             w.run(1);
-            assert!(record(&w.client, other).is_some(), "reaped at {}", w.now);
+            assert!(time_wait(&w.client, let_go).is_some(), "freed at {}", w.now);
         }
         let before = w.client.stats().conns_polled;
         w.run(1);
         assert!(w.now >= deadline && w.client.socket_count() == 0);
-        assert_eq!(w.client.stats().conns_polled - before, 1);
+        assert_eq!(w.client.stats().conns_polled, before);
         assert!(w.client.demux.is_empty() && armed_timers(&w.client) == 0);
     }
 
@@ -2164,22 +2126,19 @@ mod tests {
         assert!(!failed(&events), "a reset in TIME-WAIT: {events:?}");
     }
 
-    /// The socket table's records and connections, in that order.
+    /// The stack's TIME-WAIT tuples and connections, in that order.
     fn entries(s: &TcpStack) -> (usize, usize) {
-        let count = |kind: fn(&SocketEntry) -> bool| {
-            s.slots.iter().filter(|slot| kind(&slot.entry)).count()
-        };
-        (
-            count(|e| matches!(e, SocketEntry::TimeWait(_))),
-            count(|e| matches!(e, SocketEntry::Conn(_))),
-        )
+        let parked = s.demux.count(|_, t| matches!(t, Tuple::TimeWait(_)));
+        assert_eq!(parked, s.time_wait, "the TIME-WAIT count");
+        let conns = (s.slots.iter()).filter(|slot| matches!(slot.entry, SocketEntry::Conn(_)));
+        (parked, conns.count())
     }
 
     /// A VM-shared window is split among the flows that still hold a
     /// connection: one that is exported, reaped after a passive close or
-    /// parked as a record leaves the share at once. The parked one is the
-    /// change a record makes — the TIME-WAIT connection it replaces kept its
-    /// congestion control, and with it a share of the window, until its reap.
+    /// parked in TIME-WAIT once its application let go of it leaves the
+    /// share at once. A TIME-WAIT connection kept its congestion control,
+    /// and with it a share of the window, until its reap.
     #[test]
     fn a_vm_shared_window_is_split_among_live_connections_only() {
         let mut w = World::new();
@@ -2211,11 +2170,12 @@ mod tests {
         assert_eq!(shared.active_flows(), 2, "reaped");
 
         // flows[0] closes first and parks in TIME-WAIT.
+        let parked = tuple(&w.client, flows[0]);
         w.client.close(flows[0]).unwrap();
         w.run(5);
         w.server.close(conns[0]).unwrap();
         w.run(5);
-        assert!(record(&w.client, flows[0]).is_some());
+        assert!(time_wait(&w.client, parked).is_some() && !alive(&w.client, flows[0]));
         assert_eq!(shared.active_flows(), 1, "parked");
         assert_eq!(entries(&w.client), (1, 1));
         let Some(last) = conn_slot(&w.client, flows[2]) else {
@@ -2224,9 +2184,9 @@ mod tests {
         assert_eq!(last.conn.cwnd(), shared.total_cwnd());
     }
 
-    /// A thousand active closes leave a thousand records and no connection
-    /// slot — no `TcpConnection`, congestion control or queue storage per
-    /// parked socket.
+    /// A thousand active closes leave a thousand TIME-WAIT tuples and no
+    /// connection slot — no `TcpConnection`, congestion control or queue
+    /// storage per parked connection.
     #[test]
     fn time_wait_and_closed_connections_keep_no_queue_storage() {
         const N: usize = 1_000;
@@ -2379,7 +2339,7 @@ mod tests {
     /// after each stack first opened and closed `idle` sockets, and ran
     /// `cycles` whole connections through the same script beside `kept` more
     /// it left open and idle — so the client holds `cycles` TIME-WAIT
-    /// records and each stack `kept.min(cycles)` spare slots whose queues
+    /// tuples and each stack `kept.min(cycles)` spare slots whose queues
     /// held bytes. Returns every segment the session put on the wire, both
     /// stacks' counters over the session and the kinds of the events they
     /// raised, in order.
@@ -2418,8 +2378,8 @@ mod tests {
     }
 
     /// Table history cannot reach the wire: a stack whose tables carry a
-    /// different capacity, tombstone pattern and id range, or parked
-    /// records, emits the same segments (socket ids are not on the wire),
+    /// different capacity, tombstone pattern and id range, or TIME-WAIT
+    /// tuples, emits the same segments (socket ids are not on the wire),
     /// counts the same and raises the same events in the same order.
     #[test]
     fn table_layout_never_leaks_into_segments() {
@@ -2504,14 +2464,15 @@ mod tests {
         );
     }
 
-    /// Records expire from a FIFO kept in deadline order. One that parks
-    /// late, behind unread bytes, keeps the deadline its TIME-WAIT began
-    /// with and goes in ahead of records parked before it; one a reset
-    /// reaped leaves its entry behind, skipped when it surfaces. Each socket
-    /// goes on exactly the tick a TIME-WAIT connection would: the one its
-    /// reset queued, or the first at or past its deadline.
+    /// TIME-WAIT tuples expire from a FIFO kept in deadline order. One whose
+    /// application lets go of it late, after it read the tail its peer sent,
+    /// keeps the deadline its TIME-WAIT began with and goes in ahead of
+    /// tuples parked before it; one a reset freed leaves its entry behind,
+    /// skipped when it surfaces. Each tuple goes on exactly the tick a
+    /// TIME-WAIT connection would: the one its reset arrived on, or the
+    /// first at or past its deadline.
     #[test]
-    fn records_expire_in_deadline_order_whenever_they_parked() {
+    fn tuples_expire_in_deadline_order_whenever_they_parked() {
         let mut w = World::new();
         let ls = listening_server(&mut w, 80);
         let to = SockAddr::new(SERVER_IP, 80);
@@ -2519,56 +2480,85 @@ mod tests {
         for &cs in &socks {
             w.client.connect(cs, to, w.now).unwrap();
         }
+        let [late, reset, plain] = [0, 1, 2].map(|i| tuple(&w.client, socks[i]));
         w.run(10);
         // Ephemeral ports rise with the client's socket ids.
         let mut accepted: Vec<_> = std::iter::from_fn(|| w.server.accept(ls).ok()).collect();
         accepted.sort_unstable_by_key(|&(_, peer)| peer);
         let conns: Vec<SocketId> = accepted.into_iter().map(|(c, _)| c).collect();
-        let [late, reset, plain] = socks[..] else {
-            unreachable!()
-        };
 
         // `late` reaches TIME-WAIT first, owed a read: it stays a connection.
-        w.client.shutdown(late, ShutdownHow::Write).unwrap();
+        w.client.shutdown(socks[0], ShutdownHow::Write).unwrap();
         w.run(5);
         w.server.send(conns[0], b"tail").unwrap();
         w.server.close(conns[0]).unwrap();
         w.run(5);
-        assert!(record(&w.client, late).is_none());
-        // The other two park as records, later in time.
+        assert_eq!(time_wait(&w.client, late), None);
+        // The other two park as tuples, later in time.
         w.run(20);
-        w.client.close(reset).unwrap();
-        w.client.close(plain).unwrap();
+        w.client.close(socks[1]).unwrap();
+        w.client.close(socks[2]).unwrap();
         w.run(5);
         w.server.close(conns[1]).unwrap();
         w.server.close(conns[2]).unwrap();
         w.run(5);
-        let later = record(&w.client, plain).unwrap().deadline;
-        assert_eq!(record(&w.client, reset).unwrap().deadline, later);
-        // `late` is read and parks with its earlier deadline, at the front.
-        assert_eq!(w.client.recv(late, &mut [0u8; 8]), Ok(4));
+        let later = time_wait(&w.client, plain).unwrap();
+        assert_eq!(time_wait(&w.client, reset), Some(later));
+        // `late` is read and closed, and parks with its earlier deadline, at
+        // the front.
+        assert_eq!(w.client.recv(socks[0], &mut [0u8; 8]), Ok(4));
+        w.client.close(socks[0]).unwrap();
         w.run(1);
-        let early = record(&w.client, late).unwrap().deadline;
+        let early = time_wait(&w.client, late).unwrap();
         assert!(early < later);
-        assert_eq!(
-            w.client.expiry.front(),
-            Some(&(early, late, slot(&w.client, late)))
-        );
+        assert_eq!(w.client.expiry.front(), Some(&(early, late)));
 
-        // A reset ends `reset` on the tick it queued.
-        let tw = record(&w.client, reset).unwrap();
-        let rst = Segment::control(tw.remote, tw.local, crate::segment::SegmentFlags::rst());
-        w.client.deliver(slot(&w.client, reset), &rst, w.now);
-        w.run(1);
-        assert!(!alive(&w.client, reset));
+        // A reset ends `reset` on the tick it arrives.
+        reset_client(&mut w, reset);
+        assert_eq!(time_wait(&w.client, reset), None);
         // The others go on the first tick at or past their deadlines.
         while w.client.socket_count() > 0 {
             w.run(1);
-            let alive = |id| alive(&w.client, id);
-            assert_eq!(alive(late), w.now < early, "late at {}", w.now);
-            assert_eq!(alive(plain), w.now < later, "plain at {}", w.now);
+            let parked = |t| time_wait(&w.client, t).is_some();
+            assert_eq!(parked(late), w.now < early, "late at {}", w.now);
+            assert_eq!(parked(plain), w.now < later, "plain at {}", w.now);
         }
         assert!(w.client.expiry.is_empty() && armed_timers(&w.client) == 0);
+    }
+
+    /// A reset frees a TIME-WAIT tuple at once, and a new connection may
+    /// take it and park there again. The expiry entry of the first
+    /// TIME-WAIT surfaces while the second holds the tuple, and leaves it
+    /// alone: the tuple lives to its own deadline.
+    #[test]
+    fn a_tuple_reset_and_parked_again_lives_to_its_own_deadline() {
+        let mut w = World::new();
+        let ls = listening_server(&mut w, 80);
+        let to = SockAddr::new(SERVER_IP, 80);
+        let key = (SockAddr::new(CLIENT_IP, 5000), to);
+        let park = |w: &mut World| {
+            let cs = w.client.socket();
+            w.client.bind(cs, SockAddr::new(0, 5000)).unwrap();
+            w.client.connect(cs, to, w.now).unwrap();
+            w.run(10);
+            let (conn, _) = w.server.accept(ls).unwrap();
+            w.client.close(cs).unwrap();
+            w.run(5);
+            w.server.close(conn).unwrap();
+            w.run(5);
+            time_wait(&w.client, key).expect("parked")
+        };
+        let first = park(&mut w);
+        reset_client(&mut w, key);
+        assert_eq!(w.client.demux.get(&key), None, "a reset frees the tuple");
+        let second = park(&mut w);
+        assert!(w.now < first && first < second);
+        while w.now < second {
+            w.run(1);
+            let left = (w.now < second).then_some(second);
+            assert_eq!(time_wait(&w.client, key), left, "at {}", w.now);
+        }
+        assert_eq!(w.client.socket_count(), 0);
     }
 
     /// RFC 9293 §3.8.6.1: the receiver lets its window close, then reads
@@ -2749,7 +2739,7 @@ mod tests {
     /// The timer heap deletes lazily, so a connection that leaves leaves its
     /// entries behind, due an RTO or a TIME-WAIT later. A thousand short
     /// connections, a few at a time, keep each stack's heap within
-    /// `2·live + 64` after every tick, with most of them parked as records.
+    /// `2·live + 64` after every tick, with most of them parked as tuples.
     #[test]
     fn the_timer_heap_stays_within_twice_the_live_connections() {
         const N: usize = 1_000;

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Every fixed bug stays caught: apply each mutant of the corpus (default
 # scripts/mutants.txt, format in its header) to a scratch copy of the
-# checkout and run only the test it names. Fails when a mutant survives its
-# test, when the test fails (or runs no test at all) without the mutant, or
+# checkout and run only the test it names. A mutant is killed when its test
+# fails, or when the test starts and its process dies before it reports (an
+# abort, a stack overflow). Fails when a mutant survives its test, when the
+# test fails, crashes or runs no test at all without the mutant, or
 # when the mutant's line is not found exactly once in the file's non-test
 # code. An entry marked `expect: survivor` must survive instead, and fails
 # the run when its test kills it, so the entry gets promoted. It also
@@ -23,7 +25,8 @@ export CARGO_TARGET_DIR="$work/target"
 cd "$work/src"
 
 # Run one test (`cargo test` arguments, then its full name) and print
-# passed, failed, or why neither.
+# passed, failed, crashed (it started, and its process died without a
+# result), or why none of them.
 run_test() {
   local args=("$@") out
   local name=${args[-1]}
@@ -37,6 +40,8 @@ run_test() {
     echo passed
   elif grep -q 'test result: FAILED\. 0 passed; 1 failed' <<<"$out"; then
     echo failed
+  elif grep -q '^running 1 test$' <<<"$out"; then
+    echo crashed
   else
     echo "ran no test named $name"
   fi
@@ -71,11 +76,14 @@ check_entry() { # <file> <line> <with> <test> [<survivor reason>]
     echo "survived as expected $file: ${line#"${line%%[![:space:]]*}"} ($survivor)"
     return 0
   fi
-  if [ "$verdict" != failed ]; then
-    echo "SURVIVED $file: $line -> $with: $test $verdict"
-    return 1
-  fi
-  echo "killed $file: ${line#"${line%%[![:space:]]*}"}"
+  case $verdict in
+    failed) echo "killed $file: ${line#"${line%%[![:space:]]*}"}" ;;
+    crashed) echo "killed $file: ${line#"${line%%[![:space:]]*}"} (its test crashed)" ;;
+    *)
+      echo "SURVIVED $file: $line -> $with: $test $verdict"
+      return 1
+      ;;
+  esac
 }
 
 status=0 entries=0 survivors=0 file='' line='' with='' survivor=''

@@ -98,9 +98,11 @@ check "$(sed -s -n '/^\[dependencies\]/,/^\[/p' crates/nk-sim/Cargo.toml crates/
 check "$(code crates | grep -c 'dyn CongestionControl')" -eq 0 \
     "a connection pays once: congestion control is held inline as one enum, never boxed per connection"
 check "$(code crates/nk-netstack/src/stack.rs | grep -c 'timers.push(')" -eq 1 \
-    "a connection pays once: only a connection's poll arms the lazy timer heap; records expire from the FIFO"
+    "a connection pays once: only a connection's poll arms the lazy timer heap; TIME-WAIT tuples expire from the FIFO"
 check "$(code crates/nk-netstack/src/stack.rs | grep -cE 'Box<ConnSlot>|Box<TimeWaitRecord>|BTreeSet')" -eq 0 \
-    "a segment costs one hash: slots hold connections by arena index and records inline, and timers are a heap, not a tree"
+    "a segment costs one hash: slots hold connections by arena index, and timers are a heap, not a tree"
+check "$(code crates/nk-netstack | grep -cE 'TimeWaitRecord|SocketEntry::TimeWait')" -eq 0 \
+    "TIME-WAIT is a tuple, not a socket kind"
 # shellcheck disable=SC2016 # awk's own $0
 check "$(code crates/nk-netstack/src/stack.rs \
     | awk '/^    (pub )?fn (process_incoming|deliver|transmit)\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' \

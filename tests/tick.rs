@@ -153,7 +153,7 @@ fn parked_time_wait_sockets_cost_nothing_and_are_reaped_on_time() {
     }
     assert!(echoed > 50, "the stream ran: {echoed} echoes");
 
-    // No traffic, no poll, until the deadline: the records wait in the
+    // No traffic, no poll, until the deadline: the tuples wait in the
     // expiry FIFO, and only the live connection may still be polled, once,
     // by a lazy timer entry of its own.
     let _ = w.client.recv(live, &mut buf);
@@ -184,7 +184,11 @@ fn parked_time_wait_sockets_cost_nothing_and_are_reaped_on_time() {
         1,
         "all reaped on the deadline tick"
     );
-    assert_eq!(w.client.stats().conns_polled - idle_to, PARKED as u64);
+    assert_eq!(
+        w.client.stats().conns_polled,
+        idle_to,
+        "expiry polls nothing"
+    );
 }
 
 /// One short-connection slot of a guest: connect, send a request, read the
@@ -198,10 +202,9 @@ enum ChurnSlot {
 /// Flat by count on the whole datapath, nkbench's `churn` shape: a guest's
 /// 32 slots open, exchange 64 B with a remote echo server and close, through
 /// GuestLib, CoreEngine, ServiceLib and the NSM's stack. The guest closes
-/// first, so the NSM's stack keeps a TIME-WAIT record per connection, and
+/// first, so the NSM's stack keeps a TIME-WAIT tuple per connection, and
 /// none expires inside the run: they grow from 0 into the thousands while
-/// the connections the stack polls per closed connection stay flat. A tick
-/// that walked every socket would poll each record on every tick. So do the
+/// the connections the stack polls per closed connection stay flat. So do the
 /// sockets ServiceLib's receive pump and send flush visit, read through
 /// `nsm_service_stats`. Seeded, so every count is exact.
 #[test]
@@ -209,7 +212,7 @@ fn a_hosts_churn_polls_as_much_per_connection_as_time_wait_grows() {
     const SLOTS: usize = 32;
     const REQUEST: usize = 64;
     /// Counted steps, in four quarters; 480 steps stay inside one TIME-WAIT
-    /// linger, so every record made is still held at the end.
+    /// linger, so every tuple parked is still held at the end.
     const QUARTER: u64 = 120;
     const REMOTE_IP: u32 = 0x0A00_0200;
     let nsm = NsmId(1);
@@ -290,12 +293,12 @@ fn a_hosts_churn_polls_as_much_per_connection_as_time_wait_grows() {
         from = to;
     }
     let held = from.1.saturating_sub(SLOTS);
-    assert!(held >= 2_000, "only {held} TIME-WAIT records");
+    assert!(held >= 2_000, "only {held} TIME-WAIT tuples");
     // The stack's polls, and the sockets ServiceLib's receive pump and send
     // flush visit, per closed connection, quarter by quarter. A connection
     // carries one message each way, so ServiceLib visits its socket about
-    // once: its reply's `Readable`. A pass over every record would visit
-    // each live socket on every step.
+    // once: its reply's `Readable`. A pass over every socket would visit
+    // each live one on every step.
     let bounds = [
         ("stack polls", f64::INFINITY),
         ("rx visits", 2.0),
@@ -308,7 +311,7 @@ fn a_hosts_churn_polls_as_much_per_connection_as_time_wait_grows() {
         assert!(
             per_conn[3] <= 1.1 * per_conn[0] && per_conn.iter().all(|&v| v <= bound),
             "{per_conn:?} {what} per closed connection, quarter by quarter ({quarters:?} visits \
-             and closes), as {held} records piled up"
+             and closes), as {held} tuples piled up"
         );
     }
 }
