@@ -57,11 +57,7 @@ impl CongestionControl for Cubic {
         self.cwnd as usize
     }
 
-    fn on_ack(&mut self, acked: usize, _rtt_ns: u64, ecn_echo: bool, now_ns: u64) {
-        if ecn_echo {
-            self.on_fast_retransmit(now_ns);
-            return;
-        }
+    fn on_ack(&mut self, acked: usize, now_ns: u64) {
         let now = now_ns as f64 / 1e9;
         if self.cwnd < self.ssthresh {
             // Slow start.
@@ -89,17 +85,13 @@ impl CongestionControl for Cubic {
         }
     }
 
-    fn on_fast_retransmit(&mut self, _now_ns: u64) {
+    fn on_fast_retransmit(&mut self) {
         self.reduce();
     }
 
-    fn on_timeout(&mut self, _now_ns: u64) {
+    fn on_timeout(&mut self) {
         self.reduce();
         self.cwnd = MIN_CWND as f64;
-    }
-
-    fn name(&self) -> &'static str {
-        "cubic"
     }
 }
 
@@ -111,7 +103,7 @@ mod tests {
         let mut now = start_ns;
         for _ in 0..n {
             now += step_ns;
-            cc.on_ack(MSS, 100_000, false, now);
+            cc.on_ack(MSS, now);
         }
         now
     }
@@ -122,7 +114,7 @@ mod tests {
         let initial = cc.cwnd();
         let now = drive_acks(&mut cc, 50, 0, 1_000_000);
         assert!(cc.cwnd() > initial, "slow start must grow the window");
-        cc.on_fast_retransmit(now);
+        cc.on_fast_retransmit();
         let reduced = cc.cwnd();
         let _ = drive_acks(&mut cc, 500, now, 1_000_000);
         assert!(cc.cwnd() > reduced, "cubic must regrow after a reduction");
@@ -131,9 +123,9 @@ mod tests {
     #[test]
     fn reduction_is_beta_fraction() {
         let mut cc = Cubic::new();
-        let now = drive_acks(&mut cc, 200, 0, 1_000_000);
+        drive_acks(&mut cc, 200, 0, 1_000_000);
         let before = cc.cwnd() as f64;
-        cc.on_fast_retransmit(now);
+        cc.on_fast_retransmit();
         let after = cc.cwnd() as f64;
         assert!(
             (after / before - BETA).abs() < 0.05,
@@ -148,7 +140,7 @@ mod tests {
         // Build a decent window, then cause a reduction.
         let now = drive_acks(&mut cc, 300, 0, 500_000);
         let w_max = cc.cwnd() as f64;
-        cc.on_fast_retransmit(now);
+        cc.on_fast_retransmit();
         // Shortly after the reduction growth is fast (concave region), and it
         // flattens as the window approaches the old maximum.
         let w0 = cc.cwnd();
@@ -167,8 +159,8 @@ mod tests {
     #[test]
     fn timeout_collapses_window() {
         let mut cc = Cubic::new();
-        let now = drive_acks(&mut cc, 200, 0, 1_000_000);
-        cc.on_timeout(now);
+        drive_acks(&mut cc, 200, 0, 1_000_000);
+        cc.on_timeout();
         assert_eq!(cc.cwnd(), MIN_CWND);
     }
 }

@@ -3,26 +3,22 @@
 //! "We do not enforce a single transport design" (paper §1): every NSM picks
 //! its own stack and congestion control. The [`CongestionControl`] trait is
 //! the seam: the connection state machine asks it for the current window and
-//! feeds it ACK/loss/ECN signals. A connection holds its instance inline, as
-//! a [`Cc`]: one enum over the four algorithms, so opening a connection
-//! allocates nothing for it and every `cwnd()` is a `match`, not a pointer
-//! chase. Four algorithms are provided:
+//! feeds it the signals the fabric raises: ACKs and losses. A connection
+//! holds its instance inline, as a [`Cc`]: one enum over the three
+//! algorithms, so opening a connection allocates nothing for it and every
+//! `cwnd()` is a `match`, not a pointer chase. Three algorithms are provided:
 //!
 //! * [`reno::Reno`] — NewReno-style AIMD;
 //! * [`cubic::Cubic`] — the Linux default the paper's Baseline runs;
-//! * [`dctcp::Dctcp`] — proportional ECN response, the stack the community
-//!   "is still finding ways to deploy in the public cloud" (§1);
 //! * [`vmshared::VmSharedCc`] — one congestion window per VM shared by all of
 //!   its flows (Seawall-style), powering the fair-bandwidth-sharing NSM of
 //!   use case 2 (§6.2).
 
 pub mod cubic;
-pub mod dctcp;
 pub mod reno;
 pub mod vmshared;
 
 pub use cubic::Cubic;
-pub use dctcp::Dctcp;
 pub use reno::Reno;
 pub use vmshared::{SharedVmWindow, VmSharedCc};
 
@@ -41,19 +37,15 @@ pub trait CongestionControl: Send {
 
     /// Called for every ACK that advances the cumulative acknowledgement.
     ///
-    /// `acked` is the number of newly acknowledged bytes, `rtt_ns` the RTT
-    /// sample for this ACK (0 when unavailable), and `ecn_echo` whether the
-    /// ACK carried an ECN echo.
-    fn on_ack(&mut self, acked: usize, rtt_ns: u64, ecn_echo: bool, now_ns: u64);
+    /// `acked` is the number of newly acknowledged bytes and `now_ns` the
+    /// virtual time of the ACK.
+    fn on_ack(&mut self, acked: usize, now_ns: u64);
 
     /// Called on a fast-retransmit (triple duplicate ACK) loss signal.
-    fn on_fast_retransmit(&mut self, now_ns: u64);
+    fn on_fast_retransmit(&mut self);
 
     /// Called on a retransmission timeout (a stronger loss signal).
-    fn on_timeout(&mut self, now_ns: u64);
-
-    /// Human-readable algorithm name (mirrors `TCP_CONGESTION`).
-    fn name(&self) -> &'static str;
+    fn on_timeout(&mut self);
 }
 
 /// One connection's congestion-control state, held by value.
@@ -62,8 +54,6 @@ pub enum Cc {
     Reno(Reno),
     /// CUBIC.
     Cubic(Cubic),
-    /// DCTCP.
-    Dctcp(Dctcp),
     /// A flow's view of its VM's shared window; dropping it leaves the share.
     VmShared(VmSharedCc),
 }
@@ -74,7 +64,6 @@ macro_rules! each_cc {
         match $cc {
             Cc::Reno($alg) => $call,
             Cc::Cubic($alg) => $call,
-            Cc::Dctcp($alg) => $call,
             Cc::VmShared($alg) => $call,
         }
     };
@@ -85,20 +74,16 @@ impl CongestionControl for Cc {
         each_cc!(self, cc => cc.cwnd())
     }
 
-    fn on_ack(&mut self, acked: usize, rtt_ns: u64, ecn_echo: bool, now_ns: u64) {
-        each_cc!(self, cc => cc.on_ack(acked, rtt_ns, ecn_echo, now_ns))
+    fn on_ack(&mut self, acked: usize, now_ns: u64) {
+        each_cc!(self, cc => cc.on_ack(acked, now_ns))
     }
 
-    fn on_fast_retransmit(&mut self, now_ns: u64) {
-        each_cc!(self, cc => cc.on_fast_retransmit(now_ns))
+    fn on_fast_retransmit(&mut self) {
+        each_cc!(self, cc => cc.on_fast_retransmit())
     }
 
-    fn on_timeout(&mut self, now_ns: u64) {
-        each_cc!(self, cc => cc.on_timeout(now_ns))
-    }
-
-    fn name(&self) -> &'static str {
-        each_cc!(self, cc => cc.name())
+    fn on_timeout(&mut self) {
+        each_cc!(self, cc => cc.on_timeout())
     }
 }
 
@@ -109,8 +94,6 @@ pub enum CcAlgorithm {
     Reno,
     /// CUBIC.
     Cubic,
-    /// DCTCP.
-    Dctcp,
     /// Seawall-style VM-shared window; all connections built from the same
     /// [`SharedVmWindow`] share one congestion window.
     VmShared(SharedVmWindow),
@@ -122,7 +105,6 @@ impl CcAlgorithm {
         match self {
             CcAlgorithm::Reno => Cc::Reno(Reno::new()),
             CcAlgorithm::Cubic => Cc::Cubic(Cubic::new()),
-            CcAlgorithm::Dctcp => Cc::Dctcp(Dctcp::new()),
             CcAlgorithm::VmShared(shared) => Cc::VmShared(VmSharedCc::new(shared.clone())),
         }
     }
@@ -135,7 +117,6 @@ impl CcAlgorithm {
         match kind {
             CcKind::Reno => CcAlgorithm::Reno,
             CcKind::Cubic => CcAlgorithm::Cubic,
-            CcKind::Dctcp => CcAlgorithm::Dctcp,
             CcKind::VmShared => CcAlgorithm::VmShared(SharedVmWindow::new()),
         }
     }
@@ -145,17 +126,19 @@ impl CcAlgorithm {
 mod tests {
     use super::*;
 
+    const KINDS: [CcKind; 3] = [CcKind::Reno, CcKind::Cubic, CcKind::VmShared];
+
     #[test]
     fn factory_builds_every_algorithm() {
-        for (kind, name) in [
-            (CcKind::Reno, "reno"),
-            (CcKind::Cubic, "cubic"),
-            (CcKind::Dctcp, "dctcp"),
-            (CcKind::VmShared, "vm-shared"),
-        ] {
-            let algo = CcAlgorithm::from_kind(kind);
-            let cc = algo.build();
-            assert_eq!(cc.name(), name);
+        for kind in KINDS {
+            let cc = CcAlgorithm::from_kind(kind).build();
+            let built = matches!(
+                (kind, &cc),
+                (CcKind::Reno, Cc::Reno(_))
+                    | (CcKind::Cubic, Cc::Cubic(_))
+                    | (CcKind::VmShared, Cc::VmShared(_))
+            );
+            assert!(built, "{kind:?} built another algorithm");
             assert!(cc.cwnd() >= MIN_CWND);
         }
     }
@@ -165,42 +148,40 @@ mod tests {
     /// segments grows it exactly as much as two ACKs of one segment each.
     #[test]
     fn slow_start_counts_bytes_not_acks() {
-        for kind in [CcKind::Reno, CcKind::Cubic, CcKind::Dctcp, CcKind::VmShared] {
+        for kind in KINDS {
             let mut one = CcAlgorithm::from_kind(kind).build();
             let mut two = CcAlgorithm::from_kind(kind).build();
             for round in 1..=8 {
                 let now = round * 1_000_000;
-                one.on_ack(2 * MSS, 100_000, false, now);
-                two.on_ack(MSS, 100_000, false, now);
-                two.on_ack(MSS, 100_000, false, now);
-                assert_eq!(one.cwnd(), two.cwnd(), "{} round {round}", one.name());
+                one.on_ack(2 * MSS, now);
+                two.on_ack(MSS, now);
+                two.on_ack(MSS, now);
+                assert_eq!(one.cwnd(), two.cwnd(), "{kind:?} round {round}");
             }
-            assert_eq!(one.cwnd(), INITIAL_CWND + 16 * MSS, "{}", one.name());
+            assert_eq!(one.cwnd(), INITIAL_CWND + 16 * MSS, "{kind:?}");
         }
     }
 
     #[test]
     fn all_algorithms_grow_on_acks_and_shrink_on_loss() {
-        for kind in [CcKind::Reno, CcKind::Cubic, CcKind::Dctcp, CcKind::VmShared] {
+        for kind in KINDS {
             let algo = CcAlgorithm::from_kind(kind);
             let mut cc = algo.build();
             let initial = cc.cwnd();
             let mut now = 0u64;
             for _ in 0..200 {
                 now += 1_000_000;
-                cc.on_ack(MSS, 100_000, false, now);
+                cc.on_ack(MSS, now);
             }
             let grown = cc.cwnd();
             assert!(
                 grown > initial,
-                "{} did not grow: {initial} -> {grown}",
-                cc.name()
+                "{kind:?} did not grow: {initial} -> {grown}"
             );
-            cc.on_timeout(now);
+            cc.on_timeout();
             assert!(
                 cc.cwnd() < grown,
-                "{} did not shrink on timeout: {grown} -> {}",
-                cc.name(),
+                "{kind:?} did not shrink on timeout: {grown} -> {}",
                 cc.cwnd()
             );
             assert!(cc.cwnd() >= MIN_CWND);

@@ -41,12 +41,7 @@ impl CongestionControl for Reno {
         self.cwnd
     }
 
-    fn on_ack(&mut self, acked: usize, _rtt_ns: u64, ecn_echo: bool, now_ns: u64) {
-        if ecn_echo {
-            // Classic ECN response is the same as a fast retransmit.
-            self.on_fast_retransmit(now_ns);
-            return;
-        }
+    fn on_ack(&mut self, acked: usize, _now_ns: u64) {
         if self.in_slow_start() {
             self.cwnd += acked;
         } else {
@@ -58,20 +53,16 @@ impl CongestionControl for Reno {
         }
     }
 
-    fn on_fast_retransmit(&mut self, _now_ns: u64) {
+    fn on_fast_retransmit(&mut self) {
         self.ssthresh = (self.cwnd / 2).max(MIN_CWND);
         self.cwnd = self.ssthresh;
         self.acked_accum = 0;
     }
 
-    fn on_timeout(&mut self, _now_ns: u64) {
+    fn on_timeout(&mut self) {
         self.ssthresh = (self.cwnd / 2).max(MIN_CWND);
         self.cwnd = MIN_CWND;
         self.acked_accum = 0;
-    }
-
-    fn name(&self) -> &'static str {
-        "reno"
     }
 }
 
@@ -86,7 +77,7 @@ mod tests {
         // Acknowledge one full window: slow start should double it.
         let mut acked = 0;
         while acked < start {
-            cc.on_ack(MSS, 0, false, 0);
+            cc.on_ack(MSS, 0);
             acked += MSS;
         }
         assert!(cc.cwnd() >= 2 * start - MSS);
@@ -96,13 +87,13 @@ mod tests {
     #[test]
     fn congestion_avoidance_grows_linearly() {
         let mut cc = Reno::new();
-        cc.on_fast_retransmit(0); // leave slow start
+        cc.on_fast_retransmit(); // leave slow start
         let w = cc.cwnd();
         assert!(!cc.in_slow_start());
         // One window of ACKs grows cwnd by about one MSS.
         let mut acked = 0;
         while acked < w {
-            cc.on_ack(MSS, 0, false, 0);
+            cc.on_ack(MSS, 0);
             acked += MSS;
         }
         assert!(cc.cwnd() >= w + MSS && cc.cwnd() <= w + 2 * MSS);
@@ -112,9 +103,9 @@ mod tests {
     fn timeout_collapses_to_minimum() {
         let mut cc = Reno::new();
         for _ in 0..100 {
-            cc.on_ack(MSS, 0, false, 0);
+            cc.on_ack(MSS, 0);
         }
-        cc.on_timeout(0);
+        cc.on_timeout();
         assert_eq!(cc.cwnd(), MIN_CWND);
     }
 
@@ -122,21 +113,10 @@ mod tests {
     fn fast_retransmit_halves() {
         let mut cc = Reno::new();
         for _ in 0..100 {
-            cc.on_ack(MSS, 0, false, 0);
+            cc.on_ack(MSS, 0);
         }
         let before = cc.cwnd();
-        cc.on_fast_retransmit(0);
+        cc.on_fast_retransmit();
         assert!(cc.cwnd() >= before / 2 - MSS && cc.cwnd() <= before / 2 + MSS);
-    }
-
-    #[test]
-    fn ecn_echo_acts_like_fast_retransmit() {
-        let mut cc = Reno::new();
-        for _ in 0..100 {
-            cc.on_ack(MSS, 0, false, 0);
-        }
-        let before = cc.cwnd();
-        cc.on_ack(MSS, 0, true, 0);
-        assert!(cc.cwnd() < before);
     }
 }

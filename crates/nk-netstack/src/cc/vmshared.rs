@@ -66,14 +66,8 @@ impl SharedVmWindow {
         self.active_flows.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn on_ack(&self, acked: usize, ecn_echo: bool) {
+    fn on_ack(&self, acked: usize) {
         let mut s = self.state.lock().unwrap();
-        if ecn_echo {
-            s.ssthresh = (s.cwnd / 2).max(MIN_CWND);
-            s.cwnd = s.ssthresh;
-            s.acked_accum = 0;
-            return;
-        }
         if s.cwnd < s.ssthresh {
             s.cwnd += acked;
         } else {
@@ -126,20 +120,16 @@ impl CongestionControl for VmSharedCc {
         share.max(MSS)
     }
 
-    fn on_ack(&mut self, acked: usize, _rtt_ns: u64, ecn_echo: bool, _now_ns: u64) {
-        self.shared.on_ack(acked, ecn_echo);
+    fn on_ack(&mut self, acked: usize, _now_ns: u64) {
+        self.shared.on_ack(acked);
     }
 
-    fn on_fast_retransmit(&mut self, _now_ns: u64) {
+    fn on_fast_retransmit(&mut self) {
         self.shared.on_loss(false);
     }
 
-    fn on_timeout(&mut self, _now_ns: u64) {
+    fn on_timeout(&mut self) {
         self.shared.on_loss(true);
-    }
-
-    fn name(&self) -> &'static str {
-        "vm-shared"
     }
 }
 
@@ -181,7 +171,7 @@ mod tests {
         let _b = VmSharedCc::new(shared.clone());
         let before = shared.total_cwnd();
         for _ in 0..50 {
-            a.on_ack(MSS, 0, false, 0);
+            a.on_ack(MSS, 0);
         }
         assert!(shared.total_cwnd() > before);
     }
@@ -192,15 +182,15 @@ mod tests {
         let mut a = VmSharedCc::new(shared.clone());
         let mut b = VmSharedCc::new(shared.clone());
         for _ in 0..100 {
-            a.on_ack(MSS, 0, false, 0);
-            b.on_ack(MSS, 0, false, 0);
+            a.on_ack(MSS, 0);
+            b.on_ack(MSS, 0);
         }
         let before = shared.total_cwnd();
-        b.on_fast_retransmit(0);
+        b.on_fast_retransmit();
         let after = shared.total_cwnd();
         assert!(after <= before / 2 + MSS);
         assert!(after >= MIN_CWND);
-        a.on_timeout(0);
+        a.on_timeout();
         assert_eq!(shared.total_cwnd(), MIN_CWND);
     }
 

@@ -4,8 +4,8 @@
 //! handshake, cumulative-ACK sliding-window data transfer, receiver flow
 //! control with silly-window avoidance, a persist timer, retransmission
 //! (RTO with exponential backoff and fast retransmit on three duplicate
-//! ACKs), delayed ACKs, out-of-order reassembly, ECN echo, and orderly FIN /
-//! abortive RST teardown. Congestion control is delegated to a
+//! ACKs), delayed ACKs, out-of-order reassembly, and orderly FIN / abortive
+//! RST teardown. Congestion control is delegated to a
 //! [`CongestionControl`] implementation chosen per NSM.
 
 use crate::cc::{Cc, CcAlgorithm, CongestionControl};
@@ -131,15 +131,9 @@ pub struct TcpConnection {
     /// Full-sized segments received since the last segment sent: the second
     /// is acknowledged at once (RFC 5681 §4.2).
     full_unacked: u8,
-    /// Whether the last data segment arrived CE-marked: a change is
-    /// acknowledged at once, so the sender's ECE count follows the marks
-    /// (RFC 8257 §3.2).
-    ce_last: bool,
     /// Immediate duplicate ACKs owed for out-of-order arrivals (one per
     /// out-of-order segment, so the sender's fast-retransmit logic sees them).
     dup_ack_burst: u32,
-    /// Echo ECN congestion experienced back to the sender.
-    ece_pending: bool,
 
     // ---- Timers and RTT ----
     rto_ns: u64,
@@ -219,9 +213,7 @@ impl TcpConnection {
             ack_pending: false,
             ack_deadline: None,
             full_unacked: 0,
-            ce_last: false,
             dup_ack_burst: 0,
-            ece_pending: false,
             rto_ns: INITIAL_RTO_NS,
             srtt_ns: None,
             rttvar_ns: 0,
@@ -536,10 +528,6 @@ impl TcpConnection {
             self.peer_fin_received = true;
             return;
         }
-        if seg.ce_mark {
-            self.ece_pending = true;
-        }
-
         match self.state {
             ConnState::SynSent => {
                 if seg.flags.syn && seg.flags.ack && seg.ack == self.snd_nxt {
@@ -597,14 +585,10 @@ impl TcpConnection {
             }
             return;
         }
-        if seg.ce_mark {
-            self.ece_pending = true;
-        }
         self.process_ack(seg, now_ns);
-        let ce_changed = std::mem::replace(&mut self.ce_last, seg.ce_mark) != seg.ce_mark;
         self.recv_buf.push(seg.payload.clone());
         self.rcv_nxt = self.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-        if !ce_changed && self.full_unacked == 0 {
+        if self.full_unacked == 0 {
             self.ack_deadline.get_or_insert(now_ns + ACK_DELAY_NS);
         }
         self.full_unacked = 2;
@@ -663,9 +647,7 @@ impl TcpConnection {
             self.dup_acks = 0;
             self.stats.bytes_acked += data_acked as u64;
             self.take_rtt_sample(ack, now_ns);
-            let rtt = self.srtt_ns.unwrap_or(0);
-            self.cc
-                .on_ack(data_acked.max(1), rtt, seg.flags.ece, now_ns);
+            self.cc.on_ack(data_acked.max(1), now_ns);
 
             // Re-arm or clear the retransmission timer.
             if self.snd_una == self.snd_nxt {
@@ -699,10 +681,10 @@ impl TcpConnection {
     }
 
     /// Take a segment's data and FIN. Only new in-order data that fits the
-    /// window, fills no hole and keeps the CE state delays its ACK, and
-    /// only until the second full-sized segment; anything else — out of
-    /// order, a duplicate, a hole filled, a window overrun (a persist
-    /// probe), a CE change, a FIN — is acknowledged at the next poll.
+    /// window and fills no hole delays its ACK, and only until the second
+    /// full-sized segment; anything else — out of order, a duplicate, a hole
+    /// filled, a window overrun (a persist probe), a FIN — is acknowledged
+    /// at the next poll.
     fn process_payload(&mut self, seg: &Segment, now_ns: u64) {
         let seq = seg.seq;
         if seg.flags.fin {
@@ -710,14 +692,13 @@ impl TcpConnection {
             self.peer_fin_seq = Some(fin_seq);
         }
         if !seg.payload.is_empty() {
-            let ce_changed = std::mem::replace(&mut self.ce_last, seg.ce_mark) != seg.ce_mark;
             let mut delay = false;
             if seq_le(seq, self.rcv_nxt) {
                 // Overlapping or exactly in-order: take the part we miss.
                 let skip = self.rcv_nxt.wrapping_sub(seq) as usize;
                 if skip < seg.payload.len() {
                     let filling = !self.ooo.is_empty();
-                    delay = self.accept_in_order(&seg.payload, skip) && !filling && !ce_changed;
+                    delay = self.accept_in_order(&seg.payload, skip) && !filling;
                     self.drain_ooo();
                 }
             } else if seq_lt(seq, self.rcv_nxt.wrapping_add(self.recv_window() as u32)) {
@@ -803,7 +784,7 @@ impl TcpConnection {
     fn fast_retransmit(&mut self, now_ns: u64) {
         self.stats.fast_retransmits += 1;
         self.stats.retransmits += 1;
-        self.cc.on_fast_retransmit(now_ns);
+        self.cc.on_fast_retransmit();
         // Go back to the first unacknowledged byte.
         self.snd_nxt = self.snd_una;
         if self.fin_seq.is_some() {
@@ -933,15 +914,12 @@ impl TcpConnection {
             seg.seq = self.snd_nxt;
             seg.ack = self.rcv_nxt;
             seg.window = self.recv_window() as u32;
-            seg.flags.ece = self.ece_pending;
             // A full-sized piece takes the full-sized pieces behind it in
             // its run along, as one train cut once, up to the budget: the
             // train ends where its run does (the piece across the seam is
-            // gathered into a buffer of its own, so it travels alone), and
-            // a pending ECE sets the first piece apart.
+            // gathered into a buffer of its own, so it travels alone).
             seg.payload = if chunk == MSS {
-                let max = if self.ece_pending { MSS } else { budget };
-                self.send_buf.range_units(offset, MSS, max, recycler)
+                self.send_buf.range_units(offset, MSS, budget, recycler)
             } else {
                 self.send_buf.range(offset, chunk, recycler)
             };
@@ -954,7 +932,6 @@ impl TcpConnection {
             offset += sent;
             budget -= sent;
             self.ack_pending = false;
-            self.ece_pending = false;
             out.push(seg);
         }
         if out.len() > first_data {
@@ -972,12 +949,10 @@ impl TcpConnection {
                     probe.seq = self.snd_nxt;
                     probe.ack = self.rcv_nxt;
                     probe.window = self.recv_window() as u32;
-                    probe.flags.ece = self.ece_pending;
                     probe.payload = self.send_buf.range(offset, 1, recycler);
                     let interval = (interval * 2).min(MAX_RTO_NS);
                     self.persist = Some((now_ns + interval, interval));
                     self.ack_pending = false;
-                    self.ece_pending = false;
                     out.push(probe);
                 }
                 Some(_) => {}
@@ -1014,13 +989,11 @@ impl TcpConnection {
             ack.seq = self.snd_nxt;
             ack.ack = self.rcv_nxt;
             ack.window = self.recv_window() as u32;
-            ack.flags.ece = self.ece_pending;
             out.push(ack);
         }
         if standalone > 0 {
             self.ack_pending = false;
             self.dup_ack_burst = 0;
-            self.ece_pending = false;
         }
     }
 
@@ -1099,7 +1072,7 @@ impl TcpConnection {
         }
         self.stats.timeouts += 1;
         self.stats.retransmits += 1;
-        self.cc.on_timeout(now_ns);
+        self.cc.on_timeout();
         // Go-back-N: rewind to the first unacknowledged byte.
         self.snd_nxt = self.snd_una;
         self.fin_seq = None;
@@ -1196,9 +1169,7 @@ impl TcpConnection {
             ack_pending: true,
             ack_deadline: None,
             full_unacked: 0,
-            ce_last: false,
             dup_ack_burst: 0,
-            ece_pending: false,
             rto_ns: snap.rto_ns.clamp(MIN_RTO_NS, MAX_RTO_NS),
             srtt_ns: snap.srtt_ns,
             rttvar_ns: snap.rttvar_ns,
@@ -1250,6 +1221,18 @@ mod tests {
             .into_iter()
             .flat_map(Train::into_frames)
             .collect()
+    }
+
+    /// A connection carries only the congestion signals the fabric raises:
+    /// no CE mark or ECN flag widens a segment, and no algorithm that reads
+    /// them widens every connection's inline congestion control.
+    #[test]
+    fn segments_and_connections_hold_no_unraised_signal() {
+        use std::mem::size_of;
+        assert!(size_of::<Segment>() <= 56, "{} B", size_of::<Segment>());
+        assert!(size_of::<Cc>() <= 48, "{} B", size_of::<Cc>());
+        let conn = size_of::<TcpConnection>();
+        assert!(conn <= 488, "{conn} B");
     }
 
     fn pair(now: u64) -> (TcpConnection, TcpConnection) {
@@ -1560,9 +1543,8 @@ mod tests {
     /// arrived, or by whatever the receiver sends first. Every other arrival
     /// is acknowledged by the poll at the same instant: the handshake's
     /// SYN-ACK, an out-of-order segment, one that fills the hole, a
-    /// duplicate, a persist probe past a shut window, a change of CE mark
-    /// (RFC 8257 §3.2), the second full-sized segment, a FIN, and a read
-    /// that owes a window update.
+    /// duplicate, a persist probe past a shut window, the second full-sized
+    /// segment, a FIN, and a read that owes a window update.
     #[test]
     fn only_in_order_data_delays_its_ack() {
         const T: u64 = 1_000_000;
@@ -1625,21 +1607,6 @@ mod tests {
             Some(second.seq_end()),
             "a duplicate"
         );
-
-        // A CE mark that starts and one that stops are acknowledged at
-        // once; one that repeats is not.
-        let (mut c, mut s) = pair(0);
-        for (mark, immediate) in [(true, true), (true, false), (false, true), (false, false)] {
-            let mut seg = send(&mut c, 100, T).remove(0);
-            seg.ce_mark = mark;
-            let expected = immediate.then(|| seg.seq_end());
-            assert_eq!(
-                answer(&mut s, &seg),
-                expected,
-                "CE {mark}, immediate {immediate}"
-            );
-            tx(&mut s, T + ACK_DELAY_NS);
-        }
 
         // The second full-sized segment; then a FIN.
         let (mut c, mut s) = pair(0);
@@ -1785,30 +1752,6 @@ mod tests {
         c2.set_send_buf_cap(2000);
         assert_eq!(c2.write_bytes(&vec![0u8; 5000]), 2000);
         assert_eq!(c2.write_bytes(&[0u8; 1]), 0);
-    }
-
-    #[test]
-    fn ecn_marks_are_echoed_and_reduce_cwnd() {
-        let (mut c, mut s) = pair(0);
-        // Grow the client's window a bit first.
-        c.write_bytes(&vec![1u8; 20 * MSS]);
-        pump(&mut c, &mut s, 1_000, 1_000);
-        let cwnd_before = c.cwnd();
-
-        c.write_bytes(&vec![1u8; 4 * MSS]);
-        let mut segs = tx(&mut c, 100_000);
-        assert!(!segs.is_empty());
-        // The network marks congestion on the first data segment.
-        segs[0].ce_mark = true;
-        for seg in &segs {
-            s.on_segment(seg, 100_000);
-        }
-        // Receiver echoes ECE on its ACKs; sender reduces its window.
-        for ack in tx(&mut s, 100_000) {
-            assert!(ack.flags.ece || !ack.flags.ack || ack.payload.is_empty());
-            c.on_segment(&ack, 100_000);
-        }
-        assert!(c.cwnd() <= cwnd_before, "cwnd should not grow after ECE");
     }
 
     #[test]
@@ -2370,32 +2313,25 @@ mod tests {
     /// bytes — and only full-sized pieces that continue each other in one
     /// run share a train, cut from it as one slice. Three writes leave two
     /// run seams: the piece straddling the first and the short tail are
-    /// gathered, so they travel alone, a pending ECE sets the first piece
-    /// apart, and a send window that shuts inside a run ends the train
-    /// there. The RTT sample times the first piece, as it did before trains.
+    /// gathered, so they travel alone, and a send window that shuts inside
+    /// a run ends the train there. The RTT sample times the first piece, as
+    /// it did before trains.
     #[test]
     fn trains_expand_to_the_per_mss_segmentation_of_the_stream() {
         const T: u64 = 1_000;
         let data = pattern(0, 7 * MSS + 800);
-        /// ECE pending, the send window, each train's frames and whether it
-        /// is a slice of a run.
-        type Case = (bool, Option<usize>, &'static [usize], &'static [bool]);
-        let cases: [Case; 3] = [
-            (false, None, &[2, 1, 4, 1], &[true, false, true, false]),
+        /// The send window, each train's frames and whether it is a slice
+        /// of a run.
+        type Case = (Option<usize>, &'static [usize], &'static [bool]);
+        let cases: [Case; 2] = [
+            (None, &[2, 1, 4, 1], &[true, false, true, false]),
             (
-                true,
-                None,
-                &[1, 1, 1, 4, 1],
-                &[true, true, false, true, false],
-            ),
-            (
-                false,
                 Some(4 * MSS + MSS / 2),
                 &[2, 1, 1, 1],
                 &[true, false, true, true],
             ),
         ];
-        for (ece, window, expect, sliced) in cases {
+        for (window, expect, sliced) in cases {
             let (mut c, mut s) = pair(0);
             assert_eq!(s.write_bytes(b"window and ack"), 14);
             for seg in tx(&mut s, 0) {
@@ -2405,7 +2341,6 @@ mod tests {
             c.write_bytes(&data[..seams[0]]);
             c.write_bytes(&data[seams[0]..seams[1]]);
             c.write_bytes(&data[seams[1]..]);
-            c.ece_pending = ece;
             if let Some(window) = window {
                 c.snd_wnd = window as u32;
             }
@@ -2413,14 +2348,14 @@ mod tests {
             let seq0 = c.snd_nxt;
             let trains = tx(&mut c, T);
             let frames: Vec<usize> = trains.iter().map(Train::frames).collect();
-            assert_eq!(frames, expect, "ECE {ece}, window {window:?}");
+            assert_eq!(frames, expect, "window {window:?}");
             let lent = |train: &Segment| {
                 c.send_buf
                     .runs()
                     .any(|run| run.shares_buffer(&train.payload))
             };
             let shared: Vec<bool> = trains.iter().map(lent).collect();
-            assert_eq!(shared, sliced, "ECE {ece}, window {window:?}");
+            assert_eq!(shared, sliced, "window {window:?}");
             let flat: Vec<Segment> = (0..sent.div_ceil(MSS))
                 .map(|i| {
                     let bytes = &data[i * MSS..sent.min((i + 1) * MSS)];
@@ -2428,17 +2363,20 @@ mod tests {
                     seg.seq = seq0.wrapping_add((i * MSS) as u32);
                     seg.ack = c.rcv_nxt;
                     seg.window = c.recv_window() as u32;
-                    seg.flags.ece = ece && i == 0;
                     seg.payload = bytes.into();
                     seg
                 })
                 .collect();
             let wire: Vec<usize> = trains.iter().map(Segment::wire_bytes).collect();
             let pieces: Vec<Segment> = trains.into_iter().flat_map(Train::into_frames).collect();
-            assert_eq!(pieces, flat, "ECE {ece}, window {window:?}");
+            assert_eq!(pieces, flat, "window {window:?}");
             let per_piece = flat.iter().map(Segment::wire_bytes);
             assert_eq!(wire.iter().sum::<usize>(), per_piece.sum::<usize>());
-            assert_eq!(c.rtt_sample, Some((flat[0].seq_end(), T)), "ECE {ece}");
+            assert_eq!(
+                c.rtt_sample,
+                Some((flat[0].seq_end(), T)),
+                "window {window:?}"
+            );
             assert_eq!(c.snd_nxt, seq0.wrapping_add(sent as u32));
         }
     }
@@ -2448,8 +2386,8 @@ mod tests {
         let ooo: Vec<(u32, Vec<u8>)> = c.ooo.iter().map(|(k, v)| (*k, v.to_vec())).collect();
         (
             (c.state, c.rcv_nxt, c.recv_buf.to_vec(), ooo),
-            (c.peer_fin_seq, c.peer_fin_received, c.ece_pending),
-            (c.ack_pending, c.ack_deadline, c.full_unacked, c.ce_last),
+            (c.peer_fin_seq, c.peer_fin_received),
+            (c.ack_pending, c.ack_deadline, c.full_unacked),
             (c.dup_ack_burst, c.snd_una, c.snd_nxt, c.snd_wnd, c.dup_acks),
             (c.rto_deadline, c.rtt_sample, c.srtt_ns, c.persist),
             (c.stats, c.cwnd(), c.send_buf.len(), c.fin_seq),
@@ -2458,7 +2396,7 @@ mod tests {
 
     /// A train leaves its receiver exactly as its segments one by one
     /// would, and the receiver answers alike, whether it takes the train
-    /// whole or splits it: fresh or after a delayed lone segment, CE-marked,
+    /// whole or splits it: fresh or after a delayed lone segment,
     /// acknowledging data, into a window that shuts mid-train, behind a
     /// hole, reaching a FIN that came early, out of order and duplicated.
     #[test]
@@ -2477,18 +2415,13 @@ mod tests {
             tx(s, T);
         }
         type Setup = fn(&mut TcpConnection, &mut TcpConnection) -> Segment;
-        let cases: [(&str, Setup); 9] = [
+        let cases: [(&str, Setup); 8] = [
             ("fresh", |c, _| send(c, 5 * MSS).remove(0)),
             ("after a delayed lone segment", |c, s| {
                 let lone = send(c, MSS);
                 lone.iter().for_each(|seg| s.on_segment(seg, T));
                 assert_eq!((s.full_unacked, s.ack_pending), (1, false));
                 send(c, 4 * MSS).remove(0)
-            }),
-            ("CE-marked", |c, _| {
-                let mut train = send(c, 3 * MSS).remove(0);
-                train.ce_mark = true;
-                train
             }),
             ("acknowledging data", |c, s| {
                 let reply = send(s, 2 * MSS);

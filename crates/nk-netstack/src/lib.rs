@@ -8,7 +8,7 @@
 //! * [`segment`] — TCP segments carried over the `nk-fabric` virtual switch;
 //! * [`payload`] — the byte queues of the bytes they carry, held as
 //!   [`Payload`] runs shared by reference from `write` to `read`;
-//! * [`cc`] — pluggable congestion control: NewReno, CUBIC, DCTCP and the
+//! * [`cc`] — pluggable congestion control: NewReno, CUBIC and the
 //!   Seawall-style VM-shared window used by the fair-sharing NSM (§6.2);
 //! * [`conn`] — the per-connection state machine: three-way handshake,
 //!   sliding-window data transfer, delayed ACKs, retransmission (RTO and

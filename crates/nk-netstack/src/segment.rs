@@ -16,10 +16,6 @@ pub struct SegmentFlags {
     pub fin: bool,
     /// Abort the connection.
     pub rst: bool,
-    /// ECN: congestion experienced was echoed by the receiver.
-    pub ece: bool,
-    /// ECN: congestion window reduced (sender response to ECE).
-    pub cwr: bool,
 }
 
 impl SegmentFlags {
@@ -88,8 +84,6 @@ pub struct Segment {
     pub window: u32,
     /// Header flags.
     pub flags: SegmentFlags,
-    /// Set by the network when the segment experienced congestion (ECN CE).
-    pub ce_mark: bool,
     /// Application payload: a reference to bytes the sender's `write`
     /// buffered, not a copy of them.
     pub payload: Payload,
@@ -105,7 +99,6 @@ impl Segment {
             ack: 0,
             window: 0,
             flags,
-            ce_mark: false,
             payload: Payload::default(),
         }
     }
@@ -147,7 +140,6 @@ impl Train for Segment {
             ack: self.ack,
             window: self.window,
             flags: self.flags,
-            ce_mark: self.ce_mark,
             payload: self.payload.take_front(bytes),
         };
         self.seq = self.seq.wrapping_add(bytes as u32);

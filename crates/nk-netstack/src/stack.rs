@@ -674,12 +674,10 @@ impl TcpStack {
         let n = read(c);
         if n > 0 {
             // Queued only for what the read left to do: a window update it
-            // owes, a closed connection it drained into a reapable one, or a
-            // TIME-WAIT one it let park.
-            if c.needs_poll()
-                || c.is_closed() && c.recv_available() == 0
-                || c.parked_until().is_some()
-            {
+            // owes, or a closed connection it drained into a reapable one. A
+            // TIME-WAIT one it let park stays held, so its poll would change
+            // nothing: only `close` makes it a tuple.
+            if c.needs_poll() || c.is_closed() && c.recv_available() == 0 {
                 cs.wake(at, &mut self.wake);
             }
             self.stats.bytes_in += n as u64;
@@ -2094,15 +2092,39 @@ mod tests {
         assert!(w.client.demux.is_empty() && armed_timers(&w.client) == 0);
     }
 
+    /// A read that drains a connection parked in TIME-WAIT, while its
+    /// application still holds it, queues no poll: a held connection stays
+    /// a connection, so that poll would change nothing. Only its `close`
+    /// makes it a tuple.
+    #[test]
+    fn a_read_that_lets_a_held_connection_park_queues_no_poll() {
+        let mut w = World::new();
+        let (cs, conn) = established(&mut w);
+        w.client.shutdown(cs, ShutdownHow::Write).unwrap();
+        w.run(5);
+        w.server.send(conn, b"tail").unwrap();
+        w.server.close(conn).unwrap();
+        w.run(5);
+        let state = conn_slot(&w.client, cs).map(|slot| slot.conn.state());
+        assert_eq!(state, Some(ConnState::TimeWait), "held, owed a read");
+        assert_eq!(w.client.recv(cs, &mut [0u8; 8]), Ok(4));
+        let before = w.client.stats().conns_polled;
+        w.run(1);
+        assert_eq!(w.client.stats().conns_polled, before, "a poll queued");
+        assert!(conn_slot(&w.client, cs).is_some(), "held: a connection");
+    }
+
     /// Only a connection still in its handshake can fail to open. The final
     /// ACK of a passive close used to raise `ConnectFailed`, and so did a
     /// reset in TIME-WAIT; ServiceLib turns that event into a stray
-    /// `ConnectComplete(Err)` for any socket it still tracks.
+    /// `ConnectComplete(Err)` for any socket it still tracks. The client
+    /// only shuts its write side, so it parks in TIME-WAIT still held, and
+    /// the reset reaches a connection, not a tuple.
     #[test]
     fn a_passive_close_and_a_reset_in_time_wait_raise_no_connect_failed() {
         let mut w = World::new();
         let (cs, conn) = established(&mut w);
-        w.client.close(cs).unwrap();
+        w.client.shutdown(cs, ShutdownHow::Write).unwrap();
         w.run(5);
         w.server.close(conn).unwrap();
         w.run(5);
@@ -2114,14 +2136,15 @@ mod tests {
         assert!(!failed(&events), "a passive close: {events:?}");
         assert_eq!(w.server.socket_count(), 1, "the passive end is reaped");
 
-        // The client sits in TIME-WAIT; a reset from its peer ends it.
+        // The client sits in TIME-WAIT as a connection; a reset from its
+        // peer ends it.
         drain_events(&mut w.client);
-        let (local, remote) = w.client.demux.sorted_keys()[0];
-        let rst = crate::segment::SegmentFlags::rst();
-        w.server.emit(Segment::control(remote, local, rst));
-        w.server.port.send_burst(&mut w.server.tx_burst);
-        w.run(2);
+        let held = tuple(&w.client, cs);
+        let state = conn_slot(&w.client, cs).map(|slot| slot.conn.state());
+        assert_eq!(state, Some(ConnState::TimeWait), "held in TIME-WAIT");
+        reset_client(&mut w, held);
         assert!(!alive(&w.client, cs), "reset ends TIME-WAIT");
+        assert!(w.client.demux.is_empty() && w.client.time_wait == 0);
         let events = drain_events(&mut w.client);
         assert!(!failed(&events), "a reset in TIME-WAIT: {events:?}");
     }

@@ -50,7 +50,7 @@ mod tests {
         // Grow VM 1's shared window through flow a1; flow a2 sees the growth,
         // VM 2's flow does not.
         for _ in 0..200 {
-            a1.on_ack(MSS, 0, false, 0);
+            a1.on_ack(MSS, 0);
         }
         assert!(a2.cwnd() > b1.cwnd());
     }

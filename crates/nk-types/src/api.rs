@@ -100,8 +100,9 @@ pub mod sockopt {
     pub const SNDBUF: u32 = 3;
     /// Receive buffer size in bytes (`SO_RCVBUF`).
     pub const RCVBUF: u32 = 4;
-    /// Congestion control algorithm selector (`TCP_CONGESTION`); values are
-    /// the discriminants of `CcKind`.
+    /// Congestion control algorithm selector (`TCP_CONGESTION`). Its value
+    /// is accepted and ignored: an NSM's algorithm comes from its
+    /// `NsmConfig::cc`.
     pub const CONGESTION: u32 = 5;
 }
 

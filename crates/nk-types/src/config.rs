@@ -67,8 +67,6 @@ pub enum CcKind {
     /// CUBIC (the Linux default the paper's Baseline runs).
     #[default]
     Cubic,
-    /// DCTCP, reacting proportionally to ECN marks.
-    Dctcp,
     /// One shared congestion window per VM, split equally across that VM's
     /// active flows (Seawall-style VM-level fairness).
     VmShared,

@@ -97,6 +97,8 @@ check "$(sed -s -n '/^\[dependencies\]/,/^\[/p' crates/nk-sim/Cargo.toml crates/
     "JSON goes one way: nk-sim and nk-workload write nothing, so they do not depend on serde"
 check "$(code crates | grep -c 'dyn CongestionControl')" -eq 0 \
     "a connection pays once: congestion control is held inline as one enum, never boxed per connection"
+check "$(code crates | grep -cE 'ce_mark|ece_pending|ce_last|ecn_echo|Dctcp')" -eq 0 \
+    "the stack carries only the congestion signals the fabric raises"
 check "$(code crates/nk-netstack/src/stack.rs | grep -c 'timers.push(')" -eq 1 \
     "a connection pays once: only a connection's poll arms the lazy timer heap; TIME-WAIT tuples expire from the FIFO"
 check "$(code crates/nk-netstack/src/stack.rs | grep -cE 'Box<ConnSlot>|Box<TimeWaitRecord>|BTreeSet')" -eq 0 \
