@@ -224,9 +224,9 @@ fn fig08_tab02_multiplexing(model: &PerfModel) {
 /// Figure 9: VM-level fair bandwidth sharing.
 fn fig09_fair_sharing() {
     // A well-behaved VM A always uses 8 connections; a selfish VM B uses 8,
-    // 16 and 24. Baseline TCP divides the bottleneck per *flow*; the
-    // fair-share NSM divides it per *VM* via the shared congestion window
-    // (nk-netstack::cc::VmSharedCc).
+    // 16 and 24. Baseline TCP divides the bottleneck per *flow*; an NSM
+    // whose cc is `VmShared` divides it per *VM* via each VM's shared
+    // congestion window (nk-netstack::cc::VmSharedCc).
     let rows: Vec<Vec<String>> = [8usize, 16, 24]
         .iter()
         .map(|&b_flows| {

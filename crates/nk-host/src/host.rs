@@ -593,7 +593,6 @@ pub(crate) mod testutil {
         let nsm = match stack {
             StackKind::Mtcp => NsmConfig::mtcp(NsmId(1)),
             StackKind::SharedMem => NsmConfig::shared_mem(NsmId(1)),
-            StackKind::FairShare => NsmConfig::fair_share(NsmId(1)),
             StackKind::Kernel => NsmConfig::kernel(NsmId(1)),
         };
         NetKernelHost::new(kernel_cfg(0, 1, 0).with_nsm(nsm)).unwrap()

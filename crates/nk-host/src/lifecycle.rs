@@ -174,10 +174,11 @@ impl NetKernelHost {
         let device = NkDevice::new(service_ends, WakeState::new());
         let service = ServiceLib::new(nsm_cfg.id, device, self.cfg.batch_size);
         let instance = match nsm_cfg.stack {
-            kind @ StackKind::SharedMem => {
-                Nsm::SharedMem(Box::new(StackNsm::new(kind, service, LocalStack::new())))
+            StackKind::SharedMem => {
+                let nsm = StackNsm::new(nsm_cfg.cc, service, LocalStack::new());
+                Nsm::SharedMem(Box::new(nsm))
             }
-            kind => {
+            _ => {
                 let ip = self.nsm_addr(nsm_cfg.id);
                 let port = self.switch.attach_with_link(
                     ip,
@@ -187,7 +188,7 @@ impl NetKernelHost {
                     .with_cc(CcAlgorithm::from_kind(nsm_cfg.cc))
                     .with_ephemeral_generation(generation);
                 let stack = TcpStack::new(stack_cfg, port);
-                Nsm::Tcp(Box::new(TcpNsm::new(kind, service, stack)))
+                Nsm::Tcp(Box::new(TcpNsm::new(nsm_cfg.cc, service, stack)))
             }
         };
         self.nsms.insert(nsm_cfg.id, instance);

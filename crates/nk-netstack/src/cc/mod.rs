@@ -11,8 +11,10 @@
 //! * [`reno::Reno`] — NewReno-style AIMD;
 //! * [`cubic::Cubic`] — the Linux default the paper's Baseline runs;
 //! * [`vmshared::VmSharedCc`] — one congestion window per VM shared by all of
-//!   its flows (Seawall-style), powering the fair-bandwidth-sharing NSM of
-//!   use case 2 (§6.2).
+//!   its flows (Seawall-style), fair bandwidth sharing of use case 2 (§6.2).
+//!   The window is per VM on an NSM: ServiceLib hands each connection its
+//!   VM's window ([`crate::TcpStack::set_cc`]). A bare stack built with
+//!   [`CcAlgorithm::VmShared`] is one VM's own, so there it is per stack.
 
 pub mod cubic;
 pub mod reno;
@@ -94,8 +96,8 @@ pub enum CcAlgorithm {
     Reno,
     /// CUBIC.
     Cubic,
-    /// Seawall-style VM-shared window; all connections built from the same
-    /// [`SharedVmWindow`] share one congestion window.
+    /// Seawall-style VM-shared window: every connection the stack builds
+    /// joins this one [`SharedVmWindow`], one window per stack.
     VmShared(SharedVmWindow),
 }
 
@@ -110,9 +112,8 @@ impl CcAlgorithm {
     }
 
     /// Map a [`CcKind`] configuration value to an algorithm. `VmShared`
-    /// requires a shared window, created fresh here; callers that want
-    /// several connections to share a window should construct
-    /// [`CcAlgorithm::VmShared`] themselves.
+    /// gets a fresh window for the stack; an NSM's ServiceLib moves each
+    /// connection into its VM's own.
     pub fn from_kind(kind: CcKind) -> CcAlgorithm {
         match kind {
             CcKind::Reno => CcAlgorithm::Reno,

@@ -28,7 +28,7 @@ struct SharedState {
 }
 
 /// The per-VM shared congestion window. Clone it into every connection of the
-/// same VM (the fair-share NSM does this keyed by VM id).
+/// same VM (a `VmShared` NSM's ServiceLib keeps one per VM it serves).
 #[derive(Clone)]
 pub struct SharedVmWindow {
     state: Arc<Mutex<SharedState>>,
@@ -55,7 +55,7 @@ impl SharedVmWindow {
 
     /// Number of flows currently sharing the window.
     pub fn active_flows(&self) -> usize {
-        self.active_flows.load(Ordering::Relaxed).max(1)
+        self.active_flows.load(Ordering::Relaxed)
     }
 
     fn register(&self) {
@@ -116,7 +116,7 @@ impl Drop for VmSharedCc {
 impl CongestionControl for VmSharedCc {
     fn cwnd(&self) -> usize {
         // Each flow may use at most 1/n of the shared window.
-        let share = self.shared.total_cwnd() / self.shared.active_flows();
+        let share = self.shared.total_cwnd() / self.shared.active_flows().max(1);
         share.max(MSS)
     }
 
@@ -161,7 +161,7 @@ mod tests {
         assert!(more[0].cwnd() < total_before / 8 + MSS);
         drop(flows);
         drop(more);
-        assert_eq!(shared.active_flows(), 1); // clamped to at least 1
+        assert_eq!(shared.active_flows(), 0);
     }
 
     #[test]

@@ -454,6 +454,11 @@ impl TcpConnection {
         self.ooo.clear();
     }
 
+    /// Replace the congestion control: the old instance leaves its window.
+    pub(crate) fn set_cc(&mut self, cc: Cc) {
+        self.cc = cc;
+    }
+
     /// Strip a connection whose slot the stack keeps for the next one: its
     /// congestion control goes at once (a VM-shared window is split among
     /// live flows only; a Reno instance, which holds nothing shared, takes

@@ -139,13 +139,7 @@ impl NsmStack for LocalStack {
 
     /// Pair `sock` with a new socket in the accept queue of the listener on
     /// `remote`'s port, or refuse at once: no listener, or a full queue.
-    fn connect_with_cc(
-        &mut self,
-        sock: SocketId,
-        remote: SockAddr,
-        _now_ns: u64,
-        _cc: Option<Cc>,
-    ) -> NkResult<()> {
+    fn connect(&mut self, sock: SocketId, remote: SockAddr, _now_ns: u64) -> NkResult<()> {
         let LocalSocket::Idle(port) = *self.entry(sock)? else {
             return Err(NkError::InvalidState);
         };
@@ -167,6 +161,11 @@ impl NsmStack for LocalStack {
         self.socks.insert(sock, conn(accepted, remote));
         self.events.push_back(StackEvent::Acceptable(listener));
         self.events.push_back(StackEvent::Connected(sock));
+        Ok(())
+    }
+
+    /// No TCP, no congestion window: nothing to hand over.
+    fn set_cc(&mut self, _sock: SocketId, _cc: Cc) -> NkResult<()> {
         Ok(())
     }
 
@@ -282,9 +281,7 @@ mod tests {
         }
         stack.listen(ls, 4).unwrap();
         assert_eq!(stack.listen(other, 4), Err(NkError::AddrInUse));
-        stack
-            .connect_with_cc(cs, SockAddr::new(7, 80), 0, None)
-            .unwrap();
+        stack.connect(cs, SockAddr::new(7, 80), 0).unwrap();
         let accepted = SocketId(cs.0 + 1);
         let opened = [StackEvent::Acceptable(ls), StackEvent::Connected(cs)];
         assert_eq!(events(&mut stack), opened);
@@ -299,7 +296,7 @@ mod tests {
         assert_eq!(stack.send_payload(cs, &mut run), Ok(100));
         assert!(run.is_empty() && events(&mut stack).is_empty());
         let to = SockAddr::new(0, 80);
-        let refused = stack.connect_with_cc(other, to, 0, None);
+        let refused = stack.connect(other, to, 0);
         assert_eq!(refused, Err(NkError::ConnRefused));
     }
 }

@@ -552,24 +552,9 @@ impl TcpStack {
         Ok((conn_id, cs.conn.remote()))
     }
 
-    /// Start an active open towards `remote` using the stack's default
-    /// congestion control.
+    /// Start an active open towards `remote` using the stack's congestion
+    /// control.
     pub fn connect(&mut self, sock: SocketId, remote: SockAddr, now_ns: u64) -> NkResult<()> {
-        self.connect_with_cc(sock, remote, now_ns, None)
-    }
-
-    /// Start an active open with an explicit congestion-control instance.
-    ///
-    /// The fair-share NSM uses this to give every connection of a VM the same
-    /// Seawall-style shared window (paper §6.2); passing `None` uses the
-    /// stack's configured algorithm.
-    pub fn connect_with_cc(
-        &mut self,
-        sock: SocketId,
-        remote: SockAddr,
-        now_ns: u64,
-        cc: Option<Cc>,
-    ) -> NkResult<()> {
         let at = self.handle(sock)?;
         let local_port = match &self.slots[at.1 as usize].entry {
             SocketEntry::Idle { bound, .. } => bound.map(|a| a.port),
@@ -587,12 +572,27 @@ impl TcpStack {
             return Err(NkError::AddrInUse);
         }
         let iss = self.next_iss();
-        let cc = cc.unwrap_or_else(|| self.cfg.cc.build());
-        let mut conn = TcpConnection::connect(local, remote, iss, cc, now_ns);
+        let mut conn = TcpConnection::connect(local, remote, iss, self.cfg.cc.build(), now_ns);
         conn.set_send_buf_cap(self.cfg.send_buf);
         conn.set_recv_buf_cap(self.cfg.recv_buf);
         self.insert_conn(at, conn, None);
         self.stats.connected += 1;
+        Ok(())
+    }
+
+    /// Replace connection `sock`'s congestion control with `cc`. An NSM
+    /// whose algorithm is `VmShared` hands each connection its VM's window
+    /// this way (paper §6.2): the stack does not know which VM a connection
+    /// serves.
+    pub fn set_cc(&mut self, sock: SocketId, cc: Cc) -> NkResult<()> {
+        let at = self.handle(sock)?;
+        let SocketEntry::Conn(c) = self.slots[at.1 as usize].entry else {
+            return Err(NkError::NotConnected);
+        };
+        let cs = &mut self.conns[c as usize];
+        cs.conn.set_cc(cc);
+        // Its window changed: what it may send did too.
+        cs.wake(at, &mut self.wake);
         Ok(())
     }
 
@@ -838,7 +838,8 @@ impl TcpStack {
     /// address is the *source* NSM's, which the fabric reroutes here — so
     /// the demultiplexer matches the peer's frames even though the address
     /// differs from this stack's own. Congestion control starts fresh from
-    /// this stack's configured algorithm.
+    /// this stack's configured algorithm (a `VmShared` NSM then hands the
+    /// connection its VM's window through [`TcpStack::set_cc`]).
     pub fn install_conn(&mut self, snap: &nk_types::TcpConnSnapshot) -> NkResult<SocketId> {
         if self.demux.contains_key(&(snap.local, snap.remote)) {
             return Err(NkError::AlreadyRegistered);
@@ -1298,13 +1299,8 @@ pub trait NsmStack {
     fn socket(&mut self) -> SocketId;
     fn bind(&mut self, sock: SocketId, addr: SockAddr) -> NkResult<()>;
     fn listen(&mut self, sock: SocketId, backlog: u32) -> NkResult<()>;
-    fn connect_with_cc(
-        &mut self,
-        sock: SocketId,
-        remote: SockAddr,
-        now_ns: u64,
-        cc: Option<Cc>,
-    ) -> NkResult<()>;
+    fn connect(&mut self, sock: SocketId, remote: SockAddr, now_ns: u64) -> NkResult<()>;
+    fn set_cc(&mut self, sock: SocketId, cc: Cc) -> NkResult<()>;
     fn accept(&mut self, sock: SocketId) -> NkResult<(SocketId, SockAddr)>;
     fn send_payload(&mut self, sock: SocketId, run: &mut Payload) -> NkResult<usize>;
     fn recv_available(&self, sock: SocketId) -> usize;
@@ -1332,8 +1328,8 @@ impl NsmStack for TcpStack {
         fn socket() -> SocketId;
         fn bind(sock: SocketId, addr: SockAddr) -> NkResult<()>;
         fn listen(sock: SocketId, backlog: u32) -> NkResult<()>;
-        fn connect_with_cc(sock: SocketId, remote: SockAddr, now_ns: u64, cc: Option<Cc>)
-            -> NkResult<()>;
+        fn connect(sock: SocketId, remote: SockAddr, now_ns: u64) -> NkResult<()>;
+        fn set_cc(sock: SocketId, cc: Cc) -> NkResult<()>;
         fn accept(sock: SocketId) -> NkResult<(SocketId, SockAddr)>;
         fn send_payload(sock: SocketId, run: &mut Payload) -> NkResult<usize>;
         fn recv_runs(sock: SocketId, max: usize, out: &mut Vec<Payload>) -> NkResult<usize>;
@@ -2170,9 +2166,10 @@ mod tests {
         let flows: Vec<SocketId> = (0..4).map(|_| w.client.socket()).collect();
         for &cs in &flows {
             let cc = Cc::VmShared(crate::cc::VmSharedCc::new(shared.clone()));
-            (w.client)
-                .connect_with_cc(cs, SockAddr::new(SERVER_IP, 80), w.now, Some(cc))
+            w.client
+                .connect(cs, SockAddr::new(SERVER_IP, 80), w.now)
                 .unwrap();
+            w.client.set_cc(cs, cc).unwrap();
         }
         w.run(10);
         // Ephemeral ports rise with the client's socket ids.
@@ -2451,12 +2448,7 @@ mod tests {
                 .into_iter()
                 .enumerate()
             {
-                assert_eq!(
-                    window.active_flows(),
-                    entries(stack).1.max(1),
-                    "at {}",
-                    w.now
-                );
+                assert_eq!(window.active_flows(), entries(stack).1, "at {}", w.now);
                 spares[i] = spares[i].max(stocked(stack));
             }
             clients.retain(|&cs| {
@@ -2647,7 +2639,8 @@ mod tests {
         let cc = Cc::VmShared(crate::cc::VmSharedCc::new(shared.clone()));
         let to = SockAddr::new(SERVER_IP, 80);
         let cs = w.client.socket();
-        w.client.connect_with_cc(cs, to, w.now, Some(cc)).unwrap();
+        w.client.connect(cs, to, w.now).unwrap();
+        w.client.set_cc(cs, cc).unwrap();
         w.run(10);
         let (conn, peer) = w.server.accept(ls).unwrap();
         w.server.send(conn, b"unread").unwrap();

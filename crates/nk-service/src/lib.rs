@@ -16,13 +16,15 @@
 //! * [`service`] — [`service::ServiceLib`], the one request handler,
 //!   translating NQEs onto any [`nk_netstack::NsmStack`], and
 //!   [`service::StackNsm`] binding the two. A [`service::TcpNsm`] runs a
-//!   [`nk_netstack::TcpStack`]: the kernel-stack, mTCP and fair-share NSMs
-//!   (the difference is which cost profile and batching the host charges,
-//!   and how many queue sets / cores it gets). The shared-memory NSM of use
+//!   [`nk_netstack::TcpStack`]: the kernel-stack and mTCP NSMs (the
+//!   difference is which cost profile and batching the host charges, and
+//!   how many queue sets / cores it gets). The shared-memory NSM of use
 //!   case 4 (§6.4) runs a [`nk_netstack::LocalStack`], which moves payload
-//!   hugepage-to-hugepage between colocated VMs and bypasses TCP entirely;
-//! * [`fairshare`] — helpers giving each VM one Seawall-style shared
-//!   congestion window (use case 2, §6.2).
+//!   hugepage-to-hugepage between colocated VMs and bypasses TCP entirely.
+//!   On an NSM whose congestion control is `VmShared` (use case 2, §6.2),
+//!   ServiceLib, the one layer that knows a connection's VM, hands each
+//!   connection its VM's shared window as it opens, is accepted or is
+//!   warm-installed.
 
 #![forbid(unsafe_code)]
 // One NSM serves many tenants, so a guest's NQE must never be able to panic
@@ -38,11 +40,9 @@
     )
 )]
 
-pub mod fairshare;
 mod frontend;
 pub mod nsm;
 pub mod service;
 
-pub use fairshare::VmWindowRegistry;
 pub use nsm::Nsm;
 pub use service::{ServiceLib, ServiceStats, StackNsm, TcpNsm};

@@ -8,6 +8,8 @@
 //! same code, monomorphised over their stack; the enum only keeps the
 //! stack's type. So both end a stream the same way: a stack reports the
 //! peer's FIN when it arrives, and ServiceLib holds EOF behind the bytes.
+//! Fair sharing is no flavour of its own: a TCP NSM whose congestion
+//! control is `VmShared` keeps one window per VM it serves.
 
 use crate::service::{ServiceLib, ServiceStats, StackNsm, TcpNsm};
 use nk_netstack::LocalStack;
@@ -18,8 +20,7 @@ use nk_types::VmId;
 /// A Network Stack Module of either flavour. Both are boxed: a TCP NSM
 /// carries a whole stack, and the host walks its NSM map every round.
 pub enum Nsm {
-    /// A ServiceLib over a TCP stack: the kernel-stack, mTCP and fair-share
-    /// NSMs.
+    /// A ServiceLib over a TCP stack: the kernel-stack and mTCP NSMs.
     Tcp(Box<TcpNsm>),
     /// A ServiceLib over a [`LocalStack`]: the shared-memory NSM of use case
     /// 4 (§6.4).
@@ -108,7 +109,7 @@ mod tests {
     use nk_queue::{queue_set_pair, NkDevice, RequesterEnd, WakeState};
     use nk_sim::Pollable;
     use nk_types::{
-        DataHandle, NkError, Nqe, NsmId, OpResult, OpType, QueueSetId, SocketId, StackKind,
+        CcKind, DataHandle, NkError, Nqe, NsmId, OpResult, OpType, QueueSetId, SocketId, StackKind,
     };
 
     /// An NSM of `kind` serving VM 1, with the guest's requester end and the
@@ -117,14 +118,15 @@ mod tests {
         let (guest_end, nsm_end) = queue_set_pair(64);
         let device = NkDevice::new(vec![nsm_end], WakeState::new());
         let service = ServiceLib::new(NsmId(1), device, 8);
+        let cc = CcKind::Cubic;
         let mut nsm = match kind {
             StackKind::SharedMem => {
-                Nsm::SharedMem(Box::new(StackNsm::new(kind, service, LocalStack::new())))
+                Nsm::SharedMem(Box::new(StackNsm::new(cc, service, LocalStack::new())))
             }
-            kind => {
+            _ => {
                 let port = VirtualSwitch::<Segment>::new().attach(0x0A00_0010);
                 let stack = TcpStack::new(StackConfig::new(0x0A00_0010), port);
-                Nsm::Tcp(Box::new(TcpNsm::new(kind, service, stack)))
+                Nsm::Tcp(Box::new(TcpNsm::new(cc, service, stack)))
             }
         };
         let region = HugepageRegion::with_capacity(1 << 20);

@@ -6,16 +6,16 @@
 //! runs, and the peer's FIN, which a stack reports when it arrives, reaches
 //! the guest as `PeerClosed` only once the stack holds no byte for it.
 
-use crate::fairshare::VmWindowRegistry;
 use crate::frontend::Frontend;
+use nk_netstack::cc::{Cc, SharedVmWindow, VmSharedCc};
 use nk_netstack::{NsmStack, Payload, StackEvent, TcpStack};
 use nk_queue::{NkDevice, ResponderEnd};
 use nk_shmem::HugepageRegion;
 use nk_types::api::ShutdownHow;
 use nk_types::ops::op_data;
 use nk_types::{
-    ConnSnapshot, DataHandle, DetMap, GuestSockSnapshot, NkError, NkResult, Nqe, NsmId, OpResult,
-    OpType, QueueSetId, Recycle, SlotTable, SocketId, StackKind, VmId,
+    CcKind, ConnSnapshot, DataHandle, DetMap, GuestSockSnapshot, NkError, NkResult, Nqe, NsmId,
+    OpResult, OpType, QueueSetId, Recycle, SlotTable, SocketId, VmId,
 };
 use std::collections::VecDeque;
 
@@ -161,8 +161,10 @@ pub struct ServiceLib {
     /// `SocketId` order. A `Send` the stack could not take whole and a warm
     /// install with queued payload enter a socket; it stays while runs do.
     tx_ready: Vec<SocketId>,
-    /// Per-VM Seawall windows (fair-share NSM only).
-    fair_share: Option<VmWindowRegistry>,
+    /// One Seawall window per VM (paper §6.2), present only on an NSM whose
+    /// congestion control is `VmShared`: every connection of a VM joins its
+    /// VM's window, and no other, whichever way it enters the stack.
+    vm_windows: Option<DetMap<VmId, SharedVmWindow>>,
 }
 
 impl ServiceLib {
@@ -175,7 +177,7 @@ impl ServiceLib {
             by_stack: DetMap::new(),
             rx_ready: Vec::new(),
             tx_ready: Vec::new(),
-            fair_share: None,
+            vm_windows: None,
         }
     }
 
@@ -191,6 +193,9 @@ impl ServiceLib {
     /// longer serves the VM.
     pub fn remove_vm(&mut self, vm: VmId, stack: &mut impl NsmStack) {
         self.front.regions.remove(&vm);
+        if let Some(windows) = &mut self.vm_windows {
+            windows.remove(&vm);
+        }
         for key in self.socks.sorted_keys() {
             if key.0 == vm {
                 let _ = self.close(stack, key);
@@ -218,6 +223,20 @@ impl ServiceLib {
         Ok(rec)
     }
 
+    /// On a `VmShared` NSM, move stack connection `sock` into `vm`'s window.
+    fn join_vm_window(
+        &mut self,
+        stack: &mut impl NsmStack,
+        sock: SocketId,
+        vm: VmId,
+    ) -> NkResult<()> {
+        let Some(windows) = &mut self.vm_windows else {
+            return Ok(());
+        };
+        let window = windows.get_or_insert_with(vm, SharedVmWindow::new).clone();
+        stack.set_cc(sock, Cc::VmShared(VmSharedCc::new(window)))
+    }
+
     /// Close a guest socket's stack socket and forget the socket.
     fn close(&mut self, stack: &mut impl NsmStack, key: (VmId, SocketId)) -> NkResult<()> {
         let rec = self.forget(key)?;
@@ -234,11 +253,13 @@ impl ServiceLib {
     /// NSM-side queue set CoreEngine pinned the tuple to.
     fn install_conn(
         &mut self,
+        stack: &mut impl NsmStack,
         vm: VmId,
         conn: &ConnSnapshot,
         nsm_qs: usize,
         stack_sock: SocketId,
     ) -> NkResult<()> {
+        self.join_vm_window(stack, stack_sock, vm)?;
         let key = (vm, conn.guest_sock);
         let mut rec = NsmSocket::new(key, stack_sock, conn.vm_queue_set, nsm_qs);
         rec.rx_outstanding = conn.rx_outstanding;
@@ -293,8 +314,8 @@ impl ServiceLib {
             OpType::Bind => sock.and_then(|s| stack.bind(s, nqe.addr())),
             OpType::Listen => sock.and_then(|s| stack.listen(s, nqe.op_data as u32)),
             OpType::Connect => sock.and_then(|s| {
-                let cc = self.fair_share.as_mut().map(|reg| reg.cc_for(nqe.vm));
-                stack.connect_with_cc(s, nqe.addr(), now_ns, cc)
+                stack.connect(s, nqe.addr(), now_ns)?;
+                self.join_vm_window(stack, s, nqe.vm)
             }),
             OpType::Send => self.handle_send(stack, &nqe, slot),
             OpType::RecvConsumed => {
@@ -445,6 +466,7 @@ impl ServiceLib {
             )]
             self.file(key, rec).expect("ids skip live tuples");
             self.front.stats.accepted += 1;
+            let _ = self.join_vm_window(stack, conn, vm);
             // Its first bytes may have arrived before it had a record.
             self.rx_ready.push(conn);
             let ev = event.with_op_data(op_data::pack(OpResult::Ok, key.1.raw()));
@@ -516,9 +538,9 @@ impl ServiceLib {
 
 /// An NSM: a ServiceLib paired with the stack it serves guests through.
 ///
-/// The kernel-stack, mTCP and fair-share NSMs are all a [`TcpNsm`] — they
-/// run the same from-scratch TCP substrate but are provisioned and cost-
-/// accounted differently (the mTCP NSM uses poll-mode batching and a cheaper
+/// The kernel-stack and mTCP NSMs are both a [`TcpNsm`] — they run the same
+/// from-scratch TCP substrate but are provisioned and cost-accounted
+/// differently (the mTCP NSM uses poll-mode batching and a cheaper
 /// per-operation profile in the host's cost model, mirroring §6.3/§7.4). The
 /// shared-memory NSM of use case 4 (§6.4) is a `StackNsm<LocalStack>`.
 pub struct StackNsm<S> {
@@ -530,10 +552,10 @@ pub struct StackNsm<S> {
 pub type TcpNsm = StackNsm<TcpStack>;
 
 impl<S: NsmStack> StackNsm<S> {
-    /// Assemble an NSM of flavour `kind` from its parts.
-    pub fn new(kind: StackKind, mut service: ServiceLib, stack: S) -> Self {
-        if kind == StackKind::FairShare {
-            service.fair_share = Some(VmWindowRegistry::new());
+    /// Assemble an NSM whose congestion control is `cc` from its parts.
+    pub fn new(cc: CcKind, mut service: ServiceLib, stack: S) -> Self {
+        if cc == CcKind::VmShared {
+            service.vm_windows = Some(DetMap::new());
         }
         StackNsm { service, stack }
     }
@@ -609,7 +631,10 @@ impl TcpNsm {
         nsm_qs: usize,
     ) -> NkResult<SocketId> {
         let stack_sock = self.stack.install_conn(&conn.tcp)?;
-        if let Err(e) = self.service.install_conn(vm, conn, nsm_qs, stack_sock) {
+        let installed = self
+            .service
+            .install_conn(&mut self.stack, vm, conn, nsm_qs, stack_sock);
+        if let Err(e) = installed {
             // Unwind the stack install so a refused wiring leaves no
             // orphaned connection behind.
             self.stack.cut_conn(stack_sock);
@@ -623,7 +648,7 @@ impl TcpNsm {
 mod tests {
     use super::*;
     use nk_fabric::switch::VirtualSwitch;
-    use nk_netstack::{LocalStack, Segment, StackConfig};
+    use nk_netstack::{CcAlgorithm, LocalStack, Segment, StackConfig};
     use nk_queue::{queue_set_pair, RequesterEnd, WakeState};
     use nk_types::constants::NSM_SOCKET_ID_BASE;
     use nk_types::SockAddr;
@@ -659,6 +684,9 @@ mod tests {
     struct World {
         switch: VirtualSwitch<Segment>,
         nsm: TcpNsm,
+        /// The NSM's congestion control, as its stack was built with it.
+        cc: CcKind,
+        stack_cc: CcAlgorithm,
         remote: TcpStack,
         ls: SocketId,
         guest_end: RequesterEnd,
@@ -667,19 +695,21 @@ mod tests {
     }
 
     impl World {
-        fn new(kind: StackKind) -> Self {
-            Self::with_region(kind, HugepageRegion::with_capacity(4 << 20))
+        fn new(cc: CcKind) -> Self {
+            Self::with_region(cc, HugepageRegion::with_capacity(4 << 20))
         }
 
-        fn with_region(kind: StackKind, region: HugepageRegion) -> Self {
+        fn with_region(cc: CcKind, region: HugepageRegion) -> Self {
             let mut switch = VirtualSwitch::new();
             let nsm_port = switch.attach(NSM_IP);
             let remote_port = switch.attach(REMOTE_IP);
             let (guest_end, nsm_end) = queue_set_pair(1024);
             let device = NkDevice::new(vec![nsm_end], WakeState::new());
             let service = ServiceLib::new(NsmId(1), device, 8);
-            let stack = TcpStack::new(StackConfig::new(NSM_IP), nsm_port);
-            let mut nsm = TcpNsm::new(kind, service, stack);
+            // As a host's `attach_nsm` assembles it.
+            let stack_cc = CcAlgorithm::from_kind(cc);
+            let stack_cfg = StackConfig::new(NSM_IP).with_cc(stack_cc.clone());
+            let mut nsm = TcpNsm::new(cc, service, TcpStack::new(stack_cfg, nsm_port));
             nsm.service.add_vm(VmId(1), region.clone());
             let mut remote = TcpStack::new(StackConfig::new(REMOTE_IP), remote_port);
             let ls = remote.socket();
@@ -688,6 +718,8 @@ mod tests {
             World {
                 switch,
                 nsm,
+                cc,
+                stack_cc,
                 remote,
                 ls,
                 guest_end,
@@ -725,8 +757,8 @@ mod tests {
             let (guest_end, nsm_end) = queue_set_pair(1024);
             let device = NkDevice::new(vec![nsm_end], WakeState::new());
             let service = ServiceLib::new(NsmId(2), device, 8);
-            let stack = TcpStack::new(StackConfig::new(0x0A00_0099), port);
-            self.nsm = TcpNsm::new(StackKind::Kernel, service, stack);
+            let stack_cfg = StackConfig::new(0x0A00_0099).with_cc(self.stack_cc.clone());
+            self.nsm = TcpNsm::new(self.cc, service, TcpStack::new(stack_cfg, port));
             self.nsm.service.add_vm(VmId(1), self.region.clone());
             self.nsm.install_conn(VmId(1), &conn, 0).unwrap();
             self.guest_end = guest_end;
@@ -775,7 +807,7 @@ mod tests {
 
     #[test]
     fn socket_create_and_bind_listen_complete() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         w.submit(req(OpType::SocketCreate, 1));
         w.submit(req(OpType::Bind, 1).with_op_data(SockAddr::new(0, 80).pack()));
         w.submit(req(OpType::Listen, 1).with_op_data(16));
@@ -790,7 +822,7 @@ mod tests {
 
     #[test]
     fn connect_from_remote_produces_accepted_event() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         w.submit(req(OpType::SocketCreate, 1));
         w.submit(req(OpType::Bind, 1).with_op_data(SockAddr::new(0, 80).pack()));
         w.submit(req(OpType::Listen, 1).with_op_data(16));
@@ -817,7 +849,7 @@ mod tests {
 
     #[test]
     fn guest_connect_send_and_receive_via_nsm() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         // Remote echo listener.
         let ls = w.ls;
 
@@ -867,7 +899,7 @@ mod tests {
 
     #[test]
     fn close_cleans_up_mappings() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         w.submit(req(OpType::SocketCreate, 9));
         w.run(1);
         w.submit(req(OpType::Close, 9));
@@ -885,7 +917,7 @@ mod tests {
 
     #[test]
     fn connect_refused_reports_failure() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         w.submit(req(OpType::SocketCreate, 3));
         w.submit(req(OpType::Connect, 3).with_op_data(SockAddr::new(REMOTE_IP, 9999).pack()));
         w.run(15);
@@ -901,7 +933,7 @@ mod tests {
     /// no socket translation state, and its stack sockets are closed.
     #[test]
     fn remove_vm_detaches_region_and_sockets() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         w.connect(5);
         assert!(w.nsm.service.has_vm(VmId(1)));
 
@@ -921,7 +953,7 @@ mod tests {
     /// socket, for good.
     #[test]
     fn a_socket_create_for_a_live_tuple_is_refused() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         w.submit(req(OpType::SocketCreate, 1));
         w.submit(req(OpType::SocketCreate, 1));
         w.run(1);
@@ -941,7 +973,7 @@ mod tests {
     /// keep their own stack socket.
     #[test]
     fn an_accept_skips_an_nsm_range_id_the_guest_holds() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         w.submit(req(OpType::SocketCreate, NSM_SOCKET_ID_BASE));
         w.submit(req(OpType::SocketCreate, 1));
         w.submit(req(OpType::Bind, 1).with_op_data(SockAddr::new(0, 80).pack()));
@@ -977,7 +1009,7 @@ mod tests {
     /// credit survives, and the peer sees a contiguous byte stream.
     #[test]
     fn export_install_moves_a_connection_between_nsms() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         let (conn_sock, _) = w.connect(5);
         let payload = b"first half ".to_vec();
         let handle = w.region.alloc_and_write(&payload).unwrap();
@@ -1025,7 +1057,7 @@ mod tests {
     /// carries it away.
     #[test]
     fn teardown_leaves_no_receive_credit_behind() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         for guest in [5, 6, 7] {
             w.submit(req(OpType::SocketCreate, guest));
             w.submit(req(OpType::Connect, guest).with_op_data(SockAddr::new(REMOTE_IP, 7).pack()));
@@ -1071,7 +1103,7 @@ mod tests {
     /// allocated *first*, one 16 KiB read went missing mid-stream here.
     #[test]
     fn exhausted_region_delays_received_data_without_losing_it() {
-        let mut w = World::with_region(StackKind::Kernel, HugepageRegion::with_capacity(40 * 1024));
+        let mut w = World::with_region(CcKind::Cubic, HugepageRegion::with_capacity(40 * 1024));
         let (conn, _) = w.connect(5);
         let _ = w.responses();
 
@@ -1114,7 +1146,7 @@ mod tests {
     #[test]
     fn a_stack_holding_several_regions_worth_ships_it_a_region_at_a_time() {
         let capacity = 40 * 1024;
-        let mut w = World::with_region(StackKind::Kernel, HugepageRegion::with_capacity(capacity));
+        let mut w = World::with_region(CcKind::Cubic, HugepageRegion::with_capacity(capacity));
         let (conn, _) = w.connect(5);
         let _ = w.responses();
         let stack_sock = w
@@ -1174,7 +1206,7 @@ mod tests {
     /// the guest reads it.
     #[test]
     fn a_socket_receives_while_another_sockets_unread_chunk_holds_the_region() {
-        let mut w = World::with_region(StackKind::Kernel, HugepageRegion::with_capacity(64 << 10));
+        let mut w = World::with_region(CcKind::Cubic, HugepageRegion::with_capacity(64 << 10));
         let (conn_a, _) = w.connect(5);
         let (conn_b, _) = w.connect(6);
         let _ = w.responses();
@@ -1232,7 +1264,7 @@ mod tests {
     /// travels with the runs: the connection moves to another NSM midway.
     #[test]
     fn a_shutdown_waits_behind_the_runs_queued_ahead_of_it() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         let (conn, _) = w.connect(5);
         let payload: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
         for part in payload.chunks(64 * 1024) {
@@ -1274,7 +1306,7 @@ mod tests {
     /// end moves in `a_shutdown_waits_behind_the_runs_queued_ahead_of_it`).
     #[test]
     fn eof_waits_behind_the_bytes_the_stack_holds() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         let (conn, _) = w.connect(5);
         let payload: Vec<u8> = (0..2 * RX_BUDGET).map(|i| (i % 251) as u8).collect();
         let mut sent = 0;
@@ -1320,7 +1352,7 @@ mod tests {
     /// which resets the connection: it holds unread bytes.
     #[test]
     fn runs_the_stack_refuses_for_good_go_back_with_the_error() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         let (remote_end, _) = w.connect(5);
         for _ in 0..16 {
             let handle = w.region.alloc_and_write(&[7u8; 64 * 1024]).unwrap();
@@ -1363,17 +1395,56 @@ mod tests {
         );
     }
 
+    /// On an NSM whose congestion control is `VmShared`, a connection
+    /// counts in its own VM's window and in no other, whether it was
+    /// accepted on the VM's listener or warm-installed for the VM. Both used
+    /// to join the stack's one window, which every tenant shared.
     #[test]
-    fn fair_share_nsm_builds_with_vm_windows() {
-        let w = World::new(StackKind::FairShare);
-        assert!(w.nsm.service.fair_share.is_some());
+    fn a_vm_shared_nsm_counts_each_connection_in_its_vms_window_only() {
+        let mut w = World::new(CcKind::VmShared);
+        let (a, b) = (VmId(1), VmId(2));
+        w.nsm
+            .service
+            .add_vm(b, HugepageRegion::with_capacity(1 << 20));
+        for (vm, port) in [(a, 80), (b, 81)] {
+            let req = |op| Nqe::new(op, vm, QueueSetId(0), SocketId(1));
+            w.submit(req(OpType::SocketCreate));
+            w.submit(req(OpType::Bind).with_op_data(SockAddr::new(0, port).pack()));
+            w.submit(req(OpType::Listen).with_op_data(16));
+        }
+        w.run(2);
+        for port in [80, 81, 81, 81] {
+            let rs = w.remote.socket();
+            w.remote
+                .connect(rs, SockAddr::new(NSM_IP, port), w.now)
+                .unwrap();
+        }
+        w.run(10);
+        assert_eq!(w.nsm.service.stats().accepted, 4);
+        // A connection of A's, exported from another NSM, lands here.
+        let mut src = World::new(CcKind::Cubic);
+        src.connect(5);
+        let conn = src.nsm.export_conn(a, SocketId(5), guest_sock(5)).unwrap();
+        w.nsm.install_conn(a, &conn, 0).unwrap();
+
+        let windows = w.nsm.service.vm_windows.as_ref().unwrap();
+        let flows = |vm| windows.get(&vm).map(SharedVmWindow::active_flows);
+        assert_eq!((flows(a), flows(b), windows.len()), (Some(2), Some(3), 2));
+        let CcAlgorithm::VmShared(stack_window) = &w.stack_cc else {
+            panic!("a VmShared NSM's stack builds VmShared connections");
+        };
+        assert_eq!(stack_window.active_flows(), 0, "the stack's own window");
+        // A VM that leaves the NSM takes its window along.
+        w.nsm.service.remove_vm(b, &mut w.nsm.stack);
+        let windows = w.nsm.service.vm_windows.as_ref().unwrap();
+        assert!(windows.get(&b).is_none() && windows.get(&a).is_some());
     }
 
     /// A Send on a socket ServiceLib does not know frees its chunk and
     /// returns its credit, as CoreEngine does for the Sends it drops.
     #[test]
     fn a_failed_send_frees_its_chunk_and_returns_its_credit() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         let before = w.region.available();
         let handle = w.region.alloc_and_write(&[7u8; 1000]).unwrap();
         w.submit(req(OpType::Send, 42).with_data(handle, 1000));
@@ -1387,7 +1458,7 @@ mod tests {
 
     #[test]
     fn unsupported_ops_are_rejected_gracefully() {
-        let mut w = World::new(StackKind::Kernel);
+        let mut w = World::new(CcKind::Cubic);
         w.submit(req(OpType::SocketCreate, 1));
         w.submit(req(OpType::GetSockOpt, 1));
         w.run(1);
@@ -1412,7 +1483,7 @@ mod tests {
             let (vm2_end, nsm_end2) = queue_set_pair(256);
             let device = NkDevice::new(vec![nsm_end1, nsm_end2], WakeState::new());
             let service = ServiceLib::new(NsmId(1), device, 8);
-            let mut nsm = StackNsm::new(StackKind::SharedMem, service, LocalStack::new());
+            let mut nsm = StackNsm::new(CcKind::Cubic, service, LocalStack::new());
             let regions = [1, 2].map(|_| HugepageRegion::with_capacity(1 << 20));
             nsm.service.add_vm(VmId(1), regions[0].clone());
             nsm.service.add_vm(VmId(2), regions[1].clone());

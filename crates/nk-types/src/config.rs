@@ -54,9 +54,6 @@ pub enum StackKind {
     /// (use case 4, §6.4): payload is copied hugepage-to-hugepage and TCP
     /// processing is bypassed entirely.
     SharedMem,
-    /// Kernel-style stack with VM-level (Seawall-like) congestion control for
-    /// fair bandwidth sharing (use case 2, §6.2).
-    FairShare,
 }
 
 /// Which congestion-control algorithm a stack uses.
@@ -68,7 +65,10 @@ pub enum CcKind {
     #[default]
     Cubic,
     /// One shared congestion window per VM, split equally across that VM's
-    /// active flows (Seawall-style VM-level fairness).
+    /// active flows (Seawall-style VM-level fairness, use case 2, §6.2). On
+    /// an NSM every connection of a VM joins that VM's window, whichever way
+    /// it entered the stack; a bare stack is one VM's own, so its
+    /// connections share one window per stack.
     VmShared,
 }
 
@@ -82,7 +82,8 @@ pub struct VmConfig {
     /// Tenant identifier; VMs of the same tenant may use the shared-memory
     /// NSM when colocated (§6.4).
     pub tenant: u32,
-    /// Optional egress bandwidth cap in Gbps enforced by CoreEngine (§7.6).
+    /// Optional egress bandwidth cap in Gbps enforced by CoreEngine (§7.6);
+    /// the host's isolation must be [`IsolationPolicy::RateLimited`].
     pub rate_limit_gbps: Option<f64>,
 }
 
@@ -111,6 +112,11 @@ impl VmConfig {
 }
 
 /// Configuration of one Network Stack Module.
+///
+/// Fair bandwidth sharing (use case 2, §6.2) is one setting: an NSM whose
+/// `cc` is [`CcKind::VmShared`] gives each VM it serves one congestion
+/// window, shared by all of that VM's connections and by no other VM's
+/// (`NsmConfig::kernel(id).with_cc(CcKind::VmShared)`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct NsmConfig {
     /// NSM identifier, unique per host.
@@ -119,7 +125,7 @@ pub struct NsmConfig {
     pub vcpus: usize,
     /// Stack implementation the NSM runs.
     pub stack: StackKind,
-    /// Congestion control used by that stack.
+    /// Congestion control used by that stack; `VmShared` is per VM.
     pub cc: CcKind,
     /// Rate of the virtual function / vNIC attached to the NSM, in Gbps.
     pub nic_rate_gbps: f64,
@@ -149,15 +155,6 @@ impl NsmConfig {
     pub fn shared_mem(id: NsmId) -> Self {
         NsmConfig {
             stack: StackKind::SharedMem,
-            ..NsmConfig::kernel(id)
-        }
-    }
-
-    /// A kernel-style NSM running VM-level fair-share congestion control.
-    pub fn fair_share(id: NsmId) -> Self {
-        NsmConfig {
-            stack: StackKind::FairShare,
-            cc: CcKind::VmShared,
             ..NsmConfig::kernel(id)
         }
     }
@@ -403,15 +400,21 @@ impl HostConfig {
     }
 
     /// Validate internal consistency (ids unique, counts non-zero and within
-    /// the queue-set id space, rates finite and positive, static mappings
-    /// referencing existing entities).
+    /// the queue-set id space, rates finite and positive, a VM rate only
+    /// under [`IsolationPolicy::RateLimited`], static mappings referencing
+    /// existing entities).
     pub fn validate(&self) -> NkResult<()> {
         let mut vm_ids = std::collections::BTreeSet::new();
         for v in &self.vms {
             if !(1..=MAX_VCPUS).contains(&v.vcpus) {
                 return Err(NkError::BadConfig);
             }
-            if v.rate_limit_gbps.is_some_and(|g| !valid_rate_gbps(g)) {
+            // CoreEngine enforces a rate only under `RateLimited`: under any
+            // other policy it would be ignored without a word.
+            let enforced = self.isolation == IsolationPolicy::RateLimited;
+            if v.rate_limit_gbps
+                .is_some_and(|g| !valid_rate_gbps(g) || !enforced)
+            {
                 return Err(NkError::BadConfig);
             }
             if !vm_ids.insert(v.id) {
@@ -545,18 +548,24 @@ mod tests {
         // count with an id for each (100 000 used to reach the allocator).
         // Oversized memory counts used to pass and then overflow in the
         // allocation at attach.
-        let rows: [(Edit, bool); 19] = [
+        fn rate(c: &mut HostConfig, gbps: f64) {
+            c.isolation = IsolationPolicy::RateLimited;
+            c.vms[0].rate_limit_gbps = Some(gbps);
+        }
+        let rows: [(Edit, bool); 20] = [
             (|c| c.vms[0].vcpus = 256, true),
             (|c| c.vms[0].vcpus = 257, false),
             (|c| c.vms[0].vcpus = 100_000, false),
             (|c| c.nsms[0].vcpus = 257, false),
             (|c| c.nsms[0].nic_rate_gbps = f64::NAN, false),
             (|c| c.nsms[0].nic_rate_gbps = f64::INFINITY, false),
-            (|c| c.vms[0].rate_limit_gbps = Some(2.5), true),
-            (|c| c.vms[0].rate_limit_gbps = Some(f64::NAN), false),
-            (|c| c.vms[0].rate_limit_gbps = Some(f64::INFINITY), false),
-            (|c| c.vms[0].rate_limit_gbps = Some(0.0), false),
-            (|c| c.vms[0].rate_limit_gbps = Some(-1.0), false),
+            (|c| rate(c, 2.5), true),
+            // A rate no policy enforces is a typo, not a silent no-op.
+            (|c| c.vms[0].rate_limit_gbps = Some(2.5), false),
+            (|c| rate(c, f64::NAN), false),
+            (|c| rate(c, f64::INFINITY), false),
+            (|c| rate(c, 0.0), false),
+            (|c| rate(c, -1.0), false),
             (|c| c.hugepages_per_pair = 1024, true),
             (|c| c.hugepages_per_pair = 1025, false),
             (|c| c.hugepages_per_pair = usize::MAX, false),
@@ -585,8 +594,5 @@ mod tests {
         assert_eq!(NsmConfig::kernel(NsmId(1)).stack, StackKind::Kernel);
         assert_eq!(NsmConfig::mtcp(NsmId(1)).stack, StackKind::Mtcp);
         assert_eq!(NsmConfig::shared_mem(NsmId(1)).stack, StackKind::SharedMem);
-        let fs = NsmConfig::fair_share(NsmId(1));
-        assert_eq!(fs.stack, StackKind::FairShare);
-        assert_eq!(fs.cc, CcKind::VmShared);
     }
 }

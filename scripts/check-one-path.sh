@@ -132,5 +132,7 @@ check "$(code crates/nk-host/src | grep -c 'aliases:')" -eq 0 \
     "adopted addresses have one record: the switch's /32 routes, with no alias map beside them in the host"
 check "$(code crates | grep -cE 'sample_vm|OUTSTANDING_CAP|struct Histogram')" -eq 0 \
     "the recorder keeps what it observed; latency returns only as stamps (item 1)"
+check "$(code crates | grep -cE 'StackKind::FairShare|VmWindowRegistry|connect_with_cc')" -eq 0 \
+    "fair sharing is one setting: an NSM whose cc is VmShared keeps a window per VM, with no stack kind, registry or connect-time cc beside it"
 
 exit "$fails"

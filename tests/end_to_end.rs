@@ -5,8 +5,8 @@
 use netkernel::host::{BaselineVm, NetKernelHost};
 use netkernel::netstack::Segment;
 use netkernel::types::{
-    HostConfig, NkError, NsmConfig, NsmId, PollEvents, SockAddr, SocketApi, StackKind, VmConfig,
-    VmId, VmToNsmPolicy,
+    CcKind, HostConfig, NkError, NsmConfig, NsmId, PollEvents, SockAddr, SocketApi, StackKind,
+    VmConfig, VmId, VmToNsmPolicy,
 };
 use netkernel::workload::{ClosedLoopClient, EchoServer};
 
@@ -16,7 +16,6 @@ fn host_with(stack: StackKind, vms: u8) -> NetKernelHost {
     let nsm = match stack {
         StackKind::Mtcp => NsmConfig::mtcp(NsmId(1)),
         StackKind::SharedMem => NsmConfig::shared_mem(NsmId(1)),
-        StackKind::FairShare => NsmConfig::fair_share(NsmId(1)),
         StackKind::Kernel => NsmConfig::kernel(NsmId(1)).with_vcpus(2),
     };
     let mut cfg = HostConfig::new()
@@ -190,6 +189,77 @@ fn remote_clients_reach_a_guest_server() {
     assert!(readable >= 2, "most connections should have delivered data");
 }
 
+/// Fair sharing is one setting: a kernel NSM whose `cc` is `VmShared`
+/// serves two VMs, one streaming out through a guest connect and one
+/// accepting a remote client, and both streams arrive intact.
+#[test]
+fn a_vm_shared_nsm_carries_a_connect_and_an_accept() {
+    let nsm = NsmConfig::kernel(NsmId(1)).with_cc(CcKind::VmShared);
+    let cfg = HostConfig::new()
+        .with_nsm(nsm)
+        .with_mapping(VmToNsmPolicy::All(NsmId(1)))
+        .with_vm(VmConfig::new(VmId(1)))
+        .with_vm(VmConfig::new(VmId(2)));
+    let mut host = NetKernelHost::new(cfg).unwrap();
+    let nsm_ip = host.nsm_addr(NsmId(1));
+    let remote = host.add_remote(REMOTE_IP);
+    let rl = remote.socket();
+    remote.bind(rl, SockAddr::new(0, 80)).unwrap();
+    remote.listen(rl, 8).unwrap();
+    let g2 = host.guest_mut(VmId(2)).unwrap();
+    let l2 = g2.socket().unwrap();
+    g2.bind(l2, SockAddr::new(0, 8080)).unwrap();
+    g2.listen(l2, 8).unwrap();
+    let g1 = host.guest_mut(VmId(1)).unwrap();
+    let s1 = g1.socket().unwrap();
+    g1.connect(s1, SockAddr::new(REMOTE_IP, 80)).unwrap();
+    host.run(10, 100_000);
+    let remote = host.remote_mut(REMOTE_IP).unwrap();
+    let rc = remote.socket();
+    remote.connect(rc, SockAddr::new(nsm_ip, 8080), 0).unwrap();
+    host.run(20, 100_000);
+
+    let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+    let (mut sent, mut received, mut conns) = (0, Vec::new(), None);
+    let mut buf = vec![0u8; 32 * 1024];
+    for _ in 0..2_000 {
+        if sent < payload.len() {
+            if let Ok(n) = host.guest_mut(VmId(1)).unwrap().send(s1, &payload[sent..]) {
+                sent += n;
+            }
+        }
+        host.run(1, 100_000);
+        let remote = host.remote_mut(REMOTE_IP).unwrap();
+        if conns.is_none() {
+            if let Ok((c, _)) = remote.accept(rl) {
+                remote.send(rc, b"request").unwrap();
+                conns = Some(c);
+            }
+        }
+        if let Some(c) = conns {
+            while let Ok(n) = remote.recv(c, &mut buf) {
+                if n == 0 {
+                    break;
+                }
+                received.extend_from_slice(&buf[..n]);
+            }
+        }
+        if received.len() == payload.len() {
+            break;
+        }
+    }
+    assert!(
+        received == payload,
+        "VM 1's stream: {} bytes",
+        received.len()
+    );
+    host.run(20, 100_000);
+    let g2 = host.guest_mut(VmId(2)).unwrap();
+    let (conn, _) = g2.accept(l2).unwrap();
+    assert_eq!(g2.recv(conn, &mut buf), Ok(7));
+    assert_eq!(&buf[..7], b"request");
+}
+
 /// Multiple VMs share one NSM and an error case: connecting to a closed port
 /// surfaces as an error/hang-up on the guest socket.
 #[test]
@@ -265,7 +335,7 @@ fn a_forged_vm_id_is_answered_as_the_sender() {
     use netkernel::service::{Nsm, ServiceLib, TcpNsm};
     use netkernel::shmem::HugepageRegion;
     use netkernel::sim::Pollable;
-    use netkernel::types::{IsolationPolicy, Nqe, OpType, QueueSetId, SocketId};
+    use netkernel::types::{CcKind, IsolationPolicy, Nqe, OpType, QueueSetId, SocketId};
 
     const NSM_IP: u32 = 0x0A00_0010;
     let mut switch = VirtualSwitch::<Segment>::new();
@@ -273,7 +343,7 @@ fn a_forged_vm_id_is_answered_as_the_sender() {
     let device = NkDevice::new(vec![nsm_end], WakeState::new());
     let stack = TcpStack::new(StackConfig::new(NSM_IP), switch.attach(NSM_IP));
     let service = ServiceLib::new(NsmId(1), device, 8);
-    let mut nsm = Nsm::Tcp(Box::new(TcpNsm::new(StackKind::Kernel, service, stack)));
+    let mut nsm = Nsm::Tcp(Box::new(TcpNsm::new(CcKind::Cubic, service, stack)));
     let mut engine = CoreEngine::new(IsolationPolicy::RoundRobin, 8);
     engine.register_nsm(NsmId(1), vec![engine_end]).unwrap();
     let mut rings = Vec::new();

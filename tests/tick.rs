@@ -16,8 +16,8 @@ use netkernel::shmem::HugepageRegion;
 use netkernel::sim::SplitMix64;
 use netkernel::types::constants::MSS;
 use netkernel::types::{
-    HostConfig, NkError, Nqe, NsmConfig, NsmId, OpType, QueueSetId, ShutdownHow, SockAddr,
-    SocketApi, SocketId, StackKind, VmConfig, VmId, VmToNsmPolicy,
+    CcKind, HostConfig, NkError, Nqe, NsmConfig, NsmId, OpType, QueueSetId, ShutdownHow, SockAddr,
+    SocketApi, SocketId, VmConfig, VmId, VmToNsmPolicy,
 };
 use netkernel::workload::{echo_all, seeded_payload};
 use std::collections::BTreeMap;
@@ -367,9 +367,8 @@ fn a_siblings_ack_unblocks_a_window_blocked_connection_the_same_tick() {
     let open = |w: &mut World, ip: u32| {
         let cs = w.client.socket();
         let cc = Cc::VmShared(VmSharedCc::new(shared.clone()));
-        w.client
-            .connect_with_cc(cs, SockAddr::new(ip, 80), w.now, Some(cc))
-            .unwrap();
+        w.client.connect(cs, SockAddr::new(ip, 80), w.now).unwrap();
+        w.client.set_cc(cs, cc).unwrap();
         cs
     };
     let (blocked, chatty) = (open(&mut w, SILENT_IP), open(&mut w, SERVER_IP));
@@ -525,7 +524,7 @@ fn bytes_held_at_accept_time_are_pumped_without_a_new_segment() {
     );
     let region = HugepageRegion::with_capacity(1 << 20);
     service.add_vm(VmId(1), region.clone());
-    let mut nsm = TcpNsm::new(StackKind::Kernel, service, stack);
+    let mut nsm = TcpNsm::new(CcKind::Cubic, service, stack);
     let req = |op| Nqe::new(op, VmId(1), QueueSetId(0), SocketId(1));
     guest_end.submit(req(OpType::SocketCreate)).unwrap();
     let bind = req(OpType::Bind).with_op_data(SockAddr::new(0, 80).pack());
