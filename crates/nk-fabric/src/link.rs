@@ -166,8 +166,18 @@ impl<P: Train> Link<P> {
         (self.stats.delivered - before) as usize
     }
 
+    /// True when a frame's delivery time has arrived at `now_ns`: the
+    /// front frame is the earliest due, so this is one comparison. A switch
+    /// locks the port behind a link only when this holds.
+    pub fn has_due(&self, now_ns: u64) -> bool {
+        self.in_flight
+            .front()
+            .is_some_and(|p| p.deliver_at_ns <= now_ns)
+    }
+
     /// Frames still queued on the link (a train is one).
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
 

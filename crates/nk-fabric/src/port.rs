@@ -7,11 +7,20 @@
 //! two, so a second switch can take the endpoint's place — which is how a
 //! clustered host's switch holds its ToR trunk as its default route.
 //!
+//! Each queue publishes its length: every lock hold stores the count it
+//! leaves behind (`Release`) before it unlocks, and the two taking calls,
+//! [`Port::recv_burst`] and [`Port::drain_tx_into`], read it (`Acquire`)
+//! first and return without locking when it is 0. An idle hop — a tick
+//! with nothing received, a switch round over a quiet vNIC — costs one
+//! atomic load, not a lock; the lock stays for every queue that holds
+//! frames.
+//!
 //! A trunk's host end is used while the units of a sharded cluster poll,
 //! its ToR end in the hub with every helper parked, so the round barrier
-//! orders every hand-off and no lock is contended. The locks still block:
-//! a caller that crosses the phases (nkbench's two-thread drive) is slower,
-//! never wrong.
+//! orders every hand-off: a published 0 is exact wherever the cluster reads
+//! it, and no lock is contended. A caller that crosses the phases
+//! (nkbench's two-thread drive) may read a stale 0, which only leaves the
+//! frame for its next poll: slower, never wrong.
 
 #![expect(
     clippy::disallowed_types,
@@ -20,12 +29,17 @@
               sides serially at the round barrier. A host uplink's port is the \
               cross-shard edge: the host end is used while units poll, the ToR \
               end in the hub with every helper parked, so the barrier orders \
-              every lock and none is contended. The datapath takes one lock \
-              per burst, not per frame."
+              every lock and none is contended. Every hold publishes the \
+              queue's length before it unlocks, so within that order a length \
+              of 0 read without the lock is exact and an idle queue is never \
+              locked; a caller that crosses the phases reads at worst a stale \
+              0, which delays a frame to its next poll and never loses one. \
+              The datapath takes one lock per non-empty burst, not per frame."
 )]
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// A frame travelling through the fabric.
 ///
@@ -103,7 +117,40 @@ impl<P: Train> Train for Frame<P> {
     }
 }
 
-type Queue<P> = Mutex<VecDeque<Frame<P>>>;
+/// One direction of a port: its frames, and their count as the last lock
+/// hold left it, readable without the lock.
+struct Queue<P> {
+    frames: Mutex<VecDeque<Frame<P>>>,
+    /// `frames.len()`, stored (`Release`) by [`Queue::with`] as every hold
+    /// ends and loaded (`Acquire`) by [`Queue::is_idle`]. It publishes no frame: a reader
+    /// that sees more than 0 locks the mutex, which orders the frames.
+    len: AtomicUsize,
+}
+
+impl<P> Default for Queue<P> {
+    fn default() -> Self {
+        Queue {
+            frames: Mutex::default(),
+            len: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<P> Queue<P> {
+    /// Run `f` on the locked frames, then publish their count before the
+    /// lock is released: every hold goes through here.
+    fn with<R>(&self, f: impl FnOnce(&mut VecDeque<Frame<P>>) -> R) -> R {
+        let mut frames = self.frames.lock().expect("no port hold panics");
+        let out = f(&mut frames);
+        self.len.store(frames.len(), Ordering::Release);
+        out
+    }
+
+    /// True when the last lock hold left the queue empty: nothing to take.
+    fn is_idle(&self) -> bool {
+        self.len.load(Ordering::Acquire) == 0
+    }
+}
 
 /// A bidirectional port. Cloning yields another handle to the same port (the
 /// switch keeps one clone, the endpoint keeps the other).
@@ -128,7 +175,7 @@ impl<P> Port<P> {
     /// Create a port for the endpoint with address `addr`.
     pub fn new(addr: u32) -> Self {
         Port {
-            queues: Arc::new([Mutex::default(), Mutex::default()]),
+            queues: Arc::default(),
             addr,
             tx: 0,
         }
@@ -153,81 +200,94 @@ impl<P> Port<P> {
         Arc::ptr_eq(&self.queues, &other.queues)
     }
 
-    /// The queue this handle sends into, locked.
-    fn tx(&self) -> MutexGuard<'_, VecDeque<Frame<P>>> {
-        self.queues[self.tx].lock().unwrap()
+    /// The queue this handle sends into.
+    fn tx(&self) -> &Queue<P> {
+        &self.queues[self.tx]
     }
 
-    /// The queue this handle receives from, locked.
-    fn rx(&self) -> MutexGuard<'_, VecDeque<Frame<P>>> {
-        self.queues[1 - self.tx].lock().unwrap()
+    /// The queue this handle receives from.
+    fn rx(&self) -> &Queue<P> {
+        &self.queues[1 - self.tx]
     }
 
     /// Endpoint side: queue a frame for transmission.
     pub fn send(&self, frame: Frame<P>) {
-        self.tx().push_back(frame);
+        self.tx().with(|q| q.push_back(frame));
     }
 
     /// Endpoint side: queue a whole burst for transmission under one lock,
     /// leaving `burst` empty. Into an empty queue the burst's buffer trades
     /// places with the queue's, so no frame moves.
     pub fn send_burst(&self, burst: &mut Vec<Frame<P>>) {
-        let mut q = self.tx();
-        if q.is_empty() {
-            let spare = Vec::from(std::mem::take(&mut *q));
-            *q = std::mem::replace(burst, spare).into();
-        } else {
-            q.extend(burst.drain(..));
-        }
+        self.tx().with(|q| {
+            if q.is_empty() {
+                let spare = Vec::from(std::mem::take(q));
+                *q = std::mem::replace(burst, spare).into();
+            } else {
+                q.extend(burst.drain(..));
+            }
+        });
     }
 
     /// Endpoint side: take one delivered frame, if any.
     pub fn recv(&self) -> Option<Frame<P>> {
-        self.rx().pop_front()
+        self.rx().with(VecDeque::pop_front)
     }
 
     /// Endpoint side: take every delivered frame under one lock, appending
     /// to `into`. An empty `into` trades places with the port's queue: an
     /// endpoint that consumes all it takes moves no frame (measurably
-    /// faster on `bulk` than appending ~700 frames per tick).
+    /// faster on `bulk` than appending ~700 frames per tick). A queue that
+    /// published 0 is not locked, and `into` is left as it was.
     pub fn recv_burst(&self, into: &mut VecDeque<Frame<P>>) {
-        let mut q = self.rx();
-        if into.is_empty() {
-            std::mem::swap(&mut *q, into);
-        } else {
-            into.append(&mut q);
+        if self.rx().is_idle() {
+            return;
         }
+        self.rx().with(|q| {
+            if into.is_empty() {
+                std::mem::swap(q, into);
+            } else {
+                into.append(q);
+            }
+        });
     }
 
-    /// Endpoint side: number of delivered frames waiting.
-    pub fn rx_pending(&self) -> usize {
-        self.rx().len()
+    /// Endpoint side: number of delivered frames waiting, as published.
+    #[cfg(test)]
+    pub(crate) fn rx_pending(&self) -> usize {
+        self.rx().len.load(Ordering::Acquire)
     }
 
     /// Switch side: drain every queued frame, appending them to `out` (no
     /// per-call allocation; an empty `out` trades buffers with the queue).
-    /// Returns how many were drained.
+    /// Returns how many were drained. A queue that published 0 is not
+    /// locked, and `out` is left as it was.
     pub fn drain_tx_into(&self, out: &mut Vec<Frame<P>>) -> usize {
-        let mut q = self.tx();
-        let n = q.len();
-        if out.is_empty() {
-            let spare = VecDeque::from(std::mem::take(out));
-            *out = std::mem::replace(&mut *q, spare).into();
-        } else {
-            out.extend(q.drain(..));
+        if self.tx().is_idle() {
+            return 0;
         }
-        n
+        self.tx().with(|q| {
+            let n = q.len();
+            if out.is_empty() {
+                let spare = VecDeque::from(std::mem::take(out));
+                *out = std::mem::replace(q, spare).into();
+            } else {
+                out.extend(q.drain(..));
+            }
+            n
+        })
     }
 
-    /// Switch side: number of frames awaiting pickup.
-    pub fn tx_pending(&self) -> usize {
-        self.tx().len()
+    /// Switch side: number of frames awaiting pickup, as published.
+    #[cfg(test)]
+    pub(crate) fn tx_pending(&self) -> usize {
+        self.tx().len.load(Ordering::Acquire)
     }
 
     /// Switch side: deliver a burst to the endpoint under one lock: `fill`
     /// appends it to the endpoint's receive queue.
     pub fn deliver_burst<R>(&self, fill: impl FnOnce(&mut VecDeque<Frame<P>>) -> R) -> R {
-        fill(&mut self.rx())
+        self.rx().with(fill)
     }
 }
 
@@ -314,6 +374,81 @@ pub(crate) mod tests {
             wire_bytes: 100,
             payload: tag,
         }
+    }
+
+    /// Both of `p`'s queues as `(published, locked)` lengths. The locked
+    /// length is read straight from the mutex, not through [`Queue::with`],
+    /// which would publish it.
+    fn lengths(p: &Port<u32>) -> [(usize, usize); 2] {
+        p.queues.each_ref().map(|q| {
+            let len = q.len.load(Ordering::Acquire);
+            (len, q.frames.lock().unwrap().len())
+        })
+    }
+
+    /// The length a handle reads without the lock is the queue's length
+    /// after every call that changes it, and a call that finds a queue
+    /// idle leaves the caller's buffer as it was: it takes no lock, so it
+    /// trades no buffer.
+    #[test]
+    fn the_published_length_is_the_queues_length_after_every_call() {
+        let p: Port<u32> = Port::new(10);
+        let check = |tx: usize, rx: usize| assert_eq!(lengths(&p), [(tx, tx), (rx, rx)]);
+        check(0, 0);
+        p.send(frame(2, 1));
+        check(1, 0);
+        p.send_burst(&mut vec![frame(2, 2), frame(2, 3)]);
+        check(3, 0);
+        let mut wire = Vec::new();
+        assert_eq!(p.drain_tx_into(&mut wire), 3);
+        check(0, 0);
+        // The queue now holds `wire`'s old buffer, which never grew: an
+        // idle drain that traded would hand it back.
+        let mut idle = Vec::with_capacity(64);
+        idle.push(frame(2, 0));
+        idle.clear();
+        assert_eq!(p.drain_tx_into(&mut idle), 0);
+        assert_eq!(idle.capacity(), 64, "an idle drain trades no buffer");
+        p.send_burst(&mut vec![frame(2, 4), frame(2, 5)]);
+        check(2, 0);
+        p.drain_tx_into(&mut wire);
+        check(0, 0);
+        p.deliver_burst(|rx| rx.extend(wire.drain(..)));
+        check(0, 5);
+        assert_eq!(p.recv().map(|f| f.payload), Some(1));
+        check(0, 4);
+        let mut taken = VecDeque::new();
+        p.recv_burst(&mut taken);
+        check(0, 0);
+        assert_eq!(taken.len(), 4);
+        let mut idle = VecDeque::with_capacity(64);
+        idle.push_back(frame(10, 9));
+        let capacity = idle.capacity();
+        p.recv_burst(&mut idle);
+        idle.pop_front();
+        p.recv_burst(&mut idle);
+        assert_eq!(idle.capacity(), capacity, "an idle take trades no buffer");
+        assert!(p.recv().is_none());
+        check(0, 0);
+    }
+
+    /// nkbench's two-thread drive as a test: a host end sends while the
+    /// ToR end drains on another thread, reading the published length
+    /// without the lock, until every frame has arrived, in order.
+    #[test]
+    fn a_trunk_crossed_by_two_threads_delivers_every_frame_in_order() {
+        const N: u32 = 20_000;
+        let (mut host, mut tor) = uplink_pair::<u32>(0x0A01_0000);
+        let mut got = Vec::new();
+        std::thread::scope(|s| {
+            s.spawn(move || (0..N).for_each(|tag| host.send(frame(2, tag))));
+            while got.len() < N as usize {
+                if tor.drain_into(&mut got) == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        assert!(got.iter().map(|f| f.payload).eq(0..N));
     }
 
     #[test]

@@ -298,7 +298,7 @@ impl<P: Train> VirtualSwitch<P> {
                 continue;
             };
             if port.drain_tx_into(&mut scratch) == 0 {
-                continue; // an idle port costs one lock
+                continue; // an idle port costs one atomic load, no lock
             }
             self.routes[i].rx_bytes += scratch.iter().map(|f| f.wire_bytes as u64).sum::<u64>();
             // One route lookup per run of frames with the same destination.
@@ -327,8 +327,8 @@ impl<P: Train> VirtualSwitch<P> {
         let mut delivered = 0;
         for Route { mask, hop, .. } in &mut self.routes {
             let Some((port, link)) = hop else { continue };
-            if link.in_flight() == 0 {
-                continue; // an idle route costs no lock
+            if !link.has_due(now_ns) {
+                continue; // a route with nothing due costs no lock
             }
             let due = port.deliver_burst(|rx| link.drain_deliverable(now_ns, rx));
             // Frames handed up the default route are the upstream switch's
@@ -445,6 +445,25 @@ mod tests {
         assert_eq!(b.rx_pending(), 0);
         sw.step(100_000);
         assert_eq!(b.recv().unwrap().payload, 5);
+    }
+
+    /// A route locks its port only for a frame that is due: a frame on a
+    /// 2-µs link stays on the link at every step before its time, with the
+    /// port's receive queue empty, and lands at exactly its time.
+    #[test]
+    fn a_frame_lands_at_exactly_its_time_and_not_a_step_before() {
+        let mut sw: VirtualSwitch<u32> = VirtualSwitch::new();
+        let a = sw.attach(1);
+        let b = sw.attach_with_link(2, LinkConfig::ideal().with_latency_us(2));
+        a.send(frame(1, 2, 7));
+        for now in [1_000, 2_000, 2_999] {
+            assert_eq!(sw.step(now), 0, "at {now} ns");
+            assert_eq!(b.rx_pending(), 0, "at {now} ns");
+        }
+        assert_eq!(sw.link_stats(2).unwrap().delivered, 0);
+        assert!(b.recv().is_none());
+        assert_eq!(sw.step(3_000), 1);
+        assert_eq!(tags(&b), vec![7]);
     }
 
     /// Degrading a port's egress link mid-flight affects only frames

@@ -5,9 +5,10 @@
 # runs N pairs of untraced seed-1 runs as long as BENCHMARK.json's
 # run_seconds, alternating which side goes first, and prints one line per
 # end-to-end metric of BENCHMARK.json: both medians, the change's median
-# relative to the parent's, the parent's IQR (q3 - q1), how many pairs the
+# relative to the parent's, each side's IQR (q3 - q1), how many pairs the
 # change won (a tie wins nothing) and the failed operations summed over
-# each side's runs. Reads and edits no nkbench file.
+# each side's runs. The change's IQR beside the parent's shows whether its
+# own runs split into modes. Reads and edits no nkbench file.
 #   scripts/bench-pairs.sh <parent-rev> <workload>... [--pairs N]
 # N defaults to 10. The build directory goes under ${TMPDIR:-/tmp} and is
 # removed on exit.
@@ -63,8 +64,8 @@ run() { # <side> <workload>: append one JSON line to $work/<workload>.<side>
   "$work/$1" --workload "$2" --seed 1 --seconds "$seconds" --trace 0 >>"$work/$2.$1"
 }
 
-printf '%-9s %-18s %12s %12s %8s %11s %6s %s\n' \
-  workload metric parent change delta parent_IQR wins "failed (parent/change)"
+printf '%-9s %-18s %12s %12s %8s %11s %11s %6s %s\n' \
+  workload metric parent change delta parent_IQR change_IQR wins "failed (parent/change)"
 for w in "${workloads[@]}"; do
   for i in $(seq 1 "$pairs"); do
     echo "$w: pair $i of $pairs" >&2
@@ -105,9 +106,9 @@ for w in "${workloads[@]}"; do
           wins += ENVIRON["BETTER"] == "higher" ? c[i] > p[i] : c[i] < p[i]
         sort(p, np); sort(c, nc)
         pm = quantile(p, np, 0.5); cm = quantile(c, nc, 0.5)
-        printf "%-9s %-18s %12.4g %12.4g %+7.1f%% %11.4g %3d/%-2d %d/%d\n", ENVIRON["W"], ENVIRON["M"],
+        printf "%-9s %-18s %12.4g %12.4g %+7.1f%% %11.4g %11.4g %3d/%-2d %d/%d\n", ENVIRON["W"], ENVIRON["M"],
           pm, cm, pm == 0 ? 0 : 100 * (cm - pm) / pm, quantile(p, np, 0.75) - quantile(p, np, 0.25),
-          wins, np, pf, cf
+          quantile(c, nc, 0.75) - quantile(c, nc, 0.25), wins, np, pf, cf
       }
     ' "$work/$w.parent" "$work/$w.change"
   done

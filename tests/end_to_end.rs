@@ -395,3 +395,93 @@ fn a_forged_vm_id_is_answered_as_the_sender() {
     assert_eq!(engine.pinned_connections(VmId(1), NsmId(1)), 0);
     assert_eq!(engine.pinned_connections(VmId(2), NsmId(1)), 1);
 }
+
+/// Bytes VM A's one connection and VM B's three delivered to a sink VM
+/// in 2 000 steps of 100 µs, all three VMs on one `VmShared` kernel NSM
+/// whose vNIC is capped at 1 Gbps. Every byte A and B send crosses that
+/// cap on its way back into the NSM, so the two senders contend for it.
+fn delivered_by_a_and_b() -> (usize, usize) {
+    let nsm = NsmConfig {
+        nic_rate_gbps: 1.0,
+        ..NsmConfig::kernel(NsmId(1)).with_cc(CcKind::VmShared)
+    };
+    let mut cfg = HostConfig::new()
+        .with_nsm(nsm)
+        .with_mapping(VmToNsmPolicy::All(NsmId(1)));
+    for vm in 1..=3 {
+        cfg = cfg.with_vm(VmConfig::new(VmId(vm)));
+    }
+    let mut host = NetKernelHost::new(cfg).unwrap();
+    let nsm_ip = host.nsm_addr(NsmId(1));
+    let sink = host.guest_mut(VmId(3)).unwrap();
+    let listeners = [8001, 8002].map(|port| {
+        let l = sink.socket().unwrap();
+        sink.bind(l, SockAddr::new(0, port)).unwrap();
+        sink.listen(l, 8).unwrap();
+        l
+    });
+    let senders: Vec<(usize, VmId, _)> = [(0, VmId(1), 1), (1, VmId(2), 3)]
+        .into_iter()
+        .flat_map(|(who, vm, flows)| {
+            let guest = host.guest_mut(vm).unwrap();
+            (0..flows)
+                .map(|_| {
+                    let s = guest.socket().unwrap();
+                    guest
+                        .connect(s, SockAddr::new(nsm_ip, 8001 + who as u16))
+                        .unwrap();
+                    (who, vm, s)
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    host.run(20, 100_000);
+    let sink = host.guest_mut(VmId(3)).unwrap();
+    let mut accepted = Vec::new();
+    for (who, &l) in listeners.iter().enumerate() {
+        while let Ok((conn, _)) = sink.accept(l) {
+            accepted.push((who, conn));
+        }
+    }
+    assert_eq!(accepted.len(), 4, "every connection is accepted");
+
+    let chunk = vec![0x5Au8; 16 * 1024];
+    let mut buf = vec![0u8; 64 * 1024];
+    let mut delivered = [0usize; 2];
+    for _ in 0..2_000 {
+        for &(_, vm, s) in &senders {
+            let guest = host.guest_mut(vm).unwrap();
+            while guest.send(s, &chunk).is_ok_and(|n| n > 0) {}
+        }
+        host.run(1, 100_000);
+        let sink = host.guest_mut(VmId(3)).unwrap();
+        for &(who, conn) in &accepted {
+            while let Ok(n) = sink.recv(conn, &mut buf) {
+                if n == 0 {
+                    break;
+                }
+                delivered[who] += n;
+            }
+        }
+    }
+    (delivered[0], delivered[1])
+}
+
+/// Figure 9's claim, measured: on a `VmShared` NSM a VM with three
+/// connections gets no more of a capped vNIC than a VM with one, since
+/// each VM's connections split that VM's one window. It does not hold yet:
+/// VM A reads 81 % of the bytes (CHANGES.md, the `FOUND:` line on
+/// `VmSharedCc`), so the test is ignored until that is mended.
+#[test]
+#[ignore = "the split reads 81/19, not 50/50: VmSharedCc's fairness is open"]
+fn a_vm_shared_nsm_splits_a_capped_vnic_evenly_between_vms() {
+    let (a, b) = delivered_by_a_and_b();
+    let half = (a + b) as f64 / 2.0;
+    for (vm, bytes) in [("A", a), ("B", b)] {
+        assert!(
+            (bytes as f64 - half).abs() <= 0.1 * half,
+            "VM {vm} delivered {bytes} of {} bytes",
+            a + b
+        );
+    }
+}
