@@ -637,14 +637,13 @@ fn clu01_cluster_migration() {
         .map(|e| {
             vec![
                 format!("{}", e.at_ns / 1_000_000),
-                e.epoch.to_string(),
                 format!("{:?}", e.action),
             ]
         })
         .collect();
     print_table(
         "Cluster: drained cross-host migration event log",
-        &["t (ms)", "epoch", "action"],
+        &["t (ms)", "action"],
         &rows,
     );
     println!(

@@ -1,22 +1,21 @@
-//! The cluster: hosts behind one top-of-rack switch, one clock, one placer.
+//! The cluster: hosts behind one top-of-rack switch, one clock.
 
 use crate::exec::{ExecStats, ShardedExecutor, StepOutcome};
-use nk_ctrl::placer::{ClusterSample, HostLoad, Placer};
 use nk_ctrl::{EvacMode, PlanEvent};
 use nk_fabric::TorSwitch;
 use nk_guest::GuestLib;
 use nk_host::NetKernelHost;
 use nk_netstack::{Segment, StackConfig, TcpStack};
 use nk_obs::{FlightRecorder, ObsDump, ObsEventKind};
-use nk_sim::{CycleLedger, Epoch, Pollable, PoolMember};
+use nk_sim::Pollable;
 use nk_types::addr::{host_prefix, HOST_PREFIX_MASK};
-use nk_types::constants::{DEFAULT_POLL_ROUNDS, LINE_RATE_GBPS};
+use nk_types::constants::DEFAULT_POLL_ROUNDS;
 use nk_types::{
     ClusterAction, ClusterConfig, ClusterEvent, HostId, NkError, NkResult, NsmId, StackKind, VmId,
 };
 use std::collections::BTreeMap;
 
-/// Cluster scheduler and placement counters, for observability and tests.
+/// Cluster scheduler and migration counters, for observability and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Cluster steps executed.
@@ -67,11 +66,11 @@ pub struct ClusterStats {
 
 /// A set of [`NetKernelHost`]s joined by uplinks through a top-of-rack
 /// switch, sharing one virtual clock, with cross-host VM moves (drained,
-/// warm, whole-host evacuation — one executor, see [`crate::evac`]) and an
-/// optional cluster placement loop. Placement has one record, the hosts'
-/// own VM slots: a VM's home is the host it is resident on and not
-/// draining off ([`NetKernelHost::homed_vms`]), and its drains are the
-/// hosts' [`NetKernelHost::draining_vms`].
+/// warm, whole-host evacuation — one executor, see [`crate::evac`]).
+/// Placement has one record, the hosts' own VM slots: a VM's home is the
+/// host it is resident on and not draining off
+/// ([`NetKernelHost::homed_vms`]), and its drains are the hosts'
+/// [`NetKernelHost::draining_vms`].
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
     /// Boxed, so a step moves each host into the executor and back as a
@@ -81,15 +80,10 @@ pub struct Cluster {
     /// Datacenter-level endpoints attached at the ToR (gateways, servers
     /// every host talks to).
     pub(crate) remotes: BTreeMap<u32, TcpStack>,
-    pub(crate) placer: Option<Placer>,
     pub(crate) events: Vec<ClusterEvent>,
     /// Plan-event logs of every move and evacuation run so far, in
     /// execution order (see [`crate::evac`]).
     pub(crate) plan_events: Vec<PlanEvent>,
-    /// Placement epochs completed (also stamps drain events).
-    pub(crate) epoch: u64,
-    pub(crate) next_epoch_ns: u64,
-    pub(crate) last_sample_ns: u64,
     pub(crate) stats: ClusterStats,
     /// Drives each step's poll rounds over the hosts on `threads` OS
     /// threads, the stepping thread included. Semantics are identical at
@@ -103,9 +97,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Build a cluster from its configuration: every host comes up, gets an
-    /// uplink trunk on the ToR, and (when a policy is installed) starts
-    /// charging datapath work so the placer sees utilisation.
+    /// Build a cluster from its configuration: every host comes up and gets
+    /// an uplink trunk on the ToR.
     pub fn new(cfg: ClusterConfig) -> NkResult<Self> {
         cfg.validate()?;
         let uplink = cfg.uplink();
@@ -115,16 +108,8 @@ impl Cluster {
             let id = host_cfg.host_id;
             let mut host = NetKernelHost::new(host_cfg.clone())?;
             host.connect_uplink(tor.attach_trunk(host_prefix(id), HOST_PREFIX_MASK, uplink));
-            if let Some(policy) = &cfg.policy {
-                host.enable_pool_accounting(policy.pool_clock_hz);
-            }
             hosts.insert(id, Box::new(host));
         }
-        let placer = match cfg.policy.clone() {
-            Some(policy) => Some(Placer::new(policy)?),
-            None => None,
-        };
-        let next_epoch_ns = cfg.policy.as_ref().map(|p| p.epoch_ns).unwrap_or(u64::MAX);
         let threads = Self::resolve_threads(cfg.threads);
         let obs = FlightRecorder::new(cfg.obs);
         Ok(Cluster {
@@ -132,12 +117,8 @@ impl Cluster {
             hosts,
             tor,
             remotes: BTreeMap::new(),
-            placer,
             events: Vec::new(),
             plan_events: Vec::new(),
-            epoch: 0,
-            next_epoch_ns,
-            last_sample_ns: 0,
             stats: ClusterStats::default(),
             exec: ShardedExecutor::new(threads),
             obs,
@@ -185,7 +166,7 @@ impl Cluster {
         self.now_ns
     }
 
-    /// Scheduler and placement counters. Every field is independent of the
+    /// Scheduler and migration counters. Every field is independent of the
     /// datapath thread count.
     pub fn stats(&self) -> ClusterStats {
         self.stats
@@ -288,10 +269,8 @@ impl Cluster {
     /// are polled in interleaved rounds until a full round reports no work
     /// (or the round bound is hit) — so a request → uplink → ToR → remote →
     /// response round trip completes within one step. Each host's control
-    /// phase closes its step, then cluster-level work runs: drain
-    /// completions retire emptied source shares, and at placement-epoch
-    /// boundaries the placer may migrate VMs across hosts. Returns the
-    /// total work done.
+    /// phase closes its step, then drain completions retire emptied source
+    /// shares. Returns the total work done.
     pub fn step(&mut self, dt_ns: u64) -> usize {
         let outcome = self.drive_step(dt_ns, true);
         if outcome.quiescent {
@@ -299,12 +278,7 @@ impl Cluster {
         } else {
             self.stats.round_limit_hits += 1;
         }
-        let mut total = outcome.work;
-        total += self.advance_drains();
-        let now = self.now_ns;
-        if self.placer.is_some() && now >= self.next_epoch_ns {
-            total += self.run_placement_epoch(now);
-        }
+        let total = outcome.work + self.advance_drains();
         self.stats.steps += 1;
         self.stats.rounds += outcome.rounds as u64;
         total
@@ -384,16 +358,14 @@ impl Cluster {
         if !self.obs.active() {
             return;
         }
-        let epoch = self.epoch;
         for (id, host) in self.hosts.iter_mut() {
             for (at_ns, faults) in host.take_applied_faults() {
                 self.obs
-                    .record_event(at_ns, epoch, ObsEventKind::Fault { host: *id, faults });
+                    .record_event(at_ns, ObsEventKind::Fault { host: *id, faults });
             }
             for event in host.take_fresh_control_events() {
                 self.obs.record_event(
                     event.at_ns,
-                    epoch,
                     ObsEventKind::Control {
                         host: *id,
                         action: event.action,
@@ -415,9 +387,7 @@ impl Cluster {
     /// Live-migrate a VM to another host, *drained*: its identity moves
     /// now (new connections open on the least-loaded TCP NSM of `to`), the
     /// connections pinned on `from` keep being served there, and the drain
-    /// is tracked until the source share empties. Operators call this
-    /// directly; the placer calls it at epoch boundaries. Runs as a
-    /// one-move plan through the move executor ([`crate::evac`]): a refusal
+    /// is tracked until the source share empties. Runs as a one-move plan through the move executor ([`crate::evac`]): a refusal
     /// at any step rolls the earlier ones back and returns that step's
     /// error.
     pub fn migrate_vm(&mut self, vm: VmId, from: HostId, to: HostId) -> NkResult<()> {
@@ -499,101 +469,11 @@ impl Cluster {
         work
     }
 
-    // ---- The placement loop --------------------------------------------------
-
-    /// Close a placement epoch: sample every host, let the placer decide,
-    /// and execute its migrations. Returns the number applied.
-    fn run_placement_epoch(&mut self, now_ns: u64) -> usize {
-        let sample = self.sample_epoch(now_ns);
-        let placer = self.placer.as_mut().expect("checked by caller");
-        self.next_epoch_ns = now_ns + placer.policy().epoch_ns;
-        let migrations = placer.on_epoch(&sample);
-        self.epoch = placer.epochs();
-        let mut applied = 0;
-        for m in migrations {
-            // A decision can race reality (the VM is already draining, the
-            // destination lost its NSMs): skip rather than panic — the
-            // placer re-observes next epoch.
-            let ok = self.migrate_vm(m.vm, m.from, m.to).is_ok();
-            if ok {
-                applied += 1;
-            }
-            // Record the *decision* either way: skipped decisions are
-            // invisible in the cluster event log (only applied migrations
-            // land there), so a placer looping on an inapplicable move only
-            // shows up here.
-            self.obs.record_event(
-                now_ns,
-                self.epoch,
-                ObsEventKind::Decision(nk_ctrl::DecisionOutcome {
-                    epoch: self.epoch,
-                    vm: m.vm,
-                    from: m.from,
-                    to: m.to,
-                    applied: ok,
-                }),
-            );
-        }
-        applied
-    }
-
-    /// Assemble the placement sample of the epoch ending now: per-host NSM
-    /// utilisation from pool-ledger deltas, cross-host traffic from uplink
-    /// counters, per-VM bytes as the placement snapshot — each a delta
-    /// against the [`Epoch::Placement`] mark kept beside its counter.
-    fn sample_epoch(&mut self, now_ns: u64) -> ClusterSample {
-        let elapsed_ns = now_ns.saturating_sub(self.last_sample_ns).max(1);
-        self.last_sample_ns = now_ns;
-        // Bytes one uplink direction can carry over the elapsed window.
-        let uplink_capacity = (LINE_RATE_GBPS * elapsed_ns as f64 / 8.0).max(1.0);
-        let mut hosts = BTreeMap::new();
-        for (id, host) in self.hosts.iter_mut() {
-            let members: Vec<PoolMember> = host.core_pool().members().collect();
-            let mut used = CycleLedger::default();
-            let mut nsm_cores = 0usize;
-            for member in members {
-                let PoolMember::Nsm(_) = member else { continue };
-                let Some(delta) = host.take_pool_delta(member, Epoch::Placement) else {
-                    continue;
-                };
-                used.busy += delta.busy;
-                used.offered += delta.offered;
-                nsm_cores += host.core_pool().cores(member).unwrap_or(0);
-            }
-            let (tx, rx) = host.take_uplink_bytes();
-            let mut vm_bytes = BTreeMap::new();
-            let vms: Vec<VmId> = host.config().vms.iter().map(|v| v.id).collect();
-            for vm in vms {
-                let bytes = host.take_vm_bytes_forwarded(vm, Epoch::Placement);
-                // A VM still draining off this host is not a migration
-                // candidate — its home is elsewhere, and offering it to the
-                // placer would burn the per-epoch budget on a move that can
-                // only be skipped at execution time. Its byte mark is still
-                // advanced above so later samples stay consistent.
-                if host.homed_vms().any(|v| v == vm) {
-                    vm_bytes.insert(vm, bytes);
-                }
-            }
-            hosts.insert(
-                *id,
-                HostLoad {
-                    nsm_cores,
-                    nsm_utilisation: used.utilisation(),
-                    uplink_utilisation: tx.max(rx) as f64 / uplink_capacity,
-                    queue_depth: host.stalled_nqes() as u64,
-                    vm_bytes,
-                },
-            );
-        }
-        ClusterSample { now_ns, hosts }
-    }
-
     pub(crate) fn push_event(&mut self, action: ClusterAction) {
         self.obs
-            .record_event(self.now_ns, self.epoch, ObsEventKind::Cluster(action));
+            .record_event(self.now_ns, ObsEventKind::Cluster(action));
         self.events.push(ClusterEvent {
             at_ns: self.now_ns,
-            epoch: self.epoch,
             action,
         });
     }
@@ -612,10 +492,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use nk_types::constants::DEFAULT_QUEUE_CAPACITY;
-    use nk_types::{
-        ClusterPolicy, HostConfig, NsmConfig, SockAddr, SocketApi, SocketId, VmConfig,
-        VmToNsmPolicy,
-    };
+    use nk_types::{HostConfig, NsmConfig, SockAddr, SocketApi, SocketId, VmConfig, VmToNsmPolicy};
 
     const SERVER_IP: u32 = 0xC0A8_0001; // 192.168.0.1, outside every host block
 
@@ -663,7 +540,9 @@ mod tests {
         }
         assert_eq!(accepted, 2, "both hosts' tenants reach the ToR endpoint");
         for h in [HostId(1), HostId(2)] {
-            let (tx, rx) = cluster.host_mut(h).unwrap().take_uplink_bytes();
+            let up = cluster.host(h).unwrap().switch().link_stats(0).unwrap();
+            let down = cluster.tor.link_stats(host_prefix(h)).unwrap();
+            let (tx, rx) = (up.delivered_bytes, down.delivered_bytes);
             assert!(tx > 0 && rx > 0, "{h}: {tx} B out, {rx} B in");
         }
         let stats = cluster.stats();
@@ -877,89 +756,6 @@ mod tests {
         assert_eq!(guest.recv(s, &mut buf).unwrap(), 4);
     }
 
-    /// Two hosts, a listening ToR sink, and a placement policy whose epoch
-    /// never fires on its own: the two tests below sample host 1 themselves.
-    fn sampled_cluster() -> (Cluster, SocketId) {
-        let policy = ClusterPolicy::new()
-            .with_epoch_ns(u64::MAX / 4)
-            .with_pool_clock_hz(1_000_000);
-        let cfg = ClusterConfig::new()
-            .with_host(host(1, &[1]))
-            .with_host(host(2, &[2]))
-            .with_policy(policy);
-        let mut cluster = Cluster::new(cfg).unwrap();
-        let server = cluster.add_remote(SERVER_IP);
-        let ls = server.socket();
-        server.bind(ls, SockAddr::new(0, 7)).unwrap();
-        server.listen(ls, 16).unwrap();
-        (cluster, ls)
-    }
-
-    fn host1_load(cluster: &mut Cluster) -> HostLoad {
-        let mut sample = cluster.sample_epoch(cluster.now_ns());
-        sample.hosts.remove(&HostId(1)).unwrap()
-    }
-
-    /// VM 1 on host 1 opens a connection to the sink and sends 60 × 512 B,
-    /// one send per step, the sink reading as they arrive.
-    fn stream_30k(cluster: &mut Cluster, ls: SocketId) -> SocketId {
-        let guest = cluster.guest_on(HostId(1), VmId(1)).unwrap();
-        let s = guest.socket().unwrap();
-        guest.connect(s, SockAddr::new(SERVER_IP, 7)).unwrap();
-        cluster.run(20, 100_000);
-        let (conn, _) = cluster.remote_mut(SERVER_IP).unwrap().accept(ls).unwrap();
-        for _ in 0..60 {
-            let guest = cluster.guest_on(HostId(1), VmId(1)).unwrap();
-            assert_eq!(guest.send(s, &[7u8; 512]), Ok(512));
-            cluster.step(100_000);
-            let server = cluster.remote_mut(SERVER_IP).unwrap();
-            while server.recv(conn, &mut [0u8; 2048]).is_ok_and(|n| n > 0) {}
-        }
-        s
-    }
-
-    /// A share that crashed and restarted is a new pool member with a new
-    /// ledger; the placement sample must read it from zero, not against the
-    /// dead member's (larger) totals — which read as "no load at all".
-    #[test]
-    fn a_restarted_share_reports_its_load_in_the_first_epoch() {
-        let (mut cluster, ls) = sampled_cluster();
-        let s = stream_30k(&mut cluster, ls);
-        cluster.run(10, 100_000);
-        assert!(host1_load(&mut cluster).nsm_utilisation > 0.0);
-
-        let host = cluster.host_mut(HostId(1)).unwrap();
-        host.crash_nsm(NsmId(1)).unwrap();
-        host.restart_nsm(NsmId(1)).unwrap();
-        let _ = cluster.guest_on(HostId(1), VmId(1)).unwrap().close(s);
-        stream_30k(&mut cluster, ls);
-        let first = host1_load(&mut cluster).nsm_utilisation;
-        stream_30k(&mut cluster, ls);
-        let second = host1_load(&mut cluster).nsm_utilisation;
-        assert!(second > 0.0 && first > second / 2.0, "{first}, {second}");
-    }
-
-    /// A VM that drained off a host, retired there and later migrated back
-    /// is a new engine port with new counters; its first sample must be the
-    /// bytes it forwarded since, not a delta against its previous life.
-    #[test]
-    fn a_vm_that_moved_back_reports_its_bytes_in_the_first_epoch() {
-        let (mut cluster, ls) = sampled_cluster();
-        let s = stream_30k(&mut cluster, ls);
-        assert_eq!(host1_load(&mut cluster).vm_bytes[&VmId(1)], 60 * 512);
-
-        cluster.migrate_vm(VmId(1), HostId(1), HostId(2)).unwrap();
-        let guest = cluster.guest_on(HostId(1), VmId(1)).unwrap();
-        guest.close(s).unwrap();
-        cluster.run(20, 100_000);
-        cluster.migrate_vm(VmId(1), HostId(2), HostId(1)).unwrap();
-        cluster.run(2, 100_000);
-        assert_eq!(cluster.stats().drains_completed, 2);
-
-        stream_30k(&mut cluster, ls);
-        assert_eq!(host1_load(&mut cluster).vm_bytes[&VmId(1)], 60 * 512);
-    }
-
     /// Hosts 1–3 (VM 1 on host 1, VM 2 on host 2, host 3 empty), the ToR
     /// server listening, and each VM holding one connection pinned at home.
     fn pinned_pair() -> (Cluster, [SocketId; 2]) {
@@ -1118,10 +914,6 @@ mod tests {
             .with_host(host(1, &[1]))
             .with_host(host(1, &[2]));
         assert!(Cluster::new(dup).is_err());
-        let bad_policy = ClusterConfig::new()
-            .with_host(host(1, &[1]))
-            .with_policy(ClusterPolicy::new().with_window(0));
-        assert!(Cluster::new(bad_policy).is_err());
     }
 
     /// Begin and close run on every host, once per step, at any thread

@@ -287,7 +287,7 @@ impl Cluster {
     /// window per wave; when step `k` fails, revert steps `k − 1` down to
     /// `0`. `kind` is not read until the plan has ended.
     fn run_plan(&mut self, plan: EvacPlan, faults: &[EvacFault], kind: PlanKind) -> EvacReport {
-        let mut run = PlanRun::new(&plan, self.now_ns, self.epoch);
+        let mut run = PlanRun::new(&plan, self.now_ns);
         let mut exec = EvacExec::default();
         // The wave whose shared freeze window has run.
         let mut window_wave: Option<usize> = None;
@@ -322,7 +322,7 @@ impl Cluster {
                 self.run_freeze_window(&plan, wave, step);
                 window_wave = Some(wave);
             }
-            run.started(step, self.now_ns, self.epoch);
+            run.started(step, self.now_ns);
             let step_start = self.now_ns;
             let result = if forced_failure {
                 Err(NkError::InvalidState)
@@ -335,16 +335,16 @@ impl Cluster {
                 self.record_step_phase(&plan, step, step_start, result.is_ok());
             }
             match result {
-                Ok(()) => run.done(step, self.now_ns, self.epoch),
+                Ok(()) => run.done(step, self.now_ns),
                 Err(e) => {
                     if window_wave != Some(wave) {
                         // The wave failed before its window ran.
                         self.close_freeze_phases(&plan, wave, step, self.now_ns);
                     }
-                    run.failed(step, e, self.now_ns, self.epoch);
+                    run.failed(step, e, self.now_ns);
                     for id in (0..step).rev() {
                         self.revert_step(&plan, id, &mut exec);
-                        run.reverted(id, self.now_ns, self.epoch);
+                        run.reverted(id, self.now_ns);
                     }
                     failure = Some((step, e));
                     break;
@@ -353,17 +353,17 @@ impl Cluster {
         }
         let committed = failure.is_none();
         let (warm, drained) = if committed {
-            run.committed(plan.host, self.now_ns, self.epoch);
+            run.committed(plan.host, self.now_ns);
             self.commit_plan(&plan, &exec, kind)
         } else {
-            run.rolled_back(plan.host, self.now_ns, self.epoch);
+            run.rolled_back(plan.host, self.now_ns);
             (0, 0)
         };
         let events = run.into_events();
         self.plan_events.extend(events.iter().copied());
         for event in &events {
             self.obs
-                .record_event(event.at_ns, event.epoch, ObsEventKind::Plan(event.kind));
+                .record_event(event.at_ns, ObsEventKind::Plan(event.kind));
         }
         // The rollback epilogue, evacuation only: count it and trip the
         // dump-on-fault trigger *after* the rollback events landed, so the
@@ -371,7 +371,7 @@ impl Cluster {
         if !committed && kind == PlanKind::Evacuation {
             self.stats.evac_rollbacks += 1;
             let reason = FreezeReason::PlanRolledBack { host: plan.host };
-            self.obs.freeze(self.now_ns, self.epoch, reason);
+            self.obs.freeze(self.now_ns, reason);
         }
         EvacReport {
             plan,
@@ -459,7 +459,7 @@ impl Cluster {
         // captured event, preserving the ring exactly as it was when the
         // host died.
         self.obs
-            .freeze(self.now_ns, self.epoch, FreezeReason::HostKilled { host });
+            .freeze(self.now_ns, FreezeReason::HostKilled { host });
         Ok(())
     }
 
@@ -472,7 +472,8 @@ impl Cluster {
     /// Routes currently installed at the ToR (trunks' block routes plus
     /// warm-migration `/32` detours) — the invariant the rollback tests
     /// compare.
-    pub fn tor_routes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tor_routes(&self) -> usize {
         self.tor.routes()
     }
 
@@ -534,7 +535,6 @@ impl Cluster {
             phase,
             start_ns,
             end_ns: self.now_ns,
-            epoch: self.epoch,
             step: Some(plan.steps[step].id as u32),
             ok,
         });

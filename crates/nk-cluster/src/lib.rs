@@ -5,9 +5,9 @@
 //! crate owns that scale: a [`cluster::Cluster`] assembles a set of
 //! [`nk_host::NetKernelHost`]s, wires each host's virtual switch through an
 //! uplink into one top-of-rack [`nk_fabric::TorSwitch`], shares a single
-//! virtual clock across all of them, and runs the
-//! [`nk_ctrl::placer::Placer`] — the per-host control loop lifted to cluster
-//! scope — to live-migrate VMs between hosts.
+//! virtual clock across all of them, and moves VMs between hosts when the
+//! operator asks. Decisions stay host-scope: each host's own control plane
+//! resizes its NSMs and rebalances its VMs (paper §3, §6).
 //!
 //! Moving a VM between hosts is one mechanism with three entry points.
 //! [`Cluster::migrate_vm`] (drained: the identity moves now, connections

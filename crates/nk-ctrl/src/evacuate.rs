@@ -263,15 +263,13 @@ serde::impl_serialize!(enum PlanEventKind {
     PlanRolledBack { host, reverted },
 });
 
-/// A [`PlanEventKind`] stamped with virtual time, placement epoch and a
-/// per-plan sequence number. The log is coordinator-only (plans never run
-/// concurrently with each other), so it is identical at any thread count.
+/// A [`PlanEventKind`] stamped with virtual time and a per-plan sequence
+/// number. The log is coordinator-only (plans never run concurrently with
+/// each other), so it is identical at any thread count.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlanEvent {
     /// Virtual time of the event.
     pub at_ns: u64,
-    /// Placement epoch the event belongs to.
-    pub epoch: u64,
     /// Position in this plan's log.
     pub seq: u32,
     /// What happened.
@@ -290,66 +288,55 @@ pub struct PlanRun {
 
 impl PlanRun {
     /// Admit a compiled plan and log `PlanStarted`.
-    pub fn new(plan: &EvacPlan, at_ns: u64, epoch: u64) -> Self {
+    pub fn new(plan: &EvacPlan, at_ns: u64) -> Self {
         let mut run = PlanRun { events: Vec::new() };
         let kind = PlanEventKind::PlanStarted {
             host: plan.host,
             steps: plan.steps.len() as u32,
             waves: plan.waves() as u32,
         };
-        run.push(kind, at_ns, epoch);
+        run.push(kind, at_ns);
         run
     }
 
     /// Log that step `id` began executing.
-    pub fn started(&mut self, id: usize, at_ns: u64, epoch: u64) {
-        self.push(
-            PlanEventKind::ActionStarted { step: id as u32 },
-            at_ns,
-            epoch,
-        );
+    pub fn started(&mut self, id: usize, at_ns: u64) {
+        self.push(PlanEventKind::ActionStarted { step: id as u32 }, at_ns);
     }
 
     /// Log that step `id` completed.
-    pub fn done(&mut self, id: usize, at_ns: u64, epoch: u64) {
-        self.push(PlanEventKind::ActionDone { step: id as u32 }, at_ns, epoch);
+    pub fn done(&mut self, id: usize, at_ns: u64) {
+        self.push(PlanEventKind::ActionDone { step: id as u32 }, at_ns);
     }
 
     /// Log that step `id` failed; the rollback follows.
-    pub fn failed(&mut self, id: usize, error: NkError, at_ns: u64, epoch: u64) {
-        self.push(
-            PlanEventKind::ActionFailed {
-                step: id as u32,
-                code: error.code(),
-            },
-            at_ns,
-            epoch,
-        );
+    pub fn failed(&mut self, id: usize, error: NkError, at_ns: u64) {
+        let kind = PlanEventKind::ActionFailed {
+            step: id as u32,
+            code: error.code(),
+        };
+        self.push(kind, at_ns);
     }
 
     /// Log that a completed step was unwound.
-    pub fn reverted(&mut self, id: usize, at_ns: u64, epoch: u64) {
-        self.push(
-            PlanEventKind::ActionReverted { step: id as u32 },
-            at_ns,
-            epoch,
-        );
+    pub fn reverted(&mut self, id: usize, at_ns: u64) {
+        self.push(PlanEventKind::ActionReverted { step: id as u32 }, at_ns);
     }
 
     /// Close the log: every step done, the evacuation of `host` is final.
-    pub fn committed(&mut self, host: HostId, at_ns: u64, epoch: u64) {
-        self.push(PlanEventKind::PlanCommitted { host }, at_ns, epoch);
+    pub fn committed(&mut self, host: HostId, at_ns: u64) {
+        self.push(PlanEventKind::PlanCommitted { host }, at_ns);
     }
 
     /// Close the log after a rollback, counting the steps it unwound.
-    pub fn rolled_back(&mut self, host: HostId, at_ns: u64, epoch: u64) {
+    pub fn rolled_back(&mut self, host: HostId, at_ns: u64) {
         let reverted = self
             .events
             .iter()
             .filter(|e| matches!(e.kind, PlanEventKind::ActionReverted { .. }))
             .count() as u32;
         let kind = PlanEventKind::PlanRolledBack { host, reverted };
-        self.push(kind, at_ns, epoch);
+        self.push(kind, at_ns);
     }
 
     /// Consume the run, yielding its event log.
@@ -357,14 +344,9 @@ impl PlanRun {
         self.events
     }
 
-    fn push(&mut self, kind: PlanEventKind, at_ns: u64, epoch: u64) {
+    fn push(&mut self, kind: PlanEventKind, at_ns: u64) {
         let seq = self.events.len() as u32;
-        self.events.push(PlanEvent {
-            at_ns,
-            epoch,
-            seq,
-            kind,
-        });
+        self.events.push(PlanEvent { at_ns, seq, kind });
     }
 }
 
@@ -478,16 +460,16 @@ mod tests {
     #[test]
     fn a_rolled_back_log_counts_its_reverts() {
         let plan = EvacPlan::compile(HostId(1), &[drained(1, 2)], &[NsmId(1)], 1).unwrap();
-        let mut run = PlanRun::new(&plan, 0, 0);
+        let mut run = PlanRun::new(&plan, 0);
         for step in 0..2 {
-            run.started(step, 10, 0);
-            run.done(step, 10, 0);
+            run.started(step, 10);
+            run.done(step, 10);
         }
-        run.failed(2, NkError::InvalidState, 30, 0);
+        run.failed(2, NkError::InvalidState, 30);
         for step in (0..2).rev() {
-            run.reverted(step, 40, 0);
+            run.reverted(step, 40);
         }
-        run.rolled_back(plan.host, 60, 0);
+        run.rolled_back(plan.host, 60);
         let events = run.into_events();
         assert!(matches!(
             events.last().unwrap().kind,

@@ -22,11 +22,6 @@
 //!   live-migrates VMs off the hottest instance onto the coolest, under an
 //!   anti-affinity constraint and a per-epoch migration budget.
 //!
-//! [`placer::Placer`] lifts the same loop to cluster scope: each host is
-//! projected onto one pseudo-NSM whose utilisation is its placement score
-//! (NSM load plus weighted cross-host traffic), and the monitor/rebalancer
-//! machinery then decides cross-host VM migrations unchanged.
-//!
 //! [`evacuate`] adds the multi-step operation the one-shot decisions above
 //! cannot express: clearing a whole host compiles into an [`EvacPlan`] —
 //! an ordered list of typed actions, each with a revert, paced into bounded
@@ -45,7 +40,6 @@
 pub mod autoscale;
 pub mod evacuate;
 pub mod monitor;
-pub mod placer;
 pub mod rebalance;
 
 use nk_types::{ControlAction, ControlPolicy, NkResult, NsmId, VmId};
@@ -56,7 +50,6 @@ pub use evacuate::{
     EvacAction, EvacMode, EvacMove, EvacPlan, EvacStep, PlanEvent, PlanEventKind, PlanRun,
 };
 pub use monitor::LoadMonitor;
-pub use placer::{ClusterSample, DecisionOutcome, HostLoad, Migration, Placer};
 pub use rebalance::Rebalancer;
 
 /// Load signals of one NSM over one control epoch.

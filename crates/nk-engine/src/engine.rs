@@ -3,7 +3,7 @@
 use crate::table::{ConnEntry, ConnTable};
 use nk_queue::{RequesterEnd, ResponderEnd, WakeState};
 use nk_shmem::HugepageRegion;
-use nk_sim::{Epoch, TokenBucket};
+use nk_sim::TokenBucket;
 use nk_types::{
     ConnKey, IsolationPolicy, NkError, NkResult, Nqe, NsmId, OpResult, OpType, QueueSetId,
     SocketId, VmId,
@@ -62,8 +62,8 @@ struct VmPort {
     /// quiescent pipeline.
     frozen: bool,
     stats: VmSwitchStats,
-    /// `stats.bytes_forwarded` as each [`Epoch`] reader last saw it.
-    byte_marks: [u64; 2],
+    /// `stats.bytes_forwarded` as the host control plane last saw it.
+    byte_mark: u64,
 }
 
 impl VmPort {
@@ -89,7 +89,7 @@ struct NsmPort {
 /// The CoreEngine software switch.
 ///
 /// Everything the engine knows about a VM — queue ends, mapping, freeze
-/// flag, counters and their epoch marks — is one `VmPort`, so a VM leaves
+/// flag, counters and their epoch mark — is one `VmPort`, so a VM leaves
 /// (or moves to a shard) with one map entry. Both port maps are `BTreeMap`s
 /// and every polling round visits VMs and NSMs in ascending id order — the
 /// engine is bit-for-bit deterministic across runs, which the seeded
@@ -184,13 +184,13 @@ impl CoreEngine {
                 nsm: None,
                 frozen: false,
                 stats: VmSwitchStats::default(),
-                byte_marks: [0; 2],
+                byte_mark: 0,
             },
         );
         Ok(())
     }
 
-    /// Deregister a VM: its port (queue ends, mapping, freeze flag, marks)
+    /// Deregister a VM: its port (queue ends, mapping, freeze flag, mark)
     /// is dropped and its connections are removed from the table.
     pub fn deregister_vm(&mut self, vm: VmId) -> NkResult<()> {
         self.vms.remove(&vm).ok_or(NkError::NotFound)?;
@@ -320,21 +320,15 @@ impl CoreEngine {
         self.vms.get(&vm).map(|p| p.stats)
     }
 
-    /// Payload bytes the VM forwarded since `reader` last asked (0 for an
-    /// unregistered VM); moves the reader's mark. The mark lives in the
-    /// port beside the counter, so a VM that left and registered again
-    /// reads from zero.
-    pub fn take_bytes_forwarded(&mut self, vm: VmId, reader: Epoch) -> u64 {
+    /// Payload bytes the VM forwarded since the last call (0 for an
+    /// unregistered VM); moves the mark. The mark lives in the port beside
+    /// the counter, so a VM that left and registered again reads from zero.
+    pub fn take_bytes_forwarded(&mut self, vm: VmId) -> u64 {
         let Some(port) = self.vms.get_mut(&vm) else {
             return 0;
         };
         let total = port.stats.bytes_forwarded;
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "one mark per `Epoch` reader, of two"
-        )]
-        let mark = &mut port.byte_marks[reader as usize];
-        total - std::mem::replace(mark, total)
+        total - std::mem::replace(&mut port.byte_mark, total)
     }
 
     /// Number of connections currently tracked.
@@ -909,10 +903,9 @@ mod tests {
         ce.poll(3_000_000_000);
         let delivered_later = nsm.pop_requests(&mut reqs, 16);
         assert_eq!(delivered_now + delivered_later, 2);
-        // Each epoch reader sees the bytes once, independently of the other.
-        assert_eq!(ce.take_bytes_forwarded(VmId(1), Epoch::Control), 100_000);
-        assert_eq!(ce.take_bytes_forwarded(VmId(1), Epoch::Control), 0);
-        assert_eq!(ce.take_bytes_forwarded(VmId(1), Epoch::Placement), 100_000);
+        // The bytes are read once.
+        assert_eq!(ce.take_bytes_forwarded(VmId(1)), 100_000);
+        assert_eq!(ce.take_bytes_forwarded(VmId(1)), 0);
     }
 
     /// A cap below one receive credit (256 KiB at 0.5 Gbps, burst 64 KiB)

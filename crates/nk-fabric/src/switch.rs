@@ -35,8 +35,6 @@ struct Route<P> {
     /// the egress link towards it; `None` for a drop route. An alias or a
     /// detour holds a clone of another route's port.
     hop: Option<(Port<P>, Link<P>)>,
-    /// Wire bytes that entered the switch through this route.
-    rx_bytes: u64,
 }
 
 /// A longest-prefix-routed switch over frames with payload `P`.
@@ -47,9 +45,6 @@ pub struct VirtualSwitch<P> {
     /// Frames dropped because their best block or default route was the
     /// one they entered on.
     hairpins: u64,
-    /// Uplink `(tx, rx)` bytes as [`VirtualSwitch::take_uplink_bytes`] last
-    /// saw them.
-    uplink_mark: (u64, u64),
     seed: u64,
     /// Reusable ingress buffer (hot path).
     scratch: Vec<Frame<P>>,
@@ -65,7 +60,6 @@ impl<P: Train> VirtualSwitch<P> {
             routes: Vec::new(),
             unroutable: 0,
             hairpins: 0,
-            uplink_mark: (0, 0),
             seed: 0x5EED,
             scratch: Vec::new(),
         }
@@ -87,7 +81,6 @@ impl<P: Train> VirtualSwitch<P> {
             prefix,
             mask,
             hop: hop.map(|(port, config)| (port, Link::new(config, self.seed))),
-            rx_bytes: 0,
         };
         let key = |r: &Route<P>| (Reverse(r.mask), r.prefix);
         match self.routes.binary_search_by_key(&key(&route), key) {
@@ -229,27 +222,11 @@ impl<P: Train> VirtualSwitch<P> {
     }
 
     /// Statistics of the egress link of the route whose prefix is exactly
-    /// `addr`: a vNIC's address, or a trunk's (already masked) block.
+    /// `addr`: a vNIC's address, a trunk's (already masked) block, or 0 for
+    /// a host's uplink.
     pub fn link_stats(&self, addr: u32) -> Option<LinkStats> {
         let (_, link) = self.routes[self.exact(addr)?].hop.as_ref()?;
         Some(link.stats())
-    }
-
-    /// Uplink wire bytes `(tx, rx)` since the last call (zero when none is
-    /// wired): the cluster placer's traffic signal, its cursor kept beside
-    /// the counters.
-    pub fn take_uplink_bytes(&mut self) -> (u64, u64) {
-        let now = match self.routes.last() {
-            Some(Route {
-                mask: 0,
-                hop: Some((_, link)),
-                rx_bytes,
-                ..
-            }) => (link.stats().delivered_bytes, *rx_bytes),
-            _ => (0, 0),
-        };
-        let prev = std::mem::replace(&mut self.uplink_mark, now);
-        (now.0 - prev.0, now.1 - prev.1)
     }
 
     /// Number of installed routes.
@@ -300,7 +277,6 @@ impl<P: Train> VirtualSwitch<P> {
             if port.drain_tx_into(&mut scratch) == 0 {
                 continue; // an idle port costs one atomic load, no lock
             }
-            self.routes[i].rx_bytes += scratch.iter().map(|f| f.wire_bytes as u64).sum::<u64>();
             // One route lookup per run of frames with the same destination.
             let mut frames = scratch.drain(..);
             while let Some((dst, run)) = next_run(&mut frames) {
@@ -559,31 +535,6 @@ mod tests {
         );
     }
 
-    /// The uplink's byte counters: wire bytes up and down since the last
-    /// read, at the close of the step that moved them, the in-block miss
-    /// and the hairpin included on the way in.
-    #[test]
-    fn uplink_bytes_are_read_since_the_last_take() {
-        let (mut sw, mut tor_end) = host_with_uplink();
-        let a = sw.attach(0x0A01_0001);
-        assert_eq!(sw.take_uplink_bytes(), (0, 0));
-        a.send(frame(a.addr(), 0x0A02_0001, 1));
-        a.send(frame(a.addr(), 0x0A02_0002, 2));
-        a.send(frame(a.addr(), 0x0A01_0099, 3)); // dead address in-block
-        tor_end.0.deliver_burst(|rx| {
-            rx.push_back(frame(0x0A02_0001, a.addr(), 4));
-            rx.push_back(frame(0x0A02_0001, 0x0A03_0001, 5));
-        });
-        sw.step(0);
-        assert_eq!(sw.take_uplink_bytes(), (200, 200));
-        assert_eq!(sw.take_uplink_bytes(), (0, 0), "the mark moved");
-        assert_eq!(sent_up(&mut tor_end), [1, 2]);
-        let mut bare: VirtualSwitch<u32> = VirtualSwitch::new();
-        bare.attach(1).send(frame(1, 2, 6));
-        bare.step(0);
-        assert_eq!(bare.take_uplink_bytes(), (0, 0), "no uplink, no bytes");
-    }
-
     /// The egress is resolved once per run of frames with one destination;
     /// a burst that interleaves local, dead, unknown and remote
     /// destinations still sends every frame where a per-frame lookup
@@ -606,7 +557,7 @@ mod tests {
         assert_eq!((tags(&b), tags(&c)), (vec![0, 1, 5], vec![2, 8]));
         assert_eq!(sw.unroutable(), 2);
         assert_eq!(sent_up(&mut tor_end), [6, 7]);
-        assert_eq!(sw.take_uplink_bytes(), (200, 0));
+        assert_eq!(sw.link_stats(0).unwrap().delivered_bytes, 200);
     }
 
     /// Installing the uplink and block routes draws no link seed: a lossy
@@ -794,8 +745,8 @@ mod tests {
         tor.step(0); // trunk A → trunk B
         sw_b.step(0); // uplink → local port
         assert_eq!(b.recv().unwrap().payload, 77);
-        assert_eq!(sw_a.take_uplink_bytes(), (100, 0));
-        assert_eq!(sw_b.take_uplink_bytes(), (0, 100));
+        assert_eq!(sw_a.link_stats(0).unwrap().delivered_bytes, 100);
+        assert_eq!(tor.link_stats(0x0A02_0000).unwrap().delivered_bytes, 100);
         assert_eq!(sw_a.unroutable() + sw_b.unroutable(), 0);
 
         // And the reply crosses back.

@@ -4,9 +4,9 @@
 use crate::host::NetKernelHost;
 use nk_ctrl::{EpochSample, NsmLoad};
 use nk_sim::record::TimeSeries;
-use nk_sim::{CorePool, CycleLedger, Epoch, PoolMember};
+use nk_sim::{CorePool, PoolMember};
 use nk_types::constants::CORE_ENGINE_CORES;
-use nk_types::{ControlAction, ControlEvent, ControlTarget, NsmId, VmId};
+use nk_types::{ControlAction, ControlEvent, ControlTarget, NsmId};
 use std::collections::BTreeMap;
 
 /// Per-epoch control-plane observability, recorded through
@@ -26,33 +26,11 @@ pub struct ControlTelemetry {
 /// Utilisation of one pool member over the control epoch ending now (0 for
 /// a member that is not registered).
 fn epoch_utilisation(pools: &mut CorePool, member: PoolMember) -> f64 {
-    let delta = pools.take_delta(member, Epoch::Control);
+    let delta = pools.take_delta(member);
     delta.unwrap_or_default().utilisation()
 }
 
 impl NetKernelHost {
-    /// Charge datapath work against the accounting pools even without a
-    /// host-level control plane, optionally on a fresh pool at `clock_hz`.
-    /// The cluster layer calls this at bring-up so its placer sees per-NSM
-    /// utilisation; hosts with their own [`nk_types::ControlPolicy`] already
-    /// account and keep their configured clock.
-    pub fn enable_pool_accounting(&mut self, clock_hz: Option<u64>) {
-        if self.accounting {
-            return;
-        }
-        if let Some(hz) = clock_hz {
-            self.pools = CorePool::with_clock(hz);
-            self.pools.register(PoolMember::Engine, CORE_ENGINE_CORES);
-            for nsm_cfg in &self.cfg.nsms {
-                if self.nsms.contains_key(&nsm_cfg.id) {
-                    self.pools
-                        .register(PoolMember::Nsm(nsm_cfg.id), nsm_cfg.vcpus);
-                }
-            }
-        }
-        self.accounting = true;
-    }
-
     /// Close a control epoch if one is due: sample the pools and the engine,
     /// let the control plane decide, and apply its actions. Returns the
     /// number of actions applied (0 off epoch boundaries or without a
@@ -130,7 +108,7 @@ impl NetKernelHost {
         // epochs' bytes to one and skews the rebalancer's busiest-first
         // ordering.
         for vm in self.vms.keys() {
-            let bytes = self.engine.take_bytes_forwarded(*vm, Epoch::Control);
+            let bytes = self.engine.take_bytes_forwarded(*vm);
             if let Some(load) = self.engine.nsm_of(*vm).and_then(|id| nsms.get_mut(&id)) {
                 load.queue_depth += self.engine.stalled_nqes_of(*vm) as u64;
                 load.vm_bytes.insert(*vm, bytes);
@@ -168,18 +146,6 @@ impl NetKernelHost {
         &self.pools
     }
 
-    /// What a pool member's ledger gained since `reader` last asked (see
-    /// [`nk_sim::CoreSet::take_delta`]; `None` when it is not registered).
-    pub fn take_pool_delta(&mut self, member: PoolMember, reader: Epoch) -> Option<CycleLedger> {
-        self.pools.take_delta(member, reader)
-    }
-
-    /// Payload bytes a VM forwarded since `reader` last asked (see
-    /// [`nk_engine::CoreEngine::take_bytes_forwarded`]).
-    pub fn take_vm_bytes_forwarded(&mut self, vm: VmId, reader: Epoch) -> u64 {
-        self.engine.take_bytes_forwarded(vm, reader)
-    }
-
     /// Cores currently allocated to an NSM (`None` when it is not alive).
     pub fn nsm_cores(&self, nsm: NsmId) -> Option<usize> {
         self.pools.cores(PoolMember::Nsm(nsm))
@@ -197,6 +163,7 @@ impl NetKernelHost {
 mod tests {
     use crate::host::testutil::*;
     use crate::NetKernelHost;
+    use nk_sim::CycleLedger;
     use nk_types::{ControlAction, ControlPolicy, NsmId, SocketApi, StackKind, VmId};
 
     /// Without a control policy the host never emits control events and the
@@ -209,6 +176,39 @@ mod tests {
         assert_eq!(host.engine_cores(), 1);
         assert_eq!(host.nsm_cores(NsmId(1)), Some(1));
         assert_eq!(host.sched_stats().control_actions, 0);
+    }
+
+    /// Charging stays off the hot path of a host with no control plane: the
+    /// same traffic that a controlled host charges to its pools leaves every
+    /// pool ledger of an uncontrolled host at zero cycles, offered and busy.
+    #[test]
+    fn only_a_controlled_host_charges_its_pools() {
+        let pool_total = |control: Option<ControlPolicy>| {
+            let mut cfg = kernel_cfg(0, 1, 1);
+            cfg.control = control;
+            let mut host = NetKernelHost::new(cfg).unwrap();
+            let ls = remote_listener(&mut host);
+            let s = guest_connect(&mut host);
+            host.run(10, 100_000);
+            let (conn, _) = host.remote_mut(REMOTE_IP).unwrap().accept(ls).unwrap();
+            for _ in 0..20 {
+                let guest = host.guest_mut(VmId(1)).unwrap();
+                assert_eq!(guest.send(s, &[0x22u8; 512]), Ok(512));
+                host.step(100_000);
+                let remote = host.remote_mut(REMOTE_IP).unwrap();
+                while remote.recv(conn, &mut [0u8; 2048]).is_ok_and(|n| n > 0) {}
+            }
+            assert!(host.engine_stats().nqes_switched > 0);
+            let pools = host.core_pool();
+            assert_eq!(pools.members().count(), 2, "the engine and one NSM");
+            let ledgers = pools.members().filter_map(|m| pools.ledger(m));
+            ledgers.fold(CycleLedger::default(), |sum, l| CycleLedger {
+                busy: sum.busy + l.busy,
+                offered: sum.offered + l.offered,
+            })
+        };
+        assert_eq!(pool_total(None), CycleLedger::default());
+        assert!(pool_total(Some(ControlPolicy::new())).busy > 0);
     }
 
     /// A sustained workload against a small accounting clock drives the NSM

@@ -52,14 +52,12 @@ pub struct NetKernelHost {
     pub(crate) sched: SchedStats,
     pub(crate) injector: FaultInjector,
     /// Cycle-accounting pool the control plane observes and resizes: one
-    /// member for CoreEngine, one per alive NSM.
+    /// member for CoreEngine, one per alive NSM. Datapath work is charged
+    /// against it only on a host with a control plane (`ctrl`), the one
+    /// reader of the ledgers.
     pub(crate) pools: CorePool,
     /// Cost model used to charge datapath work against the pool.
     pub(crate) cost: CostModel,
-    /// True when datapath work is charged against the pools — either a host
-    /// control plane is configured, or a cluster layer asked for accounting
-    /// via [`NetKernelHost::enable_pool_accounting`].
-    pub(crate) accounting: bool,
     /// The operator control plane, when the configuration enables one.
     pub(crate) ctrl: Option<ControlPlane>,
     /// Every control decision applied so far, in order (the record log).
@@ -122,7 +120,6 @@ impl NetKernelHost {
             injector: FaultInjector::idle(),
             pools,
             cost: CostModel::default(),
-            accounting: ctrl.is_some(),
             ctrl,
             control_log: Vec::new(),
             control_taken: 0,
@@ -202,12 +199,6 @@ impl NetKernelHost {
     /// ([`VirtualSwitch::aliases`]).
     pub fn switch(&self) -> &VirtualSwitch<Segment> {
         &self.switch
-    }
-
-    /// Uplink wire bytes `(tx, rx)` since the last call (zero when none is
-    /// wired): the cluster placer's cross-host traffic signal.
-    pub fn take_uplink_bytes(&mut self) -> (u64, u64) {
-        self.switch.take_uplink_bytes()
     }
 
     /// CoreEngine statistics.
@@ -322,7 +313,7 @@ impl NetKernelHost {
     /// `dt_ns`.
     fn advance(&mut self, dt_ns: u64) {
         self.now_ns += dt_ns;
-        if self.accounting {
+        if self.ctrl.is_some() {
             self.pools.begin_step(dt_ns);
         }
     }
@@ -364,8 +355,9 @@ impl NetKernelHost {
     /// NSMs' rings). Both run on the thread that polls the host, which
     /// holds both ends of each set for the round.
     ///
-    /// With accounting on, each NSM's work is charged to its pool ledger as
-    /// it polls, and the engine's after the NSMs, in one batched charge.
+    /// On a host with a control plane, each NSM's work is charged to its pool
+    /// ledger as it polls, and the engine's after the NSMs, in one batched
+    /// charge.
     pub fn poll_round(&mut self) -> usize {
         if std::mem::take(&mut self.step_opened) {
             self.rewind_empty_rings();
@@ -377,18 +369,19 @@ impl NetKernelHost {
         // costs live in the perf model, this is the load signal the
         // autoscaler watches.
         let per_item = self.cost.nqe_translate + self.cost.kernel_tx.per_msg;
+        // Nobody reads the ledgers without a control plane; keep the
+        // charging off the hot path then.
+        let charge = self.ctrl.is_some();
         let mut work = engine_work;
         for (id, nsm) in self.nsms.iter_mut() {
             let nsm_work = Pollable::poll(nsm, now_ns);
-            // Nobody reads the ledgers without a control plane (host- or
-            // cluster-level); keep the charging off the hot path then.
-            if self.accounting && nsm_work > 0 {
+            if charge && nsm_work > 0 {
                 let cycles = (nsm_work as f64 * per_item) as u64;
                 self.pools.charge_up_to(PoolMember::Nsm(*id), cycles);
             }
             work += nsm_work;
         }
-        if self.accounting && engine_work > 0 {
+        if charge && engine_work > 0 {
             let cycles = self
                 .cost
                 .switch_cost(engine_work as u64, self.cfg.batch_size);
@@ -1168,7 +1161,8 @@ mod tests {
         host.run(20, 100_000);
         let n = host.guest_mut(VmId(2)).unwrap().recv(cs, &mut buf).unwrap();
         assert_eq!(&buf[..n], b"one vNIC, two VMs");
-        assert_eq!(host.take_uplink_bytes(), (0, 0), "nothing left the host");
+        let uplink = host.switch().link_stats(0).unwrap();
+        assert_eq!(uplink.delivered_bytes, 0, "nothing left the host");
     }
 
     #[test]

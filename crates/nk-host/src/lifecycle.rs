@@ -312,7 +312,7 @@ impl NetKernelHost {
             self.cfg.vms.push(vm_cfg.clone());
         }
         // A share previously retired to zero cores revives when a tenant
-        // arrives, so the placer and autoscaler see real utilisation again
+        // arrives, so the autoscaler sees real utilisation again
         // instead of a permanently idle-looking zero-budget pool.
         self.revive_nsm_share(nsm);
         self.settle_census();

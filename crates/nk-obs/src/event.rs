@@ -1,6 +1,6 @@
 //! The typed event ring and its filter queries.
 
-use nk_ctrl::{DecisionOutcome, PlanEventKind};
+use nk_ctrl::PlanEventKind;
 use nk_types::{ClusterAction, ControlAction, HostId, VmId};
 use std::collections::VecDeque;
 
@@ -15,8 +15,6 @@ pub enum EventClass {
     Plan,
     /// Fault events applied at a host's step open.
     Fault,
-    /// A placement decision and whether the mechanism applied it.
-    Decision,
 }
 
 /// One captured event. The payloads are the system's own serializable
@@ -41,8 +39,6 @@ pub enum ObsEventKind {
         /// How many fault events fired together.
         faults: u32,
     },
-    /// A placement decision outcome.
-    Decision(DecisionOutcome),
 }
 
 serde::impl_serialize!(enum ObsEventKind {
@@ -50,7 +46,6 @@ serde::impl_serialize!(enum ObsEventKind {
     Control { host, action },
     Plan(kind),
     Fault { host, faults },
-    Decision(outcome),
 });
 
 impl ObsEventKind {
@@ -61,7 +56,6 @@ impl ObsEventKind {
             ObsEventKind::Control { .. } => EventClass::Control,
             ObsEventKind::Plan(_) => EventClass::Plan,
             ObsEventKind::Fault { .. } => EventClass::Fault,
-            ObsEventKind::Decision(_) => EventClass::Decision,
         }
     }
 
@@ -86,7 +80,6 @@ impl ObsEventKind {
                 _ => false,
             },
             ObsEventKind::Fault { host: h, .. } => h == host,
-            ObsEventKind::Decision(d) => d.from == host || d.to == host,
         }
     }
 
@@ -102,7 +95,6 @@ impl ObsEventKind {
             ObsEventKind::Control { action, .. } => {
                 matches!(action, ControlAction::Rebalance { vm: v, .. } if v == vm)
             }
-            ObsEventKind::Decision(d) => d.vm == vm,
             _ => false,
         }
     }
@@ -117,13 +109,11 @@ pub struct ObsEvent {
     pub seq: u64,
     /// Virtual time of capture.
     pub at_ns: u64,
-    /// Placement epoch at capture.
-    pub epoch: u64,
     /// The event.
     pub kind: ObsEventKind,
 }
 
-serde::impl_serialize!(struct ObsEvent { seq, at_ns, epoch, kind });
+serde::impl_serialize!(struct ObsEvent { seq, at_ns, kind });
 
 /// A fixed-capacity ring of [`ObsEvent`]s: wraparound keeps the newest N.
 /// Internal state — a dump serializes the retained events as a `Vec`.
@@ -145,7 +135,7 @@ impl EventRing {
     }
 
     /// Capture one event.
-    pub fn push(&mut self, at_ns: u64, epoch: u64, kind: ObsEventKind) {
+    pub fn push(&mut self, at_ns: u64, kind: ObsEventKind) {
         if self.capacity == 0 {
             return;
         }
@@ -155,7 +145,6 @@ impl EventRing {
         self.buf.push_back(ObsEvent {
             seq: self.next_seq,
             at_ns,
-            epoch,
             kind,
         });
         self.next_seq += 1;
@@ -185,10 +174,6 @@ impl EventRing {
 /// A conjunctive filter over the event ring: every set axis must match.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ObsFilter {
-    /// Keep events with `epoch >= epoch_min`.
-    pub epoch_min: Option<u64>,
-    /// Keep events with `epoch <= epoch_max`.
-    pub epoch_max: Option<u64>,
     /// Keep events mentioning this host.
     pub host: Option<HostId>,
     /// Keep events mentioning this VM.
@@ -201,13 +186,6 @@ impl ObsFilter {
     /// The match-everything filter.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Keep epochs in `[min, max]` (builder style).
-    pub fn with_epoch_range(mut self, min: u64, max: u64) -> Self {
-        self.epoch_min = Some(min);
-        self.epoch_max = Some(max);
-        self
     }
 
     /// Keep events mentioning `host` (builder style).
@@ -230,16 +208,6 @@ impl ObsFilter {
 
     /// Whether `event` passes every set axis.
     pub fn matches(&self, event: &ObsEvent) -> bool {
-        if let Some(min) = self.epoch_min {
-            if event.epoch < min {
-                return false;
-            }
-        }
-        if let Some(max) = self.epoch_max {
-            if event.epoch > max {
-                return false;
-            }
-        }
         if let Some(host) = self.host {
             if !event.kind.mentions_host(host) {
                 return false;
@@ -274,7 +242,7 @@ mod tests {
     fn wraparound_keeps_newest_with_correct_seq() {
         let mut ring = EventRing::new(4);
         for i in 0..10u64 {
-            ring.push(i * 100, 0, kill(i as u8));
+            ring.push(i * 100, kill(i as u8));
         }
         assert_eq!(ring.captured(), 10);
         assert_eq!(ring.len(), 4);
@@ -289,7 +257,6 @@ mod tests {
         let mut ring = EventRing::new(16);
         ring.push(
             0,
-            1,
             ObsEventKind::Cluster(ClusterAction::MigrateVm {
                 vm: VmId(1),
                 from: HostId(1),
@@ -299,13 +266,12 @@ mod tests {
         );
         ring.push(
             10,
-            2,
             ObsEventKind::Fault {
                 host: HostId(2),
                 faults: 1,
             },
         );
-        ring.push(20, 3, kill(3));
+        ring.push(20, kill(3));
 
         let all: Vec<&ObsEvent> = ring.iter().collect();
         assert!(all.iter().all(|e| ObsFilter::new().matches(e)));
@@ -320,11 +286,7 @@ mod tests {
         let by_vm = ObsFilter::new().with_vm(VmId(1));
         assert_eq!(all.iter().filter(|e| by_vm.matches(e)).count(), 1);
 
-        let by_epoch = ObsFilter::new().with_epoch_range(2, 3);
-        assert_eq!(all.iter().filter(|e| by_epoch.matches(e)).count(), 2);
-
         let narrow = ObsFilter::new()
-            .with_epoch_range(2, 3)
             .with_class(EventClass::Cluster)
             .with_host(HostId(3));
         assert_eq!(all.iter().filter(|e| narrow.matches(e)).count(), 1);

@@ -50,8 +50,6 @@ pub struct PhaseWindow {
     pub start_ns: u64,
     /// Virtual time the phase closed.
     pub end_ns: u64,
-    /// Placement epoch at capture.
-    pub epoch: u64,
     /// The evacuation-plan step that ran the phase (`None` for a direct
     /// warm migration outside any plan).
     pub step: Option<u32>,
@@ -60,7 +58,7 @@ pub struct PhaseWindow {
     pub ok: bool,
 }
 
-serde::impl_serialize!(struct PhaseWindow { vm, phase, start_ns, end_ns, epoch, step, ok });
+serde::impl_serialize!(struct PhaseWindow { vm, phase, start_ns, end_ns, step, ok });
 
 impl PhaseWindow {
     /// The window's width in virtual ns.
@@ -91,13 +89,11 @@ serde::impl_serialize!(enum FreezeReason { PlanRolledBack { host }, HostKilled {
 pub struct FreezeInfo {
     /// Virtual time of the trigger.
     pub at_ns: u64,
-    /// Placement epoch of the trigger.
-    pub epoch: u64,
     /// The trigger.
     pub reason: FreezeReason,
 }
 
-serde::impl_serialize!(struct FreezeInfo { at_ns, epoch, reason });
+serde::impl_serialize!(struct FreezeInfo { at_ns, reason });
 
 /// A serializable snapshot of everything the recorder retains.
 #[derive(Clone, Debug, PartialEq)]
@@ -160,11 +156,11 @@ impl FlightRecorder {
     }
 
     /// Capture one event.
-    pub fn record_event(&mut self, at_ns: u64, epoch: u64, kind: ObsEventKind) {
+    pub fn record_event(&mut self, at_ns: u64, kind: ObsEventKind) {
         if !self.active() {
             return;
         }
-        self.ring.push(at_ns, epoch, kind);
+        self.ring.push(at_ns, kind);
     }
 
     /// Capture one phase window. Windows share the event ring's capacity
@@ -180,15 +176,11 @@ impl FlightRecorder {
     /// triggering events themselves are expected to be recorded *before*
     /// the freeze; everything after is dropped. Only the first trigger
     /// sticks — a later fault must not overwrite the record of the first.
-    pub fn freeze(&mut self, at_ns: u64, epoch: u64, reason: FreezeReason) {
+    pub fn freeze(&mut self, at_ns: u64, reason: FreezeReason) {
         if !self.enabled || self.frozen.is_some() {
             return;
         }
-        self.frozen = Some(FreezeInfo {
-            at_ns,
-            epoch,
-            reason,
-        });
+        self.frozen = Some(FreezeInfo { at_ns, reason });
     }
 
     /// Snapshot everything retained.
@@ -217,7 +209,7 @@ fn push_bounded<T>(ring: &mut VecDeque<T>, cap: usize, item: T) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nk_ctrl::{DecisionOutcome, PlanEventKind};
+    use nk_ctrl::PlanEventKind;
     use nk_sim::SplitMix64;
     use nk_types::{ClusterAction, ControlAction, NsmId};
 
@@ -231,19 +223,18 @@ mod tests {
     #[test]
     fn freeze_stops_capture_at_the_trigger() {
         let mut rec = FlightRecorder::new(ObsConfig::new());
-        rec.record_event(100, 0, kill(1));
-        rec.freeze(100, 0, FreezeReason::HostKilled { host: HostId(1) });
-        rec.record_event(200, 0, kill(2));
+        rec.record_event(100, kill(1));
+        rec.freeze(100, FreezeReason::HostKilled { host: HostId(1) });
+        rec.record_event(200, kill(2));
         rec.record_phase(PhaseWindow {
             vm: Some(VmId(1)),
             phase: MigrationPhase::Freeze,
             start_ns: 150,
             end_ns: 250,
-            epoch: 0,
             step: None,
             ok: true,
         });
-        rec.freeze(300, 0, FreezeReason::PlanRolledBack { host: HostId(2) });
+        rec.freeze(300, FreezeReason::PlanRolledBack { host: HostId(2) });
 
         let dump = rec.snapshot();
         assert_eq!(dump.events.len(), 1);
@@ -266,11 +257,10 @@ mod tests {
                     phase: MigrationPhase::Export,
                     start_ns: i,
                     end_ns: i,
-                    epoch: 0,
                     step: None,
                     ok: true,
                 });
-                rec.record_event(i, 0, kill(1));
+                rec.record_event(i, kill(1));
             }
             let dump = rec.snapshot();
             assert_eq!((dump.phases.len(), dump.events.len()), (cap, cap));
@@ -285,7 +275,7 @@ mod tests {
     #[test]
     fn disabled_recorder_is_a_no_op() {
         let mut rec = FlightRecorder::new(ObsConfig::disabled());
-        rec.record_event(100, 0, kill(1));
+        rec.record_event(100, kill(1));
         let dump = rec.snapshot();
         assert!(dump.events.is_empty());
     }
@@ -295,25 +285,18 @@ mod tests {
     /// the mode-invariance tests compare.
     #[test]
     fn a_dump_serializes_to_pinned_json() {
-        let event = |seq, at_ns, epoch, kind| ObsEvent {
-            seq,
-            at_ns,
-            epoch,
-            kind,
-        };
+        let event = |seq, at_ns, kind| ObsEvent { seq, at_ns, kind };
         let dump = ObsDump {
             frozen: Some(FreezeInfo {
                 at_ns: 300,
-                epoch: 2,
                 reason: FreezeReason::PlanRolledBack { host: HostId(2) },
             }),
-            events_captured: 6,
+            events_captured: 5,
             events: vec![
-                event(1, 100, 0, kill(1)),
+                event(1, 100, kill(1)),
                 event(
                     2,
                     150,
-                    0,
                     ObsEventKind::Control {
                         host: HostId(1),
                         action: ControlAction::Rebalance {
@@ -326,29 +309,15 @@ mod tests {
                 event(
                     3,
                     200,
-                    1,
                     ObsEventKind::Plan(PlanEventKind::ActionDone { step: 4 }),
                 ),
                 event(
                     4,
                     200,
-                    1,
                     ObsEventKind::Fault {
                         host: HostId(2),
                         faults: 1,
                     },
-                ),
-                event(
-                    5,
-                    250,
-                    2,
-                    ObsEventKind::Decision(DecisionOutcome {
-                        epoch: 2,
-                        vm: VmId(3),
-                        from: HostId(1),
-                        to: HostId(2),
-                        applied: false,
-                    }),
                 ),
             ],
             phases: vec![PhaseWindow {
@@ -356,23 +325,20 @@ mod tests {
                 phase: MigrationPhase::Freeze,
                 start_ns: 150,
                 end_ns: 250,
-                epoch: 1,
                 step: None,
                 ok: true,
             }],
         };
         let want = [
-            r#"{"frozen":{"at_ns":300,"epoch":2,"reason":{"PlanRolledBack":{"host":2}}},"#,
-            r#""events_captured":6,"events":["#,
-            r#"{"seq":1,"at_ns":100,"epoch":0,"kind":{"Cluster":{"HostKilled":{"host":1}}}},"#,
-            r#"{"seq":2,"at_ns":150,"epoch":0,"kind":{"Control":{"host":1,"#,
+            r#"{"frozen":{"at_ns":300,"reason":{"PlanRolledBack":{"host":2}}},"#,
+            r#""events_captured":5,"events":["#,
+            r#"{"seq":1,"at_ns":100,"kind":{"Cluster":{"HostKilled":{"host":1}}}},"#,
+            r#"{"seq":2,"at_ns":150,"kind":{"Control":{"host":1,"#,
             r#""action":{"Rebalance":{"vm":3,"from":1,"to":2}}}}},"#,
-            r#"{"seq":3,"at_ns":200,"epoch":1,"kind":{"Plan":{"ActionDone":{"step":4}}}},"#,
-            r#"{"seq":4,"at_ns":200,"epoch":1,"kind":{"Fault":{"host":2,"faults":1}}},"#,
-            r#"{"seq":5,"at_ns":250,"epoch":2,"kind":{"Decision":"#,
-            r#"{"epoch":2,"vm":3,"from":1,"to":2,"applied":false}}}],"#,
+            r#"{"seq":3,"at_ns":200,"kind":{"Plan":{"ActionDone":{"step":4}}}},"#,
+            r#"{"seq":4,"at_ns":200,"kind":{"Fault":{"host":2,"faults":1}}}],"#,
             r#""phases":[{"vm":3,"phase":"Freeze","start_ns":150,"end_ns":250,"#,
-            r#""epoch":1,"step":null,"ok":true}]}"#,
+            r#""step":null,"ok":true}]}"#,
         ]
         .concat();
         assert_eq!(serde_json::to_string(&dump).unwrap(), want);
@@ -384,7 +350,6 @@ mod tests {
             phase,
             start_ns: 300,
             end_ns: 300,
-            epoch: 2,
             step,
             ok: false,
         };
@@ -403,26 +368,25 @@ mod tests {
         let want = [
             r#"{"frozen":null,"events_captured":0,"events":[],"phases":["#,
             r#"{"vm":3,"phase":"Export","start_ns":300,"end_ns":300,"#,
-            r#""epoch":2,"step":null,"ok":false},"#,
+            r#""step":null,"ok":false},"#,
             r#"{"vm":3,"phase":"Reroute","start_ns":300,"end_ns":300,"#,
-            r#""epoch":2,"step":null,"ok":false},"#,
+            r#""step":null,"ok":false},"#,
             r#"{"vm":3,"phase":"Install","start_ns":300,"end_ns":300,"#,
-            r#""epoch":2,"step":null,"ok":false},"#,
+            r#""step":null,"ok":false},"#,
             r#"{"vm":3,"phase":"Thaw","start_ns":300,"end_ns":300,"#,
-            r#""epoch":2,"step":null,"ok":false},"#,
+            r#""step":null,"ok":false},"#,
             r#"{"vm":null,"phase":"Retire","start_ns":300,"end_ns":300,"#,
-            r#""epoch":2,"step":7,"ok":false}]}"#,
+            r#""step":7,"ok":false}]}"#,
         ]
         .concat();
         assert_eq!(serde_json::to_string(&bare).unwrap(), want);
         let killed = FreezeInfo {
             at_ns: 400,
-            epoch: 3,
             reason: FreezeReason::HostKilled { host: HostId(4) },
         };
         assert_eq!(
             serde_json::to_string(&killed).unwrap(),
-            r#"{"at_ns":400,"epoch":3,"reason":{"HostKilled":{"host":4}}}"#
+            r#"{"at_ns":400,"reason":{"HostKilled":{"host":4}}}"#
         );
     }
 
@@ -433,13 +397,12 @@ mod tests {
     #[test]
     fn damaged_dump_json_is_an_error_never_a_panic() {
         let mut rec = FlightRecorder::new(ObsConfig::new());
-        rec.record_event(100, 0, kill(1));
+        rec.record_event(100, kill(1));
         rec.record_event(
             150,
-            0,
             ObsEventKind::Plan(PlanEventKind::ActionFailed { step: 2, code: 7 }),
         );
-        rec.freeze(1_000, 1, FreezeReason::HostKilled { host: HostId(1) });
+        rec.freeze(1_000, FreezeReason::HostKilled { host: HostId(1) });
         let json = serde_json::to_string(&rec.snapshot()).unwrap();
 
         let value = serde_json::from_str(&json).expect("the writer's own text parses");

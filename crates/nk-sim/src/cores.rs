@@ -31,18 +31,6 @@ impl CycleLedger {
     }
 }
 
-/// Who is reading a counter's per-epoch delta. Each reader's cursor lives
-/// beside the counter it reads — here a [`CoreSet`]'s ledger — so a
-/// component that is removed and registered again starts every reader from
-/// zero, with no cursor left behind to clean up.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Epoch {
-    /// The host control plane's epoch.
-    Control,
-    /// The cluster placer's epoch.
-    Placement,
-}
-
 /// A set of cores with a per-step cycle budget.
 ///
 /// At the beginning of every simulation step the owner calls
@@ -60,8 +48,10 @@ pub struct CoreSet {
     /// Remaining cycle budget for the current step.
     budget: u64,
     ledger: CycleLedger,
-    /// The ledger as each [`Epoch`] reader last saw it.
-    marks: [CycleLedger; 2],
+    /// The ledger as the host control plane last saw it. The mark lives
+    /// beside the ledger, so a component that is removed and registered
+    /// again starts its deltas from zero, with no cursor left behind.
+    mark: CycleLedger,
 }
 
 impl CoreSet {
@@ -77,7 +67,7 @@ impl CoreSet {
             cycles_per_core_per_sec,
             budget: 0,
             ledger: CycleLedger::default(),
-            marks: [CycleLedger::default(); 2],
+            mark: CycleLedger::default(),
         }
     }
 
@@ -139,9 +129,9 @@ impl CoreSet {
         self.ledger
     }
 
-    /// What the ledger gained since `reader` last asked; moves its mark.
-    pub fn take_delta(&mut self, reader: Epoch) -> CycleLedger {
-        let prev = std::mem::replace(&mut self.marks[reader as usize], self.ledger);
+    /// What the ledger gained since the last call; moves the mark.
+    pub fn take_delta(&mut self) -> CycleLedger {
+        let prev = std::mem::replace(&mut self.mark, self.ledger);
         CycleLedger {
             busy: self.ledger.busy - prev.busy,
             offered: self.ledger.offered - prev.offered,
@@ -251,8 +241,8 @@ impl CorePool {
     }
 
     /// [`CoreSet::take_delta`] of a member (`None` when it is not registered).
-    pub fn take_delta(&mut self, member: PoolMember, reader: Epoch) -> Option<CycleLedger> {
-        self.members.get_mut(&member).map(|s| s.take_delta(reader))
+    pub fn take_delta(&mut self, member: PoolMember) -> Option<CycleLedger> {
+        self.members.get_mut(&member).map(CoreSet::take_delta)
     }
 }
 
@@ -397,8 +387,8 @@ mod tests {
         assert_eq!(pool.members().count(), 0);
     }
 
-    /// Re-registering a member (an NSM restart) starts a fresh ledger and
-    /// fresh marks; the two epoch readers do not disturb each other.
+    /// Re-registering a member (an NSM restart) starts a fresh ledger and a
+    /// fresh mark.
     #[test]
     fn reregistration_resets_the_ledger_and_its_marks() {
         let nsm = PoolMember::Nsm(NsmId(1));
@@ -407,15 +397,14 @@ mod tests {
         pool.begin_step(1_000);
         pool.charge_up_to(nsm, 800);
         let ledger = |busy, offered| Some(CycleLedger { busy, offered });
-        assert_eq!(pool.take_delta(nsm, Epoch::Control), ledger(800, 1_000));
-        assert_eq!(pool.take_delta(nsm, Epoch::Control), ledger(0, 0));
-        assert_eq!(pool.take_delta(nsm, Epoch::Placement), ledger(800, 1_000));
+        assert_eq!(pool.take_delta(nsm), ledger(800, 1_000));
+        assert_eq!(pool.take_delta(nsm), ledger(0, 0));
         pool.register(nsm, 1);
         assert_eq!(pool.ledger(nsm), ledger(0, 0));
         pool.begin_step(1_000);
         pool.charge_up_to(nsm, 300);
-        assert_eq!(pool.take_delta(nsm, Epoch::Control), ledger(300, 1_000));
-        assert_eq!(pool.take_delta(PoolMember::Engine, Epoch::Control), None);
+        assert_eq!(pool.take_delta(nsm), ledger(300, 1_000));
+        assert_eq!(pool.take_delta(PoolMember::Engine), None);
     }
 
     #[test]

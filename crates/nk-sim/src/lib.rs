@@ -32,7 +32,7 @@ pub mod record;
 pub mod rng;
 
 pub use bucket::TokenBucket;
-pub use cores::{CorePool, CoreSet, CycleLedger, Epoch, PoolMember};
+pub use cores::{CorePool, CoreSet, CycleLedger, PoolMember};
 pub use cost::CostModel;
 pub use poll::Pollable;
 pub use record::TimeSeries;

@@ -1,153 +1,19 @@
-//! Cluster-scope vocabulary: multi-host configurations, placement policy
-//! and the cluster event log.
+//! Cluster-scope vocabulary: multi-host configurations and the cluster
+//! event log.
 //!
-//! The paper's framing is that NSMs turn the network stack into
-//! *infrastructure* — and infrastructure is operated at cluster scale, not
-//! per host. A [`ClusterConfig`] describes a set of [`HostConfig`]s joined
-//! by an inter-host fabric (each host's virtual switch gets an uplink into a
-//! top-of-rack switch), a [`ClusterPolicy`] drives the placement loop that
-//! extends the per-host control plane to cluster scope, and every placement
-//! decision — cross-host VM migration, drain completion, scale-to-zero of a
-//! drained NSM share — is recorded as a [`ClusterEvent`] so a whole cluster
-//! run can be replayed and digested deterministically.
+//! A [`ClusterConfig`] describes a set of [`HostConfig`]s joined by an
+//! inter-host fabric (each host's virtual switch gets an uplink into a
+//! top-of-rack switch). Every cross-host move and its milestones —
+//! migration, drain completion, scale-to-zero of a drained NSM share — is
+//! recorded as a [`ClusterEvent`] so a whole cluster run can be replayed and
+//! digested deterministically. Decisions stay host-scope: each host may run
+//! its own control plane ([`crate::ControlPolicy`]); cross-host moves are
+//! operator calls.
 
 use crate::config::{HostConfig, LinkConfig};
 use crate::constants::LINE_RATE_GBPS;
 use crate::error::{NkError, NkResult};
 use crate::ids::{HostId, NsmId, VmId};
-
-/// Placement policy driving the cluster-scope control loop.
-///
-/// The placer scores each host by the load of its NSMs *plus* the weighted
-/// utilisation of its uplink: a host already pushing heavy cross-host
-/// traffic is a worse home for more tenants even when its NSM cores have
-/// headroom. Migrations fire only when the smoothed score gap between the
-/// hottest and coolest host exceeds [`ClusterPolicy::spread`] and the source
-/// is above [`ClusterPolicy::hot_watermark`] — the same hysteresis shape as
-/// the per-host rebalancer, because it *is* the per-host rebalancer run over
-/// hosts instead of NSMs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ClusterPolicy {
-    /// Length of one placement epoch in virtual nanoseconds.
-    pub epoch_ns: u64,
-    /// Rolling-window length (in epochs) for host-load smoothing.
-    pub window: usize,
-    /// A migration source must exceed this smoothed score.
-    pub hot_watermark: f64,
-    /// Minimum smoothed score gap between the most and least loaded host
-    /// before a VM migrates.
-    pub spread: f64,
-    /// Budget of cross-host migrations per placement epoch.
-    pub max_migrations_per_epoch: usize,
-    /// Minimum epochs between two migrations of the same VM.
-    pub cooldown_epochs: u64,
-    /// Minimum epochs before a VM may migrate *back* along the reverse of a
-    /// pair it just travelled (host A → B blocks B → A for this long). This
-    /// is the cluster-scope hysteresis of the ROADMAP's placement-stability
-    /// item: load follows a migrated tenant, so without a per-(VM,
-    /// host-pair) cooldown the placer evacuates a hot host and then
-    /// ping-pongs the tenant straight back. `0` disables the guard.
-    pub pair_cooldown_epochs: u64,
-    /// Weight of uplink (cross-host traffic) utilisation in the host score.
-    pub cross_traffic_weight: f64,
-    /// Clock rate of the accounting pools the host scores derive from.
-    /// `None` uses the testbed clock; tests use small clocks so modest
-    /// workloads exercise the thresholds.
-    pub pool_clock_hz: Option<u64>,
-}
-
-impl Default for ClusterPolicy {
-    fn default() -> Self {
-        ClusterPolicy {
-            epoch_ns: 1_000_000, // 1 ms
-            window: 4,
-            hot_watermark: 0.60,
-            spread: 0.40,
-            max_migrations_per_epoch: 1,
-            cooldown_epochs: 4,
-            pair_cooldown_epochs: 8,
-            cross_traffic_weight: 0.50,
-            pool_clock_hz: None,
-        }
-    }
-}
-
-impl ClusterPolicy {
-    /// The default policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the placement epoch length (builder style).
-    pub fn with_epoch_ns(mut self, epoch_ns: u64) -> Self {
-        self.epoch_ns = epoch_ns;
-        self
-    }
-
-    /// Set the smoothing window in epochs (builder style).
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Set the hot watermark and spread trigger (builder style).
-    pub fn with_thresholds(mut self, hot_watermark: f64, spread: f64) -> Self {
-        self.hot_watermark = hot_watermark;
-        self.spread = spread;
-        self
-    }
-
-    /// Set the per-epoch migration budget (builder style).
-    pub fn with_migration_budget(mut self, max_migrations_per_epoch: usize) -> Self {
-        self.max_migrations_per_epoch = max_migrations_per_epoch;
-        self
-    }
-
-    /// Set the per-VM migration cooldown in epochs (builder style).
-    pub fn with_cooldown(mut self, epochs: u64) -> Self {
-        self.cooldown_epochs = epochs;
-        self
-    }
-
-    /// Set the per-(VM, host-pair) reverse-migration cooldown in epochs
-    /// (builder style). `0` disables it.
-    pub fn with_pair_cooldown(mut self, epochs: u64) -> Self {
-        self.pair_cooldown_epochs = epochs;
-        self
-    }
-
-    /// Set the cross-host traffic weight in the host score (builder style).
-    pub fn with_cross_traffic_weight(mut self, weight: f64) -> Self {
-        self.cross_traffic_weight = weight;
-        self
-    }
-
-    /// Set the accounting-pool clock rate (builder style).
-    pub fn with_pool_clock_hz(mut self, hz: u64) -> Self {
-        self.pool_clock_hz = Some(hz);
-        self
-    }
-
-    /// Validate internal consistency.
-    pub fn validate(&self) -> NkResult<()> {
-        if self.epoch_ns == 0 || self.window == 0 {
-            return Err(NkError::BadConfig);
-        }
-        if !(0.0..=1.0).contains(&self.hot_watermark) || self.hot_watermark == 0.0 {
-            return Err(NkError::BadConfig);
-        }
-        if !(0.0..=1.0).contains(&self.spread) {
-            return Err(NkError::BadConfig);
-        }
-        if !(0.0..=1.0).contains(&self.cross_traffic_weight) {
-            return Err(NkError::BadConfig);
-        }
-        if self.pool_clock_hz == Some(0) {
-            return Err(NkError::BadConfig);
-        }
-        Ok(())
-    }
-}
 
 /// Whether the always-on flight recorder captures. Its rings have a fixed
 /// capacity (`nk_obs::EVENT_CAPACITY` events and as many phase windows), so
@@ -178,7 +44,7 @@ impl ObsConfig {
 }
 
 /// Full description of one NetKernel cluster: hosts behind a top-of-rack
-/// switch, the uplink characteristics, and an optional placement policy.
+/// switch and the uplink characteristics.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClusterConfig {
     /// The hosts, each carrying its own [`HostConfig::host_id`].
@@ -195,9 +61,6 @@ pub struct ClusterConfig {
     /// stays only because the benchmark sets it and
     /// `Cluster::shard_within_hosts` echoes it back; nothing serializes it.
     pub shard_within_hosts: bool,
-    /// Cluster placement policy. `None` leaves placement static (hosts may
-    /// still run their own per-host control planes).
-    pub policy: Option<ClusterPolicy>,
     /// Flight-recorder shape. On by default; see [`ObsConfig`].
     pub obs: ObsConfig,
 }
@@ -209,7 +72,6 @@ impl Default for ClusterConfig {
             uplink_latency_us: 0,
             threads: 1,
             shard_within_hosts: false,
-            policy: None,
             obs: ObsConfig::default(),
         }
     }
@@ -246,12 +108,6 @@ impl ClusterConfig {
     /// (builder style).
     pub fn with_shard_within_hosts(mut self, on: bool) -> Self {
         self.shard_within_hosts = on;
-        self
-    }
-
-    /// Enable the cluster placement loop with `policy` (builder style).
-    pub fn with_policy(mut self, policy: ClusterPolicy) -> Self {
-        self.policy = Some(policy);
         self
     }
 
@@ -308,14 +164,11 @@ impl ClusterConfig {
         if self.threads == 0 {
             return Err(NkError::BadConfig);
         }
-        if let Some(policy) = &self.policy {
-            policy.validate()?;
-        }
         Ok(())
     }
 }
 
-/// One decision taken (or milestone reached) by the cluster control loop.
+/// One cross-host move taken, or a milestone it reached.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ClusterAction {
     /// Live-migrate a VM to another host: its state is exported and
@@ -416,13 +269,11 @@ serde::impl_serialize!(enum ClusterAction {
 pub struct ClusterEvent {
     /// Virtual time at which the action applied.
     pub at_ns: u64,
-    /// Placement epoch (0-based) the action belongs to.
-    pub epoch: u64,
     /// The action.
     pub action: ClusterAction,
 }
 
-serde::impl_serialize!(struct ClusterEvent { at_ns, epoch, action });
+serde::impl_serialize!(struct ClusterEvent { at_ns, action });
 
 #[cfg(test)]
 mod tests {
@@ -435,53 +286,6 @@ mod tests {
             .with_vm(VmConfig::new(VmId(vm)))
             .with_nsm(NsmConfig::kernel(NsmId(1)))
             .with_mapping(VmToNsmPolicy::All(NsmId(1)))
-    }
-
-    #[test]
-    fn default_policy_is_valid() {
-        assert!(ClusterPolicy::default().validate().is_ok());
-    }
-
-    #[test]
-    fn policy_builders_compose_and_validate() {
-        let p = ClusterPolicy::new()
-            .with_epoch_ns(500_000)
-            .with_window(2)
-            .with_thresholds(0.5, 0.3)
-            .with_migration_budget(2)
-            .with_cooldown(1)
-            .with_pair_cooldown(6)
-            .with_cross_traffic_weight(0.25)
-            .with_pool_clock_hz(1_000_000);
-        assert!(p.validate().is_ok());
-        assert_eq!(p.max_migrations_per_epoch, 2);
-        assert_eq!(p.pair_cooldown_epochs, 6);
-    }
-
-    #[test]
-    fn invalid_policies_are_rejected() {
-        assert!(ClusterPolicy::new().with_epoch_ns(0).validate().is_err());
-        assert!(ClusterPolicy::new().with_window(0).validate().is_err());
-        assert!(ClusterPolicy::new()
-            .with_thresholds(0.0, 0.3)
-            .validate()
-            .is_err());
-        assert!(ClusterPolicy::new()
-            .with_thresholds(1.5, 0.3)
-            .validate()
-            .is_err());
-        assert!(ClusterPolicy::new()
-            .with_thresholds(0.6, 1.5)
-            .validate()
-            .is_err());
-        assert!(ClusterPolicy::new()
-            .with_cross_traffic_weight(2.0)
-            .validate()
-            .is_err());
-        assert!(ClusterPolicy::new()
-            .with_pool_clock_hz(0)
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -594,14 +398,10 @@ mod tests {
                 r#"{"HostKilled":{"host":3}}"#,
             ),
         ] {
-            let ev = ClusterEvent {
-                at_ns: 42,
-                epoch: 7,
-                action,
-            };
+            let ev = ClusterEvent { at_ns: 42, action };
             assert_eq!(
                 serde_json::to_string(&ev).unwrap(),
-                format!(r#"{{"at_ns":42,"epoch":7,"action":{json}}}"#)
+                format!(r#"{{"at_ns":42,"action":{json}}}"#)
             );
         }
     }

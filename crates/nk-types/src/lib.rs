@@ -12,7 +12,7 @@
 //! * configuration for hosts, VMs, NSMs and fabric links ([`config`]),
 //! * deterministic fault-injection plans ([`faults`]),
 //! * operator control-plane policies and decision events ([`control`]),
-//! * cluster-scope configurations, placement policies and events ([`cluster`]),
+//! * cluster-scope configurations and events ([`cluster`]),
 //! * cross-host migration payloads, drained and warm ([`migrate`]),
 //! * the provider-facing constants of the testbed ([`constants`]),
 //! * the lookup-only table with no observable order ([`detmap`]) and the
@@ -42,7 +42,7 @@ pub mod slots;
 
 pub use addr::SockAddr;
 pub use api::{EpollEvent, PollEvents, ShutdownHow, SocketApi};
-pub use cluster::{ClusterAction, ClusterConfig, ClusterEvent, ClusterPolicy, ObsConfig};
+pub use cluster::{ClusterAction, ClusterConfig, ClusterEvent, ObsConfig};
 pub use config::{
     CcKind, HostConfig, IsolationPolicy, LinkConfig, NsmConfig, StackKind, VmConfig, VmToNsmPolicy,
 };

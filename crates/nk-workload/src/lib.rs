@@ -14,8 +14,8 @@
 //! * [`scenario`] — the one deterministic scenario runner: tenants on a
 //!   [`nk_cluster::Cluster`] (a lone host is the one-host cluster) stream
 //!   byte-verified payloads to an echo server while per-host fault plans,
-//!   the hosts' control planes, the cluster placer and a script of
-//!   cross-host moves and evacuations play out — one spec, one run loop,
+//!   the hosts' control planes and a script of cross-host moves and
+//!   evacuations play out — one spec, one run loop,
 //!   one report, one set of invariants (byte integrity, scheduler
 //!   accounting, exact NQE conservation per resident VM) — plus the seeded
 //!   random fault-schedule generator the property tests draw from;

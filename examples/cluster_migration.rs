@@ -58,10 +58,7 @@ fn main() {
     );
     println!("\ncluster event log:");
     for ev in &report.events {
-        println!(
-            "  t={:>9}ns epoch {:>2}  {:?}",
-            ev.at_ns, ev.epoch, ev.action
-        );
+        println!("  t={:>9}ns  {:?}", ev.at_ns, ev.action);
     }
     for (host, at_end) in &report.hosts {
         for (nsm, cores) in &at_end.nsm_cores {

@@ -93,10 +93,7 @@ fn main() {
 
     println!("\nplan event log:");
     for ev in &report.plan_events {
-        println!(
-            "  t={:>9}ns epoch {:>2} seq {:>2}  {:?}",
-            ev.at_ns, ev.epoch, ev.seq, ev.kind
-        );
+        println!("  t={:>9}ns seq {:>2}  {:?}", ev.at_ns, ev.seq, ev.kind);
     }
     assert!(matches!(
         report.plan_events.last().map(|e| e.kind),
@@ -105,10 +102,7 @@ fn main() {
 
     println!("\ncluster event log:");
     for ev in &report.events {
-        println!(
-            "  t={:>9}ns epoch {:>2}  {:?}",
-            ev.at_ns, ev.epoch, ev.action
-        );
+        println!("  t={:>9}ns  {:?}", ev.at_ns, ev.action);
     }
     let evacuated = report
         .events

@@ -98,7 +98,7 @@ fn main() {
     let fault_events = ObsFilter::new().with_class(EventClass::Fault);
     println!("\nfault events on {:?}:", HostId(1));
     for ev in dump.events.iter().filter(|e| fault_events.matches(e)) {
-        println!("  t={:>9}ns epoch {:>2}  {:?}", ev.at_ns, ev.epoch, ev.kind);
+        println!("  t={:>9}ns  {:?}", ev.at_ns, ev.kind);
     }
     assert!(
         dump.events.iter().any(|e| fault_events.matches(e)),

@@ -70,10 +70,7 @@ fn main() {
     );
     println!("\ncluster event log:");
     for ev in &report.events {
-        println!(
-            "  t={:>9}ns epoch {:>2}  {:?}",
-            ev.at_ns, ev.epoch, ev.action
-        );
+        println!("  t={:>9}ns  {:?}", ev.at_ns, ev.action);
     }
     let warm_at = report
         .events

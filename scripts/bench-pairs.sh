@@ -8,7 +8,11 @@
 # relative to the parent's, each side's IQR (q3 - q1), how many pairs the
 # change won (a tie wins nothing) and the failed operations summed over
 # each side's runs. The change's IQR beside the parent's shows whether its
-# own runs split into modes. Reads and edits no nkbench file.
+# own runs split into modes. The last two columns are the verdict: the
+# median and IQR of the per-pair ratio change / parent (pair i is each
+# side's i-th run, so the box's drift, which moves both runs of a pair
+# together, cancels out; below 1 is better for a "lower" metric). Reads and
+# edits no nkbench file.
 #   scripts/bench-pairs.sh <parent-rev> <workload>... [--pairs N]
 # N defaults to 10. The build directory goes under ${TMPDIR:-/tmp} and is
 # removed on exit.
@@ -64,8 +68,8 @@ run() { # <side> <workload>: append one JSON line to $work/<workload>.<side>
   "$work/$1" --workload "$2" --seed 1 --seconds "$seconds" --trace 0 >>"$work/$2.$1"
 }
 
-printf '%-9s %-18s %12s %12s %8s %11s %11s %6s %s\n' \
-  workload metric parent change delta parent_IQR change_IQR wins "failed (parent/change)"
+printf '%-9s %-18s %12s %12s %8s %11s %11s %6s %-9s %7s %9s\n' \
+  workload metric parent change delta parent_IQR change_IQR wins failed ratio ratio_IQR
 for w in "${workloads[@]}"; do
   for i in $(seq 1 "$pairs"); do
     echo "$w: pair $i of $pairs" >&2
@@ -102,13 +106,16 @@ for w in "${workloads[@]}"; do
       side == 1 { p[++np] = value($0, ENVIRON["M"]); pf += failed($0) }
       side == 2 { c[++nc] = value($0, ENVIRON["M"]); cf += failed($0) }
       END {
-        for (i = 1; i <= np && i <= nc; i++)
+        for (i = 1; i <= np && i <= nc; i++) {
           wins += ENVIRON["BETTER"] == "higher" ? c[i] > p[i] : c[i] < p[i]
-        sort(p, np); sort(c, nc)
+          if (p[i] != 0) r[++nr] = c[i] / p[i]
+        }
+        sort(p, np); sort(c, nc); sort(r, nr)
         pm = quantile(p, np, 0.5); cm = quantile(c, nc, 0.5)
-        printf "%-9s %-18s %12.4g %12.4g %+7.1f%% %11.4g %11.4g %3d/%-2d %d/%d\n", ENVIRON["W"], ENVIRON["M"],
+        printf "%-9s %-18s %12.4g %12.4g %+7.1f%% %11.4g %11.4g %3d/%-2d %-9s %7.4f %9.4f\n", ENVIRON["W"], ENVIRON["M"],
           pm, cm, pm == 0 ? 0 : 100 * (cm - pm) / pm, quantile(p, np, 0.75) - quantile(p, np, 0.25),
-          quantile(c, nc, 0.75) - quantile(c, nc, 0.25), wins, np, pf, cf
+          quantile(c, nc, 0.75) - quantile(c, nc, 0.25), wins, np, pf "/" cf,
+          nr ? quantile(r, nr, 0.5) : 0, nr ? quantile(r, nr, 0.75) - quantile(r, nr, 0.25) : 0
       }
     ' "$work/$w.parent" "$work/$w.change"
   done

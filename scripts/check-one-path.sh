@@ -135,4 +135,6 @@ check "$(code crates | grep -cE 'sample_vm|OUTSTANDING_CAP|struct Histogram')" -
 check "$(code crates | grep -cE 'StackKind::FairShare|VmWindowRegistry|connect_with_cc')" -eq 0 \
     "fair sharing is one setting: an NSM whose cc is VmShared keeps a window per VM, with no stack kind, registry or connect-time cc beside it"
 
+check "$(code crates src | grep -cE 'Placer|ClusterPolicy|Epoch::|enable_pool_accounting|take_uplink_bytes|with_policy')" -eq 0 \
+    "decisions are host-scope: no cluster placer, no second delta reader beside the host control plane"
 exit "$fails"

@@ -14,14 +14,14 @@
 //! * [`service`] — ServiceLib and the Network Stack Modules.
 //! * [`engine`] — CoreEngine: NQE switching, connection table, isolation.
 //! * [`ctrl`] — the operator control plane: load monitoring, autoscaling,
-//!   VM rebalancing, and the cluster-scope placer.
+//!   VM rebalancing, and the evacuation plans cross-host moves run as.
 //! * [`host`] — host orchestration: `NetKernelHost` and its
 //!   drain-until-quiescent step, the baseline VM and the calibrated
 //!   performance model.
 //! * [`cluster`] — the cluster fabric: hosts behind a top-of-rack switch,
-//!   cross-host VM migration with connection draining.
+//!   cross-host VM migration with connection draining, host evacuation.
 //! * [`obs`] — the deterministic flight recorder: event ring, migration
-//!   phase timelines, hot-flow table.
+//!   phase timelines, freeze stamp.
 //! * [`workload`] — workload generators used by the evaluation, all
 //!   streaming through one byte-verified traffic driver.
 
@@ -45,8 +45,7 @@ pub use nk_workload as workload;
 pub use nk_cluster::Cluster;
 pub use nk_obs::{FlightRecorder, ObsDump, ObsFilter};
 pub use nk_types::{
-    ClusterAction, ClusterConfig, ClusterEvent, ClusterPolicy, ControlAction, ControlEvent,
-    ControlPolicy, ControlTarget, FaultAction, FaultEvent, FaultPlan, LinkConfig, NkError,
-    NkResult, SocketApi,
+    ClusterAction, ClusterConfig, ClusterEvent, ControlAction, ControlEvent, ControlPolicy,
+    ControlTarget, FaultAction, FaultEvent, FaultPlan, LinkConfig, NkError, NkResult, SocketApi,
 };
 pub use nk_workload::{random_fault_plan, BurstyClient, Scenario, ScenarioConfig, ScenarioReport};

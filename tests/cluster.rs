@@ -1,7 +1,7 @@
 //! Cluster integration tests: multi-host placement with cross-host VM
 //! migration and connection draining.
 //!
-//! These prove the ISSUE's acceptance scenario end to end: two (or more)
+//! These prove the cluster's acceptance scenario end to end: two (or more)
 //! hosts sit behind the inter-host fabric (uplinks through the top-of-rack
 //! switch), tenants stream byte-verified payloads to a ToR-attached echo
 //! server, a cross-host migration drains — new connections land on the
@@ -10,7 +10,7 @@
 //! for a fixed seed at any thread count (`rows::assert_mode_invariant`
 //! diffs the full reports, event-log digest included).
 
-use netkernel::types::{ClusterAction, ClusterConfig, ClusterPolicy, HostId, NsmId, VmId};
+use netkernel::types::{ClusterAction, ClusterConfig, HostId, NsmId, VmId};
 use netkernel::workload::rows::{assert_mode_invariant, kernel_host as host};
 use netkernel::{BurstyClient, Scenario, ScenarioConfig};
 
@@ -269,61 +269,4 @@ fn cluster_runs_replay_byte_identically() {
     assert!(c.completed);
     assert_ne!(a, c, "a different plan should change the execution");
     assert_ne!(a.event_digest, c.event_digest);
-}
-
-/// Placer-driven rebalancing: three tenants packed onto host 1 overload it
-/// while host 2 idles; the cluster placement loop migrates at least one VM
-/// across hosts, the drain completes, and every byte still verifies.
-#[test]
-fn placer_migrates_tenants_off_the_overloaded_host() {
-    let policy = ClusterPolicy::new()
-        .with_epoch_ns(1_000_000)
-        .with_window(2)
-        .with_thresholds(0.5, 0.3)
-        .with_migration_budget(1)
-        .with_cooldown(1)
-        .with_cross_traffic_weight(0.2)
-        .with_pool_clock_hz(1_000_000);
-    let cluster = ClusterConfig::new()
-        .with_host(host(1, &[1, 2, 3]))
-        .with_host(host(2, &[]))
-        .with_policy(policy);
-    let report = Scenario::new(
-        ScenarioConfig::new(cluster)
-            .with_seed(11)
-            .with_tenant(BurstyClient::new(VmId(1), 0).with_total_bytes(96 * 1024))
-            .with_tenant(BurstyClient::new(VmId(2), 0).with_total_bytes(96 * 1024))
-            .with_tenant(BurstyClient::new(VmId(3), 1_000_000).with_total_bytes(96 * 1024)),
-    )
-    .run()
-    .unwrap();
-
-    assert!(report.completed, "{report:?}");
-    assert_eq!(report.bytes_verified, 3 * 96 * 1024);
-    assert_eq!(report.errors_observed, 0);
-    assert!(
-        report.events.iter().any(|e| matches!(
-            e.action,
-            ClusterAction::MigrateVm {
-                from: HostId(1),
-                to: HostId(2),
-                ..
-            }
-        )),
-        "the placer never moved a tenant off the overloaded host: {:?}",
-        report.events
-    );
-    // Every placer migration drained cleanly (no share left half-retired);
-    // where a tenant ends up homed depends on how the placer rebalances the
-    // ramp-down, so only the lifecycle is asserted, not the final placement.
-    assert!(report.stats.migrations >= 1);
-    assert_eq!(report.stats.drains_completed, report.stats.migrations);
-    assert!(
-        report
-            .events
-            .iter()
-            .any(|e| matches!(e.action, ClusterAction::DrainComplete { .. })),
-        "{:?}",
-        report.events
-    );
 }
